@@ -96,7 +96,7 @@ impl EndpointSpec {
 /// computing platforms": p4 and MPI were efficient on AIX but poor on
 /// SunOS 5.5, PVM the reverse. These factors scale the platform's
 /// per-byte stack cost per system and are calibrated so the figure shapes
-/// (who wins where, by roughly what factor) match; see `EXPERIMENTS.md`.
+/// (who wins where, by roughly what factor) match.
 pub fn stack_factor(system: &str, arch: &str) -> f64 {
     match (system, arch) {
         ("p4", "sparc") => 2.2,

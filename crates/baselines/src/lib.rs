@@ -19,7 +19,7 @@
 //! CPU costs against a [`netmodel::PlatformProfile`] through a
 //! [`netmodel::Pacer`], so the experiment harness can put 1998 platforms
 //! behind modern silicon. The per-system, per-platform stack factors are
-//! calibration constants documented in `EXPERIMENTS.md`.
+//! calibration constants ([`common::stack_factor`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

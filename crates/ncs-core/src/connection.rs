@@ -1,8 +1,7 @@
-//! Per-connection machinery: the Figure-4 data and control planes
-//! (Send/Receive/Flow Control/Error Control) as one reactor task, and the
-//! public [`NcsConnection`] handle.
+//! Per-connection machinery: the shells that drive the Figure-4 pipeline
+//! of [`crate::plane`], and the public [`NcsConnection`] handle.
 //!
-//! The send path follows the paper's Figure 4 exactly:
+//! The send path follows the paper's Figure 4:
 //!
 //! 1. `NCS_send` activates the Error Control plane;
 //! 2. the EC plane segments the message into SDUs and activates the Flow
@@ -16,24 +15,35 @@
 //!    user buffer and sends the acknowledgement bitmap over the control
 //!    connection.
 //!
-//! Where the paper runs each of those planes as a dedicated thread per
-//! connection, this module runs all four as *one* resumable state machine
-//! — [`ConnTask`] — registered with the node's
-//! [`Reactor`](crate::Reactor). The paper's mailbox "activations" become
-//! task wakeups: queueing a send, a control-plane acknowledgement, or a
-//! frame arriving on the transport each schedule the task onto one of the
-//! reactor's O(cores) event loops, where it drains its inboxes and steps
-//! the same FC/EC strategy objects the threads used to drive. Protocol
-//! waits (ack timeouts, credit pacing, starvation probes) park on reactor
-//! timers instead of blocking a thread, so a node holds thousands of
-//! connections with a fixed-size thread pool.
+//! Steps 1-3 and 5-6 — everything that is flow or error control — are
+//! the two sans-I/O state machines of [`crate::plane`]:
+//! [`TxPlane`] and [`RxPlane`]. This module is what moves bytes and time
+//! around them, in exactly two shells:
 //!
-//! When a connection is configured without flow/error control those plane
-//! steps are skipped entirely (paper §3.1's bypass — frames go straight
-//! from the send queue to the interface); in *direct* mode (§4.2) no task
-//! is registered at all and the same strategy objects run as procedures
-//! on the caller's thread.
+//! * **The reactor task** ([`ConnTask`]). Where the paper runs each plane
+//!   as a dedicated thread per connection, one resumable task registered
+//!   with the node's [`Reactor`](crate::Reactor) reads frames off the
+//!   transport into the `RxPlane`, feeds submissions and control events
+//!   to the `TxPlane`, and moves the SDUs it releases onto the wire. The
+//!   paper's mailbox "activations" become task wakeups: queueing a send,
+//!   a control-plane acknowledgement, or a frame arriving on the
+//!   transport each schedule the task onto one of the reactor's O(cores)
+//!   event loops. Protocol waits (ack timeouts, credit pacing, starvation
+//!   probes) park on reactor timers instead of blocking a thread, so a
+//!   node holds thousands of connections with a fixed-size thread pool.
+//!   The only queues left are the ones that cross threads: submissions
+//!   (application → task), control events (control dispatcher → task) and
+//!   pre-encoded bypass frames (application → task, bounded).
+//! * **Direct mode** (§4.2, [`NcsConnection::send_direct`] /
+//!   [`NcsConnection::recv_direct`]). No task is registered; the same
+//!   planes run as procedures on the caller's thread, which blocks on the
+//!   transport and on the control-event queue between steps.
+//!
+//! When a connection is configured without flow/error control the planes
+//! are not built at all (paper §3.1's bypass — frames go straight from
+//! the send queue to the interface).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -45,12 +55,10 @@ use ncs_transport::{Connection as Transport, TransportError};
 use parking_lot::{Mutex, RwLock};
 
 use crate::clock::Clock;
-use crate::config::{ConnectionConfig, ErrorControlAlg, FlowControlAlg};
-use crate::error_control::{
-    build_receiver, build_sender, AckInfo, ReceiverEc, ReceiverStep, SenderEc, SenderStep,
-};
-use crate::flow_control::{build as build_fc, FlowControlStrategy};
-use crate::packet::{CtrlMsg, DataHeader, DataPacket};
+use crate::config::{ConnectionConfig, ErrorControlAlg};
+use crate::error_control::AckInfo;
+use crate::packet::{CtrlMsg, DataHeader, DataPacket, DataView};
+use crate::plane::{sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
 use crate::pool::{BufPool, PooledBuf};
 #[cfg(unix)]
 use crate::reactor::FdRegistration;
@@ -62,12 +70,12 @@ use crate::stats::{ConnCounters, ConnectionStats, SendBreakdown};
 /// big-endian `u32` channel tag).
 const TAG_ENVELOPE: usize = 4;
 
-/// Most frames the Send/Receive Threads move per transport acquisition.
+/// Most frames the Send/Receive planes move per transport acquisition.
 /// Large enough to amortise ring/buffer acquisition over bulk traffic,
 /// small enough to keep a batch within one credit grant.
 const IO_BATCH: usize = 32;
 
-/// Depth of the Send Thread's frame queue. Bounding it backpressures
+/// Depth of the Send plane's frame queue. Bounding it backpressures
 /// producers that outrun the interface, which (a) caps the data plane's
 /// buffer memory per connection and (b) keeps the working set of pooled
 /// buffers small enough to recycle instead of alloc (an unbounded burst
@@ -158,53 +166,15 @@ impl SendTrace {
     }
 }
 
-/// Messages activating the Error Control (sender) Thread.
-pub(crate) enum EcSendMsg {
-    Send {
-        data: Vec<u8>,
-        /// The message carries a tag envelope (sets the header flag on
-        /// every SDU).
-        tagged: bool,
-        completion: Option<Arc<RequestCore<()>>>,
-    },
-    Ack(AckInfo),
-    Shutdown,
-}
-
-/// Messages activating the Flow Control Thread.
-pub(crate) enum FcMsg {
-    /// Sender side: packets of the current session to release under flow
-    /// control.
-    Enqueue(Vec<DataPacket>),
-    /// Sender side: a retransmission round — anything still queued from
-    /// the same session is superseded (prevents timeout storms from
-    /// ballooning the queue behind stale duplicates).
-    Replace(Vec<DataPacket>),
-    /// Sender side: credits/acks from the peer's FC thread.
-    Feedback(u32),
-    /// Receiver side: a data packet arrived.
-    Incoming(DataPacket),
-    Shutdown,
-}
-
-/// Messages activating the Error Control (receiver) Thread.
-pub(crate) enum EcRecvMsg {
-    Packet(DataPacket),
-    Shutdown,
-}
-
-/// Messages activating the Send Thread. Frames arrive pre-encoded in
-/// pooled buffers; transmitting a frame returns its buffer to the pool.
-pub(crate) enum SendMsg {
-    Frame {
-        frame: PooledBuf,
-        trace: Option<Arc<SendTrace>>,
-        /// Resolved when the frame crosses the transport (bypass-path
-        /// `isend` completion, attached to a message's final frame).
-        done: Option<Arc<RequestCore<()>>>,
-    },
-    Shutdown,
-}
+/// One pre-encoded frame queued for the Send plane, with its optional
+/// Table-I trace and transmit completion (bypass-path `isend`, attached to
+/// a message's final frame). Transmitting the frame returns its buffer to
+/// the pool.
+type SendJob = (
+    PooledBuf,
+    Option<Arc<SendTrace>>,
+    Option<Arc<RequestCore<()>>>,
+);
 
 /// Connection lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,11 +205,16 @@ pub(crate) struct ConnShared {
     pub pool: Arc<BufPool>,
     /// The per-peer Control Send Thread's inbox (control connection).
     pub ctrl_tx: Arc<Mailbox<CtrlMsg>>,
-    // Thread activation mailboxes.
-    pub ec_send_inbox: Mailbox<EcSendMsg>,
-    pub fc_inbox: Mailbox<FcMsg>,
-    pub ec_recv_inbox: Mailbox<EcRecvMsg>,
-    pub send_inbox: Mailbox<SendMsg>,
+    // The queues that cross threads (everything else is a field of the
+    // task or a plane).
+    /// Messages for the FC/EC pipeline: application → reactor task.
+    pub submit_inbox: Mailbox<Submission>,
+    /// Acknowledgements and flow-control feedback: control dispatcher →
+    /// whoever drives the [`TxPlane`] (the reactor task, or the thread
+    /// inside `send_direct`).
+    pub ctrl_inbox: Mailbox<CtrlEvent>,
+    /// Pre-encoded bypass frames: application → reactor task. Bounded.
+    pub send_inbox: Mailbox<SendJob>,
     /// Wake handle of the connection's reactor task (`None` in direct
     /// mode, before attachment, and after the task retires). A read-write
     /// lock, not a mutex: every submitter on the send path takes it
@@ -261,21 +236,26 @@ pub(crate) struct ConnShared {
     /// The node's metrics registry, when the connection was opened under
     /// one. Held so the connection can retire its labelled series on drop.
     pub registry: Option<Arc<Registry>>,
+    /// Session numbers of the bypass path (the FC/EC pipeline numbers its
+    /// own sessions inside the [`TxPlane`]).
     pub next_session: AtomicU32,
     /// Sticky error from the error-control plane (reported on
-    /// `send_sync`/`recv`).
-    pub last_error: Mutex<Option<SendError>>,
-    // Direct-mode state (paper §4.2): strategies run inline.
-    pub direct_events: Mailbox<DirectEvent>,
-    pub direct_send: NcsMutex<Option<DirectSender>>,
-    pub direct_recv: NcsMutex<Option<DirectReceiver>>,
-    /// The node's time source. Direct-mode (§4.2 thread-bypass) retry
-    /// deadlines — the acknowledgement-timeout retransmission clock and
-    /// the `recv_direct` operation deadline — are computed from it, so a
-    /// simulated node retries on virtual time (`ncs_core::clock`). The
+    /// `send_sync`/`recv`). Shared with the connection's [`TxPlane`].
+    pub last_error: Arc<Mutex<Option<SendError>>>,
+    /// Direct mode (paper §4.2): the planes live here and run on whichever
+    /// thread calls `send_direct` / `recv_direct`. `None` on connections
+    /// with a reactor task, which owns its planes.
+    pub direct_tx: NcsMutex<Option<TxPlane>>,
+    pub direct_rx: NcsMutex<Option<RxPlane>>,
+    /// The node's time source. Direct-mode deadlines — the
+    /// acknowledgement-timeout retransmission clock, flow-control pacing
+    /// and the `recv_direct` operation deadline — are computed from it, so
+    /// a simulated node retries on virtual time (`ncs_core::clock`). The
     /// reactor's own timer heap stays wall-clock: it is the real-time
     /// boundary that *drives* simulations.
     pub clock: Arc<dyn Clock>,
+    /// The instant a `clock` reading of zero maps to ([`ConnShared::direct_now`]).
+    clock_epoch: Instant,
 }
 
 impl std::fmt::Debug for ConnShared {
@@ -297,39 +277,6 @@ impl Drop for ConnShared {
         if let Some(registry) = &self.registry {
             registry.unregister_label("conn", &self.id.to_string());
         }
-    }
-}
-
-/// Control events routed to a direct-mode connection.
-#[derive(Debug)]
-pub(crate) enum DirectEvent {
-    Ack(AckInfo),
-    Credit(u32),
-}
-
-/// Inline sender engine for direct mode.
-pub(crate) struct DirectSender {
-    pub ec: Box<dyn SenderEc>,
-    pub fc: Box<dyn FlowControlStrategy>,
-}
-
-impl std::fmt::Debug for DirectSender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DirectSender").finish()
-    }
-}
-
-/// Inline receiver engine for direct mode.
-pub(crate) struct DirectReceiver {
-    pub ec: Box<dyn crate::error_control::ReceiverEc>,
-    pub fc: Box<dyn FlowControlStrategy>,
-    /// Sessions below this were delivered; see `ec_recv_thread`.
-    pub delivered_below: u32,
-}
-
-impl std::fmt::Debug for DirectReceiver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DirectReceiver").finish()
     }
 }
 
@@ -362,9 +309,8 @@ impl ConnShared {
             transport,
             pool,
             ctrl_tx,
-            ec_send_inbox: Mailbox::unbounded(),
-            fc_inbox: Mailbox::unbounded(),
-            ec_recv_inbox: Mailbox::unbounded(),
+            submit_inbox: Mailbox::unbounded(),
+            ctrl_inbox: Mailbox::unbounded(),
             send_inbox: Mailbox::bounded(SEND_QUEUE_DEPTH),
             task: RwLock::new(None),
             #[cfg(unix)]
@@ -374,22 +320,15 @@ impl ConnShared {
             recorder: FlightRecorder::default(),
             registry,
             next_session: AtomicU32::new(0),
-            last_error: Mutex::new(None),
-            direct_events: Mailbox::unbounded(),
-            direct_send: NcsMutex::new(None),
-            direct_recv: NcsMutex::new(None),
+            last_error: Arc::default(),
+            direct_tx: NcsMutex::new(None),
+            direct_rx: NcsMutex::new(None),
             clock,
+            clock_epoch: Instant::now(),
         });
         if direct {
-            *shared.direct_send.lock() = Some(DirectSender {
-                ec: build_sender(&shared.config.error_control),
-                fc: build_fc(&shared.config.flow_control),
-            });
-            *shared.direct_recv.lock() = Some(DirectReceiver {
-                ec: build_receiver(&shared.config.error_control),
-                fc: build_fc(&shared.config.flow_control),
-                delivered_below: 0,
-            });
+            *shared.direct_tx.lock() = Some(shared.tx_plane(shared.direct_now()));
+            *shared.direct_rx.lock() = Some(RxPlane::new(&shared.config));
         }
         // Exact receive accounting (all four transports, bypass included):
         // the delivery queue is the one point every reassembled or
@@ -442,9 +381,22 @@ impl ConnShared {
         self.established.fire();
     }
 
-    pub(crate) fn fail(&self, error: SendError) {
-        *self.last_error.lock() = Some(error);
-        self.counters.send_failures.inc();
+    /// A sender pipeline reporting into this connection's counters,
+    /// recorder and sticky error.
+    fn tx_plane(&self, now: Instant) -> TxPlane {
+        let obs = PlaneObs {
+            counters: self.counters.clone(),
+            recorder: self.recorder.clone(),
+            last_error: Arc::clone(&self.last_error),
+        };
+        TxPlane::new(&self.config, obs, now)
+    }
+
+    /// "Now" for the direct-mode planes: the node clock's reading, as an
+    /// [`Instant`] (the planes only ever compare the instants they are
+    /// given with each other).
+    fn direct_now(&self) -> Instant {
+        self.clock_epoch + self.clock.now()
     }
 
     /// Learns the peer's connection id from an incoming data packet (covers
@@ -465,89 +417,82 @@ impl ConnShared {
         }
     }
 
-    /// Queues a frame to the Send Thread, blocking (cooperatively) while
+    /// Queues a frame to the Send plane, blocking (cooperatively) while
     /// the bounded queue is full. Returns `false` — dropping the frame —
-    /// once the connection is closed, so producers never hang on a Send
-    /// Thread that has already exited.
+    /// once the connection is closed, so producers never hang on a task
+    /// that has already retired.
     pub(crate) fn queue_frame(
         &self,
         frame: PooledBuf,
         trace: Option<Arc<SendTrace>>,
         done: Option<Arc<RequestCore<()>>>,
     ) -> bool {
-        let mut msg = SendMsg::Frame { frame, trace, done };
+        let mut job = (frame, trace, done);
         loop {
             if self.closed.load(Ordering::Acquire) {
-                if let SendMsg::Frame {
-                    done: Some(core), ..
-                } = msg
-                {
+                if let Some(core) = job.2 {
                     core.complete(Err(SendError::Closed));
                 }
                 return false;
             }
-            match self.send_inbox.send_timeout(msg, IDLE_TICK) {
+            match self.send_inbox.send_timeout(job, IDLE_TICK) {
                 Ok(()) => {
                     self.wake_task();
                     return true;
                 }
-                Err(back) => msg = back.0,
+                Err(back) => job = back.0,
             }
         }
     }
 
+    /// Encodes one SDU into a pooled, wire-ready frame.
+    fn encode_sdu(&self, sdu: &Sdu<'_>) -> PooledBuf {
+        let header = DataHeader {
+            conn: self.peer_conn_id(),
+            src_conn: self.id,
+            session: sdu.session,
+            seq: sdu.seq,
+            end: sdu.end,
+            tagged: sdu.tagged,
+        };
+        header.encode_frame_pooled(sdu.payload, &self.pool)
+    }
+
     /// Segments `data` for `session` straight into pooled, wire-ready
-    /// frames — no intermediate [`DataPacket`]s. This is the bypass-path
-    /// encode: without error control there are no retransmissions, so the
-    /// payload copies that [`ConnShared::segment`] keeps around would be
-    /// pure overhead.
+    /// frames. This is the bypass-path encode: without error control
+    /// there are no retransmissions, so nothing needs the body afterwards.
     pub(crate) fn segment_frames(&self, session: u32, data: &[u8], tagged: bool) -> Vec<PooledBuf> {
         self.recorder
             .record(EventKind::Packetize, 0, session, data.len());
-        let sdu = self.config.sdu_size;
-        let n = data.len().div_ceil(sdu).max(1);
-        let peer_conn = self.peer_conn_id();
-        (0..n)
-            .map(|i| {
-                let lo = i * sdu;
-                let hi = ((i + 1) * sdu).min(data.len());
-                let header = DataHeader {
-                    conn: peer_conn,
-                    src_conn: self.id,
-                    session,
-                    seq: i as u32,
-                    end: i == n - 1,
-                    tagged,
-                };
-                header.encode_frame_pooled(&data[lo..hi], &self.pool)
-            })
+        let sdu_size = self.config.sdu_size;
+        (0..sdu_count(data.len(), sdu_size))
+            .map(|seq| self.encode_sdu(&Sdu::of(data, sdu_size, session, tagged, seq)))
             .collect()
     }
 
-    /// Segments `data` into SDU packets for `session`.
-    pub(crate) fn segment(&self, session: u32, data: &[u8], tagged: bool) -> Vec<DataPacket> {
-        self.recorder
-            .record(EventKind::Packetize, 0, session, data.len());
-        let sdu = self.config.sdu_size;
-        let n = data.len().div_ceil(sdu).max(1);
-        let peer_conn = self.peer_conn_id();
-        (0..n)
-            .map(|i| {
-                let lo = i * sdu;
-                let hi = ((i + 1) * sdu).min(data.len());
-                DataPacket {
-                    header: DataHeader {
-                        conn: peer_conn,
-                        src_conn: self.id,
-                        session,
-                        seq: i as u32,
-                        end: i == n - 1,
-                        tagged,
-                    },
-                    payload: data[lo..hi].to_vec(),
-                }
-            })
-            .collect()
+    /// Runs one arrived data frame through the receiver pipeline and does
+    /// what it asks: grants credits and acknowledges over the control
+    /// connection. Returns the message the frame completed, if any.
+    fn receive_frame(
+        &self,
+        rx: &mut RxPlane,
+        frame: &DataView<'_>,
+        now: Instant,
+    ) -> Option<Vec<u8>> {
+        let step = rx.on_frame(frame, now);
+        if step.credit > 0 {
+            self.counters.credits_granted.add(step.credit as u64);
+            self.ctrl_tx.send(CtrlMsg::Credit {
+                conn: self.peer_conn_id(),
+                credits: step.credit,
+            });
+        }
+        if let Some(ack) = step.ack {
+            self.counters.acks_sent.inc();
+            self.ctrl_tx
+                .send(make_ack_msg(self, frame.header.session, ack));
+        }
+        step.delivered
     }
 
     pub(crate) fn initiate_close(&self) {
@@ -555,12 +500,12 @@ impl ConnShared {
             return;
         }
         *self.state.lock() = ConnState::Closed;
-        // Tell the peer (best effort), then stop our threads.
+        // Tell the peer (best effort), then retire our data plane.
         let peer = self.peer_conn_id();
         if peer != u32::MAX {
             self.ctrl_tx.send(CtrlMsg::CloseConn { conn: peer });
         }
-        self.shutdown_threads();
+        self.retire_data_plane();
     }
 
     pub(crate) fn peer_closed(&self) {
@@ -569,16 +514,14 @@ impl ConnShared {
             return;
         }
         *self.state.lock() = ConnState::Closed;
-        self.shutdown_threads();
+        self.retire_data_plane();
     }
 
     /// Retires the connection's data plane. Called exactly once (guarded
-    /// by the callers' `closed` swap); the teardown itself is idempotent —
-    /// the shutdown messages are belt-and-braces for anything still
-    /// draining the inboxes, and the reactor task retires on the `closed`
-    /// flag the wake below makes it observe. A second close, or a close
-    /// landing while the task is mid-poll, resolves to a coalesced wake
-    /// and a no-op retirement.
+    /// by the callers' `closed` swap); the reactor task retires on the
+    /// `closed` flag the wake below makes it observe. A second close, or a
+    /// close landing while the task is mid-poll, resolves to a coalesced
+    /// wake and a no-op retirement.
     ///
     /// With a live reactor task the transport close is deferred to the
     /// task's retirement so the close is *graceful* in both directions:
@@ -597,13 +540,7 @@ impl ConnShared {
     ///
     /// Without a task (direct mode, or the task already retired) the
     /// teardown is immediate.
-    fn shutdown_threads(&self) {
-        self.ec_send_inbox.send(EcSendMsg::Shutdown);
-        self.fc_inbox.send(FcMsg::Shutdown);
-        self.ec_recv_inbox.send(EcRecvMsg::Shutdown);
-        // The send queue is bounded: don't block shutdown on a full queue
-        // (the task retires via the closed flag regardless).
-        let _ = self.send_inbox.try_send(SendMsg::Shutdown);
+    fn retire_data_plane(&self) {
         let task_attached = self.task.read().is_some();
         if !task_attached {
             self.transport.close();
@@ -622,6 +559,10 @@ impl ConnShared {
 }
 
 const IDLE_TICK: Duration = Duration::from_millis(100);
+
+/// Longest single wait of the direct-mode sender between looks at the
+/// node clock.
+const DIRECT_SLICE: Duration = Duration::from_millis(5);
 
 /// Frames drained per poll round before the task yields its shard with
 /// [`TaskPoll::Again`] (keeps one firehose connection from starving its
@@ -645,17 +586,9 @@ const TX_RETRY: Duration = Duration::from_millis(1);
 /// bounds transports that never signal EOF.
 const CLOSE_LINGER: Duration = Duration::from_millis(250);
 
-/// One frame queued on the Send plane, with its optional Table-I trace and
-/// transmit completion.
-type SendJob = (
-    PooledBuf,
-    Option<Arc<SendTrace>>,
-    Option<Arc<RequestCore<()>>>,
-);
-
 /// Attaches a connection to the reactor: one [`ConnTask`] multiplexing all
 /// four Figure-4 planes onto a shared event loop. Direct mode (§4.2)
-/// attaches nothing — its strategies already run inline on the caller.
+/// attaches nothing — its planes run on the caller.
 pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>) {
     if shared.config.direct {
         return;
@@ -678,27 +611,15 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
     handle.wake();
 }
 
-/// The sender error-control session in flight (one at a time, Figure 6).
-struct ActiveSend {
-    packets: Vec<DataPacket>,
-    completion: Option<Arc<RequestCore<()>>>,
-    first_round: bool,
-    /// Deadline of the current acknowledgement wait; `None` while a
-    /// strategy step is being applied (the threaded code's "inside
-    /// `run_send_session`, outside `wait_for_ack`" state).
-    ack_deadline: Option<Instant>,
-}
-
-/// A connection's Figure-4 pipeline as one resumable reactor task.
+/// A connection's Figure-4 pipeline as one resumable reactor task: the
+/// non-blocking shell around the [`crate::plane`] state machines.
 ///
-/// Each plane that used to be a thread is a `step_*` method draining the
-/// same activation mailbox the thread blocked on; the blocking waits
-/// became [`TaskPoll::Timer`] deadlines. The strategy objects
-/// ([`SenderEc`], [`ReceiverEc`], [`FlowControlStrategy`]) are untouched.
+/// The Receive and Send planes are the `step_recv` / `step_send` methods
+/// (they own the transport); flow and error control are the task's
+/// [`TxPlane`] / [`RxPlane`], fed by `step_recv` and `step_tx`. The
+/// paper's blocking waits became [`TaskPoll::Timer`] deadlines.
 struct ConnTask {
     shared: Arc<ConnShared>,
-    has_fc: bool,
-    has_ctrl: bool,
     // -- Send plane (Figure 4 step 4) --
     tx_pending: VecDeque<SendJob>,
     tx_blocked: bool,
@@ -708,21 +629,9 @@ struct ConnTask {
     // null-EC contract); the buffer rides the delivered [`MsgView`] and
     // returns to the pool when the application drops the view.
     assembling: Option<PooledBuf>,
-    // -- Flow Control plane (Figures 7/8) --
-    fc_strategy: Option<Box<dyn FlowControlStrategy>>,
-    fc_pending: VecDeque<DataPacket>,
-    fc_last_progress: Instant,
-    // -- Error Control, sender half (Figure 6) --
-    ec_tx_strategy: Option<Box<dyn SenderEc>>,
-    ec_backlog: SendBacklog,
-    ec_active: Option<ActiveSend>,
-    // -- Error Control, receiver half (steps 9-10) --
-    ec_rx_strategy: Option<Box<dyn ReceiverEc>>,
-    ec_rx_session: Option<u32>,
-    /// Sessions below this were fully delivered: their retransmissions
-    /// are duplicates (the original acknowledgement was lost) and must be
-    /// re-acknowledged, never re-delivered.
-    ec_rx_delivered_below: u32,
+    /// Flow and error control (Figures 6-8, steps 1-3 and 5-10); `None`
+    /// on §3.1 bypass configurations.
+    planes: Option<(TxPlane, RxPlane)>,
     /// The transport reported EOF/failure on the receive side: the
     /// post-close drain is complete, nothing more can arrive.
     rx_eof: bool,
@@ -734,23 +643,17 @@ struct ConnTask {
 
 impl ConnTask {
     fn new(shared: Arc<ConnShared>) -> Self {
-        let has_ctrl = shared.config.needs_control_threads();
-        let has_fc = has_ctrl && !matches!(shared.config.flow_control, FlowControlAlg::None);
+        let planes = shared.config.needs_control_threads().then(|| {
+            (
+                shared.tx_plane(Instant::now()),
+                RxPlane::new(&shared.config),
+            )
+        });
         ConnTask {
-            has_fc,
-            has_ctrl,
             tx_pending: VecDeque::with_capacity(IO_BATCH),
             tx_blocked: false,
             assembling: None,
-            fc_strategy: has_fc.then(|| build_fc(&shared.config.flow_control)),
-            fc_pending: VecDeque::new(),
-            fc_last_progress: Instant::now(),
-            ec_tx_strategy: has_ctrl.then(|| build_sender(&shared.config.error_control)),
-            ec_backlog: SendBacklog::new(),
-            ec_active: None,
-            ec_rx_strategy: has_ctrl.then(|| build_receiver(&shared.config.error_control)),
-            ec_rx_session: None,
-            ec_rx_delivered_below: 0,
+            planes,
             rx_eof: false,
             drain_deadline: None,
             finished: false,
@@ -758,11 +661,10 @@ impl ConnTask {
         }
     }
 
-    /// The Receive plane: drains ready frames off the data connection and
-    /// activates the next plane (FC if configured, else EC, else direct
-    /// delivery). Frames are parsed in place ([`DataPacket::peek`]); owned
-    /// packets are materialised only when a frame crosses into another
-    /// plane's mailbox.
+    /// The Receive plane: drains ready frames off the data connection,
+    /// parsed in place ([`DataPacket::peek`]), and runs each through the
+    /// receiver pipeline (Figure 4 steps 5-10) — or, fully bypassed,
+    /// straight into the message being assembled.
     fn step_recv(&mut self, hungry: &mut bool) -> bool {
         let shared = Arc::clone(&self.shared);
         let mut progressed = false;
@@ -792,19 +694,21 @@ impl ConnTask {
             };
             shared.note_peer_conn(view.header.src_conn);
             shared.counters.packets_received.inc();
-            if self.has_fc {
-                shared.fc_inbox.send(FcMsg::Incoming(view.to_packet()));
-            } else if self.has_ctrl {
-                shared
-                    .ec_recv_inbox
-                    .send(EcRecvMsg::Packet(view.to_packet()));
+            // `messages_received` is counted at the delivery queue.
+            if let Some((_, rx)) = &mut self.planes {
+                // The clock is read here, not once per call: bypass
+                // connections never pay for it.
+                if let Some(message) = shared.receive_frame(rx, &view, Instant::now()) {
+                    // EC strategies reassemble in their own buffers; the
+                    // view is detached (owned), not pooled.
+                    deliver_message(&shared, PooledBuf::detached(message), view.header.tagged);
+                }
             } else {
                 // Fully bypassed: reassemble inline, deliver directly, no
                 // per-packet payload allocation.
                 let buf = self.assembling.get_or_insert_with(|| shared.pool.get());
                 buf.vec_mut().extend_from_slice(view.payload);
                 if view.header.end {
-                    // `messages_received` is counted at the delivery queue.
                     let buf = self.assembling.take().expect("just inserted");
                     deliver_message(&shared, buf, view.header.tagged);
                 }
@@ -813,231 +717,34 @@ impl ConnTask {
         progressed
     }
 
-    /// The Flow Control plane: releases queued packets under the
-    /// configured algorithm and grants credits for received ones.
-    fn step_fc(&mut self, timer: &mut Option<Instant>) -> bool {
-        if !self.has_fc {
-            return false;
-        }
+    /// Flow and error control, sender half: feeds the [`TxPlane`] what
+    /// arrived for it — control events, new messages, the time — and
+    /// queues the SDUs it releases on the Send plane.
+    fn step_tx(&mut self, timer: &mut Option<Instant>) -> bool {
         let ConnTask {
             shared,
-            fc_strategy,
-            fc_pending,
-            fc_last_progress,
+            planes,
             tx_pending,
             ..
         } = self;
-        let strategy = fc_strategy.as_mut().expect("fc configured").as_mut();
-        let mut progressed = false;
-        while let Some(msg) = shared.fc_inbox.try_recv() {
-            progressed = true;
-            match msg {
-                FcMsg::Enqueue(pkts) => fc_pending.extend(pkts),
-                FcMsg::Replace(pkts) => {
-                    fc_pending.clear();
-                    fc_pending.extend(pkts);
-                }
-                FcMsg::Feedback(n) => {
-                    shared.counters.credits_received.add(n as u64);
-                    strategy.on_feedback(n);
-                    *fc_last_progress = Instant::now();
-                }
-                FcMsg::Incoming(packet) => {
-                    let grant = strategy.on_receive(Instant::now());
-                    if grant > 0 {
-                        shared.counters.credits_granted.add(grant as u64);
-                        shared.ctrl_tx.send(CtrlMsg::Credit {
-                            conn: shared.peer_conn_id(),
-                            credits: grant,
-                        });
-                    }
-                    shared.ec_recv_inbox.send(EcRecvMsg::Packet(packet));
-                }
-                FcMsg::Shutdown => {} // retirement rides the closed flag
-            }
-        }
-        // Release whatever the algorithm now permits.
-        let permits = strategy.permits(Instant::now()) as usize;
-        let mut n = permits.min(fc_pending.len());
-        if permits == 0 && !fc_pending.is_empty() {
-            // Stalled on credit: note the queue depth for the recorder.
-            shared
-                .recorder
-                .record(EventKind::FcWait, 0, 0, fc_pending.len());
-        }
-        // Starvation probe: feedback can be lost on an unreliable control
-        // path; rather than stall forever, trickle one packet out so the
-        // receiver's grants resume.
-        if n == 0 && !fc_pending.is_empty() && fc_last_progress.elapsed() >= FC_STARVATION_PROBE {
-            n = 1;
-        }
-        if n > 0 {
-            for _ in 0..n {
-                let p = fc_pending.pop_front().expect("counted above");
-                tx_pending.push_back((p.encode_pooled(&shared.pool), None, None));
-            }
-            strategy.on_transmit(n.min(permits) as u32);
-            *fc_last_progress = Instant::now();
-            progressed = true;
-        }
-        // Park on the algorithm's own pacing and the starvation probe —
-        // but only while packets actually wait for permits; an idle FC
-        // plane costs the reactor nothing.
-        if !fc_pending.is_empty() {
-            if let Some(t) = strategy.next_poll(Instant::now()) {
-                min_timer(timer, t);
-            }
-            min_timer(timer, *fc_last_progress + FC_STARVATION_PROBE);
-        }
-        progressed
-    }
-
-    /// The Error Control plane, receiver half: reassembles SDUs,
-    /// acknowledges over the control connection and delivers into the
-    /// user buffer.
-    fn step_ec_rx(&mut self) -> bool {
-        if !self.has_ctrl {
+        let Some((tx, _)) = planes else {
             return false;
-        }
-        let ConnTask {
-            shared,
-            ec_rx_strategy,
-            ec_rx_session,
-            ec_rx_delivered_below,
-            ..
-        } = self;
-        let strategy = ec_rx_strategy.as_mut().expect("ctrl configured").as_mut();
+        };
+        let now = Instant::now();
         let mut progressed = false;
-        while let Some(msg) = shared.ec_recv_inbox.try_recv() {
+        while let Some(event) = shared.ctrl_inbox.try_recv() {
+            tx.on_event(event, now);
             progressed = true;
-            let packet = match msg {
-                EcRecvMsg::Packet(p) => p,
-                EcRecvMsg::Shutdown => continue, // retirement rides the closed flag
-            };
-            let h = packet.header;
-            if h.session < *ec_rx_delivered_below {
-                // Duplicate of a completed message: re-send the clean
-                // acknowledgement when its end marker shows up, so the
-                // sender can finish even though the first ACK died.
-                if h.end {
-                    let ack = match strategy.name() {
-                        "go-back-n" => AckInfo::Cumulative(h.seq + 1),
-                        _ => AckInfo::Bitmap(crate::seq::AckBitmap::all_received(h.seq + 1)),
-                    };
-                    shared.counters.acks_sent.inc();
-                    shared.ctrl_tx.send(make_ack_msg(shared, h.session, ack));
-                }
-                continue;
-            }
-            match *ec_rx_session {
-                Some(s) if s == h.session => {}
-                Some(s) if h.session < s => continue, // stale retransmission
-                _ => {
-                    strategy.reset();
-                    *ec_rx_session = Some(h.session);
-                }
-            }
-            let step = strategy.on_packet(h.seq, h.end, packet.payload);
-            let (ack, deliver) = match step {
-                ReceiverStep::Ack(a) => (Some(a), None),
-                ReceiverStep::Deliver(m) => (None, Some(m)),
-                ReceiverStep::AckAndDeliver(a, m) => (Some(a), Some(m)),
-                ReceiverStep::Continue => (None, None),
-            };
-            if let Some(a) = ack {
-                shared.counters.acks_sent.inc();
-                shared.ctrl_tx.send(make_ack_msg(shared, h.session, a));
-            }
-            if let Some(m) = deliver {
-                // `messages_received` is counted at the delivery queue.
-                // EC strategies reassemble in their own buffers; the view
-                // is detached (owned), not pooled.
-                deliver_message(shared, PooledBuf::detached(m), h.tagged);
-                *ec_rx_delivered_below = h.session + 1;
-                *ec_rx_session = None;
-            }
         }
-        progressed
-    }
-
-    /// The Error Control plane, sender half: one message at a time, per
-    /// the paper's Figure 6 pseudocode. Acknowledgement waits park on a
-    /// reactor timer instead of a blocking mailbox receive.
-    fn step_ec_tx(&mut self, timer: &mut Option<Instant>) -> bool {
-        if !self.has_ctrl {
-            return false;
-        }
-        let ConnTask {
-            shared,
-            has_fc,
-            ec_tx_strategy,
-            ec_backlog,
-            ec_active,
-            tx_pending,
-            ..
-        } = self;
-        let strategy = ec_tx_strategy.as_mut().expect("ctrl configured").as_mut();
-        let mut progressed = false;
-        while let Some(msg) = shared.ec_send_inbox.try_recv() {
+        while let Some(submission) = shared.submit_inbox.try_recv() {
+            tx.submit(submission);
             progressed = true;
-            match msg {
-                EcSendMsg::Send {
-                    data,
-                    tagged,
-                    completion,
-                } => ec_backlog.push_back((data, tagged, completion)),
-                EcSendMsg::Ack(info) => {
-                    if ec_active.as_ref().is_some_and(|a| a.ack_deadline.is_some()) {
-                        shared.counters.acks_received.inc();
-                        let step = strategy.on_ack(info);
-                        if !matches!(step, SenderStep::Wait) {
-                            ec_active.as_mut().expect("checked above").ack_deadline = None;
-                            ec_apply(shared, *has_fc, strategy, ec_active, tx_pending, step);
-                        }
-                        // `Wait` keeps waiting against the *same* deadline
-                        // (a partial acknowledgement does not reset the
-                        // retransmission clock).
-                    }
-                    // No session waiting: a stale ack between sessions —
-                    // dropped, exactly as the threaded pick-up loop did.
-                }
-                EcSendMsg::Shutdown => {} // retirement rides the closed flag
-            }
         }
-        // Acknowledgement timeout: synthesise the strategy's timeout step.
-        if let Some(deadline) = ec_active.as_ref().and_then(|a| a.ack_deadline) {
-            if Instant::now() >= deadline {
-                ec_active.as_mut().expect("checked above").ack_deadline = None;
-                let step = strategy.on_timeout();
-                ec_apply(shared, *has_fc, strategy, ec_active, tx_pending, step);
-                progressed = true;
-            }
-        }
-        // Start the next message once idle.
-        while ec_active.is_none() {
-            let Some((data, tagged, completion)) = ec_backlog.pop_front() else {
-                break;
-            };
-            progressed = true;
-            let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
-            shared
-                .recorder
-                .record(EventKind::EcSession, 0, session, data.len());
-            let packets = shared.segment(session, &data, tagged);
-            shared.counters.messages_sent.inc();
-            let total = packets.len() as u32;
-            *ec_active = Some(ActiveSend {
-                packets,
-                completion,
-                first_round: true,
-                ack_deadline: None,
-            });
-            let step = strategy.begin(total);
-            ec_apply(shared, *has_fc, strategy, ec_active, tx_pending, step);
-        }
-        // Park the poll on the pending acknowledgement deadline, if any.
-        if let Some(deadline) = ec_active.as_ref().and_then(|a| a.ack_deadline) {
-            min_timer(timer, deadline);
+        progressed |= tx.poll(now, |sdu| {
+            tx_pending.push_back((shared.encode_sdu(&sdu), None, None));
+        });
+        if let Some(at) = tx.next_deadline(now) {
+            min_timer(timer, at);
         }
         progressed
     }
@@ -1057,20 +764,17 @@ impl ConnTask {
         // Pull queued frames in; the inbox is bounded, so draining it here
         // is what unblocks producers parked in `queue_frame`.
         while tx_pending.len() < 2 * IO_BATCH {
-            match shared.send_inbox.try_recv() {
-                Some(SendMsg::Frame { frame, trace, done }) => {
-                    // Hand-off acknowledgement: the caller may resume (and
-                    // overlap computation with the transmit below — §4.1).
-                    if let Some(t) = &trace {
-                        *t.dequeued_at.lock() = Some(Instant::now());
-                        t.accepted.fire();
-                    }
-                    tx_pending.push_back((frame, trace, done));
-                    progressed = true;
-                }
-                Some(SendMsg::Shutdown) => {} // retirement rides the closed flag
-                None => break,
+            let Some(job) = shared.send_inbox.try_recv() else {
+                break;
+            };
+            // Hand-off acknowledgement: the caller may resume (and
+            // overlap computation with the transmit below — §4.1).
+            if let Some(t) = &job.1 {
+                *t.dequeued_at.lock() = Some(Instant::now());
+                t.accepted.fire();
             }
+            tx_pending.push_back(job);
+            progressed = true;
         }
         *tx_blocked = false;
         while !tx_pending.is_empty() {
@@ -1140,36 +844,25 @@ impl ConnTask {
     }
 
     /// Terminal teardown, run once when the task observes `closed`: every
-    /// queued send — EC backlog, EC inbox, send queue — resolves `Closed`
-    /// instead of dangling, and the task detaches from its readiness
-    /// sources. Idempotent by construction (double close and
-    /// close-during-poll both funnel into the same single retirement).
+    /// queued send — in the pipeline, in the submission queue, on the send
+    /// queue — resolves `Closed` instead of dangling, and the task
+    /// detaches from its readiness sources. Idempotent by construction
+    /// (double close and close-during-poll both funnel into the same
+    /// single retirement).
     fn retire(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
         let shared = Arc::clone(&self.shared);
-        // Sender EC: the in-flight session fails like a delivery error…
-        if let Some(active) = self.ec_active.take() {
-            shared.fail(SendError::Closed);
-            if let Some(c) = active.completion {
-                c.complete(Err(SendError::Closed));
-            }
+        // The session in flight fails like a delivery error, and
+        // everything queued behind it resolves Closed (the send-side half
+        // of the fail-fast contract).
+        if let Some((tx, _)) = &mut self.planes {
+            tx.fail_all(SendError::Closed);
         }
-        // …and everything queued behind it resolves Closed (the send-side
-        // half of the fail-fast contract).
-        for (_, _, completion) in self.ec_backlog.drain(..) {
-            if let Some(c) = completion {
-                c.complete(Err(SendError::Closed));
-            }
-        }
-        while let Some(msg) = shared.ec_send_inbox.try_recv() {
-            if let EcSendMsg::Send {
-                completion: Some(c),
-                ..
-            } = msg
-            {
+        while let Some(submission) = shared.submit_inbox.try_recv() {
+            if let Some(c) = submission.completion {
                 c.complete(Err(SendError::Closed));
             }
         }
@@ -1189,15 +882,12 @@ impl ConnTask {
         for job in self.tx_pending.drain(..) {
             fail_job(job);
         }
-        while let Some(msg) = shared.send_inbox.try_recv() {
-            if let SendMsg::Frame { frame, trace, done } = msg {
-                fail_job((frame, trace, done));
-            }
+        while let Some(job) = shared.send_inbox.try_recv() {
+            fail_job(job);
         }
-        self.fc_pending.clear();
         self.assembling = None;
         // Close the transport and fail the parked receives. On a local
-        // close `shutdown_threads` already did both (these repeats are
+        // close `retire_data_plane` already did both (these repeats are
         // no-ops); on a peer close they were deferred to this retirement
         // so the final drain could deliver the peer's last frames first.
         shared.transport.close();
@@ -1212,16 +902,14 @@ impl ConnTask {
         *shared.task.write() = None;
     }
 
-    /// Whether the send planes are empty: nothing queued behind the
-    /// error-control session, no session in flight, nothing parked on
-    /// flow-control credits, nothing waiting on the wire.
+    /// Whether the send side is empty: nothing in or queued for the
+    /// FC/EC pipeline (no session in flight, nothing parked on credits),
+    /// nothing waiting on the wire.
     fn flushed(&self) -> bool {
-        self.ec_active.is_none()
-            && self.ec_backlog.is_empty()
-            && self.fc_pending.is_empty()
+        self.planes.as_ref().is_none_or(|(tx, _)| tx.is_idle())
             && self.tx_pending.is_empty()
             && !self.tx_blocked
-            && self.shared.ec_send_inbox.is_empty()
+            && self.shared.submit_inbox.is_empty()
             && self.shared.send_inbox.is_empty()
     }
 
@@ -1249,11 +937,7 @@ impl ConnTask {
             if peer_close {
                 progressed |= self.step_recv(&mut hungry);
             }
-            progressed |= self.step_fc(&mut timer);
-            if peer_close {
-                progressed |= self.step_ec_rx();
-            }
-            progressed |= self.step_ec_tx(&mut timer);
+            progressed |= self.step_tx(&mut timer);
             progressed |= self.step_send(&mut timer);
             if self.rx_eof || (!peer_close && self.flushed()) {
                 self.retire();
@@ -1310,9 +994,7 @@ impl ReactorTask for ConnTask {
             let mut progressed = false;
             progressed |= self.step_recv(&mut hungry);
             if !self.shared.closed.load(Ordering::Acquire) {
-                progressed |= self.step_fc(&mut timer);
-                progressed |= self.step_ec_rx();
-                progressed |= self.step_ec_tx(&mut timer);
+                progressed |= self.step_tx(&mut timer);
             }
             progressed |= self.step_send(&mut timer);
             if hungry {
@@ -1332,85 +1014,6 @@ impl ReactorTask for ConnTask {
         match timer {
             Some(at) => TaskPoll::Timer(at),
             None => TaskPoll::Idle,
-        }
-    }
-}
-
-/// Applies one sender-EC strategy step to the active session: transmit
-/// rounds hand packets to FC (or straight to the Send plane on FC-less
-/// configurations), completions resolve the session, and `Wait` arms the
-/// acknowledgement deadline.
-fn ec_apply(
-    shared: &Arc<ConnShared>,
-    has_fc: bool,
-    strategy: &mut dyn SenderEc,
-    ec_active: &mut Option<ActiveSend>,
-    tx_pending: &mut VecDeque<SendJob>,
-    step: SenderStep,
-) {
-    let Some(active) = ec_active.as_mut() else {
-        return;
-    };
-    match step {
-        SenderStep::Transmit(seqs) => {
-            if !active.first_round {
-                shared.counters.retransmissions.add(seqs.len() as u64);
-                shared.recorder.record(
-                    EventKind::Retransmit,
-                    0,
-                    *seqs.first().unwrap_or(&0),
-                    seqs.len(),
-                );
-            }
-            let batch: Vec<DataPacket> = seqs
-                .iter()
-                .map(|&s| active.packets[s as usize].clone())
-                .collect();
-            if has_fc {
-                if active.first_round {
-                    shared.fc_inbox.send(FcMsg::Enqueue(batch));
-                } else {
-                    // Retransmissions supersede whatever of this session
-                    // is still waiting for credits.
-                    shared.fc_inbox.send(FcMsg::Replace(batch));
-                }
-            } else {
-                for p in batch {
-                    tx_pending.push_back((p.encode_pooled(&shared.pool), None, None));
-                }
-            }
-            if active.first_round && strategy.completes_without_ack() {
-                ec_finish(shared, ec_active, Ok(()));
-                return;
-            }
-            active.first_round = false;
-            active.ack_deadline =
-                Some(Instant::now() + strategy.ack_timeout().unwrap_or(IDLE_TICK));
-        }
-        SenderStep::Done => ec_finish(shared, ec_active, Ok(())),
-        SenderStep::Failed(why) => {
-            ec_finish(shared, ec_active, Err(SendError::DeliveryFailed(why)))
-        }
-        SenderStep::Wait => {
-            active.ack_deadline =
-                Some(Instant::now() + strategy.ack_timeout().unwrap_or(IDLE_TICK));
-        }
-    }
-}
-
-/// Resolves the active sender-EC session: failures stick on the
-/// connection, and the `isend` completion (if any) resolves either way.
-fn ec_finish(
-    shared: &Arc<ConnShared>,
-    ec_active: &mut Option<ActiveSend>,
-    result: Result<(), SendError>,
-) {
-    if let Some(active) = ec_active.take() {
-        if let Err(e) = &result {
-            shared.fail(e.clone());
-        }
-        if let Some(c) = active.completion {
-            c.complete(result);
         }
     }
 }
@@ -1438,16 +1041,6 @@ fn deliver_message(shared: &ConnShared, buf: PooledBuf, tagged: bool) {
     };
     shared.delivery.deliver(view);
 }
-
-/// How long the Flow Control plane tolerates a non-empty queue with no
-/// feedback before probing with one packet. Feedback (credits, window
-/// acks) travels on the control connection, which over ACI can itself lose
-/// cells; without this probe a lost credit grant would starve the sender
-/// forever.
-const FC_STARVATION_PROBE: Duration = Duration::from_millis(500);
-
-/// Send jobs queued behind the one the Error Control plane is driving.
-type SendBacklog = VecDeque<(Vec<u8>, bool, Option<Arc<RequestCore<()>>>)>;
 
 fn make_ack_msg(shared: &ConnShared, session: u32, info: AckInfo) -> CtrlMsg {
     match info {
@@ -1561,7 +1154,9 @@ impl NcsConnection {
     ///
     /// See [`SendError`].
     pub fn send(&self, data: &[u8]) -> Result<(), SendError> {
-        self.send_inner(data, None, None)
+        self.submit(data, None, None)?;
+        self.shared.wake_task();
+        Ok(())
     }
 
     /// Nonblocking `NCS_send`: queues the message and returns a
@@ -1578,9 +1173,7 @@ impl NcsConnection {
     /// connections) surface immediately; everything later resolves through
     /// the request.
     pub fn isend(&self, data: &[u8]) -> Result<Request<()>, SendError> {
-        let core = RequestCore::new();
-        self.send_inner(data, None, Some(Arc::clone(&core)))?;
-        Ok(Request::new(core))
+        self.isend_inner(data, None)
     }
 
     /// [`NcsConnection::isend`] on logical channel `tag`: the receiver
@@ -1597,8 +1190,13 @@ impl NcsConnection {
     ///
     /// As [`NcsConnection::isend`].
     pub fn isend_tagged(&self, tag: u32, data: &[u8]) -> Result<Request<()>, SendError> {
+        self.isend_inner(data, Some(tag))
+    }
+
+    fn isend_inner(&self, data: &[u8], tag: Option<u32>) -> Result<Request<()>, SendError> {
         let core = RequestCore::new();
-        self.send_inner(data, Some(tag), Some(Arc::clone(&core)))?;
+        self.submit(data, tag, Some(Arc::clone(&core)))?;
+        self.shared.wake_task();
         Ok(Request::new(core))
     }
 
@@ -1626,7 +1224,10 @@ impl NcsConnection {
         self.isend(data)?.wait_timeout(timeout)
     }
 
-    fn send_inner(
+    /// The one way into the send path: validates, then hands the message
+    /// to the FC/EC pipeline (Figure 4 step 1) or — §3.1 bypass — encodes
+    /// it straight onto the send queue. The caller wakes the task.
+    fn submit(
         &self,
         data: &[u8],
         tag: Option<u32>,
@@ -1645,47 +1246,29 @@ impl NcsConnection {
         // envelope during reassembly and routes the message to the tag's
         // delivery shard — see `deliver_message` and
         // `request::DELIVERY_SHARDS`.
-        fn envelope(tag: u32, data: &[u8]) -> Vec<u8> {
-            let mut v = Vec::with_capacity(TAG_ENVELOPE + data.len());
-            v.extend_from_slice(&tag.to_be_bytes());
-            v.extend_from_slice(data);
-            v
-        }
         let tagged = tag.is_some();
+        let body = match tag {
+            Some(t) => {
+                let mut v = Vec::with_capacity(TAG_ENVELOPE + data.len());
+                v.extend_from_slice(&t.to_be_bytes());
+                v.extend_from_slice(data);
+                Cow::Owned(v)
+            }
+            None => Cow::Borrowed(data),
+        };
         if self.shared.config.needs_control_threads() {
-            // Figure 4 step 1: activate the Error Control plane.
-            self.shared.ec_send_inbox.send(EcSendMsg::Send {
-                data: match tag {
-                    Some(t) => envelope(t, data),
-                    None => data.to_vec(),
-                },
+            self.shared.submit_inbox.send(Submission {
+                data: body.into_owned(),
                 tagged,
                 completion: completion.clone(),
             });
-            self.shared.wake_task();
-            // Close raced with the enqueue? The task may already have
-            // drained its inbox and retired; resolve the request here so
-            // it can never dangle (the first completion wins).
-            if self.shared.closed.load(Ordering::Acquire) {
-                if let Some(c) = completion {
-                    c.complete(Err(SendError::Closed));
-                }
-            }
         } else {
-            let enveloped: Vec<u8>;
-            let body: &[u8] = match tag {
-                Some(t) => {
-                    enveloped = envelope(t, data);
-                    &enveloped
-                }
-                None => data,
-            };
-            // §3.1 bypass: segment straight into pooled frames and
-            // activate the Send Thread directly; the completion (if any)
-            // rides the final frame and resolves on transmit.
+            // Segment straight into pooled frames on the send queue; the
+            // completion (if any) rides the final frame and resolves on
+            // transmit.
             let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
             self.shared.counters.messages_sent.inc();
-            let frames = self.shared.segment_frames(session, body, tagged);
+            let frames = self.shared.segment_frames(session, &body, tagged);
             let last = frames.len() - 1;
             for (i, frame) in frames.into_iter().enumerate() {
                 let done = if i == last { completion.clone() } else { None };
@@ -1693,26 +1276,24 @@ impl NcsConnection {
                     return Err(SendError::Closed);
                 }
             }
-            // Close raced with the queueing? `closed` is set before the
-            // Send Thread's Shutdown message, so observing it here means
-            // our frames may sit behind that message forever — resolve
-            // the request now (the first completion wins).
-            if self.shared.closed.load(Ordering::Acquire) {
-                if let Some(c) = completion {
-                    c.complete(Err(SendError::Closed));
-                }
+        }
+        // Close raced with the queueing? The task may already have drained
+        // its queues and retired; resolve the request here so it can never
+        // dangle (the first completion wins).
+        if self.shared.closed.load(Ordering::Acquire) {
+            if let Some(c) = completion {
+                c.complete(Err(SendError::Closed));
             }
         }
         Ok(())
     }
 
-    /// `NCS_send` for several messages in one call: validates and queues
-    /// the whole batch onto the connection's plane in order. On §3.1
-    /// bypass configurations every message is segmented straight into
-    /// pooled frames and the frames queue back to back, so the Send
-    /// Thread coalesces the batch into
+    /// `NCS_send` for several messages in one call: validates the whole
+    /// batch, then queues it in order and wakes the connection's task
+    /// once. On §3.1 bypass configurations the frames queue back to back,
+    /// so the Send plane coalesces the batch into
     /// [`ncs_transport::Connection::send_batch`] transmissions; with
-    /// FC/EC configured each message activates the Error Control Thread
+    /// FC/EC configured each message is handed to the pipeline
     /// (asynchronous, exactly as [`NcsConnection::send`]).
     ///
     /// # Errors
@@ -1723,32 +1304,10 @@ impl NcsConnection {
         for m in msgs {
             self.check_sendable(m, None)?;
         }
-        if self.shared.config.direct {
-            return Err(SendError::WrongMode("threaded"));
-        }
         for m in msgs {
-            self.shared.recorder.record(EventKind::Isend, 0, 0, m.len());
+            self.submit(m, None, None)?;
         }
-        if self.shared.config.needs_control_threads() {
-            for m in msgs {
-                self.shared.ec_send_inbox.send(EcSendMsg::Send {
-                    data: m.to_vec(),
-                    tagged: false,
-                    completion: None,
-                });
-            }
-            self.shared.wake_task();
-        } else {
-            for m in msgs {
-                let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-                self.shared.counters.messages_sent.inc();
-                for frame in self.shared.segment_frames(session, m, false) {
-                    if !self.shared.queue_frame(frame, None, None) {
-                        return Err(SendError::Closed);
-                    }
-                }
-            }
-        }
+        self.shared.wake_task();
         Ok(())
     }
 
@@ -1840,15 +1399,6 @@ impl NcsConnection {
         Ok(self.shared.delivery.try_take(None)?.map(MsgView::into_vec))
     }
 
-    /// Non-blocking receive, swallowing connection state.
-    #[deprecated(
-        since = "0.1.0",
-        note = "silently swallows connection errors; use try_recv_result()"
-    )]
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.try_recv_result().ok().flatten()
-    }
-
     /// Hands this connection's untagged receive stream to `sink`: every
     /// untagged message — including any already queued — is pushed into
     /// the callback as it is reassembled, and the connection's terminal
@@ -1890,121 +1440,67 @@ impl NcsConnection {
     /// [`NcsConnection::send_sync`].
     pub fn send_direct(&self, data: &[u8]) -> Result<(), SendError> {
         self.check_sendable(data, None)?;
-        self.shared
-            .recorder
-            .record(EventKind::Isend, 0, 0, data.len());
-        let mut engine_slot = self.shared.direct_send.lock();
-        let engine = engine_slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
-        let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let packets = self.shared.segment(session, data, false);
-        self.shared.counters.messages_sent.inc();
-        let total = packets.len() as u32;
-        let mut pending: std::collections::VecDeque<u32> = Default::default();
-        let mut step = engine.ec.begin(total);
-        let mut first_round = true;
-        loop {
-            match step {
-                SenderStep::Transmit(seqs) => {
-                    if !first_round {
-                        self.shared.counters.retransmissions.add(seqs.len() as u64);
-                        self.shared.recorder.record(
-                            EventKind::Retransmit,
-                            0,
-                            *seqs.first().unwrap_or(&0),
-                            seqs.len(),
-                        );
-                    }
-                    pending.extend(seqs);
-                    // Flow-control procedure: release as permitted.
-                    self.drain_direct(engine, &packets, &mut pending)?;
-                    if first_round && engine.ec.completes_without_ack() && pending.is_empty() {
-                        return Ok(());
-                    }
-                    first_round = false;
-                    step = self.wait_direct(engine, &packets, &mut pending)?;
-                }
-                SenderStep::Done => return Ok(()),
-                SenderStep::Failed(why) => {
-                    let e = SendError::DeliveryFailed(why);
-                    self.shared.fail(e.clone());
-                    return Err(e);
-                }
-                SenderStep::Wait => {
-                    step = self.wait_direct(engine, &packets, &mut pending)?;
-                }
-            }
+        let shared = &self.shared;
+        let mut slot = shared.direct_tx.lock();
+        let tx = slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
+        shared.recorder.record(EventKind::Isend, 0, 0, data.len());
+        let done = RequestCore::new();
+        tx.submit(Submission {
+            data: data.to_vec(),
+            tagged: false,
+            completion: Some(Arc::clone(&done)),
+        });
+        let result = self.drive_direct(tx, &done);
+        if result.is_err() {
+            // Gave up mid-message (closed, link failure): nothing may
+            // linger in the pipeline for the next call to trip over.
+            tx.fail_all(SendError::Closed);
         }
+        result
     }
 
-    fn drain_direct(
-        &self,
-        engine: &mut DirectSender,
-        packets: &[DataPacket],
-        pending: &mut std::collections::VecDeque<u32>,
-    ) -> Result<(), SendError> {
-        let permits = engine.fc.permits(Instant::now()) as usize;
-        let n = permits.min(pending.len());
-        if n == 0 {
-            return Ok(());
-        }
-        // Encode the released window into pooled frames and push them
-        // through the transport as one batch (retrying partial sends).
-        let frames: Vec<PooledBuf> = pending
-            .drain(..n)
-            .map(|seq| packets[seq as usize].encode_pooled(&self.shared.pool))
-            .collect();
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        let mut sent = 0;
-        while sent < refs.len() {
-            sent += self
-                .shared
-                .transport
-                .send_batch(&refs[sent..])?
-                .clamp(1, refs.len() - sent);
-        }
-        self.shared.counters.packets_sent.add(n as u64);
-        let bytes: usize = refs.iter().map(|r| r.len()).sum();
-        self.shared.recorder.record(EventKind::Wire, 0, 0, bytes);
-        engine.fc.on_transmit(n as u32);
-        Ok(())
-    }
-
-    fn wait_direct(
-        &self,
-        engine: &mut DirectSender,
-        packets: &[DataPacket],
-        pending: &mut std::collections::VecDeque<u32>,
-    ) -> Result<SenderStep, SendError> {
-        let timeout = engine.ec.ack_timeout().unwrap_or(IDLE_TICK);
-        let deadline = self.shared.clock.now() + timeout;
+    /// The blocking shell around the sender pipeline: steps `tx` on this
+    /// thread — control events in, released SDUs out through the
+    /// transport — until `done` resolves.
+    fn drive_direct(&self, tx: &mut TxPlane, done: &RequestCore<()>) -> Result<(), SendError> {
+        let shared = &self.shared;
+        let mut frames: Vec<PooledBuf> = Vec::new();
         loop {
-            // Keep the pipeline moving while waiting (rate/credit refills).
-            self.drain_direct(engine, packets, pending)?;
-            if engine.ec.completes_without_ack() && pending.is_empty() {
-                return Ok(SenderStep::Done);
+            let now = shared.direct_now();
+            while let Some(event) = shared.ctrl_inbox.try_recv() {
+                tx.on_event(event, now);
             }
-            let now = self.shared.clock.now();
-            if now >= deadline {
-                return Ok(engine.ec.on_timeout());
+            tx.poll(now, |sdu| frames.push(shared.encode_sdu(&sdu)));
+            if !frames.is_empty() {
+                // Push the released window through the transport as one
+                // batch (retrying partial sends).
+                let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
+                let mut sent = 0;
+                while sent < refs.len() {
+                    sent += shared
+                        .transport
+                        .send_batch(&refs[sent..])?
+                        .clamp(1, refs.len() - sent);
+                }
+                shared.counters.packets_sent.add(refs.len() as u64);
+                let bytes: usize = refs.iter().map(|r| r.len()).sum();
+                shared.recorder.record(EventKind::Wire, 0, 0, bytes);
+                frames.clear();
             }
-            let slice = deadline.saturating_sub(now).min(Duration::from_millis(5));
-            match self.shared.direct_events.recv_timeout(slice) {
-                Ok(DirectEvent::Ack(info)) => {
-                    self.shared.counters.acks_received.inc();
-                    let step = engine.ec.on_ack(info);
-                    if !matches!(step, SenderStep::Wait) {
-                        return Ok(step);
-                    }
-                }
-                Ok(DirectEvent::Credit(n)) => {
-                    self.shared.counters.credits_received.add(n as u64);
-                    engine.fc.on_feedback(n);
-                }
-                Err(_) => {
-                    if self.shared.closed.load(Ordering::Acquire) {
-                        return Err(SendError::Closed);
-                    }
-                }
+            if let Some(result) = done.take() {
+                return result;
+            }
+            if shared.closed.load(Ordering::Acquire) {
+                return Err(SendError::Closed);
+            }
+            // Wait for the peer's next word, but no longer than the
+            // pipeline's own deadline — in short slices, because the node
+            // clock may be virtual and move without waking this thread.
+            let slice = tx
+                .next_deadline(now)
+                .map_or(DIRECT_SLICE, |at| (at - now).min(DIRECT_SLICE));
+            if let Ok(event) = shared.ctrl_inbox.recv_timeout(slice) {
+                tx.on_event(event, shared.direct_now());
             }
         }
     }
@@ -2018,74 +1514,23 @@ impl NcsConnection {
     /// [`SendError::WrongMode`] on threaded connections;
     /// [`SendError::Timeout`] if no message completed in time.
     pub fn recv_direct(&self, timeout: Duration) -> Result<Vec<u8>, SendError> {
-        let mut engine_slot = self.shared.direct_recv.lock();
-        let engine = engine_slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
-        let deadline = self.shared.clock.now() + timeout;
-        let mut current_session: Option<u32> = None;
+        let shared = &self.shared;
+        let mut slot = shared.direct_rx.lock();
+        let rx = slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
+        let deadline = shared.clock.now() + timeout;
         loop {
-            let now = self.shared.clock.now();
+            let now = shared.clock.now();
             if now >= deadline {
                 return Err(SendError::Timeout);
             }
-            let frame = match self.shared.transport.recv_timeout(deadline - now) {
-                Ok(f) => f,
-                Err(TransportError::Timeout) => return Err(SendError::Timeout),
-                Err(e) => return Err(e.into()),
-            };
-            let Ok(packet) = DataPacket::decode(&frame) else {
+            let frame = shared.transport.recv_timeout(deadline - now)?;
+            let Ok(view) = DataPacket::peek(&frame) else {
                 continue;
             };
-            self.shared.counters.packets_received.inc();
-            let h = packet.header;
-            if h.session < engine.delivered_below {
-                // Duplicate of a delivered message: re-acknowledge its end
-                // marker (the original ACK was lost) and move on.
-                if h.end {
-                    let ack = match engine.ec.name() {
-                        "go-back-n" => AckInfo::Cumulative(h.seq + 1),
-                        _ => AckInfo::Bitmap(crate::seq::AckBitmap::all_received(h.seq + 1)),
-                    };
-                    self.shared.counters.acks_sent.inc();
-                    self.shared
-                        .ctrl_tx
-                        .send(make_ack_msg(&self.shared, h.session, ack));
-                }
-                continue;
-            }
-            match current_session {
-                Some(s) if s == h.session => {}
-                Some(s) if h.session < s => continue,
-                _ => {
-                    engine.ec.reset();
-                    current_session = Some(h.session);
-                }
-            }
-            // Flow-control receive procedure: grant credits inline.
-            let grant = engine.fc.on_receive(Instant::now());
-            if grant > 0 {
-                self.shared.counters.credits_granted.add(grant as u64);
-                self.shared.ctrl_tx.send(CtrlMsg::Credit {
-                    conn: self.shared.peer_conn_id(),
-                    credits: grant,
-                });
-            }
-            let step = engine.ec.on_packet(h.seq, h.end, packet.payload);
-            let (ack, deliver) = match step {
-                ReceiverStep::Ack(a) => (Some(a), None),
-                ReceiverStep::Deliver(m) => (None, Some(m)),
-                ReceiverStep::AckAndDeliver(a, m) => (Some(a), Some(m)),
-                ReceiverStep::Continue => (None, None),
-            };
-            if let Some(a) = ack {
-                self.shared.counters.acks_sent.inc();
-                self.shared
-                    .ctrl_tx
-                    .send(make_ack_msg(&self.shared, h.session, a));
-            }
-            if let Some(m) = deliver {
-                self.shared.counters.messages_received.inc();
-                engine.delivered_below = h.session + 1;
-                return Ok(m);
+            shared.counters.packets_received.inc();
+            if let Some(message) = shared.receive_frame(rx, &view, shared.direct_now()) {
+                shared.counters.messages_received.inc();
+                return Ok(message);
             }
         }
     }
@@ -2191,37 +1636,30 @@ impl NcsConnection {
 }
 
 /// Routes a control-plane event into this connection (called by the
-/// Control Receive Thread's dispatcher).
-pub(crate) fn dispatch_ctrl(shared: &Arc<ConnShared>, msg: CtrlMsg) {
-    match msg {
-        CtrlMsg::Ack { bitmap, .. } => {
-            let info = AckInfo::Bitmap(bitmap);
-            if shared.config.direct {
-                shared.direct_events.send(DirectEvent::Ack(info));
-            } else {
-                shared.ec_send_inbox.send(EcSendMsg::Ack(info));
-                shared.wake_task();
-            }
-        }
-        CtrlMsg::GbnAck { next_expected, .. } => {
-            let info = AckInfo::Cumulative(next_expected);
-            if shared.config.direct {
-                shared.direct_events.send(DirectEvent::Ack(info));
-            } else {
-                shared.ec_send_inbox.send(EcSendMsg::Ack(info));
-                shared.wake_task();
-            }
-        }
-        CtrlMsg::Credit { credits, .. } => {
-            if shared.config.direct {
-                shared.direct_events.send(DirectEvent::Credit(credits));
-            } else {
-                shared.fc_inbox.send(FcMsg::Feedback(credits));
-                shared.wake_task();
-            }
-        }
-        _ => {}
-    }
+/// Control Receive Thread's dispatcher): queued for whoever drives the
+/// connection's [`TxPlane`], and — when that is a reactor task — the task
+/// is woken.
+pub(crate) fn dispatch_ctrl(shared: &ConnShared, msg: CtrlMsg) {
+    let event = match msg {
+        CtrlMsg::Ack {
+            session, bitmap, ..
+        } => CtrlEvent::Ack {
+            session,
+            info: AckInfo::Bitmap(bitmap),
+        },
+        CtrlMsg::GbnAck {
+            session,
+            next_expected,
+            ..
+        } => CtrlEvent::Ack {
+            session,
+            info: AckInfo::Cumulative(next_expected),
+        },
+        CtrlMsg::Credit { credits, .. } => CtrlEvent::Credit(credits),
+        _ => return,
+    };
+    shared.ctrl_inbox.send(event);
+    shared.wake_task();
 }
 
 // ---------------------------------------------------------------------------

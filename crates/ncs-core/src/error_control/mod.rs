@@ -1,7 +1,8 @@
 //! Error-control algorithms (paper §3.2).
 //!
 //! Each algorithm is a pair of strategy objects — sender and receiver —
-//! driven by the per-connection Error Control Threads. The sender strategy
+//! driven by the connection's send and receive pipelines (the paper's
+//! Error Control Threads; `plane.rs` here). The sender strategy
 //! decides what to (re)transmit in response to acknowledgements and
 //! timeouts; the receiver strategy accumulates SDUs, decides when to
 //! acknowledge and when the reassembled message can be delivered to the

@@ -1,10 +1,11 @@
 //! Flow-control algorithms (paper §3.3).
 //!
-//! Each algorithm is a strategy object driven by the per-connection Flow
-//! Control Thread: the sender side asks how many queued packets may be
-//! transmitted ([`FlowControlStrategy::permits`]) and reports feedback
-//! arriving on the control connection; the receiver side decides how many
-//! credits to grant back per received packet.
+//! Each algorithm is a strategy object driven by the connection's send and
+//! receive pipelines (the paper's Flow Control Thread; `plane.rs` here):
+//! the sender side asks how many queued packets may be transmitted
+//! ([`FlowControlStrategy::permits`]) and reports feedback arriving on the
+//! control connection; the receiver side decides how many credits to
+//! grant back per received packet.
 //!
 //! The paper's default is the credit-based window scheme of Figures 7/8,
 //! with dynamic credit adjustment ("active connections get more credits,

@@ -61,6 +61,7 @@ pub mod group;
 pub mod link;
 mod node;
 pub mod packet;
+mod plane;
 pub mod pool;
 pub mod reactor;
 pub mod request;

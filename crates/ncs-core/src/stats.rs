@@ -14,7 +14,7 @@ use crate::reactor::Reactor;
 /// Counters kept by every connection — [`ncs_obs::Counter`] handles, so
 /// the same atomics back both the exact per-connection
 /// [`ConnectionStats`] and the node's registry snapshot.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ConnCounters {
     pub messages_sent: Counter,
     pub messages_received: Counter,

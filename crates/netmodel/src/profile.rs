@@ -18,9 +18,8 @@ pub enum ByteOrder {
 /// Communication cost model of one workstation platform.
 ///
 /// The per-operation and per-byte costs below are calibrated against the
-/// paper's Figures 12/13 (see `EXPERIMENTS.md` for the calibration notes):
-/// they reproduce relative platform speed and the large-message divergence,
-/// not exact 1998 microseconds.
+/// paper's Figures 12/13: they reproduce relative platform speed and the
+/// large-message divergence, not exact 1998 microseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformProfile {
     /// Human-readable platform name.

@@ -117,9 +117,7 @@
 //!
 //! See `ARCHITECTURE.md` for the top-to-bottom tour of the workspace
 //! (crate map, the Figure-4 thread planes, the life of a message, the
-//! reactor model and the cluster bootstrap), `DESIGN.md` for the system
-//! inventory and `EXPERIMENTS.md` for the paper-versus-measured record
-//! of every table and figure.
+//! reactor model and the cluster bootstrap).
 
 #![deny(missing_docs)]
 
