@@ -4,260 +4,11 @@
 //! CI's perf-gate job no longer just *uploads* `BENCH_dataplane.json` —
 //! it validates the fresh run against the committed snapshot: same schema
 //! version, no section or case silently missing, and every gate `pass`
-//! field true. The JSON support is a deliberately small recursive-descent
-//! parser (the artifact is machine-written by `perf_gate`; this is a
-//! checker, not a general JSON library).
+//! field true. The JSON value type and parser are the workspace's one
+//! ([`ncs_obs::json`](ncs_core::json)), re-exported here under the names
+//! this module has always offered.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (kept as `f64`; the artifact's values all fit).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (sorted map; duplicate keys keep the last value).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member `key` of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, why: &str) -> String {
-        format!("{why} at byte {}", self.at)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
-            self.at += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.at += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("non-ASCII \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            self.at += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        other => {
-                            return Err(self.err(&format!("unknown escape '\\{}'", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the artifact is ASCII, but
-                    // stay correct anyway).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(&b))
-        {
-            self.at += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => {
-                self.at += 1;
-                let mut m = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.at += 1;
-                    return Ok(Json::Obj(m));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let v = self.value()?;
-                    m.insert(key, v);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.at += 1,
-                        Some(b'}') => {
-                            self.at += 1;
-                            return Ok(Json::Obj(m));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
-            b'[' => {
-                self.at += 1;
-                let mut a = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.at += 1;
-                    return Ok(Json::Arr(a));
-                }
-                loop {
-                    a.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.at += 1,
-                        Some(b']') => {
-                            self.at += 1;
-                            return Ok(Json::Arr(a));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-}
-
-/// Parses one JSON document (rejecting trailing garbage).
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax problem.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        at: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(v)
-}
+pub use ncs_core::json::{parse as parse_json, Json};
 
 /// Collects every `"pass"` field anywhere in `v`, with its JSON path.
 fn collect_passes(v: &Json, path: &str, out: &mut Vec<(String, Option<bool>)>) {

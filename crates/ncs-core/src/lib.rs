@@ -85,5 +85,5 @@ pub use stats::{ConnectionStats, ReactorStats, SendBreakdown};
 // ([`NcsNode::registry`], [`NcsConnection::flight`]), re-exported so
 // ncs-core users don't need a separate ncs-obs dependency.
 pub use ncs_obs::{
-    EventKind, FlightEvent, FlightRecorder, MetricsSnapshot, Registry as MetricsRegistry,
+    json, EventKind, FlightEvent, FlightRecorder, MetricsSnapshot, Registry as MetricsRegistry,
 };

@@ -27,6 +27,9 @@
 //!   kill-switch whose "off" cost is a single relaxed load.
 //! * [`postmortem`] — the `NCS_TELEMETRY_FILE` sink a dying rank writes
 //!   its final dump to, which `ncs-launch` wraps with the exit cause.
+//! * [`json`] — the workspace's one JSON value type, parser and tree
+//!   writer: what `bench_check`, `perf_gate` and `ncs-launch`'s telemetry
+//!   merge read and write dumps with.
 //!
 //! The crate is dependency-free so every layer of the workspace can
 //! depend on it without cycles.

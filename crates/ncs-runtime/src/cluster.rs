@@ -352,42 +352,7 @@ impl ClusterNode {
             links.insert(peer as usize, conn);
         }
 
-        // Version + rank handshake on every link, both directions. Sends
-        // go first (they are asynchronous), then every peer's hello is
-        // awaited and verified.
-        let hello = ClusterHello {
-            version: PROTOCOL_VERSION,
-            rank: cfg.rank,
-            world: cfg.world,
-        };
-        for conn in links.values() {
-            conn.send(&hello.encode())
-                .map_err(|e| ClusterError::Connect(e.to_string()))?;
-        }
-        for (&peer, conn) in &links {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| {
-                    ClusterError::Timeout(format!("no handshake from rank {peer} in time"))
-                })?;
-            let frame = conn
-                .recv_timeout(left)
-                .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
-            let h = ClusterHello::decode(&frame)
-                .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
-            if h.version != PROTOCOL_VERSION {
-                return Err(ClusterError::Handshake(format!(
-                    "rank {peer} speaks protocol {} (this rank speaks {PROTOCOL_VERSION})",
-                    h.version
-                )));
-            }
-            if h.rank != peer as u32 || h.world != cfg.world {
-                return Err(ClusterError::Handshake(format!(
-                    "peer on link {peer} claims rank {} of world {} (expected rank {peer} of {})",
-                    h.rank, h.world, cfg.world
-                )));
-            }
-        }
+        handshake(cfg.rank, cfg.world, &links, deadline)?;
 
         Ok(ClusterNode {
             shared: Arc::new(ClusterShared {
@@ -516,34 +481,7 @@ impl ClusterNode {
             accepted += 1;
         }
 
-        let hello = ClusterHello {
-            version: PROTOCOL_VERSION,
-            rank: cfg.rank,
-            world: cfg.world,
-        };
-        for conn in links.values() {
-            conn.send(&hello.encode())
-                .map_err(|e| ClusterError::Connect(e.to_string()))?;
-        }
-        for (&peer, conn) in &links {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| {
-                    ClusterError::Timeout(format!("no handshake from rank {peer} in time"))
-                })?;
-            let frame = conn
-                .recv_timeout(left)
-                .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
-            let h = ClusterHello::decode(&frame)
-                .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
-            if h.version != PROTOCOL_VERSION || h.rank != peer as u32 || h.world != cfg.world {
-                return Err(ClusterError::Handshake(format!(
-                    "peer on link {peer} claims rank {} of world {} at protocol {} \
-                     (expected rank {peer} of {})",
-                    h.rank, h.world, h.version, cfg.world
-                )));
-            }
-        }
+        handshake(cfg.rank, cfg.world, &links, deadline)?;
 
         let mut members: Vec<(u32, SocketAddr)> = peers;
         members.push((cfg.rank, my_addr));
@@ -868,6 +806,55 @@ impl ClusterNode {
     }
 }
 
+/// The cluster handshake on a set of freshly established links (peer rank
+/// -> connection): rank `me` of `world` sends its [`ClusterHello`] on
+/// every link, then awaits each peer's and refuses a protocol version,
+/// rank or world size other than the expected one. Every hello goes out
+/// before any is awaited — sends are asynchronous, so no order in which
+/// the ranks of a world walk their links can leave them waiting on each
+/// other.
+fn handshake(
+    me: u32,
+    world: u32,
+    links: &HashMap<usize, NcsConnection>,
+    deadline: Instant,
+) -> Result<(), ClusterError> {
+    let hello = ClusterHello {
+        version: PROTOCOL_VERSION,
+        rank: me,
+        world,
+    };
+    for conn in links.values() {
+        conn.send(&hello.encode())
+            .map_err(|e| ClusterError::Connect(e.to_string()))?;
+    }
+    for (&peer, conn) in links {
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .ok_or_else(|| {
+                ClusterError::Timeout(format!("no handshake from rank {peer} in time"))
+            })?;
+        let frame = conn
+            .recv_timeout(left)
+            .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
+        let h = ClusterHello::decode(&frame)
+            .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
+        if h.version != PROTOCOL_VERSION {
+            return Err(ClusterError::Handshake(format!(
+                "rank {peer} speaks protocol {} (this rank speaks {PROTOCOL_VERSION})",
+                h.version
+            )));
+        }
+        if h.rank as usize != peer || h.world != world {
+            return Err(ClusterError::Handshake(format!(
+                "peer on link {peer} claims rank {} of world {} (expected rank {peer} of {world})",
+                h.rank, h.world
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Applies one membership view to a rank: aborts watched groups, drops
 /// links to departed members (flushing their per-peer metric series),
 /// establishes links to new members, updates the roster, and finally
@@ -1025,28 +1012,9 @@ fn remesh_peer(
             }
         }
     };
-    let hello = ClusterHello {
-        version: PROTOCOL_VERSION,
-        rank: shared.rank,
-        world: shared.world,
-    };
-    conn.send(&hello.encode())
-        .map_err(|e| ClusterError::Connect(e.to_string()))?;
-    let left = deadline
-        .checked_duration_since(Instant::now())
-        .ok_or_else(|| ClusterError::Timeout(format!("no re-mesh handshake from rank {peer}")))?;
-    let frame = conn
-        .recv_timeout(left)
-        .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
-    let h = ClusterHello::decode(&frame)
-        .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
-    if h.version != PROTOCOL_VERSION || h.rank != peer || h.world != shared.world {
-        return Err(ClusterError::Handshake(format!(
-            "re-meshed peer claims rank {} of world {} at protocol {} (expected rank {peer} of {})",
-            h.rank, h.world, h.version, shared.world
-        )));
-    }
-    shared.links.lock().insert(peer as usize, conn);
+    let links = HashMap::from([(peer as usize, conn)]);
+    handshake(shared.rank, shared.world, &links, deadline)?;
+    shared.links.lock().extend(links);
     Ok(())
 }
 
@@ -1060,6 +1028,60 @@ mod tests {
         assert_eq!(parse_rank_name(&rank_name(41)), Some(41));
         assert_eq!(parse_rank_name("alice"), None);
         assert_eq!(parse_rank_name("rankx"), None);
+    }
+
+    /// Rank 0's end of a two-member world whose rank 1 answers the
+    /// handshake with `forged`.
+    fn handshake_against(forged: ClusterHello) -> Result<(), ClusterError> {
+        let world = crate::LocalWorld::create(2).expect("world");
+        let to_zero = world[1].connection(0).expect("link");
+        to_zero.send(&forged.encode()).expect("forged hello");
+        let links = HashMap::from([(1, world[0].connection(1).expect("link").clone())]);
+        let verdict = handshake(0, 2, &links, Instant::now() + Duration::from_secs(10));
+        // Rank 0's own hello went out regardless of the verdict.
+        let sent = to_zero
+            .recv_timeout(Duration::from_secs(10))
+            .expect("hello");
+        assert_eq!(
+            ClusterHello::decode(&sent),
+            Ok(ClusterHello {
+                version: PROTOCOL_VERSION,
+                rank: 0,
+                world: 2
+            })
+        );
+        for s in &world {
+            crate::Session::shutdown(s);
+        }
+        verdict
+    }
+
+    #[test]
+    fn handshake_names_what_the_peer_got_wrong() {
+        let honest = ClusterHello {
+            version: PROTOCOL_VERSION,
+            rank: 1,
+            world: 2,
+        };
+        assert_eq!(handshake_against(honest), Ok(()));
+        let skewed = handshake_against(ClusterHello {
+            version: PROTOCOL_VERSION + 1,
+            ..honest
+        });
+        assert!(
+            matches!(&skewed, Err(ClusterError::Handshake(why)) if why.contains("speaks protocol")),
+            "{skewed:?}"
+        );
+        for miswired in [
+            ClusterHello { rank: 5, ..honest },
+            ClusterHello { world: 3, ..honest },
+        ] {
+            let refused = handshake_against(miswired);
+            assert!(
+                matches!(&refused, Err(ClusterError::Handshake(why)) if why.contains("claims rank")),
+                "{refused:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! reaps everything under a hard deadline so a hung rank can never hang
 //! the launcher.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use ncs_obs::json::{self, Json};
 
 use crate::cluster::{env, ClusterError};
 use crate::rendezvous::RendezvousServer;
@@ -236,12 +239,44 @@ fn rank_telemetry_path(dir: &std::path::Path, rank: u32) -> PathBuf {
     dir.join(format!("rank{rank}.telemetry.json"))
 }
 
-/// Accepts a rank's file dump only when it plausibly survived the exit
-/// intact — a rank killed mid-write leaves a truncated object that would
-/// corrupt everything we splice it into.
-fn intact_json_object(s: &str) -> Option<&str> {
-    let t = s.trim();
-    (t.starts_with('{') && t.ends_with('}')).then_some(t)
+/// `text` when it is one well-formed JSON object, else `None` with a
+/// warning. A rank killed mid-write leaves a truncated file, and a pushed
+/// dump is bytes off a socket; either would corrupt everything it is
+/// spliced into. The caller splices the returned *text*, not a
+/// re-rendering, so `u64` counters never round through `f64`.
+fn intact_dump<'a>(rank: u32, source: &str, text: &'a str) -> Option<&'a str> {
+    let why = match json::parse(text) {
+        Ok(Json::Obj(_)) => return Some(text.trim()),
+        Ok(_) => "not a JSON object".to_owned(),
+        Err(e) => e.to_string(),
+    };
+    eprintln!("ncs-launch: dropping rank {rank}'s {source} telemetry dump: {why}");
+    None
+}
+
+/// Picks each rank's dump — the one it pushed to the rendezvous service
+/// (exact final state) before the file it wrote, and only a dump that
+/// parsed — and merges them into the `ncs-telemetry/1` world view (`null`
+/// for a rank with nothing intact). `files` has one entry per rank.
+fn merge_telemetry<'a>(
+    pushed: &'a HashMap<u32, String>,
+    files: &'a [Option<String>],
+) -> (Vec<Option<&'a str>>, String) {
+    let dumps: Vec<Option<&str>> = (0u32..)
+        .zip(files)
+        .map(|(rank, file)| {
+            [("pushed", pushed.get(&rank)), ("file", file.as_ref())]
+                .into_iter()
+                .find_map(|(source, text)| intact_dump(rank, source, text?))
+        })
+        .collect();
+    let ranks: Vec<&str> = dumps.iter().map(|d| d.unwrap_or("null")).collect();
+    let world_view = format!(
+        "{{\"schema\":\"ncs-telemetry/1\",\"world\":{},\"ranks\":[{}]}}",
+        files.len(),
+        ranks.join(",")
+    );
+    (dumps, world_view)
 }
 
 /// Launches the world and blocks until every rank exited or the deadline
@@ -374,57 +409,41 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, ClusterError> {
     }
     let exits: Vec<RankExit> = exits.into_iter().map(|e| e.expect("all reaped")).collect();
 
-    // Telemetry aggregation: prefer the dump each rank pushed to the
-    // embedded rendezvous service (exact final state), fall back to the
-    // file it wrote, then wrap the per-rank file with the exit cause and
-    // merge everything into one world snapshot.
-    let telemetry = if spec.telemetry {
+    // Telemetry aggregation: merge the ranks' dumps into one world
+    // snapshot, and wrap each per-rank file with the exit cause.
+    let telemetry = spec.telemetry.then(|| {
         let pushed = embedded
             .as_ref()
             .map(|s| s.telemetry_snapshots())
             .unwrap_or_default();
-        let mut ranks = Vec::with_capacity(exits.len());
-        for e in &exits {
-            let file_dump = spec
-                .log_dir
-                .as_ref()
-                .and_then(|d| std::fs::read_to_string(rank_telemetry_path(d, e.rank)).ok());
-            let dump = pushed.get(&e.rank).cloned().or_else(|| {
-                file_dump
-                    .as_deref()
-                    .and_then(intact_json_object)
-                    .map(str::to_owned)
-            });
-            if let Some(dir) = &spec.log_dir {
+        let files: Vec<Option<String>> = exits
+            .iter()
+            .map(|e| {
+                let dir = spec.log_dir.as_ref()?;
+                std::fs::read_to_string(rank_telemetry_path(dir, e.rank)).ok()
+            })
+            .collect();
+        let (dumps, world_view) = merge_telemetry(&pushed, &files);
+        if let Some(dir) = &spec.log_dir {
+            let write = |path: PathBuf, text: &str| {
+                if let Err(err) = std::fs::write(&path, text) {
+                    eprintln!("ncs-launch: cannot write {}: {err}", path.display());
+                }
+            };
+            for (e, dump) in exits.iter().zip(&dumps) {
                 let wrapped = format!(
                     "{{\"rank\":{},\"exit_code\":{},\"killed\":{},\"telemetry\":{}}}",
                     e.rank,
                     e.code.map_or_else(|| "null".to_owned(), |c| c.to_string()),
                     killed[e.rank as usize],
-                    dump.as_deref().unwrap_or("null"),
+                    dump.unwrap_or("null"),
                 );
-                let path = rank_telemetry_path(dir, e.rank);
-                if let Err(err) = std::fs::write(&path, wrapped) {
-                    eprintln!("ncs-launch: cannot write {}: {err}", path.display());
-                }
+                write(rank_telemetry_path(dir, e.rank), &wrapped);
             }
-            ranks.push(dump.unwrap_or_else(|| "null".to_owned()));
+            write(dir.join("telemetry.json"), &world_view);
         }
-        let world_view = format!(
-            "{{\"schema\":\"ncs-telemetry/1\",\"world\":{},\"ranks\":[{}]}}",
-            spec.np,
-            ranks.join(",")
-        );
-        if let Some(dir) = &spec.log_dir {
-            let path = dir.join("telemetry.json");
-            if let Err(err) = std::fs::write(&path, &world_view) {
-                eprintln!("ncs-launch: cannot write {}: {err}", path.display());
-            }
-        }
-        Some(world_view)
-    } else {
-        None
-    };
+        world_view
+    });
     drop(embedded);
     Ok(LaunchReport {
         exits,
@@ -480,6 +499,38 @@ mod tests {
             telemetry: None,
         };
         assert_eq!(killed.exit_code(), 124);
+    }
+
+    /// A `}`-terminated truncated file and a pushed fragment that would
+    /// re-bracket the whole document: neither may reach the world view.
+    #[test]
+    fn malformed_rank_dumps_become_null_without_corrupting_the_world() {
+        let good = r#"{"rank":0,"metrics":[{"value":18446744073709551615}]}"#;
+        let pushed = HashMap::from([
+            (0, good.to_owned()),
+            (2, r#"}],"x":[{"#.to_owned()),
+            (3, "[1,2]".to_owned()),
+        ]);
+        let files = [
+            Some(r#"{"rank":0,"stale":true}"#.to_owned()),
+            Some(r#"{"a":{"b":1}"#.to_owned()),
+            Some(format!(" {} \n", good.replace("\"rank\":0", "\"rank\":2"))),
+            None,
+        ];
+        let (dumps, world_view) = merge_telemetry(&pushed, &files);
+        // Rank 0: the pushed dump wins, spliced byte-for-byte (a u64 that
+        // f64 cannot hold survives). Rank 1: truncated file -> null.
+        // Rank 2: bad push, intact file fallback. Rank 3: not an object.
+        assert_eq!(dumps[0], Some(good));
+        assert_eq!(dumps[1], None);
+        assert!(dumps[2].is_some_and(|d| d.starts_with("{\"rank\":2")));
+        assert_eq!(dumps[3], None);
+        assert!(world_view.contains("18446744073709551615"));
+        let doc = json::parse(&world_view).expect("world view parses");
+        assert_eq!(doc.get("world").and_then(Json::as_num), Some(4.0));
+        let ranks = doc.get("ranks").and_then(Json::as_arr).expect("ranks");
+        let nulls: Vec<bool> = ranks.iter().map(|r| *r == Json::Null).collect();
+        assert_eq!(nulls, [false, true, false, true]);
     }
 
     #[test]

@@ -883,8 +883,6 @@ impl SimWorld {
         let blocked = !link.up || isolated;
         let lost = !blocked && link.loss > 0.0 && link.rng.gen_bool(link.loss);
         if blocked || lost {
-            let jitter = Duration::ZERO;
-            let _ = jitter;
             self.count("sim_messages_dropped_total", "messages dropped");
             self.trace.push(format!(
                 "{now} drop {} {}->{} attempt {attempt}{}",

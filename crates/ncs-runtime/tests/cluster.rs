@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use ncs_collectives::ReduceOp;
 use ncs_core::ConnectionConfig;
+use ncs_obs::json::{self, Json};
 use ncs_runtime::{
     rendezvous, ClusterConfig, ClusterNode, RendezvousServer, RvMsg, PROTOCOL_VERSION,
 };
@@ -195,18 +196,39 @@ fn telemetry_dumps_aggregate_at_the_rendezvous_service() {
         back.recv_timeout(Duration::from_secs(10)).expect("recv"),
         b"count me"
     );
+    /// Whether a rank's parsed dump carries a metric family whose name
+    /// starts with `prefix`.
+    fn has_family(dump: &Json, prefix: &str) -> bool {
+        let families = dump.get("metrics").and_then(Json::as_arr).expect("metrics");
+        families.iter().any(|f| {
+            f.get("name")
+                .and_then(Json::as_str)
+                .is_some_and(|n| n.starts_with(prefix))
+        })
+    }
     for c in &world {
         let dump = c.telemetry();
-        assert!(dump.contains(&format!("\"rank\":{}", c.rank())), "{dump}");
-        assert!(dump.contains("ncs_conn_messages_sent_total"), "{dump}");
-        assert!(dump.contains("\"flights\""), "{dump}");
+        let parsed = json::parse(&dump).expect("rank dump parses");
+        assert_eq!(
+            parsed.get("rank").and_then(Json::as_num),
+            Some(f64::from(c.rank()))
+        );
+        assert!(
+            has_family(&parsed, "ncs_conn_messages_sent_total"),
+            "{dump}"
+        );
+        assert!(
+            parsed.get("flights").and_then(Json::as_arr).is_some(),
+            "{dump}"
+        );
         rendezvous::push_telemetry(server.addr(), c.rank(), &dump, Duration::from_secs(5))
             .expect("push");
     }
     let snapshots = server.telemetry_snapshots();
     assert_eq!(snapshots.len(), 2);
-    assert!(snapshots[&0].contains("\"rank\":0"));
-    assert!(snapshots[&1].contains("ncs_reactor"), "{}", snapshots[&1]);
+    let pushed = |rank: u32| json::parse(&snapshots[&rank]).expect("pushed dump parses");
+    assert_eq!(pushed(0).get("rank").and_then(Json::as_num), Some(0.0));
+    assert!(has_family(&pushed(1), "ncs_reactor"), "{}", snapshots[&1]);
     for c in &world {
         c.shutdown();
     }

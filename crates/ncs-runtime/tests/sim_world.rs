@@ -5,6 +5,7 @@
 use std::time::{Duration, Instant};
 
 use ncs_collectives::ReduceOp;
+use ncs_obs::json::{self, Json};
 use ncs_runtime::sim::{ChaosEvent, ChaosKind, Scenario, SimOp, SimWorldBuilder};
 use ncs_runtime::{Session, SimWorld};
 use ncs_transport::sim::LinkPolicy;
@@ -53,7 +54,7 @@ fn partition_and_heal_completes_with_retransmissions() {
     let report = SimWorld::new(Scenario::partition_heal(64, 7)).run();
     assert!(report.all_completed(), "{:?}", report.ops);
     assert_eq!(report.ops[1].result, Some(64 * 63 / 2));
-    let registry = serde_free_counter(&report.telemetry_json, "sim_messages_dropped_total");
+    let registry = counter(&report.telemetry_json, "sim_messages_dropped_total");
     assert!(registry > 0, "partition should have dropped frames");
 }
 
@@ -64,7 +65,7 @@ fn asymmetric_loss_retransmits_to_completion() {
     let report = SimWorld::new(Scenario::asymmetric_loss(128, 3)).run();
     assert!(report.all_completed(), "{:?}", report.ops);
     assert!(
-        serde_free_counter(&report.telemetry_json, "sim_retransmissions_total") > 0,
+        counter(&report.telemetry_json, "sim_retransmissions_total") > 0,
         "10% loss over 127 links must retransmit at least once"
     );
 }
@@ -76,7 +77,7 @@ fn flapping_peer_delays_but_completes() {
     let report = SimWorld::new(Scenario::flapping_peer(32, 11)).run();
     assert!(report.all_completed(), "{:?}", report.ops);
     assert!(
-        serde_free_counter(&report.telemetry_json, "sim_chaos_events_total") == 10,
+        counter(&report.telemetry_json, "sim_chaos_events_total") == 10,
         "all 5 flap cycles should have fired"
     );
 }
@@ -208,21 +209,14 @@ fn sim_session_connect_accept_and_send() {
 }
 
 /// Reads a counter family's (single, unlabelled) value out of the
-/// rendered telemetry JSON without a JSON dependency: the series renders
-/// as `{"labels":{},"value":N}` right after the family name.
-fn serde_free_counter(json: &str, name: &str) -> u64 {
-    let at = json
-        .find(name)
-        .unwrap_or_else(|| panic!("{name} missing from telemetry"));
-    let rest = &json[at..];
-    let value_at = rest
-        .find("\"value\":")
-        .map(|i| i + 8)
-        .unwrap_or_else(|| panic!("no value after {name}"));
-    rest[value_at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("bad value for {name}"))
+/// rendered telemetry JSON.
+fn counter(telemetry_json: &str, name: &str) -> u64 {
+    let families = json::parse(telemetry_json).expect("telemetry parses");
+    families
+        .as_arr()
+        .expect("an array of families")
+        .iter()
+        .find(|f| f.get("name").and_then(Json::as_str) == Some(name))
+        .and_then(|f| f.get("series")?.as_arr()?.first()?.get("value")?.as_num())
+        .unwrap_or_else(|| panic!("{name} missing from telemetry")) as u64
 }
