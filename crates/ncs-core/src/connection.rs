@@ -31,9 +31,12 @@
 //!   event loops. Protocol waits (ack timeouts, credit pacing, starvation
 //!   probes) park on reactor timers instead of blocking a thread, so a
 //!   node holds thousands of connections with a fixed-size thread pool.
-//!   The only queues left are the ones that cross threads: submissions
-//!   (application → task), control events (control dispatcher → task) and
-//!   pre-encoded bypass frames (application → task, bounded).
+//!   The only queues left are the ones that cross tasks: submissions
+//!   (application → task), control events (the peer's control task → this
+//!   task) and pre-encoded bypass frames (application → task, bounded).
+//!   Credits and acknowledgements leave through the peer's control queue,
+//!   which the peer's control task (`crate::control`) flushes on the same
+//!   event loops — no thread sits between the two tasks.
 //! * **Direct mode** (§4.2, [`NcsConnection::send_direct`] /
 //!   [`NcsConnection::recv_direct`]). No task is registered; the same
 //!   planes run as procedures on the caller's thread, which blocks on the
@@ -60,9 +63,7 @@ use crate::error_control::AckInfo;
 use crate::packet::{CtrlMsg, DataHeader, DataPacket, DataView};
 use crate::plane::{sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
 use crate::pool::{BufPool, PooledBuf};
-#[cfg(unix)]
-use crate::reactor::FdRegistration;
-use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll};
+use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
 use crate::request::{DeliveryQueue, MsgView, Request, RequestCore};
 use crate::stats::{ConnCounters, ConnectionStats, SendBreakdown};
 
@@ -73,7 +74,7 @@ const TAG_ENVELOPE: usize = 4;
 /// Most frames the Send/Receive planes move per transport acquisition.
 /// Large enough to amortise ring/buffer acquisition over bulk traffic,
 /// small enough to keep a batch within one credit grant.
-const IO_BATCH: usize = 32;
+pub(crate) const IO_BATCH: usize = 32;
 
 /// Depth of the Send plane's frame queue. Bounding it backpressures
 /// producers that outrun the interface, which (a) caps the data plane's
@@ -203,7 +204,8 @@ pub(crate) struct ConnShared {
     /// The node's recycling frame-buffer pool (every encode on the data
     /// plane draws from it).
     pub pool: Arc<BufPool>,
-    /// The per-peer Control Send Thread's inbox (control connection).
+    /// The peer's outbound control queue (control connection): one FIFO
+    /// per peer, flushed by the peer's control task (`crate::control`).
     pub ctrl_tx: Arc<Mailbox<CtrlMsg>>,
     // The queues that cross threads (everything else is a field of the
     // task or a plane).
@@ -215,17 +217,14 @@ pub(crate) struct ConnShared {
     pub ctrl_inbox: Mailbox<CtrlEvent>,
     /// Pre-encoded bypass frames: application → reactor task. Bounded.
     pub send_inbox: Mailbox<SendJob>,
-    /// Wake handle of the connection's reactor task (`None` in direct
+    /// Wake handle of the connection's reactor task, with the task's
+    /// subscription to the data channel's readiness (`None` in direct
     /// mode, before attachment, and after the task retires). A read-write
     /// lock, not a mutex: every submitter on the send path takes it
     /// shared in [`ConnShared::wake_task`], so N application threads
     /// hammering one connection never serialise on the wake handle —
     /// only attachment and retirement take it exclusively.
-    pub task: RwLock<Option<Arc<TaskHandle>>>,
-    /// The task's readiness registration with the reactor's `poll(2)`
-    /// thread (fd-backed transports only; dropped on retirement).
-    #[cfg(unix)]
-    pub fd_reg: Mutex<Option<FdRegistration>>,
+    pub task: RwLock<Option<(Arc<TaskHandle>, Watch)>>,
     /// Reassembled messages awaiting a receive: routed by tag, matched
     /// against parked [`Request`]s, failed fast on close.
     pub delivery: DeliveryQueue,
@@ -313,8 +312,6 @@ impl ConnShared {
             ctrl_inbox: Mailbox::unbounded(),
             send_inbox: Mailbox::bounded(SEND_QUEUE_DEPTH),
             task: RwLock::new(None),
-            #[cfg(unix)]
-            fd_reg: Mutex::new(None),
             delivery: DeliveryQueue::new(),
             counters,
             recorder: FlightRecorder::default(),
@@ -412,7 +409,7 @@ impl ConnShared {
     /// attachment, and after retirement (wakes coalesce; a wake racing a
     /// running poll reschedules it, so no activation is ever lost).
     pub(crate) fn wake_task(&self) {
-        if let Some(t) = self.task.read().as_ref() {
+        if let Some((t, _)) = self.task.read().as_ref() {
             t.wake();
         }
     }
@@ -567,7 +564,7 @@ const DIRECT_SLICE: Duration = Duration::from_millis(5);
 /// Frames drained per poll round before the task yields its shard with
 /// [`TaskPoll::Again`] (keeps one firehose connection from starving its
 /// shard siblings).
-const RECV_BUDGET: usize = 4 * IO_BATCH;
+pub(crate) const RECV_BUDGET: usize = 4 * IO_BATCH;
 
 /// Plane rounds per poll: the planes feed each other (receive → FC → EC →
 /// send), so one poll loops until a full round makes no progress — bounded
@@ -578,7 +575,7 @@ const MAX_ROUNDS: usize = 8;
 /// ([`ncs_transport::Connection::try_send_batch`] returned 0). The remedy
 /// is the *peer* draining, which this reactor cannot observe, so a short
 /// timer polls the flush.
-const TX_RETRY: Duration = Duration::from_millis(1);
+pub(crate) const TX_RETRY: Duration = Duration::from_millis(1);
 
 /// Upper bound on the post-close receive drain after a *peer* close. The
 /// drain normally ends much earlier — when the data channel reports EOF
@@ -593,21 +590,12 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
     if shared.config.direct {
         return;
     }
-    let handle = reactor.spawn(Box::new(ConnTask::new(Arc::clone(shared))));
-    *shared.task.write() = Some(Arc::clone(&handle));
-    {
-        let h = Arc::clone(&handle);
-        shared
-            .transport
-            .register_waker(Some(Arc::new(move || h.wake())));
-    }
-    #[cfg(unix)]
-    if let ncs_transport::Readiness::Fd(fd) = shared.transport.readiness() {
-        *shared.fd_reg.lock() = Some(reactor.register_fd(fd, Arc::clone(&handle)));
-    }
-    // Frames arriving between the task's first poll and the waker
-    // registration above had nothing to wake; one explicit wake closes
-    // the gap (the poll it schedules drains them).
+    let handle = reactor.spawn(Box::new(ConnTask::new(Arc::clone(shared))), true);
+    let watch = reactor.watch(&shared.transport, &handle);
+    *shared.task.write() = Some((Arc::clone(&handle), watch));
+    // Frames arriving between the task's first poll and the subscription
+    // above had nothing to wake; one explicit wake closes the gap (the
+    // poll it schedules drains them).
     handle.wake();
 }
 
@@ -892,13 +880,8 @@ impl ConnTask {
         // so the final drain could deliver the peer's last frames first.
         shared.transport.close();
         shared.delivery.fail_all(SendError::Closed);
-        // Detach from the transport waker and the fd poller, and drop the
-        // wake handle so later `wake_task` calls are no-ops.
-        shared.transport.register_waker(None);
-        #[cfg(unix)]
-        {
-            *shared.fd_reg.lock() = None;
-        }
+        // Detach from the transport's readiness, and drop the wake handle
+        // so later `wake_task` calls are no-ops.
         *shared.task.write() = None;
     }
 
@@ -957,9 +940,8 @@ impl ConnTask {
         // Quiescent but still lingering: re-arm fd readiness so the final
         // frames (or the EOF behind them) wake the task, and park on the
         // nearest protocol deadline with the linger as the backstop.
-        #[cfg(unix)]
-        if let Some(reg) = self.shared.fd_reg.lock().as_ref() {
-            reg.rearm();
+        if let Some((_, watch)) = self.shared.task.read().as_ref() {
+            watch.rearm();
         }
         TaskPoll::Timer(timer.map_or(deadline, |t: Instant| t.min(deadline)))
     }
@@ -1007,9 +989,8 @@ impl ReactorTask for ConnTask {
         // Quiescent. Re-arm fd readiness — the poller is level-triggered,
         // so anything that arrived while disarmed shows on its next cycle
         // — and park on the nearest protocol deadline.
-        #[cfg(unix)]
-        if let Some(reg) = self.shared.fd_reg.lock().as_ref() {
-            reg.rearm();
+        if let Some((_, watch)) = self.shared.task.read().as_ref() {
+            watch.rearm();
         }
         match timer {
             Some(at) => TaskPoll::Timer(at),
@@ -1636,9 +1617,9 @@ impl NcsConnection {
 }
 
 /// Routes a control-plane event into this connection (called by the
-/// Control Receive Thread's dispatcher): queued for whoever drives the
-/// connection's [`TxPlane`], and — when that is a reactor task — the task
-/// is woken.
+/// node's control dispatcher, on the event loop of the peer's control
+/// task): queued for whoever drives the connection's [`TxPlane`], and —
+/// when that is a reactor task — the task is woken.
 pub(crate) fn dispatch_ctrl(shared: &ConnShared, msg: CtrlMsg) {
     let event = match msg {
         CtrlMsg::Ack {

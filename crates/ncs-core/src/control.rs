@@ -1,82 +1,447 @@
-//! Node-level control threads: the Control Send Thread (CS) and Control
-//! Receive Thread (CR) of the paper's Figure 1.
+//! The per-peer control plane: Figure 1's Control Send and Control
+//! Receive threads as one resumable reactor task.
 //!
 //! Control connections are unidirectional in use: the node that opened a
-//! control channel writes to it (its CS thread), the accepting node reads
-//! it (a CR thread). A bidirectional node pair therefore runs two control
-//! channels, one per direction — which keeps setup free of initiation
-//! races.
+//! control channel writes to it, the accepting node reads it. A
+//! bidirectional node pair therefore runs two control channels, one per
+//! direction — which keeps setup free of initiation races.
+//!
+//! Where the paper parks a thread on each end of each channel, every
+//! attached peer gets one [`CtrlTask`], registered with the node's
+//! [`Reactor`] through the same waker/fd path as a connection's task. A
+//! poll drains whatever the peer's channels hold into the node's
+//! dispatcher and flushes the peer's one FIFO of outbound messages —
+//! one queue per peer, so `AcceptConn` precedes every `Ack`/`Credit` of
+//! its connection and `CloseConn` follows them, across all connections
+//! to that peer. Opening channels (which may block on signaling) stays
+//! with the thread that sets a connection up; the task only ever calls
+//! `try_recv` and `try_send_batch`.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use ncs_threads::sync::Mailbox;
-use ncs_threads::{JoinHandle, SpawnOptions, ThreadPackage};
 use ncs_transport::{Connection as Transport, TransportError};
+use parking_lot::Mutex;
 
+use crate::connection::{IO_BATCH, RECV_BUDGET, TX_RETRY};
 use crate::packet::CtrlMsg;
+use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
 
-const IDLE_TICK: Duration = Duration::from_millis(100);
-
-/// Spawns a Control Send Thread draining `inbox` onto `transport`.
-pub(crate) fn spawn_cs(
-    pkg: &Arc<dyn ThreadPackage>,
-    peer: &str,
-    transport: Arc<dyn Transport>,
-    inbox: Arc<Mailbox<CtrlMsg>>,
-    shutdown: Arc<AtomicBool>,
-) -> JoinHandle {
-    pkg.spawn_with(
-        SpawnOptions::new(format!("ncs-cs-{peer}")).daemon(true),
-        Box::new(move || {
-            // One scratch buffer serves every control message this thread
-            // ever encodes (control frames are small and strictly serial).
-            let mut scratch = Vec::new();
-            loop {
-                match inbox.recv_timeout(IDLE_TICK) {
-                    Ok(msg) => {
-                        msg.encode_into(&mut scratch);
-                        if transport.send(&scratch).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        if shutdown.load(Ordering::Acquire) {
-                            return;
-                        }
-                    }
-                }
-            }
-        }),
-    )
+/// What the rest of the node holds of one peer's control plane.
+pub(crate) struct PeerCtrl {
+    /// Outbound messages, in submission order: connections → task. Sending
+    /// wakes the task (the mailbox's notify hook).
+    outbox: Arc<Mailbox<CtrlMsg>>,
+    /// Every control channel with the peer, flagged `true` if this node
+    /// opened it: outbound messages leave on the first such. The task
+    /// reads them all — its own too, which is how a peer's hang-up shows:
+    /// the channel is dropped, and the next connection setup opens
+    /// another. The task holds the lock for the length of a poll.
+    channels: Mutex<Vec<(Watch, bool)>>,
+    retired: AtomicBool,
+    task: OnceLock<Arc<TaskHandle>>,
 }
 
-/// Spawns a Control Receive Thread reading `transport` and dispatching each
-/// message through `dispatch`.
-pub(crate) fn spawn_cr(
-    pkg: &Arc<dyn ThreadPackage>,
-    peer: &str,
-    transport: Arc<dyn Transport>,
-    shutdown: Arc<AtomicBool>,
-    dispatch: impl Fn(CtrlMsg) + Send + 'static,
-) -> JoinHandle {
-    pkg.spawn_with(
-        SpawnOptions::new(format!("ncs-cr-{peer}")).daemon(true),
-        Box::new(move || loop {
-            match transport.recv_timeout(IDLE_TICK) {
-                Ok(frame) => {
-                    if let Ok(msg) = CtrlMsg::decode(&frame) {
-                        dispatch(msg);
+impl PeerCtrl {
+    /// Registers a peer's control task with `reactor`. `dispatch` runs on
+    /// the event loop for every message the peer sends; it must not block.
+    pub(crate) fn spawn(
+        reactor: &Reactor,
+        dispatch: impl FnMut(CtrlMsg) + Send + 'static,
+    ) -> Arc<Self> {
+        let peer = Arc::new(PeerCtrl {
+            outbox: Arc::default(),
+            channels: Mutex::default(),
+            retired: AtomicBool::new(false),
+            task: OnceLock::new(),
+        });
+        let task = CtrlTask {
+            peer: Arc::clone(&peer),
+            dispatch: Box::new(dispatch),
+            pending: VecDeque::new(),
+            spare: Vec::new(),
+        };
+        let handle = reactor.spawn(Box::new(task), false);
+        let h = Arc::clone(&handle);
+        peer.outbox.set_notify(Some(Arc::new(move || h.wake())));
+        peer.task.set(handle).expect("set once, here");
+        peer
+    }
+
+    fn task(&self) -> &Arc<TaskHandle> {
+        self.task.get().expect("set by spawn")
+    }
+
+    /// The peer's outbound queue.
+    pub(crate) fn outbox(&self) -> Arc<Mailbox<CtrlMsg>> {
+        Arc::clone(&self.outbox)
+    }
+
+    /// Whether a channel this node opened is up (so that what is queued on
+    /// [`PeerCtrl::outbox`] has somewhere to go).
+    pub(crate) fn has_outbound(&self) -> bool {
+        self.channels.lock().iter().any(|(_, ours)| *ours)
+    }
+
+    /// Hands a control channel to the task, which reads it from its next
+    /// poll on; `ours` says this node opened it. A retired task takes no
+    /// more channels.
+    pub(crate) fn adopt(&self, reactor: &Reactor, transport: Arc<dyn Transport>, ours: bool) {
+        let watch = reactor.watch(&transport, self.task());
+        let mut channels = self.channels.lock();
+        if self.is_retired() {
+            transport.close();
+        } else {
+            channels.push((watch, ours));
+        }
+        drop(channels);
+        // Frames that arrived before the watch was in place woke nobody.
+        self.task().wake();
+    }
+
+    /// Retires the task: it flushes what is queued (the `CloseConn`s of
+    /// the connections closed with the peer), hangs up every channel and
+    /// leaves the reactor. Idempotent.
+    pub(crate) fn retire(&self) {
+        self.retired.store(true, Ordering::Release);
+        self.task().wake();
+    }
+
+    pub(crate) fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::Acquire)
+    }
+}
+
+/// One peer's control plane as a reactor task: the non-blocking stand-in
+/// for the paper's Control Send and Control Receive threads.
+struct CtrlTask {
+    peer: Arc<PeerCtrl>,
+    dispatch: Box<dyn FnMut(CtrlMsg) + Send>,
+    /// Encoded frames the transport has not accepted yet, oldest first.
+    pending: VecDeque<Vec<u8>>,
+    /// Frame buffers to encode into (control frames are small and the
+    /// queue is short: a handful of buffers serves the task's lifetime).
+    spare: Vec<Vec<u8>>,
+}
+
+impl ReactorTask for CtrlTask {
+    fn poll(&mut self, now: Instant) -> TaskPoll {
+        let CtrlTask {
+            peer,
+            dispatch,
+            pending,
+            spare,
+        } = self;
+        let retired = peer.is_retired();
+        let mut channels = peer.channels.lock();
+        // Control Receive: drain every channel into the dispatcher. A
+        // frame that does not decode is skipped; a channel that reports
+        // anything but "empty" has ended and is dropped.
+        let mut budget = if retired { 0 } else { RECV_BUDGET };
+        channels.retain(|(ch, _)| {
+            while budget > 0 {
+                match ch.transport().try_recv() {
+                    Ok(Some(frame)) => {
+                        budget -= 1;
+                        if let Ok(msg) = CtrlMsg::decode(&frame) {
+                            dispatch(msg);
+                        }
+                    }
+                    Ok(None) | Err(TransportError::Timeout) => break,
+                    Err(_) => {
+                        ch.transport().close();
+                        return false;
                     }
                 }
-                Err(TransportError::Timeout) => {
-                    if shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                }
-                Err(_) => return,
             }
-        }),
-    )
+            true
+        });
+        // Control Send: move the outbound queue onto the wire, in order.
+        let out = channels.iter().find(|(_, ours)| *ours);
+        let refused = loop {
+            while pending.len() < IO_BATCH {
+                let Some(msg) = peer.outbox.try_recv() else {
+                    break;
+                };
+                let mut frame = spare.pop().unwrap_or_default();
+                msg.encode_into(&mut frame);
+                pending.push_back(frame);
+            }
+            if pending.is_empty() {
+                break false;
+            }
+            let refs: Vec<&[u8]> = pending.iter().map(Vec::as_slice).collect();
+            match out.map(|(ch, _)| ch.transport().try_send_batch(&refs)) {
+                Some(Ok(0)) => break true,
+                Some(Ok(sent)) => spare.extend(pending.drain(..sent.min(refs.len()))),
+                // No usable channel (the peer hung up, or the interface
+                // failed): what is addressed to it is undeliverable.
+                Some(Err(_)) | None => pending.clear(),
+            }
+        };
+        if retired {
+            // Those were the last words.
+            for (ch, _) in channels.drain(..) {
+                ch.transport().close();
+            }
+            return TaskPoll::Done;
+        }
+        if budget == 0 {
+            return TaskPoll::Again;
+        }
+        // Quiescent: re-arm fd readiness, and retry a refused flush on a
+        // timer — the remedy is the peer draining, which nothing reports.
+        channels.iter().for_each(|(ch, _)| ch.rearm());
+        if refused {
+            TaskPoll::Timer(now + TX_RETRY)
+        } else {
+            TaskPoll::Idle
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::seq::AckBitmap;
+    use ncs_threads::{KernelPackage, UserRuntime};
+    use ncs_transport::Capabilities;
+    use std::time::Duration;
+
+    /// A control channel whose blocking calls panic: whatever the task
+    /// gets done, it gets done with `try_recv` and `try_send_batch`.
+    #[derive(Debug, Default)]
+    struct Stub {
+        /// `try_send_batch` calls still to answer `Ok(0)`.
+        refusals: Mutex<usize>,
+        /// At most this many frames are taken per accepted batch.
+        take: usize,
+        inbound: Mutex<VecDeque<Vec<u8>>>,
+        sent: Mutex<Vec<Vec<u8>>>,
+        closed: AtomicBool,
+    }
+
+    impl Transport for Stub {
+        fn caps(&self) -> Capabilities {
+            Capabilities {
+                interface: "STUB",
+                reliable: true,
+                ordered: true,
+                max_frame: 1 << 16,
+            }
+        }
+        fn send(&self, _: &[u8]) -> Result<(), TransportError> {
+            panic!("blocking send on a control channel")
+        }
+        fn recv(&self) -> Result<Vec<u8>, TransportError> {
+            panic!("blocking recv on a control channel")
+        }
+        fn recv_timeout(&self, _: Duration) -> Result<Vec<u8>, TransportError> {
+            panic!("blocking recv_timeout on a control channel")
+        }
+        fn send_batch(&self, _: &[&[u8]]) -> Result<usize, TransportError> {
+            panic!("blocking send_batch on a control channel")
+        }
+        fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+            Ok(self.inbound.lock().pop_front())
+        }
+        fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+            let mut refusals = self.refusals.lock();
+            if *refusals > 0 {
+                *refusals -= 1;
+                return Ok(0);
+            }
+            let n = frames.len().min(self.take);
+            self.sent
+                .lock()
+                .extend(frames[..n].iter().map(|f| f.to_vec()));
+            Ok(n)
+        }
+        fn close(&self) {
+            self.closed.store(true, Ordering::Release);
+        }
+        fn peer_label(&self) -> String {
+            "stub".to_owned()
+        }
+    }
+
+    /// A control task to poll by hand — no reactor drives it — reading
+    /// and writing the given channels (`true` marks the outbound one).
+    /// Returns what it dispatches, too.
+    fn by_hand(
+        channels: Vec<(Arc<dyn Transport>, bool)>,
+    ) -> (CtrlTask, Arc<PeerCtrl>, Arc<Mutex<Vec<CtrlMsg>>>) {
+        // A watch needs a task handle to wake; any will do, even a
+        // finished one.
+        struct Never;
+        impl ReactorTask for Never {
+            fn poll(&mut self, _: Instant) -> TaskPoll {
+                TaskPoll::Done
+            }
+        }
+        let reactor = Reactor::new(Arc::new(KernelPackage::new()), 1);
+        let handle = reactor.spawn(Box::new(Never), false);
+        let peer = Arc::new(PeerCtrl {
+            outbox: Arc::default(),
+            channels: Mutex::new(
+                channels
+                    .into_iter()
+                    .map(|(t, ours)| (reactor.watch(&t, &handle), ours))
+                    .collect(),
+            ),
+            retired: AtomicBool::new(false),
+            task: OnceLock::from(handle),
+        });
+        let dispatched = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&dispatched);
+        let task = CtrlTask {
+            peer: Arc::clone(&peer),
+            dispatch: Box::new(move |m| sink.lock().push(m)),
+            pending: VecDeque::new(),
+            spare: Vec::new(),
+        };
+        (task, peer, dispatched)
+    }
+
+    /// Two connections' setup, traffic and teardown, interleaved the way
+    /// two connection tasks and a connector thread would submit them.
+    fn script() -> Vec<CtrlMsg> {
+        let ack = |conn| CtrlMsg::Ack {
+            conn,
+            session: 0,
+            bitmap: AckBitmap::all_received(1),
+        };
+        let credit = |conn| CtrlMsg::Credit { conn, credits: 2 };
+        vec![
+            CtrlMsg::AcceptConn {
+                initiator_conn: 7,
+                acceptor_conn: 0,
+            },
+            credit(7),
+            CtrlMsg::AcceptConn {
+                initiator_conn: 8,
+                acceptor_conn: 1,
+            },
+            ack(7),
+            credit(8),
+            CtrlMsg::GbnAck {
+                conn: 8,
+                session: 0,
+                next_expected: 1,
+            },
+            CtrlMsg::CloseConn { conn: 7 },
+            credit(8),
+            ack(8),
+            CtrlMsg::CloseConn { conn: 8 },
+        ]
+    }
+
+    /// The body of the isolation test. No reactor anywhere: `poll` is
+    /// called by hand.
+    fn drive_task_by_hand() {
+        const REFUSALS: usize = 3;
+        let out = Arc::new(Stub {
+            refusals: Mutex::new(REFUSALS),
+            take: 3, // partial batches: the rest must keep its place
+            ..Stub::default()
+        });
+        let inbound = Arc::new(Stub::default());
+        let (mut task, peer, dispatched) = by_hand(vec![
+            (Arc::clone(&inbound) as Arc<dyn Transport>, false),
+            (Arc::clone(&out) as Arc<dyn Transport>, true),
+        ]);
+
+        // Control Send: refused REFUSALS times, then accepted in order.
+        for msg in script() {
+            peer.outbox.send(msg);
+        }
+        let now = Instant::now();
+        for _ in 0..REFUSALS {
+            match task.poll(now) {
+                TaskPoll::Timer(at) => assert_eq!(at, now + TX_RETRY),
+                _ => panic!("a refused flush parks on the retry timer"),
+            }
+            assert!(out.sent.lock().is_empty());
+        }
+        assert!(matches!(task.poll(now), TaskPoll::Idle));
+        let wire: Vec<CtrlMsg> = out
+            .sent
+            .lock()
+            .iter()
+            .map(|f| CtrlMsg::decode(f).expect("task sends well-formed frames"))
+            .collect();
+        assert_eq!(
+            wire,
+            script(),
+            "per-peer FIFO: wire order is submission order"
+        );
+
+        // Control Receive: garbage between two messages is skipped.
+        let credit = CtrlMsg::Credit {
+            conn: 7,
+            credits: 1,
+        };
+        let close = CtrlMsg::CloseConn { conn: 7 };
+        *inbound.inbound.lock() = VecDeque::from([
+            credit.encode(),
+            vec![0xFF, 0xFF, 0xFF],
+            vec![],
+            close.encode(),
+        ]);
+        assert!(matches!(task.poll(now), TaskPoll::Idle));
+        assert_eq!(*dispatched.lock(), vec![credit, close]);
+        assert!(!inbound.closed.load(Ordering::Acquire));
+
+        // Retirement: last words go out, every channel is hung up.
+        peer.outbox.send(CtrlMsg::CloseConn { conn: 9 });
+        peer.retire();
+        assert!(matches!(task.poll(now), TaskPoll::Done));
+        assert_eq!(out.sent.lock().len(), script().len() + 1);
+        assert!(inbound.closed.load(Ordering::Acquire) && out.closed.load(Ordering::Acquire));
+        assert!(!peer.has_outbound());
+    }
+
+    #[test]
+    fn control_task_never_blocks_and_keeps_per_peer_fifo() {
+        // On a kernel thread, then as a green thread of the user-level
+        // package (whose mailboxes park cooperatively).
+        drive_task_by_hand();
+        UserRuntime::default().run(|_pkg| drive_task_by_hand());
+    }
+
+    #[test]
+    fn peer_hang_up_on_our_channel_clears_the_outbound_slot() {
+        #[derive(Debug)]
+        struct HungUp;
+        impl Transport for HungUp {
+            fn caps(&self) -> Capabilities {
+                Stub::default().caps()
+            }
+            fn send(&self, _: &[u8]) -> Result<(), TransportError> {
+                Err(TransportError::Closed)
+            }
+            fn recv(&self) -> Result<Vec<u8>, TransportError> {
+                Err(TransportError::Closed)
+            }
+            fn recv_timeout(&self, _: Duration) -> Result<Vec<u8>, TransportError> {
+                Err(TransportError::Closed)
+            }
+            fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+                Err(TransportError::Closed)
+            }
+            fn close(&self) {}
+            fn peer_label(&self) -> String {
+                "gone".to_owned()
+            }
+        }
+        let (mut task, peer, _) = by_hand(vec![(Arc::new(HungUp), true)]);
+        assert!(peer.has_outbound());
+        peer.outbox.send(CtrlMsg::CloseConn { conn: 1 });
+        assert!(matches!(task.poll(Instant::now()), TaskPoll::Idle));
+        assert!(!peer.has_outbound(), "the next setup opens a new channel");
+        assert!(peer.channels.lock().is_empty() && task.pending.is_empty());
+    }
 }

@@ -15,6 +15,9 @@
 //!    and connection management travel on a separate *control connection*
 //!    handled by control threads (Master, Flow Control, Error Control,
 //!    Control Send, Control Receive).
+//!    (Here every one of those threads is a resumable task of the
+//!    [`Reactor`]: one per connection, one per attached peer's control
+//!    connections.)
 //! 3. **Dynamic per-connection algorithms** — flow control (credit-based
 //!    \[default\], sliding-window, rate-based, none), error control
 //!    (selective-repeat \[default\], go-back-N, none) and the communication

@@ -1,21 +1,36 @@
-//! The NCS node: one message-passing process with its Master Thread,
-//! per-peer control plane and connection registry.
+//! The NCS node: one message-passing process with its connection
+//! registry and per-peer control plane.
+//!
+//! Of the node threads in the paper's Figure 1 only one kind is left: an
+//! acceptor per attached peer, because [`PeerLink::accept_channel`] is a
+//! blocking call. Everything else is work for the node's
+//! [`Reactor`]:
+//!
+//! * the Control Send and Control Receive threads are one task per peer
+//!   ([`crate::control`]);
+//! * the Master Thread's connection management runs where the event that
+//!   asks for it arrives — an incoming data channel is turned into a
+//!   connection by the acceptor that took it off the link (opening the
+//!   control channel back to the peer may block, and that thread already
+//!   does), the peer's `AcceptConn` is applied by the control task that
+//!   decoded it, and the initiating side is set up on the thread that
+//!   called [`NcsNode::connect`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use ncs_obs::{MetricsSnapshot, Registry};
 use ncs_threads::sync::Mailbox;
-use ncs_threads::{JoinHandle, KernelPackage, PackageKind, SpawnOptions, ThreadPackage};
+use ncs_threads::{KernelPackage, PackageKind, SpawnOptions, ThreadPackage};
 use ncs_transport::{Connection as Transport, TransportError};
 use parking_lot::Mutex;
 
 use crate::clock::{Clock, SystemClock};
 use crate::config::{ConfigError, ConnectionConfig};
 use crate::connection::{attach_connection, dispatch_ctrl, ConnShared, NcsConnection};
-use crate::control::{spawn_cr, spawn_cs};
+use crate::control::PeerCtrl;
 use crate::link::PeerLink;
 use crate::packet::{CtrlMsg, Hello};
 use crate::pool::{BufPool, PoolStats};
@@ -25,6 +40,8 @@ use crate::stats::{PackageMetricSource, PoolMetricSource, ReactorMetricSource};
 const ACCEPT_POLL: Duration = Duration::from_millis(200);
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(10);
+/// Most control channels kept waiting for their opener to be attached.
+const EARLY_CHANNELS: usize = 64;
 
 /// Errors from [`NcsNode::connect`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,27 +104,11 @@ impl std::fmt::Display for AcceptError {
 
 impl std::error::Error for AcceptError {}
 
-/// Work items for the Master Thread.
-enum MasterMsg {
-    /// A peer opened a data channel towards us.
-    IncomingData {
-        peer: String,
-        transport: Arc<dyn Transport>,
-        initiator_conn: u32,
-        config: ConnectionConfig,
-    },
-    /// The peer accepted a connection we initiated.
-    CtrlAccept {
-        initiator_conn: u32,
-        acceptor_conn: u32,
-    },
-    Shutdown,
-}
-
+#[derive(Clone)]
 struct PeerState {
     link: Arc<dyn PeerLink>,
-    /// Control Send Thread inbox, once the outbound control channel exists.
-    ctrl_tx: Option<Arc<Mailbox<CtrlMsg>>>,
+    /// The peer's control plane: its reactor task and outbound queue.
+    ctrl: Arc<PeerCtrl>,
 }
 
 pub(crate) struct NodeInner {
@@ -134,15 +135,56 @@ pub(crate) struct NodeInner {
     /// virtual time (see [`crate::clock`]).
     clock: Arc<dyn Clock>,
     peers: Mutex<HashMap<String, PeerState>>,
+    /// Control channels whose opener this node has not attached yet, by
+    /// the name in their hello; [`NcsNode::attach_peer`] adopts them. (A
+    /// shared listener delivers them from the moment the first peer is
+    /// attached, while the rest of a roster is still being attached.) The
+    /// oldest give way beyond [`EARLY_CHANNELS`].
+    early: Mutex<Vec<(String, Arc<dyn Transport>)>>,
     conns: Mutex<HashMap<u32, Arc<ConnShared>>>,
     /// (peer name, initiator conn id) -> acceptor conn id, for idempotent
     /// handling of duplicate data-channel hellos (setup retries).
     accepted_index: Mutex<HashMap<(String, u32), u32>>,
     next_conn: AtomicU32,
     pending_accepts: Mailbox<NcsConnection>,
-    master_inbox: Mailbox<MasterMsg>,
-    shutdown: Arc<AtomicBool>,
-    handles: Mutex<Vec<JoinHandle>>,
+    shutdown: AtomicBool,
+}
+
+impl NodeInner {
+    /// Builds a connection to `peer` on the data channel `channel` and
+    /// enters it into the registry — unless the node has shut down, in
+    /// which case the channel is closed. The flag is read under the
+    /// registry lock, and `shutdown` empties the registry under that lock
+    /// after setting the flag: a connection is either closed by `shutdown`
+    /// or never created.
+    fn open_conn(
+        &self,
+        peer: String,
+        config: ConnectionConfig,
+        channel: Arc<dyn Transport>,
+        ctrl_tx: Arc<Mailbox<CtrlMsg>>,
+    ) -> Option<Arc<ConnShared>> {
+        // Meter the data channel: interface-labelled frame/byte counters
+        // in the node registry, shared by all channels of the family.
+        let transport = Arc::new(ncs_transport::Metered::register(channel, &self.registry));
+        let shared = ConnShared::new(
+            self.next_conn.fetch_add(1, Ordering::Relaxed),
+            peer,
+            config,
+            transport,
+            Arc::clone(&self.pool),
+            ctrl_tx,
+            Some(Arc::clone(&self.registry)),
+            Arc::clone(&self.clock),
+        );
+        let mut conns = self.conns.lock();
+        if self.shutdown.load(Ordering::Acquire) {
+            shared.transport.close();
+            return None;
+        }
+        conns.insert(shared.id, Arc::clone(&shared));
+        Some(shared)
+    }
 }
 
 impl std::fmt::Debug for NodeInner {
@@ -222,7 +264,7 @@ impl NcsNodeBuilder {
         self
     }
 
-    /// Builds and starts the node (spawns its Master Thread).
+    /// Builds and starts the node.
     pub fn build(self) -> NcsNode {
         let pkg = self
             .pkg
@@ -240,7 +282,7 @@ impl NcsNodeBuilder {
         registry.register_source(Arc::new(PoolMetricSource(Arc::clone(&pool))));
         registry.register_source(Arc::new(ReactorMetricSource(Arc::clone(&reactor))));
         registry.register_source(Arc::new(PackageMetricSource(Arc::clone(&pkg))));
-        let inner = Arc::new(NodeInner {
+        let inner = NodeInner {
             name: self.name,
             rank: self.rank,
             pkg,
@@ -250,29 +292,21 @@ impl NcsNodeBuilder {
             registry,
             clock,
             peers: Mutex::new(HashMap::new()),
+            early: Mutex::new(Vec::new()),
             conns: Mutex::new(HashMap::new()),
             accepted_index: Mutex::new(HashMap::new()),
             next_conn: AtomicU32::new(0),
             pending_accepts: Mailbox::unbounded(),
-            master_inbox: Mailbox::unbounded(),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            handles: Mutex::new(Vec::new()),
-        });
-        let node = NcsNode {
-            inner: Arc::clone(&inner),
+            shutdown: AtomicBool::new(false),
         };
-        let master_inner = Arc::clone(&inner);
-        let h = inner.pkg.spawn_with(
-            SpawnOptions::new(format!("ncs-master-{}", inner.name)).daemon(true),
-            Box::new(move || master_thread(&master_inner)),
-        );
-        inner.handles.lock().push(h);
-        node
+        NcsNode {
+            inner: Arc::new(inner),
+        }
     }
 }
 
-/// One NCS process: owns the Master Thread, the per-peer control plane and
-/// all connections. See the crate docs for a usage example.
+/// One NCS process: owns the per-peer control plane and all connections.
+/// See the crate docs for a usage example.
 #[derive(Debug, Clone)]
 pub struct NcsNode {
     inner: Arc<NodeInner>,
@@ -322,9 +356,10 @@ impl NcsNode {
         Arc::clone(&self.inner.reactor)
     }
 
-    /// Attaches a link towards `peer` and starts accepting channels from
-    /// it. Must be called on both nodes (with matching link pair ends)
-    /// before connections can be made.
+    /// Attaches a link towards `peer` — the peer node's own name, which
+    /// the hello frames of the channels it opens carry — and starts
+    /// accepting channels from it. Must be called on both nodes (with
+    /// matching link pair ends) before connections can be made.
     pub fn attach_peer(&self, peer: &str, link: Arc<dyn PeerLink>) {
         if self.inner.pkg.kind() == PackageKind::UserLevel {
             // §4.1: under the user-level package, blocking system calls
@@ -333,34 +368,52 @@ impl NcsNode {
             let pkg = Arc::clone(&self.inner.pkg);
             link.set_yield_hook(Some(Arc::new(move || pkg.yield_now())));
         }
-        self.inner.peers.lock().insert(
+        let inner = Arc::clone(&self.inner);
+        let ctrl = PeerCtrl::spawn(&self.inner.reactor, move |msg| handle_ctrl(&inner, msg));
+        let replaced = self.inner.peers.lock().insert(
             peer.to_owned(),
             PeerState {
                 link: Arc::clone(&link),
-                ctrl_tx: None,
+                ctrl: Arc::clone(&ctrl),
             },
         );
-        // Acceptor thread for this link.
-        let inner = Arc::clone(&self.inner);
-        let peer_name = peer.to_owned();
-        let h = self.inner.pkg.spawn_with(
+        // Re-attaching a name supersedes its old registration; attaching
+        // to a node that has shut down attaches nothing. (`shutdown`
+        // retires the peers it finds after setting the flag, so one side
+        // always sees the other.)
+        if let Some(old) = replaced {
+            old.ctrl.retire();
+        }
+        if self.inner.shutdown.load(Ordering::Acquire) {
+            ctrl.retire();
+        }
+        // Control channels the peer opened before it was attached here.
+        let mut early = self.inner.early.lock();
+        for (_, channel) in early.extract_if(.., |(name, _)| name == peer) {
+            ctrl.adopt(&self.inner.reactor, channel, false);
+        }
+        drop(early);
+        // Acceptor thread for this link: the one blocking service thread a
+        // peer costs. It leaves on its own once the peer is retired.
+        let node = Arc::downgrade(&self.inner);
+        self.inner.pkg.spawn_with(
             SpawnOptions::new(format!("ncs-accept-{}-{}", self.inner.name, peer)).daemon(true),
-            Box::new(move || acceptor_thread(&inner, &peer_name, link)),
+            Box::new(move || acceptor_thread(&node, link, &ctrl)),
         );
-        self.inner.handles.lock().push(h);
     }
 
     /// Severs every tie to `peer`: closes and unregisters its live
     /// connections, forgets the accept-side `(peer, initiator conn)`
-    /// dedup entries, and drops the peer registration (link + control
-    /// channel). The counterpart of [`NcsNode::attach_peer`] for
-    /// membership churn — without it, a *replacement* process re-adopting
-    /// the peer's name would have its fresh setup hellos mistaken for
-    /// setup retries of the dead process's connections (conn ids restart
-    /// at zero in a new process) and silently re-acknowledged against a
-    /// corpse. A no-op for an unknown peer.
+    /// dedup entries, and drops the peer registration (link, control
+    /// channels, control task and acceptor thread). The counterpart of
+    /// [`NcsNode::attach_peer`] for membership churn — without it, a
+    /// *replacement* process re-adopting the peer's name would have its
+    /// fresh setup hellos mistaken for setup retries of the dead
+    /// process's connections (conn ids restart at zero in a new process)
+    /// and silently re-acknowledged against a corpse. A no-op for an
+    /// unknown peer.
     pub fn forget_peer(&self, peer: &str) {
-        self.inner.peers.lock().remove(peer);
+        let forgotten = self.inner.peers.lock().remove(peer);
         self.inner
             .accepted_index
             .lock()
@@ -376,6 +429,11 @@ impl NcsNode {
         };
         for shared in dropped {
             shared.initiate_close();
+        }
+        // Last, so the control task's final flush carries the CloseConns
+        // queued just above.
+        if let Some(state) = forgotten {
+            state.ctrl.retire();
         }
     }
 
@@ -395,45 +453,25 @@ impl NcsNode {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ConnectError::Shutdown);
         }
-        let link = {
-            let peers = self.inner.peers.lock();
-            let state = peers
-                .get(peer)
-                .ok_or_else(|| ConnectError::UnknownPeer(peer.to_owned()))?;
-            Arc::clone(&state.link)
-        };
-        let ctrl_tx = ensure_ctrl_tx(&self.inner, peer)?;
-        let channel = link.open_channel()?;
+        let to = ensure_ctrl_tx(&self.inner, peer)?;
+        let channel = to.link.open_channel()?;
         config.validate(channel.caps().max_frame)?;
-        // Meter the data channel: interface-labelled frame/byte counters
-        // in the node registry, shared by all channels of the family.
-        let transport: Arc<dyn Transport> = Arc::new(ncs_transport::Metered::register(
-            Arc::from(channel),
-            &self.inner.registry,
-        ));
-        let conn_id = self.inner.next_conn.fetch_add(1, Ordering::Relaxed);
-        let shared = ConnShared::new(
-            conn_id,
-            peer.to_owned(),
-            config.clone(),
-            Arc::clone(&transport),
-            Arc::clone(&self.inner.pool),
-            ctrl_tx,
-            Some(Arc::clone(&self.inner.registry)),
-            Arc::clone(&self.inner.clock),
-        );
-        self.inner.conns.lock().insert(conn_id, Arc::clone(&shared));
-        // Announce the connection on its own data channel, then spawn the
-        // per-connection threads (Master Thread duty, delegated to the
-        // caller's thread for the initiator side).
-        transport.send(
-            &Hello::Data {
-                node: self.inner.name.clone(),
-                initiator_conn: conn_id,
-                config,
-            }
-            .encode(),
-        )?;
+        let ctrl_tx = to.ctrl.outbox();
+        let shared = self
+            .inner
+            .open_conn(peer.to_owned(), config.clone(), Arc::from(channel), ctrl_tx)
+            .ok_or(ConnectError::Shutdown)?;
+        let transport = &shared.transport;
+        // Announce the connection on its own data channel, then attach its
+        // task (the paper's Master Thread duty, done on the caller's
+        // thread for the initiator side).
+        let hello = Hello::Data {
+            node: self.inner.name.clone(),
+            initiator_conn: shared.id,
+            config,
+        }
+        .encode();
+        transport.send(&hello)?;
         attach_connection(&self.inner.reactor, &shared);
         // The hello rides the (possibly unreliable) data channel; retry a
         // few times before declaring the setup dead. The acceptor side
@@ -444,18 +482,13 @@ impl NcsNode {
                 established = true;
                 break;
             }
-            let _ = transport.send(
-                &Hello::Data {
-                    node: self.inner.name.clone(),
-                    initiator_conn: conn_id,
-                    config: shared.config.clone(),
-                }
-                .encode(),
-            );
+            let _ = transport.send(&hello);
         }
-        if !established {
+        // A peer that hangs up instead of accepting (it has not attached
+        // this node, or refuses the configuration) fires the event too.
+        if !established || shared.peer_conn_id() == u32::MAX {
             shared.initiate_close();
-            self.inner.conns.lock().remove(&conn_id);
+            self.inner.conns.lock().remove(&shared.id);
             return Err(ConnectError::Timeout);
         }
         if self.inner.shutdown.load(Ordering::Acquire) {
@@ -559,22 +592,26 @@ impl NcsNode {
         )
     }
 
-    /// Shuts the node down: closes every connection, stops all NCS threads.
-    /// Idempotent.
+    /// Shuts the node down: closes every connection and retires the
+    /// control plane. Idempotent. Once it returns the node dispatches no
+    /// control message and creates no connection; nothing is waited for —
+    /// the tasks retire on the wake they are given, and each acceptor
+    /// thread leaves at the end of its current accept poll.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        let conns: Vec<Arc<ConnShared>> = self.inner.conns.lock().values().cloned().collect();
-        for c in conns {
+        // Emptied under the lock `open_conn` reads the flag under. With no
+        // connection left to address, nothing a peer still sends can be
+        // dispatched.
+        let conns = std::mem::take(&mut *self.inner.conns.lock());
+        for c in conns.into_values() {
             c.initiate_close();
         }
-        self.inner.master_inbox.send(MasterMsg::Shutdown);
-        // Service threads observe the shutdown flag within their idle tick;
-        // give them a bounded join.
-        let handles = std::mem::take(&mut *self.inner.handles.lock());
-        for h in handles {
-            let _ = h.join_timeout(Duration::from_secs(2));
+        // After the closes: each task's final flush carries their
+        // CloseConns to the peer.
+        for state in self.inner.peers.lock().values() {
+            state.ctrl.retire();
         }
         // A reactor this node built privately stops with it; a shared one
         // (supplied via the builder) may still drive other nodes.
@@ -584,65 +621,36 @@ impl NcsNode {
     }
 }
 
-impl Drop for NodeInner {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-}
-
-/// Lazily opens the outbound control channel to `peer` and spawns its
-/// Control Send Thread.
-fn ensure_ctrl_tx(
-    inner: &Arc<NodeInner>,
-    peer: &str,
-) -> Result<Arc<Mailbox<CtrlMsg>>, ConnectError> {
-    if let Some(tx) = inner.peers.lock().get(peer).and_then(|s| s.ctrl_tx.clone()) {
-        return Ok(tx);
-    }
-    let link = {
-        let peers = inner.peers.lock();
-        let state = peers
-            .get(peer)
-            .ok_or_else(|| ConnectError::UnknownPeer(peer.to_owned()))?;
-        Arc::clone(&state.link)
-    };
-    // Open outside the lock (may block on signaling). Control channels use
-    // the link's assured path where the interface has one (ACI/SSCOP).
-    let channel = link.open_control_channel()?;
-    channel.send(
-        &Hello::Control {
+/// The registration of `peer`, with a control channel towards it up (so
+/// that its control queue leads somewhere): opens one first when none is.
+/// Runs on the thread that sets a connection up — opening may block on
+/// signaling — never on the reactor.
+fn ensure_ctrl_tx(inner: &NodeInner, peer: &str) -> Result<PeerState, ConnectError> {
+    let state = inner.peers.lock().get(peer).cloned();
+    let state = state.ok_or_else(|| ConnectError::UnknownPeer(peer.to_owned()))?;
+    if !state.ctrl.has_outbound() {
+        // Control channels use the link's assured path where the
+        // interface has one (ACI/SSCOP). Two setups racing here open two;
+        // the spare one idles.
+        let channel = state.link.open_control_channel()?;
+        let hello = Hello::Control {
             node: inner.name.clone(),
-        }
-        .encode(),
-    )?;
-    let transport: Arc<dyn Transport> = Arc::from(channel);
-    let inbox: Arc<Mailbox<CtrlMsg>> = Arc::new(Mailbox::unbounded());
-    let mut peers = inner.peers.lock();
-    let state = peers
-        .get_mut(peer)
-        .ok_or_else(|| ConnectError::UnknownPeer(peer.to_owned()))?;
-    match &state.ctrl_tx {
-        Some(existing) => Ok(Arc::clone(existing)), // lost a benign race
-        None => {
-            let h = spawn_cs(
-                &inner.pkg,
-                peer,
-                transport,
-                Arc::clone(&inbox),
-                Arc::clone(&inner.shutdown),
-            );
-            inner.handles.lock().push(h);
-            state.ctrl_tx = Some(Arc::clone(&inbox));
-            Ok(inbox)
-        }
+        };
+        channel.send(&hello.encode())?;
+        state.ctrl.adopt(&inner.reactor, Arc::from(channel), true);
     }
+    Ok(state)
 }
 
-/// Per-link acceptor: classifies fresh channels by their hello frame and
-/// hands them to the control plane or the Master Thread.
-fn acceptor_thread(inner: &Arc<NodeInner>, default_peer: &str, link: Arc<dyn PeerLink>) {
+/// Per-link acceptor: classifies fresh channels by their hello frame. A
+/// control channel goes to its peer's control task; a data channel becomes
+/// a connection right here. Leaves once `ctrl` — the registration it was
+/// spawned for — is retired (`forget_peer`, re-attachment, node shutdown).
+/// It holds the node only while it serves a channel: a node that is shut
+/// down and dropped is freed there and then, not an accept poll later.
+fn acceptor_thread(node: &Weak<NodeInner>, link: Arc<dyn PeerLink>, ctrl: &PeerCtrl) {
     loop {
-        if inner.shutdown.load(Ordering::Acquire) {
+        if ctrl.is_retired() {
             return;
         }
         let channel = match link.accept_channel(ACCEPT_POLL) {
@@ -661,152 +669,171 @@ fn acceptor_thread(inner: &Arc<NodeInner>, default_peer: &str, link: Arc<dyn Pee
             },
             Err(_) => continue,
         };
+        let Some(inner) = &node.upgrade() else {
+            return;
+        };
         let transport: Arc<dyn Transport> = Arc::from(channel);
         match hello {
             Hello::Control { node } => {
                 // Peer attribution comes from the hello, not the link
-                // (shared listeners may deliver other peers' channels).
-                let peer = if node.is_empty() {
-                    default_peer.to_owned()
-                } else {
-                    node
-                };
-                let dispatch_inner = Arc::clone(inner);
-                let h = spawn_cr(
-                    &inner.pkg,
-                    &peer,
-                    transport,
-                    Arc::clone(&inner.shutdown),
-                    move |msg| handle_ctrl(&dispatch_inner, msg),
-                );
-                inner.handles.lock().push(h);
+                // (shared listeners may deliver other peers' channels). A
+                // name not attached yet waits for `attach_peer`, which
+                // inserts under the lock held here: it finds the channel.
+                let peers = inner.peers.lock();
+                match peers.get(&node) {
+                    Some(named) => named.ctrl.adopt(&inner.reactor, transport, false),
+                    None => {
+                        let mut early = inner.early.lock();
+                        if early.len() == EARLY_CHANNELS {
+                            early.remove(0).1.close();
+                        }
+                        early.push((node, transport));
+                    }
+                }
             }
             Hello::Data {
                 node,
                 initiator_conn,
                 config,
-            } => {
-                inner.master_inbox.send(MasterMsg::IncomingData {
-                    peer: node,
-                    transport,
-                    initiator_conn,
-                    config,
-                });
-            }
+            } => incoming_data(inner, node, transport, initiator_conn, config),
         }
     }
 }
 
-/// Control-plane dispatcher (runs on Control Receive Threads).
-fn handle_ctrl(inner: &Arc<NodeInner>, msg: CtrlMsg) {
+/// Control-plane dispatcher: runs on the reactor, inside the poll of the
+/// control task that decoded `msg`.
+fn handle_ctrl(inner: &NodeInner, msg: CtrlMsg) {
+    let conn = match msg {
+        CtrlMsg::Ack { conn, .. }
+        | CtrlMsg::GbnAck { conn, .. }
+        | CtrlMsg::Credit { conn, .. }
+        | CtrlMsg::CloseConn { conn } => conn,
+        CtrlMsg::AcceptConn { initiator_conn, .. } => initiator_conn,
+        // Connection opening rides the data channel's hello; this control
+        // variant is reserved for future out-of-band setup.
+        CtrlMsg::OpenConn { .. } => return,
+    };
+    let Some(shared) = inner.conns.lock().get(&conn).cloned() else {
+        return;
+    };
     match msg {
-        CtrlMsg::Ack { conn, .. } | CtrlMsg::GbnAck { conn, .. } | CtrlMsg::Credit { conn, .. } => {
-            let shared = inner.conns.lock().get(&conn).cloned();
-            if let Some(shared) = shared {
-                dispatch_ctrl(&shared, msg);
-            }
-        }
-        CtrlMsg::AcceptConn {
+        CtrlMsg::AcceptConn { acceptor_conn, .. } => shared.mark_established(acceptor_conn),
+        CtrlMsg::CloseConn { .. } => shared.peer_closed(),
+        _ => dispatch_ctrl(&shared, msg),
+    }
+}
+
+/// Connection management, accepting side (paper Figure 1 — "data transfer
+/// threads … are spawned on a per-connection basis by the Master Thread"):
+/// turns a data channel a peer opened into a connection and acknowledges
+/// it over the control connection. Runs on the acceptor thread.
+fn incoming_data(
+    inner: &Arc<NodeInner>,
+    peer: String,
+    transport: Arc<dyn Transport>,
+    initiator_conn: u32,
+    config: ConnectionConfig,
+) {
+    if config.validate(transport.caps().max_frame).is_err() {
+        transport.close();
+        return;
+    }
+    let Ok(from) = ensure_ctrl_tx(inner, &peer) else {
+        transport.close();
+        return;
+    };
+    let ctrl_tx = from.ctrl.outbox();
+    // Duplicate hello from a setup retry: re-acknowledge the existing
+    // connection instead of creating another.
+    let existing = inner
+        .accepted_index
+        .lock()
+        .get(&(peer.clone(), initiator_conn))
+        .copied();
+    if let Some(acceptor_conn) = existing {
+        ctrl_tx.send(CtrlMsg::AcceptConn {
             initiator_conn,
             acceptor_conn,
-        } => {
-            inner.master_inbox.send(MasterMsg::CtrlAccept {
-                initiator_conn,
-                acceptor_conn,
-            });
-        }
-        CtrlMsg::CloseConn { conn } => {
-            let shared = inner.conns.lock().get(&conn).cloned();
-            if let Some(shared) = shared {
-                shared.peer_closed();
-            }
-        }
-        CtrlMsg::OpenConn { .. } => {
-            // Connection opening rides the data channel's hello; this
-            // control variant is reserved for future out-of-band setup.
-        }
+        });
+        transport.close();
+        return;
     }
+    // The node may have shut down while this thread sat in its accept
+    // poll or opened the control channel: nothing is built on a late
+    // channel.
+    let Some(shared) = inner.open_conn(peer, config, transport, Arc::clone(&ctrl_tx)) else {
+        return;
+    };
+    shared.mark_established(initiator_conn);
+    inner
+        .accepted_index
+        .lock()
+        .insert((shared.peer_name.clone(), initiator_conn), shared.id);
+    attach_connection(&inner.reactor, &shared);
+    ctrl_tx.send(CtrlMsg::AcceptConn {
+        initiator_conn,
+        acceptor_conn: shared.id,
+    });
+    inner.pending_accepts.send(NcsConnection::new(shared));
 }
 
-/// The Master Thread: connection management (paper Figure 1 — "data
-/// transfer threads … are spawned on a per-connection basis by the Master
-/// Thread").
-fn master_thread(inner: &Arc<NodeInner>) {
-    loop {
-        match inner.master_inbox.recv_timeout(Duration::from_millis(100)) {
-            Ok(MasterMsg::IncomingData {
-                peer,
-                transport,
-                initiator_conn,
-                config,
-            }) => {
-                if config.validate(transport.caps().max_frame).is_err() {
-                    transport.close();
-                    continue;
-                }
-                // Meter the accepted data channel like the initiator side.
-                let transport: Arc<dyn Transport> =
-                    Arc::new(ncs_transport::Metered::register(transport, &inner.registry));
-                // Duplicate hello from a setup retry: re-acknowledge the
-                // existing connection instead of creating another.
-                let existing = inner
-                    .accepted_index
-                    .lock()
-                    .get(&(peer.clone(), initiator_conn))
-                    .copied();
-                if let Some(acceptor_conn) = existing {
-                    if let Ok(ctrl_tx) = ensure_ctrl_tx(inner, &peer) {
-                        ctrl_tx.send(CtrlMsg::AcceptConn {
-                            initiator_conn,
-                            acceptor_conn,
-                        });
-                    }
-                    transport.close();
-                    continue;
-                }
-                let Ok(ctrl_tx) = ensure_ctrl_tx(inner, &peer) else {
-                    transport.close();
-                    continue;
-                };
-                let conn_id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
-                let shared = ConnShared::new(
-                    conn_id,
-                    peer,
-                    config,
-                    transport,
-                    Arc::clone(&inner.pool),
-                    Arc::clone(&ctrl_tx),
-                    Some(Arc::clone(&inner.registry)),
-                    Arc::clone(&inner.clock),
-                );
-                shared.mark_established(initiator_conn);
-                inner
-                    .accepted_index
-                    .lock()
-                    .insert((shared.peer_name.clone(), initiator_conn), conn_id);
-                inner.conns.lock().insert(conn_id, Arc::clone(&shared));
-                attach_connection(&inner.reactor, &shared);
-                ctrl_tx.send(CtrlMsg::AcceptConn {
-                    initiator_conn,
-                    acceptor_conn: conn_id,
-                });
-                inner.pending_accepts.send(NcsConnection::new(shared));
-            }
-            Ok(MasterMsg::CtrlAccept {
-                initiator_conn,
-                acceptor_conn,
-            }) => {
-                let shared = inner.conns.lock().get(&initiator_conn).cloned();
-                if let Some(shared) = shared {
-                    shared.mark_established(acceptor_conn);
-                }
-            }
-            Ok(MasterMsg::Shutdown) => return,
-            Err(_) => {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+mod tests {
+    use super::*;
+    use crate::link::HpiLinkPair;
+    use std::time::Instant;
+
+    /// Threads of this process whose name contains `needle`.
+    fn threads_named(needle: &str) -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.contains(needle))
+            .count()
+    }
+
+    /// Regression: `forget_peer` used to leave the peer's Control Send
+    /// thread polling its mailbox until node shutdown — one leaked thread
+    /// per rejoin per survivor under membership churn. Everything a peer
+    /// costs must go when it is forgotten.
+    #[test]
+    fn forget_peer_returns_threads_and_reactor_tasks() {
+        // "fg50" marks every service thread of the two nodes, in either
+        // model: ncs-accept-fg50…, ncs-cs-fg50x, ncs-master-fg50, ….
+        let node = NcsNode::builder("fg50").build();
+        let peer = NcsNode::builder("fg50x").build();
+        let reactor = node.reactor();
+        let (threads, tasks) = (threads_named("fg50"), reactor.live_tasks());
+        assert_eq!((threads, tasks), (0, 0));
+        for round in 0..50u8 {
+            let (ln, lp) = HpiLinkPair::create();
+            node.attach_peer("fg50x", ln);
+            peer.attach_peer("fg50", lp);
+            let conn = node
+                .connect("fg50x", ConnectionConfig::reliable())
+                .expect("connect");
+            let back = peer.accept_default().expect("accept");
+            conn.send_sync(&[round]).expect("send");
+            assert_eq!(back.recv().expect("recv"), [round]);
+            node.forget_peer("fg50x");
+            assert!(!conn.is_open());
+            peer.forget_peer("fg50");
         }
+        assert_eq!(node.connection_count(), 0);
+        // The tasks retire on the wake `forget_peer` gave them; each
+        // acceptor leaves at the end of its accept poll.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while (threads_named("fg50"), reactor.live_tasks()) != (threads, tasks) {
+            assert!(
+                Instant::now() < deadline,
+                "after 50 attach/connect/forget rounds: {} service threads, {} reactor tasks",
+                threads_named("fg50"),
+                reactor.live_tasks()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        node.shutdown();
+        peer.shutdown();
     }
 }

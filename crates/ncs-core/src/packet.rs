@@ -264,7 +264,7 @@ pub enum CtrlMsg {
 
 impl CtrlMsg {
     /// Encodes tag + variant + fields into `out`, replacing its contents
-    /// (the Control Send Thread reuses one scratch buffer across messages).
+    /// (the control task recycles its frame buffers across messages).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.push(TAG_CTRL);

@@ -7,7 +7,8 @@
 //! (flow control, error control) exactly as they are, but runs them as
 //! non-blocking state machines multiplexed onto a small fixed pool of
 //! worker loops (one `ReactorTask` per connection; see
-//! `connection::ConnTask`).
+//! `connection::ConnTask`). Figure 1's node-level Control Send/Receive
+//! threads run the same way: one `control::CtrlTask` per attached peer.
 //!
 //! Three readiness sources feed the loops:
 //!
@@ -38,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use ncs_threads::sync::Mailbox;
 use ncs_threads::{SpawnOptions, ThreadPackage};
+use ncs_transport::Connection as Transport;
 use parking_lot::Mutex;
 
 use crate::stats::ReactorStats;
@@ -70,7 +72,7 @@ pub(crate) enum TaskPoll {
 }
 
 /// A resumable, non-blocking unit of protocol work (one connection's
-/// Send/Receive/FC/EC machinery).
+/// Send/Receive/FC/EC machinery, or one peer's control plane).
 ///
 /// `poll` must never block: it drains whatever is ready, advances its
 /// state machines, and returns. Spurious polls are normal.
@@ -88,7 +90,7 @@ const ST_DIRTY: u8 = 3;
 const ST_DONE: u8 = 4;
 
 enum ShardMsg {
-    Add(u64, Box<dyn ReactorTask>, Arc<TaskHandle>),
+    Add(u64, Box<dyn ReactorTask>, Arc<TaskHandle>, bool),
     Run(u64),
     Shutdown,
 }
@@ -102,7 +104,7 @@ struct ShardQueue {
 
 /// Wakes one task: the reactor-side analogue of the paper's mailbox
 /// "activation". Cheap, lock-free, callable from anywhere (transport
-/// wakers, control threads, application threads, the task itself).
+/// wakers, other tasks, application threads, the task itself).
 pub(crate) struct TaskHandle {
     id: u64,
     state: AtomicU8,
@@ -158,7 +160,10 @@ impl TaskHandle {
 /// Internal counters behind [`ReactorStats`].
 #[derive(Debug, Default)]
 pub(crate) struct ReactorCounters {
+    /// Live connection tasks ([`ReactorStats::endpoints`]).
     endpoints: AtomicU64,
+    /// Live tasks of every kind (connections plus per-peer control tasks).
+    tasks: AtomicU64,
     polls: AtomicU64,
     wakeups: AtomicU64,
     task_runs: AtomicU64,
@@ -173,6 +178,8 @@ pub(crate) struct ReactorCounters {
 struct Slot {
     task: Box<dyn ReactorTask>,
     handle: Arc<TaskHandle>,
+    /// Whether the task counts towards [`ReactorStats::endpoints`].
+    endpoint: bool,
     /// Deadline of the pending heap entry, if any (stale heap entries —
     /// superseded or fired — are skipped by comparing against this).
     timer_at: Option<Instant>,
@@ -268,8 +275,10 @@ impl Reactor {
     }
 
     /// Registers a task on the least-recently-used shard and schedules its
-    /// first poll. Returns the wake handle.
-    pub(crate) fn spawn(&self, task: Box<dyn ReactorTask>) -> Arc<TaskHandle> {
+    /// first poll. Returns the wake handle. `endpoint` says whether the
+    /// task is a connection — the only kind [`ReactorStats::endpoints`]
+    /// counts.
+    pub(crate) fn spawn(&self, task: Box<dyn ReactorTask>, endpoint: bool) -> Arc<TaskHandle> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let shard_ix = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
@@ -279,32 +288,45 @@ impl Reactor {
             state: AtomicU8::new(ST_SCHEDULED),
             shard: Arc::clone(&shard),
         });
-        self.counters.endpoints.fetch_add(1, Ordering::Relaxed);
+        self.counters.tasks.fetch_add(1, Ordering::Relaxed);
+        if endpoint {
+            self.counters.endpoints.fetch_add(1, Ordering::Relaxed);
+        }
         shard
             .inbox
-            .send(ShardMsg::Add(id, task, Arc::clone(&handle)));
+            .send(ShardMsg::Add(id, task, Arc::clone(&handle), endpoint));
         handle
     }
 
-    /// Registers `fd` with the shared `poll(2)` thread; `handle` is woken
-    /// whenever the descriptor reads ready. Unix only.
-    #[cfg(unix)]
-    pub(crate) fn register_fd(
-        self: &Arc<Self>,
-        fd: std::os::fd::RawFd,
-        handle: Arc<TaskHandle>,
-    ) -> FdRegistration {
-        let poller = {
-            let mut slot = self.poller.lock();
-            if slot.is_none() {
-                *slot = Some(FdPoller::start(
-                    Arc::clone(&self.counters),
-                    Arc::clone(&self.shutdown),
-                ));
+    /// Live tasks of every kind — connections and control tasks.
+    #[cfg(test)]
+    pub(crate) fn live_tasks(&self) -> u64 {
+        self.counters.tasks.load(Ordering::Relaxed)
+    }
+
+    /// Subscribes `task` to `transport`'s readiness: it is woken whenever
+    /// the transport may have become readable — through the transport's
+    /// waker, and for an fd-backed transport (SCI) through the shared
+    /// `poll(2)` thread as well.
+    pub(crate) fn watch(&self, transport: &Arc<dyn Transport>, task: &Arc<TaskHandle>) -> Watch {
+        let t = Arc::clone(task);
+        transport.register_waker(Some(Arc::new(move || t.wake())));
+        #[cfg(unix)]
+        let fd = match transport.readiness() {
+            ncs_transport::Readiness::Fd(fd) => {
+                let mut poller = self.poller.lock();
+                let poller = poller.get_or_insert_with(|| {
+                    FdPoller::start(Arc::clone(&self.counters), Arc::clone(&self.shutdown))
+                });
+                Some(poller.register(fd, Arc::clone(task)))
             }
-            Arc::clone(slot.as_ref().expect("just filled"))
+            _ => None,
         };
-        poller.register(fd, handle)
+        Watch {
+            #[cfg(unix)]
+            fd,
+            transport: Arc::clone(transport),
+        }
     }
 
     /// Runs `f` on the blocking lane: a thread is borrowed from (or added
@@ -357,6 +379,38 @@ impl Reactor {
 impl Drop for Reactor {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// One task's subscription to one transport's readiness
+/// ([`Reactor::watch`]). Dropping it unsubscribes.
+pub(crate) struct Watch {
+    // Before `transport`: the registration is keyed by descriptor number,
+    // which the system may hand out again the moment the socket closes.
+    #[cfg(unix)]
+    fd: Option<FdRegistration>,
+    transport: Arc<dyn Transport>,
+}
+
+impl Watch {
+    pub(crate) fn transport(&self) -> &Arc<dyn Transport> {
+        &self.transport
+    }
+
+    /// Re-enables fd readiness once the task has drained the transport
+    /// (registrations are oneshot; the poller is level-triggered, so
+    /// anything that arrived while disarmed shows on its next cycle).
+    pub(crate) fn rearm(&self) {
+        #[cfg(unix)]
+        if let Some(fd) = &self.fd {
+            fd.rearm();
+        }
+    }
+}
+
+impl Drop for Watch {
+    fn drop(&mut self) {
+        self.transport.register_waker(None);
     }
 }
 
@@ -413,12 +467,13 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
             ShardMsg::Shutdown => {
                 draining_until.get_or_insert(now + SHUTDOWN_GRACE);
             }
-            ShardMsg::Add(id, task, handle) => {
+            ShardMsg::Add(id, task, handle, endpoint) => {
                 tasks.insert(
                     id,
                     Slot {
                         task,
                         handle,
+                        endpoint,
                         timer_at: None,
                         again_streak: 0,
                     },
@@ -446,8 +501,11 @@ fn run_task(
     match poll {
         TaskPoll::Done => {
             slot.handle.state.store(ST_DONE, Ordering::Release);
+            if slot.endpoint {
+                counters.endpoints.fetch_sub(1, Ordering::Relaxed);
+            }
+            counters.tasks.fetch_sub(1, Ordering::Relaxed);
             tasks.remove(&id);
-            counters.endpoints.fetch_sub(1, Ordering::Relaxed);
         }
         TaskPoll::Again => {
             slot.again_streak += 1;
@@ -528,12 +586,6 @@ mod fdpoll {
         /// Write end of the self-pipe; poked on every registration change.
         signal_tx: Mutex<UnixStream>,
         shutdown: Arc<AtomicBool>,
-    }
-
-    impl std::fmt::Debug for FdPoller {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("FdPoller").finish()
-        }
     }
 
     impl FdPoller {
@@ -664,14 +716,6 @@ mod fdpoll {
         poller: Arc<FdPoller>,
     }
 
-    impl std::fmt::Debug for FdRegistration {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("FdRegistration")
-                .field("fd", &self.fd)
-                .finish()
-        }
-    }
-
     impl FdRegistration {
         /// Re-enables readiness events after the owning task has drained
         /// the descriptor.
@@ -705,6 +749,7 @@ struct LaneState {
 /// schedules). Unlike the reactor shards this may grow — every concurrently
 /// blocking job needs its own thread — but it drains back to zero when
 /// idle, so a quiescent node holds no progress threads at all.
+#[derive(Clone)]
 struct BlockingLane {
     jobs: Arc<Mailbox<Box<dyn FnOnce() + Send>>>,
     state: Arc<Mutex<LaneState>>,
@@ -726,8 +771,23 @@ impl BlockingLane {
 
     fn submit(&self, job: Box<dyn FnOnce() + Send>) {
         self.jobs.send(job);
+        self.top_up();
+    }
+
+    /// Adds a thread when a job is queued and no thread is idle to take
+    /// it. Runs after every submit *and* after a thread takes a job: an
+    /// idle thread answers for one job only, so a second job submitted
+    /// while it was still counted idle must get a thread of its own once
+    /// the first is taken — jobs may wait for each other (two ranks'
+    /// collective schedules do), and queueing one behind the other is then
+    /// a deadlock.
+    fn top_up(&self) {
         let mut st = self.state.lock();
-        if st.idle == 0 && st.total < LANE_CAP && !self.shutdown.load(Ordering::Acquire) {
+        if !self.jobs.is_empty()
+            && st.idle == 0
+            && st.total < LANE_CAP
+            && !self.shutdown.load(Ordering::Acquire)
+        {
             st.total += 1;
             drop(st);
             self.spawn_worker();
@@ -735,28 +795,26 @@ impl BlockingLane {
     }
 
     fn spawn_worker(&self) {
-        let jobs = Arc::clone(&self.jobs);
-        let state = Arc::clone(&self.state);
-        let counters = Arc::clone(&self.counters);
-        let shutdown = Arc::clone(&self.shutdown);
-        counters.lane_spawned.fetch_add(1, Ordering::Relaxed);
+        let lane = self.clone();
+        lane.counters.lane_spawned.fetch_add(1, Ordering::Relaxed);
         self.pkg.spawn_with(
             SpawnOptions::new("ncs-blocking-lane").daemon(true),
             Box::new(move || loop {
                 {
-                    state.lock().idle += 1;
+                    lane.state.lock().idle += 1;
                 }
-                let job = jobs.recv_timeout(LANE_LINGER);
+                let job = lane.jobs.recv_timeout(LANE_LINGER);
                 {
-                    state.lock().idle -= 1;
+                    lane.state.lock().idle -= 1;
                 }
                 match job {
                     Ok(job) => {
-                        counters.lane_active.fetch_add(1, Ordering::Relaxed);
+                        lane.top_up();
+                        lane.counters.lane_active.fetch_add(1, Ordering::Relaxed);
                         job();
-                        counters.lane_active.fetch_sub(1, Ordering::Relaxed);
-                        if shutdown.load(Ordering::Acquire) {
-                            state.lock().total -= 1;
+                        lane.counters.lane_active.fetch_sub(1, Ordering::Relaxed);
+                        if lane.shutdown.load(Ordering::Acquire) {
+                            lane.state.lock().total -= 1;
                             return;
                         }
                     }
@@ -764,8 +822,8 @@ impl BlockingLane {
                         // Linger expired. Exit only if there is really
                         // nothing queued (a submit may have raced the
                         // timeout; the state lock serialises the check).
-                        let mut st = state.lock();
-                        if jobs.is_empty() || shutdown.load(Ordering::Acquire) {
+                        let mut st = lane.state.lock();
+                        if lane.jobs.is_empty() || lane.shutdown.load(Ordering::Acquire) {
                             st.total -= 1;
                             return;
                         }
@@ -809,10 +867,13 @@ mod tests {
     fn wake_schedules_task() {
         let reactor = Reactor::new(pkg(), 2);
         let runs = Arc::new(AtomicU64::new(0));
-        let handle = reactor.spawn(Box::new(CountTask {
-            runs: Arc::clone(&runs),
-            done_after: 3,
-        }));
+        let handle = reactor.spawn(
+            Box::new(CountTask {
+                runs: Arc::clone(&runs),
+                done_after: 3,
+            }),
+            true,
+        );
         // First poll happens on registration.
         for _ in 0..100 {
             if runs.load(Ordering::Relaxed) >= 1 {
@@ -859,11 +920,14 @@ mod tests {
     fn timer_fires_without_external_wake() {
         let reactor = Reactor::new(pkg(), 1);
         let fired = Arc::new(AtomicU64::new(0));
-        let _h = reactor.spawn(Box::new(TimerTask {
-            fired: Arc::clone(&fired),
-            at: None,
-            delay: Duration::from_millis(30),
-        }));
+        let _h = reactor.spawn(
+            Box::new(TimerTask {
+                fired: Arc::clone(&fired),
+                at: None,
+                delay: Duration::from_millis(30),
+            }),
+            true,
+        );
         let start = Instant::now();
         while fired.load(Ordering::Relaxed) == 0 && start.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(5));
@@ -892,15 +956,49 @@ mod tests {
         reactor.shutdown();
     }
 
+    /// Regression: two jobs submitted against one idle lane thread got
+    /// that one thread between them — and collective schedules wait for
+    /// each other, so the second job never ran (until the op timeout).
+    #[test]
+    fn blocking_lane_gives_every_queued_job_a_thread() {
+        use ncs_threads::sync::Event;
+        let reactor = Reactor::new(pkg(), 1);
+        // One thread, lingering idle after a first job.
+        reactor.spawn_blocking(Box::new(|| {}));
+        let start = Instant::now();
+        while reactor.lane.state.lock().idle != 1 {
+            assert!(start.elapsed() < Duration::from_secs(5), "no idle thread");
+            std::thread::yield_now();
+        }
+        // Two jobs before it wakes; the first needs the second to run.
+        let (second_ran, first_done) = (Arc::new(Event::new()), Arc::new(Event::new()));
+        let (gate, done) = (Arc::clone(&second_ran), Arc::clone(&first_done));
+        reactor.spawn_blocking(Box::new(move || {
+            if gate.wait_timeout(Duration::from_secs(5)) {
+                done.fire();
+            }
+        }));
+        reactor.spawn_blocking(Box::new(move || second_ran.fire()));
+        assert!(
+            first_done.wait_timeout(Duration::from_secs(10)),
+            "the second job waited behind the first"
+        );
+        assert_eq!(reactor.stats().blocking_spawned, 2);
+        reactor.shutdown();
+    }
+
     #[test]
     fn stats_count_endpoints() {
         let reactor = Reactor::new(pkg(), 2);
         assert_eq!(reactor.stats().endpoints, 0);
         let runs = Arc::new(AtomicU64::new(0));
-        let _h = reactor.spawn(Box::new(CountTask {
-            runs,
-            done_after: u64::MAX,
-        }));
+        let _h = reactor.spawn(
+            Box::new(CountTask {
+                runs,
+                done_after: u64::MAX,
+            }),
+            true,
+        );
         let start = Instant::now();
         while reactor.stats().task_runs < 1 && start.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(2));

@@ -369,7 +369,8 @@ impl std::fmt::Display for SendBreakdown {
 pub struct ReactorStats {
     /// Event-loop workers (shards) — O(cores), fixed at construction.
     pub workers: usize,
-    /// Live registered tasks (one per attached non-direct connection).
+    /// Live connection tasks (one per attached non-direct connection;
+    /// per-peer control tasks are not counted).
     pub endpoints: u64,
     /// Worker loop iterations (timer sweeps + inbox waits).
     pub polls: u64,

@@ -328,8 +328,7 @@ impl ClusterNode {
         // Deterministic establishment: dial up, accept down.
         let mut links: HashMap<usize, NcsConnection> = HashMap::new();
         for r in (cfg.rank + 1)..cfg.world {
-            let conn = node.connect(&rank_name(r), cfg.conn.clone())?;
-            links.insert(r as usize, conn);
+            links.insert(r as usize, dial(&node, r, &cfg.conn, deadline)?);
         }
         while links.len() < (cfg.world - 1) as usize {
             let left = deadline
@@ -444,18 +443,7 @@ impl ClusterNode {
         // state and re-attached), so dials retry until the deadline.
         let mut links: HashMap<usize, NcsConnection> = HashMap::new();
         for &(r, _) in peers.iter().filter(|&&(r, _)| r > cfg.rank) {
-            let conn = loop {
-                match node.connect(&rank_name(r), cfg.conn.clone()) {
-                    Ok(c) => break c,
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(e.into());
-                        }
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                }
-            };
-            links.insert(r as usize, conn);
+            links.insert(r as usize, dial(&node, r, &cfg.conn, deadline)?);
         }
         let expected: usize = peers.iter().filter(|&&(r, _)| r < cfg.rank).count();
         let mut accepted = 0usize;
@@ -964,6 +952,26 @@ fn apply_view(shared: &Arc<ClusterShared>, view: &View) {
     shared.view_cv.notify_all();
 }
 
+/// Opens the world link to rank `peer`, retrying until `deadline`: the
+/// other end refuses (or ignores) the dial until it has attached this
+/// rank — it may still be working through its roster at bootstrap, be a
+/// replacement between its state replay and its accept loop, or a
+/// survivor that has not applied the join yet.
+fn dial(
+    node: &NcsNode,
+    peer: u32,
+    cfg: &ConnectionConfig,
+    deadline: Instant,
+) -> Result<NcsConnection, ClusterError> {
+    loop {
+        match node.connect(&rank_name(peer), cfg.clone()) {
+            Ok(conn) => return Ok(conn),
+            Err(e) if Instant::now() >= deadline => return Err(e.into()),
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
+
 /// Re-establishes the world link to `peer` (now at `addr`) after a view
 /// change, honouring the bootstrap direction invariant — the lower rank
 /// dials, the higher rank accepts — so the two ends of every re-mesh
@@ -979,23 +987,7 @@ fn remesh_peer(
         SciLink::with_connect_timeout(addr, Arc::clone(&shared.listener), REMESH_BUDGET),
     );
     let conn = if shared.rank < peer {
-        // The other end may still be assembling (a replacement between
-        // its state replay and its accept loop): retry the dial until
-        // the budget runs out.
-        loop {
-            match shared
-                .node
-                .connect(&rank_name(peer), shared.conn_cfg.clone())
-            {
-                Ok(c) => break c,
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        return Err(e.into());
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-        }
+        dial(&shared.node, peer, &shared.conn_cfg, deadline)?
     } else {
         loop {
             let left = deadline

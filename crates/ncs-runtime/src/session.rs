@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_collectives::{CollectiveError, CollectiveGroup};
-use ncs_core::link::HpiLinkPair;
+use ncs_core::link::{HpiLinkPair, PeerLink};
 use ncs_core::{AcceptError, ConnectError, ConnectionConfig, NcsConnection, NcsNode};
 use ncs_threads::ThreadPackage;
 
@@ -257,40 +257,49 @@ impl LocalWorld {
                 b.build()
             })
             .collect();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (li, lj) = HpiLinkPair::with_capacity(2048);
-                nodes[i as usize].attach_peer(&rank_name(j), li);
-                nodes[j as usize].attach_peer(&rank_name(i), lj);
-            }
-        }
-        // Bootstrap links, wired like the cluster runtime: each member
-        // dials every higher rank and accepts from every lower one. HPI
-        // rides reliable in-process mailboxes, so the links use the §3.1
-        // bypass exactly as the SCI cluster defaults do.
-        let mut links: Vec<HashMap<usize, NcsConnection>> =
-            (0..n).map(|_| HashMap::new()).collect();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let up =
-                    nodes[i as usize].connect(&rank_name(j), ConnectionConfig::unreliable())?;
-                let down = nodes[j as usize].accept(Duration::from_secs(30))?;
-                links[i as usize].insert(j as usize, up);
-                links[j as usize].insert(i as usize, down);
-            }
-        }
-        Ok(nodes
-            .into_iter()
-            .zip(links)
-            .enumerate()
-            .map(|(rank, (node, links))| LocalSession {
-                node,
-                rank: rank as u32,
-                world: n,
-                links,
-            })
-            .collect())
+        mesh(nodes, |_, _| {
+            // Re-tupled so that each end unsizes to `dyn PeerLink`.
+            let (lo, hi) = HpiLinkPair::with_capacity(2048);
+            (lo, hi)
+        })
     }
+}
+
+/// Turns `nodes` (node `r` is rank `r`) into a world: a full mesh of
+/// links — `link_pair(i, j)` makes the two ends joining ranks `i < j` —
+/// and one bootstrap connection per pair, wired like the cluster runtime:
+/// each member dials every higher rank and accepts from every lower one.
+/// The bootstrap links use the §3.1 bypass, exactly as the SCI cluster
+/// defaults do.
+pub(crate) fn mesh(
+    nodes: Vec<NcsNode>,
+    mut link_pair: impl FnMut(u32, u32) -> (Arc<dyn PeerLink>, Arc<dyn PeerLink>),
+) -> Result<Vec<LocalSession>, SessionError> {
+    let n = nodes.len() as u32;
+    let pairs = || (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j)));
+    for (i, j) in pairs() {
+        let (li, lj) = link_pair(i, j);
+        nodes[i as usize].attach_peer(&rank_name(j), li);
+        nodes[j as usize].attach_peer(&rank_name(i), lj);
+    }
+    let mut links: Vec<HashMap<usize, NcsConnection>> = (0..n).map(|_| HashMap::new()).collect();
+    for (i, j) in pairs() {
+        let up = nodes[i as usize].connect(&rank_name(j), ConnectionConfig::unreliable())?;
+        let down = nodes[j as usize].accept(Duration::from_secs(30))?;
+        links[i as usize].insert(j as usize, up);
+        links[j as usize].insert(i as usize, down);
+    }
+    Ok(nodes
+        .into_iter()
+        .zip(links)
+        .enumerate()
+        .map(|(rank, (node, links))| LocalSession {
+            node,
+            rank: rank as u32,
+            world: n,
+            links,
+        })
+        .collect())
 }
 
 /// One member of a [`LocalWorld`] (the in-process [`Session`] backend).

@@ -44,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cluster::rank_name;
-use crate::session::{Session, SessionError};
+use crate::session::{LocalSession, Session, SessionError};
 use ncs_collectives::CollectiveGroup;
 use ncs_core::ConnectionConfig;
 
@@ -1499,38 +1499,17 @@ impl SimWorldBuilder {
             .collect();
         let mut peer_links: Vec<HashMap<u32, Arc<ncs_core::link::SimLink>>> =
             (0..n).map(|_| HashMap::new()).collect();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (li, lj) = SimLinkPair::create(&net, self.policy.clone(), self.policy.clone());
-                let li_dyn: Arc<dyn ncs_core::link::PeerLink> = li.clone();
-                let lj_dyn: Arc<dyn ncs_core::link::PeerLink> = lj.clone();
-                nodes[i as usize].attach_peer(&rank_name(j), li_dyn);
-                nodes[j as usize].attach_peer(&rank_name(i), lj_dyn);
-                peer_links[i as usize].insert(j, li);
-                peer_links[j as usize].insert(i, lj);
-            }
-        }
-        let mut conns: Vec<HashMap<usize, NcsConnection>> =
-            (0..n).map(|_| HashMap::new()).collect();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let up =
-                    nodes[i as usize].connect(&rank_name(j), ConnectionConfig::unreliable())?;
-                let down = nodes[j as usize].accept(Duration::from_secs(30))?;
-                conns[i as usize].insert(j as usize, up);
-                conns[j as usize].insert(i as usize, down);
-            }
-        }
-        Ok(nodes
+        let world = crate::session::mesh(nodes, |i, j| {
+            let (li, lj) = SimLinkPair::create(&net, self.policy.clone(), self.policy.clone());
+            peer_links[i as usize].insert(j, Arc::clone(&li));
+            peer_links[j as usize].insert(i, Arc::clone(&lj));
+            (li, lj)
+        })?;
+        Ok(world
             .into_iter()
-            .zip(conns)
             .zip(peer_links)
-            .enumerate()
-            .map(|(rank, ((node, links), peers))| SimSession {
-                node,
-                rank: rank as u32,
-                world: n,
-                links,
+            .map(|(local, peers)| SimSession {
+                local,
                 peers,
                 driver: Arc::clone(&driver),
             })
@@ -1538,15 +1517,13 @@ impl SimWorldBuilder {
     }
 }
 
-/// One member of a simulated world: the third [`Session`] backend. Real
-/// node, real NCS threads — only the network (and the clock its deadlines
-/// read) is simulated.
+/// One member of a simulated world: the third [`Session`] backend — a
+/// [`LocalSession`] whose links ride the simulated fabric, plus the chaos
+/// handles. Real node, real reactor tasks — only the network (and the
+/// clock its deadlines read) is simulated.
 #[derive(Debug)]
 pub struct SimSession {
-    node: NcsNode,
-    rank: u32,
-    world: u32,
-    links: HashMap<usize, NcsConnection>,
+    local: LocalSession,
     peers: HashMap<u32, Arc<ncs_core::link::SimLink>>,
     driver: Arc<SimDriver>,
 }
@@ -1554,7 +1531,7 @@ pub struct SimSession {
 impl SimSession {
     /// The bootstrap connection to `rank`, if it is another member.
     pub fn connection(&self, rank: u32) -> Option<&NcsConnection> {
-        self.links.get(&(rank as usize))
+        self.local.connection(rank)
     }
 
     /// Current virtual time of the world.
@@ -1598,42 +1575,31 @@ impl SimSession {
 
 impl Session for SimSession {
     fn rank(&self) -> u32 {
-        self.rank
+        self.local.rank()
     }
 
     fn world_size(&self) -> u32 {
-        self.world
+        self.local.world_size()
     }
 
     fn node(&self) -> &NcsNode {
-        &self.node
+        self.local.node()
     }
 
     fn connect(&self, peer: u32, cfg: ConnectionConfig) -> Result<NcsConnection, SessionError> {
-        if peer == self.rank || peer >= self.world {
-            return Err(SessionError::BadRank {
-                rank: peer,
-                world: self.world,
-            });
-        }
-        Ok(self.node.connect(&rank_name(peer), cfg)?)
+        self.local.connect(peer, cfg)
     }
 
     fn accept(&self, timeout: Duration) -> Result<NcsConnection, SessionError> {
-        Ok(self.node.accept(timeout)?)
+        self.local.accept(timeout)
     }
 
     fn collective_group(&self, id: u32) -> Result<CollectiveGroup, SessionError> {
-        Ok(CollectiveGroup::new(
-            &self.node,
-            id,
-            self.rank as usize,
-            self.links.clone(),
-        )?)
+        self.local.collective_group(id)
     }
 
     fn shutdown(&self) {
-        self.node.shutdown();
+        self.local.shutdown();
     }
 }
 

@@ -140,18 +140,40 @@ fn rendezvous_rejects_mismatched_clients() {
         "{answer:?}"
     );
 
-    // Duplicate rank while the world is assembling.
+    // Duplicate rank while the world is assembling. Which of two rank-0
+    // registrations on two sockets the server serves first is up to its
+    // reader threads, so the held one travels on a subscriber channel —
+    // whose frames the server handles in order — with a heartbeat behind
+    // it: the heartbeat's ack says the registration has been recorded.
     let hold = sci::connect_retry(server.addr(), Duration::from_secs(5)).expect("dial");
-    hold.send(
-        &RvMsg::Register {
+    let held = [
+        RvMsg::Subscribe {
+            rank: 0,
+            incarnation: 0,
+        },
+        RvMsg::Register {
             version: PROTOCOL_VERSION,
             world: 2,
             rank: 0,
             addr: "127.0.0.1:9001".into(),
+        },
+        RvMsg::Heartbeat {
+            rank: 0,
+            seq: 1,
+            nanos: 0,
+        },
+    ];
+    for msg in &held {
+        hold.send(&msg.encode()).expect("send");
+    }
+    loop {
+        let frame = hold.recv_timeout(Duration::from_secs(5)).expect("answer");
+        match RvMsg::decode(&frame).expect("decode") {
+            RvMsg::View { .. } => {} // the subscription's greeting
+            RvMsg::HeartbeatAck { seq: 1, .. } => break,
+            other => panic!("unexpected answer on the held channel: {other:?}"),
         }
-        .encode(),
-    )
-    .expect("send");
+    }
     let err = rendezvous::register(server.addr(), 0, 2, my_addr, Duration::from_secs(5))
         .expect_err("duplicate rank must be rejected");
     assert!(err.to_string().contains("duplicate"), "{err}");
