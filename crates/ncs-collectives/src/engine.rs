@@ -1,22 +1,30 @@
-//! The collective engine: on-demand progress over a group's pairwise NCS
-//! connections, servicing typed collective operations.
+//! The collective engine: the blocking shell of the collective
+//! [`machine`](crate::machine) over a group's pairwise NCS connections,
+//! and the typed operations applications call.
 //!
 //! # Architecture
 //!
-//! A [`CollectiveGroup`] member owns **no standing threads**:
+//! What a collective sends to whom, and in which order, is decided by
+//! [`plan`](crate::machine::plan) and interpreted by a
+//! [`Machine`] that never touches a connection or a clock. This module
+//! gives one member's machine its I/O, and owns **no standing threads**:
 //!
 //! * each link's untagged receive stream is handed to the engine via
 //!   [`NcsConnection::set_receive_sink`] — the node's readiness reactor
-//!   pushes reassembled frames straight into the member's frame inbox (the
-//!   former per-link pump threads, with the threads removed); and
+//!   pushes reassembled frames straight into the member's inbox; and
 //! * a **progress runner** borrows a thread from the reactor's blocking
 //!   lane only while operations are queued — the paper's overlap story
 //!   made concrete for group communication. Application threads *submit*
-//!   operations (a mailbox send) and immediately continue computing; the
-//!   runner executes the communication schedule (tree forwarding,
-//!   reduction folds, pipeline segment relays), resolves the caller's
-//!   [`CollectiveHandle`], and exits once the queue drains. A quiescent
-//!   group costs zero threads.
+//!   operations (an inbox send) and immediately continue computing; the
+//!   runner feeds the machine what the inbox holds, performs the sends it
+//!   asks for through [`NcsConnection::send_batch`], resolves the
+//!   caller's [`CollectiveHandle`] when it reports an operation done,
+//!   parks on the inbox until the machine's next deadline, and exits once
+//!   the machine is idle. A quiescent group costs zero threads.
+//!
+//! Everything that can change the runner's mind is an inbox event —
+//! submissions, frames, a link's death, `close()`, a view abort — so a
+//! parked runner wakes when its cause arrives, never on a poll.
 //!
 //! The runner is spawned through the node's configured
 //! [`ncs_threads::ThreadPackage`], so the same engine runs over the
@@ -28,31 +36,23 @@
 //! member**. Within one member, submissions from concurrent threads are
 //! serialised by the group (the submission order is the execution order).
 //! Operations pipeline: a member may have many collectives outstanding;
-//! its progress thread executes them strictly in submission order while
+//! its machine executes them strictly in submission order while
 //! early-arriving frames for later operations are stashed.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use ncs_core::{BufPool, Clock, NcsConnection, NcsNode, PooledBuf, Reactor};
+use ncs_core::{Clock, NcsConnection, NcsNode, Reactor, SendError};
 use ncs_threads::sync::Mailbox;
 use parking_lot::Mutex;
 
-use crate::datatype::{fold_into, to_bytes, DType, ReduceOp, Scalar};
-use crate::frame::{decode_frame, encode_frame, Seg};
-use crate::handle::{CollectiveError, CollectiveHandle, OpCompletion};
-use crate::topology::{tree_children, tree_parent, tree_span, OpClass, Topology, TopologyPolicy};
-
-/// How often blocked engine loops re-check the closed flag.
-const TICK: Duration = Duration::from_millis(100);
-
-/// How long a schedule waits on a *live* peer before a dead link
-/// elsewhere in the group fails the operation (see
-/// [`Inner::link_down_err`]). Well below any realistic op timeout, well
-/// above the in-flight delivery window of a cleanly departing member.
-const LINK_DOWN_FALLBACK_GRACE: Duration = Duration::from_secs(2);
+use crate::datatype::{to_bytes, ReduceOp, Scalar};
+use crate::frame::{is_unmatched, Encoder, UNMATCHED};
+use crate::handle::{CollectiveError, CollectiveHandle, CollectiveResult, OpCompletion};
+use crate::machine::{Machine, Op, Output, Spec};
+use crate::topology::{OpClass, Topology, TopologyPolicy};
 
 /// Tuning knobs of a [`CollectiveGroup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,56 +135,59 @@ impl StatCounters {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Broadcast,
-    Reduce,
-    Allreduce,
-    Scatter,
-    Gather,
-    Allgather,
-    Barrier,
+/// Everything that reaches the progress runner arrives here, in one FIFO:
+/// pushing an event is what wakes a parked runner.
+enum Event {
+    /// A submitted operation (inbox order is execution order).
+    Op {
+        spec: Spec,
+        payload: Vec<u8>,
+        timeout: Duration,
+        done: Arc<OpCompletion>,
+    },
+    /// A multicast to originate, outside the operation sequence.
+    Multicast {
+        payload: Vec<u8>,
+        topo: Topology,
+        done: Arc<OpCompletion>,
+    },
+    /// A frame a link's sink reassembled.
+    Frame(usize, Vec<u8>),
+    /// A link's sink reported its transport dead — after the link's final
+    /// frames, which is what keeps a dying peer's last words from being
+    /// masked by its death.
+    LinkDown(usize, SendError),
+    /// `close()` / `abort_view_changed()` flipped a flag the runner reads.
+    Wake,
 }
 
-struct OpRequest {
-    coll: u32,
-    kind: OpKind,
-    /// Topology of the (first) phase.
-    topo: Topology,
-    /// Topology of the second phase (the broadcast half of allreduce /
-    /// tree allgather).
-    topo2: Topology,
-    root: usize,
-    payload: Vec<u8>,
-    /// Broadcast in-out contract: the byte length every member expects.
-    expect_len: usize,
-    combine: Option<(DType, ReduceOp)>,
-    timeout: Duration,
-    done: Arc<OpCompletion>,
+/// What the progress runner owns while it runs, and what survives between
+/// its incarnations (the machine's stash of early frames).
+struct Progress {
+    machine: Machine,
+    /// Completion slots of the operations inside the machine, oldest
+    /// first: the machine finishes them in submission order.
+    waiting: VecDeque<Arc<OpCompletion>>,
+    next_coll: u32,
 }
 
 struct Inner {
-    group: u32,
+    id: u32,
     rank: usize,
     size: usize,
     cfg: CollectiveConfig,
     links: HashMap<usize, NcsConnection>,
-    pool: Arc<BufPool>,
     /// The node's readiness reactor: feeds the inbox through the link
     /// sinks and lends the progress runner its blocking-lane thread.
     reactor: Arc<Reactor>,
-    /// Submitted operations, consumed in order by the progress runner.
-    ops: Mailbox<OpRequest>,
+    inbox: Mailbox<Event>,
     /// Whether a progress runner currently holds (or is acquiring) a
-    /// blocking-lane thread; the submit path claims it with a swap so at
-    /// most one runner exists.
+    /// blocking-lane thread; claimed with a swap so at most one exists.
     progress_active: AtomicBool,
-    /// Raw frames from all links: `(peer rank, frame bytes)`.
-    inbox: Mailbox<(usize, Vec<u8>)>,
-    next_coll: AtomicU32,
-    /// Makes (id assignment, queue insertion) atomic across submitters.
-    submit_lock: Mutex<()>,
-    closed: Arc<AtomicBool>,
+    progress: Mutex<Progress>,
+    /// Multicasts delivered to this member: `(origin, payload)`.
+    delivered: Mailbox<(usize, Vec<u8>)>,
+    closed: AtomicBool,
     /// Nonzero once the world's membership view changed under this group
     /// (the epoch that invalidated it): the group's topology no longer
     /// matches reality, so every in-flight and future operation fails
@@ -192,15 +195,13 @@ struct Inner {
     /// its timeout against a member that will never answer. Set through
     /// [`ViewAbortHandle`] by the membership layer.
     view_changed: AtomicU64,
-    /// Links whose pump died on a transport failure (peer rank -> error).
-    /// A collective spans every member, so one dead link dooms every
-    /// in-flight and future operation: schedules consult this to fail
-    /// promptly instead of idling out the full op timeout.
-    link_down: Mutex<HashMap<usize, ncs_core::SendError>>,
-    /// The member's time source (the node's clock): every deadline in
-    /// the engine — op timeouts, the link-down fallback grace — is
-    /// computed from it, so a simulated member times out on virtual
-    /// time, never the wall (see `ncs_core::clock`).
+    /// The first link failure this member saw (a sink's error or a send
+    /// the link refused), for callers that must not go on as if the group
+    /// were whole.
+    fault: Mutex<Option<SendError>>,
+    /// The member's time source (the node's clock): every deadline the
+    /// machine is given is read from it, so a simulated member times out
+    /// on virtual time, never the wall (see `ncs_core::clock`).
     clock: Arc<dyn Clock>,
     stats: StatCounters,
 }
@@ -222,696 +223,89 @@ impl Inner {
     }
 
     /// Marks the group dead under membership `epoch` (first abort wins)
-    /// and fails every queued operation. The operation in flight observes
-    /// the flag within a tick of its schedule. Returns whether this call
-    /// was the one that aborted the group.
+    /// and wakes the runner, which fails the operation in flight and every
+    /// queued one. Returns whether this call was the one that aborted the
+    /// group.
     fn abort_view_changed(&self, epoch: u64) -> bool {
-        if epoch == 0
-            || self
+        let aborted = epoch != 0
+            && self
                 .view_changed
                 .compare_exchange(0, epoch, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-        {
-            return false;
+                .is_ok();
+        if aborted {
+            self.inbox.send(Event::Wake);
         }
-        while let Some(req) = self.ops.try_recv() {
-            req.done
-                .complete(Err(CollectiveError::ViewChanged { epoch }));
-        }
-        true
+        aborted
     }
 
-    /// The failure a schedule waiting on `peer` should surface, if any
-    /// link pump has died: the peer's own link error when it is the dead
-    /// one, otherwise any other dead link's (the operation still cannot
-    /// complete — every member participates in a collective), but only
-    /// after [`LINK_DOWN_FALLBACK_GRACE`] of fruitless waiting: a member
-    /// that *finished* the world's final collective and shut down cleanly
-    /// has already delivered every frame it owed, and the survivors'
-    /// remaining exchanges (with each other) complete at network speed —
-    /// failing those instantly on the departed member's closed link would
-    /// turn every graceful teardown into a race.
-    fn link_down_err(&self, peer: usize, waited_since: Duration) -> Option<ncs_core::SendError> {
-        let down = self.link_down.lock();
-        if let Some(e) = down.get(&peer) {
-            return Some(e.clone());
-        }
-        if self.clock.now().saturating_sub(waited_since) >= LINK_DOWN_FALLBACK_GRACE {
-            return down.values().next().cloned();
-        }
-        None
+    fn note_fault(&self, error: &SendError) {
+        self.fault.lock().get_or_insert_with(|| error.clone());
     }
 
-    /// Relabelled rank of `abs` for a schedule rooted at `root`.
-    fn rel_of(&self, abs: usize, root: usize) -> usize {
-        (abs + self.size - root) % self.size
-    }
-
-    /// Absolute rank of relabelled `rel` for a schedule rooted at `root`.
-    fn abs_of(&self, rel: usize, root: usize) -> usize {
-        (rel + root) % self.size
-    }
-
-    /// Cuts `payload` into pipeline segments, each encoded once into a
-    /// pooled frame buffer.
-    fn encode_segments(&self, coll: u32, stream: u32, payload: &[u8]) -> Vec<PooledBuf> {
-        let seg = self.cfg.seg_size;
-        let n = payload.len().div_ceil(seg).max(1);
-        (0..n)
-            .map(|i| {
-                let lo = i * seg;
-                let hi = ((i + 1) * seg).min(payload.len());
-                encode_frame(
-                    &self.pool,
-                    self.group,
-                    coll,
-                    stream,
-                    i as u32,
-                    n as u32,
-                    &payload[lo..hi],
-                )
-            })
-            .collect()
-    }
-
-    /// Forwards one received frame verbatim (the relay path).
-    fn forward_raw(&self, peer: usize, raw: &[u8]) -> Result<(), CollectiveError> {
-        self.links[&peer].send_batch(&[raw])?;
-        self.stats.frames_sent.inc();
-        self.stats.bytes_sent.add(raw.len() as u64);
-        Ok(())
-    }
-
-    /// Ships pre-encoded frames to `peer` in one NCS batch.
-    fn send_frames(&self, peer: usize, frames: &[PooledBuf]) -> Result<(), CollectiveError> {
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        self.links[&peer].send_batch(&refs)?;
-        self.stats.frames_sent.add(frames.len() as u64);
-        let bytes: usize = frames.iter().map(|f| f.as_slice().len()).sum();
-        self.stats.bytes_sent.add(bytes as u64);
-        Ok(())
-    }
-
-    /// Segments `payload` once and sends it to one peer.
-    fn send_segments(
+    /// Performs one machine output: the only place this shell touches a
+    /// link, a handle or a counter on the machine's behalf.
+    fn perform(
         &self,
-        peer: usize,
-        coll: u32,
-        stream: u32,
-        payload: &[u8],
-    ) -> Result<(), CollectiveError> {
-        self.send_frames(peer, &self.encode_segments(coll, stream, payload))
-    }
-
-    /// Tree/flat fan-out: encode every segment exactly once, then hand the
-    /// same frames to each peer's batch path.
-    fn fan_out(
-        &self,
-        peers: impl IntoIterator<Item = usize>,
-        coll: u32,
-        stream: u32,
-        payload: &[u8],
-    ) -> Result<(), CollectiveError> {
-        let frames = self.encode_segments(coll, stream, payload);
-        for p in peers {
-            self.send_frames(p, &frames)?;
+        waiting: &mut VecDeque<Arc<OpCompletion>>,
+        out: Output<'_>,
+    ) -> Result<(), SendError> {
+        match out {
+            Output::Send { to, frames } => {
+                self.links[&to]
+                    .send_batch(frames)
+                    .inspect_err(|e| self.note_fault(e))?;
+                self.stats.frames_sent.add(frames.len() as u64);
+                let bytes: usize = frames.iter().map(|f| f.len()).sum();
+                self.stats.bytes_sent.add(bytes as u64);
+            }
+            Output::Done { result, .. } => {
+                self.stats.ops_completed.inc();
+                let done = waiting.pop_front().expect("one slot per operation");
+                done.complete(result);
+            }
+            Output::Delivered { origin, payload } => self.delivered.send((origin, payload)),
         }
         Ok(())
     }
-}
 
-/// Routes inbound frames to the operation schedules: frames arrive
-/// link-ordered but operations consume them `(peer, coll, stream)`-keyed,
-/// so early frames (deeper pipelines, later collectives) are stashed.
-struct Router {
-    inner: Arc<Inner>,
-    stash: HashMap<(usize, u32, u32), VecDeque<Seg>>,
-}
-
-impl Router {
-    fn new(inner: Arc<Inner>) -> Self {
-        Router {
-            inner,
-            stash: HashMap::new(),
-        }
-    }
-
-    /// Drops stashed frames no operation can consume any more (left behind
-    /// by operations that failed mid-schedule).
-    fn prune_below(&mut self, coll: u32) {
-        self.stash.retain(|&(_, c, _), _| c >= coll);
-    }
-
-    /// Receives the next segment of `(peer, coll, stream)`.
-    fn recv_seg(
-        &mut self,
-        peer: usize,
-        coll: u32,
-        stream: u32,
-        deadline: Duration,
-    ) -> Result<Seg, CollectiveError> {
-        let key = (peer, coll, stream);
-        let started = self.inner.clock.now();
-        loop {
-            // Drain everything already queued before judging the link
-            // state or the clock: a frame a now-dead peer delivered
-            // before dying must be consumed, not masked by the failure of
-            // its link. The drain is bounded (whatever is queued right
-            // now) and every iteration falls through to the closed /
-            // link-down / deadline checks, so sustained unrelated traffic
-            // can delay the verdict by at most one pass over the backlog.
-            while let Some((from, frame)) = self.inner.inbox.try_recv() {
-                self.stash_frame(from, frame);
-            }
-            if let Some(s) = self.pop_stash(key) {
-                return Ok(s);
-            }
-            self.inner.check_closed()?;
-            // A dead link fails the wait — the frame can never arrive
-            // (killed rank, closed connection) and hanging until the op
-            // timeout would mask the real failure.
-            if let Some(e) = self.inner.link_down_err(peer, started) {
-                // The pump records the failure immediately after
-                // delivering the link's final frames: drain once more so
-                // a frame that slipped in between our drain and this
-                // check is consumed, not masked by the error.
-                while let Some((from, frame)) = self.inner.inbox.try_recv() {
-                    self.stash_frame(from, frame);
+    /// Feeds one inbox event to the machine.
+    fn feed(&self, p: &mut Progress, event: Event) {
+        let Progress {
+            machine,
+            waiting,
+            next_coll,
+        } = p;
+        match event {
+            Event::Op {
+                spec,
+                payload,
+                timeout,
+                done,
+            } => match self.check_closed() {
+                Err(e) => done.complete(Err(e)),
+                Ok(()) => {
+                    machine.submit(*next_coll, spec, payload, timeout);
+                    *next_coll = (*next_coll + 1) % UNMATCHED;
+                    waiting.push_back(done);
                 }
-                if let Some(s) = self.pop_stash(key) {
-                    return Ok(s);
+            },
+            Event::Multicast {
+                payload,
+                topo,
+                done,
+            } => {
+                let sent = machine.multicast(&payload, topo, &mut |out| self.perform(waiting, out));
+                done.complete(sent.map(|()| Vec::new()).map_err(CollectiveError::Send));
+            }
+            Event::Frame(from, bytes) => {
+                if let Some(payload_len) = machine.on_frame(from, bytes) {
+                    self.stats.frames_received.inc();
+                    self.stats.bytes_received.add(payload_len as u64);
                 }
-                return Err(CollectiveError::Send(e));
             }
-            let now = self.inner.clock.now();
-            if now >= deadline {
-                return Err(CollectiveError::Timeout);
-            }
-            let wait = deadline.saturating_sub(now).min(TICK);
-            if let Ok((from, frame)) = self.inner.inbox.recv_timeout(wait) {
-                self.stash_frame(from, frame);
-            }
+            Event::LinkDown(peer, error) => machine.on_link_down(peer, error),
+            Event::Wake => {}
         }
-    }
-
-    /// Pops the next stashed segment of `key`, if any.
-    fn pop_stash(&mut self, key: (usize, u32, u32)) -> Option<Seg> {
-        let q = self.stash.get_mut(&key)?;
-        let s = q.pop_front();
-        if q.is_empty() {
-            self.stash.remove(&key);
-        }
-        s
-    }
-
-    /// Decodes one inbound frame and stashes its segment.
-    fn stash_frame(&mut self, from: usize, frame: Vec<u8>) {
-        if let Some(seg) = decode_frame(frame, self.inner.group) {
-            self.inner.stats.frames_received.inc();
-            self.inner
-                .stats
-                .bytes_received
-                .add(seg.payload().len() as u64);
-            self.stash
-                .entry((from, seg.coll, seg.stream))
-                .or_default()
-                .push_back(seg);
-        }
-    }
-
-    /// Receives and reassembles a whole segmented transfer.
-    fn recv_payload(
-        &mut self,
-        peer: usize,
-        coll: u32,
-        stream: u32,
-        deadline: Duration,
-    ) -> Result<Vec<u8>, CollectiveError> {
-        let first = self.recv_seg(peer, coll, stream, deadline)?;
-        if first.seg != 0 {
-            return Err(CollectiveError::Protocol(format!(
-                "transfer started at segment {} (expected 0)",
-                first.seg
-            )));
-        }
-        let total = first.total;
-        if total == 1 {
-            // Hot path: hand the single segment's payload over without a
-            // copy (the header is drained off the received frame).
-            let mut raw = first.raw;
-            raw.drain(..crate::frame::COLL_OVERHEAD);
-            return Ok(raw);
-        }
-        let mut out = first.payload().to_vec();
-        for i in 1..total {
-            let s = self.recv_seg(peer, coll, stream, deadline)?;
-            if s.seg != i || s.total != total {
-                return Err(CollectiveError::Protocol(format!(
-                    "segment {}/{} arrived where {i}/{total} was expected",
-                    s.seg, s.total
-                )));
-            }
-            out.extend_from_slice(s.payload());
-        }
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Operation schedules (run on the progress thread)
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn op_broadcast(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    payload: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    expect_len: usize,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(payload);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    let out = match topo {
-        Topology::Flat => {
-            if rel == 0 {
-                inner.fan_out(
-                    (0..size).filter(|&p| p != inner.rank),
-                    coll,
-                    stream,
-                    &payload,
-                )?;
-                payload
-            } else {
-                router.recv_payload(root, coll, stream, deadline)?
-            }
-        }
-        Topology::BinomialTree => {
-            let children = tree_children(rel, size);
-            if rel == 0 {
-                inner.fan_out(
-                    children.iter().map(|&(c, _)| inner.abs_of(c, root)),
-                    coll,
-                    stream,
-                    &payload,
-                )?;
-                payload
-            } else {
-                // Pipelined store-and-forward: each segment is relayed to
-                // the children the moment it arrives, bytes verbatim.
-                let parent = inner.abs_of(tree_parent(rel, size).expect("rel > 0"), root);
-                relay_segments(router, coll, stream, parent, deadline, |raw| {
-                    children
-                        .iter()
-                        .map(|&(c, _)| inner.abs_of(c, root))
-                        .try_for_each(|child| inner.forward_raw(child, raw))
-                })?
-            }
-        }
-        Topology::Ring => {
-            if rel == 0 {
-                inner.send_segments(inner.abs_of(1, root), coll, stream, &payload)?;
-                payload
-            } else {
-                let prev = inner.abs_of(rel - 1, root);
-                let next = (rel + 1 < size).then(|| inner.abs_of(rel + 1, root));
-                relay_segments(router, coll, stream, prev, deadline, |raw| match next {
-                    Some(n) => inner.forward_raw(n, raw),
-                    None => Ok(()),
-                })?
-            }
-        }
-    };
-    if out.len() != expect_len {
-        return Err(CollectiveError::Protocol(format!(
-            "broadcast delivered {} bytes where this member expected {expect_len} \
-             (every member must pass a same-length buffer)",
-            out.len()
-        )));
-    }
-    Ok(out)
-}
-
-/// Receives a segmented transfer from `from`, handing each segment's raw
-/// frame bytes to `forward` (re-transmitted verbatim — no re-encode)
-/// before appending its payload to the result: the pipelined
-/// store-and-forward relay at the heart of tree and ring broadcasts.
-fn relay_segments(
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    from: usize,
-    deadline: Duration,
-    mut forward: impl FnMut(&[u8]) -> Result<(), CollectiveError>,
-) -> Result<Vec<u8>, CollectiveError> {
-    let mut out = Vec::new();
-    let mut next = 0u32;
-    let mut total = 1u32;
-    while next < total {
-        let s = router.recv_seg(from, coll, stream, deadline)?;
-        if s.seg != next {
-            return Err(CollectiveError::Protocol(format!(
-                "segment {} arrived where {next} was expected",
-                s.seg
-            )));
-        }
-        total = s.total;
-        forward(&s.raw)?;
-        if total == 1 {
-            let mut raw = s.raw;
-            raw.drain(..crate::frame::COLL_OVERHEAD);
-            return Ok(raw);
-        }
-        out.extend_from_slice(s.payload());
-        next += 1;
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn op_reduce(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    mut acc: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    dtype: DType,
-    op: ReduceOp,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(acc);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    match topo {
-        Topology::Flat => {
-            if rel == 0 {
-                for p in 1..size {
-                    let v = router.recv_payload(inner.abs_of(p, root), coll, stream, deadline)?;
-                    fold_into(dtype, op, &mut acc, &v)?;
-                }
-                Ok(acc)
-            } else {
-                inner.send_segments(root, coll, stream, &acc)?;
-                Ok(Vec::new())
-            }
-        }
-        // A reduction has no pipeline to win from a chain; ring requests
-        // run the tree schedule.
-        Topology::BinomialTree | Topology::Ring => {
-            for (c, _) in tree_children(rel, size) {
-                let v = router.recv_payload(inner.abs_of(c, root), coll, stream, deadline)?;
-                fold_into(dtype, op, &mut acc, &v)?;
-            }
-            match tree_parent(rel, size) {
-                Some(p) => {
-                    inner.send_segments(inner.abs_of(p, root), coll, stream, &acc)?;
-                    Ok(Vec::new())
-                }
-                None => Ok(acc),
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn op_scatter(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    payload: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(payload);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    // The root re-orders its rank-major buffer into relabelled order so
-    // every subtree is one contiguous byte range.
-    let (buf, span, chunk) = if rel == 0 {
-        if !payload.len().is_multiple_of(size) {
-            return Err(CollectiveError::BadArg(format!(
-                "scatter payload of {} bytes does not divide into {size} chunks",
-                payload.len()
-            )));
-        }
-        let chunk = payload.len() / size;
-        let mut rel_buf = Vec::with_capacity(payload.len());
-        for x in 0..size {
-            let r = inner.abs_of(x, root);
-            rel_buf.extend_from_slice(&payload[r * chunk..(r + 1) * chunk]);
-        }
-        (rel_buf, size, chunk)
-    } else {
-        match topo {
-            Topology::Flat => {
-                let own = router.recv_payload(root, coll, stream, deadline)?;
-                return Ok(own);
-            }
-            Topology::BinomialTree | Topology::Ring => {
-                let parent = inner.abs_of(tree_parent(rel, size).expect("rel > 0"), root);
-                let buf = router.recv_payload(parent, coll, stream, deadline)?;
-                let span = tree_span(rel, size);
-                if span == 0 || buf.len() % span != 0 {
-                    return Err(CollectiveError::Protocol(format!(
-                        "scatter subtree of {} bytes does not divide across {span} members",
-                        buf.len()
-                    )));
-                }
-                let chunk = buf.len() / span;
-                (buf, span, chunk)
-            }
-        }
-    };
-    match topo {
-        Topology::Flat => {
-            // Only the root reaches here.
-            for x in 1..span {
-                inner.send_segments(
-                    inner.abs_of(x, root),
-                    coll,
-                    stream,
-                    &buf[x * chunk..(x + 1) * chunk],
-                )?;
-            }
-        }
-        Topology::BinomialTree | Topology::Ring => {
-            for (c, c_span) in tree_children(rel, size) {
-                let lo = (c - rel) * chunk;
-                inner.send_segments(
-                    inner.abs_of(c, root),
-                    coll,
-                    stream,
-                    &buf[lo..lo + c_span * chunk],
-                )?;
-            }
-        }
-    }
-    Ok(buf[..chunk].to_vec())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn op_gather(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    contrib: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(contrib);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    let chunk = contrib.len();
-    let rel_buf = match topo {
-        Topology::Flat => {
-            if rel != 0 {
-                inner.send_segments(root, coll, stream, &contrib)?;
-                return Ok(Vec::new());
-            }
-            let mut buf = vec![0u8; size * chunk];
-            buf[..chunk].copy_from_slice(&contrib);
-            for x in 1..size {
-                let v = router.recv_payload(inner.abs_of(x, root), coll, stream, deadline)?;
-                if v.len() != chunk {
-                    return Err(mismatched_contribution(v.len(), chunk));
-                }
-                buf[x * chunk..(x + 1) * chunk].copy_from_slice(&v);
-            }
-            buf
-        }
-        Topology::BinomialTree | Topology::Ring => {
-            let span = tree_span(rel, size);
-            let mut buf = vec![0u8; span * chunk];
-            buf[..chunk].copy_from_slice(&contrib);
-            for (c, c_span) in tree_children(rel, size) {
-                let v = router.recv_payload(inner.abs_of(c, root), coll, stream, deadline)?;
-                if v.len() != c_span * chunk {
-                    return Err(mismatched_contribution(v.len(), c_span * chunk));
-                }
-                let lo = (c - rel) * chunk;
-                buf[lo..lo + v.len()].copy_from_slice(&v);
-            }
-            match tree_parent(rel, size) {
-                Some(p) => {
-                    inner.send_segments(inner.abs_of(p, root), coll, stream, &buf)?;
-                    return Ok(Vec::new());
-                }
-                None => buf,
-            }
-        }
-    };
-    // Back to rank-major order for the caller.
-    let mut out = Vec::with_capacity(rel_buf.len());
-    for r in 0..size {
-        let x = inner.rel_of(r, root);
-        out.extend_from_slice(&rel_buf[x * chunk..(x + 1) * chunk]);
-    }
-    Ok(out)
-}
-
-fn mismatched_contribution(got: usize, want: usize) -> CollectiveError {
-    CollectiveError::Protocol(format!(
-        "gather contribution of {got} bytes where {want} were expected \
-         (every member must contribute equally)"
-    ))
-}
-
-fn op_allgather_ring(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    contrib: Vec<u8>,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    let rank = inner.rank;
-    let chunk = contrib.len();
-    let mut out = vec![0u8; size * chunk];
-    out[rank * chunk..(rank + 1) * chunk].copy_from_slice(&contrib);
-    let right = (rank + 1) % size;
-    let left = (rank + size - 1) % size;
-    // Round r: pass along the block that originated r hops behind us.
-    for round in 0..size - 1 {
-        let send_block = (rank + size - round) % size;
-        inner.send_segments(
-            right,
-            coll,
-            round as u32,
-            &out[send_block * chunk..(send_block + 1) * chunk],
-        )?;
-        let recv_block = (rank + size - round - 1) % size;
-        let v = router.recv_payload(left, coll, round as u32, deadline)?;
-        if v.len() != chunk {
-            return Err(mismatched_contribution(v.len(), chunk));
-        }
-        out[recv_block * chunk..(recv_block + 1) * chunk].copy_from_slice(&v);
-    }
-    Ok(out)
-}
-
-fn op_barrier(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    deadline: Duration,
-) -> Result<(), CollectiveError> {
-    // Dissemination barrier: ⌈log₂ n⌉ rounds, no root hotspot, and every
-    // member leaves only after transitively hearing from every other.
-    let size = inner.size;
-    let rank = inner.rank;
-    let mut dist = 1;
-    let mut round = 0u32;
-    while dist < size {
-        inner.send_segments((rank + dist) % size, coll, round, &[])?;
-        router.recv_seg((rank + size - dist) % size, coll, round, deadline)?;
-        dist *= 2;
-        round += 1;
-    }
-    Ok(())
-}
-
-fn run_op(
-    inner: &Inner,
-    router: &mut Router,
-    req: &mut OpRequest,
-) -> Result<Vec<u8>, CollectiveError> {
-    let deadline = inner.clock.now() + req.timeout;
-    let payload = std::mem::take(&mut req.payload);
-    let coll = req.coll;
-    match req.kind {
-        OpKind::Broadcast => op_broadcast(
-            inner,
-            router,
-            coll,
-            0,
-            payload,
-            req.root,
-            req.topo,
-            req.expect_len,
-            deadline,
-        ),
-        OpKind::Reduce => {
-            let (dtype, op) = req.combine.expect("reduce carries a combine");
-            op_reduce(
-                inner, router, coll, 0, payload, req.root, req.topo, dtype, op, deadline,
-            )
-        }
-        OpKind::Allreduce => {
-            let (dtype, op) = req.combine.expect("allreduce carries a combine");
-            let expect = payload.len();
-            let acc = op_reduce(
-                inner, router, coll, 0, payload, req.root, req.topo, dtype, op, deadline,
-            )?;
-            // `acc` is the full reduction at the root, empty elsewhere.
-            op_broadcast(
-                inner, router, coll, 1, acc, req.root, req.topo2, expect, deadline,
-            )
-        }
-        OpKind::Scatter => op_scatter(
-            inner, router, coll, 0, payload, req.root, req.topo, deadline,
-        ),
-        OpKind::Gather => op_gather(
-            inner, router, coll, 0, payload, req.root, req.topo, deadline,
-        ),
-        OpKind::Allgather => match req.topo {
-            Topology::Ring => op_allgather_ring(inner, router, coll, payload, deadline),
-            _ => {
-                let chunk = payload.len();
-                let all = op_gather(
-                    inner, router, coll, 0, payload, req.root, req.topo, deadline,
-                )?;
-                op_broadcast(
-                    inner,
-                    router,
-                    coll,
-                    1,
-                    all,
-                    req.root,
-                    req.topo2,
-                    chunk * inner.size,
-                    deadline,
-                )
-            }
-        },
-        OpKind::Barrier => op_barrier(inner, router, coll, deadline).map(|()| Vec::new()),
     }
 }
 
@@ -919,52 +313,54 @@ fn run_op(
 // Progress (on demand)
 // ---------------------------------------------------------------------------
 
-/// Ensures a progress runner is servicing the operation queue, borrowing
-/// a blocking-lane thread from the reactor if none is. The
-/// `progress_active` swap makes the claim exclusive: exactly one runner
-/// exists while operations are queued, zero once the queue drains.
-fn kick_progress(inner: &Arc<Inner>, router: &Arc<Mutex<Option<Router>>>) {
+/// Ensures a progress runner is servicing the inbox, borrowing a
+/// blocking-lane thread from the reactor if none is. The `progress_active`
+/// swap makes the claim exclusive: exactly one runner exists while
+/// operations are queued, zero once the machine is idle.
+fn kick_progress(inner: &Arc<Inner>) {
     if inner.progress_active.swap(true, Ordering::AcqRel) {
         return;
     }
     let i = Arc::clone(inner);
-    let r = Arc::clone(router);
     inner
         .reactor
-        .spawn_blocking(Box::new(move || run_progress(&i, &r)));
+        .spawn_blocking(Box::new(move || run_progress(&i)));
 }
 
-/// The progress runner: executes queued operations in submission order,
-/// then releases its thread. Schedules block legitimately (waiting on
-/// peers' frames), which is why this runs on the blocking lane and not a
-/// reactor event loop.
-fn run_progress(inner: &Arc<Inner>, router: &Arc<Mutex<Option<Router>>>) {
+/// The progress runner, the machine's blocking shell: feed it everything
+/// the inbox holds, let it advance, then park on the inbox until its next
+/// deadline. Sends block legitimately (link back-pressure), which is why
+/// this runs on the blocking lane and not a reactor event loop. Releases
+/// its thread once the machine is idle.
+fn run_progress(inner: &Arc<Inner>) {
+    let mut p = inner.progress.lock();
     loop {
-        let Some(mut req) = inner.ops.try_recv() else {
+        while let Some(event) = inner.inbox.try_recv() {
+            inner.feed(&mut p, event);
+        }
+        let Progress {
+            machine, waiting, ..
+        } = &mut *p;
+        let emit = &mut |out: Output<'_>| inner.perform(waiting, out);
+        if let Err(e) = inner.check_closed() {
+            machine.abort(&e, emit);
+        }
+        let now = inner.clock.now();
+        machine.poll(now, emit);
+        let Some(deadline) = machine.next_deadline() else {
+            // Idle: nothing queued, nothing in flight.
             inner.progress_active.store(false, Ordering::Release);
-            // A submission may have slipped in between the drain and the
+            // An event may have slipped in between the drain and the
             // release; reclaim the runner role unless its kick already
             // spawned a successor.
-            if inner.ops.is_empty() || inner.progress_active.swap(true, Ordering::AcqRel) {
+            if inner.inbox.is_empty() || inner.progress_active.swap(true, Ordering::AcqRel) {
                 return;
             }
             continue;
         };
-        if let Err(e) = inner.check_closed() {
-            req.done.complete(Err(e));
-            continue;
+        if let Ok(event) = inner.inbox.recv_timeout(deadline.saturating_sub(now)) {
+            inner.feed(&mut p, event);
         }
-        let result = {
-            // Held across the operation: the router's stash (early frames
-            // for later collectives) must survive between runner
-            // incarnations, and close()/drop synchronise on this lock.
-            let mut guard = router.lock();
-            let r = guard.get_or_insert_with(|| Router::new(Arc::clone(inner)));
-            r.prune_below(req.coll);
-            run_op(inner, r, &mut req)
-        };
-        inner.stats.ops_completed.inc();
-        req.done.complete(result);
     }
 }
 
@@ -974,36 +370,32 @@ fn run_progress(inner: &Arc<Inner>, router: &Arc<Mutex<Option<Router>>>) {
 
 /// One member's endpoint of a collective group.
 ///
-/// Built over dedicated pairwise NCS connections (a full mesh, as
-/// [`ncs_core::NcsGroup`] uses); the group owns their receive queues
-/// (through [`NcsConnection::set_receive_sink`]), so do not share the
-/// connections with point-to-point traffic.
+/// Built over dedicated pairwise NCS connections (a full mesh); the group
+/// owns their receive queues (through
+/// [`NcsConnection::set_receive_sink`]), so do not share the connections
+/// with point-to-point traffic.
 ///
 /// The group holds **no standing threads**: link traffic flows in through
 /// receive sinks driven by the node's readiness reactor, and a progress
 /// runner borrows a blocking-lane thread only while operations are
 /// queued. Application threads *submit* operations and keep computing;
-/// the runner executes the communication schedules and resolves the
-/// [`CollectiveHandle`]s.
+/// the runner drives the member's collective [`Machine`] and resolves
+/// the [`CollectiveHandle`]s.
 ///
 /// **Ordering contract** (as MPI): collective calls must be issued in the
 /// same order on every member. Within one member, concurrent submissions
 /// are serialised — submission order is execution order. Operations
 /// pipeline: many may be outstanding, executed in submission order, with
-/// early-arriving frames for later operations stashed by the engine's
-/// router. See the [crate docs](crate) for a usage example.
+/// early-arriving frames for later operations stashed by the machine.
+/// See the [crate docs](crate) for a usage example.
 pub struct CollectiveGroup {
     inner: Arc<Inner>,
-    /// The router (frame stash) shared by successive progress-runner
-    /// incarnations. Lives outside `Inner` so the `Router -> Inner` Arc
-    /// is not a cycle.
-    router: Arc<Mutex<Option<Router>>>,
 }
 
 impl std::fmt::Debug for CollectiveGroup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CollectiveGroup")
-            .field("id", &self.inner.group)
+            .field("id", &self.inner.id)
             .field("rank", &self.inner.rank)
             .field("size", &self.inner.size)
             .finish()
@@ -1056,42 +448,55 @@ impl CollectiveGroup {
         if cfg.seg_size == 0 {
             return Err(CollectiveError::BadArg("seg_size must be positive".into()));
         }
+        let machine = Machine::new(
+            Encoder::new(node.buffer_pool(), id, cfg.seg_size),
+            rank,
+            size,
+        );
         let inner = Arc::new(Inner {
-            group: id,
+            id,
             rank,
             size,
             cfg,
             links,
-            pool: node.buffer_pool(),
             reactor: node.reactor(),
-            ops: Mailbox::unbounded(),
             inbox: Mailbox::unbounded(),
-            next_coll: AtomicU32::new(0),
-            submit_lock: Mutex::new(()),
             progress_active: AtomicBool::new(false),
-            closed: Arc::new(AtomicBool::new(false)),
+            progress: Mutex::new(Progress {
+                machine,
+                waiting: VecDeque::new(),
+                next_coll: 0,
+            }),
+            delivered: Mailbox::unbounded(),
+            closed: AtomicBool::new(false),
             view_changed: AtomicU64::new(0),
-            link_down: Mutex::new(HashMap::new()),
+            fault: Mutex::new(None),
             clock: node.clock(),
             stats: StatCounters::registered(&node.registry(), id),
         });
         // Take ownership of every link's untagged receive stream: the
         // reactor task that reassembles a frame pushes it straight into
-        // the member's inbox (no pump thread parked on recv), and a dying
-        // link records itself so waiting schedules fail promptly.
+        // the member's inbox (no pump thread parked on recv). A multicast
+        // is the one frame nobody here asked for, so it alone must start a
+        // runner; a dying link reports itself behind its final frames.
         for (&peer, conn) in &inner.links {
             let i = Arc::clone(&inner);
             conn.set_receive_sink(Some(Arc::new(move |res| match res {
-                Ok(view) => i.inbox.send((peer, view.into_vec())),
+                Ok(view) => {
+                    let frame = view.into_vec();
+                    let unasked = is_unmatched(&frame);
+                    i.inbox.send(Event::Frame(peer, frame));
+                    if unasked {
+                        kick_progress(&i);
+                    }
+                }
                 Err(e) => {
-                    i.link_down.lock().insert(peer, e);
+                    i.note_fault(&e);
+                    i.inbox.send(Event::LinkDown(peer, e));
                 }
             })));
         }
-        Ok(CollectiveGroup {
-            inner,
-            router: Arc::new(Mutex::new(None)),
-        })
+        Ok(CollectiveGroup { inner })
     }
 
     /// This member's rank.
@@ -1121,11 +526,10 @@ impl CollectiveGroup {
         }
     }
 
-    /// Leaves the group: detaches the link sinks, fails any queued
-    /// operations with [`CollectiveError::Closed`] and aborts the one in
-    /// flight (its schedule observes the flag within a tick). The
-    /// underlying connections remain open (owned by the caller's node).
-    /// Idempotent.
+    /// Leaves the group: detaches the link sinks and wakes the runner,
+    /// which fails the operation in flight and every queued one with
+    /// [`CollectiveError::Closed`]. The underlying connections remain open
+    /// (owned by the caller's node). Idempotent.
     pub fn close(&self) {
         if self.inner.closed.swap(true, Ordering::AcqRel) {
             return;
@@ -1135,18 +539,13 @@ impl CollectiveGroup {
         for conn in self.inner.links.values() {
             conn.set_receive_sink(None);
         }
-        // Fail everything still queued so no waiter hangs. A submission
-        // racing this drain is caught by the runner's own closed check.
-        while let Some(req) = self.inner.ops.try_recv() {
-            req.done.complete(Err(CollectiveError::Closed));
-        }
+        self.inner.inbox.send(Event::Wake);
     }
 
-    /// Marks the group invalidated by membership `epoch`: every queued
-    /// operation fails at once with [`CollectiveError::ViewChanged`], the
-    /// operation in flight observes the change within a tick of its
-    /// schedule, and all future submissions are refused with the same
-    /// error. First abort wins (later epochs don't overwrite the one that
+    /// Marks the group invalidated by membership `epoch`: the operation in
+    /// flight and every queued one fail at once with
+    /// [`CollectiveError::ViewChanged`] (the runner is woken for it), and
+    /// all future submissions are refused with the same error. First abort wins (later epochs don't overwrite the one that
     /// killed the group); returns whether this call did the aborting.
     ///
     /// The group stays closed to traffic afterwards — rebuild a fresh
@@ -1162,41 +561,50 @@ impl CollectiveGroup {
         ViewAbortHandle(Arc::downgrade(&self.inner))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
+    /// Queues `spec` with the group's operation timeout.
+    fn submit<R: CollectiveResult>(
         &self,
-        kind: OpKind,
-        root: usize,
+        spec: Spec,
         payload: Vec<u8>,
-        expect_len: usize,
-        topo: Topology,
-        topo2: Topology,
-        combine: Option<(DType, ReduceOp)>,
-    ) -> Result<Arc<OpCompletion>, CollectiveError> {
+    ) -> Result<CollectiveHandle<R>, CollectiveError> {
+        self.submit_within(spec, payload, self.inner.cfg.op_timeout)
+    }
+
+    fn submit_within<R: CollectiveResult>(
+        &self,
+        spec: Spec,
+        payload: Vec<u8>,
+        timeout: Duration,
+    ) -> Result<CollectiveHandle<R>, CollectiveError> {
         self.inner.check_closed()?;
-        if root >= self.inner.size {
+        if spec.root >= self.inner.size {
             return Err(CollectiveError::BadArg(format!(
-                "root {root} out of range for group of {}",
-                self.inner.size
+                "root {} out of range for group of {}",
+                spec.root, self.inner.size
             )));
         }
-        let done = OpCompletion::new();
-        let _order = self.inner.submit_lock.lock();
-        let coll = self.inner.next_coll.fetch_add(1, Ordering::Relaxed);
-        self.inner.ops.send(OpRequest {
-            coll,
-            kind,
-            topo,
-            topo2,
-            root,
+        self.enqueue(|done| Event::Op {
+            spec,
             payload,
-            expect_len,
-            combine,
-            timeout: self.inner.cfg.op_timeout,
-            done: Arc::clone(&done),
-        });
-        kick_progress(&self.inner, &self.router);
-        Ok(done)
+            timeout,
+            done,
+        })
+    }
+
+    /// Hands the runner an event that resolves a handle.
+    fn enqueue<R: CollectiveResult>(
+        &self,
+        event: impl FnOnce(Arc<OpCompletion>) -> Event,
+    ) -> Result<CollectiveHandle<R>, CollectiveError> {
+        let done = OpCompletion::new();
+        self.inner.inbox.send(event(Arc::clone(&done)));
+        kick_progress(&self.inner);
+        Ok(CollectiveHandle::new(done))
+    }
+
+    /// Topology the group's policy selects for `class` at `bytes`.
+    fn select(&self, class: OpClass, bytes: usize) -> Topology {
+        self.inner.cfg.policy.select(class, self.inner.size, bytes)
     }
 
     // -- broadcast ---------------------------------------------------------
@@ -1217,12 +625,7 @@ impl CollectiveGroup {
         root: usize,
         buf: Vec<T>,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
-        let bytes = buf.len() * T::DTYPE.elem_size();
-        let topo = self
-            .inner
-            .cfg
-            .policy
-            .select(OpClass::Broadcast, self.inner.size, bytes);
+        let topo = self.select(OpClass::Broadcast, buf.len() * T::DTYPE.elem_size());
         self.ibroadcast_with(root, buf, topo)
     }
 
@@ -1238,14 +641,13 @@ impl CollectiveGroup {
         buf: Vec<T>,
         topo: Topology,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
-        let expect = buf.len() * T::DTYPE.elem_size();
+        let len = buf.len() * T::DTYPE.elem_size();
         let payload = if self.inner.rank == root {
             to_bytes(&buf)
         } else {
             Vec::new()
         };
-        let done = self.submit(OpKind::Broadcast, root, payload, expect, topo, topo, None)?;
-        Ok(CollectiveHandle::new(done))
+        self.submit(spec(Op::Broadcast { len }, root, topo, topo), payload)
     }
 
     /// Blocking [`CollectiveGroup::ibroadcast`].
@@ -1290,21 +692,9 @@ impl CollectiveGroup {
         contrib: Vec<T>,
         op: ReduceOp,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
-        let topo = self.inner.cfg.policy.select(
-            OpClass::Reduce,
-            self.inner.size,
-            contrib.len() * T::DTYPE.elem_size(),
-        );
-        let done = self.submit(
-            OpKind::Reduce,
-            root,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo,
-            Some((T::DTYPE, op)),
-        )?;
-        Ok(CollectiveHandle::new(done))
+        let topo = self.select(OpClass::Reduce, contrib.len() * T::DTYPE.elem_size());
+        let op = Op::Reduce(T::DTYPE, op);
+        self.submit(spec(op, root, topo, topo), to_bytes(&contrib))
     }
 
     /// Blocking [`CollectiveGroup::ireduce`]: `Some(result)` at the root,
@@ -1335,19 +725,10 @@ impl CollectiveGroup {
         op: ReduceOp,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
         let bytes = contrib.len() * T::DTYPE.elem_size();
-        let policy = &self.inner.cfg.policy;
-        let topo = policy.select(OpClass::Reduce, self.inner.size, bytes);
-        let topo2 = policy.select(OpClass::Broadcast, self.inner.size, bytes);
-        let done = self.submit(
-            OpKind::Allreduce,
-            0,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo2,
-            Some((T::DTYPE, op)),
-        )?;
-        Ok(CollectiveHandle::new(done))
+        let topo = self.select(OpClass::Reduce, bytes);
+        let topo2 = self.select(OpClass::Broadcast, bytes);
+        let op = Op::Allreduce(T::DTYPE, op);
+        self.submit(spec(op, 0, topo, topo2), to_bytes(&contrib))
     }
 
     /// Blocking [`CollectiveGroup::iallreduce`].
@@ -1387,13 +768,8 @@ impl CollectiveGroup {
                 self.inner.size
             )));
         }
-        let topo = self
-            .inner
-            .cfg
-            .policy
-            .select(OpClass::Scatter, self.inner.size, 0);
-        let done = self.submit(OpKind::Scatter, root, to_bytes(&data), 0, topo, topo, None)?;
-        Ok(CollectiveHandle::new(done))
+        let topo = self.select(OpClass::Scatter, 0);
+        self.submit(spec(Op::Scatter, root, topo, topo), to_bytes(&data))
     }
 
     /// Blocking [`CollectiveGroup::iscatter`].
@@ -1417,21 +793,8 @@ impl CollectiveGroup {
         root: usize,
         contrib: Vec<T>,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
-        let topo = self
-            .inner
-            .cfg
-            .policy
-            .select(OpClass::Gather, self.inner.size, 0);
-        let done = self.submit(
-            OpKind::Gather,
-            root,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo,
-            None,
-        )?;
-        Ok(CollectiveHandle::new(done))
+        let topo = self.select(OpClass::Gather, 0);
+        self.submit(spec(Op::Gather, root, topo, topo), to_bytes(&contrib))
     }
 
     /// Blocking [`CollectiveGroup::igather`]: `Some(concatenation)` at the
@@ -1461,23 +824,9 @@ impl CollectiveGroup {
         contrib: Vec<T>,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
         let bytes = contrib.len() * T::DTYPE.elem_size();
-        let policy = &self.inner.cfg.policy;
-        let topo = policy.select(OpClass::Allgather, self.inner.size, bytes);
-        let topo2 = policy.select(
-            OpClass::Broadcast,
-            self.inner.size,
-            bytes.saturating_mul(self.inner.size),
-        );
-        let done = self.submit(
-            OpKind::Allgather,
-            0,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo2,
-            None,
-        )?;
-        Ok(CollectiveHandle::new(done))
+        let topo = self.select(OpClass::Allgather, bytes);
+        let topo2 = self.select(OpClass::Broadcast, bytes.saturating_mul(self.inner.size));
+        self.submit(spec(Op::Allgather, 0, topo, topo2), to_bytes(&contrib))
     }
 
     /// Blocking [`CollectiveGroup::iallgather`].
@@ -1498,16 +847,16 @@ impl CollectiveGroup {
     ///
     /// [`CollectiveError::Closed`] at submission.
     pub fn ibarrier(&self) -> Result<CollectiveHandle<()>, CollectiveError> {
-        let done = self.submit(
-            OpKind::Barrier,
-            0,
-            Vec::new(),
-            0,
-            Topology::Flat,
-            Topology::Flat,
-            None,
-        )?;
-        Ok(CollectiveHandle::new(done))
+        self.ibarrier_within(self.inner.cfg.op_timeout)
+    }
+
+    /// [`CollectiveGroup::ibarrier`] with its own operation timeout.
+    pub(crate) fn ibarrier_within(
+        &self,
+        timeout: Duration,
+    ) -> Result<CollectiveHandle<()>, CollectiveError> {
+        let barrier = spec(Op::Barrier, 0, Topology::Flat, Topology::Flat);
+        self.submit_within(barrier, Vec::new(), timeout)
     }
 
     /// Blocking [`CollectiveGroup::ibarrier`].
@@ -1520,12 +869,53 @@ impl CollectiveGroup {
     }
 }
 
+/// What [`NcsGroup`](crate::NcsGroup) needs beyond the typed operations.
+impl CollectiveGroup {
+    /// Originates a multicast of `data` over `topo`: an unmatched
+    /// broadcast rooted here (see [`Machine::multicast`]). The handle
+    /// resolves once every frame is queued on its link.
+    pub(crate) fn imulticast(
+        &self,
+        data: &[u8],
+        topo: Topology,
+    ) -> Result<CollectiveHandle<()>, CollectiveError> {
+        self.inner.check_closed()?;
+        let payload = data.to_vec();
+        self.enqueue(|done| Event::Multicast {
+            payload,
+            topo,
+            done,
+        })
+    }
+
+    /// The next multicast delivered to this member: `(origin, payload)`.
+    pub(crate) fn recv_multicast(&self, timeout: Duration) -> Option<(usize, Vec<u8>)> {
+        self.inner.delivered.recv_timeout(timeout).ok()
+    }
+
+    /// The first link failure this member saw, if any.
+    pub(crate) fn link_fault(&self) -> Option<SendError> {
+        self.inner.fault.lock().clone()
+    }
+
+    /// Why the group takes no more operations, if it does not.
+    pub(crate) fn check_closed(&self) -> Result<(), CollectiveError> {
+        self.inner.check_closed()
+    }
+}
+
 impl Drop for CollectiveGroup {
     fn drop(&mut self) {
         self.close();
-        // Synchronise with an in-flight operation (its schedule aborts on
-        // the closed flag within a tick) and drop the frame stash.
-        *self.router.lock() = None;
+    }
+}
+
+fn spec(op: Op, root: usize, topo: Topology, topo2: Topology) -> Spec {
+    Spec {
+        op,
+        root,
+        topo,
+        topo2,
     }
 }
 
@@ -1641,11 +1031,9 @@ mod tests {
         node.shutdown();
     }
 
-    #[test]
-    fn view_abort_drains_queued_operations() {
-        // A two-member group where the peer never participates: the
-        // submitted op can only hang on the peer's frames — until the
-        // view abort fails it fast (well before its op timeout).
+    /// A survivor whose only peer never enters the collective, blocked in
+    /// an unmatched barrier: the one way out is an event.
+    fn blocked_barrier() -> (NcsNode, NcsNode, NcsConnection, CollectiveGroup) {
         let node = NcsNode::builder("survivor").build();
         let peer = NcsNode::builder("ghost").build();
         let (ln, lp) = ncs_core::link::HpiLinkPair::with_capacity(256);
@@ -1654,16 +1042,61 @@ mod tests {
         let conn = node
             .connect("ghost", ncs_core::ConnectionConfig::unreliable())
             .unwrap();
-        let _peer_side = peer.accept_default().unwrap();
+        let peer_side = peer.accept_default().unwrap();
         let g = CollectiveGroup::new(&node, 1, 0, HashMap::from([(1usize, conn)])).unwrap();
-        let h = g.iallreduce(vec![1.0f64], ReduceOp::Sum).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        (node, peer, peer_side, g)
+    }
+
+    /// Wake, not tick: the runner parks until the operation's deadline (30
+    /// s here), so each of these resolves only because its cause woke it.
+    #[test]
+    fn a_blocked_operation_resolves_when_its_cause_arrives_not_a_tick_later() {
+        type Cause = fn(&CollectiveGroup, &NcsConnection);
+        type Expected = fn(&CollectiveError) -> bool;
+        let causes: [(Cause, Expected); 3] = [
+            (
+                |g, _| assert!(g.abort_view_changed(3)),
+                |e| *e == CollectiveError::ViewChanged { epoch: 3 },
+            ),
+            (|g, _| g.close(), |e| *e == CollectiveError::Closed),
+            (
+                |_, peer_side| peer_side.close(),
+                |e| matches!(e, CollectiveError::Send(_)),
+            ),
+        ];
+        for (cause, expected) in causes {
+            let (node, peer, peer_side, g) = blocked_barrier();
+            let h = g.ibarrier().unwrap();
+            assert_eq!(
+                h.wait_timeout(Duration::from_millis(20)),
+                Err(CollectiveError::Timeout)
+            );
+            let t0 = std::time::Instant::now();
+            cause(&g, &peer_side);
+            let err = h.wait_timeout(Duration::from_secs(5)).unwrap_err();
+            assert!(expected(&err), "{err:?}");
+            assert!(
+                t0.elapsed() < Duration::from_millis(50),
+                "{:?}",
+                t0.elapsed()
+            );
+            drop(g);
+            node.shutdown();
+            peer.shutdown();
+        }
+    }
+
+    #[test]
+    fn view_abort_drains_queued_operations() {
+        // The submitted ops can only hang on the peer's frames — until the
+        // view abort fails them all (well before their op timeout).
+        let (node, peer, _peer_side, g) = blocked_barrier();
+        let first = g.iallreduce(vec![1.0f64], ReduceOp::Sum).unwrap();
+        let queued = g.ibarrier().unwrap();
         assert!(g.abort_view_changed(3));
-        assert_eq!(
-            h.wait(),
-            Err(CollectiveError::ViewChanged { epoch: 3 }),
-            "in-flight op must fail fast on view change"
-        );
+        for result in [first.wait().map(drop), queued.wait()] {
+            assert_eq!(result, Err(CollectiveError::ViewChanged { epoch: 3 }));
+        }
         drop(g);
         node.shutdown();
         peer.shutdown();

@@ -39,29 +39,74 @@ impl Seg {
     }
 }
 
-/// Encodes one collective frame into a buffer checked out of `pool`.
-pub(crate) fn encode_frame(
-    pool: &Arc<BufPool>,
+/// First id of the *unmatched* `coll` space. Matched collectives number
+/// their operations `0, 1, 2, …` below it, in the same order on every
+/// member; a frame at or above it belongs to no such sequence — it is a
+/// broadcast any member may originate at any time (the paper's multicast):
+/// `stream` carries the origin's rank and the low bits of `coll` the
+/// topology, so the receiver derives the relay plan from the header alone.
+pub(crate) const UNMATCHED: u32 = 1 << 31;
+
+/// The encoding half of the format: cuts a payload into pipeline segments
+/// and encodes each once into a buffer checked out of the node's pool.
+#[derive(Debug, Clone)]
+pub struct Encoder {
+    pool: Arc<BufPool>,
     group: u32,
-    coll: u32,
-    stream: u32,
-    seg: u32,
-    total: u32,
-    payload: &[u8],
-) -> PooledBuf {
-    let mut buf = pool.get();
-    let out = buf.vec_mut();
-    out.clear();
-    out.reserve(COLL_OVERHEAD + payload.len());
-    out.push(TAG_COLL);
-    out.extend_from_slice(&group.to_be_bytes());
-    out.extend_from_slice(&coll.to_be_bytes());
-    out.extend_from_slice(&stream.to_be_bytes());
-    out.extend_from_slice(&seg.to_be_bytes());
-    out.extend_from_slice(&total.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    buf
+    seg_size: usize,
+}
+
+impl Encoder {
+    /// An encoder for group `group` cutting at `seg_size` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg_size` is zero.
+    pub fn new(pool: Arc<BufPool>, group: u32, seg_size: usize) -> Self {
+        assert!(seg_size > 0, "seg_size must be positive");
+        Encoder {
+            pool,
+            group,
+            seg_size,
+        }
+    }
+
+    /// The group whose frames this encoder writes.
+    pub(crate) fn group(&self) -> u32 {
+        self.group
+    }
+
+    /// Cuts `payload` into segments of `(coll, stream)`, each encoded once.
+    /// An empty payload is one empty segment.
+    pub(crate) fn segments(&self, coll: u32, stream: u32, payload: &[u8]) -> Vec<PooledBuf> {
+        let n = payload.len().div_ceil(self.seg_size).max(1);
+        payload
+            .chunks(self.seg_size)
+            .chain(payload.is_empty().then_some(&[][..]))
+            .enumerate()
+            .map(|(i, chunk)| self.frame(coll, stream, i as u32, n as u32, chunk))
+            .collect()
+    }
+
+    fn frame(&self, coll: u32, stream: u32, seg: u32, total: u32, payload: &[u8]) -> PooledBuf {
+        let mut buf = self.pool.get();
+        let out = buf.vec_mut();
+        out.clear();
+        out.reserve(COLL_OVERHEAD + payload.len());
+        out.push(TAG_COLL);
+        for field in [self.group, coll, stream, seg, total, payload.len() as u32] {
+            out.extend_from_slice(&field.to_be_bytes());
+        }
+        out.extend_from_slice(payload);
+        buf
+    }
+}
+
+/// Whether `bytes` starts like a collective frame of the unmatched space —
+/// the one thing a link sink reads, to decide whether an idle member must
+/// wake for it.
+pub(crate) fn is_unmatched(bytes: &[u8]) -> bool {
+    bytes.len() >= COLL_OVERHEAD && bytes[0] == TAG_COLL && read_u32(bytes, 5) >= UNMATCHED
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -101,24 +146,22 @@ mod tests {
 
     #[test]
     fn frame_round_trips() {
-        let pool = BufPool::new();
-        let f = encode_frame(&pool, 9, 3, 1, 2, 5, b"abc");
+        let enc = Encoder::new(BufPool::new(), 9, 64);
+        let f = enc.frame(3, 1, 2, 5, b"abc");
         let seg = decode_frame(f.as_slice().to_vec(), 9).unwrap();
         assert_eq!((seg.coll, seg.stream, seg.seg, seg.total), (3, 1, 2, 5));
         assert_eq!(seg.payload(), b"abc");
         assert_eq!(seg.raw, f.as_slice());
         // Empty payloads (barrier tokens) survive too.
-        let f = encode_frame(&pool, 9, 4, 0, 0, 1, b"");
+        let f = enc.frame(4, 0, 0, 1, b"");
         let seg = decode_frame(f.as_slice().to_vec(), 9).unwrap();
         assert!(seg.payload().is_empty());
     }
 
     #[test]
     fn frame_rejects_malformed() {
-        let pool = BufPool::new();
-        let good = encode_frame(&pool, 9, 3, 1, 2, 5, b"abc")
-            .as_slice()
-            .to_vec();
+        let enc = Encoder::new(BufPool::new(), 9, 64);
+        let good = enc.frame(3, 1, 2, 5, b"abc").as_slice().to_vec();
         assert!(decode_frame(good.clone(), 8).is_none(), "wrong group");
         let mut bad_tag = good.clone();
         bad_tag[0] = 0x00;
@@ -128,7 +171,7 @@ mod tests {
         assert!(decode_frame(truncated, 9).is_none());
         assert!(decode_frame(Vec::new(), 9).is_none());
         // seg >= total is invalid.
-        let bad = encode_frame(&pool, 9, 3, 1, 7, 5, b"x").as_slice().to_vec();
+        let bad = enc.frame(3, 1, 7, 5, b"x").as_slice().to_vec();
         assert!(decode_frame(bad, 9).is_none());
     }
 }

@@ -5,13 +5,20 @@
 //! `allgather` and a redesigned `barrier`, each in blocking and
 //! nonblocking ([`CollectiveHandle`]) form, over pluggable topologies
 //! (binomial tree, ring pipeline, flat) selected per operation by message
-//! size and group size.
+//! size and group size — and, under the paper's own names, [`NcsGroup`]:
+//! multicast by repetitive send or along a spanning tree, and a barrier.
 //!
-//! Collectives are serviced by a dedicated per-member **progress thread**
-//! built on [`ncs_threads`] — the paper's central thesis applied to group
-//! communication: application threads submit an operation and keep
-//! computing while the runtime's threads move the data, under either the
-//! kernel-level or the user-level thread package. The data path is the
+//! Every schedule exists once, as data: [`machine::plan`] lists a rank's
+//! sends and receives, and one sans-I/O interpreter ([`machine::Machine`])
+//! runs them — under [`CollectiveGroup`]'s progress runner here, and
+//! inside `ncs-runtime`'s discrete-event `SimWorld`.
+//!
+//! Collectives are serviced by a per-member **progress runner** on a
+//! thread borrowed from the node's reactor while operations are queued —
+//! the paper's central thesis applied to group communication:
+//! application threads submit an operation and keep computing while the
+//! runtime's threads move the data, under either the kernel-level or the
+//! user-level thread package. The data path is the
 //! pooled, batched point-to-point plane: collective frames are encoded
 //! once into pooled buffers ([`ncs_core::BufPool`]), fan out through
 //! [`ncs_core::NcsConnection::send_batch`], and large payloads are
@@ -57,10 +64,14 @@
 mod datatype;
 mod engine;
 mod frame;
+mod group;
 mod handle;
+pub mod machine;
 mod topology;
 
 pub use datatype::{DType, ReduceOp, Scalar};
 pub use engine::{CollectiveConfig, CollectiveGroup, CollectiveStats, ViewAbortHandle};
+pub use frame::Encoder;
+pub use group::{GroupError, MulticastAlgo, NcsGroup};
 pub use handle::{CollectiveError, CollectiveHandle, CollectiveResult};
 pub use topology::{OpClass, Topology, TopologyPolicy};

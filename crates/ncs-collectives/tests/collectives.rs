@@ -673,7 +673,7 @@ fn mismatched_gather_contributions_error() {
 
 #[test]
 fn collectives_barrier_races_legacy_group_barrier() {
-    use ncs_core::{MulticastAlgo, NcsGroup};
+    use ncs_collectives::{MulticastAlgo, NcsGroup};
     let pkg = kernel_pkg();
     let n = 3;
     let nodes: Vec<NcsNode> = (0..n)

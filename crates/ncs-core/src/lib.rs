@@ -60,7 +60,6 @@ mod connection;
 mod control;
 pub mod error_control;
 pub mod flow_control;
-pub mod group;
 pub mod link;
 mod node;
 pub mod packet;
@@ -74,7 +73,6 @@ pub mod stats;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use config::{ConnectionConfig, ConnectionConfigBuilder, ErrorControlAlg, FlowControlAlg};
 pub use connection::{Channel, NcsConnection, SendError, CHANNEL_TAG_BASE};
-pub use group::{GroupError, MulticastAlgo, NcsGroup};
 pub use node::{AcceptError, ConnectError, NcsNode, NcsNodeBuilder};
 pub use pool::{BufPool, PoolStats, PooledBuf};
 pub use reactor::{default_shards, Reactor};

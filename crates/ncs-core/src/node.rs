@@ -142,9 +142,6 @@ pub(crate) struct NodeInner {
     /// oldest give way beyond [`EARLY_CHANNELS`].
     early: Mutex<Vec<(String, Arc<dyn Transport>)>>,
     conns: Mutex<HashMap<u32, Arc<ConnShared>>>,
-    /// (peer name, initiator conn id) -> acceptor conn id, for idempotent
-    /// handling of duplicate data-channel hellos (setup retries).
-    accepted_index: Mutex<HashMap<(String, u32), u32>>,
     next_conn: AtomicU32,
     pending_accepts: Mailbox<NcsConnection>,
     shutdown: AtomicBool,
@@ -294,7 +291,6 @@ impl NcsNodeBuilder {
             peers: Mutex::new(HashMap::new()),
             early: Mutex::new(Vec::new()),
             conns: Mutex::new(HashMap::new()),
-            accepted_index: Mutex::new(HashMap::new()),
             next_conn: AtomicU32::new(0),
             pending_accepts: Mailbox::unbounded(),
             shutdown: AtomicBool::new(false),
@@ -403,21 +399,23 @@ impl NcsNode {
     }
 
     /// Severs every tie to `peer`: closes and unregisters its live
-    /// connections, forgets the accept-side `(peer, initiator conn)`
-    /// dedup entries, and drops the peer registration (link, control
-    /// channels, control task and acceptor thread). The counterpart of
-    /// [`NcsNode::attach_peer`] for membership churn — without it, a
-    /// *replacement* process re-adopting the peer's name would have its
-    /// fresh setup hellos mistaken for setup retries of the dead
-    /// process's connections (conn ids restart at zero in a new process)
-    /// and silently re-acknowledged against a corpse. A no-op for an
-    /// unknown peer.
+    /// connections, discards the ones it opened that nobody has accepted
+    /// yet, and drops the peer registration (link, control channels,
+    /// control task and acceptor thread). The counterpart of
+    /// [`NcsNode::attach_peer`] for membership churn — a *replacement*
+    /// process re-adopting the peer's name starts from a clean slate. A
+    /// no-op for an unknown peer.
     pub fn forget_peer(&self, peer: &str) {
         let forgotten = self.inner.peers.lock().remove(peer);
-        self.inner
-            .accepted_index
-            .lock()
-            .retain(|(p, _), _| p != peer);
+        // A replacement may dial before this node learns its predecessor
+        // died: that dial is accepted against the old registration, and
+        // closed below with the rest — it must not be handed to an
+        // `accept` that waits for the replacement's real connection.
+        let pending = &self.inner.pending_accepts;
+        let queued: Vec<NcsConnection> = std::iter::from_fn(|| pending.try_recv()).collect();
+        for conn in queued.into_iter().filter(|c| c.peer_name() != peer) {
+            pending.send(conn);
+        }
         let dropped: Vec<Arc<ConnShared>> = {
             let mut conns = self.inner.conns.lock();
             let ids: Vec<u32> = conns
@@ -474,8 +472,9 @@ impl NcsNode {
         transport.send(&hello)?;
         attach_connection(&self.inner.reactor, &shared);
         // The hello rides the (possibly unreliable) data channel; retry a
-        // few times before declaring the setup dead. The acceptor side
-        // deduplicates by (peer, initiator_conn), so retries are safe.
+        // few times before declaring the setup dead. A retry that follows
+        // a hello the acceptor did read lands on the connection it built
+        // from it, whose receive plane drops it as not a data packet.
         let mut established = false;
         for _attempt in 0..5 {
             if shared.established.wait_timeout(ESTABLISH_TIMEOUT / 5) {
@@ -743,21 +742,6 @@ fn incoming_data(
         return;
     };
     let ctrl_tx = from.ctrl.outbox();
-    // Duplicate hello from a setup retry: re-acknowledge the existing
-    // connection instead of creating another.
-    let existing = inner
-        .accepted_index
-        .lock()
-        .get(&(peer.clone(), initiator_conn))
-        .copied();
-    if let Some(acceptor_conn) = existing {
-        ctrl_tx.send(CtrlMsg::AcceptConn {
-            initiator_conn,
-            acceptor_conn,
-        });
-        transport.close();
-        return;
-    }
     // The node may have shut down while this thread sat in its accept
     // poll or opened the control channel: nothing is built on a late
     // channel.
@@ -765,10 +749,6 @@ fn incoming_data(
         return;
     };
     shared.mark_established(initiator_conn);
-    inner
-        .accepted_index
-        .lock()
-        .insert((shared.peer_name.clone(), initiator_conn), shared.id);
     attach_connection(&inner.reactor, &shared);
     ctrl_tx.send(CtrlMsg::AcceptConn {
         initiator_conn,

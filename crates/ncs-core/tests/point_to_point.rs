@@ -2,15 +2,10 @@
 //! interface: every flow-control x error-control combination, the §3.1
 //! bypass, the §4.2 direct mode, and loss recovery.
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_core::link::HpiLinkPair;
-use ncs_core::{
-    ConnectionConfig, ErrorControlAlg, FlowControlAlg, GroupError, MulticastAlgo, NcsGroup,
-    NcsNode, SendError,
-};
+use ncs_core::{ConnectionConfig, ErrorControlAlg, FlowControlAlg, NcsNode, SendError};
 
 /// Builds two linked nodes over HPI.
 fn linked_nodes(ring: usize) -> (NcsNode, NcsNode) {
@@ -355,209 +350,4 @@ fn accept_timeout() {
     ));
     a.shutdown();
     b.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Groups
-// ---------------------------------------------------------------------------
-
-/// Builds `n` nodes in a full mesh over HPI and one group per node.
-fn build_group(n: usize, algo: MulticastAlgo) -> Vec<(NcsNode, Arc<NcsGroup>)> {
-    let nodes: Vec<NcsNode> = (0..n)
-        .map(|i| NcsNode::builder(&format!("n{i}")).build())
-        .collect();
-    // Full mesh of links.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let (li, lj) = HpiLinkPair::with_capacity(1024);
-            nodes[i].attach_peer(&format!("n{j}"), li);
-            nodes[j].attach_peer(&format!("n{i}"), lj);
-        }
-    }
-    // Pairwise group connections: lower rank initiates.
-    let mut conns: Vec<HashMap<usize, ncs_core::NcsConnection>> =
-        (0..n).map(|_| HashMap::new()).collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let cij = nodes[i]
-                .connect(&format!("n{j}"), ConnectionConfig::reliable())
-                .unwrap();
-            let cji = nodes[j].accept_default().unwrap();
-            conns[i].insert(j, cij);
-            conns[j].insert(i, cji);
-        }
-    }
-    nodes
-        .into_iter()
-        .zip(conns)
-        .enumerate()
-        .map(|(rank, (node, links))| {
-            let group = Arc::new(NcsGroup::new(&node, 1, rank, links, algo).unwrap());
-            (node, group)
-        })
-        .collect()
-}
-
-#[test]
-fn repetitive_multicast_reaches_all() {
-    let members = build_group(4, MulticastAlgo::Repetitive);
-    members[0].1.multicast(b"to everyone").unwrap();
-    for (rank, (_, g)) in members.iter().enumerate().skip(1) {
-        let (origin, data) = g.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(origin, 0, "rank {rank}");
-        assert_eq!(data, b"to everyone");
-    }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
-}
-
-#[test]
-fn spanning_tree_multicast_reaches_all_from_any_origin() {
-    let members = build_group(5, MulticastAlgo::SpanningTree);
-    for origin in 0..members.len() {
-        let body = format!("from {origin}");
-        members[origin].1.multicast(body.as_bytes()).unwrap();
-        for (rank, (_, g)) in members.iter().enumerate() {
-            if rank == origin {
-                continue;
-            }
-            let (o, data) = g.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(o, origin, "receiver {rank}");
-            assert_eq!(data, body.as_bytes());
-        }
-    }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
-}
-
-#[test]
-fn barrier_synchronises_members() {
-    let members = build_group(4, MulticastAlgo::SpanningTree);
-    let flag = Arc::new(std::sync::atomic::AtomicU32::new(0));
-    let mut handles = Vec::new();
-    for (i, (_, g)) in members.iter().enumerate() {
-        let g = Arc::clone(g);
-        let flag = Arc::clone(&flag);
-        handles.push(std::thread::spawn(move || {
-            // Stagger arrivals.
-            std::thread::sleep(Duration::from_millis(10 * i as u64));
-            flag.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            g.barrier(Duration::from_secs(10)).unwrap();
-            // After the barrier everyone must have arrived.
-            assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 4);
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
-}
-
-#[test]
-fn repeated_barriers() {
-    let members = build_group(3, MulticastAlgo::SpanningTree);
-    for _round in 0..5 {
-        let mut handles = Vec::new();
-        for (_, g) in &members {
-            let g = Arc::clone(g);
-            handles.push(std::thread::spawn(move || {
-                g.barrier(Duration::from_secs(10)).unwrap()
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
-}
-
-#[test]
-fn overlapping_barrier_epochs_from_concurrent_threads() {
-    // Two threads per member run interleaved barrier rounds on the SAME
-    // group: epochs overlap arbitrarily, so every call keeps consuming
-    // (and must keep handing back) messages belonging to its sibling's
-    // epoch. The seed pinned held-back messages until exit — two calls
-    // could each hold what the other was waiting for.
-    let members = build_group(3, MulticastAlgo::SpanningTree);
-    let mut handles = Vec::new();
-    for (_, g) in &members {
-        for t in 0..2 {
-            let g = Arc::clone(g);
-            handles.push(std::thread::spawn(move || {
-                for round in 0..3 {
-                    g.barrier(Duration::from_secs(20))
-                        .unwrap_or_else(|e| panic!("thread {t} round {round}: {e}"));
-                }
-            }));
-        }
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
-}
-
-#[test]
-fn barrier_timeout_preserves_future_epoch_arrivals() {
-    // Regression for the seed dropping held-back arrivals on the timeout
-    // path: rank 0 times out an epoch while holding a child's arrival for
-    // the NEXT epoch; that arrival must survive for the next call.
-    let members = build_group(3, MulticastAlgo::SpanningTree);
-    let g0 = Arc::clone(&members[0].1);
-    let g1 = Arc::clone(&members[1].1);
-    let g2 = Arc::clone(&members[2].1);
-    // rank 1 enters (and times out of) two barrier epochs: its arrivals
-    // for epochs 1 and 2 now sit in rank 0's mailbox.
-    assert_eq!(
-        g1.barrier(Duration::from_millis(300)),
-        Err(GroupError::Timeout)
-    );
-    assert_eq!(
-        g1.barrier(Duration::from_millis(300)),
-        Err(GroupError::Timeout)
-    );
-    // rank 0's epoch 1 consumes (1, epoch 1), holds (1, epoch 2) back,
-    // and times out waiting for rank 2 — the held arrival must be
-    // re-enqueued, not dropped.
-    assert_eq!(
-        g0.barrier(Duration::from_millis(400)),
-        Err(GroupError::Timeout)
-    );
-    // rank 2 burns its epoch 1 (no release wave ever came).
-    assert_eq!(
-        g2.barrier(Duration::from_millis(300)),
-        Err(GroupError::Timeout)
-    );
-    // Epoch 2 can now complete for rank 0 and rank 2: rank 0 needs the
-    // preserved (1, epoch 2) plus rank 2's fresh (2, epoch 2).
-    let t0 = std::thread::spawn(move || g0.barrier(Duration::from_secs(10)));
-    let t2 = std::thread::spawn(move || g2.barrier(Duration::from_secs(10)));
-    assert_eq!(t0.join().unwrap(), Ok(()));
-    assert_eq!(t2.join().unwrap(), Ok(()));
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
-}
-
-#[test]
-fn group_membership_validation() {
-    let node = NcsNode::builder("x").build();
-    let err = NcsGroup::new(&node, 1, 0, HashMap::new(), MulticastAlgo::Repetitive);
-    // A singleton group is valid (size 1, no links needed).
-    assert!(err.is_ok());
-    node.shutdown();
 }

@@ -5,13 +5,15 @@
 //! item 3 asks for the opposite extreme — thousands of ranks, adversarial
 //! networks, reproducible failures. This module provides both halves:
 //!
-//! * [`SimWorld`] — a pure discrete-event engine. Ranks are message-level
-//!   state machines (binomial-tree broadcast/reduce, dissemination
-//!   barrier) exchanging messages through a central virtual-time
-//!   `TimeQueue`; per-direction link policies (latency, jitter, loss —
-//!   [`LinkPolicy`], shared with the SIM transport) decide each
-//!   message's fate with seeded draws, and lost messages retransmit on an
-//!   RTO clock exactly as NCS error control would. Runs 1,000–10,000
+//! * [`SimWorld`] — a pure discrete-event engine, and the third shell of
+//!   the collective [`Machine`]: every alive rank runs the shipped
+//!   schedules on a machine of its own, and the machines' frames travel
+//!   through a central virtual-time queue; per-direction link policies
+//!   (latency, jitter, loss — [`LinkPolicy`], shared with the SIM
+//!   transport) decide each message's fate with seeded draws, and lost
+//!   messages retransmit on an RTO clock exactly as NCS error control
+//!   would. What a thousand simulated ranks exercise is therefore the
+//!   algorithm [`CollectiveGroup`] ships, not a look-alike. Runs 1,000–10,000
 //!   ranks in milliseconds of wall time and is **bit-deterministic**:
 //!   the same [`Scenario`] (same seed) produces a byte-identical event
 //!   trace and equal telemetry counters, every run.
@@ -31,6 +33,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,15 +41,18 @@ use std::time::Duration;
 use atm_sim::SimTime;
 use ncs_core::link::SimLinkPair;
 use ncs_core::{Clock, NcsConnection, NcsNode, VirtualClock};
-use ncs_obs::Registry;
+use ncs_obs::{Counter, Registry};
 use ncs_transport::sim::{LinkPolicy, SimNet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cluster::rank_name;
 use crate::session::{LocalSession, Session, SessionError};
-use ncs_collectives::CollectiveGroup;
-use ncs_core::ConnectionConfig;
+use ncs_collectives::machine::{Machine, Op, Output, Spec};
+use ncs_collectives::{
+    CollectiveGroup, DType, Encoder, OpClass, ReduceOp, Topology, TopologyPolicy,
+};
+use ncs_core::{BufPool, ConnectionConfig};
 
 // ---------------------------------------------------------------------------
 // Scenario
@@ -123,15 +129,15 @@ pub struct ChaosEvent {
 /// every alive rank participates in op *k* before op *k + 1* starts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimOp {
-    /// Binomial-tree broadcast from `root`, failing ranks that miss
-    /// `timeout` (virtual time).
+    /// Broadcast from `root`, failing ranks that miss `timeout` (virtual
+    /// time).
     Broadcast {
         /// Root rank.
         root: u32,
         /// Per-op virtual-time deadline.
         timeout: Duration,
     },
-    /// Binomial-tree reduce (sum of rank ids) to `root`.
+    /// Reduce (sum of rank ids) to `root`.
     Reduce {
         /// Root rank.
         root: u32,
@@ -639,23 +645,12 @@ impl SimReport {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum MsgKind {
-    /// Broadcast payload.
-    Data,
-    /// Reduce partial.
-    Part,
-    /// Dissemination-barrier token (round in `round`).
-    Token,
-}
-
-#[derive(Debug, Clone, PartialEq)]
+/// One logical message: a frame of rank `from`'s collective machine.
+#[derive(Debug)]
 struct Msg {
     gen: u64,
-    kind: MsgKind,
-    round: u32,
-    value: u64,
     from: u32,
+    bytes: Vec<u8>,
 }
 
 #[derive(Debug)]
@@ -701,28 +696,6 @@ struct DirLink {
     rng: StdRng,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum RankOp {
-    Idle,
-    Bcast {
-        have: bool,
-    },
-    Reduce {
-        pending: usize,
-        acc: u64,
-    },
-    /// `phase` 0 = reduce toward rank 0, 1 = broadcast of the result.
-    Allreduce {
-        phase: u8,
-        pending: usize,
-        acc: u64,
-    },
-    Barrier {
-        round: u32,
-        got: Vec<bool>,
-    },
-}
-
 /// SplitMix64 over `(seed, from, to)`: a direction's RNG stream depends
 /// only on the scenario seed and the pair, not on creation order.
 fn mix_seed(seed: u64, from: u32, to: u32) -> u64 {
@@ -730,20 +703,6 @@ fn mix_seed(seed: u64, from: u32, to: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Binomial-tree parent of virtual rank `v` (clear the highest set bit).
-fn tree_parent(v: u32) -> u32 {
-    v ^ (1 << (31 - v.leading_zeros()))
-}
-
-/// Binomial-tree children of virtual rank `v` in a world of `n`.
-fn tree_children(v: u32, n: u32) -> Vec<u32> {
-    let start = if v == 0 { 0 } else { 32 - v.leading_zeros() };
-    (start..32)
-        .map(|k| v | (1 << k))
-        .take_while(|c| *c < n)
-        .collect()
 }
 
 /// The deterministic thousand-rank engine. See the module docs.
@@ -756,14 +715,30 @@ pub struct SimWorld {
     links: HashMap<(u32, u32), DirLink>,
     alive: Vec<bool>,
     isolated: Vec<bool>,
-    states: Vec<RankOp>,
-    complete: Vec<bool>,
+    /// Each rank's collective machine for the running op; `None` once it
+    /// reported (or for a rank dead when the op started).
+    machines: Vec<Option<Machine>>,
+    frames: Encoder,
+    /// The 8-byte results of the running op, by rank.
+    values: Vec<Option<u64>>,
+    failed: Vec<u32>,
     remaining: usize,
     gen: u64,
     rto: Duration,
-    trace: Vec<String>,
+    trace: String,
     events_processed: u64,
     registry: Registry,
+    counters: Counters,
+}
+
+/// The per-message counters, looked up once.
+#[derive(Debug)]
+struct Counters {
+    sent: Counter,
+    retransmitted: Counter,
+    dropped: Counter,
+    delivered: Counter,
+    chaos: Counter,
 }
 
 impl SimWorld {
@@ -777,6 +752,8 @@ impl SimWorld {
         assert!(scenario.ranks > 0, "scenario must have ranks");
         let n = scenario.ranks as usize;
         let rto = scenario.effective_rto();
+        let registry = Registry::new();
+        let counter = |name, help| registry.counter(name, help, &[]);
         let mut world = SimWorld {
             now: SimTime::ZERO,
             next_seq: 0,
@@ -784,14 +761,23 @@ impl SimWorld {
             links: HashMap::new(),
             alive: vec![true; n],
             isolated: vec![false; n],
-            states: vec![RankOp::Idle; n],
-            complete: vec![false; n],
+            machines: Vec::new(),
+            frames: Encoder::new(BufPool::new(), 0, usize::MAX),
+            values: Vec::new(),
+            failed: Vec::new(),
             remaining: 0,
             gen: 0,
             rto,
-            trace: Vec::new(),
+            trace: String::new(),
             events_processed: 0,
-            registry: Registry::new(),
+            counters: Counters {
+                sent: counter("sim_messages_sent_total", "messages sent"),
+                retransmitted: counter("sim_retransmissions_total", "retransmission attempts"),
+                dropped: counter("sim_messages_dropped_total", "messages dropped"),
+                delivered: counter("sim_messages_delivered_total", "messages delivered"),
+                chaos: counter("sim_chaos_events_total", "chaos events applied"),
+            },
+            registry,
             scenario,
         };
         for idx in 0..world.scenario.events.len() {
@@ -808,7 +794,6 @@ impl SimWorld {
         for op in ops {
             outcomes.push(self.run_op(&op));
         }
-        let counter = |name: &str| self.registry.counter(name, "", &[]).get();
         let completed = outcomes.iter().filter(|o| o.completed).count() as u64;
         self.registry
             .counter("sim_ops_completed_total", "ops completed", &[])
@@ -816,7 +801,6 @@ impl SimWorld {
         self.registry
             .counter("sim_ops_failed_total", "ops failed", &[])
             .add(outcomes.len() as u64 - completed);
-        let _ = counter; // counters materialise below via snapshot
         SimReport {
             scenario: self.scenario.name.clone(),
             seed: self.scenario.seed,
@@ -824,7 +808,7 @@ impl SimWorld {
             ops: outcomes,
             virtual_elapsed: self.now.as_duration(),
             events_processed: self.events_processed,
-            trace: self.trace.join("\n"),
+            trace: self.trace.clone(),
             telemetry_json: self.registry.snapshot().render_json(),
             expect_failed: self.scenario.expect_failed.clone(),
         }
@@ -841,8 +825,12 @@ impl SimWorld {
         self.queue.push(Reverse(Ev { at, seq, kind }));
     }
 
-    fn count(&self, name: &str, help: &str) {
-        self.registry.counter(name, help, &[]).inc();
+    /// Appends one line to the event trace.
+    fn log(&mut self, line: std::fmt::Arguments<'_>) {
+        if !self.trace.is_empty() {
+            self.trace.push('\n');
+        }
+        let _ = self.trace.write_fmt(line);
     }
 
     fn link(&mut self, from: u32, to: u32) -> &mut DirLink {
@@ -872,9 +860,9 @@ impl SimWorld {
             return;
         }
         if attempt == 0 {
-            self.count("sim_messages_sent_total", "messages sent");
+            self.counters.sent.inc();
         } else {
-            self.count("sim_retransmissions_total", "retransmission attempts");
+            self.counters.retransmitted.inc();
         }
         let now = self.now;
         let rto = self.rto;
@@ -883,12 +871,10 @@ impl SimWorld {
         let blocked = !link.up || isolated;
         let lost = !blocked && link.loss > 0.0 && link.rng.gen_bool(link.loss);
         if blocked || lost {
-            self.count("sim_messages_dropped_total", "messages dropped");
-            self.trace.push(format!(
-                "{now} drop {} {}->{} attempt {attempt}{}",
-                kind_name(&msg.kind),
+            self.counters.dropped.inc();
+            self.log(format_args!(
+                "{now} drop {}->{to} attempt {attempt}{}",
                 msg.from,
-                to,
                 if blocked { " (link down)" } else { "" },
             ));
             self.push_ev(now + rto, EvKind::Retry { to, msg, attempt });
@@ -901,20 +887,18 @@ impl SimWorld {
             Duration::ZERO
         };
         let due = now + link.latency + jitter;
-        self.trace.push(format!(
-            "{now} send {} {}->{} attempt {attempt} due {due}",
-            kind_name(&msg.kind),
-            msg.from,
-            to,
+        self.log(format_args!(
+            "{now} send {}->{to} attempt {attempt} due {due}",
+            msg.from
         ));
         self.push_ev(due, EvKind::Arrive { to, msg });
     }
 
     fn apply_chaos(&mut self, idx: usize) {
         let ev = self.scenario.events[idx].clone();
-        self.count("sim_chaos_events_total", "chaos events applied");
+        self.counters.chaos.inc();
         let now = self.now;
-        self.trace.push(format!("{now} chaos {:?}", ev.kind));
+        self.log(format_args!("{now} chaos {:?}", ev.kind));
         match ev.kind {
             ChaosKind::CutLink { from, to } => self.link(from, to).up = false,
             ChaosKind::HealLink { from, to } => self.link(from, to).up = true,
@@ -927,319 +911,111 @@ impl SimWorld {
         }
     }
 
-    fn mark_complete(&mut self, rank: u32) {
-        let slot = &mut self.complete[rank as usize];
-        if !*slot {
-            *slot = true;
-            self.remaining -= 1;
-        }
-    }
-
-    fn barrier_rounds(n: u32) -> u32 {
-        32 - (n - 1).leading_zeros()
-    }
-
-    /// Starts `op` for every alive rank: initialises state machines and
-    /// fires the initial message wave.
-    fn start_op(&mut self, op: &SimOp) {
-        let n = self.scenario.ranks;
-        self.gen += 1;
-        self.complete = vec![false; n as usize];
-        self.remaining = 0;
-        let gen = self.gen;
-        for r in 0..n {
-            if !self.alive[r as usize] {
-                self.complete[r as usize] = true;
-                continue;
-            }
-            self.remaining += 1;
-            self.states[r as usize] = match op {
-                SimOp::Broadcast { root, .. } => RankOp::Bcast { have: r == *root },
-                SimOp::Reduce { root, .. } => RankOp::Reduce {
-                    pending: tree_children((r + n - root) % n, n).len(),
-                    acc: u64::from(r),
-                },
-                SimOp::Allreduce { .. } => RankOp::Allreduce {
-                    phase: 0,
-                    pending: tree_children(r, n).len(),
-                    acc: u64::from(r),
-                },
-                SimOp::Barrier { .. } => RankOp::Barrier {
-                    round: 0,
-                    got: vec![false; Self::barrier_rounds(n) as usize],
-                },
-                SimOp::Advance { .. } => RankOp::Idle,
-            };
-        }
-        // The initial wave.
-        match *op {
+    /// Gives every alive rank a machine with `op` submitted — the shipped
+    /// schedule under the default topology policy, on a one-`u64` payload
+    /// (single-segment, so a retry can never split a transfer) — and lets
+    /// each fire its initial sends.
+    fn start_op(&mut self, op: &SimOp, timeout: Duration) {
+        let n = self.scenario.ranks as usize;
+        let select = |class| TopologyPolicy::default().select(class, n, 8);
+        let sum = |op: fn(DType, ReduceOp) -> Op| op(DType::U64, ReduceOp::Sum);
+        let (op, root, topo, topo2) = match *op {
             SimOp::Broadcast { root, .. } => {
-                for c in tree_children(0, n) {
-                    let to = (c + root) % n;
-                    self.send(
-                        to,
-                        Msg {
-                            gen,
-                            kind: MsgKind::Data,
-                            round: 0,
-                            value: 100 + u64::from(root),
-                            from: root,
-                        },
-                        0,
-                    );
-                }
-                if self.alive[root as usize] {
-                    self.mark_complete(root);
-                }
+                let topo = select(OpClass::Broadcast);
+                (Op::Broadcast { len: 8 }, root, topo, topo)
             }
-            SimOp::Reduce { .. } | SimOp::Allreduce { .. } => {
-                let root = match *op {
-                    SimOp::Reduce { root, .. } => root,
-                    _ => 0,
+            SimOp::Reduce { root, .. } => {
+                let topo = select(OpClass::Reduce);
+                (sum(Op::Reduce), root, topo, topo)
+            }
+            SimOp::Allreduce { .. } => (
+                sum(Op::Allreduce),
+                0,
+                select(OpClass::Reduce),
+                select(OpClass::Broadcast),
+            ),
+            SimOp::Barrier { .. } => (Op::Barrier, 0, Topology::Flat, Topology::Flat),
+            SimOp::Advance { .. } => unreachable!("advance is not a collective"),
+        };
+        let spec = Spec {
+            op,
+            root: root as usize,
+            topo,
+            topo2,
+        };
+        self.gen += 1;
+        self.values = vec![None; n];
+        self.failed.clear();
+        self.machines = (0..n)
+            .map(|r| {
+                let payload = match op {
+                    Op::Broadcast { .. } if r == spec.root => {
+                        (100 + r as u64).to_le_bytes().to_vec()
+                    }
+                    Op::Broadcast { .. } | Op::Barrier => Vec::new(),
+                    _ => (r as u64).to_le_bytes().to_vec(),
                 };
-                // Leaves send their partials immediately.
-                for r in 0..n {
-                    if !self.alive[r as usize] {
-                        continue;
-                    }
-                    let v = (r + n - root) % n;
-                    if tree_children(v, n).is_empty() {
-                        let parent = (tree_parent(v) + root) % n;
-                        self.send(
-                            parent,
-                            Msg {
-                                gen,
-                                kind: MsgKind::Part,
-                                round: 0,
-                                value: u64::from(r),
-                                from: r,
-                            },
-                            0,
-                        );
-                        if matches!(*op, SimOp::Reduce { .. }) {
-                            self.mark_complete(r);
-                        }
-                    }
-                }
-            }
-            SimOp::Barrier { .. } => {
-                for r in 0..n {
-                    if !self.alive[r as usize] {
-                        continue;
-                    }
-                    let to = (r + 1) % n;
-                    self.send(
-                        to,
-                        Msg {
-                            gen,
-                            kind: MsgKind::Token,
-                            round: 0,
-                            value: 0,
-                            from: r,
-                        },
-                        0,
-                    );
-                }
-            }
-            SimOp::Advance { .. } => {}
+                self.alive[r].then(|| {
+                    let mut m = Machine::new(self.frames.clone(), r, n);
+                    m.submit(0, spec, payload, timeout);
+                    m
+                })
+            })
+            .collect();
+        self.remaining = self.machines.iter().flatten().count();
+        for r in 0..n as u32 {
+            self.step(r);
         }
     }
 
-    /// Feeds an arrived message to `to`'s state machine.
-    fn deliver(&mut self, to: u32, msg: Msg, op: &SimOp) {
-        let n = self.scenario.ranks;
-        let gen = self.gen;
+    /// Polls `rank`'s machine at the current time: its frames go on the
+    /// wire, its verdict into the op's outcome.
+    fn step(&mut self, rank: u32) {
+        let Some(machine) = self.machines[rank as usize].as_mut() else {
+            return;
+        };
+        let (mut sends, mut done) = (Vec::new(), None);
+        machine.poll(self.now.as_duration(), &mut |out| {
+            match out {
+                Output::Send { to, frames } => {
+                    sends.extend(frames.iter().map(|f| (to as u32, f.to_vec())));
+                }
+                Output::Done { result, .. } => done = Some(result),
+                Output::Delivered { .. } => {}
+            }
+            Ok(())
+        });
+        let (gen, from) = (self.gen, rank);
+        for (to, bytes) in sends {
+            self.send(to, Msg { gen, from, bytes }, 0);
+        }
+        if let Some(result) = done {
+            self.machines[rank as usize] = None;
+            self.remaining -= 1;
+            match result {
+                Ok(v) => self.values[rank as usize] = v.try_into().ok().map(u64::from_le_bytes),
+                Err(_) => self.failed.push(rank),
+            }
+        }
+    }
+
+    /// Feeds an arrived message to `to`'s machine.
+    fn deliver(&mut self, to: u32, msg: Msg) {
+        let now = self.now;
         if !self.alive[to as usize] {
-            let now = self.now;
-            self.trace.push(format!(
-                "{now} dead-drop {} {}->{to}",
-                kind_name(&msg.kind),
-                msg.from
-            ));
+            self.log(format_args!("{now} dead-drop {}->{to}", msg.from));
             return;
         }
-        self.count("sim_messages_delivered_total", "messages delivered");
-        let now = self.now;
-        self.trace.push(format!(
-            "{now} deliver {} {}->{to} value {}",
-            kind_name(&msg.kind),
-            msg.from,
-            msg.value
-        ));
-        match (&mut self.states[to as usize], &msg.kind) {
-            (RankOp::Bcast { have }, MsgKind::Data) => {
-                if !*have {
-                    *have = true;
-                    let root = match *op {
-                        SimOp::Broadcast { root, .. } => root,
-                        _ => 0,
-                    };
-                    let v = (to + n - root) % n;
-                    for c in tree_children(v, n) {
-                        let child = (c + root) % n;
-                        self.send(
-                            child,
-                            Msg {
-                                from: to,
-                                ..msg.clone()
-                            },
-                            0,
-                        );
-                    }
-                    self.mark_complete(to);
-                }
-            }
-            (RankOp::Reduce { pending, acc }, MsgKind::Part) => {
-                *acc += msg.value;
-                *pending -= 1;
-                if *pending == 0 {
-                    let root = match *op {
-                        SimOp::Reduce { root, .. } => root,
-                        _ => 0,
-                    };
-                    let v = (to + n - root) % n;
-                    let acc = *acc;
-                    if v != 0 {
-                        let parent = (tree_parent(v) + root) % n;
-                        self.send(
-                            parent,
-                            Msg {
-                                gen,
-                                kind: MsgKind::Part,
-                                round: 0,
-                                value: acc,
-                                from: to,
-                            },
-                            0,
-                        );
-                    }
-                    self.mark_complete(to);
-                }
-            }
-            (
-                RankOp::Allreduce {
-                    phase,
-                    pending,
-                    acc,
-                },
-                kind,
-            ) => match (*phase, kind) {
-                (0, MsgKind::Part) => {
-                    *acc += msg.value;
-                    *pending -= 1;
-                    if *pending == 0 {
-                        let acc = *acc;
-                        if to == 0 {
-                            // Root: switch the world's attention to the
-                            // broadcast phase.
-                            self.states[0] = RankOp::Allreduce {
-                                phase: 1,
-                                pending: 0,
-                                acc,
-                            };
-                            for c in tree_children(0, n) {
-                                self.send(
-                                    c,
-                                    Msg {
-                                        gen,
-                                        kind: MsgKind::Data,
-                                        round: 0,
-                                        value: acc,
-                                        from: 0,
-                                    },
-                                    0,
-                                );
-                            }
-                            self.mark_complete(0);
-                        } else {
-                            *phase = 1;
-                            let parent = tree_parent(to);
-                            self.send(
-                                parent,
-                                Msg {
-                                    gen,
-                                    kind: MsgKind::Part,
-                                    round: 0,
-                                    value: acc,
-                                    from: to,
-                                },
-                                0,
-                            );
-                        }
-                    }
-                }
-                (_, MsgKind::Data) => {
-                    // The reduce phase of this subtree is over once the
-                    // result comes down; accept Data in either phase (a
-                    // leaf is still in phase 0).
-                    let acc = msg.value;
-                    self.states[to as usize] = RankOp::Allreduce {
-                        phase: 2,
-                        pending: 0,
-                        acc,
-                    };
-                    for c in tree_children(to, n) {
-                        self.send(
-                            c,
-                            Msg {
-                                gen,
-                                kind: MsgKind::Data,
-                                round: 0,
-                                value: acc,
-                                from: to,
-                            },
-                            0,
-                        );
-                    }
-                    self.mark_complete(to);
-                }
-                _ => {
-                    let now = self.now;
-                    self.trace.push(format!("{now} stray {to}"));
-                }
-            },
-            (RankOp::Barrier { round, got }, MsgKind::Token) => {
-                if (msg.round as usize) < got.len() {
-                    got[msg.round as usize] = true;
-                }
-                let rounds = Self::barrier_rounds(n);
-                let mut to_send = Vec::new();
-                while *round < rounds && got[*round as usize] {
-                    *round += 1;
-                    if *round < rounds {
-                        to_send.push(*round);
-                    }
-                }
-                let done = *round >= rounds;
-                for r in to_send {
-                    let peer = (to + (1 << r)) % n;
-                    self.send(
-                        peer,
-                        Msg {
-                            gen,
-                            kind: MsgKind::Token,
-                            round: r,
-                            value: 0,
-                            from: to,
-                        },
-                        0,
-                    );
-                }
-                if done {
-                    self.mark_complete(to);
-                }
-            }
-            _ => {
-                let now = self.now;
-                self.trace
-                    .push(format!("{now} stray {} for {to}", kind_name(&msg.kind)));
-            }
+        self.counters.delivered.inc();
+        self.log(format_args!("{now} deliver {}->{to}", msg.from));
+        if let Some(machine) = &mut self.machines[to as usize] {
+            machine.on_frame(msg.from as usize, msg.bytes);
+            self.step(to);
         }
     }
 
     fn run_op(&mut self, op: &SimOp) -> OpOutcome {
         let started = self.now;
-        let n = self.scenario.ranks;
         let name = match op {
             SimOp::Broadcast { root, .. } => format!("broadcast({root})"),
             SimOp::Reduce { root, .. } => format!("reduce({root})"),
@@ -1247,39 +1023,37 @@ impl SimWorld {
             SimOp::Barrier { .. } => "barrier".to_owned(),
             SimOp::Advance { by } => format!("advance({by:?})"),
         };
-        self.trace.push(format!("{started} op {name} start"));
-        if let SimOp::Advance { by } = op {
-            // Pure time passage: chaos events in the window fire, stale
-            // messages drain.
-            let target = self.now + *by;
-            while self.queue.peek().is_some_and(|Reverse(ev)| ev.at <= target) {
-                let Reverse(ev) = self.queue.pop().expect("peeked");
-                self.now = ev.at;
-                self.events_processed += 1;
-                if let EvKind::Chaos { idx } = ev.kind {
-                    self.apply_chaos(idx);
-                }
-            }
-            self.now = target;
-            return OpOutcome {
-                op: name,
-                completed: true,
-                failed_ranks: Vec::new(),
-                elapsed: *by,
-                result: None,
-            };
-        }
+        self.log(format_args!("{started} op {name} start"));
         let timeout = match *op {
             SimOp::Broadcast { timeout, .. }
             | SimOp::Reduce { timeout, .. }
             | SimOp::Allreduce { timeout }
             | SimOp::Barrier { timeout } => timeout,
-            SimOp::Advance { .. } => unreachable!(),
+            SimOp::Advance { by } => {
+                // Pure time passage: chaos events in the window fire, stale
+                // messages drain.
+                let target = self.now + by;
+                while self.queue.peek().is_some_and(|Reverse(ev)| ev.at <= target) {
+                    let Reverse(ev) = self.queue.pop().expect("peeked");
+                    self.now = ev.at;
+                    self.events_processed += 1;
+                    if let EvKind::Chaos { idx } = ev.kind {
+                        self.apply_chaos(idx);
+                    }
+                }
+                self.now = target;
+                return OpOutcome {
+                    op: name,
+                    completed: true,
+                    failed_ranks: Vec::new(),
+                    elapsed: by,
+                    result: None,
+                };
+            }
         };
-        self.start_op(op);
+        self.start_op(op, timeout);
         let gen = self.gen;
         self.push_ev(self.now + timeout, EvKind::Deadline { gen });
-        let mut timed_out = false;
         while self.remaining > 0 {
             let Some(Reverse(ev)) = self.queue.pop() else {
                 break;
@@ -1289,69 +1063,27 @@ impl SimWorld {
             self.events_processed += 1;
             match ev.kind {
                 EvKind::Chaos { idx } => self.apply_chaos(idx),
-                EvKind::Deadline { gen: g } => {
-                    if g == gen {
-                        timed_out = true;
-                        break;
-                    }
+                // Every machine still waiting times out on this poll.
+                EvKind::Deadline { gen: g } if g == gen => {
+                    (0..self.scenario.ranks).for_each(|r| self.step(r));
                 }
-                EvKind::Arrive { to, msg } => {
-                    if msg.gen == gen {
-                        self.deliver(to, msg, op);
-                    }
+                EvKind::Arrive { to, msg } if msg.gen == gen => self.deliver(to, msg),
+                EvKind::Retry { to, msg, attempt } if msg.gen == gen => {
+                    self.send(to, msg, attempt + 1);
                 }
-                EvKind::Retry { to, msg, attempt } => {
-                    if msg.gen == gen {
-                        self.send(to, msg, attempt + 1);
-                    }
-                }
+                _ => {}
             }
         }
-        let failed_ranks: Vec<u32> = if timed_out {
-            (0..n).filter(|r| !self.complete[*r as usize]).collect()
-        } else {
-            Vec::new()
-        };
-        let completed = !timed_out && self.remaining == 0;
-        // Agreement check: every completing rank must hold the same value.
-        let result = if completed {
-            let mut value = None;
-            let mut agree = true;
-            for r in 0..n as usize {
-                let v = match &self.states[r] {
-                    RankOp::Reduce { acc, .. } if self.alive[r] => Some(*acc),
-                    RankOp::Allreduce { acc, .. } if self.alive[r] => Some(*acc),
-                    _ => None,
-                };
-                if let Some(v) = v {
-                    match op {
-                        SimOp::Allreduce { .. } => {
-                            if let Some(prev) = value {
-                                agree &= prev == v;
-                            }
-                            value = Some(v);
-                        }
-                        SimOp::Reduce { root, .. } if r as u32 == *root => {
-                            value = Some(v);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if let SimOp::Broadcast { root, .. } = op {
-                value = Some(100 + u64::from(*root));
-            }
-            if agree {
-                value
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let elapsed = self.now - started;
+        let failed_ranks = std::mem::take(&mut self.failed);
+        let completed = failed_ranks.is_empty() && self.remaining == 0;
+        // Agreement check: every rank that holds a value holds the same.
+        let mut values = self.values.iter().flatten();
+        let result = values
+            .next()
+            .filter(|first| completed && values.all(|v| v == *first))
+            .copied();
         let now = self.now;
-        self.trace.push(format!(
+        self.log(format_args!(
             "{now} op {name} {} ({} failed)",
             if completed { "complete" } else { "TIMEOUT" },
             failed_ranks.len()
@@ -1360,17 +1092,9 @@ impl SimWorld {
             op: name,
             completed,
             failed_ranks,
-            elapsed,
+            elapsed: now - started,
             result,
         }
-    }
-}
-
-fn kind_name(k: &MsgKind) -> &'static str {
-    match k {
-        MsgKind::Data => "data",
-        MsgKind::Part => "part",
-        MsgKind::Token => "token",
     }
 }
 
@@ -1607,19 +1331,23 @@ impl Session for SimSession {
 mod tests {
     use super::*;
 
+    /// The tree a simulated broadcast forwards along is the shipped one:
+    /// recursive halving with contiguous subtrees (rank 4 roots 4..8).
     #[test]
     fn binomial_tree_shape() {
-        assert_eq!(tree_children(0, 8), vec![1, 2, 4]);
-        assert_eq!(tree_children(1, 8), vec![3, 5]);
-        assert_eq!(tree_children(2, 8), vec![6]);
-        assert_eq!(tree_children(4, 8), Vec::<u32>::new());
-        assert_eq!(tree_parent(5), 1);
-        assert_eq!(tree_parent(6), 2);
-        assert_eq!(tree_parent(1), 0);
-        // Every non-zero vrank's parent is a strictly smaller vrank.
-        for v in 1..1000u32 {
-            assert!(tree_parent(v) < v);
-        }
+        let mut s = Scenario::new("t", 8, 1);
+        s.ops = vec![SimOp::Broadcast {
+            root: 0,
+            timeout: Duration::from_secs(5),
+        }];
+        let report = SimWorld::new(s).run();
+        let lines = report.trace.lines().filter(|l| l.contains(" send "));
+        let mut sends: Vec<&str> = lines.filter_map(|l| l.split(' ').nth(2)).collect();
+        sends.sort_unstable();
+        assert_eq!(
+            sends,
+            ["0->1", "0->2", "0->4", "2->3", "4->5", "4->6", "6->7"]
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ncs::collectives::{MulticastAlgo, NcsGroup};
 use ncs::core::link::HpiLinkPair;
-use ncs::core::{ConnectionConfig, MulticastAlgo, NcsGroup, NcsNode};
+use ncs::core::{ConnectionConfig, NcsNode};
 
 const MEMBERS: usize = 4;
 const ROUNDS: usize = 5;

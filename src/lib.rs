@@ -9,8 +9,8 @@
 //!   per-connection Send/Receive/Flow-Control/Error-Control threads,
 //!   selectable algorithms (credit/window/rate flow control;
 //!   selective-repeat/go-back-N error control), the nonblocking
-//!   [`Request`] model with tag matching, group communication and the
-//!   §4.2 thread-bypass mode;
+//!   [`Request`] model with tag matching and the §4.2 thread-bypass
+//!   mode;
 //! * [`threads`] — the two thread-package architectures of §4.1: a
 //!   from-scratch user-level green-thread scheduler (QuickThreads
 //!   analogue, hand-written x86_64 context switch) and a kernel-level
@@ -21,9 +21,10 @@
 //! * [`transport`] — the three application communication interfaces:
 //!   SCI (sockets), ACI (native ATM) and HPI ("Trap"), plus a modelled
 //!   1998 kernel-socket pipe;
-//! * [`collectives`] — typed nonblocking broadcast/reduce/allreduce/
-//!   scatter/gather/allgather and a dissemination barrier over pluggable
-//!   topologies, serviced by a per-member collective progress thread;
+//! * [`collectives`] — group communication: the paper's multicast and
+//!   barrier (`NcsGroup`) and typed nonblocking broadcast/reduce/
+//!   allreduce/scatter/gather/allgather over pluggable topologies, all
+//!   run by one collective machine under a per-member progress runner;
 //! * [`runtime`] — the multi-process cluster runtime (`ncsd` rendezvous,
 //!   `ClusterNode`, `ncs-launch`) and the [`Session`] façade that lets
 //!   one program run against a multi-process cluster *or* an in-process
