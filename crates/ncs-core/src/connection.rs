@@ -25,22 +25,35 @@
 //!   with the node's [`Reactor`](crate::Reactor) reads frames off the
 //!   transport into the `RxPlane`, feeds submissions and control events
 //!   to the `TxPlane`, and moves the SDUs it releases onto the wire. The
-//!   paper's mailbox "activations" become task wakeups: queueing a send,
-//!   a control-plane acknowledgement, or a frame arriving on the
-//!   transport each schedule the task onto one of the reactor's O(cores)
-//!   event loops. Protocol waits (ack timeouts, credit pacing, starvation
-//!   probes) park on reactor timers instead of blocking a thread, so a
-//!   node holds thousands of connections with a fixed-size thread pool.
-//!   The only queues left are the ones that cross tasks: submissions
-//!   (application → task), control events (the peer's control task → this
-//!   task) and pre-encoded bypass frames (application → task, bounded).
-//!   Credits and acknowledgements leave through the peer's control queue,
-//!   which the peer's control task (`crate::control`) flushes on the same
-//!   event loops — no thread sits between the two tasks.
+//!   paper's mailbox "activations" become task wakeups: a control-plane
+//!   acknowledgement or a frame arriving on the transport each schedule
+//!   the task onto one of the reactor's O(cores) event loops. Protocol
+//!   waits (ack timeouts, credit pacing, starvation probes) park on
+//!   reactor timers instead of blocking a thread, so a node holds
+//!   thousands of connections with a fixed-size thread pool. The only
+//!   queues left are the ones that cross threads: submissions, control
+//!   events (from the peer's control task) and pre-encoded bypass frames
+//!   (bounded). Credits and acknowledgements leave through the peer's
+//!   control queue, which the peer's control task (`crate::control`)
+//!   flushes on the same event loops — no thread sits between the two
+//!   tasks.
+//!
+//!   The receive half is the task's alone: only the reactor reads a
+//!   transport. The send half — [`TxSide`]: the `TxPlane`, the Send
+//!   plane's frame queue — sits in [`ConnShared::tx`] behind one lock and
+//!   is stepped by whoever holds it. `NCS_send` always queues first, then
+//!   activates: a message of several SDUs wakes the task and the caller
+//!   goes back to computing while the reactor segments, copies and
+//!   transmits (§4.1's overlap); a message of one SDU is run through the
+//!   pipeline by its own submitter when the lock is free
+//!   ([`ConnShared::drive_or_wake`]), because the hand-off costs more than
+//!   the work. The task is then woken only for what the inline step left
+//!   that needs it.
 //! * **Direct mode** (§4.2, [`NcsConnection::send_direct`] /
 //!   [`NcsConnection::recv_direct`]). No task is registered; the same
-//!   planes run as procedures on the caller's thread, which blocks on the
-//!   transport and on the control-event queue between steps.
+//!   planes run as procedures on the caller's thread, which holds the
+//!   send half for the length of its message and blocks on the transport
+//!   and on the control-event queue between steps.
 //!
 //! When a connection is configured without flow/error control the planes
 //! are not built at all (paper §3.1's bypass — frames go straight from
@@ -177,6 +190,21 @@ type SendJob = (
     Option<Arc<RequestCore<()>>>,
 );
 
+/// The send half of a connection's pipeline — everything between
+/// `NCS_send` and the interface — behind one lock ([`ConnShared::tx`]) and
+/// driven by whoever holds it: the connection's reactor task, a submitter
+/// that found the lock free ([`ConnShared::drive_or_wake`]), or, in direct
+/// mode, the thread inside `send_direct` for as long as its message takes.
+pub(crate) struct TxSide {
+    /// Flow and error control, sender half (Figures 6-8, steps 1-3);
+    /// `None` on §3.1 bypass configurations.
+    plane: Option<TxPlane>,
+    /// The Send plane (Figure 4 step 4): frames waiting for the interface.
+    pending: VecDeque<SendJob>,
+    /// The interface refused the last flush; retried on [`TX_RETRY`].
+    blocked: bool,
+}
+
 /// Connection lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConnState {
@@ -208,15 +236,19 @@ pub(crate) struct ConnShared {
     /// per peer, flushed by the peer's control task (`crate::control`).
     pub ctrl_tx: Arc<Mailbox<CtrlMsg>>,
     // The queues that cross threads (everything else is a field of the
-    // task or a plane).
-    /// Messages for the FC/EC pipeline: application → reactor task.
+    // task, of `tx`, or of a plane).
+    /// Messages for the FC/EC pipeline: application → whoever holds `tx`.
+    /// Queued before anybody is asked to drain them, which is what keeps
+    /// one thread's messages in order whoever does.
     pub submit_inbox: Mailbox<Submission>,
     /// Acknowledgements and flow-control feedback: control dispatcher →
-    /// whoever drives the [`TxPlane`] (the reactor task, or the thread
-    /// inside `send_direct`).
+    /// whoever holds `tx`.
     pub ctrl_inbox: Mailbox<CtrlEvent>,
-    /// Pre-encoded bypass frames: application → reactor task. Bounded.
+    /// Pre-encoded bypass frames: application → whoever holds `tx`.
+    /// Bounded.
     pub send_inbox: Mailbox<SendJob>,
+    /// The send pipeline.
+    pub tx: NcsMutex<TxSide>,
     /// Wake handle of the connection's reactor task, with the task's
     /// subscription to the data channel's readiness (`None` in direct
     /// mode, before attachment, and after the task retires). A read-write
@@ -241,10 +273,10 @@ pub(crate) struct ConnShared {
     /// Sticky error from the error-control plane (reported on
     /// `send_sync`/`recv`). Shared with the connection's [`TxPlane`].
     pub last_error: Arc<Mutex<Option<SendError>>>,
-    /// Direct mode (paper §4.2): the planes live here and run on whichever
-    /// thread calls `send_direct` / `recv_direct`. `None` on connections
-    /// with a reactor task, which owns its planes.
-    pub direct_tx: NcsMutex<Option<TxPlane>>,
+    /// Direct mode (paper §4.2): the receiver pipeline lives here and runs
+    /// on whichever thread calls `recv_direct`. `None` on connections with
+    /// a reactor task, which owns its own — only the task reads a
+    /// transport.
     pub direct_rx: NcsMutex<Option<RxPlane>>,
     /// The node's time source. Direct-mode deadlines — the
     /// acknowledgement-timeout retransmission clock, flow-control pacing
@@ -311,6 +343,11 @@ impl ConnShared {
             submit_inbox: Mailbox::unbounded(),
             ctrl_inbox: Mailbox::unbounded(),
             send_inbox: Mailbox::bounded(SEND_QUEUE_DEPTH),
+            tx: NcsMutex::new(TxSide {
+                plane: None,
+                pending: VecDeque::with_capacity(IO_BATCH),
+                blocked: false,
+            }),
             task: RwLock::new(None),
             delivery: DeliveryQueue::new(),
             counters,
@@ -318,14 +355,17 @@ impl ConnShared {
             registry,
             next_session: AtomicU32::new(0),
             last_error: Arc::default(),
-            direct_tx: NcsMutex::new(None),
             direct_rx: NcsMutex::new(None),
             clock,
             clock_epoch: Instant::now(),
         });
+        // The planes of direct mode run on the node clock, the task's on
+        // the reactor's.
         if direct {
-            *shared.direct_tx.lock() = Some(shared.tx_plane(shared.direct_now()));
+            shared.tx.lock().plane = Some(shared.tx_plane(shared.direct_now()));
             *shared.direct_rx.lock() = Some(RxPlane::new(&shared.config));
+        } else if shared.config.needs_control_threads() {
+            shared.tx.lock().plane = Some(shared.tx_plane(Instant::now()));
         }
         // Exact receive accounting (all four transports, bypass included):
         // the delivery queue is the one point every reassembled or
@@ -414,11 +454,66 @@ impl ConnShared {
         }
     }
 
-    /// Queues a frame to the Send plane, blocking (cooperatively) while
-    /// the bounded queue is full. Returns `false` — dropping the frame —
-    /// once the connection is closed, so producers never hang on a task
-    /// that has already retired.
+    /// Runs the send pipeline on the calling thread if nobody else is
+    /// running it, and wakes the task otherwise: the submitter's half of
+    /// "queue, then activate". Called after queueing a message of one SDU
+    /// — the hand-off to the task costs more than segmenting, encoding and
+    /// transmitting one frame does, where a longer message is worth
+    /// handing over so the caller computes meanwhile (§4.1).
+    ///
+    /// A busy lock always wakes: the poll holding it may be past its look
+    /// at the queues. After an inline step the task is woken only for what
+    /// the step left that needs it — a deadline earlier than the one it
+    /// has armed (the acknowledgement timeout of a first message after a
+    /// silence; every later one finds that timer still armed), or a flush
+    /// the interface refused.
+    pub(crate) fn drive_or_wake(&self) {
+        // A closing connection's queues are the task's to flush and fail.
+        let open = |_: &_| !self.closed.load(Ordering::Acquire);
+        let Some(mut tx) = self.tx.try_lock().filter(open) else {
+            return self.wake_task();
+        };
+        // Behind a message in flight there is nothing to run and nobody
+        // to wake: what ends it — an event, which wakes the task, or a
+        // deadline the task holds — is handled by a step that then drains
+        // the queue, this message included.
+        if tx.plane.as_ref().is_some_and(TxPlane::in_flight) {
+            return;
+        }
+        let mut timer = None;
+        self.step_tx(&mut tx, &mut timer);
+        self.step_send(&mut tx, &mut timer);
+        drop(tx);
+        // Read after the step, outside the lock: a poll that missed the
+        // step has either published its deadline by now or is still
+        // running and will find this wake.
+        if let (Some(at), Some((task, _))) = (timer, self.task.read().as_ref()) {
+            if !task.armed_by(at) {
+                task.wake();
+            }
+        }
+    }
+
+    /// Queues a frame to the Send plane and wakes the task. `false` once
+    /// the connection is closed ([`ConnShared::enqueue_frame`]).
     pub(crate) fn queue_frame(
+        &self,
+        frame: PooledBuf,
+        trace: Option<Arc<SendTrace>>,
+        done: Option<Arc<RequestCore<()>>>,
+    ) -> bool {
+        let queued = self.enqueue_frame(frame, trace, done);
+        if queued {
+            self.wake_task();
+        }
+        queued
+    }
+
+    /// Queues a frame to the Send plane, blocking (cooperatively) while
+    /// the bounded queue is full; the caller activates whoever drains it.
+    /// Returns `false` — dropping the frame — once the connection is
+    /// closed, so producers never hang on a task that has already retired.
+    fn enqueue_frame(
         &self,
         frame: PooledBuf,
         trace: Option<Arc<SendTrace>>,
@@ -433,10 +528,7 @@ impl ConnShared {
                 return false;
             }
             match self.send_inbox.send_timeout(job, IDLE_TICK) {
-                Ok(()) => {
-                    self.wake_task();
-                    return true;
-                }
+                Ok(()) => return true,
                 Err(back) => job = back.0,
             }
         }
@@ -468,28 +560,153 @@ impl ConnShared {
     }
 
     /// Runs one arrived data frame through the receiver pipeline and does
-    /// what it asks: grants credits and acknowledges over the control
-    /// connection. Returns the message the frame completed, if any.
+    /// what it asks: acknowledges over the control connection, and adds
+    /// the credits it grants to `credit` — one grant covers a whole
+    /// receive drain, sent ahead of any acknowledgement (here) and when
+    /// the drain ends (the caller's [`ConnShared::grant`]). Returns the
+    /// message the frame completed, if any.
     fn receive_frame(
         &self,
         rx: &mut RxPlane,
         frame: &DataView<'_>,
         now: Instant,
+        credit: &mut u32,
     ) -> Option<Vec<u8>> {
         let step = rx.on_frame(frame, now);
-        if step.credit > 0 {
-            self.counters.credits_granted.add(step.credit as u64);
-            self.ctrl_tx.send(CtrlMsg::Credit {
-                conn: self.peer_conn_id(),
-                credits: step.credit,
-            });
-        }
+        *credit += step.credit;
         if let Some(ack) = step.ack {
+            self.grant(credit);
             self.counters.acks_sent.inc();
             self.ctrl_tx
                 .send(make_ack_msg(self, frame.header.session, ack));
         }
         step.delivered
+    }
+
+    /// Sends the credits gathered in `credit`, if any, as one grant.
+    fn grant(&self, credit: &mut u32) {
+        let credits = std::mem::take(credit);
+        if credits > 0 {
+            self.counters.credits_granted.add(credits as u64);
+            self.ctrl_tx.send(CtrlMsg::Credit {
+                conn: self.peer_conn_id(),
+                credits,
+            });
+        }
+    }
+
+    /// Flow and error control, sender half: feeds the [`TxPlane`] what
+    /// arrived for it — control events, new messages, the time — and
+    /// queues the SDUs it releases on the Send plane.
+    fn step_tx(&self, tx: &mut TxSide, timer: &mut Option<Instant>) -> bool {
+        let TxSide { plane, pending, .. } = tx;
+        let Some(plane) = plane else {
+            return false;
+        };
+        let now = Instant::now();
+        let mut progressed = false;
+        while let Some(event) = self.ctrl_inbox.try_recv() {
+            plane.on_event(event, now);
+            progressed = true;
+        }
+        while let Some(submission) = self.submit_inbox.try_recv() {
+            plane.submit(submission);
+            progressed = true;
+        }
+        progressed |= plane.poll(now, |sdu| {
+            pending.push_back((self.encode_sdu(&sdu), None, None));
+        });
+        if let Some(at) = plane.next_deadline(now) {
+            min_timer(timer, at);
+        }
+        progressed
+    }
+
+    /// The Send plane: moves queued frames onto the data connection. Up to
+    /// [`IO_BATCH`] frames cross the transport per
+    /// [`ncs_transport::Connection::try_send_batch`] call, and their
+    /// pooled buffers return to the pool as each is transmitted.
+    fn step_send(&self, tx: &mut TxSide, timer: &mut Option<Instant>) -> bool {
+        let TxSide {
+            pending, blocked, ..
+        } = tx;
+        let mut progressed = false;
+        // Pull queued frames in; the inbox is bounded, so draining it here
+        // is what unblocks producers parked in `enqueue_frame`.
+        while pending.len() < 2 * IO_BATCH {
+            let Some(job) = self.send_inbox.try_recv() else {
+                break;
+            };
+            // Hand-off acknowledgement: the caller may resume (and
+            // overlap computation with the transmit below — §4.1).
+            if let Some(t) = &job.1 {
+                *t.dequeued_at.lock() = Some(Instant::now());
+                t.accepted.fire();
+            }
+            pending.push_back(job);
+            progressed = true;
+        }
+        *blocked = false;
+        while !pending.is_empty() {
+            let mut refs = [&[][..]; IO_BATCH];
+            let batch = fill_batch(&mut refs, pending.iter().map(|(f, _, _)| f.as_slice()));
+            match self.transport.try_send_batch(&refs[..batch]) {
+                Ok(0) => {
+                    // Interface backpressure: the peer must drain before
+                    // more fits, which no local readiness source reports —
+                    // retry on a short timer.
+                    *blocked = true;
+                    break;
+                }
+                Ok(sent) => {
+                    let sent = sent.min(batch);
+                    self.counters.packets_sent.add(sent as u64);
+                    let bytes: usize = refs[..sent].iter().map(|r| r.len()).sum();
+                    self.recorder.record(EventKind::Wire, 0, 0, bytes);
+                    for (frame, trace, done) in pending.drain(..sent) {
+                        if let Some(t) = &trace {
+                            *t.transmitted_at.lock() = Some(Instant::now());
+                        }
+                        drop(frame); // buffer returns to the pool
+                        if let Some(t) = &trace {
+                            *t.freed_at.lock() = Some(Instant::now());
+                            t.done.fire();
+                        }
+                        if let Some(core) = done {
+                            core.complete(Ok(()));
+                        }
+                    }
+                    progressed = true;
+                }
+                Err(e) => {
+                    // Nothing of the batch was accepted. Unblock any
+                    // profiled waiters, then handle the failure as the
+                    // single-frame path did: Closed tears the data plane
+                    // down, anything else drops the frames.
+                    let failure = SendError::from(e.clone());
+                    for (_, trace, done) in pending.drain(..) {
+                        if let Some(t) = trace {
+                            *t.transmitted_at.lock() = Some(Instant::now());
+                            *t.freed_at.lock() = Some(Instant::now());
+                            t.done.fire();
+                        }
+                        if let Some(core) = done {
+                            core.complete(Err(failure.clone()));
+                        }
+                    }
+                    progressed = true;
+                    if matches!(e, TransportError::Closed) {
+                        self.link_down();
+                        self.peer_closed();
+                    }
+                    break;
+                }
+            }
+        }
+        if *blocked {
+            min_timer(timer, Instant::now() + TX_RETRY);
+        }
+        progressed
     }
 
     pub(crate) fn initiate_close(&self) {
@@ -602,24 +819,23 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
 /// A connection's Figure-4 pipeline as one resumable reactor task: the
 /// non-blocking shell around the [`crate::plane`] state machines.
 ///
-/// The Receive and Send planes are the `step_recv` / `step_send` methods
-/// (they own the transport); flow and error control are the task's
-/// [`TxPlane`] / [`RxPlane`], fed by `step_recv` and `step_tx`. The
-/// paper's blocking waits became [`TaskPoll::Timer`] deadlines.
+/// The Receive plane is the task's `step_recv` — only the task reads the
+/// transport — feeding its [`RxPlane`]; the send half ([`TxSide`]: the
+/// [`TxPlane`] and the Send plane's queue) is shared with submitters and
+/// stepped under its lock by [`ConnShared::step_tx`] /
+/// [`ConnShared::step_send`]. The paper's blocking waits became
+/// [`TaskPoll::Timer`] deadlines.
 struct ConnTask {
     shared: Arc<ConnShared>,
-    // -- Send plane (Figure 4 step 4) --
-    tx_pending: VecDeque<SendJob>,
-    tx_blocked: bool,
     // -- Receive plane (steps 7-8): fully-bypassed inline reassembly.
     // Payloads append straight from received frames into a *pooled*
     // message buffer (arrival order, delivery on the end bit — the
     // null-EC contract); the buffer rides the delivered [`MsgView`] and
     // returns to the pool when the application drops the view.
     assembling: Option<PooledBuf>,
-    /// Flow and error control (Figures 6-8, steps 1-3 and 5-10); `None`
-    /// on §3.1 bypass configurations.
-    planes: Option<(TxPlane, RxPlane)>,
+    /// Flow and error control, receiver half (steps 5-10); `None` on §3.1
+    /// bypass configurations.
+    rx: Option<RxPlane>,
     /// The transport reported EOF/failure on the receive side: the
     /// post-close drain is complete, nothing more can arrive.
     rx_eof: bool,
@@ -631,17 +847,13 @@ struct ConnTask {
 
 impl ConnTask {
     fn new(shared: Arc<ConnShared>) -> Self {
-        let planes = shared.config.needs_control_threads().then(|| {
-            (
-                shared.tx_plane(Instant::now()),
-                RxPlane::new(&shared.config),
-            )
-        });
+        let rx = shared
+            .config
+            .needs_control_threads()
+            .then(|| RxPlane::new(&shared.config));
         ConnTask {
-            tx_pending: VecDeque::with_capacity(IO_BATCH),
-            tx_blocked: false,
             assembling: None,
-            planes,
+            rx,
             rx_eof: false,
             drain_deadline: None,
             finished: false,
@@ -657,6 +869,7 @@ impl ConnTask {
         let shared = Arc::clone(&self.shared);
         let mut progressed = false;
         let mut budget = RECV_BUDGET;
+        let mut credit = 0;
         loop {
             if budget == 0 {
                 *hungry = true;
@@ -671,7 +884,8 @@ impl ConnTask {
                     self.rx_eof = true;
                     shared.link_down();
                     shared.peer_closed();
-                    return true;
+                    progressed = true;
+                    break;
                 }
             };
             budget -= 1;
@@ -683,10 +897,11 @@ impl ConnTask {
             shared.note_peer_conn(view.header.src_conn);
             shared.counters.packets_received.inc();
             // `messages_received` is counted at the delivery queue.
-            if let Some((_, rx)) = &mut self.planes {
+            if let Some(rx) = &mut self.rx {
                 // The clock is read here, not once per call: bypass
                 // connections never pay for it.
-                if let Some(message) = shared.receive_frame(rx, &view, Instant::now()) {
+                let now = Instant::now();
+                if let Some(message) = shared.receive_frame(rx, &view, now, &mut credit) {
                     // EC strategies reassemble in their own buffers; the
                     // view is detached (owned), not pooled.
                     deliver_message(&shared, PooledBuf::detached(message), view.header.tagged);
@@ -702,132 +917,7 @@ impl ConnTask {
                 }
             }
         }
-        progressed
-    }
-
-    /// Flow and error control, sender half: feeds the [`TxPlane`] what
-    /// arrived for it — control events, new messages, the time — and
-    /// queues the SDUs it releases on the Send plane.
-    fn step_tx(&mut self, timer: &mut Option<Instant>) -> bool {
-        let ConnTask {
-            shared,
-            planes,
-            tx_pending,
-            ..
-        } = self;
-        let Some((tx, _)) = planes else {
-            return false;
-        };
-        let now = Instant::now();
-        let mut progressed = false;
-        while let Some(event) = shared.ctrl_inbox.try_recv() {
-            tx.on_event(event, now);
-            progressed = true;
-        }
-        while let Some(submission) = shared.submit_inbox.try_recv() {
-            tx.submit(submission);
-            progressed = true;
-        }
-        progressed |= tx.poll(now, |sdu| {
-            tx_pending.push_back((shared.encode_sdu(&sdu), None, None));
-        });
-        if let Some(at) = tx.next_deadline(now) {
-            min_timer(timer, at);
-        }
-        progressed
-    }
-
-    /// The Send plane: moves queued frames onto the data connection. Up to
-    /// [`IO_BATCH`] frames cross the transport per
-    /// [`ncs_transport::Connection::try_send_batch`] call, and their
-    /// pooled buffers return to the pool as each is transmitted.
-    fn step_send(&mut self, timer: &mut Option<Instant>) -> bool {
-        let ConnTask {
-            shared,
-            tx_pending,
-            tx_blocked,
-            ..
-        } = self;
-        let mut progressed = false;
-        // Pull queued frames in; the inbox is bounded, so draining it here
-        // is what unblocks producers parked in `queue_frame`.
-        while tx_pending.len() < 2 * IO_BATCH {
-            let Some(job) = shared.send_inbox.try_recv() else {
-                break;
-            };
-            // Hand-off acknowledgement: the caller may resume (and
-            // overlap computation with the transmit below — §4.1).
-            if let Some(t) = &job.1 {
-                *t.dequeued_at.lock() = Some(Instant::now());
-                t.accepted.fire();
-            }
-            tx_pending.push_back(job);
-            progressed = true;
-        }
-        *tx_blocked = false;
-        while !tx_pending.is_empty() {
-            let batch = tx_pending.len().min(IO_BATCH);
-            let refs: Vec<&[u8]> = tx_pending
-                .iter()
-                .take(batch)
-                .map(|(f, _, _)| f.as_slice())
-                .collect();
-            match shared.transport.try_send_batch(&refs) {
-                Ok(0) => {
-                    // Interface backpressure: the peer must drain before
-                    // more fits, which no local readiness source reports —
-                    // retry on a short timer.
-                    *tx_blocked = true;
-                    break;
-                }
-                Ok(sent) => {
-                    let sent = sent.min(batch);
-                    shared.counters.packets_sent.add(sent as u64);
-                    let bytes: usize = refs.iter().take(sent).map(|r| r.len()).sum();
-                    shared.recorder.record(EventKind::Wire, 0, 0, bytes);
-                    for (frame, trace, done) in tx_pending.drain(..sent) {
-                        if let Some(t) = &trace {
-                            *t.transmitted_at.lock() = Some(Instant::now());
-                        }
-                        drop(frame); // buffer returns to the pool
-                        if let Some(t) = &trace {
-                            *t.freed_at.lock() = Some(Instant::now());
-                            t.done.fire();
-                        }
-                        if let Some(core) = done {
-                            core.complete(Ok(()));
-                        }
-                    }
-                    progressed = true;
-                }
-                Err(e) => {
-                    // Nothing of the batch was accepted. Unblock any
-                    // profiled waiters, then handle the failure as the
-                    // single-frame path did: Closed tears the data plane
-                    // down, anything else drops the frames.
-                    let failure = SendError::from(e.clone());
-                    for (_, trace, done) in tx_pending.drain(..) {
-                        if let Some(t) = trace {
-                            *t.transmitted_at.lock() = Some(Instant::now());
-                            *t.freed_at.lock() = Some(Instant::now());
-                            t.done.fire();
-                        }
-                        if let Some(core) = done {
-                            core.complete(Err(failure.clone()));
-                        }
-                    }
-                    progressed = true;
-                    if matches!(e, TransportError::Closed) {
-                        shared.link_down();
-                        shared.peer_closed();
-                    }
-                    break;
-                }
-            }
-        }
-        if *tx_blocked {
-            min_timer(timer, Instant::now() + TX_RETRY);
-        }
+        shared.grant(&mut credit);
         progressed
     }
 
@@ -843,11 +933,12 @@ impl ConnTask {
         }
         self.finished = true;
         let shared = Arc::clone(&self.shared);
+        let mut tx = shared.tx.lock();
         // The session in flight fails like a delivery error, and
         // everything queued behind it resolves Closed (the send-side half
         // of the fail-fast contract).
-        if let Some((tx, _)) = &mut self.planes {
-            tx.fail_all(SendError::Closed);
+        if let Some(plane) = &mut tx.plane {
+            plane.fail_all(SendError::Closed);
         }
         while let Some(submission) = shared.submit_inbox.try_recv() {
             if let Some(c) = submission.completion {
@@ -867,12 +958,13 @@ impl ConnTask {
                 core.complete(Err(SendError::Closed));
             }
         }
-        for job in self.tx_pending.drain(..) {
+        for job in tx.pending.drain(..) {
             fail_job(job);
         }
         while let Some(job) = shared.send_inbox.try_recv() {
             fail_job(job);
         }
+        drop(tx);
         self.assembling = None;
         // Close the transport and fail the parked receives. On a local
         // close `retire_data_plane` already did both (these repeats are
@@ -888,10 +980,10 @@ impl ConnTask {
     /// Whether the send side is empty: nothing in or queued for the
     /// FC/EC pipeline (no session in flight, nothing parked on credits),
     /// nothing waiting on the wire.
-    fn flushed(&self) -> bool {
-        self.planes.as_ref().is_none_or(|(tx, _)| tx.is_idle())
-            && self.tx_pending.is_empty()
-            && !self.tx_blocked
+    fn flushed(&self, tx: &TxSide) -> bool {
+        tx.plane.as_ref().is_none_or(TxPlane::is_idle)
+            && tx.pending.is_empty()
+            && !tx.blocked
             && self.shared.submit_inbox.is_empty()
             && self.shared.send_inbox.is_empty()
     }
@@ -920,9 +1012,12 @@ impl ConnTask {
             if peer_close {
                 progressed |= self.step_recv(&mut hungry);
             }
-            progressed |= self.step_tx(&mut timer);
-            progressed |= self.step_send(&mut timer);
-            if self.rx_eof || (!peer_close && self.flushed()) {
+            let mut tx = self.shared.tx.lock();
+            progressed |= self.shared.step_tx(&mut tx, &mut timer);
+            progressed |= self.shared.step_send(&mut tx, &mut timer);
+            let flushed = self.flushed(&tx);
+            drop(tx);
+            if self.rx_eof || (!peer_close && flushed) {
                 self.retire();
                 return TaskPoll::Done;
             }
@@ -975,10 +1070,12 @@ impl ReactorTask for ConnTask {
             let mut hungry = false;
             let mut progressed = false;
             progressed |= self.step_recv(&mut hungry);
+            let mut tx = self.shared.tx.lock();
             if !self.shared.closed.load(Ordering::Acquire) {
-                progressed |= self.step_tx(&mut timer);
+                progressed |= self.shared.step_tx(&mut tx, &mut timer);
             }
-            progressed |= self.step_send(&mut timer);
+            progressed |= self.shared.step_send(&mut tx, &mut timer);
+            drop(tx);
             if hungry {
                 return TaskPoll::Again;
             }
@@ -997,6 +1094,21 @@ impl ReactorTask for ConnTask {
             None => TaskPoll::Idle,
         }
     }
+}
+
+/// Points `refs` at the first [`IO_BATCH`] of `frames` — the slice list a
+/// transport's batch calls take, on the stack — and returns how many that
+/// is.
+pub(crate) fn fill_batch<'a>(
+    refs: &mut [&'a [u8]; IO_BATCH],
+    frames: impl Iterator<Item = &'a [u8]>,
+) -> usize {
+    let mut n = 0;
+    for (slot, frame) in refs.iter_mut().zip(frames) {
+        *slot = frame;
+        n += 1;
+    }
+    n
 }
 
 fn min_timer(timer: &mut Option<Instant>, at: Instant) {
@@ -1135,8 +1247,8 @@ impl NcsConnection {
     ///
     /// See [`SendError`].
     pub fn send(&self, data: &[u8]) -> Result<(), SendError> {
-        self.submit(data, None, None)?;
-        self.shared.wake_task();
+        let one_sdu = self.submit(data, None, None)?;
+        self.activate(one_sdu);
         Ok(())
     }
 
@@ -1176,8 +1288,8 @@ impl NcsConnection {
 
     fn isend_inner(&self, data: &[u8], tag: Option<u32>) -> Result<Request<()>, SendError> {
         let core = RequestCore::new();
-        self.submit(data, tag, Some(Arc::clone(&core)))?;
-        self.shared.wake_task();
+        let one_sdu = self.submit(data, tag, Some(Arc::clone(&core)))?;
+        self.activate(one_sdu);
         Ok(Request::new(core))
     }
 
@@ -1205,15 +1317,17 @@ impl NcsConnection {
         self.isend(data)?.wait_timeout(timeout)
     }
 
-    /// The one way into the send path: validates, then hands the message
-    /// to the FC/EC pipeline (Figure 4 step 1) or — §3.1 bypass — encodes
-    /// it straight onto the send queue. The caller wakes the task.
+    /// The one way into the send path: validates, then queues the message
+    /// for the FC/EC pipeline (Figure 4 step 1) or — §3.1 bypass — encodes
+    /// it straight onto the send queue. The caller activates the pipeline
+    /// ([`NcsConnection::activate`]) with the verdict returned here:
+    /// whether everything queued was one SDU.
     fn submit(
         &self,
         data: &[u8],
         tag: Option<u32>,
         completion: Option<Arc<RequestCore<()>>>,
-    ) -> Result<(), SendError> {
+    ) -> Result<bool, SendError> {
         self.check_sendable(data, tag)?;
         if self.shared.config.direct {
             return Err(SendError::WrongMode("threaded"));
@@ -1237,6 +1351,7 @@ impl NcsConnection {
             }
             None => Cow::Borrowed(data),
         };
+        let one_sdu = body.len() <= self.shared.config.sdu_size;
         if self.shared.config.needs_control_threads() {
             self.shared.submit_inbox.send(Submission {
                 data: body.into_owned(),
@@ -1246,15 +1361,19 @@ impl NcsConnection {
         } else {
             // Segment straight into pooled frames on the send queue; the
             // completion (if any) rides the final frame and resolves on
-            // transmit.
+            // transmit. The frames of a longer message wake the task as
+            // they queue, so it transmits while the rest are encoded.
             let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
             self.shared.counters.messages_sent.inc();
             let frames = self.shared.segment_frames(session, &body, tagged);
             let last = frames.len() - 1;
             for (i, frame) in frames.into_iter().enumerate() {
                 let done = if i == last { completion.clone() } else { None };
-                if !self.shared.queue_frame(frame, None, done) {
+                if !self.shared.enqueue_frame(frame, None, done) {
                     return Err(SendError::Closed);
+                }
+                if !one_sdu {
+                    self.shared.wake_task();
                 }
             }
         }
@@ -1266,7 +1385,18 @@ impl NcsConnection {
                 c.complete(Err(SendError::Closed));
             }
         }
-        Ok(())
+        Ok(one_sdu)
+    }
+
+    /// Activates the send pipeline for what [`NcsConnection::submit`]
+    /// queued: a message of one SDU goes out on this thread when the
+    /// pipeline is free, anything longer is the task's.
+    fn activate(&self, one_sdu: bool) {
+        if one_sdu {
+            self.shared.drive_or_wake();
+        } else {
+            self.shared.wake_task();
+        }
     }
 
     /// `NCS_send` for several messages in one call: validates the whole
@@ -1285,10 +1415,11 @@ impl NcsConnection {
         for m in msgs {
             self.check_sendable(m, None)?;
         }
+        let mut one_sdu = true;
         for m in msgs {
-            self.submit(m, None, None)?;
+            one_sdu &= self.submit(m, None, None)?;
         }
-        self.shared.wake_task();
+        self.activate(one_sdu);
         Ok(())
     }
 
@@ -1422,8 +1553,11 @@ impl NcsConnection {
     pub fn send_direct(&self, data: &[u8]) -> Result<(), SendError> {
         self.check_sendable(data, None)?;
         let shared = &self.shared;
-        let mut slot = shared.direct_tx.lock();
-        let tx = slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
+        if !shared.config.direct {
+            return Err(SendError::WrongMode("direct"));
+        }
+        let mut tx = shared.tx.lock();
+        let tx = tx.plane.as_mut().expect("direct mode has a TxPlane");
         shared.recorder.record(EventKind::Isend, 0, 0, data.len());
         let done = RequestCore::new();
         tx.submit(Submission {
@@ -1452,22 +1586,23 @@ impl NcsConnection {
                 tx.on_event(event, now);
             }
             tx.poll(now, |sdu| frames.push(shared.encode_sdu(&sdu)));
-            if !frames.is_empty() {
-                // Push the released window through the transport as one
-                // batch (retrying partial sends).
-                let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
+            // Push the released window through the transport in batches
+            // (retrying partial sends).
+            for chunk in frames.chunks(IO_BATCH) {
+                let mut refs = [&[][..]; IO_BATCH];
+                let batch = fill_batch(&mut refs, chunk.iter().map(PooledBuf::as_slice));
                 let mut sent = 0;
-                while sent < refs.len() {
+                while sent < batch {
                     sent += shared
                         .transport
-                        .send_batch(&refs[sent..])?
-                        .clamp(1, refs.len() - sent);
+                        .send_batch(&refs[sent..batch])?
+                        .clamp(1, batch - sent);
                 }
-                shared.counters.packets_sent.add(refs.len() as u64);
-                let bytes: usize = refs.iter().map(|r| r.len()).sum();
+                shared.counters.packets_sent.add(batch as u64);
+                let bytes: usize = refs[..batch].iter().map(|r| r.len()).sum();
                 shared.recorder.record(EventKind::Wire, 0, 0, bytes);
-                frames.clear();
             }
+            frames.clear();
             if let Some(result) = done.take() {
                 return result;
             }
@@ -1509,7 +1644,10 @@ impl NcsConnection {
                 continue;
             };
             shared.counters.packets_received.inc();
-            if let Some(message) = shared.receive_frame(rx, &view, shared.direct_now()) {
+            let mut credit = 0;
+            let message = shared.receive_frame(rx, &view, shared.direct_now(), &mut credit);
+            shared.grant(&mut credit);
+            if let Some(message) = message {
                 shared.counters.messages_received.inc();
                 return Ok(message);
             }

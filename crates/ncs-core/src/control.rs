@@ -26,7 +26,7 @@ use ncs_threads::sync::Mailbox;
 use ncs_transport::{Connection as Transport, TransportError};
 use parking_lot::Mutex;
 
-use crate::connection::{IO_BATCH, RECV_BUDGET, TX_RETRY};
+use crate::connection::{fill_batch, IO_BATCH, RECV_BUDGET, TX_RETRY};
 use crate::packet::CtrlMsg;
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
 
@@ -173,10 +173,11 @@ impl ReactorTask for CtrlTask {
             if pending.is_empty() {
                 break false;
             }
-            let refs: Vec<&[u8]> = pending.iter().map(Vec::as_slice).collect();
-            match out.map(|(ch, _)| ch.transport().try_send_batch(&refs)) {
+            let mut refs = [&[][..]; IO_BATCH];
+            let batch = fill_batch(&mut refs, pending.iter().map(Vec::as_slice));
+            match out.map(|(ch, _)| ch.transport().try_send_batch(&refs[..batch])) {
                 Some(Ok(0)) => break true,
-                Some(Ok(sent)) => spare.extend(pending.drain(..sent.min(refs.len()))),
+                Some(Ok(sent)) => spare.extend(pending.drain(..sent.min(batch))),
                 // No usable channel (the peer hung up, or the interface
                 // failed): what is addressed to it is undeliverable.
                 Some(Err(_)) | None => pending.clear(),

@@ -263,6 +263,12 @@ impl TxPlane {
         [ack, pace, probe].into_iter().flatten().min()
     }
 
+    /// A message is in flight: nothing queued behind it can start before
+    /// an event or a deadline ends it.
+    pub(crate) fn in_flight(&self) -> bool {
+        self.active.is_some()
+    }
+
     /// Nothing in flight and nothing queued.
     pub(crate) fn is_idle(&self) -> bool {
         self.active.is_none() && self.backlog.is_empty()

@@ -18,8 +18,16 @@
 //!   `poll(2)` thread (`FdPoller`), with oneshot-style arming so a ready
 //!   fd wakes its task exactly once until the task drains and re-arms;
 //! * **Timers** — retransmission deadlines, flow-control pacing and
-//!   starvation probes are per-shard binary heaps, so an idle reactor
-//!   sleeps instead of ticking.
+//!   starvation probes. A task holds at most one *armed* deadline
+//!   ([`TaskHandle::armed_by`]); it is kept when the task goes `Idle` and
+//!   replaced only by an earlier one, so timers fire early, never late —
+//!   the task is polled, recomputes what it really waits for and says so
+//!   again — and a stream of messages that are each acknowledged long
+//!   before their timeout costs one timer operation per timeout period,
+//!   not one per message. A shard
+//!   sleeps toward the earliest armed deadline of a live task and nothing
+//!   else: superseded heap entries are dropped when they surface, never
+//!   slept toward.
 //!
 //! Workers are spawned on the node's [`ThreadPackage`], so the reactor
 //! works under both the kernel-level and the user-level (green) package —
@@ -60,12 +68,15 @@ const LANE_CAP: usize = 1024;
 
 /// What a task tells its shard after a poll.
 pub(crate) enum TaskPoll {
-    /// Nothing to do until a wakeup arrives.
+    /// Nothing to do until a wakeup arrives. A deadline armed by an
+    /// earlier poll stays armed: the task is polled once more when it
+    /// passes.
     Idle,
     /// More work is pending; reschedule immediately (lets sibling tasks on
     /// the shard interleave with a busy task).
     Again,
-    /// Idle until `at` (or an earlier wakeup).
+    /// Idle until `at`, an earlier wakeup, or a deadline armed earlier
+    /// that comes first (timers fire early, never late).
     Timer(Instant),
     /// The task is finished; remove it from the shard.
     Done,
@@ -100,6 +111,15 @@ enum ShardMsg {
 struct ShardQueue {
     inbox: Mailbox<ShardMsg>,
     counters: Arc<ReactorCounters>,
+    /// Zero of the shard's timer arithmetic.
+    epoch: Instant,
+}
+
+impl ShardQueue {
+    /// `at` on the shard's timer scale (below [`UNARMED`]).
+    fn nanos(&self, at: Instant) -> u64 {
+        (at.saturating_duration_since(self.epoch).as_nanos() as u64).min(UNARMED - 1)
+    }
 }
 
 /// Wakes one task: the reactor-side analogue of the paper's mailbox
@@ -108,8 +128,14 @@ struct ShardQueue {
 pub(crate) struct TaskHandle {
     id: u64,
     state: AtomicU8,
+    /// The task's armed deadline in nanoseconds since the shard's epoch,
+    /// [`UNARMED`] if none. Written by the shard's worker only.
+    armed: AtomicU64,
     shard: Arc<ShardQueue>,
 }
+
+/// [`TaskHandle::armed`] when the task has no deadline pending.
+const UNARMED: u64 = u64::MAX;
 
 impl std::fmt::Debug for TaskHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -121,6 +147,12 @@ impl std::fmt::Debug for TaskHandle {
 }
 
 impl TaskHandle {
+    /// Whether the shard will poll the task at or before `at` with nobody
+    /// waking it.
+    pub(crate) fn armed_by(&self, at: Instant) -> bool {
+        self.armed.load(Ordering::Acquire) <= self.shard.nanos(at)
+    }
+
     pub(crate) fn wake(&self) {
         loop {
             match self.state.load(Ordering::Acquire) {
@@ -168,6 +200,8 @@ pub(crate) struct ReactorCounters {
     wakeups: AtomicU64,
     task_runs: AtomicU64,
     timer_fires: AtomicU64,
+    /// Entries in the shards' timer heaps, superseded ones included.
+    timer_entries: AtomicU64,
     fd_events: AtomicU64,
     stalled_tasks: AtomicU64,
     lane_spawned: AtomicU64,
@@ -180,9 +214,6 @@ struct Slot {
     handle: Arc<TaskHandle>,
     /// Whether the task counts towards [`ReactorStats::endpoints`].
     endpoint: bool,
-    /// Deadline of the pending heap entry, if any (stale heap entries —
-    /// superseded or fired — are skipped by comparing against this).
-    timer_at: Option<Instant>,
     again_streak: u32,
 }
 
@@ -233,6 +264,7 @@ impl Reactor {
                 Arc::new(ShardQueue {
                     inbox: Mailbox::unbounded(),
                     counters: Arc::clone(&counters),
+                    epoch: Instant::now(),
                 })
             })
             .collect();
@@ -286,6 +318,7 @@ impl Reactor {
         let handle = Arc::new(TaskHandle {
             id,
             state: AtomicU8::new(ST_SCHEDULED),
+            armed: AtomicU64::new(UNARMED),
             shard: Arc::clone(&shard),
         });
         self.counters.tasks.fetch_add(1, Ordering::Relaxed);
@@ -302,6 +335,12 @@ impl Reactor {
     #[cfg(test)]
     pub(crate) fn live_tasks(&self) -> u64 {
         self.counters.tasks.load(Ordering::Relaxed)
+    }
+
+    /// Entries in the shards' timer heaps.
+    #[cfg(test)]
+    pub(crate) fn timer_entries(&self) -> u64 {
+        self.counters.timer_entries.load(Ordering::Relaxed)
     }
 
     /// Subscribes `task` to `transport`'s readiness: it is woken whenever
@@ -419,12 +458,16 @@ impl Drop for Watch {
 /// reactor's worker join timeout.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 
+/// Min-heap of (deadline in shard nanoseconds, task id). An entry is live
+/// while it equals its task's [`TaskHandle::armed`]; the others (task
+/// gone, deadline superseded by an earlier one) are dropped when they
+/// reach the head.
+type TimerHeap = BinaryHeap<std::cmp::Reverse<(u64, u64)>>;
+
 /// One shard's event loop: timers, then the run queue.
 fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
     let mut tasks: HashMap<u64, Slot> = HashMap::new();
-    // Min-heap of (deadline, task id). Entries are never removed eagerly;
-    // stale ones (task gone, or deadline superseded) are skipped on pop.
-    let mut timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>> = BinaryHeap::new();
+    let mut timers = TimerHeap::new();
     // Armed by `ShardMsg::Shutdown`: the shard keeps servicing tasks until
     // they all finish (closed connections complete their graceful drain)
     // or the grace expires, rather than dropping mid-drain tasks.
@@ -436,25 +479,28 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
                 return;
             }
         }
-        // Fire due timers by waking their tasks through the normal path.
+        // Fire due timers by waking their tasks through the normal path,
+        // and clear dead entries off the head: what is left there is the
+        // earliest deadline a live task waits for.
+        let now_ns = shard.nanos(now);
+        let mut wait = IDLE_TICK;
         while let Some(&std::cmp::Reverse((at, id))) = timers.peek() {
-            if at > now {
+            let handle = tasks
+                .get(&id)
+                .map(|slot| &slot.handle)
+                .filter(|h| h.armed.load(Ordering::Relaxed) == at);
+            if handle.is_some() && at > now_ns {
+                wait = wait.min(Duration::from_nanos(at - now_ns));
                 break;
             }
             timers.pop();
-            if let Some(slot) = tasks.get_mut(&id) {
-                if slot.timer_at == Some(at) {
-                    slot.timer_at = None;
-                    counters.timer_fires.fetch_add(1, Ordering::Relaxed);
-                    slot.handle.wake();
-                }
+            counters.timer_entries.fetch_sub(1, Ordering::Relaxed);
+            if let Some(handle) = handle {
+                handle.armed.store(UNARMED, Ordering::Release);
+                counters.timer_fires.fetch_add(1, Ordering::Relaxed);
+                handle.wake();
             }
         }
-        let mut wait = timers
-            .peek()
-            .map(|std::cmp::Reverse((at, _))| at.saturating_duration_since(now))
-            .unwrap_or(IDLE_TICK)
-            .min(IDLE_TICK);
         if let Some(deadline) = draining_until {
             wait = wait.min(deadline.saturating_duration_since(now));
         }
@@ -474,7 +520,6 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
                         task,
                         handle,
                         endpoint,
-                        timer_at: None,
                         again_streak: 0,
                     },
                 );
@@ -489,7 +534,7 @@ fn run_task(
     shard: &Arc<ShardQueue>,
     counters: &Arc<ReactorCounters>,
     tasks: &mut HashMap<u64, Slot>,
-    timers: &mut BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
+    timers: &mut TimerHeap,
     id: u64,
 ) {
     let Some(slot) = tasks.get_mut(&id) else {
@@ -517,17 +562,15 @@ fn run_task(
         }
         TaskPoll::Idle | TaskPoll::Timer(_) => {
             slot.again_streak = 0;
+            // An armed deadline stays armed — through `Idle` too — until
+            // it fires or an earlier one replaces it.
             if let TaskPoll::Timer(at) = poll {
-                let replace = match slot.timer_at {
-                    Some(t) => at < t,
-                    None => true,
-                };
-                if replace {
-                    slot.timer_at = Some(at);
+                let at = shard.nanos(at);
+                if at < slot.handle.armed.load(Ordering::Relaxed) {
+                    slot.handle.armed.store(at, Ordering::Release);
                     timers.push(std::cmp::Reverse((at, id)));
+                    counters.timer_entries.fetch_add(1, Ordering::Relaxed);
                 }
-            } else {
-                slot.timer_at = None;
             }
             if slot
                 .handle
@@ -934,6 +977,59 @@ mod tests {
         }
         assert_eq!(fired.load(Ordering::Relaxed), 1);
         assert!(start.elapsed() >= Duration::from_millis(25));
+        reactor.shutdown();
+    }
+
+    /// Arms `now + 200 ms` on every other poll and goes `Idle` on the
+    /// rest: a reliable connection whose every message is acknowledged
+    /// long before its timeout.
+    struct AckedStream {
+        polls: Arc<AtomicU64>,
+    }
+
+    impl ReactorTask for AckedStream {
+        fn poll(&mut self, now: Instant) -> TaskPoll {
+            if self.polls.fetch_add(1, Ordering::Relaxed) & 1 == 0 {
+                TaskPoll::Timer(now + Duration::from_millis(200))
+            } else {
+                TaskPoll::Idle
+            }
+        }
+    }
+
+    #[test]
+    fn acknowledged_stream_leaves_one_timer_and_a_sleeping_shard() {
+        let reactor = Reactor::new(pkg(), 1);
+        let polls = Arc::new(AtomicU64::new(0));
+        let start = Instant::now();
+        let handle = reactor.spawn(
+            Box::new(AckedStream {
+                polls: Arc::clone(&polls),
+            }),
+            true,
+        );
+        // 10,000 message/acknowledgement pairs, each poll woken only once
+        // the one before it has run.
+        for n in 1..=20_000 {
+            while polls.load(Ordering::Relaxed) < n {
+                std::thread::yield_now();
+            }
+            handle.wake();
+        }
+        while polls.load(Ordering::Relaxed) <= 20_000 {
+            std::thread::yield_now();
+        }
+        // One deadline per timeout period, not one per message.
+        let periods = start.elapsed().as_millis() as u64 / 200 + 1;
+        assert!(reactor.timer_entries() <= 1, "{}", reactor.timer_entries());
+        assert!(reactor.stats().timer_fires <= periods);
+        // And the shard sleeps toward that deadline (and its idle tick),
+        // not toward 10,000 deadlines nobody waits for any more.
+        let before = reactor.stats();
+        std::thread::sleep(Duration::from_millis(300));
+        let after = reactor.stats();
+        assert!(after.polls - before.polls < 16, "{before:?} -> {after:?}");
+        assert!(after.timer_fires - before.timer_fires <= 2);
         reactor.shutdown();
     }
 

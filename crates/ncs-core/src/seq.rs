@@ -142,9 +142,9 @@ impl AckBitmap {
                 bytes[start..start + 8].try_into().expect("8 bytes"),
             ));
         }
-        let mut expect = words.clone();
-        Self::mask_tail(total, &mut expect);
-        if expect != words {
+        let last = words[nwords - 1];
+        Self::mask_tail(total, &mut words);
+        if words[nwords - 1] != last {
             return Err("bitmap has bits set beyond total".to_owned());
         }
         Ok(AckBitmap { total, words })

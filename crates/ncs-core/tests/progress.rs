@@ -1,0 +1,281 @@
+//! Who drives a connection's progress, and what it costs when nothing is
+//! wrong.
+//!
+//! A message of one SDU is run through the send pipeline by the thread
+//! that submits it whenever the pipeline is free; the connection's reactor
+//! task does everything else. The send contract must not depend on which
+//! of the two it was: order, completeness, retransmission after a loss
+//! and request resolution across a close are checked here under both
+//! thread packages. And an event loop sleeps only toward deadlines
+//! somebody still waits for: after a burst of acknowledged traffic,
+//! silence costs nothing.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use ncs_core::link::{AciLink, HpiLinkPair};
+use ncs_core::{ConnectionConfig, NcsConnection, NcsNode, SendError};
+use ncs_threads::{KernelPackage, ThreadPackage, ThreadPackageExt, UserRuntime};
+use ncs_transport::aci::AciFabric;
+
+type Pkg = Arc<dyn ThreadPackage>;
+
+/// Runs `test` on the kernel package, then as the primary green thread of
+/// a user-level runtime.
+fn on_both_packages(test: fn(&Pkg)) {
+    test(&(Arc::new(KernelPackage::new()) as Pkg));
+    UserRuntime::default().run(move |pkg| test(&(Arc::new(pkg) as Pkg)));
+}
+
+struct Pair {
+    a: NcsNode,
+    b: NcsNode,
+    tx: NcsConnection,
+    rx: NcsConnection,
+}
+
+impl Pair {
+    /// Two nodes on `pkg` joined by an HPI ring, one reliable connection.
+    fn hpi(pkg: &Pkg) -> Pair {
+        let a = NcsNode::builder("alice")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        let b = NcsNode::builder("bob")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        let (la, lb) = HpiLinkPair::with_capacity(1024);
+        a.attach_peer("bob", la);
+        b.attach_peer("alice", lb);
+        let tx = a
+            .connect("bob", ConnectionConfig::reliable())
+            .expect("connect");
+        let rx = b.accept_default().expect("accept");
+        Pair { a, b, tx, rx }
+    }
+
+    fn shutdown(self) {
+        self.a.shutdown();
+        self.b.shutdown();
+    }
+}
+
+const WAIT: Duration = Duration::from_secs(30);
+
+/// Message `i` of a stream: its index, padded to `len` bytes.
+fn numbered(i: u32, len: usize) -> Vec<u8> {
+    let mut m = vec![i as u8; len];
+    m[..4].copy_from_slice(&i.to_be_bytes());
+    m
+}
+
+fn index_of(msg: &[u8]) -> u32 {
+    u32::from_be_bytes(msg[..4].try_into().expect("4 bytes"))
+}
+
+/// One thread alternating one-SDU messages (which it may transmit itself)
+/// with three-SDU ones (which it hands to the task): received in
+/// submission order.
+#[test]
+fn one_threads_short_and_long_messages_stay_in_order() {
+    on_both_packages(|pkg| {
+        let pair = Pair::hpi(pkg);
+        let sdu = pair.tx.config().sdu_size;
+        let len = |i: u32| [64, 3 * sdu - 100][i as usize % 2];
+        for i in 0..200 {
+            pair.tx.send(&numbered(i, len(i))).expect("send");
+        }
+        for i in 0..200 {
+            let got = pair.rx.recv_timeout(WAIT).expect("recv");
+            assert_eq!((index_of(&got), got.len()), (i, len(i)));
+        }
+        pair.shutdown();
+    });
+}
+
+/// Four threads, each streaming on its own channel of one connection,
+/// while a fifth keeps the connection's task busy with long messages: the
+/// submitters find the pipeline now free, now taken. Per-channel FIFO,
+/// nothing lost.
+#[test]
+fn concurrent_channels_keep_fifo_while_the_task_is_busy() {
+    const PER_CHANNEL: u32 = 2_000;
+    const LONG: u32 = 300;
+    on_both_packages(|pkg| {
+        let pair = Pair::hpi(pkg);
+        let sdu = pair.tx.config().sdu_size;
+        let mut threads = Vec::new();
+        for id in 0..4u16 {
+            let (tx, rx) = (pair.tx.channel(id), pair.rx.channel(id));
+            threads.push(pkg.spawn_typed("sender", move || {
+                let sent: Vec<_> = (0..PER_CHANNEL)
+                    .map(|i| tx.isend(&numbered(i, 64)).expect("isend"))
+                    .collect();
+                for req in sent {
+                    req.wait_timeout(WAIT).expect("delivered");
+                }
+            }));
+            threads.push(pkg.spawn_typed("receiver", move || {
+                for i in 0..PER_CHANNEL {
+                    let got = rx.recv_view(WAIT).expect("recv");
+                    assert_eq!(index_of(&got), i, "channel {id}");
+                }
+            }));
+        }
+        let (tx, rx) = (pair.tx.clone(), pair.rx.clone());
+        threads.push(pkg.spawn_typed("long sender", move || {
+            for i in 0..LONG {
+                tx.send(&numbered(i, 3 * sdu)).expect("send");
+            }
+        }));
+        threads.push(pkg.spawn_typed("long receiver", move || {
+            for i in 0..LONG {
+                assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
+            }
+        }));
+        for t in threads {
+            t.join().expect("worker");
+        }
+        let (sent, received) = (pair.tx.stats(), pair.rx.stats());
+        let total = u64::from(4 * PER_CHANNEL + LONG);
+        assert_eq!(
+            (sent.messages_sent, received.messages_received),
+            (total, total)
+        );
+        pair.shutdown();
+    });
+}
+
+/// A message that its submitter transmits after a silence longer than the
+/// acknowledgement timeout finds no timer armed. It must arm one: the
+/// message loses a cell on the wire and is repaired by exactly one
+/// retransmission.
+#[test]
+fn a_message_sent_inline_after_silence_is_retransmitted_when_lost() {
+    use atm_sim::{FaultSpec, LinkSpec, NetworkBuilder, PumpConfig, QosParams};
+    const WARM: u32 = 10;
+    on_both_packages(|pkg| {
+        // Alice's uplink drops its 41st best-effort cell. The handshake
+        // and the one-cell warm-up messages stay below that; the message
+        // after the silence is some 85 cells long and takes it.
+        let net = NetworkBuilder::new()
+            .switch("sw")
+            .host("alice")
+            .host("bob")
+            .link(
+                "alice",
+                "sw",
+                LinkSpec::oc3().with_fault(FaultSpec::drop_plan(vec![40])),
+            )
+            .link("bob", "sw", LinkSpec::oc3())
+            .build()
+            .expect("atm network");
+        let fabric = AciFabric::start(net, PumpConfig::speedup(4.0));
+        let a = NcsNode::builder("alice")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        let b = NcsNode::builder("bob")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        let dev = |host| Arc::new(fabric.device(host).expect("device"));
+        let qos = QosParams::unspecified();
+        a.attach_peer("bob", AciLink::new(dev("alice"), "bob", qos));
+        b.attach_peer("alice", AciLink::new(dev("bob"), "alice", qos));
+        // Selective repeat alone: no credits share the uplink's cell count.
+        let timeout = Duration::from_millis(150);
+        let config = ConnectionConfig::builder()
+            .flow_control(ncs_core::FlowControlAlg::None)
+            .error_control(ncs_core::ErrorControlAlg::SelectiveRepeat {
+                timeout,
+                max_retries: 30,
+            })
+            .build();
+        let tx = a.connect("bob", config).expect("connect");
+        let rx = b.accept_default().expect("accept");
+        for i in 0..WARM {
+            tx.send_sync(&numbered(i, 8)).expect("warm-up");
+            assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
+        }
+        assert_eq!(tx.stats().retransmissions, 0, "the drop hit the warm-up");
+        pkg.sleep(2 * timeout);
+        let message = numbered(WARM, 4_000);
+        let sent = tx.isend(&message).expect("isend");
+        assert_eq!(rx.recv_timeout(WAIT).expect("repaired"), message);
+        sent.wait_timeout(WAIT).expect("acknowledged");
+        assert_eq!(tx.stats().retransmissions, 1);
+        assert_eq!(fabric.stats().cells_lost, 1);
+        a.shutdown();
+        b.shutdown();
+        fabric.shutdown();
+    });
+}
+
+/// `close()` lands among 10,000 `isend`s that run the pipeline themselves:
+/// every request issued resolves, whichever side of the close it fell on.
+#[test]
+fn close_racing_inline_sends_leaves_no_request_dangling() {
+    const SENDS: usize = 10_000;
+    on_both_packages(|pkg| {
+        let pair = Pair::hpi(pkg);
+        let issued = Arc::new(AtomicUsize::new(0));
+        let (conn, count, p) = (pair.tx.clone(), Arc::clone(&issued), Arc::clone(pkg));
+        let sender = pkg.spawn_typed("sender", move || {
+            let mut requests = Vec::new();
+            for i in 0..SENDS {
+                match conn.isend(&numbered(i as u32, 64)) {
+                    Ok(req) => requests.push(req),
+                    Err(e) => assert_eq!(e, SendError::Closed),
+                }
+                if count.fetch_add(1, Ordering::Relaxed) % 64 == 0 {
+                    p.yield_now(); // green threads: let the closer look
+                }
+            }
+            requests
+        });
+        while issued.load(Ordering::Relaxed) < SENDS / 3 {
+            pkg.yield_now();
+        }
+        pair.tx.close();
+        let requests = sender.join().expect("sender");
+        assert!(!requests.is_empty());
+        for req in requests {
+            match req.wait_timeout(WAIT) {
+                Ok(()) | Err(SendError::Closed | SendError::DeliveryFailed(_)) => {}
+                Err(e) => panic!("request left dangling: {e}"),
+            }
+        }
+        pair.shutdown();
+    });
+}
+
+/// 2,000 reliable round trips, each acknowledged some tens of
+/// microseconds after it armed a 200 ms retransmission timeout — then
+/// 300 ms of nothing. The event loops wake for their idle tick and for the
+/// one deadline each connection still has armed, not for 2,000 deadlines
+/// nobody waits for.
+#[test]
+fn silence_after_acknowledged_traffic_is_free() {
+    on_both_packages(|pkg| {
+        let pair = Pair::hpi(pkg);
+        let echo_conn = pair.rx.clone();
+        let echo = pkg.spawn_typed("echo", move || {
+            for _ in 0..2_000 {
+                let msg = echo_conn.recv_timeout(WAIT).expect("ping");
+                echo_conn.send(&msg).expect("echo");
+            }
+        });
+        for i in 0..2_000 {
+            pair.tx.send(&numbered(i, 64)).expect("ping");
+            assert_eq!(index_of(&pair.tx.recv_timeout(WAIT).expect("echo")), i);
+        }
+        echo.join().expect("echo thread");
+        let before = [pair.a.reactor().stats(), pair.b.reactor().stats()];
+        pkg.sleep(Duration::from_millis(300));
+        let after = [pair.a.reactor().stats(), pair.b.reactor().stats()];
+        for (before, after) in before.iter().zip(&after) {
+            let woke = after.polls - before.polls;
+            assert!(woke < 16, "{woke} loop iterations in silence: {after}");
+        }
+        pair.shutdown();
+    });
+}

@@ -1,7 +1,8 @@
 //! One execution model: which OS threads a node owns, and how a node lets
 //! go of them.
 //!
-//! The reactor is the only thing that runs NCS protocol code; the paper's
+//! The reactor runs a node's protocol code (a sender of one SDU may run
+//! its own message's send pipeline, on its own thread); the paper's
 //! Master, Control Send and Control Receive threads are gone, and a node's
 //! service threads are its per-peer acceptors. This file holds ONE test on
 //! purpose: it counts the threads of the *process*, and a sibling test's

@@ -154,15 +154,18 @@ pub(crate) fn green_sleep(dur: Duration) {
     let _ = green_block();
 }
 
-/// Registers a semaphore-wait timeout timer for the current green thread.
+/// Registers the timeout of green thread `waiter`'s wait on `sem`.
 pub(crate) fn register_sem_timeout(
+    waiter: &GreenWaker,
     at: Instant,
     sem: std::sync::Weak<crate::sync::SemInner>,
     token: u64,
 ) {
-    let injector =
-        with_green(|g| Arc::clone(&g.injector)).expect("register_sem_timeout outside green thread");
-    injector.push(Inject::Timer(at, TimerAction::SemTimeout { sem, token }));
+    let tcb = waiter.tcb;
+    waiter.injector.push(Inject::Timer(
+        at,
+        TimerAction::SemTimeout { sem, token, tcb },
+    ));
 }
 
 /// Payload handed to a freshly activated native green thread via the r12
@@ -263,6 +266,10 @@ impl SchedulerCore {
                 break;
             }
             self.fire_due_timers();
+            self.counters.timers.store(
+                self.timers.len() as u64,
+                std::sync::atomic::Ordering::Relaxed,
+            );
             if let Some(tid) = self.run_q.pop_front() {
                 self.idle_since = None;
                 self.resume(tid);
@@ -277,7 +284,12 @@ impl SchedulerCore {
         for inject in self.injector.drain() {
             match inject {
                 Inject::Spawn(tcb) => self.admit(tcb),
-                Inject::Wake(id, reason) => self.wake_tcb(id, reason),
+                Inject::Wake(id, reason) => {
+                    // Whatever the thread waited for, it has: the timeout
+                    // of that wait must not outlive it.
+                    self.timers.withdraw(id);
+                    self.wake_tcb(id, reason);
+                }
                 Inject::Timer(at, action) => self.timers.register(at, action),
                 Inject::Nudge => {}
             }
@@ -322,7 +334,7 @@ impl SchedulerCore {
         for action in self.timers.pop_due(Instant::now()) {
             match action {
                 TimerAction::Wake(waker) => self.wake_tcb(waker.tcb, WakeReason::Normal),
-                TimerAction::SemTimeout { sem, token } => {
+                TimerAction::SemTimeout { sem, token, .. } => {
                     if let Some(sem) = sem.upgrade() {
                         if let Some(waker) = sem.cancel_waiter(token) {
                             self.wake_tcb(waker.tcb, WakeReason::Timeout);

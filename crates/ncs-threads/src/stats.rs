@@ -11,6 +11,9 @@ pub(crate) struct Counters {
     pub yields: AtomicU64,
     pub blocks: AtomicU64,
     pub spawns: AtomicU64,
+    /// Entries in the scheduler's timer queue (a gauge, not in
+    /// [`PackageStats`]): at most one per blocked green thread.
+    pub timers: AtomicU64,
 }
 
 impl Counters {

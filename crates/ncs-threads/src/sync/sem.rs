@@ -122,7 +122,7 @@ impl Semaphore {
     }
 
     fn acquire_green(&self, waker: GreenWaker, deadline: Option<Instant>) -> bool {
-        let token = {
+        {
             let mut st = self.inner.state.lock();
             if st.permits > 0 {
                 st.permits -= 1;
@@ -135,14 +135,13 @@ impl Semaphore {
             }
             let token = st.next_token;
             st.next_token += 1;
-            st.green_waiters.push_back(GreenWaiter {
-                token,
-                waker: waker.clone(),
-            });
-            token
-        };
-        if let Some(d) = deadline {
-            scheduler::register_sem_timeout(d, Arc::downgrade(&self.inner), token);
+            // The timeout is queued before the lock drops, so before any
+            // release can claim the token: the scheduler reads that
+            // release's wake after the timer, and withdraws it.
+            if let Some(d) = deadline {
+                scheduler::register_sem_timeout(&waker, d, Arc::downgrade(&self.inner), token);
+            }
+            st.green_waiters.push_back(GreenWaiter { token, waker });
         }
         match scheduler::green_block() {
             // A release claimed our token and transferred its permit to us.

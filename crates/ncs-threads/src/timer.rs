@@ -1,23 +1,44 @@
 //! Scheduler timer queue: deadline-ordered actions fired by the scheduler
 //! loop. Used for green-thread `sleep` and for timed waits on the
 //! synchronisation primitives (e.g. the error-control thread's ACK timeout).
+//!
+//! A blocked green thread waits for one thing, so it holds at most one
+//! entry here, and the entry goes when the wait does: fired by
+//! [`TimerQueue::pop_due`], or withdrawn ([`TimerQueue::withdraw`]) when a
+//! `release` ends a timed wait first. The scheduler's idle sleep targets
+//! [`TimerQueue::next_deadline`], so it never wakes for a wait that is
+//! already over.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Weak;
 use std::time::Instant;
 
 use crate::injector::GreenWaker;
 use crate::sync::SemInner;
+use crate::tcb::TcbId;
 
 /// What to do when a timer fires.
 pub(crate) enum TimerAction {
     /// Wake a green thread sleeping via `sleep`.
     Wake(GreenWaker),
-    /// Time out a green thread waiting on a semaphore: claim its wait token
-    /// and wake it with `WakeReason::Timeout` if a release has not already
-    /// claimed it.
-    SemTimeout { sem: Weak<SemInner>, token: u64 },
+    /// Time out green thread `tcb` waiting on a semaphore: claim its wait
+    /// token and wake it with `WakeReason::Timeout` if a release has not
+    /// already claimed it.
+    SemTimeout {
+        sem: Weak<SemInner>,
+        token: u64,
+        tcb: TcbId,
+    },
+}
+
+impl TimerAction {
+    /// The thread whose wait this timer bounds.
+    fn thread(&self) -> TcbId {
+        match self {
+            TimerAction::Wake(w) => w.tcb,
+            TimerAction::SemTimeout { tcb, .. } => *tcb,
+        }
+    }
 }
 
 impl std::fmt::Debug for TimerAction {
@@ -31,39 +52,14 @@ impl std::fmt::Debug for TimerAction {
     }
 }
 
-/// A single registered timer.
-#[derive(Debug)]
-struct TimerEntry {
-    at: Instant,
-    seq: u64,
-    action: TimerAction,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest deadline on top.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Deadline-ordered timer queue, owned by the scheduler loop.
 #[derive(Debug, Default)]
 pub(crate) struct TimerQueue {
-    heap: BinaryHeap<TimerEntry>,
+    /// By (deadline, registration number): equal deadlines fire in
+    /// registration order.
+    entries: BTreeMap<(Instant, u64), TimerAction>,
+    /// Each waiting thread's entry.
+    by_thread: HashMap<TcbId, (Instant, u64)>,
     next_seq: u64,
 }
 
@@ -73,30 +69,46 @@ impl TimerQueue {
     }
 
     pub(crate) fn register(&mut self, at: Instant, action: TimerAction) {
-        let seq = self.next_seq;
+        let key = (at, self.next_seq);
         self.next_seq += 1;
-        self.heap.push(TimerEntry { at, seq, action });
+        if let Some(stale) = self.by_thread.insert(action.thread(), key) {
+            self.entries.remove(&stale);
+        }
+        self.entries.insert(key, action);
+    }
+
+    /// Drops `thread`'s entry, if it has one: its wait ended another way.
+    pub(crate) fn withdraw(&mut self, thread: TcbId) {
+        if let Some(key) = self.by_thread.remove(&thread) {
+            self.entries.remove(&key);
+        }
     }
 
     /// Earliest pending deadline, if any.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.heap.peek().map(|e| e.at)
+        self.entries.first_key_value().map(|(&(at, _), _)| at)
     }
 
     /// Pops every timer due at or before `now`, in deadline order.
     pub(crate) fn pop_due(&mut self, now: Instant) -> Vec<TimerAction> {
         let mut due = Vec::new();
-        while let Some(top) = self.heap.peek() {
-            if top.at > now {
+        while let Some(first) = self.entries.first_entry() {
+            if first.key().0 > now {
                 break;
             }
-            due.push(self.heap.pop().expect("peeked entry must pop").action);
+            let action = first.remove();
+            self.by_thread.remove(&action.thread());
+            due.push(action);
         }
         due
     }
 
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -104,7 +116,6 @@ impl TimerQueue {
 mod tests {
     use super::*;
     use crate::injector::Injector;
-    use crate::tcb::TcbId;
     use std::time::Duration;
 
     fn waker(id: u64) -> GreenWaker {
@@ -158,6 +169,25 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![1, 2]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_withdrawn_wait_is_never_slept_toward() {
+        let mut q = TimerQueue::new();
+        let base = Instant::now();
+        let soon = base + Duration::from_millis(10);
+        let later = base + Duration::from_millis(30);
+        q.register(later, TimerAction::Wake(waker(2)));
+        q.register(soon, TimerAction::Wake(waker(1)));
+        q.withdraw(TcbId(1));
+        q.withdraw(TcbId(1)); // nothing left to withdraw: no-op
+        assert_eq!((q.len(), q.next_deadline()), (1, Some(later)));
+        // A thread's new wait replaces whatever it still had queued.
+        q.register(soon, TimerAction::Wake(waker(2)));
+        assert_eq!((q.len(), q.next_deadline()), (1, Some(soon)));
+        assert_eq!(q.pop_due(later).len(), 1);
+        q.withdraw(TcbId(2)); // fired already
         assert!(q.is_empty());
     }
 

@@ -224,3 +224,80 @@ impl ThreadPackage for UserPackage {
 pub fn current_thread_name() -> Option<String> {
     scheduler::current_green_name()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sync::Semaphore;
+    use crate::ThreadPackageExt;
+    use std::time::Instant;
+
+    fn timers(pkg: &UserPackage) -> u64 {
+        pkg.inner.counters.timers.load(Ordering::Relaxed)
+    }
+
+    /// 1,000 timed waits, each ended by a `release` long before its
+    /// deadline: no timeout outlives its wait, so the scheduler never
+    /// sleeps toward one.
+    #[test]
+    fn released_timed_waits_leave_no_timers() {
+        for mech in [SwitchMech::Auto, SwitchMech::Portable] {
+            UserRuntime::new(UserConfig {
+                mech,
+                ..UserConfig::default()
+            })
+            .run(|pkg| {
+                let (ping, pong) = (Arc::new(Semaphore::new(0)), Arc::new(Semaphore::new(0)));
+                let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
+                let releaser = pkg.spawn_typed("releaser", move || {
+                    for _ in 0..1000 {
+                        ping2.acquire();
+                        pong2.release();
+                    }
+                });
+                let mut most = 0;
+                for _ in 0..1000 {
+                    ping.release();
+                    assert!(pong.acquire_timeout(Duration::from_millis(100)));
+                    // Blocked threads right now: none (this one runs).
+                    most = most.max(timers(&pkg));
+                }
+                releaser.join().expect("releaser");
+                assert!(most <= 1, "{most} timers queued at once");
+                pkg.yield_now(); // one scheduler pass to publish the gauge
+                assert_eq!(timers(&pkg), 0);
+            });
+        }
+    }
+
+    /// A wait nobody ends still times out, on time; sleeps still fire in
+    /// deadline order.
+    #[test]
+    fn unreleased_timed_wait_and_sleeps_keep_their_deadlines() {
+        UserRuntime::default().run(|pkg| {
+            let sem = Semaphore::new(0);
+            let start = Instant::now();
+            assert!(!sem.acquire_timeout(Duration::from_millis(40)));
+            let waited = start.elapsed();
+            assert!(
+                waited >= Duration::from_millis(40) && waited < Duration::from_millis(50),
+                "{waited:?}"
+            );
+            let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let sleepers: Vec<_> = [30u64, 10, 20]
+                .into_iter()
+                .map(|ms| {
+                    let (pkg2, order) = (pkg.clone(), Arc::clone(&order));
+                    pkg.spawn_typed("sleeper", move || {
+                        pkg2.sleep(Duration::from_millis(ms));
+                        order.lock().push(ms);
+                    })
+                })
+                .collect();
+            for s in sleepers {
+                s.join().expect("sleeper");
+            }
+            assert_eq!(*order.lock(), [10, 20, 30]);
+        });
+    }
+}

@@ -60,6 +60,12 @@ pub struct SciConnection {
     /// Locked after `writer`, never before.
     write_backlog: Mutex<Vec<u8>>,
     reader: Mutex<(TcpStream, ReadBuf)>,
+    /// Held while the socket is in non-blocking mode. `writer` and the
+    /// reader's stream are one open file description, so the mode is
+    /// theirs jointly: without this a `try_send_batch` on one thread and a
+    /// `try_recv` on another switch it back under each other's feet, and
+    /// one of them blocks. Locked after `writer` / `reader`.
+    nonblocking: Mutex<()>,
     /// Raw fd of the (cloned) socket, for `poll(2)`-based readiness.
     fd: RawFd,
     closed: AtomicBool,
@@ -89,12 +95,27 @@ impl SciConnection {
             writer: Mutex::new(stream),
             write_backlog: Mutex::new(Vec::new()),
             reader: Mutex::new((reader, ReadBuf::default())),
+            nonblocking: Mutex::new(()),
             fd,
             closed: AtomicBool::new(false),
             peer,
             yield_hook: Mutex::new(None),
             waker: Mutex::new(None),
         })
+    }
+
+    /// One read of whatever the kernel has buffered, never blocking: the
+    /// outer error is the mode switch's, the inner one the read's.
+    fn read_nonblocking(
+        &self,
+        stream: &mut TcpStream,
+        chunk: &mut [u8],
+    ) -> std::io::Result<std::io::Result<usize>> {
+        let _mode = self.nonblocking.lock();
+        stream.set_nonblocking(true)?;
+        let read = stream.read(chunk);
+        stream.set_nonblocking(false)?;
+        Ok(read)
     }
 
     /// Flushes any `try_send_batch` backlog, blocking. Caller holds the
@@ -199,9 +220,7 @@ impl SciConnection {
             }
             if let Some(hook) = &hook {
                 // Non-blocking poll + cooperative yield.
-                stream.set_nonblocking(true)?;
-                let r = stream.read(&mut chunk);
-                stream.set_nonblocking(false)?;
+                let r = self.read_nonblocking(stream, &mut chunk)?;
                 match r {
                     Ok(0) => return Err(TransportError::Closed),
                     Ok(n) => rb.buf.extend_from_slice(&chunk[..n]),
@@ -293,6 +312,7 @@ impl Connection for SciConnection {
         }
         // Drain whatever the kernel has buffered, without blocking.
         let mut chunk = [0u8; 64 * 1024];
+        let mode = self.nonblocking.lock();
         stream.set_nonblocking(true)?;
         let outcome = loop {
             match stream.read(&mut chunk) {
@@ -303,6 +323,7 @@ impl Connection for SciConnection {
             }
         };
         stream.set_nonblocking(false)?;
+        drop(mode);
         match outcome {
             Ok(()) => Ok(rb.pop_frame()),
             Err(TransportError::Closed) => match rb.pop_frame() {
@@ -400,9 +421,11 @@ impl Connection for SciConnection {
             return Err(TransportError::Closed);
         }
         let mut w = self.writer.lock();
+        let mode = self.nonblocking.lock();
         w.set_nonblocking(true)?;
         let result = self.try_send_locked(&mut w, &frames[..valid]);
         let restore = w.set_nonblocking(false);
+        drop(mode);
         let accepted = result?;
         restore?;
         Ok(accepted)
@@ -433,9 +456,7 @@ impl Connection for SciConnection {
                 // We have frames: only scoop whatever the kernel already
                 // buffered, never block (errors resurface on the next
                 // call; the partial batch is returned now).
-                stream.set_nonblocking(true)?;
-                let r = stream.read(&mut chunk);
-                stream.set_nonblocking(false)?;
+                let r = self.read_nonblocking(stream, &mut chunk)?;
                 match r {
                     Ok(n) if n > 0 => rb.buf.extend_from_slice(&chunk[..n]),
                     _ => return Ok(out),
@@ -448,9 +469,7 @@ impl Connection for SciConnection {
             // Nothing yet: wait for the first frame, cooperatively when a
             // yield hook is installed (the §4.1 user-level discipline).
             if let Some(hook) = &hook {
-                stream.set_nonblocking(true)?;
-                let r = stream.read(&mut chunk);
-                stream.set_nonblocking(false)?;
+                let r = self.read_nonblocking(stream, &mut chunk)?;
                 match r {
                     Ok(0) => return Err(TransportError::Closed),
                     Ok(n) => rb.buf.extend_from_slice(&chunk[..n]),
