@@ -4,8 +4,10 @@
 //! The send path follows the paper's Figure 4:
 //!
 //! 1. `NCS_send` activates the Error Control plane;
-//! 2. the EC plane segments the message into SDUs and activates the Flow
-//!    Control plane;
+//! 2. the EC plane segments the message into SDUs — or, when small
+//!    messages are queued behind it, packs them with it into one SDU (a
+//!    *train*, see [`crate::plane`]) — and activates the Flow Control
+//!    plane;
 //! 3. the FC plane releases packets to the Send plane as credits permit;
 //! 4. the Send plane transmits on the data connection;
 //! 5. *(figure steps 5-8)* on the receive side the Receive plane activates
@@ -74,7 +76,7 @@ use crate::clock::Clock;
 use crate::config::{ConnectionConfig, ErrorControlAlg};
 use crate::error_control::AckInfo;
 use crate::packet::{CtrlMsg, DataHeader, DataPacket, DataView};
-use crate::plane::{sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
+use crate::plane::{sdu_count, CtrlEvent, Delivered, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
 use crate::pool::{BufPool, PooledBuf};
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
 use crate::request::{DeliveryQueue, MsgView, Request, RequestCore};
@@ -363,7 +365,7 @@ impl ConnShared {
         // the reactor's.
         if direct {
             shared.tx.lock().plane = Some(shared.tx_plane(shared.direct_now()));
-            *shared.direct_rx.lock() = Some(RxPlane::new(&shared.config));
+            *shared.direct_rx.lock() = Some(shared.rx_plane());
         } else if shared.config.needs_control_threads() {
             shared.tx.lock().plane = Some(shared.tx_plane(Instant::now()));
         }
@@ -427,6 +429,11 @@ impl ConnShared {
             last_error: Arc::clone(&self.last_error),
         };
         TxPlane::new(&self.config, obs, now)
+    }
+
+    /// A receiver pipeline reporting into this connection's counters.
+    fn rx_plane(&self) -> RxPlane {
+        RxPlane::new(&self.config, self.counters.frames_rejected.clone())
     }
 
     /// "Now" for the direct-mode planes: the node clock's reading, as an
@@ -544,7 +551,7 @@ impl ConnShared {
             end: sdu.end,
             tagged: sdu.tagged,
         };
-        header.encode_frame_pooled(sdu.payload, &self.pool)
+        header.encode_sdu_pooled(sdu.packed, sdu.payload, &self.pool)
     }
 
     /// Segments `data` for `session` straight into pooled, wire-ready
@@ -564,14 +571,14 @@ impl ConnShared {
     /// the credits it grants to `credit` — one grant covers a whole
     /// receive drain, sent ahead of any acknowledgement (here) and when
     /// the drain ends (the caller's [`ConnShared::grant`]). Returns the
-    /// message the frame completed, if any.
+    /// messages the frame completed: none, one, or a train's.
     fn receive_frame(
         &self,
         rx: &mut RxPlane,
         frame: &DataView<'_>,
         now: Instant,
         credit: &mut u32,
-    ) -> Option<Vec<u8>> {
+    ) -> Delivered {
         let step = rx.on_frame(frame, now);
         *credit += step.credit;
         if let Some(ack) = step.ack {
@@ -850,7 +857,7 @@ impl ConnTask {
         let rx = shared
             .config
             .needs_control_threads()
-            .then(|| RxPlane::new(&shared.config));
+            .then(|| shared.rx_plane());
         ConnTask {
             assembling: None,
             rx,
@@ -901,10 +908,10 @@ impl ConnTask {
                 // The clock is read here, not once per call: bypass
                 // connections never pay for it.
                 let now = Instant::now();
-                if let Some(message) = shared.receive_frame(rx, &view, now, &mut credit) {
+                for (message, tagged) in shared.receive_frame(rx, &view, now, &mut credit) {
                     // EC strategies reassemble in their own buffers; the
                     // view is detached (owned), not pooled.
-                    deliver_message(&shared, PooledBuf::detached(message), view.header.tagged);
+                    deliver_message(&shared, PooledBuf::detached(message), tagged);
                 }
             } else {
                 // Fully bypassed: reassemble inline, deliver directly, no
@@ -1644,10 +1651,21 @@ impl NcsConnection {
                 continue;
             };
             shared.counters.packets_received.inc();
+            // A train is built from messages queued behind a session in
+            // flight; `send_direct` drives each message to completion
+            // before the next is accepted, so no direct-mode peer sends
+            // one. This call returns one message and has nowhere to keep
+            // the rest: the frame is refused like any other malformed one.
+            if view.packed {
+                shared.counters.frames_rejected.inc();
+                continue;
+            }
             let mut credit = 0;
-            let message = shared.receive_frame(rx, &view, shared.direct_now(), &mut credit);
+            let message = shared
+                .receive_frame(rx, &view, shared.direct_now(), &mut credit)
+                .next();
             shared.grant(&mut credit);
-            if let Some(message) = message {
+            if let Some((message, _)) = message {
                 shared.counters.messages_received.inc();
                 return Ok(message);
             }
@@ -1925,5 +1943,64 @@ impl NcsConnection {
             conn: self.clone(),
             tag: CHANNEL_TAG_BASE | u32::from(id),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::HpiLinkPair;
+    use crate::NcsNode;
+
+    /// `recv_direct` hands back one message per call and keeps nothing
+    /// between calls, and no direct-mode sender builds a train: one that
+    /// shows up is refused like any malformed frame — none of its records
+    /// is delivered — and the next message arrives.
+    #[test]
+    fn a_train_on_a_direct_connection_is_refused_and_the_next_message_arrives() {
+        let a = NcsNode::builder("alice").build();
+        let b = NcsNode::builder("bob").build();
+        let (la, lb) = HpiLinkPair::create();
+        a.attach_peer("bob", la);
+        b.attach_peer("alice", lb);
+        let ca = a
+            .connect("bob", ConnectionConfig::direct())
+            .expect("connect");
+        let cb = b.accept_default().expect("accept");
+
+        // A train as a threaded sender would frame it, put on the wire by
+        // hand.
+        let now = Instant::now();
+        let mut sender = ca.shared.tx_plane(now);
+        for data in [b"one".to_vec(), b"two".to_vec()] {
+            sender.submit(Submission {
+                data,
+                tagged: false,
+                completion: None,
+            });
+        }
+        let mut trains = 0;
+        sender.poll(now, |sdu| {
+            assert!(sdu.packed);
+            let frame = ca.shared.encode_sdu(&sdu);
+            ca.shared.transport.send(frame.as_slice()).expect("inject");
+            trains += 1;
+        });
+        assert_eq!(trains, 1);
+
+        ca.send_direct(b"real").expect("send_direct");
+        assert_eq!(
+            cb.recv_direct(Duration::from_secs(5)).expect("recv"),
+            b"real"
+        );
+        assert_eq!(
+            cb.recv_direct(Duration::from_millis(20)),
+            Err(SendError::Timeout),
+            "nothing of the train was kept for later"
+        );
+        let stats = cb.stats();
+        assert_eq!((stats.frames_rejected, stats.messages_received), (1, 1));
+        a.shutdown();
+        b.shutdown();
     }
 }

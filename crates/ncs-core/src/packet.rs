@@ -69,6 +69,10 @@ pub struct DataHeader {
 const FLAG_END: u8 = 0b01;
 /// Bit 1 of the flags byte: the message carries a tag envelope.
 const FLAG_TAGGED: u8 = 0b10;
+/// Bit 2 of the flags byte: the payload is a *train* — several whole
+/// messages, each behind a record header ([`crate::plane`]) — and the
+/// frame is a complete one-SDU session (`seq == 0`, end bit set).
+const FLAG_PACKED: u8 = 0b100;
 
 /// Encoded size of [`DataHeader`] plus the leading packet tag and length.
 pub const DATA_OVERHEAD: usize = 1 + 4 + 4 + 4 + 4 + 1 + 4;
@@ -91,6 +95,10 @@ impl DataHeader {
     /// intermediate encode path: callers segmenting straight out of a user
     /// buffer frame each SDU without materialising a [`DataPacket`].
     pub fn encode_frame_into(&self, payload: &[u8], out: &mut Vec<u8>) {
+        self.encode_flagged(0, payload, out);
+    }
+
+    fn encode_flagged(&self, mut flags: u8, payload: &[u8], out: &mut Vec<u8>) {
         out.clear();
         out.reserve(DATA_OVERHEAD + payload.len());
         out.push(TAG_DATA);
@@ -98,7 +106,6 @@ impl DataHeader {
         out.extend_from_slice(&self.src_conn.to_be_bytes());
         out.extend_from_slice(&self.session.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
-        let mut flags = 0u8;
         if self.end {
             flags |= FLAG_END;
         }
@@ -113,8 +120,21 @@ impl DataHeader {
     /// [`DataHeader::encode_frame_into`] targeting a buffer checked out of
     /// `pool`.
     pub fn encode_frame_pooled(&self, payload: &[u8], pool: &Arc<BufPool>) -> PooledBuf {
+        self.encode_sdu_pooled(false, payload, pool)
+    }
+
+    /// [`DataHeader::encode_frame_pooled`] with the train flag
+    /// ([`DataView::packed`]) set as given. The flag is not a header
+    /// field: it describes the payload's layout, not where the SDU goes.
+    pub(crate) fn encode_sdu_pooled(
+        &self,
+        packed: bool,
+        payload: &[u8],
+        pool: &Arc<BufPool>,
+    ) -> PooledBuf {
         let mut buf = pool.get();
-        self.encode_frame_into(payload, buf.vec_mut());
+        let flags = if packed { FLAG_PACKED } else { 0 };
+        self.encode_flagged(flags, payload, buf.vec_mut());
         buf
     }
 }
@@ -125,12 +145,16 @@ impl DataHeader {
 pub struct DataView<'a> {
     /// The decoded header.
     pub header: DataHeader,
+    /// The payload is a train: whole messages packed behind record
+    /// headers, carried as one single-SDU session.
+    pub packed: bool,
     /// Payload bytes, still inside the received frame.
     pub payload: &'a [u8],
 }
 
 impl DataView<'_> {
-    /// Copies the borrowed payload into an owned [`DataPacket`].
+    /// Copies the borrowed payload into an owned [`DataPacket`] (which
+    /// has no train flag: the copy is the session body, records and all).
     pub fn to_packet(&self) -> DataPacket {
         DataPacket {
             header: self.header,
@@ -174,7 +198,7 @@ impl DataPacket {
         let session = read_u32(bytes, 9);
         let seq = read_u32(bytes, 13);
         let flags = bytes[17];
-        if flags & !(FLAG_END | FLAG_TAGGED) != 0 {
+        if flags & !(FLAG_END | FLAG_TAGGED | FLAG_PACKED) != 0 {
             return Err(DecodeError(format!("bad flags byte {flags:#04x}")));
         }
         let len = read_u32(bytes, 18) as usize;
@@ -193,6 +217,7 @@ impl DataPacket {
                 end: flags & FLAG_END != 0,
                 tagged: flags & FLAG_TAGGED != 0,
             },
+            packed: flags & FLAG_PACKED != 0,
             payload: &bytes[DATA_OVERHEAD..],
         })
     }
@@ -522,7 +547,7 @@ mod tests {
         bytes[0] = 0xFF; // tag
         assert!(DataPacket::decode(&bytes).is_err());
         let mut bytes = p.encode();
-        bytes[17] = 7; // flags byte with an undefined bit set
+        bytes[17] = 0b1000; // flags byte with an undefined bit set
         assert!(DataPacket::decode(&bytes).is_err());
         let mut bytes = p.encode();
         bytes.pop(); // truncation
@@ -638,6 +663,32 @@ mod tests {
         assert_eq!(view.header, p.header);
         assert_eq!(view.payload, &[1, 2, 3]);
         assert_eq!(view.to_packet(), p);
+    }
+
+    #[test]
+    fn train_flag_rides_the_flags_byte_and_leaves_the_header_alone() {
+        let pool = BufPool::with_config(2, 4, 64);
+        let header = DataHeader {
+            conn: 1,
+            src_conn: 2,
+            session: 3,
+            seq: 0,
+            end: true,
+            tagged: false,
+        };
+        let plain = header.encode_frame_pooled(&[9; 12], &pool);
+        let train = header.encode_sdu_pooled(true, &[9; 12], &pool);
+        let differing: Vec<usize> = (0..plain.as_slice().len())
+            .filter(|&i| plain.as_slice()[i] != train.as_slice()[i])
+            .collect();
+        assert_eq!(differing, [17], "only the flags byte differs");
+        let (plain, train) = (
+            DataPacket::peek(plain.as_slice()).unwrap(),
+            DataPacket::peek(train.as_slice()).unwrap(),
+        );
+        assert_eq!((plain.packed, train.packed), (false, true));
+        assert_eq!(plain.header, train.header);
+        assert_eq!(plain.payload, train.payload);
     }
 
     #[test]

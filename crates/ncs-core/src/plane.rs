@@ -14,6 +14,19 @@
 //! SDUs to encode and control messages to send come out as values, and
 //! every method that depends on time takes `now`.
 //!
+//! Figure 6's "one session in flight" holds as drawn; what a session
+//! carries is an SDU's worth of queued messages, not always one. When the
+//! sender starts a session and the messages queued behind the first fit in
+//! the same SDU beside it, they ride along as a *train*: each message a
+//! record — a 4-byte header (length; top bit = "carries a tag envelope")
+//! and its bytes — in one body that runs as an ordinary one-SDU session:
+//! one frame, one acknowledgement, and every completion of the train
+//! resolves with the session's result. Nothing waits for a train to fill
+//! and nothing configures it: only what is already queued rides, a lone
+//! message goes out exactly as before, and a message longer than one SDU
+//! is never packed. The receiver reassembles the body with the unchanged
+//! strategy and splits it back into messages ([`Delivered`]).
+//!
 //! Two thin shells in [`crate::connection`] drive them: the reactor task
 //! (non-blocking; deadlines become reactor timers) and direct mode
 //! (blocking on the caller's thread; `now` is read from the node
@@ -25,7 +38,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncs_obs::{EventKind, FlightRecorder};
+use ncs_obs::{Counter, EventKind, FlightRecorder};
 use parking_lot::Mutex;
 
 use crate::config::ConnectionConfig;
@@ -85,6 +98,8 @@ pub(crate) struct Sdu<'a> {
     pub seq: u32,
     pub end: bool,
     pub tagged: bool,
+    /// The payload is a train of records, not one message.
+    pub packed: bool,
     pub payload: &'a [u8],
 }
 
@@ -110,19 +125,100 @@ impl<'a> Sdu<'a> {
             seq,
             end: hi == body.len(),
             tagged,
+            packed: false,
             payload: &body[lo..hi],
         }
     }
 }
 
-/// The error-control session in flight (one at a time, Figure 6). The
-/// body is kept once; SDUs are cut from it each time one is released.
+/// Header of one record of a train: a big-endian `u32`, the record's
+/// length in the low 31 bits and [`RECORD_TAGGED`] on top.
+const RECORD_HEADER: usize = 4;
+/// The record's bytes start with a tag envelope.
+const RECORD_TAGGED: u32 = 1 << 31;
+
+/// Appends `data` to a train as one record. A record is at most an SDU
+/// long, far inside the header's 31 bits.
+fn push_record(train: &mut Vec<u8>, data: &[u8], tagged: bool) {
+    debug_assert!(!data.is_empty(), "`check_sendable` admits no empty message");
+    let flag = if tagged { RECORD_TAGGED } else { 0 };
+    train.extend_from_slice(&(data.len() as u32 | flag).to_be_bytes());
+    train.extend_from_slice(data);
+}
+
+/// The record of `train` that starts at `at`: its bytes, its tag flag and
+/// where the next one starts. `None` if no well-formed record starts
+/// there — the header or the bytes run past the end, or the record is
+/// empty (no message is).
+fn record_at(train: &[u8], at: usize) -> Option<(&[u8], bool, usize)> {
+    let data_at = at.checked_add(RECORD_HEADER)?;
+    let head = u32::from_be_bytes(train.get(at..data_at)?.try_into().ok()?);
+    let len = (head & !RECORD_TAGGED) as usize;
+    let end = data_at.checked_add(len)?;
+    let data = train.get(data_at..end)?;
+    (len > 0).then_some((data, head & RECORD_TAGGED != 0, end))
+}
+
+/// The messages one arriving frame completed, in order, each with its
+/// tag flag: none, the one reassembled message — handed over as it is —
+/// or the records of a train, cut from its body as the shell takes them.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) enum Delivered {
+    #[default]
+    Nothing,
+    Whole(Vec<u8>, bool),
+    /// A validated train and where its next record starts.
+    Train {
+        body: Vec<u8>,
+        at: usize,
+    },
+}
+
+impl Delivered {
+    /// The records of `body`, or `None` unless it is one well-formed
+    /// record after another from its first byte to its last: a train
+    /// yields all of its messages or none.
+    fn train(body: Vec<u8>) -> Option<Self> {
+        let mut at = 0;
+        while at < body.len() {
+            at = record_at(&body, at)?.2;
+        }
+        (at > 0).then_some(Delivered::Train { body, at: 0 })
+    }
+}
+
+impl Iterator for Delivered {
+    type Item = (Vec<u8>, bool);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match std::mem::take(self) {
+            Delivered::Nothing => None,
+            Delivered::Whole(body, tagged) => Some((body, tagged)),
+            Delivered::Train { body, at } => {
+                let (data, tagged, end) = record_at(&body, at)?;
+                let message = (data.to_vec(), tagged);
+                if end < body.len() {
+                    *self = Delivered::Train { body, at: end };
+                }
+                Some(message)
+            }
+        }
+    }
+}
+
+/// The error-control session in flight (one at a time, Figure 6): one
+/// message, or a train of them in one SDU. The body is kept once; SDUs
+/// are cut from it each time one is released. The completions of its
+/// messages are [`TxPlane::completions`].
 #[derive(Debug)]
 struct Session {
     id: u32,
     body: Vec<u8>,
     tagged: bool,
-    completion: Option<Arc<RequestCore<()>>>,
+    /// The body is a train of records.
+    packed: bool,
+    /// Messages the body carries: all of them share the session's fate.
+    messages: u64,
     first_round: bool,
     /// When the current acknowledgement wait runs out; `None` under an
     /// algorithm that never expects one.
@@ -141,6 +237,9 @@ pub(crate) struct TxPlane {
     active: Option<Session>,
     /// Sequence numbers of the active session waiting for flow control.
     pending: VecDeque<u32>,
+    /// Completions of the active session's messages (kept here, not in
+    /// the session, so a message a time costs no allocation).
+    completions: Vec<Arc<RequestCore<()>>>,
     /// Last time feedback arrived or an SDU was released.
     last_progress: Instant,
     next_session: u32,
@@ -156,6 +255,7 @@ impl TxPlane {
             backlog: VecDeque::new(),
             active: None,
             pending: VecDeque::new(),
+            completions: Vec::new(),
             last_progress: now,
             next_session: 0,
         }
@@ -285,24 +385,49 @@ impl TxPlane {
         }
     }
 
-    fn start(&mut self, submission: Submission, now: Instant) {
-        let Submission {
-            data,
-            tagged,
-            completion,
-        } = submission;
+    /// Starts the next session: `first`, and with it every message queued
+    /// behind it that fits in the same SDU as a record beside it. A
+    /// message alone in its session goes out as it is, header-less.
+    fn start(&mut self, first: Submission, now: Instant) {
         let id = self.next_session;
         self.next_session = id.wrapping_add(1);
+        let mut train_len = RECORD_HEADER + first.data.len();
+        let mut riders = 0;
+        for queued in &self.backlog {
+            let longer = train_len + RECORD_HEADER + queued.data.len();
+            if longer > self.sdu_size {
+                break;
+            }
+            train_len = longer;
+            riders += 1;
+        }
+        let packed = riders > 0;
+        let (mut body, mut tagged) = (Vec::new(), false);
+        if packed {
+            body.reserve_exact(train_len);
+        } else {
+            train_len = first.data.len();
+        }
         let recorder = &self.obs.recorder;
-        recorder.record(EventKind::EcSession, 0, id, data.len());
-        recorder.record(EventKind::Packetize, 0, id, data.len());
-        self.obs.counters.messages_sent.inc();
-        let total = sdu_count(data.len(), self.sdu_size);
+        recorder.record(EventKind::EcSession, 0, id, train_len);
+        for message in std::iter::once(first).chain(self.backlog.drain(..riders)) {
+            recorder.record(EventKind::Packetize, 0, id, message.data.len());
+            self.completions.extend(message.completion);
+            if packed {
+                push_record(&mut body, &message.data, message.tagged);
+            } else {
+                (body, tagged) = (message.data, message.tagged);
+            }
+        }
+        let messages = 1 + riders as u64;
+        self.obs.counters.messages_sent.add(messages);
+        let total = sdu_count(body.len(), self.sdu_size);
         self.active = Some(Session {
             id,
-            body: data,
+            body,
             tagged,
-            completion,
+            packed,
+            messages,
             first_round: true,
             ack_deadline: None,
         });
@@ -368,13 +493,16 @@ impl TxPlane {
             return false;
         }
         for seq in self.pending.drain(..n) {
-            emit(Sdu::of(
-                &session.body,
-                self.sdu_size,
-                session.id,
-                session.tagged,
-                seq,
-            ));
+            emit(Sdu {
+                packed: session.packed,
+                ..Sdu::of(
+                    &session.body,
+                    self.sdu_size,
+                    session.id,
+                    session.tagged,
+                    seq,
+                )
+            });
         }
         self.fc.on_transmit(n.min(permits) as u32);
         self.last_progress = now;
@@ -382,8 +510,8 @@ impl TxPlane {
     }
 
     /// Resolves the session in flight: a failure sticks on the
-    /// connection, and the `isend` completion (if any) resolves either
-    /// way.
+    /// connection and counts once per message the session carried, and
+    /// the `isend` completions (if any) all resolve with `result`.
     fn finish(&mut self, result: Result<(), SendError>) {
         let Some(session) = self.active.take() else {
             return;
@@ -391,10 +519,10 @@ impl TxPlane {
         self.pending.clear();
         if let Err(e) = &result {
             *self.obs.last_error.lock() = Some(e.clone());
-            self.obs.counters.send_failures.inc();
+            self.obs.counters.send_failures.add(session.messages);
         }
-        if let Some(c) = session.completion {
-            c.complete(result);
+        for c in self.completions.drain(..) {
+            c.complete(result.clone());
         }
     }
 }
@@ -406,8 +534,8 @@ pub(crate) struct RxStep {
     pub credit: u32,
     /// Acknowledgement of the frame's session to send.
     pub ack: Option<AckInfo>,
-    /// A message reassembled: deliver it.
-    pub delivered: Option<Vec<u8>>,
+    /// The messages the frame completed: deliver them, in order.
+    pub delivered: Delivered,
 }
 
 /// The receiver half of the pipeline.
@@ -421,15 +549,18 @@ pub(crate) struct RxPlane {
     /// are duplicates (the original acknowledgement was lost) and must be
     /// re-acknowledged, never re-delivered.
     delivered_below: u32,
+    /// Frames refused ([`ConnectionStats::frames_rejected`](crate::ConnectionStats)).
+    rejected: Counter,
 }
 
 impl RxPlane {
-    pub(crate) fn new(config: &ConnectionConfig) -> Self {
+    pub(crate) fn new(config: &ConnectionConfig, rejected: Counter) -> Self {
         RxPlane {
             ec: build_receiver(&config.error_control),
             fc: build_fc(&config.flow_control),
             session: None,
             delivered_below: 0,
+            rejected,
         }
     }
 
@@ -442,6 +573,13 @@ impl RxPlane {
             credit: self.fc.on_receive(now),
             ..RxStep::default()
         };
+        // No strategy sees a sequence number its bitmap cannot hold, or a
+        // train that is not the whole one-SDU session a train always is:
+        // no sender here builds either.
+        if h.seq >= AckBitmap::MAX_TOTAL || (frame.packed && !(h.seq == 0 && h.end)) {
+            self.rejected.inc();
+            return step;
+        }
         if h.session < self.delivered_below {
             // Duplicate of a delivered message: re-send the clean
             // acknowledgement when its end marker shows up, so the sender
@@ -462,15 +600,27 @@ impl RxPlane {
                 self.session = Some(h.session);
             }
         }
-        (step.ack, step.delivered) = match self.ec.on_packet(h.seq, h.end, frame.payload.to_vec()) {
+        let (ack, body) = match self.ec.on_packet(h.seq, h.end, frame.payload.to_vec()) {
             ReceiverStep::Ack(a) => (Some(a), None),
             ReceiverStep::Deliver(m) => (None, Some(m)),
             ReceiverStep::AckAndDeliver(a, m) => (Some(a), Some(m)),
             ReceiverStep::Continue => (None, None),
         };
-        if step.delivered.is_some() {
-            self.delivered_below = h.session + 1;
+        step.ack = ack;
+        if let Some(body) = body {
+            self.delivered_below = h.session.wrapping_add(1);
             self.session = None;
+            step.delivered = if !frame.packed {
+                Delivered::Whole(body, h.tagged)
+            } else {
+                // A train that does not parse arrived intact — error
+                // control has nothing to repair — so it is acknowledged
+                // like any session, and dropped whole.
+                Delivered::train(body).unwrap_or_else(|| {
+                    self.rejected.inc();
+                    Delivered::default()
+                })
+            };
         }
         step
     }
@@ -481,6 +631,7 @@ mod tests {
     use super::*;
     use crate::config::{ErrorControlAlg, FlowControlAlg};
     use crate::packet::{DataHeader, DataPacket};
+    use proptest::prelude::*;
 
     const SDU: usize = 4;
 
@@ -513,6 +664,23 @@ mod tests {
             error_control,
             direct: false,
         }
+    }
+
+    /// An SDU that holds three `body(_, 1)` as records, and not four;
+    /// `body(_, LONG)` takes three of them.
+    const TRAIN_SDU: usize = 24;
+    const LONG: usize = 13;
+
+    fn train_config(ec: ErrorControlAlg, fc: FlowControlAlg) -> ConnectionConfig {
+        ConnectionConfig {
+            sdu_size: TRAIN_SDU,
+            ..config(ec, fc)
+        }
+    }
+
+    fn rx_plane(cfg: &ConnectionConfig) -> (RxPlane, Counter) {
+        let rejected = Counter::default();
+        (RxPlane::new(cfg, rejected.clone()), rejected)
     }
 
     /// Message `i` of a run: `sdus` SDUs, the last one short, every byte
@@ -583,6 +751,301 @@ mod tests {
         }
     }
 
+    /// The same between trains: the late duplicate of train N's clean
+    /// acknowledgement completes none of the messages riding in train N+1.
+    #[test]
+    fn stale_end_marker_ack_does_not_complete_the_next_train() {
+        for (ec, clean_ack) in [
+            (sr(), AckInfo::Bitmap(AckBitmap::all_received(1))),
+            (gbn(), AckInfo::Cumulative(1)),
+        ] {
+            let now = Instant::now();
+            let cfg = train_config(ec, FlowControlAlg::None);
+            let mut tx = TxPlane::new(&cfg, PlaneObs::default(), now);
+            let mut sent = Vec::new();
+            let first = [0, 1].map(|i| submit(&mut tx, body(i, 1)));
+            tx.poll(now, |sdu| sent.push((sdu.session, sdu.packed)));
+            tx.on_ack(0, clean_ack.clone(), now);
+            for c in &first {
+                assert_eq!(c.take(), Some(Ok(())));
+            }
+            let second = [2, 3].map(|i| submit(&mut tx, body(i, 1)));
+            tx.poll(now, |sdu| sent.push((sdu.session, sdu.packed)));
+            assert_eq!(sent, [(0, true), (1, true)], "two trains of two");
+
+            tx.on_ack(0, clean_ack.clone(), now);
+            assert!(
+                second.iter().all(|c| !c.is_complete()),
+                "a stale acknowledgement of train 0 completed a message of train 1"
+            );
+            tx.on_ack(1, clean_ack, now);
+            for c in &second {
+                assert_eq!(c.take(), Some(Ok(())));
+            }
+            assert!(tx.is_idle());
+        }
+    }
+
+    /// What the sender puts on the wire for `messages`, all queued before
+    /// it first runs: `(train flag, payload)` per frame.
+    fn frames_for(sdu_size: usize, messages: &[(Vec<u8>, bool)]) -> Vec<(bool, Vec<u8>)> {
+        let now = Instant::now();
+        let cfg = ConnectionConfig {
+            sdu_size,
+            ..config(ErrorControlAlg::None, FlowControlAlg::None)
+        };
+        let mut tx = TxPlane::new(&cfg, PlaneObs::default(), now);
+        for (data, tagged) in messages {
+            tx.submit(Submission {
+                data: data.clone(),
+                tagged: *tagged,
+                completion: None,
+            });
+        }
+        let mut frames = Vec::new();
+        tx.poll(now, |sdu| frames.push((sdu.packed, sdu.payload.to_vec())));
+        assert!(tx.is_idle());
+        frames
+    }
+
+    #[test]
+    fn a_train_is_bounded_by_the_sdu_to_the_byte() {
+        let fits = [(vec![1; 10], false), (vec![2; 6], true)];
+        let frames = frames_for(2 * RECORD_HEADER + 16, &fits);
+        assert_eq!(frames.len(), 1, "both records fill the SDU exactly");
+        assert!(frames[0].0);
+        assert_eq!(frames[0].1.len(), 2 * RECORD_HEADER + 16);
+
+        let one_more = [(vec![1; 10], false), (vec![2; 7], true)];
+        let frames = frames_for(2 * RECORD_HEADER + 16, &one_more);
+        let alone: Vec<_> = one_more.iter().map(|(m, _)| (false, m.clone())).collect();
+        assert_eq!(frames, alone, "each goes out as it is, header-less");
+    }
+
+    /// A message of several SDUs neither rides nor lets later messages
+    /// overtake it: the train stops in front of it.
+    #[test]
+    fn a_train_stops_at_a_message_that_needs_more_than_one_sdu() {
+        let messages: Vec<_> = [1, 1, LONG, 1, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &sdus)| (body(i, sdus), false))
+            .collect();
+        let shape: Vec<_> = frames_for(TRAIN_SDU, &messages)
+            .iter()
+            .map(|(packed, payload)| (*packed, payload.len()))
+            .collect();
+        let train = 2 * (RECORD_HEADER + body(0, 1).len());
+        let tail = body(0, LONG).len() - 2 * TRAIN_SDU;
+        assert_eq!(
+            shape,
+            [
+                (true, train),
+                (false, TRAIN_SDU),
+                (false, TRAIN_SDU),
+                (false, tail),
+                (true, train)
+            ]
+        );
+    }
+
+    /// Non-empty messages with mixed tag flags.
+    fn messages() -> impl Strategy<Value = Vec<(Vec<u8>, bool)>> {
+        let message = (proptest::collection::vec(any::<u8>(), 1..40), any::<bool>());
+        proptest::collection::vec(message, 1..12)
+    }
+
+    fn packed(messages: &[(Vec<u8>, bool)]) -> Vec<u8> {
+        let mut train = Vec::new();
+        for (data, tagged) in messages {
+            push_record(&mut train, data, *tagged);
+        }
+        train
+    }
+
+    /// All records or none, and never more bytes than were fed.
+    fn check_unpack(bytes: Vec<u8>) {
+        let fed = bytes.len();
+        let Some(train) = Delivered::train(bytes) else {
+            return;
+        };
+        let records: Vec<_> = train.collect();
+        let yielded: usize = records.iter().map(|(m, _)| RECORD_HEADER + m.len()).sum();
+        assert_eq!(yielded, fed, "a train that parses parses to its last byte");
+        assert!(records.iter().all(|(m, _)| !m.is_empty()));
+    }
+
+    proptest! {
+        #[test]
+        fn pack_then_unpack_is_identity(messages in messages()) {
+            let train = Delivered::train(packed(&messages)).expect("own train parses");
+            prop_assert_eq!(train.collect::<Vec<_>>(), messages);
+        }
+
+        /// Through the sender: whatever it packs into its frames, the
+        /// receiver's split gives back, in order.
+        #[test]
+        fn what_the_sender_packs_the_receiver_unpacks(messages in messages()) {
+            let mut got = Vec::new();
+            for (is_train, payload) in frames_for(64, &messages) {
+                if is_train {
+                    got.extend(Delivered::train(payload).expect("own train parses"));
+                } else {
+                    let tagged = messages[got.len()].1;
+                    got.push((payload, tagged));
+                }
+            }
+            prop_assert_eq!(got, messages);
+        }
+
+        #[test]
+        fn arbitrary_bytes_unpack_to_all_records_or_none(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            check_unpack(bytes);
+        }
+
+        /// A valid train with a few bytes overwritten and its tail cut.
+        #[test]
+        fn mutated_trains_unpack_to_all_records_or_none(
+            messages in messages(),
+            edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+            cut in any::<usize>(),
+        ) {
+            let mut bytes = packed(&messages);
+            for (at, b) in edits {
+                let at = at % bytes.len();
+                bytes[at] = b;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            check_unpack(bytes);
+        }
+    }
+
+    // -- Frames no sender of this crate builds ---------------------------
+
+    fn frame(session: u32, seq: u32, end: bool, packed: bool, payload: &[u8]) -> DataView<'_> {
+        DataView {
+            header: DataHeader {
+                conn: 0,
+                src_conn: 0,
+                session,
+                seq,
+                end,
+                tagged: false,
+            },
+            packed,
+            payload,
+        }
+    }
+
+    fn delivered(step: RxStep) -> Vec<Vec<u8>> {
+        step.delivered.map(|(message, _)| message).collect()
+    }
+
+    /// A sequence number no bitmap holds reaches no strategy — it used to
+    /// panic `AckBitmap::all_missing`, or size selective repeat's slot
+    /// vector by it — and the message being reassembled around it, and
+    /// the one after, arrive whole.
+    #[test]
+    fn out_of_range_sequence_numbers_are_refused_and_disturb_nothing() {
+        for ec in [sr(), gbn()] {
+            let now = Instant::now();
+            let (mut rx, rejected) = rx_plane(&config(ec, credit()));
+            let message = body(0, 3);
+            let part = |seq: usize| &message[seq * SDU..message.len().min((seq + 1) * SDU)];
+            assert!(delivered(rx.on_frame(&frame(0, 0, false, false, part(0)), now)).is_empty());
+            for (session, seq) in [
+                (0, AckBitmap::MAX_TOTAL),
+                (0, 70_000),
+                (0, u32::MAX),
+                (9, u32::MAX),
+                (u32::MAX, u32::MAX),
+            ] {
+                for end in [false, true] {
+                    let step = rx.on_frame(&frame(session, seq, end, false, b"x"), now);
+                    assert_eq!(step.ack, None);
+                    assert!(delivered(step).is_empty());
+                }
+            }
+            assert_eq!(rejected.get(), 10);
+            rx.on_frame(&frame(0, 1, false, false, part(1)), now);
+            let step = rx.on_frame(&frame(0, 2, true, false, part(2)), now);
+            assert!(step.ack.is_some());
+            assert_eq!(delivered(step), [message]);
+            let next = rx.on_frame(&frame(1, 0, true, false, b"next"), now);
+            assert_eq!(delivered(next), [b"next".to_vec()]);
+            // Nor does the last session number there is overflow "the
+            // sessions below this one were delivered".
+            let last = rx.on_frame(&frame(u32::MAX, 0, true, false, b"last"), now);
+            assert_eq!(delivered(last), [b"last".to_vec()]);
+        }
+    }
+
+    /// The arrival of a refused frame still spent one of the sender's
+    /// credits, and is granted back like any other.
+    #[test]
+    fn a_refused_frame_still_counts_for_the_credit_grant() {
+        let now = Instant::now();
+        let (mut rx, _) = rx_plane(&config(sr(), credit()));
+        let granted: u32 = (0..8)
+            .map(|_| {
+                rx.on_frame(&frame(0, u32::MAX, true, false, b"x"), now)
+                    .credit
+            })
+            .sum();
+        let (mut rx, _) = rx_plane(&config(sr(), credit()));
+        let expected: u32 = (0..8)
+            .map(|i| rx.on_frame(&frame(i, 0, true, false, b"x"), now).credit)
+            .sum();
+        assert!(expected > 0);
+        assert_eq!(granted, expected);
+    }
+
+    /// A train is always a whole one-SDU session: a frame that carries the
+    /// flag anywhere else is ignored, and the next message arrives.
+    #[test]
+    fn a_train_flag_on_part_of_a_session_is_refused() {
+        for ec in [sr(), gbn()] {
+            let now = Instant::now();
+            let (mut rx, rejected) = rx_plane(&config(ec, FlowControlAlg::None));
+            let train = packed(&[(b"ab".to_vec(), false)]);
+            for (seq, end) in [(0, false), (1, true), (1, false)] {
+                let step = rx.on_frame(&frame(0, seq, end, true, &train), now);
+                assert_eq!(step.ack, None);
+                assert!(delivered(step).is_empty());
+            }
+            assert_eq!(rejected.get(), 3);
+            let step = rx.on_frame(&frame(0, 0, true, true, &train), now);
+            assert!(step.ack.is_some());
+            assert_eq!(delivered(step), [b"ab".to_vec()]);
+        }
+    }
+
+    /// A train whose records do not parse arrived intact, so it is
+    /// acknowledged (the sender must not retransmit it for ever), dropped
+    /// whole and counted; its retransmission is a duplicate like any
+    /// other, and the next message arrives.
+    #[test]
+    fn an_unparsable_train_is_acknowledged_dropped_whole_and_counted() {
+        for ec in [sr(), gbn()] {
+            let now = Instant::now();
+            let (mut rx, rejected) = rx_plane(&config(ec, FlowControlAlg::None));
+            let mut train = packed(&[(b"first".to_vec(), false), (b"second".to_vec(), true)]);
+            train.pop();
+            let step = rx.on_frame(&frame(0, 0, true, true, &train), now);
+            assert!(step.ack.is_some(), "acknowledged");
+            assert!(delivered(step).is_empty(), "not even its first record");
+            assert_eq!(rejected.get(), 1);
+            let again = rx.on_frame(&frame(0, 0, true, true, &train), now);
+            assert!(again.ack.is_some());
+            assert!(delivered(again).is_empty());
+            assert_eq!(rejected.get(), 1, "a duplicate of a finished session");
+            let next = rx.on_frame(&frame(1, 0, true, false, b"next"), now);
+            assert_eq!(delivered(next), [b"next".to_vec()]);
+        }
+    }
+
     // -- Bounded schedule exploration ------------------------------------
     //
     // A `TxPlane` and an `RxPlane` joined by an in-test wire. Everything
@@ -621,28 +1084,29 @@ mod tests {
     fn run(cfg: &ConnectionConfig, sdus_per_msg: &[usize], plan: &Plan) -> Vec<Kind> {
         let context = || {
             format!(
-                "{:?} / {:?}, messages of {sdus_per_msg:?} SDUs, faults {plan:?}",
-                cfg.error_control, cfg.flow_control
+                "{:?} / {:?}, SDUs of {}, messages of {sdus_per_msg:?} x {SDU} bytes, faults {plan:?}",
+                cfg.error_control, cfg.flow_control, cfg.sdu_size
             )
         };
         let mut now = Instant::now();
         let obs = PlaneObs::default();
         let mut tx = TxPlane::new(cfg, obs.clone(), now);
-        let mut rx = RxPlane::new(cfg);
+        let (mut rx, rejected) = rx_plane(cfg);
         let bodies: Vec<Vec<u8>> = (0..sdus_per_msg.len())
             .map(|i| body(i, sdus_per_msg[i]))
             .collect();
         let completions: Vec<_> = bodies.iter().map(|b| submit(&mut tx, b.clone())).collect();
 
         let mut events = Vec::new();
-        let mut data_wire: VecDeque<DataPacket> = VecDeque::new();
+        // A frame and its train flag.
+        let mut data_wire: VecDeque<(DataPacket, bool)> = VecDeque::new();
         let mut ctrl_wire: VecDeque<CtrlEvent> = VecDeque::new();
         let mut late_acks: Vec<CtrlEvent> = Vec::new();
         let mut delivered: Vec<Vec<u8>> = Vec::new();
         for _step in 0..10_000 {
             let mut moved = tx.poll(now, |sdu| {
                 if fate(&mut events, Kind::Data, plan).is_none() {
-                    data_wire.push_back(DataPacket {
+                    let packet = DataPacket {
                         header: DataHeader {
                             conn: 0,
                             src_conn: 0,
@@ -652,16 +1116,18 @@ mod tests {
                             tagged: sdu.tagged,
                         },
                         payload: sdu.payload.to_vec(),
-                    });
+                    };
+                    data_wire.push_back((packet, sdu.packed));
                 }
             });
             if moved {
                 ctrl_wire.extend(late_acks.drain(..));
             }
-            while let Some(packet) = data_wire.pop_front() {
+            while let Some((packet, packed)) = data_wire.pop_front() {
                 moved = true;
                 let view = DataView {
                     header: packet.header,
+                    packed,
                     payload: &packet.payload,
                 };
                 let step = rx.on_frame(&view, now);
@@ -682,7 +1148,7 @@ mod tests {
                         }
                     }
                 }
-                delivered.extend(step.delivered);
+                delivered.extend(step.delivered.map(|(message, _tagged)| message));
             }
             while let Some(event) = ctrl_wire.pop_front() {
                 moved = true;
@@ -708,6 +1174,13 @@ mod tests {
             assert_eq!(c.take(), Some(Ok(())), "completion {i}: {}", context());
         }
         assert!(obs.last_error.lock().is_none(), "{}", context());
+        assert_eq!(rejected.get(), 0, "{}", context());
+        assert_eq!(
+            obs.counters.messages_sent.get(),
+            bodies.len() as u64,
+            "{}",
+            context()
+        );
         assert!(
             tx.is_idle() && tx.next_deadline(now).is_none(),
             "not quiescent: {tx:?}: {}",
@@ -753,6 +1226,40 @@ mod tests {
                     .sum();
                 println!(
                     "{:?} / {:?}: {schedules} schedules",
+                    cfg.error_control, cfg.flow_control
+                );
+                assert!(schedules > 100, "the exploration enumerated nothing");
+            }
+        }
+    }
+
+    /// The same exploration with SDUs large enough that short messages
+    /// ride in trains: checked per *message* — each delivered once, in
+    /// submission order, each completion `Ok`. A dropped data frame now
+    /// loses a whole train, a dropped acknowledgement leaves all of its
+    /// messages unresolved.
+    #[test]
+    fn every_schedule_of_two_faults_delivers_every_message_of_a_train_exactly_once() {
+        let runs: [(&[usize], usize); 3] = [
+            // One train of three.
+            (&[1, 1, 1], 1),
+            // A train of three, a fourth message alone, one of three SDUs.
+            (&[1, 1, 1, 1, LONG], 5),
+            // Two trains with a message of three SDUs between them.
+            (&[1, 1, LONG, 1, 1], 5),
+        ];
+        for ec in [sr(), gbn()] {
+            for fc in [credit(), FlowControlAlg::None] {
+                let cfg = train_config(ec.clone(), fc);
+                let mut schedules = 0;
+                for (lens, frames) in runs {
+                    let data =
+                        |events: Vec<Kind>| events.iter().filter(|k| **k == Kind::Data).count();
+                    assert_eq!(data(run(&cfg, lens, &Plan::new())), frames, "{lens:?}");
+                    schedules += explore(&cfg, lens);
+                }
+                println!(
+                    "{:?} / {:?}: {schedules} schedules with trains",
                     cfg.error_control, cfg.flow_control
                 );
                 assert!(schedules > 100, "the exploration enumerated nothing");

@@ -26,6 +26,7 @@ pub(crate) struct ConnCounters {
     pub credits_granted: Counter,
     pub credits_received: Counter,
     pub send_failures: Counter,
+    pub frames_rejected: Counter,
 }
 
 impl ConnCounters {
@@ -69,6 +70,10 @@ impl ConnCounters {
                 "ncs_conn_send_failures_total",
                 "messages that exhausted their retry budget",
             ),
+            frames_rejected: c(
+                "ncs_conn_frames_rejected_total",
+                "data frames the receive plane refused as malformed",
+            ),
         }
     }
 
@@ -84,6 +89,7 @@ impl ConnCounters {
             credits_granted: self.credits_granted.get(),
             credits_received: self.credits_received.get(),
             send_failures: self.send_failures.get(),
+            frames_rejected: self.frames_rejected.get(),
         }
     }
 }
@@ -216,13 +222,19 @@ impl MetricSource for PackageMetricSource {
 }
 
 /// Point-in-time statistics of one NCS connection.
+///
+/// Messages and packets are counted apart, and neither bounds the other:
+/// a long message is many packets, and small messages queued behind a
+/// session in flight share one packet (a *train*, see `ARCHITECTURE.md`),
+/// so a stream of them reads `packets_sent` well below `messages_sent`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionStats {
     /// User messages accepted by `NCS_send`.
     pub messages_sent: u64,
     /// User messages delivered to the receive buffer.
     pub messages_received: u64,
-    /// SDU packets transmitted (including retransmissions).
+    /// SDU packets transmitted (including retransmissions). A train of
+    /// small messages is one packet.
     pub packets_sent: u64,
     /// SDU packets received.
     pub packets_received: u64,
@@ -236,8 +248,16 @@ pub struct ConnectionStats {
     pub credits_granted: u64,
     /// Flow-control credits received from the peer.
     pub credits_received: u64,
-    /// Messages that exhausted their error-control retry budget.
+    /// Messages that exhausted their error-control retry budget. The
+    /// messages of a train share one error-control session: if it fails,
+    /// every one of them fails and is counted here.
     pub send_failures: u64,
+    /// Data frames the receive plane refused: a sequence number beyond the
+    /// largest message, a train flag on a frame that is not a whole
+    /// one-SDU session, or a train whose records do not parse (that one is
+    /// acknowledged — it arrived intact — and dropped whole). No sender of
+    /// this crate produces any of them.
+    pub frames_rejected: u64,
 }
 
 impl std::fmt::Display for ConnectionStats {

@@ -54,9 +54,15 @@ fn lossy_aci_pair(cell_loss: f64, seed: u64) -> (NcsNode, NcsNode, Arc<AciFabric
     (a, b, fabric)
 }
 
+/// SDUs of 512 bytes: small messages queued behind a session in flight
+/// share one frame, which grows to a full SDU when many are queued, and a
+/// frame has to cross two links that each lose 1 % of its cells. A dozen
+/// cells make it four times in five; the 86 cells of a 4 KiB SDU would
+/// make it once in six, and every lost frame also costs the sender one of
+/// its four credits until the starvation probe finds it again.
 fn lossy_config() -> ConnectionConfig {
     ConnectionConfig::builder()
-        .sdu_size(4 * 1024)
+        .sdu_size(512)
         .flow_control(ncs_core::FlowControlAlg::CreditBased {
             initial_credits: 4,
             dynamic: true,
@@ -184,12 +190,22 @@ fn channels_never_cross_user_package() {
     b.shutdown();
 }
 
+/// Enough traffic for 1 % cell loss to bite: what crosses the wire is
+/// some nine near-full SDUs, a hundred cells each way over two lossy
+/// links — where the two dozen messages of [`sample_plan`] would be two
+/// frames of a few cells, which the seeded loss misses.
+fn lossy_plan() -> Vec<(u16, u8)> {
+    (0..300u16)
+        .map(|i| (i % CHANNELS, i as u8 ^ 0xA5))
+        .collect()
+}
+
 /// Channel isolation holds when the wire itself reorders: seeded ACI cell
 /// loss forces selective-repeat retransmissions, yet per-channel FIFO and
 /// isolation must survive — under both thread packages.
 #[test]
 fn channels_never_cross_under_seeded_loss_aci() {
-    let plan = sample_plan();
+    let plan = lossy_plan();
     // Kernel package.
     {
         let (a, b, fabric) = lossy_aci_pair(0.01, 0xC0DE);

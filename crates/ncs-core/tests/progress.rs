@@ -6,7 +6,11 @@
 //! task does everything else. The send contract must not depend on which
 //! of the two it was: order, completeness, retransmission after a loss
 //! and request resolution across a close are checked here under both
-//! thread packages. And an event loop sleeps only toward deadlines
+//! thread packages. Nor may it depend on what a message shared its frame
+//! with: small messages queued behind a session in flight ride in one SDU
+//! as a train, and each still arrives once, in its stream's order, and
+//! resolves its own request — after a lost frame, and when the train's
+//! session fails. And an event loop sleeps only toward deadlines
 //! somebody still waits for: after a burst of acknowledged traffic,
 //! silence costs nothing.
 
@@ -57,6 +61,64 @@ impl Pair {
     fn shutdown(self) {
         self.a.shutdown();
         self.b.shutdown();
+    }
+}
+
+/// Alice and Bob over the ATM model, Alice's uplink dropping the
+/// best-effort cells whose indices `dropped` lists.
+struct AtmPair {
+    a: NcsNode,
+    b: NcsNode,
+    fabric: Arc<AciFabric>,
+}
+
+impl AtmPair {
+    fn new(pkg: &Pkg, dropped: Vec<u64>) -> AtmPair {
+        use atm_sim::{FaultSpec, LinkSpec, NetworkBuilder, PumpConfig, QosParams};
+        let net = NetworkBuilder::new()
+            .switch("sw")
+            .host("alice")
+            .host("bob")
+            .link(
+                "alice",
+                "sw",
+                LinkSpec::oc3().with_fault(FaultSpec::drop_plan(dropped)),
+            )
+            .link("bob", "sw", LinkSpec::oc3())
+            .build()
+            .expect("atm network");
+        let fabric = AciFabric::start(net, PumpConfig::speedup(4.0));
+        let a = NcsNode::builder("alice")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        let b = NcsNode::builder("bob")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        let dev = |host| Arc::new(fabric.device(host).expect("device"));
+        let qos = QosParams::unspecified();
+        a.attach_peer("bob", AciLink::new(dev("alice"), "bob", qos));
+        b.attach_peer("alice", AciLink::new(dev("bob"), "alice", qos));
+        AtmPair { a, b, fabric }
+    }
+
+    /// A connection under selective repeat alone: no credits share the
+    /// uplink's cell count.
+    fn connect(&self, timeout: Duration, max_retries: u32) -> (NcsConnection, NcsConnection) {
+        let config = ConnectionConfig::builder()
+            .flow_control(ncs_core::FlowControlAlg::None)
+            .error_control(ncs_core::ErrorControlAlg::SelectiveRepeat {
+                timeout,
+                max_retries,
+            })
+            .build();
+        let tx = self.a.connect("bob", config).expect("connect");
+        (tx, self.b.accept_default().expect("accept"))
+    }
+
+    fn shutdown(self) {
+        self.a.shutdown();
+        self.b.shutdown();
+        self.fabric.shutdown();
     }
 }
 
@@ -207,6 +269,136 @@ fn a_message_sent_inline_after_silence_is_retransmitted_when_lost() {
         a.shutdown();
         b.shutdown();
         fabric.shutdown();
+    });
+}
+
+/// Four channels and the untagged stream, 2,000 small messages each,
+/// issued round-robin by one thread: whatever is queued when a session
+/// ends rides in the next one, so a train mixes all five streams. Each
+/// stream arrives complete and in its own order, and the frames are far
+/// fewer than the messages.
+#[test]
+fn small_messages_sharing_frames_keep_every_streams_order() {
+    const PER_STREAM: u32 = 2_000;
+    const CHANNELS: u16 = 4;
+    on_both_packages(|pkg| {
+        let pair = Pair::hpi(pkg);
+        let (tx, rx) = (pair.tx.clone(), pair.rx.clone());
+        let sender = pkg.spawn_typed("sender", move || {
+            let mut sent = Vec::new();
+            for i in 0..PER_STREAM {
+                for id in 0..CHANNELS {
+                    sent.push(tx.channel(id).isend(&numbered(i, 8)).expect("isend"));
+                }
+                sent.push(tx.isend(&numbered(i, 16)).expect("isend"));
+            }
+            for req in sent {
+                req.wait_timeout(WAIT).expect("delivered");
+            }
+        });
+        for i in 0..PER_STREAM {
+            for id in 0..CHANNELS {
+                let got = rx.channel(id).recv_view(WAIT).expect("recv");
+                assert_eq!((index_of(&got), got.len()), (i, 8), "channel {id}");
+            }
+            let got = rx.recv_timeout(WAIT).expect("recv");
+            assert_eq!((index_of(&got), got.len()), (i, 16), "untagged");
+        }
+        sender.join().expect("sender");
+        let (sent, received) = (pair.tx.stats(), pair.rx.stats());
+        let total = u64::from(PER_STREAM) * (u64::from(CHANNELS) + 1);
+        assert_eq!(
+            (sent.messages_sent, received.messages_received),
+            (total, total)
+        );
+        assert!(sent.packets_sent < sent.messages_sent / 4, "{sent}");
+        assert_eq!(received.frames_rejected, 0);
+        pair.shutdown();
+    });
+}
+
+/// A frame that carries a train loses a cell: the one retransmission of
+/// that frame repairs every message in it, each delivered once, in order.
+#[test]
+fn a_lost_train_is_retransmitted_whole_and_delivered_once() {
+    const WARM: u32 = 10;
+    const BATCH: u32 = 300;
+    on_both_packages(|pkg| {
+        // As above, the 41st cell of Alice's uplink comes after the
+        // handshake and the warm-up. The batch is queued before the
+        // pipeline is activated, so it leaves as one train — 300 records
+        // of 12 bytes, some 76 cells — which takes the drop (or as two, if
+        // the task was still up from the last acknowledgement).
+        let pair = AtmPair::new(pkg, vec![40]);
+        let (tx, rx) = pair.connect(Duration::from_millis(150), 30);
+        for i in 0..WARM {
+            tx.send_sync(&numbered(i, 8)).expect("warm-up");
+            assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
+        }
+        let before = tx.stats();
+        assert_eq!(before.retransmissions, 0, "the drop hit the warm-up");
+        let batch: Vec<Vec<u8>> = (WARM..WARM + BATCH).map(|i| numbered(i, 8)).collect();
+        let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+        tx.send_batch(&refs).expect("send_batch");
+        for want in &batch {
+            assert_eq!(&rx.recv_timeout(WAIT).expect("repaired"), want);
+        }
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(300)),
+            Err(SendError::Timeout),
+            "the retransmitted train was delivered a second time"
+        );
+        let after = tx.stats();
+        assert_eq!(after.messages_sent - before.messages_sent, u64::from(BATCH));
+        let frames = after.packets_sent - before.packets_sent;
+        assert!(
+            frames <= 4,
+            "{frames} frames: the batch did not share frames"
+        );
+        assert_eq!(after.retransmissions, 1);
+        assert_eq!(pair.fabric.stats().cells_lost, 1);
+        assert_eq!(rx.stats().messages_received, u64::from(WARM + BATCH));
+        pair.shutdown();
+    });
+}
+
+/// The messages of a train share its session's fate: when error control
+/// gives the session up, every one of their requests resolves
+/// `DeliveryFailed`, none is left waiting and none is reported delivered.
+#[test]
+fn a_train_whose_session_fails_fails_every_request_in_it() {
+    const SENDS: u64 = 200;
+    on_both_packages(|pkg| {
+        // From its 41st cell on, Alice's uplink delivers nothing: the
+        // handshake gets through, and so do one-cell messages until one
+        // does not.
+        let pair = AtmPair::new(pkg, (40..20_000).collect());
+        let (tx, rx) = pair.connect(Duration::from_millis(20), 2);
+        let mut delivered = 0;
+        while tx.send_sync(&numbered(delivered, 8)).is_ok() {
+            assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), delivered);
+            delivered += 1;
+        }
+        let before = tx.stats();
+        assert_eq!(before.send_failures, 1);
+        let requests: Vec<_> = (0..SENDS)
+            .map(|i| tx.isend(&numbered(i as u32, 8)).expect("isend"))
+            .collect();
+        for req in requests {
+            match req.wait_timeout(WAIT) {
+                Err(SendError::DeliveryFailed(_)) => {}
+                other => panic!("a request of a failed train resolved {other:?}"),
+            }
+        }
+        let after = tx.stats();
+        assert_eq!(after.send_failures, 1 + SENDS, "counted per message");
+        assert_eq!(after.messages_sent - before.messages_sent, SENDS);
+        // Three transmissions per session; 200 sessions of one message
+        // would be 600 frames.
+        let frames = after.packets_sent - before.packets_sent;
+        assert!(frames < SENDS, "{frames} frames: no message shared one");
+        assert_eq!(rx.stats().messages_received, u64::from(delivered));
+        pair.shutdown();
     });
 }
 
