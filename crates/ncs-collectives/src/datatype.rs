@@ -3,7 +3,8 @@
 //! The engine moves byte payloads; the typed API converts element vectors
 //! to little-endian bytes on submission and back on completion. Reductions
 //! are described by a ([`DType`], [`ReduceOp`]) pair so the fold can run on
-//! the progress thread, away from the caller's type parameters.
+//! whichever thread delivers the frame, away from the caller's type
+//! parameters.
 
 use crate::handle::CollectiveError;
 

@@ -1,4 +1,4 @@
-//! The collective engine: the blocking shell of the collective
+//! The collective engine: the shell of the collective
 //! [`machine`](crate::machine) over a group's pairwise NCS connections,
 //! and the typed operations applications call.
 //!
@@ -7,26 +7,58 @@
 //! What a collective sends to whom, and in which order, is decided by
 //! [`plan`](crate::machine::plan) and interpreted by a
 //! [`Machine`] that never touches a connection or a clock. This module
-//! gives one member's machine its I/O, and owns **no standing threads**:
+//! gives one member's machine its I/O, and owns **no threads at all**: a
+//! collective advances on whichever thread brings it something.
 //!
-//! * each link's untagged receive stream is handed to the engine via
-//!   [`NcsConnection::set_receive_sink`] — the node's readiness reactor
-//!   pushes reassembled frames straight into the member's inbox; and
-//! * a **progress runner** borrows a thread from the reactor's blocking
-//!   lane only while operations are queued — the paper's overlap story
-//!   made concrete for group communication. Application threads *submit*
-//!   operations (an inbox send) and immediately continue computing; the
-//!   runner feeds the machine what the inbox holds, performs the sends it
-//!   asks for through [`NcsConnection::send_batch`], resolves the
-//!   caller's [`CollectiveHandle`] when it reports an operation done,
-//!   parks on the inbox until the machine's next deadline, and exits once
-//!   the machine is idle. A quiescent group costs zero threads.
+//! * **Who steps.** Everything that can change the machine's mind is an
+//!   event on the member's inbox — a submitted operation, a multicast, a
+//!   frame or a link's death reported by a link's receive sink
+//!   ([`NcsConnection::set_receive_sink`], so on one of the node's event
+//!   loops), `close()`, a view abort — and inbox order is execution order.
+//!   Whoever queues an event then *drives*: `try_lock` the machine, feed
+//!   it what the inbox holds, let it advance, perform what it asks for
+//!   (frames out through [`NcsConnection::try_send_batch`], results into
+//!   the callers' [`CollectiveHandle`]s), unlock, and look at the inbox
+//!   once more. A busy lock means somebody else is stepping and will see
+//!   the event on that last look, so the loser just leaves. The frame that
+//!   completes an operation therefore completes it on the thread that
+//!   delivered it, reductions included: one fold is at most one segment
+//!   (`seg_size`), about the copy the receive plane already made of it.
+//! * **Who may block.** Nobody. An application thread inside
+//!   `iallreduce` and an event loop inside a sink run the same step, and
+//!   no path through it waits — not for a link, not for the lock. (Only
+//!   `close()` waits for the lock, so that it can promise the closing step
+//!   has run: for as long as a step in progress takes.)
+//! * **What the outbox bounds.** A link under back-pressure admits a
+//!   prefix of what it is offered; the refused frames are copied into a
+//!   per-link *outbox* of pooled buffers, and every later frame for that
+//!   link queues behind them, so link order holds. While any outbox holds
+//!   frames the machine is not asked for more (nor the inbox drained),
+//!   until the operation at its head is overdue or the group closes. That
+//!   bounds the outbox by what the machine can emit *without receiving*,
+//!   not by one plan step: one poll runs the head operation's sends until
+//!   a step must wait and then starts the operations queued behind it, so
+//!   the bound is the payloads submitted and not yet sent × their fan-out
+//!   — memory the callers already handed over. The outbox is offered again
+//!   on every drive and, with nothing else happening, every [`TX_RETRY`].
+//! * **What `Ok` means for a sender.** A machine's `Send` step is done
+//!   once its frames are *accepted* — by the link or by the outbox — so
+//!   the root of a large broadcast can see its handle resolve with
+//!   megabytes still owed. They are delivered all the same: a group that
+//!   is closed (or dropped) while it owes frames keeps itself alive, and
+//!   its task retrying, until every outbox is empty or its link has died.
+//! * **Who keeps time.** One reactor task per group
+//!   ([`Reactor::spawn_task`](ncs_core::Reactor::spawn_task)) holds the
+//!   machine's next deadline (an operation's timeout, the grace after a
+//!   link died) or the outbox retry, under the reactor's timer rule: a
+//!   deadline stays armed while the group is busy and is replaced only by
+//!   an earlier one, so a stream of short operations with long timeouts
+//!   costs one timer per timeout period, not one per operation. The task
+//!   holds the group weakly and ends with it: a closed group that owes
+//!   nothing is freed the moment its last handle is dropped, whatever
+//!   deadline was armed.
 //!
-//! Everything that can change the runner's mind is an inbox event —
-//! submissions, frames, a link's death, `close()`, a view abort — so a
-//! parked runner wakes when its cause arrives, never on a poll.
-//!
-//! The runner is spawned through the node's configured
+//! The event loops run on the node's configured
 //! [`ncs_threads::ThreadPackage`], so the same engine runs over the
 //! kernel-level and the user-level (green-thread) package.
 //!
@@ -42,17 +74,34 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ncs_core::{Clock, NcsConnection, NcsNode, Reactor, SendError};
+use ncs_core::{BufPool, Clock, NcsConnection, NcsNode, PooledBuf, SendError, TaskRef};
 use ncs_threads::sync::Mailbox;
 use parking_lot::Mutex;
 
 use crate::datatype::{to_bytes, ReduceOp, Scalar};
-use crate::frame::{is_unmatched, Encoder, UNMATCHED};
+use crate::frame::{Encoder, UNMATCHED};
 use crate::handle::{CollectiveError, CollectiveHandle, CollectiveResult, OpCompletion};
 use crate::machine::{Machine, Op, Output, Spec};
 use crate::topology::{OpClass, Topology, TopologyPolicy};
+
+/// How long refused frames sit in an outbox before the group task offers
+/// them again with nothing else driving the group. What ends the
+/// back-pressure is the link's send queue draining, which nothing here can
+/// observe — the idiom of the connection's own Send plane, on a shorter
+/// fuse: a full queue (128 SDUs) empties in about this long on the
+/// in-process links, and a leaf of a reduction has nothing but this timer
+/// to send its next run of segments on (at 1 ms a 2 MiB allreduce took
+/// half as long again as it did behind a blocking send).
+const TX_RETRY: Duration = Duration::from_micros(250);
+
+/// How late the group task may run for a deadline: one already armed
+/// within this of a new one covers it. Deadlines are recomputed from two
+/// clocks on every drive and jitter by nanoseconds; without the slack
+/// every other frame would find its operation's (unchanged) deadline
+/// "earlier" than the armed one and wake the task for nothing.
+const TIMER_SLACK: Duration = Duration::from_micros(100);
 
 /// Tuning knobs of a [`CollectiveGroup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +113,8 @@ pub struct CollectiveConfig {
     pub seg_size: usize,
     /// The per-operation topology selection policy.
     pub policy: TopologyPolicy,
-    /// How long the progress thread waits on any one operation before
+    /// How long any one operation may take, from reaching the head of the
+    /// member's queue, before
     /// failing it with [`CollectiveError::Timeout`] (covers members that
     /// never issue the matching call).
     pub op_timeout: Duration,
@@ -83,7 +133,7 @@ impl Default for CollectiveConfig {
 /// Counters of a group's collective engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectiveStats {
-    /// Operations completed (successfully or not) by the progress thread.
+    /// Operations completed (successfully or not).
     pub ops_completed: u64,
     /// Collective frames transmitted (including tree forwards).
     pub frames_sent: u64,
@@ -135,40 +185,46 @@ impl StatCounters {
     }
 }
 
-/// Everything that reaches the progress runner arrives here, in one FIFO:
-/// pushing an event is what wakes a parked runner.
+/// Everything that reaches the machine arrives here, in one FIFO: inbox
+/// order is execution order, whoever ends up stepping.
 enum Event {
-    /// A submitted operation (inbox order is execution order).
-    Op {
-        spec: Spec,
-        payload: Vec<u8>,
-        timeout: Duration,
-        done: Arc<OpCompletion>,
-    },
-    /// A multicast to originate, outside the operation sequence.
-    Multicast {
-        payload: Vec<u8>,
-        topo: Topology,
-        done: Arc<OpCompletion>,
-    },
+    /// A submitted operation: what to run, its payload, its timeout and
+    /// the caller's completion slot.
+    Op(Spec, Vec<u8>, Duration, Arc<OpCompletion>),
+    /// A multicast of this payload to originate, outside the operation
+    /// sequence.
+    Multicast(Vec<u8>, Topology, Arc<OpCompletion>),
     /// A frame a link's sink reassembled.
     Frame(usize, Vec<u8>),
     /// A link's sink reported its transport dead — after the link's final
     /// frames, which is what keeps a dying peer's last words from being
     /// masked by its death.
     LinkDown(usize, SendError),
-    /// `close()` / `abort_view_changed()` flipped a flag the runner reads.
+    /// `close()` / `abort_view_changed()` flipped a flag the step reads.
     Wake,
 }
 
-/// What the progress runner owns while it runs, and what survives between
-/// its incarnations (the machine's stash of early frames).
-struct Progress {
-    machine: Machine,
+/// What the shell still owes for outputs of the machine.
+#[derive(Default)]
+struct Owed {
     /// Completion slots of the operations inside the machine, oldest
     /// first: the machine finishes them in submission order.
-    waiting: VecDeque<Arc<OpCompletion>>,
+    handles: VecDeque<Arc<OpCompletion>>,
+    /// The outbox: frames the links refused, per peer in link order. A
+    /// peer with nothing owed has no entry.
+    frames: HashMap<usize, VecDeque<PooledBuf>>,
+}
+
+/// The machine and what the shell keeps beside it, behind one lock that
+/// only `close()` ever waits for.
+struct Progress {
+    machine: Machine,
     next_coll: u32,
+    owed: Owed,
+    /// The group itself, from a `close()` that found frames owed until a
+    /// step finds none: frames of operations that already resolved `Ok`
+    /// still go out after the application has let go of the group.
+    flushing: Option<Arc<Inner>>,
 }
 
 struct Inner {
@@ -177,14 +233,15 @@ struct Inner {
     size: usize,
     cfg: CollectiveConfig,
     links: HashMap<usize, NcsConnection>,
-    /// The node's readiness reactor: feeds the inbox through the link
-    /// sinks and lends the progress runner its blocking-lane thread.
-    reactor: Arc<Reactor>,
-    inbox: Mailbox<Event>,
-    /// Whether a progress runner currently holds (or is acquiring) a
-    /// blocking-lane thread; claimed with a swap so at most one exists.
-    progress_active: AtomicBool,
+    /// Where outbox copies come from (the node's pool, as the encoder's).
+    pool: Arc<BufPool>,
+    /// Nobody parks here: a queue, not a mailbox.
+    inbox: Mutex<VecDeque<Event>>,
     progress: Mutex<Progress>,
+    /// The group's reactor task: runs [`Inner::advance`] when woken and at
+    /// the deadline it last returned. Holds the group weakly, and is
+    /// retired by being dropped with it.
+    task: TaskRef,
     /// Multicasts delivered to this member: `(origin, payload)`.
     delivered: Mailbox<(usize, Vec<u8>)>,
     closed: AtomicBool,
@@ -223,9 +280,8 @@ impl Inner {
     }
 
     /// Marks the group dead under membership `epoch` (first abort wins)
-    /// and wakes the runner, which fails the operation in flight and every
-    /// queued one. Returns whether this call was the one that aborted the
-    /// group.
+    /// and drives, which fails the operation in flight and every queued
+    /// one. Returns whether this call was the one that aborted the group.
     fn abort_view_changed(&self, epoch: u64) -> bool {
         let aborted = epoch != 0
             && self
@@ -233,7 +289,7 @@ impl Inner {
                 .compare_exchange(0, epoch, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok();
         if aborted {
-            self.inbox.send(Event::Wake);
+            self.post(Event::Wake);
         }
         aborted
     }
@@ -243,24 +299,34 @@ impl Inner {
     }
 
     /// Performs one machine output: the only place this shell touches a
-    /// link, a handle or a counter on the machine's behalf.
-    fn perform(
-        &self,
-        waiting: &mut VecDeque<Arc<OpCompletion>>,
-        out: Output<'_>,
-    ) -> Result<(), SendError> {
+    /// link, a handle or a counter on the machine's behalf. A send never
+    /// waits: what the link does not admit now is copied to its outbox.
+    fn perform(&self, owed: &mut Owed, out: Output<'_>) -> Result<(), SendError> {
         match out {
             Output::Send { to, frames } => {
-                self.links[&to]
-                    .send_batch(frames)
-                    .inspect_err(|e| self.note_fault(e))?;
+                // Behind frames already owed the link is not even asked.
+                let admitted = match owed.frames.contains_key(&to) {
+                    true => 0,
+                    false => self.links[&to]
+                        .try_send_batch(frames)
+                        .inspect_err(|e| self.note_fault(e))?,
+                };
+                if admitted < frames.len() {
+                    let copy = |frame: &&[u8]| {
+                        let mut buf = self.pool.get();
+                        buf.vec_mut().extend_from_slice(frame);
+                        buf
+                    };
+                    let outbox = owed.frames.entry(to).or_default();
+                    outbox.extend(frames[admitted..].iter().map(copy));
+                }
                 self.stats.frames_sent.add(frames.len() as u64);
                 let bytes: usize = frames.iter().map(|f| f.len()).sum();
                 self.stats.bytes_sent.add(bytes as u64);
             }
             Output::Done { result, .. } => {
                 self.stats.ops_completed.inc();
-                let done = waiting.pop_front().expect("one slot per operation");
+                let done = owed.handles.pop_front().expect("one slot per operation");
                 done.complete(result);
             }
             Output::Delivered { origin, payload } => self.delivered.send((origin, payload)),
@@ -268,33 +334,45 @@ impl Inner {
         Ok(())
     }
 
+    /// Offers every link the frames it is owed. A link that has died
+    /// since is reported to the machine — the operation that emitted the
+    /// frames may be long done — and its frames dropped.
+    fn flush(&self, p: &mut Progress) {
+        let Progress { machine, owed, .. } = p;
+        owed.frames.retain(|&to, outbox| {
+            let frames: Vec<&[u8]> = outbox.iter().map(|f| f.as_slice()).collect();
+            match self.links[&to].try_send_batch(&frames) {
+                Ok(admitted) => drop(outbox.drain(..admitted)),
+                Err(e) => {
+                    self.note_fault(&e);
+                    machine.on_link_down(to, e);
+                    outbox.clear();
+                }
+            }
+            !outbox.is_empty()
+        });
+    }
+
     /// Feeds one inbox event to the machine.
     fn feed(&self, p: &mut Progress, event: Event) {
         let Progress {
             machine,
-            waiting,
             next_coll,
+            owed,
+            ..
         } = p;
         match event {
-            Event::Op {
-                spec,
-                payload,
-                timeout,
-                done,
-            } => match self.check_closed() {
+            Event::Op(spec, payload, timeout, done) => match self.check_closed() {
                 Err(e) => done.complete(Err(e)),
                 Ok(()) => {
                     machine.submit(*next_coll, spec, payload, timeout);
                     *next_coll = (*next_coll + 1) % UNMATCHED;
-                    waiting.push_back(done);
+                    owed.handles.push_back(done);
                 }
             },
-            Event::Multicast {
-                payload,
-                topo,
-                done,
-            } => {
-                let sent = machine.multicast(&payload, topo, &mut |out| self.perform(waiting, out));
+            Event::Multicast(payload, topo, done) => {
+                let emit = &mut |out: Output<'_>| self.perform(owed, out);
+                let sent = machine.multicast(&payload, topo, emit);
                 done.complete(sent.map(|()| Vec::new()).map_err(CollectiveError::Send));
             }
             Event::Frame(from, bytes) => {
@@ -303,64 +381,87 @@ impl Inner {
                     self.stats.bytes_received.add(payload_len as u64);
                 }
             }
-            Event::LinkDown(peer, error) => machine.on_link_down(peer, error),
+            Event::LinkDown(peer, error) => {
+                self.note_fault(&error);
+                machine.on_link_down(peer, error);
+            }
             Event::Wake => {}
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Progress (on demand)
-// ---------------------------------------------------------------------------
+    // -- Progress: wherever the event is -----------------------------------
 
-/// Ensures a progress runner is servicing the inbox, borrowing a
-/// blocking-lane thread from the reactor if none is. The `progress_active`
-/// swap makes the claim exclusive: exactly one runner exists while
-/// operations are queued, zero once the machine is idle.
-fn kick_progress(inner: &Arc<Inner>) {
-    if inner.progress_active.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let i = Arc::clone(inner);
-    inner
-        .reactor
-        .spawn_blocking(Box::new(move || run_progress(&i)));
-}
-
-/// The progress runner, the machine's blocking shell: feed it everything
-/// the inbox holds, let it advance, then park on the inbox until its next
-/// deadline. Sends block legitimately (link back-pressure), which is why
-/// this runs on the blocking lane and not a reactor event loop. Releases
-/// its thread once the machine is idle.
-fn run_progress(inner: &Arc<Inner>) {
-    let mut p = inner.progress.lock();
-    loop {
-        while let Some(event) = inner.inbox.try_recv() {
-            inner.feed(&mut p, event);
-        }
-        let Progress {
-            machine, waiting, ..
-        } = &mut *p;
-        let emit = &mut |out: Output<'_>| inner.perform(waiting, out);
-        if let Err(e) = inner.check_closed() {
-            machine.abort(&e, emit);
-        }
-        let now = inner.clock.now();
-        machine.poll(now, emit);
-        let Some(deadline) = machine.next_deadline() else {
-            // Idle: nothing queued, nothing in flight.
-            inner.progress_active.store(false, Ordering::Release);
-            // An event may have slipped in between the drain and the
-            // release; reclaim the runner role unless its kick already
-            // spawned a successor.
-            if inner.inbox.is_empty() || inner.progress_active.swap(true, Ordering::AcqRel) {
-                return;
+    /// Queues `event` and drives: the one way anything reaches the machine.
+    fn post(&self, event: Event) {
+        self.inbox.lock().push_back(event);
+        if let Some(at) = self.advance() {
+            // Read after the step, outside the lock: a task poll that
+            // missed the step has either armed its deadline by now or is
+            // still running and will find this wake.
+            if !self.task.armed_by(at + TIMER_SLACK) {
+                self.task.wake();
             }
-            continue;
-        };
-        if let Ok(event) = inner.inbox.recv_timeout(deadline.saturating_sub(now)) {
-            inner.feed(&mut p, event);
         }
+    }
+
+    /// Steps the machine on the calling thread unless somebody else is
+    /// stepping it — who then sees, on its last look at the inbox, whatever
+    /// the caller queued before coming here. Never waits. Returns when the
+    /// group task must next run, if this call was the one to learn it.
+    fn advance(&self) -> Option<Instant> {
+        let mut wake_at = None;
+        loop {
+            let Some(mut p) = self.progress.try_lock() else {
+                return wake_at;
+            };
+            let drained = self.step(&mut p, &mut wake_at);
+            // Nothing left to deliver: a closed group lets go of itself
+            // (once unlocked; the caller holds it through this call).
+            let delivered = p.owed.frames.is_empty().then(|| p.flushing.take());
+            drop(p);
+            drop(delivered);
+            // An inbox the step left alone (frames still owed) is the
+            // retry's to drain, not a reason to spin here.
+            if !drained || self.inbox.lock().is_empty() {
+                return wake_at;
+            }
+        }
+    }
+
+    /// One step under the lock: offer the outbox again, feed the machine
+    /// everything the inbox holds, let it advance. Sets `wake_at` to when
+    /// the next step is due with nothing arriving; returns whether the
+    /// inbox was drained.
+    fn step(&self, p: &mut Progress, wake_at: &mut Option<Instant>) -> bool {
+        self.flush(p);
+        let now = self.clock.now();
+        let overdue = p.machine.next_deadline().is_some_and(|at| at <= now);
+        // While a link owes frames the machine is not asked for more:
+        // that is what bounds the outbox.
+        let drain = p.owed.frames.is_empty() || overdue || self.check_closed().is_err();
+        if drain {
+            // (The queue's lock is let go before each event is fed.)
+            let next = || self.inbox.lock().pop_front();
+            while let Some(event) = next() {
+                self.feed(p, event);
+            }
+            let Progress { machine, owed, .. } = &mut *p;
+            let emit = &mut |out: Output<'_>| self.perform(owed, out);
+            // Read behind the inbox: a flag is flipped before its `Wake`
+            // is queued, so the step that takes the `Wake` — this one,
+            // perhaps, though it began before the flip — sees the flag.
+            if let Err(e) = self.check_closed() {
+                machine.abort(&e, emit);
+            }
+            machine.poll(now, emit);
+        }
+        let retry = (!p.owed.frames.is_empty()).then_some(TX_RETRY);
+        let deadline = p.machine.next_deadline().map(|at| at.saturating_sub(now));
+        let after = retry.into_iter().chain(deadline).min();
+        // The wall clock is read after the node's, so the task runs on the
+        // late side of the deadline and finds it passed.
+        *wake_at = after.map(|after| Instant::now() + after);
+        drain
     }
 }
 
@@ -375,12 +476,14 @@ fn run_progress(inner: &Arc<Inner>) {
 /// [`NcsConnection::set_receive_sink`]), so do not share the connections
 /// with point-to-point traffic.
 ///
-/// The group holds **no standing threads**: link traffic flows in through
-/// receive sinks driven by the node's readiness reactor, and a progress
-/// runner borrows a blocking-lane thread only while operations are
-/// queued. Application threads *submit* operations and keep computing;
-/// the runner drives the member's collective [`Machine`] and resolves
-/// the [`CollectiveHandle`]s.
+/// The group holds **no threads**: link traffic flows in through receive
+/// sinks driven by the node's readiness reactor, and the member's
+/// collective [`Machine`] is stepped by whichever thread brings it
+/// something — the event loop delivering a frame, the application thread
+/// submitting an operation — never by a thread of its own (see the
+/// [crate docs](crate)). Application threads *submit* operations and keep
+/// computing; the [`CollectiveHandle`]s resolve where the last frame
+/// arrives.
 ///
 /// **Ordering contract** (as MPI): collective calls must be issued in the
 /// same order on every member. Within one member, concurrent submissions
@@ -448,52 +551,49 @@ impl CollectiveGroup {
         if cfg.seg_size == 0 {
             return Err(CollectiveError::BadArg("seg_size must be positive".into()));
         }
-        let machine = Machine::new(
-            Encoder::new(node.buffer_pool(), id, cfg.seg_size),
-            rank,
-            size,
-        );
-        let inner = Arc::new(Inner {
-            id,
-            rank,
-            size,
-            cfg,
-            links,
-            reactor: node.reactor(),
-            inbox: Mailbox::unbounded(),
-            progress_active: AtomicBool::new(false),
-            progress: Mutex::new(Progress {
-                machine,
-                waiting: VecDeque::new(),
-                next_coll: 0,
-            }),
-            delivered: Mailbox::unbounded(),
-            closed: AtomicBool::new(false),
-            view_changed: AtomicU64::new(0),
-            fault: Mutex::new(None),
-            clock: node.clock(),
-            stats: StatCounters::registered(&node.registry(), id),
+        let pool = node.buffer_pool();
+        let enc = Encoder::new(Arc::clone(&pool), id, cfg.seg_size);
+        let inner = Arc::new_cyclic(|group: &Weak<Inner>| {
+            // Weak: the task must not keep a dropped group (its links,
+            // its pool) alive until some far deadline.
+            let group = group.clone();
+            Inner {
+                id,
+                rank,
+                size,
+                cfg,
+                links,
+                pool,
+                inbox: Mutex::default(),
+                progress: Mutex::new(Progress {
+                    machine: Machine::new(enc, rank, size),
+                    next_coll: 0,
+                    owed: Owed::default(),
+                    flushing: None,
+                }),
+                task: node
+                    .reactor()
+                    .spawn_task(move |_| group.upgrade()?.advance()),
+                delivered: Mailbox::unbounded(),
+                closed: AtomicBool::new(false),
+                view_changed: AtomicU64::new(0),
+                fault: Mutex::new(None),
+                clock: node.clock(),
+                stats: StatCounters::registered(&node.registry(), id),
+            }
         });
         // Take ownership of every link's untagged receive stream: the
-        // reactor task that reassembles a frame pushes it straight into
-        // the member's inbox (no pump thread parked on recv). A multicast
-        // is the one frame nobody here asked for, so it alone must start a
-        // runner; a dying link reports itself behind its final frames.
+        // reactor task that reassembles a frame queues it for the machine
+        // and steps the machine there and then (no pump thread parked on
+        // recv, no runner to wake). A dying link reports itself behind its
+        // final frames.
         for (&peer, conn) in &inner.links {
             let i = Arc::clone(&inner);
-            conn.set_receive_sink(Some(Arc::new(move |res| match res {
-                Ok(view) => {
-                    let frame = view.into_vec();
-                    let unasked = is_unmatched(&frame);
-                    i.inbox.send(Event::Frame(peer, frame));
-                    if unasked {
-                        kick_progress(&i);
-                    }
-                }
-                Err(e) => {
-                    i.note_fault(&e);
-                    i.inbox.send(Event::LinkDown(peer, e));
-                }
+            conn.set_receive_sink(Some(Arc::new(move |res| {
+                i.post(match res {
+                    Ok(view) => Event::Frame(peer, view.into_vec()),
+                    Err(e) => Event::LinkDown(peer, e),
+                })
             })));
         }
         Ok(CollectiveGroup { inner })
@@ -526,10 +626,14 @@ impl CollectiveGroup {
         }
     }
 
-    /// Leaves the group: detaches the link sinks and wakes the runner,
-    /// which fails the operation in flight and every queued one with
-    /// [`CollectiveError::Closed`]. The underlying connections remain open
-    /// (owned by the caller's node). Idempotent.
+    /// Leaves the group: detaches the link sinks and fails the operation in
+    /// flight and every queued one with [`CollectiveError::Closed`] —
+    /// before it returns. Frames of operations that already resolved `Ok`
+    /// and that a link under back-pressure has not yet admitted are still
+    /// delivered: the group's reactor task keeps offering them — and the
+    /// group outlives its last handle — until they are gone or their link
+    /// is dead. The underlying connections remain open (owned by the
+    /// caller's node). Idempotent.
     pub fn close(&self) {
         if self.inner.closed.swap(true, Ordering::AcqRel) {
             return;
@@ -539,14 +643,23 @@ impl CollectiveGroup {
         for conn in self.inner.links.values() {
             conn.set_receive_sink(None);
         }
-        self.inner.inbox.send(Event::Wake);
+        // The one place that waits for the machine's lock — for as long
+        // as a step in progress takes, and steps never wait — so that the
+        // closing step has run, and seen what is still owed, on return.
+        let mut p = self.inner.progress.lock();
+        self.inner.step(&mut p, &mut None);
+        p.flushing = (!p.owed.frames.is_empty()).then(|| Arc::clone(&self.inner));
+        drop(p);
+        // Whatever a sink queued meanwhile, and the task's next retry.
+        self.inner.post(Event::Wake);
     }
 
     /// Marks the group invalidated by membership `epoch`: the operation in
     /// flight and every queued one fail at once with
-    /// [`CollectiveError::ViewChanged`] (the runner is woken for it), and
-    /// all future submissions are refused with the same error. First abort wins (later epochs don't overwrite the one that
-    /// killed the group); returns whether this call did the aborting.
+    /// [`CollectiveError::ViewChanged`], and all future submissions are
+    /// refused with the same error. First abort wins (later epochs don't
+    /// overwrite the one that killed the group); returns whether this call
+    /// did the aborting.
     ///
     /// The group stays closed to traffic afterwards — rebuild a fresh
     /// group over links matching the new view and retry there.
@@ -583,22 +696,16 @@ impl CollectiveGroup {
                 spec.root, self.inner.size
             )));
         }
-        self.enqueue(|done| Event::Op {
-            spec,
-            payload,
-            timeout,
-            done,
-        })
+        self.enqueue(|done| Event::Op(spec, payload, timeout, done))
     }
 
-    /// Hands the runner an event that resolves a handle.
+    /// Posts an event that resolves a handle.
     fn enqueue<R: CollectiveResult>(
         &self,
         event: impl FnOnce(Arc<OpCompletion>) -> Event,
     ) -> Result<CollectiveHandle<R>, CollectiveError> {
         let done = OpCompletion::new();
-        self.inner.inbox.send(event(Arc::clone(&done)));
-        kick_progress(&self.inner);
+        self.inner.post(event(Arc::clone(&done)));
         Ok(CollectiveHandle::new(done))
     }
 
@@ -880,12 +987,7 @@ impl CollectiveGroup {
         topo: Topology,
     ) -> Result<CollectiveHandle<()>, CollectiveError> {
         self.inner.check_closed()?;
-        let payload = data.to_vec();
-        self.enqueue(|done| Event::Multicast {
-            payload,
-            topo,
-            done,
-        })
+        self.enqueue(|done| Event::Multicast(data.to_vec(), topo, done))
     }
 
     /// The next multicast delivered to this member: `(origin, payload)`.
@@ -1047,8 +1149,9 @@ mod tests {
         (node, peer, peer_side, g)
     }
 
-    /// Wake, not tick: the runner parks until the operation's deadline (30
-    /// s here), so each of these resolves only because its cause woke it.
+    /// Wake, not tick: the only timer is the operation's deadline (30 s
+    /// here), so each of these resolves only because its cause drove the
+    /// machine.
     #[test]
     fn a_blocked_operation_resolves_when_its_cause_arrives_not_a_tick_later() {
         type Cause = fn(&CollectiveGroup, &NcsConnection);
@@ -1080,6 +1183,158 @@ mod tests {
                 "{:?}",
                 t0.elapsed()
             );
+            drop(g);
+            node.shutdown();
+            peer.shutdown();
+        }
+    }
+
+    /// The timer twin of the test above: with no cause at all the one
+    /// thing that ends the wait is the deadline, held by the group task as
+    /// one armed timer — the event loop sleeps toward it and is not woken
+    /// once before.
+    #[test]
+    fn an_unmatched_operation_times_out_on_one_timer_fire_at_its_deadline() {
+        let op_timeout = Duration::from_millis(300);
+        let (node, peer, _peer_side, g) = blocked_barrier();
+        // (The node's other tasks are timer-free: a bypass connection has
+        // no protocol deadlines and its control task nothing to pace.)
+        let fires = || node.reactor().stats().timer_fires;
+        let t0 = Instant::now();
+        let h = g.ibarrier_within(op_timeout).unwrap();
+        assert_eq!(
+            h.wait_timeout(op_timeout - Duration::from_millis(50)),
+            Err(CollectiveError::Timeout),
+            "still waiting"
+        );
+        assert_eq!(fires(), 0, "woken before the deadline");
+        assert_eq!(
+            h.wait_timeout(Duration::from_secs(5)),
+            Err(CollectiveError::Timeout)
+        );
+        let took = t0.elapsed();
+        assert!(
+            took >= op_timeout && took < op_timeout + Duration::from_millis(50),
+            "{took:?}"
+        );
+        assert_eq!(fires(), 1);
+        // The machine's verdict, not the waiter's patience.
+        assert_eq!(g.stats().ops_completed, 1);
+        drop(g);
+        node.shutdown();
+        peer.shutdown();
+    }
+
+    /// Nothing parked outlives a closed group that owes nothing: the
+    /// sinks are detached and the group task holds the group weakly, so
+    /// the group (its links, its pool) is freed with its last handle —
+    /// not at the far deadline of its last operation — and its task,
+    /// whose `TaskRef` it owned, with it. (That dropping the `TaskRef`
+    /// drops the closure is `ncs-core`'s
+    /// `a_closure_task_runs_on_wakes_and_deadlines_and_retires_with_its_ref`.)
+    #[test]
+    fn a_closed_group_leaves_no_task_and_no_strong_reference() {
+        fn pair() -> (Vec<NcsNode>, Vec<CollectiveGroup>) {
+            let nodes = vec![
+                NcsNode::builder("left").build(),
+                NcsNode::builder("right").build(),
+            ];
+            let (l, r) = ncs_core::link::HpiLinkPair::with_capacity(256);
+            nodes[0].attach_peer("right", l);
+            nodes[1].attach_peer("left", r);
+            let cfg = ncs_core::ConnectionConfig::unreliable();
+            let lr = nodes[0].connect("right", cfg).unwrap();
+            let rl = nodes[1].accept_default().unwrap();
+            let groups = vec![
+                CollectiveGroup::new(&nodes[0], 1, 0, HashMap::from([(1, lr)])).unwrap(),
+                CollectiveGroup::new(&nodes[1], 1, 1, HashMap::from([(0, rl)])).unwrap(),
+            ];
+            (nodes, groups)
+        }
+        let gone_within_100ms = |watch: &[ViewAbortHandle]| {
+            let t0 = Instant::now();
+            while watch.iter().any(ViewAbortHandle::is_live) {
+                assert!(
+                    t0.elapsed() < Duration::from_millis(100),
+                    "group kept alive"
+                );
+                std::thread::yield_now();
+            }
+        };
+        // After traffic: every operation armed or found armed the 30 s
+        // deadline the task still holds.
+        let (nodes, groups) = pair();
+        for i in 0..100u64 {
+            let handles: Vec<_> = groups
+                .iter()
+                .map(|g| g.iallreduce(vec![i], ReduceOp::Sum).unwrap())
+                .collect();
+            for h in handles {
+                assert_eq!(h.wait().unwrap(), [2 * i]);
+            }
+        }
+        let watch: Vec<_> = groups.iter().map(|g| g.view_abort_handle()).collect();
+        groups.iter().for_each(CollectiveGroup::close);
+        drop(groups);
+        gone_within_100ms(&watch);
+        nodes.iter().for_each(NcsNode::shutdown);
+        // With an operation still blocked at `close()`: it resolves
+        // `Closed`, and its 30 s deadline holds nothing.
+        let (nodes, mut groups) = pair();
+        let lonely = groups.remove(0);
+        let h = lonely.ibarrier().unwrap();
+        assert_eq!(
+            h.wait_timeout(Duration::from_millis(20)),
+            Err(CollectiveError::Timeout)
+        );
+        let watch = [lonely.view_abort_handle()];
+        lonely.close();
+        assert_eq!(h.wait_timeout(Duration::ZERO), Err(CollectiveError::Closed));
+        drop(lonely);
+        gone_within_100ms(&watch);
+        drop(groups);
+        nodes.iter().for_each(NcsNode::shutdown);
+    }
+
+    /// A flag flipped while other threads are mid-step. `close()` waits
+    /// the step out and runs the closing one itself; a view abort queues a
+    /// `Wake`, loses the `try_lock`, and the step that takes the `Wake` off
+    /// the inbox began before the flag flipped. Either way every barrier
+    /// admitted before the flip resolves with the cause, and none waits
+    /// for a stepper that never comes.
+    #[test]
+    fn a_flag_flipped_under_a_step_in_progress_still_aborts_everything() {
+        type Flip = fn(&CollectiveGroup);
+        let flips: [(Flip, CollectiveError); 2] = [
+            (CollectiveGroup::close, CollectiveError::Closed),
+            (
+                |g| assert!(g.abort_view_changed(3)),
+                CollectiveError::ViewChanged { epoch: 3 },
+            ),
+        ];
+        for round in 0..20 {
+            let (flip, cause) = &flips[round % 2];
+            let (node, peer, _peer_side, g) = blocked_barrier();
+            let g = Arc::new(g);
+            let submitters: Vec<_> = (0..3)
+                .map(|_| {
+                    let g = Arc::clone(&g);
+                    std::thread::spawn(move || {
+                        let mut admitted = Vec::new();
+                        while let Ok(h) = g.ibarrier() {
+                            admitted.push(h);
+                        }
+                        admitted
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_micros(300));
+            flip(&g);
+            for s in submitters {
+                for h in s.join().expect("submitter panicked") {
+                    assert_eq!(h.wait_timeout(Duration::from_secs(5)), Err(cause.clone()));
+                }
+            }
             drop(g);
             node.shutdown();
             peer.shutdown();

@@ -102,13 +102,6 @@ impl Encoder {
     }
 }
 
-/// Whether `bytes` starts like a collective frame of the unmatched space —
-/// the one thing a link sink reads, to decide whether an idle member must
-/// wake for it.
-pub(crate) fn is_unmatched(bytes: &[u8]) -> bool {
-    bytes.len() >= COLL_OVERHEAD && bytes[0] == TAG_COLL && read_u32(bytes, 5) >= UNMATCHED
-}
-
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
 }

@@ -63,7 +63,7 @@ impl From<SendError> for CollectiveError {
     }
 }
 
-/// The progress runner's completion slot for one submitted operation.
+/// The engine's completion slot for one submitted operation.
 pub(crate) struct OpCompletion {
     result: Mutex<Option<Result<Vec<u8>, CollectiveError>>>,
     done: Event,
@@ -134,8 +134,9 @@ impl<T: Scalar> CollectiveResult for Vec<T> {
 
 /// Handle to an in-flight nonblocking collective.
 ///
-/// The operation is serviced by the group's progress thread; the issuing
-/// thread is free to compute until it calls [`CollectiveHandle::wait`].
+/// The operation advances on the node's event loops, where its frames
+/// arrive; the issuing thread is free to compute until it calls
+/// [`CollectiveHandle::wait`].
 /// [`CollectiveHandle::test`] polls without blocking. The result can be
 /// taken exactly once; a second `wait` reports
 /// [`CollectiveError::Protocol`].

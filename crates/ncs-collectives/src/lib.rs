@@ -10,18 +10,23 @@
 //!
 //! Every schedule exists once, as data: [`machine::plan`] lists a rank's
 //! sends and receives, and one sans-I/O interpreter ([`machine::Machine`])
-//! runs them — under [`CollectiveGroup`]'s progress runner here, and
-//! inside `ncs-runtime`'s discrete-event `SimWorld`.
+//! runs them — under [`CollectiveGroup`] here, and inside `ncs-runtime`'s
+//! discrete-event `SimWorld`.
 //!
-//! Collectives are serviced by a per-member **progress runner** on a
-//! thread borrowed from the node's reactor while operations are queued —
-//! the paper's central thesis applied to group communication:
-//! application threads submit an operation and keep computing while the
-//! runtime's threads move the data, under either the kernel-level or the
-//! user-level thread package. The data path is the
+//! A group owns **no thread**. A member's machine is stepped by whoever
+//! brings it something: the node's event loop inside the receive sink
+//! that delivers a collective frame (forwards, folds and the caller's
+//! completion included), or the application thread submitting an
+//! operation — under `try_lock`, never waiting. The paper's central
+//! thesis still holds for group communication: application threads submit
+//! an operation and keep computing while the runtime's threads move the
+//! data, under either the kernel-level or the user-level thread package.
+//! (A deviation from the paper, which gives group communication threads
+//! of its own: here a collective advances on the thread that delivered
+//! the frame.) The data path is the
 //! pooled, batched point-to-point plane: collective frames are encoded
 //! once into pooled buffers ([`ncs_core::BufPool`]), fan out through
-//! [`ncs_core::NcsConnection::send_batch`], and large payloads are
+//! [`ncs_core::NcsConnection::try_send_batch`], and large payloads are
 //! pipelined in segments while flow/error control below run the unchanged
 //! per-connection state machines (so a lossy ACI link heals under
 //! selective repeat without the collectives layer noticing).
@@ -54,8 +59,8 @@
 //! ```
 //!
 //! For compute/communication overlap, use the nonblocking forms:
-//! `iallreduce` returns a [`CollectiveHandle`] immediately; the progress
-//! thread completes the operation while the caller computes, and
+//! `iallreduce` returns a [`CollectiveHandle`] immediately; the node's
+//! event loops complete the operation while the caller computes, and
 //! [`CollectiveHandle::wait`] collects the result.
 
 #![warn(missing_docs)]

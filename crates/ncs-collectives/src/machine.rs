@@ -10,9 +10,9 @@
 //! frames to transmit, finished operations and delivered multicasts go out
 //! through the `emit` callback as [`Output`] values.
 //!
-//! Three shells drive it: the blocking-lane runner of
-//! [`CollectiveGroup`](crate::CollectiveGroup), the discrete-event
-//! `SimWorld` of `ncs-runtime`, and (through the first)
+//! Three shells drive it: [`CollectiveGroup`](crate::CollectiveGroup),
+//! which steps it on whichever thread brings it an event, the
+//! discrete-event `SimWorld` of `ncs-runtime`, and (through the first)
 //! [`NcsGroup`](crate::NcsGroup). Being free of I/O is what lets the tests
 //! below hold a whole group of machines in one thread and deliver their
 //! frames in seeded random orders.
@@ -603,6 +603,16 @@ pub struct Machine {
     down: BTreeMap<usize, SendError>,
 }
 
+/// Whether operation id `a` was issued before id `b`. Ids count up and
+/// wrap at [`UNMATCHED`] (2³¹), so they compare as serial numbers: `a` is
+/// before `b` when it is less than half the id space behind it. (Plain
+/// `<` would, at the wrap, call an early frame of operation 0 older than
+/// operation 2³¹ − 1 and drop it, and keep every stale frame from before
+/// the wrap for ever after.)
+fn coll_before(a: u32, b: u32) -> bool {
+    a != b && b.wrapping_sub(a) % UNMATCHED < UNMATCHED / 2
+}
+
 /// The wire code of a multicast's topology (low bits of its `coll`).
 fn topology_code(topo: Topology) -> u32 {
     match topo {
@@ -637,8 +647,9 @@ impl Machine {
     }
 
     /// Queues an operation under id `coll` (ids increase with submission
-    /// order, identically on every member, and stay below the unmatched
-    /// space). Its `timeout` starts when it reaches the head of the queue.
+    /// order, identically on every member, stay below the unmatched space
+    /// and wrap to 0 at its edge). Its `timeout` starts when it reaches the
+    /// head of the queue.
     pub fn submit(&mut self, coll: u32, spec: Spec, payload: Vec<u8>, timeout: Duration) {
         debug_assert!(coll < UNMATCHED && spec.root < self.size);
         self.queue.push_back(Queued {
@@ -752,7 +763,7 @@ impl Machine {
                     return;
                 };
                 // Frames no operation can consume any more.
-                self.stash.retain(|(_, seg)| seg.coll >= q.coll);
+                self.stash.retain(|(_, seg)| !coll_before(seg.coll, q.coll));
                 let Spec {
                     op,
                     root,
@@ -998,6 +1009,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Operation ids wrap at the edge of the unmatched space. Two bare
+    /// machines run four operations across the wrap, each one rank 1 can
+    /// finish alone (a reduction to rank 0, a broadcast from rank 1): its
+    /// frames for all four are delivered before rank 0 starts its first,
+    /// so rank 0 holds early frames of ids 0 and 1 while its head is
+    /// 2³¹ − 2 — which it must keep — and a stale frame from before the
+    /// wrap — which it must still drop after it.
+    #[test]
+    fn operation_ids_wrap_without_dropping_early_frames_or_keeping_stale_ones() {
+        let ids = [UNMATCHED - 2, UNMATCHED - 1, 0, 1];
+        let reduce = Op::Reduce(DType::U8, ReduceOp::Sum);
+        let ops = [reduce, Op::Broadcast { len: 2 * SEG }, reduce, reduce];
+        let submit = |m: &mut Machine, rank: usize| {
+            for (coll, op) in ids.into_iter().zip(ops) {
+                let (root, payload) = match op {
+                    Op::Broadcast { .. } => (1, vec![7; 2 * SEG * rank]),
+                    _ => (0, vec![rank as u8 + 1; 2 * SEG]),
+                };
+                let spec = Spec {
+                    op,
+                    root,
+                    topo: Topology::Flat,
+                    topo2: Topology::Flat,
+                };
+                m.submit(coll, spec, payload, Duration::from_secs(1));
+            }
+        };
+        let mut net = Net::new(2);
+        // A frame nobody will ever consume, from before the wrap.
+        let stale = net.machines[1].enc.segments(UNMATCHED - 3, 9, &[1; SEG]);
+        net.machines[0].on_frame(1, stale[0].to_vec());
+        submit(&mut net.machines[1], 1);
+        net.poll(1);
+        assert_eq!(net.wire.done[1].len(), 4, "rank 1 needs nobody");
+        while let Some(frame) = net
+            .wire
+            .links
+            .get_mut(&(1, 0))
+            .and_then(VecDeque::pop_front)
+        {
+            net.machines[0].on_frame(1, frame);
+        }
+        submit(&mut net.machines[0], 0);
+        net.poll(0);
+        let sum = || Ok(vec![3; 2 * SEG]);
+        let want = [sum(), Ok(vec![7; 2 * SEG]), sum(), sum()];
+        let want: Vec<(u32, Verdict)> = ids.into_iter().zip(want).collect();
+        assert_eq!(net.wire.done[0], want);
+        assert!(net.machines[0].stash.is_empty(), "the stale frame was kept");
+        // The order itself, at and away from the wrap.
+        for (a, b) in [(UNMATCHED - 1, 0), (UNMATCHED - 3, 1), (0, 1), (5, 1 << 29)] {
+            assert!(coll_before(a, b) && !coll_before(b, a), "{a} {b}");
+        }
+        assert!(!coll_before(4, 4));
     }
 
     #[test]

@@ -8,9 +8,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncs_collectives::{CollectiveConfig, CollectiveError, CollectiveGroup, ReduceOp, Topology};
+use ncs_collectives::{
+    CollectiveConfig, CollectiveError, CollectiveGroup, CollectiveHandle, ReduceOp, Topology,
+};
 use ncs_core::link::{AciLink, HpiLinkPair, PipeLinkPair, SciLink};
 use ncs_core::{ConnectionConfig, ErrorControlAlg, FlowControlAlg, NcsConnection, NcsNode};
+use ncs_threads::sync::NcsMutex;
 use ncs_threads::{
     KernelPackage, SwitchMech, ThreadPackage, ThreadPackageExt, UserConfig, UserRuntime,
 };
@@ -573,7 +576,7 @@ fn nonblocking_handles_overlap_and_pipeline() {
         CollectiveConfig::default(),
     );
     run_members(&pkg, &cluster.groups, move |rank, g| {
-        // Three collectives in flight at once; the progress thread works
+        // Three collectives in flight at once; the machine works
         // through them in submission order while we compute here.
         let h1 = g
             .iallreduce(vec![rank as u64 + 1; 20_000], ReduceOp::Sum)
@@ -752,4 +755,270 @@ fn stats_count_traffic() {
         assert!(s.frames_received > 0, "{s:?}");
     }
     cluster.shutdown();
+}
+
+fn user_pkg(body: impl FnOnce(Arc<dyn ThreadPackage>) + Send + 'static) {
+    UserRuntime::new(UserConfig {
+        mech: SwitchMech::Native,
+        ..UserConfig::default()
+    })
+    .run(move |pkg| body(Arc::new(pkg)));
+}
+
+/// A ring allgather of 2 MiB per member, then a chain broadcast of 8 MiB,
+/// over §3.1 bypass links, start to finish in under five seconds.
+fn large_ring_and_chain(pkg: Arc<dyn ThreadPackage>) {
+    let start = std::time::Instant::now();
+    for iface in [Iface::Pipe, Iface::Hpi] {
+        let coll_cfg = CollectiveConfig {
+            op_timeout: Duration::from_secs(20),
+            ..CollectiveConfig::default()
+        };
+        let bypass = ConnectionConfig::unreliable();
+        let cluster = build_cluster(4, iface, &pkg, &bypass, coll_cfg);
+        run_members(&pkg, &cluster.groups, move |rank, g| {
+            let all = g
+                .allgather(vec![rank as u64; 1 << 18])
+                .unwrap_or_else(|e| panic!("{iface:?} rank {rank} allgather: {e}"));
+            assert_eq!(all.len(), 4 << 18, "{iface:?} rank {rank}");
+            for (from, chunk) in all.chunks(1 << 18).enumerate() {
+                assert!(
+                    chunk.iter().all(|&v| v == from as u64),
+                    "{iface:?} rank {rank}: chunk {from}"
+                );
+            }
+            let got = g
+                .broadcast_with(0, vec![7 * u64::from(rank == 0); 1 << 20], Topology::Ring)
+                .unwrap_or_else(|e| panic!("{iface:?} rank {rank} broadcast: {e}"));
+            assert!(
+                got.len() == 1 << 20 && got.iter().all(|&v| v == 7),
+                "{iface:?} rank {rank}"
+            );
+        });
+        cluster.shutdown();
+    }
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "{took:?}");
+}
+
+/// The wedge the inline step must not walk into: a link's send queue is
+/// bounded (128 frames), a ring allgather and a chain broadcast of
+/// megabytes fill it many times over, and the thread the machine emits
+/// them on is an event loop — perhaps the one whose tasks would drain that
+/// queue. A send that waited there would park every thread of the process
+/// until the operations timed out; refused frames go to the engine's
+/// outbox instead and nothing ever waits.
+#[test]
+fn large_ring_and_chain_over_bypass_links_never_block_an_event_loop() {
+    large_ring_and_chain(kernel_pkg());
+}
+
+#[test]
+fn large_ring_and_chain_over_bypass_links_under_the_user_level_package() {
+    user_pkg(large_ring_and_chain);
+}
+
+const RING_ELEMS: usize = 1 << 20;
+
+/// Four members over bypass PIPE links, each the one owner of its group,
+/// in an 8 MiB chain broadcast from rank 0 — most of whose 256 segments
+/// the root's link refuses at first, so the root's handle resolves with
+/// megabytes still in its outbox. `root` gets the root's group and its
+/// broadcast; the others check what they receive. (PIPE because it is a
+/// wire that pushes back: a bypass HPI ring drops what overruns it, and a
+/// root with nothing to do but empty its outbox outruns its reader.)
+fn ring_broadcast_whose_root(
+    pkg: &Arc<dyn ThreadPackage>,
+    root: fn(Arc<CollectiveGroup>, CollectiveHandle<Vec<u64>>),
+) {
+    let iface = Iface::Pipe;
+    let coll_cfg = CollectiveConfig {
+        op_timeout: Duration::from_secs(20),
+        ..CollectiveConfig::default()
+    };
+    let mut cluster = build_cluster(4, iface, pkg, &ConnectionConfig::unreliable(), coll_cfg);
+    let members: Vec<_> = std::mem::take(&mut cluster.groups)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, g)| {
+            pkg.spawn_typed(&format!("member-{rank}"), move || {
+                let buf = vec![7 * u64::from(rank == 0); RING_ELEMS];
+                let bcast = g
+                    .ibroadcast_with(0, buf, Topology::Ring)
+                    .expect("submit broadcast");
+                if rank == 0 {
+                    return root(g, bcast);
+                }
+                let got = bcast
+                    .wait()
+                    .unwrap_or_else(|e| panic!("{iface:?} rank {rank} broadcast: {e}"));
+                assert!(
+                    got.len() == RING_ELEMS && got.iter().all(|&v| v == 7),
+                    "{iface:?} rank {rank}"
+                );
+            })
+        })
+        .collect();
+    for m in members {
+        m.join().expect("member panicked");
+    }
+    cluster.shutdown();
+}
+
+/// An operation that resolved `Ok` is delivered, whatever its caller does
+/// next: here the root drops its group the moment its broadcast resolves.
+/// The frames its links had refused go out all the same — the group task
+/// keeps offering them, and the group outlives its handle until they are
+/// gone — so nobody downstream idles out a timeout.
+fn root_leaves_first(pkg: Arc<dyn ThreadPackage>) {
+    let start = std::time::Instant::now();
+    for _ in 0..2 {
+        ring_broadcast_whose_root(&pkg, |g, bcast| {
+            assert_eq!(bcast.wait().expect("root broadcast").len(), RING_ELEMS);
+            let g = Arc::into_inner(g).expect("the member owns its group");
+            drop(g);
+        });
+    }
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "{took:?}");
+}
+
+#[test]
+fn a_root_that_finishes_and_leaves_first_still_delivers() {
+    root_leaves_first(kernel_pkg());
+}
+
+#[test]
+fn a_root_that_leaves_first_still_delivers_under_the_user_level_package() {
+    user_pkg(root_leaves_first);
+}
+
+/// `close()` from a second thread while the root steps under
+/// back-pressure (its outbox full, barriers piling up behind it): whoever
+/// holds the machine when the flag flips, every handle resolves — `Closed`,
+/// or `Ok` for what got through first — and none is stranded waiting for a
+/// step that nobody is left to run. The finished broadcast still arrives.
+#[test]
+fn a_close_racing_a_step_under_back_pressure_strands_no_handle() {
+    let start = std::time::Instant::now();
+    for _ in 0..4 {
+        ring_broadcast_whose_root(&kernel_pkg(), |g, bcast| {
+            let closer = {
+                let g = Arc::clone(&g);
+                std::thread::spawn(move || g.close())
+            };
+            let mut behind = Vec::new();
+            while let Ok(h) = g.ibarrier() {
+                behind.push(h);
+            }
+            closer.join().expect("closer panicked");
+            let patience = Duration::from_secs(5);
+            assert_eq!(
+                bcast.wait_timeout(patience).expect("root broadcast").len(),
+                RING_ELEMS
+            );
+            for (i, h) in behind.into_iter().enumerate() {
+                let end = h.wait_timeout(patience);
+                assert!(
+                    matches!(end, Ok(()) | Err(CollectiveError::Closed)),
+                    "barrier {i}: {end:?}"
+                );
+            }
+        });
+    }
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "{took:?}");
+}
+
+/// Four threads per rank submit from one ticketed sequence (so every rank
+/// issues the same operations in the same order) while the link sinks and
+/// the group task race them for the machine. Every handle resolves with
+/// its closed-form value and none waits for a timer: the run is a
+/// fraction of one `op_timeout`.
+fn racing_submitters(pkg: Arc<dyn ThreadPackage>) {
+    const RANKS: usize = 4;
+    const SUBMITTERS: usize = 4;
+    const OPS: u64 = 2_000;
+    enum Pending {
+        Sum(CollectiveHandle<Vec<u64>>),
+        Copy(CollectiveHandle<Vec<u64>>),
+        Barrier(CollectiveHandle<()>),
+    }
+    let start = std::time::Instant::now();
+    let bypass = ConnectionConfig::unreliable();
+    let cluster = build_cluster(
+        RANKS,
+        Iface::Hpi,
+        &pkg,
+        &bypass,
+        CollectiveConfig::default(),
+    );
+    assert_eq!(
+        cluster.groups[0].config().op_timeout,
+        Duration::from_secs(30)
+    );
+    let member_pkg = Arc::clone(&pkg);
+    run_members(&pkg, &cluster.groups, move |rank, g| {
+        let ticket = Arc::new(NcsMutex::new(0u64));
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let (g, ticket) = (Arc::clone(&g), Arc::clone(&ticket));
+                member_pkg.spawn_typed(&format!("submit-{rank}-{t}"), move || loop {
+                    // Submitted under the ticket: ticket order is
+                    // submission order, on every rank alike.
+                    let mut next = ticket.lock();
+                    let n = *next;
+                    if n == SUBMITTERS as u64 * OPS {
+                        return;
+                    }
+                    *next += 1;
+                    let root = n as usize % RANKS;
+                    let pending = match n % 3 {
+                        0 => Pending::Sum(
+                            g.iallreduce(vec![n * (rank as u64 + 1); 8], ReduceOp::Sum)
+                                .expect("submit allreduce"),
+                        ),
+                        1 => Pending::Copy(
+                            g.ibroadcast(root, vec![n * u64::from(rank == root); 16])
+                                .expect("submit broadcast"),
+                        ),
+                        _ => Pending::Barrier(g.ibarrier().expect("submit barrier")),
+                    };
+                    drop(next);
+                    let ranks = RANKS as u64;
+                    match pending {
+                        Pending::Sum(h) => assert_eq!(
+                            h.wait().expect("allreduce"),
+                            [n * ranks * (ranks + 1) / 2; 8],
+                            "rank {rank} op {n}"
+                        ),
+                        Pending::Copy(h) => {
+                            assert_eq!(h.wait().expect("broadcast"), [n; 16], "rank {rank} op {n}")
+                        }
+                        Pending::Barrier(h) => h.wait().expect("barrier"),
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().expect("submitter panicked");
+        }
+        assert_eq!(g.stats().ops_completed, SUBMITTERS as u64 * OPS);
+    });
+    cluster.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(10), "{took:?}");
+}
+
+/// The `try_lock` hand-off loses nothing: with a sink, the group task and
+/// four submitters all racing for the machine, every queued event finds a
+/// stepper, a wake or a deadline.
+#[test]
+fn racing_submitters_sinks_and_the_group_task_lose_no_operation() {
+    racing_submitters(kernel_pkg());
+}
+
+#[test]
+fn racing_submitters_lose_no_operation_under_the_user_level_package() {
+    user_pkg(racing_submitters);
 }

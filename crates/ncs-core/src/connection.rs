@@ -472,8 +472,9 @@ impl ConnShared {
     /// at the queues. After an inline step the task is woken only for what
     /// the step left that needs it — a deadline earlier than the one it
     /// has armed (the acknowledgement timeout of a first message after a
-    /// silence; every later one finds that timer still armed), or a flush
-    /// the interface refused.
+    /// silence; every later one finds that timer still armed), a flush the
+    /// interface refused, or frames beyond the one run the Send plane
+    /// takes per step.
     pub(crate) fn drive_or_wake(&self) {
         // A closing connection's queues are the task's to flush and fail.
         let open = |_: &_| !self.closed.load(Ordering::Acquire);
@@ -509,22 +510,26 @@ impl ConnShared {
         trace: Option<Arc<SendTrace>>,
         done: Option<Arc<RequestCore<()>>>,
     ) -> bool {
-        let queued = self.enqueue_frame(frame, trace, done);
+        let queued = self.enqueue_frame(frame, trace, done, true);
         if queued {
             self.wake_task();
         }
         queued
     }
 
-    /// Queues a frame to the Send plane, blocking (cooperatively) while
-    /// the bounded queue is full; the caller activates whoever drains it.
-    /// Returns `false` — dropping the frame — once the connection is
-    /// closed, so producers never hang on a task that has already retired.
+    /// Queues a frame to the Send plane; the caller activates whoever
+    /// drains it. With `wait` the call blocks (cooperatively) while the
+    /// bounded queue is full; without, the frame goes in past the bound —
+    /// the caller admitted its message while there was room
+    /// ([`NcsConnection::try_send_batch`]). Returns `false` — dropping the
+    /// frame — once the connection is closed, so producers never hang on a
+    /// task that has already retired.
     fn enqueue_frame(
         &self,
         frame: PooledBuf,
         trace: Option<Arc<SendTrace>>,
         done: Option<Arc<RequestCore<()>>>,
+        wait: bool,
     ) -> bool {
         let mut job = (frame, trace, done);
         loop {
@@ -533,6 +538,10 @@ impl ConnShared {
                     core.complete(Err(SendError::Closed));
                 }
                 return false;
+            }
+            if !wait {
+                self.send_inbox.send_over(job);
+                return true;
             }
             match self.send_inbox.send_timeout(job, IDLE_TICK) {
                 Ok(()) => return true,
@@ -653,6 +662,10 @@ impl ConnShared {
             pending.push_back(job);
             progressed = true;
         }
+        // A full run may have left frames on the queue: whoever is
+        // stepping must come again at once (the task loops while it makes
+        // progress; an inline submitter wakes the task for it).
+        let more = pending.len() >= 2 * IO_BATCH;
         *blocked = false;
         while !pending.is_empty() {
             let mut refs = [&[][..]; IO_BATCH];
@@ -712,6 +725,8 @@ impl ConnShared {
         }
         if *blocked {
             min_timer(timer, Instant::now() + TX_RETRY);
+        } else if more {
+            min_timer(timer, Instant::now());
         }
         progressed
     }
@@ -1254,7 +1269,7 @@ impl NcsConnection {
     ///
     /// See [`SendError`].
     pub fn send(&self, data: &[u8]) -> Result<(), SendError> {
-        let one_sdu = self.submit(data, None, None)?;
+        let one_sdu = self.submit(data, None, None, true)?;
         self.activate(one_sdu);
         Ok(())
     }
@@ -1295,7 +1310,7 @@ impl NcsConnection {
 
     fn isend_inner(&self, data: &[u8], tag: Option<u32>) -> Result<Request<()>, SendError> {
         let core = RequestCore::new();
-        let one_sdu = self.submit(data, tag, Some(Arc::clone(&core)))?;
+        let one_sdu = self.submit(data, tag, Some(Arc::clone(&core)), true)?;
         self.activate(one_sdu);
         Ok(Request::new(core))
     }
@@ -1328,12 +1343,15 @@ impl NcsConnection {
     /// for the FC/EC pipeline (Figure 4 step 1) or — §3.1 bypass — encodes
     /// it straight onto the send queue. The caller activates the pipeline
     /// ([`NcsConnection::activate`]) with the verdict returned here:
-    /// whether everything queued was one SDU.
+    /// whether everything queued was one SDU. `wait` says what a full send
+    /// queue does to a bypass message: park the caller, or be overshot
+    /// ([`ConnShared::enqueue_frame`]).
     fn submit(
         &self,
         data: &[u8],
         tag: Option<u32>,
         completion: Option<Arc<RequestCore<()>>>,
+        wait: bool,
     ) -> Result<bool, SendError> {
         self.check_sendable(data, tag)?;
         if self.shared.config.direct {
@@ -1376,7 +1394,7 @@ impl NcsConnection {
             let last = frames.len() - 1;
             for (i, frame) in frames.into_iter().enumerate() {
                 let done = if i == last { completion.clone() } else { None };
-                if !self.shared.enqueue_frame(frame, None, done) {
+                if !self.shared.enqueue_frame(frame, None, done, wait) {
                     return Err(SendError::Closed);
                 }
                 if !one_sdu {
@@ -1407,27 +1425,69 @@ impl NcsConnection {
     }
 
     /// `NCS_send` for several messages in one call: validates the whole
-    /// batch, then queues it in order and wakes the connection's task
-    /// once. On §3.1 bypass configurations the frames queue back to back,
-    /// so the Send plane coalesces the batch into
+    /// batch, then queues it in order and activates the pipeline once per
+    /// admitted run. On §3.1 bypass configurations the frames queue back
+    /// to back, so the Send plane coalesces the batch into
     /// [`ncs_transport::Connection::send_batch`] transmissions; with
     /// FC/EC configured each message is handed to the pipeline
-    /// (asynchronous, exactly as [`NcsConnection::send`]).
+    /// (asynchronous, exactly as [`NcsConnection::send`]). Blocks
+    /// (cooperatively) while a bypass connection's send queue is full:
+    /// this is [`NcsConnection::try_send_batch`] plus the wait.
     ///
     /// # Errors
     ///
     /// As [`NcsConnection::send`]; validation errors are reported before
     /// anything is queued.
     pub fn send_batch(&self, msgs: &[&[u8]]) -> Result<(), SendError> {
+        let mut rest = msgs;
+        loop {
+            let admitted = self.try_send_batch(rest)?;
+            // Back-pressure: the first message refused waits for room
+            // frame by frame, the ones behind it are offered again.
+            let Some((refused, behind)) = rest[admitted..].split_first() else {
+                return Ok(());
+            };
+            self.send(refused)?;
+            rest = behind;
+        }
+    }
+
+    /// The half of [`NcsConnection::send_batch`] that never waits — for
+    /// callers on an event loop (a receive sink, a reactor task), which
+    /// must not. Validates the whole batch, then admits whole messages in
+    /// order while there is room and returns how many: `Ok(n)` with
+    /// `n < msgs.len()` is back-pressure, not an error — offer the rest
+    /// again later. The contract of
+    /// [`ncs_transport::Connection::try_send_batch`], one layer up.
+    ///
+    /// On §3.1 bypass configurations a message is admitted whenever the
+    /// send queue is below its bound and then queued whole, so the queue
+    /// overshoots by at most one message and no message is too long to
+    /// ever fit. With FC/EC configured the pipeline's submission queue is
+    /// unbounded and everything is admitted.
+    ///
+    /// # Errors
+    ///
+    /// As [`NcsConnection::send`]; validation errors are reported before
+    /// anything is queued.
+    pub fn try_send_batch(&self, msgs: &[&[u8]]) -> Result<usize, SendError> {
         for m in msgs {
             self.check_sendable(m, None)?;
         }
+        let bounded = !self.shared.config.needs_control_threads();
         let mut one_sdu = true;
+        let mut admitted = 0;
         for m in msgs {
-            one_sdu &= self.submit(m, None, None)?;
+            if bounded && self.shared.send_inbox.len() >= SEND_QUEUE_DEPTH {
+                break;
+            }
+            one_sdu &= self.submit(m, None, None, false)?;
+            admitted += 1;
         }
+        // (With nothing admitted this is a nudge to whoever drains a full
+        // queue.)
         self.activate(one_sdu);
-        Ok(())
+        Ok(admitted)
     }
 
     /// Nonblocking `NCS_recv`: returns a [`Request`] that completes with
@@ -1951,6 +2011,128 @@ mod tests {
     use super::*;
     use crate::link::HpiLinkPair;
     use crate::NcsNode;
+
+    /// A §3.1 bypass connection over a ring that holds everything these
+    /// tests queue (a full HPI ring drops frames, as a NIC's does).
+    fn bypass_pair() -> (NcsNode, NcsNode, NcsConnection, NcsConnection) {
+        let a = NcsNode::builder("alice").build();
+        let b = NcsNode::builder("bob").build();
+        let (la, lb) = HpiLinkPair::with_capacity(4 * SEND_QUEUE_DEPTH);
+        a.attach_peer("bob", la);
+        b.attach_peer("alice", lb);
+        let ca = a
+            .connect("bob", ConnectionConfig::unreliable())
+            .expect("connect");
+        let cb = b.accept_default().expect("accept");
+        (a, b, ca, cb)
+    }
+
+    /// Back-pressure on a bypass connection is `Ok(n)` with `n` short of
+    /// the batch, never an error and never a wait; what was admitted
+    /// arrives in order once the queue drains, and the refused suffix is
+    /// admitted when offered again.
+    #[test]
+    fn try_send_batch_reports_a_refused_suffix_as_a_count() {
+        let (a, b, ca, cb) = bypass_pair();
+        let numbered: Vec<[u8; 2]> = (0..SEND_QUEUE_DEPTH as u16 + 10)
+            .map(u16::to_be_bytes)
+            .collect();
+        let msgs: Vec<&[u8]> = numbered.iter().map(|m| &m[..]).collect();
+        // Holding the send half keeps everybody from draining the queue.
+        let gate = ca.shared.tx.lock();
+        assert_eq!(ca.try_send_batch(&msgs), Ok(SEND_QUEUE_DEPTH));
+        assert_eq!(ca.try_send_batch(&msgs[SEND_QUEUE_DEPTH..]), Ok(0));
+        drop(gate);
+        for want in &msgs[..SEND_QUEUE_DEPTH] {
+            assert_eq!(
+                &cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+                want
+            );
+        }
+        assert_eq!(ca.try_send_batch(&msgs[SEND_QUEUE_DEPTH..]), Ok(10));
+        for want in &msgs[SEND_QUEUE_DEPTH..] {
+            assert_eq!(
+                &cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+                want
+            );
+        }
+        // Validation comes before admission, for the whole batch.
+        assert_eq!(ca.try_send_batch(&[&[1], &[]]), Err(SendError::Empty));
+        assert_eq!(ca.stats().messages_sent, msgs.len() as u64);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A message is admitted whole whenever the queue is below its bound,
+    /// however little room is left: here the longest message the
+    /// configuration takes (64 SDUs — `max_message` keeps any one message
+    /// under the bound of 128) goes in with one slot free, the queue
+    /// overshoots by the rest of it, and the message arrives intact. Then
+    /// the queue reads full to the blocking path until it is back under
+    /// its bound.
+    #[test]
+    fn try_send_batch_admits_a_message_longer_than_the_room_left() {
+        let (a, b, ca, cb) = bypass_pair();
+        let long: Vec<u8> = (0..ca.shared.max_message())
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let sdus = sdu_count(long.len(), ca.shared.config.sdu_size) as usize;
+        let filler: Vec<&[u8]> = vec![&[9u8; 3]; SEND_QUEUE_DEPTH - 1];
+        let gate = ca.shared.tx.lock();
+        assert_eq!(ca.try_send_batch(&filler), Ok(filler.len()));
+        assert_eq!(ca.try_send_batch(&[&long, &[1]]), Ok(1));
+        assert_eq!(ca.shared.send_inbox.len(), SEND_QUEUE_DEPTH - 1 + sdus);
+        drop(gate);
+        for _ in &filler {
+            assert_eq!(
+                cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+                [9; 3]
+            );
+        }
+        assert_eq!(cb.recv_timeout(Duration::from_secs(5)).expect("recv"), long);
+        // Drained: the debt of the overshoot is settled, the bound is back.
+        ca.send_batch(&filler).expect("send_batch");
+        for _ in &filler {
+            assert_eq!(
+                cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+                [9; 3]
+            );
+        }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// Reliable configurations queue on the pipeline's unbounded
+    /// submission queue: everything is admitted. A closed connection
+    /// admits nothing, as an error.
+    #[test]
+    fn try_send_batch_admits_everything_with_fc_ec_and_nothing_once_closed() {
+        let a = NcsNode::builder("alice").build();
+        let b = NcsNode::builder("bob").build();
+        let (la, lb) = HpiLinkPair::create();
+        a.attach_peer("bob", la);
+        b.attach_peer("alice", lb);
+        let ca = a
+            .connect("bob", ConnectionConfig::reliable())
+            .expect("connect");
+        let cb = b.accept_default().expect("accept");
+        let msgs: Vec<&[u8]> = vec![b"reliable"; 4 * SEND_QUEUE_DEPTH];
+        assert_eq!(ca.try_send_batch(&msgs), Ok(msgs.len()));
+        for _ in &msgs {
+            assert_eq!(
+                cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+                b"reliable"
+            );
+        }
+        ca.close();
+        assert_eq!(ca.try_send_batch(&msgs[..1]), Err(SendError::Closed));
+        let (c, d, cc, _cd) = bypass_pair();
+        cc.close();
+        assert_eq!(cc.try_send_batch(&msgs[..1]), Err(SendError::Closed));
+        for node in [a, b, c, d] {
+            node.shutdown();
+        }
+    }
 
     /// `recv_direct` hands back one message per call and keeps nothing
     /// between calls, and no direct-mode sender builds a train: one that

@@ -75,7 +75,7 @@ pub use config::{ConnectionConfig, ConnectionConfigBuilder, ErrorControlAlg, Flo
 pub use connection::{Channel, NcsConnection, SendError, CHANNEL_TAG_BASE};
 pub use node::{AcceptError, ConnectError, NcsNode, NcsNodeBuilder};
 pub use pool::{BufPool, PoolStats, PooledBuf};
-pub use reactor::{default_shards, Reactor};
+pub use reactor::{default_shards, Reactor, TaskRef};
 pub use request::{
     test_all, wait_all, wait_any, Completion, CompletionNotify, MsgView, ReceiveSink, Request,
     DELIVERY_SHARDS,

@@ -19,7 +19,7 @@
 //!   fd wakes its task exactly once until the task drains and re-arms;
 //! * **Timers** — retransmission deadlines, flow-control pacing and
 //!   starvation probes. A task holds at most one *armed* deadline
-//!   ([`TaskHandle::armed_by`]); it is kept when the task goes `Idle` and
+//!   ([`TaskRef::armed_by`]); it is kept when the task goes `Idle` and
 //!   replaced only by an earlier one, so timers fire early, never late —
 //!   the task is polled, recomputes what it really waits for and says so
 //!   again — and a stream of messages that are each acknowledged long
@@ -35,10 +35,11 @@
 //! threads cooperatively. The fd poller is always a plain OS thread: a
 //! blocking `poll(2)` must never stall the green scheduler.
 //!
-//! A `BlockingLane` rides along for work that is legitimately blocking
-//! (collective-operation schedules): threads spawn on demand, linger
-//! briefly for reuse, and exit when idle — zero threads when nothing
-//! blocks, O(active operations) when something does.
+//! Nothing else runs here: the loops are the node's one execution model,
+//! and there is no pool for blocking work beside them. Code outside this
+//! crate that needs a deadline held for it (a collective group's operation
+//! timeout) registers a non-blocking closure as a task
+//! ([`Reactor::spawn_task`]) under the same timer rule.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -59,12 +60,6 @@ const IDLE_TICK: Duration = Duration::from_millis(100);
 
 /// Consecutive `Again` returns after which a task counts as stalled.
 const STALL_STREAK: u32 = 64;
-
-/// How long an idle [`BlockingLane`] thread lingers before exiting.
-const LANE_LINGER: Duration = Duration::from_secs(2);
-
-/// Most threads a [`BlockingLane`] will run at once.
-const LANE_CAP: usize = 1024;
 
 /// What a task tells its shard after a poll.
 pub(crate) enum TaskPoll {
@@ -131,6 +126,11 @@ pub(crate) struct TaskHandle {
     /// The task's armed deadline in nanoseconds since the shard's epoch,
     /// [`UNARMED`] if none. Written by the shard's worker only.
     armed: AtomicU64,
+    /// Set when the task's owner drops its [`TaskRef`]: the next run
+    /// removes the task instead of polling it. (The owner's release pairs
+    /// with the worker's acquire: what the owner did before letting go is
+    /// done before the task's captures are dropped.)
+    retired: AtomicBool,
     shard: Arc<ShardQueue>,
 }
 
@@ -204,8 +204,6 @@ pub(crate) struct ReactorCounters {
     timer_entries: AtomicU64,
     fd_events: AtomicU64,
     stalled_tasks: AtomicU64,
-    lane_spawned: AtomicU64,
-    lane_active: AtomicU64,
 }
 
 /// One worker-local task slot.
@@ -227,7 +225,6 @@ pub struct Reactor {
     workers: Mutex<Vec<ncs_threads::JoinHandle>>,
     #[cfg(unix)]
     poller: Mutex<Option<Arc<FdPoller>>>,
-    lane: BlockingLane,
     pkg: Arc<dyn ThreadPackage>,
     shutdown: Arc<AtomicBool>,
 }
@@ -277,7 +274,6 @@ impl Reactor {
                 Box::new(move || worker_loop(&q, &counters)),
             ));
         }
-        let lane = BlockingLane::new(Arc::clone(&pkg), Arc::clone(&counters));
         Arc::new(Reactor {
             shards: queues,
             next_shard: AtomicUsize::new(0),
@@ -285,7 +281,6 @@ impl Reactor {
             workers: Mutex::new(workers),
             #[cfg(unix)]
             poller: Mutex::new(None),
-            lane,
             pkg,
             shutdown,
         })
@@ -319,6 +314,7 @@ impl Reactor {
             id,
             state: AtomicU8::new(ST_SCHEDULED),
             armed: AtomicU64::new(UNARMED),
+            retired: AtomicBool::new(false),
             shard: Arc::clone(&shard),
         });
         self.counters.tasks.fetch_add(1, Ordering::Relaxed);
@@ -368,10 +364,22 @@ impl Reactor {
         }
     }
 
-    /// Runs `f` on the blocking lane: a thread is borrowed from (or added
-    /// to) a spawn-on-demand pool that drains back to zero when idle.
-    pub fn spawn_blocking(&self, f: Box<dyn FnOnce() + Send>) {
-        self.lane.submit(f);
+    /// Runs the non-blocking closure `poll` as a task on one of the event
+    /// loops: once now, then whenever the returned [`TaskRef`] is woken or
+    /// the deadline the closure last returned passes. The closure gets the
+    /// time of the poll and returns the next instant it wants to run at
+    /// with nobody waking it, under the reactor's timer rule — `None`
+    /// keeps a deadline armed earlier, `Some` replaces it only when
+    /// earlier still, so timers fire early, never late, and a closure that
+    /// returns deadlines far ahead costs one timer operation per deadline
+    /// that is actually reached. It must never block. Dropping the
+    /// `TaskRef` is the one way to end the task: it drops the closure and
+    /// everything it captured.
+    pub fn spawn_task(
+        &self,
+        poll: impl FnMut(Instant) -> Option<Instant> + Send + 'static,
+    ) -> TaskRef {
+        TaskRef(self.spawn(Box::new(FnTask(poll)), false))
     }
 
     /// Point-in-time statistics.
@@ -386,8 +394,8 @@ impl Reactor {
             timer_fires: c.timer_fires.load(Ordering::Relaxed),
             fd_events: c.fd_events.load(Ordering::Relaxed),
             stalled_tasks: c.stalled_tasks.load(Ordering::Relaxed),
-            blocking_spawned: c.lane_spawned.load(Ordering::Relaxed),
-            blocking_active: c.lane_active.load(Ordering::Relaxed),
+            blocking_spawned: 0,
+            blocking_active: 0,
         }
     }
 
@@ -411,13 +419,49 @@ impl Reactor {
         if let Some(poller) = self.poller.lock().take() {
             poller.stop();
         }
-        self.lane.shutdown();
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// A closure as a task ([`Reactor::spawn_task`]).
+struct FnTask<F>(F);
+
+impl<F: FnMut(Instant) -> Option<Instant> + Send> ReactorTask for FnTask<F> {
+    fn poll(&mut self, now: Instant) -> TaskPoll {
+        (self.0)(now).map_or(TaskPoll::Idle, TaskPoll::Timer)
+    }
+}
+
+/// The owner's end of a [`Reactor::spawn_task`] task. Dropping it retires
+/// the task.
+#[derive(Debug)]
+pub struct TaskRef(Arc<TaskHandle>);
+
+impl TaskRef {
+    /// Schedules a poll of the task. Cheap, lock-free, callable from
+    /// anywhere; wakes coalesce and none is lost.
+    pub fn wake(&self) {
+        self.0.wake();
+    }
+
+    /// Whether the task will be polled at or before `at` with nobody
+    /// waking it: the caller's test for "is my deadline covered".
+    pub fn armed_by(&self, at: Instant) -> bool {
+        self.0.armed_by(at)
+    }
+}
+
+impl Drop for TaskRef {
+    /// Ends the task: its closure is dropped on the event loop, unpolled,
+    /// as soon as the loop gets to it.
+    fn drop(&mut self) {
+        self.0.retired.store(true, Ordering::Release);
+        self.0.wake();
     }
 }
 
@@ -542,7 +586,10 @@ fn run_task(
     };
     slot.handle.state.store(ST_RUNNING, Ordering::Release);
     counters.task_runs.fetch_add(1, Ordering::Relaxed);
-    let poll = slot.task.poll(Instant::now());
+    let poll = match slot.handle.retired.load(Ordering::Acquire) {
+        true => TaskPoll::Done,
+        false => slot.task.poll(Instant::now()),
+    };
     match poll {
         TaskPoll::Done => {
             slot.handle.state.store(ST_DONE, Ordering::Release);
@@ -779,108 +826,6 @@ mod fdpoll {
 #[cfg(unix)]
 pub(crate) use fdpoll::{FdPoller, FdRegistration};
 
-// ---------------------------------------------------------------------------
-// Blocking lane
-// ---------------------------------------------------------------------------
-
-struct LaneState {
-    idle: usize,
-    total: usize,
-}
-
-/// A spawn-on-demand pool for legitimately blocking work (collective
-/// schedules). Unlike the reactor shards this may grow — every concurrently
-/// blocking job needs its own thread — but it drains back to zero when
-/// idle, so a quiescent node holds no progress threads at all.
-#[derive(Clone)]
-struct BlockingLane {
-    jobs: Arc<Mailbox<Box<dyn FnOnce() + Send>>>,
-    state: Arc<Mutex<LaneState>>,
-    pkg: Arc<dyn ThreadPackage>,
-    counters: Arc<ReactorCounters>,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl BlockingLane {
-    fn new(pkg: Arc<dyn ThreadPackage>, counters: Arc<ReactorCounters>) -> Self {
-        BlockingLane {
-            jobs: Arc::new(Mailbox::unbounded()),
-            state: Arc::new(Mutex::new(LaneState { idle: 0, total: 0 })),
-            pkg,
-            counters,
-            shutdown: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    fn submit(&self, job: Box<dyn FnOnce() + Send>) {
-        self.jobs.send(job);
-        self.top_up();
-    }
-
-    /// Adds a thread when a job is queued and no thread is idle to take
-    /// it. Runs after every submit *and* after a thread takes a job: an
-    /// idle thread answers for one job only, so a second job submitted
-    /// while it was still counted idle must get a thread of its own once
-    /// the first is taken — jobs may wait for each other (two ranks'
-    /// collective schedules do), and queueing one behind the other is then
-    /// a deadlock.
-    fn top_up(&self) {
-        let mut st = self.state.lock();
-        if !self.jobs.is_empty()
-            && st.idle == 0
-            && st.total < LANE_CAP
-            && !self.shutdown.load(Ordering::Acquire)
-        {
-            st.total += 1;
-            drop(st);
-            self.spawn_worker();
-        }
-    }
-
-    fn spawn_worker(&self) {
-        let lane = self.clone();
-        lane.counters.lane_spawned.fetch_add(1, Ordering::Relaxed);
-        self.pkg.spawn_with(
-            SpawnOptions::new("ncs-blocking-lane").daemon(true),
-            Box::new(move || loop {
-                {
-                    lane.state.lock().idle += 1;
-                }
-                let job = lane.jobs.recv_timeout(LANE_LINGER);
-                {
-                    lane.state.lock().idle -= 1;
-                }
-                match job {
-                    Ok(job) => {
-                        lane.top_up();
-                        lane.counters.lane_active.fetch_add(1, Ordering::Relaxed);
-                        job();
-                        lane.counters.lane_active.fetch_sub(1, Ordering::Relaxed);
-                        if lane.shutdown.load(Ordering::Acquire) {
-                            lane.state.lock().total -= 1;
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        // Linger expired. Exit only if there is really
-                        // nothing queued (a submit may have raced the
-                        // timeout; the state lock serialises the check).
-                        let mut st = lane.state.lock();
-                        if lane.jobs.is_empty() || lane.shutdown.load(Ordering::Acquire) {
-                            st.total -= 1;
-                            return;
-                        }
-                    }
-                }
-            }),
-        );
-    }
-
-    fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,53 +978,48 @@ mod tests {
         reactor.shutdown();
     }
 
+    /// The public task entry: polled on registration, on a wake and at the
+    /// deadline it returned; retiring it — here by dropping the `TaskRef` —
+    /// removes the task and drops what its closure captured.
     #[test]
-    fn blocking_lane_runs_jobs_and_drains() {
+    fn a_closure_task_runs_on_wakes_and_deadlines_and_retires_with_its_ref() {
         let reactor = Reactor::new(pkg(), 1);
-        let ran = Arc::new(AtomicU64::new(0));
-        for _ in 0..8 {
-            let ran = Arc::clone(&ran);
-            reactor.spawn_blocking(Box::new(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
+        let runs = Arc::new(AtomicU64::new(0));
+        let captured = Arc::clone(&runs);
         let start = Instant::now();
-        while ran.load(Ordering::Relaxed) < 8 && start.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(ran.load(Ordering::Relaxed), 8);
-        assert!(reactor.stats().blocking_spawned >= 1);
-        reactor.shutdown();
-    }
-
-    /// Regression: two jobs submitted against one idle lane thread got
-    /// that one thread between them — and collective schedules wait for
-    /// each other, so the second job never ran (until the op timeout).
-    #[test]
-    fn blocking_lane_gives_every_queued_job_a_thread() {
-        use ncs_threads::sync::Event;
-        let reactor = Reactor::new(pkg(), 1);
-        // One thread, lingering idle after a first job.
-        reactor.spawn_blocking(Box::new(|| {}));
-        let start = Instant::now();
-        while reactor.lane.state.lock().idle != 1 {
-            assert!(start.elapsed() < Duration::from_secs(5), "no idle thread");
-            std::thread::yield_now();
-        }
-        // Two jobs before it wakes; the first needs the second to run.
-        let (second_ran, first_done) = (Arc::new(Event::new()), Arc::new(Event::new()));
-        let (gate, done) = (Arc::clone(&second_ran), Arc::clone(&first_done));
-        reactor.spawn_blocking(Box::new(move || {
-            if gate.wait_timeout(Duration::from_secs(5)) {
-                done.fire();
+        let deadline = start + Duration::from_millis(40);
+        let task = reactor.spawn_task(move |now| {
+            captured.fetch_add(1, Ordering::Relaxed);
+            (now < deadline).then_some(deadline)
+        });
+        let wait_for = |n: u64| {
+            while runs.load(Ordering::Relaxed) < n {
+                assert!(
+                    start.elapsed() < Duration::from_secs(5),
+                    "run {n} never came"
+                );
+                std::thread::sleep(Duration::from_millis(1));
             }
-        }));
-        reactor.spawn_blocking(Box::new(move || second_ran.fire()));
-        assert!(
-            first_done.wait_timeout(Duration::from_secs(10)),
-            "the second job waited behind the first"
+        };
+        wait_for(1);
+        assert!(task.armed_by(deadline) && !task.armed_by(start));
+        task.wake();
+        wait_for(2);
+        assert_eq!(reactor.stats().timer_fires, 0);
+        wait_for(3);
+        assert!(start.elapsed() >= Duration::from_millis(40));
+        assert_eq!(reactor.stats().timer_fires, 1);
+        assert_eq!((reactor.live_tasks(), reactor.stats().endpoints), (1, 0));
+        drop(task);
+        while reactor.live_tasks() > 0 || Arc::strong_count(&runs) > 1 {
+            assert!(start.elapsed() < Duration::from_secs(5), "task not retired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            3,
+            "a retired task is not polled"
         );
-        assert_eq!(reactor.stats().blocking_spawned, 2);
         reactor.shutdown();
     }
 

@@ -185,12 +185,12 @@ impl MetricSource for ReactorMetricSource {
             ),
             counter_family(
                 "ncs_reactor_blocking_spawned_total",
-                "blocking-lane threads ever spawned",
+                "always 0: the blocking lane is gone, the series is kept for its readers",
                 s.blocking_spawned,
             ),
             gauge_family(
                 "ncs_reactor_blocking_active",
-                "blocking-lane jobs executing now",
+                "always 0: the blocking lane is gone, the series is kept for its readers",
                 s.blocking_active as i64,
             ),
         ]
@@ -406,9 +406,12 @@ pub struct ReactorStats {
     /// Times a task was observed looping `Again` long enough to be called
     /// stalled (diagnostic: a healthy run stays at 0).
     pub stalled_tasks: u64,
-    /// Threads ever spawned by the blocking lane.
+    /// Always 0. The reactor once lent threads to blocking work (the
+    /// collective progress runner) and counted them here; nothing blocks
+    /// beside the event loops any more. The field and its exported series
+    /// stay for the tools that read them.
     pub blocking_spawned: u64,
-    /// Blocking-lane jobs currently executing.
+    /// Always 0, as [`ReactorStats::blocking_spawned`].
     pub blocking_active: u64,
 }
 
@@ -417,7 +420,7 @@ impl fmt::Display for ReactorStats {
         write!(
             f,
             "reactor: {} workers, {} endpoints | {} polls, {} wakeups, {} task runs, \
-             {} timers, {} fd events | {} stalled | lane {} spawned / {} active",
+             {} timers, {} fd events | {} stalled",
             self.workers,
             self.endpoints,
             self.polls,
@@ -426,8 +429,6 @@ impl fmt::Display for ReactorStats {
             self.timer_fires,
             self.fd_events,
             self.stalled_tasks,
-            self.blocking_spawned,
-            self.blocking_active,
         )
     }
 }

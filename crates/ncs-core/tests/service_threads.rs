@@ -27,17 +27,13 @@ fn thread_names() -> Vec<String> {
 }
 
 /// Node service threads: everything NCS names, minus the reactor's own
-/// (shards, fd poller, blocking lane) — a count that does not depend on
-/// how many cores the host has.
+/// (shards, fd poller) — a count that does not depend on how many cores
+/// the host has.
 fn service_threads() -> Vec<String> {
     thread_names()
         .into_iter()
         .filter(|n| n.starts_with("ncs-"))
-        .filter(|n| {
-            !n.starts_with("ncs-reactor-")
-                && n != "ncs-fd-poller"
-                && !n.starts_with("ncs-blocking-la")
-        })
+        .filter(|n| !n.starts_with("ncs-reactor-") && n != "ncs-fd-poller")
         .collect()
 }
 
@@ -71,7 +67,7 @@ fn a_node_owns_one_acceptor_per_peer_and_shuts_down_on_a_wake() {
     assert_eq!(conn_a.recv().expect("recv"), b"back");
 
     let names = thread_names();
-    for old in ["ncs-cs-", "ncs-cr-", "ncs-master-"] {
+    for old in ["ncs-cs-", "ncs-cr-", "ncs-master-", "ncs-blocking-la"] {
         assert!(
             !names.iter().any(|n| n.starts_with(old)),
             "a {old}* thread exists: {names:?}"

@@ -2,8 +2,9 @@
 //!
 //! Four NCS nodes form a collective group over HPI. Every member kicks
 //! off a large `iallreduce` and immediately turns to local computation:
-//! the per-member collective progress thread moves and combines the data
-//! while the application thread crunches numbers, exactly the paper's
+//! the node's event loops move and combine the data — the collective
+//! advances on the thread that delivers each frame — while the
+//! application thread crunches numbers, exactly the paper's
 //! overlap thesis applied to group communication.
 //!
 //! Two things are reported per member:
@@ -123,7 +124,7 @@ fn main() {
                 let handle = group
                     .iallreduce(contrib.clone(), ReduceOp::Sum)
                     .expect("iallreduce");
-                // The progress thread is moving and combining vectors
+                // The node's event loops are moving and combining vectors
                 // right now; every chunk that completes before the handle
                 // resolves is work a blocking call would have delayed.
                 for _ in 0..CHUNKS_PER_ROUND {

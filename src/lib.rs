@@ -24,7 +24,7 @@
 //! * [`collectives`] — group communication: the paper's multicast and
 //!   barrier (`NcsGroup`) and typed nonblocking broadcast/reduce/
 //!   allreduce/scatter/gather/allgather over pluggable topologies, all
-//!   run by one collective machine under a per-member progress runner;
+//!   run by one collective machine, stepped where its frames arrive;
 //! * [`runtime`] — the multi-process cluster runtime (`ncsd` rendezvous,
 //!   `ClusterNode`, `ncs-launch`) and the [`Session`] façade that lets
 //!   one program run against a multi-process cluster *or* an in-process
