@@ -744,6 +744,18 @@ impl ConnShared {
         self.retire_data_plane();
     }
 
+    /// The close of a node shutting down. The control plane goes with the
+    /// node, so no acknowledgement can arrive any more: the session in
+    /// flight and what is queued behind it fail now, and the closing task
+    /// finds its send side flushed instead of lingering for them.
+    pub(crate) fn close_with_node(&self) {
+        self.initiate_close();
+        if let Some(plane) = &mut self.tx.lock().plane {
+            plane.fail_all(SendError::Closed);
+        }
+        self.wake_task();
+    }
+
     pub(crate) fn peer_closed(&self) {
         self.closed_by_peer.store(true, Ordering::Release);
         if self.closed.swap(true, Ordering::AcqRel) {
@@ -829,7 +841,7 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
     if shared.config.direct {
         return;
     }
-    let handle = reactor.spawn(Box::new(ConnTask::new(Arc::clone(shared))), true);
+    let handle = reactor.spawn(true, |_| Box::new(ConnTask::new(Arc::clone(shared))));
     let watch = reactor.watch(&shared.transport, &handle);
     *shared.task.write() = Some((Arc::clone(&handle), watch));
     // Frames arriving between the task's first poll and the subscription
@@ -1133,7 +1145,7 @@ pub(crate) fn fill_batch<'a>(
     n
 }
 
-fn min_timer(timer: &mut Option<Instant>, at: Instant) {
+pub(crate) fn min_timer(timer: &mut Option<Instant>, at: Instant) {
     match timer {
         Some(t) if *t <= at => {}
         _ => *timer = Some(at),

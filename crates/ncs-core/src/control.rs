@@ -1,25 +1,30 @@
 //! The per-peer control plane: Figure 1's Control Send and Control
 //! Receive threads as one resumable reactor task.
 //!
-//! Control connections are unidirectional in use: the node that opened a
-//! control channel writes to it, the accepting node reads it. A
-//! bidirectional node pair therefore runs two control channels, one per
-//! direction — which keeps setup free of initiation races.
+//! A control channel is duplex, on every interface, and is used that way:
+//! the node that dials a connection opens one first if none is up with
+//! the peer, and from then on both nodes write their control messages to
+//! it and read the other's from it — a pair connected from one side runs
+//! one control channel. Setup stays free of initiation races without a
+//! protocol for them: each task reads *every* channel it has with its
+//! peer and writes to the oldest live one, so when both sides dial at
+//! once and open a channel each, both channels are read at both ends and
+//! nothing depends on which of them a node writes to.
 //!
 //! Where the paper parks a thread on each end of each channel, every
 //! attached peer gets one [`CtrlTask`], registered with the node's
 //! [`Reactor`] through the same waker/fd path as a connection's task. A
 //! poll drains whatever the peer's channels hold into the node's
-//! dispatcher and flushes the peer's one FIFO of outbound messages —
-//! one queue per peer, so `AcceptConn` precedes every `Ack`/`Credit` of
-//! its connection and `CloseConn` follows them, across all connections
-//! to that peer. Opening channels (which may block on signaling) stays
-//! with the thread that sets a connection up; the task only ever calls
-//! `try_recv` and `try_send_batch`.
+//! dispatcher and flushes the peer's one FIFO of outbound messages onto
+//! one channel — one queue per peer, so `AcceptConn` precedes every
+//! `Ack`/`Credit` of its connection and `CloseConn` follows them, across
+//! all connections to that peer. Opening channels (which may block on
+//! signaling) stays with the thread that dials a connection; the task
+//! only ever calls `try_recv` and `try_send_batch`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ncs_threads::sync::Mailbox;
@@ -35,14 +40,14 @@ pub(crate) struct PeerCtrl {
     /// Outbound messages, in submission order: connections → task. Sending
     /// wakes the task (the mailbox's notify hook).
     outbox: Arc<Mailbox<CtrlMsg>>,
-    /// Every control channel with the peer, flagged `true` if this node
-    /// opened it: outbound messages leave on the first such. The task
-    /// reads them all — its own too, which is how a peer's hang-up shows:
-    /// the channel is dropped, and the next connection setup opens
-    /// another. The task holds the lock for the length of a poll.
-    channels: Mutex<Vec<(Watch, bool)>>,
+    /// Every control channel with the peer, whoever opened it, in adoption
+    /// order: the task reads them all and writes to the first. A channel
+    /// that ends (the peer hung up) is dropped, the next one takes over,
+    /// and with none left the next connection setup opens another. The
+    /// task holds the lock for the length of a poll.
+    channels: Mutex<Vec<Watch>>,
     retired: AtomicBool,
-    task: OnceLock<Arc<TaskHandle>>,
+    task: Arc<TaskHandle>,
 }
 
 impl PeerCtrl {
@@ -52,27 +57,25 @@ impl PeerCtrl {
         reactor: &Reactor,
         dispatch: impl FnMut(CtrlMsg) + Send + 'static,
     ) -> Arc<Self> {
-        let peer = Arc::new(PeerCtrl {
-            outbox: Arc::default(),
-            channels: Mutex::default(),
-            retired: AtomicBool::new(false),
-            task: OnceLock::new(),
+        let mut spawned = None;
+        reactor.spawn(false, |task| {
+            let peer = Arc::new(PeerCtrl {
+                outbox: Arc::default(),
+                channels: Mutex::default(),
+                retired: AtomicBool::new(false),
+                task: Arc::clone(task),
+            });
+            let waker = Arc::clone(task);
+            peer.outbox.set_notify(Some(Arc::new(move || waker.wake())));
+            spawned = Some(Arc::clone(&peer));
+            Box::new(CtrlTask {
+                peer,
+                dispatch: Box::new(dispatch),
+                pending: VecDeque::new(),
+                spare: Vec::new(),
+            })
         });
-        let task = CtrlTask {
-            peer: Arc::clone(&peer),
-            dispatch: Box::new(dispatch),
-            pending: VecDeque::new(),
-            spare: Vec::new(),
-        };
-        let handle = reactor.spawn(Box::new(task), false);
-        let h = Arc::clone(&handle);
-        peer.outbox.set_notify(Some(Arc::new(move || h.wake())));
-        peer.task.set(handle).expect("set once, here");
-        peer
-    }
-
-    fn task(&self) -> &Arc<TaskHandle> {
-        self.task.get().expect("set by spawn")
+        spawned.expect("made by the closure")
     }
 
     /// The peer's outbound queue.
@@ -80,26 +83,25 @@ impl PeerCtrl {
         Arc::clone(&self.outbox)
     }
 
-    /// Whether a channel this node opened is up (so that what is queued on
+    /// Whether a channel with the peer is up (so that what is queued on
     /// [`PeerCtrl::outbox`] has somewhere to go).
     pub(crate) fn has_outbound(&self) -> bool {
-        self.channels.lock().iter().any(|(_, ours)| *ours)
+        !self.channels.lock().is_empty()
     }
 
     /// Hands a control channel to the task, which reads it from its next
-    /// poll on; `ours` says this node opened it. A retired task takes no
-    /// more channels.
-    pub(crate) fn adopt(&self, reactor: &Reactor, transport: Arc<dyn Transport>, ours: bool) {
-        let watch = reactor.watch(&transport, self.task());
+    /// poll on. A retired task takes no more channels.
+    pub(crate) fn adopt(&self, reactor: &Reactor, transport: Arc<dyn Transport>) {
+        let watch = reactor.watch(&transport, &self.task);
         let mut channels = self.channels.lock();
         if self.is_retired() {
             transport.close();
         } else {
-            channels.push((watch, ours));
+            channels.push(watch);
         }
         drop(channels);
         // Frames that arrived before the watch was in place woke nobody.
-        self.task().wake();
+        self.task.wake();
     }
 
     /// Retires the task: it flushes what is queued (the `CloseConn`s of
@@ -107,11 +109,17 @@ impl PeerCtrl {
     /// leaves the reactor. Idempotent.
     pub(crate) fn retire(&self) {
         self.retired.store(true, Ordering::Release);
-        self.task().wake();
+        self.task.wake();
     }
 
-    pub(crate) fn is_retired(&self) -> bool {
+    fn is_retired(&self) -> bool {
         self.retired.load(Ordering::Acquire)
+    }
+
+    /// Control channels up with the peer.
+    #[cfg(test)]
+    pub(crate) fn channel_count(&self) -> usize {
+        self.channels.lock().len()
     }
 }
 
@@ -141,7 +149,7 @@ impl ReactorTask for CtrlTask {
         // frame that does not decode is skipped; a channel that reports
         // anything but "empty" has ended and is dropped.
         let mut budget = if retired { 0 } else { RECV_BUDGET };
-        channels.retain(|(ch, _)| {
+        channels.retain(|ch| {
             while budget > 0 {
                 match ch.transport().try_recv() {
                     Ok(Some(frame)) => {
@@ -159,8 +167,10 @@ impl ReactorTask for CtrlTask {
             }
             true
         });
-        // Control Send: move the outbound queue onto the wire, in order.
-        let out = channels.iter().find(|(_, ours)| *ours);
+        // Control Send: move the outbound queue onto the wire, in order —
+        // onto the oldest channel still up, so the choice changes only
+        // when a channel ends.
+        let out = channels.first();
         let refused = loop {
             while pending.len() < IO_BATCH {
                 let Some(msg) = peer.outbox.try_recv() else {
@@ -175,7 +185,7 @@ impl ReactorTask for CtrlTask {
             }
             let mut refs = [&[][..]; IO_BATCH];
             let batch = fill_batch(&mut refs, pending.iter().map(Vec::as_slice));
-            match out.map(|(ch, _)| ch.transport().try_send_batch(&refs[..batch])) {
+            match out.map(|ch| ch.transport().try_send_batch(&refs[..batch])) {
                 Some(Ok(0)) => break true,
                 Some(Ok(sent)) => spare.extend(pending.drain(..sent.min(batch))),
                 // No usable channel (the peer hung up, or the interface
@@ -184,10 +194,7 @@ impl ReactorTask for CtrlTask {
             }
         };
         if retired {
-            // Those were the last words.
-            for (ch, _) in channels.drain(..) {
-                ch.transport().close();
-            }
+            // Those were the last words; dropping the task hangs up.
             return TaskPoll::Done;
         }
         if budget == 0 {
@@ -195,7 +202,7 @@ impl ReactorTask for CtrlTask {
         }
         // Quiescent: re-arm fd readiness, and retry a refused flush on a
         // timer — the remedy is the peer draining, which nothing reports.
-        channels.iter().for_each(|(ch, _)| ch.rearm());
+        channels.iter().for_each(Watch::rearm);
         if refused {
             TaskPoll::Timer(now + TX_RETRY)
         } else {
@@ -204,25 +211,40 @@ impl ReactorTask for CtrlTask {
     }
 }
 
+impl Drop for CtrlTask {
+    /// Hangs up every channel, however the task ends: retired by its node
+    /// (after the final flush), or dropped with a reactor that was shut
+    /// down under it.
+    fn drop(&mut self) {
+        let mut channels = self.peer.channels.lock();
+        self.peer.retired.store(true, Ordering::Release);
+        for ch in channels.drain(..) {
+            ch.transport().close();
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::seq::AckBitmap;
     use ncs_threads::{KernelPackage, UserRuntime};
     use ncs_transport::Capabilities;
     use std::time::Duration;
 
-    /// A control channel whose blocking calls panic: whatever the task
-    /// gets done, it gets done with `try_recv` and `try_send_batch`.
-    #[derive(Debug, Default)]
-    struct Stub {
+    /// A channel whose blocking calls panic: whatever a task gets done
+    /// on it, it gets done with `try_recv` and `try_send_batch`.
+    /// Clones share their state: one goes to the task, one stays with the
+    /// test.
+    #[derive(Debug, Default, Clone)]
+    pub(crate) struct Stub {
         /// `try_send_batch` calls still to answer `Ok(0)`.
-        refusals: Mutex<usize>,
+        pub(crate) refusals: Arc<Mutex<usize>>,
         /// At most this many frames are taken per accepted batch.
-        take: usize,
-        inbound: Mutex<VecDeque<Vec<u8>>>,
-        sent: Mutex<Vec<Vec<u8>>>,
-        closed: AtomicBool,
+        pub(crate) take: usize,
+        pub(crate) inbound: Arc<Mutex<VecDeque<Vec<u8>>>>,
+        pub(crate) sent: Arc<Mutex<Vec<Vec<u8>>>>,
+        pub(crate) closed: Arc<AtomicBool>,
     }
 
     impl Transport for Stub {
@@ -235,16 +257,16 @@ mod tests {
             }
         }
         fn send(&self, _: &[u8]) -> Result<(), TransportError> {
-            panic!("blocking send on a control channel")
+            panic!("blocking send on the event loop")
         }
         fn recv(&self) -> Result<Vec<u8>, TransportError> {
-            panic!("blocking recv on a control channel")
+            panic!("blocking recv on the event loop")
         }
         fn recv_timeout(&self, _: Duration) -> Result<Vec<u8>, TransportError> {
-            panic!("blocking recv_timeout on a control channel")
+            panic!("blocking recv_timeout on the event loop")
         }
         fn send_batch(&self, _: &[&[u8]]) -> Result<usize, TransportError> {
-            panic!("blocking send_batch on a control channel")
+            panic!("blocking send_batch on the event loop")
         }
         fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
             Ok(self.inbound.lock().pop_front())
@@ -269,11 +291,10 @@ mod tests {
         }
     }
 
-    /// A control task to poll by hand — no reactor drives it — reading
-    /// and writing the given channels (`true` marks the outbound one).
-    /// Returns what it dispatches, too.
+    /// A control task to poll by hand — no reactor drives it — over the
+    /// given channels, in adoption order. Returns what it dispatches, too.
     fn by_hand(
-        channels: Vec<(Arc<dyn Transport>, bool)>,
+        channels: Vec<Arc<dyn Transport>>,
     ) -> (CtrlTask, Arc<PeerCtrl>, Arc<Mutex<Vec<CtrlMsg>>>) {
         // A watch needs a task handle to wake; any will do, even a
         // finished one.
@@ -284,17 +305,17 @@ mod tests {
             }
         }
         let reactor = Reactor::new(Arc::new(KernelPackage::new()), 1);
-        let handle = reactor.spawn(Box::new(Never), false);
+        let handle = reactor.spawn(false, |_| Box::new(Never));
         let peer = Arc::new(PeerCtrl {
             outbox: Arc::default(),
             channels: Mutex::new(
                 channels
                     .into_iter()
-                    .map(|(t, ours)| (reactor.watch(&t, &handle), ours))
+                    .map(|t| reactor.watch(&t, &handle))
                     .collect(),
             ),
             retired: AtomicBool::new(false),
-            task: OnceLock::from(handle),
+            task: handle,
         });
         let dispatched = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&dispatched);
@@ -344,16 +365,20 @@ mod tests {
     /// called by hand.
     fn drive_task_by_hand() {
         const REFUSALS: usize = 3;
-        let out = Arc::new(Stub {
-            refusals: Mutex::new(REFUSALS),
+        // The pair's one duplex channel, and behind it the spare a
+        // simultaneous dial from the other side leaves: read, never
+        // written to while the first is up.
+        let duplex = Stub {
+            refusals: Arc::new(Mutex::new(REFUSALS)),
             take: 3, // partial batches: the rest must keep its place
             ..Stub::default()
-        });
-        let inbound = Arc::new(Stub::default());
-        let (mut task, peer, dispatched) = by_hand(vec![
-            (Arc::clone(&inbound) as Arc<dyn Transport>, false),
-            (Arc::clone(&out) as Arc<dyn Transport>, true),
-        ]);
+        };
+        let spare = Stub {
+            take: usize::MAX,
+            ..Stub::default()
+        };
+        let (mut task, peer, dispatched) =
+            by_hand(vec![Arc::new(duplex.clone()), Arc::new(spare.clone())]);
 
         // Control Send: refused REFUSALS times, then accepted in order.
         for msg in script() {
@@ -365,10 +390,10 @@ mod tests {
                 TaskPoll::Timer(at) => assert_eq!(at, now + TX_RETRY),
                 _ => panic!("a refused flush parks on the retry timer"),
             }
-            assert!(out.sent.lock().is_empty());
+            assert!(duplex.sent.lock().is_empty());
         }
         assert!(matches!(task.poll(now), TaskPoll::Idle));
-        let wire: Vec<CtrlMsg> = out
+        let wire: Vec<CtrlMsg> = duplex
             .sent
             .lock()
             .iter()
@@ -380,29 +405,36 @@ mod tests {
             "per-peer FIFO: wire order is submission order"
         );
 
-        // Control Receive: garbage between two messages is skipped.
+        // Control Receive, off the channel the task writes to: garbage
+        // between two messages is skipped.
         let credit = CtrlMsg::Credit {
             conn: 7,
             credits: 1,
         };
         let close = CtrlMsg::CloseConn { conn: 7 };
-        *inbound.inbound.lock() = VecDeque::from([
+        *duplex.inbound.lock() = VecDeque::from([
             credit.encode(),
             vec![0xFF, 0xFF, 0xFF],
             vec![],
             close.encode(),
         ]);
         assert!(matches!(task.poll(now), TaskPoll::Idle));
-        assert_eq!(*dispatched.lock(), vec![credit, close]);
-        assert!(!inbound.closed.load(Ordering::Acquire));
+        assert_eq!(*dispatched.lock(), vec![credit.clone(), close.clone()]);
+        assert!(!duplex.closed.load(Ordering::Acquire));
+        // ...and off the spare, which has carried nothing outbound.
+        spare.inbound.lock().push_back(credit.encode());
+        assert!(matches!(task.poll(now), TaskPoll::Idle));
+        assert_eq!(*dispatched.lock(), vec![credit.clone(), close, credit]);
+        assert!(spare.sent.lock().is_empty());
 
         // Retirement: last words go out, every channel is hung up.
         peer.outbox.send(CtrlMsg::CloseConn { conn: 9 });
         peer.retire();
         assert!(matches!(task.poll(now), TaskPoll::Done));
-        assert_eq!(out.sent.lock().len(), script().len() + 1);
-        assert!(inbound.closed.load(Ordering::Acquire) && out.closed.load(Ordering::Acquire));
-        assert!(!peer.has_outbound());
+        drop(task);
+        assert_eq!(duplex.sent.lock().len(), script().len() + 1);
+        assert!(duplex.closed.load(Ordering::Acquire) && spare.closed.load(Ordering::Acquire));
+        assert!(!peer.has_outbound() && spare.sent.lock().is_empty());
     }
 
     #[test]
@@ -438,11 +470,23 @@ mod tests {
                 "gone".to_owned()
             }
         }
-        let (mut task, peer, _) = by_hand(vec![(Arc::new(HungUp), true)]);
+        let (mut task, peer, _) = by_hand(vec![Arc::new(HungUp)]);
         assert!(peer.has_outbound());
         peer.outbox.send(CtrlMsg::CloseConn { conn: 1 });
         assert!(matches!(task.poll(Instant::now()), TaskPoll::Idle));
         assert!(!peer.has_outbound(), "the next setup opens a new channel");
         assert!(peer.channels.lock().is_empty() && task.pending.is_empty());
+
+        // With a second channel up, that one takes over — the slot is
+        // cleared of the dead channel, not of the peer.
+        let next = Stub {
+            take: usize::MAX,
+            ..Stub::default()
+        };
+        let (mut task, peer, _) = by_hand(vec![Arc::new(HungUp), Arc::new(next.clone())]);
+        peer.outbox.send(CtrlMsg::CloseConn { conn: 1 });
+        assert!(matches!(task.poll(Instant::now()), TaskPoll::Idle));
+        assert!(peer.has_outbound() && peer.channels.lock().len() == 1);
+        assert_eq!(*next.sent.lock(), [CtrlMsg::CloseConn { conn: 1 }.encode()]);
     }
 }

@@ -1,32 +1,52 @@
 //! Peer links: how an NCS node reaches one named peer.
 //!
-//! A [`PeerLink`] can open new duplex channels to the peer and accept
-//! channels the peer opened; NCS layers its control and data connections on
-//! top. One implementation exists per communication interface, realising
-//! the paper's Figure 3 (clusters wired with different interfaces).
+//! A [`PeerLink`] can open new duplex channels to the peer and hand over
+//! the channels the peer opened; NCS layers its control and data
+//! connections on top. One implementation exists per communication
+//! interface, realising the paper's Figure 3 (clusters wired with
+//! different interfaces).
+//!
+//! Opening may block (TCP connect retries, ATM signaling) and stays with
+//! the thread that called [`crate::NcsNode::connect`]. Accepting never
+//! does: the node's accept task — reactor work like everything else —
+//! takes channels with [`PeerLink::try_accept_channel`] and is told when
+//! to look through [`PeerLink::watch_accepts`]. Incoming channels queue
+//! in one of two places: a mailbox (HPI, PIPE, SIM, ACI) that fires a
+//! waker, or a listening socket (SCI) the reactor's `poll(2)` thread
+//! multiplexes.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_threads::sync::Mailbox;
-use ncs_transport::{aci, hpi, pipe, sci, sim, Connection, TransportError, YieldHook};
+use ncs_transport::{
+    aci, hpi, pipe, sci, sim, Connection, Readiness, TransportError, Waker, YieldHook,
+};
 
 /// A bidirectional channel factory towards one peer node.
 pub trait PeerLink: Send + Sync + std::fmt::Debug {
-    /// Opens a fresh duplex channel to the peer.
+    /// Opens a fresh duplex channel to the peer. May block.
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
     fn open_channel(&self) -> Result<Box<dyn Connection>, TransportError>;
 
-    /// Accepts the next channel the peer (or, for shared listeners, *any*
-    /// peer) opened towards this node.
+    /// Takes the next channel the peer (or, for shared listeners, *any*
+    /// peer) opened towards this node, `Ok(None)` when none is waiting.
+    /// Never blocks.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Timeout`] when nothing arrived.
-    fn accept_channel(&self, timeout: Duration) -> Result<Box<dyn Connection>, TransportError>;
+    /// Propagates transport failures.
+    fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError>;
+
+    /// Subscribes to "a channel may be waiting" and says how that shows:
+    /// [`Readiness::Waker`] — `waker` is called, spuriously at times — or
+    /// [`Readiness::Fd`] — the descriptor polls readable, and `waker` is
+    /// not used. `None` unsubscribes. Links that share their accept queue
+    /// (one listener, one ATM adapter) share its one waker slot.
+    fn watch_accepts(&self, waker: Option<Waker>) -> Readiness;
 
     /// Interface family name ("HPI", "SCI", "ACI", "PIPE").
     fn interface(&self) -> &'static str;
@@ -34,7 +54,8 @@ pub trait PeerLink: Send + Sync + std::fmt::Debug {
     /// Opens the channel used for the NCS control connection. Defaults to
     /// an ordinary channel; interfaces with an assured signaling service
     /// (ATM's SAAL/SSCOP) override this so acknowledgements and credits
-    /// ride protected.
+    /// ride protected — in both directions: the accepting node writes its
+    /// control messages to the same channel.
     ///
     /// # Errors
     ///
@@ -43,7 +64,7 @@ pub trait PeerLink: Send + Sync + std::fmt::Debug {
         self.open_channel()
     }
 
-    /// Installs a cooperative yield hook on this link and every channel it
+    /// Installs a cooperative yield hook on every channel this link
     /// subsequently opens or accepts. Nodes running on the user-level
     /// thread package install their scheduler's `yield_now` here so that
     /// interfaces built on blocking system calls (SCI) poll cooperatively
@@ -54,16 +75,62 @@ pub trait PeerLink: Send + Sync + std::fmt::Debug {
 }
 
 // ---------------------------------------------------------------------------
+// The accept half of the in-process links
+// ---------------------------------------------------------------------------
+
+/// Where the channels of an in-process link pair wait to be accepted:
+/// opening makes a pair of endpoints and queues the far one for the
+/// partner.
+#[derive(Debug)]
+struct ChannelQueue {
+    /// Channels the partner opened towards us.
+    inbox: Arc<Mailbox<Box<dyn Connection>>>,
+    /// The partner's inbox, where our opens land.
+    partner: Arc<Mailbox<Box<dyn Connection>>>,
+}
+
+impl ChannelQueue {
+    fn pair() -> (Self, Self) {
+        let a_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
+        let b_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
+        (
+            ChannelQueue {
+                inbox: Arc::clone(&a_in),
+                partner: Arc::clone(&b_in),
+            },
+            ChannelQueue {
+                inbox: b_in,
+                partner: a_in,
+            },
+        )
+    }
+
+    fn open(
+        &self,
+        (mine, theirs): (impl Connection + 'static, impl Connection + 'static),
+    ) -> Result<Box<dyn Connection>, TransportError> {
+        self.partner.send(Box::new(theirs));
+        Ok(Box::new(mine))
+    }
+
+    fn try_accept(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
+        Ok(self.inbox.try_recv())
+    }
+
+    fn watch(&self, waker: Option<Waker>) -> Readiness {
+        self.inbox.set_notify(waker);
+        Readiness::Waker
+    }
+}
+
+// ---------------------------------------------------------------------------
 // HPI
 // ---------------------------------------------------------------------------
 
 /// In-process HPI link: channels are shared-ring pairs.
 #[derive(Debug)]
 pub struct HpiLink {
-    /// Channels the partner opened towards us.
-    inbox: Arc<Mailbox<Box<dyn Connection>>>,
-    /// The partner's inbox, where our opens land.
-    partner: Arc<Mailbox<Box<dyn Connection>>>,
+    queue: ChannelQueue,
     ring_capacity: usize,
 }
 
@@ -79,34 +146,26 @@ impl HpiLinkPair {
 
     /// Creates a pair whose channels use `ring_capacity`-frame rings.
     pub fn with_capacity(ring_capacity: usize) -> (Arc<HpiLink>, Arc<HpiLink>) {
-        let a_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
-        let b_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
-        (
-            Arc::new(HpiLink {
-                inbox: Arc::clone(&a_in),
-                partner: Arc::clone(&b_in),
-                ring_capacity,
-            }),
-            Arc::new(HpiLink {
-                inbox: b_in,
-                partner: a_in,
-                ring_capacity,
-            }),
-        )
+        let (a, b) = ChannelQueue::pair();
+        let link = |queue| HpiLink {
+            queue,
+            ring_capacity,
+        };
+        (Arc::new(link(a)), Arc::new(link(b)))
     }
 }
 
 impl PeerLink for HpiLink {
     fn open_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
-        let (mine, theirs) = hpi::pair(self.ring_capacity);
-        self.partner.send(Box::new(theirs));
-        Ok(Box::new(mine))
+        self.queue.open(hpi::pair(self.ring_capacity))
     }
 
-    fn accept_channel(&self, timeout: Duration) -> Result<Box<dyn Connection>, TransportError> {
-        self.inbox
-            .recv_timeout(timeout)
-            .map_err(|_| TransportError::Timeout)
+    fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
+        self.queue.try_accept()
+    }
+
+    fn watch_accepts(&self, waker: Option<Waker>) -> Readiness {
+        self.queue.watch(waker)
     }
 
     fn interface(&self) -> &'static str {
@@ -121,8 +180,7 @@ impl PeerLink for HpiLink {
 /// In-process modelled-socket link (see [`ncs_transport::pipe`]).
 #[derive(Debug)]
 pub struct PipeLink {
-    inbox: Arc<Mailbox<Box<dyn Connection>>>,
-    partner: Arc<Mailbox<Box<dyn Connection>>>,
+    queue: ChannelQueue,
     config: pipe::PipeConfig,
     local_model: Option<pipe::EndpointModel>,
     remote_model: Option<pipe::EndpointModel>,
@@ -140,19 +198,16 @@ impl PipeLinkPair {
         model_a: Option<pipe::EndpointModel>,
         model_b: Option<pipe::EndpointModel>,
     ) -> (Arc<PipeLink>, Arc<PipeLink>) {
-        let a_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
-        let b_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
+        let (a, b) = ChannelQueue::pair();
         (
             Arc::new(PipeLink {
-                inbox: Arc::clone(&a_in),
-                partner: Arc::clone(&b_in),
+                queue: a,
                 config: config.clone(),
                 local_model: model_a.clone(),
                 remote_model: model_b.clone(),
             }),
             Arc::new(PipeLink {
-                inbox: b_in,
-                partner: a_in,
+                queue: b,
                 config,
                 local_model: model_b,
                 remote_model: model_a,
@@ -163,19 +218,19 @@ impl PipeLinkPair {
 
 impl PeerLink for PipeLink {
     fn open_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
-        let (mine, theirs) = pipe::pair_with_models(
+        self.queue.open(pipe::pair_with_models(
             self.config.clone(),
             self.local_model.clone(),
             self.remote_model.clone(),
-        );
-        self.partner.send(Box::new(theirs));
-        Ok(Box::new(mine))
+        ))
     }
 
-    fn accept_channel(&self, timeout: Duration) -> Result<Box<dyn Connection>, TransportError> {
-        self.inbox
-            .recv_timeout(timeout)
-            .map_err(|_| TransportError::Timeout)
+    fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
+        self.queue.try_accept()
+    }
+
+    fn watch_accepts(&self, waker: Option<Waker>) -> Readiness {
+        self.queue.watch(waker)
     }
 
     fn interface(&self) -> &'static str {
@@ -213,7 +268,8 @@ impl PeerLink for AciLink {
     }
 
     fn open_control_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
-        // Control connections ride an assured (SSCOP-style) VC.
+        // Control connections ride an assured (SSCOP-style) VC; the
+        // accepting host's end of it is assured too.
         let qos = atm_sim::QosParams {
             assured: true,
             ..self.qos
@@ -221,8 +277,13 @@ impl PeerLink for AciLink {
         Ok(Box::new(self.device.connect(&self.peer, qos)?))
     }
 
-    fn accept_channel(&self, timeout: Duration) -> Result<Box<dyn Connection>, TransportError> {
-        Ok(Box::new(self.device.accept_timeout(timeout)?))
+    fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
+        Ok(self.device.try_accept().map(|c| Box::new(c) as _))
+    }
+
+    fn watch_accepts(&self, waker: Option<Waker>) -> Readiness {
+        self.device.set_accept_waker(waker);
+        Readiness::Waker
     }
 
     fn interface(&self) -> &'static str {
@@ -243,8 +304,7 @@ impl PeerLink for AciLink {
 #[derive(Debug)]
 pub struct SimLink {
     net: Arc<sim::SimNet>,
-    inbox: Arc<Mailbox<Box<dyn Connection>>>,
-    partner: Arc<Mailbox<Box<dyn Connection>>>,
+    queue: ChannelQueue,
     policy_out: sim::LinkPolicy,
     policy_back: sim::LinkPolicy,
     /// Whether this is the first endpoint of the pair (fixes which fabric
@@ -269,14 +329,12 @@ impl SimLinkPair {
         policy_ab: sim::LinkPolicy,
         policy_ba: sim::LinkPolicy,
     ) -> (Arc<SimLink>, Arc<SimLink>) {
-        let a_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
-        let b_in: Arc<Mailbox<Box<dyn Connection>>> = Arc::new(Mailbox::unbounded());
+        let (a, b) = ChannelQueue::pair();
         let opened = Arc::new(parking_lot::Mutex::new(Vec::new()));
         (
             Arc::new(SimLink {
                 net: Arc::clone(net),
-                inbox: Arc::clone(&a_in),
-                partner: Arc::clone(&b_in),
+                queue: a,
                 policy_out: policy_ab.clone(),
                 policy_back: policy_ba.clone(),
                 side_a: true,
@@ -284,8 +342,7 @@ impl SimLinkPair {
             }),
             Arc::new(SimLink {
                 net: Arc::clone(net),
-                inbox: b_in,
-                partner: a_in,
+                queue: b,
                 policy_out: policy_ba,
                 policy_back: policy_ab,
                 side_a: false,
@@ -331,14 +388,15 @@ impl PeerLink for SimLink {
         // carries side-a frames iff this side is side a.
         let a_out = if self.side_a { 0 } else { 1 };
         self.opened.lock().push((mine.link(), a_out));
-        self.partner.send(Box::new(theirs));
-        Ok(Box::new(mine))
+        self.queue.open((mine, theirs))
     }
 
-    fn accept_channel(&self, timeout: Duration) -> Result<Box<dyn Connection>, TransportError> {
-        self.inbox
-            .recv_timeout(timeout)
-            .map_err(|_| TransportError::Timeout)
+    fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
+        self.queue.try_accept()
+    }
+
+    fn watch_accepts(&self, waker: Option<Waker>) -> Readiness {
+        self.queue.watch(waker)
     }
 
     fn interface(&self) -> &'static str {
@@ -404,10 +462,15 @@ impl PeerLink for SciLink {
         Ok(Box::new(conn))
     }
 
-    fn accept_channel(&self, timeout: Duration) -> Result<Box<dyn Connection>, TransportError> {
-        let conn = self.listener.accept_timeout(timeout)?;
-        conn.set_yield_hook(self.yield_hook.lock().clone());
-        Ok(Box::new(conn))
+    fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
+        Ok(self.listener.try_accept()?.map(|conn| {
+            conn.set_yield_hook(self.yield_hook.lock().clone());
+            Box::new(conn) as _
+        }))
+    }
+
+    fn watch_accepts(&self, _waker: Option<Waker>) -> Readiness {
+        self.listener.readiness()
     }
 
     fn interface(&self) -> &'static str {
@@ -415,9 +478,6 @@ impl PeerLink for SciLink {
     }
 
     fn set_yield_hook(&self, hook: Option<YieldHook>) {
-        // The listener polls cooperatively too: the acceptor thread would
-        // otherwise monopolise a user-level scheduler with OS sleeps.
-        self.listener.set_yield_hook(hook.clone());
         *self.yield_hook.lock() = hook;
     }
 }
@@ -430,7 +490,7 @@ mod tests {
     fn hpi_link_channels_connect_both_ways() {
         let (a, b) = HpiLinkPair::create();
         let ch_a = a.open_channel().unwrap();
-        let ch_b = b.accept_channel(Duration::from_secs(1)).unwrap();
+        let ch_b = b.try_accept_channel().unwrap().expect("a channel waits");
         ch_a.send(b"x").unwrap();
         assert_eq!(ch_b.recv().unwrap(), b"x");
         ch_b.send(b"y").unwrap();
@@ -441,17 +501,14 @@ mod tests {
     #[test]
     fn hpi_accept_times_out_when_nothing_opened() {
         let (a, _b) = HpiLinkPair::create();
-        assert!(matches!(
-            a.accept_channel(Duration::from_millis(20)),
-            Err(TransportError::Timeout)
-        ));
+        assert!(matches!(a.try_accept_channel(), Ok(None)));
     }
 
     #[test]
     fn pipe_link_round_trip() {
         let (a, b) = PipeLinkPair::create(pipe::PipeConfig::default(), None, None);
         let ch_a = a.open_channel().unwrap();
-        let ch_b = b.accept_channel(Duration::from_secs(1)).unwrap();
+        let ch_b = b.try_accept_channel().unwrap().expect("a channel waits");
         ch_a.send(b"ping").unwrap();
         assert_eq!(ch_b.recv().unwrap(), b"ping");
         assert_eq!(b.interface(), "PIPE");
@@ -462,7 +519,7 @@ mod tests {
         let net = sim::SimNet::new(11);
         let (a, b) = SimLinkPair::create(&net, sim::LinkPolicy::lan(), sim::LinkPolicy::lan());
         let ch_a = a.open_channel().unwrap();
-        let ch_b = b.accept_channel(Duration::from_secs(1)).unwrap();
+        let ch_b = b.try_accept_channel().unwrap().expect("a channel waits");
         ch_a.send(b"ping").unwrap();
         // Nothing moves until the fabric clock does.
         assert_eq!(ch_b.try_recv(), Ok(None));
@@ -476,7 +533,7 @@ mod tests {
         let net = sim::SimNet::new(11);
         let (a, b) = SimLinkPair::create(&net, sim::LinkPolicy::ideal(), sim::LinkPolicy::ideal());
         let ch_a = a.open_channel().unwrap();
-        let ch_b = b.accept_channel(Duration::from_secs(1)).unwrap();
+        let ch_b = b.try_accept_channel().unwrap().expect("a channel waits");
         a.set_outbound_up(false);
         ch_a.send(b"lost").unwrap();
         ch_b.send(b"back").unwrap();
@@ -497,8 +554,8 @@ mod tests {
         let c2 = a.open_channel().unwrap();
         c1.send(b"first").unwrap();
         c2.send(b"second").unwrap();
-        let d1 = b.accept_channel(Duration::from_secs(1)).unwrap();
-        let d2 = b.accept_channel(Duration::from_secs(1)).unwrap();
+        let d1 = b.try_accept_channel().unwrap().expect("a channel waits");
+        let d2 = b.try_accept_channel().unwrap().expect("a channel waits");
         assert_eq!(d1.recv().unwrap(), b"first");
         assert_eq!(d2.recv().unwrap(), b"second");
     }

@@ -1,47 +1,53 @@
 //! The NCS node: one message-passing process with its connection
 //! registry and per-peer control plane.
 //!
-//! Of the node threads in the paper's Figure 1 only one kind is left: an
-//! acceptor per attached peer, because [`PeerLink::accept_channel`] is a
-//! blocking call. Everything else is work for the node's
-//! [`Reactor`]:
+//! None of the node threads in the paper's Figure 1 is left. Everything a
+//! node does between calls is work for its [`Reactor`]:
 //!
 //! * the Control Send and Control Receive threads are one task per peer
 //!   ([`crate::control`]);
 //! * the Master Thread's connection management runs where the event that
-//!   asks for it arrives — an incoming data channel is turned into a
-//!   connection by the acceptor that took it off the link (opening the
-//!   control channel back to the peer may block, and that thread already
-//!   does), the peer's `AcceptConn` is applied by the control task that
-//!   decoded it, and the initiating side is set up on the thread that
-//!   called [`NcsNode::connect`].
+//!   asks for it arrives. Accepting is one task per node ([`AcceptTask`]):
+//!   it takes the channels peers opened off the links with
+//!   [`PeerLink::try_accept_channel`], reads each one's hello when it
+//!   comes, hands a control channel to its peer's control task and turns
+//!   a data channel into a connection right there on the event loop —
+//!   none of which blocks, because the accepting side never opens a
+//!   channel: control channels are duplex, and the dialer always has one
+//!   up before it dials data. The peer's `AcceptConn` is applied by the
+//!   control task that decoded it, and the initiating side — the one
+//!   place that may block, on TCP connects and ATM signaling — is set up
+//!   on the thread that called [`NcsNode::connect`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ncs_obs::{MetricsSnapshot, Registry};
 use ncs_threads::sync::Mailbox;
-use ncs_threads::{KernelPackage, PackageKind, SpawnOptions, ThreadPackage};
-use ncs_transport::{Connection as Transport, TransportError};
+use ncs_threads::{KernelPackage, PackageKind, ThreadPackage};
+use ncs_transport::{Connection as Transport, Readiness, TransportError, Waker};
 use parking_lot::Mutex;
 
 use crate::clock::{Clock, SystemClock};
 use crate::config::{ConfigError, ConnectionConfig};
-use crate::connection::{attach_connection, dispatch_ctrl, ConnShared, NcsConnection};
+use crate::connection::{attach_connection, dispatch_ctrl, min_timer, ConnShared, NcsConnection};
 use crate::control::PeerCtrl;
 use crate::link::PeerLink;
 use crate::packet::{CtrlMsg, Hello};
 use crate::pool::{BufPool, PoolStats};
-use crate::reactor::Reactor;
+use crate::reactor::{FdRegistration, Reactor, ReactorTask, TaskHandle, TaskPoll, TaskRef, Watch};
 use crate::stats::{PackageMetricSource, PoolMetricSource, ReactorMetricSource};
 
-const ACCEPT_POLL: Duration = Duration::from_millis(200);
+/// How long an accepted channel may stay silent before its hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(10);
-/// Most control channels kept waiting for their opener to be attached.
-const EARLY_CHANNELS: usize = 64;
+/// Most channels kept waiting, their hello said, for the node it names to
+/// be attached or for a control channel with it; the oldest give way.
+const UNATTACHED_CHANNELS: usize = 64;
+/// Pause before an accept source that reported a failure is tried again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// Errors from [`NcsNode::connect`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,12 +141,12 @@ pub(crate) struct NodeInner {
     /// virtual time (see [`crate::clock`]).
     clock: Arc<dyn Clock>,
     peers: Mutex<HashMap<String, PeerState>>,
-    /// Control channels whose opener this node has not attached yet, by
-    /// the name in their hello; [`NcsNode::attach_peer`] adopts them. (A
-    /// shared listener delivers them from the moment the first peer is
-    /// attached, while the rest of a roster is still being attached.) The
-    /// oldest give way beyond [`EARLY_CHANNELS`].
-    early: Mutex<Vec<(String, Arc<dyn Transport>)>>,
+    /// Set when `peers` gained or lost a link: the accept task subscribes
+    /// to the links' accept sources anew.
+    links_changed: AtomicBool,
+    /// The node's accept task, from the first `attach_peer` to `shutdown`
+    /// (or the node's drop): letting go of it retires it.
+    accept: Mutex<Option<TaskRef>>,
     conns: Mutex<HashMap<u32, Arc<ConnShared>>>,
     next_conn: AtomicU32,
     pending_accepts: Mailbox<NcsConnection>,
@@ -181,6 +187,14 @@ impl NodeInner {
         }
         conns.insert(shared.id, Arc::clone(&shared));
         Some(shared)
+    }
+
+    /// Has the accept task, if there is one, look at its pending channels
+    /// again: something they may wait for has happened.
+    fn wake_accept_task(&self) {
+        if let Some(task) = &*self.accept.lock() {
+            task.wake();
+        }
     }
 }
 
@@ -289,7 +303,8 @@ impl NcsNodeBuilder {
             registry,
             clock,
             peers: Mutex::new(HashMap::new()),
-            early: Mutex::new(Vec::new()),
+            links_changed: AtomicBool::new(false),
+            accept: Mutex::new(None),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU32::new(0),
             pending_accepts: Mailbox::unbounded(),
@@ -355,12 +370,13 @@ impl NcsNode {
     /// Attaches a link towards `peer` — the peer node's own name, which
     /// the hello frames of the channels it opens carry — and starts
     /// accepting channels from it. Must be called on both nodes (with
-    /// matching link pair ends) before connections can be made.
+    /// matching link pair ends) before connections can be made; a channel
+    /// the peer opens before this node attaches it waits for the call.
     pub fn attach_peer(&self, peer: &str, link: Arc<dyn PeerLink>) {
         if self.inner.pkg.kind() == PackageKind::UserLevel {
             // §4.1: under the user-level package, blocking system calls
-            // stall every green thread. Links over such interfaces (SCI)
-            // switch to non-blocking polls + cooperative yields.
+            // stall every green thread. Channels over such interfaces
+            // (SCI) switch to non-blocking polls + cooperative yields.
             let pkg = Arc::clone(&self.inner.pkg);
             link.set_yield_hook(Some(Arc::new(move || pkg.yield_now())));
         }
@@ -369,7 +385,7 @@ impl NcsNode {
         let replaced = self.inner.peers.lock().insert(
             peer.to_owned(),
             PeerState {
-                link: Arc::clone(&link),
+                link,
                 ctrl: Arc::clone(&ctrl),
             },
         );
@@ -380,28 +396,25 @@ impl NcsNode {
         if let Some(old) = replaced {
             old.ctrl.retire();
         }
+        // The accept task — spawned with the first peer — subscribes to
+        // the new link and looks at the channels that waited for this
+        // call. `shutdown` takes the task under this lock after setting
+        // its flag: a node that is down is not given another.
+        self.inner.links_changed.store(true, Ordering::Release);
+        let mut accept = self.inner.accept.lock();
         if self.inner.shutdown.load(Ordering::Acquire) {
             ctrl.retire();
+            return;
         }
-        // Control channels the peer opened before it was attached here.
-        let mut early = self.inner.early.lock();
-        for (_, channel) in early.extract_if(.., |(name, _)| name == peer) {
-            ctrl.adopt(&self.inner.reactor, channel, false);
-        }
-        drop(early);
-        // Acceptor thread for this link: the one blocking service thread a
-        // peer costs. It leaves on its own once the peer is retired.
-        let node = Arc::downgrade(&self.inner);
-        self.inner.pkg.spawn_with(
-            SpawnOptions::new(format!("ncs-accept-{}-{}", self.inner.name, peer)).daemon(true),
-            Box::new(move || acceptor_thread(&node, link, &ctrl)),
-        );
+        accept
+            .get_or_insert_with(|| AcceptTask::spawn(&self.inner))
+            .wake();
     }
 
     /// Severs every tie to `peer`: closes and unregisters its live
     /// connections, discards the ones it opened that nobody has accepted
-    /// yet, and drops the peer registration (link, control channels,
-    /// control task and acceptor thread). The counterpart of
+    /// yet, and drops the peer registration (link, control channels and
+    /// control task). The counterpart of
     /// [`NcsNode::attach_peer`] for membership churn — a *replacement*
     /// process re-adopting the peer's name starts from a clean slate. A
     /// no-op for an unknown peer.
@@ -432,6 +445,8 @@ impl NcsNode {
         // queued just above.
         if let Some(state) = forgotten {
             state.ctrl.retire();
+            self.inner.links_changed.store(true, Ordering::Release);
+            self.inner.wake_accept_task();
         }
     }
 
@@ -471,20 +486,24 @@ impl NcsNode {
         .encode();
         transport.send(&hello)?;
         attach_connection(&self.inner.reactor, &shared);
-        // The hello rides the (possibly unreliable) data channel; retry a
-        // few times before declaring the setup dead. A retry that follows
-        // a hello the acceptor did read lands on the connection it built
-        // from it, whose receive plane drops it as not a data packet.
-        let mut established = false;
-        for _attempt in 0..5 {
-            if shared.established.wait_timeout(ESTABLISH_TIMEOUT / 5) {
-                established = true;
-                break;
-            }
+        // The hello rides the (possibly unreliable) data channel; repeat it
+        // before declaring the setup dead. A repeat that follows a hello
+        // the accept task did read lands on the connection it built from
+        // it, whose receive plane drops it as not a data packet. The
+        // control channel may have ended unnoticed, too — a peer that
+        // attached this node anew holds the data channel and waits for
+        // another: the first repeat comes early, and each looks again.
+        let give_up = Instant::now() + ESTABLISH_TIMEOUT;
+        let mut repeat_after = ESTABLISH_TIMEOUT / 100;
+        let mut established = shared.established.wait_timeout(repeat_after);
+        while !established && Instant::now() < give_up {
+            let _ = ensure_ctrl_tx(&self.inner, peer);
             let _ = transport.send(&hello);
+            repeat_after = (repeat_after * 2).min(ESTABLISH_TIMEOUT / 5);
+            established = shared.established.wait_timeout(repeat_after);
         }
-        // A peer that hangs up instead of accepting (it has not attached
-        // this node, or refuses the configuration) fires the event too.
+        // A peer that hangs up instead of accepting (it refuses the
+        // configuration, or forgot this node) fires the event too.
         if !established || shared.peer_conn_id() == u32::MAX {
             shared.initiate_close();
             self.inner.conns.lock().remove(&shared.id);
@@ -594,8 +613,8 @@ impl NcsNode {
     /// Shuts the node down: closes every connection and retires the
     /// control plane. Idempotent. Once it returns the node dispatches no
     /// control message and creates no connection; nothing is waited for —
-    /// the tasks retire on the wake they are given, and each acceptor
-    /// thread leaves at the end of its current accept poll.
+    /// not an acknowledgement either: the tasks retire on the wake they
+    /// are given, and what was still unacknowledged fails `Closed`.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -605,13 +624,14 @@ impl NcsNode {
         // dispatched.
         let conns = std::mem::take(&mut *self.inner.conns.lock());
         for c in conns.into_values() {
-            c.initiate_close();
+            c.close_with_node();
         }
         // After the closes: each task's final flush carries their
         // CloseConns to the peer.
         for state in self.inner.peers.lock().values() {
             state.ctrl.retire();
         }
+        drop(self.inner.accept.lock().take());
         // A reactor this node built privately stops with it; a shared one
         // (supplied via the builder) may still drive other nodes.
         if self.inner.owns_reactor {
@@ -620,83 +640,26 @@ impl NcsNode {
     }
 }
 
-/// The registration of `peer`, with a control channel towards it up (so
-/// that its control queue leads somewhere): opens one first when none is.
-/// Runs on the thread that sets a connection up — opening may block on
-/// signaling — never on the reactor.
+/// The registration of `peer`, with a control channel to it up (so that
+/// its control queue leads somewhere): opens one first when none is — the
+/// peer writes to the same channel. Runs on the thread that dials a
+/// connection — opening may block on signaling — never on the reactor.
 fn ensure_ctrl_tx(inner: &NodeInner, peer: &str) -> Result<PeerState, ConnectError> {
     let state = inner.peers.lock().get(peer).cloned();
     let state = state.ok_or_else(|| ConnectError::UnknownPeer(peer.to_owned()))?;
     if !state.ctrl.has_outbound() {
         // Control channels use the link's assured path where the
-        // interface has one (ACI/SSCOP). Two setups racing here open two;
-        // the spare one idles.
+        // interface has one (ACI/SSCOP). Two setups racing here — or one
+        // on each node — open two; both are read, one is written to.
         let channel = state.link.open_control_channel()?;
         let hello = Hello::Control {
             node: inner.name.clone(),
         };
         channel.send(&hello.encode())?;
-        state.ctrl.adopt(&inner.reactor, Arc::from(channel), true);
+        state.ctrl.adopt(&inner.reactor, Arc::from(channel));
+        inner.wake_accept_task();
     }
     Ok(state)
-}
-
-/// Per-link acceptor: classifies fresh channels by their hello frame. A
-/// control channel goes to its peer's control task; a data channel becomes
-/// a connection right here. Leaves once `ctrl` — the registration it was
-/// spawned for — is retired (`forget_peer`, re-attachment, node shutdown).
-/// It holds the node only while it serves a channel: a node that is shut
-/// down and dropped is freed there and then, not an accept poll later.
-fn acceptor_thread(node: &Weak<NodeInner>, link: Arc<dyn PeerLink>, ctrl: &PeerCtrl) {
-    loop {
-        if ctrl.is_retired() {
-            return;
-        }
-        let channel = match link.accept_channel(ACCEPT_POLL) {
-            Ok(c) => c,
-            Err(TransportError::Timeout) => continue,
-            Err(_) => {
-                // Transient link failure: back off briefly.
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        let hello = match channel.recv_timeout(HELLO_TIMEOUT) {
-            Ok(frame) => match Hello::decode(&frame) {
-                Ok(h) => h,
-                Err(_) => continue, // not an NCS channel: drop it
-            },
-            Err(_) => continue,
-        };
-        let Some(inner) = &node.upgrade() else {
-            return;
-        };
-        let transport: Arc<dyn Transport> = Arc::from(channel);
-        match hello {
-            Hello::Control { node } => {
-                // Peer attribution comes from the hello, not the link
-                // (shared listeners may deliver other peers' channels). A
-                // name not attached yet waits for `attach_peer`, which
-                // inserts under the lock held here: it finds the channel.
-                let peers = inner.peers.lock();
-                match peers.get(&node) {
-                    Some(named) => named.ctrl.adopt(&inner.reactor, transport, false),
-                    None => {
-                        let mut early = inner.early.lock();
-                        if early.len() == EARLY_CHANNELS {
-                            early.remove(0).1.close();
-                        }
-                        early.push((node, transport));
-                    }
-                }
-            }
-            Hello::Data {
-                node,
-                initiator_conn,
-                config,
-            } => incoming_data(inner, node, transport, initiator_conn, config),
-        }
-    }
 }
 
 /// Control-plane dispatcher: runs on the reactor, inside the poll of the
@@ -722,12 +685,190 @@ fn handle_ctrl(inner: &NodeInner, msg: CtrlMsg) {
     }
 }
 
-/// Connection management, accepting side (paper Figure 1 — "data transfer
-/// threads … are spawned on a per-connection basis by the Master Thread"):
-/// turns a data channel a peer opened into a connection and acknowledges
-/// it over the control connection. Runs on the acceptor thread.
+/// A channel the accept task took off a link and could not place yet.
+struct PendingChannel {
+    watch: Watch,
+    /// What the channel is, once its opener has said so; until then, when
+    /// waiting for that ends with the channel closed. A channel that has
+    /// said its hello waits for the node it names to be attached, or — a
+    /// data hello can overtake its control hello — for a control channel
+    /// with it, as one of at most [`UNATTACHED_CHANNELS`].
+    hello: Result<Hello, Instant>,
+}
+
+/// Connection management, accepting side, as one reactor task per node —
+/// the non-blocking stand-in for the accepting half of Figure 1's Master
+/// Thread ("data transfer threads … are spawned on a per-connection basis
+/// by the Master Thread"). Woken by its links' accept sources, by its
+/// pending channels' frames, by `attach_peer`/`forget_peer` and by a
+/// control channel's adoption; it only ever calls `try_accept_channel`
+/// and `try_recv`.
+struct AcceptTask {
+    /// Weak: the task must not keep a dropped node alive.
+    node: Weak<NodeInner>,
+    me: Arc<TaskHandle>,
+    /// One link per accept source (of links sharing a listener, the first
+    /// holds its descriptor's registration — ahead of the link, as it is
+    /// keyed by a number the system may hand out again the moment the
+    /// listener closes), as of the last change to the node's peers.
+    sources: Vec<(Option<FdRegistration>, Arc<dyn PeerLink>)>,
+    /// In order of arrival.
+    pending: Vec<PendingChannel>,
+}
+
+impl AcceptTask {
+    fn spawn(node: &Arc<NodeInner>) -> TaskRef {
+        TaskRef(node.reactor.spawn(false, |me| {
+            Box::new(AcceptTask {
+                node: Arc::downgrade(node),
+                me: Arc::clone(me),
+                sources: Vec::new(),
+                pending: Vec::new(),
+            })
+        }))
+    }
+
+    /// Subscribes to the accept source of every attached link, from
+    /// scratch: links come and go, and a source shared by several of them
+    /// has one waker slot and one descriptor. (A link that went keeps the
+    /// waker it was given: its source may be one that others still share,
+    /// and a wake for nothing costs one look.)
+    fn subscribe(&mut self, inner: &NodeInner) {
+        self.sources.clear();
+        let me = Arc::clone(&self.me);
+        let waker: Waker = Arc::new(move || me.wake());
+        let links: Vec<_> = inner
+            .peers
+            .lock()
+            .values()
+            .map(|p| p.link.clone())
+            .collect();
+        let mut listeners = HashSet::new();
+        for link in links {
+            let fd = match link.watch_accepts(Some(Arc::clone(&waker))) {
+                Readiness::Fd(fd) if !listeners.insert(fd) => continue,
+                Readiness::Fd(fd) => Some(inner.reactor.watch_fd(fd, &self.me)),
+                _ => None,
+            };
+            self.sources.push((fd, link));
+        }
+    }
+
+    /// Looks at one pending channel again; `None` once it is placed or
+    /// closed.
+    fn advance(
+        &self,
+        mut p: PendingChannel,
+        inner: &Arc<NodeInner>,
+        now: Instant,
+    ) -> Option<PendingChannel> {
+        // A control channel is left alone once it has said what it is:
+        // control messages follow. A data channel carries repeats of its
+        // hello at most until it is accepted — reading on loses nothing,
+        // and shows a dialer that gave up.
+        if !matches!(p.hello, Ok(Hello::Control { .. })) {
+            match p.watch.transport().try_recv() {
+                Ok(Some(frame)) if p.hello.is_err() => {
+                    p.hello = Hello::decode(&frame).map_err(|_| now);
+                }
+                Ok(_) | Err(TransportError::Timeout) => p.watch.rearm(),
+                Err(_) => p.hello = Err(now),
+            }
+        }
+        // Peer attribution comes from the hello, not the link (shared
+        // listeners deliver other peers' channels).
+        let hello = match &p.hello {
+            Ok(hello) => hello,
+            // Silent for too long, hung up, or not an NCS channel.
+            Err(end) if *end <= now => {
+                p.watch.transport().close();
+                return None;
+            }
+            Err(_) => return Some(p),
+        };
+        let (Hello::Control { node } | Hello::Data { node, .. }) = hello;
+        let named = inner.peers.lock().get(node).cloned();
+        let usable =
+            |peer: &PeerState| matches!(hello, Hello::Control { .. }) || peer.ctrl.has_outbound();
+        let Some(peer) = named.filter(usable) else {
+            return Some(p);
+        };
+        // Unsubscribe before the channel's next task subscribes.
+        let transport = Arc::clone(p.watch.transport());
+        drop(p.watch);
+        match p.hello {
+            Ok(Hello::Data {
+                node,
+                initiator_conn,
+                config,
+            }) => {
+                incoming_data(inner, &peer, node, transport, initiator_conn, config);
+            }
+            _ => {
+                peer.ctrl.adopt(&inner.reactor, transport);
+                // A data channel may have waited for just that.
+                self.me.wake();
+            }
+        }
+        None
+    }
+}
+
+impl ReactorTask for AcceptTask {
+    fn poll(&mut self, now: Instant) -> TaskPoll {
+        let Some(inner) = &self.node.upgrade() else {
+            return TaskPoll::Done;
+        };
+        if inner.links_changed.swap(false, Ordering::AcqRel) {
+            self.subscribe(inner);
+        }
+        let mut timer = None;
+        for (fd, link) in &self.sources {
+            loop {
+                match link.try_accept_channel() {
+                    Ok(Some(channel)) => self.pending.push(PendingChannel {
+                        watch: inner.reactor.watch(&Arc::from(channel), &self.me),
+                        hello: Err(now + HELLO_TIMEOUT),
+                    }),
+                    Ok(None) => break fd.iter().for_each(FdRegistration::rearm),
+                    Err(_) => break min_timer(&mut timer, now + ACCEPT_RETRY),
+                }
+            }
+        }
+        for p in std::mem::take(&mut self.pending) {
+            let kept = self.advance(p, inner, now);
+            self.pending.extend(kept);
+        }
+        let said_hello = |p: &PendingChannel| p.hello.is_ok();
+        while self.pending.iter().filter(|p| said_hello(p)).count() > UNATTACHED_CHANNELS {
+            let oldest = self.pending.iter().position(said_hello).expect("counted");
+            self.pending.remove(oldest).watch.transport().close();
+        }
+        let deadlines = self.pending.iter().filter_map(|p| p.hello.as_ref().err());
+        deadlines.for_each(|&at| min_timer(&mut timer, at));
+        timer.map_or(TaskPoll::Idle, TaskPoll::Timer)
+    }
+}
+
+impl Drop for AcceptTask {
+    /// Hangs up what the task still holds, however it ends: retired by
+    /// its node, or dropped with a reactor that was shut down under it.
+    fn drop(&mut self) {
+        for (_, link) in &self.sources {
+            link.watch_accepts(None);
+        }
+        for p in &self.pending {
+            p.watch.transport().close();
+        }
+    }
+}
+
+/// Turns a data channel `peer` opened into a connection and acknowledges
+/// it over the control channel the peer dialed first. Runs on the event
+/// loop, inside the accept task's poll: nothing here blocks.
 fn incoming_data(
     inner: &Arc<NodeInner>,
+    from: &PeerState,
     peer: String,
     transport: Arc<dyn Transport>,
     initiator_conn: u32,
@@ -737,14 +878,8 @@ fn incoming_data(
         transport.close();
         return;
     }
-    let Ok(from) = ensure_ctrl_tx(inner, &peer) else {
-        transport.close();
-        return;
-    };
     let ctrl_tx = from.ctrl.outbox();
-    // The node may have shut down while this thread sat in its accept
-    // poll or opened the control channel: nothing is built on a late
-    // channel.
+    // Nothing is built on a channel that arrives as the node shuts down.
     let Some(shared) = inner.open_conn(peer, config, transport, Arc::clone(&ctrl_tx)) else {
         return;
     };
@@ -761,8 +896,10 @@ fn incoming_data(
 #[cfg(target_os = "linux")]
 mod tests {
     use super::*;
+    use crate::control::tests::Stub;
     use crate::link::HpiLinkPair;
-    use std::time::Instant;
+    use ncs_threads::UserRuntime;
+    use std::collections::VecDeque;
 
     /// Threads of this process whose name contains `needle`.
     fn threads_named(needle: &str) -> usize {
@@ -779,13 +916,17 @@ mod tests {
     /// costs must go when it is forgotten.
     #[test]
     fn forget_peer_returns_threads_and_reactor_tasks() {
-        // "fg50" marks every service thread of the two nodes, in either
-        // model: ncs-accept-fg50…, ncs-cs-fg50x, ncs-master-fg50, ….
+        // "fg50" would mark every service thread of the two nodes, in any
+        // model there has been: the acceptors', Control Send's, ….
         let node = NcsNode::builder("fg50").build();
         let peer = NcsNode::builder("fg50x").build();
         let reactor = node.reactor();
         let (threads, tasks) = (threads_named("fg50"), reactor.live_tasks());
         assert_eq!((threads, tasks), (0, 0));
+        let control_channels = |of: &NcsNode, with: &str| {
+            let peers = of.inner.peers.lock();
+            peers[with].ctrl.channel_count()
+        };
         for round in 0..50u8 {
             let (ln, lp) = HpiLinkPair::create();
             node.attach_peer("fg50x", ln);
@@ -796,15 +937,18 @@ mod tests {
             let back = peer.accept_default().expect("accept");
             conn.send_sync(&[round]).expect("send");
             assert_eq!(back.recv().expect("recv"), [round]);
+            // Connected from one side: one duplex control channel.
+            assert_eq!(control_channels(&node, "fg50x"), 1);
+            assert_eq!(control_channels(&peer, "fg50"), 1);
             node.forget_peer("fg50x");
             assert!(!conn.is_open());
             peer.forget_peer("fg50");
         }
         assert_eq!(node.connection_count(), 0);
-        // The tasks retire on the wake `forget_peer` gave them; each
-        // acceptor leaves at the end of its accept poll.
+        // The tasks retire on the wake `forget_peer` gave them; what is
+        // left is the node's one accept task, with nothing to watch.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while (threads_named("fg50"), reactor.live_tasks()) != (threads, tasks) {
+        while (threads_named("fg50"), reactor.live_tasks()) != (threads, tasks + 1) {
             assert!(
                 Instant::now() < deadline,
                 "after 50 attach/connect/forget rounds: {} service threads, {} reactor tasks",
@@ -815,5 +959,178 @@ mod tests {
         }
         node.shutdown();
         peer.shutdown();
+    }
+
+    /// A link nobody can dial over, holding the channels a peer "opened".
+    #[derive(Debug, Default)]
+    struct StubLink {
+        incoming: Mutex<VecDeque<Stub>>,
+    }
+
+    impl StubLink {
+        /// Queues a channel for acceptance, with `frames` already on it.
+        fn incoming(&self, frames: &[Vec<u8>]) -> Stub {
+            let channel = Stub {
+                take: usize::MAX,
+                ..Stub::default()
+            };
+            channel.inbound.lock().extend(frames.iter().cloned());
+            self.incoming.lock().push_back(channel.clone());
+            channel
+        }
+    }
+
+    impl PeerLink for StubLink {
+        fn open_channel(&self) -> Result<Box<dyn Transport>, TransportError> {
+            panic!("the accepting side opened a channel")
+        }
+        fn try_accept_channel(&self) -> Result<Option<Box<dyn Transport>>, TransportError> {
+            Ok(self.incoming.lock().pop_front().map(|c| Box::new(c) as _))
+        }
+        fn watch_accepts(&self, _: Option<Waker>) -> Readiness {
+            Readiness::Waker
+        }
+        fn interface(&self) -> &'static str {
+            "STUB"
+        }
+    }
+
+    fn control_hello(node: &str) -> Vec<u8> {
+        let node = node.to_owned();
+        Hello::Control { node }.encode()
+    }
+
+    fn data_hello(node: &str, initiator_conn: u32) -> Vec<u8> {
+        Hello::Data {
+            node: node.to_owned(),
+            initiator_conn,
+            config: ConnectionConfig::reliable(),
+        }
+        .encode()
+    }
+
+    /// What `channel` carried so far, waiting for `n` control messages.
+    fn control_messages(channel: &Stub, n: usize) -> Vec<CtrlMsg> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while channel.sent.lock().len() < n {
+            assert!(Instant::now() < deadline, "control message {n} never sent");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let sent = channel.sent.lock();
+        sent.iter().map(|f| CtrlMsg::decode(f).unwrap()).collect()
+    }
+
+    /// The body of the isolation test: the accepting side of a connection
+    /// set-up, the connection's life and its close, over a link and
+    /// channels whose blocking methods panic. The accept task is polled
+    /// by hand — the node's reactor runs the control and connection tasks
+    /// it hands the channels to.
+    fn drive_accept_task_by_hand() {
+        let node = NcsNode::builder("hand").build();
+        // The task under test takes the node's accept slot, so that
+        // `attach_peer` spawns no second one onto the reactor.
+        let idle = node.inner.reactor.spawn_task(|_| None);
+        let mut task = AcceptTask {
+            node: Arc::downgrade(&node.inner),
+            me: Arc::clone(&idle.0),
+            sources: Vec::new(),
+            pending: Vec::new(),
+        };
+        *node.inner.accept.lock() = Some(idle);
+        let link = Arc::new(StubLink::default());
+        let now = Instant::now();
+        let hello_by = TaskPoll::Timer(now + HELLO_TIMEOUT);
+        let polls_to = |task: &mut AcceptTask, at, want: &TaskPoll| match (task.poll(at), want) {
+            (TaskPoll::Idle, TaskPoll::Idle) => {}
+            (TaskPoll::Timer(got), TaskPoll::Timer(want)) => assert_eq!(got, *want),
+            _ => panic!("the poll did not end as expected"),
+        };
+
+        // Four channels arrive before the peer is attached: one that says
+        // nothing, one that is not NCS's, a data channel whose hello has
+        // overtaken the control channel's, and that control channel.
+        let silent = link.incoming(&[]);
+        let garbage = link.incoming(&[vec![0xFF, 0xFF]]);
+        let data = link.incoming(&[data_hello("far", 7)]);
+        let ctrl = link.incoming(&[]);
+        node.attach_peer("far", Arc::clone(&link) as Arc<dyn PeerLink>);
+        polls_to(&mut task, now, &hello_by);
+        assert!(garbage.closed.load(Ordering::Acquire));
+        assert_eq!(task.pending.len(), 3);
+        assert_eq!(
+            node.accept(Duration::ZERO).err(),
+            Some(AcceptError::Timeout)
+        );
+
+        // The control hello: the channel goes to the peer's control task,
+        // and the data channel behind it becomes a connection.
+        ctrl.inbound.lock().push_back(control_hello("far"));
+        polls_to(&mut task, now, &hello_by);
+        assert_eq!(task.pending.len(), 2, "the data channel looks again");
+        polls_to(&mut task, now, &hello_by);
+        let conn = node.accept(Duration::ZERO).expect("accepted on the poll");
+        assert_eq!((conn.peer_name(), node.connection_count()), ("far", 1));
+        let accept = CtrlMsg::AcceptConn {
+            initiator_conn: 7,
+            acceptor_conn: conn.id(),
+        };
+        assert_eq!(control_messages(&ctrl, 1), std::slice::from_ref(&accept));
+
+        // A second connection over the same control channel; then both
+        // close, each with its CloseConn behind its AcceptConn.
+        let data2 = link.incoming(&[data_hello("far", 8)]);
+        polls_to(&mut task, now, &hello_by);
+        let conn2 = node.accept(Duration::ZERO).expect("accepted on the poll");
+        conn.close();
+        conn2.close();
+        let accept2 = CtrlMsg::AcceptConn {
+            initiator_conn: 8,
+            acceptor_conn: conn2.id(),
+        };
+        assert_eq!(
+            control_messages(&ctrl, 4),
+            [
+                accept,
+                accept2,
+                CtrlMsg::CloseConn { conn: 7 },
+                CtrlMsg::CloseConn { conn: 8 }
+            ]
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !(data.closed.load(Ordering::Acquire) && data2.closed.load(Ordering::Acquire)) {
+            assert!(Instant::now() < deadline, "a closed connection hangs up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The silent channel is closed at its deadline, not before.
+        assert!(!silent.closed.load(Ordering::Acquire));
+        polls_to(&mut task, now + HELLO_TIMEOUT, &TaskPoll::Idle);
+        assert!(silent.closed.load(Ordering::Acquire) && task.pending.is_empty());
+
+        // Channels of nodes not attached wait for `attach_peer`, the
+        // oldest giving way beyond the bound...
+        let ghosts: Vec<Stub> = (0..=UNATTACHED_CHANNELS)
+            .map(|i| link.incoming(&[control_hello(&format!("ghost-{i}"))]))
+            .collect();
+        polls_to(&mut task, now, &TaskPoll::Idle);
+        assert_eq!(task.pending.len(), UNATTACHED_CHANNELS);
+        let closed: Vec<bool> = ghosts
+            .iter()
+            .map(|g| g.closed.load(Ordering::Acquire))
+            .collect();
+        assert!(closed[0] && !closed[1..].contains(&true));
+        // ...and are hung up with the task.
+        node.shutdown();
+        drop(task);
+        assert!(ghosts.iter().all(|g| g.closed.load(Ordering::Acquire)));
+        assert!(ctrl.closed.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn accept_task_never_blocks_through_a_connect_accept_close_cycle() {
+        // On a kernel thread, then as a green thread of the user-level
+        // package (whose mailboxes park cooperatively).
+        drive_accept_task_by_hand();
+        UserRuntime::default().run(|_pkg| drive_accept_task_by_hand());
     }
 }

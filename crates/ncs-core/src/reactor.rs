@@ -302,10 +302,16 @@ impl Reactor {
     }
 
     /// Registers a task on the least-recently-used shard and schedules its
-    /// first poll. Returns the wake handle. `endpoint` says whether the
-    /// task is a connection — the only kind [`ReactorStats::endpoints`]
-    /// counts.
-    pub(crate) fn spawn(&self, task: Box<dyn ReactorTask>, endpoint: bool) -> Arc<TaskHandle> {
+    /// first poll. Returns the wake handle, which `make` is given first to
+    /// build the task around (a task that subscribes itself to readiness
+    /// sources it finds while running needs it). `endpoint` says whether
+    /// the task is a connection — the only kind
+    /// [`ReactorStats::endpoints`] counts.
+    pub(crate) fn spawn(
+        &self,
+        endpoint: bool,
+        make: impl FnOnce(&Arc<TaskHandle>) -> Box<dyn ReactorTask>,
+    ) -> Arc<TaskHandle> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let shard_ix = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
@@ -321,9 +327,12 @@ impl Reactor {
         if endpoint {
             self.counters.endpoints.fetch_add(1, Ordering::Relaxed);
         }
-        shard
-            .inbox
-            .send(ShardMsg::Add(id, task, Arc::clone(&handle), endpoint));
+        shard.inbox.send(ShardMsg::Add(
+            id,
+            make(&handle),
+            Arc::clone(&handle),
+            endpoint,
+        ));
         handle
     }
 
@@ -348,13 +357,7 @@ impl Reactor {
         transport.register_waker(Some(Arc::new(move || t.wake())));
         #[cfg(unix)]
         let fd = match transport.readiness() {
-            ncs_transport::Readiness::Fd(fd) => {
-                let mut poller = self.poller.lock();
-                let poller = poller.get_or_insert_with(|| {
-                    FdPoller::start(Arc::clone(&self.counters), Arc::clone(&self.shutdown))
-                });
-                Some(poller.register(fd, Arc::clone(task)))
-            }
+            ncs_transport::Readiness::Fd(fd) => Some(self.watch_fd(fd, task)),
             _ => None,
         };
         Watch {
@@ -362,6 +365,22 @@ impl Reactor {
             fd,
             transport: Arc::clone(transport),
         }
+    }
+
+    /// Has the shared `poll(2)` thread wake `task` whenever `fd` — an SCI
+    /// socket, or an SCI listener with connections to accept — polls
+    /// readable, until the registration is dropped.
+    #[cfg(unix)]
+    pub(crate) fn watch_fd(
+        &self,
+        fd: std::os::fd::RawFd,
+        task: &Arc<TaskHandle>,
+    ) -> FdRegistration {
+        let mut poller = self.poller.lock();
+        let poller = poller.get_or_insert_with(|| {
+            FdPoller::start(Arc::clone(&self.counters), Arc::clone(&self.shutdown))
+        });
+        poller.register(fd, Arc::clone(task))
     }
 
     /// Runs the non-blocking closure `poll` as a task on one of the event
@@ -379,7 +398,7 @@ impl Reactor {
         &self,
         poll: impl FnMut(Instant) -> Option<Instant> + Send + 'static,
     ) -> TaskRef {
-        TaskRef(self.spawn(Box::new(FnTask(poll)), false))
+        TaskRef(self.spawn(false, |_| Box::new(FnTask(poll))))
     }
 
     /// Point-in-time statistics.
@@ -440,7 +459,7 @@ impl<F: FnMut(Instant) -> Option<Instant> + Send> ReactorTask for FnTask<F> {
 /// The owner's end of a [`Reactor::spawn_task`] task. Dropping it retires
 /// the task.
 #[derive(Debug)]
-pub struct TaskRef(Arc<TaskHandle>);
+pub struct TaskRef(pub(crate) Arc<TaskHandle>);
 
 impl TaskRef {
     /// Schedules a poll of the task. Cheap, lock-free, callable from
@@ -855,13 +874,11 @@ mod tests {
     fn wake_schedules_task() {
         let reactor = Reactor::new(pkg(), 2);
         let runs = Arc::new(AtomicU64::new(0));
-        let handle = reactor.spawn(
-            Box::new(CountTask {
-                runs: Arc::clone(&runs),
-                done_after: 3,
-            }),
-            true,
-        );
+        let task = CountTask {
+            runs: Arc::clone(&runs),
+            done_after: 3,
+        };
+        let handle = reactor.spawn(true, |_| Box::new(task));
         // First poll happens on registration.
         for _ in 0..100 {
             if runs.load(Ordering::Relaxed) >= 1 {
@@ -908,14 +925,12 @@ mod tests {
     fn timer_fires_without_external_wake() {
         let reactor = Reactor::new(pkg(), 1);
         let fired = Arc::new(AtomicU64::new(0));
-        let _h = reactor.spawn(
-            Box::new(TimerTask {
-                fired: Arc::clone(&fired),
-                at: None,
-                delay: Duration::from_millis(30),
-            }),
-            true,
-        );
+        let task = TimerTask {
+            fired: Arc::clone(&fired),
+            at: None,
+            delay: Duration::from_millis(30),
+        };
+        let _h = reactor.spawn(true, |_| Box::new(task));
         let start = Instant::now();
         while fired.load(Ordering::Relaxed) == 0 && start.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(5));
@@ -947,12 +962,10 @@ mod tests {
         let reactor = Reactor::new(pkg(), 1);
         let polls = Arc::new(AtomicU64::new(0));
         let start = Instant::now();
-        let handle = reactor.spawn(
-            Box::new(AckedStream {
-                polls: Arc::clone(&polls),
-            }),
-            true,
-        );
+        let task = AckedStream {
+            polls: Arc::clone(&polls),
+        };
+        let handle = reactor.spawn(true, |_| Box::new(task));
         // 10,000 message/acknowledgement pairs, each poll woken only once
         // the one before it has run.
         for n in 1..=20_000 {
@@ -1028,13 +1041,11 @@ mod tests {
         let reactor = Reactor::new(pkg(), 2);
         assert_eq!(reactor.stats().endpoints, 0);
         let runs = Arc::new(AtomicU64::new(0));
-        let _h = reactor.spawn(
-            Box::new(CountTask {
-                runs,
-                done_after: u64::MAX,
-            }),
-            true,
-        );
+        let task = CountTask {
+            runs,
+            done_after: u64::MAX,
+        };
+        let _h = reactor.spawn(true, |_| Box::new(task));
         let start = Instant::now();
         while reactor.stats().task_runs < 1 && start.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(2));

@@ -14,14 +14,15 @@
 //! somebody still waits for: after a burst of acknowledged traffic,
 //! silence costs nothing.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ncs_core::link::{AciLink, HpiLinkPair};
+use ncs_core::link::{AciLink, HpiLinkPair, SimLinkPair};
 use ncs_core::{ConnectionConfig, NcsConnection, NcsNode, SendError};
 use ncs_threads::{KernelPackage, ThreadPackage, ThreadPackageExt, UserRuntime};
 use ncs_transport::aci::AciFabric;
+use ncs_transport::sim::{LinkPolicy, SimNet};
 
 type Pkg = Arc<dyn ThreadPackage>;
 
@@ -469,5 +470,51 @@ fn silence_after_acknowledged_traffic_is_free() {
             assert!(woke < 16, "{woke} loop iterations in silence: {after}");
         }
         pair.shutdown();
+    });
+}
+
+/// Shutting a node down retires its control plane, so nothing it sent can
+/// be acknowledged any more — and nothing waits as if it could. Here the
+/// data frame cannot even arrive: the fabric's clock stops once the
+/// connection is up. The message in flight fails `Closed` and the node is
+/// down at once, not a close linger (250 ms) later.
+#[test]
+fn a_node_shut_down_with_unacknowledged_data_does_not_linger() {
+    on_both_packages(|pkg| {
+        let net = SimNet::new(7);
+        let (la, lb) = SimLinkPair::create(&net, LinkPolicy::lan(), LinkPolicy::lan());
+        let a = NcsNode::builder("alice")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        let b = NcsNode::builder("bob")
+            .thread_package(Arc::clone(pkg))
+            .build();
+        a.attach_peer("bob", la);
+        b.attach_peer("alice", lb);
+        // Virtual time runs while the connection is set up...
+        let connected = Arc::new(AtomicBool::new(false));
+        let pump = {
+            let (net, connected, pkg) = (Arc::clone(&net), Arc::clone(&connected), Arc::clone(pkg));
+            pkg.clone().spawn_typed("pump", move || {
+                while !connected.load(Ordering::Acquire) {
+                    net.step();
+                    pkg.sleep(Duration::from_micros(200));
+                }
+            })
+        };
+        let tx = a
+            .connect("bob", ConnectionConfig::reliable())
+            .expect("connect");
+        let _rx = b.accept_default().expect("accept");
+        connected.store(true, Ordering::Release);
+        pump.join().expect("pump");
+        // ...and stands still from here on.
+        let req = tx.isend(b"never acknowledged").expect("isend");
+        let start = Instant::now();
+        a.shutdown();
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+        assert_eq!(req.wait_timeout(WAIT).err(), Some(SendError::Closed));
+        b.shutdown();
     });
 }

@@ -3,10 +3,11 @@
 //!
 //! The reactor runs a node's protocol code (a sender of one SDU may run
 //! its own message's send pipeline, on its own thread); the paper's
-//! Master, Control Send and Control Receive threads are gone, and a node's
-//! service threads are its per-peer acceptors. This file holds ONE test on
-//! purpose: it counts the threads of the *process*, and a sibling test's
-//! nodes would be counted with them.
+//! Master, Control Send and Control Receive threads are gone, the
+//! per-peer acceptors that outlived them are too, and a node has no
+//! service thread at all. This file holds ONE test on purpose: it counts
+//! the threads of the *process*, and a sibling test's nodes would be
+//! counted with them.
 
 #![cfg(target_os = "linux")]
 
@@ -51,7 +52,7 @@ fn timed_shutdown(node: &NcsNode) -> Duration {
 }
 
 #[test]
-fn a_node_owns_one_acceptor_per_peer_and_shuts_down_on_a_wake() {
+fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
     // -- A connected two-node pair, FC and EC on: acks and credits cross
     // the control plane in both directions.
     let a = NcsNode::builder("ann").build();
@@ -67,7 +68,13 @@ fn a_node_owns_one_acceptor_per_peer_and_shuts_down_on_a_wake() {
     assert_eq!(conn_a.recv().expect("recv"), b"back");
 
     let names = thread_names();
-    for old in ["ncs-cs-", "ncs-cr-", "ncs-master-", "ncs-blocking-la"] {
+    for old in [
+        "ncs-cs-",
+        "ncs-cr-",
+        "ncs-master-",
+        "ncs-blocking-la",
+        "ncs-accept-",
+    ] {
         assert!(
             !names.iter().any(|n| n.starts_with(old)),
             "a {old}* thread exists: {names:?}"
@@ -75,8 +82,8 @@ fn a_node_owns_one_acceptor_per_peer_and_shuts_down_on_a_wake() {
     }
     let service = service_threads();
     assert!(
-        service.len() <= 2 && service.iter().all(|n| n.starts_with("ncs-accept-")),
-        "a connected pair owns one acceptor per attached peer, found {service:?}"
+        service.is_empty(),
+        "a connected pair owns no service thread, found {service:?}"
     );
 
     // -- Shutdown is a wake, not a wait for poll ticks: an idle, connected
@@ -86,8 +93,9 @@ fn a_node_owns_one_acceptor_per_peer_and_shuts_down_on_a_wake() {
     let took = timed_shutdown(&a);
     assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
 
-    // -- ...and final: the acceptor of "late" is still inside its accept
-    // poll and wins the channel opened now, but builds nothing on it.
+    // -- ...and final: the accept task went with the node, so the channel
+    // opened now over a link attached before is never taken off it, and
+    // nothing is built on it.
     let channel = late.open_channel().expect("open");
     let hello = Hello::Data {
         node: "late".to_owned(),

@@ -48,7 +48,7 @@ const REGISTER_TIMEOUT: Duration = Duration::from_secs(5);
 /// active the serve loop polls at a quarter of the heartbeat interval
 /// instead, so failure-detector sweeps and heartbeat acks never stall
 /// behind a long accept wait.
-const ACCEPT_POLL: Duration = Duration::from_millis(100);
+const SERVE_POLL: Duration = Duration::from_millis(100);
 
 /// Poll granularity of a subscriber connection's reader thread (bounds
 /// shutdown latency only — frames are forwarded the moment they arrive).
@@ -255,7 +255,7 @@ fn serve(
     // Membership gives the loop a second duty (detector sweeps, ack
     // latency), so poll accepts finely enough that a sweep is never more
     // than a quarter-interval late.
-    let poll = ACCEPT_POLL
+    let poll = SERVE_POLL
         .min(cfg.heartbeat_interval / 4)
         .max(Duration::from_millis(5));
     loop {

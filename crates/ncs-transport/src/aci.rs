@@ -19,7 +19,7 @@ use atm_sim::{
 use ncs_threads::sync::{Event, Mailbox};
 use parking_lot::Mutex;
 
-use crate::iface::{Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
 
 /// Largest AAL5 frame.
 pub const MAX_FRAME: usize = atm_sim::aal5::MAX_FRAME;
@@ -33,6 +33,16 @@ struct ConnBox {
 }
 
 impl ConnBox {
+    /// What a wait that found no frame reports: the end, once the VC is
+    /// released and its queue drained.
+    fn idle(&self) -> TransportError {
+        if self.released.load(Ordering::Acquire) && self.frames.is_empty() {
+            TransportError::Closed
+        } else {
+            TransportError::Timeout
+        }
+    }
+
     fn new() -> Arc<Self> {
         Arc::new(ConnBox {
             frames: Mailbox::unbounded(),
@@ -47,7 +57,6 @@ impl ConnBox {
 struct Incoming {
     conn: ConnId,
     peer: NodeId,
-    qos: QosParams,
 }
 
 #[derive(Debug, Default)]
@@ -100,15 +109,11 @@ impl DeliverySink for Registry {
                 }
             }
             NetEvent::IncomingVc {
-                host,
-                conn,
-                peer,
-                qos,
-                ..
+                host, conn, peer, ..
             } => {
                 let reg = self.host(host);
                 reg.conns.lock().insert(conn, ConnBox::new());
-                reg.incoming.send(Incoming { conn, peer, qos });
+                reg.incoming.send(Incoming { conn, peer });
             }
             NetEvent::VcEstablished {
                 ticket,
@@ -257,6 +262,23 @@ impl AciDevice {
         })
     }
 
+    /// The endpoint of an incoming VC taken off the host's queue.
+    fn answer(&self, reg: &HostReg, inc: &Incoming) -> AciConnection {
+        let boxed = reg
+            .conns
+            .lock()
+            .get(&inc.conn)
+            .cloned()
+            .expect("incoming conn has a box");
+        AciConnection {
+            fabric: Arc::clone(&self.fabric),
+            host: self.host,
+            conn: inc.conn,
+            inbound: boxed,
+            label: format!("aci:node-{}", inc.peer.as_raw()),
+        }
+    }
+
     /// Accepts the next incoming VC, blocking up to `timeout`.
     ///
     /// # Errors
@@ -268,21 +290,22 @@ impl AciDevice {
             .incoming
             .recv_timeout(timeout)
             .map_err(|_| TransportError::Timeout)?;
-        let boxed = reg
-            .conns
-            .lock()
-            .get(&inc.conn)
-            .cloned()
-            .expect("incoming conn has a box");
-        let peer_name = format!("node-{}", inc.peer.as_raw());
-        let _ = inc.qos; // currently informational to the acceptor
-        Ok(AciConnection {
-            fabric: Arc::clone(&self.fabric),
-            host: self.host,
-            conn: inc.conn,
-            inbound: boxed,
-            label: format!("aci:{peer_name}"),
-        })
+        Ok(self.answer(&reg, &inc))
+    }
+
+    /// Accepts an incoming VC if one is waiting. Never blocks.
+    pub fn try_accept(&self) -> Option<AciConnection> {
+        let reg = self.fabric.registry.host(self.host);
+        let inc = reg.incoming.try_recv()?;
+        Some(self.answer(&reg, &inc))
+    }
+
+    /// Installs (or with `None`, removes) the callback fired whenever an
+    /// incoming VC is queued for this host — one slot per host, whichever
+    /// of its devices sets it.
+    pub fn set_accept_waker(&self, waker: Option<Waker>) {
+        let reg = self.fabric.registry.host(self.host);
+        reg.incoming.set_notify(waker);
     }
 
     /// Accepts the next incoming VC (60 s limit).
@@ -333,15 +356,7 @@ impl Connection for AciConnection {
     }
 
     fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        if frame.is_empty() {
-            return Err(TransportError::Empty);
-        }
-        if frame.len() > MAX_FRAME {
-            return Err(TransportError::TooLarge {
-                len: frame.len(),
-                max: MAX_FRAME,
-            });
-        }
+        valid_prefix(&[frame], MAX_FRAME)?;
         if self.inbound.released.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
@@ -356,30 +371,16 @@ impl Connection for AciConnection {
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
         loop {
-            match self.inbound.frames.recv_timeout(Duration::from_millis(50)) {
-                Ok(f) => return Ok(f),
-                Err(_) => {
-                    if self.inbound.released.load(Ordering::Acquire)
-                        && self.inbound.frames.is_empty()
-                    {
-                        return Err(TransportError::Closed);
-                    }
-                }
+            match self.recv_timeout(Duration::from_millis(50)) {
+                Err(TransportError::Timeout) => {}
+                end => return end,
             }
         }
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        match self.inbound.frames.recv_timeout(timeout) {
-            Ok(f) => Ok(f),
-            Err(_) => {
-                if self.inbound.released.load(Ordering::Acquire) && self.inbound.frames.is_empty() {
-                    Err(TransportError::Closed)
-                } else {
-                    Err(TransportError::Timeout)
-                }
-            }
-        }
+        let frame = self.inbound.frames.recv_timeout(timeout);
+        frame.map_err(|_| self.inbound.idle())
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -406,11 +407,7 @@ impl Connection for AciConnection {
         // One delivery-queue acquisition drains every reassembled frame.
         let frames = self.inbound.frames.recv_many(max, timeout);
         if frames.is_empty() {
-            if self.inbound.released.load(Ordering::Acquire) && self.inbound.frames.is_empty() {
-                Err(TransportError::Closed)
-            } else {
-                Err(TransportError::Timeout)
-            }
+            Err(self.inbound.idle())
         } else {
             Ok(frames)
         }

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use ncs_threads::sync::Mailbox;
 
-use crate::iface::{Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
 
 /// Default ring capacity, in frames.
 pub const DEFAULT_RING: usize = 64;
@@ -103,15 +103,7 @@ impl Connection for HpiConnection {
     }
 
     fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        if frame.is_empty() {
-            return Err(TransportError::Empty);
-        }
-        if frame.len() > MAX_FRAME {
-            return Err(TransportError::TooLarge {
-                len: frame.len(),
-                max: MAX_FRAME,
-            });
-        }
+        valid_prefix(&[frame], MAX_FRAME)?;
         if self.tx.closed.load(Ordering::Acquire) || self.rx.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
@@ -164,32 +156,8 @@ impl Connection for HpiConnection {
     }
 
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
-        // Cut the batch at the first invalid frame: the valid prefix goes
-        // out (exactly as repeated `send` calls would have sent it) and the
-        // invalid frame's error resurfaces on the caller's retry.
-        let mut valid = frames.len();
-        let mut first_error = None;
-        for (i, frame) in frames.iter().enumerate() {
-            let error = if frame.is_empty() {
-                Some(TransportError::Empty)
-            } else if frame.len() > MAX_FRAME {
-                Some(TransportError::TooLarge {
-                    len: frame.len(),
-                    max: MAX_FRAME,
-                })
-            } else {
-                None
-            };
-            if let Some(e) = error {
-                valid = i;
-                first_error = Some(e);
-                break;
-            }
-        }
+        let valid = valid_prefix(frames, MAX_FRAME)?;
         if valid == 0 {
-            if let Some(e) = first_error {
-                return Err(e);
-            }
             return Ok(0);
         }
         if self.tx.closed.load(Ordering::Acquire) || self.rx.closed.load(Ordering::Acquire) {

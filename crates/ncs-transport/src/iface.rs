@@ -102,6 +102,23 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// How many leading frames of a batch an interface whose largest frame is
+/// `max` bytes may send: the batch is cut at the first invalid frame
+/// (empty, or too large), whose error is the result only when it is the
+/// very first — the valid prefix goes out, exactly as repeated `send`
+/// calls would have sent it, and the error resurfaces on the retry.
+pub(crate) fn valid_prefix(frames: &[&[u8]], max: usize) -> Result<usize, TransportError> {
+    match frames.iter().position(|f| f.is_empty() || f.len() > max) {
+        Some(0) if frames[0].is_empty() => Err(TransportError::Empty),
+        Some(0) => Err(TransportError::TooLarge {
+            len: frames[0].len(),
+            max,
+        }),
+        Some(valid) => Ok(valid),
+        None => Ok(frames.len()),
+    }
+}
+
 /// A frame-oriented, bidirectional transport endpoint.
 ///
 /// Implementations differ in reliability and cost (see [`Capabilities`]);

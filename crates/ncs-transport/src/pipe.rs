@@ -21,7 +21,7 @@ use ncs_threads::sync::Mailbox;
 use netmodel::{Pacer, PlatformProfile};
 use parking_lot::{Condvar, Mutex};
 
-use crate::iface::{Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
 
 /// Largest frame the pipe accepts.
 pub const MAX_FRAME: usize = 1024 * 1024;
@@ -193,15 +193,7 @@ impl Connection for PipeConnection {
     }
 
     fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        if frame.is_empty() {
-            return Err(TransportError::Empty);
-        }
-        if frame.len() > MAX_FRAME {
-            return Err(TransportError::TooLarge {
-                len: frame.len(),
-                max: MAX_FRAME,
-            });
-        }
+        valid_prefix(&[frame], MAX_FRAME)?;
         if self.tx.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
@@ -310,19 +302,9 @@ impl Connection for PipeConnection {
         // The kernel buffer is acquired once; frames are admitted back to
         // back (the scatter-gather write of the era's writev).
         for frame in frames {
-            let invalid = if frame.is_empty() {
-                Some(TransportError::Empty)
-            } else if frame.len() > MAX_FRAME {
-                Some(TransportError::TooLarge {
-                    len: frame.len(),
-                    max: MAX_FRAME,
-                })
-            } else if self.tx.closed.load(Ordering::Acquire) {
-                Some(TransportError::Closed)
-            } else {
-                None
-            };
-            if let Some(e) = invalid {
+            let closed = self.tx.closed.load(Ordering::Acquire);
+            let invalid = valid_prefix(&[frame], MAX_FRAME).err();
+            if let Some(e) = invalid.or(closed.then_some(TransportError::Closed)) {
                 return if sent > 0 { Ok(sent) } else { Err(e) };
             }
             if frame.len() > self.tx.capacity {

@@ -19,7 +19,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::iface::{Capabilities, Connection, Readiness, TransportError, Waker, YieldHook};
+use crate::iface::{
+    valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker, YieldHook,
+};
 
 /// Largest frame SCI accepts (sanity bound; TCP itself is a stream).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
@@ -206,6 +208,39 @@ impl SciConnection {
         *self.yield_hook.lock() = hook;
     }
 
+    /// One wait for more inbound bytes, appended to `rb`: a read that
+    /// blocks in the kernel until `deadline` — or, with a yield hook, one
+    /// non-blocking look and, if it found nothing, a cooperative yield.
+    fn read_more(
+        &self,
+        (stream, rb): (&mut TcpStream, &mut ReadBuf),
+        chunk: &mut [u8],
+        hook: Option<&YieldHook>,
+        deadline: Option<Instant>,
+    ) -> Result<(), TransportError> {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        let timed_out = left.is_some_and(|left| left.is_zero());
+        let read = if hook.is_some() {
+            self.read_nonblocking(stream, chunk)?
+        } else if timed_out {
+            return Err(TransportError::Timeout);
+        } else {
+            stream.set_read_timeout(left)?;
+            stream.read(chunk)
+        };
+        match (read, hook) {
+            (Ok(0), _) => return Err(TransportError::Closed),
+            (Ok(n), _) => rb.buf.extend_from_slice(&chunk[..n]),
+            (Err(e), Some(hook)) if e.kind() == WouldBlock && !timed_out => hook(),
+            (Err(e), _) if matches!(e.kind(), WouldBlock | TimedOut) => {
+                return Err(TransportError::Timeout)
+            }
+            (Err(e), _) => return Err(e.into()),
+        }
+        Ok(())
+    }
+
     fn recv_deadline(&self, deadline: Option<Instant>) -> Result<Vec<u8>, TransportError> {
         let hook = self.yield_hook.lock().clone();
         let mut guard = self.reader.lock();
@@ -218,47 +253,7 @@ impl SciConnection {
             if self.closed.load(Ordering::Acquire) {
                 return Err(TransportError::Closed);
             }
-            if let Some(hook) = &hook {
-                // Non-blocking poll + cooperative yield.
-                let r = self.read_nonblocking(stream, &mut chunk)?;
-                match r {
-                    Ok(0) => return Err(TransportError::Closed),
-                    Ok(n) => rb.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                return Err(TransportError::Timeout);
-                            }
-                        }
-                        hook();
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            } else {
-                // Blocking read with optional timeout.
-                let timeout = match deadline {
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return Err(TransportError::Timeout);
-                        }
-                        Some(d - now)
-                    }
-                    None => None,
-                };
-                stream.set_read_timeout(timeout)?;
-                match stream.read(&mut chunk) {
-                    Ok(0) => return Err(TransportError::Closed),
-                    Ok(n) => rb.buf.extend_from_slice(&chunk[..n]),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        return Err(TransportError::Timeout);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
+            self.read_more((stream, rb), &mut chunk, hook.as_ref(), deadline)?;
         }
     }
 }
@@ -274,15 +269,7 @@ impl Connection for SciConnection {
     }
 
     fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        if frame.is_empty() {
-            return Err(TransportError::Empty);
-        }
-        if frame.len() > MAX_FRAME {
-            return Err(TransportError::TooLarge {
-                len: frame.len(),
-                max: MAX_FRAME,
-            });
-        }
+        valid_prefix(&[frame], MAX_FRAME)?;
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
@@ -335,32 +322,9 @@ impl Connection for SciConnection {
     }
 
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
-        // Cut the batch at the first invalid frame: the valid prefix goes
-        // out and the invalid frame's error resurfaces on the retry.
-        let mut valid = frames.len();
-        let mut first_error = None;
-        for (i, frame) in frames.iter().enumerate() {
-            let error = if frame.is_empty() {
-                Some(TransportError::Empty)
-            } else if frame.len() > MAX_FRAME {
-                Some(TransportError::TooLarge {
-                    len: frame.len(),
-                    max: MAX_FRAME,
-                })
-            } else {
-                None
-            };
-            if let Some(e) = error {
-                valid = i;
-                first_error = Some(e);
-                break;
-            }
-        }
+        let valid = valid_prefix(frames, MAX_FRAME)?;
         if valid == 0 {
-            return match first_error {
-                Some(e) => Err(e),
-                None => Ok(0),
-            };
+            return Ok(0);
         }
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
@@ -391,31 +355,9 @@ impl Connection for SciConnection {
     }
 
     fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
-        // Same valid-prefix cut as `send_batch`.
-        let mut valid = frames.len();
-        let mut first_error = None;
-        for (i, frame) in frames.iter().enumerate() {
-            let error = if frame.is_empty() {
-                Some(TransportError::Empty)
-            } else if frame.len() > MAX_FRAME {
-                Some(TransportError::TooLarge {
-                    len: frame.len(),
-                    max: MAX_FRAME,
-                })
-            } else {
-                None
-            };
-            if let Some(e) = error {
-                valid = i;
-                first_error = Some(e);
-                break;
-            }
-        }
+        let valid = valid_prefix(frames, MAX_FRAME)?;
         if valid == 0 {
-            return match first_error {
-                Some(e) => Err(e),
-                None => Ok(0),
-            };
+            return Ok(0);
         }
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
@@ -468,37 +410,7 @@ impl Connection for SciConnection {
             }
             // Nothing yet: wait for the first frame, cooperatively when a
             // yield hook is installed (the §4.1 user-level discipline).
-            if let Some(hook) = &hook {
-                let r = self.read_nonblocking(stream, &mut chunk)?;
-                match r {
-                    Ok(0) => return Err(TransportError::Closed),
-                    Ok(n) => rb.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if Instant::now() >= deadline {
-                            return Err(TransportError::Timeout);
-                        }
-                        hook();
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            } else {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(TransportError::Timeout);
-                }
-                stream.set_read_timeout(Some(deadline - now))?;
-                match stream.read(&mut chunk) {
-                    Ok(0) => return Err(TransportError::Closed),
-                    Ok(n) => rb.buf.extend_from_slice(&chunk[..n]),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        return Err(TransportError::Timeout);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
+            self.read_more((stream, rb), &mut chunk, hook.as_ref(), Some(deadline))?;
         }
     }
 
@@ -533,19 +445,17 @@ impl Drop for SciConnection {
     }
 }
 
-/// A TCP listener producing [`SciConnection`]s.
+/// A TCP listener producing [`SciConnection`]s. The socket is put in
+/// non-blocking mode once, at [`SciListener::bind`]: it is one open file
+/// description however many threads and event loops accept on it, so a
+/// mode flipped per call is flipped under everybody else's feet.
+#[derive(Debug)]
 pub struct SciListener {
     listener: TcpListener,
-    yield_hook: Mutex<Option<YieldHook>>,
 }
 
-impl std::fmt::Debug for SciListener {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SciListener")
-            .field("local_addr", &self.listener.local_addr().ok())
-            .finish()
-    }
-}
+/// Pause between looks of a blocking accept.
+const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
 impl SciListener {
     /// Binds to `addr` (use port 0 for an ephemeral port).
@@ -554,17 +464,9 @@ impl SciListener {
     ///
     /// Propagates socket errors.
     pub fn bind(addr: &str) -> Result<Self, TransportError> {
-        Ok(SciListener {
-            listener: TcpListener::bind(addr)?,
-            yield_hook: Mutex::new(None),
-        })
-    }
-
-    /// Makes [`SciListener::accept_timeout`] poll cooperatively: `hook`
-    /// runs between non-blocking accepts instead of an OS sleep, so an
-    /// acceptor green thread stops monopolising the user-level scheduler.
-    pub fn set_yield_hook(&self, hook: Option<YieldHook>) {
-        *self.yield_hook.lock() = hook;
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        Ok(SciListener { listener })
     }
 
     /// The bound local address.
@@ -576,45 +478,60 @@ impl SciListener {
         Ok(self.listener.local_addr()?)
     }
 
+    /// How an event loop learns that a connection may be waiting: the
+    /// listening socket polls readable.
+    pub fn readiness(&self) -> Readiness {
+        Readiness::Fd(self.listener.as_raw_fd())
+    }
+
+    /// Accepts one inbound connection if one is waiting. Never blocks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors.
+    pub fn try_accept(&self) -> Result<Option<SciConnection>, TransportError> {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false)?;
+                    return SciConnection::from_stream(stream).map(Some);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                // A peer that gave up while queued: the next one, if any.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
     /// Accepts one inbound connection (blocking).
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn accept(&self) -> Result<SciConnection, TransportError> {
-        let (stream, _) = self.listener.accept()?;
-        SciConnection::from_stream(stream)
+        self.accept_timeout(Duration::MAX)
     }
 
-    /// Accepts one inbound connection, polling until `timeout`.
+    /// Accepts one inbound connection, looking with
+    /// [`SciListener::try_accept`] until `timeout`.
     ///
     /// # Errors
     ///
     /// [`TransportError::Timeout`] when nothing arrived in time; otherwise
     /// propagates socket errors.
     pub fn accept_timeout(&self, timeout: Duration) -> Result<SciConnection, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let hook = self.yield_hook.lock().clone();
-        self.listener.set_nonblocking(true)?;
-        let result = loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => break Ok(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        break Err(TransportError::Timeout);
-                    }
-                    match &hook {
-                        Some(h) => h(),
-                        None => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-                Err(e) => break Err(e.into()),
+        // No deadline at all for a timeout beyond what the clock can tell.
+        let deadline = Instant::now().checked_add(timeout);
+        loop {
+            if let Some(conn) = self.try_accept()? {
+                return Ok(conn);
             }
-        };
-        self.listener.set_nonblocking(false)?;
-        let stream = result?;
-        stream.set_nonblocking(false)?;
-        SciConnection::from_stream(stream)
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(TransportError::Timeout);
+            }
+            std::thread::sleep(ACCEPT_TICK);
+        }
     }
 }
 
@@ -937,6 +854,38 @@ mod tests {
         client.send(b"after the wait").unwrap();
         assert_eq!(client.recv().unwrap(), b"ack");
         listener.join().unwrap();
+    }
+
+    /// Regression: every `accept_timeout` used to switch the listener to
+    /// non-blocking mode and back — on a file description all its callers
+    /// share — so of two overlapping calls the one that lost the race sat
+    /// in a blocking `accept(2)` until a connection arrived.
+    #[test]
+    fn overlapping_accept_timeouts_on_one_listener_both_time_out() {
+        let listener = Arc::new(SciListener::bind("127.0.0.1:0").unwrap());
+        let timed = |l: Arc<SciListener>| {
+            let start = Instant::now();
+            let outcome = l.accept_timeout(Duration::from_millis(200));
+            (outcome.err(), start.elapsed())
+        };
+        let l = Arc::clone(&listener);
+        let first = std::thread::spawn(move || timed(l));
+        std::thread::sleep(Duration::from_millis(100));
+        let second = timed(Arc::clone(&listener));
+        for (err, took) in [first.join().unwrap(), second] {
+            assert_eq!(err, Some(TransportError::Timeout));
+            assert!(
+                took < Duration::from_millis(300),
+                "timed out after {took:?}"
+            );
+        }
+        // And the listener still accepts.
+        let addr = listener.local_addr().unwrap();
+        let client = connect(addr).unwrap();
+        let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+        client.send(b"still listening").unwrap();
+        assert_eq!(server.recv().unwrap(), b"still listening");
+        assert_eq!(listener.try_accept().map(|c| c.is_some()), Ok(false));
     }
 
     #[test]

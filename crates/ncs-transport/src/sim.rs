@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::iface::{Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
 
 /// Largest frame SIM accepts (matches HPI: an NCS packet with a 64 KB SDU).
 pub const MAX_FRAME: usize = 128 * 1024;
@@ -496,15 +496,7 @@ impl Connection for SimConnection {
     }
 
     fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        if frame.is_empty() {
-            return Err(TransportError::Empty);
-        }
-        if frame.len() > MAX_FRAME {
-            return Err(TransportError::TooLarge {
-                len: frame.len(),
-                max: MAX_FRAME,
-            });
-        }
+        valid_prefix(&[frame], MAX_FRAME)?;
         if self.rx.closed.load(Ordering::Acquire) || self.tx.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
