@@ -42,9 +42,15 @@ pub enum ErrorControlAlg {
     /// Selective repeat with bitmap acknowledgements (the paper's default,
     /// Figures 5/6).
     SelectiveRepeat {
-        /// Retransmission timeout.
+        /// Initial value and upper bound of the retransmission timeout.
+        /// The connection measures its acknowledgement round trip and
+        /// waits `SRTT + 4·RTTVAR` (RFC 6298; at least 10 ms), doubling
+        /// with each timeout of a message, never longer than this — and
+        /// exactly this until the first measurement.
         timeout: Duration,
-        /// Give up after this many whole-message retries.
+        /// Give up after this many timeouts of the full `timeout` with
+        /// no progress (shorter waits that run out spend none): a silent
+        /// peer costs `(max_retries + 1) × timeout`, at least.
         max_retries: u32,
     },
     /// Go-back-N: cumulative ACKs, in-order delivery, window restart on
@@ -52,9 +58,12 @@ pub enum ErrorControlAlg {
     GoBackN {
         /// Sender window in packets.
         window: u32,
-        /// Retransmission timeout.
+        /// Initial value and upper bound of the retransmission timeout
+        /// (adapted below it as for
+        /// [`SelectiveRepeat`](ErrorControlAlg::SelectiveRepeat)).
         timeout: Duration,
-        /// Give up after this many window restarts.
+        /// Give up after this many window restarts on timeouts of the
+        /// full `timeout` with no progress.
         max_retries: u32,
     },
 }
@@ -133,6 +142,9 @@ impl ConnectionConfig {
 
     /// The paper's default reliable configuration: 4 KB SDUs, credit-based
     /// flow control with dynamic credits, selective-repeat error control.
+    /// Its 200 ms is the initial value and upper bound of the
+    /// retransmission timeout: the wait before the link has been
+    /// measured and the most a backed-off wait grows to.
     pub fn reliable() -> Self {
         ConnectionConfig {
             sdu_size: Self::DEFAULT_SDU,

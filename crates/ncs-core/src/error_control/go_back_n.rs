@@ -86,7 +86,15 @@ impl SenderEc for GbnSender {
                 self.max_retries, self.base
             ));
         }
-        // Go back: retransmit the whole window from base.
+        self.on_probe()
+    }
+
+    fn on_probe(&mut self) -> SenderStep {
+        if !self.active {
+            return SenderStep::Wait;
+        }
+        // Go back: retransmit the whole window from base (every SDU is
+        // acknowledged, so `base` is exact and there is nothing to ask).
         self.next = self.total.min(self.base + self.window);
         SenderStep::Transmit((self.base..self.next).collect())
     }

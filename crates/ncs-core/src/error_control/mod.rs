@@ -56,11 +56,25 @@ pub trait SenderEc: Send + std::fmt::Debug {
     /// An acknowledgement arrived on the control connection.
     fn on_ack(&mut self, info: AckInfo) -> SenderStep;
 
-    /// The retransmission timer fired.
+    /// The retransmission timer fired after a full [`ack_timeout`] of
+    /// silence: spends one retry of the budget, then does what
+    /// [`on_probe`] does.
+    ///
+    /// [`ack_timeout`]: SenderEc::ack_timeout
+    /// [`on_probe`]: SenderEc::on_probe
     fn on_timeout(&mut self) -> SenderStep;
 
-    /// How long to wait for an acknowledgement; `None` = this algorithm
-    /// never expects one.
+    /// The retransmission timer fired earlier than a full
+    /// [`ack_timeout`](SenderEc::ack_timeout) — the driver's estimate of
+    /// the link's round trip ran out, not the configured patience. Same
+    /// retransmissions as a timeout; the retry budget is not touched, so
+    /// a session that hears nothing fails no sooner than
+    /// `(max_retries + 1) × ack_timeout`, however short the estimates.
+    fn on_probe(&mut self) -> SenderStep;
+
+    /// The initial value and upper bound of the wait for an
+    /// acknowledgement (the driver adapts the wait below it, see
+    /// `plane.rs`); `None` = this algorithm never expects one.
     fn ack_timeout(&self) -> Option<Duration>;
 
     /// Whether the message completes as soon as the initial transmissions

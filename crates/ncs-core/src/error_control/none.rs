@@ -35,6 +35,10 @@ impl SenderEc for NoEcSender {
         SenderStep::Wait
     }
 
+    fn on_probe(&mut self) -> SenderStep {
+        SenderStep::Wait
+    }
+
     fn ack_timeout(&self) -> Option<Duration> {
         None
     }

@@ -2,11 +2,21 @@
 //! error control (Figures 5/6).
 //!
 //! Sender: transmit all SDUs; wait for an ACK carrying the receiver's
-//! missing-SDU bitmap; selectively retransmit the set bits; a timeout
-//! retransmits every not-yet-acknowledged SDU ("retransmits the whole
-//! packets"). Receiver: clear bitmap bits as SDUs arrive; on seeing the
-//! end-of-segmentation control bit, send the bitmap; deliver once nothing
-//! is missing.
+//! missing-SDU bitmap; selectively retransmit the set bits. A timeout
+//! means the sender does not know what the receiver holds — the end SDU,
+//! a repair or the acknowledgement itself was lost — so it asks: it
+//! retransmits the end SDU alone, the one SDU that makes the receiver
+//! answer with its bitmap (Figure 5 step 5), and repairs from the answer.
+//! (Figure 6's timeout "retransmits the whole packets"; a wrong guess
+//! there costs the message again, here one frame and one
+//! acknowledgement.) Receiver: clear bitmap bits as SDUs arrive; on
+//! seeing the end-of-segmentation control bit, send the bitmap; deliver
+//! once nothing is missing.
+//!
+//! The retry budget runs down on timeouts and is refilled only by an
+//! acknowledgement that shows *fewer* SDUs missing than the last one did:
+//! a path that keeps losing the same SDU keeps answering with the same
+//! bitmap, and must fail the message, not retry it for ever.
 
 use std::time::Duration;
 
@@ -53,14 +63,18 @@ impl SenderEc for SrSender {
         if bitmap.total() != outstanding.total() {
             return SenderStep::Wait; // stale ack from an earlier session
         }
-        *outstanding = bitmap.clone();
         if !bitmap.any_missing() {
             self.outstanding = None;
             return SenderStep::Done;
         }
-        // Fresh evidence of progress resets the retry budget.
-        self.retries = 0;
-        SenderStep::Transmit(bitmap.missing())
+        // Only fewer SDUs missing is progress: the same bitmap again says
+        // the repair was lost again.
+        if bitmap.missing_count() < outstanding.missing_count() {
+            self.retries = 0;
+        }
+        let missing = bitmap.missing();
+        *outstanding = bitmap;
+        SenderStep::Transmit(missing)
     }
 
     fn on_timeout(&mut self) -> SenderStep {
@@ -75,17 +89,18 @@ impl SenderEc for SrSender {
                 outstanding.missing_count()
             ));
         }
-        // Timeout retransmissions must always include the final SDU: only
-        // its end-of-segmentation bit triggers the receiver's
-        // acknowledgement (Figure 5 step 5). Without it, a receiver whose
-        // clean ACK was lost after delivery could never acknowledge again
-        // and the exchange would livelock.
-        let mut seqs = outstanding.missing();
-        let last = outstanding.total() - 1;
-        if seqs.last() != Some(&last) {
-            seqs.push(last);
+        self.on_probe()
+    }
+
+    fn on_probe(&mut self) -> SenderStep {
+        // The end SDU alone: only its end-of-segmentation bit makes the
+        // receiver acknowledge (Figure 5 step 5) — with its bitmap, or,
+        // if the message was delivered and the clean acknowledgement
+        // lost, with that again.
+        match &self.outstanding {
+            Some(outstanding) => SenderStep::Transmit(vec![outstanding.total() - 1]),
+            None => SenderStep::Wait,
         }
-        SenderStep::Transmit(seqs)
     }
 
     fn ack_timeout(&self) -> Option<Duration> {
@@ -237,12 +252,10 @@ mod tests {
         let mut rx = SrReceiver::new();
         tx.begin(2);
         rx.on_packet(0, false, payload(0));
-        // End packet lost; sender times out and retransmits everything
-        // outstanding (both SDUs: no ack was ever received).
+        // End packet lost; the sender times out and asks with the end SDU
+        // alone, which here is also the repair.
         let step = tx.on_timeout();
-        assert_eq!(step, SenderStep::Transmit(vec![0, 1]));
-        // Duplicate of 0 is idempotent; 1 completes.
-        rx.on_packet(0, false, payload(0));
+        assert_eq!(step, SenderStep::Transmit(vec![1]));
         match rx.on_packet(1, true, payload(1)) {
             ReceiverStep::AckAndDeliver(AckInfo::Bitmap(b), _) => {
                 assert_eq!(tx.on_ack(AckInfo::Bitmap(b)), SenderStep::Done);
@@ -271,6 +284,42 @@ mod tests {
         b.mark_received(1);
         assert_eq!(tx.on_ack(AckInfo::Bitmap(b)), SenderStep::Transmit(vec![2]));
         assert!(matches!(tx.on_timeout(), SenderStep::Transmit(_)));
+        assert!(matches!(tx.on_timeout(), SenderStep::Failed(_)));
+    }
+
+    /// A path that always loses SDU 1 and always delivers the end SDU
+    /// answers every round with the same bitmap. That is not progress: the
+    /// budget runs down and the message fails.
+    #[test]
+    fn the_same_bitmap_again_does_not_refill_the_retry_budget() {
+        let mut tx = SrSender::new(Duration::from_millis(1), 3);
+        tx.begin(3);
+        let mut stuck = AckBitmap::all_missing(3);
+        stuck.mark_received(0);
+        stuck.mark_received(2);
+        for round in 0.. {
+            assert!(round < 10, "a session that can never fail");
+            assert_eq!(
+                tx.on_ack(AckInfo::Bitmap(stuck.clone())),
+                SenderStep::Transmit(vec![1])
+            );
+            match tx.on_timeout() {
+                SenderStep::Transmit(_) => {}
+                SenderStep::Failed(_) => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    /// A probe sends what a timeout sends and spends nothing.
+    #[test]
+    fn probes_do_not_spend_the_retry_budget() {
+        let mut tx = SrSender::new(Duration::from_millis(1), 1);
+        tx.begin(4);
+        for _ in 0..10 {
+            assert_eq!(tx.on_probe(), SenderStep::Transmit(vec![3]));
+        }
+        assert_eq!(tx.on_timeout(), SenderStep::Transmit(vec![3]));
         assert!(matches!(tx.on_timeout(), SenderStep::Failed(_)));
     }
 

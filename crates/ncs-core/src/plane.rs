@@ -27,6 +27,20 @@
 //! is never packed. The receiver reassembles the body with the unchanged
 //! strategy and splits it back into messages ([`Delivered`]).
 //!
+//! The wait for an acknowledgement is the one clock the sender keeps, and
+//! it fits itself to the link (RFC 6298): every session acknowledged clean
+//! without a retransmission gives a round-trip sample — last SDU released
+//! → acknowledgement; a retransmitted session gives none (Karn) — and the
+//! wait is `SRTT + 4·RTTVAR`, no shorter than [`MIN_RTO`], doubling with
+//! every timeout of a session, and never longer than the configured
+//! `timeout`, which is also what a connection waits before its first
+//! sample. The clock runs only while nothing of the round waits for flow
+//! control: a session parked on credits is flow control's to wake. A wait
+//! that ran out below the configured timeout was an estimate, so what it
+//! triggers is a *probe* ([`SenderEc::on_probe`]): same retransmission,
+//! no retry spent — a silent peer is given up on no sooner than
+//! `(max_retries + 1) × timeout`, as if the timer never adapted.
+//!
 //! Two thin shells in [`crate::connection`] drive them: the reactor task
 //! (non-blocking; deadlines become reactor timers) and direct mode
 //! (blocking on the caller's thread; `now` is read from the node
@@ -58,6 +72,17 @@ use crate::stats::ConnCounters;
 /// cells; without this probe a lost credit grant would starve the sender
 /// forever.
 const FC_STARVATION_PROBE: Duration = Duration::from_millis(500);
+
+/// The shortest wait for an acknowledgement, however fast the link
+/// measures. An acknowledgement is late by a scheduler slice whenever the
+/// peer's event loop was not running when the frame arrived (4 ms at
+/// HZ = 250, and a batch-class thread is not preempted for it), and a
+/// timer that fires into that retransmits a message that was never lost;
+/// the lossless benchmark workloads must read 0 retransmissions. It is
+/// also 2½ × the reactor's `TIMER_SLACK`, so that the deadline is still
+/// two ticks ahead when it reaches the event loop and is kept lazily: an
+/// acknowledged message never makes a loop park short.
+pub(crate) const MIN_RTO: Duration = Duration::from_millis(10);
 
 /// Where the planes report: the connection's counters, its flight
 /// recorder and its sticky send error. All three are shared handles, so a
@@ -219,10 +244,15 @@ struct Session {
     packed: bool,
     /// Messages the body carries: all of them share the session's fate.
     messages: u64,
-    first_round: bool,
-    /// When the current acknowledgement wait runs out; `None` under an
-    /// algorithm that never expects one.
-    ack_deadline: Option<Instant>,
+    /// `Transmit` steps applied: beyond the first they are
+    /// retransmissions, and the session's round trip is no sample.
+    rounds: u32,
+    /// Acknowledgement waits that ran out; each doubles the next.
+    timeouts: u32,
+    /// When the last SDU of the current round was released: the start of
+    /// the acknowledgement clock. `None` while SDUs of the round still
+    /// wait for flow control.
+    sent_at: Option<Instant>,
 }
 
 /// The sender half of the pipeline.
@@ -243,13 +273,22 @@ pub(crate) struct TxPlane {
     /// Last time feedback arrived or an SDU was released.
     last_progress: Instant,
     next_session: u32,
+    /// Smoothed acknowledgement round trip and its mean deviation;
+    /// `None` before the first sample.
+    rtt: Option<(Duration, Duration)>,
+    /// The wait for an acknowledgement before any back-off: the
+    /// configured timeout until there is a sample, then the estimate
+    /// within its bounds. `None` under an algorithm that expects none.
+    rto: Option<Duration>,
 }
 
 impl TxPlane {
     pub(crate) fn new(config: &ConnectionConfig, obs: PlaneObs, now: Instant) -> Self {
-        TxPlane {
+        let ec = build_sender(&config.error_control);
+        let plane = TxPlane {
             sdu_size: config.sdu_size,
-            ec: build_sender(&config.error_control),
+            rto: ec.ack_timeout(),
+            ec,
             fc: build_fc(&config.flow_control),
             obs,
             backlog: VecDeque::new(),
@@ -258,7 +297,43 @@ impl TxPlane {
             completions: Vec::new(),
             last_progress: now,
             next_session: 0,
-        }
+            rtt: None,
+        };
+        plane.publish_rto(0);
+        plane
+    }
+
+    /// The wait for an acknowledgement after `timeouts` of the session's
+    /// waits ran out; `None` under an algorithm that expects none.
+    fn backed_off_rto(&self, timeouts: u32) -> Option<Duration> {
+        let doubled = self.rto?.saturating_mul(1 << timeouts.min(16));
+        Some(doubled.min(self.ec.ack_timeout()?))
+    }
+
+    fn publish_rto(&self, timeouts: u32) {
+        let rto = self.backed_off_rto(timeouts).unwrap_or_default();
+        self.obs.counters.rto_us.set(rto.as_micros() as i64);
+    }
+
+    /// One clean round trip (RFC 6298 §2, α = 1/8, β = 1/4).
+    fn sample(&mut self, rtt: Duration) {
+        let (srtt, rttvar) = match self.rtt {
+            None => (rtt, rtt / 2),
+            Some((srtt, rttvar)) => ((7 * srtt + rtt) / 8, (3 * rttvar + srtt.abs_diff(rtt)) / 4),
+        };
+        self.rtt = Some((srtt, rttvar));
+        let estimate = (srtt + 4 * rttvar).max(MIN_RTO);
+        self.rto = self.ec.ack_timeout().map(|ceiling| estimate.min(ceiling));
+        let counters = &self.obs.counters;
+        counters.ack_rtt_us.record(rtt.as_micros() as u64);
+        counters.srtt_us.set(srtt.as_micros() as i64);
+        self.publish_rto(0);
+    }
+
+    /// When the session in flight stops waiting for an acknowledgement.
+    fn ack_deadline(&self) -> Option<Instant> {
+        let session = self.active.as_ref()?;
+        Some(session.sent_at? + self.backed_off_rto(session.timeouts)?)
     }
 
     /// Queues a message behind whatever is in flight.
@@ -281,17 +356,14 @@ impl TxPlane {
     /// for every duplicate end marker it sees), is dropped — fed to the
     /// strategy it could complete a message that was never delivered.
     pub(crate) fn on_ack(&mut self, session: u32, info: AckInfo, now: Instant) {
-        let waiting = self
-            .active
-            .as_ref()
-            .is_some_and(|s| s.id == session && s.ack_deadline.is_some());
+        let waiting = self.active.as_ref().is_some_and(|s| s.id == session) && self.rto.is_some();
         if !waiting {
             return;
         }
         self.obs.counters.acks_received.inc();
         let step = self.ec.on_ack(info);
         // `Wait` keeps waiting against the *same* deadline: a partial
-        // acknowledgement does not reset the retransmission clock.
+        // acknowledgement does not restart the retransmission clock.
         if !matches!(step, SenderStep::Wait) {
             self.apply(step, now);
         }
@@ -307,16 +379,22 @@ impl TxPlane {
     /// Fires the acknowledgement timeout if it is due at `now`; returns
     /// whether it was.
     fn on_timeout(&mut self, now: Instant) -> bool {
-        let due = self
-            .active
-            .as_ref()
-            .and_then(|s| s.ack_deadline)
-            .is_some_and(|deadline| now >= deadline);
-        if due {
-            let step = self.ec.on_timeout();
-            self.apply(step, now);
+        if self.ack_deadline().is_none_or(|deadline| now < deadline) {
+            return false;
         }
-        due
+        let session = self.active.as_mut().expect("a deadline has a session");
+        let waited = session.timeouts;
+        session.timeouts += 1;
+        self.obs.counters.ack_timeouts.inc();
+        self.publish_rto(waited + 1);
+        // Only the configured patience running out spends a retry.
+        let step = if self.backed_off_rto(waited) == self.ec.ack_timeout() {
+            self.ec.on_timeout()
+        } else {
+            self.ec.on_probe()
+        };
+        self.apply(step, now);
+        true
     }
 
     /// Advances the sender as far as it can go at `now`: fires a due
@@ -351,7 +429,7 @@ impl TxPlane {
     /// flow control — the algorithm's own pacing and the starvation
     /// probe. `None` = only an event can move the sender.
     pub(crate) fn next_deadline(&self, now: Instant) -> Option<Instant> {
-        let ack = self.active.as_ref().and_then(|s| s.ack_deadline);
+        let ack = self.ack_deadline();
         let (pace, probe) = if self.pending.is_empty() {
             (None, None)
         } else {
@@ -428,8 +506,9 @@ impl TxPlane {
             tagged,
             packed,
             messages,
-            first_round: true,
-            ack_deadline: None,
+            rounds: 0,
+            timeouts: 0,
+            sent_at: None,
         });
         let step = self.ec.begin(total);
         self.apply(step, now);
@@ -440,10 +519,9 @@ impl TxPlane {
         let Some(session) = self.active.as_mut() else {
             return;
         };
-        let ack_deadline = self.ec.ack_timeout().map(|t| now + t);
         match step {
             SenderStep::Transmit(seqs) => {
-                if !session.first_round {
+                if session.rounds > 0 {
                     self.obs.counters.retransmissions.add(seqs.len() as u64);
                     self.obs.recorder.record(
                         EventKind::Retransmit,
@@ -458,18 +536,24 @@ impl TxPlane {
                     self.pending.clear();
                 }
                 self.pending.extend(seqs);
-                session.first_round = false;
-                session.ack_deadline = ack_deadline;
+                session.rounds += 1;
+                // The clock starts over when the round's last SDU leaves.
+                session.sent_at = None;
             }
-            SenderStep::Done => self.finish(Ok(())),
+            SenderStep::Done => {
+                if let (1, Some(sent_at)) = (session.rounds, session.sent_at) {
+                    self.sample(now.saturating_duration_since(sent_at));
+                }
+                self.finish(Ok(()));
+            }
             SenderStep::Failed(why) => self.finish(Err(SendError::DeliveryFailed(why))),
-            SenderStep::Wait => session.ack_deadline = ack_deadline,
+            SenderStep::Wait => {}
         }
     }
 
     /// Hands the SDUs flow control permits at `now` to `emit`.
     fn release(&mut self, now: Instant, emit: &mut impl FnMut(Sdu<'_>)) -> bool {
-        let Some(session) = &self.active else {
+        let Some(session) = &mut self.active else {
             return false;
         };
         if self.pending.is_empty() {
@@ -506,6 +590,9 @@ impl TxPlane {
         }
         self.fc.on_transmit(n.min(permits) as u32);
         self.last_progress = now;
+        if self.pending.is_empty() {
+            session.sent_at = Some(now);
+        }
         true
     }
 
@@ -517,6 +604,9 @@ impl TxPlane {
             return;
         };
         self.pending.clear();
+        if session.timeouts > 0 {
+            self.publish_rto(0); // the next session starts without back-off
+        }
         if let Err(e) = &result {
             *self.obs.last_error.lock() = Some(e.clone());
             self.obs.counters.send_failures.add(session.messages);
@@ -939,6 +1029,18 @@ mod tests {
         }
     }
 
+    /// The header the shell would put on `sdu`.
+    fn header_of(sdu: &Sdu<'_>) -> DataHeader {
+        DataHeader {
+            conn: 0,
+            src_conn: 0,
+            session: sdu.session,
+            seq: sdu.seq,
+            end: sdu.end,
+            tagged: sdu.tagged,
+        }
+    }
+
     fn delivered(step: RxStep) -> Vec<Vec<u8>> {
         step.delivered.map(|(message, _)| message).collect()
     }
@@ -1046,6 +1148,282 @@ mod tests {
         }
     }
 
+    // -- The retransmission timer, on a hand-stepped clock ----------------
+
+    /// A sender and a receiver joined by a wire the test steps: what the
+    /// sender releases at `now` arrives — unless `lose` takes it — `delay`
+    /// later, and the receiver's answers are back at that same instant.
+    struct Link {
+        tx: TxPlane,
+        rx: RxPlane,
+        obs: PlaneObs,
+        now: Instant,
+        /// Data frames put on the wire, lost ones included.
+        frames: usize,
+        /// Acknowledgements still to be lost on their way back.
+        lose_acks: usize,
+    }
+
+    impl Link {
+        fn new(cfg: &ConnectionConfig) -> Link {
+            let (now, obs) = (Instant::now(), PlaneObs::default());
+            Link {
+                tx: TxPlane::new(cfg, obs.clone(), now),
+                rx: rx_plane(cfg).0,
+                obs,
+                now,
+                frames: 0,
+                lose_acks: 0,
+            }
+        }
+
+        /// One poll of the sender and one trip of what it released.
+        /// Returns whether the sender released anything.
+        fn step(&mut self, delay: Duration, mut lose: impl FnMut(&DataHeader) -> bool) -> bool {
+            let mut wire = Vec::new();
+            self.tx.poll(self.now, |sdu| {
+                wire.push((header_of(&sdu), sdu.packed, sdu.payload.to_vec()));
+            });
+            self.frames += wire.len();
+            let released = !wire.is_empty();
+            self.now += delay;
+            for (header, packed, payload) in wire {
+                if lose(&header) {
+                    continue;
+                }
+                let view = DataView {
+                    header,
+                    packed,
+                    payload: &payload,
+                };
+                let step = self.rx.on_frame(&view, self.now);
+                if step.credit > 0 {
+                    self.tx.on_credit(step.credit, self.now);
+                }
+                match step.ack {
+                    Some(_) if self.lose_acks > 0 => self.lose_acks -= 1,
+                    Some(info) => self.tx.on_ack(header.session, info, self.now),
+                    None => {}
+                }
+            }
+            released
+        }
+
+        /// Steps until the sender is idle, sleeping to its next deadline
+        /// whenever a step released nothing. Returns the time it took.
+        fn run(&mut self, delay: Duration, mut lose: impl FnMut(&DataHeader) -> bool) -> Duration {
+            let start = self.now;
+            for _ in 0..1_000 {
+                if self.tx.is_idle() {
+                    return self.now - start;
+                }
+                if !self.step(delay, &mut lose) {
+                    self.sleep();
+                }
+            }
+            panic!("the sender never came to rest: {:?}", self.tx);
+        }
+
+        /// Time passes until the sender's next deadline, if it has one.
+        fn sleep(&mut self) {
+            if let Some(at) = self.tx.next_deadline(self.now) {
+                self.now = at;
+            }
+        }
+
+        /// One message of `sdus` SDUs over a clean wire.
+        fn deliver(&mut self, sdus: usize, delay: Duration) {
+            let done = submit(&mut self.tx, body(0, sdus));
+            self.run(delay, |_| false);
+            assert_eq!(done.take(), Some(Ok(())));
+        }
+
+        fn rto(&self) -> Duration {
+            Duration::from_micros(self.obs.counters.rto_us.get() as u64)
+        }
+    }
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn the_timeout_converges_on_the_links_round_trip_from_the_configured_ceiling() {
+        for ec in [sr(), gbn()] {
+            let mut link = Link::new(&config(ec, FlowControlAlg::None));
+            assert_eq!(link.rto(), Duration::from_secs(1), "no sample yet");
+            link.deliver(1, 50 * MS);
+            assert_eq!(link.rto(), 150 * MS, "SRTT + 4 x SRTT/2");
+            for _ in 0..4 {
+                link.deliver(2, 50 * MS);
+            }
+            assert!(link.rto() >= 50 * MS && link.rto() <= 100 * MS);
+            let counters = &link.obs.counters;
+            assert_eq!(counters.srtt_us.get(), 50_000);
+            assert_eq!(counters.ack_rtt_us.count(), 5);
+            assert_eq!(
+                counters.ack_timeouts.get() + counters.retransmissions.get(),
+                0
+            );
+            // However fast the link, never below the floor.
+            for _ in 0..40 {
+                link.deliver(1, MS / 10);
+            }
+            assert_eq!(link.rto(), MIN_RTO);
+        }
+    }
+
+    /// Karn: the acknowledgement of a session that retransmitted may
+    /// answer either copy, so its round trip teaches nothing — here it
+    /// would have taught 300 ms.
+    #[test]
+    fn a_retransmitted_session_contributes_no_sample() {
+        for ec in [sr(), gbn()] {
+            let mut link = Link::new(&config(ec, FlowControlAlg::None));
+            link.deliver(1, 20 * MS);
+            let (rto, samples) = (link.rto(), link.obs.counters.ack_rtt_us.count());
+            let done = submit(&mut link.tx, body(1, 2));
+            let mut first = true;
+            link.run(300 * MS, |h| h.end && std::mem::take(&mut first));
+            assert_eq!(done.take(), Some(Ok(())));
+            assert_eq!(link.obs.counters.ack_timeouts.get(), 1);
+            assert_eq!(link.obs.counters.ack_rtt_us.count(), samples);
+            assert_eq!(link.rto(), rto);
+        }
+    }
+
+    /// Every timeout of a session doubles the next wait, up to the
+    /// configured timeout and no further; only waits of that full length
+    /// spend retries, so the silent peer is given up on later than a
+    /// fixed timer would have, never sooner.
+    #[test]
+    fn back_off_doubles_to_the_configured_timeout_and_patience_does_not_shrink() {
+        for ec in [sr(), gbn()] {
+            let mut link = Link::new(&config(ec, FlowControlAlg::None));
+            for _ in 0..8 {
+                link.deliver(1, MS);
+            }
+            assert_eq!(link.rto(), MIN_RTO);
+            let done = submit(&mut link.tx, body(1, 3));
+            let mut waits = Vec::new();
+            while !link.tx.is_idle() {
+                let before = link.now;
+                if !link.step(MS, |_| true) && link.tx.in_flight() {
+                    link.sleep();
+                    waits.push((link.now - before + MS).as_millis());
+                }
+            }
+            let ceiling = 1_000;
+            assert_eq!(
+                waits,
+                [10, 20, 40, 80, 160, 320, 640, ceiling, ceiling, ceiling, ceiling, ceiling],
+            );
+            assert!(matches!(
+                done.take(),
+                Some(Err(SendError::DeliveryFailed(_)))
+            ));
+            assert_eq!(link.obs.counters.ack_timeouts.get(), 12);
+            assert_eq!(link.rto(), MIN_RTO, "back-off ends with its session");
+        }
+    }
+
+    /// What a timeout costs under selective repeat: one frame asks, and
+    /// only what the answer names is sent again — whether it was the end
+    /// SDU, its acknowledgement or a repair that was lost.
+    #[test]
+    fn a_selective_repeat_timeout_probes_with_the_end_sdu_alone() {
+        let mut link = Link::new(&config(sr(), FlowControlAlg::None));
+        // The end SDU lost: the probe is the repair. SDU 1 and its repair
+        // lost: the probe's answer names it once more.
+        for (lost, frames) in [(&[(0, 3)][..], 4 + 1), (&[(0, 1), (1, 1)], 4 + 1 + 1 + 1)] {
+            let (before, done) = (link.frames, submit(&mut link.tx, body(2, 4)));
+            let mut copy = [0; 4];
+            link.run(MS, |h| {
+                copy[h.seq as usize] += 1;
+                lost.contains(&(copy[h.seq as usize] - 1, h.seq))
+            });
+            assert_eq!(done.take(), Some(Ok(())));
+            assert_eq!(link.frames - before, frames, "copy and SDU lost: {lost:?}");
+        }
+        // The acknowledgement lost: the probe is answered with it again.
+        let (before, done) = (link.frames, submit(&mut link.tx, body(3, 4)));
+        link.lose_acks = 1;
+        link.run(MS, |_| false);
+        assert_eq!(done.take(), Some(Ok(())));
+        assert_eq!(link.frames - before, 4 + 1);
+        assert_eq!(link.obs.counters.ack_timeouts.get(), 3);
+    }
+
+    /// While SDUs of a round wait for credits, the sender's silence is
+    /// flow control's to end, not a retransmission's.
+    #[test]
+    fn sdus_waiting_for_credits_past_the_timeout_are_not_retransmitted() {
+        let mut link = Link::new(&config(sr(), credit()));
+        for _ in 0..8 {
+            link.deliver(1, MS);
+        }
+        assert_eq!(link.rto(), MIN_RTO);
+        let done = submit(&mut link.tx, body(1, 3));
+        let mut released = 0;
+        link.tx.poll(link.now, |_| released += 1);
+        assert_eq!(released, 2, "two credits");
+        link.now += 10 * MIN_RTO;
+        assert!(!link
+            .tx
+            .poll(link.now, |_| panic!("released without a credit")));
+        assert_eq!(
+            link.tx.next_deadline(link.now),
+            Some(link.tx.last_progress + FC_STARVATION_PROBE)
+        );
+        let counters = &link.obs.counters;
+        assert_eq!(
+            counters.ack_timeouts.get() + counters.retransmissions.get(),
+            0
+        );
+        assert!(!done.is_complete());
+    }
+
+    /// A path that loses every copy of one SDU and delivers the rest
+    /// acknowledges every round with the same bitmap. The session fails
+    /// once the configured patience is spent; it used never to.
+    #[test]
+    fn a_path_that_always_loses_the_same_sdu_fails_the_message() {
+        let mut link = Link::new(&config(sr(), FlowControlAlg::None));
+        link.deliver(1, MS);
+        let done = submit(&mut link.tx, body(1, 3));
+        let took = link.run(MS, |h| h.seq == 1);
+        assert!(matches!(
+            done.take(),
+            Some(Err(SendError::DeliveryFailed(_)))
+        ));
+        assert!(took >= 5 * Duration::from_secs(1), "gave up after {took:?}");
+    }
+
+    proptest! {
+        /// Whatever round trips and losses the link has shown, the wait
+        /// stays within its bounds, and a peer that then falls silent is
+        /// given up on no sooner than the configured
+        /// `(max_retries + 1) x timeout`.
+        #[test]
+        fn the_timeout_stays_in_bounds_and_patience_never_shrinks(
+            trips in proptest::collection::vec((0u64..400_000, any::<bool>()), 0..24),
+            sdus in 1usize..4,
+        ) {
+            for ec in [sr(), gbn()] {
+                let mut link = Link::new(&config(ec, FlowControlAlg::None));
+                for &(delay_us, lose_first) in &trips {
+                    let done = submit(&mut link.tx, body(0, sdus));
+                    let mut lose = lose_first;
+                    link.run(Duration::from_micros(delay_us), |h| h.end && std::mem::take(&mut lose));
+                    prop_assert_eq!(done.take(), Some(Ok(())));
+                    prop_assert!(MIN_RTO <= link.rto() && link.rto() <= Duration::from_secs(1));
+                }
+                let done = submit(&mut link.tx, body(1, sdus));
+                let took = link.run(MS, |_| true);
+                prop_assert!(matches!(done.take(), Some(Err(SendError::DeliveryFailed(_)))));
+                prop_assert!(took >= 5 * Duration::from_secs(1), "gave up after {:?}", took);
+            }
+        }
+    }
+
     // -- Bounded schedule exploration ------------------------------------
     //
     // A `TxPlane` and an `RxPlane` joined by an in-test wire. Everything
@@ -1107,14 +1485,7 @@ mod tests {
             let mut moved = tx.poll(now, |sdu| {
                 if fate(&mut events, Kind::Data, plan).is_none() {
                     let packet = DataPacket {
-                        header: DataHeader {
-                            conn: 0,
-                            src_conn: 0,
-                            session: sdu.session,
-                            seq: sdu.seq,
-                            end: sdu.end,
-                            tagged: sdu.tagged,
-                        },
+                        header: header_of(&sdu),
                         payload: sdu.payload.to_vec(),
                     };
                     data_wire.push_back((packet, sdu.packed));
@@ -1189,47 +1560,173 @@ mod tests {
         events
     }
 
-    /// Every schedule of at most two faults; returns how many there were.
-    fn explore(cfg: &ConnectionConfig, sdus_per_msg: &[usize]) -> usize {
-        let mut schedules = 0;
+    fn data_frames(events: &[Kind]) -> usize {
+        events.iter().filter(|k| **k == Kind::Data).count()
+    }
+
+    /// The faults that can befall an event of `kind`.
+    fn faults_of(kind: Kind) -> &'static [Fault] {
+        match kind {
+            Kind::Ack => &[Fault::Drop, Fault::Duplicate],
+            Kind::Data | Kind::Credit => &[Fault::Drop],
+        }
+    }
+
+    /// Every schedule of at most two faults; returns how many there were
+    /// and the most data frames any one of them put on the wire.
+    fn explore(cfg: &ConnectionConfig, sdus_per_msg: &[usize]) -> (usize, usize) {
+        let (mut schedules, mut most_frames) = (0, 0);
         let mut todo: Vec<Plan> = vec![Vec::new()];
         while let Some(plan) = todo.pop() {
             let events = run(cfg, sdus_per_msg, &plan);
             schedules += 1;
+            most_frames = most_frames.max(data_frames(&events));
             if plan.len() == 2 {
                 continue;
             }
             let from = plan.last().map_or(0, |(i, _)| i + 1);
             for (i, kind) in events.iter().enumerate().skip(from) {
-                let faults: &[Fault] = match kind {
-                    Kind::Ack => &[Fault::Drop, Fault::Duplicate],
-                    Kind::Data | Kind::Credit => &[Fault::Drop],
-                };
-                for fault in faults {
+                for fault in faults_of(*kind) {
                     let mut next = plan.clone();
                     next.push((i, *fault));
                     todo.push(next);
                 }
             }
         }
-        schedules
+        (schedules, most_frames)
+    }
+
+    /// What the parent of the adaptive timer (commit c6dbd39, whose
+    /// selective repeat answered a timeout with every unacknowledged SDU)
+    /// put on the wire for one set of messages: the most data frames of
+    /// any schedule of at most two faults, and the data frames of each
+    /// one-fault schedule — the faults of the fault-free run's events, in
+    /// event order. Two-fault schedules cannot be told apart across
+    /// versions (the second fault indexes a run the first one changed),
+    /// so they are held to the maximum.
+    type Recorded = (usize, &'static [usize]);
+
+    /// Per `(ec, fc)` in the tests' order — SR/credit, SR/none, GBN/credit,
+    /// GBN/none — the message sets of
+    /// `every_schedule_of_two_faults_delivers_exactly_once`.
+    const PARENT_FRAMES: [[Recorded; 4]; 4] = [
+        [
+            (4, &[3, 2, 3, 2, 3, 2, 3, 2]),
+            (10, &[7, 8, 6, 6, 8, 6, 7, 8, 6, 6, 8, 6, 7, 8, 6, 6, 8, 6]),
+            (12, &[7, 7, 6, 6, 9, 6, 9, 6, 7, 6, 7, 6, 7, 8, 6, 6, 8, 6]),
+            (12, &[7, 7, 6, 6, 9, 6, 9, 6, 7, 7, 6, 6, 9, 6, 9, 6]),
+        ],
+        [
+            (4, &[3, 3, 2, 3, 3, 2]),
+            (10, &[7, 8, 8, 6, 7, 8, 8, 6, 7, 8, 8, 6]),
+            (12, &[7, 7, 9, 9, 6, 7, 7, 6, 7, 8, 8, 6]),
+            (12, &[7, 7, 9, 9, 6, 7, 7, 9, 9, 6]),
+        ],
+        [
+            (4, &[3, 2, 3, 2, 3, 2, 3, 2]),
+            (
+                10,
+                &[
+                    8, 7, 6, 6, 6, 6, 7, 6, 8, 7, 6, 6, 6, 6, 7, 6, 8, 7, 6, 6, 6, 6, 7, 6,
+                ],
+            ),
+            (
+                11,
+                &[
+                    9, 8, 6, 6, 6, 6, 6, 6, 7, 6, 7, 6, 7, 6, 7, 6, 8, 7, 6, 6, 6, 6, 7, 6,
+                ],
+            ),
+            (
+                12,
+                &[
+                    10, 9, 7, 6, 6, 7, 6, 6, 8, 7, 7, 6, 9, 8, 6, 6, 6, 6, 6, 6, 7, 6, 7, 6,
+                ],
+            ),
+        ],
+        [
+            (4, &[3, 3, 2, 3, 3, 2]),
+            (10, &[8, 7, 6, 6, 7, 6, 8, 7, 6, 6, 7, 6, 8, 7, 6, 6, 7, 6]),
+            (10, &[8, 8, 6, 6, 6, 6, 7, 7, 6, 7, 7, 6, 8, 7, 6, 6, 7, 6]),
+            (10, &[8, 8, 6, 6, 6, 6, 7, 7, 6, 8, 8, 6, 6, 6, 6, 7, 7, 6]),
+        ],
+    ];
+
+    /// The same for the message sets of the train test.
+    const PARENT_TRAIN_FRAMES: [[Recorded; 3]; 4] = [
+        [
+            (3, &[2, 1, 2, 1]),
+            (11, &[6, 5, 6, 5, 6, 5, 6, 5, 6, 6, 5, 5, 8, 5, 8, 5]),
+            (11, &[6, 5, 6, 5, 6, 6, 5, 5, 8, 5, 8, 5, 6, 5, 6, 5]),
+        ],
+        [
+            (3, &[2, 2, 1]),
+            (11, &[6, 6, 5, 6, 6, 5, 6, 6, 8, 8, 5]),
+            (11, &[6, 6, 5, 6, 6, 8, 8, 5, 6, 6, 5]),
+        ],
+        [
+            (3, &[2, 1, 2, 1]),
+            (
+                10,
+                &[7, 6, 6, 5, 7, 6, 6, 5, 8, 7, 5, 5, 5, 5, 5, 5, 6, 5, 6, 5],
+            ),
+            (
+                10,
+                &[7, 6, 6, 5, 8, 7, 5, 5, 5, 5, 5, 5, 6, 5, 6, 5, 6, 5, 6, 5],
+            ),
+        ],
+        [
+            (3, &[2, 2, 1]),
+            (9, &[6, 6, 5, 6, 6, 5, 7, 7, 5, 5, 5, 5, 6, 6, 5]),
+            (9, &[6, 6, 5, 7, 7, 5, 5, 5, 5, 6, 6, 5, 6, 6, 5]),
+        ],
+    ];
+
+    /// No schedule puts more data frames on the wire than the parent did
+    /// for it.
+    fn assert_no_more_frames_than_the_parent(
+        cfg: &ConnectionConfig,
+        sdus_per_msg: &[usize],
+        most_frames: usize,
+        (parent_most, parent_one_fault): Recorded,
+    ) {
+        let what = format!(
+            "{:?} / {:?}, {sdus_per_msg:?}",
+            cfg.error_control, cfg.flow_control
+        );
+        assert!(most_frames <= parent_most, "{most_frames} frames: {what}");
+        let clean = run(cfg, sdus_per_msg, &Plan::new());
+        let mut recorded = parent_one_fault.iter();
+        for (i, kind) in clean.iter().enumerate() {
+            for fault in faults_of(*kind) {
+                let frames = data_frames(&run(cfg, sdus_per_msg, &vec![(i, *fault)]));
+                let parent = *recorded.next().expect("the fault-free run grew");
+                assert!(
+                    frames <= parent,
+                    "{frames} frames, the parent sent {parent}: {fault:?} of event {i}, {what}"
+                );
+            }
+        }
+        assert_eq!(recorded.next(), None, "the fault-free run shrank: {what}");
     }
 
     #[test]
     fn every_schedule_of_two_faults_delivers_exactly_once() {
-        for ec in [sr(), gbn()] {
-            for fc in [credit(), FlowControlAlg::None] {
-                let cfg = config(ec.clone(), fc);
-                let schedules: usize = [&[1, 1][..], &[2, 2, 2], &[3, 1, 2], &[3, 3]]
-                    .iter()
-                    .map(|sdus_per_msg| explore(&cfg, sdus_per_msg))
-                    .sum();
-                println!(
-                    "{:?} / {:?}: {schedules} schedules",
-                    cfg.error_control, cfg.flow_control
-                );
-                assert!(schedules > 100, "the exploration enumerated nothing");
+        let configs = [sr(), gbn()]
+            .into_iter()
+            .flat_map(|ec| [credit(), FlowControlAlg::None].map(|fc| config(ec.clone(), fc)));
+        for (cfg, parent) in configs.zip(PARENT_FRAMES) {
+            let mut schedules = 0;
+            let runs = [&[1, 1][..], &[2, 2, 2], &[3, 1, 2], &[3, 3]];
+            for (sdus_per_msg, recorded) in runs.into_iter().zip(parent) {
+                let (explored, most_frames) = explore(&cfg, sdus_per_msg);
+                schedules += explored;
+                assert_no_more_frames_than_the_parent(&cfg, sdus_per_msg, most_frames, recorded);
             }
+            println!(
+                "{:?} / {:?}: {schedules} schedules",
+                cfg.error_control, cfg.flow_control
+            );
+            assert!(schedules > 100, "the exploration enumerated nothing");
         }
     }
 
@@ -1248,22 +1745,26 @@ mod tests {
             // Two trains with a message of three SDUs between them.
             (&[1, 1, LONG, 1, 1], 5),
         ];
-        for ec in [sr(), gbn()] {
-            for fc in [credit(), FlowControlAlg::None] {
-                let cfg = train_config(ec.clone(), fc);
-                let mut schedules = 0;
-                for (lens, frames) in runs {
-                    let data =
-                        |events: Vec<Kind>| events.iter().filter(|k| **k == Kind::Data).count();
-                    assert_eq!(data(run(&cfg, lens, &Plan::new())), frames, "{lens:?}");
-                    schedules += explore(&cfg, lens);
-                }
-                println!(
-                    "{:?} / {:?}: {schedules} schedules with trains",
-                    cfg.error_control, cfg.flow_control
+        let configs = [sr(), gbn()]
+            .into_iter()
+            .flat_map(|ec| [credit(), FlowControlAlg::None].map(|fc| train_config(ec.clone(), fc)));
+        for (cfg, parent) in configs.zip(PARENT_TRAIN_FRAMES) {
+            let mut schedules = 0;
+            for ((lens, frames), recorded) in runs.into_iter().zip(parent) {
+                assert_eq!(
+                    data_frames(&run(&cfg, lens, &Plan::new())),
+                    frames,
+                    "{lens:?}"
                 );
-                assert!(schedules > 100, "the exploration enumerated nothing");
+                let (explored, most_frames) = explore(&cfg, lens);
+                schedules += explored;
+                assert_no_more_frames_than_the_parent(&cfg, lens, most_frames, recorded);
             }
+            println!(
+                "{:?} / {:?}: {schedules} schedules with trains",
+                cfg.error_control, cfg.flow_control
+            );
+            assert!(schedules > 100, "the exploration enumerated nothing");
         }
     }
 }

@@ -29,6 +29,21 @@
 //!   else: superseded heap entries are dropped when they surface, never
 //!   slept toward.
 //!
+//!   *Timer slack.* Because an armed deadline is kept until it fires, a
+//!   busy loop spends the last stretch before every deadline parking
+//!   toward it for less and less — and a timed park shorter than a kernel
+//!   timer tick is dearer than a long one: on the 2-vCPU Firecracker host
+//!   this was tuned on (HZ = 250), a condvar ping-pong round trip costs
+//!   5.5–8 µs with a timeout of 5 ms or more, 9–13 µs with 2 ms, 14–20 µs
+//!   with 1 ms. With retransmission deadlines some 10 ms out instead of
+//!   200 ms that took the reliable 64 B round trip from 18 µs to 30–41 µs,
+//!   same wake-ups, same context switches. So a deadline armed at least
+//!   two ticks ahead (`2 × TIMER_SLACK`) is kept *lazily*: it fires when
+//!   the loop is awake at or after it, the loop never parks toward it for
+//!   less than `TIMER_SLACK`, and so it may fire up to `TIMER_SLACK` late.
+//!   A deadline armed nearer than that (a transmit retry, rate pacing) is
+//!   exact, as before.
+//!
 //! Workers are spawned on the node's [`ThreadPackage`], so the reactor
 //! works under both the kernel-level and the user-level (green) package —
 //! blocking waits go through `ncs_threads::sync`, which parks green
@@ -57,6 +72,14 @@ use crate::stats::ReactorStats;
 /// Purely a robustness backstop — every state change also wakes the shard
 /// explicitly.
 const IDLE_TICK: Duration = Duration::from_millis(100);
+
+/// One kernel timer tick where this runs (HZ = 250): how late a deadline
+/// armed at least two of them ahead may fire, and the shortest park toward
+/// it (see the module docs for the measurement).
+pub(crate) const TIMER_SLACK: Duration = Duration::from_millis(4);
+
+// The shortest retransmission deadline must reach the loop lazily.
+const _: () = assert!(crate::plane::MIN_RTO.as_nanos() > 2 * TIMER_SLACK.as_nanos());
 
 /// Consecutive `Again` returns after which a task counts as stalled.
 const STALL_STREAK: u32 = 64;
@@ -115,6 +138,18 @@ impl ShardQueue {
     fn nanos(&self, at: Instant) -> u64 {
         (at.saturating_duration_since(self.epoch).as_nanos() as u64).min(UNARMED - 1)
     }
+
+    /// The latest a deadline `at` armed at `now` fires, on the shard's
+    /// timer scale, and how much of that is slack.
+    fn fire_by(&self, at: Instant, now: Instant) -> (u64, u64) {
+        let lazy = at.saturating_duration_since(now) >= 2 * TIMER_SLACK;
+        let slack = if lazy {
+            TIMER_SLACK.as_nanos() as u64
+        } else {
+            0
+        };
+        ((self.nanos(at) + slack).min(UNARMED - 1), slack)
+    }
 }
 
 /// Wakes one task: the reactor-side analogue of the paper's mailbox
@@ -123,8 +158,9 @@ impl ShardQueue {
 pub(crate) struct TaskHandle {
     id: u64,
     state: AtomicU8,
-    /// The task's armed deadline in nanoseconds since the shard's epoch,
-    /// [`UNARMED`] if none. Written by the shard's worker only.
+    /// The latest the task's armed deadline fires, in nanoseconds since
+    /// the shard's epoch; [`UNARMED`] if none. Written by the shard's
+    /// worker only.
     armed: AtomicU64,
     /// Set when the task's owner drops its [`TaskRef`]: the next run
     /// removes the task instead of polling it. (The owner's release pairs
@@ -147,10 +183,10 @@ impl std::fmt::Debug for TaskHandle {
 }
 
 impl TaskHandle {
-    /// Whether the shard will poll the task at or before `at` with nobody
-    /// waking it.
+    /// Whether the shard will poll the task, with nobody waking it, no
+    /// later than it would if `at` were armed now.
     pub(crate) fn armed_by(&self, at: Instant) -> bool {
-        self.armed.load(Ordering::Acquire) <= self.shard.nanos(at)
+        self.armed.load(Ordering::Acquire) <= self.shard.fire_by(at, Instant::now()).0
     }
 
     pub(crate) fn wake(&self) {
@@ -204,6 +240,7 @@ pub(crate) struct ReactorCounters {
     timer_entries: AtomicU64,
     fd_events: AtomicU64,
     stalled_tasks: AtomicU64,
+    short_parks: AtomicU64,
 }
 
 /// One worker-local task slot.
@@ -213,6 +250,8 @@ struct Slot {
     /// Whether the task counts towards [`ReactorStats::endpoints`].
     endpoint: bool,
     again_streak: u32,
+    /// Nanoseconds of [`TIMER_SLACK`] in the armed deadline.
+    slack: u64,
 }
 
 /// The per-core event-loop pool. One per [`crate::NcsNode`] by default;
@@ -389,11 +428,12 @@ impl Reactor {
     /// time of the poll and returns the next instant it wants to run at
     /// with nobody waking it, under the reactor's timer rule — `None`
     /// keeps a deadline armed earlier, `Some` replaces it only when
-    /// earlier still, so timers fire early, never late, and a closure that
+    /// earlier still, so timers fire early, and a closure that
     /// returns deadlines far ahead costs one timer operation per deadline
-    /// that is actually reached. It must never block. Dropping the
-    /// `TaskRef` is the one way to end the task: it drops the closure and
-    /// everything it captured.
+    /// that is actually reached; a deadline 8 ms or more ahead may fire
+    /// up to 4 ms late (the module docs say why). It must never block.
+    /// Dropping the `TaskRef` is the one way to end the task: it drops the
+    /// closure and everything it captured.
     pub fn spawn_task(
         &self,
         poll: impl FnMut(Instant) -> Option<Instant> + Send + 'static,
@@ -413,6 +453,7 @@ impl Reactor {
             timer_fires: c.timer_fires.load(Ordering::Relaxed),
             fd_events: c.fd_events.load(Ordering::Relaxed),
             stalled_tasks: c.stalled_tasks.load(Ordering::Relaxed),
+            short_parks: c.short_parks.load(Ordering::Relaxed),
             blocking_spawned: 0,
             blocking_active: 0,
         }
@@ -468,8 +509,9 @@ impl TaskRef {
         self.0.wake();
     }
 
-    /// Whether the task will be polled at or before `at` with nobody
-    /// waking it: the caller's test for "is my deadline covered".
+    /// Whether the task will be polled, with nobody waking it, no later
+    /// than it would be if it returned `at` now: the caller's test for
+    /// "is my deadline covered".
     pub fn armed_by(&self, at: Instant) -> bool {
         self.0.armed_by(at)
     }
@@ -521,10 +563,10 @@ impl Drop for Watch {
 /// reactor's worker join timeout.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 
-/// Min-heap of (deadline in shard nanoseconds, task id). An entry is live
-/// while it equals its task's [`TaskHandle::armed`]; the others (task
-/// gone, deadline superseded by an earlier one) are dropped when they
-/// reach the head.
+/// Min-heap of (latest firing time in shard nanoseconds, task id). An
+/// entry is live while it equals its task's [`TaskHandle::armed`]; the
+/// others (task gone, deadline superseded by an earlier one) are dropped
+/// when they reach the head.
 type TimerHeap = BinaryHeap<std::cmp::Reverse<(u64, u64)>>;
 
 /// One shard's event loop: timers, then the run queue.
@@ -547,27 +589,35 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
         // earliest deadline a live task waits for.
         let now_ns = shard.nanos(now);
         let mut wait = IDLE_TICK;
-        while let Some(&std::cmp::Reverse((at, id))) = timers.peek() {
-            let handle = tasks
+        while let Some(&std::cmp::Reverse((by, id))) = timers.peek() {
+            let live = tasks
                 .get(&id)
-                .map(|slot| &slot.handle)
-                .filter(|h| h.armed.load(Ordering::Relaxed) == at);
-            if handle.is_some() && at > now_ns {
-                wait = wait.min(Duration::from_nanos(at - now_ns));
-                break;
+                .filter(|slot| slot.handle.armed.load(Ordering::Relaxed) == by);
+            if let Some(slot) = live {
+                // Due from `by - slack` on, and never parked toward for
+                // less than the slack. Nothing behind the head is owed a
+                // poll before `by`, and this park ends no later.
+                let at = by - slot.slack;
+                if at > now_ns {
+                    wait = wait.min(Duration::from_nanos((at - now_ns).max(slot.slack)));
+                    break;
+                }
             }
             timers.pop();
             counters.timer_entries.fetch_sub(1, Ordering::Relaxed);
-            if let Some(handle) = handle {
-                handle.armed.store(UNARMED, Ordering::Release);
+            if let Some(slot) = live {
+                slot.handle.armed.store(UNARMED, Ordering::Release);
                 counters.timer_fires.fetch_add(1, Ordering::Relaxed);
-                handle.wake();
+                slot.handle.wake();
             }
         }
         if let Some(deadline) = draining_until {
             wait = wait.min(deadline.saturating_duration_since(now));
         }
         counters.polls.fetch_add(1, Ordering::Relaxed);
+        if wait < TIMER_SLACK {
+            counters.short_parks.fetch_add(1, Ordering::Relaxed);
+        }
         let msg = match shard.inbox.recv_timeout(wait) {
             Ok(m) => m,
             Err(_) => continue,
@@ -584,6 +634,7 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
                         handle,
                         endpoint,
                         again_streak: 0,
+                        slack: 0,
                     },
                 );
                 run_task(shard, counters, &mut tasks, &mut timers, id);
@@ -605,9 +656,10 @@ fn run_task(
     };
     slot.handle.state.store(ST_RUNNING, Ordering::Release);
     counters.task_runs.fetch_add(1, Ordering::Relaxed);
+    let now = Instant::now();
     let poll = match slot.handle.retired.load(Ordering::Acquire) {
         true => TaskPoll::Done,
-        false => slot.task.poll(Instant::now()),
+        false => slot.task.poll(now),
     };
     match poll {
         TaskPoll::Done => {
@@ -631,10 +683,11 @@ fn run_task(
             // An armed deadline stays armed — through `Idle` too — until
             // it fires or an earlier one replaces it.
             if let TaskPoll::Timer(at) = poll {
-                let at = shard.nanos(at);
-                if at < slot.handle.armed.load(Ordering::Relaxed) {
-                    slot.handle.armed.store(at, Ordering::Release);
-                    timers.push(std::cmp::Reverse((at, id)));
+                let (by, slack) = shard.fire_by(at, now);
+                if by < slot.handle.armed.load(Ordering::Relaxed) {
+                    slot.handle.armed.store(by, Ordering::Release);
+                    slot.slack = slack;
+                    timers.push(std::cmp::Reverse((by, id)));
                     counters.timer_entries.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -989,6 +1042,111 @@ mod tests {
         assert!(after.polls - before.polls < 16, "{before:?} -> {after:?}");
         assert!(after.timer_fires - before.timer_fires <= 2);
         reactor.shutdown();
+    }
+
+    /// Arms `start + delay` on its first poll, goes `Idle` on the rest —
+    /// the deadline stays armed — and ends with the poll that finds it
+    /// passed.
+    struct ArmOnce {
+        polls: Arc<AtomicU64>,
+        delay: Duration,
+        deadline: Option<Instant>,
+        /// Nanoseconds from arming to firing; 0 until then.
+        fired_after: Arc<AtomicU64>,
+    }
+
+    impl ReactorTask for ArmOnce {
+        fn poll(&mut self, now: Instant) -> TaskPoll {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            match self.deadline {
+                None => {
+                    self.deadline = Some(now + self.delay);
+                    TaskPoll::Timer(now + self.delay)
+                }
+                Some(at) if now >= at => {
+                    let after = now - (at - self.delay);
+                    self.fired_after
+                        .store(after.as_nanos() as u64, Ordering::Relaxed);
+                    TaskPoll::Done
+                }
+                Some(_) => TaskPoll::Idle,
+            }
+        }
+    }
+
+    /// Arms a deadline `delay` ahead on a fresh one-shard reactor; with
+    /// `busy`, wakes the task back to back until it fires. Returns how
+    /// long it took to fire, the reactor's counters then, and the wakes.
+    fn fire(
+        pkg: &Arc<dyn ThreadPackage>,
+        delay: Duration,
+        busy: bool,
+    ) -> (Duration, ReactorStats, u64) {
+        let reactor = Reactor::new(Arc::clone(pkg), 1);
+        let (polls, fired_after) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let task = ArmOnce {
+            polls: Arc::clone(&polls),
+            delay,
+            deadline: None,
+            fired_after: Arc::clone(&fired_after),
+        };
+        let handle = reactor.spawn(false, |_| Box::new(task));
+        let mut wakes = 0;
+        while fired_after.load(Ordering::Relaxed) == 0 {
+            if busy && polls.load(Ordering::Relaxed) > wakes {
+                wakes += 1;
+                handle.wake();
+            }
+            pkg.yield_now();
+        }
+        let stats = reactor.stats();
+        reactor.shutdown();
+        let after = Duration::from_nanos(fired_after.load(Ordering::Relaxed));
+        (after, stats, wakes)
+    }
+
+    /// The shortest of a few tries: scheduling noise only ever adds.
+    fn soonest(pkg: &Arc<dyn ThreadPackage>, delay: Duration) -> Duration {
+        (0..10)
+            .map(|_| fire(pkg, delay, false).0)
+            .min()
+            .expect("ten tries")
+    }
+
+    fn timer_slack_rule(pkg: &Arc<dyn ThreadPackage>) {
+        let ms = Duration::from_millis;
+        // A deadline two ticks or more ahead is never parked toward for
+        // less than a tick, however often the loop wakes on the way: here
+        // 10,000 times at least (a host too busy for that in 100 ms gets
+        // longer).
+        let mut delay = ms(100);
+        let (after, stats) = loop {
+            let (after, stats, wakes) = fire(pkg, delay, true);
+            if wakes >= 10_000 {
+                break (after, stats);
+            }
+            delay *= 2;
+        };
+        assert_eq!(stats.short_parks, 0, "{stats}");
+        assert!(after >= delay, "fired after {after:?}");
+        // In exchange it may fire up to one tick late, no more.
+        let lazy = soonest(pkg, ms(20));
+        let latest = ms(20) + TIMER_SLACK + ms(1);
+        assert!(lazy >= ms(20) && lazy < latest, "fired after {lazy:?}");
+        // A deadline armed nearer than two ticks is exact, as it always
+        // was.
+        let near = soonest(pkg, ms(1));
+        assert!(near >= ms(1) && near < ms(2), "fired after {near:?}");
+    }
+
+    #[test]
+    fn timer_slack_rule_kernel_package() {
+        timer_slack_rule(&pkg());
+    }
+
+    #[test]
+    fn timer_slack_rule_user_package() {
+        ncs_threads::UserRuntime::default().run(|pkg| timer_slack_rule(&(Arc::new(pkg) as _)));
     }
 
     /// The public task entry: polled on registration, on a wake and at the

@@ -6,7 +6,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncs_obs::{Counter, Family, MetricKind, MetricSource, MetricValue, Registry, Series};
+use ncs_obs::{
+    Counter, Family, Gauge, Histogram, MetricKind, MetricSource, MetricValue, Registry, Series,
+};
 
 use crate::pool::BufPool;
 use crate::reactor::Reactor;
@@ -27,6 +29,11 @@ pub(crate) struct ConnCounters {
     pub credits_received: Counter,
     pub send_failures: Counter,
     pub frames_rejected: Counter,
+    pub ack_timeouts: Counter,
+    /// Every round trip the retransmission timer learned from.
+    pub ack_rtt_us: Histogram,
+    pub srtt_us: Gauge,
+    pub rto_us: Gauge,
 }
 
 impl ConnCounters {
@@ -74,6 +81,25 @@ impl ConnCounters {
                 "ncs_conn_frames_rejected_total",
                 "data frames the receive plane refused as malformed",
             ),
+            ack_timeouts: c(
+                "ncs_conn_ack_timeouts_total",
+                "acknowledgement waits that ran out (probes included)",
+            ),
+            ack_rtt_us: registry.histogram(
+                "ncs_conn_ack_rtt_us",
+                "last SDU released to clean acknowledgement, unretransmitted sessions (us)",
+                labels,
+            ),
+            srtt_us: registry.gauge(
+                "ncs_conn_srtt_us",
+                "smoothed acknowledgement round trip (us; 0 = no sample yet)",
+                labels,
+            ),
+            rto_us: registry.gauge(
+                "ncs_conn_rto_us",
+                "current retransmission timeout (us)",
+                labels,
+            ),
         }
     }
 
@@ -90,6 +116,10 @@ impl ConnCounters {
             credits_received: self.credits_received.get(),
             send_failures: self.send_failures.get(),
             frames_rejected: self.frames_rejected.get(),
+            ack_timeouts: self.ack_timeouts.get(),
+            ack_rtt_samples: self.ack_rtt_us.count(),
+            srtt_us: self.srtt_us.get() as u64,
+            rto_us: self.rto_us.get() as u64,
         }
     }
 }
@@ -184,6 +214,11 @@ impl MetricSource for ReactorMetricSource {
                 s.stalled_tasks,
             ),
             counter_family(
+                "ncs_reactor_short_parks_total",
+                "event-loop waits bounded by a deadline under one timer tick away",
+                s.short_parks,
+            ),
+            counter_family(
                 "ncs_reactor_blocking_spawned_total",
                 "always 0: the blocking lane is gone, the series is kept for its readers",
                 s.blocking_spawned,
@@ -258,6 +293,22 @@ pub struct ConnectionStats {
     /// acknowledged — it arrived intact — and dropped whole). No sender of
     /// this crate produces any of them.
     pub frames_rejected: u64,
+    /// Waits for an acknowledgement that ran out. Each one retransmits
+    /// (and is counted in `retransmissions`); only those that waited the
+    /// full configured timeout spend the error-control retry budget.
+    pub ack_timeouts: u64,
+    /// Round trips the retransmission timer has learned from: last SDU
+    /// released to clean acknowledgement, of sessions that retransmitted
+    /// nothing. The distribution is the registry's `ncs_conn_ack_rtt_us`.
+    pub ack_rtt_samples: u64,
+    /// Smoothed acknowledgement round trip in microseconds; 0 before the
+    /// first sample.
+    pub srtt_us: u64,
+    /// The retransmission timeout now in force, in microseconds: the
+    /// configured timeout before the first sample and after enough
+    /// back-off, `SRTT + 4·RTTVAR` (floored) in between; 0 under an
+    /// algorithm that expects no acknowledgement.
+    pub rto_us: u64,
 }
 
 impl std::fmt::Display for ConnectionStats {
@@ -406,6 +457,11 @@ pub struct ReactorStats {
     /// Times a task was observed looping `Again` long enough to be called
     /// stalled (diagnostic: a healthy run stays at 0).
     pub stalled_tasks: u64,
+    /// Waits an event loop bounded by a deadline less than one timer tick
+    /// (4 ms) away. Such parks cost several microseconds more than long
+    /// ones; only deadlines armed less than two ticks ahead (transmit
+    /// retries, rate pacing, a shutdown's grace) should cause any.
+    pub short_parks: u64,
     /// Always 0. The reactor once lent threads to blocking work (the
     /// collective progress runner) and counted them here; nothing blocks
     /// beside the event loops any more. The field and its exported series
@@ -420,7 +476,7 @@ impl fmt::Display for ReactorStats {
         write!(
             f,
             "reactor: {} workers, {} endpoints | {} polls, {} wakeups, {} task runs, \
-             {} timers, {} fd events | {} stalled",
+             {} timers, {} fd events | {} stalled, {} short parks",
             self.workers,
             self.endpoints,
             self.polls,
@@ -429,6 +485,7 @@ impl fmt::Display for ReactorStats {
             self.timer_fires,
             self.fd_events,
             self.stalled_tasks,
+            self.short_parks,
         )
     }
 }

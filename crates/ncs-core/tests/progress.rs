@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncs_core::link::{AciLink, HpiLinkPair, SimLinkPair};
-use ncs_core::{ConnectionConfig, NcsConnection, NcsNode, SendError};
+use ncs_core::{ConnectionConfig, EventKind, NcsConnection, NcsNode, SendError};
 use ncs_threads::{KernelPackage, ThreadPackage, ThreadPackageExt, UserRuntime};
 use ncs_transport::aci::AciFabric;
 use ncs_transport::sim::{LinkPolicy, SimNet};
@@ -314,6 +314,52 @@ fn small_messages_sharing_frames_keep_every_streams_order() {
         );
         assert!(sent.packets_sent < sent.messages_sent / 4, "{sent}");
         assert_eq!(received.frames_rejected, 0);
+        pair.shutdown();
+    });
+}
+
+/// A message loses its end SDU — the one loss only a timer can notice:
+/// the receiver has nothing to answer. The timer has learned the link
+/// from the warm-up (a fraction of a millisecond; the configured timeout
+/// is 200 ms), fires at its floor, and asks with one frame: the end SDU
+/// again, which here is also the repair.
+#[test]
+fn a_lost_end_sdu_is_repaired_at_the_links_pace_by_one_frame() {
+    const WARM: u32 = 10;
+    on_both_packages(|pkg| {
+        // One cell of handshake and ten of warm-up; then 86 cells of the
+        // message's first SDU and 84 of its second. Cell 150 is in the
+        // second wherever in 0..40 the message starts.
+        let pair = AtmPair::new(pkg, vec![150]);
+        let (tx, rx) = pair.connect(Duration::from_millis(200), 10);
+        for i in 0..WARM {
+            tx.send_sync(&numbered(i, 8)).expect("warm-up");
+            assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
+        }
+        let warm = tx.stats();
+        assert_eq!((warm.retransmissions, warm.ack_timeouts), (0, 0));
+        assert_eq!(warm.ack_rtt_samples, u64::from(WARM));
+        assert!(warm.srtt_us < 5_000 && warm.rto_us < 50_000, "{warm:?}");
+
+        let message = numbered(WARM, 4_096 + 4_000);
+        let start = Instant::now();
+        let sent = tx.isend(&message).expect("isend");
+        assert_eq!(rx.recv_timeout(WAIT).expect("repaired"), message);
+        sent.wait_timeout(WAIT).expect("acknowledged");
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(50), "repaired in {took:?}");
+        let stats = tx.stats();
+        assert_eq!((stats.retransmissions, stats.ack_timeouts), (1, 1));
+        assert_eq!(stats.ack_rtt_samples, warm.ack_rtt_samples, "Karn");
+        assert_eq!(pair.fabric.stats().cells_lost, 1);
+        let repairs: Vec<_> = tx
+            .flight()
+            .dump()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Retransmit)
+            .map(|e| (e.seq, e.len))
+            .collect();
+        assert_eq!(repairs, [(1, 1)], "one frame: the end SDU");
         pair.shutdown();
     });
 }

@@ -68,43 +68,59 @@ fn sr_only_config() -> ConnectionConfig {
         .build()
 }
 
-/// Every planned cell drop kills exactly one single-cell data frame, and
-/// selective repeat repairs each with exactly one retransmission — so the
+/// Every planned cell drop kills exactly one data frame, and selective
+/// repeat repairs each with exactly one retransmission — so the
 /// `retransmissions` counter must equal the plan size, not merely exceed
-/// zero. (Messages are 8 bytes and each is acknowledged before the next
-/// is sent, so none shares an SDU with another: one AAL5 cell per frame,
-/// and plan indices spaced far apart always hit distinct frame instances
-/// whatever the host's timing. The only other best-effort cells on that
-/// uplink are the data hello's, ahead of them all: alice's control
-/// messages, and bob's acknowledgements coming back on the same VC, ride
-/// the assured control channel alice opened, which the plan exempts.)
+/// zero. The drops are placed where no timer has a say in the repair: a
+/// message is a full SDU (86 cells) followed by an 8-byte end SDU (one
+/// cell), each acknowledged before the next is sent, and every planned
+/// cell lies inside a first SDU, so the end SDU arrives, the receiver
+/// answers with its bitmap and the sender repairs from that. A timeout
+/// the host's scheduling provokes on top (the timer adapts to the link,
+/// and the link is fast) sends one frame of its own and is counted in
+/// `ack_timeouts`, which the comparison takes out. (The only other
+/// best-effort cell on that uplink is the data hello's, ahead of them
+/// all: alice's control messages, and bob's acknowledgements coming back
+/// on the same VC, ride the assured control channel alice opened, which
+/// the plan exempts.)
 #[test]
 fn retransmissions_match_the_fault_plan_exactly() {
-    const MSGS: usize = 200;
-    // The last drop falls late: its repair must still be in the flight
+    const MSGS: usize = 100;
+    const SDU: usize = 4 * 1024;
+    // Cells per message, and per repair of a first SDU.
+    const MESSAGE: u64 = 86 + 1;
+    const REPAIR: u64 = 86;
+    // Messages 5, 40 and 90 lose the 20th cell of their first SDU; the
+    // hello is cell 0, and every repair before a message shifts it. The
+    // last drop falls late: its repair must still be in the flight
     // recorder's ring (256 events, a handful per message) at the end.
-    let plan: Vec<u64> = vec![30, 110, 190];
+    let plan: Vec<u64> = [5, 40, 90]
+        .iter()
+        .zip(0..)
+        .map(|(message, repairs)| 1 + message * MESSAGE + repairs * REPAIR + 20)
+        .collect();
     let planned = plan.len() as u64;
     let (a, b, fabric) = planned_loss_aci_pair(plan);
     let conn_a = a.connect("bob", sr_only_config()).expect("connect");
     let conn_b = b.accept_default().expect("accept");
 
-    let expected: Vec<[u8; 8]> = (0..MSGS as u64).map(|i| i.to_be_bytes()).collect();
-    for m in &expected {
-        conn_a.send_sync(m).expect("send");
-    }
-    for (i, want) in expected.iter().enumerate() {
+    for i in 0..MSGS {
+        let mut want = vec![i as u8; SDU + 8];
+        want[..8].copy_from_slice(&(i as u64).to_be_bytes());
+        conn_a.send_sync(&want).expect("send");
         let got = conn_b
             .recv_timeout(Duration::from_secs(30))
             .unwrap_or_else(|e| panic!("message {i} never arrived: {e}"));
-        assert_eq!(got.as_slice(), want.as_slice(), "message {i} corrupted");
+        assert_eq!(got, want, "message {i} corrupted");
     }
 
     let stats_a = conn_a.stats();
     let stats_b = conn_b.stats();
+    assert_eq!(fabric.stats().cells_lost, planned);
     assert_eq!(
-        stats_a.retransmissions, planned,
-        "retransmissions must match the drop plan exactly: {stats_a:?}"
+        stats_a.retransmissions - stats_a.ack_timeouts,
+        planned,
+        "repairs must match the drop plan exactly: {stats_a:?}"
     );
     assert_eq!(stats_a.messages_sent, MSGS as u64);
     assert_eq!(

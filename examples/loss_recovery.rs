@@ -72,6 +72,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nselective repeat at work: {} packets sent, {} were retransmissions, {} acks received",
         s.packets_sent, s.retransmissions, s.acks_received
     );
+    println!(
+        "its timer: {} timeouts; smoothed round trip {} us from {} samples, \
+         waiting {} us now (configured: 250000)",
+        s.ack_timeouts, s.srtt_us, s.ack_rtt_samples, s.rto_us
+    );
     assert!(
         s.retransmissions > 0,
         "a lossy link must force retransmissions"
