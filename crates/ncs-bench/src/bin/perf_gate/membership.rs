@@ -29,9 +29,9 @@ const GATE_MAX_DETECT_INTERVALS: f64 = 3.0;
 
 /// View propagation (rejoin accepted by `ncsd` → new view applied by the
 /// last survivor) must land within this many milliseconds. Views are
-/// pushed on the subscribers' long-lived channels, so the real figure is
-/// a couple of loopback hops plus one serve-loop poll (≤ a quarter
-/// heartbeat interval); the bound only has to catch a broken push path.
+/// pushed on the subscribers' long-lived channels the moment `ncsd` reads
+/// the rejoin, so the real figure is the rejoin's dial plus a couple of
+/// loopback hops; the bound only has to catch a broken push path.
 const GATE_MAX_PROP_MS: f64 = 150.0;
 
 /// Detector tuning for the section. `dead_after` is two heartbeat

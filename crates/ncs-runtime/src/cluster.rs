@@ -284,93 +284,7 @@ impl ClusterNode {
     ///
     /// See [`ClusterError`].
     pub fn bootstrap(cfg: ClusterConfig) -> Result<Self, ClusterError> {
-        cfg.validate()?;
-        let deadline = Instant::now() + cfg.boot_timeout;
-        let listener = Arc::new(SciListener::bind(&cfg.bind)?);
-        let my_addr = listener.local_addr()?;
-
-        // Rendezvous: announce ourselves, learn everyone's address. Draws
-        // from the same deadline as everything below.
-        let roster = rendezvous::register(
-            cfg.ncsd,
-            cfg.rank,
-            cfg.world,
-            my_addr,
-            deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(10)),
-        )?;
-
-        // The NCS node, with one retrying SCI link per peer. All links
-        // share this rank's listener: inbound channels carry the opener's
-        // node name in their hello, so the node routes them correctly no
-        // matter which link accepted. Each dial's retry budget is what
-        // remains of the bootstrap deadline now (floored so a tight
-        // deadline still gets one real attempt per peer).
-        let dial_budget = deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_secs(1));
-        // One node per process: its readiness reactor multiplexes every
-        // peer link on O(cores) event loops, however large the world is
-        // (see [`ClusterNode::reactor`]).
-        let node = NcsNode::builder(&rank_name(cfg.rank))
-            .rank(cfg.rank)
-            .build();
-        for &(r, addr) in &roster.members {
-            if r != cfg.rank {
-                node.attach_peer(
-                    &rank_name(r),
-                    SciLink::with_connect_timeout(addr, Arc::clone(&listener), dial_budget),
-                );
-            }
-        }
-
-        // Deterministic establishment: dial up, accept down.
-        let mut links: HashMap<usize, NcsConnection> = HashMap::new();
-        for r in (cfg.rank + 1)..cfg.world {
-            links.insert(r as usize, dial(&node, r, &cfg.conn, deadline)?);
-        }
-        while links.len() < (cfg.world - 1) as usize {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| {
-                    ClusterError::Timeout(format!(
-                        "rank {} still waiting for {} inbound peer connection(s)",
-                        cfg.rank,
-                        (cfg.world - 1) as usize - links.len()
-                    ))
-                })?;
-            let conn = node.accept(left)?;
-            let Some(peer) = parse_rank_name(conn.peer_name()) else {
-                // Not a cluster rank (stray connector); ignore it.
-                continue;
-            };
-            if peer >= cfg.world || peer as usize == cfg.rank as usize {
-                continue;
-            }
-            links.insert(peer as usize, conn);
-        }
-
-        handshake(cfg.rank, cfg.world, &links, deadline)?;
-
-        Ok(ClusterNode {
-            shared: Arc::new(ClusterShared {
-                node,
-                rank: cfg.rank,
-                world: cfg.world,
-                ncsd: cfg.ncsd,
-                listener,
-                conn_cfg: cfg.conn,
-                incarnation: cfg.incarnation,
-                roster: Mutex::new(roster),
-                links: Mutex::new(links),
-                view: Mutex::new(None),
-                view_cv: Condvar::new(),
-                watched: Mutex::new(Vec::new()),
-                agent: Mutex::new(None),
-                telemetry_published: std::sync::Once::new(),
-            }),
-        })
+        Self::enter(cfg, false)
     }
 
     /// Boots a *replacement* process back into a vacated rank slot of an
@@ -394,90 +308,113 @@ impl ClusterNode {
     /// See [`ClusterError`]; notably [`ClusterError::Rendezvous`] when the
     /// slot is still occupied by a live member.
     pub fn rejoin(cfg: ClusterConfig) -> Result<Self, ClusterError> {
+        Self::enter(cfg, true)
+    }
+
+    /// The one way into a world: bind, learn who is where — the roster
+    /// from `Register` at bootstrap, the member list of the replayed view
+    /// (which is then installed) on a rejoin — attach a link per peer,
+    /// dial up, accept down, and shake hands.
+    fn enter(cfg: ClusterConfig, rejoining: bool) -> Result<Self, ClusterError> {
         cfg.validate()?;
         let deadline = Instant::now() + cfg.boot_timeout;
         let listener = Arc::new(SciListener::bind(&cfg.bind)?);
         let my_addr = listener.local_addr()?;
+        let budget = deadline
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_millis(10));
+        let (mut members, view) = if rejoining {
+            // State replay: ncsd admits us into the slot and hands back
+            // the post-join view (every live member, us included).
+            let view = rendezvous::rejoin(
+                cfg.ncsd,
+                cfg.rank,
+                cfg.world,
+                my_addr,
+                cfg.incarnation,
+                budget,
+            )?;
+            let members = view
+                .members
+                .iter()
+                .map(|m| {
+                    let addr = m.addr.parse().map_err(|_| {
+                        ClusterError::Rendezvous(format!(
+                            "replayed view carries unparseable address {:?} for rank {}",
+                            m.addr, m.rank
+                        ))
+                    })?;
+                    Ok((m.rank, addr))
+                })
+                .collect::<Result<Vec<(u32, SocketAddr)>, ClusterError>>()?;
+            (members, Some(view))
+        } else {
+            let roster = rendezvous::register(cfg.ncsd, cfg.rank, cfg.world, my_addr, budget)?;
+            (roster.members, None)
+        };
+        members.retain(|&(r, _)| r != cfg.rank);
 
-        // State replay: ncsd admits us into the slot and hands back the
-        // post-join view (every live member, us included).
-        let view = rendezvous::rejoin(
-            cfg.ncsd,
-            cfg.rank,
-            cfg.world,
-            my_addr,
-            cfg.incarnation,
-            deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(10)),
-        )?;
-
-        let node = NcsNode::builder(&rank_name(cfg.rank))
-            .rank(cfg.rank)
-            .build();
+        // The NCS node, with one retrying SCI link per peer. All links
+        // share this rank's listener: inbound channels carry the opener's
+        // node name in their hello, so the node routes them correctly no
+        // matter which link accepted. Each dial's retry budget is what
+        // remains of the deadline now (floored so a tight deadline still
+        // gets one real attempt per peer). One node per process: its
+        // readiness reactor multiplexes every peer link on O(cores) event
+        // loops, however large the world is (see [`ClusterNode::reactor`]).
         let dial_budget = deadline
             .saturating_duration_since(Instant::now())
             .max(Duration::from_secs(1));
-        let mut peers: Vec<(u32, SocketAddr)> = Vec::new();
-        for m in &view.members {
-            if m.rank == cfg.rank {
-                continue;
-            }
-            let addr: SocketAddr = m.addr.parse().map_err(|_| {
-                ClusterError::Rendezvous(format!(
-                    "replayed view carries unparseable address {:?} for rank {}",
-                    m.addr, m.rank
-                ))
-            })?;
+        let node = NcsNode::builder(&rank_name(cfg.rank))
+            .rank(cfg.rank)
+            .build();
+        for &(r, addr) in &members {
             node.attach_peer(
-                &rank_name(m.rank),
+                &rank_name(r),
                 SciLink::with_connect_timeout(addr, Arc::clone(&listener), dial_budget),
             );
-            peers.push((m.rank, addr));
         }
 
-        // Mesh with the survivors: dial up, accept down — the same
-        // invariant their view appliers follow, so both sides agree who
-        // opens each link. A survivor only answers once its own view
-        // applier has processed this join (severed the dead occupant's
-        // state and re-attached), so dials retry until the deadline.
+        // Deterministic establishment: dial up, accept down — the same
+        // invariant the survivors' view appliers follow on a rejoin, so
+        // both sides agree who opens each link. A peer answers only once
+        // it has attached this rank (still working through its roster, or
+        // not yet through the join view), so dials retry until the
+        // deadline.
         let mut links: HashMap<usize, NcsConnection> = HashMap::new();
-        for &(r, _) in peers.iter().filter(|&&(r, _)| r > cfg.rank) {
+        for &(r, _) in members.iter().filter(|&&(r, _)| r > cfg.rank) {
             links.insert(r as usize, dial(&node, r, &cfg.conn, deadline)?);
         }
-        let expected: usize = peers.iter().filter(|&&(r, _)| r < cfg.rank).count();
-        let mut accepted = 0usize;
-        while accepted < expected {
+        while links.len() < members.len() {
             let left = deadline
                 .checked_duration_since(Instant::now())
                 .ok_or_else(|| {
                     ClusterError::Timeout(format!(
-                        "rank {} rejoined but {} survivor(s) never re-meshed \
-                         (are they running with membership enabled?)",
+                        "rank {} still waiting for {} inbound peer connection(s){}",
                         cfg.rank,
-                        expected - accepted
+                        members.len() - links.len(),
+                        if rejoining {
+                            " (are the survivors running with membership enabled?)"
+                        } else {
+                            ""
+                        }
                     ))
                 })?;
             let conn = node.accept(left)?;
             let Some(peer) = parse_rank_name(conn.peer_name()) else {
+                // Not a cluster rank (stray connector); ignore it.
                 continue;
             };
             if peer >= cfg.world || peer == cfg.rank || links.contains_key(&(peer as usize)) {
                 continue;
             }
             links.insert(peer as usize, conn);
-            accepted += 1;
         }
 
         handshake(cfg.rank, cfg.world, &links, deadline)?;
 
-        let mut members: Vec<(u32, SocketAddr)> = peers;
         members.push((cfg.rank, my_addr));
         members.sort_by_key(|&(r, _)| r);
-        let roster = Roster {
-            world: cfg.world,
-            members,
-        };
         Ok(ClusterNode {
             shared: Arc::new(ClusterShared {
                 node,
@@ -487,9 +424,12 @@ impl ClusterNode {
                 listener,
                 conn_cfg: cfg.conn,
                 incarnation: cfg.incarnation,
-                roster: Mutex::new(roster),
+                roster: Mutex::new(Roster {
+                    world: cfg.world,
+                    members,
+                }),
                 links: Mutex::new(links),
-                view: Mutex::new(Some(view)),
+                view: Mutex::new(view),
                 view_cv: Condvar::new(),
                 watched: Mutex::new(Vec::new()),
                 agent: Mutex::new(None),

@@ -33,11 +33,15 @@
 //!
 //! # The pieces
 //!
-//! * [`MembershipTable`] — the pure, transport-agnostic state machine
-//!   (the same table runs inside `ncsd` and inside deterministic SIM
-//!   worlds);
-//! * [`MembershipHub`] — the table plus in-process subscribers, for
-//!   simulated and test worlds;
+//! * `MembershipService` — everything `ncsd` decides, sans I/O: roster
+//!   assembly, the [`MembershipTable`] (member list + failure detector),
+//!   the subscriber set and the telemetry stash. One method per verb; each
+//!   returns the frames to send and who gets them;
+//! * its two shells: `ncsd` ([`crate::rendezvous::RendezvousServer`]),
+//!   which steps it on the thread that read each request and writes the
+//!   answers to sockets, and [`MembershipHub`], which steps it from
+//!   explicit calls and hands views to in-process sinks (SIM and test
+//!   worlds run the code `ncsd` runs);
 //! * [`MemberAgent`] — one rank's client: a background thread that
 //!   subscribes, pulses heartbeats, observes acks (RTT histogram) and
 //!   delivers views to the rank's callback;
@@ -56,7 +60,7 @@ use ncs_transport::sci;
 use ncs_transport::{Connection as _, TransportError};
 
 use crate::cluster::ClusterError;
-use crate::wire::RvMsg;
+use crate::wire::{RvMsg, PROTOCOL_VERSION};
 
 /// Failure-detector and heartbeat tuning knobs.
 ///
@@ -250,7 +254,7 @@ impl MembershipTable {
 
     /// Installs the bootstrap roster as epoch 1 (every rank a joiner,
     /// incarnation 0). Members are not yet tracked — the detector arms
-    /// per rank on its first [`MembershipTable::track`] or heartbeat.
+    /// per member on its first [`MembershipTable::track`] or heartbeat.
     pub fn seed(&mut self, members: &[(u32, String)]) -> &View {
         let mut ms: Vec<Member> = members
             .iter()
@@ -300,50 +304,26 @@ impl MembershipTable {
     }
 
     /// Arms the failure detector for `rank` (idempotent; called when the
-    /// rank subscribes). The deadline clock starts now.
+    /// rank subscribes): a [`MembershipTable::heartbeat`] that answers
+    /// nothing.
     pub fn track(&mut self, rank: u32) {
-        let now = self.clock.now();
-        self.tracked
-            .entry(rank)
-            .and_modify(|t| {
-                if t.health != Health::Dead {
-                    t.last_pulse = now;
-                }
-            })
-            .or_insert(Tracked {
-                last_pulse: now,
-                health: Health::Alive,
-            });
+        self.heartbeat(rank);
     }
 
-    /// Records a pulse from `rank`. A suspect revives; a dead member's
-    /// pulse is ignored (its slot must be re-adopted via
-    /// [`MembershipTable::join`]).
+    /// Records a pulse from `rank`, arming the detector on a member's
+    /// first: the deadline clock restarts now, and a suspect revives. Only
+    /// members are armed — so no sweep ever convicts a stranger — and a
+    /// non-member's pulse, a dead member's included, is ignored (its slot
+    /// must be re-adopted via [`MembershipTable::join`]).
     pub fn heartbeat(&mut self, rank: u32) -> Health {
-        let now = self.clock.now();
-        match self.tracked.get_mut(&rank) {
-            Some(t) if t.health == Health::Dead => Health::Dead,
-            Some(t) => {
-                t.last_pulse = now;
-                t.health = Health::Alive;
-                Health::Alive
-            }
-            None => {
-                // First pulse arms the detector too.
-                if self.view.member(rank).is_some() {
-                    self.tracked.insert(
-                        rank,
-                        Tracked {
-                            last_pulse: now,
-                            health: Health::Alive,
-                        },
-                    );
-                    Health::Alive
-                } else {
-                    Health::Dead
-                }
-            }
+        // A member is never dead: death removes it from the view.
+        if self.view.member(rank).is_none() {
+            return Health::Dead;
         }
+        let last_pulse = self.clock.now();
+        let health = Health::Alive;
+        self.tracked.insert(rank, Tracked { last_pulse, health });
+        health
     }
 
     /// Adopts (or re-adopts) slot `rank` for the occupant at `addr` with
@@ -432,22 +412,306 @@ impl MembershipTable {
     }
 }
 
-/// A view subscriber callback. Runs on whatever thread drives the hub —
-/// keep it quick and non-blocking.
+/// Whom a `MembershipService` answers: the connection a request came in
+/// on, or a hub observer. The shell picks the numbers; the service only
+/// hands them back as addresses.
+pub(crate) type ConnId = u64;
+
+/// One frame a `MembershipService` step wants sent, and who gets it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Outgoing {
+    /// The recipients, in order.
+    pub(crate) to: Vec<ConnId>,
+    /// The frame.
+    pub(crate) msg: RvMsg,
+}
+
+/// Everything the membership authority decides, with no socket, thread
+/// or wall clock in it: the roster being assembled (then sealed, and kept
+/// current across rejoins), the [`MembershipTable`], the subscriber set
+/// and the telemetry stash.
+///
+/// Each verb is one method that validates the request and returns, in
+/// order, the frames to send and who gets each one. A shell serialises
+/// the calls and delivers the answers in that order before the next call
+/// — `ncsd` writes them to sockets, [`MembershipHub`] hands views to
+/// in-process sinks — so every subscriber sees strictly increasing
+/// epochs.
+#[derive(Debug)]
+pub(crate) struct MembershipService {
+    world: u32,
+    table: MembershipTable,
+    /// Registrations waiting for the world to assemble: rank, listener
+    /// address, and the connection the roster goes back on.
+    pending: Vec<(u32, String, ConnId)>,
+    /// The sealed roster (`None` until every rank registered), pointing at
+    /// each slot's live occupant so a `Register` re-fetch gets live
+    /// addresses.
+    roster: Option<Vec<(u32, String)>>,
+    /// Subscribers in subscription order. A rank's subscription carries
+    /// its rank and ends when the rank leaves or dies; an observer's
+    /// (`None`) lasts for the service's life.
+    subs: Vec<(ConnId, Option<u32>)>,
+    /// Telemetry snapshots pushed by ranks, latest per rank.
+    telemetry: HashMap<u32, String>,
+}
+
+/// A one-frame answer to `to`.
+fn reply(to: ConnId, msg: RvMsg) -> Vec<Outgoing> {
+    vec![Outgoing { to: vec![to], msg }]
+}
+
+impl MembershipService {
+    /// A service for a world of `world` slots, its detector on `clock`.
+    pub(crate) fn new(world: u32, cfg: MembershipConfig, clock: Arc<dyn Clock>) -> Self {
+        MembershipService {
+            world,
+            table: MembershipTable::new(world, cfg, clock),
+            pending: Vec::new(),
+            roster: None,
+            subs: Vec::new(),
+            telemetry: HashMap::new(),
+        }
+    }
+
+    /// Steps the service with one decoded request that arrived on `from`
+    /// (frames only the service sends are ignored).
+    pub(crate) fn handle(&mut self, from: ConnId, msg: RvMsg) -> Vec<Outgoing> {
+        match msg {
+            RvMsg::Register {
+                version,
+                world,
+                rank,
+                addr,
+            } => self.register(from, version, world, rank, &addr),
+            RvMsg::Rejoin {
+                version,
+                world,
+                rank,
+                addr,
+                incarnation,
+            } => self.rejoin(from, version, world, rank, &addr, incarnation),
+            RvMsg::Subscribe { rank, .. } => self.subscribe(from, Some(rank)),
+            RvMsg::Heartbeat { rank, seq, nanos } => self.heartbeat(from, rank, seq, nanos),
+            RvMsg::Leave { rank } => self.leave(rank),
+            RvMsg::Telemetry { rank, json } => self.telemetry(from, rank, json),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Why an identity is refused, if it is.
+    fn refusal(&self, version: u32, world: u32, rank: u32) -> Option<String> {
+        if version != PROTOCOL_VERSION {
+            Some(format!(
+                "protocol version {version} (server speaks {PROTOCOL_VERSION})"
+            ))
+        } else if world != self.world {
+            Some(format!(
+                "world size {world} (server expects {})",
+                self.world
+            ))
+        } else if rank >= self.world {
+            Some(format!("rank {rank} out of range (world {})", self.world))
+        } else {
+            None
+        }
+    }
+
+    /// `Register`: holds the registration until the `world`-th arrives,
+    /// then seals — the roster goes to every registrant and, as the seed
+    /// view (epoch 1), to every subscriber; ranks that subscribed early
+    /// are armed now. After the seal a valid identity gets the roster at
+    /// once (a restarted rank or a late diagnostic client re-fetching).
+    pub(crate) fn register(
+        &mut self,
+        from: ConnId,
+        version: u32,
+        world: u32,
+        rank: u32,
+        addr: &str,
+    ) -> Vec<Outgoing> {
+        if let Some(reason) = self.refusal(version, world, rank) {
+            return reply(from, RvMsg::Reject { reason });
+        }
+        if let Some(members) = &self.roster {
+            let msg = RvMsg::Roster {
+                world: self.world,
+                members: members.clone(),
+            };
+            return reply(from, msg);
+        }
+        if self.pending.iter().any(|&(r, ..)| r == rank) {
+            let reason = format!("duplicate rank {rank}");
+            return reply(from, RvMsg::Reject { reason });
+        }
+        self.pending.push((rank, addr.to_owned(), from));
+        if self.pending.len() < self.world as usize {
+            return Vec::new();
+        }
+        self.pending.sort_by_key(|&(r, ..)| r);
+        let (members, to): (Vec<_>, Vec<_>) =
+            self.pending.drain(..).map(|(r, a, c)| ((r, a), c)).unzip();
+        let seed = self.table.seed(&members).clone();
+        for rank in self.subs.iter().filter_map(|&(_, r)| r) {
+            self.table.track(rank);
+        }
+        let roster = RvMsg::Roster {
+            world: self.world,
+            members: members.clone(),
+        };
+        self.roster = Some(members);
+        vec![Outgoing { to, msg: roster }, self.publish(seed)]
+    }
+
+    /// `Subscribe` from rank `rank`, or (`None`) an observer: answers with
+    /// the current view at once (epoch 0 before the seal). A rank's new
+    /// subscription replaces its old one and arms its detector if it is a
+    /// member.
+    pub(crate) fn subscribe(&mut self, from: ConnId, rank: Option<u32>) -> Vec<Outgoing> {
+        if let Some(r) = rank {
+            if r >= self.world {
+                return Vec::new();
+            }
+            self.subs.retain(|&(_, s)| s != rank);
+            self.table.track(r);
+        }
+        self.subs.push((from, rank));
+        let view = self.table.current().clone();
+        reply(from, RvMsg::View { view })
+    }
+
+    /// `Heartbeat`: records the pulse and acks it with the current epoch
+    /// and suspect count, echoing `seq` and `nanos`.
+    pub(crate) fn heartbeat(
+        &mut self,
+        from: ConnId,
+        rank: u32,
+        seq: u64,
+        nanos: u64,
+    ) -> Vec<Outgoing> {
+        self.table.heartbeat(rank);
+        let ack = RvMsg::HeartbeatAck {
+            seq,
+            nanos,
+            view: self.table.current().id,
+            suspects: self.table.suspects().len() as u32,
+        };
+        reply(from, ack)
+    }
+
+    /// `Leave`: ends the rank's subscription and publishes the leave view
+    /// if it was a member. Nothing answers the leaver.
+    pub(crate) fn leave(&mut self, rank: u32) -> Vec<Outgoing> {
+        self.subs.retain(|&(_, s)| s != Some(rank));
+        self.table
+            .leave(rank)
+            .map(|view| self.publish(view))
+            .into_iter()
+            .collect()
+    }
+
+    /// `Rejoin`: needs a sealed roster. Adopts the slot, points the roster
+    /// at the newcomer and publishes the join view, then answers with the
+    /// state replay. A repeated identical rejoin changes nothing and gets
+    /// the same replay.
+    pub(crate) fn rejoin(
+        &mut self,
+        from: ConnId,
+        version: u32,
+        world: u32,
+        rank: u32,
+        addr: &str,
+        incarnation: u32,
+    ) -> Vec<Outgoing> {
+        let refusal = self.refusal(version, world, rank).or_else(|| {
+            self.roster
+                .is_none()
+                .then(|| "world not yet assembled — rejoin needs a sealed roster".to_owned())
+        });
+        if let Some(reason) = refusal {
+            return reply(from, RvMsg::Reject { reason });
+        }
+        let mut out = Vec::new();
+        if let Some(view) = self.table.join(rank, addr, incarnation) {
+            if let Some(slot) = self.roster.iter_mut().flatten().find(|(r, _)| *r == rank) {
+                slot.1 = addr.to_owned();
+            }
+            out.push(self.publish(view));
+        }
+        let view = self.table.current().clone();
+        out.push(Outgoing {
+            to: vec![from],
+            msg: RvMsg::Replay { view },
+        });
+        out
+    }
+
+    /// `Telemetry`: stashes the rank's snapshot (latest wins) and acks.
+    pub(crate) fn telemetry(&mut self, from: ConnId, rank: u32, json: String) -> Vec<Outgoing> {
+        self.telemetry.insert(rank, json);
+        reply(from, RvMsg::TelemetryAck)
+    }
+
+    /// The failure-detector sweep: publishes the death view when members
+    /// died, and ends the dead ranks' subscriptions.
+    pub(crate) fn tick(&mut self) -> Vec<Outgoing> {
+        let Some(view) = self.table.tick() else {
+            return Vec::new();
+        };
+        self.subs
+            .retain(|&(_, s)| !s.is_some_and(|r| view.dead.contains(&r)));
+        vec![self.publish(view)]
+    }
+
+    fn publish(&self, view: View) -> Outgoing {
+        Outgoing {
+            to: self.subs.iter().map(|&(c, _)| c).collect(),
+            msg: RvMsg::View { view },
+        }
+    }
+
+    /// The current view (epoch 0, empty, before the seal).
+    pub(crate) fn current(&self) -> &View {
+        self.table.current()
+    }
+
+    /// Whether the roster has been sealed.
+    pub(crate) fn roster_sealed(&self) -> bool {
+        self.roster.is_some()
+    }
+
+    /// A member's failure-detector state (`None` when untracked).
+    pub(crate) fn health(&self, rank: u32) -> Option<Health> {
+        self.table.health(rank)
+    }
+
+    /// The telemetry snapshots pushed so far, keyed by rank.
+    pub(crate) fn telemetry_snapshots(&self) -> &HashMap<u32, String> {
+        &self.telemetry
+    }
+}
+
+/// A view subscriber callback. A [`MembershipHub`] runs its sinks under
+/// the hub's lock, on whichever thread called the hub — keep them quick,
+/// and never call back into the hub from one.
 pub type ViewSink = Arc<dyn Fn(&View) + Send + Sync>;
 
-/// A [`MembershipTable`] plus in-process subscribers: the membership
-/// service for worlds that share an address space (SIM backends, tests).
-/// `ncsd` uses the table directly and pushes views over SCI instead.
+/// The in-process shell of the `MembershipService` — the service `ncsd`
+/// runs — for worlds that share an address space (SIM backends, tests):
+/// requests are explicit calls, subscribers are [`ViewSink`]s.
 pub struct MembershipHub {
-    table: parking_lot::Mutex<MembershipTable>,
-    subs: parking_lot::Mutex<Vec<ViewSink>>,
+    world: u32,
+    inner: parking_lot::Mutex<(MembershipService, Vec<ViewSink>)>,
 }
+
+/// The connection the hub's own requests come from: no sink's. Answers
+/// addressed to it (acks, replays) go nowhere.
+const HUB: ConnId = ConnId::MAX;
 
 impl std::fmt::Debug for MembershipHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MembershipHub")
-            .field("view", self.table.lock().current())
+            .field("view", self.inner.lock().0.current())
             .finish()
     }
 }
@@ -456,65 +720,77 @@ impl MembershipHub {
     /// A hub for a world of `world` slots on `clock`.
     pub fn new(world: u32, cfg: MembershipConfig, clock: Arc<dyn Clock>) -> Self {
         MembershipHub {
-            table: parking_lot::Mutex::new(MembershipTable::new(world, cfg, clock)),
-            subs: parking_lot::Mutex::new(Vec::new()),
+            world,
+            inner: parking_lot::Mutex::new((MembershipService::new(world, cfg, clock), Vec::new())),
         }
     }
 
-    /// Seeds the bootstrap roster (see [`MembershipTable::seed`]) and
-    /// publishes the seed view.
+    /// Registers every `(rank, addr)` of the bootstrap roster; once all
+    /// `world` ranks are in, the roster seals and the seed view (epoch 1)
+    /// is published.
     pub fn seed(&self, members: &[(u32, String)]) {
-        let view = self.table.lock().seed(members).clone();
-        self.publish(&view);
+        for (rank, addr) in members {
+            self.step(|s| s.register(HUB, PROTOCOL_VERSION, self.world, *rank, addr));
+        }
     }
 
     /// Registers `sink` and immediately hands it the current view.
     pub fn subscribe(&self, sink: ViewSink) {
-        let view = self.table.lock().current().clone();
-        sink(&view);
-        self.subs.lock().push(sink);
+        let mut inner = self.inner.lock();
+        let id = inner.1.len() as ConnId;
+        inner.1.push(sink);
+        let out = inner.0.subscribe(id, None);
+        deliver(&inner.1, &out);
     }
 
     /// The current view.
     pub fn current(&self) -> View {
-        self.table.lock().current().clone()
+        self.inner.lock().0.current().clone()
     }
 
     /// Records a pulse (see [`MembershipTable::heartbeat`]).
     pub fn heartbeat(&self, rank: u32) -> Health {
-        self.table.lock().heartbeat(rank)
+        let mut inner = self.inner.lock();
+        inner.0.heartbeat(HUB, rank, 0, 0);
+        inner.0.health(rank).unwrap_or(Health::Dead)
     }
 
-    /// Adopts a slot and publishes the join view if membership changed.
+    /// Re-adopts a slot of the sealed roster (a `Rejoin`); publishes and
+    /// returns the join view if membership changed.
     pub fn join(&self, rank: u32, addr: &str, incarnation: u32) -> Option<View> {
-        let view = self.table.lock().join(rank, addr, incarnation);
-        if let Some(v) = &view {
-            self.publish(v);
-        }
-        view
+        self.step(|s| s.rejoin(HUB, PROTOCOL_VERSION, self.world, rank, addr, incarnation))
     }
 
-    /// Graceful leave; publishes on change.
+    /// Graceful leave; publishes and returns the leave view on change.
     pub fn leave(&self, rank: u32) -> Option<View> {
-        let view = self.table.lock().leave(rank);
-        if let Some(v) = &view {
-            self.publish(v);
-        }
-        view
+        self.step(|s| s.leave(rank))
     }
 
-    /// Failure-detector sweep; publishes the death view when anyone died.
+    /// Failure-detector sweep; publishes and returns the death view when
+    /// anyone died.
     pub fn tick(&self) -> Option<View> {
-        let view = self.table.lock().tick();
-        if let Some(v) = &view {
-            self.publish(v);
-        }
-        view
+        self.step(MembershipService::tick)
     }
 
-    fn publish(&self, view: &View) {
-        for sink in self.subs.lock().iter() {
-            sink(view);
+    /// Steps the service once and delivers what it published; returns the
+    /// new view if the step changed the epoch.
+    fn step(&self, f: impl FnOnce(&mut MembershipService) -> Vec<Outgoing>) -> Option<View> {
+        let mut inner = self.inner.lock();
+        let before = inner.0.current().id;
+        let out = f(&mut inner.0);
+        deliver(&inner.1, &out);
+        let now = inner.0.current();
+        (now.id != before).then(|| now.clone())
+    }
+}
+
+/// Hands every view in `out` to the sinks it is addressed to.
+fn deliver(sinks: &[ViewSink], out: &[Outgoing]) {
+    for o in out {
+        if let RvMsg::View { view } = &o.msg {
+            for sink in o.to.iter().filter_map(|&id| sinks.get(id as usize)) {
+                sink(view);
+            }
         }
     }
 }
@@ -895,6 +1171,220 @@ mod tests {
         let l = Arc::clone(&late);
         hub.subscribe(Arc::new(move |v| l.lock().push(v.id)));
         assert_eq!(*late.lock(), vec![3]);
+    }
+
+    // -- the service, by hand: no sockets, no sleeps, virtual time --------
+
+    fn service(world: u32) -> (MembershipService, Arc<VirtualClock>) {
+        let clock = VirtualClock::shared();
+        let s = MembershipService::new(
+            world,
+            MembershipConfig::default(),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        );
+        (s, clock)
+    }
+
+    fn addr(rank: u32) -> String {
+        format!("127.0.0.1:{}", 100 + rank)
+    }
+
+    /// A valid registration of `rank` arriving on connection `rank`.
+    fn register(s: &mut MembershipService, rank: u32) -> Vec<Outgoing> {
+        s.register(
+            ConnId::from(rank),
+            PROTOCOL_VERSION,
+            s.world,
+            rank,
+            &addr(rank),
+        )
+    }
+
+    fn sealed(world: u32) -> (MembershipService, Arc<VirtualClock>) {
+        let (mut s, clock) = service(world);
+        for r in 0..world {
+            register(&mut s, r);
+        }
+        assert!(s.roster_sealed());
+        (s, clock)
+    }
+
+    /// The one frame of `out`, which must go to `to` alone.
+    fn answer(out: &[Outgoing], to: ConnId) -> RvMsg {
+        match out {
+            [o] if o.to == [to] => o.msg.clone(),
+            other => panic!("expected one answer to {to}, got {other:?}"),
+        }
+    }
+
+    fn reason(out: &[Outgoing], to: ConnId) -> String {
+        match answer(out, to) {
+            RvMsg::Reject { reason } => reason,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    /// The views `out` sends to `to`.
+    fn views_to(out: &[Outgoing], to: ConnId) -> Vec<View> {
+        out.iter()
+            .filter(|o| o.to.contains(&to))
+            .filter_map(|o| match &o.msg {
+                RvMsg::View { view } => Some(view.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn service_refuses_bad_identities_with_their_reason() {
+        let (mut s, _) = service(2);
+        let v = PROTOCOL_VERSION;
+        let a = addr(0);
+        let refused = |s: &MembershipService, out: Vec<Outgoing>, why: &str| {
+            assert!(reason(&out, 9).contains(why), "{out:?}");
+            assert!(!s.roster_sealed());
+        };
+        let out = s.register(9, v + 1, 2, 0, &a);
+        refused(&s, out, "protocol version");
+        let out = s.register(9, v, 3, 0, &a);
+        refused(&s, out, "world size 3");
+        let out = s.register(9, v, 2, 2, &a);
+        refused(&s, out, "rank 2 out of range");
+        assert!(register(&mut s, 0).is_empty(), "held until the world is in");
+        let out = s.register(9, v, 2, 0, &a);
+        refused(&s, out, "duplicate rank 0");
+        let out = s.rejoin(9, v, 2, 1, &a, 1);
+        refused(&s, out, "not yet assembled");
+        // The same checks guard a rejoin after the seal.
+        register(&mut s, 1);
+        assert!(reason(&s.rejoin(9, v + 1, 2, 1, &a, 1), 9).contains("protocol version"));
+        assert!(reason(&s.rejoin(9, v, 3, 1, &a, 1), 9).contains("world size"));
+        assert!(reason(&s.rejoin(9, v, 2, 7, &a, 1), 9).contains("out of range"));
+    }
+
+    #[test]
+    fn the_seal_sends_the_roster_to_every_registrant_and_later_ones_at_once() {
+        let (mut s, _) = service(2);
+        assert!(register(&mut s, 1).is_empty());
+        let out = register(&mut s, 0);
+        let roster = RvMsg::Roster {
+            world: 2,
+            members: vec![(0, addr(0)), (1, addr(1))],
+        };
+        assert_eq!(out[0].to, vec![0, 1]);
+        assert_eq!(out[0].msg, roster);
+        // A re-registration after the seal (a restarted rank) is answered
+        // with the roster, not held and not refused as a duplicate.
+        assert_eq!(answer(&register(&mut s, 1), 1), roster);
+    }
+
+    #[test]
+    fn a_rejoin_updates_the_roster_a_later_register_fetches() {
+        let (mut s, _) = sealed(3);
+        let fresh = "127.0.0.1:999";
+        s.leave(2);
+        let out = s.rejoin(7, PROTOCOL_VERSION, 3, 2, fresh, 1);
+        let RvMsg::Replay { view } = answer(&out[out.len() - 1..], 7) else {
+            panic!("{out:?}");
+        };
+        assert_eq!((view.id, view.joined.clone()), (3, vec![2]));
+        assert!(view.is_full());
+        match answer(&register(&mut s, 0), 0) {
+            RvMsg::Roster { members, .. } => assert_eq!(members[2], (2, fresh.to_owned())),
+            other => panic!("{other:?}"),
+        }
+        // The same rejoin again changes nothing and replays the same view.
+        let again = s.rejoin(8, PROTOCOL_VERSION, 3, 2, fresh, 1);
+        assert_eq!(answer(&again, 8), RvMsg::Replay { view });
+        assert_eq!(s.current().id, 3);
+    }
+
+    #[test]
+    fn an_early_subscriber_gets_the_seed_view_and_is_never_convicted_before_it() {
+        let (mut s, clock) = service(2);
+        // Rank 0 subscribes before the seal and then says nothing.
+        let greeting = s.subscribe(50, Some(0));
+        assert_eq!(views_to(&greeting, 50)[0].id, 0);
+        s.subscribe(51, None);
+        clock.advance(Duration::from_secs(3));
+        assert!(s.tick().is_empty(), "a non-member died");
+        assert_eq!(s.current().id, 0);
+        register(&mut s, 0);
+        let out = register(&mut s, 1);
+        let seed = views_to(&out, 50);
+        assert_eq!(seed.len(), 1);
+        assert_eq!((seed[0].id, seed[0].joined.clone()), (1, vec![0, 1]));
+        assert!(seed[0].is_full());
+        // The seal armed rank 0: from now on its silence counts.
+        assert_eq!(s.health(0), Some(Health::Alive));
+        assert_eq!(s.health(1), None);
+        clock.advance(Duration::from_millis(500));
+        let out = s.tick();
+        assert_eq!(out[0].to, vec![51], "the dead rank's subscription ended");
+        assert_eq!(views_to(&out, 51)[0].dead, vec![0]);
+    }
+
+    #[test]
+    fn leaves_and_deaths_end_the_rank_subscriptions_not_the_observers() {
+        let (mut s, clock) = sealed(3);
+        for (conn, rank) in [(10, Some(0)), (11, Some(1)), (12, Some(2)), (13, None)] {
+            s.subscribe(conn, rank);
+        }
+        let out = s.leave(1);
+        assert_eq!(out[0].to, vec![10, 12, 13], "the leaver is not told");
+        assert_eq!(views_to(&out, 13)[0].left, vec![1]);
+        // Rank 0 pulses; rank 2 stays silent and dies.
+        clock.advance(Duration::from_millis(300));
+        s.heartbeat(10, 0, 1, 0);
+        clock.advance(Duration::from_millis(200));
+        let out = s.tick();
+        assert_eq!(out[0].to, vec![10, 13]);
+        assert_eq!(views_to(&out, 10)[0].dead, vec![2]);
+        let out = s.rejoin(20, PROTOCOL_VERSION, 3, 2, "127.0.0.1:7", 1);
+        assert_eq!(
+            out[0].to,
+            vec![10, 13],
+            "only live subscriptions hear the join"
+        );
+        // A rank subscribing again replaces its old subscription.
+        s.subscribe(30, Some(0));
+        assert_eq!(s.leave(2)[0].to, vec![13, 30]);
+    }
+
+    #[test]
+    fn a_heartbeat_ack_carries_the_epoch_and_the_suspect_count() {
+        let (mut s, clock) = sealed(3);
+        for r in 0..3 {
+            s.subscribe(u64::from(r), Some(r));
+        }
+        clock.advance(Duration::from_millis(400));
+        s.tick();
+        let ack = answer(&s.heartbeat(0, 0, 7, 1234), 0);
+        assert_eq!(
+            ack,
+            RvMsg::HeartbeatAck {
+                seq: 7,
+                nanos: 1234,
+                view: 1,
+                suspects: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn telemetry_is_stashed_and_acknowledged() {
+        let (mut s, _) = service(1);
+        let out = s.handle(
+            4,
+            RvMsg::Telemetry {
+                rank: 0,
+                json: "{}".into(),
+            },
+        );
+        assert_eq!(answer(&out, 4), RvMsg::TelemetryAck);
+        assert_eq!(s.telemetry_snapshots()[&0], "{}");
+        // Frames only the service sends are not requests.
+        assert!(s.handle(4, RvMsg::TelemetryAck).is_empty());
     }
 
     #[test]

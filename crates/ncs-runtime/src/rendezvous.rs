@@ -8,11 +8,22 @@
 //! directly (the service is *not* on the data path — the same shape as
 //! the lightweight bootstraps of MPWide-style cluster tools).
 //!
-//! The service is deliberately tiny: one thread, framed SCI messages
-//! ([`crate::wire::RvMsg`]), strict validation (protocol version, world
-//! size, rank range, duplicates). It can run standalone (the `ncsd`
-//! binary), embedded in a launcher ([`mod@crate::launch`]), or embedded in
-//! rank 0 of an application.
+//! Everything the service decides — validation (protocol version, world
+//! size, rank range, duplicates), the roster, the membership table, the
+//! subscribers — lives in the sans-I/O `MembershipService`. This module
+//! is its socket shell, framed SCI messages ([`crate::wire::RvMsg`]) in
+//! and out, and it has two kinds of thread:
+//!
+//! * one **accept thread** (`ncsd`): accepts connections and sweeps the
+//!   failure detector (`MembershipService::tick`) every
+//!   `min(100 ms, heartbeat / 4)` (floor 5 ms);
+//! * one **reader** per connection (`ncsd-conn`): blocks in `recv`,
+//!   steps the service with each frame under the service lock and writes
+//!   the answers before releasing it — a request is answered on the
+//!   thread that read it, the moment it arrives.
+//!
+//! It can run standalone (the `ncsd` binary), embedded in a launcher
+//! ([`mod@crate::launch`]), or embedded in rank 0 of an application.
 //!
 //! # Membership
 //!
@@ -20,7 +31,7 @@
 //! **membership authority** (see [`crate::membership`] and
 //! `docs/MEMBERSHIP.md`): ranks keep a long-lived channel open
 //! ([`RvMsg::Subscribe`]) on which they pulse heartbeats and receive
-//! epoch-numbered [`View`]s; a [`MembershipTable`] declares silent ranks
+//! epoch-numbered [`View`]s; the failure detector declares silent ranks
 //! suspect then dead, graceful leavers send [`RvMsg::Leave`], and a
 //! replacement rank re-adopts a vacant slot with [`RvMsg::Rejoin`],
 //! receiving the full current view back ([`RvMsg::Replay`]) so it can
@@ -29,56 +40,74 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ncs_core::SystemClock;
 use ncs_transport::sci::{self, SciConnection, SciListener};
 use ncs_transport::{Connection as _, TransportError};
+use parking_lot::{Condvar, Mutex};
 
 use crate::cluster::ClusterError;
-use crate::membership::{MembershipConfig, MembershipTable, View};
+use crate::membership::{ConnId, MembershipConfig, MembershipService, Outgoing, View};
 use crate::wire::{Roster, RvMsg, PROTOCOL_VERSION};
 
-/// How long the server waits for the `Register` frame of a freshly
-/// accepted connection before dropping it (a port-scanner, not a rank).
+/// How long the server waits for the first frame of a freshly accepted
+/// connection before dropping it (a port-scanner, not a rank).
 const REGISTER_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Accept poll granularity (bounds shutdown latency). When membership is
-/// active the serve loop polls at a quarter of the heartbeat interval
-/// instead, so failure-detector sweeps and heartbeat acks never stall
-/// behind a long accept wait.
+/// Accept poll granularity, and so the failure detector's sweep period
+/// (at most a quarter of the heartbeat interval, floor 5 ms).
 const SERVE_POLL: Duration = Duration::from_millis(100);
-
-/// Poll granularity of a subscriber connection's reader thread (bounds
-/// shutdown latency only — frames are forwarded the moment they arrive).
-const SUBSCRIBER_POLL: Duration = Duration::from_millis(200);
 
 /// An embedded rendezvous service for one world.
 ///
-/// Runs on a background thread from [`RendezvousServer::start`] until
+/// Runs on background threads from [`RendezvousServer::start`] until
 /// dropped (or [`RendezvousServer::stop`]). Once the `world`-th rank has
 /// registered, the roster goes out to every registered rank; later
 /// registrations with a valid identity (e.g. a restarted rank re-fetching)
 /// are answered with the same roster immediately.
 pub struct RendezvousServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    complete: Arc<AtomicBool>,
-    /// Telemetry snapshots pushed by ranks ([`RvMsg::Telemetry`]),
-    /// keyed by rank; the latest push wins.
-    telemetry: Arc<Mutex<HashMap<u32, String>>>,
-    /// The latest membership view published (None until the roster seals
-    /// or the first subscriber arrives).
-    view: Arc<Mutex<Option<View>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    accept: Option<JoinHandle<()>>,
+}
+
+/// What the accept thread and the connection readers share.
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when the roster seals.
+    sealed: Condvar,
+    stop: AtomicBool,
+}
+
+/// The service and the connections its answers go to, under one lock.
+struct State {
+    service: MembershipService,
+    /// Every open connection, by the id the service knows it as.
+    conns: HashMap<ConnId, Arc<SciConnection>>,
+    next_id: ConnId,
+    readers: Vec<JoinHandle<()>>,
+}
+
+impl State {
+    /// Writes `out`, in order, to the connections still open.
+    fn send(&self, out: &[Outgoing]) {
+        for o in out {
+            let frame = o.msg.encode();
+            for conn in o.to.iter().filter_map(|id| self.conns.get(id)) {
+                let _ = conn.send(&frame);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for RendezvousServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RendezvousServer")
             .field("addr", &self.addr)
-            .field("complete", &self.complete.load(Ordering::Relaxed))
+            .field("complete", &self.roster_complete())
             .finish()
     }
 }
@@ -112,25 +141,28 @@ impl RendezvousServer {
         cfg.validate()?;
         let listener = SciListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let complete = Arc::new(AtomicBool::new(false));
-        let telemetry = Arc::new(Mutex::new(HashMap::new()));
-        let view = Arc::new(Mutex::new(None));
-        let sd = Arc::clone(&shutdown);
-        let cp = Arc::clone(&complete);
-        let tl = Arc::clone(&telemetry);
-        let vw = Arc::clone(&view);
-        let handle = std::thread::Builder::new()
+        let poll = SERVE_POLL
+            .min(cfg.heartbeat_interval / 4)
+            .max(Duration::from_millis(5));
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                service: MembershipService::new(world, cfg, SystemClock::shared()),
+                conns: HashMap::new(),
+                next_id: 0,
+                readers: Vec::new(),
+            }),
+            sealed: Condvar::new(),
+            stop: AtomicBool::new(false),
+        });
+        let sh = Arc::clone(&shared);
+        let accept = std::thread::Builder::new()
             .name("ncsd".into())
-            .spawn(move || serve(&listener, world, &cfg, &sd, &cp, &tl, &vw))
+            .spawn(move || accept_loop(&listener, &sh, poll))
             .expect("spawn ncsd thread");
         Ok(RendezvousServer {
             addr,
-            shutdown,
-            complete,
-            telemetry,
-            view,
-            handle: Some(handle),
+            shared,
+            accept: Some(accept),
         })
     }
 
@@ -141,18 +173,23 @@ impl RendezvousServer {
 
     /// Whether the roster has been assembled and broadcast.
     pub fn roster_complete(&self) -> bool {
-        self.complete.load(Ordering::Acquire)
+        self.shared.state.lock().service.roster_sealed()
     }
 
     /// Blocks until the roster went out, or `timeout`. Returns whether it
     /// did.
     pub fn wait_complete(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while !self.roster_complete() {
-            if Instant::now() >= deadline {
-                return false;
+        let mut state = self.shared.state.lock();
+        while !state.service.roster_sealed() {
+            if self
+                .shared
+                .sealed
+                .wait_until(&mut state, deadline)
+                .timed_out()
+            {
+                return state.service.roster_sealed();
             }
-            std::thread::sleep(Duration::from_millis(10));
         }
         true
     }
@@ -160,22 +197,37 @@ impl RendezvousServer {
     /// The telemetry snapshots ranks have pushed so far, keyed by rank
     /// (the JSON payloads of [`RvMsg::Telemetry`], latest push per rank).
     pub fn telemetry_snapshots(&self) -> HashMap<u32, String> {
-        self.telemetry
+        self.shared
+            .state
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
+            .service
+            .telemetry_snapshots()
             .clone()
     }
 
     /// The latest membership view the service has published (`None`
     /// before the roster seals).
     pub fn current_view(&self) -> Option<View> {
-        self.view.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        let state = self.shared.state.lock();
+        let service = &state.service;
+        service.roster_sealed().then(|| service.current().clone())
     }
 
-    /// Stops the service. Idempotent; called by `Drop`.
+    /// Stops the service: closes every connection it holds and joins
+    /// every thread it started. Idempotent; called by `Drop`.
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        let readers = {
+            let mut state = self.shared.state.lock();
+            for conn in state.conns.values() {
+                conn.close();
+            }
+            std::mem::take(&mut state.readers)
+        };
+        for h in readers {
             let _ = h.join();
         }
     }
@@ -187,353 +239,98 @@ impl Drop for RendezvousServer {
     }
 }
 
-/// One registered rank, held open until the roster goes out.
-struct Pending {
-    rank: u32,
-    conn: Arc<SciConnection>,
-}
-
-/// The membership half of the server: the failure-detecting table plus
-/// the long-lived subscriber channels views are pushed down.
-struct ServerMembership {
-    table: MembershipTable,
-    subs: HashMap<u32, Arc<SciConnection>>,
-}
-
-impl ServerMembership {
-    fn new(world: u32, cfg: &MembershipConfig) -> Self {
-        ServerMembership {
-            table: MembershipTable::new(world, cfg.clone(), SystemClock::shared()),
-            subs: HashMap::new(),
-        }
-    }
-
-    /// Pushes `view` to every subscriber (dropping ones whose channel
-    /// broke) and records it as the server's latest.
-    fn publish(&mut self, view: &View, latest: &Mutex<Option<View>>) {
-        let encoded = RvMsg::View { view: view.clone() }.encode();
-        self.subs.retain(|_, conn| conn.send(&encoded).is_ok());
-        *latest.lock().unwrap_or_else(|e| e.into_inner()) = Some(view.clone());
-    }
-}
-
-/// The assembling (then assembled) world state the serve loop owns.
-struct WorldState {
-    world: u32,
-    pending: Vec<Pending>,
-    members: Vec<(u32, String)>,
-    /// The sealed bootstrap roster, kept current across rejoins so a
-    /// restarted rank re-fetching via `Register` gets live addresses.
-    sealed: Vec<(u32, String)>,
-    roster: Option<RvMsg>,
-    membership: Option<ServerMembership>,
-}
-
-fn serve(
-    listener: &SciListener,
-    world: u32,
-    cfg: &MembershipConfig,
-    shutdown: &Arc<AtomicBool>,
-    complete: &AtomicBool,
-    telemetry: &Mutex<HashMap<u32, String>>,
-    latest_view: &Mutex<Option<View>>,
-) {
-    let mut st = WorldState {
-        world,
-        pending: Vec::new(),
-        members: Vec::new(),
-        sealed: Vec::new(),
-        roster: None,
-        membership: None,
-    };
-    // Frames are read off the accept loop: a connection that never sends
-    // one (port scanner, health probe) must cost the world nothing but
-    // one short-lived reader thread — not REGISTER_TIMEOUT of everyone
-    // else's registration latency. Subscriber connections keep their
-    // reader looping, forwarding heartbeats/leaves on the same channel.
-    let (tx, rx) = std::sync::mpsc::channel::<(Arc<SciConnection>, RvMsg)>();
-    // Membership gives the loop a second duty (detector sweeps, ack
-    // latency), so poll accepts finely enough that a sweep is never more
-    // than a quarter-interval late.
-    let poll = SERVE_POLL
-        .min(cfg.heartbeat_interval / 4)
-        .max(Duration::from_millis(5));
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
+/// The accept thread: hands each new connection to a reader of its own,
+/// and sweeps the failure detector once per accept poll.
+fn accept_loop(listener: &SciListener, shared: &Arc<Shared>, poll: Duration) {
+    while !shared.stop.load(Ordering::Acquire) {
         match listener.accept_timeout(poll) {
             Ok(conn) => {
-                let tx = tx.clone();
-                let sd = Arc::clone(shutdown);
-                std::thread::spawn(move || read_frames(conn, &tx, &sd));
+                let conn = Arc::new(conn);
+                let mut state = shared.state.lock();
+                let id = state.next_id;
+                state.next_id += 1;
+                state.conns.insert(id, Arc::clone(&conn));
+                let sh = Arc::clone(shared);
+                let reader = std::thread::Builder::new()
+                    .name("ncsd-conn".into())
+                    .spawn(move || serve_conn(&sh, id, &conn))
+                    .expect("spawn ncsd reader");
+                state.readers.retain(|h| !h.is_finished());
+                state.readers.push(reader);
             }
             Err(TransportError::Timeout) => {}
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
-        while let Ok((conn, msg)) = rx.try_recv() {
-            dispatch(conn, msg, cfg, &mut st, complete, telemetry, latest_view);
-        }
-        // Failure-detector sweep: anyone silent past the death threshold
-        // leaves the view here.
-        if let Some(m) = st.membership.as_mut() {
-            if let Some(view) = m.table.tick() {
-                for dead in &view.dead {
-                    m.subs.remove(dead);
-                }
-                m.publish(&view, latest_view);
-            }
-        }
+        let mut state = shared.state.lock();
+        let out = state.service.tick();
+        state.send(&out);
     }
 }
 
-/// Reads framed `RvMsg`s off one accepted connection and forwards them to
-/// the serve loop. Exits after the first frame unless it opened a
-/// subscription, in which case the connection is long-lived and every
-/// subsequent frame (heartbeats, leaves) is forwarded as it arrives.
-fn read_frames(
-    conn: SciConnection,
-    tx: &std::sync::mpsc::Sender<(Arc<SciConnection>, RvMsg)>,
-    shutdown: &AtomicBool,
-) {
-    let conn = Arc::new(conn);
-    let Ok(frame) = conn.recv_timeout(REGISTER_TIMEOUT) else {
-        return; // silent connection: drop it
-    };
-    let Ok(msg) = RvMsg::decode(&frame) else {
-        return; // not speaking the protocol
-    };
-    let long_lived = matches!(msg, RvMsg::Subscribe { .. });
-    if tx.send((Arc::clone(&conn), msg)).is_err() {
-        return;
-    }
-    if !long_lived {
-        return;
-    }
-    while !shutdown.load(Ordering::Acquire) {
-        match conn.recv_timeout(SUBSCRIBER_POLL) {
-            Ok(frame) => {
-                let Ok(msg) = RvMsg::decode(&frame) else {
-                    continue;
-                };
-                if tx.send((Arc::clone(&conn), msg)).is_err() {
-                    return;
-                }
-            }
-            Err(TransportError::Timeout) => {}
-            Err(_) => return, // subscriber hung up (or died)
+/// One connection's reader: steps the service with every frame the
+/// connection carries until the client hangs up, speaks garbage, or
+/// (first frame only) stays silent past [`REGISTER_TIMEOUT`].
+fn serve_conn(shared: &Shared, id: ConnId, conn: &SciConnection) {
+    let mut frame = conn.recv_timeout(REGISTER_TIMEOUT);
+    while let Ok(Ok(msg)) = frame.as_deref().map(RvMsg::decode) {
+        let mut state = shared.state.lock();
+        let was_sealed = state.service.roster_sealed();
+        let out = state.service.handle(id, msg);
+        state.send(&out);
+        if !was_sealed && state.service.roster_sealed() {
+            shared.sealed.notify_all();
         }
+        drop(state);
+        frame = conn.recv();
+    }
+    shared.state.lock().conns.remove(&id);
+}
+
+/// Dials `ncsd` (with bounded retry — the service may itself still be
+/// starting) and sends `msg`.
+fn dial_and_send(
+    ncsd: SocketAddr,
+    msg: &RvMsg,
+    timeout: Duration,
+) -> Result<SciConnection, ClusterError> {
+    let conn = sci::connect_retry(ncsd, timeout)?;
+    conn.send(&msg.encode())?;
+    Ok(conn)
+}
+
+/// One request/answer exchange with `ncsd`, all within `timeout`: dial,
+/// send `msg`, wait for one frame and decode it. A [`RvMsg::Reject`]
+/// becomes an error naming `verb`; no answer in time becomes
+/// [`ClusterError::Timeout`] carrying `silence`.
+fn ask(
+    ncsd: SocketAddr,
+    msg: &RvMsg,
+    timeout: Duration,
+    verb: &str,
+    silence: String,
+) -> Result<RvMsg, ClusterError> {
+    let deadline = Instant::now() + timeout;
+    let conn = dial_and_send(ncsd, msg, timeout)?;
+    let left = deadline
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(10));
+    let frame = conn.recv_timeout(left).map_err(|e| match e {
+        TransportError::Timeout => ClusterError::Timeout(silence),
+        other => ClusterError::Transport(other),
+    })?;
+    match RvMsg::decode(&frame).map_err(|e| ClusterError::Rendezvous(e.to_string()))? {
+        RvMsg::Reject { reason } => Err(ClusterError::Rendezvous(format!(
+            "{verb} rejected: {reason}"
+        ))),
+        answer => Ok(answer),
     }
 }
 
-/// Routes one decoded frame to its handler.
-fn dispatch(
-    conn: Arc<SciConnection>,
-    msg: RvMsg,
-    cfg: &MembershipConfig,
-    st: &mut WorldState,
-    complete: &AtomicBool,
-    telemetry: &Mutex<HashMap<u32, String>>,
-    latest_view: &Mutex<Option<View>>,
-) {
-    match msg {
-        RvMsg::Telemetry { rank, json } => {
-            // A rank's shutdown snapshot: stash it for the launcher's
-            // world aggregation and acknowledge so the rank may exit.
-            telemetry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(rank, json);
-            let _ = conn.send(&RvMsg::TelemetryAck.encode());
-        }
-        RvMsg::Subscribe { rank, .. } => {
-            if rank >= st.world {
-                return;
-            }
-            let m = st
-                .membership
-                .get_or_insert_with(|| ServerMembership::new(st.world, cfg));
-            m.table.track(rank);
-            m.subs.insert(rank, Arc::clone(&conn));
-            // Hand the newcomer the current view at once (epoch 0 — the
-            // pre-seal empty view — is discarded client-side).
-            let view = m.table.current().clone();
-            let _ = conn.send(&RvMsg::View { view }.encode());
-        }
-        RvMsg::Heartbeat { rank, seq, nanos } => {
-            if let Some(m) = st.membership.as_mut() {
-                m.table.heartbeat(rank);
-                let ack = RvMsg::HeartbeatAck {
-                    seq,
-                    nanos,
-                    view: m.table.current().id,
-                    suspects: m.table.suspects().len() as u32,
-                };
-                let _ = conn.send(&ack.encode());
-            }
-        }
-        RvMsg::Leave { rank } => {
-            if let Some(m) = st.membership.as_mut() {
-                m.subs.remove(&rank);
-                if let Some(view) = m.table.leave(rank) {
-                    m.publish(&view, latest_view);
-                }
-            }
-        }
-        RvMsg::Rejoin {
-            version,
-            world: w,
-            rank,
-            addr,
-            incarnation,
-        } => handle_rejoin(
-            &conn,
-            (version, w, rank, addr, incarnation),
-            cfg,
-            st,
-            latest_view,
-        ),
-        other => handle_register(conn, other, st, complete, cfg, latest_view),
-    }
-}
-
-/// Processes one decoded registration against the assembling world.
-fn handle_register(
-    conn: Arc<SciConnection>,
-    reg: RvMsg,
-    st: &mut WorldState,
-    complete: &AtomicBool,
-    cfg: &MembershipConfig,
-    latest_view: &Mutex<Option<View>>,
-) {
-    let RvMsg::Register {
-        version,
-        world: w,
-        rank,
-        addr,
-    } = reg
-    else {
-        return;
-    };
-    let reject = |conn: &SciConnection, reason: String| {
-        let _ = conn.send(&RvMsg::Reject { reason }.encode());
-    };
-    if version != PROTOCOL_VERSION {
-        reject(
-            &conn,
-            format!("protocol version {version} (server speaks {PROTOCOL_VERSION})"),
-        );
-        return;
-    }
-    if w != st.world {
-        reject(
-            &conn,
-            format!("world size {w} (server expects {})", st.world),
-        );
-        return;
-    }
-    if rank >= st.world {
-        reject(
-            &conn,
-            format!("rank {rank} out of range (world {})", st.world),
-        );
-        return;
-    }
-    if let Some(r) = &st.roster {
-        // World already assembled: a valid identity re-fetching the
-        // roster (restart, late diagnostic client) gets it at once.
-        let _ = conn.send(&r.encode());
-        return;
-    }
-    if st.pending.iter().any(|p| p.rank == rank) {
-        reject(&conn, format!("duplicate rank {rank}"));
-        return;
-    }
-    st.pending.push(Pending { rank, conn });
-    st.members.push((rank, addr));
-    if st.members.len() == st.world as usize {
-        st.members.sort_by_key(|&(r, _)| r);
-        st.sealed = std::mem::take(&mut st.members);
-        let msg = RvMsg::Roster {
-            world: st.world,
-            members: st.sealed.clone(),
-        };
-        // Mark complete before the broadcast: a rank that receives the
-        // roster may immediately probe `roster_complete()` (or act on
-        // it), and must never observe the flag lagging the send.
-        complete.store(true, Ordering::Release);
-        let encoded = msg.encode();
-        for p in st.pending.drain(..) {
-            let _ = p.conn.send(&encoded);
-        }
-        st.roster = Some(msg);
-        // The sealed roster is membership epoch 1. Subscribers that
-        // raced ahead of the seal get the seed view pushed now.
-        let m = st
-            .membership
-            .get_or_insert_with(|| ServerMembership::new(st.world, cfg));
-        if m.table.current().id == 0 {
-            let seed = m.table.seed(&st.sealed).clone();
-            m.publish(&seed, latest_view);
-        }
-    }
-}
-
-/// Processes a replacement rank re-adopting a (dead or vacated) slot.
-fn handle_rejoin(
-    conn: &SciConnection,
-    req: (u32, u32, u32, String, u32),
-    cfg: &MembershipConfig,
-    st: &mut WorldState,
-    latest_view: &Mutex<Option<View>>,
-) {
-    let (version, w, rank, addr, incarnation) = req;
-    let reject = |reason: String| {
-        let _ = conn.send(&RvMsg::Reject { reason }.encode());
-    };
-    if version != PROTOCOL_VERSION {
-        reject(format!(
-            "protocol version {version} (server speaks {PROTOCOL_VERSION})"
-        ));
-        return;
-    }
-    if w != st.world {
-        reject(format!("world size {w} (server expects {})", st.world));
-        return;
-    }
-    if rank >= st.world {
-        reject(format!("rank {rank} out of range (world {})", st.world));
-        return;
-    }
-    if st.roster.is_none() {
-        reject("world not yet assembled — rejoin needs a sealed roster".into());
-        return;
-    }
-    let m = st
-        .membership
-        .get_or_insert_with(|| ServerMembership::new(st.world, cfg));
-    if m.table.current().id == 0 {
-        let seed = m.table.seed(&st.sealed).clone();
-        m.publish(&seed, latest_view);
-    }
-    let replay = match m.table.join(rank, &addr, incarnation) {
-        Some(view) => {
-            // Keep the cached roster pointing at the live occupant so a
-            // later `Register` re-fetch gets the replacement's address.
-            if let Some(slot) = st.sealed.iter_mut().find(|(r, _)| *r == rank) {
-                slot.1 = addr;
-            }
-            st.roster = Some(RvMsg::Roster {
-                world: st.world,
-                members: st.sealed.clone(),
-            });
-            m.publish(&view, latest_view);
-            view
-        }
-        // Idempotent retry: the slot already holds this occupant.
-        None => m.table.current().clone(),
-    };
-    let _ = conn.send(&RvMsg::Replay { view: replay }.encode());
+/// The error for an answer `ask` did not expect.
+fn unexpected(verb: &str, answer: &RvMsg) -> ClusterError {
+    ClusterError::Rendezvous(format!(
+        "{verb} answered with an unexpected frame: {answer:?}"
+    ))
 }
 
 /// Registers `(rank, my_addr)` with the rendezvous service at `ncsd` and
@@ -555,38 +352,18 @@ pub fn register(
     my_addr: SocketAddr,
     timeout: Duration,
 ) -> Result<Roster, ClusterError> {
-    // One budget for the whole exchange: whatever the dial consumes is no
-    // longer available for the roster wait.
-    let deadline = Instant::now() + timeout;
-    let conn = sci::connect_retry(ncsd, timeout)?;
-    conn.send(
-        &RvMsg::Register {
-            version: PROTOCOL_VERSION,
-            world,
-            rank,
-            addr: my_addr.to_string(),
-        }
-        .encode(),
-    )?;
-    let left = deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(10));
-    let frame = conn.recv_timeout(left).map_err(|e| match e {
-        TransportError::Timeout => ClusterError::Timeout(format!(
-            "no roster within {timeout:?} — are all {world} ranks running?"
-        )),
-        other => ClusterError::Transport(other),
-    })?;
-    match RvMsg::decode(&frame).map_err(|e| ClusterError::Rendezvous(e.to_string()))? {
+    let msg = RvMsg::Register {
+        version: PROTOCOL_VERSION,
+        world,
+        rank,
+        addr: my_addr.to_string(),
+    };
+    let silence = format!("no roster within {timeout:?} — are all {world} ranks running?");
+    match ask(ncsd, &msg, timeout, "registration", silence)? {
         RvMsg::Roster { world: w, members } => {
             Roster::from_members(w, &members).map_err(|e| ClusterError::Rendezvous(e.to_string()))
         }
-        RvMsg::Reject { reason } => Err(ClusterError::Rendezvous(format!(
-            "registration rejected: {reason}"
-        ))),
-        other => Err(ClusterError::Rendezvous(format!(
-            "server answered with an unexpected frame: {other:?}"
-        ))),
+        other => Err(unexpected("registration", &other)),
     }
 }
 
@@ -608,23 +385,19 @@ pub fn push_telemetry(
     json: &str,
     timeout: Duration,
 ) -> Result<(), ClusterError> {
-    let conn = sci::connect_retry(ncsd, timeout)?;
-    conn.send(
-        &RvMsg::Telemetry {
-            rank,
-            json: json.to_owned(),
-        }
-        .encode(),
-    )?;
-    let frame = conn.recv_timeout(timeout).map_err(|e| match e {
-        TransportError::Timeout => ClusterError::Timeout("no telemetry ack".into()),
-        other => ClusterError::Transport(other),
-    })?;
-    match RvMsg::decode(&frame).map_err(|e| ClusterError::Rendezvous(e.to_string()))? {
+    let msg = RvMsg::Telemetry {
+        rank,
+        json: json.to_owned(),
+    };
+    match ask(
+        ncsd,
+        &msg,
+        timeout,
+        "telemetry push",
+        "no telemetry ack".into(),
+    )? {
         RvMsg::TelemetryAck => Ok(()),
-        other => Err(ClusterError::Rendezvous(format!(
-            "telemetry push answered with {other:?}"
-        ))),
+        other => Err(unexpected("telemetry push", &other)),
     }
 }
 
@@ -648,35 +421,17 @@ pub fn rejoin(
     incarnation: u32,
     timeout: Duration,
 ) -> Result<View, ClusterError> {
-    let deadline = Instant::now() + timeout;
-    let conn = sci::connect_retry(ncsd, timeout)?;
-    conn.send(
-        &RvMsg::Rejoin {
-            version: PROTOCOL_VERSION,
-            world,
-            rank,
-            addr: my_addr.to_string(),
-            incarnation,
-        }
-        .encode(),
-    )?;
-    let left = deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(10));
-    let frame = conn.recv_timeout(left).map_err(|e| match e {
-        TransportError::Timeout => {
-            ClusterError::Timeout(format!("no rejoin replay within {timeout:?}"))
-        }
-        other => ClusterError::Transport(other),
-    })?;
-    match RvMsg::decode(&frame).map_err(|e| ClusterError::Rendezvous(e.to_string()))? {
+    let msg = RvMsg::Rejoin {
+        version: PROTOCOL_VERSION,
+        world,
+        rank,
+        addr: my_addr.to_string(),
+        incarnation,
+    };
+    let silence = format!("no rejoin replay within {timeout:?}");
+    match ask(ncsd, &msg, timeout, "rejoin", silence)? {
         RvMsg::Replay { view } => Ok(view),
-        RvMsg::Reject { reason } => Err(ClusterError::Rendezvous(format!(
-            "rejoin rejected: {reason}"
-        ))),
-        other => Err(ClusterError::Rendezvous(format!(
-            "rejoin answered with an unexpected frame: {other:?}"
-        ))),
+        other => Err(unexpected("rejoin", &other)),
     }
 }
 
@@ -688,7 +443,5 @@ pub fn rejoin(
 ///
 /// [`ClusterError::Transport`] when the service cannot be reached.
 pub fn leave(ncsd: SocketAddr, rank: u32, timeout: Duration) -> Result<(), ClusterError> {
-    let conn = sci::connect_retry(ncsd, timeout)?;
-    conn.send(&RvMsg::Leave { rank }.encode())?;
-    Ok(())
+    dial_and_send(ncsd, &RvMsg::Leave { rank }, timeout).map(drop)
 }

@@ -193,6 +193,13 @@ fn put_ranks(out: &mut Vec<u8>, ranks: &[u32]) {
     }
 }
 
+/// A peer-declared element count `n` of entries no smaller than
+/// `min_entry` bytes, capped by what the rest of the frame can hold — so
+/// a lying count costs a failed decode, never a large allocation.
+fn capacity(n: u32, bytes: &[u8], at: usize, min_entry: usize) -> usize {
+    (n as usize).min(bytes.len().saturating_sub(at) / min_entry)
+}
+
 fn get_ranks(bytes: &[u8], at: &mut usize) -> Result<Vec<u32>, WireError> {
     let n = get_u32(bytes, at)?;
     if n > 1 << 20 {
@@ -222,7 +229,8 @@ fn get_view(bytes: &[u8], at: &mut usize) -> Result<View, WireError> {
     if n > 1 << 20 {
         return Err(err("implausible view size"));
     }
-    let mut members = Vec::with_capacity(n as usize);
+    // rank + string length + incarnation
+    let mut members = Vec::with_capacity(capacity(n, bytes, *at, 10));
     for _ in 0..n {
         members.push(Member {
             rank: get_u32(bytes, at)?,
@@ -392,7 +400,8 @@ impl RvMsg {
                 if n > 1 << 20 {
                     return Err(err("implausible roster size"));
                 }
-                let mut members = Vec::with_capacity(n as usize);
+                // rank + string length
+                let mut members = Vec::with_capacity(capacity(n, bytes, at, 6));
                 for _ in 0..n {
                     let rank = get_u32(bytes, &mut at)?;
                     let addr = get_str(bytes, &mut at)?;

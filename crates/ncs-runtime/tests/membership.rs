@@ -7,7 +7,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncs_runtime::rendezvous;
-use ncs_runtime::{MemberAgent, MembershipConfig, MembershipMetrics, RendezvousServer, View};
+use ncs_runtime::{
+    MemberAgent, MembershipConfig, MembershipMetrics, RendezvousServer, RvMsg, View,
+};
+use ncs_transport::sci::{self, SciConnection};
+use ncs_transport::Connection as _;
 
 type ViewLog = Arc<parking_lot::Mutex<Vec<View>>>;
 
@@ -238,4 +242,116 @@ fn heartbeat_metrics_populate_at_the_agent() {
     }
     assert_eq!(metrics.view_epoch.get(), 1);
     agent.stop();
+}
+
+/// The next frame `ncsd` sends on `conn`.
+fn next_frame(conn: &SciConnection) -> RvMsg {
+    let frame = conn.recv_timeout(Duration::from_secs(5)).expect("frame");
+    RvMsg::decode(&frame).expect("decode")
+}
+
+/// A raw subscription for `rank`, and the view it was greeted with.
+fn subscribe_raw(server: &RendezvousServer, rank: u32) -> (SciConnection, View) {
+    let conn = sci::connect_retry(server.addr(), Duration::from_secs(5)).expect("dial");
+    let subscribe = RvMsg::Subscribe {
+        rank,
+        incarnation: 0,
+    };
+    conn.send(&subscribe.encode()).expect("subscribe");
+    match next_frame(&conn) {
+        RvMsg::View { view } => (conn, view),
+        other => panic!("subscription greeted with {other:?}"),
+    }
+}
+
+/// A service at the default thresholds, whose failure-detector sweep
+/// runs every 50 ms: a request that waited for the sweep would show.
+fn default_server(world: u32) -> RendezvousServer {
+    RendezvousServer::start_with("127.0.0.1:0", world, MembershipConfig::default()).expect("ncsd")
+}
+
+#[test]
+fn heartbeats_are_answered_when_they_arrive() {
+    let server = default_server(2);
+    seal_world(&server, 2);
+    let (conn, _) = subscribe_raw(&server, 0);
+    let t0 = Instant::now();
+    for seq in 1..=20 {
+        let pulse = RvMsg::Heartbeat {
+            rank: 0,
+            seq,
+            nanos: 0,
+        };
+        conn.send(&pulse.encode()).expect("pulse");
+        match next_frame(&conn) {
+            RvMsg::HeartbeatAck {
+                seq: s, view: 1, ..
+            } if s == seq => {}
+            other => panic!("pulse {seq} answered with {other:?}"),
+        }
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "20 heartbeat round trips took {took:?}"
+    );
+}
+
+#[test]
+fn the_roster_goes_out_when_the_last_rank_registers() {
+    let server = default_server(2);
+    let t0 = Instant::now();
+    seal_world(&server, 2);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(20),
+        "a 2-rank registration took {took:?}"
+    );
+}
+
+#[test]
+fn a_leave_reaches_the_other_subscribers_when_it_arrives() {
+    let server = default_server(2);
+    seal_world(&server, 2);
+    let (watcher, _) = subscribe_raw(&server, 0);
+    let t0 = Instant::now();
+    rendezvous::leave(server.addr(), 1, Duration::from_secs(5)).expect("leave");
+    match next_frame(&watcher) {
+        RvMsg::View { view } => assert_eq!(view.left, vec![1], "{view:?}"),
+        other => panic!("expected the leave view, got {other:?}"),
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(20),
+        "the leave took {took:?} to reach a subscriber"
+    );
+}
+
+#[test]
+fn a_rank_that_goes_quiet_before_the_seal_does_not_empty_the_world() {
+    let cfg = MembershipConfig {
+        heartbeat_interval: Duration::from_millis(25),
+        suspect_after: Duration::from_millis(100),
+        dead_after: Duration::from_millis(200),
+    };
+    let server = RendezvousServer::start_with("127.0.0.1:0", 2, cfg.clone()).expect("ncsd");
+    // Rank 0 subscribes before anyone registered, then falls silent for
+    // three death thresholds — while it is not yet a member of anything.
+    let mut early = MemberAgent::start(
+        server.addr(),
+        0,
+        0,
+        cfg.clone(),
+        MembershipMetrics::detached(),
+        Arc::new(|_: &View| {}),
+    )
+    .expect("agent");
+    early.stop();
+    std::thread::sleep(cfg.dead_after * 3);
+
+    seal_world(&server, 2);
+    let view = server.current_view().expect("sealed view");
+    assert!(view.id == 1 && view.is_full(), "{view:?}");
+    let (_late, greeting) = subscribe_raw(&server, 1);
+    assert!(greeting.id == 1 && greeting.is_full(), "{greeting:?}");
 }
