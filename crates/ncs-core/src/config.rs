@@ -10,19 +10,22 @@ use std::time::Duration;
 pub enum FlowControlAlg {
     /// No flow control (audio/video streams; reliable transports).
     None,
-    /// Credit-based window (the paper's default): the receiver grants
-    /// credits over the control connection; one credit = one packet.
+    /// Credit-based window (the paper's default): the receiver advertises
+    /// over the control connection a cumulative edge — the SDUs it has
+    /// taken plus a window `W` — and the sender releases fresh SDUs up to
+    /// it; retransmissions are free.
     CreditBased {
-        /// Credits granted to a fresh connection ("only small credits are
-        /// assigned to each connection initially").
+        /// The window `W` of a fresh connection, in SDUs ("only small
+        /// credits are assigned to each connection initially").
         initial_credits: u32,
-        /// Dynamically grow grants for active connections ("active
-        /// connections get more credits").
+        /// Widen `W` up to 8 × `initial_credits` while the connection is
+        /// active ("active connections get more credits").
         dynamic: bool,
     },
-    /// Classic sliding window: at most `window` unacknowledged packets.
+    /// Classic sliding window: at most `window` SDUs released and not yet
+    /// taken by the receiver — `CreditBased` with a fixed window.
     SlidingWindow {
-        /// Window size in packets.
+        /// Window size in SDUs.
         window: u32,
     },
     /// Token-bucket rate limit.
@@ -479,6 +482,13 @@ mod tests {
         assert!(matches!(
             c.validate(1 << 20),
             Err(ConfigError::ZeroParameter(_))
+        ));
+        let c = ConnectionConfig::builder()
+            .flow_control(FlowControlAlg::SlidingWindow { window: 0 })
+            .build();
+        assert!(matches!(
+            c.validate(1 << 20),
+            Err(ConfigError::ZeroParameter("window"))
         ));
         let c = ConnectionConfig::builder()
             .error_control(ErrorControlAlg::GoBackN {

@@ -433,7 +433,7 @@ impl ConnShared {
 
     /// A receiver pipeline reporting into this connection's counters.
     fn rx_plane(&self) -> RxPlane {
-        RxPlane::new(&self.config, self.counters.frames_rejected.clone())
+        RxPlane::new(&self.config, &self.counters)
     }
 
     /// "Now" for the direct-mode planes: the node clock's reading, as an
@@ -576,22 +576,15 @@ impl ConnShared {
     }
 
     /// Runs one arrived data frame through the receiver pipeline and does
-    /// what it asks: acknowledges over the control connection, and adds
-    /// the credits it grants to `credit` — one grant covers a whole
-    /// receive drain, sent ahead of any acknowledgement (here) and when
-    /// the drain ends (the caller's [`ConnShared::grant`]). Returns the
-    /// messages the frame completed: none, one, or a train's.
-    fn receive_frame(
-        &self,
-        rx: &mut RxPlane,
-        frame: &DataView<'_>,
-        now: Instant,
-        credit: &mut u32,
-    ) -> Delivered {
+    /// what it asks: acknowledges over the control connection, the credit
+    /// edge ahead of it if one is owed — one advertisement, the latest
+    /// edge, covers a whole receive drain: here, or when the drain ends
+    /// (the caller's [`ConnShared::grant`]). Returns the messages the
+    /// frame completed: none, one, or a train's.
+    fn receive_frame(&self, rx: &mut RxPlane, frame: &DataView<'_>, now: Instant) -> Delivered {
         let step = rx.on_frame(frame, now);
-        *credit += step.credit;
         if let Some(ack) = step.ack {
-            self.grant(credit);
+            self.grant(rx);
             self.counters.acks_sent.inc();
             self.ctrl_tx
                 .send(make_ack_msg(self, frame.header.session, ack));
@@ -599,14 +592,12 @@ impl ConnShared {
         step.delivered
     }
 
-    /// Sends the credits gathered in `credit`, if any, as one grant.
-    fn grant(&self, credit: &mut u32) {
-        let credits = std::mem::take(credit);
-        if credits > 0 {
-            self.counters.credits_granted.add(credits as u64);
+    /// Advertises the credit edge, if an arrival owes it.
+    fn grant(&self, rx: &mut RxPlane) {
+        if let Some(edge) = rx.advertise() {
             self.ctrl_tx.send(CtrlMsg::Credit {
                 conn: self.peer_conn_id(),
-                credits,
+                credits: edge,
             });
         }
     }
@@ -903,7 +894,6 @@ impl ConnTask {
         let shared = Arc::clone(&self.shared);
         let mut progressed = false;
         let mut budget = RECV_BUDGET;
-        let mut credit = 0;
         loop {
             if budget == 0 {
                 *hungry = true;
@@ -935,7 +925,7 @@ impl ConnTask {
                 // The clock is read here, not once per call: bypass
                 // connections never pay for it.
                 let now = Instant::now();
-                for (message, tagged) in shared.receive_frame(rx, &view, now, &mut credit) {
+                for (message, tagged) in shared.receive_frame(rx, &view, now) {
                     // EC strategies reassemble in their own buffers; the
                     // view is detached (owned), not pooled.
                     deliver_message(&shared, PooledBuf::detached(message), tagged);
@@ -951,7 +941,9 @@ impl ConnTask {
                 }
             }
         }
-        shared.grant(&mut credit);
+        if let Some(rx) = &mut self.rx {
+            shared.grant(rx);
+        }
         progressed
     }
 
@@ -1732,11 +1724,8 @@ impl NcsConnection {
                 shared.counters.frames_rejected.inc();
                 continue;
             }
-            let mut credit = 0;
-            let message = shared
-                .receive_frame(rx, &view, shared.direct_now(), &mut credit)
-                .next();
-            shared.grant(&mut credit);
+            let message = shared.receive_frame(rx, &view, shared.direct_now()).next();
+            shared.grant(rx);
             if let Some((message, _)) = message {
                 shared.counters.messages_received.inc();
                 return Ok(message);

@@ -2,24 +2,28 @@
 //!
 //! Each algorithm is a strategy object driven by the connection's send and
 //! receive pipelines (the paper's Flow Control Thread; `plane.rs` here):
-//! the sender side asks how many queued packets may be transmitted
-//! ([`FlowControlStrategy::permits`]) and reports feedback arriving on the
-//! control connection; the receiver side decides how many credits to
-//! grant back per received packet.
+//! the sender side asks how many SDUs may be transmitted
+//! ([`FlowControlStrategy::permits`]) and takes in the feedback arriving
+//! on the control connection; the receiver side notes each arriving
+//! packet and names the window it grants. A window — a strategy only
+//! feedback unblocks — counts *fresh* SDUs, never released before, so a
+//! retransmission needs no permit; a pacer (one with a
+//! [`next_poll`](FlowControlStrategy::next_poll)) meters every frame.
 //!
 //! The paper's default is the credit-based window scheme of Figures 7/8,
 //! with dynamic credit adjustment ("active connections get more credits,
-//! while inactive connections get only a fraction of the credits").
+//! while inactive connections get only a fraction of the credits"). Here
+//! the credit is a cumulative edge ([`CreditBased`]), and a classic
+//! sliding window (`FlowControlAlg::SlidingWindow`) is the same strategy
+//! with a fixed window.
 
 mod credit;
 mod none;
 mod rate;
-mod window;
 
 pub use credit::CreditBased;
 pub use none::NoFlowControl;
 pub use rate::RateBased;
-pub use window::SlidingWindow;
 
 use std::time::Instant;
 
@@ -30,18 +34,25 @@ use crate::config::FlowControlAlg;
 /// Implementations are driven from the Flow Control Thread and are not
 /// required to be thread-safe themselves.
 pub trait FlowControlStrategy: Send + std::fmt::Debug {
-    /// Sender side: how many packets may be transmitted right now.
+    /// Sender side: how many packets — fresh ones, under a window — may be
+    /// transmitted right now.
     fn permits(&mut self, now: Instant) -> u32;
 
-    /// Sender side: `n` packets were handed to the Send Thread.
+    /// Sender side: `n` packets counted against the permits were handed to
+    /// the Send Thread.
     fn on_transmit(&mut self, n: u32);
 
-    /// Sender side: feedback (credits / window acks) arrived on the control
-    /// connection.
+    /// Sender side: `n` packets counted by `on_transmit` belonged to a
+    /// session that was given up on; they hold nothing any more.
+    fn on_abandon(&mut self, _n: u32) {}
+
+    /// Sender side: feedback (the receiver's credit edge) arrived on the
+    /// control connection.
     fn on_feedback(&mut self, n: u32);
 
-    /// Receiver side: one packet arrived; returns the number of credits to
-    /// grant back over the control connection (0 = nothing to send).
+    /// Receiver side: one packet arrived; returns the window to grant —
+    /// credits beyond what the receiver has taken — over the control
+    /// connection (0 = nothing to send).
     fn on_receive(&mut self, now: Instant) -> u32;
 
     /// When the sender should next re-poll `permits` even without feedback
@@ -60,7 +71,7 @@ pub fn build(alg: &FlowControlAlg) -> Box<dyn FlowControlStrategy> {
             initial_credits,
             dynamic,
         } => Box::new(CreditBased::new(*initial_credits, *dynamic)),
-        FlowControlAlg::SlidingWindow { window } => Box::new(SlidingWindow::new(*window)),
+        FlowControlAlg::SlidingWindow { window } => Box::new(CreditBased::new(*window, false)),
         FlowControlAlg::RateBased {
             packets_per_sec,
             burst,
@@ -83,10 +94,9 @@ mod tests {
             .name(),
             "credit-based"
         );
-        assert_eq!(
-            build(&FlowControlAlg::SlidingWindow { window: 4 }).name(),
-            "sliding-window"
-        );
+        let mut window = build(&FlowControlAlg::SlidingWindow { window: 4 });
+        assert_eq!(window.name(), "credit-based");
+        assert_eq!(window.permits(Instant::now()), 4);
         assert_eq!(
             build(&FlowControlAlg::RateBased {
                 packets_per_sec: 10,

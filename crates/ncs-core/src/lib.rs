@@ -19,7 +19,8 @@
 //!    [`Reactor`]: one per connection, one per attached peer's control
 //!    connections.)
 //! 3. **Dynamic per-connection algorithms** — flow control (credit-based
-//!    \[default\], sliding-window, rate-based, none), error control
+//!    \[default; a fixed window is the sliding window\], rate-based,
+//!    none), error control
 //!    (selective-repeat \[default\], go-back-N, none) and the communication
 //!    interface (SCI/ACI/HPI) are chosen per connection at runtime via
 //!    [`ConnectionConfig`].

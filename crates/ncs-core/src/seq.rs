@@ -1,9 +1,25 @@
-//! Sequence-number bitmap for the selective-repeat acknowledgement.
+//! Sequence-number bitmap for the selective-repeat acknowledgement, and
+//! wrapping counter comparison.
 //!
 //! Mirrors the paper's Figure 5: the receiver keeps one bit per SDU,
 //! **1 = not yet received correctly** ("error"), clearing bits as packets
 //! arrive; the sender retransmits every sequence number whose bit is still
 //! set.
+
+/// Whether the wrapping counter `a` is ahead of `b`: less than half the
+/// `u32` space past it (serial-number arithmetic, RFC 1982).
+pub(crate) fn wrapping_after(a: u32, b: u32) -> bool {
+    a != b && a.wrapping_sub(b) < 1 << 31
+}
+
+/// How far the wrapping counter `a` is ahead of `b`; 0 if it is not.
+pub(crate) fn wrapping_ahead(a: u32, b: u32) -> u32 {
+    if wrapping_after(a, b) {
+        a.wrapping_sub(b)
+    } else {
+        0
+    }
+}
 
 /// Bitmap of outstanding (not-yet-received) SDUs for one message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,6 +246,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_total_rejected() {
         let _ = AckBitmap::all_missing(0);
+    }
+
+    #[test]
+    fn wrapping_comparison_survives_the_wrap() {
+        assert!(wrapping_after(1, 0) && !wrapping_after(0, 1) && !wrapping_after(5, 5));
+        assert!(wrapping_after(2, u32::MAX - 1));
+        assert_eq!(wrapping_ahead(2, u32::MAX - 1), 4);
+        assert_eq!(wrapping_ahead(u32::MAX - 1, 2), 0);
     }
 
     #[test]

@@ -67,11 +67,11 @@ impl ConnCounters {
             acks_received: c("ncs_conn_acks_received_total", "acknowledgements received"),
             credits_granted: c(
                 "ncs_conn_credits_granted_total",
-                "flow-control credits granted to the peer",
+                "SDUs the credit edge advertised to the peer advanced",
             ),
             credits_received: c(
                 "ncs_conn_credits_received_total",
-                "flow-control credits received from the peer",
+                "SDUs the credit edge advertised by the peer advanced",
             ),
             send_failures: c(
                 "ncs_conn_send_failures_total",
@@ -279,9 +279,9 @@ pub struct ConnectionStats {
     pub acks_sent: u64,
     /// Acknowledgements received.
     pub acks_received: u64,
-    /// Flow-control credits granted to the peer.
+    /// SDUs the credit edge advertised to the peer advanced.
     pub credits_granted: u64,
-    /// Flow-control credits received from the peer.
+    /// SDUs the credit edge advertised by the peer advanced.
     pub credits_received: u64,
     /// Messages that exhausted their error-control retry budget. The
     /// messages of a train share one error-control session: if it fails,
