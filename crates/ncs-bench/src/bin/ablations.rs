@@ -107,7 +107,8 @@ fn transfer(
 ) -> Duration {
     let start = Instant::now();
     for _ in 0..rounds {
-        tx.send_sync_timeout(message, Duration::from_secs(120))
+        tx.isend(message)
+            .and_then(|r| r.wait_timeout(Duration::from_secs(120)))
             .expect("send");
         let got = rx.recv_timeout(Duration::from_secs(120)).expect("recv");
         assert_eq!(got.len(), message.len());

@@ -55,7 +55,8 @@ fn native_send(size: usize, iters: usize, time_scale: f64) -> f64 {
 }
 
 /// Mean cost of a full `NCS_send` (through the Send Thread) of `size`
-/// bytes on the given package.
+/// bytes on the given package: `send_handoff` and the `wait()` for its
+/// transmit, timed by the caller.
 fn ncs_send(pkg: Arc<dyn ThreadPackage>, size: usize, iters: usize, time_scale: f64) -> f64 {
     let (la, lb) = PipeLinkPair::create(wire(time_scale), Some(model(time_scale)), None);
     let a = NcsNode::builder("f11-a").thread_package(pkg).build();
@@ -70,15 +71,16 @@ fn ncs_send(pkg: Arc<dyn ThreadPackage>, size: usize, iters: usize, time_scale: 
     };
     let conn = a.connect("f11-b", config).unwrap();
     let payload = vec![1u8; size];
-    let mut total = 0.0;
-    conn.send_profiled(&payload).unwrap(); // warm-up
+    let send = || conn.send_handoff(&payload).and_then(|r| r.wait()).unwrap();
+    send(); // warm-up
+    let start = Instant::now();
     for _ in 0..iters {
-        let breakdown = conn.send_profiled(&payload).unwrap();
-        total += breakdown.total().as_secs_f64();
+        send();
     }
+    let mean = start.elapsed().as_secs_f64() / iters as f64;
     a.shutdown();
     b.shutdown();
-    total / iters as f64
+    mean
 }
 
 fn main() {

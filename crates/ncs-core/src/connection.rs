@@ -80,7 +80,7 @@ use crate::plane::{sdu_count, CtrlEvent, Delivered, PlaneObs, RxPlane, Sdu, Subm
 use crate::pool::{BufPool, PooledBuf};
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
 use crate::request::{DeliveryQueue, MsgView, Request, RequestCore};
-use crate::stats::{ConnCounters, ConnectionStats, SendBreakdown};
+use crate::stats::{ConnCounters, ConnectionStats};
 
 /// Size of the tag envelope prepended to tag-matched messages (the
 /// big-endian `u32` channel tag).
@@ -156,41 +156,12 @@ impl From<TransportError> for SendError {
     }
 }
 
-/// Timestamps for the Table-I breakdown, filled along the bypass send path.
-#[derive(Debug)]
-pub(crate) struct SendTrace {
-    pub queued_at: Mutex<Option<Instant>>,
-    pub dequeued_at: Mutex<Option<Instant>>,
-    pub transmitted_at: Mutex<Option<Instant>>,
-    pub freed_at: Mutex<Option<Instant>>,
-    /// Fired the moment the Send Thread dequeues the request (the hand-off
-    /// acknowledgement `send_handoff` waits for).
-    pub accepted: Event,
-    pub done: Event,
-}
-
-impl SendTrace {
-    fn new() -> Arc<Self> {
-        Arc::new(SendTrace {
-            queued_at: Mutex::new(None),
-            dequeued_at: Mutex::new(None),
-            transmitted_at: Mutex::new(None),
-            freed_at: Mutex::new(None),
-            accepted: Event::new(),
-            done: Event::new(),
-        })
-    }
-}
-
-/// One pre-encoded frame queued for the Send plane, with its optional
-/// Table-I trace and transmit completion (bypass-path `isend`, attached to
-/// a message's final frame). Transmitting the frame returns its buffer to
-/// the pool.
-type SendJob = (
-    PooledBuf,
-    Option<Arc<SendTrace>>,
-    Option<Arc<RequestCore<()>>>,
-);
+/// One pre-encoded frame queued for the Send plane. A bypass message's
+/// final frame carries what its sender waits on: the hand-off event
+/// [`NcsConnection::send_handoff`] returns on, fired when the Send plane
+/// takes the frame, and the transmit completion of its [`Request`].
+/// Transmitting the frame returns its buffer to the pool.
+type SendJob = (PooledBuf, Option<Arc<Event>>, Option<Arc<RequestCore<()>>>);
 
 /// The send half of a connection's pipeline — everything between
 /// `NCS_send` and the interface — behind one lock ([`ConnShared::tx`]) and
@@ -272,8 +243,9 @@ pub(crate) struct ConnShared {
     /// Session numbers of the bypass path (the FC/EC pipeline numbers its
     /// own sessions inside the [`TxPlane`]).
     pub next_session: AtomicU32,
-    /// Sticky error from the error-control plane (reported on
-    /// `send_sync`/`recv`). Shared with the connection's [`TxPlane`].
+    /// Sticky error from the error-control plane (reported by
+    /// [`NcsConnection::last_error`]). Shared with the connection's
+    /// [`TxPlane`].
     pub last_error: Arc<Mutex<Option<SendError>>>,
     /// Direct mode (paper §4.2): the receiver pipeline lives here and runs
     /// on whichever thread calls `recv_direct`. `None` on connections with
@@ -502,21 +474,6 @@ impl ConnShared {
         }
     }
 
-    /// Queues a frame to the Send plane and wakes the task. `false` once
-    /// the connection is closed ([`ConnShared::enqueue_frame`]).
-    pub(crate) fn queue_frame(
-        &self,
-        frame: PooledBuf,
-        trace: Option<Arc<SendTrace>>,
-        done: Option<Arc<RequestCore<()>>>,
-    ) -> bool {
-        let queued = self.enqueue_frame(frame, trace, done, true);
-        if queued {
-            self.wake_task();
-        }
-        queued
-    }
-
     /// Queues a frame to the Send plane; the caller activates whoever
     /// drains it. With `wait` the call blocks (cooperatively) while the
     /// bounded queue is full; without, the frame goes in past the bound —
@@ -524,14 +481,7 @@ impl ConnShared {
     /// ([`NcsConnection::try_send_batch`]). Returns `false` — dropping the
     /// frame — once the connection is closed, so producers never hang on a
     /// task that has already retired.
-    fn enqueue_frame(
-        &self,
-        frame: PooledBuf,
-        trace: Option<Arc<SendTrace>>,
-        done: Option<Arc<RequestCore<()>>>,
-        wait: bool,
-    ) -> bool {
-        let mut job = (frame, trace, done);
+    fn enqueue_job(&self, mut job: SendJob, wait: bool) -> bool {
         loop {
             if self.closed.load(Ordering::Acquire) {
                 if let Some(core) = job.2 {
@@ -639,16 +589,15 @@ impl ConnShared {
         } = tx;
         let mut progressed = false;
         // Pull queued frames in; the inbox is bounded, so draining it here
-        // is what unblocks producers parked in `enqueue_frame`.
+        // is what unblocks producers parked in `enqueue_job`.
         while pending.len() < 2 * IO_BATCH {
             let Some(job) = self.send_inbox.try_recv() else {
                 break;
             };
             // Hand-off acknowledgement: the caller may resume (and
             // overlap computation with the transmit below — §4.1).
-            if let Some(t) = &job.1 {
-                *t.dequeued_at.lock() = Some(Instant::now());
-                t.accepted.fire();
+            if let Some(accepted) = &job.1 {
+                accepted.fire();
             }
             pending.push_back(job);
             progressed = true;
@@ -674,15 +623,8 @@ impl ConnShared {
                     self.counters.packets_sent.add(sent as u64);
                     let bytes: usize = refs[..sent].iter().map(|r| r.len()).sum();
                     self.recorder.record(EventKind::Wire, 0, 0, bytes);
-                    for (frame, trace, done) in pending.drain(..sent) {
-                        if let Some(t) = &trace {
-                            *t.transmitted_at.lock() = Some(Instant::now());
-                        }
+                    for (frame, _, done) in pending.drain(..sent) {
                         drop(frame); // buffer returns to the pool
-                        if let Some(t) = &trace {
-                            *t.freed_at.lock() = Some(Instant::now());
-                            t.done.fire();
-                        }
                         if let Some(core) = done {
                             core.complete(Ok(()));
                         }
@@ -690,17 +632,12 @@ impl ConnShared {
                     progressed = true;
                 }
                 Err(e) => {
-                    // Nothing of the batch was accepted. Unblock any
-                    // profiled waiters, then handle the failure as the
-                    // single-frame path did: Closed tears the data plane
-                    // down, anything else drops the frames.
+                    // Nothing of the batch was accepted: fail its
+                    // senders, then handle the failure as the single-frame
+                    // path did: Closed tears the data plane down, anything
+                    // else drops the frames.
                     let failure = SendError::from(e.clone());
-                    for (_, trace, done) in pending.drain(..) {
-                        if let Some(t) = trace {
-                            *t.transmitted_at.lock() = Some(Instant::now());
-                            *t.freed_at.lock() = Some(Instant::now());
-                            t.done.fire();
-                        }
+                    for (_, _, done) in pending.drain(..) {
                         if let Some(core) = done {
                             core.complete(Err(failure.clone()));
                         }
@@ -971,14 +908,10 @@ impl ConnTask {
                 c.complete(Err(SendError::Closed));
             }
         }
-        fn fail_job(job: SendJob) {
-            let (frame, trace, done) = job;
+        fn fail_job((frame, accepted, done): SendJob) {
             drop(frame); // buffer returns to the pool
-            if let Some(t) = trace {
-                *t.transmitted_at.lock() = Some(Instant::now());
-                *t.freed_at.lock() = Some(Instant::now());
-                t.accepted.fire();
-                t.done.fire();
+            if let Some(accepted) = accepted {
+                accepted.fire();
             }
             if let Some(core) = done {
                 core.complete(Err(SendError::Closed));
@@ -1265,15 +1198,15 @@ impl NcsConnection {
 
     /// `NCS_send`: hands the message to the connection's plane (Figure 4
     /// step 1) and returns once queued. Reliable configurations deliver (or
-    /// record a failure) asynchronously; use [`NcsConnection::send_sync`]
-    /// to wait for the acknowledgement, or [`NcsConnection::isend`] for a
-    /// completion [`Request`].
+    /// record a failure in [`NcsConnection::last_error`]) asynchronously;
+    /// to wait for the acknowledgement, wait on the completion
+    /// [`Request`] of [`NcsConnection::isend`] instead.
     ///
     /// # Errors
     ///
     /// See [`SendError`].
     pub fn send(&self, data: &[u8]) -> Result<(), SendError> {
-        let one_sdu = self.submit(data, None, None, true)?;
+        let one_sdu = self.submit(data, None, None, None, true)?;
         self.activate(one_sdu);
         Ok(())
     }
@@ -1314,47 +1247,25 @@ impl NcsConnection {
 
     fn isend_inner(&self, data: &[u8], tag: Option<u32>) -> Result<Request<()>, SendError> {
         let core = RequestCore::new();
-        let one_sdu = self.submit(data, tag, Some(Arc::clone(&core)), true)?;
+        let one_sdu = self.submit(data, tag, Some(Arc::clone(&core)), None, true)?;
         self.activate(one_sdu);
         Ok(Request::new(core))
     }
 
-    /// `NCS_send` + wait for the error-control completion (or transmit
-    /// completion for unreliable configurations). Thin wrapper over
-    /// [`NcsConnection::isend`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SendError`]; notably [`SendError::DeliveryFailed`] when error
-    /// control exhausts its retries.
-    pub fn send_sync(&self, data: &[u8]) -> Result<(), SendError> {
-        self.send_sync_timeout(data, Duration::from_secs(30))
-    }
-
-    /// [`NcsConnection::send_sync`] with an explicit wait limit.
-    ///
-    /// # Errors
-    ///
-    /// As [`NcsConnection::send_sync`], plus [`SendError::Timeout`].
-    pub fn send_sync_timeout(&self, data: &[u8], timeout: Duration) -> Result<(), SendError> {
-        if self.shared.config.direct {
-            return self.send_direct(data);
-        }
-        self.isend(data)?.wait_timeout(timeout)
-    }
-
     /// The one way into the send path: validates, then queues the message
     /// for the FC/EC pipeline (Figure 4 step 1) or — §3.1 bypass — encodes
-    /// it straight onto the send queue. The caller activates the pipeline
-    /// ([`NcsConnection::activate`]) with the verdict returned here:
-    /// whether everything queued was one SDU. `wait` says what a full send
-    /// queue does to a bypass message: park the caller, or be overshot
-    /// ([`ConnShared::enqueue_frame`]).
+    /// it straight onto the send queue, its final frame carrying
+    /// `completion` and the hand-off event `accepted` ([`SendJob`]). The
+    /// caller activates the pipeline ([`NcsConnection::activate`]) with the
+    /// verdict returned here: whether everything queued was one SDU.
+    /// `wait` says what a full send queue does to a bypass message: park
+    /// the caller, or be overshot ([`ConnShared::enqueue_job`]).
     fn submit(
         &self,
         data: &[u8],
         tag: Option<u32>,
         completion: Option<Arc<RequestCore<()>>>,
+        accepted: Option<Arc<Event>>,
         wait: bool,
     ) -> Result<bool, SendError> {
         self.check_sendable(data, tag)?;
@@ -1397,8 +1308,12 @@ impl NcsConnection {
             let frames = self.shared.segment_frames(session, &body, tagged);
             let last = frames.len() - 1;
             for (i, frame) in frames.into_iter().enumerate() {
-                let done = if i == last { completion.clone() } else { None };
-                if !self.shared.enqueue_frame(frame, None, done, wait) {
+                let job = if i == last {
+                    (frame, accepted.clone(), completion.clone())
+                } else {
+                    (frame, None, None)
+                };
+                if !self.shared.enqueue_job(job, wait) {
                     return Err(SendError::Closed);
                 }
                 if !one_sdu {
@@ -1407,11 +1322,14 @@ impl NcsConnection {
             }
         }
         // Close raced with the queueing? The task may already have drained
-        // its queues and retired; resolve the request here so it can never
-        // dangle (the first completion wins).
+        // its queues and retired; resolve the request and the hand-off here
+        // so neither can dangle (the first completion wins).
         if self.shared.closed.load(Ordering::Acquire) {
             if let Some(c) = completion {
                 c.complete(Err(SendError::Closed));
+            }
+            if let Some(a) = accepted {
+                a.fire();
             }
         }
         Ok(one_sdu)
@@ -1485,7 +1403,7 @@ impl NcsConnection {
             if bounded && self.shared.send_inbox.len() >= SEND_QUEUE_DEPTH {
                 break;
             }
-            one_sdu &= self.submit(m, None, None, false)?;
+            one_sdu &= self.submit(m, None, None, None, false)?;
             admitted += 1;
         }
         // (With nothing admitted this is a nudge to whoever drains a full
@@ -1549,11 +1467,14 @@ impl NcsConnection {
 
     /// Blocking receive of the next untagged message as a zero-copy
     /// [`MsgView`] (the buffer-recycling counterpart of
-    /// [`NcsConnection::recv_timeout`]).
+    /// [`NcsConnection::recv_timeout`]). With [`Duration::ZERO`] it is the
+    /// non-blocking receive: [`SendError::Timeout`] means nothing has
+    /// arrived yet.
     ///
     /// # Errors
     ///
-    /// As [`NcsConnection::recv_timeout`].
+    /// As [`NcsConnection::recv_timeout`], and the connection's terminal
+    /// error once it is closed (or its link died) and drained.
     pub fn recv_view(&self, timeout: Duration) -> Result<MsgView, SendError> {
         self.recv_view_deadline(Some(Instant::now() + timeout))
     }
@@ -1572,16 +1493,6 @@ impl NcsConnection {
         // message can leak into an abandoned waiter.
     }
 
-    /// Non-blocking receive.
-    ///
-    /// # Errors
-    ///
-    /// The connection's terminal error once it is closed (or its link
-    /// died) and every delivered message has been drained.
-    pub fn try_recv_result(&self) -> Result<Option<Vec<u8>>, SendError> {
-        Ok(self.shared.delivery.try_take(None)?.map(MsgView::into_vec))
-    }
-
     /// Hands this connection's untagged receive stream to `sink`: every
     /// untagged message — including any already queued — is pushed into
     /// the callback as it is reassembled, and the connection's terminal
@@ -1593,7 +1504,7 @@ impl NcsConnection {
     /// collectives engine's link pumps) registers a sink instead and is
     /// fed directly from the reactor task. The sink runs on the reactor's
     /// event loops — it must not block. While a sink is installed the
-    /// untagged receive primitives (`recv*`, `irecv`, `try_recv*`) see no
+    /// untagged receive primitives (`recv*`, `irecv`) see no
     /// traffic; tag-matched channels are unaffected.
     pub fn set_receive_sink(&self, sink: Option<crate::request::ReceiveSink>) {
         self.shared.delivery.set_sink(sink);
@@ -1619,8 +1530,9 @@ impl NcsConnection {
     /// # Errors
     ///
     /// [`SendError::WrongMode`] unless the connection was configured with
-    /// [`ConnectionConfig::direct`]; otherwise as
-    /// [`NcsConnection::send_sync`].
+    /// [`ConnectionConfig::direct`]; otherwise as the completion of
+    /// [`NcsConnection::isend`] (notably [`SendError::DeliveryFailed`]
+    /// when error control exhausts its retries).
     pub fn send_direct(&self, data: &[u8]) -> Result<(), SendError> {
         self.check_sendable(data, None)?;
         let shared = &self.shared;
@@ -1734,102 +1646,43 @@ impl NcsConnection {
     }
 
     /// `NCS_send` with hand-off semantics: queues the message to the Send
-    /// Thread and returns as soon as the Send Thread *accepts* it. Under
-    /// the kernel-level package a transmit that then blocks (full kernel
-    /// buffer) overlaps with the caller's computation; under the
-    /// user-level package the blocking write stalls the whole process —
-    /// the exact §4.1 experiment (Figures 9/10).
+    /// Thread and returns as soon as the Send Thread *accepts* it, with the
+    /// [`Request`] that completes on transmit ([`NcsConnection::isend`]'s
+    /// bypass completion). Unlike [`NcsConnection::send`], it hands over
+    /// even a message of one SDU: under the kernel-level package a
+    /// transmit that then blocks (full kernel buffer) overlaps with the
+    /// caller's computation; under the user-level package the blocking
+    /// write stalls the whole process — the exact §4.1 experiment
+    /// (Figures 9/10).
     ///
     /// Only available on bypass-configured threaded connections.
     ///
     /// # Errors
     ///
-    /// [`SendError::WrongMode`] when FC/EC threads are configured,
-    /// otherwise as [`NcsConnection::send`].
-    pub fn send_handoff(&self, data: &[u8]) -> Result<(), SendError> {
-        if self.shared.config.direct || self.shared.config.needs_control_threads() {
-            return Err(SendError::WrongMode("threaded bypass (no FC/EC)"));
-        }
-        self.check_sendable(data, None)?;
-        self.shared
-            .recorder
-            .record(EventKind::Isend, 0, 0, data.len());
-        let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        self.shared.counters.messages_sent.inc();
-        let frames = self.shared.segment_frames(session, data, false);
-        let trace = SendTrace::new();
-        let n = frames.len();
-        for (i, frame) in frames.into_iter().enumerate() {
-            let is_last = i == n - 1;
-            if !self
-                .shared
-                .queue_frame(frame, is_last.then(|| Arc::clone(&trace)), None)
-            {
-                return Err(SendError::Closed);
-            }
-        }
-        if !trace.accepted.wait_timeout(Duration::from_secs(30)) {
-            return Err(SendError::Timeout);
-        }
-        Ok(())
-    }
-
-    /// Sends one message through the Send Thread with per-stage
-    /// timestamps, reproducing the paper's Table I. Only meaningful on
-    /// bypass-configured threaded connections (no FC/EC), where the send
-    /// path is exactly `NCS_send -> queue -> Send Thread -> interface`.
-    ///
-    /// # Errors
-    ///
-    /// [`SendError::WrongMode`] when FC/EC threads are configured (their
-    /// pipeline stages are not two-point measurable), otherwise as
+    /// [`SendError::WrongMode`] when FC/EC threads are configured or the
+    /// connection is in direct mode, [`SendError::Timeout`] when the Send
+    /// Thread has not taken the message within 30 s, otherwise as
     /// [`NcsConnection::send`].
-    pub fn send_profiled(&self, data: &[u8]) -> Result<SendBreakdown, SendError> {
+    pub fn send_handoff(&self, data: &[u8]) -> Result<Request<()>, SendError> {
         if self.shared.config.direct || self.shared.config.needs_control_threads() {
             return Err(SendError::WrongMode("threaded bypass (no FC/EC)"));
         }
-        self.check_sendable(data, None)?;
-        self.shared
-            .recorder
-            .record(EventKind::Isend, 0, 0, data.len());
-        let t_entry = Instant::now();
-        let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        // Header attach == pooled frame encode.
-        let frames = self.shared.segment_frames(session, data, false);
-        let t_header = Instant::now();
-        let trace = SendTrace::new();
-        let n = frames.len();
-        for (i, frame) in frames.into_iter().enumerate() {
-            let is_last = i == n - 1;
-            if !self
-                .shared
-                .queue_frame(frame, is_last.then(|| Arc::clone(&trace)), None)
-            {
-                return Err(SendError::Closed);
-            }
-        }
-        let t_queued = Instant::now();
-        *trace.queued_at.lock() = Some(t_queued);
-        if !trace.done.wait_timeout(Duration::from_secs(10)) {
+        let core = RequestCore::new();
+        let accepted = Arc::new(Event::new());
+        self.submit(
+            data,
+            None,
+            Some(Arc::clone(&core)),
+            Some(Arc::clone(&accepted)),
+            true,
+        )?;
+        // The task's even at one SDU, which `send` would run inline: the
+        // hand-off is what this call exists to make.
+        self.shared.wake_task();
+        if !accepted.wait_timeout(Duration::from_secs(30)) {
             return Err(SendError::Timeout);
         }
-        let t_back = Instant::now();
-        self.shared.counters.messages_sent.inc();
-        let dequeued = trace.dequeued_at.lock().expect("trace filled");
-        let transmitted = trace.transmitted_at.lock().expect("trace filled");
-        let freed = trace.freed_at.lock().expect("trace filled");
-        // Entry/exit bookkeeping is the residue around the measured stages;
-        // attribute the (tiny) pre-header and post-wake slices to it.
-        Ok(SendBreakdown {
-            fn_entry_exit: Duration::from_nanos(200), // constant-time entry/exit bookkeeping
-            header_attach: t_header - t_entry,
-            queue_request: t_queued - t_header,
-            ctx_switch_to_send: dequeued.saturating_duration_since(t_queued),
-            dequeue_request: Duration::from_nanos(300), // dequeue bookkeeping inside the Send Thread
-            transmit: transmitted.saturating_duration_since(dequeued),
-            free_buffer: freed.saturating_duration_since(transmitted),
-            ctx_switch_back: t_back.saturating_duration_since(freed),
-        })
+        Ok(Request::new(core))
     }
 }
 
@@ -1954,7 +1807,7 @@ impl Channel {
     ///
     /// # Errors
     ///
-    /// As [`NcsConnection::send_sync`].
+    /// As [`Channel::isend`], then the error its completion resolves to.
     pub fn send(&self, data: &[u8]) -> Result<(), SendError> {
         self.isend(data)?.wait()
     }

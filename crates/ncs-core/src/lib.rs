@@ -81,7 +81,7 @@ pub use request::{
     test_all, wait_all, wait_any, Completion, CompletionNotify, MsgView, ReceiveSink, Request,
     DELIVERY_SHARDS,
 };
-pub use stats::{ConnectionStats, ReactorStats, SendBreakdown};
+pub use stats::{ConnectionStats, ReactorStats};
 
 // Telemetry-plane types surfaced by the node/connection APIs
 // ([`NcsNode::registry`], [`NcsConnection::flight`]), re-exported so

@@ -935,7 +935,7 @@ mod tests {
                 .connect("fg50x", ConnectionConfig::reliable())
                 .expect("connect");
             let back = peer.accept_default().expect("accept");
-            conn.send_sync(&[round]).expect("send");
+            conn.isend(&[round]).and_then(|r| r.wait()).expect("send");
             assert_eq!(back.recv().expect("recv"), [round]);
             // Connected from one side: one duplex control channel.
             assert_eq!(control_channels(&node, "fg50x"), 1);

@@ -22,8 +22,9 @@
 //! * [`wait_any`] / [`wait_all`] / [`test_all`] — free functions over
 //!   heterogeneous `&[&dyn Completion]` sets.
 //!
-//! The blocking primitives (`send_sync`, `recv`, …) are thin wrappers
-//! over requests; there is one completion path through the runtime.
+//! The blocking primitives (`recv`, `recv_timeout`, `Channel::send`, …)
+//! are thin waits on requests, and a blocking send is
+//! `isend(..)?.wait()`: there is one completion path through the runtime.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};

@@ -1,10 +1,8 @@
-//! Connection statistics, the Table-I send-path instrumentation, and
-//! the adapters that plug this crate's subsystems into the
+//! Connection statistics, and the adapters that plug this crate's subsystems into the
 //! [`ncs_obs::Registry`] telemetry plane.
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ncs_obs::{
     Counter, Family, Gauge, Histogram, MetricKind, MetricSource, MetricValue, Registry, Series,
@@ -329,109 +327,6 @@ impl std::fmt::Display for ConnectionStats {
     }
 }
 
-/// The itemised cost of one `NCS_send` through the Send Thread — the
-/// paper's Table I. Produced by
-/// [`NcsConnection::send_profiled`](crate::NcsConnection::send_profiled).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SendBreakdown {
-    /// `NCS_send()` function entry/exit bookkeeping.
-    pub fn_entry_exit: Duration,
-    /// Attaching the message header (packet encode).
-    pub header_attach: Duration,
-    /// Queueing the request to the Send Thread.
-    pub queue_request: Duration,
-    /// Context switch from `NCS_send` to the Send Thread (queue to
-    /// dequeue).
-    pub ctx_switch_to_send: Duration,
-    /// Dequeueing the request inside the Send Thread.
-    pub dequeue_request: Duration,
-    /// Transmitting on the communication interface (data transfer
-    /// overhead).
-    pub transmit: Duration,
-    /// Freeing the request buffer.
-    pub free_buffer: Duration,
-    /// Context switch from the Send Thread back to `NCS_send`.
-    pub ctx_switch_back: Duration,
-}
-
-impl SendBreakdown {
-    /// Session overhead: everything except the actual transmission
-    /// (Table I's 28 % for a 1-byte message).
-    pub fn session_overhead(&self) -> Duration {
-        self.fn_entry_exit
-            + self.header_attach
-            + self.queue_request
-            + self.ctx_switch_to_send
-            + self.dequeue_request
-            + self.free_buffer
-            + self.ctx_switch_back
-    }
-
-    /// Data-transfer overhead: the transmission itself.
-    pub fn data_transfer(&self) -> Duration {
-        self.transmit
-    }
-
-    /// Total send cost.
-    pub fn total(&self) -> Duration {
-        self.session_overhead() + self.data_transfer()
-    }
-
-    /// Session overhead as a fraction of the total (0..=1).
-    pub fn session_fraction(&self) -> f64 {
-        let total = self.total().as_nanos() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.session_overhead().as_nanos() as f64 / total
-        }
-    }
-}
-
-impl std::fmt::Display for SendBreakdown {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "NCS_send() entry/exit      {:>10.2?}",
-            self.fn_entry_exit
-        )?;
-        writeln!(
-            f,
-            "Attach message header      {:>10.2?}",
-            self.header_attach
-        )?;
-        writeln!(
-            f,
-            "Queue message request      {:>10.2?}",
-            self.queue_request
-        )?;
-        writeln!(
-            f,
-            "Ctx switch -> Send Thread  {:>10.2?}",
-            self.ctx_switch_to_send
-        )?;
-        writeln!(
-            f,
-            "Dequeue message request    {:>10.2?}",
-            self.dequeue_request
-        )?;
-        writeln!(f, "Free message buffer        {:>10.2?}", self.free_buffer)?;
-        writeln!(
-            f,
-            "Ctx switch -> NCS_send     {:>10.2?}",
-            self.ctx_switch_back
-        )?;
-        writeln!(
-            f,
-            "Session overhead           {:>10.2?} ({:.0} %)",
-            self.session_overhead(),
-            self.session_fraction() * 100.0
-        )?;
-        writeln!(f, "Transmit (data transfer)   {:>10.2?}", self.transmit)?;
-        write!(f, "Total                      {:>10.2?}", self.total())
-    }
-}
-
 /// Point-in-time statistics for a [`crate::Reactor`]: how many event
 /// loops exist, how many endpoints (connection tasks) they multiplex, and
 /// how busy the readiness machinery is. Dumped by the `perf_gate` binary
@@ -507,26 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_arithmetic() {
-        let b = SendBreakdown {
-            fn_entry_exit: Duration::from_micros(10),
-            header_attach: Duration::from_micros(4),
-            queue_request: Duration::from_micros(15),
-            ctx_switch_to_send: Duration::from_micros(27),
-            dequeue_request: Duration::from_micros(17),
-            transmit: Duration::from_micros(274),
-            free_buffer: Duration::from_micros(10),
-            ctx_switch_back: Duration::from_micros(25),
-        };
-        // Table I: session overhead 108 us of 382 us total (~28 %).
-        assert_eq!(b.session_overhead(), Duration::from_micros(108));
-        assert_eq!(b.total(), Duration::from_micros(382));
-        assert!((b.session_fraction() - 0.2827).abs() < 0.01);
-        let text = b.to_string();
-        assert!(text.contains("Session overhead"));
-    }
-
-    #[test]
     fn counters_snapshot() {
         let c = ConnCounters::default();
         c.packets_sent.add(5);
@@ -557,10 +432,5 @@ mod tests {
         // The detached handle keeps counting for ConnectionStats.
         c.messages_sent.inc();
         assert_eq!(c.snapshot().messages_sent, 8);
-    }
-
-    #[test]
-    fn zero_total_fraction_is_zero() {
-        assert_eq!(SendBreakdown::default().session_fraction(), 0.0);
     }
 }

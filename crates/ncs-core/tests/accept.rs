@@ -124,7 +124,10 @@ fn silent_channel_delays_nobody(pkg: &Pkg) {
             "connecting behind a silent {} channel took {took:?}",
             link_a.interface()
         );
-        conn_a.send_sync(b"through").expect("send");
+        conn_a
+            .isend(b"through")
+            .and_then(|r| r.wait())
+            .expect("send");
         assert_eq!(conn_b.recv().expect("recv"), b"through");
         nodes.extend([a, b]);
     }
@@ -183,9 +186,15 @@ fn dial_then_attach(
     );
     let conn_b = b.accept_default().expect("accept");
     assert_eq!(conn_b.peer_name(), "alice");
-    conn_a.send_sync(b"early bird").expect("send");
+    conn_a
+        .isend(b"early bird")
+        .and_then(|r| r.wait())
+        .expect("send");
     assert_eq!(conn_b.recv().expect("recv"), b"early bird");
-    conn_b.send_sync(b"and back").expect("send");
+    conn_b
+        .isend(b"and back")
+        .and_then(|r| r.wait())
+        .expect("send");
     assert_eq!(conn_a.recv().expect("recv"), b"and back");
     attaching.join().expect("attach thread");
     a.shutdown();
@@ -249,9 +258,9 @@ fn redial_after_reattach(pkg: &Pkg) {
             let conn_b = b.accept_default().expect("accept");
             // Acknowledgements and credits cross the one control channel
             // in one direction, data acknowledged the other way in the other.
-            conn_a.send_sync(b"over").expect("send");
+            conn_a.isend(b"over").and_then(|r| r.wait()).expect("send");
             assert_eq!(conn_b.recv().expect("recv"), b"over");
-            conn_b.send_sync(b"back").expect("send");
+            conn_b.isend(b"back").and_then(|r| r.wait()).expect("send");
             assert_eq!(conn_a.recv().expect("recv"), b"back");
         };
         exchange(&a, &b);

@@ -1,11 +1,16 @@
 //! End-to-end tests of NCS point-to-point communication over the HPI
 //! interface: every flow-control x error-control combination, the §3.1
-//! bypass, the §4.2 direct mode, and loss recovery.
+//! bypass, the §4.2 direct mode, loss recovery, and the §4.1 hand-off
+//! (`send_handoff`) over a PIPE link whose transmit stops.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use ncs_core::link::HpiLinkPair;
+use ncs_core::link::{HpiLinkPair, PeerLink, PipeLink, PipeLinkPair};
 use ncs_core::{ConnectionConfig, ErrorControlAlg, FlowControlAlg, NcsNode, SendError};
+use ncs_transport::pipe::PipeConfig;
+use ncs_transport::{Capabilities, Connection, Readiness, TransportError, Waker};
 
 /// Builds two linked nodes over HPI.
 fn linked_nodes(ring: usize) -> (NcsNode, NcsNode) {
@@ -31,12 +36,12 @@ fn connect_pair(
 fn reliable_default_round_trip() {
     let (a, b) = linked_nodes(256);
     let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
-    ca.send_sync(b"hello ncs").unwrap();
+    ca.isend(b"hello ncs").and_then(|r| r.wait()).unwrap();
     assert_eq!(
         cb.recv_timeout(Duration::from_secs(5)).unwrap(),
         b"hello ncs"
     );
-    cb.send_sync(b"hello back").unwrap();
+    cb.isend(b"hello back").and_then(|r| r.wait()).unwrap();
     assert_eq!(
         ca.recv_timeout(Duration::from_secs(5)).unwrap(),
         b"hello back"
@@ -51,7 +56,7 @@ fn multi_sdu_message_reassembles() {
     let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
     // 4 KB SDU; send 100 KB -> 25 SDUs.
     let msg: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
-    ca.send_sync(&msg).unwrap();
+    ca.isend(&msg).and_then(|r| r.wait()).unwrap();
     assert_eq!(cb.recv_timeout(Duration::from_secs(10)).unwrap(), msg);
     let stats = ca.stats();
     assert!(stats.packets_sent >= 25, "{stats}");
@@ -130,7 +135,8 @@ fn every_fc_ec_combination_delivers() {
                 .build();
             let (ca, cb) = connect_pair(&a, &b, config);
             let msg: Vec<u8> = (0..10_000u32).map(|i| (i % 199) as u8).collect();
-            ca.send_sync_timeout(&msg, Duration::from_secs(15))
+            ca.isend(&msg)
+                .and_then(|r| r.wait_timeout(Duration::from_secs(15)))
                 .unwrap_or_else(|e| panic!("send failed for {fc:?}/{ec:?}: {e}"));
             let got = cb
                 .recv_timeout(Duration::from_secs(15))
@@ -161,7 +167,9 @@ fn selective_repeat_recovers_from_ring_overruns() {
         .build();
     let (ca, cb) = connect_pair(&a, &b, config);
     let msg: Vec<u8> = (0..32 * 1024u32).map(|i| (i % 251) as u8).collect();
-    ca.send_sync_timeout(&msg, Duration::from_secs(30)).unwrap();
+    ca.isend(&msg)
+        .and_then(|r| r.wait_timeout(Duration::from_secs(30)))
+        .unwrap();
     assert_eq!(cb.recv_timeout(Duration::from_secs(30)).unwrap(), msg);
     a.shutdown();
     b.shutdown();
@@ -181,7 +189,9 @@ fn go_back_n_recovers_from_ring_overruns() {
         .build();
     let (ca, cb) = connect_pair(&a, &b, config);
     let msg: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 239) as u8).collect();
-    ca.send_sync_timeout(&msg, Duration::from_secs(30)).unwrap();
+    ca.isend(&msg)
+        .and_then(|r| r.wait_timeout(Duration::from_secs(30)))
+        .unwrap();
     assert_eq!(cb.recv_timeout(Duration::from_secs(30)).unwrap(), msg);
     let s = ca.stats();
     assert!(s.packets_sent >= 16, "{s}");
@@ -320,7 +330,9 @@ fn concurrent_connections_are_independent() {
     for (i, (ca, cb)) in pairs.into_iter().enumerate() {
         handles.push(std::thread::spawn(move || {
             let msg = vec![i as u8; 20_000];
-            ca.send_sync_timeout(&msg, Duration::from_secs(20)).unwrap();
+            ca.isend(&msg)
+                .and_then(|r| r.wait_timeout(Duration::from_secs(20)))
+                .unwrap();
             assert_eq!(cb.recv_timeout(Duration::from_secs(20)).unwrap(), msg);
         }));
     }
@@ -348,6 +360,161 @@ fn accept_timeout() {
         b.accept(Duration::from_millis(100)),
         Err(ncs_core::AcceptError::Timeout)
     ));
+    a.shutdown();
+    b.shutdown();
+}
+
+/// A PIPE link whose transmit can be stopped: while `stopped` is set,
+/// every channel it carries refuses frames offered without blocking
+/// (`try_send_batch` answers `Ok(0)`), as a full socket buffer whose
+/// drain has stopped refuses a nonblocking write. Everything else is the
+/// PIPE channel's own.
+#[derive(Debug)]
+struct StoppableLink {
+    pipe: Arc<PipeLink>,
+    stopped: Arc<AtomicBool>,
+}
+
+#[derive(Debug)]
+struct StoppableChannel {
+    pipe: Box<dyn Connection>,
+    stopped: Arc<AtomicBool>,
+}
+
+impl StoppableLink {
+    fn wrap(&self, pipe: Box<dyn Connection>) -> Box<dyn Connection> {
+        let stopped = Arc::clone(&self.stopped);
+        Box::new(StoppableChannel { pipe, stopped })
+    }
+}
+
+impl PeerLink for StoppableLink {
+    fn open_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
+        Ok(self.wrap(self.pipe.open_channel()?))
+    }
+
+    fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
+        Ok(self.pipe.try_accept_channel()?.map(|c| self.wrap(c)))
+    }
+
+    fn watch_accepts(&self, waker: Option<Waker>) -> Readiness {
+        self.pipe.watch_accepts(waker)
+    }
+
+    fn interface(&self) -> &'static str {
+        self.pipe.interface()
+    }
+}
+
+impl Connection for StoppableChannel {
+    fn caps(&self) -> Capabilities {
+        self.pipe.caps()
+    }
+
+    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
+        self.pipe.send(frame)
+    }
+
+    fn recv(&self) -> Result<Vec<u8>, TransportError> {
+        self.pipe.recv()
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+        self.pipe.recv_timeout(timeout)
+    }
+
+    fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.pipe.try_recv()
+    }
+
+    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+        self.pipe.send_batch(frames)
+    }
+
+    fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
+        self.pipe.recv_many(max, timeout)
+    }
+
+    fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+        if self.stopped.load(Ordering::Acquire) {
+            return Ok(0);
+        }
+        self.pipe.try_send_batch(frames)
+    }
+
+    fn readiness(&self) -> Readiness {
+        self.pipe.readiness()
+    }
+
+    fn register_waker(&self, waker: Option<Waker>) {
+        self.pipe.register_waker(waker);
+    }
+
+    fn close(&self) {
+        self.pipe.close();
+    }
+
+    fn peer_label(&self) -> String {
+        self.pipe.peer_label()
+    }
+}
+
+/// Two nodes over a [`StoppableLink`], and its switch.
+fn stoppable_nodes() -> (NcsNode, NcsNode, Arc<AtomicBool>) {
+    let stopped = Arc::new(AtomicBool::new(false));
+    let (pa, pb) = PipeLinkPair::create(PipeConfig::default(), None, None);
+    let link = |pipe| {
+        let stopped = Arc::clone(&stopped);
+        Arc::new(StoppableLink { pipe, stopped })
+    };
+    let a = NcsNode::builder("alice").build();
+    let b = NcsNode::builder("bob").build();
+    a.attach_peer("bob", link(pa));
+    b.attach_peer("alice", link(pb));
+    (a, b, stopped)
+}
+
+/// `send_handoff` returns once the Send plane has taken the message, not
+/// once it is transmitted: with the transmit refused its request stays
+/// open, and the close resolves it.
+#[test]
+fn send_handoff_returns_before_a_refused_transmit_and_close_resolves_it() {
+    let (a, b, stopped) = stoppable_nodes();
+    let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::unreliable());
+    let through = ca.send_handoff(b"through").expect("hand-off");
+    assert_eq!(through.wait_timeout(Duration::from_secs(5)), Ok(()));
+    assert_eq!(cb.recv_timeout(Duration::from_secs(5)).unwrap(), b"through");
+
+    stopped.store(true, Ordering::Release);
+    let stuck = ca.send_handoff(b"stuck").expect("hand-off");
+    assert_eq!(
+        stuck.wait_timeout(Duration::from_millis(50)),
+        Err(SendError::Timeout),
+        "a refused transmit completed"
+    );
+    assert!(!stuck.test());
+    ca.close();
+    assert_eq!(
+        stuck.wait_timeout(Duration::from_secs(5)),
+        Err(SendError::Closed)
+    );
+    a.shutdown();
+    b.shutdown();
+}
+
+/// The hand-off is the §3.1 bypass's Send Thread: a connection whose
+/// messages go through FC/EC, or that has no Send Thread, refuses it.
+#[test]
+fn send_handoff_refuses_reliable_and_direct_connections() {
+    let (a, b) = linked_nodes(64);
+    let (reliable, _rb) = connect_pair(&a, &b, ConnectionConfig::reliable());
+    let (direct, _db) = connect_pair(&a, &b, ConnectionConfig::direct());
+    for conn in [reliable, direct] {
+        assert!(matches!(
+            conn.send_handoff(b"x"),
+            Err(SendError::WrongMode(_))
+        ));
+    }
     a.shutdown();
     b.shutdown();
 }

@@ -256,7 +256,9 @@ fn a_message_sent_inline_after_silence_is_retransmitted_when_lost() {
         let tx = a.connect("bob", config).expect("connect");
         let rx = b.accept_default().expect("accept");
         for i in 0..WARM {
-            tx.send_sync(&numbered(i, 8)).expect("warm-up");
+            tx.isend(&numbered(i, 8))
+                .and_then(|r| r.wait())
+                .expect("warm-up");
             assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
         }
         assert_eq!(tx.stats().retransmissions, 0, "the drop hit the warm-up");
@@ -333,7 +335,9 @@ fn a_lost_end_sdu_is_repaired_at_the_links_pace_by_one_frame() {
         let pair = AtmPair::new(pkg, vec![150]);
         let (tx, rx) = pair.connect(Duration::from_millis(200), 10);
         for i in 0..WARM {
-            tx.send_sync(&numbered(i, 8)).expect("warm-up");
+            tx.isend(&numbered(i, 8))
+                .and_then(|r| r.wait())
+                .expect("warm-up");
             assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
         }
         let warm = tx.stats();
@@ -379,7 +383,9 @@ fn a_lost_train_is_retransmitted_whole_and_delivered_once() {
         let pair = AtmPair::new(pkg, vec![40]);
         let (tx, rx) = pair.connect(Duration::from_millis(150), 30);
         for i in 0..WARM {
-            tx.send_sync(&numbered(i, 8)).expect("warm-up");
+            tx.isend(&numbered(i, 8))
+                .and_then(|r| r.wait())
+                .expect("warm-up");
             assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
         }
         let before = tx.stats();
@@ -422,7 +428,11 @@ fn a_train_whose_session_fails_fails_every_request_in_it() {
         let pair = AtmPair::new(pkg, (40..20_000).collect());
         let (tx, rx) = pair.connect(Duration::from_millis(20), 2);
         let mut delivered = 0;
-        while tx.send_sync(&numbered(delivered, 8)).is_ok() {
+        while tx
+            .isend(&numbered(delivered, 8))
+            .and_then(|r| r.wait())
+            .is_ok()
+        {
             assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), delivered);
             delivered += 1;
         }

@@ -8,6 +8,7 @@ use ncs_core::error_control::{build_receiver, build_sender, ReceiverStep, Sender
 use ncs_core::packet::{CtrlMsg, DataHeader, DataPacket, Hello};
 use ncs_core::seq::AckBitmap;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn arb_flow_control() -> impl Strategy<Value = FlowControlAlg> {
     prop_oneof![
@@ -39,7 +40,145 @@ fn arb_error_control() -> impl Strategy<Value = ErrorControlAlg> {
     ]
 }
 
+fn arb_config() -> impl Strategy<Value = ConnectionConfig> {
+    (
+        256usize..=65536,
+        arb_flow_control(),
+        arb_error_control(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(sdu_size, flow_control, error_control, direct)| ConnectionConfig {
+                sdu_size,
+                flow_control,
+                error_control,
+                direct,
+            },
+        )
+}
+
+fn arb_bitmap() -> impl Strategy<Value = AckBitmap> {
+    (1u32..512, proptest::collection::vec(any::<u32>(), 0..64)).prop_map(|(total, received)| {
+        let mut bitmap = AckBitmap::all_missing(total);
+        for r in received {
+            bitmap.mark_received(r % total);
+        }
+        bitmap
+    })
+}
+
+/// A valid encoding from any of the decoders a peer's bytes reach: every
+/// `CtrlMsg` and `Hello` variant, a bare configuration, a bare bitmap.
+fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (any::<u32>(), any::<u32>(), arb_bitmap()).prop_map(|(conn, session, bitmap)| {
+            CtrlMsg::Ack {
+                conn,
+                session,
+                bitmap,
+            }
+            .encode()
+        }),
+        (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(conn, session, next_expected)| {
+            CtrlMsg::GbnAck {
+                conn,
+                session,
+                next_expected,
+            }
+            .encode()
+        }),
+        (any::<u32>(), any::<u32>())
+            .prop_map(|(conn, credits)| CtrlMsg::Credit { conn, credits }.encode()),
+        (any::<u32>(), arb_config()).prop_map(|(initiator_conn, config)| {
+            CtrlMsg::OpenConn {
+                initiator_conn,
+                config,
+            }
+            .encode()
+        }),
+        (any::<u32>(), any::<u32>()).prop_map(|(initiator_conn, acceptor_conn)| {
+            CtrlMsg::AcceptConn {
+                initiator_conn,
+                acceptor_conn,
+            }
+            .encode()
+        }),
+        any::<u32>().prop_map(|conn| CtrlMsg::CloseConn { conn }.encode()),
+        "[a-z0-9.-]{0,12}".prop_map(|node| Hello::Control { node }.encode()),
+        ("[a-z0-9.-]{0,12}", any::<u32>(), arb_config()).prop_map(
+            |(node, initiator_conn, config)| Hello::Data {
+                node,
+                initiator_conn,
+                config
+            }
+            .encode()
+        ),
+        arb_config().prop_map(|c| c.encode()),
+        arb_bitmap().prop_map(|b| b.encode()),
+    ]
+}
+
+/// Runs `bytes` through every decoder that reads what a peer sent. None
+/// may panic, and whatever one accepts must decode to the same value
+/// again after a re-encode.
+fn decoders_are_total(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(msg) = CtrlMsg::decode(bytes) {
+        prop_assert_eq!(CtrlMsg::decode(&msg.encode()).ok(), Some(msg));
+    }
+    if let Ok(hello) = Hello::decode(bytes) {
+        prop_assert_eq!(Hello::decode(&hello.encode()).ok(), Some(hello));
+    }
+    if let Ok(config) = ConnectionConfig::decode(bytes) {
+        prop_assert_eq!(
+            ConnectionConfig::decode(&config.encode()).ok(),
+            Some(config)
+        );
+    }
+    if let Ok(bitmap) = AckBitmap::decode(bytes) {
+        prop_assert_eq!(AckBitmap::decode(&bitmap.encode()).ok(), Some(bitmap));
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn decoders_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+        decoders_are_total(&bytes)?;
+    }
+
+    /// Noise behind a real control or hello tag and variant reaches every
+    /// variant's field decoders.
+    #[test]
+    fn decoders_survive_arbitrary_bodies_behind_every_tag(
+        hello: bool,
+        variant in 0u8..8,
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let tag = if hello {
+            Hello::Control { node: String::new() }.encode()[0]
+        } else {
+            CtrlMsg::CloseConn { conn: 0 }.encode()[0]
+        };
+        let mut bytes = vec![tag, variant];
+        bytes.extend(body);
+        decoders_are_total(&bytes)?;
+    }
+
+    /// A valid encoding with one byte changed, or cut short, or both.
+    #[test]
+    fn decoders_survive_mutated_encodings(
+        bytes in arb_encoding(),
+        at in any::<usize>(),
+        byte: u8,
+        cut in any::<usize>(),
+    ) {
+        let mut mutated = bytes.clone();
+        mutated[at % bytes.len()] = byte;
+        decoders_are_total(&mutated)?;
+        decoders_are_total(&bytes[..cut % bytes.len()])?;
+        decoders_are_total(&mutated[..cut % bytes.len()])?;
+    }
+
     /// Connection configurations survive the wire round trip exactly.
     #[test]
     fn config_codec_round_trips(

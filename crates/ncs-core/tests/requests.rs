@@ -1,7 +1,8 @@
 //! End-to-end tests of the nonblocking Request API: isend/irecv over
 //! bypass and reliable configurations, tag matching (including a
 //! proptest that tag-matched delivery never crosses tags), zero-copy
-//! `MsgView` recycling, request cancellation, `try_recv_result`, and the
+//! `MsgView` recycling, request cancellation, the non-blocking receive
+//! (`recv_view(Duration::ZERO)`), and the
 //! fail-fast contract — a parked `irecv` surfaces an error the moment
 //! its connection closes or its link dies, never a hang.
 
@@ -179,34 +180,37 @@ fn dropped_irecv_releases_its_claim() {
     b.shutdown();
 }
 
+/// `recv_view(Duration::ZERO)` is the non-blocking receive: `Timeout`
+/// while nothing has arrived, the message once it has, and the terminal
+/// error once the peer closed and the queue is drained.
 #[test]
-fn try_recv_result_surfaces_connection_errors() {
+fn a_zero_timeout_receive_surfaces_connection_errors() {
     let (a, b) = linked_nodes(256);
     let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::unreliable());
-    assert_eq!(cb.try_recv_result(), Ok(None));
+    assert_eq!(cb.recv_view(Duration::ZERO).err(), Some(SendError::Timeout));
     ca.send(b"payload").unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match cb.try_recv_result() {
-            Ok(Some(m)) => {
-                assert_eq!(m, b"payload");
+        match cb.recv_view(Duration::ZERO) {
+            Ok(m) => {
+                assert_eq!(&*m, b"payload");
                 break;
             }
-            Ok(None) => {
+            Err(SendError::Timeout) => {
                 assert!(Instant::now() < deadline, "message never arrived");
                 std::thread::sleep(Duration::from_millis(1));
             }
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    // After the peer closes and the queue drains, the error is visible —
-    // where the deprecated try_recv() returned a silent None.
+    // After the peer closes and the queue drains, the error is visible,
+    // not a silent "nothing yet".
     ca.close();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match cb.try_recv_result() {
+        match cb.recv_view(Duration::ZERO) {
             Err(SendError::Closed) => break,
-            Ok(_) => {
+            Ok(_) | Err(SendError::Timeout) => {
                 assert!(Instant::now() < deadline, "close never surfaced");
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -290,14 +294,16 @@ fn close_then_drain_still_delivers_arrived_messages() {
     // Wait until delivered on the receive side, then close.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        match cb.try_recv_result() {
-            Ok(Some(m)) => {
+        match cb.recv_view(Duration::ZERO) {
+            Ok(m) => {
                 // Already taken: put the scenario together differently —
                 // send another and close after it lands.
-                assert_eq!(m, b"in flight");
+                assert_eq!(&*m, b"in flight");
                 break;
             }
-            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(1)),
+            Err(SendError::Timeout) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(1))
+            }
             other => panic!("unexpected: {other:?}"),
         }
     }

@@ -62,9 +62,9 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
         .connect("ben", ConnectionConfig::reliable())
         .expect("connect");
     let conn_b = b.accept_default().expect("accept");
-    conn_a.send_sync(b"over").expect("send");
+    conn_a.isend(b"over").and_then(|r| r.wait()).expect("send");
     assert_eq!(conn_b.recv().expect("recv"), b"over");
-    conn_b.send_sync(b"back").expect("send");
+    conn_b.isend(b"back").and_then(|r| r.wait()).expect("send");
     assert_eq!(conn_a.recv().expect("recv"), b"back");
 
     let names = thread_names();
@@ -132,7 +132,10 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
         .connect("dan", ConnectionConfig::reliable())
         .expect("connect");
     let conn_d = d.accept_default().expect("accept");
-    conn_c.send_sync(b"shared").expect("send");
+    conn_c
+        .isend(b"shared")
+        .and_then(|r| r.wait())
+        .expect("send");
     assert_eq!(conn_d.recv().expect("recv"), b"shared");
     let took = timed_shutdown(&c);
     assert!(
@@ -148,7 +151,10 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
         .connect("ben", ConnectionConfig::reliable())
         .expect("connect");
     let conn_b = b.accept_default().expect("accept");
-    conn_d.send_sync(b"still here").expect("send");
+    conn_d
+        .isend(b"still here")
+        .and_then(|r| r.wait())
+        .expect("send");
     assert_eq!(conn_b.recv().expect("recv"), b"still here");
 
     b.shutdown();

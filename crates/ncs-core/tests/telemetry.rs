@@ -107,7 +107,7 @@ fn retransmissions_match_the_fault_plan_exactly() {
     for i in 0..MSGS {
         let mut want = vec![i as u8; SDU + 8];
         want[..8].copy_from_slice(&(i as u64).to_be_bytes());
-        conn_a.send_sync(&want).expect("send");
+        conn_a.isend(&want).and_then(|r| r.wait()).expect("send");
         let got = conn_b
             .recv_timeout(Duration::from_secs(30))
             .unwrap_or_else(|e| panic!("message {i} never arrived: {e}"));

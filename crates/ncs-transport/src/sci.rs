@@ -39,18 +39,27 @@ struct ReadBuf {
 }
 
 impl ReadBuf {
-    /// Pops one complete frame if buffered.
-    fn pop_frame(&mut self) -> Option<Vec<u8>> {
-        if self.buf.len() < 4 {
-            return None;
+    /// Pops one complete frame if buffered. A length prefix above
+    /// [`MAX_FRAME`] is refused as soon as it is read — nothing that long
+    /// is sent by a peer speaking this framing — and stays at the front
+    /// of the buffer, so every later look refuses it too.
+    fn pop_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+        let Some(prefix) = self.buf.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
+        if len > MAX_FRAME {
+            return Err(TransportError::TooLarge {
+                len,
+                max: MAX_FRAME,
+            });
         }
-        let len = u32::from_be_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
         if self.buf.len() < 4 + len {
-            return None;
+            return Ok(None);
         }
         let frame = self.buf[4..4 + len].to_vec();
         self.buf.drain(..4 + len);
-        Some(frame)
+        Ok(Some(frame))
     }
 }
 
@@ -201,6 +210,12 @@ impl SciConnection {
         Ok(accepted)
     }
 
+    /// [`ReadBuf::pop_frame`], closing the connection on a refused length
+    /// prefix: the bytes behind it cannot be framed.
+    fn pop_frame(&self, rb: &mut ReadBuf) -> Result<Option<Vec<u8>>, TransportError> {
+        rb.pop_frame().inspect_err(|_| self.close())
+    }
+
     /// Switches receives to non-blocking polling, invoking `hook` between
     /// polls — the paper's user-level-package receive discipline
     /// (`NCS_thread_yield()` while no data is pending).
@@ -247,7 +262,7 @@ impl SciConnection {
         let (stream, rb) = &mut *guard;
         let mut chunk = [0u8; 64 * 1024];
         loop {
-            if let Some(frame) = rb.pop_frame() {
+            if let Some(frame) = self.pop_frame(rb)? {
                 return Ok(frame);
             }
             if self.closed.load(Ordering::Acquire) {
@@ -291,7 +306,7 @@ impl Connection for SciConnection {
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
         let mut guard = self.reader.lock();
         let (stream, rb) = &mut *guard;
-        if let Some(frame) = rb.pop_frame() {
+        if let Some(frame) = self.pop_frame(rb)? {
             return Ok(Some(frame));
         }
         if self.closed.load(Ordering::Acquire) {
@@ -312,8 +327,8 @@ impl Connection for SciConnection {
         stream.set_nonblocking(false)?;
         drop(mode);
         match outcome {
-            Ok(()) => Ok(rb.pop_frame()),
-            Err(TransportError::Closed) => match rb.pop_frame() {
+            Ok(()) => self.pop_frame(rb),
+            Err(TransportError::Closed) => match self.pop_frame(rb)? {
                 Some(f) => Ok(Some(f)),
                 None => Err(TransportError::Closed),
             },
@@ -386,9 +401,13 @@ impl Connection for SciConnection {
         let mut chunk = [0u8; 64 * 1024];
         loop {
             while out.len() < max {
-                match rb.pop_frame() {
-                    Some(f) => out.push(f),
-                    None => break,
+                match self.pop_frame(rb) {
+                    Ok(Some(f)) => out.push(f),
+                    Ok(None) => break,
+                    // The frames before a refused prefix are still good;
+                    // the refusal is repeated by the next call.
+                    Err(_) if !out.is_empty() => return Ok(out),
+                    Err(e) => return Err(e),
                 }
             }
             if out.len() >= max {
@@ -617,7 +636,9 @@ pub fn loopback_pair() -> Result<(SciConnection, SciConnection), TransportError>
     let addr = listener.local_addr()?;
     let t = std::thread::spawn(move || connect(addr));
     let server = listener.accept()?;
-    let client = t.join().expect("connect thread panicked")?;
+    let client = t
+        .join()
+        .map_err(|_| TransportError::Io("connect thread panicked".to_owned()))??;
     Ok((client, server))
 }
 
@@ -886,6 +907,34 @@ mod tests {
         client.send(b"still listening").unwrap();
         assert_eq!(server.recv().unwrap(), b"still listening");
         assert_eq!(listener.try_accept().map(|c| c.is_some()), Ok(false));
+    }
+
+    /// A peer whose first bytes claim a frame of 4 GiB is refused at
+    /// once, not buffered for: the receive reports `TooLarge` and the
+    /// connection closes.
+    #[test]
+    fn an_oversized_length_prefix_is_refused_and_closes_the_connection() {
+        let listener = SciListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+        // The writer keeps its end open: a reader that waited for the
+        // 4 GiB would time out, not see the stream end.
+        let writer = std::thread::spawn(move || {
+            let _ = raw.write_all(&[0xff; 4]);
+            // The refusal may reset the stream under this write.
+            let _ = raw.write_all(&vec![0u8; 1 << 20]);
+            raw
+        });
+        assert_eq!(
+            conn.recv_timeout(Duration::from_secs(5)),
+            Err(TransportError::TooLarge {
+                len: u32::MAX as usize,
+                max: MAX_FRAME
+            })
+        );
+        assert_eq!(conn.send(b"x"), Err(TransportError::Closed));
+        drop(conn);
+        writer.join().unwrap();
     }
 
     #[test]

@@ -62,7 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (message.len() / 48) + message.len().div_ceil(4096),
     );
     for round in 1..=5 {
-        conn_tx.send_sync_timeout(&message, Duration::from_secs(60))?;
+        conn_tx
+            .isend(&message)?
+            .wait_timeout(Duration::from_secs(60))?;
         let got = conn_rx.recv_timeout(Duration::from_secs(60))?;
         assert_eq!(got, message, "round {round} corrupted");
         println!("round {round}: delivered intact");

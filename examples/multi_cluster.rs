@@ -82,31 +82,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let h1 = std::thread::spawn(move || {
         let chunk = w1.recv().expect("n1 chunk");
         let sum = decode_sum(&chunk);
-        w1.send_sync(&sum.to_be_bytes()).expect("n1 reply");
+        w1.isend(&sum.to_be_bytes())
+            .and_then(|r| r.wait())
+            .expect("n1 reply");
     });
     // Worker n3 (cluster 2, ACI) — n2 forwards its chunk onward.
     let h3 = std::thread::spawn(move || {
         let chunk = w3.recv().expect("n3 chunk");
         let sum = decode_sum(&chunk);
-        w3.send_sync(&sum.to_be_bytes()).expect("n3 reply");
+        w3.isend(&sum.to_be_bytes())
+            .and_then(|r| r.wait())
+            .expect("n3 reply");
     });
     // Worker/gateway n2 (bridges SCI and ACI).
     let h2 = std::thread::spawn(move || {
         let own = w2.recv().expect("n2 own chunk");
         let forward = w2.recv().expect("n2 forward chunk");
-        c23.send_sync(&forward).expect("forward to n3");
+        c23.isend(&forward)
+            .and_then(|r| r.wait())
+            .expect("forward to n3");
         let own_sum = decode_sum(&own);
         let n3_sum = u64::from_be_bytes(
             c23.recv().expect("n3 sum")[..8]
                 .try_into()
                 .expect("8 bytes"),
         );
-        w2.send_sync(&(own_sum + n3_sum).to_be_bytes())
+        w2.isend(&(own_sum + n3_sum).to_be_bytes())
+            .and_then(|r| r.wait())
             .expect("n2 reply");
     });
 
     // Coordinator distributes and gathers.
-    c01.send_sync(&encode(chunks[1]))?;
+    c01.isend(&encode(chunks[1]))?.wait()?;
     c02.send(&encode(chunks[2]))?; // n2's own chunk
     c02.send(&encode(chunks[3]))?; // forwarded to n3
     let local_sum: u64 = chunks[0].iter().sum();

@@ -76,11 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
         let mut document_done = false;
         while std::time::Instant::now() < deadline {
-            if let Ok(Some(f)) = video_rx.try_recv_result() {
+            if let Ok(f) = video_rx.recv_view(Duration::ZERO) {
                 video_frames += 1;
                 drop(f);
             }
-            if let Ok(Some(f)) = audio_rx.try_recv_result() {
+            if let Ok(f) = audio_rx.recv_view(Duration::ZERO) {
                 audio_frames += 1;
                 drop(f);
             }
@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         video_frames += 1;
                         drop(f);
                     }
-                    while let Ok(Some(f)) = audio_rx.try_recv_result() {
+                    while let Ok(f) = audio_rx.recv_view(Duration::ZERO) {
                         audio_frames += 1;
                         drop(f);
                     }
@@ -120,8 +120,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         audio_tx.send(&sample)?;
     }
     let document: Vec<u8> = (0..40_000u32).map(|i| (i % 89) as u8).collect();
-    text_tx.send_sync_timeout(&document, Duration::from_secs(30))?;
-    text_tx.send_sync_timeout(b"<END>", Duration::from_secs(30))?;
+    text_tx
+        .isend(&document)?
+        .wait_timeout(Duration::from_secs(30))?;
+    text_tx
+        .isend(b"<END>")?
+        .wait_timeout(Duration::from_secs(30))?;
 
     let (video_frames, audio_frames, text_bytes) = consumer.join().expect("consumer");
     println!("video frames delivered: {video_frames}/30 (loss tolerated, no retransmission)");

@@ -60,13 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A multi-SDU message through the blocking compatibility wrappers
     // (thin shells over the same requests).
     let big: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-    tx.send_sync(&big)?;
+    tx.isend(&big)?.wait()?;
     let got = rx.recv()?;
     assert_eq!(got, big);
     println!("bob received a {} byte message intact", got.len());
 
     // And the reverse direction on the same connection.
-    rx.send_sync(b"hello back")?;
+    rx.isend(b"hello back")?.wait()?;
     println!("alice received: {:?}", String::from_utf8(tx.recv()?)?);
 
     println!("\nsender-side statistics: {}", tx.stats());

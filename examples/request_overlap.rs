@@ -11,8 +11,8 @@
 //!
 //! * **overlap proof** — how many compute chunks finished while at least
 //!   one request of the window was still in flight (`test_all` false).
-//!   Any non-zero count is computation that the blocking
-//!   `send_sync`/`recv` forms would have serialised behind the wire.
+//!   Any non-zero count is computation that blocking sends and receives
+//!   (`isend(..)?.wait()`, `recv`) would have serialised behind the wire.
 //! * **wall-clock comparison** — the same workload run blocking
 //!   (send, recv, then compute) and overlapped (post requests, compute,
 //!   collect). On a multi-core host the overlapped form approaches

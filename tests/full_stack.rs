@@ -52,7 +52,8 @@ fn ncs_over_atm_with_loss_recovers() {
 
     let message: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
     conn_tx
-        .send_sync_timeout(&message, Duration::from_secs(60))
+        .isend(&message)
+        .and_then(|r| r.wait_timeout(Duration::from_secs(60)))
         .expect("reliable delivery over lossy ATM");
     let got = conn_rx.recv_timeout(Duration::from_secs(60)).expect("recv");
     assert_eq!(got, message);
@@ -112,7 +113,9 @@ fn ncs_runtime_on_green_threads() {
         b.attach_peer("green-a", lb);
         let tx = a.connect("green-b", ConnectionConfig::reliable()).unwrap();
         let rx = b.accept_default().unwrap();
-        tx.send_sync(b"from the green world").unwrap();
+        tx.isend(b"from the green world")
+            .and_then(|r| r.wait())
+            .unwrap();
         let got = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         a.shutdown();
         b.shutdown();
@@ -232,7 +235,9 @@ fn mixed_configuration_connections_coexist() {
     for (i, (tx, rx)) in pairs.into_iter().enumerate() {
         handles.push(std::thread::spawn(move || {
             let msg = vec![i as u8 + 1; 5_000];
-            tx.send_sync_timeout(&msg, Duration::from_secs(20)).unwrap();
+            tx.isend(&msg)
+                .and_then(|r| r.wait_timeout(Duration::from_secs(20)))
+                .unwrap();
             assert_eq!(rx.recv_timeout(Duration::from_secs(20)).unwrap(), msg);
         }));
     }
