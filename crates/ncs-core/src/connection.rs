@@ -1028,7 +1028,14 @@ impl ReactorTask for ConnTask {
             timer = None;
             let mut hungry = false;
             let mut progressed = false;
-            progressed |= self.step_recv(&mut hungry);
+            // Receive in the first round only: it drains until the
+            // transport is empty or its budget is spent, and the latter
+            // ends the poll with `Again`. Whatever arrives later is
+            // reported anyway — a waker marks the task dirty, a re-armed
+            // fd is looked at again — the same contract `Idle` relies on.
+            if round == 0 {
+                progressed |= self.step_recv(&mut hungry);
+            }
             let mut tx = self.shared.tx.lock();
             if !self.shared.closed.load(Ordering::Acquire) {
                 progressed |= self.shared.step_tx(&mut tx, &mut timer);
@@ -1042,9 +1049,9 @@ impl ReactorTask for ConnTask {
                 break;
             }
         }
-        // Quiescent. Re-arm fd readiness — the poller is level-triggered,
-        // so anything that arrived while disarmed shows on its next cycle
-        // — and park on the nearest protocol deadline.
+        // Quiescent. Re-arm fd readiness — the kernel looks again, so
+        // anything that arrived while disarmed is reported at once — and
+        // park on the nearest protocol deadline.
         if let Some((_, watch)) = self.shared.task.read().as_ref() {
             watch.rearm();
         }

@@ -12,7 +12,7 @@
 //! takes channels with [`PeerLink::try_accept_channel`] and is told when
 //! to look through [`PeerLink::watch_accepts`]. Incoming channels queue
 //! in one of two places: a mailbox (HPI, PIPE, SIM, ACI) that fires a
-//! waker, or a listening socket (SCI) the reactor's `poll(2)` thread
+//! waker, or a listening socket (SCI) the reactor's `epoll(7)` thread
 //! multiplexes.
 
 use std::sync::Arc;

@@ -15,8 +15,10 @@
 //! * **Wakers** — in-process transports (HPI/PIPE/ACI mailboxes) invoke a
 //!   registered callback on frame arrival ([`ncs_transport::Readiness::Waker`]);
 //! * **File descriptors** — SCI sockets are multiplexed by a single
-//!   `poll(2)` thread (`FdPoller`), with oneshot-style arming so a ready
-//!   fd wakes its task exactly once until the task drains and re-arms;
+//!   `epoll(7)` thread (`FdPoller`, Linux only), with oneshot arming so a
+//!   ready fd wakes its task exactly once until the task drains and
+//!   re-arms — from its own thread, with one `epoll_ctl` and no wake of
+//!   the poller thread;
 //! * **Timers** — retransmission deadlines, flow-control pacing and
 //!   starvation probes. A task holds at most one *armed* deadline
 //!   ([`TaskRef::armed_by`]); it is kept when the task goes `Idle` and
@@ -48,7 +50,7 @@
 //! works under both the kernel-level and the user-level (green) package —
 //! blocking waits go through `ncs_threads::sync`, which parks green
 //! threads cooperatively. The fd poller is always a plain OS thread: a
-//! blocking `poll(2)` must never stall the green scheduler.
+//! blocking `epoll_wait` must never stall the green scheduler.
 //!
 //! Nothing else runs here: the loops are the node's one execution model,
 //! and there is no pool for blocking work beside them. Code outside this
@@ -239,6 +241,8 @@ pub(crate) struct ReactorCounters {
     /// Entries in the shards' timer heaps, superseded ones included.
     timer_entries: AtomicU64,
     fd_events: AtomicU64,
+    /// Returns of the fd poller thread from `epoll_wait`.
+    poller_wakes: AtomicU64,
     stalled_tasks: AtomicU64,
     short_parks: AtomicU64,
 }
@@ -262,7 +266,6 @@ pub struct Reactor {
     next_shard: AtomicUsize,
     counters: Arc<ReactorCounters>,
     workers: Mutex<Vec<ncs_threads::JoinHandle>>,
-    #[cfg(unix)]
     poller: Mutex<Option<Arc<FdPoller>>>,
     pkg: Arc<dyn ThreadPackage>,
     shutdown: Arc<AtomicBool>,
@@ -318,7 +321,6 @@ impl Reactor {
             next_shard: AtomicUsize::new(0),
             counters,
             workers: Mutex::new(workers),
-            #[cfg(unix)]
             poller: Mutex::new(None),
             pkg,
             shutdown,
@@ -387,29 +389,32 @@ impl Reactor {
         self.counters.timer_entries.load(Ordering::Relaxed)
     }
 
+    /// Times the fd poller thread has woken.
+    #[cfg(test)]
+    pub(crate) fn poller_wakes(&self) -> u64 {
+        self.counters.poller_wakes.load(Ordering::Relaxed)
+    }
+
     /// Subscribes `task` to `transport`'s readiness: it is woken whenever
     /// the transport may have become readable — through the transport's
     /// waker, and for an fd-backed transport (SCI) through the shared
-    /// `poll(2)` thread as well.
+    /// `epoll(7)` thread as well.
     pub(crate) fn watch(&self, transport: &Arc<dyn Transport>, task: &Arc<TaskHandle>) -> Watch {
         let t = Arc::clone(task);
         transport.register_waker(Some(Arc::new(move || t.wake())));
-        #[cfg(unix)]
         let fd = match transport.readiness() {
             ncs_transport::Readiness::Fd(fd) => Some(self.watch_fd(fd, task)),
             _ => None,
         };
         Watch {
-            #[cfg(unix)]
             fd,
             transport: Arc::clone(transport),
         }
     }
 
-    /// Has the shared `poll(2)` thread wake `task` whenever `fd` — an SCI
-    /// socket, or an SCI listener with connections to accept — polls
-    /// readable, until the registration is dropped.
-    #[cfg(unix)]
+    /// Has the shared `epoll(7)` thread wake `task` whenever `fd` — an SCI
+    /// socket, or an SCI listener with connections to accept — turns
+    /// readable while armed, until the registration is dropped.
     pub(crate) fn watch_fd(
         &self,
         fd: std::os::fd::RawFd,
@@ -475,7 +480,6 @@ impl Reactor {
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join_timeout(Duration::from_secs(2));
         }
-        #[cfg(unix)]
         if let Some(poller) = self.poller.lock().take() {
             poller.stop();
         }
@@ -531,7 +535,6 @@ impl Drop for TaskRef {
 pub(crate) struct Watch {
     // Before `transport`: the registration is keyed by descriptor number,
     // which the system may hand out again the moment the socket closes.
-    #[cfg(unix)]
     fd: Option<FdRegistration>,
     transport: Arc<dyn Transport>,
 }
@@ -542,10 +545,9 @@ impl Watch {
     }
 
     /// Re-enables fd readiness once the task has drained the transport
-    /// (registrations are oneshot; the poller is level-triggered, so
-    /// anything that arrived while disarmed shows on its next cycle).
+    /// (registrations are oneshot; re-arming makes the kernel look again,
+    /// so anything that arrived while disarmed is reported at once).
     pub(crate) fn rearm(&self) {
-        #[cfg(unix)]
         if let Some(fd) = &self.fd {
             fd.rearm();
         }
@@ -710,43 +712,65 @@ fn run_task(
 // fd poller (SCI sockets)
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 mod fdpoll {
+    #[cfg(not(target_os = "linux"))]
+    compile_error!("the reactor's fd poller is built on epoll(7), which only Linux has");
+
     use super::*;
-    use std::io::{Read, Write};
-    use std::os::fd::{AsRawFd, RawFd};
+    use std::io::Write;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::os::unix::net::UnixStream;
 
+    /// `struct epoll_event`, which the kernel packs on x86_64.
     #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
+    #[cfg_attr(target_arch = "x86_64", repr(packed))]
+    #[derive(Clone, Copy)]
+    struct EpollEvent {
+        events: u32,
+        data: u64,
     }
 
-    const POLLIN: i16 = 0x001;
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLONESHOT: u32 = 1 << 30;
+    const EPOLL_CLOEXEC: i32 = 0o2_000_000;
+    const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLL_CTL_DEL: i32 = 2;
+    const EPOLL_CTL_MOD: i32 = 3;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
+        fn epoll_create1(flags: i32) -> i32;
+        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     }
 
+    /// The stop signal's event token; registrations count up from 1.
+    const STOP: u64 = 0;
+
+    /// Whether the task of a registration is owed a report when its
+    /// descriptor turns readable, and which task that is.
     struct FdEntry {
         handle: Arc<TaskHandle>,
-        armed: Arc<AtomicBool>,
+        armed: AtomicBool,
     }
 
-    /// One `poll(2)` thread multiplexing every SCI socket of the reactor.
+    /// One `epoll(7)` thread multiplexing every SCI socket of the reactor.
     ///
-    /// Registrations are oneshot-style: a ready fd is disarmed before its
-    /// task is woken, so a level-triggered descriptor cannot busy-spin the
-    /// poller while the task catches up. The task re-arms through its
-    /// [`FdRegistration`] once it has drained (`poll(2)` is level
-    /// triggered, so bytes that arrived while disarmed are seen on the
-    /// next cycle — no lost wakeups).
+    /// Registrations are oneshot (`EPOLLONESHOT`): the kernel disarms a
+    /// descriptor as it reports it, so a readable socket cannot busy-spin
+    /// the poller while its task catches up. The task re-arms through its
+    /// [`FdRegistration`] once it has drained, on its own thread; the
+    /// kernel then looks again, so bytes that arrived while disarmed are
+    /// reported at once — no lost wakeups, and no wake of the poller
+    /// thread. That thread wakes only for readiness and for `stop`.
     pub(crate) struct FdPoller {
-        entries: Mutex<HashMap<RawFd, FdEntry>>,
-        /// Write end of the self-pipe; poked on every registration change.
-        signal_tx: Mutex<UnixStream>,
+        epoll: OwnedFd,
+        /// Live registrations by token. A token is never reused, so a
+        /// report for a registration that is gone wakes nobody, even when
+        /// its descriptor number has been handed out again.
+        entries: Mutex<HashMap<u64, Arc<FdEntry>>>,
+        next_token: AtomicU64,
+        /// Written once, by `stop`.
+        stop_tx: UnixStream,
         shutdown: Arc<AtomicBool>,
     }
 
@@ -755,20 +779,36 @@ mod fdpoll {
             counters: Arc<ReactorCounters>,
             shutdown: Arc<AtomicBool>,
         ) -> Arc<Self> {
-            let (tx, rx) = UnixStream::pair().expect("fd poller self-pipe");
-            tx.set_nonblocking(true).expect("self-pipe nonblocking");
-            rx.set_nonblocking(true).expect("self-pipe nonblocking");
+            // SAFETY: no pointer is passed; the result is checked below.
+            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            assert!(
+                epfd >= 0,
+                "epoll_create1: {}",
+                std::io::Error::last_os_error()
+            );
+            // SAFETY: `epfd` is a fresh descriptor that nothing else owns.
+            let epoll = unsafe { OwnedFd::from_raw_fd(epfd) };
+            let (stop_tx, stop_rx) = UnixStream::pair().expect("fd poller stop signal");
+            let mut event = EpollEvent {
+                events: EPOLLIN,
+                data: STOP,
+            };
+            // SAFETY: `event` is one valid `epoll_event` for the call.
+            let added = unsafe { epoll_ctl(epfd, EPOLL_CTL_ADD, stop_rx.as_raw_fd(), &mut event) };
+            assert!(added == 0, "watch the fd poller's stop signal");
             let poller = Arc::new(FdPoller {
+                epoll,
                 entries: Mutex::new(HashMap::new()),
-                signal_tx: Mutex::new(tx),
+                next_token: AtomicU64::new(STOP + 1),
+                stop_tx,
                 shutdown,
             });
             let p = Arc::clone(&poller);
-            // Always a plain OS thread: a blocking poll(2) must never park
-            // the user-level package's scheduler.
+            // Always a plain OS thread: a blocking epoll_wait must never
+            // park the user-level package's scheduler.
             std::thread::Builder::new()
                 .name("ncs-fd-poller".to_owned())
-                .spawn(move || p.run(rx, counters))
+                .spawn(move || p.run(&stop_rx, &counters))
                 .expect("spawn fd poller");
             poller
         }
@@ -778,93 +818,72 @@ mod fdpoll {
             fd: RawFd,
             handle: Arc<TaskHandle>,
         ) -> FdRegistration {
-            let armed = Arc::new(AtomicBool::new(true));
-            self.entries.lock().insert(
-                fd,
-                FdEntry {
-                    handle,
-                    armed: Arc::clone(&armed),
-                },
-            );
-            self.poke();
+            let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+            let entry = Arc::new(FdEntry {
+                handle,
+                armed: AtomicBool::new(true),
+            });
+            self.entries.lock().insert(token, Arc::clone(&entry));
+            self.arm(EPOLL_CTL_ADD, fd, token, &entry);
             FdRegistration {
                 fd,
-                armed,
+                token,
+                entry,
                 poller: Arc::clone(self),
             }
         }
 
-        fn deregister(&self, fd: RawFd) {
-            self.entries.lock().remove(&fd);
-            self.poke();
-        }
-
-        pub(crate) fn poke(&self) {
-            // One pending byte is enough; WouldBlock means one is pending.
-            let _ = self.signal_tx.lock().write(&[1]);
+        /// Arms `fd` for one report under `token`. A descriptor the kernel
+        /// refuses to watch is reported ready at once instead, as
+        /// `poll(2)` reports one it cannot poll: the task's next call on
+        /// it meets the fault.
+        fn arm(&self, op: i32, fd: RawFd, token: u64, entry: &FdEntry) {
+            let mut event = EpollEvent {
+                events: EPOLLIN | EPOLLONESHOT,
+                data: token,
+            };
+            // SAFETY: `event` is one valid `epoll_event` for the call.
+            if unsafe { epoll_ctl(self.epoll.as_raw_fd(), op, fd, &mut event) } != 0 {
+                entry.armed.store(false, Ordering::Release);
+                entry.handle.wake();
+            }
         }
 
         pub(crate) fn stop(&self) {
-            self.poke();
+            let _ = (&self.stop_tx).write(&[1]);
         }
 
-        fn run(&self, mut signal_rx: UnixStream, counters: Arc<ReactorCounters>) {
-            let signal_fd = signal_rx.as_raw_fd();
-            let mut fds: Vec<PollFd> = Vec::new();
-            let mut ready: Vec<RawFd> = Vec::new();
+        fn run(&self, _stop_rx: &UnixStream, counters: &ReactorCounters) {
+            let mut events = [EpollEvent { events: 0, data: 0 }; 64];
             loop {
+                // SAFETY: `events` is writable for its whole length, which
+                // is what the call is told.
+                let n = unsafe {
+                    epoll_wait(
+                        self.epoll.as_raw_fd(),
+                        events.as_mut_ptr(),
+                        events.len() as i32,
+                        -1,
+                    )
+                };
                 if self.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                fds.clear();
-                fds.push(PollFd {
-                    fd: signal_fd,
-                    events: POLLIN,
-                    revents: 0,
-                });
-                {
-                    let entries = self.entries.lock();
-                    for (fd, e) in entries.iter() {
-                        if e.armed.load(Ordering::Acquire) {
-                            fds.push(PollFd {
-                                fd: *fd,
-                                events: POLLIN,
-                                revents: 0,
-                            });
-                        }
-                    }
-                }
-                let n = unsafe {
-                    poll(
-                        fds.as_mut_ptr(),
-                        fds.len() as std::os::raw::c_ulong,
-                        100, // ms; bounded so shutdown and re-arms are seen
-                    )
-                };
-                if n < 0 {
-                    // EINTR or similar: retry.
+                counters.poller_wakes.fetch_add(1, Ordering::Relaxed);
+                // Negative: interrupted, so wait again.
+                let Ok(n) = usize::try_from(n) else {
                     continue;
-                }
-                if fds[0].revents != 0 {
-                    let mut buf = [0u8; 64];
-                    while matches!(signal_rx.read(&mut buf), Ok(n) if n > 0) {}
-                }
-                ready.clear();
-                for pf in &fds[1..] {
-                    if pf.revents != 0 {
-                        ready.push(pf.fd);
-                    }
-                }
-                if !ready.is_empty() {
-                    let entries = self.entries.lock();
-                    for fd in &ready {
-                        if let Some(e) = entries.get(fd) {
-                            // Oneshot: disarm before waking; the task
-                            // re-arms after draining.
-                            e.armed.store(false, Ordering::Release);
-                            counters.fd_events.fetch_add(1, Ordering::Relaxed);
-                            e.handle.wake();
-                        }
+                };
+                // Tasks are woken under the lock a registration's drop
+                // takes: once that drop returns, no report still in hand
+                // here wakes its task.
+                let entries = self.entries.lock();
+                for event in &events[..n] {
+                    let token = event.data;
+                    if let Some(e) = entries.get(&token) {
+                        e.armed.store(false, Ordering::Release);
+                        counters.fd_events.fetch_add(1, Ordering::Relaxed);
+                        e.handle.wake();
                     }
                 }
             }
@@ -874,28 +893,40 @@ mod fdpoll {
     /// A live fd registration. Dropping it deregisters the descriptor.
     pub(crate) struct FdRegistration {
         fd: RawFd,
-        armed: Arc<AtomicBool>,
+        token: u64,
+        entry: Arc<FdEntry>,
         poller: Arc<FdPoller>,
     }
 
     impl FdRegistration {
-        /// Re-enables readiness events after the owning task has drained
-        /// the descriptor.
+        /// Re-enables readiness reports after the owning task has drained
+        /// the descriptor: one `epoll_ctl` if a report disarmed it, none
+        /// if it is still armed.
         pub(crate) fn rearm(&self) {
-            if !self.armed.swap(true, Ordering::AcqRel) {
-                self.poller.poke();
+            if !self.entry.armed.swap(true, Ordering::AcqRel) {
+                self.poller
+                    .arm(EPOLL_CTL_MOD, self.fd, self.token, &self.entry);
             }
         }
     }
 
     impl Drop for FdRegistration {
         fn drop(&mut self) {
-            self.poller.deregister(self.fd);
+            self.poller.entries.lock().remove(&self.token);
+            // SAFETY: a null event is allowed for `EPOLL_CTL_DEL`. The
+            // descriptor is still open: its owner drops it after this.
+            unsafe {
+                epoll_ctl(
+                    self.poller.epoll.as_raw_fd(),
+                    EPOLL_CTL_DEL,
+                    self.fd,
+                    std::ptr::null_mut(),
+                )
+            };
         }
     }
 }
 
-#[cfg(unix)]
 pub(crate) use fdpoll::{FdPoller, FdRegistration};
 
 #[cfg(test)]
@@ -1210,6 +1241,142 @@ mod tests {
         }
         assert_eq!(reactor.stats().endpoints, 1);
         assert!(reactor.stats().task_runs >= 1);
+        reactor.shutdown();
+    }
+
+    /// Waits up to 5 s for `cond`.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(5), "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A task that counts its polls, watching the far end of a fresh
+    /// socket pair: returns the near end, the far end, the count and the
+    /// registration.
+    fn watched_pair(
+        reactor: &Reactor,
+    ) -> (
+        std::os::unix::net::UnixStream,
+        std::os::unix::net::UnixStream,
+        Arc<AtomicU64>,
+        FdRegistration,
+    ) {
+        use std::os::fd::AsRawFd;
+        let (near, far) = std::os::unix::net::UnixStream::pair().unwrap();
+        let runs = Arc::new(AtomicU64::new(0));
+        let task = CountTask {
+            runs: Arc::clone(&runs),
+            done_after: u64::MAX,
+        };
+        let handle = reactor.spawn(false, |_| Box::new(task));
+        let reg = reactor.watch_fd(far.as_raw_fd(), &handle);
+        eventually("first poll", || runs.load(Ordering::Relaxed) == 1);
+        (near, far, runs, reg)
+    }
+
+    /// A report disarms the registration: however much arrives after it,
+    /// the task is not woken again until it re-arms — and then at once
+    /// for the bytes that arrived meanwhile, so no wake-up is lost.
+    #[test]
+    fn a_disarmed_registration_wakes_once_and_again_right_after_rearm() {
+        use std::io::Write;
+        let reactor = Reactor::new(pkg(), 1);
+        let (mut near, _far, runs, reg) = watched_pair(&reactor);
+        near.write_all(b"x").unwrap();
+        eventually("fd wake", || runs.load(Ordering::Relaxed) == 2);
+        for _ in 0..100 {
+            near.write_all(b"more").unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(runs.load(Ordering::Relaxed), 2, "woken while disarmed");
+        assert_eq!(reactor.stats().fd_events, 1);
+        // Nothing was read: the bytes are still there when it re-arms.
+        reg.rearm();
+        eventually("wake after rearm", || runs.load(Ordering::Relaxed) == 3);
+        assert_eq!(reactor.stats().fd_events, 2);
+        reactor.shutdown();
+    }
+
+    /// A dropped registration wakes nothing, and a later one on the same
+    /// descriptor number wakes only its own task.
+    #[test]
+    fn a_dropped_registration_wakes_nothing_and_its_fd_number_is_reused_cleanly() {
+        use std::io::Write;
+        use std::os::fd::AsRawFd;
+        let reactor = Reactor::new(pkg(), 1);
+        let (mut near, far, old_runs, old) = watched_pair(&reactor);
+        drop(old);
+        let runs = Arc::new(AtomicU64::new(0));
+        let task = CountTask {
+            runs: Arc::clone(&runs),
+            done_after: u64::MAX,
+        };
+        let handle = reactor.spawn(false, |_| Box::new(task));
+        eventually("first poll", || runs.load(Ordering::Relaxed) == 1);
+        let _new = reactor.watch_fd(far.as_raw_fd(), &handle);
+        near.write_all(b"x").unwrap();
+        eventually("new task woken", || runs.load(Ordering::Relaxed) == 2);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(old_runs.load(Ordering::Relaxed), 1, "old task woken");
+        assert_eq!(reactor.stats().fd_events, 1);
+        reactor.shutdown();
+    }
+
+    /// Echoes every byte it reads off its socket, then re-arms.
+    struct Echo {
+        sock: std::os::unix::net::UnixStream,
+        reg: Arc<Mutex<Option<FdRegistration>>>,
+    }
+
+    impl ReactorTask for Echo {
+        fn poll(&mut self, _now: Instant) -> TaskPoll {
+            use std::io::{Read, Write};
+            let mut buf = [0u8; 64];
+            while let Ok(n @ 1..) = self.sock.read(&mut buf) {
+                self.sock.write_all(&buf[..n]).unwrap();
+            }
+            if let Some(reg) = &*self.reg.lock() {
+                reg.rearm();
+            }
+            TaskPoll::Idle
+        }
+    }
+
+    /// The poller thread wakes for readiness only: a request/reply round
+    /// trip costs it one wake (the request's arrival), not a second one
+    /// for the task's re-arm.
+    #[test]
+    fn a_round_trip_wakes_the_poller_thread_once() {
+        use std::io::{Read, Write};
+        use std::os::fd::AsRawFd;
+        let reactor = Reactor::new(pkg(), 1);
+        let (mut near, far) = std::os::unix::net::UnixStream::pair().unwrap();
+        far.set_nonblocking(true).unwrap();
+        let fd = far.as_raw_fd();
+        let reg = Arc::new(Mutex::new(None));
+        let task = Echo {
+            sock: far,
+            reg: Arc::clone(&reg),
+        };
+        let handle = reactor.spawn(false, |_| Box::new(task));
+        *reg.lock() = Some(reactor.watch_fd(fd, &handle));
+        const N: u64 = 200;
+        let before = reactor.poller_wakes();
+        let mut reply = [0u8; 1];
+        for i in 0..N {
+            near.write_all(&[i as u8]).unwrap();
+            near.read_exact(&mut reply).unwrap();
+            assert_eq!(reply[0], i as u8);
+        }
+        // At most one per request: the task's first poll may echo the
+        // first request before the poller thread collects its report,
+        // which the kernel then drops.
+        let wakes = reactor.poller_wakes() - before;
+        assert!(wakes <= N + 2, "{wakes} wakes for {N} round trips");
+        reg.lock().take();
         reactor.shutdown();
     }
 

@@ -347,7 +347,7 @@ pub struct ReactorStats {
     pub task_runs: u64,
     /// Timer deadlines that fired.
     pub timer_fires: u64,
-    /// Readiness events delivered by the `poll(2)` thread (SCI sockets).
+    /// Readiness events delivered by the `epoll(7)` thread (SCI sockets).
     pub fd_events: u64,
     /// Times a task was observed looping `Again` long enough to be called
     /// stalled (diagnostic: a healthy run stays at 0).

@@ -140,7 +140,52 @@ fn decoders_are_total(bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Runs `bytes` through the data-frame parser. It may not panic, a view
+/// it returns borrows its payload from inside `bytes`, and the view's
+/// header and payload encode to a frame that parses to them again.
+fn data_peek_is_total(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let Ok(view) = DataPacket::peek(bytes) else {
+        return Ok(());
+    };
+    let (outer, inner) = (bytes.as_ptr_range(), view.payload.as_ptr_range());
+    prop_assert!(outer.start <= inner.start && inner.end <= outer.end);
+    let again = view.to_packet().encode();
+    let reparsed = DataPacket::peek(&again).expect("own encoding parses");
+    prop_assert_eq!(
+        (reparsed.header, reparsed.payload),
+        (view.header, view.payload)
+    );
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn data_peek_survives_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+        data_peek_is_total(&bytes)?;
+    }
+
+    /// A valid data frame with one byte changed, or cut short, or both —
+    /// the length field and the flags byte included.
+    #[test]
+    fn data_peek_survives_mutated_frames(
+        ids in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        flags in (any::<bool>(), any::<bool>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+        edit in (any::<u8>(), any::<usize>()),
+    ) {
+        let ((conn, src_conn, session, seq), (end, tagged)) = (ids, flags);
+        let (byte, cut) = edit;
+        let header = DataHeader { conn, src_conn, session, seq, end, tagged };
+        let bytes = DataPacket { header, payload }.encode();
+        data_peek_is_total(&bytes)?;
+        let mut mutated = bytes.clone();
+        mutated[at % bytes.len()] = byte;
+        data_peek_is_total(&mutated)?;
+        data_peek_is_total(&bytes[..cut % bytes.len()])?;
+        data_peek_is_total(&mutated[..cut % bytes.len()])?;
+    }
+
     #[test]
     fn decoders_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
         decoders_are_total(&bytes)?;

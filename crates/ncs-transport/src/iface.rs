@@ -26,8 +26,9 @@ pub enum Readiness {
     /// The endpoint calls a registered [`Waker`] when frames arrive
     /// (in-process mailbox transports: HPI, PIPE, ACI).
     Waker,
-    /// The endpoint is backed by an OS file descriptor; readiness comes
-    /// from `poll(2)` on that descriptor (SCI sockets).
+    /// The endpoint is backed by an OS file descriptor (SCI sockets):
+    /// `ncs-core`'s reactor watches it with `epoll(7)`, oneshot, and the
+    /// task that drained it re-arms it.
     #[cfg(unix)]
     Fd(std::os::fd::RawFd),
     /// No readiness signal is available; the event loop must poll
@@ -255,7 +256,7 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     /// Installs (or with `None`, removes) a readiness [`Waker`]. Endpoints
     /// reporting [`Readiness::Waker`] invoke it on every frame arrival and
     /// on close; [`Readiness::Fd`] endpoints invoke it on close only (frame
-    /// arrival is visible through `poll(2)`). The default implementation
+    /// arrival is visible through the descriptor). The default implementation
     /// ignores the waker — matching [`Readiness::Polling`].
     fn register_waker(&self, _waker: Option<Waker>) {}
 

@@ -7,11 +7,19 @@
 //! Thread and Error Control Thread"). SCI is the portability interface: it
 //! runs on anything with sockets.
 //!
+//! The socket is non-blocking for its whole life, so each call costs the
+//! system calls its frames need and no mode switches: a batch of frames
+//! leaves in one gathered write (`writev`), and a receive reads into the
+//! connection's own buffer until it holds one whole frame — a frame already
+//! buffered is returned without a system call. Calls that wait (`send`,
+//! `send_batch`, the blocking receives) wait in `poll(2)` on the socket, so
+//! a [`Connection::close`] from another thread ends their wait.
+//!
 //! For the user-level thread package the paper implements receives with
 //! non-blocking system calls plus `thread_yield()`; [`SciConnection::set_yield_hook`]
 //! enables exactly that mode.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,59 +34,119 @@ use crate::iface::{
 /// Largest frame SCI accepts (sanity bound; TCP itself is a stream).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Most bytes a batched send coalesces into one write. Bounds the scratch
-/// buffer; anything beyond comes back as a partial batch for the caller
-/// to retry (the trait's backpressure contract).
-const COALESCE_BYTES: usize = 256 * 1024;
+/// Most frames one gathered write carries: at least the 32 `ncs-core`
+/// hands over per call, so each of its batches leaves in one `writev`.
+/// Frames beyond come back as a partial batch for the caller to retry (the
+/// trait's backpressure contract).
+const BATCH_FRAMES: usize = 32;
 
-/// Inbound reassembly state: raw bytes accumulate here until at least one
-/// complete length-prefixed frame is available.
+/// Receive storage a connection starts with, on its first read. It grows
+/// to fit the frame at its front, and no further.
+const READ_BUF_START: usize = 4 * 1024;
+
+/// Inbound reassembly: the socket is read straight into `buf`, whose bytes
+/// `start..end` are received and not yet framed. All of `buf` is
+/// initialised; only storage it grows by is zeroed.
 #[derive(Debug, Default)]
 struct ReadBuf {
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl ReadBuf {
+    /// The length prefix at the front, once all four of its bytes are in.
+    fn front_len(&self) -> Option<usize> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<4>()?;
+        Some(u32::from_be_bytes(*prefix) as usize)
+    }
+
     /// Pops one complete frame if buffered. A length prefix above
     /// [`MAX_FRAME`] is refused as soon as it is read — nothing that long
     /// is sent by a peer speaking this framing — and stays at the front
     /// of the buffer, so every later look refuses it too.
     fn pop_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let Some(prefix) = self.buf.first_chunk::<4>() else {
+        let Some(len) = self.front_len() else {
             return Ok(None);
         };
-        let len = u32::from_be_bytes(*prefix) as usize;
         if len > MAX_FRAME {
             return Err(TransportError::TooLarge {
                 len,
                 max: MAX_FRAME,
             });
         }
-        if self.buf.len() < 4 + len {
+        let body = self.start + 4;
+        if self.end < body + len {
             return Ok(None);
         }
-        let frame = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
+        let frame = self.buf[body..body + len].to_vec();
+        self.start = body + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
         Ok(Some(frame))
     }
+
+    /// One read from `stream` behind the buffered bytes; `Ok(false)` when
+    /// the socket has nothing for now. Called only when no complete frame
+    /// is buffered. It first makes room for the whole frame at the front
+    /// (moving it to the start of the storage, growing the storage if that
+    /// is too small), and reads no more than the storage holds.
+    fn read_from(&mut self, mut stream: &TcpStream) -> Result<bool, TransportError> {
+        let want = self
+            .front_len()
+            .map_or(0, |len| 4 + len.min(MAX_FRAME))
+            .max(READ_BUF_START);
+        if self.start + want > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+        }
+        match stream.read(&mut self.buf[self.end..]) {
+            Ok(0) => Err(TransportError::Closed),
+            Ok(n) => {
+                self.end += n;
+                Ok(true)
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
+            Err(e) => Err(e.into()),
+        }
+    }
+}
+
+/// `poll(2)`'s descriptor record and the two events SCI waits for.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+
+extern "C" {
+    fn poll(
+        fds: *mut PollFd,
+        nfds: std::os::raw::c_ulong,
+        timeout: std::os::raw::c_int,
+    ) -> std::os::raw::c_int;
 }
 
 /// A TCP-backed NCS connection.
 pub struct SciConnection {
-    writer: Mutex<TcpStream>,
-    /// Outbound bytes accepted by [`Connection::try_send_batch`] but not
-    /// yet written (the tail of at most one partially-written frame).
-    /// Locked after `writer`, never before.
+    /// Non-blocking from [`SciConnection::from_stream`] on, and shared by
+    /// readers, writers and `close` (`&TcpStream` reads and writes): the
+    /// locks below guard buffers, not the socket.
+    stream: TcpStream,
+    /// Outbound bytes of the one frame the socket took only part of,
+    /// written ahead of anything else. Held through a whole send, so the
+    /// frames of concurrent senders never interleave.
     write_backlog: Mutex<Vec<u8>>,
-    reader: Mutex<(TcpStream, ReadBuf)>,
-    /// Held while the socket is in non-blocking mode. `writer` and the
-    /// reader's stream are one open file description, so the mode is
-    /// theirs jointly: without this a `try_send_batch` on one thread and a
-    /// `try_recv` on another switch it back under each other's feet, and
-    /// one of them blocks. Locked after `writer` / `reader`.
-    nonblocking: Mutex<()>,
-    /// Raw fd of the (cloned) socket, for `poll(2)`-based readiness.
-    fd: RawFd,
+    reader: Mutex<ReadBuf>,
     closed: AtomicBool,
     peer: SocketAddr,
     yield_hook: Mutex<Option<YieldHook>>,
@@ -99,121 +167,17 @@ impl std::fmt::Debug for SciConnection {
 impl SciConnection {
     fn from_stream(stream: TcpStream) -> Result<Self, TransportError> {
         stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
         let peer = stream.peer_addr()?;
-        let reader = stream.try_clone()?;
-        let fd = reader.as_raw_fd();
         Ok(SciConnection {
-            writer: Mutex::new(stream),
+            stream,
             write_backlog: Mutex::new(Vec::new()),
-            reader: Mutex::new((reader, ReadBuf::default())),
-            nonblocking: Mutex::new(()),
-            fd,
+            reader: Mutex::new(ReadBuf::default()),
             closed: AtomicBool::new(false),
             peer,
             yield_hook: Mutex::new(None),
             waker: Mutex::new(None),
         })
-    }
-
-    /// One read of whatever the kernel has buffered, never blocking: the
-    /// outer error is the mode switch's, the inner one the read's.
-    fn read_nonblocking(
-        &self,
-        stream: &mut TcpStream,
-        chunk: &mut [u8],
-    ) -> std::io::Result<std::io::Result<usize>> {
-        let _mode = self.nonblocking.lock();
-        stream.set_nonblocking(true)?;
-        let read = stream.read(chunk);
-        stream.set_nonblocking(false)?;
-        Ok(read)
-    }
-
-    /// Flushes any `try_send_batch` backlog, blocking. Caller holds the
-    /// writer lock; keeps mixed blocking/non-blocking send paths ordered.
-    fn flush_backlog_blocking(&self, w: &mut TcpStream) -> Result<(), TransportError> {
-        let mut backlog = self.write_backlog.lock();
-        if !backlog.is_empty() {
-            w.write_all(&backlog)?;
-            backlog.clear();
-        }
-        Ok(())
-    }
-
-    /// Non-blocking write of as many valid frames as the kernel takes.
-    /// Caller holds the writer lock with the stream in non-blocking mode.
-    /// A frame whose bytes are only partially accepted counts as sent; its
-    /// tail goes to `write_backlog` and is flushed ahead of later sends.
-    fn try_send_locked(
-        &self,
-        w: &mut TcpStream,
-        frames: &[&[u8]],
-    ) -> Result<usize, TransportError> {
-        let mut backlog = self.write_backlog.lock();
-        while !backlog.is_empty() {
-            match w.write(&backlog) {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => {
-                    backlog.drain(..n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(0),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let mut accepted = 0;
-        for frame in frames {
-            let header = (frame.len() as u32).to_be_bytes();
-            let mut off = 0;
-            while off < header.len() {
-                match w.write(&header[off..]) {
-                    Ok(0) => return Err(TransportError::Closed),
-                    Ok(n) => off += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if off == 0 {
-                            // Nothing of this frame is committed to the
-                            // stream yet: hand it back whole.
-                            return Ok(accepted);
-                        }
-                        backlog.extend_from_slice(&header[off..]);
-                        backlog.extend_from_slice(frame);
-                        return Ok(accepted + 1);
-                    }
-                    Err(e) => {
-                        return if accepted > 0 {
-                            Ok(accepted)
-                        } else {
-                            Err(e.into())
-                        }
-                    }
-                }
-            }
-            let mut boff = 0;
-            while boff < frame.len() {
-                match w.write(&frame[boff..]) {
-                    Ok(0) => return Err(TransportError::Closed),
-                    Ok(n) => boff += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        backlog.extend_from_slice(&frame[boff..]);
-                        return Ok(accepted + 1);
-                    }
-                    Err(e) => {
-                        return if accepted > 0 {
-                            Ok(accepted)
-                        } else {
-                            Err(e.into())
-                        }
-                    }
-                }
-            }
-            accepted += 1;
-        }
-        Ok(accepted)
-    }
-
-    /// [`ReadBuf::pop_frame`], closing the connection on a refused length
-    /// prefix: the bytes behind it cannot be framed.
-    fn pop_frame(&self, rb: &mut ReadBuf) -> Result<Option<Vec<u8>>, TransportError> {
-        rb.pop_frame().inspect_err(|_| self.close())
     }
 
     /// Switches receives to non-blocking polling, invoking `hook` between
@@ -223,53 +187,150 @@ impl SciConnection {
         *self.yield_hook.lock() = hook;
     }
 
-    /// One wait for more inbound bytes, appended to `rb`: a read that
-    /// blocks in the kernel until `deadline` — or, with a yield hook, one
-    /// non-blocking look and, if it found nothing, a cooperative yield.
-    fn read_more(
-        &self,
-        (stream, rb): (&mut TcpStream, &mut ReadBuf),
-        chunk: &mut [u8],
-        hook: Option<&YieldHook>,
-        deadline: Option<Instant>,
-    ) -> Result<(), TransportError> {
-        use std::io::ErrorKind::{TimedOut, WouldBlock};
-        let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let timed_out = left.is_some_and(|left| left.is_zero());
-        let read = if hook.is_some() {
-            self.read_nonblocking(stream, chunk)?
-        } else if timed_out {
-            return Err(TransportError::Timeout);
-        } else {
-            stream.set_read_timeout(left)?;
-            stream.read(chunk)
-        };
-        match (read, hook) {
-            (Ok(0), _) => return Err(TransportError::Closed),
-            (Ok(n), _) => rb.buf.extend_from_slice(&chunk[..n]),
-            (Err(e), Some(hook)) if e.kind() == WouldBlock && !timed_out => hook(),
-            (Err(e), _) if matches!(e.kind(), WouldBlock | TimedOut) => {
-                return Err(TransportError::Timeout)
+    /// Waits in `poll(2)` until the socket reports `events` (or an error
+    /// or hang-up, which the next read or write meets) or `deadline`
+    /// passes; [`TransportError::Timeout`] if it already has.
+    fn wait(&self, events: i16, deadline: Option<Instant>) -> Result<(), TransportError> {
+        let timeout_ms = match deadline {
+            None => -1,
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(TransportError::Timeout);
+                }
+                // Rounded up, so the wait never ends before the deadline.
+                i32::try_from(left.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
             }
-            (Err(e), _) => return Err(e.into()),
+        };
+        let mut fd = PollFd {
+            fd: self.stream.as_raw_fd(),
+            events,
+            revents: 0,
+        };
+        // SAFETY: `fd` is one valid `pollfd`, alive for the whole call.
+        if unsafe { poll(&mut fd, 1, timeout_ms) } < 0 {
+            let e = std::io::Error::last_os_error();
+            if e.kind() != ErrorKind::Interrupted {
+                return Err(e.into());
+            }
         }
         Ok(())
     }
 
-    fn recv_deadline(&self, deadline: Option<Instant>) -> Result<Vec<u8>, TransportError> {
-        let hook = self.yield_hook.lock().clone();
-        let mut guard = self.reader.lock();
-        let (stream, rb) = &mut *guard;
-        let mut chunk = [0u8; 64 * 1024];
+    /// [`ReadBuf::pop_frame`], closing the connection on a refused length
+    /// prefix: the bytes behind it cannot be framed.
+    fn pop_frame(&self, rb: &mut ReadBuf) -> Result<Option<Vec<u8>>, TransportError> {
+        rb.pop_frame().inspect_err(|_| self.close())
+    }
+
+    /// The next frame: one already buffered, or one the socket completes
+    /// without waiting. `None` once the socket has no more bytes for now;
+    /// never a read after the frame it returns is complete.
+    fn next_frame(&self, rb: &mut ReadBuf) -> Result<Option<Vec<u8>>, TransportError> {
         loop {
             if let Some(frame) = self.pop_frame(rb)? {
-                return Ok(frame);
+                return Ok(Some(frame));
             }
             if self.closed.load(Ordering::Acquire) {
                 return Err(TransportError::Closed);
             }
-            self.read_more((stream, rb), &mut chunk, hook.as_ref(), deadline)?;
+            if !rb.read_from(&self.stream)? {
+                return Ok(None);
+            }
         }
+    }
+
+    /// What a receive does while the socket has nothing: yield with a
+    /// yield hook, wait in `poll(2)` without one — until `deadline`.
+    fn await_input(
+        &self,
+        hook: Option<&YieldHook>,
+        deadline: Option<Instant>,
+    ) -> Result<(), TransportError> {
+        match hook {
+            None => self.wait(POLLIN, deadline),
+            Some(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
+                Err(TransportError::Timeout)
+            }
+            Some(hook) => {
+                hook();
+                Ok(())
+            }
+        }
+    }
+
+    fn recv_deadline(&self, deadline: Option<Instant>) -> Result<Vec<u8>, TransportError> {
+        let hook = self.yield_hook.lock().clone();
+        let mut rb = self.reader.lock();
+        loop {
+            if let Some(frame) = self.next_frame(&mut rb)? {
+                return Ok(frame);
+            }
+            self.await_input(hook.as_ref(), deadline)?;
+        }
+    }
+
+    /// One gathered write (`writev`): the backlog, then a length prefix
+    /// and a body for each of up to [`BATCH_FRAMES`] of `frames`. Returns
+    /// how many frames the socket took; one it took part of counts, and
+    /// the rest of it becomes the backlog. A backlog the write does not
+    /// finish takes no frame with it.
+    fn write_gathered(&self, backlog: &mut Vec<u8>, frames: &[&[u8]]) -> std::io::Result<usize> {
+        let frames = &frames[..frames.len().min(BATCH_FRAMES)];
+        let mut prefixes = [[0u8; 4]; BATCH_FRAMES];
+        for (prefix, frame) in prefixes.iter_mut().zip(frames) {
+            *prefix = (frame.len() as u32).to_be_bytes();
+        }
+        let mut iov = [IoSlice::new(&[]); 1 + 2 * BATCH_FRAMES];
+        iov[0] = IoSlice::new(backlog);
+        for (i, (prefix, frame)) in prefixes.iter().zip(frames).enumerate() {
+            iov[1 + 2 * i] = IoSlice::new(prefix);
+            iov[2 + 2 * i] = IoSlice::new(frame);
+        }
+        let mut written = (&self.stream).write_vectored(&iov[..1 + 2 * frames.len()])?;
+        let flushed = written.min(backlog.len());
+        backlog.drain(..flushed);
+        written -= flushed;
+        if !backlog.is_empty() {
+            return Ok(0);
+        }
+        let mut taken = 0;
+        for (prefix, frame) in prefixes.iter().zip(frames) {
+            if written == 0 {
+                break;
+            }
+            taken += 1;
+            if written < 4 + frame.len() {
+                backlog.extend_from_slice(&prefix[written.min(4)..]);
+                backlog.extend_from_slice(&frame[written.saturating_sub(4)..]);
+                break;
+            }
+            written -= 4 + frame.len();
+        }
+        Ok(taken)
+    }
+
+    /// Writes up to [`BATCH_FRAMES`] of `frames`, and the backlog ahead of
+    /// them, in full, waiting in `poll(2)` while the socket is full.
+    /// Returns how many frames that was.
+    fn send_all(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+        let frames = &frames[..frames.len().min(BATCH_FRAMES)];
+        if frames.is_empty() {
+            return Ok(0);
+        }
+        let mut backlog = self.write_backlog.lock();
+        let mut sent = 0;
+        while sent < frames.len() || !backlog.is_empty() {
+            if self.closed.load(Ordering::Acquire) {
+                return Err(TransportError::Closed);
+            }
+            match self.write_gathered(&mut backlog, &frames[sent..]) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.wait(POLLOUT, None)?,
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(sent)
     }
 }
 
@@ -285,14 +346,7 @@ impl Connection for SciConnection {
 
     fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
         valid_prefix(&[frame], MAX_FRAME)?;
-        if self.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        let mut w = self.writer.lock();
-        self.flush_backlog_blocking(&mut w)?;
-        w.write_all(&(frame.len() as u32).to_be_bytes())?;
-        w.write_all(frame)?;
-        Ok(())
+        self.send_all(&[frame]).map(drop)
     }
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
@@ -304,69 +358,12 @@ impl Connection for SciConnection {
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut guard = self.reader.lock();
-        let (stream, rb) = &mut *guard;
-        if let Some(frame) = self.pop_frame(rb)? {
-            return Ok(Some(frame));
-        }
-        if self.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        // Drain whatever the kernel has buffered, without blocking.
-        let mut chunk = [0u8; 64 * 1024];
-        let mode = self.nonblocking.lock();
-        stream.set_nonblocking(true)?;
-        let outcome = loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break Err(TransportError::Closed),
-                Ok(n) => rb.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
-                Err(e) => break Err(e.into()),
-            }
-        };
-        stream.set_nonblocking(false)?;
-        drop(mode);
-        match outcome {
-            Ok(()) => self.pop_frame(rb),
-            Err(TransportError::Closed) => match self.pop_frame(rb)? {
-                Some(f) => Ok(Some(f)),
-                None => Err(TransportError::Closed),
-            },
-            Err(e) => Err(e),
-        }
+        self.next_frame(&mut self.reader.lock())
     }
 
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         let valid = valid_prefix(frames, MAX_FRAME)?;
-        if valid == 0 {
-            return Ok(0);
-        }
-        if self.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        // Coalesce length-prefixed frames into one scratch buffer and push
-        // it with a single write — the writev analogue: one writer-lock
-        // acquisition and (kernel buffer permitting) one syscall for the
-        // whole batch, instead of two writes per frame.
-        let mut end = 0;
-        let mut bytes = 0;
-        while end < valid {
-            let need = 4 + frames[end].len();
-            if end > 0 && bytes + need > COALESCE_BYTES {
-                break;
-            }
-            bytes += need;
-            end += 1;
-        }
-        let mut scratch = Vec::with_capacity(bytes);
-        for frame in &frames[..end] {
-            scratch.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-            scratch.extend_from_slice(frame);
-        }
-        let mut w = self.writer.lock();
-        self.flush_backlog_blocking(&mut w)?;
-        w.write_all(&scratch)?;
-        Ok(end)
+        self.send_all(&frames[..valid])
     }
 
     fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
@@ -377,64 +374,36 @@ impl Connection for SciConnection {
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
-        let mut w = self.writer.lock();
-        let mode = self.nonblocking.lock();
-        w.set_nonblocking(true)?;
-        let result = self.try_send_locked(&mut w, &frames[..valid]);
-        let restore = w.set_nonblocking(false);
-        drop(mode);
-        let accepted = result?;
-        restore?;
-        Ok(accepted)
+        match self.write_gathered(&mut self.write_backlog.lock(), &frames[..valid]) {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(0),
+            taken => Ok(taken?),
+        }
     }
 
     fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
         let deadline = Instant::now() + timeout;
         let hook = self.yield_hook.lock().clone();
         // One reader-lock acquisition for the entire batch.
-        let mut guard = self.reader.lock();
-        let (stream, rb) = &mut *guard;
+        let mut rb = self.reader.lock();
         let mut out = Vec::new();
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            while out.len() < max {
-                match self.pop_frame(rb) {
-                    Ok(Some(f)) => out.push(f),
-                    Ok(None) => break,
-                    // The frames before a refused prefix are still good;
-                    // the refusal is repeated by the next call.
-                    Err(_) if !out.is_empty() => return Ok(out),
-                    Err(e) => return Err(e),
-                }
+        while out.len() < max {
+            match self.next_frame(&mut rb) {
+                Ok(Some(frame)) => out.push(frame),
+                // With frames in hand, return them now: whatever stopped
+                // the drain (an empty socket, a refused prefix, the end of
+                // the stream) is met again by the next call.
+                Ok(None) | Err(_) if !out.is_empty() => break,
+                // Nothing yet: wait for the first frame, cooperatively when
+                // a yield hook is installed (the §4.1 user-level discipline).
+                Ok(None) => self.await_input(hook.as_ref(), Some(deadline))?,
+                Err(e) => return Err(e),
             }
-            if out.len() >= max {
-                return Ok(out);
-            }
-            if !out.is_empty() {
-                // We have frames: only scoop whatever the kernel already
-                // buffered, never block (errors resurface on the next
-                // call; the partial batch is returned now).
-                let r = self.read_nonblocking(stream, &mut chunk)?;
-                match r {
-                    Ok(n) if n > 0 => rb.buf.extend_from_slice(&chunk[..n]),
-                    _ => return Ok(out),
-                }
-                continue;
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return Err(TransportError::Closed);
-            }
-            // Nothing yet: wait for the first frame, cooperatively when a
-            // yield hook is installed (the §4.1 user-level discipline).
-            self.read_more((stream, rb), &mut chunk, hook.as_ref(), Some(deadline))?;
         }
+        Ok(out)
     }
 
     fn readiness(&self) -> Readiness {
-        Readiness::Fd(self.fd)
+        Readiness::Fd(self.stream.as_raw_fd())
     }
 
     fn register_waker(&self, waker: Option<Waker>) {
@@ -443,7 +412,9 @@ impl Connection for SciConnection {
 
     fn close(&self) {
         if !self.closed.swap(true, Ordering::AcqRel) {
-            let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
+            // No lock taken: a sender waiting for room holds the backlog's,
+            // and this shutdown is what ends its wait.
+            let _ = self.stream.shutdown(std::net::Shutdown::Both);
             // The socket shutdown makes the fd poll readable (HUP), but an
             // event loop parked on mailbox wakeups still needs the nudge.
             let waker = self.waker.lock().clone();
@@ -511,13 +482,10 @@ impl SciListener {
     pub fn try_accept(&self) -> Result<Option<SciConnection>, TransportError> {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    return SciConnection::from_stream(stream).map(Some);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                Ok((stream, _)) => return SciConnection::from_stream(stream).map(Some),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
                 // A peer that gave up while queued: the next one, if any.
-                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
                 Err(e) => return Err(e.into()),
             }
         }
@@ -682,6 +650,27 @@ mod tests {
         }
     }
 
+    /// Receive storage starts at a few KiB and grows to fit the frame at
+    /// its front, no further: small frames never take it past its first
+    /// size, and a large one takes it to exactly its own.
+    #[test]
+    fn receive_storage_grows_to_fit_the_frame_it_holds() {
+        let (a, b) = loopback_pair().unwrap();
+        for i in 0..100u32 {
+            a.send(&i.to_be_bytes()).unwrap();
+        }
+        for i in 0..100u32 {
+            assert_eq!(b.recv().unwrap(), i.to_be_bytes());
+        }
+        assert_eq!(b.reader.lock().buf.len(), READ_BUF_START);
+        let big = vec![5u8; 200 * 1024];
+        let sent = big.clone();
+        let t = std::thread::spawn(move || a.send(&sent).map(|()| a));
+        assert_eq!(b.recv().unwrap(), big);
+        assert_eq!(b.reader.lock().buf.len(), 4 + big.len());
+        t.join().unwrap().unwrap();
+    }
+
     #[test]
     fn recv_timeout_expires() {
         let (_a, b) = loopback_pair().unwrap();
@@ -770,28 +759,56 @@ mod tests {
         assert_eq!(a.send_batch(&[ok]), Err(TransportError::Closed));
     }
 
+    /// One call carries at most one gathered write's worth of frames, and
+    /// the rest comes back for the caller to retry: here 40 frames go in
+    /// two calls, of 32 and 8, with the same in the kernel's way.
     #[test]
-    fn send_batch_returns_partial_past_coalesce_budget() {
+    fn send_batch_returns_partial_past_one_gathered_write() {
         let (a, b) = loopback_pair().unwrap();
-        // Three frames of 200 KB exceed the 256 KB coalesce budget: the
-        // first call must make progress and hand the rest back.
+        let frames: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 1 + i as usize]).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
+        assert_eq!(a.send_batch(&refs), Ok(BATCH_FRAMES));
+        assert_eq!(a.send_batch(&refs[BATCH_FRAMES..]), Ok(40 - BATCH_FRAMES));
+        for f in &frames {
+            assert_eq!(&b.recv().unwrap(), f);
+        }
+        // A blocking batch of large frames still goes out whole.
         let big = vec![7u8; 200 * 1024];
-        let refs: Vec<&[u8]> = vec![&big, &big, &big];
         let reader = std::thread::spawn(move || {
             for _ in 0..3 {
                 assert_eq!(b.recv().unwrap().len(), 200 * 1024);
             }
         });
-        let mut sent = 0;
-        let mut calls = 0;
-        while sent < refs.len() {
-            let n = a.send_batch(&refs[sent..]).unwrap();
-            assert!(n >= 1);
-            sent += n;
-            calls += 1;
-        }
-        assert!(calls >= 2, "coalesce budget must bound one call");
+        assert_eq!(a.send_batch(&[&big, &big, &big]), Ok(3));
         reader.join().unwrap();
+    }
+
+    /// A sender waiting for room in a socket its peer never drains holds
+    /// the send lock; `close` takes no lock, so it returns at once, and
+    /// its shutdown ends the sender's wait with `Closed`.
+    #[test]
+    fn close_returns_while_a_sender_waits_for_room() {
+        let (a, _b) = loopback_pair().unwrap();
+        let a = Arc::new(a);
+        let sender = {
+            let a = Arc::clone(&a);
+            std::thread::spawn(move || {
+                let mib = vec![0u8; 1 << 20];
+                (0..64).try_for_each(|_| a.send(&mib))
+            })
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let closer = std::thread::spawn(move || {
+            a.close();
+            let _ = closed_tx.send(());
+        });
+        assert!(
+            closed_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "close waited for the blocked sender"
+        );
+        closer.join().unwrap();
+        assert_eq!(sender.join().unwrap(), Err(TransportError::Closed));
     }
 
     #[test]
