@@ -11,11 +11,12 @@
 //! 3. the FC plane releases packets to the Send plane as credits permit;
 //! 4. the Send plane transmits on the data connection;
 //! 5. *(figure steps 5-8)* on the receive side the Receive plane activates
-//!    the FC plane, which grants credits over the control connection and
-//!    activates the EC plane;
+//!    the FC plane, which moves the credit edge, and activates the EC
+//!    plane;
 //! 6. *(figure steps 9-10)* the EC plane reassembles, delivers into the
 //!    user buffer and sends the acknowledgement bitmap over the control
-//!    connection.
+//!    connection — with the credit edge in the same frame, where the
+//!    figure has the FC plane send a grant of its own.
 //!
 //! Steps 1-3 and 5-6 — everything that is flow or error control — are
 //! the two sans-I/O state machines of [`crate::plane`]:
@@ -35,10 +36,10 @@
 //!   thousands of connections with a fixed-size thread pool. The only
 //!   queues left are the ones that cross threads: submissions, control
 //!   events (from the peer's control task) and pre-encoded bypass frames
-//!   (bounded). Credits and acknowledgements leave through the peer's
-//!   control queue, which the peer's control task (`crate::control`)
-//!   flushes on the same event loops — no thread sits between the two
-//!   tasks.
+//!   (bounded). Feedback — an acknowledgement with the credit edge in it,
+//!   or the edge alone — leaves through the peer's control queue, which
+//!   the peer's control task (`crate::control`) flushes on the same event
+//!   loops — no thread sits between the two tasks.
 //!
 //!   The receive half is the task's alone: only the reactor reads a
 //!   transport. The send half — [`TxSide`]: the `TxPlane`, the Send
@@ -74,7 +75,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::clock::Clock;
 use crate::config::{ConnectionConfig, ErrorControlAlg};
-use crate::error_control::AckInfo;
 use crate::packet::{CtrlMsg, DataHeader, DataPacket, DataView};
 use crate::plane::{sdu_count, CtrlEvent, Delivered, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
 use crate::pool::{BufPool, PooledBuf};
@@ -526,30 +526,40 @@ impl ConnShared {
     }
 
     /// Runs one arrived data frame through the receiver pipeline and does
-    /// what it asks: acknowledges over the control connection, the credit
-    /// edge ahead of it if one is owed — one advertisement, the latest
-    /// edge, covers a whole receive drain: here, or when the drain ends
-    /// (the caller's [`ConnShared::grant`]). Returns the messages the
-    /// frame completed: none, one, or a train's.
+    /// what it asks: acknowledges over the control connection, with the
+    /// credit edge in the same frame if one is owed — one advertisement,
+    /// the latest edge, covers a whole receive drain: here, or alone when
+    /// the drain ends (the caller's [`ConnShared::grant`]). Returns the
+    /// messages the frame completed: none, one, or a train's.
     fn receive_frame(&self, rx: &mut RxPlane, frame: &DataView<'_>, now: Instant) -> Delivered {
         let step = rx.on_frame(frame, now);
-        if let Some(ack) = step.ack {
-            self.grant(rx);
+        if let Some(info) = step.ack {
             self.counters.acks_sent.inc();
-            self.ctrl_tx
-                .send(make_ack_msg(self, frame.header.session, ack));
+            self.feedback(CtrlMsg::Ack {
+                conn: self.peer_conn_id(),
+                session: frame.header.session,
+                info,
+                edge: rx.advertise(),
+            });
         }
         step.delivered
     }
 
-    /// Advertises the credit edge, if an arrival owes it.
+    /// Advertises the credit edge alone, if an arrival after the last
+    /// acknowledgement still owes it.
     fn grant(&self, rx: &mut RxPlane) {
         if let Some(edge) = rx.advertise() {
-            self.ctrl_tx.send(CtrlMsg::Credit {
+            self.feedback(CtrlMsg::Credit {
                 conn: self.peer_conn_id(),
                 credits: edge,
             });
         }
+    }
+
+    /// Queues one feedback frame for the peer's control task.
+    fn feedback(&self, msg: CtrlMsg) {
+        self.counters.feedback_sent.inc();
+        self.ctrl_tx.send(msg);
     }
 
     /// Flow and error control, sender half: feeds the [`TxPlane`] what
@@ -650,6 +660,9 @@ impl ConnShared {
                     break;
                 }
             }
+        }
+        if pending.is_empty() {
+            *blocked = flush_owed(self.transport.as_ref());
         }
         if *blocked {
             min_timer(timer, Instant::now() + TX_RETRY);
@@ -1077,6 +1090,19 @@ pub(crate) fn fill_batch<'a>(
     n
 }
 
+/// Writes what `transport` still owes of frames it counted as sent (SCI:
+/// the tail of a frame its socket took only part of), which no later send
+/// may come to deliver. Returns whether some is still owed: the caller
+/// comes back on [`TX_RETRY`], as for a refused flush. A failure is left to
+/// the next send to meet.
+pub(crate) fn flush_owed(transport: &dyn Transport) -> bool {
+    if !transport.owes_bytes() {
+        return false;
+    }
+    let _ = transport.try_send_batch(&[]);
+    transport.owes_bytes()
+}
+
 pub(crate) fn min_timer(timer: &mut Option<Instant>, at: Instant) {
     match timer {
         Some(t) if *t <= at => {}
@@ -1099,21 +1125,6 @@ fn deliver_message(shared: &ConnShared, buf: PooledBuf, tagged: bool) {
         MsgView::new(buf, 0, None)
     };
     shared.delivery.deliver(view);
-}
-
-fn make_ack_msg(shared: &ConnShared, session: u32, info: AckInfo) -> CtrlMsg {
-    match info {
-        AckInfo::Bitmap(bitmap) => CtrlMsg::Ack {
-            conn: shared.peer_conn_id(),
-            session,
-            bitmap,
-        },
-        AckInfo::Cumulative(next_expected) => CtrlMsg::GbnAck {
-            conn: shared.peer_conn_id(),
-            session,
-            next_expected,
-        },
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1700,18 +1711,14 @@ impl NcsConnection {
 pub(crate) fn dispatch_ctrl(shared: &ConnShared, msg: CtrlMsg) {
     let event = match msg {
         CtrlMsg::Ack {
-            session, bitmap, ..
-        } => CtrlEvent::Ack {
             session,
-            info: AckInfo::Bitmap(bitmap),
-        },
-        CtrlMsg::GbnAck {
-            session,
-            next_expected,
+            info,
+            edge,
             ..
         } => CtrlEvent::Ack {
             session,
-            info: AckInfo::Cumulative(next_expected),
+            info,
+            edge,
         },
         CtrlMsg::Credit { credits, .. } => CtrlEvent::Credit(credits),
         _ => return,
@@ -1993,6 +2000,96 @@ mod tests {
         for node in [a, b, c, d] {
             node.shutdown();
         }
+    }
+
+    /// A reliable one-SDU message costs its receiver one feedback frame:
+    /// the acknowledgement, with the credit edge in it (the edge used to go
+    /// ahead of it in a frame of its own: two per message). A
+    /// retransmission — a stall of the test past the timeout — is answered
+    /// with one more.
+    #[test]
+    fn a_reliable_round_trip_sends_one_feedback_frame_each_way() {
+        const ROUND_TRIPS: u64 = 200;
+        let a = NcsNode::builder("alice").build();
+        let b = NcsNode::builder("bob").build();
+        let (la, lb) = HpiLinkPair::create();
+        a.attach_peer("bob", la);
+        b.attach_peer("alice", lb);
+        let ca = a
+            .connect("bob", ConnectionConfig::reliable())
+            .expect("connect");
+        let cb = b.accept_default().expect("accept");
+        let timeout = Duration::from_secs(5);
+        for _ in 0..ROUND_TRIPS {
+            ca.isend(b"ping").expect("isend").wait().expect("delivered");
+            assert_eq!(cb.recv_timeout(timeout).expect("recv"), b"ping");
+            cb.isend(b"pong").expect("isend").wait().expect("delivered");
+            assert_eq!(ca.recv_timeout(timeout).expect("recv"), b"pong");
+        }
+        let (sa, sb) = (ca.stats(), cb.stats());
+        assert_eq!(sa.feedback_sent, ROUND_TRIPS + sb.retransmissions, "{sa}");
+        assert_eq!(sb.feedback_sent, ROUND_TRIPS + sa.retransmissions, "{sb}");
+        assert_eq!(
+            (sa.acks_sent, sb.acks_sent),
+            (sa.feedback_sent, sb.feedback_sent)
+        );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A frame the socket takes only part of counts as sent, and its tail
+    /// waits in the transport for the next write. With nothing more to
+    /// send the Send plane makes that write itself, on the transmit-retry
+    /// timer, until the peer has drained enough: the peer here reads late,
+    /// and the frame arrives whole with no later send.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_tail_of_a_frame_the_socket_took_part_of_arrives_without_a_later_send() {
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_SNDBUF: i32 = 7;
+        let (ours, theirs) = ncs_transport::sci::loopback_pair().expect("loopback pair");
+        let ncs_transport::Readiness::Fd(fd) = ours.readiness() else {
+            panic!("SCI has a socket");
+        };
+        // SAFETY: the option value is one valid `int`, as its length says.
+        assert_eq!(
+            unsafe { setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &4096, 4) },
+            0
+        );
+        let reactor = Reactor::new(Arc::new(ncs_threads::KernelPackage::new()), 1);
+        // One frame far larger than the socket takes at once.
+        let config = ConnectionConfig {
+            sdu_size: 1 << 20,
+            ..ConnectionConfig::unreliable()
+        };
+        let shared = ConnShared::new(
+            0,
+            "peer".to_owned(),
+            config,
+            Arc::new(ours),
+            BufPool::new(),
+            Arc::default(),
+            None,
+            crate::clock::SystemClock::shared(),
+        );
+        attach_connection(&reactor, &shared);
+        let conn = NcsConnection::new(Arc::clone(&shared));
+        let message: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        conn.send(&message).expect("send");
+        assert!(shared.transport.owes_bytes(), "the socket took all of it");
+        std::thread::sleep(Duration::from_millis(100));
+        let frame = theirs
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the whole frame");
+        assert_eq!(
+            DataPacket::peek(&frame).expect("a data frame").payload,
+            message
+        );
+        conn.close();
+        reactor.shutdown();
     }
 
     /// `recv_direct` hands back one message per call and keeps nothing

@@ -17,10 +17,11 @@
 //! poll drains whatever the peer's channels hold into the node's
 //! dispatcher and flushes the peer's one FIFO of outbound messages onto
 //! one channel — one queue per peer, so `AcceptConn` precedes every
-//! `Ack`/`Credit` of its connection and `CloseConn` follows them, across
-//! all connections to that peer. Opening channels (which may block on
-//! signaling) stays with the thread that dials a connection; the task
-//! only ever calls `try_recv` and `try_send_batch`.
+//! feedback frame of its connection (an `Ack`, which carries the credit
+//! edge it owes, or a `Credit`, the edge alone) and `CloseConn` follows
+//! them, across all connections to that peer. Opening channels (which may
+//! block on signaling) stays with the thread that dials a connection; the
+//! task only ever calls `try_recv` and `try_send_batch`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,7 +32,7 @@ use ncs_threads::sync::Mailbox;
 use ncs_transport::{Connection as Transport, TransportError};
 use parking_lot::Mutex;
 
-use crate::connection::{fill_batch, IO_BATCH, RECV_BUDGET, TX_RETRY};
+use crate::connection::{fill_batch, flush_owed, IO_BATCH, RECV_BUDGET, TX_RETRY};
 use crate::packet::CtrlMsg;
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
 
@@ -181,7 +182,7 @@ impl ReactorTask for CtrlTask {
                 pending.push_back(frame);
             }
             if pending.is_empty() {
-                break false;
+                break out.is_some_and(|ch| flush_owed(ch.transport().as_ref()));
             }
             let mut refs = [&[][..]; IO_BATCH];
             let batch = fill_batch(&mut refs, pending.iter().map(Vec::as_slice));
@@ -200,8 +201,9 @@ impl ReactorTask for CtrlTask {
         if budget == 0 {
             return TaskPoll::Again;
         }
-        // Quiescent: re-arm fd readiness, and retry a refused flush on a
-        // timer — the remedy is the peer draining, which nothing reports.
+        // Quiescent: re-arm fd readiness, and retry a refused flush — or
+        // bytes the transport still owes — on a timer: the remedy is the
+        // peer draining, which nothing reports.
         channels.iter().for_each(Watch::rearm);
         if refused {
             TaskPoll::Timer(now + TX_RETRY)
@@ -227,6 +229,7 @@ impl Drop for CtrlTask {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::error_control::AckInfo;
     use crate::seq::AckBitmap;
     use ncs_threads::{KernelPackage, UserRuntime};
     use ncs_transport::Capabilities;
@@ -331,11 +334,13 @@ pub(crate) mod tests {
     /// Two connections' setup, traffic and teardown, interleaved the way
     /// two connection tasks and a connector thread would submit them.
     fn script() -> Vec<CtrlMsg> {
-        let ack = |conn| CtrlMsg::Ack {
+        let ack = |conn, info| CtrlMsg::Ack {
             conn,
             session: 0,
-            bitmap: AckBitmap::all_received(1),
+            info,
+            edge: Some(2),
         };
+        let clean = || AckInfo::Bitmap(AckBitmap::all_received(1));
         let credit = |conn| CtrlMsg::Credit { conn, credits: 2 };
         vec![
             CtrlMsg::AcceptConn {
@@ -347,16 +352,12 @@ pub(crate) mod tests {
                 initiator_conn: 8,
                 acceptor_conn: 1,
             },
-            ack(7),
+            ack(7, clean()),
             credit(8),
-            CtrlMsg::GbnAck {
-                conn: 8,
-                session: 0,
-                next_expected: 1,
-            },
+            ack(8, AckInfo::Cumulative(1)),
             CtrlMsg::CloseConn { conn: 7 },
             credit(8),
-            ack(8),
+            ack(8, clean()),
             CtrlMsg::CloseConn { conn: 8 },
         ]
     }

@@ -5,7 +5,11 @@
 //! the sender side asks how many SDUs may be transmitted
 //! ([`FlowControlStrategy::permits`]) and takes in the feedback arriving
 //! on the control connection; the receiver side notes each arriving
-//! packet and names the window it grants. A window — a strategy only
+//! packet and names the window it grants. The strategy never sends
+//! anything itself: the edge it yields travels inside the error-control
+//! acknowledgement of the arrival that owes it, or alone when none
+//! answers that arrival (`plane.rs`) — one frame where the paper's
+//! Figure 4 has the two planes send one each. A window — a strategy only
 //! feedback unblocks — counts *fresh* SDUs, never released before, so a
 //! retransmission needs no permit; a pacer (one with a
 //! [`next_poll`](FlowControlStrategy::next_poll)) meters every frame.
@@ -46,8 +50,8 @@ pub trait FlowControlStrategy: Send + std::fmt::Debug {
     /// session that was given up on; they hold nothing any more.
     fn on_abandon(&mut self, _n: u32) {}
 
-    /// Sender side: feedback (the receiver's credit edge) arrived on the
-    /// control connection.
+    /// Sender side: feedback (the receiver's credit edge, alone or inside
+    /// an acknowledgement) arrived on the control connection.
     fn on_feedback(&mut self, n: u32);
 
     /// Receiver side: one packet arrived; returns the window to grant —

@@ -666,14 +666,10 @@ fn ensure_ctrl_tx(inner: &NodeInner, peer: &str) -> Result<PeerState, ConnectErr
 /// control task that decoded `msg`.
 fn handle_ctrl(inner: &NodeInner, msg: CtrlMsg) {
     let conn = match msg {
-        CtrlMsg::Ack { conn, .. }
-        | CtrlMsg::GbnAck { conn, .. }
-        | CtrlMsg::Credit { conn, .. }
-        | CtrlMsg::CloseConn { conn } => conn,
+        CtrlMsg::Ack { conn, .. } | CtrlMsg::Credit { conn, .. } | CtrlMsg::CloseConn { conn } => {
+            conn
+        }
         CtrlMsg::AcceptConn { initiator_conn, .. } => initiator_conn,
-        // Connection opening rides the data channel's hello; this control
-        // variant is reserved for future out-of-band setup.
-        CtrlMsg::OpenConn { .. } => return,
     };
     let Some(shared) = inner.conns.lock().get(&conn).cloned() else {
         return;

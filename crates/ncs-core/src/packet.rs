@@ -5,8 +5,9 @@
 //! * [`DataPacket`] — an SDU with the §3.2 header (sequence number and the
 //!   end-of-message control bit) plus connection/session demux fields;
 //!   travels on **data connections** only.
-//! * [`CtrlMsg`] — acknowledgements, credits and connection management;
-//!   travels on the **control connection** only.
+//! * [`CtrlMsg`] — feedback (an acknowledgement with the credit edge
+//!   riding in it, or the edge alone) and connection management; travels
+//!   on the **control connection** only.
 //!
 //! Formats are hand-encoded big-endian; every decode validates lengths and
 //! tags.
@@ -14,6 +15,7 @@
 use std::sync::Arc;
 
 use crate::config::ConnectionConfig;
+use crate::error_control::AckInfo;
 use crate::pool::{BufPool, PooledBuf};
 use crate::seq::AckBitmap;
 
@@ -79,6 +81,16 @@ pub const DATA_OVERHEAD: usize = 1 + 4 + 4 + 4 + 4 + 1 + 4;
 
 const TAG_DATA: u8 = 0xD1;
 const TAG_CTRL: u8 = 0xC1;
+
+/// Bit 0 of an acknowledgement's flags byte: the credit edge follows it.
+const ACK_EDGE: u8 = 0b001;
+/// Bit 1: go-back-N's cumulative form — the body is the next sequence
+/// number expected.
+const ACK_CUMULATIVE: u8 = 0b010;
+/// Bit 2: every SDU arrived — the body is the SDU count alone and stands
+/// for [`AckBitmap::all_received`] of it. Without bit 1 or 2 the body is
+/// the missing-SDU bitmap ([`AckBitmap::encode`]).
+const ACK_CLEAN: u8 = 0b100;
 
 /// One SDU with its header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,41 +248,31 @@ impl DataPacket {
 /// transferred over the control connections").
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMsg {
-    /// Selective-repeat acknowledgement: the receiver's missing-SDU bitmap
-    /// for `session` (paper Figure 5 step 5).
+    /// Error-control feedback for `session` — selective repeat's
+    /// missing-SDU bitmap (paper Figure 5 step 5) or go-back-N's
+    /// cumulative acknowledgement — and, when the arrival it answers owes
+    /// one, the flow-control credit edge with it: one frame where the
+    /// paper's Figure 4 has the two planes send one each. Encoded behind a
+    /// flags byte (edge present, cumulative, clean); a clean bitmap travels
+    /// as its SDU count alone.
     Ack {
         /// Sender-side connection the ACK refers to.
         conn: u32,
         /// Acknowledged session.
         session: u32,
-        /// Missing-SDU bitmap (1 = retransmit).
-        bitmap: AckBitmap,
+        /// What was received.
+        info: AckInfo,
+        /// The receiver's credit edge, advertised with the acknowledgement.
+        edge: Option<u32>,
     },
-    /// Go-back-N cumulative acknowledgement: everything below
-    /// `next_expected` has been received in order.
-    GbnAck {
-        /// Sender-side connection.
-        conn: u32,
-        /// Session acknowledged.
-        session: u32,
-        /// Next sequence number the receiver expects.
-        next_expected: u32,
-    },
-    /// Flow-control feedback: `credits` new transmission permits
-    /// (paper Figure 7 step 5).
+    /// Flow-control feedback alone: the credit edge `credits` (paper
+    /// Figure 7 step 5), for an arrival no acknowledgement answered.
     Credit {
         /// Sender-side connection granted to.
         conn: u32,
-        /// Number of packets that may now be sent.
+        /// The edge: fresh SDUs the sender may have released since the
+        /// connection opened.
         credits: u32,
-    },
-    /// Connection request: the initiator opened a data channel for
-    /// connection `initiator_conn` configured as `config`.
-    OpenConn {
-        /// Connection id at the initiator.
-        initiator_conn: u32,
-        /// The agreed per-connection configuration.
-        config: ConnectionConfig,
     },
     /// Connection accept: `acceptor_conn` is the peer's id for the
     /// initiator's `initiator_conn`.
@@ -297,35 +299,28 @@ impl CtrlMsg {
             CtrlMsg::Ack {
                 conn,
                 session,
-                bitmap,
+                info,
+                edge,
             } => {
                 out.push(0);
                 out.extend_from_slice(&conn.to_be_bytes());
                 out.extend_from_slice(&session.to_be_bytes());
-                out.extend_from_slice(&bitmap.encode());
-            }
-            CtrlMsg::GbnAck {
-                conn,
-                session,
-                next_expected,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&conn.to_be_bytes());
-                out.extend_from_slice(&session.to_be_bytes());
-                out.extend_from_slice(&next_expected.to_be_bytes());
+                // A bitmap with nothing missing is its SDU count alone.
+                let (form, word) = match info {
+                    AckInfo::Bitmap(bitmap) if bitmap.any_missing() => (0, None),
+                    AckInfo::Bitmap(bitmap) => (ACK_CLEAN, Some(bitmap.total())),
+                    AckInfo::Cumulative(next) => (ACK_CUMULATIVE, Some(*next)),
+                };
+                out.push(form | edge.map_or(0, |_| ACK_EDGE));
+                out.extend(edge.iter().chain(&word).flat_map(|w| w.to_be_bytes()));
+                if let (AckInfo::Bitmap(bitmap), None) = (info, word) {
+                    bitmap.encode_into(out);
+                }
             }
             CtrlMsg::Credit { conn, credits } => {
                 out.push(2);
                 out.extend_from_slice(&conn.to_be_bytes());
                 out.extend_from_slice(&credits.to_be_bytes());
-            }
-            CtrlMsg::OpenConn {
-                initiator_conn,
-                config,
-            } => {
-                out.push(3);
-                out.extend_from_slice(&initiator_conn.to_be_bytes());
-                out.extend_from_slice(&config.encode());
             }
             CtrlMsg::AcceptConn {
                 initiator_conn,
@@ -362,20 +357,35 @@ impl CtrlMsg {
         let body = &bytes[2..];
         match bytes[1] {
             0 => {
-                need(body, 8, "ack")?;
-                let bitmap = AckBitmap::decode(&body[8..]).map_err(DecodeError)?;
+                need(body, 9, "ack")?;
+                let flags = body[8];
+                let (edge, rest) = match flags & ACK_EDGE {
+                    0 => (None, &body[9..]),
+                    _ => {
+                        need(body, 13, "ack edge")?;
+                        (Some(read_u32(body, 9)), &body[13..])
+                    }
+                };
+                // Undefined bits, and clean and cumulative at once, fall
+                // through to the refusal.
+                let info = match (flags & !ACK_EDGE, rest.len()) {
+                    (0, _) => AckInfo::Bitmap(AckBitmap::decode(rest).map_err(DecodeError)?),
+                    (ACK_CUMULATIVE, 4) => AckInfo::Cumulative(read_u32(rest, 0)),
+                    (ACK_CLEAN, 4) => match read_u32(rest, 0) {
+                        total @ 1..=AckBitmap::MAX_TOTAL => {
+                            AckInfo::Bitmap(AckBitmap::all_received(total))
+                        }
+                        total => return Err(DecodeError(format!("clean ack of {total} SDUs"))),
+                    },
+                    (form, len) => {
+                        return Err(DecodeError(format!("ack form {form:#04x} of {len} bytes")))
+                    }
+                };
                 Ok(CtrlMsg::Ack {
                     conn: read_u32(body, 0),
                     session: read_u32(body, 4),
-                    bitmap,
-                })
-            }
-            1 => {
-                need(body, 12, "gbn ack")?;
-                Ok(CtrlMsg::GbnAck {
-                    conn: read_u32(body, 0),
-                    session: read_u32(body, 4),
-                    next_expected: read_u32(body, 8),
+                    info,
+                    edge,
                 })
             }
             2 => {
@@ -383,14 +393,6 @@ impl CtrlMsg {
                 Ok(CtrlMsg::Credit {
                     conn: read_u32(body, 0),
                     credits: read_u32(body, 4),
-                })
-            }
-            3 => {
-                need(body, 4, "open")?;
-                let config = ConnectionConfig::decode(&body[4..]).map_err(DecodeError)?;
-                Ok(CtrlMsg::OpenConn {
-                    initiator_conn: read_u32(body, 0),
-                    config,
                 })
             }
             4 => {
@@ -558,39 +560,102 @@ mod tests {
     fn ctrl_messages_round_trip() {
         let mut bitmap = AckBitmap::all_missing(20);
         bitmap.mark_received(5);
-        let msgs = vec![
-            CtrlMsg::Ack {
+        let infos = [
+            AckInfo::Bitmap(bitmap),
+            AckInfo::Bitmap(AckBitmap::all_received(20)),
+            AckInfo::Cumulative(17),
+        ];
+        let acks = infos.into_iter().flat_map(|info| {
+            [None, Some(9)].map(|edge| CtrlMsg::Ack {
                 conn: 1,
                 session: 2,
-                bitmap,
-            },
-            CtrlMsg::GbnAck {
-                conn: 3,
-                session: 4,
-                next_expected: 17,
-            },
+                info: info.clone(),
+                edge,
+            })
+        });
+        let msgs = acks.chain([
             CtrlMsg::Credit {
                 conn: 5,
                 credits: 8,
-            },
-            CtrlMsg::OpenConn {
-                initiator_conn: 9,
-                config: ConnectionConfig::reliable(),
             },
             CtrlMsg::AcceptConn {
                 initiator_conn: 9,
                 acceptor_conn: 11,
             },
             CtrlMsg::CloseConn { conn: 12 },
-        ];
+        ]);
         for m in msgs {
             assert_eq!(CtrlMsg::decode(&m.encode()).unwrap(), m, "{m:?}");
         }
     }
 
+    /// The edge-only form is the parent's `Credit`, byte for byte.
+    #[test]
+    fn credit_encoding_is_pinned() {
+        let credit = CtrlMsg::Credit {
+            conn: 0x0102_0304,
+            credits: 0x0A0B_0C0D,
+        };
+        assert_eq!(
+            credit.encode(),
+            [TAG_CTRL, 2, 1, 2, 3, 4, 0x0A, 0x0B, 0x0C, 0x0D]
+        );
+    }
+
+    /// A clean one-SDU acknowledgement with its edge: flags, edge and SDU
+    /// count, no bitmap words. Go-back-N's is the same shape.
+    #[test]
+    fn a_clean_ack_carries_no_bitmap() {
+        let ack = |info| CtrlMsg::Ack {
+            conn: 1,
+            session: 2,
+            info,
+            edge: Some(3),
+        };
+        let head = [TAG_CTRL, 0, 0, 0, 0, 1, 0, 0, 0, 2];
+        let clean = ack(AckInfo::Bitmap(AckBitmap::all_received(1))).encode();
+        assert_eq!(
+            clean,
+            [&head[..], &[ACK_EDGE | ACK_CLEAN, 0, 0, 0, 3, 0, 0, 0, 1]].concat()
+        );
+        let gbn = ack(AckInfo::Cumulative(1)).encode();
+        assert_eq!(
+            gbn,
+            [
+                &head[..],
+                &[ACK_EDGE | ACK_CUMULATIVE, 0, 0, 0, 3, 0, 0, 0, 1]
+            ]
+            .concat()
+        );
+    }
+
+    #[test]
+    fn ack_decode_rejects_bad_flags_and_counts() {
+        let ack = |flags: u8, body: &[u8]| {
+            CtrlMsg::decode(&[&[TAG_CTRL, 0, 0, 0, 0, 1, 0, 0, 0, 2, flags][..], body].concat())
+        };
+        let one = 1u32.to_be_bytes();
+        assert!(ack(ACK_CLEAN, &one).is_ok());
+        // Undefined bits, and clean and cumulative at once.
+        for flags in [0b1000, 0x80, ACK_CLEAN | ACK_CUMULATIVE] {
+            assert!(ack(flags, &one).is_err(), "{flags:#04x}");
+        }
+        // A clean count of nothing, or of more SDUs than a message has.
+        for total in [0, AckBitmap::MAX_TOTAL + 1, u32::MAX] {
+            assert!(ack(ACK_CLEAN, &total.to_be_bytes()).is_err(), "{total}");
+        }
+        // A missing edge, a short or long body.
+        assert!(ack(ACK_EDGE | ACK_CLEAN, &one).is_err());
+        assert!(ack(ACK_CUMULATIVE, &one[..3]).is_err());
+        assert!(ack(ACK_CUMULATIVE, &[0; 5]).is_err());
+    }
+
     #[test]
     fn ctrl_rejects_unknown_variant() {
         assert!(CtrlMsg::decode(&[TAG_CTRL, 99]).is_err());
+        // Go-back-N's acknowledgement had a variant of its own.
+        let gbn_ack = [TAG_CTRL, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3];
+        assert!(CtrlMsg::decode(&gbn_ack).is_err());
         assert!(CtrlMsg::decode(&[0x00, 0]).is_err());
         assert!(CtrlMsg::decode(&[]).is_err());
     }

@@ -64,6 +64,15 @@
 //! without feedback) is left for a round with nothing released and its
 //! last advertisement lost.
 //!
+//! Where the paper's Figure 4 has flow and error control each talk to the
+//! peer, the receiver sends one feedback frame: the edge an arrival owes
+//! rides in the acknowledgement that answers it ([`CtrlEvent::Ack`]), and
+//! the sender takes the edge first, then the acknowledgement. Only an
+//! arrival that no acknowledgement answers — a middle SDU of a
+//! selective-repeat session — leaves its edge to the end of the receive
+//! drain, where it goes alone ([`CtrlEvent::Credit`]). The strategies stay
+//! separate objects; only the frame is shared, so losing it loses both.
+//!
 //! Two thin shells in [`crate::connection`] drive them: the reactor task
 //! (non-blocking; deadlines become reactor timers) and direct mode
 //! (blocking on the caller's thread; `now` is read from the node
@@ -130,12 +139,17 @@ pub(crate) struct Submission {
 }
 
 /// What the peer's receive side tells this sender over the control
-/// connection.
+/// connection: one feedback frame.
 #[derive(Debug, Clone)]
 pub(crate) enum CtrlEvent {
-    /// An acknowledgement of `session`.
-    Ack { session: u32, info: AckInfo },
-    /// Flow-control feedback: the receiver's credit edge.
+    /// An acknowledgement of `session`, and the credit edge the receiver
+    /// advertised with it, if the arrival it answers owed one.
+    Ack {
+        session: u32,
+        info: AckInfo,
+        edge: Option<u32>,
+    },
+    /// Flow-control feedback alone: the receiver's credit edge.
     Credit(u32),
 }
 
@@ -380,11 +394,21 @@ impl TxPlane {
         self.backlog.push_back(submission);
     }
 
-    /// Routes one control-connection event.
+    /// Routes one control-connection event. An acknowledgement's edge is
+    /// taken first: the receiver advertised it on the arrival it answers.
     pub(crate) fn on_event(&mut self, event: CtrlEvent, now: Instant) {
         match event {
-            CtrlEvent::Ack { session, info } => self.on_ack(session, info, now),
-            CtrlEvent::Credit(n) => self.on_credit(n, now),
+            CtrlEvent::Ack {
+                session,
+                info,
+                edge,
+            } => {
+                if let Some(edge) = edge {
+                    self.on_credit(edge, now);
+                }
+                self.on_ack(session, info, now);
+            }
+            CtrlEvent::Credit(edge) => self.on_credit(edge, now),
         }
     }
 
@@ -692,8 +716,8 @@ impl TxPlane {
 }
 
 /// What one arriving data frame asks the shell to do — and, if it owes
-/// one, to advertise the credit edge ([`RxPlane::advertise`]) ahead of the
-/// acknowledgement.
+/// one, to advertise the credit edge ([`RxPlane::advertise`]) in the
+/// acknowledgement, or alone once the receive drain ends.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct RxStep {
     /// Acknowledgement of the frame's session to send.
@@ -1161,6 +1185,19 @@ mod tests {
         }
     }
 
+    /// The one feedback frame the shell sends for an arrival: its
+    /// acknowledgement with the edge it owes in it, or the edge alone.
+    fn feedback(session: u32, ack: Option<AckInfo>, edge: Option<u32>) -> Option<CtrlEvent> {
+        match (ack, edge) {
+            (Some(info), edge) => Some(CtrlEvent::Ack {
+                session,
+                info,
+                edge,
+            }),
+            (None, edge) => edge.map(CtrlEvent::Credit),
+        }
+    }
+
     fn delivered(step: RxStep) -> Vec<Vec<u8>> {
         step.delivered.map(|(message, _)| message).collect()
     }
@@ -1316,12 +1353,10 @@ mod tests {
                     payload: &payload,
                 };
                 let step = self.rx.on_frame(&view, self.now);
-                if let Some(edge) = self.rx.advertise() {
-                    self.tx.on_credit(edge, self.now);
-                }
-                match step.ack {
-                    Some(_) if self.lose_acks > 0 => self.lose_acks -= 1,
-                    Some(info) => self.tx.on_ack(header.session, info, self.now),
+                match feedback(header.session, step.ack, self.rx.advertise()) {
+                    // A lost acknowledgement takes its edge with it.
+                    Some(CtrlEvent::Ack { .. }) if self.lose_acks > 0 => self.lose_acks -= 1,
+                    Some(event) => self.tx.on_event(event, self.now),
                     None => {}
                 }
             }
@@ -1753,7 +1788,8 @@ mod tests {
     // -- Bounded schedule exploration ------------------------------------
     //
     // A `TxPlane` and an `RxPlane` joined by an in-test wire. Everything
-    // put on the wire — data frame, acknowledgement, credit grant — is an
+    // put on the wire — a data frame, or a feedback frame: an
+    // acknowledgement with the credit edge in it, or the edge alone — is an
     // *event*, numbered in the order it is created; a *schedule* is a set
     // of at most two faults, each naming an event. Runs are deterministic,
     // so the schedules with one more fault than `plan` are found by
@@ -1762,16 +1798,36 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Kind {
         Data,
-        Ack,
+        /// An acknowledgement, and whether the credit edge rode in it.
+        Ack {
+            edge: bool,
+        },
+        /// The credit edge alone.
         Credit,
+    }
+
+    impl Kind {
+        fn of(event: &CtrlEvent) -> Kind {
+            match event {
+                CtrlEvent::Ack { edge, .. } => Kind::Ack {
+                    edge: edge.is_some(),
+                },
+                CtrlEvent::Credit(_) => Kind::Credit,
+            }
+        }
+
+        /// A fault on the event loses or stales an advertisement.
+        fn carries_edge(self) -> bool {
+            matches!(self, Kind::Credit | Kind::Ack { edge: true })
+        }
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Fault {
         Drop,
-        /// A second copy of an acknowledgement or an advertisement (a
-        /// stale edge) that arrives late: after the sender has moved on to
-        /// whatever it does next.
+        /// A second copy of a feedback frame — a stale acknowledgement, a
+        /// stale edge, or both — that arrives late: after the sender has
+        /// moved on to whatever it does next.
         Duplicate,
     }
 
@@ -1829,16 +1885,8 @@ mod tests {
                     payload: &packet.payload,
                 };
                 let step = rx.on_frame(&view, now);
-                // The edge, then the acknowledgement, as the shell sends them.
-                let credit = rx
-                    .advertise()
-                    .map(|edge| (Kind::Credit, CtrlEvent::Credit(edge)));
-                let ack = step.ack.map(|info| {
-                    let session = packet.header.session;
-                    (Kind::Ack, CtrlEvent::Ack { session, info })
-                });
-                for (kind, event) in credit.into_iter().chain(ack) {
-                    match fate(&mut events, kind, plan) {
+                if let Some(event) = feedback(packet.header.session, step.ack, rx.advertise()) {
+                    match fate(&mut events, Kind::of(&event), plan) {
                         None => ctrl_wire.push_back(event),
                         Some(Fault::Drop) => {}
                         Some(Fault::Duplicate) => {
@@ -1866,7 +1914,7 @@ mod tests {
             let starving = !tx.pending.is_empty() && tx.ack_deadline().is_none();
             let credit_fault = plan
                 .iter()
-                .any(|&(i, _)| events.get(i) == Some(&Kind::Credit));
+                .any(|&(i, _)| events.get(i).is_some_and(|k| k.carries_edge()));
             assert!(
                 !starving || credit_fault,
                 "waits for the starvation probe: {}",
@@ -1906,7 +1954,7 @@ mod tests {
     fn faults_of(kind: Kind) -> &'static [Fault] {
         match kind {
             Kind::Data => &[Fault::Drop],
-            Kind::Ack | Kind::Credit => &[Fault::Drop, Fault::Duplicate],
+            Kind::Ack { .. } | Kind::Credit => &[Fault::Drop, Fault::Duplicate],
         }
     }
 
@@ -2022,6 +2070,15 @@ mod tests {
     /// No schedule puts more data frames on the wire than the parent did
     /// for it, and a stale edge costs none at all (the parent explored no
     /// late advertisement).
+    ///
+    /// The parent sent an acknowledgement's edge as a frame of its own,
+    /// just ahead of it, so its one-fault records run edge (dropped),
+    /// acknowledgement (dropped, then late) where an event here is one
+    /// acknowledgement with the edge in it. Such an event is held, lost, to
+    /// the parent's lost acknowledgement — the SDU re-sent for a lost
+    /// acknowledgement advertises the edge again, so losing the edge with
+    /// it may cost nothing more — and, late, to the parent's late
+    /// acknowledgement.
     fn assert_no_more_frames_than_the_parent(
         cfg: &ConnectionConfig,
         sdus_per_msg: &[usize],
@@ -2034,15 +2091,33 @@ mod tests {
         );
         assert!(most_frames <= parent_most, "{most_frames} frames: {what}");
         let clean = run(cfg, sdus_per_msg, &Plan::new());
-        let mut recorded = parent_one_fault.iter();
+        let mut recorded = parent_one_fault.iter().copied();
+        let mut parent = || recorded.next().expect("the fault-free run grew");
         for (i, kind) in clean.iter().enumerate() {
-            for fault in faults_of(*kind) {
-                let frames = data_frames(&run(cfg, sdus_per_msg, &vec![(i, *fault)]));
-                if (*kind, *fault) == (Kind::Credit, Fault::Duplicate) {
+            // Per fault, the parent's record; `None` for a late edge.
+            let bounds = match kind {
+                Kind::Data => vec![(Fault::Drop, Some(parent()))],
+                Kind::Credit => vec![(Fault::Drop, Some(parent())), (Fault::Duplicate, None)],
+                Kind::Ack { edge: false } => {
+                    vec![
+                        (Fault::Drop, Some(parent())),
+                        (Fault::Duplicate, Some(parent())),
+                    ]
+                }
+                Kind::Ack { edge: true } => {
+                    let (_edge_lost, ack_lost, ack_late) = (parent(), parent(), parent());
+                    vec![
+                        (Fault::Drop, Some(ack_lost)),
+                        (Fault::Duplicate, Some(ack_late)),
+                    ]
+                }
+            };
+            for (fault, bound) in bounds {
+                let frames = data_frames(&run(cfg, sdus_per_msg, &vec![(i, fault)]));
+                let Some(parent) = bound else {
                     assert_eq!(frames, data_frames(&clean), "late edge {i}: {what}");
                     continue;
-                }
-                let parent = *recorded.next().expect("the fault-free run grew");
+                };
                 assert!(
                     frames <= parent,
                     "{frames} frames, the parent sent {parent}: {fault:?} of event {i}, {what}"

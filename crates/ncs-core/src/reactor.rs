@@ -389,12 +389,6 @@ impl Reactor {
         self.counters.timer_entries.load(Ordering::Relaxed)
     }
 
-    /// Times the fd poller thread has woken.
-    #[cfg(test)]
-    pub(crate) fn poller_wakes(&self) -> u64 {
-        self.counters.poller_wakes.load(Ordering::Relaxed)
-    }
-
     /// Subscribes `task` to `transport`'s readiness: it is woken whenever
     /// the transport may have become readable — through the transport's
     /// waker, and for an fd-backed transport (SCI) through the shared
@@ -457,6 +451,7 @@ impl Reactor {
             task_runs: c.task_runs.load(Ordering::Relaxed),
             timer_fires: c.timer_fires.load(Ordering::Relaxed),
             fd_events: c.fd_events.load(Ordering::Relaxed),
+            poller_wakes: c.poller_wakes.load(Ordering::Relaxed),
             stalled_tasks: c.stalled_tasks.load(Ordering::Relaxed),
             short_parks: c.short_parks.load(Ordering::Relaxed),
             blocking_spawned: 0,
@@ -1364,7 +1359,7 @@ mod tests {
         let handle = reactor.spawn(false, |_| Box::new(task));
         *reg.lock() = Some(reactor.watch_fd(fd, &handle));
         const N: u64 = 200;
-        let before = reactor.poller_wakes();
+        let before = reactor.stats().poller_wakes;
         let mut reply = [0u8; 1];
         for i in 0..N {
             near.write_all(&[i as u8]).unwrap();
@@ -1374,7 +1369,7 @@ mod tests {
         // At most one per request: the task's first poll may echo the
         // first request before the poller thread collects its report,
         // which the kernel then drops.
-        let wakes = reactor.poller_wakes() - before;
+        let wakes = reactor.stats().poller_wakes - before;
         assert!(wakes <= N + 2, "{wakes} wakes for {N} round trips");
         reg.lock().take();
         reactor.shutdown();

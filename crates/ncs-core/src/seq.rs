@@ -22,18 +22,39 @@ pub(crate) fn wrapping_ahead(a: u32, b: u32) -> u32 {
 }
 
 /// Bitmap of outstanding (not-yet-received) SDUs for one message.
+///
+/// The first word is kept inline, so a bitmap of up to 64 SDUs — every
+/// message of a 4 KiB-SDU connection up to 256 KiB — never touches the
+/// heap; only the words past it do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AckBitmap {
     /// Total SDUs in the message.
     total: u32,
-    /// Bit `i` set <=> SDU `i` missing.
-    words: Vec<u64>,
+    /// Bit `i` set <=> SDU `i` missing, for SDUs 0-63.
+    first: u64,
+    /// The same for SDUs 64 and up, one word per 64; empty up to 64 SDUs.
+    rest: Vec<u64>,
 }
 
 impl AckBitmap {
     /// Maximum SDU count per message (wire-format sanity bound: a 16 MB
     /// message at the minimum 256-byte SDU).
     pub const MAX_TOTAL: u32 = 65_536;
+
+    /// A bitmap for a message of `total` SDUs, every word `fill`.
+    fn filled(total: u32, fill: u64) -> Self {
+        assert!(
+            total > 0 && total <= Self::MAX_TOTAL,
+            "SDU count out of range: {total}"
+        );
+        let mut bitmap = AckBitmap {
+            total,
+            first: fill,
+            rest: vec![fill; (total as usize - 1) / 64],
+        };
+        bitmap.mask_tail();
+        bitmap
+    }
 
     /// A bitmap for a message of `total` SDUs, all initially missing
     /// (the paper's `Bitmap <- 1` initialisation).
@@ -42,34 +63,46 @@ impl AckBitmap {
     ///
     /// Panics if `total` is zero or exceeds [`AckBitmap::MAX_TOTAL`].
     pub fn all_missing(total: u32) -> Self {
-        assert!(
-            total > 0 && total <= Self::MAX_TOTAL,
-            "SDU count out of range: {total}"
-        );
-        let nwords = (total as usize).div_ceil(64);
-        let mut words = vec![u64::MAX; nwords];
-        Self::mask_tail(total, &mut words);
-        AckBitmap { total, words }
+        Self::filled(total, u64::MAX)
     }
 
     /// A bitmap with every SDU received (used for the final clean ACK).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total` is zero or exceeds [`AckBitmap::MAX_TOTAL`].
     pub fn all_received(total: u32) -> Self {
-        assert!(
-            total > 0 && total <= Self::MAX_TOTAL,
-            "SDU count out of range: {total}"
-        );
-        AckBitmap {
-            total,
-            words: vec![0; (total as usize).div_ceil(64)],
+        Self::filled(total, 0)
+    }
+
+    /// Clears the bits of the last word past `total`; returns whether
+    /// any was set.
+    fn mask_tail(&mut self) -> bool {
+        let tail_bits = self.total % 64;
+        let last = self.rest.last_mut().unwrap_or(&mut self.first);
+        let before = *last;
+        if tail_bits != 0 {
+            *last &= (1u64 << tail_bits) - 1;
+        }
+        *last != before
+    }
+
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
+    /// The word holding SDU `seq`'s bit.
+    fn word(&self, seq: u32) -> u64 {
+        match seq / 64 {
+            0 => self.first,
+            i => self.rest[i as usize - 1],
         }
     }
 
-    fn mask_tail(total: u32, words: &mut [u64]) {
-        let tail_bits = (total % 64) as usize;
-        if tail_bits != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= (1u64 << tail_bits) - 1;
-            }
+    fn word_mut(&mut self, seq: u32) -> &mut u64 {
+        match seq / 64 {
+            0 => &mut self.first,
+            i => &mut self.rest[i as usize - 1],
         }
     }
 
@@ -85,26 +118,23 @@ impl AckBitmap {
     /// Panics if `seq >= total`.
     pub fn mark_received(&mut self, seq: u32) {
         assert!(seq < self.total, "seq {seq} out of range {}", self.total);
-        self.words[(seq / 64) as usize] &= !(1u64 << (seq % 64));
+        *self.word_mut(seq) &= !(1u64 << (seq % 64));
     }
 
     /// Whether SDU `seq` is still missing.
     pub fn is_missing(&self, seq: u32) -> bool {
-        if seq >= self.total {
-            return false;
-        }
-        self.words[(seq / 64) as usize] & (1u64 << (seq % 64)) != 0
+        seq < self.total && self.word(seq) & (1u64 << (seq % 64)) != 0
     }
 
     /// Whether any SDU is still missing (the paper's `Bitmap > 0`).
     pub fn any_missing(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
+        self.words().any(|w| w != 0)
     }
 
     /// Sequence numbers still missing, ascending.
     pub fn missing(&self) -> Vec<u32> {
         let mut out = Vec::new();
-        for (wi, &word) in self.words.iter().enumerate() {
+        for (wi, word) in self.words().enumerate() {
             let mut w = word;
             while w != 0 {
                 let bit = w.trailing_zeros();
@@ -117,17 +147,22 @@ impl AckBitmap {
 
     /// Number of SDUs still missing.
     pub fn missing_count(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.words().map(|w| w.count_ones()).sum()
     }
 
     /// Wire encoding: `total:u32` then the words, big-endian.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.words.len() * 8);
+        let mut out = Vec::with_capacity(4 + (1 + self.rest.len()) * 8);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`AckBitmap::encode`], appended to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.total.to_be_bytes());
-        for w in &self.words {
+        for w in self.words() {
             out.extend_from_slice(&w.to_be_bytes());
         }
-        out
     }
 
     /// Decodes a bitmap produced by [`AckBitmap::encode`].
@@ -151,19 +186,18 @@ impl AckBitmap {
                 bytes.len()
             ));
         }
-        let mut words = Vec::with_capacity(nwords);
-        for i in 0..nwords {
-            let start = 4 + i * 8;
-            words.push(u64::from_be_bytes(
-                bytes[start..start + 8].try_into().expect("8 bytes"),
-            ));
-        }
-        let last = words[nwords - 1];
-        Self::mask_tail(total, &mut words);
-        if words[nwords - 1] != last {
+        let mut words = bytes[4..]
+            .chunks_exact(8)
+            .map(|w| u64::from_be_bytes(w.try_into().expect("8 bytes")));
+        let mut bitmap = AckBitmap {
+            total,
+            first: words.next().expect("at least one word"),
+            rest: words.collect(),
+        };
+        if bitmap.mask_tail() {
             return Err("bitmap has bits set beyond total".to_owned());
         }
-        Ok(AckBitmap { total, words })
+        Ok(bitmap)
     }
 }
 

@@ -23,6 +23,7 @@ pub(crate) struct ConnCounters {
     pub retransmissions: Counter,
     pub acks_sent: Counter,
     pub acks_received: Counter,
+    pub feedback_sent: Counter,
     pub credits_granted: Counter,
     pub credits_received: Counter,
     pub send_failures: Counter,
@@ -63,6 +64,10 @@ impl ConnCounters {
             ),
             acks_sent: c("ncs_conn_acks_sent_total", "acknowledgements sent"),
             acks_received: c("ncs_conn_acks_received_total", "acknowledgements received"),
+            feedback_sent: c(
+                "ncs_conn_feedback_frames_total",
+                "control frames of flow and error control sent: acknowledgements, each with the credit edge it owes, and edges sent alone",
+            ),
             credits_granted: c(
                 "ncs_conn_credits_granted_total",
                 "SDUs the credit edge advertised to the peer advanced",
@@ -110,6 +115,7 @@ impl ConnCounters {
             retransmissions: self.retransmissions.get(),
             acks_sent: self.acks_sent.get(),
             acks_received: self.acks_received.get(),
+            feedback_sent: self.feedback_sent.get(),
             credits_granted: self.credits_granted.get(),
             credits_received: self.credits_received.get(),
             send_failures: self.send_failures.get(),
@@ -207,6 +213,11 @@ impl MetricSource for ReactorMetricSource {
                 s.fd_events,
             ),
             counter_family(
+                "ncs_reactor_poller_wakes_total",
+                "returns of the fd poller thread from epoll_wait",
+                s.poller_wakes,
+            ),
+            counter_family(
                 "ncs_reactor_stalled_tasks_total",
                 "tasks observed stalled (healthy: 0)",
                 s.stalled_tasks,
@@ -277,6 +288,11 @@ pub struct ConnectionStats {
     pub acks_sent: u64,
     /// Acknowledgements received.
     pub acks_received: u64,
+    /// Feedback frames sent on the control connection: every
+    /// acknowledgement (the credit edge rides in it) and every credit edge
+    /// sent alone, when an arrival no acknowledgement answered owed one.
+    /// A reliable one-SDU message costs one.
+    pub feedback_sent: u64,
     /// SDUs the credit edge advertised to the peer advanced.
     pub credits_granted: u64,
     /// SDUs the credit edge advertised by the peer advanced.
@@ -349,6 +365,10 @@ pub struct ReactorStats {
     pub timer_fires: u64,
     /// Readiness events delivered by the `epoll(7)` thread (SCI sockets).
     pub fd_events: u64,
+    /// Times the `epoll(7)` thread woke from `epoll_wait` (its stop
+    /// aside): once per batch of readiness reports. A task re-arming its
+    /// socket does not wake it.
+    pub poller_wakes: u64,
     /// Times a task was observed looping `Again` long enough to be called
     /// stalled (diagnostic: a healthy run stays at 0).
     pub stalled_tasks: u64,

@@ -377,8 +377,8 @@ fn dial_by_hand(
         "{what}: a third connection"
     );
     // Traffic: one message each way of the data channel's control loop —
-    // the acknowledgement and the credit come back on the channel the
-    // dialer opened, behind the AcceptConns.
+    // the acknowledgement, with the credit edge in it, comes back on the
+    // channel the dialer opened, behind the AcceptConns.
     for i in 0..2 {
         let header = DataHeader {
             conn: acceptor_conn[i],
@@ -396,12 +396,13 @@ fn dial_by_hand(
             .find(|c| c.id() == acceptor_conn[i])
             .expect("the accepted connection");
         assert_eq!(conn.recv().expect("recv"), [i as u8; 8], "{what}");
-        loop {
-            match next_ctrl() {
-                CtrlMsg::Ack { conn, .. } if conn == INITIATOR[i] => break,
-                CtrlMsg::Credit { conn, .. } if INITIATOR.contains(&conn) => {}
-                other => panic!("{what}: unexpected {other:?}"),
-            }
+        match next_ctrl() {
+            CtrlMsg::Ack {
+                conn,
+                edge: Some(_),
+                ..
+            } if conn == INITIATOR[i] => {}
+            other => panic!("{what}: unexpected {other:?}"),
         }
     }
     acceptor.forget_peer(name);

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use ncs_core::config::{ConnectionConfig, ErrorControlAlg, FlowControlAlg};
-use ncs_core::error_control::{build_receiver, build_sender, ReceiverStep, SenderStep};
+use ncs_core::error_control::{build_receiver, build_sender, AckInfo, ReceiverStep, SenderStep};
 use ncs_core::packet::{CtrlMsg, DataHeader, DataPacket, Hello};
 use ncs_core::seq::AckBitmap;
 use proptest::prelude::*;
@@ -67,35 +67,42 @@ fn arb_bitmap() -> impl Strategy<Value = AckBitmap> {
     })
 }
 
+/// Every form an acknowledgement takes on the wire: a bitmap with SDUs
+/// missing, a clean one (its SDU count alone), a cumulative one.
+fn arb_ack_info() -> impl Strategy<Value = AckInfo> {
+    prop_oneof![
+        arb_bitmap().prop_map(AckInfo::Bitmap),
+        (1..=AckBitmap::MAX_TOTAL)
+            .prop_map(|total| AckInfo::Bitmap(AckBitmap::all_received(total))),
+        any::<u32>().prop_map(AckInfo::Cumulative),
+    ]
+}
+
+/// An acknowledgement in any of its forms, with the credit edge in it or
+/// without.
+fn arb_ack() -> impl Strategy<Value = CtrlMsg> {
+    (
+        any::<u32>(),
+        any::<u32>(),
+        arb_ack_info(),
+        any::<bool>(),
+        any::<u32>(),
+    )
+        .prop_map(|(conn, session, info, has_edge, edge)| CtrlMsg::Ack {
+            conn,
+            session,
+            info,
+            edge: has_edge.then_some(edge),
+        })
+}
+
 /// A valid encoding from any of the decoders a peer's bytes reach: every
 /// `CtrlMsg` and `Hello` variant, a bare configuration, a bare bitmap.
 fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
-        (any::<u32>(), any::<u32>(), arb_bitmap()).prop_map(|(conn, session, bitmap)| {
-            CtrlMsg::Ack {
-                conn,
-                session,
-                bitmap,
-            }
-            .encode()
-        }),
-        (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(conn, session, next_expected)| {
-            CtrlMsg::GbnAck {
-                conn,
-                session,
-                next_expected,
-            }
-            .encode()
-        }),
+        arb_ack().prop_map(|ack| ack.encode()),
         (any::<u32>(), any::<u32>())
             .prop_map(|(conn, credits)| CtrlMsg::Credit { conn, credits }.encode()),
-        (any::<u32>(), arb_config()).prop_map(|(initiator_conn, config)| {
-            CtrlMsg::OpenConn {
-                initiator_conn,
-                config,
-            }
-            .encode()
-        }),
         (any::<u32>(), any::<u32>()).prop_map(|(initiator_conn, acceptor_conn)| {
             CtrlMsg::AcceptConn {
                 initiator_conn,
@@ -276,26 +283,28 @@ proptest! {
         let _ = DataPacket::decode(&bytes); // must not panic
     }
 
-    /// Control messages survive the wire round trip.
+    /// Control messages survive the wire round trip: every form of an
+    /// acknowledgement, with its edge and without.
     #[test]
     fn ctrl_codec_round_trips(
         conn: u32,
         session: u32,
-        total in 1u32..512,
-        received in proptest::collection::vec(any::<u32>(), 0..64),
+        bitmap in arb_bitmap(),
         credits in 1u32..1024,
         next in any::<u32>(),
     ) {
-        let mut bitmap = AckBitmap::all_missing(total);
-        for r in received {
-            bitmap.mark_received(r % total);
+        let infos = [
+            AckInfo::Bitmap(AckBitmap::all_received(bitmap.total())),
+            AckInfo::Bitmap(bitmap),
+            AckInfo::Cumulative(next),
+        ];
+        for info in infos {
+            for edge in [None, Some(credits)] {
+                let ack = CtrlMsg::Ack { conn, session, info: info.clone(), edge };
+                prop_assert_eq!(CtrlMsg::decode(&ack.encode()).unwrap(), ack);
+            }
         }
-        for msg in [
-            CtrlMsg::Ack { conn, session, bitmap },
-            CtrlMsg::GbnAck { conn, session, next_expected: next },
-            CtrlMsg::Credit { conn, credits },
-            CtrlMsg::CloseConn { conn },
-        ] {
+        for msg in [CtrlMsg::Credit { conn, credits }, CtrlMsg::CloseConn { conn }] {
             prop_assert_eq!(CtrlMsg::decode(&msg.encode()).unwrap(), msg);
         }
     }

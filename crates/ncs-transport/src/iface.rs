@@ -247,6 +247,17 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
         self.send_batch(frames)
     }
 
+    /// Whether bytes of frames already counted as sent still wait to be
+    /// written: a frame [`Connection::try_send_batch`] took only part of
+    /// (SCI's full socket) leaves its tail behind, and nothing delivers it
+    /// but a later call. A non-blocking caller that has nothing more to
+    /// send makes that call itself — an empty `try_send_batch` writes what
+    /// is owed — and retries while this holds. The default, for transports
+    /// that take a frame whole or not at all, is `false`.
+    fn owes_bytes(&self) -> bool {
+        false
+    }
+
     /// How an event loop should wait for inbound frames on this endpoint.
     /// The default is [`Readiness::Polling`].
     fn readiness(&self) -> Readiness {

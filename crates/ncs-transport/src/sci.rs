@@ -146,6 +146,11 @@ pub struct SciConnection {
     /// written ahead of anything else. Held through a whole send, so the
     /// frames of concurrent senders never interleave.
     write_backlog: Mutex<Vec<u8>>,
+    /// Whether `write_backlog` holds anything: [`Connection::owes_bytes`]
+    /// without the lock or a system call. Stored (`Release`) under the
+    /// backlog's lock after every write, read (`Acquire`) without it; it
+    /// publishes nothing else — a flush takes the lock.
+    owes: AtomicBool,
     reader: Mutex<ReadBuf>,
     closed: AtomicBool,
     peer: SocketAddr,
@@ -172,6 +177,7 @@ impl SciConnection {
         Ok(SciConnection {
             stream,
             write_backlog: Mutex::new(Vec::new()),
+            owes: AtomicBool::new(false),
             reader: Mutex::new(ReadBuf::default()),
             closed: AtomicBool::new(false),
             peer,
@@ -276,6 +282,12 @@ impl SciConnection {
     /// the rest of it becomes the backlog. A backlog the write does not
     /// finish takes no frame with it.
     fn write_gathered(&self, backlog: &mut Vec<u8>, frames: &[&[u8]]) -> std::io::Result<usize> {
+        let taken = self.write_frames(backlog, frames);
+        self.owes.store(!backlog.is_empty(), Ordering::Release);
+        taken
+    }
+
+    fn write_frames(&self, backlog: &mut Vec<u8>, frames: &[&[u8]]) -> std::io::Result<usize> {
         let frames = &frames[..frames.len().min(BATCH_FRAMES)];
         let mut prefixes = [[0u8; 4]; BATCH_FRAMES];
         for (prefix, frame) in prefixes.iter_mut().zip(frames) {
@@ -368,7 +380,7 @@ impl Connection for SciConnection {
 
     fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         let valid = valid_prefix(frames, MAX_FRAME)?;
-        if valid == 0 {
+        if valid == 0 && !self.owes_bytes() {
             return Ok(0);
         }
         if self.closed.load(Ordering::Acquire) {
@@ -400,6 +412,11 @@ impl Connection for SciConnection {
             }
         }
         Ok(out)
+    }
+
+    fn owes_bytes(&self) -> bool {
+        // A closed connection owes nothing it could still deliver.
+        self.owes.load(Ordering::Acquire) && !self.closed.load(Ordering::Acquire)
     }
 
     fn readiness(&self) -> Readiness {
@@ -809,6 +826,24 @@ mod tests {
         );
         closer.join().unwrap();
         assert_eq!(sender.join().unwrap(), Err(TransportError::Closed));
+    }
+
+    /// A frame the socket takes only part of counts as sent, and the rest
+    /// of it is owed: an empty batch writes it, and once the peer has
+    /// drained enough of the stream the frame arrives whole.
+    #[test]
+    fn an_empty_batch_writes_what_a_partial_frame_still_owes() {
+        let (a, b) = loopback_pair().unwrap();
+        assert!(!a.owes_bytes());
+        let big = vec![3u8; 4 << 20];
+        assert_eq!(a.try_send_batch(&[&big]), Ok(1));
+        assert!(a.owes_bytes(), "no socket buffer holds 4 MiB");
+        let reader = std::thread::spawn(move || b.recv().map(|frame| frame.len()));
+        while a.owes_bytes() {
+            assert_eq!(a.try_send_batch(&[]), Ok(0));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(reader.join().unwrap(), Ok(big.len()));
     }
 
     #[test]
