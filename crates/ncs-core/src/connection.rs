@@ -1,5 +1,5 @@
-//! Per-connection machinery: the shells that drive the Figure-4 pipeline
-//! of [`crate::plane`], and the public [`NcsConnection`] handle.
+//! Per-connection machinery: the driver of the Figure-4 pipeline of
+//! [`crate::plane`], and the public [`NcsConnection`] handle.
 //!
 //! The send path follows the paper's Figure 4:
 //!
@@ -21,7 +21,8 @@
 //! Steps 1-3 and 5-6 — everything that is flow or error control — are
 //! the two sans-I/O state machines of [`crate::plane`]:
 //! [`TxPlane`] and [`RxPlane`]. This module is what moves bytes and time
-//! around them, in exactly two shells:
+//! around them: a receive half ([`RxSide`]) and a send half ([`TxSide`]),
+//! each with one set of steps, run by one of two kinds of thread:
 //!
 //! * **The reactor task** ([`ConnTask`]). Where the paper runs each plane
 //!   as a dedicated thread per connection, one resumable task registered
@@ -42,9 +43,9 @@
 //!   loops — no thread sits between the two tasks.
 //!
 //!   The receive half is the task's alone: only the reactor reads a
-//!   transport. The send half — [`TxSide`]: the `TxPlane`, the Send
-//!   plane's frame queue — sits in [`ConnShared::tx`] behind one lock and
-//!   is stepped by whoever holds it. `NCS_send` always queues first, then
+//!   threaded connection's transport. The send half — the `TxPlane`, the
+//!   Send plane's frame queue — sits in [`ConnShared::tx`] behind one lock
+//!   and is stepped by whoever holds it. `NCS_send` always queues first, then
 //!   activates: a message of several SDUs wakes the task and the caller
 //!   goes back to computing while the reactor segments, copies and
 //!   transmits (§4.1's overlap); a message of one SDU is run through the
@@ -52,15 +53,18 @@
 //!   ([`ConnShared::drive_or_wake`]), because the hand-off costs more than
 //!   the work. The task is then woken only for what the inline step left
 //!   that needs it.
-//! * **Direct mode** (§4.2, [`NcsConnection::send_direct`] /
-//!   [`NcsConnection::recv_direct`]). No task is registered; the same
-//!   planes run as procedures on the caller's thread, which holds the
-//!   send half for the length of its message and blocks on the transport
-//!   and on the control-event queue between steps.
+//! * **The caller, in direct mode** (§4.2, [`NcsConnection::send_direct`]
+//!   / [`NcsConnection::recv_direct`]). No task is registered; the task's
+//!   own steps run as procedures on the caller's thread. A sender holds
+//!   the send half for the length of its message and waits on the
+//!   control-event queue between steps; a receiver runs each frame it
+//!   reads through the connection's receive half and takes its messages
+//!   from the delivery queue, as a threaded receiver does.
 //!
-//! When a connection is configured without flow/error control the planes
-//! are not built at all (paper §3.1's bypass — frames go straight from
-//! the send queue to the interface).
+//! When a threaded connection is configured without flow/error control
+//! the planes are not built at all (paper §3.1's bypass — frames go
+//! straight from the send queue to the interface). Direct mode always
+//! runs them, with null strategies if need be: they are its procedures.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -73,10 +77,9 @@ use ncs_threads::sync::{Event, Mailbox, NcsMutex};
 use ncs_transport::{Connection as Transport, TransportError};
 use parking_lot::{Mutex, RwLock};
 
-use crate::clock::Clock;
 use crate::config::{ConnectionConfig, ErrorControlAlg};
-use crate::packet::{CtrlMsg, DataHeader, DataPacket, DataView};
-use crate::plane::{sdu_count, CtrlEvent, Delivered, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
+use crate::packet::{CtrlMsg, DataHeader, DataPacket};
+use crate::plane::{sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
 use crate::pool::{BufPool, PooledBuf};
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
 use crate::request::{DeliveryQueue, MsgView, Request, RequestCore};
@@ -247,20 +250,11 @@ pub(crate) struct ConnShared {
     /// [`NcsConnection::last_error`]). Shared with the connection's
     /// [`TxPlane`].
     pub last_error: Arc<Mutex<Option<SendError>>>,
-    /// Direct mode (paper §4.2): the receiver pipeline lives here and runs
-    /// on whichever thread calls `recv_direct`. `None` on connections with
-    /// a reactor task, which owns its own — only the task reads a
+    /// Direct mode (paper §4.2): the receive half lives here and runs on
+    /// whichever thread calls `recv_direct`. `None` on connections with a
+    /// reactor task, which owns its own — only the task reads a
     /// transport.
-    pub direct_rx: NcsMutex<Option<RxPlane>>,
-    /// The node's time source. Direct-mode deadlines — the
-    /// acknowledgement-timeout retransmission clock, flow-control pacing
-    /// and the `recv_direct` operation deadline — are computed from it, so
-    /// a simulated node retries on virtual time (`ncs_core::clock`). The
-    /// reactor's own timer heap stays wall-clock: it is the real-time
-    /// boundary that *drives* simulations.
-    pub clock: Arc<dyn Clock>,
-    /// The instant a `clock` reading of zero maps to ([`ConnShared::direct_now`]).
-    clock_epoch: Instant,
+    pub direct_rx: NcsMutex<Option<RxSide>>,
 }
 
 impl std::fmt::Debug for ConnShared {
@@ -295,9 +289,7 @@ impl ConnShared {
         pool: Arc<BufPool>,
         ctrl_tx: Arc<Mailbox<CtrlMsg>>,
         registry: Option<Arc<Registry>>,
-        clock: Arc<dyn Clock>,
     ) -> Arc<Self> {
-        let direct = config.direct;
         let counters = match &registry {
             Some(r) => ConnCounters::registered(r, id, &peer_name),
             None => ConnCounters::default(),
@@ -330,16 +322,19 @@ impl ConnShared {
             next_session: AtomicU32::new(0),
             last_error: Arc::default(),
             direct_rx: NcsMutex::new(None),
-            clock,
-            clock_epoch: Instant::now(),
         });
-        // The planes of direct mode run on the node clock, the task's on
-        // the reactor's.
-        if direct {
-            shared.tx.lock().plane = Some(shared.tx_plane(shared.direct_now()));
-            *shared.direct_rx.lock() = Some(shared.rx_plane());
-        } else if shared.config.needs_control_threads() {
-            shared.tx.lock().plane = Some(shared.tx_plane(Instant::now()));
+        if shared.runs_planes() {
+            // The sender pipeline reports into the connection's counters,
+            // recorder and sticky error.
+            let obs = PlaneObs {
+                counters: shared.counters.clone(),
+                recorder: shared.recorder.clone(),
+                last_error: Arc::clone(&shared.last_error),
+            };
+            shared.tx.lock().plane = Some(TxPlane::new(&shared.config, obs, Instant::now()));
+        }
+        if shared.config.direct {
+            *shared.direct_rx.lock() = Some(RxSide::new(&shared));
         }
         // Exact receive accounting (all four transports, bypass included):
         // the delivery queue is the one point every reassembled or
@@ -392,27 +387,10 @@ impl ConnShared {
         self.established.fire();
     }
 
-    /// A sender pipeline reporting into this connection's counters,
-    /// recorder and sticky error.
-    fn tx_plane(&self, now: Instant) -> TxPlane {
-        let obs = PlaneObs {
-            counters: self.counters.clone(),
-            recorder: self.recorder.clone(),
-            last_error: Arc::clone(&self.last_error),
-        };
-        TxPlane::new(&self.config, obs, now)
-    }
-
-    /// A receiver pipeline reporting into this connection's counters.
-    fn rx_plane(&self) -> RxPlane {
-        RxPlane::new(&self.config, &self.counters)
-    }
-
-    /// "Now" for the direct-mode planes: the node clock's reading, as an
-    /// [`Instant`] (the planes only ever compare the instants they are
-    /// given with each other).
-    fn direct_now(&self) -> Instant {
-        self.clock_epoch + self.clock.now()
+    /// Whether the FC/EC planes run: flow or error control is configured,
+    /// or the connection is in direct mode, whose procedures they are.
+    fn runs_planes(&self) -> bool {
+        self.config.direct || self.config.needs_control_threads()
     }
 
     /// Learns the peer's connection id from an incoming data packet (covers
@@ -523,37 +501,6 @@ impl ConnShared {
         (0..sdu_count(data.len(), sdu_size))
             .map(|seq| self.encode_sdu(&Sdu::of(data, sdu_size, session, tagged, seq)))
             .collect()
-    }
-
-    /// Runs one arrived data frame through the receiver pipeline and does
-    /// what it asks: acknowledges over the control connection, with the
-    /// credit edge in the same frame if one is owed — one advertisement,
-    /// the latest edge, covers a whole receive drain: here, or alone when
-    /// the drain ends (the caller's [`ConnShared::grant`]). Returns the
-    /// messages the frame completed: none, one, or a train's.
-    fn receive_frame(&self, rx: &mut RxPlane, frame: &DataView<'_>, now: Instant) -> Delivered {
-        let step = rx.on_frame(frame, now);
-        if let Some(info) = step.ack {
-            self.counters.acks_sent.inc();
-            self.feedback(CtrlMsg::Ack {
-                conn: self.peer_conn_id(),
-                session: frame.header.session,
-                info,
-                edge: rx.advertise(),
-            });
-        }
-        step.delivered
-    }
-
-    /// Advertises the credit edge alone, if an arrival after the last
-    /// acknowledgement still owes it.
-    fn grant(&self, rx: &mut RxPlane) {
-        if let Some(edge) = rx.advertise() {
-            self.feedback(CtrlMsg::Credit {
-                conn: self.peer_conn_id(),
-                credits: edge,
-            });
-        }
     }
 
     /// Queues one feedback frame for the peer's control task.
@@ -749,10 +696,6 @@ impl ConnShared {
 
 const IDLE_TICK: Duration = Duration::from_millis(100);
 
-/// Longest single wait of the direct-mode sender between looks at the
-/// node clock.
-const DIRECT_SLICE: Duration = Duration::from_millis(5);
-
 /// Frames drained per poll round before the task yields its shard with
 /// [`TaskPoll::Again`] (keeps one firehose connection from starving its
 /// shard siblings).
@@ -791,26 +734,101 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
     handle.wake();
 }
 
-/// A connection's Figure-4 pipeline as one resumable reactor task: the
-/// non-blocking shell around the [`crate::plane`] state machines.
-///
-/// The Receive plane is the task's `step_recv` — only the task reads the
-/// transport — feeding its [`RxPlane`]; the send half ([`TxSide`]: the
-/// [`TxPlane`] and the Send plane's queue) is shared with submitters and
-/// stepped under its lock by [`ConnShared::step_tx`] /
-/// [`ConnShared::step_send`]. The paper's blocking waits became
-/// [`TaskPoll::Timer`] deadlines.
-struct ConnTask {
-    shared: Arc<ConnShared>,
+/// The receive half of a connection's pipeline — everything between the
+/// interface and the delivery queue, one frame at a time. The reactor
+/// task owns one; a direct connection keeps one in
+/// [`ConnShared::direct_rx`] for the thread inside `recv_direct`.
+pub(crate) struct RxSide {
+    /// Flow and error control, receiver half (steps 5-10); `None` on §3.1
+    /// bypass configurations.
+    plane: Option<RxPlane>,
     // -- Receive plane (steps 7-8): fully-bypassed inline reassembly.
     // Payloads append straight from received frames into a *pooled*
     // message buffer (arrival order, delivery on the end bit — the
     // null-EC contract); the buffer rides the delivered [`MsgView`] and
     // returns to the pool when the application drops the view.
     assembling: Option<PooledBuf>,
-    /// Flow and error control, receiver half (steps 5-10); `None` on §3.1
-    /// bypass configurations.
-    rx: Option<RxPlane>,
+}
+
+impl RxSide {
+    fn new(shared: &ConnShared) -> Self {
+        RxSide {
+            plane: shared
+                .runs_planes()
+                .then(|| RxPlane::new(&shared.config, &shared.counters)),
+            assembling: None,
+        }
+    }
+
+    /// Runs one arrived frame, parsed in place ([`DataPacket::peek`]),
+    /// through the receiver pipeline (Figure 4 steps 5-10) and delivers
+    /// what it completes: none, one, or a train's messages. The pipeline's
+    /// acknowledgement leaves at once, with the credit edge in the same
+    /// frame if one is owed — one advertisement, the latest edge, covers a
+    /// whole receive drain: here, or alone when the drain ends
+    /// ([`RxSide::drained`]). Fully bypassed, the payload goes straight
+    /// into the message being assembled. Inlined: the task's receive loop
+    /// runs it once per frame.
+    #[inline(always)]
+    fn on_frame(&mut self, shared: &ConnShared, frame: &[u8]) {
+        let Ok(view) = DataPacket::peek(frame) else {
+            return; // not a data packet: ignore
+        };
+        shared.note_peer_conn(view.header.src_conn);
+        shared.counters.packets_received.inc();
+        // `messages_received` is counted at the delivery queue.
+        let Some(rx) = &mut self.plane else {
+            let buf = self.assembling.get_or_insert_with(|| shared.pool.get());
+            buf.vec_mut().extend_from_slice(view.payload);
+            if view.header.end {
+                let buf = self.assembling.take().expect("just inserted");
+                deliver_message(shared, buf, view.header.tagged);
+            }
+            return;
+        };
+        // The clock is read here, not once per drain: bypass connections
+        // never pay for it.
+        let step = rx.on_frame(&view, Instant::now());
+        if let Some(info) = step.ack {
+            shared.counters.acks_sent.inc();
+            shared.feedback(CtrlMsg::Ack {
+                conn: shared.peer_conn_id(),
+                session: view.header.session,
+                info,
+                edge: rx.advertise(),
+            });
+        }
+        for (message, tagged) in step.delivered {
+            // EC strategies reassemble in their own buffers; the view is
+            // detached (owned), not pooled.
+            deliver_message(shared, PooledBuf::detached(message), tagged);
+        }
+    }
+
+    /// Ends a receive drain: advertises the credit edge alone, if an
+    /// arrival after the last acknowledgement still owes it.
+    fn drained(&mut self, shared: &ConnShared) {
+        if let Some(edge) = self.plane.as_mut().and_then(RxPlane::advertise) {
+            shared.feedback(CtrlMsg::Credit {
+                conn: shared.peer_conn_id(),
+                credits: edge,
+            });
+        }
+    }
+}
+
+/// A connection's Figure-4 pipeline as one resumable reactor task: the
+/// non-blocking driver of the [`crate::plane`] state machines.
+///
+/// The Receive plane is the task's `step_recv` — only the task reads the
+/// transport — feeding its [`RxSide`]; the send half ([`TxSide`]: the
+/// [`TxPlane`] and the Send plane's queue) is shared with submitters and
+/// stepped under its lock by [`ConnShared::step_tx`] /
+/// [`ConnShared::step_send`]. The paper's blocking waits became
+/// [`TaskPoll::Timer`] deadlines.
+struct ConnTask {
+    shared: Arc<ConnShared>,
+    rx: RxSide,
     /// The transport reported EOF/failure on the receive side: the
     /// post-close drain is complete, nothing more can arrive.
     rx_eof: bool,
@@ -822,13 +840,8 @@ struct ConnTask {
 
 impl ConnTask {
     fn new(shared: Arc<ConnShared>) -> Self {
-        let rx = shared
-            .config
-            .needs_control_threads()
-            .then(|| shared.rx_plane());
         ConnTask {
-            assembling: None,
-            rx,
+            rx: RxSide::new(&shared),
             rx_eof: false,
             drain_deadline: None,
             finished: false,
@@ -836,10 +849,8 @@ impl ConnTask {
         }
     }
 
-    /// The Receive plane: drains ready frames off the data connection,
-    /// parsed in place ([`DataPacket::peek`]), and runs each through the
-    /// receiver pipeline (Figure 4 steps 5-10) — or, fully bypassed,
-    /// straight into the message being assembled.
+    /// The Receive plane: drains ready frames off the data connection
+    /// through the receive half ([`RxSide::on_frame`]).
     fn step_recv(&mut self, hungry: &mut bool) -> bool {
         let shared = Arc::clone(&self.shared);
         let mut progressed = false;
@@ -864,36 +875,9 @@ impl ConnTask {
             };
             budget -= 1;
             progressed = true;
-            let view = match DataPacket::peek(&frame) {
-                Ok(v) => v,
-                Err(_) => continue, // not a data packet: ignore
-            };
-            shared.note_peer_conn(view.header.src_conn);
-            shared.counters.packets_received.inc();
-            // `messages_received` is counted at the delivery queue.
-            if let Some(rx) = &mut self.rx {
-                // The clock is read here, not once per call: bypass
-                // connections never pay for it.
-                let now = Instant::now();
-                for (message, tagged) in shared.receive_frame(rx, &view, now) {
-                    // EC strategies reassemble in their own buffers; the
-                    // view is detached (owned), not pooled.
-                    deliver_message(&shared, PooledBuf::detached(message), tagged);
-                }
-            } else {
-                // Fully bypassed: reassemble inline, deliver directly, no
-                // per-packet payload allocation.
-                let buf = self.assembling.get_or_insert_with(|| shared.pool.get());
-                buf.vec_mut().extend_from_slice(view.payload);
-                if view.header.end {
-                    let buf = self.assembling.take().expect("just inserted");
-                    deliver_message(&shared, buf, view.header.tagged);
-                }
-            }
+            self.rx.on_frame(&shared, &frame);
         }
-        if let Some(rx) = &mut self.rx {
-            shared.grant(rx);
-        }
+        self.rx.drained(&shared);
         progressed
     }
 
@@ -937,7 +921,7 @@ impl ConnTask {
             fail_job(job);
         }
         drop(tx);
-        self.assembling = None;
+        self.rx.assembling = None;
         // Close the transport and fail the parked receives. On a local
         // close `retire_data_plane` already did both (these repeats are
         // no-ops); on a peer close they were deferred to this retirement
@@ -1290,6 +1274,19 @@ impl NcsConnection {
         if self.shared.config.direct {
             return Err(SendError::WrongMode("threaded"));
         }
+        self.queue(data, tag, completion, accepted, wait)
+    }
+
+    /// [`NcsConnection::submit`] past its checks: the queueing itself,
+    /// shared with [`NcsConnection::send_direct`].
+    fn queue(
+        &self,
+        data: &[u8],
+        tag: Option<u32>,
+        completion: Option<Arc<RequestCore<()>>>,
+        accepted: Option<Arc<Event>>,
+        wait: bool,
+    ) -> Result<bool, SendError> {
         self.shared
             .recorder
             .record(EventKind::Isend, tag.unwrap_or(0), 0, data.len());
@@ -1310,7 +1307,7 @@ impl NcsConnection {
             None => Cow::Borrowed(data),
         };
         let one_sdu = body.len() <= self.shared.config.sdu_size;
-        if self.shared.config.needs_control_threads() {
+        if self.shared.runs_planes() {
             self.shared.submit_inbox.send(Submission {
                 data: body.into_owned(),
                 tagged,
@@ -1544,6 +1541,8 @@ impl NcsConnection {
 
     /// The thread-bypass `NCS_send` (paper §4.2): flow control, error
     /// control and transmission run as procedures on the calling thread.
+    /// Returns once the message has resolved and every byte of it is on
+    /// the wire: a direct connection has no task to write it later.
     ///
     /// # Errors
     ///
@@ -1557,74 +1556,40 @@ impl NcsConnection {
         if !shared.config.direct {
             return Err(SendError::WrongMode("direct"));
         }
-        let mut tx = shared.tx.lock();
-        let tx = tx.plane.as_mut().expect("direct mode has a TxPlane");
-        shared.recorder.record(EventKind::Isend, 0, 0, data.len());
         let done = RequestCore::new();
-        tx.submit(Submission {
-            data: data.to_vec(),
-            tagged: false,
-            completion: Some(Arc::clone(&done)),
-        });
-        let result = self.drive_direct(tx, &done);
-        if result.is_err() {
-            // Gave up mid-message (closed, link failure): nothing may
-            // linger in the pipeline for the next call to trip over.
-            tx.fail_all(SendError::Closed);
-        }
-        result
-    }
-
-    /// The blocking shell around the sender pipeline: steps `tx` on this
-    /// thread — control events in, released SDUs out through the
-    /// transport — until `done` resolves.
-    fn drive_direct(&self, tx: &mut TxPlane, done: &RequestCore<()>) -> Result<(), SendError> {
-        let shared = &self.shared;
-        let mut frames: Vec<PooledBuf> = Vec::new();
+        self.queue(data, None, Some(Arc::clone(&done)), None, false)?;
+        // The task's steps, on this thread, which holds the send half until
+        // the message resolves and — no task flushes for it later — its
+        // frames and any tail the interface still owes are on the wire.
+        let mut tx = shared.tx.lock();
+        let mut result = None;
         loop {
-            let now = shared.direct_now();
-            while let Some(event) = shared.ctrl_inbox.try_recv() {
-                tx.on_event(event, now);
-            }
-            tx.poll(now, |sdu| frames.push(shared.encode_sdu(&sdu)));
-            // Push the released window through the transport in batches
-            // (retrying partial sends).
-            for chunk in frames.chunks(IO_BATCH) {
-                let mut refs = [&[][..]; IO_BATCH];
-                let batch = fill_batch(&mut refs, chunk.iter().map(PooledBuf::as_slice));
-                let mut sent = 0;
-                while sent < batch {
-                    sent += shared
-                        .transport
-                        .send_batch(&refs[sent..batch])?
-                        .clamp(1, batch - sent);
-                }
-                shared.counters.packets_sent.add(batch as u64);
-                let bytes: usize = refs[..batch].iter().map(|r| r.len()).sum();
-                shared.recorder.record(EventKind::Wire, 0, 0, bytes);
-            }
-            frames.clear();
-            if let Some(result) = done.take() {
-                return result;
+            let mut timer = None;
+            shared.step_tx(&mut tx, &mut timer);
+            shared.step_send(&mut tx, &mut timer);
+            result = result.or_else(|| done.take());
+            match result {
+                Some(Err(e)) => return Err(e),
+                Some(Ok(())) if tx.pending.is_empty() && !tx.blocked => return Ok(()),
+                _ => {}
             }
             if shared.closed.load(Ordering::Acquire) {
                 return Err(SendError::Closed);
             }
             // Wait for the peer's next word, but no longer than the
-            // pipeline's own deadline — in short slices, because the node
-            // clock may be virtual and move without waking this thread.
-            let slice = tx
-                .next_deadline(now)
-                .map_or(DIRECT_SLICE, |at| (at - now).min(DIRECT_SLICE));
-            if let Ok(event) = shared.ctrl_inbox.recv_timeout(slice) {
-                tx.on_event(event, shared.direct_now());
+            // pipeline's own deadline.
+            let wait = timer.map_or(IDLE_TICK, |at| at.saturating_duration_since(Instant::now()));
+            if let (Ok(event), Some(plane)) = (shared.ctrl_inbox.recv_timeout(wait), &mut tx.plane)
+            {
+                plane.on_event(event, Instant::now());
             }
         }
     }
 
-    /// The thread-bypass `NCS_recv`: reads the data connection and runs the
-    /// receiver procedures (reassembly, acknowledgements, credit grants) on
-    /// the calling thread.
+    /// The thread-bypass `NCS_recv`: reads the data connection and runs
+    /// each frame through the connection's receive half (reassembly,
+    /// acknowledgements, credit grants) on the calling thread, until the
+    /// next untagged message is delivered.
     ///
     /// # Errors
     ///
@@ -1634,32 +1599,19 @@ impl NcsConnection {
         let shared = &self.shared;
         let mut slot = shared.direct_rx.lock();
         let rx = slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
-        let deadline = shared.clock.now() + timeout;
+        let deadline = Instant::now() + timeout;
         loop {
-            let now = shared.clock.now();
-            if now >= deadline {
+            // A train delivers several messages at once: the rest wait here.
+            if let Some(message) = shared.delivery.try_take(None)? {
+                return Ok(message.into_vec());
+            }
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if wait.is_zero() {
                 return Err(SendError::Timeout);
             }
-            let frame = shared.transport.recv_timeout(deadline - now)?;
-            let Ok(view) = DataPacket::peek(&frame) else {
-                continue;
-            };
-            shared.counters.packets_received.inc();
-            // A train is built from messages queued behind a session in
-            // flight; `send_direct` drives each message to completion
-            // before the next is accepted, so no direct-mode peer sends
-            // one. This call returns one message and has nowhere to keep
-            // the rest: the frame is refused like any other malformed one.
-            if view.packed {
-                shared.counters.frames_rejected.inc();
-                continue;
-            }
-            let message = shared.receive_frame(rx, &view, shared.direct_now()).next();
-            shared.grant(rx);
-            if let Some((message, _)) = message {
-                shared.counters.messages_received.inc();
-                return Ok(message);
-            }
+            let frame = shared.transport.recv_timeout(wait)?;
+            rx.on_frame(shared, &frame);
+            rx.drained(shared);
         }
     }
 
@@ -1682,7 +1634,7 @@ impl NcsConnection {
     /// Thread has not taken the message within 30 s, otherwise as
     /// [`NcsConnection::send`].
     pub fn send_handoff(&self, data: &[u8]) -> Result<Request<()>, SendError> {
-        if self.shared.config.direct || self.shared.config.needs_control_threads() {
+        if self.shared.runs_planes() {
             return Err(SendError::WrongMode("threaded bypass (no FC/EC)"));
         }
         let core = RequestCore::new();
@@ -2037,14 +1989,13 @@ mod tests {
         b.shutdown();
     }
 
-    /// A frame the socket takes only part of counts as sent, and its tail
-    /// waits in the transport for the next write. With nothing more to
-    /// send the Send plane makes that write itself, on the transmit-retry
-    /// timer, until the peer has drained enough: the peer here reads late,
-    /// and the frame arrives whole with no later send.
+    /// An SCI loopback pair whose first end's socket send buffer is 4 KiB,
+    /// so one large frame leaves a tail the socket has not taken.
     #[cfg(target_os = "linux")]
-    #[test]
-    fn the_tail_of_a_frame_the_socket_took_part_of_arrives_without_a_later_send() {
+    fn sci_pair_with_a_small_send_buffer() -> (
+        ncs_transport::sci::SciConnection,
+        ncs_transport::sci::SciConnection,
+    ) {
         extern "C" {
             fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
         }
@@ -2059,6 +2010,18 @@ mod tests {
             unsafe { setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &4096, 4) },
             0
         );
+        (ours, theirs)
+    }
+
+    /// A frame the socket takes only part of counts as sent, and its tail
+    /// waits in the transport for the next write. With nothing more to
+    /// send the Send plane makes that write itself, on the transmit-retry
+    /// timer, until the peer has drained enough: the peer here reads late,
+    /// and the frame arrives whole with no later send.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_tail_of_a_frame_the_socket_took_part_of_arrives_without_a_later_send() {
+        let (ours, theirs) = sci_pair_with_a_small_send_buffer();
         let reactor = Reactor::new(Arc::new(ncs_threads::KernelPackage::new()), 1);
         // One frame far larger than the socket takes at once.
         let config = ConnectionConfig {
@@ -2073,7 +2036,6 @@ mod tests {
             BufPool::new(),
             Arc::default(),
             None,
-            crate::clock::SystemClock::shared(),
         );
         attach_connection(&reactor, &shared);
         let conn = NcsConnection::new(Arc::clone(&shared));
@@ -2092,12 +2054,60 @@ mod tests {
         reactor.shutdown();
     }
 
-    /// `recv_direct` hands back one message per call and keeps nothing
-    /// between calls, and no direct-mode sender builds a train: one that
-    /// shows up is refused like any malformed frame — none of its records
-    /// is delivered — and the next message arrives.
+    /// A direct connection has no task to flush for it: `send_direct`
+    /// returns only once the whole message is on the wire, tail included,
+    /// even without error control, whose pipeline resolves the message as
+    /// soon as it releases the last SDU. The peer here reads late, and the
+    /// message arrives whole with no later `send_direct`.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn a_train_on_a_direct_connection_is_refused_and_the_next_message_arrives() {
+    fn send_direct_returns_once_a_message_larger_than_the_socket_buffer_is_on_the_wire() {
+        let (ours, theirs) = sci_pair_with_a_small_send_buffer();
+        let config = ConnectionConfig {
+            sdu_size: 1 << 16,
+            ..ConnectionConfig::direct()
+        };
+        let end = |transport: ncs_transport::sci::SciConnection| {
+            NcsConnection::new(ConnShared::new(
+                0,
+                "peer".to_owned(),
+                config.clone(),
+                Arc::new(transport),
+                BufPool::new(),
+                Arc::default(),
+                None,
+            ))
+        };
+        let (sender, receiver) = (end(ours), end(theirs));
+        let message: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        let sending = {
+            let message = message.clone();
+            std::thread::spawn(move || {
+                let result = sender.send_direct(&message);
+                let owed = sender.shared.transport.owes_bytes();
+                (result, owed, sender)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            receiver
+                .recv_direct(Duration::from_secs(5))
+                .expect("the whole message"),
+            message
+        );
+        let (result, owed, sender) = sending.join().expect("sender");
+        assert_eq!(result, Ok(()));
+        assert!(!owed, "send_direct returned with bytes still owed");
+        sender.close();
+        receiver.close();
+    }
+
+    /// A train — small messages queued behind a session in flight, framed
+    /// into one SDU — reaches a direct receiver as it reaches a threaded
+    /// one: `recv_direct` runs it through the same receive half, hands
+    /// back its first message and keeps the rest for the next calls.
+    #[test]
+    fn a_train_on_a_direct_connection_delivers_every_message() {
         let a = NcsNode::builder("alice").build();
         let b = NcsNode::builder("bob").build();
         let (la, lb) = HpiLinkPair::create();
@@ -2110,8 +2120,8 @@ mod tests {
 
         // A train as a threaded sender would frame it, put on the wire by
         // hand.
-        let now = Instant::now();
-        let mut sender = ca.shared.tx_plane(now);
+        let mut tx = ca.shared.tx.lock();
+        let sender = tx.plane.as_mut().expect("direct mode runs the planes");
         for data in [b"one".to_vec(), b"two".to_vec()] {
             sender.submit(Submission {
                 data,
@@ -2120,26 +2130,21 @@ mod tests {
             });
         }
         let mut trains = 0;
-        sender.poll(now, |sdu| {
+        sender.poll(Instant::now(), |sdu| {
             assert!(sdu.packed);
             let frame = ca.shared.encode_sdu(&sdu);
             ca.shared.transport.send(frame.as_slice()).expect("inject");
             trains += 1;
         });
         assert_eq!(trains, 1);
+        drop(tx);
 
         ca.send_direct(b"real").expect("send_direct");
-        assert_eq!(
-            cb.recv_direct(Duration::from_secs(5)).expect("recv"),
-            b"real"
-        );
-        assert_eq!(
-            cb.recv_direct(Duration::from_millis(20)),
-            Err(SendError::Timeout),
-            "nothing of the train was kept for later"
-        );
+        for want in [&b"one"[..], b"two", b"real"] {
+            assert_eq!(cb.recv_direct(Duration::from_secs(5)).expect("recv"), want);
+        }
         let stats = cb.stats();
-        assert_eq!((stats.frames_rejected, stats.messages_received), (1, 1));
+        assert_eq!((stats.frames_rejected, stats.messages_received), (0, 3));
         a.shutdown();
         b.shutdown();
     }

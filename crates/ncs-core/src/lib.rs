@@ -28,7 +28,8 @@
 //! The §4.2 thread-bypass variant ("all threads can be replaced by
 //! procedures") is available as [`NcsConnection::send_direct`] /
 //! [`NcsConnection::recv_direct`] on connections configured with
-//! [`ConnectionConfig::direct`].
+//! [`ConnectionConfig::direct`]: the connection task's own steps, run on
+//! the caller's thread.
 //!
 //! # Quickstart
 //!

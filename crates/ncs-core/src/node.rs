@@ -178,7 +178,6 @@ impl NodeInner {
             Arc::clone(&self.pool),
             ctrl_tx,
             Some(Arc::clone(&self.registry)),
-            Arc::clone(&self.clock),
         );
         let mut conns = self.conns.lock();
         if self.shutdown.load(Ordering::Acquire) {

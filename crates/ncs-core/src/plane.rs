@@ -73,10 +73,10 @@
 //! drain, where it goes alone ([`CtrlEvent::Credit`]). The strategies stay
 //! separate objects; only the frame is shared, so losing it loses both.
 //!
-//! Two thin shells in [`crate::connection`] drive them: the reactor task
-//! (non-blocking; deadlines become reactor timers) and direct mode
-//! (blocking on the caller's thread; `now` is read from the node
-//! [`Clock`](crate::Clock)). Being free of I/O is also what lets the tests
+//! One driver in [`crate::connection`] runs them: the connection's
+//! receive and send steps, which the reactor task runs (deadlines become
+//! reactor timers) and which direct mode runs on the caller's thread
+//! (deadlines bound its waits). Being free of I/O is also what lets the tests
 //! below wire a `TxPlane` to an `RxPlane` through an in-test wire and
 //! enumerate loss schedules exhaustively.
 

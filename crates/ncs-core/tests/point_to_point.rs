@@ -304,6 +304,35 @@ fn direct_mode_with_reliability() {
     b.shutdown();
 }
 
+/// The caller's thread repairs loss: a window of 8 credits released into
+/// a ring of 2 overruns it, and `send_direct` retransmits what the ring
+/// dropped until the message is whole.
+#[test]
+fn direct_mode_repairs_loss_on_the_callers_thread() {
+    let (a, b) = linked_nodes(2);
+    let config = ConnectionConfig::builder()
+        .direct(true)
+        .sdu_size(1024)
+        .flow_control(FlowControlAlg::CreditBased {
+            initial_credits: 8,
+            dynamic: false,
+        })
+        .error_control(ErrorControlAlg::SelectiveRepeat {
+            timeout: Duration::from_millis(20),
+            max_retries: 50,
+        })
+        .build();
+    let ca = a.connect("bob", config).unwrap();
+    let cb = b.accept_default().unwrap();
+    let msg: Vec<u8> = (0..8_000u32).map(|i| (i % 89) as u8).collect();
+    let receiver = std::thread::spawn(move || cb.recv_direct(Duration::from_secs(20)));
+    ca.send_direct(&msg).unwrap();
+    assert_eq!(receiver.join().unwrap().unwrap(), msg);
+    assert!(ca.stats().retransmissions > 0, "{}", ca.stats());
+    a.shutdown();
+    b.shutdown();
+}
+
 #[test]
 fn connection_metadata_accessors() {
     let (a, b) = linked_nodes(64);

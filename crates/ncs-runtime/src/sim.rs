@@ -8,11 +8,11 @@
 //! * [`SimWorld`] — a pure discrete-event engine, and the third shell of
 //!   the collective [`Machine`]: every alive rank runs the shipped
 //!   schedules on a machine of its own, and the machines' frames travel
-//!   through a central virtual-time queue; per-direction link policies
-//!   (latency, jitter, loss — [`LinkPolicy`], shared with the SIM
-//!   transport) decide each message's fate with seeded draws, and lost
-//!   messages retransmit on an RTO clock exactly as NCS error control
-//!   would. What a thousand simulated ranks exercise is therefore the
+//!   through a central virtual-time queue; each directed pair is one
+//!   [`Direction`] — the SIM transport's own link model, under a
+//!   [`LinkPolicy`] — which decides each message's fate with seeded
+//!   draws, and lost messages retransmit on an RTO clock exactly as NCS
+//!   error control would. What a thousand simulated ranks exercise is therefore the
 //!   algorithm [`CollectiveGroup`] ships, not a look-alike. Runs 1,000–10,000
 //!   ranks in milliseconds of wall time and is **bit-deterministic**:
 //!   the same [`Scenario`] (same seed) produces a byte-identical event
@@ -42,9 +42,7 @@ use atm_sim::SimTime;
 use ncs_core::link::SimLinkPair;
 use ncs_core::{Clock, NcsConnection, NcsNode, VirtualClock};
 use ncs_obs::{Counter, Registry};
-use ncs_transport::sim::{LinkPolicy, SimNet};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ncs_transport::sim::{mix_seed, Direction, LinkPolicy, SimNet};
 
 use crate::cluster::rank_name;
 use crate::session::{LocalSession, Session, SessionError};
@@ -685,26 +683,6 @@ impl PartialOrd for Ev {
     }
 }
 
-/// Per-direction link state, created lazily (a 10,000-rank world has
-/// 10⁸ directed pairs; only the pairs a collective actually uses exist).
-#[derive(Debug)]
-struct DirLink {
-    up: bool,
-    loss: f64,
-    latency: Duration,
-    jitter: Duration,
-    rng: StdRng,
-}
-
-/// SplitMix64 over `(seed, from, to)`: a direction's RNG stream depends
-/// only on the scenario seed and the pair, not on creation order.
-fn mix_seed(seed: u64, from: u32, to: u32) -> u64 {
-    let mut z = seed ^ (u64::from(from) << 32 | u64::from(to)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The deterministic thousand-rank engine. See the module docs.
 #[derive(Debug)]
 pub struct SimWorld {
@@ -712,7 +690,9 @@ pub struct SimWorld {
     now: SimTime,
     next_seq: u64,
     queue: BinaryHeap<Reverse<Ev>>,
-    links: HashMap<(u32, u32), DirLink>,
+    /// Per-direction link state, created lazily (a 10,000-rank world has
+    /// 10⁸ directed pairs; only the pairs a collective actually uses exist).
+    links: HashMap<(u32, u32), Direction>,
     alive: Vec<bool>,
     isolated: Vec<bool>,
     /// Each rank's collective machine for the running op; `None` once it
@@ -758,7 +738,10 @@ impl SimWorld {
             now: SimTime::ZERO,
             next_seq: 0,
             queue: BinaryHeap::new(),
-            links: HashMap::new(),
+            // Sized for the pairs the shipped schedules use — about
+            // n·log₂n, the barrier's rounds — so the map does not rehash
+            // its entries while they appear.
+            links: HashMap::with_capacity(n * (n.ilog2() as usize + 2)),
             alive: vec![true; n],
             isolated: vec![false; n],
             machines: Vec::new(),
@@ -833,7 +816,7 @@ impl SimWorld {
         let _ = self.trace.write_fmt(line);
     }
 
-    fn link(&mut self, from: u32, to: u32) -> &mut DirLink {
+    fn link(&mut self, from: u32, to: u32) -> &mut Direction {
         let (policy, back) = (&self.scenario.policy, &self.scenario.policy_back);
         let seed = self.scenario.seed;
         self.links.entry((from, to)).or_insert_with(|| {
@@ -842,13 +825,12 @@ impl SimWorld {
             } else {
                 back.as_ref().unwrap_or(policy)
             };
-            DirLink {
-                up: true,
-                loss: p.loss,
-                latency: p.latency,
-                jitter: p.jitter,
-                rng: StdRng::seed_from_u64(mix_seed(seed, from, to)),
-            }
+            // The stream depends only on the seed and the pair, not on
+            // creation order.
+            Direction::new(
+                p.clone(),
+                mix_seed(seed, u64::from(from) << 32 | u64::from(to)),
+            )
         })
     }
 
@@ -869,8 +851,8 @@ impl SimWorld {
         let isolated = self.isolated[msg.from as usize] || self.isolated[to as usize];
         let link = self.link(msg.from, to);
         let blocked = !link.up || isolated;
-        let lost = !blocked && link.loss > 0.0 && link.rng.gen_bool(link.loss);
-        if blocked || lost {
+        let due = (!isolated).then(|| link.fate(now, msg.bytes.len()));
+        let Some(due) = due.flatten() else {
             self.counters.dropped.inc();
             self.log(format_args!(
                 "{now} drop {}->{to} attempt {attempt}{}",
@@ -879,14 +861,7 @@ impl SimWorld {
             ));
             self.push_ev(now + rto, EvKind::Retry { to, msg, attempt });
             return;
-        }
-        let jitter = if link.jitter > Duration::ZERO {
-            let bound = link.jitter.as_nanos() as u64;
-            Duration::from_nanos(link.rng.gen_range(0..bound + 1))
-        } else {
-            Duration::ZERO
         };
-        let due = now + link.latency + jitter;
         self.log(format_args!(
             "{now} send {}->{to} attempt {attempt} due {due}",
             msg.from
@@ -902,8 +877,10 @@ impl SimWorld {
         match ev.kind {
             ChaosKind::CutLink { from, to } => self.link(from, to).up = false,
             ChaosKind::HealLink { from, to } => self.link(from, to).up = true,
-            ChaosKind::SetLoss { from, to, loss } => self.link(from, to).loss = loss,
-            ChaosKind::SlowLink { from, to, latency } => self.link(from, to).latency = latency,
+            ChaosKind::SetLoss { from, to, loss } => self.link(from, to).policy.loss = loss,
+            ChaosKind::SlowLink { from, to, latency } => {
+                self.link(from, to).policy.latency = latency;
+            }
             ChaosKind::IsolateRank { rank } => self.isolated[rank as usize] = true,
             ChaosKind::ReconnectRank { rank } => self.isolated[rank as usize] = false,
             ChaosKind::KillRank { rank } => self.alive[rank as usize] = false,
@@ -1393,8 +1370,10 @@ mod tests {
     #[test]
     fn barrier_completes_in_log_rounds_of_latency() {
         let mut s = Scenario::new("t", 64, 1);
+        // No jitter, and no serialisation: a frame's hop is its latency.
         s.policy = LinkPolicy {
             jitter: Duration::ZERO,
+            bandwidth_bps: 0,
             ..LinkPolicy::lan()
         };
         s.ops = vec![SimOp::Barrier {

@@ -156,18 +156,97 @@ impl PartialOrd for InFlight {
     }
 }
 
-/// One direction of one link: its policy, fault RNG, wire horizon and the
-/// receive queue of the destination endpoint.
+/// The fate of the frames sent one way along a link: its policy, whether
+/// it is up, and the seeded draws and wire horizon that decide when each
+/// frame arrives, if at all. [`SimNet`] keeps one per link direction; the
+/// `ncs-runtime` `SimWorld` engine keeps one per directed rank pair.
 #[derive(Debug)]
-struct DirState {
-    policy: LinkPolicy,
+pub struct Direction {
+    /// Shaping and fault model (replaceable mid-flight: the RNG keeps its
+    /// stream).
+    pub policy: LinkPolicy,
+    /// `false` black-holes every frame sent.
+    pub up: bool,
     rng: StdRng,
-    up: bool,
     /// Virtual time until which the wire is serialising earlier frames.
     busy_until: SimTime,
     /// Arrival time of the last in-order frame: jitter stretches gaps but
     /// never reorders — only the explicit `reorder` policy overtakes.
     last_due: SimTime,
+}
+
+impl Direction {
+    /// A live direction under `policy` whose draws come from `seed` (see
+    /// [`mix_seed`]).
+    pub fn new(policy: LinkPolicy, seed: u64) -> Self {
+        Direction {
+            policy,
+            up: true,
+            rng: StdRng::seed_from_u64(seed),
+            busy_until: SimTime::ZERO,
+            last_due: SimTime::ZERO,
+        }
+    }
+
+    /// The arrival time of a `len`-byte frame sent at `now`, or `None` if
+    /// it is lost: the direction is down, or the loss draw took it. Draws
+    /// happen in call order, so the stream a direction consumes is a
+    /// function of its frame sequence alone.
+    pub fn fate(&mut self, now: SimTime, len: usize) -> Option<SimTime> {
+        if !self.up {
+            return None;
+        }
+        let p = &self.policy;
+        let (lost, jitter, reordered) = if p.is_random() {
+            let lost = p.loss > 0.0 && self.rng.gen_bool(p.loss);
+            let jitter = if p.jitter > Duration::ZERO {
+                let bound = p.jitter.as_nanos() as u64;
+                Duration::from_nanos(self.rng.gen_range(0..bound + 1))
+            } else {
+                Duration::ZERO
+            };
+            let reordered = p.reorder > 0.0 && self.rng.gen_bool(p.reorder);
+            (lost, jitter, reordered)
+        } else {
+            (false, Duration::ZERO, false)
+        };
+        if lost {
+            return None;
+        }
+        // Serialisation: the frame occupies the wire after every earlier
+        // frame of this direction has left it.
+        let start = self.busy_until.max(now);
+        let wire = if p.bandwidth_bps > 0 {
+            atm_sim::time::tx_time(len, p.bandwidth_bps)
+        } else {
+            Duration::ZERO
+        };
+        self.busy_until = start + wire;
+        let due = start + wire + p.latency + jitter;
+        if reordered {
+            // Held back past its successors; `last_due` stays put so they
+            // may overtake it.
+            return Some(due.max(self.last_due) + p.latency.max(Duration::from_micros(1)));
+        }
+        // Jitter stretches inter-frame gaps but never flips delivery order
+        // on one direction (a single-path wire is FIFO).
+        self.last_due = due.max(self.last_due);
+        Some(self.last_due)
+    }
+
+    /// The arrival time of a close marker sent at `now`: after every frame
+    /// sent before it, whatever the loss policy or the direction's state.
+    fn close_due(&mut self, now: SimTime) -> SimTime {
+        self.last_due = (self.busy_until.max(now) + self.policy.latency).max(self.last_due);
+        self.last_due
+    }
+}
+
+/// One direction of one link: its fate and the receive queue of the
+/// destination endpoint.
+#[derive(Debug)]
+struct DirState {
+    wire: Direction,
     /// Destination endpoint's receive queue (shared with the endpoint).
     inbox: Arc<Inbox>,
 }
@@ -198,10 +277,10 @@ pub struct SimNet {
     dropped: AtomicU64,
 }
 
-/// SplitMix64 — derives per-direction RNG seeds from `(net seed, link,
-/// dir)` so adding a link never perturbs the draws of existing links.
-fn mix_seed(seed: u64, link: LinkId, dir: u64) -> u64 {
-    let mut z = seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (dir << 1 | 1);
+/// SplitMix64 over `(seed, stream)`: derives one direction's RNG seed, so
+/// that adding a direction never perturbs the draws of existing ones.
+pub fn mix_seed(seed: u64, stream: u64) -> u64 {
+    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -243,23 +322,13 @@ impl SimNet {
         let mut inner = self.inner.lock();
         let link = inner.next_link;
         inner.next_link += 1;
+        let dir = |d: u64, policy, inbox| DirState {
+            wire: Direction::new(policy, mix_seed(self.seed, link << 1 | d)),
+            inbox,
+        };
         let dirs = [
-            DirState {
-                rng: StdRng::seed_from_u64(mix_seed(self.seed, link, 0)),
-                policy: policy_ab,
-                up: true,
-                busy_until: SimTime::ZERO,
-                last_due: SimTime::ZERO,
-                inbox: Arc::clone(&b_inbox),
-            },
-            DirState {
-                rng: StdRng::seed_from_u64(mix_seed(self.seed, link, 1)),
-                policy: policy_ba,
-                up: true,
-                busy_until: SimTime::ZERO,
-                last_due: SimTime::ZERO,
-                inbox: Arc::clone(&a_inbox),
-            },
+            dir(0, policy_ab, Arc::clone(&b_inbox)),
+            dir(1, policy_ba, Arc::clone(&a_inbox)),
         ];
         inner.links.insert(link, dirs);
         drop(inner);
@@ -338,7 +407,7 @@ impl SimNet {
     /// arrive (they left the interface before the cut).
     pub fn set_link_up(&self, link: LinkId, dir: usize, up: bool) {
         if let Some(dirs) = self.inner.lock().links.get_mut(&link) {
-            dirs[dir].up = up;
+            dirs[dir].wire.up = up;
         }
     }
 
@@ -347,7 +416,7 @@ impl SimNet {
     /// its stream — determinism is unaffected.
     pub fn set_policy(&self, link: LinkId, dir: usize, policy: LinkPolicy) {
         if let Some(dirs) = self.inner.lock().links.get_mut(&link) {
-            dirs[dir].policy = policy;
+            dirs[dir].wire.policy = policy;
         }
     }
 
@@ -374,53 +443,12 @@ impl SimNet {
         let Some(dirs) = inner.links.get_mut(&link) else {
             return;
         };
-        let d = &mut dirs[dir];
-        if !d.up {
+        // Seeded draws happen in send order under the fabric lock.
+        let Some(due) = dirs[dir].wire.fate(now, frame.len()) else {
             drop(inner);
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
-        }
-        // Seeded draws happen in send order under the fabric lock, so the
-        // RNG stream consumed by a direction is a function of its frame
-        // sequence alone.
-        let (lost, jitter, reordered) = if d.policy.is_random() {
-            let lost = d.policy.loss > 0.0 && d.rng.gen_bool(d.policy.loss);
-            let jitter = if d.policy.jitter > Duration::ZERO {
-                let bound = d.policy.jitter.as_nanos() as u64;
-                Duration::from_nanos(d.rng.gen_range(0..bound + 1))
-            } else {
-                Duration::ZERO
-            };
-            let reordered = d.policy.reorder > 0.0 && d.rng.gen_bool(d.policy.reorder);
-            (lost, jitter, reordered)
-        } else {
-            (false, Duration::ZERO, false)
         };
-        if lost {
-            drop(inner);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // Serialisation: the frame occupies the wire after every earlier
-        // frame of this direction has left it.
-        let start = d.busy_until.max(now);
-        let wire = if d.policy.bandwidth_bps > 0 {
-            atm_sim::time::tx_time(frame.len(), d.policy.bandwidth_bps)
-        } else {
-            Duration::ZERO
-        };
-        d.busy_until = start + wire;
-        let mut due = start + wire + d.policy.latency + jitter;
-        if reordered {
-            // Held back past its successors; `last_due` stays put so they
-            // may overtake it.
-            due = due.max(d.last_due) + d.policy.latency.max(Duration::from_micros(1));
-        } else {
-            // Jitter stretches inter-frame gaps but never flips delivery
-            // order on one direction (a single-path wire is FIFO).
-            due = due.max(d.last_due);
-            d.last_due = due;
-        }
         inner.queue.push(Reverse(InFlight {
             due,
             seq,
@@ -443,10 +471,7 @@ impl SimNet {
         let Some(dirs) = inner.links.get_mut(&link) else {
             return;
         };
-        let d = &mut dirs[dir];
-        let mut due = d.busy_until.max(now) + d.policy.latency;
-        due = due.max(d.last_due);
-        d.last_due = due;
+        let due = dirs[dir].wire.close_due(now);
         inner.queue.push(Reverse(InFlight {
             due,
             seq,
