@@ -1033,7 +1033,7 @@ pub struct ViewAbortHandle(Weak<Inner>);
 impl std::fmt::Debug for ViewAbortHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ViewAbortHandle")
-            .field("live", &(self.0.strong_count() > 0))
+            .field("live", &self.is_live())
             .finish()
     }
 }
@@ -1048,9 +1048,15 @@ impl ViewAbortHandle {
             .is_some_and(|i| i.abort_view_changed(epoch))
     }
 
-    /// Whether the watched group still exists.
+    /// Whether the watched group is still open: neither closed nor
+    /// dropped (dropping a group closes it). A reference held for a while
+    /// after that — the group task's own for the length of a step, or a
+    /// closed group's hold on itself while it still owes frames — does not
+    /// make it live.
     pub fn is_live(&self) -> bool {
-        self.0.strong_count() > 0
+        self.0
+            .upgrade()
+            .is_some_and(|i| !i.closed.load(Ordering::Acquire))
     }
 }
 
@@ -1130,6 +1136,23 @@ mod tests {
         drop(g);
         assert!(!handle.is_live());
         assert!(!handle.abort(10), "aborting a dropped group is a no-op");
+        node.shutdown();
+    }
+
+    /// A dropped group is not live to its watchers, whoever still holds it
+    /// for a moment: here a reference upgraded as the group task upgrades
+    /// its own for a step, held across the drop.
+    #[test]
+    fn a_dropped_group_is_not_live_while_a_reference_is_held() {
+        let node = NcsNode::builder("solo").build();
+        let g = CollectiveGroup::new(&node, 1, 0, HashMap::new()).unwrap();
+        let handle = g.view_abort_handle();
+        let held = handle.0.upgrade().expect("the group exists");
+        assert!(handle.is_live());
+        drop(g);
+        assert!(!handle.is_live());
+        drop(held);
+        assert!(!handle.is_live());
         node.shutdown();
     }
 
@@ -1253,7 +1276,7 @@ mod tests {
         }
         let gone_within_100ms = |watch: &[ViewAbortHandle]| {
             let t0 = Instant::now();
-            while watch.iter().any(ViewAbortHandle::is_live) {
+            while watch.iter().any(|h| h.0.strong_count() > 0) {
                 assert!(
                     t0.elapsed() < Duration::from_millis(100),
                     "group kept alive"

@@ -192,7 +192,9 @@ impl ConnectionConfig {
         }
     }
 
-    /// Whether any per-connection control threads are required.
+    /// Whether the connection runs flow or error control: `false` for the
+    /// §3.1 bypass, whose planes run null strategies and whose send queue
+    /// is bounded instead.
     pub fn needs_control_threads(&self) -> bool {
         !matches!(
             (&self.flow_control, &self.error_control),

@@ -21,7 +21,8 @@
 //! Steps 1-3 and 5-6 — everything that is flow or error control — are
 //! the two sans-I/O state machines of [`crate::plane`]:
 //! [`TxPlane`] and [`RxPlane`]. This module is what moves bytes and time
-//! around them: a receive half ([`RxSide`]) and a send half ([`TxSide`]),
+//! around them: a receive half ([`ConnShared::receive`]) and a send half
+//! ([`TxSide`]),
 //! each with one set of steps, run by one of two kinds of thread:
 //!
 //! * **The reactor task** ([`ConnTask`]). Where the paper runs each plane
@@ -35,12 +36,12 @@
 //!   waits (ack timeouts, credit pacing, starvation probes) park on
 //!   reactor timers instead of blocking a thread, so a node holds
 //!   thousands of connections with a fixed-size thread pool. The only
-//!   queues left are the ones that cross threads: submissions, control
-//!   events (from the peer's control task) and pre-encoded bypass frames
-//!   (bounded). Feedback — an acknowledgement with the credit edge in it,
-//!   or the edge alone — leaves through the peer's control queue, which
-//!   the peer's control task (`crate::control`) flushes on the same event
-//!   loops — no thread sits between the two tasks.
+//!   queues left are the two that cross threads: submissions and control
+//!   events (from the peer's control task). Feedback — an acknowledgement
+//!   with the credit edge in it, or the edge alone — leaves through the
+//!   peer's control queue, which the peer's control task
+//!   (`crate::control`) flushes on the same event loops — no thread sits
+//!   between the two tasks.
 //!
 //!   The receive half is the task's alone: only the reactor reads a
 //!   threaded connection's transport. The send half — the `TxPlane`, the
@@ -61,19 +62,19 @@
 //!   reads through the connection's receive half and takes its messages
 //!   from the delivery queue, as a threaded receiver does.
 //!
-//! When a threaded connection is configured without flow/error control
-//! the planes are not built at all (paper §3.1's bypass — frames go
-//! straight from the send queue to the interface). Direct mode always
-//! runs them, with null strategies if need be: they are its procedures.
+//! Every connection runs the planes. One configured without flow and
+//! error control (paper §3.1's bypass) runs them with null strategies,
+//! which release every SDU at once and expect no feedback; what is left
+//! to hold such a sender back is the bound on its send queue
+//! ([`SEND_QUEUE_DEPTH`], [`ConnShared::queued`]).
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncs_obs::{EventKind, FlightRecorder, Registry};
-use ncs_threads::sync::{Event, Mailbox, NcsMutex};
+use ncs_threads::sync::{Event, Mailbox, NcsMutex, Semaphore};
 use ncs_transport::{Connection as Transport, TransportError};
 use parking_lot::{Mutex, RwLock};
 
@@ -94,12 +95,76 @@ const TAG_ENVELOPE: usize = 4;
 /// small enough to keep a batch within one credit grant.
 pub(crate) const IO_BATCH: usize = 32;
 
-/// Depth of the Send plane's frame queue. Bounding it backpressures
-/// producers that outrun the interface, which (a) caps the data plane's
-/// buffer memory per connection and (b) keeps the working set of pooled
-/// buffers small enough to recycle instead of alloc (an unbounded burst
-/// would drain the pool and fall back to the heap for every frame).
+/// Bound on the SDUs queued ahead of the interface on a connection without
+/// flow and error control, and on the Send plane's frame queue of any
+/// connection. Bounding it backpressures producers that outrun the
+/// interface, which (a) caps the data plane's buffer memory per connection
+/// and (b) keeps the working set of pooled buffers small enough to recycle
+/// instead of alloc (an unbounded burst would drain the pool and fall back
+/// to the heap for every frame).
 const SEND_QUEUE_DEPTH: usize = 4 * IO_BATCH;
+
+/// The send queue of a connection without flow and error control: the
+/// SDUs queued ahead of the interface, counted from submission to write,
+/// and the senders parked until it is below [`SEND_QUEUE_DEPTH`].
+#[derive(Debug)]
+pub(crate) struct SendQueue {
+    sdus: AtomicUsize,
+    /// Senders parked in [`SendQueue::admit`], and the permits that wake
+    /// them.
+    parked: AtomicUsize,
+    room: Semaphore,
+}
+
+impl SendQueue {
+    fn new() -> Self {
+        SendQueue {
+            sdus: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+            room: Semaphore::new(0),
+        }
+    }
+
+    /// SDUs queued ahead of the interface.
+    pub(crate) fn len(&self) -> usize {
+        self.sdus.load(Ordering::SeqCst)
+    }
+
+    /// Counts a message of `sdus` SDUs in. A message goes in whole once the
+    /// queue is below its bound, however little room is left, so the queue
+    /// overshoots by at most one message and none is too long to ever fit.
+    /// With `wait` the call blocks (cooperatively) while the queue is full;
+    /// without, the caller admitted the message while there was room
+    /// ([`NcsConnection::try_send_batch`]). Fails once the connection is
+    /// `closed`, so producers never hang on a task that has already
+    /// retired.
+    fn admit(&self, sdus: usize, wait: bool, closed: &AtomicBool) -> Result<(), SendError> {
+        while wait && self.len() >= SEND_QUEUE_DEPTH {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            // Looked at again once announced: a release that came before
+            // saw nobody parked and woke nobody.
+            if self.len() >= SEND_QUEUE_DEPTH {
+                self.room.acquire_timeout(IDLE_TICK);
+            }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            if closed.load(Ordering::Acquire) {
+                return Err(SendError::Closed);
+            }
+        }
+        self.sdus.fetch_add(sdus, Ordering::SeqCst);
+        Ok(())
+    }
+
+    /// Counts `sdus` SDUs, written or gone, out, and wakes every parked
+    /// sender to look again.
+    fn release(&self, sdus: usize) {
+        if sdus == 0 {
+            return;
+        }
+        self.sdus.fetch_sub(sdus, Ordering::SeqCst);
+        self.room.release_n(self.parked.load(Ordering::SeqCst));
+    }
+}
 
 /// Errors from sending on an NCS connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,12 +224,10 @@ impl From<TransportError> for SendError {
     }
 }
 
-/// One pre-encoded frame queued for the Send plane. A bypass message's
-/// final frame carries what its sender waits on: the hand-off event
-/// [`NcsConnection::send_handoff`] returns on, fired when the Send plane
-/// takes the frame, and the transmit completion of its [`Request`].
-/// Transmitting the frame returns its buffer to the pool.
-type SendJob = (PooledBuf, Option<Arc<Event>>, Option<Arc<RequestCore<()>>>);
+/// One encoded frame on the Send plane's queue, with the completions its
+/// write resolves ([`Sdu::done`]). Transmitting the frame returns its
+/// buffer to the pool.
+type SendJob = (PooledBuf, Vec<Arc<RequestCore<()>>>);
 
 /// The send half of a connection's pipeline — everything between
 /// `NCS_send` and the interface — behind one lock ([`ConnShared::tx`]) and
@@ -172,9 +235,8 @@ type SendJob = (PooledBuf, Option<Arc<Event>>, Option<Arc<RequestCore<()>>>);
 /// that found the lock free ([`ConnShared::drive_or_wake`]), or, in direct
 /// mode, the thread inside `send_direct` for as long as its message takes.
 pub(crate) struct TxSide {
-    /// Flow and error control, sender half (Figures 6-8, steps 1-3);
-    /// `None` on §3.1 bypass configurations.
-    plane: Option<TxPlane>,
+    /// Flow and error control, sender half (Figures 6-8, steps 1-3).
+    plane: TxPlane,
     /// The Send plane (Figure 4 step 4): frames waiting for the interface.
     pending: VecDeque<SendJob>,
     /// The interface refused the last flush; retried on [`TX_RETRY`].
@@ -213,16 +275,18 @@ pub(crate) struct ConnShared {
     pub ctrl_tx: Arc<Mailbox<CtrlMsg>>,
     // The queues that cross threads (everything else is a field of the
     // task, of `tx`, or of a plane).
-    /// Messages for the FC/EC pipeline: application → whoever holds `tx`.
+    /// Messages for the pipeline: application → whoever holds `tx`.
     /// Queued before anybody is asked to drain them, which is what keeps
     /// one thread's messages in order whoever does.
     pub submit_inbox: Mailbox<Submission>,
     /// Acknowledgements and flow-control feedback: control dispatcher →
     /// whoever holds `tx`.
     pub ctrl_inbox: Mailbox<CtrlEvent>,
-    /// Pre-encoded bypass frames: application → whoever holds `tx`.
-    /// Bounded.
-    pub send_inbox: Mailbox<SendJob>,
+    /// Without flow and error control nothing else holds a sender back:
+    /// the SDUs queued ahead of the interface, bounded at
+    /// [`SEND_QUEUE_DEPTH`]. `None` where flow or error control paces the
+    /// sender.
+    pub queued: Option<SendQueue>,
     /// The send pipeline.
     pub tx: NcsMutex<TxSide>,
     /// Wake handle of the connection's reactor task, with the task's
@@ -243,9 +307,6 @@ pub(crate) struct ConnShared {
     /// The node's metrics registry, when the connection was opened under
     /// one. Held so the connection can retire its labelled series on drop.
     pub registry: Option<Arc<Registry>>,
-    /// Session numbers of the bypass path (the FC/EC pipeline numbers its
-    /// own sessions inside the [`TxPlane`]).
-    pub next_session: AtomicU32,
     /// Sticky error from the error-control plane (reported by
     /// [`NcsConnection::last_error`]). Shared with the connection's
     /// [`TxPlane`].
@@ -254,7 +315,7 @@ pub(crate) struct ConnShared {
     /// whichever thread calls `recv_direct`. `None` on connections with a
     /// reactor task, which owns its own — only the task reads a
     /// transport.
-    pub direct_rx: NcsMutex<Option<RxSide>>,
+    pub direct_rx: NcsMutex<Option<RxPlane>>,
 }
 
 impl std::fmt::Debug for ConnShared {
@@ -294,6 +355,18 @@ impl ConnShared {
             Some(r) => ConnCounters::registered(r, id, &peer_name),
             None => ConnCounters::default(),
         };
+        // The sender pipeline reports into the connection's counters,
+        // recorder and sticky error.
+        let obs = PlaneObs {
+            counters: counters.clone(),
+            recorder: FlightRecorder::default(),
+            last_error: Arc::default(),
+        };
+        let plane = TxPlane::new(&config, obs.clone(), Instant::now());
+        let queued = (!config.needs_control_threads()).then(SendQueue::new);
+        let direct_rx = config
+            .direct
+            .then(|| RxPlane::new(&config, &counters, &pool));
         let shared = Arc::new(ConnShared {
             id,
             peer_name,
@@ -308,34 +381,20 @@ impl ConnShared {
             ctrl_tx,
             submit_inbox: Mailbox::unbounded(),
             ctrl_inbox: Mailbox::unbounded(),
-            send_inbox: Mailbox::bounded(SEND_QUEUE_DEPTH),
+            queued,
             tx: NcsMutex::new(TxSide {
-                plane: None,
+                plane,
                 pending: VecDeque::with_capacity(IO_BATCH),
                 blocked: false,
             }),
             task: RwLock::new(None),
             delivery: DeliveryQueue::new(),
             counters,
-            recorder: FlightRecorder::default(),
+            recorder: obs.recorder,
             registry,
-            next_session: AtomicU32::new(0),
-            last_error: Arc::default(),
-            direct_rx: NcsMutex::new(None),
+            last_error: obs.last_error,
+            direct_rx: NcsMutex::new(direct_rx),
         });
-        if shared.runs_planes() {
-            // The sender pipeline reports into the connection's counters,
-            // recorder and sticky error.
-            let obs = PlaneObs {
-                counters: shared.counters.clone(),
-                recorder: shared.recorder.clone(),
-                last_error: Arc::clone(&shared.last_error),
-            };
-            shared.tx.lock().plane = Some(TxPlane::new(&shared.config, obs, Instant::now()));
-        }
-        if shared.config.direct {
-            *shared.direct_rx.lock() = Some(RxSide::new(&shared));
-        }
         // Exact receive accounting (all four transports, bypass included):
         // the delivery queue is the one point every reassembled or
         // zero-copy message crosses, so it owns the `messages_received`
@@ -387,12 +446,6 @@ impl ConnShared {
         self.established.fire();
     }
 
-    /// Whether the FC/EC planes run: flow or error control is configured,
-    /// or the connection is in direct mode, whose procedures they are.
-    fn runs_planes(&self) -> bool {
-        self.config.direct || self.config.needs_control_threads()
-    }
-
     /// Learns the peer's connection id from an incoming data packet (covers
     /// the window where data outruns the control-plane accept).
     pub(crate) fn note_peer_conn(&self, src: u32) {
@@ -435,7 +488,7 @@ impl ConnShared {
         // to wake: what ends it — an event, which wakes the task, or a
         // deadline the task holds — is handled by a step that then drains
         // the queue, this message included.
-        if tx.plane.as_ref().is_some_and(TxPlane::in_flight) {
+        if tx.plane.in_flight() {
             return;
         }
         let mut timer = None;
@@ -452,29 +505,10 @@ impl ConnShared {
         }
     }
 
-    /// Queues a frame to the Send plane; the caller activates whoever
-    /// drains it. With `wait` the call blocks (cooperatively) while the
-    /// bounded queue is full; without, the frame goes in past the bound —
-    /// the caller admitted its message while there was room
-    /// ([`NcsConnection::try_send_batch`]). Returns `false` — dropping the
-    /// frame — once the connection is closed, so producers never hang on a
-    /// task that has already retired.
-    fn enqueue_job(&self, mut job: SendJob, wait: bool) -> bool {
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                if let Some(core) = job.2 {
-                    core.complete(Err(SendError::Closed));
-                }
-                return false;
-            }
-            if !wait {
-                self.send_inbox.send_over(job);
-                return true;
-            }
-            match self.send_inbox.send_timeout(job, IDLE_TICK) {
-                Ok(()) => return true,
-                Err(back) => job = back.0,
-            }
+    /// Counts `sdus` SDUs, written or gone, out of a bounded send queue.
+    fn unqueue(&self, sdus: usize) {
+        if let Some(queued) = &self.queued {
+            queued.release(sdus);
         }
     }
 
@@ -491,45 +525,101 @@ impl ConnShared {
         header.encode_sdu_pooled(sdu.packed, sdu.payload, &self.pool)
     }
 
-    /// Segments `data` for `session` straight into pooled, wire-ready
-    /// frames. This is the bypass-path encode: without error control
-    /// there are no retransmissions, so nothing needs the body afterwards.
-    pub(crate) fn segment_frames(&self, session: u32, data: &[u8], tagged: bool) -> Vec<PooledBuf> {
-        self.recorder
-            .record(EventKind::Packetize, 0, session, data.len());
-        let sdu_size = self.config.sdu_size;
-        (0..sdu_count(data.len(), sdu_size))
-            .map(|seq| self.encode_sdu(&Sdu::of(data, sdu_size, session, tagged, seq)))
-            .collect()
-    }
-
     /// Queues one feedback frame for the peer's control task.
     fn feedback(&self, msg: CtrlMsg) {
         self.counters.feedback_sent.inc();
         self.ctrl_tx.send(msg);
     }
 
+    /// The receive half of the pipeline — everything between the interface
+    /// and the delivery queue — for one arrived frame, parsed in place
+    /// ([`DataPacket::peek`]): runs it through the [`RxPlane`] (Figure 4
+    /// steps 5-10) and delivers what it completes: none, one, or a train's
+    /// messages. The reactor task owns the `RxPlane`; a direct connection
+    /// keeps one in [`ConnShared::direct_rx`] for the thread inside
+    /// `recv_direct`. The pipeline's acknowledgement leaves at once, with
+    /// the credit edge in the same frame if one is owed — one
+    /// advertisement, the latest edge, covers a whole receive drain: here,
+    /// or alone when the drain ends ([`ConnShared::drained`]). Inlined: the
+    /// task's receive loop runs it once per frame.
+    #[inline(always)]
+    fn receive(&self, rx: &mut RxPlane, frame: &[u8]) {
+        let Ok(view) = DataPacket::peek(frame) else {
+            return; // not a data packet: ignore
+        };
+        self.note_peer_conn(view.header.src_conn);
+        self.counters.packets_received.inc();
+        // `messages_received` is counted at the delivery queue.
+        let step = rx.on_frame(&view, Instant::now());
+        if let Some(info) = step.ack {
+            self.counters.acks_sent.inc();
+            self.feedback(CtrlMsg::Ack {
+                conn: self.peer_conn_id(),
+                session: view.header.session,
+                info,
+                edge: rx.advertise(),
+            });
+        }
+        for (message, tagged) in step.delivered {
+            deliver_message(self, message, tagged);
+        }
+    }
+
+    /// Ends a receive drain: advertises the credit edge alone, if an
+    /// arrival after the last acknowledgement still owes it.
+    fn drained(&self, rx: &mut RxPlane) {
+        if let Some(edge) = rx.advertise() {
+            self.feedback(CtrlMsg::Credit {
+                conn: self.peer_conn_id(),
+                credits: edge,
+            });
+        }
+    }
+
     /// Flow and error control, sender half: feeds the [`TxPlane`] what
     /// arrived for it — control events, new messages, the time — and
-    /// queues the SDUs it releases on the Send plane.
+    /// queues the SDUs it releases on the Send plane while that has room.
     fn step_tx(&self, tx: &mut TxSide, timer: &mut Option<Instant>) -> bool {
         let TxSide { plane, pending, .. } = tx;
-        let Some(plane) = plane else {
-            return false;
-        };
-        let now = Instant::now();
+        // Read once, and not at all by a step that finds nothing to do.
+        let mut now = None;
+        let mut clock = || *now.get_or_insert_with(Instant::now);
         let mut progressed = false;
         while let Some(event) = self.ctrl_inbox.try_recv() {
-            plane.on_event(event, now);
+            plane.on_event(event, clock());
             progressed = true;
         }
-        while let Some(submission) = self.submit_inbox.try_recv() {
+        // The Send plane's queue fills only while the interface refuses
+        // it; everything behind waits where it is until that clears, and
+        // the Send plane's retry timer comes back for it.
+        if pending.len() >= SEND_QUEUE_DEPTH {
+            return progressed;
+        }
+        let mut submitted = 0;
+        while let Some(mut submission) = self.submit_inbox.try_recv() {
+            // Hand-off acknowledgement: the caller may resume (and overlap
+            // computation with the transmit — §4.1).
+            if let Some(accepted) = submission.accepted.take() {
+                accepted.fire();
+            }
+            submitted += sdu_count(submission.data.len(), self.config.sdu_size) as usize;
             plane.submit(submission);
             progressed = true;
         }
+        // Handed nothing, an idle pipeline releases nothing and keeps no
+        // deadline: the step that finds every queue empty ends here.
+        if !progressed && plane.is_idle() {
+            return false;
+        }
+        let now = clock();
+        let before = pending.len();
         progressed |= plane.poll(now, |sdu| {
-            pending.push_back((self.encode_sdu(&sdu), None, None));
+            let frame = self.encode_sdu(&sdu);
+            pending.push_back((frame, sdu.done));
         });
+        // A train is one frame for the SDUs of several messages: the room
+        // of the rest is free now.
+        self.unqueue(submitted.saturating_sub(pending.len() - before));
         if let Some(at) = plane.next_deadline(now) {
             min_timer(timer, at);
         }
@@ -545,28 +635,10 @@ impl ConnShared {
             pending, blocked, ..
         } = tx;
         let mut progressed = false;
-        // Pull queued frames in; the inbox is bounded, so draining it here
-        // is what unblocks producers parked in `enqueue_job`.
-        while pending.len() < 2 * IO_BATCH {
-            let Some(job) = self.send_inbox.try_recv() else {
-                break;
-            };
-            // Hand-off acknowledgement: the caller may resume (and
-            // overlap computation with the transmit below — §4.1).
-            if let Some(accepted) = &job.1 {
-                accepted.fire();
-            }
-            pending.push_back(job);
-            progressed = true;
-        }
-        // A full run may have left frames on the queue: whoever is
-        // stepping must come again at once (the task loops while it makes
-        // progress; an inline submitter wakes the task for it).
-        let more = pending.len() >= 2 * IO_BATCH;
         *blocked = false;
         while !pending.is_empty() {
             let mut refs = [&[][..]; IO_BATCH];
-            let batch = fill_batch(&mut refs, pending.iter().map(|(f, _, _)| f.as_slice()));
+            let batch = fill_batch(&mut refs, pending.iter().map(|(f, _)| f.as_slice()));
             match self.transport.try_send_batch(&refs[..batch]) {
                 Ok(0) => {
                     // Interface backpressure: the peer must drain before
@@ -580,12 +652,13 @@ impl ConnShared {
                     self.counters.packets_sent.add(sent as u64);
                     let bytes: usize = refs[..sent].iter().map(|r| r.len()).sum();
                     self.recorder.record(EventKind::Wire, 0, 0, bytes);
-                    for (frame, _, done) in pending.drain(..sent) {
-                        drop(frame); // buffer returns to the pool
-                        if let Some(core) = done {
+                    // The buffers return to the pool.
+                    for (_, done) in pending.drain(..sent) {
+                        for core in done {
                             core.complete(Ok(()));
                         }
                     }
+                    self.unqueue(sent);
                     progressed = true;
                 }
                 Err(e) => {
@@ -594,8 +667,9 @@ impl ConnShared {
                     // path did: Closed tears the data plane down, anything
                     // else drops the frames.
                     let failure = SendError::from(e.clone());
-                    for (_, _, done) in pending.drain(..) {
-                        if let Some(core) = done {
+                    self.unqueue(pending.len());
+                    for (_, done) in pending.drain(..) {
+                        for core in done {
                             core.complete(Err(failure.clone()));
                         }
                     }
@@ -613,8 +687,6 @@ impl ConnShared {
         }
         if *blocked {
             min_timer(timer, Instant::now() + TX_RETRY);
-        } else if more {
-            min_timer(timer, Instant::now());
         }
         progressed
     }
@@ -638,9 +710,7 @@ impl ConnShared {
     /// finds its send side flushed instead of lingering for them.
     pub(crate) fn close_with_node(&self) {
         self.initiate_close();
-        if let Some(plane) = &mut self.tx.lock().plane {
-            plane.fail_all(SendError::Closed);
-        }
+        self.tx.lock().plane.fail_all(SendError::Closed);
         self.wake_task();
     }
 
@@ -734,101 +804,18 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
     handle.wake();
 }
 
-/// The receive half of a connection's pipeline — everything between the
-/// interface and the delivery queue, one frame at a time. The reactor
-/// task owns one; a direct connection keeps one in
-/// [`ConnShared::direct_rx`] for the thread inside `recv_direct`.
-pub(crate) struct RxSide {
-    /// Flow and error control, receiver half (steps 5-10); `None` on §3.1
-    /// bypass configurations.
-    plane: Option<RxPlane>,
-    // -- Receive plane (steps 7-8): fully-bypassed inline reassembly.
-    // Payloads append straight from received frames into a *pooled*
-    // message buffer (arrival order, delivery on the end bit — the
-    // null-EC contract); the buffer rides the delivered [`MsgView`] and
-    // returns to the pool when the application drops the view.
-    assembling: Option<PooledBuf>,
-}
-
-impl RxSide {
-    fn new(shared: &ConnShared) -> Self {
-        RxSide {
-            plane: shared
-                .runs_planes()
-                .then(|| RxPlane::new(&shared.config, &shared.counters)),
-            assembling: None,
-        }
-    }
-
-    /// Runs one arrived frame, parsed in place ([`DataPacket::peek`]),
-    /// through the receiver pipeline (Figure 4 steps 5-10) and delivers
-    /// what it completes: none, one, or a train's messages. The pipeline's
-    /// acknowledgement leaves at once, with the credit edge in the same
-    /// frame if one is owed — one advertisement, the latest edge, covers a
-    /// whole receive drain: here, or alone when the drain ends
-    /// ([`RxSide::drained`]). Fully bypassed, the payload goes straight
-    /// into the message being assembled. Inlined: the task's receive loop
-    /// runs it once per frame.
-    #[inline(always)]
-    fn on_frame(&mut self, shared: &ConnShared, frame: &[u8]) {
-        let Ok(view) = DataPacket::peek(frame) else {
-            return; // not a data packet: ignore
-        };
-        shared.note_peer_conn(view.header.src_conn);
-        shared.counters.packets_received.inc();
-        // `messages_received` is counted at the delivery queue.
-        let Some(rx) = &mut self.plane else {
-            let buf = self.assembling.get_or_insert_with(|| shared.pool.get());
-            buf.vec_mut().extend_from_slice(view.payload);
-            if view.header.end {
-                let buf = self.assembling.take().expect("just inserted");
-                deliver_message(shared, buf, view.header.tagged);
-            }
-            return;
-        };
-        // The clock is read here, not once per drain: bypass connections
-        // never pay for it.
-        let step = rx.on_frame(&view, Instant::now());
-        if let Some(info) = step.ack {
-            shared.counters.acks_sent.inc();
-            shared.feedback(CtrlMsg::Ack {
-                conn: shared.peer_conn_id(),
-                session: view.header.session,
-                info,
-                edge: rx.advertise(),
-            });
-        }
-        for (message, tagged) in step.delivered {
-            // EC strategies reassemble in their own buffers; the view is
-            // detached (owned), not pooled.
-            deliver_message(shared, PooledBuf::detached(message), tagged);
-        }
-    }
-
-    /// Ends a receive drain: advertises the credit edge alone, if an
-    /// arrival after the last acknowledgement still owes it.
-    fn drained(&mut self, shared: &ConnShared) {
-        if let Some(edge) = self.plane.as_mut().and_then(RxPlane::advertise) {
-            shared.feedback(CtrlMsg::Credit {
-                conn: shared.peer_conn_id(),
-                credits: edge,
-            });
-        }
-    }
-}
-
 /// A connection's Figure-4 pipeline as one resumable reactor task: the
 /// non-blocking driver of the [`crate::plane`] state machines.
 ///
 /// The Receive plane is the task's `step_recv` — only the task reads the
-/// transport — feeding its [`RxSide`]; the send half ([`TxSide`]: the
+/// transport — feeding its [`RxPlane`]; the send half ([`TxSide`]: the
 /// [`TxPlane`] and the Send plane's queue) is shared with submitters and
 /// stepped under its lock by [`ConnShared::step_tx`] /
 /// [`ConnShared::step_send`]. The paper's blocking waits became
 /// [`TaskPoll::Timer`] deadlines.
 struct ConnTask {
     shared: Arc<ConnShared>,
-    rx: RxSide,
+    rx: RxPlane,
     /// The transport reported EOF/failure on the receive side: the
     /// post-close drain is complete, nothing more can arrive.
     rx_eof: bool,
@@ -841,7 +828,7 @@ struct ConnTask {
 impl ConnTask {
     fn new(shared: Arc<ConnShared>) -> Self {
         ConnTask {
-            rx: RxSide::new(&shared),
+            rx: RxPlane::new(&shared.config, &shared.counters, &shared.pool),
             rx_eof: false,
             drain_deadline: None,
             finished: false,
@@ -850,7 +837,7 @@ impl ConnTask {
     }
 
     /// The Receive plane: drains ready frames off the data connection
-    /// through the receive half ([`RxSide::on_frame`]).
+    /// through the receive half ([`ConnShared::receive`]).
     fn step_recv(&mut self, hungry: &mut bool) -> bool {
         let shared = Arc::clone(&self.shared);
         let mut progressed = false;
@@ -875,9 +862,9 @@ impl ConnTask {
             };
             budget -= 1;
             progressed = true;
-            self.rx.on_frame(&shared, &frame);
+            shared.receive(&mut self.rx, &frame);
         }
-        self.rx.drained(&shared);
+        shared.drained(&mut self.rx);
         progressed
     }
 
@@ -897,31 +884,22 @@ impl ConnTask {
         // The session in flight fails like a delivery error, and
         // everything queued behind it resolves Closed (the send-side half
         // of the fail-fast contract).
-        if let Some(plane) = &mut tx.plane {
-            plane.fail_all(SendError::Closed);
-        }
+        tx.plane.fail_all(SendError::Closed);
         while let Some(submission) = shared.submit_inbox.try_recv() {
+            if let Some(accepted) = submission.accepted {
+                accepted.fire();
+            }
             if let Some(c) = submission.completion {
                 c.complete(Err(SendError::Closed));
             }
         }
-        fn fail_job((frame, accepted, done): SendJob) {
-            drop(frame); // buffer returns to the pool
-            if let Some(accepted) = accepted {
-                accepted.fire();
-            }
-            if let Some(core) = done {
+        // The buffers return to the pool.
+        for (_, done) in tx.pending.drain(..) {
+            for core in done {
                 core.complete(Err(SendError::Closed));
             }
         }
-        for job in tx.pending.drain(..) {
-            fail_job(job);
-        }
-        while let Some(job) = shared.send_inbox.try_recv() {
-            fail_job(job);
-        }
         drop(tx);
-        self.rx.assembling = None;
         // Close the transport and fail the parked receives. On a local
         // close `retire_data_plane` already did both (these repeats are
         // no-ops); on a peer close they were deferred to this retirement
@@ -937,11 +915,10 @@ impl ConnTask {
     /// FC/EC pipeline (no session in flight, nothing parked on credits),
     /// nothing waiting on the wire.
     fn flushed(&self, tx: &TxSide) -> bool {
-        tx.plane.as_ref().is_none_or(TxPlane::is_idle)
+        tx.plane.is_idle()
             && tx.pending.is_empty()
             && !tx.blocked
             && self.shared.submit_inbox.is_empty()
-            && self.shared.send_inbox.is_empty()
     }
 
     /// Post-close polling: the graceful half of the close, bounded by
@@ -1215,10 +1192,10 @@ impl NcsConnection {
 
     /// Nonblocking `NCS_send`: queues the message and returns a
     /// [`Request`] that completes when the message is *delivered* (the
-    /// error-control acknowledgement, on reliable configurations) or
-    /// *transmitted* (on §3.1 bypass configurations). The caller computes;
-    /// the runtime's threads move the data — the paper's overlap thesis as
-    /// an API.
+    /// error-control acknowledgement) or, on configurations without error
+    /// control, when its last frame is *written* to the interface. The
+    /// caller computes; the runtime's threads move the data — the paper's
+    /// overlap thesis as an API.
     ///
     /// # Errors
     ///
@@ -1255,13 +1232,12 @@ impl NcsConnection {
     }
 
     /// The one way into the send path: validates, then queues the message
-    /// for the FC/EC pipeline (Figure 4 step 1) or — §3.1 bypass — encodes
-    /// it straight onto the send queue, its final frame carrying
-    /// `completion` and the hand-off event `accepted` ([`SendJob`]). The
-    /// caller activates the pipeline ([`NcsConnection::activate`]) with the
-    /// verdict returned here: whether everything queued was one SDU.
-    /// `wait` says what a full send queue does to a bypass message: park
-    /// the caller, or be overshot ([`ConnShared::enqueue_job`]).
+    /// for the pipeline (Figure 4 step 1) with its `completion` and the
+    /// hand-off event `accepted` ([`Submission`]). The caller activates the
+    /// pipeline ([`NcsConnection::activate`]) with the verdict returned
+    /// here: whether the message is one SDU. `wait` says what a full send
+    /// queue does to a message on a bounded connection: park the caller,
+    /// or be overshot ([`SendQueue::admit`]).
     fn submit(
         &self,
         data: &[u8],
@@ -1296,46 +1272,22 @@ impl NcsConnection {
         // envelope during reassembly and routes the message to the tag's
         // delivery shard — see `deliver_message` and
         // `request::DELIVERY_SHARDS`.
-        let tagged = tag.is_some();
-        let body = match tag {
-            Some(t) => {
-                let mut v = Vec::with_capacity(TAG_ENVELOPE + data.len());
-                v.extend_from_slice(&t.to_be_bytes());
-                v.extend_from_slice(data);
-                Cow::Owned(v)
-            }
-            None => Cow::Borrowed(data),
-        };
-        let one_sdu = body.len() <= self.shared.config.sdu_size;
-        if self.shared.runs_planes() {
-            self.shared.submit_inbox.send(Submission {
-                data: body.into_owned(),
-                tagged,
-                completion: completion.clone(),
-            });
-        } else {
-            // Segment straight into pooled frames on the send queue; the
-            // completion (if any) rides the final frame and resolves on
-            // transmit. The frames of a longer message wake the task as
-            // they queue, so it transmits while the rest are encoded.
-            let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-            self.shared.counters.messages_sent.inc();
-            let frames = self.shared.segment_frames(session, &body, tagged);
-            let last = frames.len() - 1;
-            for (i, frame) in frames.into_iter().enumerate() {
-                let job = if i == last {
-                    (frame, accepted.clone(), completion.clone())
-                } else {
-                    (frame, None, None)
-                };
-                if !self.shared.enqueue_job(job, wait) {
-                    return Err(SendError::Closed);
-                }
-                if !one_sdu {
-                    self.shared.wake_task();
-                }
-            }
+        let envelope = if tag.is_some() { TAG_ENVELOPE } else { 0 };
+        let mut body = Vec::with_capacity(envelope + data.len());
+        if let Some(t) = tag {
+            body.extend_from_slice(&t.to_be_bytes());
         }
+        body.extend_from_slice(data);
+        let sdus = sdu_count(body.len(), self.shared.config.sdu_size);
+        if let Some(queued) = &self.shared.queued {
+            queued.admit(sdus as usize, wait, &self.shared.closed)?;
+        }
+        self.shared.submit_inbox.send(Submission {
+            data: body,
+            tagged: tag.is_some(),
+            completion: completion.clone(),
+            accepted: accepted.clone(),
+        });
         // Close raced with the queueing? The task may already have drained
         // its queues and retired; resolve the request and the hand-off here
         // so neither can dangle (the first completion wins).
@@ -1347,7 +1299,7 @@ impl NcsConnection {
                 a.fire();
             }
         }
-        Ok(one_sdu)
+        Ok(sdus == 1)
     }
 
     /// Activates the send pipeline for what [`NcsConnection::submit`]
@@ -1363,13 +1315,13 @@ impl NcsConnection {
 
     /// `NCS_send` for several messages in one call: validates the whole
     /// batch, then queues it in order and activates the pipeline once per
-    /// admitted run. On §3.1 bypass configurations the frames queue back
-    /// to back, so the Send plane coalesces the batch into
-    /// [`ncs_transport::Connection::send_batch`] transmissions; with
-    /// FC/EC configured each message is handed to the pipeline
-    /// (asynchronous, exactly as [`NcsConnection::send`]). Blocks
-    /// (cooperatively) while a bypass connection's send queue is full:
-    /// this is [`NcsConnection::try_send_batch`] plus the wait.
+    /// admitted run. The messages queue back to back, so the pipeline packs
+    /// the small ones into trains and the Send plane coalesces the frames
+    /// into [`ncs_transport::Connection::try_send_batch`] transmissions;
+    /// each is asynchronous, exactly as [`NcsConnection::send`]. Blocks
+    /// (cooperatively) while the send queue of a connection without flow
+    /// and error control is full: this is
+    /// [`NcsConnection::try_send_batch`] plus the wait.
     ///
     /// # Errors
     ///
@@ -1397,11 +1349,12 @@ impl NcsConnection {
     /// again later. The contract of
     /// [`ncs_transport::Connection::try_send_batch`], one layer up.
     ///
-    /// On §3.1 bypass configurations a message is admitted whenever the
-    /// send queue is below its bound and then queued whole, so the queue
-    /// overshoots by at most one message and no message is too long to
-    /// ever fit. With FC/EC configured the pipeline's submission queue is
-    /// unbounded and everything is admitted.
+    /// Without flow and error control a message is admitted whenever
+    /// fewer than 128 SDUs are queued ahead of the interface, and then
+    /// queued whole, so the queue overshoots by at most one message and no
+    /// message is too long to ever fit. With flow or error control
+    /// configured, which pace the sender themselves, the submission queue
+    /// is unbounded and everything is admitted.
     ///
     /// # Errors
     ///
@@ -1411,11 +1364,10 @@ impl NcsConnection {
         for m in msgs {
             self.check_sendable(m, None)?;
         }
-        let bounded = !self.shared.config.needs_control_threads();
         let mut one_sdu = true;
         let mut admitted = 0;
         for m in msgs {
-            if bounded && self.shared.send_inbox.len() >= SEND_QUEUE_DEPTH {
+            if self.shared.queued.as_ref().map_or(0, SendQueue::len) >= SEND_QUEUE_DEPTH {
                 break;
             }
             one_sdu &= self.submit(m, None, None, None, false)?;
@@ -1579,9 +1531,8 @@ impl NcsConnection {
             // Wait for the peer's next word, but no longer than the
             // pipeline's own deadline.
             let wait = timer.map_or(IDLE_TICK, |at| at.saturating_duration_since(Instant::now()));
-            if let (Ok(event), Some(plane)) = (shared.ctrl_inbox.recv_timeout(wait), &mut tx.plane)
-            {
-                plane.on_event(event, Instant::now());
+            if let Ok(event) = shared.ctrl_inbox.recv_timeout(wait) {
+                tx.plane.on_event(event, Instant::now());
             }
         }
     }
@@ -1610,15 +1561,16 @@ impl NcsConnection {
                 return Err(SendError::Timeout);
             }
             let frame = shared.transport.recv_timeout(wait)?;
-            rx.on_frame(shared, &frame);
-            rx.drained(shared);
+            shared.receive(rx, &frame);
+            shared.drained(rx);
         }
     }
 
     /// `NCS_send` with hand-off semantics: queues the message to the Send
-    /// Thread and returns as soon as the Send Thread *accepts* it, with the
-    /// [`Request`] that completes on transmit ([`NcsConnection::isend`]'s
-    /// bypass completion). Unlike [`NcsConnection::send`], it hands over
+    /// Thread and returns as soon as the pipeline *takes* it, with the
+    /// [`Request`] that completes when its last frame is written
+    /// ([`NcsConnection::isend`]'s completion without error control).
+    /// Unlike [`NcsConnection::send`], it hands over
     /// even a message of one SDU: under the kernel-level package a
     /// transmit that then blocks (full kernel buffer) overlaps with the
     /// caller's computation; under the user-level package the blocking
@@ -1629,12 +1581,12 @@ impl NcsConnection {
     ///
     /// # Errors
     ///
-    /// [`SendError::WrongMode`] when FC/EC threads are configured or the
-    /// connection is in direct mode, [`SendError::Timeout`] when the Send
-    /// Thread has not taken the message within 30 s, otherwise as
+    /// [`SendError::WrongMode`] when flow or error control is configured or
+    /// the connection is in direct mode, [`SendError::Timeout`] when the
+    /// pipeline has not taken the message within 30 s, otherwise as
     /// [`NcsConnection::send`].
     pub fn send_handoff(&self, data: &[u8]) -> Result<Request<()>, SendError> {
-        if self.shared.runs_planes() {
+        if self.shared.config.direct || self.shared.config.needs_control_threads() {
             return Err(SendError::WrongMode("threaded bypass (no FC/EC)"));
         }
         let core = RequestCore::new();
@@ -1901,7 +1853,8 @@ mod tests {
         let gate = ca.shared.tx.lock();
         assert_eq!(ca.try_send_batch(&filler), Ok(filler.len()));
         assert_eq!(ca.try_send_batch(&[&long, &[1]]), Ok(1));
-        assert_eq!(ca.shared.send_inbox.len(), SEND_QUEUE_DEPTH - 1 + sdus);
+        let queued = ca.shared.queued.as_ref().expect("a bounded send queue");
+        assert_eq!(queued.len(), SEND_QUEUE_DEPTH - 1 + sdus);
         drop(gate);
         for _ in &filler {
             assert_eq!(
@@ -1918,6 +1871,72 @@ mod tests {
                 [9; 3]
             );
         }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A blocking send on a full queue parks until the Send plane has
+    /// written enough to bring the queue below its bound, and one parked
+    /// when the connection closes fails instead of hanging.
+    #[test]
+    fn send_parks_on_a_full_queue_until_it_drains_or_closes() {
+        let (a, b, ca, cb) = bypass_pair();
+        let filler: Vec<&[u8]> = vec![&[9u8; 3]; SEND_QUEUE_DEPTH];
+        let park = |conn: &NcsConnection| {
+            let conn = conn.clone();
+            let sending = std::thread::spawn(move || conn.send(b"behind"));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!sending.is_finished(), "a send went in past a full queue");
+            sending
+        };
+        let gate = ca.shared.tx.lock();
+        assert_eq!(ca.try_send_batch(&filler), Ok(filler.len()));
+        let sending = park(&ca);
+        drop(gate);
+        assert_eq!(sending.join().expect("sender"), Ok(()));
+        for _ in &filler {
+            assert_eq!(
+                cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+                [9; 3]
+            );
+        }
+        assert_eq!(
+            cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+            b"behind"
+        );
+
+        let gate = ca.shared.tx.lock();
+        assert_eq!(ca.try_send_batch(&filler), Ok(filler.len()));
+        let sending = park(&ca);
+        ca.close();
+        drop(gate);
+        assert_eq!(sending.join().expect("sender"), Err(SendError::Closed));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// Small messages queued on a connection without flow and error control
+    /// travel as trains, as behind a reliable session in flight: held back
+    /// by the send half's lock, sixteen of them leave in fewer frames, and
+    /// the receiver unpacks every one, in order.
+    #[test]
+    fn small_messages_queued_without_fc_or_ec_travel_as_trains() {
+        let (a, b, ca, cb) = bypass_pair();
+        let numbered: Vec<[u8; 2]> = (0..16u16).map(u16::to_be_bytes).collect();
+        let msgs: Vec<&[u8]> = numbered.iter().map(|m| &m[..]).collect();
+        let gate = ca.shared.tx.lock();
+        assert_eq!(ca.try_send_batch(&msgs), Ok(msgs.len()));
+        drop(gate);
+        for want in &msgs {
+            assert_eq!(
+                &cb.recv_timeout(Duration::from_secs(5)).expect("recv"),
+                want
+            );
+        }
+        let (sa, sb) = (ca.stats(), cb.stats());
+        assert_eq!((sa.messages_sent, sb.messages_received), (16, 16));
+        assert!(sa.packets_sent < 16, "no trains: {sa}");
+        assert_eq!(sb.frames_rejected, 0, "{sb}");
         a.shutdown();
         b.shutdown();
     }
@@ -2056,9 +2075,9 @@ mod tests {
 
     /// A direct connection has no task to flush for it: `send_direct`
     /// returns only once the whole message is on the wire, tail included,
-    /// even without error control, whose pipeline resolves the message as
-    /// soon as it releases the last SDU. The peer here reads late, and the
-    /// message arrives whole with no later `send_direct`.
+    /// even without error control, whose message resolves as soon as the
+    /// socket has taken part of its last frame. The peer here reads late,
+    /// and the message arrives whole with no later `send_direct`.
     #[cfg(target_os = "linux")]
     #[test]
     fn send_direct_returns_once_a_message_larger_than_the_socket_buffer_is_on_the_wire() {
@@ -2121,12 +2140,13 @@ mod tests {
         // A train as a threaded sender would frame it, put on the wire by
         // hand.
         let mut tx = ca.shared.tx.lock();
-        let sender = tx.plane.as_mut().expect("direct mode runs the planes");
+        let sender = &mut tx.plane;
         for data in [b"one".to_vec(), b"two".to_vec()] {
             sender.submit(Submission {
                 data,
                 tagged: false,
                 completion: None,
+                accepted: None,
             });
         }
         let mut trains = 0;

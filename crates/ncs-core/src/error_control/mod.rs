@@ -16,7 +16,7 @@ mod none;
 mod selective_repeat;
 
 pub use go_back_n::{GbnReceiver, GbnSender};
-pub use none::{NoEcReceiver, NoEcSender};
+pub use none::NoEcSender;
 pub use selective_repeat::{SrReceiver, SrSender};
 
 use std::time::Duration;
@@ -128,12 +128,13 @@ pub fn build_sender(alg: &ErrorControlAlg) -> Box<dyn SenderEc> {
     }
 }
 
-/// Instantiates the receiver strategy configured in `alg`.
-pub fn build_receiver(alg: &ErrorControlAlg) -> Box<dyn ReceiverEc> {
+/// Instantiates the receiver strategy configured in `alg`; `None` without
+/// error control, where the receive plane reassembles by itself.
+pub fn build_receiver(alg: &ErrorControlAlg) -> Option<Box<dyn ReceiverEc>> {
     match alg {
-        ErrorControlAlg::None => Box::new(NoEcReceiver::new()),
-        ErrorControlAlg::SelectiveRepeat { .. } => Box::new(SrReceiver::new()),
-        ErrorControlAlg::GoBackN { .. } => Box::new(GbnReceiver::new()),
+        ErrorControlAlg::None => None,
+        ErrorControlAlg::SelectiveRepeat { .. } => Some(Box::new(SrReceiver::new())),
+        ErrorControlAlg::GoBackN { .. } => Some(Box::new(GbnReceiver::new())),
     }
 }
 
@@ -148,14 +149,15 @@ mod tests {
             max_retries: 2,
         };
         assert_eq!(build_sender(&alg).name(), "selective-repeat");
-        assert_eq!(build_receiver(&alg).name(), "selective-repeat");
+        assert_eq!(build_receiver(&alg).unwrap().name(), "selective-repeat");
         assert_eq!(build_sender(&ErrorControlAlg::None).name(), "none");
+        assert!(build_receiver(&ErrorControlAlg::None).is_none());
         let gbn = ErrorControlAlg::GoBackN {
             window: 4,
             timeout: Duration::from_millis(10),
             max_retries: 2,
         };
         assert_eq!(build_sender(&gbn).name(), "go-back-n");
-        assert_eq!(build_receiver(&gbn).name(), "go-back-n");
+        assert_eq!(build_receiver(&gbn).unwrap().name(), "go-back-n");
     }
 }

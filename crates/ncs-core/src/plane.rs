@@ -14,6 +14,13 @@
 //! SDUs to encode and control messages to send come out as values, and
 //! every method that depends on time takes `now`.
 //!
+//! Every connection runs them, configured or not: the paper's §3.1 bypass
+//! is the null strategies. Without error control nothing waits for an
+//! acknowledgement, so a message's completions leave with its last SDU
+//! ([`Sdu::done`]) and resolve when the shell has written it; and the
+//! receiver, having no strategy to consult, appends each payload straight
+//! into one pooled buffer that becomes the delivered message.
+//!
 //! Figure 6's "one session in flight" holds as drawn; what a session
 //! carries is an SDU's worth of queued messages, not always one. When the
 //! sender starts a session and the messages queued behind the first fit in
@@ -85,6 +92,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncs_obs::{Counter, EventKind, FlightRecorder};
+use ncs_threads::sync::Event;
 use parking_lot::Mutex;
 
 use crate::config::{ConnectionConfig, ErrorControlAlg};
@@ -94,6 +102,7 @@ use crate::error_control::{
 };
 use crate::flow_control::{build as build_fc, FlowControlStrategy};
 use crate::packet::DataView;
+use crate::pool::{BufPool, PooledBuf};
 use crate::request::RequestCore;
 use crate::seq::{wrapping_ahead, AckBitmap};
 use crate::stats::ConnCounters;
@@ -134,8 +143,13 @@ pub(crate) struct Submission {
     /// The body starts with a tag envelope (sets the header flag on every
     /// SDU).
     pub tagged: bool,
-    /// Resolved when error control finishes the message, either way.
+    /// Resolved when error control finishes the message, either way, or —
+    /// without error control — when its last SDU is written.
     pub completion: Option<Arc<RequestCore<()>>>,
+    /// Fired when the pipeline takes the message off the submission queue
+    /// (the hand-off `NcsConnection::send_handoff` returns on); the shell's
+    /// to fire, never the plane's.
+    pub accepted: Option<Arc<Event>>,
 }
 
 /// What the peer's receive side tells this sender over the control
@@ -163,6 +177,10 @@ pub(crate) struct Sdu<'a> {
     /// The payload is a train of records, not one message.
     pub packed: bool,
     pub payload: &'a [u8],
+    /// Completions the write of this SDU resolves: those of its session
+    /// when it is the last SDU of one that expects no acknowledgement,
+    /// else none.
+    pub done: Vec<Arc<RequestCore<()>>>,
 }
 
 /// SDUs a body of `len` bytes segments into.
@@ -172,7 +190,7 @@ pub(crate) fn sdu_count(len: usize, sdu_size: usize) -> u32 {
 
 impl<'a> Sdu<'a> {
     /// SDU `seq` of `body`, cut every `sdu_size` bytes — the one
-    /// segmenter (the bypass path's eager encode uses it too).
+    /// segmenter.
     pub(crate) fn of(
         body: &'a [u8],
         sdu_size: usize,
@@ -189,6 +207,7 @@ impl<'a> Sdu<'a> {
             tagged,
             packed: false,
             payload: &body[lo..hi],
+            done: Vec::new(),
         }
     }
 }
@@ -224,14 +243,14 @@ fn record_at(train: &[u8], at: usize) -> Option<(&[u8], bool, usize)> {
 /// The messages one arriving frame completed, in order, each with its
 /// tag flag: none, the one reassembled message — handed over as it is —
 /// or the records of a train, cut from its body as the shell takes them.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub(crate) enum Delivered {
     #[default]
     Nothing,
-    Whole(Vec<u8>, bool),
+    Whole(PooledBuf, bool),
     /// A validated train and where its next record starts.
     Train {
-        body: Vec<u8>,
+        body: PooledBuf,
         at: usize,
     },
 }
@@ -240,7 +259,7 @@ impl Delivered {
     /// The records of `body`, or `None` unless it is one well-formed
     /// record after another from its first byte to its last: a train
     /// yields all of its messages or none.
-    fn train(body: Vec<u8>) -> Option<Self> {
+    fn train(body: PooledBuf) -> Option<Self> {
         let mut at = 0;
         while at < body.len() {
             at = record_at(&body, at)?.2;
@@ -250,7 +269,7 @@ impl Delivered {
 }
 
 impl Iterator for Delivered {
-    type Item = (Vec<u8>, bool);
+    type Item = (PooledBuf, bool);
 
     fn next(&mut self) -> Option<Self::Item> {
         match std::mem::take(self) {
@@ -258,7 +277,7 @@ impl Iterator for Delivered {
             Delivered::Whole(body, tagged) => Some((body, tagged)),
             Delivered::Train { body, at } => {
                 let (data, tagged, end) = record_at(&body, at)?;
-                let message = (data.to_vec(), tagged);
+                let message = (PooledBuf::detached(data.to_vec()), tagged);
                 if end < body.len() {
                     *self = Delivered::Train { body, at: end };
                 }
@@ -499,9 +518,9 @@ impl TxPlane {
                 progressed = true;
             }
             progressed |= self.release(now, &mut emit);
-            // Without acknowledgements a message is done once its last SDU
-            // is released; the session stays until then because the SDUs
-            // are cut from its body.
+            // Without acknowledgements a session is over once its last SDU
+            // is released — its completions left with that SDU — and stays
+            // until then because the SDUs are cut from its body.
             if self.pending.is_empty() && self.ec.completes_without_ack() {
                 self.finish(Ok(()));
                 continue;
@@ -644,6 +663,7 @@ impl TxPlane {
         if self.pending.is_empty() {
             return false;
         }
+        let unacknowledged = self.ec.completes_without_ack();
         // Starvation probe: rather than stall forever on lost feedback,
         // trickle one SDU out so that the receiver advertises again.
         let starved = self.ack_deadline().is_none()
@@ -672,8 +692,14 @@ impl TxPlane {
             spent += cost;
             session.high = session.high.max(seq + 1);
             self.pending.pop_front();
+            let done = if unacknowledged && self.pending.is_empty() {
+                std::mem::take(&mut self.completions)
+            } else {
+                Vec::new()
+            };
             emit(Sdu {
                 packed: session.packed,
+                done,
                 ..Sdu::of(
                     &session.body,
                     self.sdu_size,
@@ -718,7 +744,7 @@ impl TxPlane {
 /// What one arriving data frame asks the shell to do — and, if it owes
 /// one, to advertise the credit edge ([`RxPlane::advertise`]) in the
 /// acknowledgement, or alone once the receive drain ends.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub(crate) struct RxStep {
     /// Acknowledgement of the frame's session to send.
     pub ack: Option<AckInfo>,
@@ -726,10 +752,24 @@ pub(crate) struct RxStep {
     pub delivered: Delivered,
 }
 
+/// How the SDUs of a session become its message.
+#[derive(Debug)]
+enum Reassembly {
+    /// The error-control strategy, in buffers of its own.
+    Strategy(Box<dyn ReceiverEc>),
+    /// No error control: each payload is appended, in arrival order, to one
+    /// buffer from the pool, which is delivered on the end bit as it is and
+    /// returns to the pool when the application drops the message.
+    Pooled {
+        pool: Arc<BufPool>,
+        message: Option<PooledBuf>,
+    },
+}
+
 /// The receiver half of the pipeline.
 #[derive(Debug)]
 pub(crate) struct RxPlane {
-    ec: Box<dyn ReceiverEc>,
+    reassembly: Reassembly,
     fc: Box<dyn FlowControlStrategy>,
     /// The session being reassembled.
     session: Option<u32>,
@@ -762,9 +802,20 @@ pub(crate) struct RxPlane {
 }
 
 impl RxPlane {
-    pub(crate) fn new(config: &ConnectionConfig, counters: &ConnCounters) -> Self {
+    pub(crate) fn new(
+        config: &ConnectionConfig,
+        counters: &ConnCounters,
+        pool: &Arc<BufPool>,
+    ) -> Self {
+        let reassembly = match build_receiver(&config.error_control) {
+            Some(ec) => Reassembly::Strategy(ec),
+            None => Reassembly::Pooled {
+                pool: Arc::clone(pool),
+                message: None,
+            },
+        };
         RxPlane {
-            ec: build_receiver(&config.error_control),
+            reassembly,
             fc: build_fc(&config.flow_control),
             session: None,
             delivered_below: 0,
@@ -811,8 +862,8 @@ impl RxPlane {
             // Duplicate of a delivered message: re-send the clean
             // acknowledgement when its end marker shows up, so the sender
             // can finish even though the first one died.
-            if h.end {
-                step.ack = Some(match self.ec.name() {
+            if let (true, Reassembly::Strategy(ec)) = (h.end, &self.reassembly) {
+                step.ack = Some(match ec.name() {
                     "go-back-n" => AckInfo::Cumulative(h.seq + 1),
                     _ => AckInfo::Bitmap(AckBitmap::all_received(h.seq + 1)),
                 });
@@ -827,18 +878,28 @@ impl RxPlane {
                     self.taken = self.taken.wrapping_sub(self.high);
                 }
                 self.high = 0;
-                self.ec.reset();
+                match &mut self.reassembly {
+                    Reassembly::Strategy(ec) => ec.reset(),
+                    Reassembly::Pooled { message, .. } => *message = None,
+                }
                 self.session = Some(h.session);
             }
         }
         let fresh = (h.seq + 1).saturating_sub(self.high);
         self.taken = self.taken.wrapping_add(fresh);
         self.high += fresh;
-        let (ack, body) = match self.ec.on_packet(h.seq, h.end, frame.payload.to_vec()) {
-            ReceiverStep::Ack(a) => (Some(a), None),
-            ReceiverStep::Deliver(m) => (None, Some(m)),
-            ReceiverStep::AckAndDeliver(a, m) => (Some(a), Some(m)),
-            ReceiverStep::Continue => (None, None),
+        let (ack, body) = match &mut self.reassembly {
+            Reassembly::Strategy(ec) => match ec.on_packet(h.seq, h.end, frame.payload.to_vec()) {
+                ReceiverStep::Ack(a) => (Some(a), None),
+                ReceiverStep::Deliver(m) => (None, Some(PooledBuf::detached(m))),
+                ReceiverStep::AckAndDeliver(a, m) => (Some(a), Some(PooledBuf::detached(m))),
+                ReceiverStep::Continue => (None, None),
+            },
+            Reassembly::Pooled { pool, message } => {
+                let buf = message.get_or_insert_with(|| pool.get());
+                buf.vec_mut().extend_from_slice(frame.payload);
+                (None, if h.end { message.take() } else { None })
+            }
         };
         step.ack = ack;
         if let Some(body) = body {
@@ -915,7 +976,10 @@ mod tests {
 
     fn rx_plane(cfg: &ConnectionConfig) -> (RxPlane, Counter) {
         let counters = ConnCounters::default();
-        (RxPlane::new(cfg, &counters), counters.frames_rejected)
+        (
+            RxPlane::new(cfg, &counters, &BufPool::new()),
+            counters.frames_rejected,
+        )
     }
 
     /// Message `i` of a run: `sdus` SDUs, the last one short, every byte
@@ -930,6 +994,7 @@ mod tests {
             data,
             tagged: false,
             completion: Some(Arc::clone(&completion)),
+            accepted: None,
         });
         completion
     }
@@ -1035,6 +1100,7 @@ mod tests {
                 data: data.clone(),
                 tagged: *tagged,
                 completion: None,
+                accepted: None,
             });
         }
         let mut frames = Vec::new();
@@ -1098,13 +1164,18 @@ mod tests {
         train
     }
 
+    /// The records of a train body, owned.
+    fn unpack(body: Vec<u8>) -> Option<Vec<(Vec<u8>, bool)>> {
+        let train = Delivered::train(PooledBuf::detached(body))?;
+        Some(train.map(|(m, tagged)| (m.into_vec(), tagged)).collect())
+    }
+
     /// All records or none: the records a train yields, packed again,
     /// are its body, byte for byte.
     fn check_unpack(bytes: Vec<u8>) {
-        let Some(train) = Delivered::train(bytes.clone()) else {
+        let Some(records) = unpack(bytes.clone()) else {
             return;
         };
-        let records: Vec<_> = train.collect();
         assert_eq!(packed(&records), bytes, "the records tile the body");
         assert!(records.iter().all(|(m, _)| !m.is_empty()));
     }
@@ -1112,8 +1183,7 @@ mod tests {
     proptest! {
         #[test]
         fn pack_then_unpack_is_identity(messages in messages()) {
-            let train = Delivered::train(packed(&messages)).expect("own train parses");
-            prop_assert_eq!(train.collect::<Vec<_>>(), messages);
+            prop_assert_eq!(unpack(packed(&messages)).expect("own train parses"), messages);
         }
 
         /// Through the sender: whatever it packs into its frames, the
@@ -1123,7 +1193,7 @@ mod tests {
             let mut got = Vec::new();
             for (is_train, payload) in frames_for(64, &messages) {
                 if is_train {
-                    got.extend(Delivered::train(payload).expect("own train parses"));
+                    got.extend(unpack(payload).expect("own train parses"));
                 } else {
                     let tagged = messages[got.len()].1;
                     got.push((payload, tagged));
@@ -1199,7 +1269,9 @@ mod tests {
     }
 
     fn delivered(step: RxStep) -> Vec<Vec<u8>> {
-        step.delivered.map(|(message, _)| message).collect()
+        step.delivered
+            .map(|(message, _)| message.into_vec())
+            .collect()
     }
 
     /// A sequence number no bitmap holds reaches no strategy — it used to
@@ -1302,6 +1374,40 @@ mod tests {
             let next = rx.on_frame(&frame(1, 0, true, false, b"next"), now);
             assert_eq!(delivered(next), [b"next".to_vec()]);
         }
+    }
+
+    /// Without error control the plane reassembles by itself: payloads
+    /// append in arrival order to one buffer from the pool, delivered on
+    /// the end bit, never acknowledged. A session a later one supersedes
+    /// before its end bit is dropped, its buffer back in the pool.
+    #[test]
+    fn without_error_control_a_message_reassembles_in_one_pooled_buffer() {
+        let now = Instant::now();
+        let pool = BufPool::new();
+        let cfg = config(ErrorControlAlg::None, FlowControlAlg::None);
+        let mut rx = RxPlane::new(&cfg, &ConnCounters::default(), &pool);
+        let message = body(0, 3);
+        let part = |seq: usize| &message[seq * SDU..message.len().min((seq + 1) * SDU)];
+        for seq in 0..2 {
+            let step = rx.on_frame(&frame(0, seq, false, false, part(seq as usize)), now);
+            assert_eq!(step.ack, None);
+            assert!(matches!(step.delivered, Delivered::Nothing));
+        }
+        let step = rx.on_frame(&frame(0, 2, true, false, part(2)), now);
+        assert_eq!(step.ack, None);
+        let Delivered::Whole(whole, false) = step.delivered else {
+            panic!("one whole untagged message");
+        };
+        assert_eq!(&whole[..], &message[..]);
+        assert_eq!(pool.stats().checkouts, 1, "one buffer for three SDUs");
+        drop(whole);
+        assert_eq!(pool.stats().returns, 1, "the message was the pool's buffer");
+
+        rx.on_frame(&frame(1, 0, false, false, b"cut"), now);
+        let next = rx.on_frame(&frame(2, 0, true, false, b"next"), now);
+        assert_eq!(delivered(next), [b"next".to_vec()]);
+        assert_eq!(pool.stats().returns, 2, "the superseded session's buffer");
+        assert_eq!(rx.advertise(), None, "no flow control, no feedback");
     }
 
     // -- The retransmission timer, on a hand-stepped clock ----------------
@@ -1895,7 +2001,7 @@ mod tests {
                         }
                     }
                 }
-                delivered.extend(step.delivered.map(|(message, _tagged)| message));
+                delivered.extend(step.delivered.map(|(message, _tagged)| message.into_vec()));
             }
             while let Some(event) = ctrl_wire.pop_front() {
                 moved = true;

@@ -82,7 +82,7 @@ fn many_messages_in_order() {
 }
 
 #[test]
-fn bypass_mode_skips_control_threads() {
+fn bypass_mode_sends_no_feedback() {
     let (a, b) = linked_nodes(1024);
     let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::unreliable());
     ca.send(b"no fc no ec").unwrap();
@@ -90,11 +90,16 @@ fn bypass_mode_skips_control_threads() {
         cb.recv_timeout(Duration::from_secs(5)).unwrap(),
         b"no fc no ec"
     );
-    // No acks or credits should flow in bypass mode.
+    // The null strategies advertise nothing and acknowledge nothing.
     std::thread::sleep(Duration::from_millis(100));
-    let s = ca.stats();
-    assert_eq!(s.acks_received, 0, "{s}");
-    assert_eq!(s.credits_received, 0, "{s}");
+    for s in [ca.stats(), cb.stats()] {
+        assert_eq!(
+            (s.feedback_sent, s.acks_sent, s.credits_granted),
+            (0, 0, 0),
+            "{s}"
+        );
+        assert_eq!((s.acks_received, s.credits_received), (0, 0), "{s}");
+    }
     a.shutdown();
     b.shutdown();
 }
@@ -529,6 +534,44 @@ fn send_handoff_returns_before_a_refused_transmit_and_close_resolves_it() {
     );
     a.shutdown();
     b.shutdown();
+}
+
+/// Without error control nothing acknowledges a message, so its `isend`
+/// completes when its last frame is written, with or without flow control
+/// (which releases the frame before that): with the transmit refused its
+/// request stays open, and the close resolves it.
+#[test]
+fn isend_without_error_control_completes_on_the_write_and_close_resolves_it() {
+    let credit = ConnectionConfig::builder()
+        .flow_control(FlowControlAlg::CreditBased {
+            initial_credits: 4,
+            dynamic: false,
+        })
+        .error_control(ErrorControlAlg::None)
+        .build();
+    for config in [ConnectionConfig::unreliable(), credit] {
+        let (a, b, stopped) = stoppable_nodes();
+        let (ca, cb) = connect_pair(&a, &b, config.clone());
+        let through = ca.isend(b"through").expect("isend");
+        assert_eq!(through.wait_timeout(Duration::from_secs(5)), Ok(()));
+        assert_eq!(cb.recv_timeout(Duration::from_secs(5)).unwrap(), b"through");
+
+        stopped.store(true, Ordering::Release);
+        let stuck = ca.isend(b"stuck").expect("isend");
+        assert_eq!(
+            stuck.wait_timeout(Duration::from_millis(50)),
+            Err(SendError::Timeout),
+            "a refused transmit completed: {config:?}"
+        );
+        ca.close();
+        assert_eq!(
+            stuck.wait_timeout(Duration::from_secs(5)),
+            Err(SendError::Closed),
+            "{config:?}"
+        );
+        a.shutdown();
+        b.shutdown();
+    }
 }
 
 /// The hand-off is the §3.1 bypass's Send Thread: a connection whose

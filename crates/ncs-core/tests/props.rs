@@ -360,7 +360,7 @@ proptest! {
             max_retries: 64,
         };
         let mut tx = build_sender(&alg);
-        let mut rx = build_receiver(&alg);
+        let mut rx = build_receiver(&alg).expect("a receiver strategy");
         let payloads: Vec<Vec<u8>> =
             (0..n_sdus).map(|i| vec![i as u8; 3]).collect();
 
@@ -438,7 +438,7 @@ proptest! {
             max_retries: 200,
         };
         let mut tx = build_sender(&alg);
-        let mut rx = build_receiver(&alg);
+        let mut rx = build_receiver(&alg).expect("a receiver strategy");
         let payloads: Vec<Vec<u8>> = (0..n_sdus).map(|i| vec![i as u8; 2]).collect();
         let mut rng = loss_seed;
         let mut next = move || {

@@ -6,7 +6,7 @@
 //! blocking cooperatively on green threads.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,9 +64,6 @@ pub struct Mailbox<T> {
     /// Counts free slots for bounded mailboxes; senders block on it.
     slots: Option<Semaphore>,
     capacity: Option<usize>,
-    /// Messages queued past the capacity ([`Mailbox::send_over`]): slots
-    /// owed, settled by the next receives before any slot is freed.
-    owed: AtomicUsize,
     /// Fast-path flag: true iff `notify` holds a callback.
     has_notify: AtomicBool,
     /// Optional readiness callback, fired after every send. Read-write
@@ -99,7 +96,6 @@ impl<T> Mailbox<T> {
             items: Semaphore::new(0),
             slots: None,
             capacity: None,
-            owed: AtomicUsize::new(0),
             has_notify: AtomicBool::new(false),
             notify: RwLock::new(None),
         }
@@ -117,7 +113,6 @@ impl<T> Mailbox<T> {
             items: Semaphore::new(0),
             slots: Some(Semaphore::new(capacity)),
             capacity: Some(capacity),
-            owed: AtomicUsize::new(0),
             has_notify: AtomicBool::new(false),
             notify: RwLock::new(None),
         }
@@ -174,37 +169,10 @@ impl<T> Mailbox<T> {
         Ok(())
     }
 
-    /// Queues a message whether or not the mailbox is full: never blocks,
-    /// never fails. A slot it could not take is owed instead — the next
-    /// receive settles it rather than freeing a slot — so blocking senders
-    /// find the mailbox full until it is back under its limit.
-    ///
-    /// Not a general way round the bound: it exists for one caller,
-    /// `ncs-core`'s `NcsConnection::try_send_batch`, which may not wait
-    /// and may not queue half a message. It admits a multi-frame message
-    /// when it sees the send queue below its bound and must then queue
-    /// every frame — also the ones a concurrent sender on the same
-    /// connection took the room of between the look and the enqueue, and
-    /// the ones past the last free slot (the admission rule is "below the
-    /// bound", not "room for all of it").
-    pub fn send_over(&self, value: T) {
-        if self.slots.as_ref().is_some_and(|s| !s.try_acquire()) {
-            self.owed.fetch_add(1, Ordering::AcqRel);
-        }
-        self.queue.lock().push_back(value);
-        self.items.release();
-        self.notify();
-    }
-
-    /// Gives back the slots of `n` dequeued messages, owed ones first.
+    /// Gives back the slots of `n` dequeued messages.
     fn free_slots(&self, n: usize) {
-        let Some(slots) = &self.slots else { return };
-        for _ in 0..n {
-            let settle = |owed: usize| owed.checked_sub(1);
-            let (set, fetch) = (Ordering::AcqRel, Ordering::Acquire);
-            if self.owed.fetch_update(set, fetch, settle).is_err() {
-                slots.release();
-            }
+        if let Some(slots) = &self.slots {
+            slots.release_n(n);
         }
     }
 
@@ -369,28 +337,6 @@ mod tests {
         assert_eq!(m.try_send(2), Err(TrySendError(2)));
         assert_eq!(m.recv(), 1);
         assert!(m.try_send(3).is_ok());
-    }
-
-    #[test]
-    fn send_over_overshoots_and_the_mailbox_stays_full_until_back_under_its_limit() {
-        let m = Mailbox::bounded(2);
-        m.send_over(1); // takes a slot like any send
-        m.send(2);
-        m.send_over(3);
-        m.send_over(4); // two past the limit
-        assert_eq!(m.len(), 4);
-        assert_eq!(m.try_send(5), Err(TrySendError(5)));
-        assert_eq!((m.recv(), m.try_recv()), (1, Some(2)));
-        // Two receives settled the two owed slots; still full.
-        assert_eq!(m.try_send(5), Err(TrySendError(5)));
-        assert_eq!(m.recv_many(1, Duration::ZERO), [3]);
-        assert!(m.try_send(5).is_ok());
-        assert_eq!(m.try_send(6), Err(TrySendError(6)));
-        assert_eq!((m.recv(), m.recv()), (4, 5));
-        // An unbounded mailbox owes nothing.
-        let u = Mailbox::unbounded();
-        u.send_over(7);
-        assert_eq!(u.recv(), 7);
     }
 
     #[test]
