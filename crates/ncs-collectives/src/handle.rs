@@ -210,9 +210,8 @@ impl<R: CollectiveResult> Completion for CollectiveHandle<R> {
         self.completion.done.wait_timeout(timeout)
     }
 
-    fn subscribe(&self, notify: ncs_core::CompletionNotify) -> bool {
+    fn subscribe(&self, notify: ncs_core::CompletionNotify) {
         self.completion.subscribe(notify);
-        true
     }
 }
 

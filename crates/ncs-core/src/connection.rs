@@ -1313,38 +1313,13 @@ impl NcsConnection {
         }
     }
 
-    /// `NCS_send` for several messages in one call: validates the whole
-    /// batch, then queues it in order and activates the pipeline once per
-    /// admitted run. The messages queue back to back, so the pipeline packs
-    /// the small ones into trains and the Send plane coalesces the frames
-    /// into [`ncs_transport::Connection::try_send_batch`] transmissions;
-    /// each is asynchronous, exactly as [`NcsConnection::send`]. Blocks
-    /// (cooperatively) while the send queue of a connection without flow
-    /// and error control is full: this is
-    /// [`NcsConnection::try_send_batch`] plus the wait.
-    ///
-    /// # Errors
-    ///
-    /// As [`NcsConnection::send`]; validation errors are reported before
-    /// anything is queued.
-    pub fn send_batch(&self, msgs: &[&[u8]]) -> Result<(), SendError> {
-        let mut rest = msgs;
-        loop {
-            let admitted = self.try_send_batch(rest)?;
-            // Back-pressure: the first message refused waits for room
-            // frame by frame, the ones behind it are offered again.
-            let Some((refused, behind)) = rest[admitted..].split_first() else {
-                return Ok(());
-            };
-            self.send(refused)?;
-            rest = behind;
-        }
-    }
-
-    /// The half of [`NcsConnection::send_batch`] that never waits — for
+    /// `NCS_send` for several messages in one call, without waiting — for
     /// callers on an event loop (a receive sink, a reactor task), which
-    /// must not. Validates the whole batch, then admits whole messages in
-    /// order while there is room and returns how many: `Ok(n)` with
+    /// must not. The messages queue back to back, so the pipeline packs
+    /// the small ones into trains and the Send plane coalesces the frames
+    /// into [`ncs_transport::Connection::try_send_batch`] transmissions.
+    /// Validates the whole batch, then admits whole messages in order
+    /// while there is room and returns how many: `Ok(n)` with
     /// `n < msgs.len()` is back-pressure, not an error — offer the rest
     /// again later. The contract of
     /// [`ncs_transport::Connection::try_send_batch`], one layer up.
@@ -1864,7 +1839,7 @@ mod tests {
         }
         assert_eq!(cb.recv_timeout(Duration::from_secs(5)).expect("recv"), long);
         // Drained: the debt of the overshoot is settled, the bound is back.
-        ca.send_batch(&filler).expect("send_batch");
+        assert_eq!(ca.try_send_batch(&filler), Ok(filler.len()));
         for _ in &filler {
             assert_eq!(
                 cb.recv_timeout(Duration::from_secs(5)).expect("recv"),

@@ -232,7 +232,7 @@ pub(crate) mod tests {
     use crate::error_control::AckInfo;
     use crate::seq::AckBitmap;
     use ncs_threads::{KernelPackage, UserRuntime};
-    use ncs_transport::Capabilities;
+    use ncs_transport::{Capabilities, Readiness};
     use std::time::Duration;
 
     /// A channel whose blocking calls panic: whatever a task gets done
@@ -259,12 +259,6 @@ pub(crate) mod tests {
                 max_frame: 1 << 16,
             }
         }
-        fn send(&self, _: &[u8]) -> Result<(), TransportError> {
-            panic!("blocking send on the event loop")
-        }
-        fn recv(&self) -> Result<Vec<u8>, TransportError> {
-            panic!("blocking recv on the event loop")
-        }
         fn recv_timeout(&self, _: Duration) -> Result<Vec<u8>, TransportError> {
             panic!("blocking recv_timeout on the event loop")
         }
@@ -285,6 +279,9 @@ pub(crate) mod tests {
                 .lock()
                 .extend(frames[..n].iter().map(|f| f.to_vec()));
             Ok(n)
+        }
+        fn readiness(&self) -> Readiness {
+            Readiness::Waker
         }
         fn close(&self) {
             self.closed.store(true, Ordering::Release);
@@ -454,10 +451,7 @@ pub(crate) mod tests {
             fn caps(&self) -> Capabilities {
                 Stub::default().caps()
             }
-            fn send(&self, _: &[u8]) -> Result<(), TransportError> {
-                Err(TransportError::Closed)
-            }
-            fn recv(&self) -> Result<Vec<u8>, TransportError> {
+            fn send_batch(&self, _: &[&[u8]]) -> Result<usize, TransportError> {
                 Err(TransportError::Closed)
             }
             fn recv_timeout(&self, _: Duration) -> Result<Vec<u8>, TransportError> {
@@ -465,6 +459,9 @@ pub(crate) mod tests {
             }
             fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
                 Err(TransportError::Closed)
+            }
+            fn readiness(&self) -> Readiness {
+                Readiness::Waker
             }
             fn close(&self) {}
             fn peer_label(&self) -> String {

@@ -60,16 +60,11 @@ pub trait Completion {
     fn wait_complete(&self, timeout: Duration) -> bool;
 
     /// Registers `notify` to run when the operation completes — or
-    /// immediately, if it already has. Returns whether the implementation
-    /// supports subscription; `false` (the default) makes [`wait_any`]
-    /// fall back to sliced polling for this member.
+    /// immediately, if it already has.
     ///
     /// This is what lets a heterogeneous [`wait_any`] set park on one
     /// shared event instead of sweeping the set on a poll timer.
-    fn subscribe(&self, notify: CompletionNotify) -> bool {
-        let _ = notify;
-        false
-    }
+    fn subscribe(&self, notify: CompletionNotify);
 }
 
 /// Polls a heterogeneous completion set without blocking: `true` when
@@ -77,12 +72,6 @@ pub trait Completion {
 pub fn test_all(set: &[&dyn Completion]) -> bool {
     set.iter().all(|c| c.is_complete())
 }
-
-/// The fallback time slice `wait_any` parks when a set member does not
-/// support [`Completion::subscribe`]: short enough that a completion
-/// elsewhere in the set is noticed promptly, long enough that an idle
-/// wait doesn't spin.
-const WAIT_ANY_SLICE: Duration = Duration::from_millis(1);
 
 /// Blocks until *any* member of the set completes, returning its index
 /// (the first complete member on ties), or `None` if `timeout` elapses
@@ -92,11 +81,9 @@ const WAIT_ANY_SLICE: Duration = Duration::from_millis(1);
 /// `wait_any` over an `irecv`, an `iallreduce` and an `isend` and react
 /// to whichever finishes first.
 ///
-/// Every member completing [`subscribe`](Completion::subscribe)s the call
-/// to one shared event, so the waiting thread truly parks — zero CPU until
-/// a completion fires — rather than sweeping the set on a poll timer. A
-/// member whose implementation declines subscription degrades that call
-/// to sliced polling.
+/// Every member [`subscribe`](Completion::subscribe)s the call to one
+/// shared event, so the waiting thread truly parks — zero CPU until a
+/// completion fires — rather than sweeping the set on a poll timer.
 ///
 /// A member stays "complete" once it fires, so a loop that calls
 /// `wait_any` repeatedly must drop already-collected members from the
@@ -117,10 +104,10 @@ pub fn wait_any(set: &[&dyn Completion], timeout: Duration) -> Option<usize> {
     // one-shot, but wait_any returns on the first completion, so one shot
     // is all it takes.
     let fired = Arc::new(Event::new());
-    let parked = set.iter().all(|c| {
+    for c in set {
         let ev = Arc::clone(&fired);
-        c.subscribe(Arc::new(move || ev.fire()))
-    });
+        c.subscribe(Arc::new(move || ev.fire()));
+    }
     loop {
         for (i, c) in set.iter().enumerate() {
             if c.is_complete() {
@@ -131,16 +118,7 @@ pub fn wait_any(set: &[&dyn Completion], timeout: Duration) -> Option<usize> {
         if now >= deadline {
             return None;
         }
-        if parked {
-            fired.wait_timeout(deadline - now);
-        } else {
-            // At least one member cannot notify: poll in slices, parking
-            // each on the first incomplete member.
-            let slice = WAIT_ANY_SLICE.min(deadline - now);
-            if let Some(c) = set.iter().find(|c| !c.is_complete()) {
-                c.wait_complete(slice);
-            }
-        }
+        fired.wait_timeout(deadline - now);
     }
 }
 
@@ -457,9 +435,8 @@ impl<T> Completion for Request<T> {
         self.core.done.wait_timeout(timeout)
     }
 
-    fn subscribe(&self, notify: CompletionNotify) -> bool {
+    fn subscribe(&self, notify: CompletionNotify) {
         self.core.subscribe(notify);
-        true
     }
 }
 

@@ -445,14 +445,6 @@ impl Connection for StoppableChannel {
         self.pipe.caps()
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        self.pipe.send(frame)
-    }
-
-    fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        self.pipe.recv()
-    }
-
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
         self.pipe.recv_timeout(timeout)
     }
@@ -463,10 +455,6 @@ impl Connection for StoppableChannel {
 
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         self.pipe.send_batch(frames)
-    }
-
-    fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
-        self.pipe.recv_many(max, timeout)
     }
 
     fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {

@@ -392,7 +392,7 @@ fn a_lost_train_is_retransmitted_whole_and_delivered_once() {
         assert_eq!(before.retransmissions, 0, "the drop hit the warm-up");
         let batch: Vec<Vec<u8>> = (WARM..WARM + BATCH).map(|i| numbered(i, 8)).collect();
         let refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
-        tx.send_batch(&refs).expect("send_batch");
+        assert_eq!(tx.try_send_batch(&refs), Ok(refs.len()));
         for want in &batch {
             assert_eq!(&rx.recv_timeout(WAIT).expect("repaired"), want);
         }

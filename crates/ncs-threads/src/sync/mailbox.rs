@@ -169,13 +169,6 @@ impl<T> Mailbox<T> {
         Ok(())
     }
 
-    /// Gives back the slots of `n` dequeued messages.
-    fn free_slots(&self, n: usize) {
-        if let Some(slots) = &self.slots {
-            slots.release_n(n);
-        }
-    }
-
     /// Dequeues the oldest message, blocking until one arrives.
     pub fn recv(&self) -> T {
         self.items.acquire();
@@ -260,40 +253,15 @@ impl<T> Mailbox<T> {
         rejected
     }
 
-    /// Dequeues up to `max` messages under **one** queue-lock acquisition:
-    /// blocks until at least one message is available (or `timeout`
-    /// expires, returning an empty vector), then drains whatever else is
-    /// already queued, up to `max`.
-    pub fn recv_many(&self, max: usize, timeout: Duration) -> Vec<T> {
-        if max == 0 || !self.items.acquire_timeout(timeout) {
-            return Vec::new();
-        }
-        let mut taken = 1;
-        while taken < max && self.items.try_acquire() {
-            taken += 1;
-        }
-        let mut out = Vec::with_capacity(taken);
-        {
-            let mut queue = self.queue.lock();
-            for _ in 0..taken {
-                out.push(
-                    queue
-                        .pop_front()
-                        .expect("items semaphore guarantees queued messages"),
-                );
-            }
-        }
-        self.free_slots(taken);
-        out
-    }
-
     fn pop_after_acquire(&self) -> T {
         let value = self
             .queue
             .lock()
             .pop_front()
             .expect("items semaphore guarantees a queued message");
-        self.free_slots(1);
+        if let Some(slots) = &self.slots {
+            slots.release();
+        }
         value
     }
 
@@ -430,29 +398,6 @@ mod tests {
         let u = Mailbox::unbounded();
         assert!(u.try_send_many(vec![1, 2, 3]).is_empty());
         assert_eq!(u.len(), 3);
-    }
-
-    #[test]
-    fn recv_many_drains_in_order_up_to_max() {
-        let m = Mailbox::unbounded();
-        for i in 0..5 {
-            m.send(i);
-        }
-        assert_eq!(m.recv_many(3, Duration::from_millis(10)), vec![0, 1, 2]);
-        assert_eq!(m.recv_many(10, Duration::from_millis(10)), vec![3, 4]);
-        assert!(m.recv_many(3, Duration::from_millis(10)).is_empty());
-        assert!(m.recv_many(0, Duration::from_millis(10)).is_empty());
-    }
-
-    #[test]
-    fn recv_many_releases_bounded_slots() {
-        let m = Mailbox::bounded(2);
-        m.send(1);
-        m.send(2);
-        assert_eq!(m.recv_many(2, Duration::from_millis(10)), vec![1, 2]);
-        // Both slots must be free again.
-        assert!(m.try_send(3).is_ok());
-        assert!(m.try_send(4).is_ok());
     }
 
     #[test]

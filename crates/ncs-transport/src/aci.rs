@@ -5,10 +5,10 @@
 //! whole AAL5 frame (surfaced only in [`AciConnection::frame_errors`] — the
 //! receiving application simply never sees the frame, exactly like a real
 //! native-ATM API). They are ordered and limited to 64 KB frames. This is
-//! the interface NCS's flow-/error-control threads are designed for.
+//! the interface NCS's flow and error control are designed for.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,35 +19,24 @@ use atm_sim::{
 use ncs_threads::sync::{Event, Mailbox};
 use parking_lot::Mutex;
 
-use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{send_each, Capabilities, Connection, Inbox, Readiness, TransportError, Waker};
 
 /// Largest AAL5 frame.
 pub const MAX_FRAME: usize = atm_sim::aal5::MAX_FRAME;
 
-/// Inbound state of one ACI connection endpoint.
+/// Inbound state of one ACI connection endpoint: its stream ends when
+/// the VC is released.
 #[derive(Debug)]
 struct ConnBox {
-    frames: Mailbox<Vec<u8>>,
+    frames: Inbox,
     frame_errors: AtomicU64,
-    released: AtomicBool,
 }
 
 impl ConnBox {
-    /// What a wait that found no frame reports: the end, once the VC is
-    /// released and its queue drained.
-    fn idle(&self) -> TransportError {
-        if self.released.load(Ordering::Acquire) && self.frames.is_empty() {
-            TransportError::Closed
-        } else {
-            TransportError::Timeout
-        }
-    }
-
     fn new() -> Arc<Self> {
         Arc::new(ConnBox {
-            frames: Mailbox::unbounded(),
+            frames: Inbox::new(Mailbox::unbounded()),
             frame_errors: AtomicU64::new(0),
-            released: AtomicBool::new(false),
         })
     }
 }
@@ -98,7 +87,7 @@ impl DeliverySink for Registry {
                 let reg = self.host(host);
                 let boxes = reg.conns.lock();
                 if let Some(b) = boxes.get(&conn) {
-                    b.frames.send(frame);
+                    b.frames.queue.send(frame);
                 }
             }
             NetEvent::FrameError { host, conn, .. } => {
@@ -135,10 +124,7 @@ impl DeliverySink for Registry {
                 let reg = self.host(host);
                 let boxes = reg.conns.lock();
                 if let Some(b) = boxes.get(&conn) {
-                    b.released.store(true, Ordering::Release);
-                    // No frame will follow the release; wake readiness-
-                    // driven consumers so they observe the flag.
-                    b.frames.notify();
+                    b.frames.end();
                 }
             }
         }
@@ -355,62 +341,30 @@ impl Connection for AciConnection {
         }
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        valid_prefix(&[frame], MAX_FRAME)?;
-        if self.inbound.released.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        self.fabric
-            .pump
-            .send_frame(self.host, self.conn, frame.to_vec())
-            .map_err(|e| match e {
-                AtmError::NotActive(_) => TransportError::Closed,
-                other => map_atm(other),
-            })
-    }
-
-    fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        loop {
-            match self.recv_timeout(Duration::from_millis(50)) {
-                Err(TransportError::Timeout) => {}
-                end => return end,
+    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+        // Frame by frame: cells are the ATM network's transmission unit, so
+        // there is no sender-side buffer to coalesce admissions into.
+        send_each(frames, MAX_FRAME, |frame, _| {
+            if self.inbound.frames.has_ended() {
+                return Err(TransportError::Closed);
             }
-        }
+            self.fabric
+                .pump
+                .send_frame(self.host, self.conn, frame.to_vec())
+                .map(|()| true)
+                .map_err(|e| match e {
+                    AtmError::NotActive(_) => TransportError::Closed,
+                    other => map_atm(other),
+                })
+        })
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let frame = self.inbound.frames.recv_timeout(timeout);
-        frame.map_err(|_| self.inbound.idle())
+        self.inbound.frames.recv_timeout(timeout)
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        match self.inbound.frames.try_recv() {
-            Some(f) => Ok(Some(f)),
-            None => {
-                if self.inbound.released.load(Ordering::Acquire) {
-                    Err(TransportError::Closed)
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-
-    // `send_batch` keeps the trait default: cells are the ATM network's
-    // transmission unit, so there is no sender-side buffer to coalesce
-    // frame admissions into. The receive side, below, does coalesce.
-
-    fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        // One delivery-queue acquisition drains every reassembled frame.
-        let frames = self.inbound.frames.recv_many(max, timeout);
-        if frames.is_empty() {
-            Err(self.inbound.idle())
-        } else {
-            Ok(frames)
-        }
+        self.inbound.frames.try_recv()
     }
 
     fn readiness(&self) -> Readiness {
@@ -418,13 +372,12 @@ impl Connection for AciConnection {
     }
 
     fn register_waker(&self, waker: Option<Waker>) {
-        self.inbound.frames.set_notify(waker);
+        self.inbound.frames.queue.set_notify(waker);
     }
 
     fn close(&self) {
-        self.inbound.released.store(true, Ordering::Release);
+        self.inbound.frames.end();
         let _ = self.fabric.pump.close_vc(self.host, self.conn);
-        self.inbound.frames.notify();
     }
 
     fn peer_label(&self) -> String {

@@ -11,13 +11,15 @@
 //!   transfers;
 //! * frames are never corrupted or reordered.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_threads::sync::Mailbox;
 
-use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{
+    valid_prefix, Capabilities, Connection, Inbox, Readiness, TransportError, Waker,
+};
 
 /// Default ring capacity, in frames.
 pub const DEFAULT_RING: usize = 64;
@@ -25,30 +27,14 @@ pub const DEFAULT_RING: usize = 64;
 /// Largest frame HPI accepts. Sized to fit an NCS packet with a 64 KB SDU.
 pub const MAX_FRAME: usize = 128 * 1024;
 
-#[derive(Debug)]
-struct Ring {
-    queue: Mailbox<Vec<u8>>,
-    overruns: AtomicU64,
-    closed: AtomicBool,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(Ring {
-            queue: Mailbox::bounded(capacity),
-            overruns: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-        })
-    }
-}
-
 /// One endpoint of an HPI link. Create pairs with [`pair`].
 #[derive(Debug)]
 pub struct HpiConnection {
-    /// Ring we push into (owned by the peer's receive side).
-    tx: Arc<Ring>,
+    /// Ring we push into (the peer's receive side).
+    tx: Arc<Inbox>,
     /// Ring we pop from.
-    rx: Arc<Ring>,
+    rx: Arc<Inbox>,
+    overruns: AtomicU64,
     label: String,
 }
 
@@ -58,19 +44,17 @@ pub struct HpiConnection {
 ///
 /// Panics if `capacity` is zero.
 pub fn pair(capacity: usize) -> (HpiConnection, HpiConnection) {
-    let ab = Ring::new(capacity);
-    let ba = Ring::new(capacity);
+    let ab = Arc::new(Inbox::new(Mailbox::bounded(capacity)));
+    let ba = Arc::new(Inbox::new(Mailbox::bounded(capacity)));
+    let end = |tx, rx, label: &str| HpiConnection {
+        tx,
+        rx,
+        overruns: AtomicU64::new(0),
+        label: label.to_owned(),
+    };
     (
-        HpiConnection {
-            tx: Arc::clone(&ab),
-            rx: Arc::clone(&ba),
-            label: "hpi-peer-b".to_owned(),
-        },
-        HpiConnection {
-            tx: ba,
-            rx: ab,
-            label: "hpi-peer-a".to_owned(),
-        },
+        end(Arc::clone(&ab), Arc::clone(&ba), "hpi-peer-b"),
+        end(ba, ab, "hpi-peer-a"),
     )
 }
 
@@ -83,7 +67,7 @@ impl HpiConnection {
     /// Frames dropped because this endpoint's *outbound* ring was full
     /// (receiver overrun at the peer).
     pub fn overruns(&self) -> u64 {
-        self.tx.overruns.load(Ordering::Relaxed)
+        self.overruns.load(Ordering::Relaxed)
     }
 
     /// Frames currently queued for this endpoint to receive.
@@ -102,97 +86,35 @@ impl Connection for HpiConnection {
         }
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        valid_prefix(&[frame], MAX_FRAME)?;
-        if self.tx.closed.load(Ordering::Acquire) || self.rx.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        // NIC-ring semantics: a full ring is the receiver's problem — the
-        // frame is dropped, not back-pressured.
-        if self.tx.queue.try_send(frame.to_vec()).is_err() {
-            self.tx.overruns.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        loop {
-            // Poll-with-timeout so a concurrent close is eventually seen.
-            match self.rx.queue.recv_timeout(Duration::from_millis(50)) {
-                Ok(frame) => return Ok(frame),
-                Err(_) => {
-                    if self.rx.closed.load(Ordering::Acquire) && self.rx.queue.is_empty() {
-                        return Err(TransportError::Closed);
-                    }
-                }
-            }
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        match self.rx.queue.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(_) => {
-                if self.rx.closed.load(Ordering::Acquire) && self.rx.queue.is_empty() {
-                    Err(TransportError::Closed)
-                } else {
-                    Err(TransportError::Timeout)
-                }
-            }
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        match self.rx.queue.try_recv() {
-            Some(frame) => Ok(Some(frame)),
-            None => {
-                if self.rx.closed.load(Ordering::Acquire) {
-                    Err(TransportError::Closed)
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         let valid = valid_prefix(frames, MAX_FRAME)?;
         if valid == 0 {
             return Ok(0);
         }
-        if self.tx.closed.load(Ordering::Acquire) || self.rx.closed.load(Ordering::Acquire) {
+        if self.tx.has_ended() || self.rx.has_ended() {
             return Err(TransportError::Closed);
         }
-        // One ring acquisition for the whole batch. As with single-frame
-        // sends, frames beyond the ring's free space are the receiver's
-        // overrun, not backpressure — so every valid frame "sends".
+        // One ring acquisition for the whole batch. NIC-ring semantics: a
+        // full ring is the receiver's problem — frames beyond its free
+        // space are dropped (the receiver's overrun), not back-pressured,
+        // so every valid frame "sends".
         let rejected = self
             .tx
             .queue
             .try_send_many(frames[..valid].iter().map(|f| f.to_vec()));
         if !rejected.is_empty() {
-            self.tx
-                .overruns
+            self.overruns
                 .fetch_add(rejected.len() as u64, Ordering::Relaxed);
         }
         Ok(valid)
     }
 
-    fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        // One ring acquisition drains everything queued, up to `max`.
-        let frames = self.rx.queue.recv_many(max, timeout);
-        if frames.is_empty() {
-            if self.rx.closed.load(Ordering::Acquire) && self.rx.queue.is_empty() {
-                Err(TransportError::Closed)
-            } else {
-                Err(TransportError::Timeout)
-            }
-        } else {
-            Ok(frames)
-        }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+        self.rx.recv_timeout(timeout)
+    }
+
+    fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.rx.try_recv()
     }
 
     fn readiness(&self) -> Readiness {
@@ -204,12 +126,10 @@ impl Connection for HpiConnection {
     }
 
     fn close(&self) {
-        self.tx.closed.store(true, Ordering::Release);
-        self.rx.closed.store(true, Ordering::Release);
-        // Wake readiness-driven consumers on both endpoints so they observe
-        // the closed flags (no frame will arrive to do it for them).
-        self.tx.queue.notify();
-        self.rx.queue.notify();
+        // Both rings end, and their readiness-driven consumers wake to see
+        // it; frames already in our ring stay receivable.
+        self.tx.end();
+        self.rx.end();
     }
 
     fn peer_label(&self) -> String {

@@ -1,8 +1,11 @@
 //! The [`Connection`] trait implemented by every NCS communication
 //! interface.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+use ncs_threads::sync::Mailbox;
 
 /// A cooperative yield callback, invoked between non-blocking polls by
 /// interfaces whose natural waits are blocking system calls (SCI). The
@@ -24,31 +27,29 @@ pub type Waker = Arc<dyn Fn() + Send + Sync>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Readiness {
     /// The endpoint calls a registered [`Waker`] when frames arrive
-    /// (in-process mailbox transports: HPI, PIPE, ACI).
+    /// (in-process mailbox transports: HPI, PIPE, ACI, SIM).
     Waker,
     /// The endpoint is backed by an OS file descriptor (SCI sockets):
     /// `ncs-core`'s reactor watches it with `epoll(7)`, oneshot, and the
     /// task that drained it re-arms it.
     #[cfg(unix)]
     Fd(std::os::fd::RawFd),
-    /// No readiness signal is available; the event loop must poll
-    /// [`Connection::try_recv`] periodically.
-    Polling,
 }
 
 /// Static properties of a communication interface, consulted by NCS when
-/// configuring a connection (e.g. SCI is reliable, so the flow-/error-
-/// control threads are bypassed — paper §3.1).
+/// configuring a connection (e.g. SCI is reliable, so NCS runs it without
+/// flow and error control — the paper's §3.1 bypass).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Capabilities {
-    /// Interface family name ("SCI", "ACI", "HPI", "PIPE").
+    /// Interface family name ("SCI", "ACI", "HPI", "PIPE", "SIM").
     pub interface: &'static str,
     /// Frames are never lost or corrupted.
     pub reliable: bool,
-    /// Frames arrive in transmission order (all four interfaces here are
-    /// ordered; kept explicit because NCS's go-back-N assumes it).
+    /// Frames arrive in transmission order (all but SIM, whose reorder
+    /// policy lets frames overtake; kept explicit because NCS's go-back-N
+    /// assumes it).
     pub ordered: bool,
-    /// Largest frame accepted by [`Connection::send`].
+    /// Largest frame [`Connection::send_batch`] accepts.
     pub max_frame: usize,
 }
 
@@ -106,8 +107,8 @@ impl From<std::io::Error> for TransportError {
 /// How many leading frames of a batch an interface whose largest frame is
 /// `max` bytes may send: the batch is cut at the first invalid frame
 /// (empty, or too large), whose error is the result only when it is the
-/// very first — the valid prefix goes out, exactly as repeated `send`
-/// calls would have sent it, and the error resurfaces on the retry.
+/// very first — the valid prefix goes out, and the error resurfaces on the
+/// retry.
 pub(crate) fn valid_prefix(frames: &[&[u8]], max: usize) -> Result<usize, TransportError> {
     match frames.iter().position(|f| f.is_empty() || f.len() > max) {
         Some(0) if frames[0].is_empty() => Err(TransportError::Empty),
@@ -120,16 +121,97 @@ pub(crate) fn valid_prefix(frames: &[&[u8]], max: usize) -> Result<usize, Transp
     }
 }
 
+/// [`Connection::send_batch`] for an interface that takes frames one at a
+/// time: `send_one(frame, first)` sends one frame, and answers `false`
+/// when a frame after the first cannot be taken without blocking. The
+/// batch is cut there, at its first invalid frame ([`valid_prefix`]) and
+/// at the first frame that fails, whose error is the result only when it
+/// is the very first.
+pub(crate) fn send_each(
+    frames: &[&[u8]],
+    max: usize,
+    mut send_one: impl FnMut(&[u8], bool) -> Result<bool, TransportError>,
+) -> Result<usize, TransportError> {
+    let valid = valid_prefix(frames, max)?;
+    for (i, frame) in frames[..valid].iter().enumerate() {
+        match send_one(frame, i == 0) {
+            Ok(true) => {}
+            Err(e) if i == 0 => return Err(e),
+            Ok(false) | Err(_) => return Ok(i),
+        }
+    }
+    Ok(valid)
+}
+
+/// The receive half the mailbox-backed interfaces (HPI, PIPE, ACI, SIM)
+/// share: the frames that arrived and are not yet taken, and whether the
+/// stream has ended. Once it has, a receive that finds the queue empty
+/// reads [`TransportError::Closed`].
+#[derive(Debug)]
+pub(crate) struct Inbox {
+    pub(crate) queue: Mailbox<Vec<u8>>,
+    ended: AtomicBool,
+}
+
+impl Inbox {
+    pub(crate) fn new(queue: Mailbox<Vec<u8>>) -> Self {
+        Inbox {
+            queue,
+            ended: AtomicBool::new(false),
+        }
+    }
+
+    /// Ends the stream, and wakes a readiness-driven consumer to see it
+    /// (no frame will arrive to do that).
+    pub(crate) fn end(&self) {
+        self.ended.store(true, Ordering::Release);
+        self.queue.notify();
+    }
+
+    pub(crate) fn has_ended(&self) -> bool {
+        self.ended.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+        self.queue.recv_timeout(timeout).map_err(|_| {
+            if self.has_ended() && self.queue.is_empty() {
+                TransportError::Closed
+            } else {
+                TransportError::Timeout
+            }
+        })
+    }
+
+    pub(crate) fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+        // The flag first: every frame queued before the end is then in
+        // the queue, so an empty queue means a drained stream.
+        let ended = self.has_ended();
+        match self.queue.try_recv() {
+            Some(frame) => Ok(Some(frame)),
+            None if ended => Err(TransportError::Closed),
+            None => Ok(None),
+        }
+    }
+}
+
+/// How long each wait of the provided [`Connection::recv`] lasts before it
+/// looks again, so that a close is seen even by an interface whose timed
+/// receive a close does not wake.
+const RECV_SLICE: Duration = Duration::from_millis(50);
+
 /// A frame-oriented, bidirectional transport endpoint.
 ///
 /// Implementations differ in reliability and cost (see [`Capabilities`]);
-/// NCS composes its flow-/error-control threads on top accordingly.
+/// NCS runs its flow and error control on top accordingly.
+///
+/// An interface implements three data operations: the batch send
+/// [`Connection::send_batch`], the timed receive
+/// [`Connection::recv_timeout`] and the polled receive
+/// [`Connection::try_recv`]. [`Connection::send`], [`Connection::recv`]
+/// and [`Connection::recv_many`] are provided over them, and
+/// [`Connection::try_send_batch`] defaults to the batch send.
 ///
 /// # Batching contract
-///
-/// [`Connection::send_batch`] and [`Connection::recv_many`] move several
-/// frames per transport acquisition. Every implementation — default or
-/// overridden — upholds the same contract:
 ///
 /// * **Ordering is preserved.** Frames of a batch are transmitted, and
 ///   delivered to the peer, in slice order; frames returned by `recv_many`
@@ -137,77 +219,77 @@ pub(crate) fn valid_prefix(frames: &[&[u8]], max: usize) -> Result<usize, Transp
 ///   never reorders.
 /// * **Partial batches on backpressure.** `send_batch` may accept only a
 ///   prefix of the batch: when the transport would block (full kernel
-///   buffer, exhausted ring) after at least one frame went out, it returns
-///   the count sent instead of blocking; the caller retries the remainder.
-///   It blocks (exactly like [`Connection::send`]) only when the *first*
-///   frame cannot be accepted. Likewise `recv_many` returns as soon as the
-///   receive queue empties — between 1 and `max` frames — rather than
-///   waiting to fill `max`.
-/// * **Equivalent semantics.** A batch behaves like the same frames sent
-///   through repeated [`Connection::send`] calls: per-frame validation,
-///   loss behaviour (e.g. HPI overruns) and close handling are unchanged.
+///   buffer) after at least one frame went out, it returns the count sent
+///   instead of blocking; the caller retries the remainder. It blocks only
+///   when the *first* frame cannot be accepted. Likewise `recv_many`
+///   returns as soon as the receive queue empties — between 1 and `max`
+///   frames — rather than waiting to fill `max`.
+/// * **Per-frame semantics.** A batch behaves like the same frames sent
+///   one by one: per-frame validation, loss behaviour (e.g. HPI overruns)
+///   and close handling are the same.
 pub trait Connection: Send + Sync + std::fmt::Debug {
     /// The interface's static properties.
     fn caps(&self) -> Capabilities;
 
-    /// Transmits one frame. May block (SCI with a full kernel buffer —
+    /// Transmits a batch of frames in order, returning how many were
+    /// accepted (see the trait-level batching contract). May block when
+    /// the first frame cannot be taken (PIPE with a full kernel buffer —
     /// which, under the user-level thread package, stalls the whole
     /// process, the effect measured in Figure 10).
     ///
     /// # Errors
     ///
-    /// [`TransportError::TooLarge`]/[`TransportError::Empty`] for invalid
-    /// frames, [`TransportError::Closed`] after either side closed.
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError>;
-
-    /// Receives the next frame, blocking until one arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] once the peer closed and all queued
-    /// frames were drained.
-    fn recv(&self) -> Result<Vec<u8>, TransportError>;
+    /// Errors only when **no** frame of the batch was accepted:
+    /// [`TransportError::TooLarge`]/[`TransportError::Empty`] for an
+    /// invalid first frame, [`TransportError::Closed`] after either side
+    /// closed. After a partial batch the failure resurfaces on the next
+    /// call.
+    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError>;
 
     /// Receives with a deadline.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Timeout`] if nothing arrived in time, otherwise as
-    /// [`Connection::recv`].
+    /// [`TransportError::Timeout`] if nothing arrived in time;
+    /// [`TransportError::Closed`] once the connection closed and every
+    /// frame that arrived before was taken.
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError>;
 
     /// Non-blocking receive; `Ok(None)` when no frame is queued.
     ///
     /// # Errors
     ///
-    /// As [`Connection::recv`].
+    /// [`TransportError::Closed`] as for [`Connection::recv_timeout`].
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError>;
 
-    /// Transmits a batch of frames in order, returning how many were
-    /// accepted (see the trait-level batching contract). The default
-    /// implementation loops [`Connection::send`]; interfaces with a
-    /// coalescible ring or kernel buffer (HPI, PIPE, ACI) override it to
-    /// acquire that resource once per batch.
+    /// Transmits one frame: [`Connection::send_batch`] of one.
     ///
     /// # Errors
     ///
-    /// Errors only when **no** frame of the batch was accepted, with the
-    /// same errors as [`Connection::send`]. After a partial batch the
-    /// failure resurfaces on the next call.
-    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
-        for (i, frame) in frames.iter().enumerate() {
-            if let Err(e) = self.send(frame) {
-                return if i == 0 { Err(e) } else { Ok(i) };
+    /// As [`Connection::send_batch`].
+    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
+        self.send_batch(&[frame]).map(drop)
+    }
+
+    /// Receives the next frame, blocking until one arrives: repeated
+    /// [`Connection::recv_timeout`]s of 50 ms, so a close is seen.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Closed`] once the connection closed and every
+    /// frame that arrived before was taken.
+    fn recv(&self) -> Result<Vec<u8>, TransportError> {
+        loop {
+            match self.recv_timeout(RECV_SLICE) {
+                Err(TransportError::Timeout) => {}
+                end => return end,
             }
         }
-        Ok(frames.len())
     }
 
     /// Receives up to `max` frames: blocks until at least one arrives (or
-    /// `timeout` expires), then drains whatever else is already queued.
-    /// The default implementation combines [`Connection::recv_timeout`]
-    /// with [`Connection::try_recv`]; queue-backed interfaces override it
-    /// to drain under a single queue acquisition.
+    /// `timeout` expires), then takes whatever else is already queued —
+    /// [`Connection::recv_timeout`], then [`Connection::try_recv`]s.
     ///
     /// # Errors
     ///
@@ -232,12 +314,12 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     /// Non-blocking batch transmit: accepts as many frames as the
     /// transport can take *right now* and returns the count, `Ok(0)` when
     /// the first frame would block. Never blocks the caller. The default
-    /// implementation delegates to [`Connection::send_batch`], which is
-    /// correct for transports whose "blocking" resolves without help from
-    /// the calling thread (HPI rings never block; PIPE's modeled kernel
-    /// buffer is drained by its own pacing thread). Transports whose sends
-    /// can block on the *peer* making progress (SCI kernel sockets)
-    /// override this so a shared event loop is never wedged.
+    /// delegates to [`Connection::send_batch`], which is correct for
+    /// transports whose "blocking" resolves without help from the calling
+    /// thread (HPI rings never block; PIPE's modeled kernel buffer is
+    /// drained by its own pacing thread). SCI, whose sends can block on
+    /// the *peer* making progress, overrides this so a shared event loop
+    /// is never wedged.
     ///
     /// # Errors
     ///
@@ -259,20 +341,19 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     }
 
     /// How an event loop should wait for inbound frames on this endpoint.
-    /// The default is [`Readiness::Polling`].
-    fn readiness(&self) -> Readiness {
-        Readiness::Polling
-    }
+    fn readiness(&self) -> Readiness;
 
     /// Installs (or with `None`, removes) a readiness [`Waker`]. Endpoints
     /// reporting [`Readiness::Waker`] invoke it on every frame arrival and
     /// on close; [`Readiness::Fd`] endpoints invoke it on close only (frame
-    /// arrival is visible through the descriptor). The default implementation
-    /// ignores the waker — matching [`Readiness::Polling`].
+    /// arrival is visible through the descriptor). The default ignores the
+    /// waker, for endpoints that never become readable on their own.
     fn register_waker(&self, _waker: Option<Waker>) {}
 
-    /// Closes the connection. Idempotent. Queued inbound frames remain
-    /// receivable; subsequent sends fail with [`TransportError::Closed`].
+    /// Closes the connection. Idempotent. Subsequent sends on either side
+    /// fail with [`TransportError::Closed`]. The peer reads `Closed` only
+    /// after every frame sent before the close (on every interface but
+    /// ACI, whose circuit release can overtake frames in flight).
     fn close(&self);
 
     /// Diagnostic label of the remote endpoint.

@@ -5,7 +5,7 @@
 //!
 //! * **SCI** — Socket Communication Interface ([`sci`]): real TCP sockets.
 //!   Reliable and ordered (the kernel's TCP does flow/error control), so NCS
-//!   bypasses its own flow-/error-control threads; maximally portable.
+//!   bypasses its own flow and error control; maximally portable.
 //! * **ACI** — ATM Communication Interface ([`aci`]): native-ATM AAL5
 //!   frames over the [`atm_sim`] substrate. Unreliable (cell loss kills
 //!   whole frames) and ordered; NCS supplies flow and error control —
@@ -26,9 +26,12 @@
 //! feed a central event queue, used by the thousand-rank simulation
 //! backend in `ncs-runtime`.
 //!
-//! All of them implement [`Connection`]; receive paths block through
-//! [`ncs_threads::sync`] so the same protocol code runs over the user-level
-//! or kernel-level thread package.
+//! All of them implement [`Connection`], each of its three data operations
+//! once — the batch send, the timed receive and the polled receive — and
+//! get the single-frame send, the blocking receive and the batch receive
+//! from the trait. Receive paths block through [`ncs_threads::sync`] so the
+//! same protocol code runs over the user-level or kernel-level thread
+//! package.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -57,6 +57,12 @@ impl Metered {
         self.frames_received.inc();
         self.bytes_received.add(frame.len() as u64);
     }
+
+    fn note_tx(&self, frames: &[&[u8]], sent: usize) {
+        self.frames_sent.add(sent as u64);
+        let bytes: usize = frames[..sent].iter().map(|f| f.len()).sum();
+        self.bytes_sent.add(bytes as u64);
+    }
 }
 
 impl Connection for Metered {
@@ -64,17 +70,10 @@ impl Connection for Metered {
         self.inner.caps()
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        self.inner.send(frame)?;
-        self.frames_sent.inc();
-        self.bytes_sent.add(frame.len() as u64);
-        Ok(())
-    }
-
-    fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        let frame = self.inner.recv()?;
-        self.note_rx(&frame);
-        Ok(frame)
+    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+        let sent = self.inner.send_batch(frames)?;
+        self.note_tx(frames, sent);
+        Ok(sent)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
@@ -91,28 +90,14 @@ impl Connection for Metered {
         Ok(frame)
     }
 
-    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
-        let sent = self.inner.send_batch(frames)?;
-        self.frames_sent.add(sent as u64);
-        let bytes: usize = frames.iter().take(sent).map(|f| f.len()).sum();
-        self.bytes_sent.add(bytes as u64);
-        Ok(sent)
-    }
-
-    fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
-        let frames = self.inner.recv_many(max, timeout)?;
-        self.frames_received.add(frames.len() as u64);
-        let bytes: usize = frames.iter().map(|f| f.len()).sum();
-        self.bytes_received.add(bytes as u64);
-        Ok(frames)
-    }
-
     fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         let sent = self.inner.try_send_batch(frames)?;
-        self.frames_sent.add(sent as u64);
-        let bytes: usize = frames.iter().take(sent).map(|f| f.len()).sum();
-        self.bytes_sent.add(bytes as u64);
+        self.note_tx(frames, sent);
         Ok(sent)
+    }
+
+    fn owes_bytes(&self) -> bool {
+        self.inner.owes_bytes()
     }
 
     fn readiness(&self) -> Readiness {
@@ -152,5 +137,16 @@ mod tests {
         assert_eq!(snap.counter_total("ncs_transport_bytes_sent_total"), 9);
         assert_eq!(snap.counter_total("ncs_transport_frames_received_total"), 3);
         assert_eq!(snap.counter_total("ncs_transport_bytes_received_total"), 9);
+    }
+
+    /// A metered SCI endpoint still says when a frame its socket took
+    /// only part of owes bytes: nothing else makes the caller write them.
+    #[test]
+    fn forwards_what_a_partial_frame_owes() {
+        let (a, _b) = crate::sci::loopback_pair().unwrap();
+        let a = Metered::register(Arc::new(a), &Registry::new());
+        assert!(!a.owes_bytes());
+        assert_eq!(a.try_send_batch(&[&vec![3u8; 4 << 20]]), Ok(1));
+        assert!(a.owes_bytes(), "no socket buffer holds 4 MiB");
     }
 }

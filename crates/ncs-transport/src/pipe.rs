@@ -21,7 +21,7 @@ use ncs_threads::sync::Mailbox;
 use netmodel::{Pacer, PlatformProfile};
 use parking_lot::{Condvar, Mutex};
 
-use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{send_each, Capabilities, Connection, Inbox, Readiness, TransportError, Waker};
 
 /// Largest frame the pipe accepts.
 pub const MAX_FRAME: usize = 1024 * 1024;
@@ -71,10 +71,13 @@ struct PipeDir {
     /// partial-write blocking model.
     drain_bytes_per_sec: Option<u64>,
     time_scale: f64,
-    /// Frames waiting for the drain thread.
+    /// Frames waiting for the drain thread, and behind the last of them,
+    /// once the sender closed, an empty frame: the end of the stream.
     inflight: Mailbox<Vec<u8>>,
-    /// Frames delivered to the receiver.
-    delivered: Mailbox<Vec<u8>>,
+    /// Frames delivered to the receiver; it ends when the drain reaches
+    /// the end marker, or when the receiver closes.
+    delivered: Inbox,
+    /// Either end closed: the direction takes no more frames.
     closed: AtomicBool,
 }
 
@@ -87,24 +90,35 @@ impl PipeDir {
             drain_bytes_per_sec: config.drain_bytes_per_sec,
             time_scale: config.time_scale,
             inflight: Mailbox::unbounded(),
-            delivered: Mailbox::unbounded(),
+            delivered: Inbox::new(Mailbox::unbounded()),
             closed: AtomicBool::new(false),
         })
     }
 
-    fn close(&self) {
+    /// Takes no more frames, and wakes a sender waiting for room.
+    fn refuse(&self) {
         self.closed.store(true, Ordering::Release);
         self.space.notify_all();
+    }
+
+    /// Whether a write of `len` bytes waits for room while `used` bytes
+    /// are buffered: an empty buffer takes any frame (a larger one as a
+    /// partial write), a non-empty one only a frame that fits.
+    fn must_wait(&self, used: usize, len: usize) -> bool {
+        used > 0 && used + len > self.capacity
     }
 }
 
 /// Drain thread: moves frames from the kernel buffer onto the "wire" at the
-/// configured rate, then delivers them after the configured latency.
+/// configured rate, then delivers them after the configured latency, and
+/// ends the receiver's stream at the sender's end marker.
 fn run_drain(dir: Arc<PipeDir>, config: PipeConfig) {
     loop {
         let frame = match dir.inflight.recv_timeout(Duration::from_millis(50)) {
+            Ok(f) if f.is_empty() => return dir.delivered.end(),
             Ok(f) => f,
             Err(_) => {
+                // The receiver closed, and nothing is left to carry.
                 if dir.closed.load(Ordering::Acquire) && dir.inflight.is_empty() {
                     return;
                 }
@@ -130,7 +144,7 @@ fn run_drain(dir: Arc<PipeDir>, config: PipeConfig) {
         if !wall_latency.is_zero() {
             netmodel::precise_wait(wall_latency);
         }
-        dir.delivered.send(frame);
+        dir.delivered.queue.send(frame);
     }
 }
 
@@ -182,6 +196,70 @@ pub fn pair_with_models(
     )
 }
 
+impl PipeConnection {
+    /// Writes one frame into the kernel buffer — `first` of its batch, or
+    /// `false` and nothing done when a later frame would block. Charges
+    /// the sender's stack cost outside the buffer lock, so it overlaps the
+    /// concurrent drain as in the 1998 timing model.
+    fn write(&self, frame: &[u8], first: bool) -> Result<bool, TransportError> {
+        let dir = &self.tx;
+        if dir.closed.load(Ordering::Acquire) {
+            return Err(TransportError::Closed);
+        }
+        if !first && (frame.len() > dir.capacity || dir.must_wait(*dir.used.lock(), frame.len())) {
+            return Ok(false);
+        }
+        if let Some(m) = &self.model {
+            m.pacer.charge(m.profile.send_cost(frame.len()));
+        }
+        let frame_len = frame.len();
+        let frame = frame.to_vec();
+        // Kernel buffer admission: blocks AT OS LEVEL when full — under the
+        // user-level thread package this stalls every green thread, which is
+        // precisely the §4.1 behaviour. The frame queues under the lock, so
+        // it is either ahead of a close's end marker or refused.
+        let mut used = dir.used.lock();
+        loop {
+            if dir.closed.load(Ordering::Acquire) {
+                return Err(TransportError::Closed);
+            }
+            if !dir.must_wait(*used, frame_len) {
+                break;
+            }
+            dir.space.wait(&mut used);
+        }
+        *used += frame_len;
+        dir.inflight.send(frame);
+        drop(used);
+        // Partial-write model: a frame larger than the kernel buffer keeps
+        // `write` blocked while the excess drains onto the wire (the drain
+        // runs concurrently; the writer is released once all but the last
+        // buffer-full has left). This is the §4.1 blocking that stalls the
+        // whole process under a user-level thread package.
+        if frame_len > dir.capacity {
+            if let Some(rate) = dir.drain_bytes_per_sec {
+                let excess = (frame_len - dir.capacity) as u64;
+                let model = Duration::from_nanos(excess * 1_000_000_000 / rate.max(1));
+                netmodel::precise_wait(model.mul_f64(dir.time_scale));
+            }
+        }
+        Ok(true)
+    }
+
+    /// Charges the receiver's stack cost for `frame`.
+    fn received(&self, frame: Vec<u8>) -> Vec<u8> {
+        if let Some(m) = &self.model {
+            m.pacer.charge(m.profile.recv_cost(frame.len()));
+        }
+        frame
+    }
+
+    /// Bytes currently occupying this endpoint's kernel send buffer.
+    pub fn send_buffer_used(&self) -> usize {
+        *self.tx.used.lock()
+    }
+}
+
 impl Connection for PipeConnection {
     fn caps(&self) -> Capabilities {
         Capabilities {
@@ -192,170 +270,18 @@ impl Connection for PipeConnection {
         }
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        valid_prefix(&[frame], MAX_FRAME)?;
-        if self.tx.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        // Sender-side protocol stack cost.
-        if let Some(m) = &self.model {
-            m.pacer.charge(m.profile.send_cost(frame.len()));
-        }
-        // Kernel buffer admission: blocks AT OS LEVEL when full — under the
-        // user-level thread package this stalls every green thread, which is
-        // precisely the §4.1 behaviour.
-        {
-            let mut used = self.tx.used.lock();
-            while *used > 0 && *used + frame.len() > self.tx.capacity {
-                if self.tx.closed.load(Ordering::Acquire) {
-                    return Err(TransportError::Closed);
-                }
-                self.tx.space.wait(&mut used);
-            }
-            *used += frame.len();
-        }
-        self.tx.inflight.send(frame.to_vec());
-        // Partial-write model: a frame larger than the kernel buffer keeps
-        // `write` blocked while the excess drains onto the wire (the drain
-        // runs concurrently; the writer is released once all but the last
-        // buffer-full has left). This is the §4.1 blocking that stalls the
-        // whole process under a user-level thread package.
-        if frame.len() > self.tx.capacity {
-            if let Some(rate) = self.tx.drain_bytes_per_sec {
-                let excess = (frame.len() - self.tx.capacity) as u64;
-                let model = Duration::from_nanos(excess * 1_000_000_000 / rate.max(1));
-                netmodel::precise_wait(model.mul_f64(self.tx.time_scale));
-            }
-        }
-        Ok(())
-    }
-
-    fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        loop {
-            match self.rx.delivered.recv_timeout(Duration::from_millis(50)) {
-                Ok(frame) => {
-                    if let Some(m) = &self.model {
-                        m.pacer.charge(m.profile.recv_cost(frame.len()));
-                    }
-                    return Ok(frame);
-                }
-                Err(_) => {
-                    if self.rx.closed.load(Ordering::Acquire) && self.rx.delivered.is_empty() {
-                        return Err(TransportError::Closed);
-                    }
-                }
-            }
-        }
+    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+        send_each(frames, MAX_FRAME, |frame, first| self.write(frame, first))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        match self.rx.delivered.recv_timeout(timeout) {
-            Ok(frame) => {
-                if let Some(m) = &self.model {
-                    m.pacer.charge(m.profile.recv_cost(frame.len()));
-                }
-                Ok(frame)
-            }
-            Err(_) => {
-                if self.rx.closed.load(Ordering::Acquire) && self.rx.delivered.is_empty() {
-                    Err(TransportError::Closed)
-                } else {
-                    Err(TransportError::Timeout)
-                }
-            }
-        }
+        let frame = self.rx.delivered.recv_timeout(timeout)?;
+        Ok(self.received(frame))
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        match self.rx.delivered.try_recv() {
-            Some(frame) => {
-                if let Some(m) = &self.model {
-                    m.pacer.charge(m.profile.recv_cost(frame.len()));
-                }
-                Ok(Some(frame))
-            }
-            None => {
-                if self.rx.closed.load(Ordering::Acquire) {
-                    Err(TransportError::Closed)
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-
-    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
-        if self.model.is_some() {
-            // Modelled endpoints charge per-frame platform stack costs
-            // that must overlap the concurrent drain; batching them under
-            // the buffer lock would serialise sender and drain and distort
-            // the 1998 timing model. Keep the single-frame path.
-            for (i, frame) in frames.iter().enumerate() {
-                if let Err(e) = self.send(frame) {
-                    return if i == 0 { Err(e) } else { Ok(i) };
-                }
-            }
-            return Ok(frames.len());
-        }
-        let mut sent = 0;
-        let mut used = self.tx.used.lock();
-        // The kernel buffer is acquired once; frames are admitted back to
-        // back (the scatter-gather write of the era's writev).
-        for frame in frames {
-            let closed = self.tx.closed.load(Ordering::Acquire);
-            let invalid = valid_prefix(&[frame], MAX_FRAME).err();
-            if let Some(e) = invalid.or(closed.then_some(TransportError::Closed)) {
-                return if sent > 0 { Ok(sent) } else { Err(e) };
-            }
-            if frame.len() > self.tx.capacity {
-                // Oversized frames keep `write` blocked while the excess
-                // drains (the §4.1 model): hand them to the single-frame
-                // path, outside the buffer lock.
-                if sent > 0 {
-                    return Ok(sent);
-                }
-                drop(used);
-                self.send(frame)?;
-                return Ok(1);
-            }
-            if *used > 0 && *used + frame.len() > self.tx.capacity {
-                if sent > 0 {
-                    // Backpressure after progress: hand the partial batch
-                    // back instead of blocking (see the trait contract).
-                    return Ok(sent);
-                }
-                while *used > 0 && *used + frame.len() > self.tx.capacity {
-                    if self.tx.closed.load(Ordering::Acquire) {
-                        return Err(TransportError::Closed);
-                    }
-                    self.tx.space.wait(&mut used);
-                }
-            }
-            *used += frame.len();
-            self.tx.inflight.send(frame.to_vec());
-            sent += 1;
-        }
-        Ok(sent)
-    }
-
-    fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
-        if max == 0 {
-            return Ok(Vec::new());
-        }
-        // One delivery-queue acquisition drains everything pending.
-        let frames = self.rx.delivered.recv_many(max, timeout);
-        if frames.is_empty() {
-            return if self.rx.closed.load(Ordering::Acquire) && self.rx.delivered.is_empty() {
-                Err(TransportError::Closed)
-            } else {
-                Err(TransportError::Timeout)
-            };
-        }
-        if let Some(m) = &self.model {
-            let total: Duration = frames.iter().map(|f| m.profile.recv_cost(f.len())).sum();
-            m.pacer.charge(total);
-        }
-        Ok(frames)
+        let frame = self.rx.delivered.try_recv()?;
+        Ok(frame.map(|f| self.received(f)))
     }
 
     fn readiness(&self) -> Readiness {
@@ -363,27 +289,24 @@ impl Connection for PipeConnection {
     }
 
     fn register_waker(&self, waker: Option<Waker>) {
-        self.rx.delivered.set_notify(waker);
+        self.rx.delivered.queue.set_notify(waker);
     }
 
     fn close(&self) {
-        self.tx.close();
-        self.rx.close();
-        // Wake readiness-driven consumers on both endpoints so they observe
-        // the closed flags.
-        self.tx.delivered.notify();
-        self.rx.delivered.notify();
+        // Our receives end now and the peer's sends fail. Our own sends
+        // fail too, but the peer's stream ends only where the drain meets
+        // the end marker, behind every frame we sent before — TCP's order.
+        self.rx.refuse();
+        self.rx.delivered.end();
+        let _admission = self.tx.used.lock();
+        if !self.tx.closed.load(Ordering::Acquire) {
+            self.tx.refuse();
+            self.tx.inflight.send(Vec::new());
+        }
     }
 
     fn peer_label(&self) -> String {
         self.label.clone()
-    }
-}
-
-impl PipeConnection {
-    /// Bytes currently occupying this endpoint's kernel send buffer.
-    pub fn send_buffer_used(&self) -> usize {
-        *self.tx.used.lock()
     }
 }
 
@@ -557,12 +480,33 @@ mod tests {
     fn close_semantics() {
         let (a, b) = pair(PipeConfig::default());
         a.send(b"final").unwrap();
-        // Give the drain thread a moment to deliver before closing.
-        std::thread::sleep(Duration::from_millis(30));
         a.close();
         assert_eq!(a.send(b"x"), Err(TransportError::Closed));
+        assert_eq!(b.send(b"y"), Err(TransportError::Closed));
         assert_eq!(b.recv().unwrap(), b"final");
-        assert_eq!(b.try_recv(), Err(TransportError::Closed));
+        assert_eq!(b.recv(), Err(TransportError::Closed));
+    }
+
+    /// A close right behind a send: the peer, polling, reads the frame
+    /// before `Closed`, every time — the drain thread still carries the
+    /// frame when the close happens, and the stream ends behind it.
+    #[test]
+    fn a_polling_peer_reads_every_frame_sent_before_the_close() {
+        let lost = (0..200)
+            .filter(|_| {
+                let (a, b) = pair(PipeConfig::default());
+                a.send(b"final").unwrap();
+                a.close();
+                loop {
+                    match b.try_recv() {
+                        Ok(None) => std::thread::yield_now(),
+                        Ok(Some(frame)) => break frame != b"final",
+                        Err(_) => break true,
+                    }
+                }
+            })
+            .count();
+        assert_eq!(lost, 0, "{lost} of 200 frames lost to the close");
     }
 
     #[test]

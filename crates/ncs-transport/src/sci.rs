@@ -2,7 +2,7 @@
 //! framing.
 //!
 //! TCP provides flow and error control in the kernel, so NCS configures SCI
-//! connections without its own flow-/error-control threads (paper §3.1:
+//! connections without its own flow and error control (paper §3.1:
 //! "the `NCS_send()` and `NCS_recv()` primitives bypass the Flow Control
 //! Thread and Error Control Thread"). SCI is the portability interface: it
 //! runs on anything with sockets.
@@ -246,36 +246,6 @@ impl SciConnection {
         }
     }
 
-    /// What a receive does while the socket has nothing: yield with a
-    /// yield hook, wait in `poll(2)` without one — until `deadline`.
-    fn await_input(
-        &self,
-        hook: Option<&YieldHook>,
-        deadline: Option<Instant>,
-    ) -> Result<(), TransportError> {
-        match hook {
-            None => self.wait(POLLIN, deadline),
-            Some(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
-                Err(TransportError::Timeout)
-            }
-            Some(hook) => {
-                hook();
-                Ok(())
-            }
-        }
-    }
-
-    fn recv_deadline(&self, deadline: Option<Instant>) -> Result<Vec<u8>, TransportError> {
-        let hook = self.yield_hook.lock().clone();
-        let mut rb = self.reader.lock();
-        loop {
-            if let Some(frame) = self.next_frame(&mut rb)? {
-                return Ok(frame);
-            }
-            self.await_input(hook.as_ref(), deadline)?;
-        }
-    }
-
     /// One gathered write (`writev`): the backlog, then a length prefix
     /// and a body for each of up to [`BATCH_FRAMES`] of `frames`. Returns
     /// how many frames the socket took; one it took part of counts, and
@@ -356,17 +326,22 @@ impl Connection for SciConnection {
         }
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        valid_prefix(&[frame], MAX_FRAME)?;
-        self.send_all(&[frame]).map(drop)
-    }
-
-    fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        self.recv_deadline(None)
-    }
-
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.recv_deadline(Some(Instant::now() + timeout))
+        let deadline = Instant::now() + timeout;
+        let hook = self.yield_hook.lock().clone();
+        let mut rb = self.reader.lock();
+        loop {
+            if let Some(frame) = self.next_frame(&mut rb)? {
+                return Ok(frame);
+            }
+            // Nothing yet: yield with a yield hook (the §4.1 user-level
+            // discipline), wait in `poll(2)` without one.
+            match &hook {
+                None => self.wait(POLLIN, Some(deadline))?,
+                Some(_) if Instant::now() >= deadline => return Err(TransportError::Timeout),
+                Some(hook) => hook(),
+            }
+        }
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -390,28 +365,6 @@ impl Connection for SciConnection {
             Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(0),
             taken => Ok(taken?),
         }
-    }
-
-    fn recv_many(&self, max: usize, timeout: Duration) -> Result<Vec<Vec<u8>>, TransportError> {
-        let deadline = Instant::now() + timeout;
-        let hook = self.yield_hook.lock().clone();
-        // One reader-lock acquisition for the entire batch.
-        let mut rb = self.reader.lock();
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.next_frame(&mut rb) {
-                Ok(Some(frame)) => out.push(frame),
-                // With frames in hand, return them now: whatever stopped
-                // the drain (an empty socket, a refused prefix, the end of
-                // the stream) is met again by the next call.
-                Ok(None) | Err(_) if !out.is_empty() => break,
-                // Nothing yet: wait for the first frame, cooperatively when
-                // a yield hook is installed (the §4.1 user-level discipline).
-                Ok(None) => self.await_input(hook.as_ref(), Some(deadline))?,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
     }
 
     fn owes_bytes(&self) -> bool {

@@ -22,7 +22,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{send_each, Capabilities, Connection, Inbox, Readiness, TransportError, Waker};
 
 /// Largest frame SIM accepts (matches HPI: an NCS packet with a 64 KB SDU).
 pub const MAX_FRAME: usize = 128 * 1024;
@@ -252,12 +252,6 @@ struct DirState {
 }
 
 #[derive(Debug)]
-struct Inbox {
-    queue: Mailbox<Vec<u8>>,
-    closed: AtomicBool,
-}
-
-#[derive(Debug)]
 struct NetInner {
     now: SimTime,
     next_seq: u64,
@@ -311,14 +305,8 @@ impl SimNet {
         policy_ab: LinkPolicy,
         policy_ba: LinkPolicy,
     ) -> (SimConnection, SimConnection) {
-        let a_inbox = Arc::new(Inbox {
-            queue: Mailbox::unbounded(),
-            closed: AtomicBool::new(false),
-        });
-        let b_inbox = Arc::new(Inbox {
-            queue: Mailbox::unbounded(),
-            closed: AtomicBool::new(false),
-        });
+        let a_inbox = Arc::new(Inbox::new(Mailbox::unbounded()));
+        let b_inbox = Arc::new(Inbox::new(Mailbox::unbounded()));
         let mut inner = self.inner.lock();
         let link = inner.next_link;
         inner.next_link += 1;
@@ -378,9 +366,8 @@ impl SimNet {
             if let Some(dirs) = inner.links.get(&f.link) {
                 let inbox = &dirs[f.dir].inbox;
                 if f.close {
-                    inbox.closed.store(true, Ordering::Release);
-                    inbox.queue.notify();
-                } else if !inbox.closed.load(Ordering::Acquire) {
+                    inbox.end();
+                } else if !inbox.has_ended() {
                     inbox.queue.send(f.frame);
                     delivered += 1;
                 }
@@ -520,52 +507,22 @@ impl Connection for SimConnection {
         }
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
-        valid_prefix(&[frame], MAX_FRAME)?;
-        if self.rx.closed.load(Ordering::Acquire) || self.tx.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        self.net.transmit(self.link, self.dir_out, frame);
-        Ok(())
-    }
-
-    fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        loop {
-            match self.rx.queue.recv_timeout(Duration::from_millis(50)) {
-                Ok(frame) => return Ok(frame),
-                Err(_) => {
-                    if self.rx.closed.load(Ordering::Acquire) && self.rx.queue.is_empty() {
-                        return Err(TransportError::Closed);
-                    }
-                }
+    fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+        send_each(frames, MAX_FRAME, |frame, _| {
+            if self.rx.has_ended() || self.tx.has_ended() {
+                return Err(TransportError::Closed);
             }
-        }
+            self.net.transmit(self.link, self.dir_out, frame);
+            Ok(true)
+        })
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        match self.rx.queue.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(_) => {
-                if self.rx.closed.load(Ordering::Acquire) && self.rx.queue.is_empty() {
-                    Err(TransportError::Closed)
-                } else {
-                    Err(TransportError::Timeout)
-                }
-            }
-        }
+        self.rx.recv_timeout(timeout)
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        match self.rx.queue.try_recv() {
-            Some(frame) => Ok(Some(frame)),
-            None => {
-                if self.rx.closed.load(Ordering::Acquire) {
-                    Err(TransportError::Closed)
-                } else {
-                    Ok(None)
-                }
-            }
-        }
+        self.rx.try_recv()
     }
 
     fn readiness(&self) -> Readiness {
@@ -581,8 +538,7 @@ impl Connection for SimConnection {
         // but tell the peer through the wire: the close marker queues
         // behind every frame already sent, so the peer drains our final
         // frames before seeing `Closed` — never the other way round.
-        self.rx.closed.store(true, Ordering::Release);
-        self.rx.queue.notify();
+        self.rx.end();
         self.net.transmit_close(self.link, self.dir_out);
     }
 

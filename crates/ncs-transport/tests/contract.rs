@@ -1,0 +1,306 @@
+//! The `Connection` contract, checked once over every interface: HPI,
+//! PIPE, ACI, SCI, SIM (an ideal link whose virtual time the harness
+//! advances) and `Metered` over HPI.
+
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use atm_sim::{LinkSpec, NetworkBuilder, PumpConfig, QosParams};
+use ncs_transport::aci::AciFabric;
+use ncs_transport::sim::{LinkPolicy, SimNet};
+use ncs_transport::{hpi, pipe, sci, Connection, Metered, TransportError};
+
+/// How long a frame may take to arrive on a real-time interface.
+const ARRIVAL: Duration = Duration::from_secs(5);
+
+/// A connected pair of one interface.
+struct Pair {
+    name: &'static str,
+    a: Arc<dyn Connection>,
+    b: Arc<dyn Connection>,
+    /// Delivers what is in flight: advances a SIM fabric's virtual time,
+    /// and does nothing on the interfaces that deliver on their own.
+    settle: Box<dyn Fn()>,
+    /// Runs when the pair is dropped (stops the ACI fabric's pump).
+    teardown: Option<Box<dyn FnOnce()>>,
+}
+
+impl Drop for Pair {
+    fn drop(&mut self) {
+        if let Some(teardown) = self.teardown.take() {
+            teardown();
+        }
+    }
+}
+
+impl Pair {
+    fn new(name: &'static str, a: impl Connection + 'static, b: impl Connection + 'static) -> Self {
+        Pair {
+            name,
+            a: Arc::new(a),
+            b: Arc::new(b),
+            settle: Box::new(|| {}),
+            teardown: None,
+        }
+    }
+
+    /// The next frame `b` receives, polled with `try_recv`: `Ok(None)`
+    /// answers are waited out, up to [`ARRIVAL`].
+    fn next(&self) -> Result<Vec<u8>, TransportError> {
+        let deadline = Instant::now() + ARRIVAL;
+        loop {
+            (self.settle)();
+            match self.b.try_recv() {
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Ok(None) => panic!("{}: nothing arrived", self.name),
+                Ok(Some(frame)) => return Ok(frame),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Sends all of `frames` from `a`, retrying the rest of a partial
+    /// batch.
+    fn send_all(&self, frames: &[&[u8]]) {
+        let mut sent = 0;
+        while sent < frames.len() {
+            sent += self.a.send_batch(&frames[sent..]).expect(self.name);
+        }
+    }
+}
+
+fn hpi_pair() -> Pair {
+    let (a, b) = hpi::pair_default();
+    Pair::new("HPI", a, b)
+}
+
+fn pipe_pair() -> Pair {
+    let (a, b) = pipe::pair(pipe::PipeConfig::default());
+    Pair::new("PIPE", a, b)
+}
+
+fn aci_pair() -> Pair {
+    let net = NetworkBuilder::new()
+        .host("a")
+        .host("b")
+        .switch("sw")
+        .link("a", "sw", LinkSpec::oc3())
+        .link("b", "sw", LinkSpec::oc3())
+        .build()
+        .unwrap();
+    let fabric = AciFabric::start(net, PumpConfig::default());
+    let dev_b = fabric.device("b").unwrap();
+    let accept = std::thread::spawn(move || dev_b.accept().unwrap());
+    let a = fabric
+        .device("a")
+        .unwrap()
+        .connect("b", QosParams::unspecified())
+        .unwrap();
+    let mut pair = Pair::new("ACI", a, accept.join().unwrap());
+    pair.teardown = Some(Box::new(move || fabric.shutdown()));
+    pair
+}
+
+fn sci_pair() -> Pair {
+    let (a, b) = sci::loopback_pair().unwrap();
+    Pair::new("SCI", a, b)
+}
+
+fn sim_pair() -> Pair {
+    let net = SimNet::new(7);
+    let (a, b) = net.pair(LinkPolicy::ideal(), LinkPolicy::ideal());
+    let mut pair = Pair::new("SIM", a, b);
+    pair.settle = Box::new(move || while net.step().is_some() {});
+    pair
+}
+
+fn metered_hpi_pair() -> Pair {
+    let registry = ncs_obs::Registry::new();
+    let (a, b) = hpi::pair_default();
+    let a = Metered::register(Arc::new(a), &registry);
+    let b = Metered::register(Arc::new(b), &registry);
+    Pair::new("Metered HPI", a, b)
+}
+
+const ENDPOINTS: [fn() -> Pair; 6] = [
+    hpi_pair,
+    pipe_pair,
+    aci_pair,
+    sci_pair,
+    sim_pair,
+    metered_hpi_pair,
+];
+
+/// Runs `check` over a fresh pair of every interface.
+fn each_interface(check: impl Fn(&Pair)) {
+    for make in ENDPOINTS {
+        let pair = make();
+        eprintln!("-- {}", pair.name);
+        check(&pair);
+    }
+}
+
+#[test]
+fn empty_and_oversize_frames_are_refused() {
+    each_interface(|p| {
+        let max = p.a.caps().max_frame;
+        let big = vec![1u8; max + 1];
+        assert_eq!(p.a.send(b""), Err(TransportError::Empty), "{}", p.name);
+        assert_eq!(
+            p.a.send(&big),
+            Err(TransportError::TooLarge { len: max + 1, max }),
+            "{}",
+            p.name
+        );
+        assert_eq!(p.a.send_batch(&[]), Ok(0), "{}", p.name);
+        assert_eq!(
+            p.b.recv_timeout(Duration::from_millis(20)),
+            Err(TransportError::Timeout)
+        );
+    });
+}
+
+#[test]
+fn a_batch_is_cut_at_its_first_invalid_frame() {
+    each_interface(|p| {
+        let big = vec![1u8; p.a.caps().max_frame + 1];
+        let (one, two, three): (&[u8], &[u8], &[u8]) = (b"one", b"two", b"three");
+        assert_eq!(p.a.send_batch(&[one, two, b"", three]), Ok(2), "{}", p.name);
+        assert_eq!(p.a.send_batch(&[b"", three]), Err(TransportError::Empty));
+        assert_eq!(p.a.send_batch(&[three, &big]), Ok(1), "{}", p.name);
+        for want in [one, two, three] {
+            assert_eq!(p.next().unwrap(), want, "{}", p.name);
+        }
+        (p.settle)();
+        assert_eq!(
+            p.b.recv_timeout(Duration::from_millis(20)),
+            Err(TransportError::Timeout)
+        );
+    });
+}
+
+#[test]
+fn order_is_kept_within_and_across_batches() {
+    each_interface(|p| {
+        let frames: Vec<Vec<u8>> = (0..40u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        p.send_all(&refs[..15]);
+        for frame in &refs[15..20] {
+            p.a.send(frame).expect(p.name);
+        }
+        p.send_all(&refs[20..]);
+        for want in &frames {
+            assert_eq!(&p.next().unwrap(), want, "{}", p.name);
+        }
+    });
+}
+
+#[test]
+fn timed_and_polled_receives_wait_for_a_frame() {
+    each_interface(|p| {
+        let start = Instant::now();
+        assert_eq!(
+            p.b.recv_timeout(Duration::from_millis(30)),
+            Err(TransportError::Timeout),
+            "{}",
+            p.name
+        );
+        assert!(start.elapsed() >= Duration::from_millis(25), "{}", p.name);
+        assert_eq!(p.b.try_recv(), Ok(None), "{}", p.name);
+        p.a.send(b"late").unwrap();
+        assert_eq!(p.next().unwrap(), b"late", "{}", p.name);
+        assert_eq!(p.b.try_recv(), Ok(None), "{}", p.name);
+    });
+}
+
+#[test]
+fn a_blocked_recv_wakes_on_close() {
+    each_interface(|p| {
+        let (done_tx, done) = mpsc::channel();
+        let b = Arc::clone(&p.b);
+        let receiver = std::thread::spawn(move || done_tx.send(b.recv()));
+        std::thread::sleep(Duration::from_millis(30));
+        p.a.close();
+        let deadline = Instant::now() + ARRIVAL;
+        let outcome = loop {
+            (p.settle)();
+            if let Ok(outcome) = done.recv_timeout(Duration::from_millis(5)) {
+                break outcome;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{}: recv slept through the close",
+                p.name
+            );
+        };
+        assert_eq!(outcome, Err(TransportError::Closed), "{}", p.name);
+        receiver.join().unwrap().unwrap();
+    });
+}
+
+#[test]
+fn sends_after_close_fail_closed() {
+    each_interface(|p| {
+        p.a.close();
+        p.a.close();
+        assert_eq!(p.a.send(b"x"), Err(TransportError::Closed), "{}", p.name);
+        let x: &[u8] = b"x";
+        assert_eq!(
+            p.a.send_batch(&[x, x]),
+            Err(TransportError::Closed),
+            "{}",
+            p.name
+        );
+    });
+}
+
+/// Every interface but ACI, whose circuit release may overtake frames in
+/// flight (a native-ATM API makes no such promise).
+#[test]
+fn frames_sent_before_close_arrive_before_closed() {
+    each_interface(|p| {
+        if p.name == "ACI" {
+            return;
+        }
+        let (one, two, three): (&[u8], &[u8], &[u8]) = (b"one", b"two", b"three");
+        p.a.send(one).unwrap();
+        p.send_all(&[two, three]);
+        p.a.close();
+        for want in [one, two, three] {
+            assert_eq!(p.next(), Ok(want.to_vec()), "{}", p.name);
+        }
+        assert_eq!(p.next(), Err(TransportError::Closed), "{}", p.name);
+    });
+}
+
+#[test]
+fn recv_many_honours_max() {
+    each_interface(|p| {
+        assert_eq!(p.b.recv_many(0, Duration::from_millis(1)), Ok(Vec::new()));
+        assert_eq!(
+            p.b.recv_many(4, Duration::from_millis(20)),
+            Err(TransportError::Timeout),
+            "{}",
+            p.name
+        );
+        let frames: Vec<Vec<u8>> = (0..7u8).map(|i| vec![i; 3]).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        p.send_all(&refs);
+        let mut got = Vec::new();
+        while got.len() < frames.len() {
+            (p.settle)();
+            let batch = p.b.recv_many(2, ARRIVAL).expect(p.name);
+            assert!(
+                (1..=2).contains(&batch.len()),
+                "{}: {} frames",
+                p.name,
+                batch.len()
+            );
+            got.extend(batch);
+        }
+        assert_eq!(got, frames, "{}", p.name);
+    });
+}
