@@ -12,8 +12,8 @@
 //! takes channels with [`PeerLink::try_accept_channel`] and is told when
 //! to look through [`PeerLink::watch_accepts`]. Incoming channels queue
 //! in one of two places: a mailbox (HPI, PIPE, SIM, ACI) that fires a
-//! waker, or a listening socket (SCI) the reactor's `epoll(7)` thread
-//! multiplexes.
+//! waker, or a listening socket (SCI) the reactor watches in an
+//! `epoll(7)` set.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -214,7 +214,7 @@ impl MetricSource for ReactorMetricSource {
             ),
             counter_family(
                 "ncs_reactor_poller_wakes_total",
-                "returns of the fd poller thread from epoll_wait",
+                "epoll waits that returned readiness reports",
                 s.poller_wakes,
             ),
             counter_family(
@@ -363,11 +363,14 @@ pub struct ReactorStats {
     pub task_runs: u64,
     /// Timer deadlines that fired.
     pub timer_fires: u64,
-    /// Readiness events delivered by the `epoll(7)` thread (SCI sockets).
+    /// Readiness reports delivered to a live registration (SCI sockets
+    /// and listeners), by a shard from its own `epoll(7)` set or by the
+    /// user-level package's poller thread.
     pub fd_events: u64,
-    /// Times the `epoll(7)` thread woke from `epoll_wait` (its stop
-    /// aside): once per batch of readiness reports. A task re-arming its
-    /// socket does not wake it.
+    /// Waits in an `epoll(7)` set, by either driver, that returned at
+    /// least one readiness report: once per batch of reports. A timeout,
+    /// an interrupted wait or a ring of the set's bell adds none, and a
+    /// task re-arming its socket wakes nobody.
     pub poller_wakes: u64,
     /// Times a task was observed looping `Again` long enough to be called
     /// stalled (diagnostic: a healthy run stays at 0).
