@@ -56,7 +56,14 @@
 //!   costs one timer per timeout period, not one per operation. The task
 //!   holds the group weakly and ends with it: a closed group that owes
 //!   nothing is freed the moment its last handle is dropped, whatever
-//!   deadline was armed.
+//!   deadline was armed. A reactor that shuts down drops it too, without
+//!   waiting for the group.
+//! * **What a node's shutdown does.** The group is closed from the moment
+//!   its node's shutdown begins ([`NcsNode::is_shut_down`]). The node
+//!   then closes the group's links, and each link's sink reports its death
+//!   — the step that report brings fails the operation in flight and every
+//!   queued one `Closed`, as `close()` does, and every later call fails
+//!   the same way. Nothing polls for it.
 //!
 //! The event loops run on the node's configured
 //! [`ncs_threads::ThreadPackage`], so the same engine runs over the
@@ -260,6 +267,9 @@ struct Inner {
     /// machine is given is read from it, so a simulated member times out
     /// on virtual time, never the wall (see `ncs_core::clock`).
     clock: Arc<dyn Clock>,
+    /// The member's node: once it shuts down, the group is closed (the
+    /// closes of its links bring the step that learns it).
+    node: NcsNode,
     stats: StatCounters,
 }
 
@@ -272,10 +282,9 @@ impl Inner {
         if epoch != 0 {
             return Err(CollectiveError::ViewChanged { epoch });
         }
-        if self.closed.load(Ordering::Acquire) {
-            Err(CollectiveError::Closed)
-        } else {
-            Ok(())
+        match self.closed.load(Ordering::Acquire) || self.node.is_shut_down() {
+            true => Err(CollectiveError::Closed),
+            false => Ok(()),
         }
     }
 
@@ -579,6 +588,7 @@ impl CollectiveGroup {
                 view_changed: AtomicU64::new(0),
                 fault: Mutex::new(None),
                 clock: node.clock(),
+                node: node.clone(),
                 stats: StatCounters::registered(&node.registry(), id),
             }
         });

@@ -120,8 +120,10 @@ impl NcsGroup {
     }
 
     /// A member that saw a link fail must not go on as if the group were
-    /// whole: a relay that could not forward leaves a subtree unserved.
+    /// whole: a relay that could not forward leaves a subtree unserved. A
+    /// group that is closed (left, or its node shut down) says so first.
     fn check(&self) -> Result<(), GroupError> {
+        self.group.check_closed()?;
         self.group.link_fault().map_or(Ok(()), |e| Err(e.into()))
     }
 

@@ -1,12 +1,15 @@
 //! The paper-named group services ([`NcsGroup`]): multicast by repetitive
-//! send and along a spanning tree, the barrier, and what the façade owes
-//! its callers when a link under it dies.
+//! send and along a spanning tree, the barrier, what the façade owes its
+//! callers when a link under it dies, and what a node's shutdown does to
+//! a group still held.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ncs_collectives::{GroupError, MulticastAlgo, NcsGroup};
+use ncs_collectives::{
+    CollectiveError, CollectiveGroup, GroupError, MulticastAlgo, NcsGroup, ReduceOp,
+};
 use ncs_core::link::HpiLinkPair;
 use ncs_core::{ConnectionConfig, NcsConnection, NcsNode};
 
@@ -238,4 +241,62 @@ fn connected_group_owns_no_threads() {
         g.leave();
         n.shutdown();
     }
+}
+
+/// Shuts `node` down and asserts that it returned at once, with no task
+/// left behind by its event loops.
+fn prompt_shutdown(node: &NcsNode) {
+    let start = Instant::now();
+    node.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "{}: shutdown took {took:?}",
+        node.name()
+    );
+    let left = node.reactor().stats().tasks_left_at_shutdown;
+    assert_eq!(left, 0, "{}: tasks left at shutdown", node.name());
+}
+
+/// A group the application still holds is one of the things its node's
+/// shutdown retires: the shutdown does not wait for it, and every later
+/// call on it fails `Closed`, as after `leave`.
+#[test]
+fn shutdown_retires_a_held_group_and_its_later_calls_fail_closed() {
+    let members = build_group(3, MulticastAlgo::SpanningTree);
+    for (node, group) in &members {
+        prompt_shutdown(node);
+        for result in [
+            group.multicast(b"after"),
+            group.barrier(Duration::from_secs(10)),
+            group.recv_timeout(Duration::from_secs(10)).map(drop),
+        ] {
+            assert_eq!(result, Err(GroupError::Closed), "{}", node.name());
+        }
+    }
+}
+
+/// So is a collective in flight, and one queued behind it: both fail
+/// `Closed` by the time the shutdown returns, not at their timeout — the
+/// closes of the group's links bring the step that fails them.
+#[test]
+fn shutdown_fails_the_collectives_in_flight_closed_at_once() {
+    let (nodes, conns) = mesh(2);
+    let groups: Vec<CollectiveGroup> = nodes
+        .iter()
+        .zip(conns)
+        .enumerate()
+        .map(|(rank, (node, links))| CollectiveGroup::new(node, 1, rank, links).unwrap())
+        .collect();
+    // Rank 1 enters nothing: rank 0's barrier waits, its allreduce queues.
+    let barrier = groups[0].ibarrier().unwrap();
+    let queued = groups[0].iallreduce(vec![1.0f64], ReduceOp::Sum).unwrap();
+    assert!(!barrier.test() && !queued.test());
+    prompt_shutdown(&nodes[0]);
+    let resolved = Duration::from_millis(50);
+    assert_eq!(barrier.wait_timeout(resolved), Err(CollectiveError::Closed));
+    assert_eq!(queued.wait_timeout(resolved), Err(CollectiveError::Closed));
+    assert_eq!(groups[0].barrier(), Err(CollectiveError::Closed));
+    prompt_shutdown(&nodes[1]);
+    assert_eq!(groups[1].barrier(), Err(CollectiveError::Closed));
 }

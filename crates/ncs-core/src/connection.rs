@@ -82,7 +82,7 @@ use crate::config::{ConnectionConfig, ErrorControlAlg};
 use crate::packet::{CtrlMsg, DataHeader, DataPacket};
 use crate::plane::{sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
 use crate::pool::{BufPool, PooledBuf};
-use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
+use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskKind, TaskPoll, Watch};
 use crate::request::{DeliveryQueue, MsgView, Request, RequestCore};
 use crate::stats::{ConnCounters, ConnectionStats};
 
@@ -135,16 +135,18 @@ impl SendQueue {
     /// overshoots by at most one message and none is too long to ever fit.
     /// With `wait` the call blocks (cooperatively) while the queue is full;
     /// without, the caller admitted the message while there was room
-    /// ([`NcsConnection::try_send_batch`]). Fails once the connection is
-    /// `closed`, so producers never hang on a task that has already
-    /// retired.
+    /// ([`NcsConnection::try_send_batch`]). A parked sender waits for
+    /// room or the connection's close, which wakes it as a release does,
+    /// and fails once the connection is `closed`, so producers never hang
+    /// on a task that has already retired.
     fn admit(&self, sdus: usize, wait: bool, closed: &AtomicBool) -> Result<(), SendError> {
         while wait && self.len() >= SEND_QUEUE_DEPTH {
             self.parked.fetch_add(1, Ordering::SeqCst);
-            // Looked at again once announced: a release that came before
-            // saw nobody parked and woke nobody.
-            if self.len() >= SEND_QUEUE_DEPTH {
-                self.room.acquire_timeout(IDLE_TICK);
+            // Looked at again once announced: a release or a close that
+            // came before saw nobody parked and woke nobody. (Sequentially
+            // consistent on both sides: one of the two sees the other.)
+            if self.len() >= SEND_QUEUE_DEPTH && !closed.load(Ordering::SeqCst) {
+                self.room.acquire();
             }
             self.parked.fetch_sub(1, Ordering::SeqCst);
             if closed.load(Ordering::Acquire) {
@@ -692,7 +694,7 @@ impl ConnShared {
     }
 
     pub(crate) fn initiate_close(&self) {
-        if self.closed.swap(true, Ordering::AcqRel) {
+        if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
         *self.state.lock() = ConnState::Closed;
@@ -716,7 +718,7 @@ impl ConnShared {
 
     pub(crate) fn peer_closed(&self) {
         self.closed_by_peer.store(true, Ordering::Release);
-        if self.closed.swap(true, Ordering::AcqRel) {
+        if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
         *self.state.lock() = ConnState::Closed;
@@ -758,13 +760,17 @@ impl ConnShared {
             self.delivery.fail_all(SendError::Closed);
         }
         self.established.fire();
+        // Senders parked for room or, in direct mode, for the peer's next
+        // word see the close now.
+        if let Some(q) = &self.queued {
+            q.room.release_n(q.parked.load(Ordering::SeqCst));
+        }
+        self.ctrl_inbox.send(CtrlEvent::Closed);
         // Schedule the task so it observes `closed` and runs the closing
         // drain (flush sends / deliver final frames), then retires.
         self.wake_task();
     }
 }
-
-const IDLE_TICK: Duration = Duration::from_millis(100);
 
 /// Frames drained per poll round before the task yields its shard with
 /// [`TaskPoll::Again`] (keeps one firehose connection from starving its
@@ -786,7 +792,7 @@ pub(crate) const TX_RETRY: Duration = Duration::from_millis(1);
 /// drain normally ends much earlier — when the data channel reports EOF
 /// (the peer's transport close follows its last frame) — the linger only
 /// bounds transports that never signal EOF.
-const CLOSE_LINGER: Duration = Duration::from_millis(250);
+pub(crate) const CLOSE_LINGER: Duration = Duration::from_millis(250);
 
 /// Attaches a connection to the reactor: one [`ConnTask`] multiplexing all
 /// four Figure-4 planes onto a shared event loop. Direct mode (§4.2)
@@ -795,7 +801,8 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
     if shared.config.direct {
         return;
     }
-    let handle = reactor.spawn(true, |_| Box::new(ConnTask::new(Arc::clone(shared))));
+    let task = Box::new(ConnTask::new(Arc::clone(shared)));
+    let handle = reactor.spawn(TaskKind::Connection, |_| task);
     let watch = reactor.watch(&shared.transport, &handle);
     *shared.task.write() = Some((Arc::clone(&handle), watch));
     // Frames arriving between the task's first poll and the subscription
@@ -1403,7 +1410,7 @@ impl NcsConnection {
     /// [`SendError::Timeout`] when nothing arrived in time.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, SendError> {
         Ok(self
-            .recv_view_deadline(Some(Instant::now() + timeout))?
+            .recv_view_deadline(Instant::now().checked_add(timeout))?
             .into_vec())
     }
 
@@ -1418,7 +1425,7 @@ impl NcsConnection {
     /// As [`NcsConnection::recv_timeout`], and the connection's terminal
     /// error once it is closed (or its link died) and drained.
     pub fn recv_view(&self, timeout: Duration) -> Result<MsgView, SendError> {
-        self.recv_view_deadline(Some(Instant::now() + timeout))
+        self.recv_view_deadline(Instant::now().checked_add(timeout))
     }
 
     fn recv_view_deadline(&self, deadline: Option<Instant>) -> Result<MsgView, SendError> {
@@ -1504,8 +1511,8 @@ impl NcsConnection {
                 return Err(SendError::Closed);
             }
             // Wait for the peer's next word, but no longer than the
-            // pipeline's own deadline.
-            let wait = timer.map_or(IDLE_TICK, |at| at.saturating_duration_since(Instant::now()));
+            // pipeline's own deadline; a close ends the wait too.
+            let wait = timer.map_or(Duration::MAX, |at| at.duration_since(Instant::now()));
             if let Ok(event) = shared.ctrl_inbox.recv_timeout(wait) {
                 tx.plane.on_event(event, Instant::now());
             }
@@ -1852,7 +1859,7 @@ mod tests {
 
     /// A blocking send on a full queue parks until the Send plane has
     /// written enough to bring the queue below its bound, and one parked
-    /// when the connection closes fails instead of hanging.
+    /// when the connection closes fails at once instead of hanging.
     #[test]
     fn send_parks_on_a_full_queue_until_it_drains_or_closes() {
         let (a, b, ca, cb) = bypass_pair();
@@ -1880,12 +1887,19 @@ mod tests {
             b"behind"
         );
 
+        // The queue stays full: the close alone wakes the sender, at once.
         let gate = ca.shared.tx.lock();
         assert_eq!(ca.try_send_batch(&filler), Ok(filler.len()));
         let sending = park(&ca);
+        let closed = Instant::now();
         ca.close();
-        drop(gate);
         assert_eq!(sending.join().expect("sender"), Err(SendError::Closed));
+        let took = closed.elapsed();
+        assert!(
+            took < Duration::from_millis(20),
+            "woken {took:?} after the close"
+        );
+        drop(gate);
         a.shutdown();
         b.shutdown();
     }

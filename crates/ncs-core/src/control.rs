@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 
 use crate::connection::{fill_batch, flush_owed, IO_BATCH, RECV_BUDGET, TX_RETRY};
 use crate::packet::CtrlMsg;
-use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskPoll, Watch};
+use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskKind, TaskPoll, Watch};
 
 /// What the rest of the node holds of one peer's control plane.
 pub(crate) struct PeerCtrl {
@@ -59,7 +59,7 @@ impl PeerCtrl {
         dispatch: impl FnMut(CtrlMsg) + Send + 'static,
     ) -> Arc<Self> {
         let mut spawned = None;
-        reactor.spawn(false, |task| {
+        reactor.spawn(TaskKind::Control, |task| {
             let peer = Arc::new(PeerCtrl {
                 outbox: Arc::default(),
                 channels: Mutex::default(),
@@ -305,7 +305,7 @@ pub(crate) mod tests {
             }
         }
         let reactor = Reactor::new(Arc::new(KernelPackage::new()), 1);
-        let handle = reactor.spawn(false, |_| Box::new(Never));
+        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(Never));
         let peer = Arc::new(PeerCtrl {
             outbox: Arc::default(),
             channels: Mutex::new(

@@ -149,7 +149,9 @@ pub(crate) struct NodeInner {
     accept: Mutex<Option<TaskRef>>,
     conns: Mutex<HashMap<u32, Arc<ConnShared>>>,
     next_conn: AtomicU32,
-    pending_accepts: Mailbox<NcsConnection>,
+    /// Accepted connections, for [`NcsNode::accept`]; `None` is the
+    /// node's shutdown, which every caller that takes it puts back.
+    pending_accepts: Mailbox<Option<NcsConnection>>,
     shutdown: AtomicBool,
 }
 
@@ -424,10 +426,11 @@ impl NcsNode {
         // closed below with the rest — it must not be handed to an
         // `accept` that waits for the replacement's real connection.
         let pending = &self.inner.pending_accepts;
-        let queued: Vec<NcsConnection> = std::iter::from_fn(|| pending.try_recv()).collect();
-        for conn in queued.into_iter().filter(|c| c.peer_name() != peer) {
-            pending.send(conn);
-        }
+        let others = |c: &Option<NcsConnection>| c.as_ref().is_none_or(|c| c.peer_name() != peer);
+        let queued: Vec<_> = std::iter::from_fn(|| pending.try_recv())
+            .filter(others)
+            .collect();
+        queued.into_iter().for_each(|conn| pending.send(conn));
         let dropped: Vec<Arc<ConnShared>> = {
             let mut conns = self.inner.conns.lock();
             let ids: Vec<u32> = conns
@@ -520,15 +523,14 @@ impl NcsNode {
     ///
     /// See [`AcceptError`].
     pub fn accept(&self, timeout: Duration) -> Result<NcsConnection, AcceptError> {
-        match self.inner.pending_accepts.recv_timeout(timeout) {
-            Ok(c) => Ok(c),
-            Err(_) => {
-                if self.inner.shutdown.load(Ordering::Acquire) {
-                    Err(AcceptError::Shutdown)
-                } else {
-                    Err(AcceptError::Timeout)
-                }
+        let pending = &self.inner.pending_accepts;
+        match pending.recv_timeout(timeout) {
+            Ok(Some(c)) => Ok(c),
+            Ok(None) => {
+                pending.send(None);
+                Err(AcceptError::Shutdown)
             }
+            Err(_) => Err(AcceptError::Timeout),
         }
     }
 
@@ -609,11 +611,29 @@ impl NcsNode {
         )
     }
 
-    /// Shuts the node down: closes every connection and retires the
-    /// control plane. Idempotent. Once it returns the node dispatches no
-    /// control message and creates no connection; nothing is waited for —
-    /// not an acknowledgement either: the tasks retire on the wake they
-    /// are given, and what was still unacknowledged fails `Closed`.
+    /// Shuts the node down, retiring what it owns in this order. Idempotent.
+    ///
+    /// 1. **Groups and their operations.** The flag goes up first: a
+    ///    collective group over this node's connections takes no more
+    ///    operations, and fails the ones in flight `Closed`, when its next
+    ///    step runs — which the closes below bring about, as each link's
+    ///    receive sink reports its death to the group.
+    /// 2. **Connections.** Each closes: its session in flight and what is
+    ///    queued behind it fail `Closed` (no acknowledgement can arrive
+    ///    any more), and its task drains what it can — bounded by the
+    ///    close's linger — then retires.
+    /// 3. **Control.** Each peer's control task flushes the `CloseConn`s
+    ///    just queued and retires.
+    /// 4. **Accept.** The accept task retires, hanging up the channels it
+    ///    had not placed, and a caller waiting in [`NcsNode::accept`]
+    ///    returns [`AcceptError::Shutdown`].
+    /// 5. **The reactor**, if the node built it: it drops the closure
+    ///    tasks (a held group's among them), and returns once the tasks
+    ///    above have finished. A shared reactor (supplied via the builder)
+    ///    may still drive other nodes and is left running.
+    ///
+    /// Once it returns the node dispatches no control message and creates
+    /// no connection.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -625,17 +645,19 @@ impl NcsNode {
         for c in conns.into_values() {
             c.close_with_node();
         }
-        // After the closes: each task's final flush carries their
-        // CloseConns to the peer.
         for state in self.inner.peers.lock().values() {
             state.ctrl.retire();
         }
         drop(self.inner.accept.lock().take());
-        // A reactor this node built privately stops with it; a shared one
-        // (supplied via the builder) may still drive other nodes.
+        self.inner.pending_accepts.send(None);
         if self.inner.owns_reactor {
             self.inner.reactor.shutdown();
         }
+    }
+
+    /// Whether [`NcsNode::shutdown`] has begun.
+    pub fn is_shut_down(&self) -> bool {
+        self.inner.shutdown.load(Ordering::Acquire)
     }
 }
 
@@ -713,7 +735,7 @@ struct AcceptTask {
 
 impl AcceptTask {
     fn spawn(node: &Arc<NodeInner>) -> TaskRef {
-        TaskRef(node.reactor.spawn(false, |me| {
+        TaskRef(node.reactor.spawn(crate::reactor::TaskKind::Control, |me| {
             Box::new(AcceptTask {
                 node: Arc::downgrade(node),
                 me: Arc::clone(me),
@@ -884,7 +906,7 @@ fn incoming_data(
         initiator_conn,
         acceptor_conn: shared.id,
     });
-    inner.pending_accepts.send(NcsConnection::new(shared));
+    inner.pending_accepts.send(Some(NcsConnection::new(shared)));
 }
 
 #[cfg(test)]

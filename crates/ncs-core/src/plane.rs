@@ -165,6 +165,9 @@ pub(crate) enum CtrlEvent {
     },
     /// Flow-control feedback alone: the receiver's credit edge.
     Credit(u32),
+    /// Nothing for the plane: a close ends the wait of a direct-mode
+    /// sender for the peer's next word with it.
+    Closed,
 }
 
 /// One SDU the sender wants on the wire now: everything a data header
@@ -428,6 +431,7 @@ impl TxPlane {
                 self.on_ack(session, info, now);
             }
             CtrlEvent::Credit(edge) => self.on_credit(edge, now),
+            CtrlEvent::Closed => {}
         }
     }
 
@@ -1919,6 +1923,7 @@ mod tests {
                     edge: edge.is_some(),
                 },
                 CtrlEvent::Credit(_) => Kind::Credit,
+                CtrlEvent::Closed => unreachable!("the link carries no closes"),
             }
         }
 

@@ -35,10 +35,11 @@
 //!   the task is polled, recomputes what it really waits for and says so
 //!   again — and a stream of messages that are each acknowledged long
 //!   before their timeout costs one timer operation per timeout period,
-//!   not one per message. A shard
-//!   sleeps toward the earliest armed deadline of a live task and nothing
-//!   else: superseded heap entries are dropped when they surface, never
-//!   slept toward.
+//!   not one per message. A shard sleeps toward the earliest armed
+//!   deadline of a live task and nothing else: superseded heap entries are
+//!   dropped when they surface, never slept toward, and a shard with no
+//!   deadline sleeps for as long as it takes. Nothing wakes it but one of
+//!   the three sources; there is no idle tick to look again on.
 //!
 //!   *Timer slack.* Because an armed deadline is kept until it fires, a
 //!   busy loop spends the last stretch before every deadline parking
@@ -68,6 +69,16 @@
 //! crate that needs a deadline held for it (a collective group's operation
 //! timeout) registers a non-blocking closure as a task
 //! ([`Reactor::spawn_task`]) under the same timer rule.
+//!
+//! **Shutdown** ([`Reactor::shutdown`]) is the last step of a node's
+//! ordered retirement (`NcsNode::shutdown`): by then the node has closed
+//! its connections and retired its control and accept tasks. Each shard
+//! drops its closure tasks at once — they hold deadlines for their owners,
+//! and nobody waits for those past a shutdown — and runs the rest until
+//! they finish, which ends the shard. The only wait left is a closing
+//! connection's drain toward a peer that takes nothing, bounded by its
+//! `CLOSE_LINGER`; a task still there past that bound is dropped and
+//! counted ([`ReactorStats::tasks_left_at_shutdown`]).
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -80,11 +91,6 @@ use ncs_transport::Connection as Transport;
 use parking_lot::Mutex;
 
 use crate::stats::ReactorStats;
-
-/// Worker idle tick: the longest a shard sleeps with no timer pending.
-/// Purely a robustness backstop — every state change also wakes the shard
-/// explicitly.
-const IDLE_TICK: Duration = Duration::from_millis(100);
 
 /// One kernel timer tick where this runs (HZ = 250): how late a deadline
 /// armed at least two of them ahead may fire, and the shortest park toward
@@ -131,8 +137,20 @@ const ST_RUNNING: u8 = 2;
 const ST_DIRTY: u8 = 3;
 const ST_DONE: u8 = 4;
 
+/// What a task is: what [`ReactorStats`] counts it as, and what a
+/// shutdown does with it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TaskKind {
+    /// A connection's pipeline ([`ReactorStats::endpoints`]).
+    Connection,
+    /// A node's control or accept task.
+    Control,
+    /// A [`Reactor::spawn_task`] closure: dropped, unpolled, at shutdown.
+    Closure,
+}
+
 enum ShardMsg {
-    Add(u64, Box<dyn ReactorTask>, Arc<TaskHandle>, bool),
+    Add(u64, Box<dyn ReactorTask>, Arc<TaskHandle>, TaskKind),
     Run(u64),
     /// Nothing to do: the shard looks again at how it parks.
     Repark,
@@ -278,14 +296,14 @@ pub(crate) struct ReactorCounters {
     poller_wakes: AtomicU64,
     stalled_tasks: AtomicU64,
     short_parks: AtomicU64,
+    tasks_left_at_shutdown: AtomicU64,
 }
 
 /// One worker-local task slot.
 struct Slot {
     task: Box<dyn ReactorTask>,
     handle: Arc<TaskHandle>,
-    /// Whether the task counts towards [`ReactorStats::endpoints`].
-    endpoint: bool,
+    kind: TaskKind,
     again_streak: u32,
     /// Nanoseconds of [`TIMER_SLACK`] in the armed deadline.
     slack: u64,
@@ -302,7 +320,6 @@ pub struct Reactor {
     /// The user-level package's one set, driven by its own OS thread.
     poller: OnceLock<Arc<FdSet>>,
     pkg: Arc<dyn ThreadPackage>,
-    shutdown: AtomicBool,
 }
 
 impl std::fmt::Debug for Reactor {
@@ -358,7 +375,6 @@ impl Reactor {
             workers: Mutex::new(workers),
             poller: OnceLock::new(),
             pkg,
-            shutdown: AtomicBool::new(false),
         })
     }
 
@@ -380,12 +396,10 @@ impl Reactor {
     /// Registers a task on the least-recently-used shard and schedules its
     /// first poll. Returns the wake handle, which `make` is given first to
     /// build the task around (a task that subscribes itself to readiness
-    /// sources it finds while running needs it). `endpoint` says whether
-    /// the task is a connection — the only kind
-    /// [`ReactorStats::endpoints`] counts.
+    /// sources it finds while running needs it).
     pub(crate) fn spawn(
         &self,
-        endpoint: bool,
+        kind: TaskKind,
         make: impl FnOnce(&Arc<TaskHandle>) -> Box<dyn ReactorTask>,
     ) -> Arc<TaskHandle> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -400,15 +414,10 @@ impl Reactor {
             shard: Arc::clone(&shard),
         });
         self.counters.tasks.fetch_add(1, Ordering::Relaxed);
-        if endpoint {
+        if kind == TaskKind::Connection {
             self.counters.endpoints.fetch_add(1, Ordering::Relaxed);
         }
-        shard.post(ShardMsg::Add(
-            id,
-            make(&handle),
-            Arc::clone(&handle),
-            endpoint,
-        ));
+        shard.post(ShardMsg::Add(id, make(&handle), Arc::clone(&handle), kind));
         handle
     }
 
@@ -478,13 +487,14 @@ impl Reactor {
     /// returns deadlines far ahead costs one timer operation per deadline
     /// that is actually reached; a deadline 8 ms or more ahead may fire
     /// up to 4 ms late (the module docs say why). It must never block.
-    /// Dropping the `TaskRef` is the one way to end the task: it drops the
-    /// closure and everything it captured.
+    /// Dropping the `TaskRef` ends the task: it drops the closure and
+    /// everything it captured. So does the reactor's shutdown, which
+    /// waits for no closure: the `TaskRef`'s wakes then do nothing.
     pub fn spawn_task(
         &self,
         poll: impl FnMut(Instant) -> Option<Instant> + Send + 'static,
     ) -> TaskRef {
-        TaskRef(self.spawn(false, |_| Box::new(FnTask(poll))))
+        TaskRef(self.spawn(TaskKind::Closure, |_| Box::new(FnTask(poll))))
     }
 
     /// Point-in-time statistics.
@@ -501,21 +511,25 @@ impl Reactor {
             poller_wakes: c.poller_wakes.load(Ordering::Relaxed),
             stalled_tasks: c.stalled_tasks.load(Ordering::Relaxed),
             short_parks: c.short_parks.load(Ordering::Relaxed),
+            tasks_left_at_shutdown: c.tasks_left_at_shutdown.load(Ordering::Relaxed),
             blocking_spawned: 0,
             blocking_active: 0,
         }
     }
 
-    /// Stops the workers (and the poller thread). Idempotent. Each shard
-    /// keeps servicing its remaining tasks for a bounded grace period —
-    /// closed connections finish their graceful drain (send flush /
-    /// final-frame delivery) instead of losing it — then drops whatever
-    /// is left without a final poll; connections should be closed first
-    /// (node shutdown does).
+    /// Stops the workers (and the poller thread), and returns once they
+    /// have exited. Idempotent. Each shard drops its closure tasks
+    /// ([`Reactor::spawn_task`]) at once and runs its connection and
+    /// control tasks until they finish: closed connections complete their
+    /// graceful drain (send flush, final-frame delivery), which
+    /// `CLOSE_LINGER` bounds. A task still there when that bound has
+    /// passed is dropped unpolled and counted in
+    /// [`ReactorStats::tasks_left_at_shutdown`]; close connections and
+    /// retire control tasks first (node shutdown does), or they are the
+    /// ones left. The join's own limit only guards a reactor dropped on
+    /// one of its own loops.
     pub fn shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
+        // A second call finds no worker to wait for.
         for shard in &self.shards {
             shard.post(ShardMsg::Shutdown);
         }
@@ -602,11 +616,6 @@ impl Drop for Watch {
     }
 }
 
-/// Grace period a shutting-down shard grants its remaining tasks: long
-/// enough for every closing connection's bounded drain, well under the
-/// reactor's worker join timeout.
-const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
-
 /// Min-heap of (latest firing time in shard nanoseconds, task id). An
 /// entry is live while it equals its task's [`TaskHandle::armed`]; the
 /// others (task gone, deadline superseded by an earlier one) are dropped
@@ -614,25 +623,26 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 type TimerHeap = BinaryHeap<std::cmp::Reverse<(u64, u64)>>;
 
 /// One shard's event loop: timers, then the run queue.
+///
+/// A shutdown drops the shard's closure tasks at once, and every closure
+/// task that comes after it. The connection and control tasks — closed or
+/// retired by their node before it stopped the reactor — run until they
+/// finish, and the shard exits with the last of them; or, at the latest,
+/// when a closing connection's drain must have ended: its `CLOSE_LINGER`,
+/// plus the lateness the timer rule allows that deadline. What is left
+/// then is dropped unpolled, and counted.
 fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
     let mut tasks: HashMap<u64, Slot> = HashMap::new();
     let mut timers = TimerHeap::new();
-    // Armed by `ShardMsg::Shutdown`: the shard keeps servicing tasks until
-    // they all finish (closed connections complete their graceful drain)
-    // or the grace expires, rather than dropping mid-drain tasks.
-    let mut draining_until: Option<Instant> = None;
+    let mut shutdown_bound: Option<Instant> = None;
     loop {
-        let now = Instant::now();
-        if let Some(deadline) = draining_until {
-            if tasks.is_empty() || now >= deadline {
-                return;
-            }
-        }
         // Fire due timers by waking their tasks through the normal path,
         // and clear dead entries off the head: what is left there is the
-        // earliest deadline a live task waits for.
+        // earliest deadline a live task waits for. With none, and no
+        // shutdown, the shard parks for as long as it takes.
+        let now = Instant::now();
         let now_ns = shard.nanos(now);
-        let mut wait = IDLE_TICK;
+        let mut wait = shutdown_bound.map_or(Duration::MAX, |at| at.duration_since(now));
         while let Some(&std::cmp::Reverse((by, id))) = timers.peek() {
             let live = tasks
                 .get(&id)
@@ -655,42 +665,46 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
                 slot.handle.wake();
             }
         }
-        if let Some(deadline) = draining_until {
-            wait = wait.min(deadline.saturating_duration_since(now));
-        }
         counters.polls.fetch_add(1, Ordering::Relaxed);
         if wait < TIMER_SLACK {
             counters.short_parks.fetch_add(1, Ordering::Relaxed);
         }
-        let Some(msg) = next_message(shard, wait) else {
-            continue;
-        };
-        match msg {
-            ShardMsg::Repark => {}
-            ShardMsg::Shutdown => {
-                draining_until.get_or_insert(now + SHUTDOWN_GRACE);
+        match next_message(shard, wait) {
+            None | Some(ShardMsg::Repark) => {}
+            Some(ShardMsg::Shutdown) => {
+                shutdown_bound
+                    .get_or_insert(now + crate::connection::CLOSE_LINGER + 2 * TIMER_SLACK);
+                tasks.retain(|_, slot| slot.kind != TaskKind::Closure);
             }
-            ShardMsg::Add(id, task, handle, endpoint) => {
-                tasks.insert(
-                    id,
-                    Slot {
-                        task,
-                        handle,
-                        endpoint,
-                        again_streak: 0,
-                        slack: 0,
-                    },
-                );
+            // After the shutdown a closure is dropped as it comes.
+            Some(ShardMsg::Add(_, _, _, TaskKind::Closure)) if shutdown_bound.is_some() => {}
+            Some(ShardMsg::Add(id, task, handle, kind)) => {
+                let slot = Slot {
+                    task,
+                    handle,
+                    kind,
+                    again_streak: 0,
+                    slack: 0,
+                };
+                tasks.insert(id, slot);
                 run_task(shard, counters, &mut tasks, &mut timers, id);
             }
-            ShardMsg::Run(id) => run_task(shard, counters, &mut tasks, &mut timers, id),
+            Some(ShardMsg::Run(id)) => run_task(shard, counters, &mut tasks, &mut timers, id),
+        }
+        // Judged after what was due has run: a drain that ended on time
+        // is not cut short by a late wake.
+        if shutdown_bound.is_some_and(|at| tasks.is_empty() || Instant::now() >= at) {
+            break;
         }
     }
+    let left = &counters.tasks_left_at_shutdown;
+    left.fetch_add(tasks.len() as u64, Ordering::Relaxed);
 }
 
-/// The shard's next message, parked for up to `wait` while there is none:
-/// in the shard's set while it watches a descriptor (whose reports it
-/// delivers on the way), on the inbox otherwise.
+/// The shard's next message, parked for up to `wait` (for as long as it
+/// takes with `Duration::MAX`) while there is none: in the shard's set
+/// while it watches a descriptor (whose reports it delivers on the way),
+/// on the inbox otherwise.
 fn next_message(shard: &ShardQueue, wait: Duration) -> Option<ShardMsg> {
     let Some(set) = shard
         .fds
@@ -712,7 +726,8 @@ fn next_message(shard: &ShardQueue, wait: Duration) -> Option<ShardMsg> {
             Some(msg)
         }
         None => {
-            set.wait(Some(wait), &shard.counters, unpark);
+            let wait = (wait < Duration::MAX).then_some(wait);
+            set.wait(wait, &shard.counters, unpark);
             shard.inbox.try_recv()
         }
     }
@@ -738,7 +753,7 @@ fn run_task(
     match poll {
         TaskPoll::Done => {
             slot.handle.state.store(ST_DONE, Ordering::Release);
-            if slot.endpoint {
+            if slot.kind == TaskKind::Connection {
                 counters.endpoints.fetch_sub(1, Ordering::Relaxed);
             }
             counters.tasks.fetch_sub(1, Ordering::Relaxed);
@@ -754,8 +769,8 @@ fn run_task(
         }
         TaskPoll::Idle | TaskPoll::Timer(_) => {
             slot.again_streak = 0;
-            // An armed deadline stays armed — through `Idle` too — until
-            // it fires or an earlier one replaces it.
+            // An armed deadline stays armed — through `Idle` too —
+            // until it fires or an earlier one replaces it.
             if let TaskPoll::Timer(at) = poll {
                 let (by, slack) = shard.fire_by(at, now);
                 if by < slot.handle.armed.load(Ordering::Relaxed) {
@@ -771,8 +786,8 @@ fn run_task(
                 .compare_exchange(ST_RUNNING, ST_IDLE, Ordering::AcqRel, Ordering::Acquire)
                 .is_err()
             {
-                // A wake raced the poll (DIRTY): reschedule so nothing is
-                // lost.
+                // A wake raced the poll (DIRTY): reschedule so nothing
+                // is lost.
                 slot.handle.state.store(ST_SCHEDULED, Ordering::Release);
                 shard.post(ShardMsg::Run(id));
             }
@@ -1036,6 +1051,10 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
+    /// How soon a report or a wake must reach its task: a lost one would
+    /// wait for whatever comes next, and nothing else comes.
+    const PROMPT: Duration = Duration::from_millis(50);
+
     fn pkg() -> Arc<dyn ThreadPackage> {
         Arc::new(KernelPackage::new())
     }
@@ -1064,7 +1083,7 @@ mod tests {
             runs: Arc::clone(&runs),
             done_after: 3,
         };
-        let handle = reactor.spawn(true, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Connection, |_| Box::new(task));
         // First poll happens on registration.
         for _ in 0..100 {
             if runs.load(Ordering::Relaxed) >= 1 {
@@ -1116,7 +1135,7 @@ mod tests {
             at: None,
             delay: Duration::from_millis(30),
         };
-        let _h = reactor.spawn(true, |_| Box::new(task));
+        let _h = reactor.spawn(TaskKind::Connection, |_| Box::new(task));
         let start = Instant::now();
         while fired.load(Ordering::Relaxed) == 0 && start.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(5));
@@ -1151,7 +1170,7 @@ mod tests {
         let task = AckedStream {
             polls: Arc::clone(&polls),
         };
-        let handle = reactor.spawn(true, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Connection, |_| Box::new(task));
         // 10,000 message/acknowledgement pairs, each poll woken only once
         // the one before it has run.
         for n in 1..=20_000 {
@@ -1167,7 +1186,7 @@ mod tests {
         let periods = start.elapsed().as_millis() as u64 / 200 + 1;
         assert!(reactor.timer_entries() <= 1, "{}", reactor.timer_entries());
         assert!(reactor.stats().timer_fires <= periods);
-        // And the shard sleeps toward that deadline (and its idle tick),
+        // And the shard sleeps toward that deadline,
         // not toward 10,000 deadlines nobody waits for any more.
         let before = reactor.stats();
         std::thread::sleep(Duration::from_millis(300));
@@ -1223,7 +1242,7 @@ mod tests {
             deadline: None,
             fired_after: Arc::clone(&fired_after),
         };
-        let handle = reactor.spawn(false, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(task));
         let mut wakes = 0;
         while fired_after.load(Ordering::Relaxed) == 0 {
             if busy && polls.load(Ordering::Relaxed) > wakes {
@@ -1336,7 +1355,7 @@ mod tests {
             runs,
             done_after: u64::MAX,
         };
-        let _h = reactor.spawn(true, |_| Box::new(task));
+        let _h = reactor.spawn(TaskKind::Connection, |_| Box::new(task));
         let start = Instant::now();
         while reactor.stats().task_runs < 1 && start.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_millis(2));
@@ -1372,7 +1391,7 @@ mod tests {
             runs: Arc::clone(&runs),
             done_after: u64::MAX,
         };
-        let handle = reactor.spawn(false, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(task));
         eventually(pkg, "first poll", || runs.load(Ordering::Relaxed) == 1);
         (runs, handle)
     }
@@ -1481,7 +1500,7 @@ mod tests {
             sock: far,
             reg: Arc::clone(&reg),
         };
-        let handle = reactor.spawn(false, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(task));
         *reg.lock() = Some(reactor.watch_fd(fd, &handle));
         const N: u64 = 200;
         let before = reactor.stats().poller_wakes;
@@ -1509,8 +1528,8 @@ mod tests {
     }
 
     /// A descriptor registered from another thread while its shard sleeps
-    /// on its inbox is reported at once, not at the shard's idle tick; the
-    /// no-op that brings the shard round polls no task.
+    /// on its inbox is reported at once; the no-op that brings the shard
+    /// round polls no task.
     #[test]
     fn a_registration_from_another_thread_reaches_a_shard_asleep_on_its_inbox() {
         let pkg = pkg();
@@ -1523,15 +1542,15 @@ mod tests {
         (&near).write_all(b"x").unwrap();
         eventually(&pkg, "fd report", || runs.load(Ordering::Relaxed) == 2);
         let took = start.elapsed();
-        assert!(took < IDLE_TICK / 2, "reported after {took:?}");
+        assert!(took < PROMPT, "reported after {took:?}");
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(runs.load(Ordering::Relaxed), 2, "a poll for the no-op");
         reactor.shutdown();
     }
 
     /// Every wake of a task whose shard parks in its set either finds the
-    /// shard awake or rings its bell: none waits for the idle tick. The
-    /// rings are not readiness, and the driver counts no wake for them.
+    /// shard awake or rings its bell: none waits. The rings are not
+    /// readiness, and the driver counts no wake for them.
     #[test]
     fn ten_thousand_foreign_wakes_of_a_shard_parked_in_its_set_each_poll() {
         let pkg = pkg();
@@ -1542,7 +1561,7 @@ mod tests {
             w.handle.wake();
             while w.runs.load(Ordering::Relaxed) <= n {
                 let took = start.elapsed();
-                assert!(took < IDLE_TICK / 2, "wake {n} polled after {took:?}");
+                assert!(took < PROMPT, "wake {n} polled after {took:?}");
                 std::thread::yield_now();
             }
         }
@@ -1564,7 +1583,7 @@ mod tests {
             w.handle.wake();
             eventually(&pkg, "woken", || w.runs.load(Ordering::Relaxed) == n);
             let took = start.elapsed();
-            assert!(took < IDLE_TICK / 2, "woken after {took:?}");
+            assert!(took < PROMPT, "woken after {took:?}");
         };
         std::thread::sleep(Duration::from_millis(20));
         drop(w.reg);

@@ -228,6 +228,11 @@ impl MetricSource for ReactorMetricSource {
                 s.short_parks,
             ),
             counter_family(
+                "ncs_reactor_tasks_left_at_shutdown_total",
+                "tasks dropped unfinished when a shutdown's drain bound passed (healthy: 0)",
+                s.tasks_left_at_shutdown,
+            ),
+            counter_family(
                 "ncs_reactor_blocking_spawned_total",
                 "always 0: the blocking lane is gone, the series is kept for its readers",
                 s.blocking_spawned,
@@ -378,8 +383,12 @@ pub struct ReactorStats {
     /// Waits an event loop bounded by a deadline less than one timer tick
     /// (4 ms) away. Such parks cost several microseconds more than long
     /// ones; only deadlines armed less than two ticks ahead (transmit
-    /// retries, rate pacing, a shutdown's grace) should cause any.
+    /// retries, rate pacing, the end of a shutdown) should cause any.
     pub short_parks: u64,
+    /// Tasks a shutting-down event loop still held when the bound on its
+    /// drain (a closing connection's linger) had passed, and dropped
+    /// unpolled. A healthy node shutdown leaves none.
+    pub tasks_left_at_shutdown: u64,
     /// Always 0. The reactor once lent threads to blocking work (the
     /// collective progress runner) and counted them here; nothing blocks
     /// beside the event loops any more. The field and its exported series
@@ -394,7 +403,7 @@ impl fmt::Display for ReactorStats {
         write!(
             f,
             "reactor: {} workers, {} endpoints | {} polls, {} wakeups, {} task runs, \
-             {} timers, {} fd events | {} stalled, {} short parks",
+             {} timers, {} fd events | {} stalled, {} short parks, {} left at shutdown",
             self.workers,
             self.endpoints,
             self.polls,
@@ -404,6 +413,7 @@ impl fmt::Display for ReactorStats {
             self.fd_events,
             self.stalled_tasks,
             self.short_parks,
+            self.tasks_left_at_shutdown,
         )
     }
 }

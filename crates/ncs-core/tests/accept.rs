@@ -4,7 +4,8 @@
 //! without making any other channel wait with it. The dialing node is
 //! played by hand where the order of events matters: raw channels, hello
 //! frames written by the test. Every test runs on the kernel package and
-//! as a green thread of the user-level one.
+//! as a green thread of the user-level one. Last, what a node's shutdown
+//! does to the accepting it was doing.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -514,4 +515,40 @@ fn bounds_hold(pkg: &Pkg) {
 #[test]
 fn a_garbage_hello_is_hung_up_on_and_unattached_channels_are_bounded() {
     on_both_packages(bounds_hold);
+}
+
+// -- (e) Shutdown -----------------------------------------------------------
+
+/// The accept task is one of the things a node's shutdown retires. With a
+/// channel still owing its hello (its 5 s deadline armed) and a caller
+/// waiting in `accept`, the shutdown returns at once, leaves no task
+/// behind, tells the caller, and hangs the channel up.
+fn shutdown_retires_accepting(pkg: &Pkg) {
+    let (link_a, link_b) = HpiLinkPair::create();
+    let a = node("ann", pkg);
+    a.attach_peer("ben", link_a);
+    let silent = link_b.open_channel().expect("open");
+    let waiting = {
+        let a = a.clone();
+        std::thread::spawn(move || a.accept(Duration::from_secs(30)).map(drop))
+    };
+    pkg.sleep(Duration::from_millis(20));
+    let start = Instant::now();
+    a.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+    assert_eq!(a.reactor().stats().tasks_left_at_shutdown, 0);
+    let end = next_frame(pkg, silent.as_ref(), Duration::from_millis(50));
+    assert_eq!(end.err(), Some(TransportError::Closed));
+    assert_eq!(waiting.join().expect("accept"), Err(AcceptError::Shutdown));
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "accept told after {took:?}"
+    );
+}
+
+#[test]
+fn shutdown_retires_the_accept_task_and_tells_a_waiting_accept() {
+    on_both_packages(shutdown_retires_accepting);
 }

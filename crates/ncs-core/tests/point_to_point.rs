@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ncs_core::link::{HpiLinkPair, PeerLink, PipeLink, PipeLinkPair};
 use ncs_core::{ConnectionConfig, ErrorControlAlg, FlowControlAlg, NcsNode, SendError};
@@ -309,6 +309,42 @@ fn direct_mode_with_reliability() {
     b.shutdown();
 }
 
+/// A direct sender waits for the peer's next word, its pipeline's own
+/// deadline, or the close: here the peer is silent (it never reads, so it
+/// never acknowledges) and the deadline a second away, and the close ends
+/// the wait at once.
+#[test]
+fn close_wakes_a_direct_sender_waiting_for_a_silent_peer_at_once() {
+    let (a, b) = linked_nodes(8);
+    let config = ConnectionConfig::builder()
+        .direct(true)
+        .error_control(ErrorControlAlg::SelectiveRepeat {
+            timeout: Duration::from_secs(1),
+            max_retries: 10,
+        })
+        .build();
+    let ca = a.connect("bob", config).unwrap();
+    let _cb = b.accept_default().unwrap();
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let conn = ca.clone();
+    let sending =
+        std::thread::spawn(move || done_tx.send((conn.send_direct(b"unheard"), Instant::now())));
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(done.try_recv().is_err(), "acknowledged by a silent peer");
+    let closed = Instant::now();
+    ca.close();
+    let (result, returned) = done.recv_timeout(Duration::from_secs(5)).expect("woken");
+    let took = returned.saturating_duration_since(closed);
+    assert_eq!(result, Err(SendError::Closed));
+    assert!(
+        took < Duration::from_millis(20),
+        "returned {took:?} after the close"
+    );
+    sending.join().unwrap().unwrap();
+    a.shutdown();
+    b.shutdown();
+}
+
 /// The caller's thread repairs loss: a window of 8 credits released into
 /// a ring of 2 overruns it, and `send_direct` retransmits what the ring
 /// dropped until the message is whole.
@@ -576,5 +612,40 @@ fn send_handoff_refuses_reliable_and_direct_connections() {
         ));
     }
     a.shutdown();
+    b.shutdown();
+}
+
+/// A connection is one of the things a node's shutdown retires: here one
+/// whose reliable messages a silent peer never acknowledges, as it never
+/// gets them (the transmit is refused, as by a socket buffer nobody
+/// drains). Their requests fail `Closed`, and the shutdown returns once
+/// the closing connection has lingered for its frames, no later, leaving
+/// no task behind.
+#[test]
+fn shutdown_retires_a_connection_whose_frames_a_silent_peer_never_acknowledged() {
+    // ncs-core's bound on a closing connection's drain.
+    const CLOSE_LINGER: Duration = Duration::from_millis(250);
+    let (a, b, stopped) = stoppable_nodes();
+    let (ca, _cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
+    stopped.store(true, Ordering::Release);
+    let sent: Vec<_> = (0..4u8)
+        .map(|i| ca.isend(&[i; 64]).expect("isend"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(
+        sent.iter().all(|r| !r.test()),
+        "acknowledged through a stopped link"
+    );
+    let start = Instant::now();
+    a.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < CLOSE_LINGER + Duration::from_millis(100),
+        "shutdown took {took:?}"
+    );
+    assert_eq!(a.reactor().stats().tasks_left_at_shutdown, 0);
+    for request in sent {
+        assert_eq!(request.wait_timeout(Duration::ZERO), Err(SendError::Closed));
+    }
     b.shutdown();
 }

@@ -107,10 +107,11 @@ impl Semaphore {
         }
     }
 
-    /// Acquires one permit, giving up after `timeout`. Returns whether the
-    /// permit was obtained.
+    /// Acquires one permit, giving up after `timeout` — never, for a
+    /// timeout beyond what the clock can tell (`Duration::MAX`). Returns
+    /// whether the permit was obtained.
     pub fn acquire_timeout(&self, timeout: Duration) -> bool {
-        self.acquire_inner(Some(Instant::now() + timeout))
+        self.acquire_inner(Instant::now().checked_add(timeout))
     }
 
     fn acquire_inner(&self, deadline: Option<Instant>) -> bool {

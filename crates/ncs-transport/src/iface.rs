@@ -161,10 +161,14 @@ impl Inbox {
         }
     }
 
-    /// Ends the stream, and wakes a readiness-driven consumer to see it
-    /// (no frame will arrive to do that).
+    /// Ends the stream, and wakes its consumer to see it: one driven by
+    /// readiness through the notify, one blocked in a receive through an
+    /// empty frame, which no send makes. (A queue too full to take it
+    /// wakes that receiver with a frame, and the next receive does not
+    /// wait.)
     pub(crate) fn end(&self) {
         self.ended.store(true, Ordering::Release);
+        let _ = self.queue.try_send(Vec::new());
         self.queue.notify();
     }
 
@@ -173,31 +177,33 @@ impl Inbox {
     }
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.queue.recv_timeout(timeout).map_err(|_| {
-            if self.has_ended() && self.queue.is_empty() {
-                TransportError::Closed
-            } else {
-                TransportError::Timeout
-            }
-        })
+        // An ended stream is not waited on: what is queued, then the end.
+        let ended = || self.try_recv()?.ok_or(TransportError::Closed);
+        if self.has_ended() {
+            return ended();
+        }
+        match self.queue.recv_timeout(timeout) {
+            Ok(frame) if !frame.is_empty() => Ok(frame),
+            Err(_) if !self.has_ended() => Err(TransportError::Timeout),
+            _ => ended(),
+        }
     }
 
     pub(crate) fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
         // The flag first: every frame queued before the end is then in
         // the queue, so an empty queue means a drained stream.
         let ended = self.has_ended();
-        match self.queue.try_recv() {
-            Some(frame) => Ok(Some(frame)),
-            None if ended => Err(TransportError::Closed),
-            None => Ok(None),
+        loop {
+            match self.queue.try_recv() {
+                // The end's wake-up, not a frame.
+                Some(frame) if frame.is_empty() => {}
+                Some(frame) => return Ok(Some(frame)),
+                None if ended => return Err(TransportError::Closed),
+                None => return Ok(None),
+            }
         }
     }
 }
-
-/// How long each wait of the provided [`Connection::recv`] lasts before it
-/// looks again, so that a close is seen even by an interface whose timed
-/// receive a close does not wake.
-const RECV_SLICE: Duration = Duration::from_millis(50);
 
 /// A frame-oriented, bidirectional transport endpoint.
 ///
@@ -246,7 +252,8 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     /// call.
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError>;
 
-    /// Receives with a deadline.
+    /// Receives with a deadline: `Duration::MAX` waits for as long as it
+    /// takes. A close of either end ends the wait.
     ///
     /// # Errors
     ///
@@ -271,20 +278,15 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
         self.send_batch(&[frame]).map(drop)
     }
 
-    /// Receives the next frame, blocking until one arrives: repeated
-    /// [`Connection::recv_timeout`]s of 50 ms, so a close is seen.
+    /// Receives the next frame, blocking until one arrives: one
+    /// [`Connection::recv_timeout`] without a limit, which a close ends.
     ///
     /// # Errors
     ///
     /// [`TransportError::Closed`] once the connection closed and every
     /// frame that arrived before was taken.
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
-        loop {
-            match self.recv_timeout(RECV_SLICE) {
-                Err(TransportError::Timeout) => {}
-                end => return end,
-            }
-        }
+        self.recv_timeout(Duration::MAX)
     }
 
     /// Receives up to `max` frames: blocks until at least one arrives (or

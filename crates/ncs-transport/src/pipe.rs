@@ -72,7 +72,7 @@ struct PipeDir {
     drain_bytes_per_sec: Option<u64>,
     time_scale: f64,
     /// Frames waiting for the drain thread, and behind the last of them,
-    /// once the sender closed, an empty frame: the end of the stream.
+    /// once either end closed, an empty frame: the end of the stream.
     inflight: Mailbox<Vec<u8>>,
     /// Frames delivered to the receiver; it ends when the drain reaches
     /// the end marker, or when the receiver closes.
@@ -95,10 +95,15 @@ impl PipeDir {
         })
     }
 
-    /// Takes no more frames, and wakes a sender waiting for room.
-    fn refuse(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.space.notify_all();
+    /// Takes no more frames, wakes a sender waiting for room, and queues
+    /// the end marker behind every frame taken before: the drain ends the
+    /// receiver's stream there, and stops. Whichever end closes first.
+    fn close(&self) {
+        let _admission = self.used.lock();
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            self.space.notify_all();
+            self.inflight.send(Vec::new());
+        }
     }
 
     /// Whether a write of `len` bytes waits for room while `used` bytes
@@ -114,17 +119,10 @@ impl PipeDir {
 /// ends the receiver's stream at the sender's end marker.
 fn run_drain(dir: Arc<PipeDir>, config: PipeConfig) {
     loop {
-        let frame = match dir.inflight.recv_timeout(Duration::from_millis(50)) {
-            Ok(f) if f.is_empty() => return dir.delivered.end(),
-            Ok(f) => f,
-            Err(_) => {
-                // The receiver closed, and nothing is left to carry.
-                if dir.closed.load(Ordering::Acquire) && dir.inflight.is_empty() {
-                    return;
-                }
-                continue;
-            }
-        };
+        let frame = dir.inflight.recv();
+        if frame.is_empty() {
+            return dir.delivered.end();
+        }
         // Serialisation onto the wire at the drain rate.
         if let Some(rate) = config.drain_bytes_per_sec {
             let model = Duration::from_nanos(frame.len() as u64 * 1_000_000_000 / rate.max(1));
@@ -296,13 +294,9 @@ impl Connection for PipeConnection {
         // Our receives end now and the peer's sends fail. Our own sends
         // fail too, but the peer's stream ends only where the drain meets
         // the end marker, behind every frame we sent before — TCP's order.
-        self.rx.refuse();
+        self.rx.close();
         self.rx.delivered.end();
-        let _admission = self.tx.used.lock();
-        if !self.tx.closed.load(Ordering::Acquire) {
-            self.tx.refuse();
-            self.tx.inflight.send(Vec::new());
-        }
+        self.tx.close();
     }
 
     fn peer_label(&self) -> String {

@@ -136,6 +136,36 @@ extern "C" {
     ) -> std::os::raw::c_int;
 }
 
+/// Waits in `poll(2)` until `fd` reports `events` (or an error or
+/// hang-up, which the next read, write or accept meets) or `deadline`
+/// passes; [`TransportError::Timeout`] if it already has.
+fn wait(fd: &impl AsRawFd, events: i16, deadline: Option<Instant>) -> Result<(), TransportError> {
+    let timeout_ms = match deadline {
+        None => -1,
+        Some(deadline) => {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(TransportError::Timeout);
+            }
+            // Rounded up, so the wait never ends before the deadline.
+            i32::try_from(left.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
+        }
+    };
+    let mut fd = PollFd {
+        fd: fd.as_raw_fd(),
+        events,
+        revents: 0,
+    };
+    // SAFETY: `fd` is one valid `pollfd`, alive for the whole call.
+    if unsafe { poll(&mut fd, 1, timeout_ms) } < 0 {
+        let e = std::io::Error::last_os_error();
+        if e.kind() != ErrorKind::Interrupted {
+            return Err(e.into());
+        }
+    }
+    Ok(())
+}
+
 /// A TCP-backed NCS connection.
 pub struct SciConnection {
     /// Non-blocking from [`SciConnection::from_stream`] on, and shared by
@@ -191,36 +221,6 @@ impl SciConnection {
     /// (`NCS_thread_yield()` while no data is pending).
     pub fn set_yield_hook(&self, hook: Option<YieldHook>) {
         *self.yield_hook.lock() = hook;
-    }
-
-    /// Waits in `poll(2)` until the socket reports `events` (or an error
-    /// or hang-up, which the next read or write meets) or `deadline`
-    /// passes; [`TransportError::Timeout`] if it already has.
-    fn wait(&self, events: i16, deadline: Option<Instant>) -> Result<(), TransportError> {
-        let timeout_ms = match deadline {
-            None => -1,
-            Some(deadline) => {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Err(TransportError::Timeout);
-                }
-                // Rounded up, so the wait never ends before the deadline.
-                i32::try_from(left.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
-            }
-        };
-        let mut fd = PollFd {
-            fd: self.stream.as_raw_fd(),
-            events,
-            revents: 0,
-        };
-        // SAFETY: `fd` is one valid `pollfd`, alive for the whole call.
-        if unsafe { poll(&mut fd, 1, timeout_ms) } < 0 {
-            let e = std::io::Error::last_os_error();
-            if e.kind() != ErrorKind::Interrupted {
-                return Err(e.into());
-            }
-        }
-        Ok(())
     }
 
     /// [`ReadBuf::pop_frame`], closing the connection on a refused length
@@ -308,7 +308,7 @@ impl SciConnection {
             }
             match self.write_gathered(&mut backlog, &frames[sent..]) {
                 Ok(n) => sent += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => self.wait(POLLOUT, None)?,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => wait(&self.stream, POLLOUT, None)?,
                 Err(e) => return Err(e.into()),
             }
         }
@@ -327,7 +327,8 @@ impl Connection for SciConnection {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let deadline = Instant::now() + timeout;
+        // No deadline at all for a timeout beyond what the clock can tell.
+        let deadline = Instant::now().checked_add(timeout);
         let hook = self.yield_hook.lock().clone();
         let mut rb = self.reader.lock();
         loop {
@@ -337,9 +338,9 @@ impl Connection for SciConnection {
             // Nothing yet: yield with a yield hook (the §4.1 user-level
             // discipline), wait in `poll(2)` without one.
             match &hook {
-                None => self.wait(POLLIN, Some(deadline))?,
-                Some(_) if Instant::now() >= deadline => return Err(TransportError::Timeout),
-                Some(hook) => hook(),
+                None => wait(&self.stream, POLLIN, deadline)?,
+                Some(hook) if deadline.is_none_or(|d| Instant::now() < d) => hook(),
+                Some(_) => return Err(TransportError::Timeout),
             }
         }
     }
@@ -414,9 +415,6 @@ pub struct SciListener {
     listener: TcpListener,
 }
 
-/// Pause between looks of a blocking accept.
-const ACCEPT_TICK: Duration = Duration::from_millis(5);
-
 impl SciListener {
     /// Binds to `addr` (use port 0 for an ephemeral port).
     ///
@@ -470,8 +468,8 @@ impl SciListener {
         self.accept_timeout(Duration::MAX)
     }
 
-    /// Accepts one inbound connection, looking with
-    /// [`SciListener::try_accept`] until `timeout`.
+    /// Accepts one inbound connection, waiting in `poll(2)` on the
+    /// listener until one is waiting or `timeout` has passed.
     ///
     /// # Errors
     ///
@@ -484,10 +482,7 @@ impl SciListener {
             if let Some(conn) = self.try_accept()? {
                 return Ok(conn);
             }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(TransportError::Timeout);
-            }
-            std::thread::sleep(ACCEPT_TICK);
+            wait(&self.listener, POLLIN, deadline)?;
         }
     }
 }
