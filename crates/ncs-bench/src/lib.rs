@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod check;
-pub mod msgrate;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -1154,11 +1154,6 @@ impl NcsConnection {
         self.shared.recorder.set_enabled(on);
     }
 
-    /// Whether the flight recorder is currently recording.
-    pub fn flight_recording(&self) -> bool {
-        self.shared.recorder.is_enabled()
-    }
-
     /// Whether the connection is still usable.
     pub fn is_open(&self) -> bool {
         !self.shared.closed.load(Ordering::Acquire)
@@ -1532,13 +1527,13 @@ impl NcsConnection {
         let shared = &self.shared;
         let mut slot = shared.direct_rx.lock();
         let rx = slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             // A train delivers several messages at once: the rest wait here.
             if let Some(message) = shared.delivery.try_take(None)? {
                 return Ok(message.into_vec());
             }
-            let wait = deadline.saturating_duration_since(Instant::now());
+            let wait = crate::request::time_left(deadline);
             if wait.is_zero() {
                 return Err(SendError::Timeout);
             }
@@ -1635,8 +1630,8 @@ pub const CHANNEL_TAG_BASE: u32 = 0x8000_0000;
 /// FIFO order holds and traffic on other channels (or the untagged
 /// stream) is never touched. Because each channel id maps to its own
 /// delivery-queue shard, N threads each driving their own channel never
-/// contend on a shared receive lock — the multithreaded message-rate
-/// benchmark (`mt-msgrate`) leans on exactly this.
+/// contend on a shared receive lock, and a receiver blocked on one
+/// channel never stalls another (`tests/channels.rs`).
 ///
 /// A `Channel` is a value handle (cheaply cloneable, no registration or
 /// teardown): dropping it releases nothing and two handles with the same

@@ -513,7 +513,6 @@ impl Reactor {
             short_parks: c.short_parks.load(Ordering::Relaxed),
             tasks_left_at_shutdown: c.tasks_left_at_shutdown.load(Ordering::Relaxed),
             blocking_spawned: 0,
-            blocking_active: 0,
         }
     }
 

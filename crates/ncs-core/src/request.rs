@@ -99,7 +99,7 @@ pub fn wait_any(set: &[&dyn Completion], timeout: Duration) -> Option<usize> {
             return Some(i);
         }
     }
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now().checked_add(timeout);
     // One shared event; every member pings it on completion. The event is
     // one-shot, but wait_any returns on the first completion, so one shot
     // is all it takes.
@@ -114,11 +114,11 @@ pub fn wait_any(set: &[&dyn Completion], timeout: Duration) -> Option<usize> {
                 return Some(i);
             }
         }
-        let now = Instant::now();
-        if now >= deadline {
+        let left = time_left(deadline);
+        if left.is_zero() {
             return None;
         }
-        fired.wait_timeout(deadline - now);
+        fired.wait_timeout(left);
     }
 }
 
@@ -126,20 +126,28 @@ pub fn wait_any(set: &[&dyn Completion], timeout: Duration) -> Option<usize> {
 /// elapses; returns whether all completed. An empty set is trivially
 /// complete.
 pub fn wait_all(set: &[&dyn Completion], timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
+    let deadline = Instant::now().checked_add(timeout);
     for c in set {
         loop {
             if c.is_complete() {
                 break;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let left = time_left(deadline);
+            if left.is_zero() {
                 return false;
             }
-            c.wait_complete(deadline - now);
+            c.wait_complete(left);
         }
     }
     true
+}
+
+/// What is left until `deadline`; no deadline (a timeout beyond what the
+/// clock can tell, such as [`Duration::MAX`]) leaves all the time there is.
+pub(crate) fn time_left(deadline: Option<Instant>) -> Duration {
+    deadline.map_or(Duration::MAX, |d| {
+        d.saturating_duration_since(Instant::now())
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -237,11 +237,6 @@ impl MetricSource for ReactorMetricSource {
                 "always 0: the blocking lane is gone, the series is kept for its readers",
                 s.blocking_spawned,
             ),
-            gauge_family(
-                "ncs_reactor_blocking_active",
-                "always 0: the blocking lane is gone, the series is kept for its readers",
-                s.blocking_active as i64,
-            ),
         ]
     }
 }
@@ -350,8 +345,9 @@ impl std::fmt::Display for ConnectionStats {
 
 /// Point-in-time statistics for a [`crate::Reactor`]: how many event
 /// loops exist, how many endpoints (connection tasks) they multiplex, and
-/// how busy the readiness machinery is. Dumped by the `perf_gate` binary
-/// alongside the dataplane figures.
+/// how busy the readiness machinery is. The benchmark reports them per
+/// message (`reactor.*`), and `MetricSource` exports them as
+/// `ncs_reactor_*` series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Event-loop workers (shards) — O(cores), fixed at construction.
@@ -392,10 +388,8 @@ pub struct ReactorStats {
     /// Always 0. The reactor once lent threads to blocking work (the
     /// collective progress runner) and counted them here; nothing blocks
     /// beside the event loops any more. The field and its exported series
-    /// stay for the tools that read them.
+    /// stay because the benchmark reads them (`reactor.blocking_spawned`).
     pub blocking_spawned: u64,
-    /// Always 0, as [`ReactorStats::blocking_spawned`].
-    pub blocking_active: u64,
 }
 
 impl fmt::Display for ReactorStats {

@@ -1,12 +1,15 @@
 //! Buffer-pool integration tests: concurrent checkout/return under both
-//! thread packages, exhaustion behaviour, and the byte-for-byte
-//! equivalence of the pooled encode/decode paths with the original
-//! `Vec`-allocating ones.
+//! thread packages, exhaustion behaviour, a bulk stream's sender
+//! recycling its buffers, and the byte-for-byte equivalence of the pooled
+//! encode/decode paths with the original `Vec`-allocating ones.
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use ncs_core::link::HpiLinkPair;
 use ncs_core::packet::{DataHeader, DataPacket};
 use ncs_core::pool::BufPool;
+use ncs_core::{ConnectionConfig, NcsNode};
 use ncs_threads::{KernelPackage, ThreadPackage, ThreadPackageExt, UserRuntime};
 use proptest::prelude::*;
 
@@ -97,6 +100,51 @@ fn exhaustion_falls_back_to_heap_under_load() {
     let c = pool.get();
     assert_eq!(pool.stats().hits, 2);
     drop((a, b, c));
+}
+
+/// A one-way stream of 16 KiB messages (four SDUs each) over the HPI
+/// bypass. Every pool checkout is an allocation the unpooled encode made
+/// at the same call site, every miss one the pooled path still makes:
+/// once warmed up, at most one checkout in two may miss.
+#[test]
+fn a_bulk_hpi_stream_recycles_the_senders_buffers() {
+    const BULK: usize = 16 * 1024;
+    // Enough frames to charge the free lists (the send queue plus a
+    // couple of batches in flight); the stream then stays well inside the
+    // 1,024-frame ring, which a bypass link would overrun silently.
+    const WARMUP: usize = 50;
+    const MEASURED: usize = 60;
+    let tx = NcsNode::builder("bulk-tx").build();
+    let rx = NcsNode::builder("bulk-rx").build();
+    let (la, lb) = HpiLinkPair::with_capacity(1024);
+    tx.attach_peer("bulk-rx", la);
+    rx.attach_peer("bulk-tx", lb);
+    let sender = tx
+        .connect("bulk-rx", ConnectionConfig::unreliable())
+        .expect("connect");
+    let receiver = rx.accept_default().expect("accept");
+    let payload = vec![0xB7u8; BULK];
+    let stream = |n: usize| {
+        for _ in 0..n {
+            sender.send(&payload).expect("send");
+        }
+        for _ in 0..n {
+            let m = receiver
+                .recv_timeout(Duration::from_secs(10))
+                .expect("recv");
+            assert_eq!(m.len(), BULK);
+        }
+    };
+    stream(WARMUP);
+    let before = tx.pool_stats();
+    stream(MEASURED);
+    let delta = tx.pool_stats().since(&before);
+    assert!(
+        delta.checkouts >= MEASURED as u64 && delta.misses <= delta.checkouts / 2,
+        "the sender's encodes did not recycle: {delta}"
+    );
+    tx.shutdown();
+    rx.shutdown();
 }
 
 proptest! {

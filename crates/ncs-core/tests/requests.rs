@@ -2,7 +2,7 @@
 //! bypass and reliable configurations, tag matching (including a
 //! proptest that tag-matched delivery never crosses tags), zero-copy
 //! `MsgView` recycling, request cancellation, the non-blocking receive
-//! (`recv_view(Duration::ZERO)`), and the
+//! (`recv_view(Duration::ZERO)`), `Duration::MAX` as no deadline, and the
 //! fail-fast contract — a parked `irecv` surfaces an error the moment
 //! its connection closes or its link dies, never a hang.
 
@@ -153,6 +153,38 @@ fn msg_view_recycles_through_the_pool() {
         delta.misses <= delta.checkouts / 2,
         "zero-copy receive path failed to recycle: {delta}"
     );
+    a.shutdown();
+    b.shutdown();
+}
+
+/// `Duration::MAX` is no deadline, not an overflow, at the completion-set
+/// waits and at the direct-mode receive: each returns on its event.
+#[test]
+fn a_wait_of_duration_max_has_no_deadline() {
+    let (a, b) = linked_nodes(256);
+    let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::unreliable());
+    let (first, second) = (cb.irecv(), cb.irecv());
+    let sender = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        ca.send(b"one")
+            .and_then(|()| ca.send(b"two"))
+            .expect("send");
+        ca
+    });
+    assert_eq!(wait_any(&[&first], Duration::MAX), Some(0));
+    assert!(wait_all(&[&first, &second], Duration::MAX));
+    drop(sender.join().expect("sender"));
+
+    let da = a
+        .connect("bob", ConnectionConfig::direct())
+        .expect("connect");
+    let db = b.accept_default().expect("accept");
+    let sender = std::thread::spawn(move || da.send_direct(b"direct").map(|()| da));
+    assert_eq!(
+        db.recv_direct(Duration::MAX).expect("recv_direct"),
+        b"direct"
+    );
+    drop(sender.join().expect("sender").expect("send_direct"));
     a.shutdown();
     b.shutdown();
 }

@@ -5,8 +5,8 @@
 //! and kind + tag + seq); recording is one relaxed `fetch_add` to claim
 //! a slot, two relaxed stores, and one `Instant::elapsed` call. A
 //! runtime kill-switch reduces the whole path to a single relaxed load,
-//! which is the "instrumentation off" baseline the perf gate measures
-//! against.
+//! the "instrumentation off" baseline a recording-on/off comparison
+//! measures against.
 //!
 //! Dumping is tear-tolerant by design: a reader may observe a slot
 //! whose two words straddle a concurrent overwrite (the ring keeps no

@@ -1,10 +1,10 @@
 //! The workspace's one JSON value type, parser and tree writer (the
 //! workspace is dependency-free by design — no serde).
 //!
-//! [`parse`] reads a document into a [`Json`] tree; [`Json::render`] /
-//! [`Json::render_pretty`] write one back. Everything that *reads* JSON —
-//! `bench_check`, `ncs-launch`'s telemetry merge, tests — goes through
-//! this parser, and `perf_gate` builds its artifact as a `Json` tree.
+//! [`parse`] reads a document into a [`Json`] tree; [`Json::render`]
+//! writes one back. Everything that *reads* JSON — the benchmark's
+//! comparison, `ncs-launch`'s telemetry merge, tests — goes through this
+//! parser.
 //!
 //! The telemetry plane's own emitters (`MetricsSnapshot::render_json`,
 //! `FlightRecorder::dump_json*`) deliberately stay streaming string
@@ -53,11 +53,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// An object from `(key, value)` pairs.
-    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
-        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
     /// Member `key` of an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -102,26 +97,11 @@ impl Json {
     /// `null` (JSON has no spelling for them).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write(&mut out);
         out
     }
 
-    /// 2-space indented rendering, newline-terminated, for files people
-    /// read.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let newline = |out: &mut String, depth: usize| {
-            if let Some(step) = indent {
-                out.push('\n');
-                out.extend(std::iter::repeat_n(' ', step * depth));
-            }
-        };
+    fn write(&self, out: &mut String) {
         let string = |out: &mut String, s: &str| {
             out.push('"');
             out.push_str(&escape(s));
@@ -133,80 +113,31 @@ impl Json {
             Json::Num(v) if v.is_finite() => out.push_str(&v.to_string()),
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => string(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline(out, depth + 1);
-                    item.write(out, indent, depth + 1);
+                    item.write(out);
                 }
-                newline(out, depth);
                 out.push(']');
             }
-            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
             Json::Obj(members) => {
                 out.push('{');
                 for (i, (key, value)) in members.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline(out, depth + 1);
                     string(out, key);
-                    out.push_str(if indent.is_some() { ": " } else { ":" });
-                    value.write(out, indent, depth + 1);
+                    out.push(':');
+                    value.write(out);
                 }
-                newline(out, depth);
                 out.push('}');
             }
         }
     }
 }
-
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(s: &str) -> Json {
-        Json::Str(s.to_owned())
-    }
-}
-
-impl From<String> for Json {
-    fn from(s: String) -> Json {
-        Json::Str(s)
-    }
-}
-
-impl FromIterator<Json> for Json {
-    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
-        Json::Arr(items.into_iter().collect())
-    }
-}
-
-/// Counts as JSON numbers (exact up to 2^53, far above any count the
-/// workspace renders through a tree).
-macro_rules! json_from_count {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Json {
-            fn from(n: $t) -> Json {
-                Json::Num(n as f64)
-            }
-        }
-    )*};
-}
-json_from_count!(u32, u64, usize);
 
 /// Why [`parse`] refused a document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -472,7 +403,7 @@ mod tests {
         );
         assert_eq!(v.get("c").and_then(Json::as_str), Some("q\"uote\n"));
         assert_eq!(v.get("d"), Some(&Json::Null));
-        assert_eq!(parse("\"\\u00e9\\u0041\"").unwrap(), Json::from("éA"));
+        assert_eq!(parse("\"\\u00e9\\u0041\"").unwrap(), Json::Str("éA".into()));
         for bad in ["{", "{} trailing", r#"{"a" 1}"#, "[1,]", "\"\\ud800\"", ""] {
             assert!(
                 matches!(parse(bad), Err(ParseError::Syntax { .. })),
@@ -481,22 +412,24 @@ mod tests {
         }
     }
 
+    /// One document in two spellings: the writer's compact one, and an
+    /// indented one that the parser reads to the same tree.
     #[test]
     fn renders_compact_and_indented() {
-        let v = Json::obj([
-            ("b", [Json::from(1u32), Json::Null].into_iter().collect()),
-            ("a", Json::from("x\"y")),
-            ("nan", Json::Num(f64::NAN)),
-            ("empty", Json::obj::<&str>([])),
-        ]);
-        assert_eq!(
-            v.render(),
-            r#"{"a":"x\"y","b":[1,null],"empty":{},"nan":null}"#
+        let v = Json::Obj(
+            [
+                ("b", Json::Arr(vec![Json::Num(1.0), Json::Null])),
+                ("a", Json::Str("x\"y".into())),
+                ("nan", Json::Num(f64::NAN)),
+                ("empty", Json::Obj(BTreeMap::new())),
+            ]
+            .map(|(k, v)| (k.to_owned(), v))
+            .into(),
         );
-        assert_eq!(
-            v.render_pretty(),
-            "{\n  \"a\": \"x\\\"y\",\n  \"b\": [\n    1,\n    null\n  ],\n  \"empty\": {},\n  \"nan\": null\n}\n"
-        );
+        let compact = r#"{"a":"x\"y","b":[1,null],"empty":{},"nan":null}"#;
+        assert_eq!(v.render(), compact);
+        let indented = "{\n  \"a\": \"x\\\"y\",\n  \"b\": [\n    1,\n    null\n  ],\n  \"empty\": {},\n  \"nan\": null\n}\n";
+        assert_eq!(parse(indented).map(|t| t.render()), Ok(compact.to_owned()));
     }
 
     /// The parser recurses, so unbounded nesting used to overflow the
@@ -559,8 +492,11 @@ mod tests {
                 3 => Json::Num(f64::from(any::<i32>().generate(rng))),
                 4 => Json::Str(text().generate(rng)),
                 5 => Json::Arr(proptest::collection::vec(Tree(self.0 - 1), children).generate(rng)),
-                _ => Json::obj(
-                    proptest::collection::vec((text(), Tree(self.0 - 1)), children).generate(rng),
+                _ => Json::Obj(
+                    proptest::collection::vec((text(), Tree(self.0 - 1)), children)
+                        .generate(rng)
+                        .into_iter()
+                        .collect(),
                 ),
             }
         }
@@ -569,8 +505,7 @@ mod tests {
     proptest! {
         #[test]
         fn render_then_parse_is_identity(v in Tree(4)) {
-            prop_assert_eq!(parse(&v.render()), Ok(v.clone()));
-            prop_assert_eq!(parse(&v.render_pretty()), Ok(v));
+            prop_assert_eq!(parse(&v.render()), Ok(v));
         }
 
         #[test]
@@ -586,7 +521,7 @@ mod tests {
             edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..6),
             cut in any::<usize>(),
         ) {
-            let mut bytes = v.render_pretty().into_bytes();
+            let mut bytes = v.render().into_bytes();
             for (at, b) in edits {
                 let at = at % bytes.len();
                 bytes[at] = b;

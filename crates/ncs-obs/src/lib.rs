@@ -28,8 +28,8 @@
 //! * [`postmortem`] — the `NCS_TELEMETRY_FILE` sink a dying rank writes
 //!   its final dump to, which `ncs-launch` wraps with the exit cause.
 //! * [`json`] — the workspace's one JSON value type, parser and tree
-//!   writer: what `bench_check`, `perf_gate` and `ncs-launch`'s telemetry
-//!   merge read and write dumps with.
+//!   writer: what the benchmark's comparison, `ncs-launch`'s telemetry
+//!   merge and the tests read dumps with.
 //!
 //! The crate is dependency-free so every layer of the workspace can
 //! depend on it without cycles.

@@ -7,7 +7,11 @@
 //! instrument, so two callers asking for the same series share one
 //! atomic. The registry lock is touched only at registration,
 //! deregistration and snapshot time — never on the metric hot path.
+//! Series are kept per label set (a connection's twenty or so share one),
+//! so a registration costs the same however many series a node holds,
+//! and retiring a label visits label sets, not series.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -34,9 +38,9 @@ enum Instrument {
 
 #[derive(Debug)]
 struct Entry {
-    name: String,
+    /// Registration number: a family lists its series in this order.
+    number: u64,
     help: String,
-    labels: Labels,
     instrument: Instrument,
 }
 
@@ -51,14 +55,16 @@ pub trait MetricSource: Send + Sync {
 
 #[derive(Default)]
 struct RegistryInner {
-    entries: Vec<Entry>,
+    /// Every live series: by label set, then by family name.
+    series: HashMap<Labels, HashMap<String, Entry>>,
+    registered: u64,
     sources: Vec<Arc<dyn MetricSource>>,
 }
 
 impl std::fmt::Debug for RegistryInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegistryInner")
-            .field("entries", &self.entries.len())
+            .field("label_sets", &self.series.len())
             .field("sources", &self.sources.len())
             .finish()
     }
@@ -85,20 +91,19 @@ impl Registry {
     ) -> Instrument {
         let labels = labels_of(labels);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = inner
-            .entries
-            .iter()
-            .find(|e| e.name == name && e.labels == labels)
-        {
+        let inner = &mut *inner;
+        let family = inner.series.entry(labels).or_default();
+        if let Some(e) = family.get(name) {
             return e.instrument.clone();
         }
+        inner.registered += 1;
         let instrument = make();
-        inner.entries.push(Entry {
-            name: name.to_string(),
+        let entry = Entry {
+            number: inner.registered,
             help: help.to_string(),
-            labels,
             instrument: instrument.clone(),
-        });
+        };
+        family.insert(name.to_string(), entry);
         instrument
     }
 
@@ -142,8 +147,8 @@ impl Registry {
     pub fn unregister_label(&self, key: &str, value: &str) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner
-            .entries
-            .retain(|e| !e.labels.iter().any(|(k, v)| k == key && v == value));
+            .series
+            .retain(|labels, _| !labels.iter().any(|(k, v)| k == key && v == value));
     }
 
     /// Number of live registered series (sources not included).
@@ -151,8 +156,10 @@ impl Registry {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len()
+            .series
+            .values()
+            .map(HashMap::len)
+            .sum()
     }
 
     /// Reads every instrument and source into one [`MetricsSnapshot`]
@@ -160,7 +167,13 @@ impl Registry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let mut families: Vec<Family> = Vec::new();
-        for e in &inner.entries {
+        let mut live: Vec<_> = inner
+            .series
+            .iter()
+            .flat_map(|(labels, by_name)| by_name.iter().map(move |(name, e)| (name, labels, e)))
+            .collect();
+        live.sort_unstable_by_key(|(_, _, e)| e.number);
+        for (name, labels, e) in live {
             let (kind, value) = match &e.instrument {
                 Instrument::Counter(c) => (MetricKind::Counter, MetricValue::Counter(c.get())),
                 Instrument::Gauge(g) => (MetricKind::Gauge, MetricValue::Gauge(g.get())),
@@ -169,13 +182,13 @@ impl Registry {
                 }
             };
             let series = Series {
-                labels: e.labels.clone(),
+                labels: labels.clone(),
                 value,
             };
-            match families.iter_mut().find(|f| f.name == e.name) {
+            match families.iter_mut().find(|f| &f.name == name) {
                 Some(f) => f.series.push(series),
                 None => families.push(Family {
-                    name: e.name.clone(),
+                    name: name.clone(),
                     help: e.help.clone(),
                     kind,
                     series: vec![series],
@@ -232,6 +245,22 @@ mod tests {
         // Detached handles keep working.
         a.inc();
         assert_eq!(a.get(), 1);
+    }
+
+    /// A series retired under one of its labels is gone under the others
+    /// too, and its identity registers afresh.
+    #[test]
+    fn a_retired_series_registers_afresh() {
+        let r = Registry::new();
+        let one = [("conn", "1"), ("peer", "a")];
+        r.counter("x_total", "", &one).add(5);
+        let _ = r.counter("x_total", "", &[("conn", "2"), ("peer", "a")]);
+        r.unregister_label("conn", "1");
+        assert_eq!(r.series_count(), 1);
+        assert_eq!(r.counter("x_total", "", &one).get(), 0);
+        r.unregister_label("peer", "a");
+        assert_eq!(r.series_count(), 0);
+        assert!(r.snapshot().families.is_empty());
     }
 
     #[test]

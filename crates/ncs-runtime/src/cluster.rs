@@ -705,7 +705,8 @@ impl ClusterNode {
         pred: impl Fn(&View) -> bool,
         timeout: Duration,
     ) -> Result<View, ClusterError> {
-        let deadline = Instant::now() + timeout;
+        // No deadline at all for a timeout beyond what the clock can tell.
+        let deadline = Instant::now().checked_add(timeout);
         let mut guard = self.shared.view.lock();
         loop {
             if let Some(v) = guard.as_ref() {
@@ -713,11 +714,14 @@ impl ClusterNode {
                     return Ok(v.clone());
                 }
             }
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| {
-                    ClusterError::Timeout("no matching membership view in time".into())
-                })?;
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                return Err(ClusterError::Timeout(
+                    "no matching membership view in time".into(),
+                ));
+            }
             self.shared.view_cv.wait_for(&mut guard, left);
         }
     }

@@ -65,9 +65,11 @@ use crate::wire::{RvMsg, PROTOCOL_VERSION};
 /// Failure-detector and heartbeat tuning knobs.
 ///
 /// The defaults balance detection latency against false positives on a
-/// loaded CI runner: a member is declared dead after `dead_after` of
-/// silence, which the perf gate bounds at 3× the heartbeat interval
-/// (detection latency ≈ `dead_after` + one detector tick + delivery).
+/// loaded CI runner: a member is declared dead by the first detector
+/// sweep after `dead_after` of silence, within 3× the heartbeat interval
+/// (detection latency ≈ `dead_after` + one sweep + delivery; held on
+/// virtual time by the `membership_props` test
+/// `a_silent_member_dies_at_the_first_sweep_past_dead_after`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipConfig {
     /// How often each member pulses a heartbeat.

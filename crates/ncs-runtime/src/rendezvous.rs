@@ -179,17 +179,17 @@ impl RendezvousServer {
     /// Blocks until the roster went out, or `timeout`. Returns whether it
     /// did.
     pub fn wait_complete(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        // No deadline at all for a timeout beyond what the clock can tell.
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = self.shared.state.lock();
         while !state.service.roster_sealed() {
-            if self
-                .shared
-                .sealed
-                .wait_until(&mut state, deadline)
-                .timed_out()
-            {
-                return state.service.roster_sealed();
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                return false;
             }
+            self.shared.sealed.wait_for(&mut state, left);
         }
         true
     }

@@ -11,7 +11,8 @@ use ncs_collectives::ReduceOp;
 use ncs_core::ConnectionConfig;
 use ncs_obs::json::{self, Json};
 use ncs_runtime::{
-    rendezvous, ClusterConfig, ClusterNode, RendezvousServer, RvMsg, PROTOCOL_VERSION,
+    rendezvous, ClusterConfig, ClusterNode, MembershipConfig, RendezvousServer, RvMsg,
+    PROTOCOL_VERSION,
 };
 use ncs_transport::{sci, Connection as _};
 
@@ -68,6 +69,24 @@ fn four_ranks_bootstrap_allreduce_and_barrier() {
     for h in members {
         assert_eq!(h.join().unwrap(), vec![6.0, 4.0]);
     }
+    for c in &world {
+        c.shutdown();
+    }
+}
+
+/// `Duration::MAX` is no deadline, not an overflow, at the rendezvous
+/// server's and a rank's waits: each returns on its event.
+#[test]
+fn a_wait_of_duration_max_has_no_deadline() {
+    let (server, world) = bootstrap_world(2);
+    assert!(server.wait_complete(Duration::MAX));
+    world[0]
+        .enable_membership_with(MembershipConfig::fast())
+        .expect("membership");
+    let view = world[0]
+        .wait_view(|v| v.is_full(), Duration::MAX)
+        .expect("the seed view");
+    assert_eq!(view.members.len(), 2);
     for c in &world {
         c.shutdown();
     }

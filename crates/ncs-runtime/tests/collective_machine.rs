@@ -3,7 +3,7 @@
 //! handed over in a loop), under `CollectiveGroup`'s runner on a
 //! `LocalWorld` or a `SimSession` world, or inside `SimWorld`'s event loop.
 //! A second implementation of any schedule would show here as a count that
-//! differs.
+//! differs. A broadcast root's count is pinned to the tree's degree.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -174,6 +174,12 @@ fn all_three_shells_put_the_same_frames_on_the_wire() {
             let bare = bare(case, n);
             assert_eq!(local[i], bare, "LocalWorld, {case:?} on {n}");
             assert_eq!(sim[i], bare, "SimSession, {case:?} on {n}");
+            // The spanning tree's claim, on the wire: a broadcast root
+            // sends ⌈log₂ n⌉ frames, where a flat fan-out sends n - 1.
+            if let (SimOp::Broadcast { root, .. }, 4..) = (case, n) {
+                let log2 = u64::from(usize::BITS - (n - 1).leading_zeros());
+                assert_eq!(local[i][*root as usize].0, log2, "{case:?} on {n}");
+            }
             let mut scenario = Scenario::new("differential", n as u32, 3);
             scenario.ops = vec![case.clone()];
             let mut world = SimWorld::new(scenario);

@@ -3,7 +3,8 @@
 //! must leave **every** subscriber holding the same final view, under
 //! both thread packages. A second property pins sequential determinism:
 //! the same event list replayed on a fresh hub reproduces the identical
-//! view sequence.
+//! view sequence. A plain test pins the detector's timing on virtual
+//! time: when a silent member is declared dead.
 //!
 //! The drivers deliberately race: each one owns an interleaved slice of
 //! the event list, detector time lives on a shared [`VirtualClock`] any
@@ -260,5 +261,58 @@ proptest! {
             };
             prop_assert!(id(&pair[0]) < id(&pair[1]), "epoch went backwards: {} then {}", pair[0], pair[1]);
         }
+    }
+}
+
+/// The failure detector on virtual time, swept at `ncsd`'s pace (every
+/// quarter heartbeat interval, between 5 and 100 ms) while ranks 0 and 1
+/// pulse once an interval and rank 2 stays silent from t = 0. Rank 2 is
+/// declared dead by the first sweep at or past `dead_after`, never
+/// before, and that sweep lands within three heartbeat intervals under
+/// the default tuning and a 100 ms one.
+#[test]
+fn a_silent_member_dies_at_the_first_sweep_past_dead_after() {
+    let tunings = [
+        MembershipConfig::default(),
+        MembershipConfig {
+            heartbeat_interval: Duration::from_millis(100),
+            suspect_after: Duration::from_millis(150),
+            dead_after: Duration::from_millis(200),
+        },
+    ];
+    for cfg in tunings {
+        let clock = Arc::new(VirtualClock::new());
+        let hub = MembershipHub::new(3, cfg.clone(), Arc::clone(&clock) as Arc<dyn Clock>);
+        let seen = Seen::default();
+        watch(&hub, &seen);
+        hub.seed(&(0..3).map(|r| (r, format!("det:{r}"))).collect::<Vec<_>>());
+        for r in 0..3 {
+            hub.heartbeat(r);
+        }
+        let sweep = (cfg.heartbeat_interval / 4)
+            .clamp(Duration::from_millis(5), Duration::from_millis(100));
+        let mut next_pulse = cfg.heartbeat_interval;
+        let died_at = loop {
+            let now = clock.advance(sweep);
+            if now >= next_pulse {
+                hub.heartbeat(0);
+                hub.heartbeat(1);
+                next_pulse += cfg.heartbeat_interval;
+            }
+            if let Some(view) = hub.tick() {
+                assert_eq!(view.dead, vec![2], "{}", render(&view));
+                break now;
+            }
+        };
+        assert!(
+            died_at >= cfg.dead_after && died_at < cfg.dead_after + sweep,
+            "{cfg:?}: declared dead after {died_at:?} of silence"
+        );
+        assert!(
+            died_at <= 3 * cfg.heartbeat_interval,
+            "{cfg:?}: detection took {died_at:?}"
+        );
+        let last = seen.lock().last().cloned().expect("views");
+        assert_eq!(last.dead, vec![2], "the sink missed the death view");
     }
 }

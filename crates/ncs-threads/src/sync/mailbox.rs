@@ -197,25 +197,6 @@ impl<T> Mailbox<T> {
         }
     }
 
-    /// Queues a message, giving up (and handing it back) if no space
-    /// opened up within `timeout`. Equivalent to [`Mailbox::send`] for
-    /// unbounded mailboxes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message in [`TrySendError`] on timeout.
-    pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), TrySendError<T>> {
-        if let Some(slots) = &self.slots {
-            if !slots.acquire_timeout(timeout) {
-                return Err(TrySendError(value));
-            }
-        }
-        self.queue.lock().push_back(value);
-        self.items.release();
-        self.notify();
-        Ok(())
-    }
-
     /// Queues a batch of messages under **one** queue-lock acquisition,
     /// taking as many as capacity allows; returns the messages that did not
     /// fit (always empty for unbounded mailboxes). Relative order of the

@@ -251,11 +251,6 @@ impl PipeConnection {
         }
         frame
     }
-
-    /// Bytes currently occupying this endpoint's kernel send buffer.
-    pub fn send_buffer_used(&self) -> usize {
-        *self.tx.used.lock()
-    }
 }
 
 impl Connection for PipeConnection {

@@ -537,20 +537,22 @@ fn connect_retryable(e: &std::io::Error) -> bool {
 /// The final socket error after the retry budget, or the first
 /// non-retryable error.
 pub fn connect_retry(addr: SocketAddr, timeout: Duration) -> Result<SciConnection, TransportError> {
-    let deadline = Instant::now() + timeout;
+    // No deadline at all for a timeout beyond what the clock can tell.
+    let deadline = Instant::now().checked_add(timeout);
+    let left = || {
+        deadline.map_or(Duration::MAX, |d| {
+            d.saturating_duration_since(Instant::now())
+        })
+    };
     let mut backoff = CONNECT_BACKOFF_MIN;
     loop {
         // Never pass a zero budget: connect_timeout rejects it. The floor
         // also gives a `timeout == 0` caller one real (if brisk) attempt.
-        let attempt = deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(10));
+        let attempt = left().max(Duration::from_millis(10));
         match TcpStream::connect_timeout(&addr, attempt) {
             Ok(stream) => return SciConnection::from_stream(stream),
-            Err(e) if connect_retryable(&e) && Instant::now() < deadline => {
-                let now = Instant::now();
-                let left = deadline.saturating_duration_since(now);
-                std::thread::sleep(backoff.min(left));
+            Err(e) if connect_retryable(&e) && !left().is_zero() => {
+                std::thread::sleep(backoff.min(left()));
                 backoff = (backoff * 2).min(CONNECT_BACKOFF_MAX);
             }
             Err(e) => return Err(e.into()),
@@ -946,5 +948,15 @@ mod tests {
         let r = connect_retry(addr, Duration::from_millis(120));
         assert!(r.is_err(), "nobody ever listened");
         assert!(start.elapsed() >= Duration::from_millis(100));
+    }
+
+    /// `Duration::MAX` is no deadline, not an overflow.
+    #[test]
+    fn connect_retry_takes_duration_max_as_no_deadline() {
+        let listener = SciListener::bind("127.0.0.1:0").unwrap();
+        let client = connect_retry(listener.local_addr().unwrap(), Duration::MAX).unwrap();
+        let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+        client.send(b"no deadline").unwrap();
+        assert_eq!(server.recv().unwrap(), b"no deadline");
     }
 }

@@ -113,8 +113,8 @@
 //! [`Channel`] (`conn.channel(id)`) — a comm-dup analogue
 //! over the tag space. Channels map onto a sharded delivery queue
 //! ([`core::DELIVERY_SHARDS`]), so receivers on distinct channels never
-//! contend on a lock, and the `mt-msgrate` benchmark in `ncs-bench`
-//! proves aggregate message rate scales with the thread count.
+//! contend on a lock, and a receiver blocked on one channel never stalls
+//! another (`crates/ncs-core/tests/channels.rs`).
 //!
 //! See `ARCHITECTURE.md` for the top-to-bottom tour of the workspace
 //! (crate map, the Figure-4 thread planes, the life of a message, the
