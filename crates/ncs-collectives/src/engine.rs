@@ -40,17 +40,22 @@
 //!   a step must wait and then starts the operations queued behind it, so
 //!   the bound is the payloads submitted and not yet sent × their fan-out
 //!   — memory the callers already handed over. The outbox is offered again
-//!   on every drive and, with nothing else happening, every [`TX_RETRY`].
+//!   on every drive and, with nothing else happening, when a link it
+//!   holds frames for has room again: a link that cut a send short calls
+//!   its room waker ([`NcsConnection::set_room_waker`]) once its send
+//!   queue drops below the bound, which flags the room and wakes the
+//!   group task. Nothing retries on a timer.
 //! * **What `Ok` means for a sender.** A machine's `Send` step is done
 //!   once its frames are *accepted* — by the link or by the outbox — so
 //!   the root of a large broadcast can see its handle resolve with
 //!   megabytes still owed. They are delivered all the same: a group that
 //!   is closed (or dropped) while it owes frames keeps itself alive, and
-//!   its task retrying, until every outbox is empty or its link has died.
+//!   its links' room wakes coming, until every outbox is empty or its link
+//!   has died.
 //! * **Who keeps time.** One reactor task per group
 //!   ([`Reactor::spawn_task`](ncs_core::Reactor::spawn_task)) holds the
 //!   machine's next deadline (an operation's timeout, the grace after a
-//!   link died) or the outbox retry, under the reactor's timer rule: a
+//!   link died), under the reactor's timer rule: a
 //!   deadline stays armed while the group is busy and is replaced only by
 //!   an earlier one, so a stream of short operations with long timeouts
 //!   costs one timer per timeout period, not one per operation. The task
@@ -92,16 +97,6 @@ use crate::frame::{Encoder, UNMATCHED};
 use crate::handle::{CollectiveError, CollectiveHandle, CollectiveResult, OpCompletion};
 use crate::machine::{Machine, Op, Output, Spec};
 use crate::topology::{OpClass, Topology, TopologyPolicy};
-
-/// How long refused frames sit in an outbox before the group task offers
-/// them again with nothing else driving the group. What ends the
-/// back-pressure is the link's send queue draining, which nothing here can
-/// observe — the idiom of the connection's own Send plane, on a shorter
-/// fuse: a full queue (128 SDUs) empties in about this long on the
-/// in-process links, and a leaf of a reduction has nothing but this timer
-/// to send its next run of segments on (at 1 ms a 2 MiB allreduce took
-/// half as long again as it did behind a blocking send).
-const TX_RETRY: Duration = Duration::from_micros(250);
 
 /// How late the group task may run for a deadline: one already armed
 /// within this of a new one covers it. Deadlines are recomputed from two
@@ -249,6 +244,11 @@ struct Inner {
     /// the deadline it last returned. Holds the group weakly, and is
     /// retired by being dropped with it.
     task: TaskRef,
+    /// Set by a link's room waker before it wakes the task, cleared by a
+    /// step before it offers the outbox: a wake whose task found the
+    /// machine busy is seen by that step, or by its stepper's look after
+    /// unlocking.
+    room: AtomicBool,
     /// Multicasts delivered to this member: `(origin, payload)`.
     delivered: Mailbox<(usize, Vec<u8>)>,
     closed: AtomicBool,
@@ -423,15 +423,19 @@ impl Inner {
             let Some(mut p) = self.progress.try_lock() else {
                 return wake_at;
             };
+            self.room.store(false, Ordering::SeqCst);
             let drained = self.step(&mut p, &mut wake_at);
             // Nothing left to deliver: a closed group lets go of itself
             // (once unlocked; the caller holds it through this call).
             let delivered = p.owed.frames.is_empty().then(|| p.flushing.take());
             drop(p);
             drop(delivered);
-            // An inbox the step left alone (frames still owed) is the
-            // retry's to drain, not a reason to spin here.
-            if !drained || self.inbox.lock().is_empty() {
+            // Room that came during the step steps again: its wake may
+            // have found the lock taken. An inbox the step left alone
+            // (frames still owed) is for the step that room brings, not a
+            // reason to spin here.
+            let room = self.room.load(Ordering::SeqCst);
+            if !room && (!drained || self.inbox.lock().is_empty()) {
                 return wake_at;
             }
         }
@@ -464,9 +468,7 @@ impl Inner {
             }
             machine.poll(now, emit);
         }
-        let retry = (!p.owed.frames.is_empty()).then_some(TX_RETRY);
-        let deadline = p.machine.next_deadline().map(|at| at.saturating_sub(now));
-        let after = retry.into_iter().chain(deadline).min();
+        let after = p.machine.next_deadline().map(|at| at.saturating_sub(now));
         // The wall clock is read after the node's, so the task runs on the
         // late side of the deadline and finds it passed.
         *wake_at = after.map(|after| Instant::now() + after);
@@ -583,6 +585,7 @@ impl CollectiveGroup {
                 task: node
                     .reactor()
                     .spawn_task(move |_| group.upgrade()?.advance()),
+                room: AtomicBool::new(false),
                 delivered: Mailbox::unbounded(),
                 closed: AtomicBool::new(false),
                 view_changed: AtomicU64::new(0),
@@ -596,7 +599,9 @@ impl CollectiveGroup {
         // reactor task that reassembles a frame queues it for the machine
         // and steps the machine there and then (no pump thread parked on
         // recv, no runner to wake). A dying link reports itself behind its
-        // final frames.
+        // final frames. A link with room again after cutting a send short
+        // wakes the group task, which offers the outbox; weakly, as the
+        // task holds the group.
         for (&peer, conn) in &inner.links {
             let i = Arc::clone(&inner);
             conn.set_receive_sink(Some(Arc::new(move |res| {
@@ -604,6 +609,13 @@ impl CollectiveGroup {
                     Ok(view) => Event::Frame(peer, view.into_vec()),
                     Err(e) => Event::LinkDown(peer, e),
                 })
+            })));
+            let group = Arc::downgrade(&inner);
+            conn.set_room_waker(Some(Arc::new(move || {
+                if let Some(i) = group.upgrade() {
+                    i.room.store(true, Ordering::SeqCst);
+                    i.task.wake();
+                }
             })));
         }
         Ok(CollectiveGroup { inner })
@@ -660,7 +672,7 @@ impl CollectiveGroup {
         self.inner.step(&mut p, &mut None);
         p.flushing = (!p.owed.frames.is_empty()).then(|| Arc::clone(&self.inner));
         drop(p);
-        // Whatever a sink queued meanwhile, and the task's next retry.
+        // Whatever a sink queued meanwhile.
         self.inner.post(Event::Wake);
     }
 
@@ -1335,6 +1347,122 @@ mod tests {
     /// the inbox began before the flag flipped. Either way every barrier
     /// admitted before the flip resolves with the cause, and none waits
     /// for a stepper that never comes.
+    /// A link over PIPE whose channels refuse every nonblocking transmit
+    /// once `stopped` is set, as a socket buffer whose drain has stopped.
+    #[derive(Debug)]
+    struct StoppableLink {
+        pipe: Arc<ncs_core::link::PipeLink>,
+        stopped: Arc<AtomicBool>,
+    }
+
+    #[derive(Debug)]
+    struct Stoppable(Box<dyn ncs_transport::Connection>, Arc<AtomicBool>);
+
+    impl StoppableLink {
+        fn wrap(
+            &self,
+            c: Box<dyn ncs_transport::Connection>,
+        ) -> Box<dyn ncs_transport::Connection> {
+            Box::new(Stoppable(c, Arc::clone(&self.stopped)))
+        }
+    }
+
+    impl ncs_core::link::PeerLink for StoppableLink {
+        fn open_channel(
+            &self,
+        ) -> Result<Box<dyn ncs_transport::Connection>, ncs_transport::TransportError> {
+            Ok(self.wrap(self.pipe.open_channel()?))
+        }
+        fn try_accept_channel(
+            &self,
+        ) -> Result<Option<Box<dyn ncs_transport::Connection>>, ncs_transport::TransportError>
+        {
+            Ok(self.pipe.try_accept_channel()?.map(|c| self.wrap(c)))
+        }
+        fn watch_accepts(&self, waker: Option<ncs_transport::Waker>) -> ncs_transport::Readiness {
+            self.pipe.watch_accepts(waker)
+        }
+        fn interface(&self) -> &'static str {
+            self.pipe.interface()
+        }
+    }
+
+    impl ncs_transport::Connection for Stoppable {
+        fn caps(&self) -> ncs_transport::Capabilities {
+            self.0.caps()
+        }
+        fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, ncs_transport::TransportError> {
+            self.0.send_batch(frames)
+        }
+        fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, ncs_transport::TransportError> {
+            match self.1.load(Ordering::Acquire) {
+                true => Ok(0),
+                false => self.0.try_send_batch(frames),
+            }
+        }
+        fn recv_timeout(&self, t: Duration) -> Result<Vec<u8>, ncs_transport::TransportError> {
+            self.0.recv_timeout(t)
+        }
+        fn try_recv(&self) -> Result<Option<Vec<u8>>, ncs_transport::TransportError> {
+            self.0.try_recv()
+        }
+        fn readiness(&self) -> ncs_transport::Readiness {
+            self.0.readiness()
+        }
+        fn register_waker(&self, waker: Option<ncs_transport::Waker>) {
+            self.0.register_waker(waker);
+        }
+        fn close(&self) {
+            self.0.close();
+        }
+        fn peer_label(&self) -> String {
+            self.0.peer_label()
+        }
+    }
+
+    /// A closed group that still owes frames to a link whose transmit has
+    /// stopped lets go of itself when that link closes: with no retry
+    /// timer, it is the close that calls the link's room waker, and the
+    /// step that brings meets the close, drops the frames and the group.
+    #[test]
+    fn a_closed_group_owing_frames_lets_go_when_their_link_closes() {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let (pa, pb) = ncs_core::link::PipeLinkPair::create(
+            ncs_transport::pipe::PipeConfig::default(),
+            None,
+            None,
+        );
+        let nodes = [
+            NcsNode::builder("root").build(),
+            NcsNode::builder("leaf").build(),
+        ];
+        for (node, peer, pipe) in [(&nodes[0], "leaf", pa), (&nodes[1], "root", pb)] {
+            let stopped = Arc::clone(&stopped);
+            node.attach_peer(peer, Arc::new(StoppableLink { pipe, stopped }));
+        }
+        let link = nodes[0]
+            .connect("leaf", ncs_core::ConnectionConfig::unreliable())
+            .unwrap();
+        let _leaf = nodes[1].accept_default().unwrap();
+        let root =
+            CollectiveGroup::new(&nodes[0], 1, 0, HashMap::from([(1, link.clone())])).unwrap();
+        stopped.store(true, Ordering::Release);
+        // 1 MiB, 32 segments: twice what the link's send queue admits.
+        let sent = root.broadcast(0, vec![7u64; 1 << 17]).expect("accepted");
+        assert_eq!(sent.len(), 1 << 17);
+        let watch = root.view_abort_handle();
+        drop(root);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(watch.0.strong_count() > 0, "let go with frames owed");
+        link.close();
+        let t0 = Instant::now();
+        while watch.0.strong_count() > 0 {
+            assert!(t0.elapsed() < Duration::from_secs(1), "group kept alive");
+            std::thread::yield_now();
+        }
+        nodes.iter().for_each(NcsNode::shutdown);
+    }
+
     #[test]
     fn a_flag_flipped_under_a_step_in_progress_still_aborts_everything() {
         type Flip = fn(&CollectiveGroup);

@@ -765,8 +765,16 @@ fn user_pkg(body: impl FnOnce(Arc<dyn ThreadPackage>) + Send + 'static) {
     .run(move |pkg| body(Arc::new(pkg)));
 }
 
+/// Timer fires on the nodes' reactors so far. Over bypass links nothing
+/// arms a deadline that an operation reaches: a refused frame waits for
+/// its link to report room, not for a retry timer.
+fn timer_fires(nodes: &[NcsNode]) -> u64 {
+    nodes.iter().map(|n| n.reactor().stats().timer_fires).sum()
+}
+
 /// A ring allgather of 2 MiB per member, then a chain broadcast of 8 MiB,
-/// over §3.1 bypass links, start to finish in under five seconds.
+/// over §3.1 bypass links, start to finish in under five seconds, and with
+/// no timer fired while the operations run.
 fn large_ring_and_chain(pkg: Arc<dyn ThreadPackage>) {
     let start = std::time::Instant::now();
     for iface in [Iface::Pipe, Iface::Hpi] {
@@ -776,6 +784,7 @@ fn large_ring_and_chain(pkg: Arc<dyn ThreadPackage>) {
         };
         let bypass = ConnectionConfig::unreliable();
         let cluster = build_cluster(4, iface, &pkg, &bypass, coll_cfg);
+        let fired = timer_fires(&cluster.nodes);
         run_members(&pkg, &cluster.groups, move |rank, g| {
             let all = g
                 .allgather(vec![rank as u64; 1 << 18])
@@ -795,6 +804,8 @@ fn large_ring_and_chain(pkg: Arc<dyn ThreadPackage>) {
                 "{iface:?} rank {rank}"
             );
         });
+        let fired = timer_fires(&cluster.nodes) - fired;
+        assert_eq!(fired, 0, "{iface:?}: timers fired");
         cluster.shutdown();
     }
     let took = start.elapsed();
@@ -824,7 +835,8 @@ const RING_ELEMS: usize = 1 << 20;
 /// in an 8 MiB chain broadcast from rank 0 — most of whose 256 segments
 /// the root's link refuses at first, so the root's handle resolves with
 /// megabytes still in its outbox. `root` gets the root's group and its
-/// broadcast; the others check what they receive. (PIPE because it is a
+/// broadcast; the others check what they receive. No timer fires on the
+/// way: the outbox waits for its link's room. (PIPE because it is a
 /// wire that pushes back: a bypass HPI ring drops what overruns it, and a
 /// root with nothing to do but empty its outbox outruns its reader.)
 fn ring_broadcast_whose_root(
@@ -837,6 +849,7 @@ fn ring_broadcast_whose_root(
         ..CollectiveConfig::default()
     };
     let mut cluster = build_cluster(4, iface, pkg, &ConnectionConfig::unreliable(), coll_cfg);
+    let fired = timer_fires(&cluster.nodes);
     let members: Vec<_> = std::mem::take(&mut cluster.groups)
         .into_iter()
         .enumerate()
@@ -862,6 +875,7 @@ fn ring_broadcast_whose_root(
     for m in members {
         m.join().expect("member panicked");
     }
+    assert_eq!(timer_fires(&cluster.nodes) - fired, 0, "timers fired");
     cluster.shutdown();
 }
 

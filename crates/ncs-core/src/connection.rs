@@ -75,7 +75,7 @@ use std::time::{Duration, Instant};
 
 use ncs_obs::{EventKind, FlightRecorder, Registry};
 use ncs_threads::sync::{Event, Mailbox, NcsMutex, Semaphore};
-use ncs_transport::{Connection as Transport, TransportError};
+use ncs_transport::{Connection as Transport, TransportError, Waker};
 use parking_lot::{Mutex, RwLock};
 
 use crate::config::{ConnectionConfig, ErrorControlAlg};
@@ -106,14 +106,19 @@ const SEND_QUEUE_DEPTH: usize = 4 * IO_BATCH;
 
 /// The send queue of a connection without flow and error control: the
 /// SDUs queued ahead of the interface, counted from submission to write,
-/// and the senders parked until it is below [`SEND_QUEUE_DEPTH`].
-#[derive(Debug)]
+/// and who waits until it is below [`SEND_QUEUE_DEPTH`]: senders parked
+/// in it, and a [`NcsConnection::try_send_batch`] caller it cut short.
 pub(crate) struct SendQueue {
     sdus: AtomicUsize,
     /// Senders parked in [`SendQueue::admit`], and the permits that wake
     /// them.
     parked: AtomicUsize,
     room: Semaphore,
+    /// Set by a caller [`SendQueue::has_room`] turned away, cleared by the
+    /// release that takes the queue below its bound, which then runs
+    /// `on_room` ([`NcsConnection::set_room_waker`]).
+    wanted: AtomicBool,
+    on_room: Mutex<Option<Waker>>,
 }
 
 impl SendQueue {
@@ -122,6 +127,8 @@ impl SendQueue {
             sdus: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
             room: Semaphore::new(0),
+            wanted: AtomicBool::new(false),
+            on_room: Mutex::new(None),
         }
     }
 
@@ -157,14 +164,37 @@ impl SendQueue {
         Ok(())
     }
 
-    /// Counts `sdus` SDUs, written or gone, out, and wakes every parked
-    /// sender to look again.
-    fn release(&self, sdus: usize) {
-        if sdus == 0 {
-            return;
+    /// Whether a message may go in without waiting. When it may not, the
+    /// caller is announced for the release that makes room, and the queue
+    /// looked at once more: the protocol of [`SendQueue::admit`]'s parked
+    /// senders, with a call of `on_room` for the semaphore.
+    fn has_room(&self) -> bool {
+        if self.len() < SEND_QUEUE_DEPTH {
+            return true;
         }
-        self.sdus.fetch_sub(sdus, Ordering::SeqCst);
+        self.wanted.store(true, Ordering::SeqCst);
+        self.len() < SEND_QUEUE_DEPTH
+    }
+
+    /// Counts `sdus` SDUs, written or gone, out, and wakes whoever waits
+    /// once that takes the queue below its bound.
+    fn release(&self, sdus: usize) {
+        if sdus > 0 && self.sdus.fetch_sub(sdus, Ordering::SeqCst) - sdus < SEND_QUEUE_DEPTH {
+            self.wake();
+        }
+    }
+
+    /// Wakes every parked sender to look again, and calls the caller
+    /// [`SendQueue::has_room`] turned away (one atomic load when there is
+    /// none): on room, and on the connection's close.
+    fn wake(&self) {
         self.room.release_n(self.parked.load(Ordering::SeqCst));
+        if self.wanted.load(Ordering::SeqCst) && self.wanted.swap(false, Ordering::SeqCst) {
+            let on_room = self.on_room.lock().clone();
+            if let Some(wake) = on_room {
+                wake();
+            }
+        }
     }
 }
 
@@ -240,9 +270,8 @@ pub(crate) struct TxSide {
     /// Flow and error control, sender half (Figures 6-8, steps 1-3).
     plane: TxPlane,
     /// The Send plane (Figure 4 step 4): frames waiting for the interface.
+    /// After a step, frames still here were refused.
     pending: VecDeque<SendJob>,
-    /// The interface refused the last flush; retried on [`TX_RETRY`].
-    blocked: bool,
 }
 
 /// Connection lifecycle.
@@ -387,7 +416,6 @@ impl ConnShared {
             tx: NcsMutex::new(TxSide {
                 plane,
                 pending: VecDeque::with_capacity(IO_BATCH),
-                blocked: false,
             }),
             task: RwLock::new(None),
             delivery: DeliveryQueue::new(),
@@ -495,13 +523,15 @@ impl ConnShared {
         }
         let mut timer = None;
         self.step_tx(&mut tx, &mut timer);
-        self.step_send(&mut tx, &mut timer);
+        self.step_send(&mut tx);
+        let blocked = self.owes_write(&tx);
         drop(tx);
         // Read after the step, outside the lock: a poll that missed the
         // step has either published its deadline by now or is still
-        // running and will find this wake.
-        if let (Some(at), Some((task, _))) = (timer, self.task.read().as_ref()) {
-            if !task.armed_by(at) {
+        // running and will find this wake. A refused write is the task's
+        // to wait for: it arms for the interface turning writable.
+        if let Some((task, _)) = self.task.read().as_ref() {
+            if blocked || timer.is_some_and(|at| !task.armed_by(at)) {
                 task.wake();
             }
         }
@@ -593,7 +623,8 @@ impl ConnShared {
         }
         // The Send plane's queue fills only while the interface refuses
         // it; everything behind waits where it is until that clears, and
-        // the Send plane's retry timer comes back for it.
+        // the report that the interface turned writable brings the task
+        // back for it.
         if pending.len() >= SEND_QUEUE_DEPTH {
             return progressed;
         }
@@ -631,24 +662,24 @@ impl ConnShared {
     /// The Send plane: moves queued frames onto the data connection. Up to
     /// [`IO_BATCH`] frames cross the transport per
     /// [`ncs_transport::Connection::try_send_batch`] call, and their
-    /// pooled buffers return to the pool as each is transmitted.
-    fn step_send(&self, tx: &mut TxSide, timer: &mut Option<Instant>) -> bool {
-        let TxSide {
-            pending, blocked, ..
-        } = tx;
+    /// pooled buffers return to the pool as each is transmitted. A direct
+    /// connection's sender may block (§4.2), and waits for room in the
+    /// transport's blocking [`ncs_transport::Connection::send_batch`]
+    /// (SCI's waits in `poll(2)`) instead.
+    fn step_send(&self, tx: &mut TxSide) -> bool {
+        let pending = &mut tx.pending;
         let mut progressed = false;
-        *blocked = false;
         while !pending.is_empty() {
             let mut refs = [&[][..]; IO_BATCH];
             let batch = fill_batch(&mut refs, pending.iter().map(|(f, _)| f.as_slice()));
-            match self.transport.try_send_batch(&refs[..batch]) {
-                Ok(0) => {
-                    // Interface backpressure: the peer must drain before
-                    // more fits, which no local readiness source reports —
-                    // retry on a short timer.
-                    *blocked = true;
-                    break;
-                }
+            let sent = match self.config.direct {
+                true => self.transport.send_batch(&refs[..batch]),
+                false => self.transport.try_send_batch(&refs[..batch]),
+            };
+            match sent {
+                // Interface backpressure: the peer must drain before more
+                // fits, and the task waits for the interface to say so.
+                Ok(0) => break,
                 Ok(sent) => {
                     let sent = sent.min(batch);
                     self.counters.packets_sent.add(sent as u64);
@@ -685,12 +716,16 @@ impl ConnShared {
             }
         }
         if pending.is_empty() {
-            *blocked = flush_owed(self.transport.as_ref());
-        }
-        if *blocked {
-            min_timer(timer, Instant::now() + TX_RETRY);
+            flush_owed(self.transport.as_ref());
         }
         progressed
+    }
+
+    /// Whether the interface refused the last flush, or still owes the
+    /// tail of a frame: the task waits for it to turn writable
+    /// ([`Watch::rearm`]).
+    fn owes_write(&self, tx: &TxSide) -> bool {
+        !tx.pending.is_empty() || self.transport.owes_bytes()
     }
 
     pub(crate) fn initiate_close(&self) {
@@ -760,10 +795,11 @@ impl ConnShared {
             self.delivery.fail_all(SendError::Closed);
         }
         self.established.fire();
-        // Senders parked for room or, in direct mode, for the peer's next
-        // word see the close now.
+        // Senders parked for room, a caller a full queue turned away (its
+        // next offer meets the close) or, in direct mode, a sender waiting
+        // for the peer's next word see the close now.
         if let Some(q) = &self.queued {
-            q.room.release_n(q.parked.load(Ordering::SeqCst));
+            q.wake();
         }
         self.ctrl_inbox.send(CtrlEvent::Closed);
         // Schedule the task so it observes `closed` and runs the closing
@@ -781,12 +817,6 @@ pub(crate) const RECV_BUDGET: usize = 4 * IO_BATCH;
 /// send), so one poll loops until a full round makes no progress — bounded
 /// so a busy task still yields the shard.
 const MAX_ROUNDS: usize = 8;
-
-/// Retry delay after the transport refused a nonblocking transmit
-/// ([`ncs_transport::Connection::try_send_batch`] returned 0). The remedy
-/// is the *peer* draining, which this reactor cannot observe, so a short
-/// timer polls the flush.
-pub(crate) const TX_RETRY: Duration = Duration::from_millis(1);
 
 /// Upper bound on the post-close receive drain after a *peer* close. The
 /// drain normally ends much earlier — when the data channel reports EOF
@@ -819,7 +849,8 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
 /// [`TxPlane`] and the Send plane's queue) is shared with submitters and
 /// stepped under its lock by [`ConnShared::step_tx`] /
 /// [`ConnShared::step_send`]. The paper's blocking waits became
-/// [`TaskPoll::Timer`] deadlines.
+/// [`TaskPoll::Timer`] deadlines, and a write the interface refused a
+/// wait for it to turn writable.
 struct ConnTask {
     shared: Arc<ConnShared>,
     rx: RxPlane,
@@ -922,63 +953,7 @@ impl ConnTask {
     /// FC/EC pipeline (no session in flight, nothing parked on credits),
     /// nothing waiting on the wire.
     fn flushed(&self, tx: &TxSide) -> bool {
-        tx.plane.is_idle()
-            && tx.pending.is_empty()
-            && !tx.blocked
-            && self.shared.submit_inbox.is_empty()
-    }
-
-    /// Post-close polling: the graceful half of the close, bounded by
-    /// [`CLOSE_LINGER`].
-    ///
-    /// A **locally**-initiated close flushes the send planes — frames
-    /// parked on flow-control credits or an unacknowledged error-control
-    /// session still go out — and retires as soon as they are empty
-    /// (instantly for the common quiescent close). A **peer**-initiated
-    /// close additionally keeps the receive planes delivering: the
-    /// CloseConn rides the control connection and can overtake the peer's
-    /// final data frames, so the task drains until the data channel
-    /// itself reports EOF (the peer's transport close follows its data).
-    fn poll_closing(&mut self) -> TaskPoll {
-        let deadline = *self
-            .drain_deadline
-            .get_or_insert_with(|| Instant::now() + CLOSE_LINGER);
-        let peer_close = self.shared.closed_by_peer.load(Ordering::Acquire);
-        let mut timer = None;
-        for _ in 0..MAX_ROUNDS {
-            let mut hungry = false;
-            timer = None;
-            let mut progressed = false;
-            if peer_close {
-                progressed |= self.step_recv(&mut hungry);
-            }
-            let mut tx = self.shared.tx.lock();
-            progressed |= self.shared.step_tx(&mut tx, &mut timer);
-            progressed |= self.shared.step_send(&mut tx, &mut timer);
-            let flushed = self.flushed(&tx);
-            drop(tx);
-            if self.rx_eof || (!peer_close && flushed) {
-                self.retire();
-                return TaskPoll::Done;
-            }
-            if hungry {
-                return TaskPoll::Again;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        if Instant::now() >= deadline {
-            self.retire();
-            return TaskPoll::Done;
-        }
-        // Quiescent but still lingering: re-arm fd readiness so the final
-        // frames (or the EOF behind them) wake the task, and park on the
-        // nearest protocol deadline with the linger as the backstop.
-        if let Some((_, watch)) = self.shared.task.read().as_ref() {
-            watch.rearm();
-        }
-        TaskPoll::Timer(timer.map_or(deadline, |t: Instant| t.min(deadline)))
+        tx.plane.is_idle() && !self.shared.owes_write(tx) && self.shared.submit_inbox.is_empty()
     }
 }
 
@@ -992,37 +967,60 @@ impl Drop for ConnTask {
 }
 
 impl ReactorTask for ConnTask {
+    /// Runs the planes until a round makes no progress, then parks on the
+    /// nearest protocol deadline and on the transport's readiness.
+    ///
+    /// After a close the task runs the graceful half of it, bounded by
+    /// [`CLOSE_LINGER`]. A **locally**-initiated close flushes the send
+    /// planes — frames parked on flow-control credits or an
+    /// unacknowledged error-control session still go out — and retires as
+    /// soon as they are empty (instantly for the common quiescent close).
+    /// A **peer**-initiated close additionally keeps the receive planes
+    /// delivering: the CloseConn rides the control connection and can
+    /// overtake the peer's final data frames, so the task drains until the
+    /// data channel itself reports EOF (the peer's transport close follows
+    /// its data).
     fn poll(&mut self, _now: Instant) -> TaskPoll {
         if self.finished {
             return TaskPoll::Done;
         }
-        let mut timer: Option<Instant> = None;
-        for round in 0.. {
-            if self.shared.closed.load(Ordering::Acquire) {
-                return self.poll_closing();
+        let (mut timer, mut owes_write) = (None, false);
+        for round in 0..=MAX_ROUNDS {
+            let closed = self.shared.closed.load(Ordering::Acquire);
+            let peer_close = closed && self.shared.closed_by_peer.load(Ordering::Acquire);
+            if closed {
+                self.drain_deadline
+                    .get_or_insert_with(|| Instant::now() + CLOSE_LINGER);
             }
-            if round == MAX_ROUNDS {
+            // A busy task yields its shard; a closing one goes on to linger.
+            if round == MAX_ROUNDS && !closed {
                 return TaskPoll::Again;
+            } else if round == MAX_ROUNDS {
+                break;
             }
             // Timers are a function of the *current* protocol state, so
             // each round recomputes them from scratch.
             timer = None;
-            let mut hungry = false;
-            let mut progressed = false;
-            // Receive in the first round only: it drains until the
-            // transport is empty or its budget is spent, and the latter
-            // ends the poll with `Again`. Whatever arrives later is
-            // reported anyway — a waker marks the task dirty, a re-armed
-            // fd is looked at again — the same contract `Idle` relies on.
-            if round == 0 {
+            let (mut hungry, mut progressed) = (false, false);
+            // An open connection receives in the first round only: it
+            // drains until the transport is empty or its budget is spent,
+            // and the latter ends the poll with `Again`. Whatever arrives
+            // later is reported anyway — a waker marks the task dirty, a
+            // re-armed fd is looked at again — the same contract `Idle`
+            // relies on. One the peer closed drains every round.
+            if (round == 0 && !closed) || peer_close {
                 progressed |= self.step_recv(&mut hungry);
             }
             let mut tx = self.shared.tx.lock();
-            if !self.shared.closed.load(Ordering::Acquire) {
-                progressed |= self.shared.step_tx(&mut tx, &mut timer);
-            }
-            progressed |= self.shared.step_send(&mut tx, &mut timer);
+            progressed |= self.shared.step_tx(&mut tx, &mut timer);
+            progressed |= self.shared.step_send(&mut tx);
+            let flushed = closed && self.flushed(&tx);
+            owes_write = self.shared.owes_write(&tx);
             drop(tx);
+            if self.rx_eof || (!peer_close && flushed) {
+                self.retire();
+                return TaskPoll::Done;
+            }
             if hungry {
                 return TaskPoll::Again;
             }
@@ -1030,16 +1028,22 @@ impl ReactorTask for ConnTask {
                 break;
             }
         }
-        // Quiescent. Re-arm fd readiness — the kernel looks again, so
-        // anything that arrived while disarmed is reported at once — and
-        // park on the nearest protocol deadline.
+        // Quiescent, or lingering after a close with the linger as the
+        // backstop.
+        if let Some(linger) = self.drain_deadline {
+            if Instant::now() >= linger {
+                self.retire();
+                return TaskPoll::Done;
+            }
+            timer = Some(timer.map_or(linger, |at: Instant| at.min(linger)));
+        }
+        // Re-arm fd readiness — the kernel looks again, so anything that
+        // arrived while disarmed is reported at once; for output too while
+        // a write is owed — and park on the nearest deadline.
         if let Some((_, watch)) = self.shared.task.read().as_ref() {
-            watch.rearm();
+            watch.rearm(owes_write);
         }
-        match timer {
-            Some(at) => TaskPoll::Timer(at),
-            None => TaskPoll::Idle,
-        }
+        timer.map_or(TaskPoll::Idle, TaskPoll::Timer)
     }
 }
 
@@ -1061,8 +1065,8 @@ pub(crate) fn fill_batch<'a>(
 /// Writes what `transport` still owes of frames it counted as sent (SCI:
 /// the tail of a frame its socket took only part of), which no later send
 /// may come to deliver. Returns whether some is still owed: the caller
-/// comes back on [`TX_RETRY`], as for a refused flush. A failure is left to
-/// the next send to meet.
+/// comes back when the transport turns writable, as for a refused flush.
+/// A failure is left to the next send to meet.
 pub(crate) fn flush_owed(transport: &dyn Transport) -> bool {
     if !transport.owes_bytes() {
         return false;
@@ -1329,7 +1333,9 @@ impl NcsConnection {
     /// Without flow and error control a message is admitted whenever
     /// fewer than 128 SDUs are queued ahead of the interface, and then
     /// queued whole, so the queue overshoots by at most one message and no
-    /// message is too long to ever fit. With flow or error control
+    /// message is too long to ever fit. A call cut short is owed the
+    /// connection's room waker ([`NcsConnection::set_room_waker`]) once
+    /// the queue is below that bound again. With flow or error control
     /// configured, which pace the sender themselves, the submission queue
     /// is unbounded and everything is admitted.
     ///
@@ -1344,7 +1350,7 @@ impl NcsConnection {
         let mut one_sdu = true;
         let mut admitted = 0;
         for m in msgs {
-            if self.shared.queued.as_ref().map_or(0, SendQueue::len) >= SEND_QUEUE_DEPTH {
+            if !self.shared.queued.as_ref().is_none_or(SendQueue::has_room) {
                 break;
             }
             one_sdu &= self.submit(m, None, None, None, false)?;
@@ -1454,6 +1460,18 @@ impl NcsConnection {
         self.shared.delivery.set_sink(sink);
     }
 
+    /// Installs (or with `None`, removes) the callback a
+    /// [`NcsConnection::try_send_batch`] that was cut short is owed: it
+    /// runs once the send queue is below its bound again, on the thread
+    /// whose write made the room — an event loop, so it must not block —
+    /// and is the caller's cue to offer the rest again. Connections with
+    /// flow or error control admit everything and never call it.
+    pub fn set_room_waker(&self, waker: Option<Waker>) {
+        if let Some(queued) = &self.shared.queued {
+            *queued.on_room.lock() = waker;
+        }
+    }
+
     /// The sticky error recorded by the error-control plane, if any
     /// (asynchronous [`NcsConnection::send`] failures surface here).
     pub fn last_error(&self) -> Option<SendError> {
@@ -1495,11 +1513,11 @@ impl NcsConnection {
         loop {
             let mut timer = None;
             shared.step_tx(&mut tx, &mut timer);
-            shared.step_send(&mut tx, &mut timer);
+            shared.step_send(&mut tx);
             result = result.or_else(|| done.take());
             match result {
                 Some(Err(e)) => return Err(e),
-                Some(Ok(())) if tx.pending.is_empty() && !tx.blocked => return Ok(()),
+                Some(Ok(())) if tx.pending.is_empty() => return Ok(()),
                 _ => {}
             }
             if shared.closed.load(Ordering::Acquire) {
@@ -1756,7 +1774,7 @@ impl NcsConnection {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::link::HpiLinkPair;
     use crate::NcsNode;
@@ -1899,6 +1917,162 @@ mod tests {
         b.shutdown();
     }
 
+    /// The room wake's protocol, explored: every schedule of a caller that
+    /// a full send queue turned away against one or two releases. The
+    /// caller — the collective engine's step, holding its machine's lock —
+    /// announces itself (`wanted`), looks at the queue once more, unlocks,
+    /// and looks at its room flag. A release counts its SDUs out and,
+    /// below the bound, takes the announcement and runs the room waker,
+    /// which flags the room and then wakes the caller's task; the task
+    /// steps only if it gets the lock. Each step is atomic and the steps
+    /// are sequentially consistent, as the orderings on both sides make
+    /// them.
+    mod room {
+        #[derive(Clone, Copy, Debug)]
+        pub(super) enum Step {
+            Announce,
+            Look,
+            Unlock,
+            LookAtFlag,
+        }
+
+        /// The order of the room waker's two stores.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        pub(super) enum Waker {
+            FlagThenWake,
+            WakeThenFlag,
+        }
+
+        const BOUND: u8 = 2;
+
+        #[derive(Clone, Copy, Default)]
+        struct World {
+            queued: u8,
+            wanted: bool,
+            room: bool,
+            locked: bool,
+            woken: bool,
+            /// Steps taken by the caller, and by each release.
+            caller: usize,
+            releases: [usize; 2],
+            /// What each release left queued, and took of `wanted`.
+            left: [u8; 2],
+            took: [bool; 2],
+            /// Whether the caller found room, or its flag, and so ran on;
+            /// whether the task tried the lock, and got it.
+            ran_on: bool,
+            tried: bool,
+            task_ran: bool,
+        }
+
+        /// A schedule, by step, that leaves the caller's frames with
+        /// neither a wake nor a runner, if there is one.
+        pub(super) fn lost_wake(
+            caller: &[Step],
+            waker: Waker,
+            releases: usize,
+        ) -> Option<Vec<String>> {
+            let start = World {
+                // Only the last release takes the queue below its bound.
+                queued: BOUND + releases as u8 - 1,
+                locked: true,
+                ..World::default()
+            };
+            let mut trace = Vec::new();
+            explore(start, caller, waker, releases, &mut trace).then_some(trace)
+        }
+
+        fn explore(
+            w: World,
+            caller: &[Step],
+            waker: Waker,
+            releases: usize,
+            trace: &mut Vec<String>,
+        ) -> bool {
+            let mut moves = Vec::new();
+            if let Some(&step) = caller.get(w.caller) {
+                let mut next = w;
+                match step {
+                    Step::Announce => next.wanted = true,
+                    Step::Look => next.ran_on |= w.queued < BOUND,
+                    Step::Unlock => next.locked = false,
+                    Step::LookAtFlag => next.ran_on |= w.room,
+                }
+                next.caller += 1;
+                moves.push((format!("caller {step:?}"), next));
+            }
+            for i in 0..releases {
+                let mut next = w;
+                let flag_first = waker == Waker::FlagThenWake;
+                let step = match w.releases[i] {
+                    0 => {
+                        next.queued -= 1;
+                        next.left[i] = next.queued;
+                        "count out"
+                    }
+                    1 => {
+                        if w.left[i] < BOUND {
+                            (next.took[i], next.wanted) = (w.wanted, false);
+                        }
+                        "take wanted"
+                    }
+                    2 | 3 if (w.releases[i] == 2) == flag_first => {
+                        next.room |= w.took[i];
+                        "flag room"
+                    }
+                    2 | 3 => {
+                        next.woken |= w.took[i];
+                        "wake task"
+                    }
+                    _ => continue,
+                };
+                next.releases[i] += 1;
+                moves.push((format!("release {i} {step}"), next));
+            }
+            if w.woken && !w.tried {
+                let mut next = w;
+                (next.tried, next.task_ran) = (true, !w.locked);
+                moves.push(("task try_lock".to_owned(), next));
+            }
+            if moves.is_empty() {
+                return !w.ran_on && !w.task_ran;
+            }
+            for (step, next) in moves {
+                trace.push(step);
+                if explore(next, caller, waker, releases, trace) {
+                    return true;
+                }
+                trace.pop();
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn no_schedule_of_the_room_wake_leaves_frames_with_neither_a_wake_nor_a_runner() {
+        use room::{lost_wake, Step::*, Waker::*};
+        let ours = [Announce, Look, Unlock, LookAtFlag];
+        for releases in 1..=2 {
+            let lost = lost_wake(&ours, FlagThenWake, releases);
+            assert_eq!(lost, None, "{releases} releases");
+            // Looking before announcing loses the wake of a release that
+            // lands between the two.
+            let lost = lost_wake(
+                &[Look, Announce, Unlock, LookAtFlag],
+                FlagThenWake,
+                releases,
+            );
+            assert!(lost.is_some(), "{releases} releases: look-first passed");
+            // A caller that leaves without a look at its flag loses the
+            // wake whose task found the lock taken,
+            let lost = lost_wake(&[Announce, Look, Unlock], FlagThenWake, releases);
+            assert!(lost.is_some(), "{releases} releases: no last look passed");
+            // and so does a waker that wakes before it flags.
+            let lost = lost_wake(&ours, WakeThenFlag, releases);
+            assert!(lost.is_some(), "{releases} releases: wake-first passed");
+        }
+    }
+
     /// Small messages queued on a connection without flow and error control
     /// travel as trains, as behind a reliable session in flight: held back
     /// by the send half's lock, sixteen of them leave in fewer frames, and
@@ -1995,7 +2169,7 @@ mod tests {
     /// An SCI loopback pair whose first end's socket send buffer is 4 KiB,
     /// so one large frame leaves a tail the socket has not taken.
     #[cfg(target_os = "linux")]
-    fn sci_pair_with_a_small_send_buffer() -> (
+    pub(crate) fn sci_pair_with_a_small_send_buffer() -> (
         ncs_transport::sci::SciConnection,
         ncs_transport::sci::SciConnection,
     ) {
@@ -2018,9 +2192,10 @@ mod tests {
 
     /// A frame the socket takes only part of counts as sent, and its tail
     /// waits in the transport for the next write. With nothing more to
-    /// send the Send plane makes that write itself, on the transmit-retry
-    /// timer, until the peer has drained enough: the peer here reads late,
-    /// and the frame arrives whole with no later send.
+    /// send the Send plane makes that write itself, each time the socket
+    /// reports room, until the peer has drained enough: the peer here
+    /// reads late, and the frame arrives whole with no later send. No
+    /// timer fires while the tail is owed; the fd reports bring it out.
     #[cfg(target_os = "linux")]
     #[test]
     fn the_tail_of_a_frame_the_socket_took_part_of_arrives_without_a_later_send() {
@@ -2046,6 +2221,9 @@ mod tests {
         conn.send(&message).expect("send");
         assert!(shared.transport.owes_bytes(), "the socket took all of it");
         std::thread::sleep(Duration::from_millis(100));
+        let owed = reactor.stats();
+        assert!(shared.transport.owes_bytes(), "the tail left unread");
+        assert_eq!(owed.timer_fires, 0, "a retry timer fired: {owed}");
         let frame = theirs
             .recv_timeout(Duration::from_secs(5))
             .expect("the whole frame");
@@ -2053,6 +2231,16 @@ mod tests {
             DataPacket::peek(&frame).expect("a data frame").payload,
             message
         );
+        // (The writer marks the tail written just after the write the
+        // peer may already have read.)
+        let written = Instant::now();
+        while shared.transport.owes_bytes() {
+            assert!(written.elapsed() < Duration::from_secs(5), "still owed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let sent = reactor.stats();
+        assert_eq!(sent.timer_fires, 0, "a retry timer fired: {sent}");
+        assert!(sent.fd_events > owed.fd_events, "no fd report: {sent}");
         conn.close();
         reactor.shutdown();
     }

@@ -32,7 +32,7 @@ use ncs_threads::sync::Mailbox;
 use ncs_transport::{Connection as Transport, TransportError};
 use parking_lot::Mutex;
 
-use crate::connection::{fill_batch, flush_owed, IO_BATCH, RECV_BUDGET, TX_RETRY};
+use crate::connection::{fill_batch, flush_owed, IO_BATCH, RECV_BUDGET};
 use crate::packet::CtrlMsg;
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskKind, TaskPoll, Watch};
 
@@ -137,7 +137,7 @@ struct CtrlTask {
 }
 
 impl ReactorTask for CtrlTask {
-    fn poll(&mut self, now: Instant) -> TaskPoll {
+    fn poll(&mut self, _now: Instant) -> TaskPoll {
         let CtrlTask {
             peer,
             dispatch,
@@ -201,15 +201,13 @@ impl ReactorTask for CtrlTask {
         if budget == 0 {
             return TaskPoll::Again;
         }
-        // Quiescent: re-arm fd readiness, and retry a refused flush — or
-        // bytes the transport still owes — on a timer: the remedy is the
-        // peer draining, which nothing reports.
-        channels.iter().for_each(Watch::rearm);
-        if refused {
-            TaskPoll::Timer(now + TX_RETRY)
-        } else {
-            TaskPoll::Idle
+        // Quiescent: re-arm fd readiness — the channel written to for
+        // output too, after a refused flush or with bytes still owed: the
+        // peer draining wakes the task, as a frame arriving does.
+        for (i, ch) in channels.iter().enumerate() {
+            ch.rearm(refused && i == 0);
         }
+        TaskPoll::Idle
     }
 }
 
@@ -232,17 +230,20 @@ pub(crate) mod tests {
     use crate::error_control::AckInfo;
     use crate::seq::AckBitmap;
     use ncs_threads::{KernelPackage, UserRuntime};
-    use ncs_transport::{Capabilities, Readiness};
+    use ncs_transport::{Capabilities, Readiness, Waker};
+    use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
     /// A channel whose blocking calls panic: whatever a task gets done
     /// on it, it gets done with `try_recv` and `try_send_batch`.
     /// Clones share their state: one goes to the task, one stays with the
     /// test.
-    #[derive(Debug, Default, Clone)]
+    #[derive(Default, Clone)]
     pub(crate) struct Stub {
         /// `try_send_batch` calls still to answer `Ok(0)`.
         pub(crate) refusals: Arc<Mutex<usize>>,
+        /// The readiness waker the task's watch installed.
+        pub(crate) waker: Arc<Mutex<Option<Waker>>>,
         /// At most this many frames are taken per accepted batch.
         pub(crate) take: usize,
         pub(crate) inbound: Arc<Mutex<VecDeque<Vec<u8>>>>,
@@ -283,6 +284,9 @@ pub(crate) mod tests {
         fn readiness(&self) -> Readiness {
             Readiness::Waker
         }
+        fn register_waker(&self, waker: Option<Waker>) {
+            *self.waker.lock() = waker;
+        }
         fn close(&self) {
             self.closed.store(true, Ordering::Release);
         }
@@ -291,21 +295,51 @@ pub(crate) mod tests {
         }
     }
 
+    impl std::fmt::Debug for Stub {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("Stub").field("take", &self.take).finish()
+        }
+    }
+
+    impl Stub {
+        /// Stops refusing, and says so through the waker — what a
+        /// waker-driven endpoint that had refused owes its event loop.
+        pub(crate) fn make_room(&self) {
+            *self.refusals.lock() = 0;
+            let waker = self.waker.lock().clone();
+            if let Some(wake) = waker {
+                wake();
+            }
+        }
+    }
+
     /// A control task to poll by hand — no reactor drives it — over the
-    /// given channels, in adoption order. Returns what it dispatches, too.
-    fn by_hand(
-        channels: Vec<Arc<dyn Transport>>,
-    ) -> (CtrlTask, Arc<PeerCtrl>, Arc<Mutex<Vec<CtrlMsg>>>) {
-        // A watch needs a task handle to wake; any will do, even a
-        // finished one.
-        struct Never;
-        impl ReactorTask for Never {
+    /// given channels, in adoption order, with what it dispatches.
+    struct ByHand {
+        task: CtrlTask,
+        peer: Arc<PeerCtrl>,
+        dispatched: Arc<Mutex<Vec<CtrlMsg>>>,
+        /// How often the reactor polled the stand-in that holds the
+        /// task's wake handle: each poll after the first is a wake the
+        /// task's channels gave it.
+        woken: Arc<AtomicU64>,
+        _reactor: Arc<Reactor>,
+    }
+
+    fn by_hand(channels: Vec<Arc<dyn Transport>>) -> ByHand {
+        // A watch needs a task handle to wake: a stand-in that counts its
+        // polls.
+        struct StandIn(Arc<AtomicU64>);
+        impl ReactorTask for StandIn {
             fn poll(&mut self, _: Instant) -> TaskPoll {
-                TaskPoll::Done
+                self.0.fetch_add(1, Ordering::Relaxed);
+                TaskPoll::Idle
             }
         }
         let reactor = Reactor::new(Arc::new(KernelPackage::new()), 1);
-        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(Never));
+        let polls = Arc::new(AtomicU64::new(0));
+        let stand_in = StandIn(Arc::clone(&polls));
+        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(stand_in));
         let peer = Arc::new(PeerCtrl {
             outbox: Arc::default(),
             channels: Mutex::new(
@@ -325,7 +359,22 @@ pub(crate) mod tests {
             pending: VecDeque::new(),
             spare: Vec::new(),
         };
-        (task, peer, dispatched)
+        ByHand {
+            task,
+            peer,
+            dispatched,
+            woken: polls,
+            _reactor: reactor,
+        }
+    }
+
+    /// Waits up to 5 s for `cond`.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(5), "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// Two connections' setup, traffic and teardown, interleaved the way
@@ -359,15 +408,14 @@ pub(crate) mod tests {
         ]
     }
 
-    /// The body of the isolation test. No reactor anywhere: `poll` is
-    /// called by hand.
+    /// The body of the isolation test. No reactor drives the task: `poll`
+    /// is called by hand.
     fn drive_task_by_hand() {
-        const REFUSALS: usize = 3;
         // The pair's one duplex channel, and behind it the spare a
         // simultaneous dial from the other side leaves: read, never
         // written to while the first is up.
         let duplex = Stub {
-            refusals: Arc::new(Mutex::new(REFUSALS)),
+            refusals: Arc::new(Mutex::new(usize::MAX)),
             take: 3, // partial batches: the rest must keep its place
             ..Stub::default()
         };
@@ -375,21 +423,30 @@ pub(crate) mod tests {
             take: usize::MAX,
             ..Stub::default()
         };
-        let (mut task, peer, dispatched) =
-            by_hand(vec![Arc::new(duplex.clone()), Arc::new(spare.clone())]);
+        let ByHand {
+            mut task,
+            peer,
+            dispatched,
+            woken,
+            _reactor,
+        } = by_hand(vec![Arc::new(duplex.clone()), Arc::new(spare.clone())]);
+        let woken = || woken.load(Ordering::Relaxed);
+        eventually("the stand-in's first poll", || woken() == 1);
 
-        // Control Send: refused REFUSALS times, then accepted in order.
+        // Control Send: refused, the task parks with no timer, however
+        // often it is polled; the channel's waker resumes it once the
+        // channel has room, and the queue goes out in order.
         for msg in script() {
             peer.outbox.send(msg);
         }
         let now = Instant::now();
-        for _ in 0..REFUSALS {
-            match task.poll(now) {
-                TaskPoll::Timer(at) => assert_eq!(at, now + TX_RETRY),
-                _ => panic!("a refused flush parks on the retry timer"),
-            }
+        for _ in 0..3 {
+            assert!(matches!(task.poll(now), TaskPoll::Idle));
             assert!(duplex.sent.lock().is_empty());
         }
+        assert_eq!(woken(), 1, "woken while the channel refused");
+        duplex.make_room();
+        eventually("the waker resumes the task", || woken() == 2);
         assert!(matches!(task.poll(now), TaskPoll::Idle));
         let wire: Vec<CtrlMsg> = duplex
             .sent
@@ -443,6 +500,39 @@ pub(crate) mod tests {
         UserRuntime::default().run(|_pkg| drive_task_by_hand());
     }
 
+    /// A control socket that fills — a 4 KiB send buffer, and a peer that
+    /// reads late — is drained by the task each time the socket reports
+    /// room, with no timer: every message arrives, in order, and the
+    /// reactor fires none.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_control_socket_drains_on_fd_reports_with_no_timer() {
+        use ncs_transport::Connection as _;
+        const MESSAGES: u32 = 100_000;
+        let (ours, theirs) = crate::connection::tests::sci_pair_with_a_small_send_buffer();
+        let reactor = Reactor::new(Arc::new(KernelPackage::new()), 1);
+        let peer = PeerCtrl::spawn(&reactor, |_| {});
+        peer.adopt(&reactor, Arc::new(ours));
+        for conn in 0..MESSAGES {
+            peer.outbox.send(CtrlMsg::CloseConn { conn });
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!peer.outbox.is_empty(), "the socket took everything");
+        let full = reactor.stats();
+        for conn in 0..MESSAGES {
+            let frame = theirs.recv_timeout(Duration::from_secs(5)).expect("frame");
+            assert_eq!(CtrlMsg::decode(&frame), Ok(CtrlMsg::CloseConn { conn }));
+        }
+        let drained = reactor.stats();
+        assert_eq!(drained.timer_fires, 0, "a retry timer fired: {drained}");
+        assert!(
+            drained.fd_events > full.fd_events,
+            "no fd report: {drained}"
+        );
+        peer.retire();
+        reactor.shutdown();
+    }
+
     #[test]
     fn peer_hang_up_on_our_channel_clears_the_outbound_slot() {
         #[derive(Debug)]
@@ -468,7 +558,7 @@ pub(crate) mod tests {
                 "gone".to_owned()
             }
         }
-        let (mut task, peer, _) = by_hand(vec![Arc::new(HungUp)]);
+        let ByHand { mut task, peer, .. } = by_hand(vec![Arc::new(HungUp)]);
         assert!(peer.has_outbound());
         peer.outbox.send(CtrlMsg::CloseConn { conn: 1 });
         assert!(matches!(task.poll(Instant::now()), TaskPoll::Idle));
@@ -481,7 +571,7 @@ pub(crate) mod tests {
             take: usize::MAX,
             ..Stub::default()
         };
-        let (mut task, peer, _) = by_hand(vec![Arc::new(HungUp), Arc::new(next.clone())]);
+        let ByHand { mut task, peer, .. } = by_hand(vec![Arc::new(HungUp), Arc::new(next.clone())]);
         peer.outbox.send(CtrlMsg::CloseConn { conn: 1 });
         assert!(matches!(task.poll(Instant::now()), TaskPoll::Idle));
         assert!(peer.has_outbound() && peer.channels.lock().len() == 1);

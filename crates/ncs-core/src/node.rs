@@ -788,7 +788,7 @@ impl AcceptTask {
                 Ok(Some(frame)) if p.hello.is_err() => {
                     p.hello = Hello::decode(&frame).map_err(|_| now);
                 }
-                Ok(_) | Err(TransportError::Timeout) => p.watch.rearm(),
+                Ok(_) | Err(TransportError::Timeout) => p.watch.rearm(false),
                 Err(_) => p.hello = Err(now),
             }
         }
@@ -847,7 +847,7 @@ impl ReactorTask for AcceptTask {
                         watch: inner.reactor.watch(&Arc::from(channel), &self.me),
                         hello: Err(now + HELLO_TIMEOUT),
                     }),
-                    Ok(None) => break fd.iter().for_each(FdRegistration::rearm),
+                    Ok(None) => break fd.iter().for_each(|fd| fd.rearm(false)),
                     Err(_) => break min_timer(&mut timer, now + ACCEPT_RETRY),
                 }
             }

@@ -18,7 +18,10 @@
 //!   an `epoll(7)` set (`FdSet`, Linux ≥ 5.11 for `epoll_pwait2`), with
 //!   oneshot arming under never-reused tokens, so a ready fd wakes its
 //!   task exactly once until the task drains and re-arms — from its own
-//!   thread, with one `epoll_ctl`. Under the kernel-level package each
+//!   thread, with one `epoll_ctl`. A task that owes a write the socket
+//!   refused re-arms for output as well (`EPOLLIN | EPOLLOUT`), so the
+//!   peer's draining is a report like any other: nothing retries a write
+//!   on a timer. Under the kernel-level package each
 //!   shard owns a set holding its own tasks' descriptors, and a shard that
 //!   watches one parks in `epoll_pwait2` on it instead of on its inbox: a
 //!   report reaches the task with no hand-off between threads. Its inbox
@@ -28,8 +31,8 @@
 //!   shard in epoll made the in-process HPI round trip 15–19 % slower,
 //!   in every alternating pair); each registration posts the shard a
 //!   no-op so it comes round to the set;
-//! * **Timers** — retransmission deadlines, flow-control pacing and
-//!   starvation probes. A task holds at most one *armed* deadline
+//! * **Timers** — retransmission deadlines, flow-control pacing,
+//!   starvation probes and the closing drain's linger. A task holds at most one *armed* deadline
 //!   ([`TaskRef::armed_by`]); it is kept when the task goes `Idle` and
 //!   replaced only by an earlier one, so timers fire early, never late —
 //!   the task is polled, recomputes what it really waits for and says so
@@ -53,8 +56,7 @@
 //!   two ticks ahead (`2 × TIMER_SLACK`) is kept *lazily*: it fires when
 //!   the loop is awake at or after it, the loop never parks toward it for
 //!   less than `TIMER_SLACK`, and so it may fire up to `TIMER_SLACK` late.
-//!   A deadline armed nearer than that (a transmit retry, rate pacing) is
-//!   exact, as before.
+//!   A deadline armed nearer than that (rate pacing) is exact, as before.
 //!
 //! Workers are spawned on the node's [`ThreadPackage`], so the reactor
 //! works under both the kernel-level and the user-level (green) package —
@@ -81,7 +83,7 @@
 //! counted ([`ReactorStats::tasks_left_at_shutdown`]).
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -434,9 +436,9 @@ impl Reactor {
     }
 
     /// Subscribes `task` to `transport`'s readiness: it is woken whenever
-    /// the transport may have become readable — through the transport's
-    /// waker, and for an fd-backed transport (SCI) through an `epoll(7)`
-    /// set as well.
+    /// the transport may have become readable, or writable after it
+    /// refused a write — through the transport's waker, and for an
+    /// fd-backed transport (SCI) through an `epoll(7)` set as well.
     pub(crate) fn watch(&self, transport: &Arc<dyn Transport>, task: &Arc<TaskHandle>) -> Watch {
         let t = Arc::clone(task);
         transport.register_waker(Some(Arc::new(move || t.wake())));
@@ -451,8 +453,8 @@ impl Reactor {
     }
 
     /// Wakes `task` whenever `fd` — an SCI socket, or an SCI listener with
-    /// connections to accept — turns readable while armed, until the
-    /// registration is dropped. Under the kernel-level package the
+    /// connections to accept — turns readable (or, armed for it, writable)
+    /// while armed, until the registration is dropped. Under the kernel-level package the
     /// descriptor joins the set of the shard that runs the task, and that
     /// shard reports it; under the user-level package, the reactor's
     /// poller thread does.
@@ -601,10 +603,11 @@ impl Watch {
 
     /// Re-enables fd readiness once the task has drained the transport
     /// (registrations are oneshot; re-arming makes the kernel look again,
-    /// so anything that arrived while disarmed is reported at once).
-    pub(crate) fn rearm(&self) {
+    /// so anything that arrived while disarmed is reported at once) — for
+    /// output too while the task owes a write the transport refused.
+    pub(crate) fn rearm(&self, owes_write: bool) {
         if let Some(fd) = &self.fd {
-            fd.rearm();
+            fd.rearm(owes_write);
         }
     }
 }
@@ -818,6 +821,7 @@ mod fdset {
     }
 
     const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
     const EPOLLET: u32 = 1 << 31;
     const EPOLLONESHOT: u32 = 1 << 30;
     const EPOLL_CLOEXEC: i32 = 0o2_000_000;
@@ -843,11 +847,11 @@ mod fdset {
     /// The bell's event token; registrations count up from 1.
     const BELL: u64 = 0;
 
-    /// Whether the task of a registration is owed a report when its
-    /// descriptor turns readable, and which task that is.
+    /// What the kernel reports a registration's descriptor for — nothing
+    /// (0) once a report disarmed it — and which task that wakes.
     struct FdEntry {
         handle: Arc<TaskHandle>,
-        armed: AtomicBool,
+        armed: AtomicU32,
     }
 
     /// One `epoll(7)` set of descriptors, each reported to its task.
@@ -920,11 +924,11 @@ mod fdset {
             let token = self.next_token.fetch_add(1, Ordering::Relaxed);
             let entry = Arc::new(FdEntry {
                 handle,
-                armed: AtomicBool::new(true),
+                armed: AtomicU32::new(EPOLLIN),
             });
             self.entries.lock().insert(token, Arc::clone(&entry));
             self.watched.fetch_add(1, Ordering::AcqRel);
-            self.arm(EPOLL_CTL_ADD, fd, token, &entry);
+            self.arm(EPOLL_CTL_ADD, fd, token, &entry, EPOLLIN);
             FdRegistration {
                 fd,
                 token,
@@ -933,13 +937,13 @@ mod fdset {
             }
         }
 
-        /// Arms `fd` for one report under `token`. A descriptor the kernel
-        /// refuses to watch is reported ready at once instead, as
-        /// `poll(2)` reports one it cannot poll: the task's next call on
-        /// it meets the fault.
-        fn arm(&self, op: i32, fd: RawFd, token: u64, entry: &FdEntry) {
-            if !self.ctl(op, fd, EPOLLIN | EPOLLONESHOT, token) {
-                entry.armed.store(false, Ordering::Release);
+        /// Arms `fd` for one report of `events` under `token`. A
+        /// descriptor the kernel refuses to watch is reported ready at once
+        /// instead, as `poll(2)` reports one it cannot poll: the task's
+        /// next call on it meets the fault.
+        fn arm(&self, op: i32, fd: RawFd, token: u64, entry: &FdEntry, events: u32) {
+            if !self.ctl(op, fd, events | EPOLLONESHOT, token) {
+                entry.armed.store(0, Ordering::Release);
                 entry.handle.wake();
             }
         }
@@ -991,7 +995,7 @@ mod fdset {
                 for event in events {
                     let token = event.data;
                     if let Some(e) = entries.get(&token) {
-                        e.armed.store(false, Ordering::Release);
+                        e.armed.store(0, Ordering::Release);
                         counters.fd_events.fetch_add(1, Ordering::Relaxed);
                         e.handle.wake();
                     }
@@ -1020,12 +1024,14 @@ mod fdset {
 
     impl FdRegistration {
         /// Re-enables readiness reports after the owning task has drained
-        /// the descriptor: one `epoll_ctl` if a report disarmed it, none
-        /// if it is still armed.
-        pub(crate) fn rearm(&self) {
-            if !self.entry.armed.swap(true, Ordering::AcqRel) {
-                self.set
-                    .arm(EPOLL_CTL_MOD, self.fd, self.token, &self.entry);
+        /// the descriptor — for output as well while it owes a write the
+        /// descriptor refused: one `epoll_ctl` if a report disarmed it or
+        /// the events change, none if it is still armed for these.
+        pub(crate) fn rearm(&self, owes_write: bool) {
+            let events = EPOLLIN | if owes_write { EPOLLOUT } else { 0 };
+            if self.entry.armed.swap(events, Ordering::AcqRel) != events {
+                let (fd, token) = (self.fd, self.token);
+                self.set.arm(EPOLL_CTL_MOD, fd, token, &self.entry, events);
             }
         }
     }
@@ -1433,7 +1439,7 @@ mod tests {
         assert_eq!(runs(), 2, "woken while disarmed");
         assert_eq!(reactor.stats().fd_events, 1);
         // Nothing was read: the bytes are still there when it re-arms.
-        w.reg.rearm();
+        w.reg.rearm(false);
         eventually(pkg, "wake after rearm", || runs() == 3);
         assert_eq!(reactor.stats().fd_events, 2);
         reactor.shutdown();
@@ -1478,7 +1484,7 @@ mod tests {
                 self.sock.write_all(&buf[..n]).unwrap();
             }
             if let Some(reg) = &*self.reg.lock() {
-                reg.rearm();
+                reg.rearm(false);
             }
             TaskPoll::Idle
         }

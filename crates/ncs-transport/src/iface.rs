@@ -16,8 +16,10 @@ pub type YieldHook = Arc<dyn Fn() + Send + Sync>;
 /// A readiness callback installed by an event loop via
 /// [`Connection::register_waker`]. The transport invokes it whenever the
 /// endpoint *may* have become readable (a frame arrived, the peer closed,
-/// a virtual circuit was released). Wakers must be cheap, non-blocking and
-/// tolerant of spurious invocations — the reactor coalesces them.
+/// a virtual circuit was released) or writable (room appeared after a
+/// refused [`Connection::try_send_batch`]). Wakers must be cheap,
+/// non-blocking and tolerant of spurious invocations — the reactor
+/// coalesces them.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// How an event loop should learn that a [`Connection`] has inbound data.
@@ -30,8 +32,9 @@ pub enum Readiness {
     /// (in-process mailbox transports: HPI, PIPE, ACI, SIM).
     Waker,
     /// The endpoint is backed by an OS file descriptor (SCI sockets):
-    /// `ncs-core`'s reactor watches it with `epoll(7)`, oneshot, and the
-    /// task that drained it re-arms it.
+    /// `ncs-core`'s reactor watches it with `epoll(7)`, oneshot — for
+    /// output too while a write it refused is owed — and the task that
+    /// drained it re-arms it.
     #[cfg(unix)]
     Fd(std::os::fd::RawFd),
 }
@@ -323,6 +326,13 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     /// the *peer* making progress, overrides this so a shared event loop
     /// is never wedged.
     ///
+    /// Only an fd-backed endpoint ([`Readiness::Fd`]) ever refuses a
+    /// valid batch on an open connection, and its descriptor polls
+    /// writable once the peer has drained: an event loop that was refused
+    /// waits for that, not for a timer. An endpoint that reports
+    /// [`Readiness::Waker`] takes at least the first frame or fails; one
+    /// that refused would owe its waker a call when room appears.
+    ///
     /// # Errors
     ///
     /// As [`Connection::send_batch`]; a would-block first frame is `Ok(0)`,
@@ -336,19 +346,23 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     /// (SCI's full socket) leaves its tail behind, and nothing delivers it
     /// but a later call. A non-blocking caller that has nothing more to
     /// send makes that call itself — an empty `try_send_batch` writes what
-    /// is owed — and retries while this holds. The default, for transports
-    /// that take a frame whole or not at all, is `false`.
+    /// is owed — and again each time the endpoint turns writable, while
+    /// this holds. The default, for transports that take a frame whole or
+    /// not at all, is `false`.
     fn owes_bytes(&self) -> bool {
         false
     }
 
-    /// How an event loop should wait for inbound frames on this endpoint.
+    /// How an event loop should wait for inbound frames on this endpoint,
+    /// and for room after a refused send.
     fn readiness(&self) -> Readiness;
 
     /// Installs (or with `None`, removes) a readiness [`Waker`]. Endpoints
     /// reporting [`Readiness::Waker`] invoke it on every frame arrival and
-    /// on close; [`Readiness::Fd`] endpoints invoke it on close only (frame
-    /// arrival is visible through the descriptor). The default ignores the
+    /// on close (they never refuse a send, so they owe no call for room);
+    /// [`Readiness::Fd`] endpoints invoke it on close only (frame arrival,
+    /// and room after a refused send, show on the descriptor). The default
+    /// ignores the
     /// waker, for endpoints that never become readable on their own.
     fn register_waker(&self, _waker: Option<Waker>) {}
 

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use atm_sim::{LinkSpec, NetworkBuilder, PumpConfig, QosParams};
 use ncs_transport::aci::AciFabric;
 use ncs_transport::sim::{LinkPolicy, SimNet};
-use ncs_transport::{hpi, pipe, sci, Connection, Metered, TransportError};
+use ncs_transport::{hpi, pipe, sci, Connection, Metered, Readiness, TransportError};
 
 /// How long a frame may take to arrive on a real-time interface.
 const ARRIVAL: Duration = Duration::from_secs(5);
@@ -303,4 +303,98 @@ fn recv_many_honours_max() {
         }
         assert_eq!(got, frames, "{}", p.name);
     });
+}
+
+/// The rule an event loop's send path rests on: only an fd-backed
+/// interface refuses a valid batch. Every interface that wakes its event
+/// loop through a waker takes at least the first frame of a valid batch
+/// on an open connection — never `Ok(0)` — and fails once closed, so no
+/// event loop ever waits on one for room.
+#[test]
+fn a_waker_endpoint_takes_a_valid_batch_or_fails_never_refuses_it() {
+    each_interface(|p| {
+        if p.a.readiness() != Readiness::Waker {
+            return;
+        }
+        let frame = vec![7u8; 1024];
+        let batch = vec![&frame[..]; 16];
+        for _ in 0..64 {
+            let taken = p.a.try_send_batch(&batch).expect(p.name);
+            assert!(taken >= 1, "{}: a valid batch refused", p.name);
+            (p.settle)();
+            while let Ok(Some(_)) = p.b.try_recv() {}
+        }
+        p.a.close();
+        assert_eq!(
+            p.a.try_send_batch(&batch),
+            Err(TransportError::Closed),
+            "{}",
+            p.name
+        );
+    });
+}
+
+/// SCI is the interface that does refuse: with a 4 KiB socket send buffer
+/// and a peer that reads late, `try_send_batch` answers `Ok(0)` and the
+/// socket does not poll writable; once the peer drains it does, and the
+/// next batch is taken: the report an event loop waits for, instead of
+/// retrying on a timer.
+#[cfg(target_os = "linux")]
+#[test]
+fn sci_refuses_a_full_socket_and_polls_writable_once_the_peer_drains() {
+    /// `poll(2)`'s descriptor record, and the output event.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLOUT: i16 = 0x004;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+
+    /// Whether `fd` polls writable within `timeout_ms`.
+    fn writable(fd: i32, timeout_ms: i32) -> bool {
+        let mut pfd = PollFd {
+            fd,
+            events: POLLOUT,
+            revents: 0,
+        };
+        // SAFETY: `pfd` is one valid `pollfd`, alive for the whole call.
+        let n = unsafe { poll(&mut pfd, 1, timeout_ms) };
+        n == 1 && pfd.revents & POLLOUT != 0
+    }
+
+    const SOL_SOCKET: i32 = 1;
+    const SO_SNDBUF: i32 = 7;
+    let (a, b) = sci::loopback_pair().unwrap();
+    let Readiness::Fd(fd) = a.readiness() else {
+        panic!("SCI has a socket");
+    };
+    // SAFETY: the option value is one valid `int`, as its length says.
+    assert_eq!(
+        unsafe { setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &4096, 4) },
+        0
+    );
+    let frame = vec![3u8; 1024];
+    let batch = vec![&frame[..]; 32];
+    let mut calls = 0;
+    while a.try_send_batch(&batch).expect("send") > 0 {
+        calls += 1;
+        assert!(calls < 100_000, "the socket never filled");
+    }
+    assert!(!writable(fd, 0), "a socket that refused polls writable");
+    let deadline = Instant::now() + ARRIVAL;
+    loop {
+        while let Ok(Some(_)) = b.try_recv() {}
+        if writable(fd, 10) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never writable after the drain");
+    }
+    assert!(a.try_send_batch(&batch).expect("send") > 0);
 }
