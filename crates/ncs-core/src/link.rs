@@ -19,9 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_threads::sync::Mailbox;
-use ncs_transport::{
-    aci, hpi, pipe, sci, sim, Connection, Readiness, TransportError, Waker, YieldHook,
-};
+use ncs_transport::{aci, hpi, pipe, sci, sim, Connection, Readiness, TransportError, Waker};
 
 /// A bidirectional channel factory towards one peer node.
 pub trait PeerLink: Send + Sync + std::fmt::Debug {
@@ -63,15 +61,6 @@ pub trait PeerLink: Send + Sync + std::fmt::Debug {
     fn open_control_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
         self.open_channel()
     }
-
-    /// Installs a cooperative yield hook on every channel this link
-    /// subsequently opens or accepts. Nodes running on the user-level
-    /// thread package install their scheduler's `yield_now` here so that
-    /// interfaces built on blocking system calls (SCI) poll cooperatively
-    /// instead of stalling the whole process — the paper's §4.1 receive
-    /// discipline. In-process interfaces already block through
-    /// package-aware primitives, so the default is a no-op.
-    fn set_yield_hook(&self, _hook: Option<YieldHook>) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -412,21 +401,13 @@ impl PeerLink for SimLink {
 /// from this node's own (shared) listener. Peer attribution of accepted
 /// channels comes from the NCS hello frame, so sharing one listener across
 /// peers is safe.
+#[derive(Debug)]
 pub struct SciLink {
     peer_addr: std::net::SocketAddr,
     listener: Arc<sci::SciListener>,
     /// Retry budget for dialing the peer's listener (cluster ranks start
     /// concurrently; the peer may not be listening *yet*).
     connect_timeout: Duration,
-    yield_hook: parking_lot::Mutex<Option<YieldHook>>,
-}
-
-impl std::fmt::Debug for SciLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SciLink")
-            .field("peer_addr", &self.peer_addr)
-            .finish()
-    }
 }
 
 impl SciLink {
@@ -448,7 +429,6 @@ impl SciLink {
             peer_addr,
             listener,
             connect_timeout,
-            yield_hook: parking_lot::Mutex::new(None),
         })
     }
 }
@@ -457,16 +437,14 @@ impl PeerLink for SciLink {
     fn open_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
         // Bounded retry/backoff: a cluster peer may still be racing
         // through its own startup when we dial (see sci::connect_retry).
-        let conn = sci::connect_retry(self.peer_addr, self.connect_timeout)?;
-        conn.set_yield_hook(self.yield_hook.lock().clone());
-        Ok(Box::new(conn))
+        Ok(Box::new(sci::connect_retry(
+            self.peer_addr,
+            self.connect_timeout,
+        )?))
     }
 
     fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
-        Ok(self.listener.try_accept()?.map(|conn| {
-            conn.set_yield_hook(self.yield_hook.lock().clone());
-            Box::new(conn) as _
-        }))
+        Ok(self.listener.try_accept()?.map(|conn| Box::new(conn) as _))
     }
 
     fn watch_accepts(&self, _waker: Option<Waker>) -> Readiness {
@@ -475,10 +453,6 @@ impl PeerLink for SciLink {
 
     fn interface(&self) -> &'static str {
         "SCI"
-    }
-
-    fn set_yield_hook(&self, hook: Option<YieldHook>) {
-        *self.yield_hook.lock() = hook;
     }
 }
 

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use ncs_obs::{MetricsSnapshot, Registry};
 use ncs_threads::sync::Mailbox;
-use ncs_threads::{KernelPackage, PackageKind, ThreadPackage};
+use ncs_threads::{KernelPackage, ThreadPackage};
 use ncs_transport::{Connection as Transport, Readiness, TransportError, Waker};
 use parking_lot::Mutex;
 
@@ -374,13 +374,6 @@ impl NcsNode {
     /// matching link pair ends) before connections can be made; a channel
     /// the peer opens before this node attaches it waits for the call.
     pub fn attach_peer(&self, peer: &str, link: Arc<dyn PeerLink>) {
-        if self.inner.pkg.kind() == PackageKind::UserLevel {
-            // §4.1: under the user-level package, blocking system calls
-            // stall every green thread. Channels over such interfaces
-            // (SCI) switch to non-blocking polls + cooperative yields.
-            let pkg = Arc::clone(&self.inner.pkg);
-            link.set_yield_hook(Some(Arc::new(move || pkg.yield_now())));
-        }
         let inner = Arc::clone(&self.inner);
         let ctrl = PeerCtrl::spawn(&self.inner.reactor, move |msg| handle_ctrl(&inner, msg));
         let replaced = self.inner.peers.lock().insert(

@@ -21,16 +21,19 @@
 //!   thread, with one `epoll_ctl`. A task that owes a write the socket
 //!   refused re-arms for output as well (`EPOLLIN | EPOLLOUT`), so the
 //!   peer's draining is a report like any other: nothing retries a write
-//!   on a timer. Under the kernel-level package each
-//!   shard owns a set holding its own tasks' descriptors, and a shard that
-//!   watches one parks in `epoll_pwait2` on it instead of on its inbox: a
-//!   report reaches the task with no hand-off between threads. Its inbox
-//!   bell is an edge-triggered `eventfd` in the set, never read, written
-//!   only when the shard's `parked` flag says it sleeps there. A shard
-//!   that watches nothing parks on its inbox (measured: parking every
-//!   shard in epoll made the in-process HPI round trip 15–19 % slower,
-//!   in every alternating pair); each registration posts the shard a
-//!   no-op so it comes round to the set;
+//!   on a timer. Each shard owns a set holding its own tasks'
+//!   descriptors, and a shard that watches one parks on it instead of on
+//!   its inbox: a report reaches the task with no hand-off between
+//!   threads. A kernel-level shard parks in `epoll_pwait2`; a green shard
+//!   parks in its scheduler through `ncs_threads::sync::wait_fd` on the
+//!   set's own descriptor, which polls readable while a report waits, and
+//!   then collects the reports without waiting. Its inbox bell is an
+//!   edge-triggered `eventfd` in the set, never read, written only when
+//!   the shard's `parked` flag says it sleeps there. A shard that watches
+//!   nothing parks on its inbox (measured: parking every shard in epoll
+//!   made the in-process HPI round trip 15–19 % slower, in every
+//!   alternating pair); each registration posts the shard a no-op so it
+//!   comes round to the set;
 //! * **Timers** — retransmission deadlines, flow-control pacing,
 //!   starvation probes and the closing drain's linger. A task holds at most one *armed* deadline
 //!   ([`TaskRef::armed_by`]); it is kept when the task goes `Idle` and
@@ -61,10 +64,8 @@
 //! Workers are spawned on the node's [`ThreadPackage`], so the reactor
 //! works under both the kernel-level and the user-level (green) package —
 //! blocking waits go through `ncs_threads::sync`, which parks green
-//! threads cooperatively. A green shard must never block in `epoll_wait`,
-//! so under the user-level package one set per reactor holds every
-//! descriptor, driven by one plain OS thread (`ncs-fd-poller`, started
-//! with the first registration and stopped by the set's bell).
+//! threads cooperatively, waits on descriptors included: a reactor starts
+//! no thread beside its shards.
 //!
 //! Nothing else runs here: the loops are the node's one execution model,
 //! and there is no pool for blocking work beside them. Code outside this
@@ -166,9 +167,11 @@ struct ShardQueue {
     counters: Arc<ReactorCounters>,
     /// Zero of the shard's timer arithmetic.
     epoch: Instant,
-    /// The shard's descriptors (kernel-level package), made with its
-    /// first registration.
+    /// The shard's descriptors, made with its first registration.
     fds: OnceLock<Arc<FdSet>>,
+    /// Whether the worker is a green thread: it parks in its set through
+    /// its scheduler.
+    green: bool,
     /// Set while the worker waits in `fds`: a post then rings its bell.
     parked: AtomicBool,
 }
@@ -294,7 +297,7 @@ pub(crate) struct ReactorCounters {
     /// Entries in the shards' timer heaps, superseded ones included.
     timer_entries: AtomicU64,
     fd_events: AtomicU64,
-    /// Waits in an [`FdSet`] that returned readiness reports.
+    /// Shard waits in their [`FdSet`] that returned readiness reports.
     poller_wakes: AtomicU64,
     stalled_tasks: AtomicU64,
     short_parks: AtomicU64,
@@ -319,9 +322,6 @@ pub struct Reactor {
     next_shard: AtomicUsize,
     counters: Arc<ReactorCounters>,
     workers: Mutex<Vec<ncs_threads::JoinHandle>>,
-    /// The user-level package's one set, driven by its own OS thread.
-    poller: OnceLock<Arc<FdSet>>,
-    pkg: Arc<dyn ThreadPackage>,
 }
 
 impl std::fmt::Debug for Reactor {
@@ -350,6 +350,7 @@ impl Reactor {
     pub fn new(pkg: Arc<dyn ThreadPackage>, shards: usize) -> Arc<Self> {
         let shards = shards.max(1);
         let counters = Arc::new(ReactorCounters::default());
+        let green = pkg.kind() == PackageKind::UserLevel;
         let queues: Vec<Arc<ShardQueue>> = (0..shards)
             .map(|_| {
                 Arc::new(ShardQueue {
@@ -357,6 +358,7 @@ impl Reactor {
                     counters: Arc::clone(&counters),
                     epoch: Instant::now(),
                     fds: OnceLock::new(),
+                    green,
                     parked: AtomicBool::new(false),
                 })
             })
@@ -375,8 +377,6 @@ impl Reactor {
             next_shard: AtomicUsize::new(0),
             counters,
             workers: Mutex::new(workers),
-            poller: OnceLock::new(),
-            pkg,
         })
     }
 
@@ -388,11 +388,6 @@ impl Reactor {
     /// Number of event-loop workers.
     pub fn workers(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The thread package the workers run on.
-    pub fn package(&self) -> &Arc<dyn ThreadPackage> {
-        &self.pkg
     }
 
     /// Registers a task on the least-recently-used shard and schedules its
@@ -454,28 +449,21 @@ impl Reactor {
 
     /// Wakes `task` whenever `fd` — an SCI socket, or an SCI listener with
     /// connections to accept — turns readable (or, armed for it, writable)
-    /// while armed, until the registration is dropped. Under the kernel-level package the
-    /// descriptor joins the set of the shard that runs the task, and that
-    /// shard reports it; under the user-level package, the reactor's
-    /// poller thread does.
+    /// while armed, until the registration is dropped. The descriptor
+    /// joins the set of the shard that runs the task, and that shard
+    /// reports it.
     pub(crate) fn watch_fd(
         &self,
         fd: std::os::fd::RawFd,
         task: &Arc<TaskHandle>,
     ) -> FdRegistration {
         let shard = &task.shard;
-        let kernel = self.pkg.kind() == PackageKind::KernelLevel;
-        let set = if kernel {
-            shard.fds.get_or_init(FdSet::new)
-        } else {
-            self.poller
-                .get_or_init(|| FdSet::drive(Arc::clone(&self.counters)))
-        };
-        let reg = set.register(fd, Arc::clone(task));
+        let reg = shard
+            .fds
+            .get_or_init(FdSet::new)
+            .register(fd, Arc::clone(task));
         // A shard asleep on its inbox comes round to park in its set.
-        if kernel {
-            shard.post(ShardMsg::Repark);
-        }
+        shard.post(ShardMsg::Repark);
         reg
     }
 
@@ -518,12 +506,11 @@ impl Reactor {
         }
     }
 
-    /// Stops the workers (and the poller thread), and returns once they
-    /// have exited. Idempotent. Each shard drops its closure tasks
-    /// ([`Reactor::spawn_task`]) at once and runs its connection and
-    /// control tasks until they finish: closed connections complete their
-    /// graceful drain (send flush, final-frame delivery), which
-    /// `CLOSE_LINGER` bounds. A task still there when that bound has
+    /// Stops the workers, and returns once they have exited. Idempotent.
+    /// Each shard drops its closure tasks ([`Reactor::spawn_task`]) at
+    /// once and runs its connection and control tasks until they finish:
+    /// closed connections complete their graceful drain (send flush,
+    /// final-frame delivery), which `CLOSE_LINGER` bounds. A task still there when that bound has
     /// passed is dropped unpolled and counted in
     /// [`ReactorStats::tasks_left_at_shutdown`]; close connections and
     /// retire control tasks first (node shutdown does), or they are the
@@ -536,9 +523,6 @@ impl Reactor {
         }
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join_timeout(Duration::from_secs(2));
-        }
-        if let Some(poller) = self.poller.get() {
-            poller.ring();
         }
     }
 }
@@ -728,8 +712,7 @@ fn next_message(shard: &ShardQueue, wait: Duration) -> Option<ShardMsg> {
             Some(msg)
         }
         None => {
-            let wait = (wait < Duration::MAX).then_some(wait);
-            set.wait(wait, &shard.counters, unpark);
+            set.wait(wait, shard.green, &shard.counters, unpark);
             shard.inbox.try_recv()
         }
     }
@@ -806,6 +789,7 @@ mod fdset {
     compile_error!("the reactor's fd sets are built on epoll(7), which only Linux has");
 
     use super::*;
+    use ncs_threads::sync::{wait_fd, POLLIN};
     use std::ffi::c_long;
     use std::fs::File;
     use std::io::Write;
@@ -864,7 +848,7 @@ mod fdset {
     /// disarmed are reported at once — no lost wakeups, and no wake of
     /// the driver. The set's bell, an edge-triggered `eventfd` that is
     /// written and never read, ends a wait for anything else: a post to a
-    /// parked shard, or the stop of the poller thread.
+    /// parked shard.
     pub(crate) struct FdSet {
         epoll: OwnedFd,
         bell: File,
@@ -900,19 +884,6 @@ mod fdset {
             let added = set.ctl(EPOLL_CTL_ADD, set.bell.as_raw_fd(), EPOLLIN | EPOLLET, BELL);
             assert!(added, "watch the fd set's bell");
             Arc::new(set)
-        }
-
-        /// A set driven by its own plain OS thread until its bell rings:
-        /// the user-level package's, as a blocking `epoll_pwait2` must
-        /// never park that package's scheduler.
-        pub(crate) fn drive(counters: Arc<ReactorCounters>) -> Arc<Self> {
-            let set = FdSet::new();
-            let s = Arc::clone(&set);
-            std::thread::Builder::new()
-                .name("ncs-fd-poller".to_owned())
-                .spawn(move || while !s.wait(None, &counters, || ()) {})
-                .expect("spawn fd poller");
-            set
         }
 
         /// Registers `fd` for `handle`'s task, armed.
@@ -960,17 +931,30 @@ mod fdset {
             let _ = (&self.bell).write(&1u64.to_ne_bytes());
         }
 
-        /// Waits up to `timeout` (forever with `None`), runs `woke`, and
-        /// wakes the task of every descriptor reported. Returns whether
-        /// the bell rang.
+        /// Waits up to `timeout` (forever with `Duration::MAX`), runs
+        /// `woke`, and wakes the task of every descriptor reported. A
+        /// `green` caller parks in its scheduler until the set's own
+        /// descriptor polls readable — a report waits — and then collects
+        /// the reports without waiting.
         pub(crate) fn wait(
             &self,
-            timeout: Option<Duration>,
+            mut timeout: Duration,
+            green: bool,
             counters: &ReactorCounters,
             woke: impl FnOnce(),
-        ) -> bool {
+        ) {
+            if green {
+                // Parked by the scheduler, whose poll does not fail.
+                let _ = wait_fd(self.epoll.as_raw_fd(), POLLIN, timeout);
+                timeout = Duration::ZERO;
+            }
             let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-            let timeout = timeout.map(|t| [t.as_secs() as c_long, t.subsec_nanos() as c_long]);
+            let timeout = (timeout < Duration::MAX).then(|| {
+                [
+                    timeout.as_secs() as c_long,
+                    timeout.subsec_nanos() as c_long,
+                ]
+            });
             // SAFETY: `events` is writable for its whole length, which is
             // what the call is told; `timeout` is null or one timespec.
             let n = unsafe {
@@ -1001,7 +985,6 @@ mod fdset {
                     }
                 }
             }
-            rang
         }
     }
 
@@ -1490,10 +1473,10 @@ mod tests {
         }
     }
 
-    /// A set's driver — the shard itself, or the user-level package's
-    /// poller thread — wakes for readiness only: a request/reply round
-    /// trip costs it one wake (the request's arrival), not a second one
-    /// for the task's re-arm.
+    /// A set's driver — the shard itself, parked in `epoll_pwait2` or in
+    /// its green scheduler — wakes for readiness only: a request/reply
+    /// round trip costs it one wake (the request's arrival), not a second
+    /// one for the task's re-arm.
     fn one_wake_per_round_trip(pkg: &Arc<dyn ThreadPackage>) {
         let reactor = Reactor::new(Arc::clone(pkg), 1);
         let (near, far) = UnixStream::pair().unwrap();

@@ -214,7 +214,7 @@ impl MetricSource for ReactorMetricSource {
             ),
             counter_family(
                 "ncs_reactor_poller_wakes_total",
-                "epoll waits that returned readiness reports",
+                "shard waits in their epoll set that returned readiness reports",
                 s.poller_wakes,
             ),
             counter_family(
@@ -365,13 +365,14 @@ pub struct ReactorStats {
     /// Timer deadlines that fired.
     pub timer_fires: u64,
     /// Readiness reports delivered to a live registration (SCI sockets
-    /// and listeners), by a shard from its own `epoll(7)` set or by the
-    /// user-level package's poller thread.
+    /// and listeners), by a shard from its own `epoll(7)` set.
     pub fd_events: u64,
-    /// Waits in an `epoll(7)` set, by either driver, that returned at
-    /// least one readiness report: once per batch of reports. A timeout,
-    /// an interrupted wait or a ring of the set's bell adds none, and a
-    /// task re-arming its socket wakes nobody.
+    /// Waits of a shard in its `epoll(7)` set — in `epoll_pwait2` under
+    /// the kernel-level package, through its green scheduler's poll under
+    /// the user-level one — that returned at least one readiness report:
+    /// once per batch of reports. A timeout, an interrupted wait or a ring
+    /// of the set's bell adds none, and a task re-arming its socket wakes
+    /// nobody.
     pub poller_wakes: u64,
     /// Times a task was observed looping `Again` long enough to be called
     /// stalled (diagnostic: a healthy run stays at 0).

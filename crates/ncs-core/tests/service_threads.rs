@@ -28,13 +28,13 @@ fn thread_names() -> Vec<String> {
 }
 
 /// Node service threads: everything NCS names, minus the reactor's own
-/// (shards, fd poller) — a count that does not depend on how many cores
+/// (its shards) — a count that does not depend on how many cores
 /// the host has.
 fn service_threads() -> Vec<String> {
     thread_names()
         .into_iter()
         .filter(|n| n.starts_with("ncs-"))
-        .filter(|n| !n.starts_with("ncs-reactor-") && n != "ncs-fd-poller")
+        .filter(|n| !n.starts_with("ncs-reactor-"))
         .collect()
 }
 

@@ -27,7 +27,7 @@ fn a_four_rank_world_owns_no_service_thread() {
     let world: Vec<_> = members.into_iter().map(|h| h.join().unwrap()).collect();
 
     // Node service threads: everything NCS names, minus the reactor's own
-    // (shards, fd poller) — host-independent. The collectives that just
+    // (its shards) — host-independent. The collectives that just
     // ran borrowed no thread: there is no blocking lane to borrow from.
     // Nor did connecting the mesh: accepting is one reactor task per rank.
     let service: Vec<String> = std::fs::read_dir("/proc/self/task")
@@ -35,7 +35,7 @@ fn a_four_rank_world_owns_no_service_thread() {
         .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim_end().to_owned())
         .filter(|n| n.starts_with("ncs-"))
-        .filter(|n| !n.starts_with("ncs-reactor-") && n != "ncs-fd-poller")
+        .filter(|n| !n.starts_with("ncs-reactor-"))
         .collect();
     assert!(
         !service.iter().any(|n| n.starts_with("ncs-blocking-la")),

@@ -2,15 +2,17 @@
 //! loop (green threads, foreign OS threads, timers) communicates with a
 //! running scheduler.
 //!
-//! Everything funnels through one mutex-protected queue plus a condvar the
-//! scheduler parks on when idle, which keeps the scheduler core itself free
-//! of shared-state hazards.
+//! Everything funnels through one mutex-protected queue, which keeps the
+//! scheduler core itself free of shared-state hazards. An idle scheduler
+//! parks on a condvar, or — while its green threads wait on descriptors —
+//! in `poll(2)` beside a bell that a push rings.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::poll::{Bell, PollFd};
 use crate::tcb::TcbId;
 use crate::timer::TimerAction;
 
@@ -31,6 +33,9 @@ pub(crate) enum Inject {
     Wake(TcbId, WakeReason),
     /// Register a timer.
     Timer(Instant, TimerAction),
+    /// Park a green thread until its descriptor, if any, reports or the
+    /// deadline, if any, passes.
+    Wait(TcbId, Option<PollFd>, Option<Instant>),
     /// Ask the scheduler loop to re-evaluate its exit condition.
     Nudge,
 }
@@ -41,16 +46,25 @@ impl std::fmt::Debug for Inject {
             Inject::Spawn(tcb) => f.debug_tuple("Spawn").field(&tcb.id()).finish(),
             Inject::Wake(id, r) => f.debug_tuple("Wake").field(id).field(r).finish(),
             Inject::Timer(at, _) => f.debug_tuple("Timer").field(at).finish(),
+            Inject::Wait(id, fd, _) => f.debug_tuple("Wait").field(id).field(fd).finish(),
             Inject::Nudge => f.write_str("Nudge"),
         }
     }
 }
 
+#[derive(Debug, Default)]
+struct Queue {
+    items: Vec<Inject>,
+    /// Set while the scheduler waits in `poll(2)`: a push rings the bell.
+    polling: bool,
+}
+
 /// Shared queue + wakeup condvar between a scheduler and the outside world.
 #[derive(Debug, Default)]
 pub(crate) struct Injector {
-    queue: Mutex<Vec<Inject>>,
+    queue: Mutex<Queue>,
     cv: Condvar,
+    bell: OnceLock<Bell>,
 }
 
 impl Injector {
@@ -58,22 +72,45 @@ impl Injector {
         Arc::new(Self::default())
     }
 
-    /// Enqueues a request and wakes the scheduler if it is idle.
+    /// Enqueues a request and wakes the scheduler if it is idle: on its
+    /// condvar, or by ringing its bell while it polls. The flag is read
+    /// under the lock the scheduler sets it under, after looking at the
+    /// queue, so one of the two sees the other.
     pub(crate) fn push(&self, inject: Inject) {
-        self.queue.lock().push(inject);
-        self.cv.notify_all();
+        let mut q = self.queue.lock();
+        q.items.push(inject);
+        let ring = std::mem::take(&mut q.polling);
+        drop(q);
+        match ring {
+            true => self.bell().ring(),
+            false => self.cv.notify_all(),
+        }
     }
 
     /// Drains all pending requests.
     pub(crate) fn drain(&self) -> Vec<Inject> {
-        std::mem::take(&mut *self.queue.lock())
+        std::mem::take(&mut self.queue.lock().items)
+    }
+
+    /// The bell, made with the first descriptor wait.
+    pub(crate) fn bell(&self) -> &Bell {
+        self.bell.get_or_init(Bell::new)
+    }
+
+    /// Marks the scheduler as waiting in `poll(2)`, where the next push
+    /// rings the bell — unless a request is already pending — or, with
+    /// `on` false, as awake. Returns whether it may wait.
+    pub(crate) fn set_polling(&self, on: bool) -> bool {
+        let mut q = self.queue.lock();
+        q.polling = on && q.items.is_empty();
+        q.polling
     }
 
     /// Parks the caller until a request arrives or `deadline` passes.
     /// Returns immediately if requests are already pending.
     pub(crate) fn wait_until(&self, deadline: Option<Instant>) {
         let mut q = self.queue.lock();
-        if !q.is_empty() {
+        if !q.items.is_empty() {
             return;
         }
         match deadline {

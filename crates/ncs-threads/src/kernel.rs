@@ -2,7 +2,6 @@
 //! (the paper's "Pthread over Solaris" configuration).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::pkg::{panic_message, JoinError, JoinHandle, PackageKind, SpawnOptions, ThreadPackage};
 use crate::stats::{Counters, PackageStats};
@@ -80,10 +79,6 @@ impl ThreadPackage for KernelPackage {
             .yields
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         std::thread::yield_now();
-    }
-
-    fn sleep(&self, dur: Duration) {
-        std::thread::sleep(dur);
     }
 
     fn stats(&self) -> PackageStats {

@@ -22,9 +22,9 @@
 //! [`sync::Event`], [`sync::NcsMutex`], [`sync::Mailbox`]): when called from a
 //! green thread they cooperate with the scheduler; from any other thread they
 //! fall back to OS blocking. All higher NCS layers block **only** through
-//! these primitives, which is what lets the same protocol code run unchanged
-//! over either package — exactly the property the paper measures in
-//! Figures 10 and 11.
+//! these primitives — waits on sockets too ([`sync::wait_fd`]) — which is
+//! what lets the same protocol code run unchanged over either package —
+//! exactly the property the paper measures in Figures 10 and 11.
 //!
 //! # Example
 //!
@@ -58,6 +58,7 @@ mod context;
 mod injector;
 mod kernel;
 mod pkg;
+mod poll;
 mod scheduler;
 mod stack;
 mod stats;
@@ -72,4 +73,4 @@ pub use pkg::{
     TypedJoinHandle,
 };
 pub use stats::PackageStats;
-pub use user::{current_thread_name, SwitchMech, UserConfig, UserPackage, UserRuntime};
+pub use user::{SwitchMech, UserConfig, UserPackage, UserRuntime};

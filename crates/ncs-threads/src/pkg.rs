@@ -209,8 +209,11 @@ pub trait ThreadPackage: Send + Sync + std::fmt::Debug {
     fn yield_now(&self);
 
     /// Sleeps without stalling sibling threads of this package (green sleep
-    /// on the user package, OS sleep on the kernel package).
-    fn sleep(&self, dur: Duration);
+    /// on the user package, OS sleep on the kernel package):
+    /// [`crate::sync::sleep`].
+    fn sleep(&self, dur: Duration) {
+        crate::sync::sleep(dur);
+    }
 
     /// Activity counters.
     fn stats(&self) -> PackageStats;

@@ -12,8 +12,16 @@
 //!   handshake guarantees at most one is ever runnable, preserving
 //!   cooperative semantics on targets without the assembly switch.
 //!
-//! All communication into a running scheduler (spawns, wakes, timers) goes
-//! through the [`Injector`]; the scheduler core itself is single-threaded.
+//! All communication into a running scheduler (spawns, wakes, timers,
+//! descriptor waits) goes through the [`Injector`]; the scheduler core
+//! itself is single-threaded.
+//!
+//! A green thread that waits on a descriptor ([`green_wait`]) parks like
+//! any other: its scheduler polls the descriptor for it — with a zero
+//! timeout once per pass over the run queue while others run, and, once
+//! nothing can run, in the `poll(2)` it parks in, beside the bell a push
+//! rings. This is the package's answer to §4.1's blocking system call,
+//! which would stall every green thread on the OS thread.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -22,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use crate::context::{ncs_ctx_switch, prepare_stack, Context};
 use crate::injector::{GreenWaker, Inject, Injector, WakeReason};
+use crate::poll::{poll, PollFd};
 use crate::stack::Stack;
 use crate::stats::Counters;
 use crate::tcb::{RunState, Tcb, TcbId};
@@ -69,11 +78,6 @@ pub(crate) fn current_green_waker() -> Option<GreenWaker> {
         injector: Arc::clone(&g.injector),
         tcb: g.tcb.id(),
     })
-}
-
-/// Name of the current green thread, for diagnostics.
-pub(crate) fn current_green_name() -> Option<String> {
-    with_green(|g| g.tcb.name().to_owned())
 }
 
 /// Blocks the current green thread until a wake is delivered through the
@@ -142,30 +146,14 @@ pub(crate) fn green_yield() {
     }
 }
 
-/// Puts the current green thread to sleep for `dur` without stalling the
-/// scheduler.
-pub(crate) fn green_sleep(dur: Duration) {
-    let waker = current_green_waker().expect("green_sleep outside green thread");
-    let injector = Arc::clone(&waker.injector);
-    injector.push(Inject::Timer(
-        Instant::now() + dur,
-        TimerAction::Wake(waker),
-    ));
-    let _ = green_block();
-}
-
-/// Registers the timeout of green thread `waiter`'s wait on `sem`.
-pub(crate) fn register_sem_timeout(
-    waiter: &GreenWaker,
-    at: Instant,
-    sem: std::sync::Weak<crate::sync::SemInner>,
-    token: u64,
-) {
-    let tcb = waiter.tcb;
-    waiter.injector.push(Inject::Timer(
-        at,
-        TimerAction::SemTimeout { sem, token, tcb },
-    ));
+/// Parks the current green thread, without stalling the scheduler, until
+/// `fd` — if it has one — reports one of its events (or an error or
+/// hang-up), or until `deadline` passes; with neither, for good. Returns
+/// whether the descriptor reported.
+pub(crate) fn green_wait(fd: Option<PollFd>, deadline: Option<Instant>) -> bool {
+    let waker = current_green_waker().expect("green_wait outside green thread");
+    waker.injector.push(Inject::Wait(waker.tcb, fd, deadline));
+    green_block() == WakeReason::Normal
 }
 
 /// Payload handed to a freshly activated native green thread via the r12
@@ -215,17 +203,12 @@ pub(crate) struct SchedulerCore {
     /// Number of live non-daemon threads; the loop exits when it reaches 0.
     live_regular: usize,
     idle_since: Option<Instant>,
-}
-
-impl std::fmt::Debug for SchedulerCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedulerCore")
-            .field("mech", &self.config.mech)
-            .field("ready", &self.run_q.len())
-            .field("threads", &self.tcbs.len())
-            .field("live_regular", &self.live_regular)
-            .finish()
-    }
+    /// The descriptors green threads wait on: `fd_waiters[i]` on
+    /// `pollfds[i]`.
+    pollfds: Vec<PollFd>,
+    fd_waiters: Vec<TcbId>,
+    /// Threads to resume before the next zero-timeout poll.
+    pass_left: usize,
 }
 
 impl SchedulerCore {
@@ -244,6 +227,9 @@ impl SchedulerCore {
             sched_ctx: Context::empty(),
             live_regular: 0,
             idle_since: None,
+            pollfds: Vec::new(),
+            fd_waiters: Vec::new(),
+            pass_left: 0,
         }
     }
 
@@ -272,6 +258,15 @@ impl SchedulerCore {
             );
             if let Some(tid) = self.run_q.pop_front() {
                 self.idle_since = None;
+                // While green threads wait on descriptors, a zero-timeout
+                // poll once per pass over the run queue: threads that
+                // only yield cannot keep a ready descriptor's waiter
+                // waiting.
+                if self.pass_left == 0 && !self.fd_waiters.is_empty() {
+                    self.poll_fds(Some(Instant::now()));
+                    self.pass_left = self.run_q.len() + 1;
+                }
+                self.pass_left = self.pass_left.saturating_sub(1);
                 self.resume(tid);
                 continue;
             }
@@ -291,6 +286,15 @@ impl SchedulerCore {
                     self.wake_tcb(id, reason);
                 }
                 Inject::Timer(at, action) => self.timers.register(at, action),
+                Inject::Wait(tcb, fd, deadline) => {
+                    if let Some(fd) = fd {
+                        self.pollfds.push(fd);
+                        self.fd_waiters.push(tcb);
+                    }
+                    if let Some(at) = deadline {
+                        self.timers.register(at, TimerAction::Wake(tcb));
+                    }
+                }
                 Inject::Nudge => {}
             }
             self.idle_since = None;
@@ -333,7 +337,13 @@ impl SchedulerCore {
     fn fire_due_timers(&mut self) {
         for action in self.timers.pop_due(Instant::now()) {
             match action {
-                TimerAction::Wake(waker) => self.wake_tcb(waker.tcb, WakeReason::Normal),
+                TimerAction::Wake(tcb) => {
+                    if let Some(i) = self.fd_waiters.iter().position(|&id| id == tcb) {
+                        self.fd_waiters.remove(i);
+                        self.pollfds.remove(i);
+                    }
+                    self.wake_tcb(tcb, WakeReason::Timeout);
+                }
                 TimerAction::SemTimeout { sem, token, .. } => {
                     if let Some(sem) = sem.upgrade() {
                         if let Some(waker) = sem.cancel_waiter(token) {
@@ -347,16 +357,11 @@ impl SchedulerCore {
 
     fn idle_wait(&mut self) {
         let now = Instant::now();
-        if self.idle_since.is_none() {
-            self.idle_since = Some(now);
-        }
-        let timer_deadline = self.timers.next_deadline();
-        let deadlock_deadline = self
-            .config
-            .deadlock_timeout
-            .and_then(|dt| self.idle_since.map(|since| since + dt));
-        if self.timers.is_empty() {
-            if let (Some(dt), Some(since)) = (self.config.deadlock_timeout, self.idle_since) {
+        let since = *self.idle_since.get_or_insert(now);
+        // A timer or a descriptor will wake somebody: that is no deadlock.
+        let pending = !self.timers.is_empty() || !self.fd_waiters.is_empty();
+        let deadlock_deadline = match self.config.deadlock_timeout {
+            Some(dt) if !pending => {
                 if now.duration_since(since) >= dt {
                     panic!(
                         "ncs-threads deadlock: {} green thread(s) blocked with no \
@@ -366,13 +371,44 @@ impl SchedulerCore {
                         self.blocked_thread_names().join(", ")
                     );
                 }
+                Some(since + dt)
+            }
+            _ => None,
+        };
+        let deadline = self.timers.next_deadline().or(deadlock_deadline);
+        if self.fd_waiters.is_empty() {
+            self.injector.wait_until(deadline);
+        } else if self.injector.set_polling(true) {
+            self.poll_fds(deadline);
+            self.injector.set_polling(false);
+        }
+    }
+
+    /// Polls the descriptors green threads wait on, and the bell, until
+    /// one reports or `deadline` passes; readies every thread whose
+    /// descriptor reported. A poll that fails readies them all: each
+    /// thread's next call on its descriptor meets the fault.
+    fn poll_fds(&mut self, deadline: Option<Instant>) {
+        let bell = self.injector.bell();
+        self.pollfds.push(bell.pollfd());
+        let polled = poll(&mut self.pollfds, deadline);
+        if self.pollfds.pop().is_some_and(|b| b.2 != 0) {
+            bell.drain();
+        }
+        if let Ok(0) = polled {
+            return;
+        }
+        let mut i = 0;
+        while i < self.fd_waiters.len() {
+            if polled.is_err() || self.pollfds[i].2 != 0 {
+                self.pollfds.remove(i);
+                let id = self.fd_waiters.remove(i);
+                self.timers.withdraw(id);
+                self.wake_tcb(id, WakeReason::Normal);
+            } else {
+                i += 1;
             }
         }
-        let deadline = match (timer_deadline, deadlock_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.injector.wait_until(deadline);
     }
 
     fn blocked_thread_names(&self) -> Vec<String> {

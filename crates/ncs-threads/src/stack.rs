@@ -15,15 +15,6 @@ pub(crate) struct Stack {
     buf: Box<[u8]>,
 }
 
-impl std::fmt::Debug for Stack {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stack")
-            .field("size", &self.buf.len())
-            .field("canary_intact", &self.canary_intact())
-            .finish()
-    }
-}
-
 impl Stack {
     /// Allocates a zeroed stack of at least `size` bytes and plants the
     /// canary.

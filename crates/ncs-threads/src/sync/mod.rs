@@ -11,19 +11,22 @@
 //!
 //! NCS protocol code blocks *only* through these primitives, which is what
 //! lets the identical code run over either thread package — the property the
-//! paper's Figures 10/11 measure. Blocking **system calls** (socket I/O) are
-//! intentionally *not* intercepted: under the user-level package they stall
-//! the whole process, exactly as the paper describes for 1998 user-level
-//! thread packages.
+//! paper's Figures 10/11 measure. Waits on a descriptor (socket I/O) go
+//! through [`wait_fd`], which parks a green thread in its scheduler: the
+//! scheduler polls the descriptor, where the paper's §4.1 user-level
+//! package polls it with non-blocking calls and `thread_yield()`.
 
 mod event;
 mod mailbox;
 mod mutex;
 mod sem;
+mod wait;
 
+pub use crate::poll::{POLLIN, POLLOUT};
 pub use event::Event;
 pub use mailbox::{Mailbox, NotifyFn, RecvTimeoutError, TrySendError};
 pub use mutex::{NcsMutex, NcsMutexGuard};
 pub use sem::Semaphore;
+pub use wait::{sleep, wait_fd};
 
 pub(crate) use sem::SemInner;

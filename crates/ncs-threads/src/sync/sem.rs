@@ -6,8 +6,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::injector::{GreenWaker, WakeReason};
+use crate::injector::{GreenWaker, Inject, WakeReason};
 use crate::scheduler;
+use crate::timer::TimerAction;
 
 /// A green waiter parked on the semaphore. The `token` is the claim ticket:
 /// whichever of {release, timeout timer} removes the entry first owns the
@@ -140,7 +141,9 @@ impl Semaphore {
             // release can claim the token: the scheduler reads that
             // release's wake after the timer, and withdraws it.
             if let Some(d) = deadline {
-                scheduler::register_sem_timeout(&waker, d, Arc::downgrade(&self.inner), token);
+                let (sem, tcb) = (Arc::downgrade(&self.inner), waker.tcb);
+                let timeout = TimerAction::SemTimeout { sem, token, tcb };
+                waker.injector.push(Inject::Timer(d, timeout));
             }
             st.green_waiters.push_back(GreenWaiter { token, waker });
         }

@@ -69,17 +69,6 @@ pub(crate) struct Tcb {
     pub(crate) stack_size: usize,
 }
 
-impl std::fmt::Debug for Tcb {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tcb")
-            .field("id", &self.id)
-            .field("name", &self.name)
-            .field("daemon", &self.daemon)
-            .field("state", &self.shared.lock().state)
-            .finish()
-    }
-}
-
 // SAFETY: `ctx` and `stack` are UnsafeCell-wrapped but are only accessed by
 // the scheduler OS thread under the native mechanism (green code runs *on*
 // that same OS thread, so there is no concurrency), and never under the

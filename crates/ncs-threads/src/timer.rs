@@ -13,14 +13,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Weak;
 use std::time::Instant;
 
-use crate::injector::GreenWaker;
 use crate::sync::SemInner;
 use crate::tcb::TcbId;
 
 /// What to do when a timer fires.
 pub(crate) enum TimerAction {
-    /// Wake a green thread sleeping via `sleep`.
-    Wake(GreenWaker),
+    /// End green thread `tcb`'s sleep, or its wait on a descriptor, with
+    /// `WakeReason::Timeout`.
+    Wake(TcbId),
     /// Time out green thread `tcb` waiting on a semaphore: claim its wait
     /// token and wake it with `WakeReason::Timeout` if a release has not
     /// already claimed it.
@@ -35,25 +35,14 @@ impl TimerAction {
     /// The thread whose wait this timer bounds.
     fn thread(&self) -> TcbId {
         match self {
-            TimerAction::Wake(w) => w.tcb,
+            TimerAction::Wake(tcb) => *tcb,
             TimerAction::SemTimeout { tcb, .. } => *tcb,
         }
     }
 }
 
-impl std::fmt::Debug for TimerAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TimerAction::Wake(w) => f.debug_tuple("Wake").field(&w.tcb).finish(),
-            TimerAction::SemTimeout { token, .. } => {
-                f.debug_tuple("SemTimeout").field(token).finish()
-            }
-        }
-    }
-}
-
 /// Deadline-ordered timer queue, owned by the scheduler loop.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct TimerQueue {
     /// By (deadline, registration number): equal deadlines fire in
     /// registration order.
@@ -115,14 +104,10 @@ impl TimerQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::injector::Injector;
     use std::time::Duration;
 
-    fn waker(id: u64) -> GreenWaker {
-        GreenWaker {
-            injector: Injector::new(),
-            tcb: TcbId(id),
-        }
+    fn thread(id: u64) -> TcbId {
+        TcbId(id)
     }
 
     #[test]
@@ -131,22 +116,22 @@ mod tests {
         let base = Instant::now();
         q.register(
             base + Duration::from_millis(30),
-            TimerAction::Wake(waker(3)),
+            TimerAction::Wake(thread(3)),
         );
         q.register(
             base + Duration::from_millis(10),
-            TimerAction::Wake(waker(1)),
+            TimerAction::Wake(thread(1)),
         );
         q.register(
             base + Duration::from_millis(20),
-            TimerAction::Wake(waker(2)),
+            TimerAction::Wake(thread(2)),
         );
 
         let due = q.pop_due(base + Duration::from_millis(25));
         let ids: Vec<u64> = due
             .iter()
             .map(|a| match a {
-                TimerAction::Wake(w) => w.tcb.0,
+                TimerAction::Wake(w) => w.0,
                 _ => unreachable!(),
             })
             .collect();
@@ -158,13 +143,13 @@ mod tests {
     fn equal_deadlines_fire_in_registration_order() {
         let mut q = TimerQueue::new();
         let at = Instant::now();
-        q.register(at, TimerAction::Wake(waker(1)));
-        q.register(at, TimerAction::Wake(waker(2)));
+        q.register(at, TimerAction::Wake(thread(1)));
+        q.register(at, TimerAction::Wake(thread(2)));
         let due = q.pop_due(at);
         let ids: Vec<u64> = due
             .iter()
             .map(|a| match a {
-                TimerAction::Wake(w) => w.tcb.0,
+                TimerAction::Wake(w) => w.0,
                 _ => unreachable!(),
             })
             .collect();
@@ -178,13 +163,13 @@ mod tests {
         let base = Instant::now();
         let soon = base + Duration::from_millis(10);
         let later = base + Duration::from_millis(30);
-        q.register(later, TimerAction::Wake(waker(2)));
-        q.register(soon, TimerAction::Wake(waker(1)));
+        q.register(later, TimerAction::Wake(thread(2)));
+        q.register(soon, TimerAction::Wake(thread(1)));
         q.withdraw(TcbId(1));
         q.withdraw(TcbId(1)); // nothing left to withdraw: no-op
         assert_eq!((q.len(), q.next_deadline()), (1, Some(later)));
         // A thread's new wait replaces whatever it still had queued.
-        q.register(soon, TimerAction::Wake(waker(2)));
+        q.register(soon, TimerAction::Wake(thread(2)));
         assert_eq!((q.len(), q.next_deadline()), (1, Some(soon)));
         assert_eq!(q.pop_due(later).len(), 1);
         q.withdraw(TcbId(2)); // fired already
@@ -195,7 +180,7 @@ mod tests {
     fn nothing_due_before_deadline() {
         let mut q = TimerQueue::new();
         let base = Instant::now();
-        q.register(base + Duration::from_secs(10), TimerAction::Wake(waker(1)));
+        q.register(base + Duration::from_secs(10), TimerAction::Wake(thread(1)));
         assert!(q.pop_due(base).is_empty());
         assert!(!q.is_empty());
     }

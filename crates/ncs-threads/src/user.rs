@@ -207,22 +207,9 @@ impl ThreadPackage for UserPackage {
         scheduler::green_yield();
     }
 
-    fn sleep(&self, dur: Duration) {
-        if scheduler::in_green() {
-            scheduler::green_sleep(dur);
-        } else {
-            std::thread::sleep(dur);
-        }
-    }
-
     fn stats(&self) -> PackageStats {
         self.inner.counters.snapshot()
     }
-}
-
-/// Name of the current green thread, if the caller is one. Diagnostic aid.
-pub fn current_thread_name() -> Option<String> {
-    scheduler::current_green_name()
 }
 
 #[cfg(test)]

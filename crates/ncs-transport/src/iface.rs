@@ -7,12 +7,6 @@ use std::time::Duration;
 
 use ncs_threads::sync::Mailbox;
 
-/// A cooperative yield callback, invoked between non-blocking polls by
-/// interfaces whose natural waits are blocking system calls (SCI). The
-/// paper's user-level-package receive discipline: "non-blocking system
-/// calls plus `thread_yield()`".
-pub type YieldHook = Arc<dyn Fn() + Send + Sync>;
-
 /// A readiness callback installed by an event loop via
 /// [`Connection::register_waker`]. The transport invokes it whenever the
 /// endpoint *may* have become readable (a frame arrived, the peer closed,
