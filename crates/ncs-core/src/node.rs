@@ -757,7 +757,7 @@ impl AcceptTask {
         for link in links {
             let fd = match link.watch_accepts(Some(Arc::clone(&waker))) {
                 Readiness::Fd(fd) if !listeners.insert(fd) => continue,
-                Readiness::Fd(fd) => Some(inner.reactor.watch_fd(fd, &self.me)),
+                Readiness::Fd(fd) => Some(self.me.watch_fd(fd)),
                 _ => None,
             };
             self.sources.push((fd, link));

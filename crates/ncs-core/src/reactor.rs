@@ -247,6 +247,22 @@ impl TaskHandle {
         self.armed.load(Ordering::Acquire) <= self.shard.fire_by(at, Instant::now()).0
     }
 
+    /// Wakes the task whenever `fd` — an SCI socket, or an SCI listener
+    /// with connections to accept — turns readable (or, armed for it,
+    /// writable) while armed, until the registration is dropped. The
+    /// descriptor joins the set of the shard that runs the task, and that
+    /// shard reports it.
+    pub(crate) fn watch_fd(self: &Arc<Self>, fd: std::os::fd::RawFd) -> FdRegistration {
+        let reg = self
+            .shard
+            .fds
+            .get_or_init(FdSet::new)
+            .register(fd, Arc::clone(self));
+        // A shard asleep on its inbox comes round to park in its set.
+        self.shard.post(ShardMsg::Repark);
+        reg
+    }
+
     pub(crate) fn wake(&self) {
         loop {
             match self.state.load(Ordering::Acquire) {
@@ -438,33 +454,13 @@ impl Reactor {
         let t = Arc::clone(task);
         transport.register_waker(Some(Arc::new(move || t.wake())));
         let fd = match transport.readiness() {
-            ncs_transport::Readiness::Fd(fd) => Some(self.watch_fd(fd, task)),
+            ncs_transport::Readiness::Fd(fd) => Some(task.watch_fd(fd)),
             _ => None,
         };
         Watch {
             fd,
             transport: Arc::clone(transport),
         }
-    }
-
-    /// Wakes `task` whenever `fd` — an SCI socket, or an SCI listener with
-    /// connections to accept — turns readable (or, armed for it, writable)
-    /// while armed, until the registration is dropped. The descriptor
-    /// joins the set of the shard that runs the task, and that shard
-    /// reports it.
-    pub(crate) fn watch_fd(
-        &self,
-        fd: std::os::fd::RawFd,
-        task: &Arc<TaskHandle>,
-    ) -> FdRegistration {
-        let shard = &task.shard;
-        let reg = shard
-            .fds
-            .get_or_init(FdSet::new)
-            .register(fd, Arc::clone(task));
-        // A shard asleep on its inbox comes round to park in its set.
-        shard.post(ShardMsg::Repark);
-        reg
     }
 
     /// Runs the non-blocking closure `poll` as a task on one of the event
@@ -559,6 +555,16 @@ impl TaskRef {
     /// "is my deadline covered".
     pub fn armed_by(&self, at: Instant) -> bool {
         self.0.armed_by(at)
+    }
+
+    /// Wakes the task whenever `fd` turns readable — or writable, while
+    /// re-armed for output — until the registration is dropped: the
+    /// watch the node's own accept and connection tasks keep on their
+    /// sockets. Reports are oneshot: the task re-arms through
+    /// [`FdRegistration::rearm`] once it has drained the descriptor. Drop
+    /// the registration before the descriptor closes.
+    pub fn watch_fd(&self, fd: std::os::fd::RawFd) -> FdRegistration {
+        self.0.watch_fd(fd)
     }
 }
 
@@ -997,8 +1003,9 @@ mod fdset {
         usize::try_from(n).unwrap_or(0)
     }
 
-    /// A live fd registration. Dropping it deregisters the descriptor.
-    pub(crate) struct FdRegistration {
+    /// A live fd registration ([`TaskRef::watch_fd`]). Dropping it
+    /// deregisters the descriptor.
+    pub struct FdRegistration {
         fd: RawFd,
         token: u64,
         entry: Arc<FdEntry>,
@@ -1010,12 +1017,18 @@ mod fdset {
         /// the descriptor — for output as well while it owes a write the
         /// descriptor refused: one `epoll_ctl` if a report disarmed it or
         /// the events change, none if it is still armed for these.
-        pub(crate) fn rearm(&self, owes_write: bool) {
+        pub fn rearm(&self, owes_write: bool) {
             let events = EPOLLIN | if owes_write { EPOLLOUT } else { 0 };
             if self.entry.armed.swap(events, Ordering::AcqRel) != events {
                 let (fd, token) = (self.fd, self.token);
                 self.set.arm(EPOLL_CTL_MOD, fd, token, &self.entry, events);
             }
+        }
+    }
+
+    impl std::fmt::Debug for FdRegistration {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("FdRegistration").finish_non_exhaustive()
         }
     }
 
@@ -1029,7 +1042,8 @@ mod fdset {
     }
 }
 
-pub(crate) use fdset::{FdRegistration, FdSet};
+pub use fdset::FdRegistration;
+pub(crate) use fdset::FdSet;
 
 #[cfg(test)]
 mod tests {
@@ -1396,7 +1410,7 @@ mod tests {
     fn watched_pair(reactor: &Reactor, pkg: &Arc<dyn ThreadPackage>) -> Watched {
         let (near, far) = UnixStream::pair().unwrap();
         let (runs, handle) = counted(reactor, pkg);
-        let reg = reactor.watch_fd(far.as_raw_fd(), &handle);
+        let reg = handle.watch_fd(far.as_raw_fd());
         Watched {
             near,
             far,
@@ -1440,7 +1454,7 @@ mod tests {
         let old = watched_pair(&reactor, pkg);
         drop(old.reg);
         let (runs, handle) = counted(&reactor, pkg);
-        let _new = reactor.watch_fd(old.far.as_raw_fd(), &handle);
+        let _new = handle.watch_fd(old.far.as_raw_fd());
         (&old.near).write_all(b"x").unwrap();
         eventually(pkg, "new task woken", || runs.load(Ordering::Relaxed) == 2);
         pkg.sleep(Duration::from_millis(20));
@@ -1489,7 +1503,7 @@ mod tests {
             reg: Arc::clone(&reg),
         };
         let handle = reactor.spawn(TaskKind::Control, |_| Box::new(task));
-        *reg.lock() = Some(reactor.watch_fd(fd, &handle));
+        *reg.lock() = Some(handle.watch_fd(fd));
         const N: u64 = 200;
         let before = reactor.stats().poller_wakes;
         let mut reply = [0u8; 1];
@@ -1525,7 +1539,7 @@ mod tests {
         let (runs, handle) = counted(&reactor, &pkg);
         std::thread::sleep(Duration::from_millis(20));
         let (near, far) = UnixStream::pair().unwrap();
-        let _reg = reactor.watch_fd(far.as_raw_fd(), &handle);
+        let _reg = handle.watch_fd(far.as_raw_fd());
         let start = Instant::now();
         (&near).write_all(b"x").unwrap();
         eventually(&pkg, "fd report", || runs.load(Ordering::Relaxed) == 2);

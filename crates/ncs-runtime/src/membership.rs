@@ -38,10 +38,11 @@
 //!   the subscriber set and the telemetry stash. One method per verb; each
 //!   returns the frames to send and who gets them;
 //! * its two shells: `ncsd` ([`crate::rendezvous::RendezvousServer`]),
-//!   which steps it on the thread that read each request and writes the
-//!   answers to sockets, and [`MembershipHub`], which steps it from
-//!   explicit calls and hands views to in-process sinks (SIM and test
-//!   worlds run the code `ncsd` runs);
+//!   which steps it on an event loop as each request is read, queues the
+//!   answers for their sockets and sweeps the detector at
+//!   [`MembershipTable::next_due`], and [`MembershipHub`], which steps
+//!   it from explicit calls and hands views to in-process sinks (SIM and
+//!   test worlds run the code `ncsd` runs);
 //! * [`MemberAgent`] — one rank's client: a background thread that
 //!   subscribes, pulses heartbeats, observes acks (RTT histogram) and
 //!   delivers views to the rank's callback;
@@ -65,11 +66,13 @@ use crate::wire::{RvMsg, PROTOCOL_VERSION};
 /// Failure-detector and heartbeat tuning knobs.
 ///
 /// The defaults balance detection latency against false positives on a
-/// loaded CI runner: a member is declared dead by the first detector
-/// sweep after `dead_after` of silence, within 3× the heartbeat interval
-/// (detection latency ≈ `dead_after` + one sweep + delivery; held on
-/// virtual time by the `membership_props` test
-/// `a_silent_member_dies_at_the_first_sweep_past_dead_after`).
+/// loaded CI runner: `ncsd` sweeps the detector when the next member is
+/// due ([`MembershipTable::next_due`]), so a member is declared dead at
+/// `dead_after` of silence, within 3× the heartbeat interval (detection
+/// latency ≈ `dead_after` + a timer tick + delivery; held on virtual
+/// time by the `membership_props` tests
+/// `a_silent_member_dies_at_the_first_sweep_past_dead_after` and
+/// `a_detector_swept_at_next_due_*`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipConfig {
     /// How often each member pulses a heartbeat.
@@ -374,6 +377,21 @@ impl MembershipTable {
         Some(self.view.clone())
     }
 
+    /// When a sweep next changes a member's health, on the table's clock:
+    /// the earliest instant at which an alive member's silence reaches
+    /// `suspect_after`, or a suspect's `dead_after`. `None` while no
+    /// tracked member is alive or suspect. A [`MembershipTable::tick`]
+    /// before it changes nothing, so a detector swept only at this
+    /// instant convicts and suspects exactly on its thresholds.
+    pub fn next_due(&self) -> Option<Duration> {
+        let due = |t: &Tracked| match t.health {
+            Health::Alive => Some(t.last_pulse + self.cfg.suspect_after),
+            Health::Suspect => Some(t.last_pulse + self.cfg.dead_after),
+            Health::Dead => None,
+        };
+        self.tracked.values().filter_map(due).min()
+    }
+
     /// Sweeps the failure detector: transitions silent members to
     /// suspect, declares over-silent suspects dead. Produces the death
     /// view when anyone died in this sweep.
@@ -388,13 +406,9 @@ impl MembershipTable {
             if silence >= self.cfg.dead_after {
                 t.health = Health::Dead;
                 died.push(rank);
-            } else if silence >= self.cfg.suspect_after {
-                if t.health == Health::Alive {
-                    t.health = Health::Suspect;
-                    self.suspect_events += 1;
-                }
-            } else {
-                t.health = Health::Alive;
+            } else if silence >= self.cfg.suspect_after && t.health == Health::Alive {
+                t.health = Health::Suspect;
+                self.suspect_events += 1;
             }
         }
         if died.is_empty() {
@@ -670,6 +684,15 @@ impl MembershipService {
             to: self.subs.iter().map(|&(c, _)| c).collect(),
             msg: RvMsg::View { view },
         }
+    }
+
+    /// How long until the next sweep is due ([`MembershipTable::next_due`]).
+    pub(crate) fn next_due_in(&self) -> Option<Duration> {
+        Some(
+            self.table
+                .next_due()?
+                .saturating_sub(self.table.clock.now()),
+        )
     }
 
     /// The current view (epoch 0, empty, before the seal).

@@ -12,15 +12,25 @@
 //! size, rank range, duplicates), the roster, the membership table, the
 //! subscribers — lives in the sans-I/O `MembershipService`. This module
 //! is its socket shell, framed SCI messages ([`crate::wire::RvMsg`]) in
-//! and out, and it has two kinds of thread:
+//! and out, on one event loop (a single-shard [`Reactor`]: one OS thread
+//! however many ranks connect):
 //!
-//! * one **accept thread** (`ncsd`): accepts connections and sweeps the
-//!   failure detector (`MembershipService::tick`) every
-//!   `min(100 ms, heartbeat / 4)` (floor 5 ms);
-//! * one **reader** per connection (`ncsd-conn`): blocks in `recv`,
-//!   steps the service with each frame under the service lock and writes
-//!   the answers before releasing it — a request is answered on the
-//!   thread that read it, the moment it arrives.
+//! * the **accept task**, woken by the listener's readiness, gives every
+//!   connection it takes a task of its own; it also sweeps the failure
+//!   detector (`MembershipService::tick`) at the instant the next member
+//!   is due ([`MembershipTable::next_due`](crate::MembershipTable::next_due)),
+//!   a deadline;
+//! * one **connection task** per connection, woken by its socket, reads a
+//!   bounded number of frames, steps the service with each under the
+//!   state lock, appends the answers to their recipients' outboxes and
+//!   wakes them, and writes its own outbox without waiting: a socket that
+//!   refuses the write re-arms for output, and nothing retries on a timer.
+//!
+//! Nothing waits on a client. One that stops reading only fills its own
+//! outbox, and past `OUTBOX_LIMIT` bytes its connection is closed and
+//! forgotten — a rank's `MemberAgent` redials and re-subscribes. One that
+//! says nothing within `REGISTER_TIMEOUT` is closed when its task's
+//! first deadline fires.
 //!
 //! It can run standalone (the `ncsd` binary), embedded in a launcher
 //! ([`mod@crate::launch`]), or embedded in rank 0 of an application.
@@ -37,69 +47,234 @@
 //! receiving the full current view back ([`RvMsg::Replay`]) so it can
 //! re-mesh without any other source of truth.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::fd::RawFd;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ncs_core::SystemClock;
+use ncs_core::reactor::FdRegistration;
+use ncs_core::{Reactor, SystemClock, TaskRef};
+use ncs_threads::KernelPackage;
 use ncs_transport::sci::{self, SciConnection, SciListener};
-use ncs_transport::{Connection as _, TransportError};
+use ncs_transport::{Connection as _, Readiness, TransportError};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cluster::ClusterError;
 use crate::membership::{ConnId, MembershipConfig, MembershipService, Outgoing, View};
 use crate::wire::{Roster, RvMsg, PROTOCOL_VERSION};
 
-/// How long the server waits for the first frame of a freshly accepted
-/// connection before dropping it (a port-scanner, not a rank).
+/// How long a freshly accepted connection may stay silent before it is
+/// dropped (a port-scanner, not a rank).
 const REGISTER_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Accept poll granularity, and so the failure detector's sweep period
-/// (at most a quarter of the heartbeat interval, floor 5 ms).
-const SERVE_POLL: Duration = Duration::from_millis(100);
+/// Bytes of answers a connection may owe before it is dropped: what a
+/// subscriber that stops reading can cost the service. An encoded view
+/// takes some 30 bytes per member, so this is thirty views of a
+/// 1,000-rank world beyond what the socket itself buffers.
+const OUTBOX_LIMIT: usize = 1 << 20;
+
+/// Frames a connection task reads, or offers its socket, at a time: a
+/// client that floods the service takes its turn with the others.
+const BATCH: usize = 32;
+
+/// Pause before a listener that failed to accept is tried again (an
+/// accept error, such as running out of descriptors, reports no
+/// recovery).
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// An embedded rendezvous service for one world.
 ///
-/// Runs on background threads from [`RendezvousServer::start`] until
-/// dropped (or [`RendezvousServer::stop`]). Once the `world`-th rank has
-/// registered, the roster goes out to every registered rank; later
-/// registrations with a valid identity (e.g. a restarted rank re-fetching)
-/// are answered with the same roster immediately.
+/// Runs on an event loop of its own from [`RendezvousServer::start`]
+/// until dropped (or [`RendezvousServer::stop`]). Once the `world`-th
+/// rank has registered, the roster goes out to every registered rank;
+/// later registrations with a valid identity (e.g. a restarted rank
+/// re-fetching) are answered with the same roster immediately.
 pub struct RendezvousServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    reactor: Arc<Reactor>,
 }
 
-/// What the accept thread and the connection readers share.
+/// What the server's tasks and its owner share.
 struct Shared {
     state: Mutex<State>,
     /// Signalled when the roster seals.
     sealed: Condvar,
-    stop: AtomicBool,
 }
 
 /// The service and the connections its answers go to, under one lock.
 struct State {
     service: MembershipService,
+    /// The listener and its task, until [`RendezvousServer::stop`].
+    acceptor: Option<Acceptor>,
     /// Every open connection, by the id the service knows it as.
-    conns: HashMap<ConnId, Arc<SciConnection>>,
+    clients: HashMap<ConnId, Client>,
     next_id: ConnId,
-    readers: Vec<JoinHandle<()>>,
+}
+
+/// The listener and the task that accepts on it and sweeps the detector.
+struct Acceptor {
+    // Ahead of `listener`: the registration is keyed by a descriptor
+    // number the system may hand out again once the listener closes.
+    watch: FdRegistration,
+    listener: SciListener,
+    task: TaskRef,
+}
+
+/// One open connection: its socket, its task, and what it owes.
+struct Client {
+    // Ahead of `sock`, as in `Acceptor`.
+    watch: FdRegistration,
+    sock: SciConnection,
+    task: TaskRef,
+    /// Encoded frames the socket has not taken yet, oldest first.
+    outbox: VecDeque<Arc<[u8]>>,
+    /// Their bytes.
+    owed: usize,
+    /// When a connection that has said nothing yet is hung up.
+    silent_until: Option<Instant>,
+}
+
+/// The descriptor an SCI socket or listener is watched by.
+fn fd_of(readiness: Readiness) -> RawFd {
+    match readiness {
+        Readiness::Fd(fd) => fd,
+        _ => unreachable!("an SCI socket is a descriptor"),
+    }
+}
+
+impl Client {
+    /// Offers the socket what the connection owes, without waiting.
+    /// Says whether some of it is still owed: the socket refused it.
+    fn flush(&mut self) -> Result<bool, TransportError> {
+        loop {
+            let frames: Vec<&[u8]> = self.outbox.iter().take(BATCH).map(|f| &f[..]).collect();
+            let taken = self.sock.try_send_batch(&frames)?;
+            if taken == 0 {
+                return Ok(!self.outbox.is_empty() || self.sock.owes_bytes());
+            }
+            for frame in self.outbox.drain(..taken) {
+                self.owed -= frame.len();
+            }
+        }
+    }
 }
 
 impl State {
-    /// Writes `out`, in order, to the connections still open.
-    fn send(&self, out: &[Outgoing]) {
+    /// Queues each frame of `out`, in order, for those of its recipients
+    /// still connected, and wakes their tasks (all but `serving`'s, which
+    /// writes on its own when its poll ends). A recipient that now owes
+    /// more than [`OUTBOX_LIMIT`] is hung up.
+    fn post(&mut self, out: &[Outgoing], serving: Option<ConnId>) {
         for o in out {
-            let frame = o.msg.encode();
-            for conn in o.to.iter().filter_map(|id| self.conns.get(id)) {
-                let _ = conn.send(&frame);
+            let frame: Arc<[u8]> = o.msg.encode().into();
+            for id in &o.to {
+                let Some(client) = self.clients.get_mut(id) else {
+                    continue;
+                };
+                client.owed += frame.len();
+                if client.owed > OUTBOX_LIMIT {
+                    self.clients.remove(id);
+                    continue;
+                }
+                client.outbox.push_back(Arc::clone(&frame));
+                if serving != Some(*id) {
+                    client.task.wake();
+                }
             }
         }
+    }
+
+    /// When the detector is next due, on the event loop's clock.
+    fn next_sweep(&self, now: Instant) -> Option<Instant> {
+        self.service.next_due_in().map(|left| now + left)
+    }
+
+    /// One poll of the accept task: takes every waiting connection, and
+    /// sweeps the detector. Returns when it is next due, or when a
+    /// listener that failed is tried again.
+    fn accept(&mut self, shared: &Arc<Shared>, reactor: &Reactor, now: Instant) -> Option<Instant> {
+        let acceptor = self.acceptor.as_ref()?;
+        let mut retry = None;
+        loop {
+            match acceptor.listener.try_accept() {
+                Ok(Some(sock)) => {
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    let sh = Arc::clone(shared);
+                    let task =
+                        reactor.spawn_task(move |now| sh.state.lock().serve(id, now, &sh.sealed));
+                    let client = Client {
+                        watch: task.watch_fd(fd_of(sock.readiness())),
+                        sock,
+                        task,
+                        outbox: VecDeque::new(),
+                        owed: 0,
+                        silent_until: Some(now + REGISTER_TIMEOUT),
+                    };
+                    self.clients.insert(id, client);
+                }
+                Ok(None) => break acceptor.watch.rearm(false),
+                Err(_) => break retry = Some(now + ACCEPT_RETRY),
+            }
+        }
+        let out = self.service.tick();
+        self.post(&out, None);
+        retry.into_iter().chain(self.next_sweep(now)).min()
+    }
+
+    /// One poll of connection `id`'s task: reads up to [`BATCH`] frames,
+    /// steps the service with each (signalling `sealed` if that seals the
+    /// roster), then writes what the connection owes. Hangs up on a client
+    /// that hung up, spoke garbage, or stayed silent past
+    /// [`REGISTER_TIMEOUT`]. Returns when that silence ends.
+    fn serve(&mut self, id: ConnId, now: Instant, sealed: &Condvar) -> Option<Instant> {
+        let mut sealing = !self.service.roster_sealed();
+        let mut read = 0;
+        let open = loop {
+            // Gone if a post hung it up.
+            let client = self.clients.get_mut(&id)?;
+            if read == BATCH {
+                break true;
+            }
+            let msg = match client.sock.try_recv() {
+                Ok(Some(frame)) => RvMsg::decode(&frame),
+                Ok(None) => break client.silent_until.is_none_or(|end| end > now),
+                Err(_) => break false,
+            };
+            let Ok(msg) = msg else { break false };
+            client.silent_until = None;
+            read += 1;
+            let out = self.service.handle(id, msg);
+            if sealing && self.service.roster_sealed() {
+                sealing = false;
+                sealed.notify_all();
+            }
+            self.post(&out, Some(id));
+        };
+        // A batch that ended before the frames did re-arms for output as
+        // well: the event loop reports the socket again at once, in turn
+        // with every other one — or, while it is full, when its client
+        // reads or writes. (A wake of its own would run it again before
+        // the loop looks at any socket.)
+        let client = self.clients.get_mut(&id)?;
+        match client.flush() {
+            Ok(owes) if open => client.watch.rearm(owes || read == BATCH),
+            _ => {
+                self.clients.remove(&id);
+                return None;
+            }
+        }
+        let silent_until = client.silent_until;
+        // A subscriber the detector did not track until now may be due
+        // before the accept task's deadline.
+        if let (Some(at), Some(acceptor)) = (self.next_sweep(now), &self.acceptor) {
+            if !acceptor.task.armed_by(at) {
+                acceptor.task.wake();
+            }
+        }
+        silent_until
     }
 }
 
@@ -141,28 +316,30 @@ impl RendezvousServer {
         cfg.validate()?;
         let listener = SciListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let poll = SERVE_POLL
-            .min(cfg.heartbeat_interval / 4)
-            .max(Duration::from_millis(5));
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 service: MembershipService::new(world, cfg, SystemClock::shared()),
-                conns: HashMap::new(),
+                acceptor: None,
+                clients: HashMap::new(),
                 next_id: 0,
-                readers: Vec::new(),
             }),
             sealed: Condvar::new(),
-            stop: AtomicBool::new(false),
         });
-        let sh = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("ncsd".into())
-            .spawn(move || accept_loop(&listener, &sh, poll))
-            .expect("spawn ncsd thread");
+        let reactor = Reactor::new(Arc::new(KernelPackage::new()), 1);
+        // The task holds the reactor it spawns on until `stop` shuts that
+        // down, which drops the task.
+        let (sh, on) = (Arc::clone(&shared), Arc::clone(&reactor));
+        let task = reactor.spawn_task(move |now| sh.state.lock().accept(&sh, &on, now));
+        let watch = task.watch_fd(fd_of(listener.readiness()));
+        shared.state.lock().acceptor = Some(Acceptor {
+            watch,
+            listener,
+            task,
+        });
         Ok(RendezvousServer {
             addr,
             shared,
-            accept: Some(accept),
+            reactor,
         })
     }
 
@@ -213,23 +390,14 @@ impl RendezvousServer {
         service.roster_sealed().then(|| service.current().clone())
     }
 
-    /// Stops the service: closes every connection it holds and joins
-    /// every thread it started. Idempotent; called by `Drop`.
+    /// Stops the service: ends its event loop, whose thread has exited
+    /// when this returns, then closes the listener and every connection.
+    /// Idempotent; called by `Drop`.
     pub fn stop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let readers = {
-            let mut state = self.shared.state.lock();
-            for conn in state.conns.values() {
-                conn.close();
-            }
-            std::mem::take(&mut state.readers)
-        };
-        for h in readers {
-            let _ = h.join();
-        }
+        self.reactor.shutdown();
+        let mut state = self.shared.state.lock();
+        state.acceptor = None;
+        state.clients.clear();
     }
 }
 
@@ -237,53 +405,6 @@ impl Drop for RendezvousServer {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-/// The accept thread: hands each new connection to a reader of its own,
-/// and sweeps the failure detector once per accept poll.
-fn accept_loop(listener: &SciListener, shared: &Arc<Shared>, poll: Duration) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept_timeout(poll) {
-            Ok(conn) => {
-                let conn = Arc::new(conn);
-                let mut state = shared.state.lock();
-                let id = state.next_id;
-                state.next_id += 1;
-                state.conns.insert(id, Arc::clone(&conn));
-                let sh = Arc::clone(shared);
-                let reader = std::thread::Builder::new()
-                    .name("ncsd-conn".into())
-                    .spawn(move || serve_conn(&sh, id, &conn))
-                    .expect("spawn ncsd reader");
-                state.readers.retain(|h| !h.is_finished());
-                state.readers.push(reader);
-            }
-            Err(TransportError::Timeout) => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-        let mut state = shared.state.lock();
-        let out = state.service.tick();
-        state.send(&out);
-    }
-}
-
-/// One connection's reader: steps the service with every frame the
-/// connection carries until the client hangs up, speaks garbage, or
-/// (first frame only) stays silent past [`REGISTER_TIMEOUT`].
-fn serve_conn(shared: &Shared, id: ConnId, conn: &SciConnection) {
-    let mut frame = conn.recv_timeout(REGISTER_TIMEOUT);
-    while let Ok(Ok(msg)) = frame.as_deref().map(RvMsg::decode) {
-        let mut state = shared.state.lock();
-        let was_sealed = state.service.roster_sealed();
-        let out = state.service.handle(id, msg);
-        state.send(&out);
-        if !was_sealed && state.service.roster_sealed() {
-            shared.sealed.notify_all();
-        }
-        drop(state);
-        frame = conn.recv();
-    }
-    shared.state.lock().conns.remove(&id);
 }
 
 /// Dials `ncsd` (with bounded retry — the service may itself still be

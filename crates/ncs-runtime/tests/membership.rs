@@ -266,8 +266,9 @@ fn subscribe_raw(server: &RendezvousServer, rank: u32) -> (SciConnection, View) 
     }
 }
 
-/// A service at the default thresholds, whose failure-detector sweep
-/// runs every 50 ms: a request that waited for the sweep would show.
+/// A service at the default thresholds, whose failure-detector sweeps
+/// are hundreds of milliseconds apart: a request that waited for one
+/// would show.
 fn default_server(world: u32) -> RendezvousServer {
     RendezvousServer::start_with("127.0.0.1:0", world, MembershipConfig::default()).expect("ncsd")
 }
@@ -356,4 +357,109 @@ fn a_rank_that_goes_quiet_before_the_seal_does_not_empty_the_world() {
     assert!(view.id == 1 && view.is_full(), "{view:?}");
     let (_late, greeting) = subscribe_raw(&server, 1);
     assert!(greeting.id == 1 && greeting.is_full(), "{greeting:?}");
+}
+
+/// A raw subscriber that pulses heartbeats from a thread of its own, as
+/// fast as its socket takes them, and never reads an answer. The thread
+/// ends when a send fails: when ncsd hangs up, or when the flooder is
+/// dropped, which closes its socket (and so ends a send blocked on it).
+struct Flooder {
+    conn: Arc<SciConnection>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Flooder {
+    fn start(server: &RendezvousServer, rank: u32) -> Flooder {
+        let conn = Arc::new(subscribe_raw(server, rank).0);
+        let sender = Arc::clone(&conn);
+        let thread = std::thread::spawn(move || {
+            let pulse = |seq| RvMsg::Heartbeat {
+                rank,
+                seq,
+                nanos: 0,
+            };
+            let mut seq = 0;
+            while sender.send(&pulse(seq).encode()).is_ok() {
+                seq += 1;
+            }
+        });
+        Flooder {
+            conn,
+            thread: Some(thread),
+        }
+    }
+
+    /// Whether ncsd has hung up on the flooder.
+    fn hung_up(&self) -> bool {
+        self.thread.as_ref().is_some_and(|t| t.is_finished())
+    }
+}
+
+impl Drop for Flooder {
+    fn drop(&mut self) {
+        self.conn.close();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// A subscriber that stops reading costs the others nothing. While one
+/// floods ncsd with heartbeats and reads none of the acks, another's
+/// every heartbeat is acked within a second; ncsd hangs up on the
+/// flooder once it owes it more than its outbox bound; and `stop()`
+/// returns. Where answers were written under the service lock, the
+/// flooder's full socket held that lock: the other's ack never came, the
+/// detector stopped sweeping and `stop()` did not return. The limits are
+/// liveness bounds — each one is missed by a stall, not by a slow run.
+#[test]
+fn a_subscriber_that_stops_reading_is_dropped_and_delays_no_other() {
+    const ACK_WITHIN: Duration = Duration::from_secs(1);
+    let mut server = default_server(2);
+    seal_world(&server, 2);
+    let (conn, _) = subscribe_raw(&server, 0);
+    let flooder = Flooder::start(&server, 1);
+    let t0 = Instant::now();
+    // Pulse until a few acks have come back since the hang-up.
+    let mut acks_since_hang_up = 0;
+    for seq in 1.. {
+        if acks_since_hang_up == 5 {
+            break;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "ncsd still served the flooder after 30 s"
+        );
+        let hung_up = flooder.hung_up();
+        let pulse = RvMsg::Heartbeat {
+            rank: 0,
+            seq,
+            nanos: 0,
+        };
+        conn.send(&pulse.encode()).expect("pulse");
+        let deadline = Instant::now() + ACK_WITHIN;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let frame = conn.recv_timeout(left).unwrap_or_else(|e| {
+                panic!("pulse {seq}: no ack within {ACK_WITHIN:?} ({e}) beside a flooder")
+            });
+            // Anything else is a view: the flooder's rank declared dead.
+            if let RvMsg::HeartbeatAck { seq: s, .. } = RvMsg::decode(&frame).expect("decode") {
+                if s == seq {
+                    break;
+                }
+            }
+        }
+        acks_since_hang_up += u32::from(hung_up);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (stopped, returned) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = stopped.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(5))
+        .expect("stop() had not returned after 5 s");
+    drop(flooder);
 }

@@ -4,7 +4,8 @@
 //! both thread packages. A second property pins sequential determinism:
 //! the same event list replayed on a fresh hub reproduces the identical
 //! view sequence. A plain test pins the detector's timing on virtual
-//! time: when a silent member is declared dead.
+//! time: when a silent member is declared dead; a third property holds
+//! the deadline `ncsd` sweeps at, [`MembershipTable::next_due`].
 //!
 //! The drivers deliberately race: each one owns an interleaved slice of
 //! the event list, detector time lives on a shared [`VirtualClock`] any
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_core::{Clock, VirtualClock};
-use ncs_runtime::{MembershipConfig, MembershipHub, View};
+use ncs_runtime::{Health, MembershipConfig, MembershipHub, MembershipTable, View};
 use ncs_threads::{
     KernelPackage, SwitchMech, ThreadPackage, ThreadPackageExt, UserConfig, UserRuntime,
 };
@@ -264,8 +265,9 @@ proptest! {
     }
 }
 
-/// The failure detector on virtual time, swept at `ncsd`'s pace (every
-/// quarter heartbeat interval, between 5 and 100 ms) while ranks 0 and 1
+/// The failure detector on virtual time, swept at a fixed pace (every
+/// quarter heartbeat interval, between 5 and 100 ms: how `ncsd` swept
+/// before it swept at `next_due`) while ranks 0 and 1
 /// pulse once an interval and rank 2 stays silent from t = 0. Rank 2 is
 /// declared dead by the first sweep at or past `dead_after`, never
 /// before, and that sweep lands within three heartbeat intervals under
@@ -314,5 +316,116 @@ fn a_silent_member_dies_at_the_first_sweep_past_dead_after() {
         );
         let last = seen.lock().last().cloned().expect("views");
         assert_eq!(last.dead, vec![2], "the sink missed the death view");
+    }
+}
+
+/// One detector on virtual time, swept only at [`MembershipTable::next_due`]
+/// (and at `probes`, each before it) while rank `r` pulses every
+/// heartbeat interval until `stops[r]` milliseconds, then falls silent.
+fn check_next_due(
+    cfg: &MembershipConfig,
+    world: u32,
+    stops: &[u64],
+    probes: &[u64],
+) -> Result<(), TestCaseError> {
+    let clock = Arc::new(VirtualClock::new());
+    let mut table = MembershipTable::new(world, cfg.clone(), Arc::clone(&clock) as Arc<dyn Clock>);
+    table.seed(
+        &(0..world)
+            .map(|r| (r, format!("due:{r}")))
+            .collect::<Vec<_>>(),
+    );
+    (0..world).for_each(|r| table.track(r));
+    let health = |t: &MembershipTable| (0..world).map(|r| t.health(r)).collect::<Vec<_>>();
+    let mut last_pulse = vec![Duration::ZERO; world as usize];
+    let mut pulses: Vec<(Duration, u32)> = (0..world)
+        .flat_map(|r| {
+            let stop = Duration::from_millis(stops[r as usize]);
+            (1..)
+                .map(move |k| (cfg.heartbeat_interval * k, r))
+                .take_while(move |&(at, _)| at < stop)
+        })
+        .collect();
+    pulses.sort_unstable();
+    let mut pulses = pulses.into_iter().peekable();
+    let mut probes: Vec<Duration> = probes.iter().map(|&ms| Duration::from_millis(ms)).collect();
+    probes.sort_unstable();
+    let mut probes = probes.into_iter().peekable();
+    loop {
+        let due = table.next_due();
+        let next_pulse = pulses.peek().map(|&(at, _)| at);
+        let before = |at: Duration| due.is_none_or(|due| at < due);
+        if let Some(at) = probes.next_if(|&at| before(at) && next_pulse.is_none_or(|p| at <= p)) {
+            // A sweep before the deadline changes nothing.
+            clock.advance_to(at);
+            let was = health(&table);
+            prop_assert!(
+                table.tick().is_none(),
+                "a sweep at {:?} before {:?} convicted",
+                at,
+                due
+            );
+            prop_assert_eq!(health(&table), was, "a sweep at {:?} before {:?}", at, due);
+        } else if let Some((at, rank)) = pulses.next_if(|&(at, _)| before(at)) {
+            clock.advance_to(at);
+            if table.heartbeat(rank) == Health::Alive {
+                last_pulse[rank as usize] = at;
+            }
+        } else if let Some(due) = due {
+            // The sweep at the deadline moves someone, each on its
+            // threshold to the instant.
+            clock.advance_to(due);
+            let was = health(&table);
+            table.tick();
+            let now = health(&table);
+            prop_assert_ne!(&now, &was, "the sweep at {:?} changed nothing", due);
+            for r in 0..world as usize {
+                let silence = due - last_pulse[r];
+                match (was[r], now[r]) {
+                    (a, b) if a == b => {}
+                    (Some(Health::Alive), Some(Health::Suspect)) => {
+                        prop_assert_eq!(silence, cfg.suspect_after, "rank {} suspected", r);
+                    }
+                    (Some(Health::Suspect), Some(Health::Dead)) => {
+                        prop_assert_eq!(silence, cfg.dead_after, "rank {} convicted", r);
+                    }
+                    (a, b) => prop_assert!(false, "rank {}: {:?} -> {:?} at {:?}", r, a, b, due),
+                }
+            }
+        } else {
+            break;
+        }
+    }
+    // Every rank fell silent, so every rank was convicted.
+    prop_assert!(health(&table).iter().all(|h| *h == Some(Health::Dead)));
+    prop_assert!(table.current().members.is_empty());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A detector swept only at `next_due` suspects a member at exactly
+    /// `suspect_after` of silence and convicts it at exactly `dead_after`,
+    /// every sweep there moves somebody, and no sweep before it changes
+    /// any member's health — whatever the thresholds and whenever each
+    /// rank falls silent.
+    #[test]
+    fn a_detector_swept_at_next_due_moves_each_member_on_its_thresholds(
+        world in 1u32..=RANK_DOMAIN,
+        heartbeat_ms in 5u64..200,
+        suspect_ms in 1u64..200,
+        dead_ms in 1u64..200,
+        stops in proptest::collection::vec(0u64..2_000, RANK_DOMAIN as usize),
+        probes in proptest::collection::vec(0u64..3_000, 0..24)
+    ) {
+        let heartbeat_interval = Duration::from_millis(heartbeat_ms);
+        let suspect_after = heartbeat_interval + Duration::from_millis(suspect_ms);
+        let cfg = MembershipConfig {
+            heartbeat_interval,
+            suspect_after,
+            dead_after: suspect_after + Duration::from_millis(dead_ms),
+        };
+        check_next_due(&cfg, world, &stops, &probes)?;
     }
 }
