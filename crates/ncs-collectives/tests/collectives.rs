@@ -246,8 +246,10 @@ fn kernel_pkg() -> Arc<dyn ThreadPackage> {
 
 fn run_matrix_case(n: usize, iface: Iface, pkg: &Arc<dyn ThreadPackage>, big_elems: usize) {
     // HPI rings can overrun and ACI cells can be lost under congestion:
-    // those interfaces run the full FC/EC plane; PIPE and SCI are
-    // reliable wires, so the §3.1 bypass carries the collectives.
+    // those interfaces run `reliable()` — over ACI the full FC/EC plane,
+    // over HPI's 2048-frame rings the credit window alone, which cannot
+    // overrun them; PIPE and SCI are reliable wires, so the §3.1 bypass
+    // carries the collectives.
     let conn_cfg = match iface {
         Iface::Hpi | Iface::Aci => ConnectionConfig::reliable(),
         Iface::Pipe | Iface::Sci => ConnectionConfig::unreliable(),

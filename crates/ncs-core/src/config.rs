@@ -148,6 +148,16 @@ impl ConnectionConfig {
     /// Its 200 ms is the initial value and upper bound of the
     /// retransmission timeout: the wait before the link has been
     /// measured and the most a backed-off wait grows to.
+    ///
+    /// Over an interface that loses frames only when its receiver's ring
+    /// overruns (HPI), a ring of at least 33 frames — the widest window,
+    /// 4 credits widened 8-fold, plus a starvation probe's one SDU —
+    /// leaves error control nothing to repair, and the connection runs
+    /// without it: no acknowledgement, no retransmission timer, and an
+    /// `isend` complete once the ring has taken the message
+    /// ([`NcsConnection::isend`](crate::NcsConnection::isend)).
+    /// [`NcsConnection::config`](crate::NcsConnection::config) still
+    /// reports this configuration.
     pub fn reliable() -> Self {
         ConnectionConfig {
             sdu_size: Self::DEFAULT_SDU,

@@ -80,7 +80,9 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::config::{ConnectionConfig, ErrorControlAlg};
 use crate::packet::{CtrlMsg, DataHeader, DataPacket};
-use crate::plane::{sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane};
+use crate::plane::{
+    plane_config, sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane,
+};
 use crate::pool::{BufPool, PooledBuf};
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskKind, TaskPoll, Watch};
 use crate::request::{DeliveryQueue, MsgView, Request, RequestCore};
@@ -342,11 +344,11 @@ pub(crate) struct ConnShared {
     /// [`NcsConnection::last_error`]). Shared with the connection's
     /// [`TxPlane`].
     pub last_error: Arc<Mutex<Option<SendError>>>,
-    /// Direct mode (paper §4.2): the receive half lives here and runs on
-    /// whichever thread calls `recv_direct`. `None` on connections with a
-    /// reactor task, which owns its own — only the task reads a
-    /// transport.
-    pub direct_rx: NcsMutex<Option<RxPlane>>,
+    /// The receive half's plane. The reactor task takes it when it is
+    /// attached — only the task reads a threaded connection's transport;
+    /// in direct mode (paper §4.2) it stays here and runs on whichever
+    /// thread calls `recv_direct`.
+    pub rx: NcsMutex<Option<RxPlane>>,
 }
 
 impl std::fmt::Debug for ConnShared {
@@ -393,11 +395,14 @@ impl ConnShared {
             recorder: FlightRecorder::default(),
             last_error: Arc::default(),
         };
-        let plane = TxPlane::new(&config, obs.clone(), Instant::now());
+        // Both halves run what the interface needs of the configuration:
+        // error control is left out where a credit window rules loss out.
+        // `config()` still reports what the application asked for.
+        let ring = transport.caps().overrun_ring;
+        let planes = plane_config(&config, ring);
+        let plane = TxPlane::new(&planes, ring, obs.clone(), Instant::now());
+        let rx = RxPlane::new(&planes, &counters, &pool);
         let queued = (!config.needs_control_threads()).then(SendQueue::new);
-        let direct_rx = config
-            .direct
-            .then(|| RxPlane::new(&config, &counters, &pool));
         let shared = Arc::new(ConnShared {
             id,
             peer_name,
@@ -423,7 +428,7 @@ impl ConnShared {
             recorder: obs.recorder,
             registry,
             last_error: obs.last_error,
-            direct_rx: NcsMutex::new(direct_rx),
+            rx: NcsMutex::new(Some(rx)),
         });
         // Exact receive accounting (all four transports, bypass included):
         // the delivery queue is the one point every reassembled or
@@ -505,7 +510,8 @@ impl ConnShared {
     /// at the queues. After an inline step the task is woken only for what
     /// the step left that needs it — a deadline earlier than the one it
     /// has armed (the acknowledgement timeout of a first message after a
-    /// silence; every later one finds that timer still armed), a flush the
+    /// silence, or the end of a first held message's wait; every later one
+    /// finds that timer still armed), a flush the
     /// interface refused, or frames beyond the one run the Send plane
     /// takes per step.
     pub(crate) fn drive_or_wake(&self) {
@@ -514,10 +520,11 @@ impl ConnShared {
         let Some(mut tx) = self.tx.try_lock().filter(open) else {
             return self.wake_task();
         };
-        // Behind a message in flight there is nothing to run and nobody
-        // to wake: what ends it — an event, which wakes the task, or a
-        // deadline the task holds — is handled by a step that then drains
-        // the queue, this message included.
+        // Behind a message in flight, or one held for the credit of the
+        // last, there is nothing to run and nobody to wake: what ends it —
+        // an event, which wakes the task, or a deadline the task holds —
+        // is handled by a step that then drains the queue, this message
+        // included.
         if tx.plane.in_flight() {
             return;
         }
@@ -568,7 +575,7 @@ impl ConnShared {
     /// ([`DataPacket::peek`]): runs it through the [`RxPlane`] (Figure 4
     /// steps 5-10) and delivers what it completes: none, one, or a train's
     /// messages. The reactor task owns the `RxPlane`; a direct connection
-    /// keeps one in [`ConnShared::direct_rx`] for the thread inside
+    /// keeps it in [`ConnShared::rx`] for the thread inside
     /// `recv_direct`. The pipeline's acknowledgement leaves at once, with
     /// the credit edge in the same frame if one is owed — one
     /// advertisement, the latest edge, covers a whole receive drain: here,
@@ -583,6 +590,10 @@ impl ConnShared {
         self.counters.packets_received.inc();
         // `messages_received` is counted at the delivery queue.
         let step = rx.on_frame(&view, Instant::now());
+        // Lost where error control was asked for and left out (`plane_config`).
+        if step.lost && self.config.error_control != ErrorControlAlg::None {
+            *self.last_error.lock() = Some(SendError::DeliveryFailed("an SDU was lost".into()));
+        }
         if let Some(info) = step.ack {
             self.counters.acks_sent.inc();
             self.feedback(CtrlMsg::Ack {
@@ -865,8 +876,9 @@ struct ConnTask {
 
 impl ConnTask {
     fn new(shared: Arc<ConnShared>) -> Self {
+        let rx = shared.rx.lock().take();
         ConnTask {
-            rx: RxPlane::new(&shared.config, &shared.counters, &shared.pool),
+            rx: rx.expect("one task per connection"),
             rx_eof: false,
             drain_deadline: None,
             finished: false,
@@ -1198,10 +1210,15 @@ impl NcsConnection {
 
     /// Nonblocking `NCS_send`: queues the message and returns a
     /// [`Request`] that completes when the message is *delivered* (the
-    /// error-control acknowledgement) or, on configurations without error
-    /// control, when its last frame is *written* to the interface. The
-    /// caller computes; the runtime's threads move the data — the paper's
-    /// overlap thesis as an API.
+    /// error-control acknowledgement) or, where error control does not
+    /// run, when its last frame is *written* to the interface. That is a
+    /// configuration without it, and also a reliable one over an interface
+    /// that loses frames only when its receiver's ring overruns, with a
+    /// ring the credit window cannot fill (HPI's default ring under
+    /// [`ConnectionConfig::reliable`]): the ring then holds the message
+    /// for the peer, whose close still drains it, but a peer node that
+    /// dies first loses it. The caller computes; the runtime's threads
+    /// move the data — the paper's overlap thesis as an API.
     ///
     /// # Errors
     ///
@@ -1473,7 +1490,9 @@ impl NcsConnection {
     }
 
     /// The sticky error recorded by the error-control plane, if any
-    /// (asynchronous [`NcsConnection::send`] failures surface here).
+    /// (asynchronous [`NcsConnection::send`] failures surface here; so
+    /// does a message lost on its way in to a connection that asked for
+    /// error control and runs without it, see [`NcsConnection::isend`]).
     pub fn last_error(&self) -> Option<SendError> {
         self.shared.last_error.lock().clone()
     }
@@ -1543,7 +1562,8 @@ impl NcsConnection {
     /// [`SendError::Timeout`] if no message completed in time.
     pub fn recv_direct(&self, timeout: Duration) -> Result<Vec<u8>, SendError> {
         let shared = &self.shared;
-        let mut slot = shared.direct_rx.lock();
+        // A threaded connection's task took its receive half at attachment.
+        let mut slot = shared.rx.lock();
         let rx = slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
         let deadline = Instant::now().checked_add(timeout);
         loop {
@@ -1701,7 +1721,8 @@ impl Channel {
     }
 
     /// Nonblocking send on this channel: completes when the message is
-    /// delivered (reliable configurations) or transmitted (§3.1 bypass).
+    /// delivered (under error control) or written (without it — see
+    /// [`NcsConnection::isend`]).
     ///
     /// # Errors
     ///
@@ -1778,6 +1799,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::link::HpiLinkPair;
     use crate::NcsNode;
+    use ncs_transport::hpi;
 
     /// A §3.1 bypass connection over a ring that holds everything these
     /// tests queue (a full HPI ring drops frames, as a NIC's does).
@@ -2131,39 +2153,46 @@ pub(crate) mod tests {
         }
     }
 
-    /// A reliable one-SDU message costs its receiver one feedback frame:
-    /// the acknowledgement, with the credit edge in it (the edge used to go
-    /// ahead of it in a frame of its own: two per message). A
+    /// A reliable one-SDU message costs its receiver one feedback frame.
+    /// Over a ring narrower than the default window's widest reach plus
+    /// one (33 SDUs) error control stays, and the frame is the
+    /// acknowledgement with the credit edge in it (the edge used to go
+    /// ahead of it in a frame of its own: two per message); a
     /// retransmission — a stall of the test past the timeout — is answered
-    /// with one more.
+    /// with one more. Over the default ring, which the window cannot
+    /// overrun, it is the credit edge alone.
     #[test]
     fn a_reliable_round_trip_sends_one_feedback_frame_each_way() {
         const ROUND_TRIPS: u64 = 200;
-        let a = NcsNode::builder("alice").build();
-        let b = NcsNode::builder("bob").build();
-        let (la, lb) = HpiLinkPair::create();
-        a.attach_peer("bob", la);
-        b.attach_peer("alice", lb);
-        let ca = a
-            .connect("bob", ConnectionConfig::reliable())
-            .expect("connect");
-        let cb = b.accept_default().expect("accept");
-        let timeout = Duration::from_secs(5);
-        for _ in 0..ROUND_TRIPS {
-            ca.isend(b"ping").expect("isend").wait().expect("delivered");
-            assert_eq!(cb.recv_timeout(timeout).expect("recv"), b"ping");
-            cb.isend(b"pong").expect("isend").wait().expect("delivered");
-            assert_eq!(ca.recv_timeout(timeout).expect("recv"), b"pong");
+        for ring in [32, hpi::DEFAULT_RING] {
+            let a = NcsNode::builder("alice").build();
+            let b = NcsNode::builder("bob").build();
+            let (la, lb) = HpiLinkPair::with_capacity(ring);
+            a.attach_peer("bob", la);
+            b.attach_peer("alice", lb);
+            let ca = a
+                .connect("bob", ConnectionConfig::reliable())
+                .expect("connect");
+            let cb = b.accept_default().expect("accept");
+            let timeout = Duration::from_secs(5);
+            for _ in 0..ROUND_TRIPS {
+                ca.isend(b"ping").expect("isend").wait().expect("delivered");
+                assert_eq!(cb.recv_timeout(timeout).expect("recv"), b"ping");
+                cb.isend(b"pong").expect("isend").wait().expect("delivered");
+                assert_eq!(ca.recv_timeout(timeout).expect("recv"), b"pong");
+            }
+            let (sa, sb) = (ca.stats(), cb.stats());
+            assert_eq!(sa.feedback_sent, ROUND_TRIPS + sb.retransmissions, "{sa}");
+            assert_eq!(sb.feedback_sent, ROUND_TRIPS + sa.retransmissions, "{sb}");
+            let acks = if ring == 32 { ROUND_TRIPS } else { 0 };
+            assert_eq!(
+                (sa.acks_sent, sb.acks_sent),
+                (acks + sb.retransmissions, acks + sa.retransmissions),
+                "ring {ring}"
+            );
+            a.shutdown();
+            b.shutdown();
         }
-        let (sa, sb) = (ca.stats(), cb.stats());
-        assert_eq!(sa.feedback_sent, ROUND_TRIPS + sb.retransmissions, "{sa}");
-        assert_eq!(sb.feedback_sent, ROUND_TRIPS + sa.retransmissions, "{sb}");
-        assert_eq!(
-            (sa.acks_sent, sb.acks_sent),
-            (sa.feedback_sent, sb.feedback_sent)
-        );
-        a.shutdown();
-        b.shutdown();
     }
 
     /// An SCI loopback pair whose first end's socket send buffer is 4 KiB,

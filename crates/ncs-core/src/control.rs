@@ -255,7 +255,7 @@ pub(crate) mod tests {
         fn caps(&self) -> Capabilities {
             Capabilities {
                 interface: "STUB",
-                reliable: true,
+                overrun_ring: None,
                 ordered: true,
                 max_frame: 1 << 16,
             }

@@ -67,6 +67,11 @@ impl CreditBased {
             factor: MIN_GRANT,
         }
     }
+
+    /// The widest window a receiver built with these arguments names.
+    pub(crate) fn widest(initial_credits: u32, dynamic: bool) -> u32 {
+        Self::new(initial_credits, dynamic).initial * if dynamic { MAX_GRANT } else { MIN_GRANT }
+    }
 }
 
 impl FlowControlStrategy for CreditBased {

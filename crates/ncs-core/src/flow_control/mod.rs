@@ -83,6 +83,20 @@ pub fn build(alg: &FlowControlAlg) -> Box<dyn FlowControlStrategy> {
     }
 }
 
+/// The widest window `alg` ever names, in SDUs: the most a sender under
+/// it can have released and the receiver not yet taken. `None` unless it
+/// is a window — no flow control, or a pacer, bounds nothing unread.
+pub(crate) fn widest_window(alg: &FlowControlAlg) -> Option<u32> {
+    match alg {
+        FlowControlAlg::CreditBased {
+            initial_credits,
+            dynamic,
+        } => Some(CreditBased::widest(*initial_credits, *dynamic)),
+        FlowControlAlg::SlidingWindow { window } => Some(CreditBased::widest(*window, false)),
+        FlowControlAlg::None | FlowControlAlg::RateBased { .. } => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

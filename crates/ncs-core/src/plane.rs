@@ -34,6 +34,34 @@
 //! is never packed. The receiver reassembles the body with the unchanged
 //! strategy and splits it back into messages ([`Delivered`]).
 //!
+//! An interface that loses frames only by overrunning the receiver's ring
+//! (HPI, [`Capabilities::overrun_ring`](ncs_transport::Capabilities))
+//! loses nothing under a credit window that can never fill that ring, so
+//! such a connection runs without error control whatever it was
+//! configured with ([`plane_config`]): no acknowledgement, no
+//! retransmission timer, pooled reassembly, and each message complete once
+//! the ring has taken its last SDU. The credit edge still flows, once per
+//! receive drain. Two rules hold for a credit window without error
+//! control over such a ring, whoever turned error control off. First,
+//! starvation probes send no more SDUs past the edge than the ring holds
+//! beyond the widest window (at least one) until an edge beyond them
+//! comes: however long the receiver leaves its ring unread, the ring
+//! never overruns. A probe goes every interval while that
+//! allowance lasts, so a lost credit is healed unless the answers to all
+//! of those probes are lost too (the one answer at the narrowest ring, 32
+//! in a row over HPI's default ring); then the direction waits for an edge
+//! that does not come. Second, a session without acknowledgements ends as
+//! its last SDU leaves, so nothing would queue behind it to ride in a
+//! train; a message short enough to share an SDU does not start a session
+//! while the previous session has had no feedback since its last SDU left.
+//! The next credit frame ends the wait; if none comes (the control ring
+//! has no window and may drop one), the starvation probe's interval does.
+//! Messages of an SDU or more never wait, so bulk messages pipeline up to
+//! the window. Pooled reassembly takes a session's SDUs only in order,
+//! from the first: a message missing one is dropped whole, never delivered
+//! short, and where error control was asked for and left out, the loss is
+//! the connection's sticky error.
+//!
 //! The wait for an acknowledgement is the one clock the sender keeps, and
 //! it fits itself to the link (RFC 6298): every session acknowledged clean
 //! without a retransmission gives a round-trip sample — last SDU released
@@ -100,7 +128,7 @@ use crate::connection::SendError;
 use crate::error_control::{
     build_receiver, build_sender, AckInfo, ReceiverEc, ReceiverStep, SenderEc, SenderStep,
 };
-use crate::flow_control::{build as build_fc, FlowControlStrategy};
+use crate::flow_control::{build as build_fc, widest_window, FlowControlStrategy};
 use crate::packet::DataView;
 use crate::pool::{BufPool, PooledBuf};
 use crate::request::RequestCore;
@@ -124,6 +152,25 @@ const FC_STARVATION_PROBE: Duration = Duration::from_millis(500);
 /// two ticks ahead when it reaches the event loop and is kept lazily: an
 /// acknowledged message never makes a loop park short.
 pub(crate) const MIN_RTO: Duration = Duration::from_millis(10);
+
+/// The configuration a connection's planes run: the application's, without
+/// error control where the interface loses a frame only when its receiver
+/// has a ring's worth unread (`ring`) and the credit window can
+/// never let that many out — its widest reach, plus the one SDU a
+/// starvation probe may send past the edge, fits in the ring. That holds
+/// on every schedule, however late the receiver reads: probes stop where
+/// the ring is full ([`TxPlane::may_probe`]). A direct
+/// connection, whose steps run only inside its application's calls, keeps
+/// the configuration it asked for.
+pub(crate) fn plane_config(config: &ConnectionConfig, ring: Option<usize>) -> ConnectionConfig {
+    let window = widest_window(&config.flow_control).map(|w| w as usize);
+    let mut planes = config.clone();
+    // Room for the window and the one SDU past its edge.
+    if !config.direct && ring.zip(window).is_some_and(|(ring, w)| w < ring) {
+        planes.error_control = ErrorControlAlg::None;
+    }
+    planes
+}
 
 /// Where the planes report: the connection's counters, its flight
 /// recorder and its sticky send error. All three are shared handles, so a
@@ -349,11 +396,34 @@ pub(crate) struct TxPlane {
     /// configured timeout until there is a sample, then the estimate
     /// within its bounds. `None` under an algorithm that expects none.
     rto: Option<Duration>,
+    /// The last session's last SDU left and no feedback came since.
+    unanswered: bool,
+    /// A credit window without error control over a ring: how many SDUs
+    /// starvation probes may send past the edge before an edge beyond
+    /// them comes ([`TxPlane::may_probe`]) — what the ring holds beyond
+    /// the widest window, at least one. Such a connection also holds a
+    /// short message back for feedback ([`TxPlane::held`]). `None`: no
+    /// bound, no hold.
+    probes: Option<u32>,
+    /// SDUs probes sent past the edge since it last passed everything
+    /// released.
+    past: u32,
 }
 
 impl TxPlane {
-    pub(crate) fn new(config: &ConnectionConfig, obs: PlaneObs, now: Instant) -> Self {
+    /// A plane for `config` over an interface that loses frames only when
+    /// `ring` frames wait unread, if it says so.
+    pub(crate) fn new(
+        config: &ConnectionConfig,
+        ring: Option<usize>,
+        obs: PlaneObs,
+        now: Instant,
+    ) -> Self {
         let ec = build_sender(&config.error_control);
+        let probes = ring
+            .zip(widest_window(&config.flow_control))
+            .filter(|_| config.error_control == ErrorControlAlg::None)
+            .map(|(ring, window)| ring.saturating_sub(window as usize).max(1) as u32);
         let plane = TxPlane {
             sdu_size: config.sdu_size,
             rto: ec.ack_timeout(),
@@ -367,6 +437,9 @@ impl TxPlane {
             last_progress: now,
             next_session: 0,
             rtt: None,
+            unanswered: false,
+            probes,
+            past: 0,
         };
         plane.publish_rto(0);
         plane
@@ -460,9 +533,13 @@ impl TxPlane {
     pub(crate) fn on_credit(&mut self, edge: u32, now: Instant) {
         let before = self.fc.permits(now);
         self.fc.on_feedback(edge);
-        let opened = self.fc.permits(now).saturating_sub(before);
+        let after = self.fc.permits(now);
+        let opened = after.saturating_sub(before);
         self.obs.counters.credits_received.add(opened as u64);
         self.last_progress = now;
+        self.unanswered = false;
+        // An edge beyond everything released: nothing is past it.
+        self.past = if after > 0 { 0 } else { self.past };
     }
 
     /// Fires the acknowledgement timeout if it is due at `now`; returns
@@ -515,6 +592,9 @@ impl TxPlane {
         progressed |= self.on_timeout(now);
         loop {
             if self.active.is_none() {
+                if self.held() && now < self.last_progress + FC_STARVATION_PROBE {
+                    break;
+                }
                 let Some(submission) = self.backlog.pop_front() else {
                     break;
                 };
@@ -527,6 +607,7 @@ impl TxPlane {
             // until then because the SDUs are cut from its body.
             if self.pending.is_empty() && self.ec.completes_without_ack() {
                 self.finish(Ok(()));
+                self.unanswered = self.probes.is_some();
                 continue;
             }
             break;
@@ -534,27 +615,50 @@ impl TxPlane {
         progressed
     }
 
-    /// The earliest instant [`TxPlane::poll`] has work without a new
-    /// event: the acknowledgement timeout, and — only while SDUs wait for
-    /// flow control — the algorithm's own pacing and, while no
-    /// acknowledgement clock runs (a running one re-sends, and that
-    /// re-advertises), the starvation probe. `None` = only an event can
-    /// move the sender.
-    pub(crate) fn next_deadline(&self, now: Instant) -> Option<Instant> {
-        let ack = self.ack_deadline();
-        let (pace, probe) = if self.pending.is_empty() {
-            (None, None)
-        } else {
-            let probe = self.last_progress + FC_STARVATION_PROBE;
-            (self.fc.next_poll(now), ack.is_none().then_some(probe))
-        };
-        [ack, pace, probe].into_iter().flatten().min()
+    /// The next message is short and waits, so that what queues behind it
+    /// rides along: under a credit window without error control, no
+    /// feedback came since the last session's last SDU left. The next
+    /// credit frame ends the wait, or the starvation probe's interval
+    /// ([`TxPlane::next_deadline`]).
+    fn held(&self) -> bool {
+        // Room beside it in the SDU for another record.
+        let short = |m: &Submission| 2 * RECORD_HEADER + m.data.len() < self.sdu_size;
+        self.probes.is_some()
+            && self.unanswered
+            && self.active.is_none()
+            && self.backlog.front().is_some_and(short)
     }
 
-    /// A message is in flight: nothing queued behind it can start before
-    /// an event or a deadline ends it.
+    /// Whether a starvation probe may send an SDU past the edge: not while
+    /// an acknowledgement clock runs (a running one re-sends, and that
+    /// re-advertises), and, over a ring without error control, not once
+    /// the SDUs past the edge fill what the ring holds beyond the window —
+    /// however long the receiver is silent, its ring never overruns.
+    fn may_probe(&self) -> bool {
+        self.ack_deadline().is_none() && self.past < self.probes.unwrap_or(u32::MAX)
+    }
+
+    /// The earliest instant [`TxPlane::poll`] has work without a new
+    /// event: the acknowledgement timeout, and — only while SDUs wait for
+    /// flow control — the algorithm's own pacing and the starvation probe
+    /// ([`TxPlane::may_probe`]); or the end of a held message's wait.
+    /// `None` = only an event can move the sender.
+    pub(crate) fn next_deadline(&self, now: Instant) -> Option<Instant> {
+        let ack = self.ack_deadline();
+        let probe = self.last_progress + FC_STARVATION_PROBE;
+        let (pace, starved) = if self.pending.is_empty() {
+            (None, None)
+        } else {
+            (self.fc.next_poll(now), self.may_probe().then_some(probe))
+        };
+        let held = self.held().then_some(probe);
+        [ack, pace, starved, held].into_iter().flatten().min()
+    }
+
+    /// A message is in flight, or held: nothing queued behind it can start
+    /// before an event or a deadline ends it.
     pub(crate) fn in_flight(&self) -> bool {
-        self.active.is_some()
+        self.active.is_some() || self.held()
     }
 
     /// Nothing in flight and nothing queued.
@@ -670,8 +774,8 @@ impl TxPlane {
         let unacknowledged = self.ec.completes_without_ack();
         // Starvation probe: rather than stall forever on lost feedback,
         // trickle one SDU out so that the receiver advertises again.
-        let starved = self.ack_deadline().is_none()
-            && now.duration_since(self.last_progress) >= FC_STARVATION_PROBE;
+        let starved =
+            self.may_probe() && now.duration_since(self.last_progress) >= FC_STARVATION_PROBE;
         let paced = self.fc.next_poll(now).is_some();
         let Some(session) = &mut self.active else {
             return false;
@@ -691,6 +795,7 @@ impl TxPlane {
                     break;
                 }
                 permits = cost;
+                self.past += cost;
             }
             permits -= cost;
             spent += cost;
@@ -754,6 +859,8 @@ pub(crate) struct RxStep {
     pub ack: Option<AckInfo>,
     /// The messages the frame completed: deliver them, in order.
     pub delivered: Delivered,
+    /// The frame showed a message lost: nothing repairs it.
+    pub lost: bool,
 }
 
 /// How the SDUs of a session become its message.
@@ -889,6 +996,7 @@ impl RxPlane {
                 self.session = Some(h.session);
             }
         }
+        let next = self.high;
         let fresh = (h.seq + 1).saturating_sub(self.high);
         self.taken = self.taken.wrapping_add(fresh);
         self.high += fresh;
@@ -899,6 +1007,14 @@ impl RxPlane {
                 ReceiverStep::AckAndDeliver(a, m) => (Some(a), Some(PooledBuf::detached(m))),
                 ReceiverStep::Continue => (None, None),
             },
+            // Nothing repairs a missing SDU here: an SDU out of turn, or
+            // one of a message whose start went missing, drops it whole.
+            Reassembly::Pooled { message: m, .. } if h.seq != next || (next > 0 && m.is_none()) => {
+                *m = None;
+                self.rejected.inc();
+                step.lost = true;
+                (None, None)
+            }
             Reassembly::Pooled { pool, message } => {
                 let buf = message.get_or_insert_with(|| pool.get());
                 buf.vec_mut().extend_from_slice(frame.payload);
@@ -932,6 +1048,7 @@ mod tests {
     use crate::config::{ErrorControlAlg, FlowControlAlg};
     use crate::packet::{DataHeader, DataPacket};
     use proptest::prelude::*;
+    use proptest::test_runner::{ProptestConfig, TestCaseError};
 
     const SDU: usize = 4;
 
@@ -1034,7 +1151,12 @@ mod tests {
             (gbn(), AckInfo::Cumulative(1)),
         ] {
             let now = Instant::now();
-            let mut tx = TxPlane::new(&config(ec, FlowControlAlg::None), PlaneObs::default(), now);
+            let mut tx = TxPlane::new(
+                &config(ec, FlowControlAlg::None),
+                None,
+                PlaneObs::default(),
+                now,
+            );
             let first = submit(&mut tx, body(0, 1));
             let second = submit(&mut tx, body(1, 1));
             let mut sent = Vec::new();
@@ -1065,7 +1187,7 @@ mod tests {
         ] {
             let now = Instant::now();
             let cfg = train_config(ec, FlowControlAlg::None);
-            let mut tx = TxPlane::new(&cfg, PlaneObs::default(), now);
+            let mut tx = TxPlane::new(&cfg, None, PlaneObs::default(), now);
             let mut sent = Vec::new();
             let first = [0, 1].map(|i| submit(&mut tx, body(i, 1)));
             tx.poll(now, |sdu| sent.push((sdu.session, sdu.packed)));
@@ -1098,7 +1220,7 @@ mod tests {
             sdu_size,
             ..config(ErrorControlAlg::None, FlowControlAlg::None)
         };
-        let mut tx = TxPlane::new(&cfg, PlaneObs::default(), now);
+        let mut tx = TxPlane::new(&cfg, None, PlaneObs::default(), now);
         for (data, tagged) in messages {
             tx.submit(Submission {
                 data: data.clone(),
@@ -1414,6 +1536,38 @@ mod tests {
         assert_eq!(rx.advertise(), None, "no flow control, no feedback");
     }
 
+    /// Without error control nothing repairs a lost SDU: a message missing
+    /// one — in the middle, or its first — is dropped whole, counted and
+    /// reported lost, never delivered short, and the next message is
+    /// unharmed.
+    #[test]
+    fn without_error_control_a_message_missing_an_sdu_is_dropped_whole() {
+        let now = Instant::now();
+        let (mut rx, rejected) = rx_plane(&config(ErrorControlAlg::None, credit()));
+        let message = body(0, 3);
+        let part = |seq: usize| &message[seq * SDU..message.len().min((seq + 1) * SDU)];
+        // SDU 1 of session 0 lost; SDU 0 of session 1 lost.
+        for (session, seq, lost) in [(0, 0, false), (0, 2, true), (1, 1, true), (1, 2, true)] {
+            let step = rx.on_frame(
+                &frame(session, seq, seq == 2, false, part(seq as usize)),
+                now,
+            );
+            assert_eq!(step.lost, lost, "{session}/{seq}");
+            assert!(
+                matches!(step.delivered, Delivered::Nothing),
+                "{session}/{seq}"
+            );
+        }
+        assert_eq!(rejected.get(), 3);
+        let next = rx.on_frame(&frame(2, 0, true, false, b"next"), now);
+        assert!(!next.lost);
+        assert_eq!(delivered(next), [b"next".to_vec()]);
+        assert!(
+            rx.advertise().is_some(),
+            "every arrival still owes the edge"
+        );
+    }
+
     // -- The retransmission timer, on a hand-stepped clock ----------------
 
     /// A sender and a receiver joined by a wire the test steps: what the
@@ -1434,7 +1588,7 @@ mod tests {
         fn new(cfg: &ConnectionConfig) -> Link {
             let (now, obs) = (Instant::now(), PlaneObs::default());
             Link {
-                tx: TxPlane::new(cfg, obs.clone(), now),
+                tx: TxPlane::new(cfg, None, obs.clone(), now),
                 rx: rx_plane(cfg).0,
                 obs,
                 now,
@@ -1962,7 +2116,7 @@ mod tests {
         };
         let mut now = Instant::now();
         let obs = PlaneObs::default();
-        let mut tx = TxPlane::new(cfg, obs.clone(), now);
+        let mut tx = TxPlane::new(cfg, None, obs.clone(), now);
         let (mut rx, rejected) = rx_plane(cfg);
         let bodies: Vec<Vec<u8>> = (0..sdus_per_msg.len())
             .map(|i| body(i, sdus_per_msg[i]))
@@ -2294,6 +2448,364 @@ mod tests {
                 cfg.error_control, cfg.flow_control
             );
             assert!(schedules > 100, "the exploration enumerated nothing");
+        }
+    }
+
+    // -- A credit window without error control ---------------------------
+
+    /// Error control goes only where the widest window a connection can
+    /// reach, plus the one SDU a starvation probe sends past the edge,
+    /// fits in the interface's ring — and never from a direct connection,
+    /// nor over an interface that loses frames otherwise. What else the
+    /// application configured stays.
+    #[test]
+    fn error_control_goes_only_where_the_window_and_a_probe_fit_the_ring() {
+        let reliable = ConnectionConfig::reliable();
+        let ec = |cfg: &ConnectionConfig, ring| plane_config(cfg, ring).error_control;
+        // The default window widens from 4 to 32 SDUs.
+        assert_eq!(ec(&reliable, Some(33)), ErrorControlAlg::None);
+        assert_eq!(ec(&reliable, Some(32)), reliable.error_control);
+        assert_eq!(ec(&reliable, Some(64)), ErrorControlAlg::None);
+        let planes = plane_config(&reliable, Some(64));
+        assert_eq!(
+            (planes.flow_control, planes.sdu_size),
+            (reliable.flow_control.clone(), reliable.sdu_size)
+        );
+        let with = |flow_control| ConnectionConfig {
+            flow_control,
+            ..reliable.clone()
+        };
+        let fixed = with(FlowControlAlg::CreditBased {
+            initial_credits: 4,
+            dynamic: false,
+        });
+        assert_eq!(ec(&fixed, Some(5)), ErrorControlAlg::None);
+        assert_eq!(ec(&fixed, Some(4)), fixed.error_control);
+        let sliding = with(FlowControlAlg::SlidingWindow { window: 63 });
+        assert_eq!(ec(&sliding, Some(64)), ErrorControlAlg::None);
+        assert_eq!(ec(&sliding, Some(63)), sliding.error_control);
+        // No window bounds what waits unread.
+        for unbounded in [
+            FlowControlAlg::None,
+            FlowControlAlg::RateBased {
+                packets_per_sec: 10,
+                burst: 1,
+            },
+        ] {
+            let cfg = with(unbounded);
+            assert_eq!(ec(&cfg, Some(1 << 20)), cfg.error_control);
+        }
+        assert_eq!(ec(&reliable, None), reliable.error_control);
+        let direct = ConnectionConfig {
+            direct: true,
+            ..reliable.clone()
+        };
+        assert_eq!(ec(&direct, Some(64)), direct.error_control);
+    }
+
+    /// A short message behind a session nobody has answered waits, so that
+    /// what queues behind it can ride along. The credit that ends the wait
+    /// can itself be lost — the control ring has no window and drops on
+    /// overrun — and then the starvation probe's interval ends it: the
+    /// message leaves at the probe, not never. A message that could not
+    /// share its SDU never waits.
+    #[test]
+    fn a_message_held_for_a_lost_credit_leaves_at_the_starvation_probe() {
+        let cfg = train_config(ErrorControlAlg::None, credit());
+        let start = Instant::now();
+        let mut tx = TxPlane::new(&cfg, Some(64), PlaneObs::default(), start);
+        let mut sent = Vec::new();
+        // The shell's write resolves what the SDU carries.
+        let mut poll = |tx: &mut TxPlane, at: Duration| {
+            let before = sent.len();
+            tx.poll(start + at, |sdu| {
+                sent.push(sdu.session);
+                sdu.done.iter().for_each(|c| c.complete(Ok(())));
+            });
+            sent.len() - before
+        };
+        let first = submit(&mut tx, body(0, 1));
+        assert_eq!(poll(&mut tx, Duration::ZERO), 1);
+        assert_eq!(first.take(), Some(Ok(())), "complete on the write");
+        assert!(!tx.in_flight());
+
+        // The first's credit is lost: nothing answers it.
+        let held = submit(&mut tx, body(1, 1));
+        assert_eq!(poll(&mut tx, MS), 0);
+        assert!(tx.in_flight(), "a held message counts as in flight");
+        assert_eq!(
+            tx.next_deadline(start + MS),
+            Some(start + FC_STARVATION_PROBE)
+        );
+        assert_eq!(poll(&mut tx, FC_STARVATION_PROBE - MS), 0);
+        assert_eq!(
+            poll(&mut tx, FC_STARVATION_PROBE),
+            1,
+            "released at the probe"
+        );
+        assert_eq!(held.take(), Some(Ok(())));
+
+        // A credit frame ends the wait at once; what queued behind the
+        // held message rides with it.
+        let t = FC_STARVATION_PROBE + MS;
+        let train = [2, 3, 4].map(|i| submit(&mut tx, body(i, 1)));
+        assert_eq!(poll(&mut tx, t), 0);
+        tx.on_credit(4, start + t);
+        assert!(!tx.in_flight());
+        assert_eq!(tx.next_deadline(start + t), None, "no hold, no deadline");
+        assert_eq!(poll(&mut tx, t), 1, "one train of three");
+        assert!(train.iter().all(|c| c.take() == Some(Ok(()))));
+
+        // Unanswered again, but a message that fills its SDU goes at once.
+        tx.on_credit(5, start + t);
+        let full = submit(&mut tx, vec![7; TRAIN_SDU - 2 * RECORD_HEADER]);
+        assert_eq!(poll(&mut tx, t), 1);
+        assert_eq!(full.take(), Some(Ok(())));
+        assert_eq!(sent, [0, 1, 2, 3]);
+    }
+
+    /// A sender and a receiver without error control, under a credit
+    /// window, joined by a ring a few frames wider than the widest window
+    /// the receiver ever names — from the narrowest that turns error
+    /// control off — and by a feedback path that may lose what it
+    /// carries. The receiver reads its ring when it likes, or not at all
+    /// for as long as it likes.
+    struct RingModel {
+        tx: TxPlane,
+        rx: RxPlane,
+        now: Instant,
+        capacity: usize,
+        /// Frames in the ring, oldest first.
+        ring: VecDeque<(DataHeader, bool, Vec<u8>)>,
+        /// Credit edges on their way back.
+        feedback: VecDeque<CtrlEvent>,
+        submitted: Vec<Vec<u8>>,
+        completions: Vec<Arc<RequestCore<()>>>,
+        delivered: Vec<Vec<u8>>,
+    }
+
+    impl RingModel {
+        /// A ring `slack` frames wider than the widest window.
+        fn new(cfg: &ConnectionConfig, slack: usize) -> RingModel {
+            let now = Instant::now();
+            let capacity = widest_window(&cfg.flow_control).expect("a window") as usize + slack;
+            RingModel {
+                tx: TxPlane::new(cfg, Some(capacity), PlaneObs::default(), now),
+                rx: rx_plane(cfg).0,
+                now,
+                capacity,
+                ring: VecDeque::new(),
+                feedback: VecDeque::new(),
+                submitted: Vec::new(),
+                completions: Vec::new(),
+                delivered: Vec::new(),
+            }
+        }
+
+        fn submit(&mut self, len: usize) {
+            let i = self.submitted.len();
+            let data: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8).collect();
+            self.completions.push(submit(&mut self.tx, data.clone()));
+            self.submitted.push(data);
+        }
+
+        /// The sender runs; what it releases lands in the ring, which
+        /// takes it — the write that completes a message's request.
+        fn poll(&mut self) -> Result<(), TestCaseError> {
+            let ring = &mut self.ring;
+            self.tx.poll(self.now, |sdu| {
+                ring.push_back((header_of(&sdu), sdu.packed, sdu.payload.to_vec()));
+                for done in sdu.done {
+                    done.complete(Ok(()));
+                }
+            });
+            prop_assert!(
+                self.ring.len() <= self.capacity,
+                "{} frames unread in a ring of {}",
+                self.ring.len(),
+                self.capacity
+            );
+            Ok(())
+        }
+
+        /// The receiver's event loop takes up to `n` frames off the ring.
+        fn read(&mut self, n: usize) -> Result<(), TestCaseError> {
+            for _ in 0..n.min(self.ring.len()) {
+                let (header, packed, payload) = self.ring.pop_front().expect("a frame");
+                let view = DataView {
+                    header,
+                    packed,
+                    payload: &payload,
+                };
+                let step = self.rx.on_frame(&view, self.now);
+                prop_assert!(
+                    step.ack.is_none(),
+                    "an acknowledgement without error control"
+                );
+                self.delivered.extend(delivered(step));
+            }
+            Ok(())
+        }
+
+        /// The end of a receive drain: the edge, if owed, goes back.
+        fn advertise(&mut self) {
+            self.feedback
+                .extend(self.rx.advertise().map(CtrlEvent::Credit));
+        }
+
+        fn drain(&mut self) -> Result<(), TestCaseError> {
+            self.read(usize::MAX)?;
+            self.advertise();
+            Ok(())
+        }
+
+        /// The oldest credit edge on its way back arrives.
+        fn answer(&mut self) {
+            if let Some(event) = self.feedback.pop_front() {
+                self.tx.on_event(event, self.now);
+            }
+        }
+
+        /// Time passes to the sender's next deadline, and it runs.
+        fn starve(&mut self) -> Result<(), TestCaseError> {
+            if let Some(at) = self.tx.next_deadline(self.now) {
+                self.now = self.now.max(at);
+            }
+            self.poll()
+        }
+
+        /// Everything that was sent arrives, once, in order, and every
+        /// request resolves `Ok`.
+        fn finish(&mut self) -> Result<(), TestCaseError> {
+            for _ in 0..10_000 {
+                if self.tx.is_idle() && self.ring.is_empty() {
+                    break;
+                }
+                self.drain()?;
+                while !self.feedback.is_empty() {
+                    self.answer();
+                }
+                self.poll()?;
+                if !self.tx.is_idle() && self.ring.is_empty() {
+                    self.starve()?;
+                }
+            }
+            prop_assert!(self.tx.is_idle(), "the sender never came to rest");
+            prop_assert_eq!(&self.delivered, &self.submitted);
+            for c in &self.completions {
+                prop_assert_eq!(c.take(), Some(Ok(())));
+            }
+            Ok(())
+        }
+    }
+
+    /// A receiver that stops reading its ring: the sender fills the
+    /// window, its probes fill what the ring holds beyond it, and then it
+    /// sends nothing more and keeps no deadline, however long the silence
+    /// lasts. When the receiver reads again, everything arrives.
+    #[test]
+    fn a_silent_receiver_is_sent_no_more_than_its_ring_holds() -> Result<(), TestCaseError> {
+        let fixed = FlowControlAlg::CreditBased {
+            initial_credits: 4,
+            dynamic: false,
+        };
+        let mut model = RingModel::new(&config(ErrorControlAlg::None, fixed), 2);
+        for _ in 0..20 {
+            model.submit(SDU); // one whole SDU: never held
+        }
+        model.poll()?;
+        assert_eq!(model.ring.len(), 4, "the window");
+        for _ in 0..10 {
+            model.starve()?;
+        }
+        assert_eq!(model.ring.len(), 6, "the window and two probes");
+        assert_eq!(
+            model.tx.next_deadline(model.now),
+            None,
+            "nothing left to try"
+        );
+        model.now += 100 * FC_STARVATION_PROBE;
+        model.poll()?;
+        assert_eq!(model.ring.len(), 6);
+        model.finish()
+    }
+
+    /// The credit that would reopen the window is lost, and so is the
+    /// answer to the first probe; the answer to the last probe the ring
+    /// has room for reopens it. Had that one been lost too, nothing would
+    /// have: the sender keeps no deadline past its probes.
+    #[test]
+    fn a_lost_credit_is_healed_by_any_probe_the_ring_has_room_for() -> Result<(), TestCaseError> {
+        let fixed = FlowControlAlg::CreditBased {
+            initial_credits: 4,
+            dynamic: false,
+        };
+        let mut model = RingModel::new(&config(ErrorControlAlg::None, fixed), 2);
+        for _ in 0..12 {
+            model.submit(SDU);
+        }
+        model.poll()?;
+        for probe in 0..2 {
+            model.drain()?;
+            assert!(model.feedback.pop_front().is_some(), "an answer, lost");
+            assert!(model.tx.next_deadline(model.now).is_some());
+            model.starve()?;
+            assert_eq!((model.ring.len(), model.tx.past), (1, probe + 1));
+        }
+        model.drain()?;
+        model.answer();
+        assert_eq!(model.tx.past, 0, "the edge passed the probes");
+        model.poll()?;
+        assert_eq!(model.ring.len(), 4, "a whole window again");
+        model.finish()
+    }
+
+    fn window_configs() -> impl Strategy<Value = FlowControlAlg> {
+        prop_oneof![
+            (1u32..=4, any::<bool>()).prop_map(|(initial_credits, dynamic)| {
+                FlowControlAlg::CreditBased {
+                    initial_credits,
+                    dynamic,
+                }
+            }),
+            (1u32..=8).prop_map(|window| FlowControlAlg::SlidingWindow { window }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// No schedule overruns the ring: whatever is submitted (short
+        /// messages that wait to ride in trains, messages of one or more
+        /// SDUs) and however the sender's polls, the receiver's reads and
+        /// advertisements, lost feedback, the window's growth under dense
+        /// arrivals and its decay in quiet stretches, the starvation
+        /// probe and silences of any length interleave, the ring never
+        /// holds more than it can. Feedback is lost at will while the
+        /// sender has a probe left — and then every message arrives once,
+        /// in order.
+        #[test]
+        fn no_schedule_overruns_a_ring_one_to_three_frames_wider_than_the_window(
+            fc in window_configs(),
+            slack in 1usize..=3,
+            ops in proptest::collection::vec((0u8..8, 0usize..1_000), 1..300),
+        ) {
+            let mut model = RingModel::new(&train_config(ErrorControlAlg::None, fc), slack);
+            for (op, n) in ops {
+                match op {
+                    0 | 1 => model.submit(1 + n % (3 * TRAIN_SDU)),
+                    2 | 3 => model.poll()?,
+                    4 => model.read(1 + n % 40)?,
+                    5 => model.advertise(),
+                    6 if n % 4 == 0 && model.tx.may_probe() => {
+                        drop(model.feedback.pop_front())
+                    }
+                    6 => model.answer(),
+                    _ if n % 10 == 0 => model.starve()?,
+                    _ => model.now += Duration::from_millis(n as u64 % 31),
+                }
+            }
+            model.finish()?;
         }
     }
 }

@@ -93,6 +93,7 @@ use ncs_threads::{PackageKind, SpawnOptions, ThreadPackage};
 use ncs_transport::Connection as Transport;
 use parking_lot::Mutex;
 
+use crate::connection::IO_BATCH;
 use crate::stats::ReactorStats;
 
 /// One kernel timer tick where this runs (HZ = 250): how late a deadline
@@ -627,6 +628,7 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
     let mut tasks: HashMap<u64, Slot> = HashMap::new();
     let mut timers = TimerHeap::new();
     let mut shutdown_bound: Option<Instant> = None;
+    let mut taken = 0;
     loop {
         // Fire due timers by waking their tasks through the normal path,
         // and clear dead entries off the head: what is left there is the
@@ -661,7 +663,7 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
         if wait < TIMER_SLACK {
             counters.short_parks.fetch_add(1, Ordering::Relaxed);
         }
-        match next_message(shard, wait) {
+        match next_message(shard, wait, &mut taken) {
             None | Some(ShardMsg::Repark) => {}
             Some(ShardMsg::Shutdown) => {
                 shutdown_bound
@@ -696,8 +698,12 @@ fn worker_loop(shard: &Arc<ShardQueue>, counters: &Arc<ReactorCounters>) {
 /// The shard's next message, parked for up to `wait` (for as long as it
 /// takes with `Duration::MAX`) while there is none: in the shard's set
 /// while it watches a descriptor (whose reports it delivers on the way),
-/// on the inbox otherwise.
-fn next_message(shard: &ShardQueue, wait: Duration) -> Option<ShardMsg> {
+/// on the inbox otherwise. `taken` counts the messages taken since the
+/// set was last looked at: a busy inbox — a task that returns `Again` or
+/// wakes itself is posted straight back — has the set's ready reports
+/// collected, without waiting, once per [`IO_BATCH`] of them, or it would
+/// keep every descriptor on the shard unreported.
+fn next_message(shard: &ShardQueue, wait: Duration, taken: &mut usize) -> Option<ShardMsg> {
     let Some(set) = shard
         .fds
         .get()
@@ -706,8 +712,14 @@ fn next_message(shard: &ShardQueue, wait: Duration) -> Option<ShardMsg> {
         return shard.inbox.recv_timeout(wait).ok();
     };
     if let Some(msg) = shard.inbox.try_recv() {
+        *taken += 1;
+        if *taken >= IO_BATCH {
+            *taken = 0;
+            set.wait(Duration::ZERO, shard.green, &shard.counters, || {});
+        }
         return Some(msg);
     }
+    *taken = 0;
     // Publish, then look (`ShardQueue::post` pushes, then reads).
     shard.parked.store(true, Ordering::Relaxed);
     fence(Ordering::SeqCst);
@@ -1591,6 +1603,61 @@ mod tests {
         drop(w.reg);
         woken(2);
         woken(3);
+        reactor.shutdown();
+    }
+
+    /// A task that is always ready again: every poll returns `Again`
+    /// until `stop`.
+    struct Spinner {
+        runs: Arc<AtomicU64>,
+        stop: Arc<AtomicBool>,
+    }
+
+    impl ReactorTask for Spinner {
+        fn poll(&mut self, _now: Instant) -> TaskPoll {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            match self.stop.load(Ordering::Relaxed) {
+                true => TaskPoll::Done,
+                false => TaskPoll::Again,
+            }
+        }
+    }
+
+    /// A task that re-queues itself keeps its shard's inbox from ever
+    /// running dry; a descriptor on the same shard is still reported
+    /// within a bounded number of the spinner's runs (the set is looked at
+    /// once per `IO_BATCH` messages taken), not never.
+    #[test]
+    fn a_task_that_is_always_ready_again_does_not_starve_the_shards_descriptors() {
+        let pkg = pkg();
+        let reactor = Reactor::new(Arc::clone(&pkg), 1);
+        let w = watched_pair(&reactor, &pkg);
+        let (spins, stop) = (
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let spinner = Spinner {
+            runs: Arc::clone(&spins),
+            stop: Arc::clone(&stop),
+        };
+        let _spinning = reactor.spawn(TaskKind::Control, |_| Box::new(spinner));
+        eventually(&pkg, "spinning", || spins.load(Ordering::Relaxed) > 0);
+        for report in 2..=4 {
+            let before = spins.load(Ordering::Relaxed);
+            (&w.near).write_all(b"x").unwrap();
+            while w.runs.load(Ordering::Relaxed) < report {
+                let spun = spins.load(Ordering::Relaxed) - before;
+                assert!(
+                    spun <= 4 * IO_BATCH as u64,
+                    "report {report}: {spun} runs of the spinner and the socket's task not polled"
+                );
+                std::thread::yield_now();
+            }
+            let mut byte = [0];
+            (&w.far).read_exact(&mut byte).unwrap();
+            w.reg.rearm(false);
+        }
+        stop.store(true, Ordering::Relaxed);
         reactor.shutdown();
     }
 

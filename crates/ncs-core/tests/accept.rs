@@ -378,8 +378,15 @@ fn dial_by_hand(
         "{what}: a third connection"
     );
     // Traffic: one message each way of the data channel's control loop —
-    // the acknowledgement, with the credit edge in it, comes back on the
-    // channel the dialer opened, behind the AcceptConns.
+    // the feedback comes back on the channel the dialer opened, behind the
+    // AcceptConns: over SCI the acknowledgement, with the credit edge in
+    // it; over HPI, whose ring the credit window cannot overrun, the edge
+    // alone.
+    let feedback = if what.starts_with("HPI") {
+        "credit"
+    } else {
+        "ack"
+    };
     for i in 0..2 {
         let header = DataHeader {
             conn: acceptor_conn[i],
@@ -397,14 +404,16 @@ fn dial_by_hand(
             .find(|c| c.id() == acceptor_conn[i])
             .expect("the accepted connection");
         assert_eq!(conn.recv().expect("recv"), [i as u8; 8], "{what}");
-        match next_ctrl() {
+        let answer = match next_ctrl() {
             CtrlMsg::Ack {
                 conn,
                 edge: Some(_),
                 ..
-            } if conn == INITIATOR[i] => {}
+            } => (conn, "ack"),
+            CtrlMsg::Credit { conn, .. } => (conn, "credit"),
             other => panic!("{what}: unexpected {other:?}"),
-        }
+        };
+        assert_eq!(answer, (INITIATOR[i], feedback), "{what}");
     }
     acceptor.forget_peer(name);
 }

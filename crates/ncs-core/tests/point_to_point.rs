@@ -180,6 +180,40 @@ fn selective_repeat_recovers_from_ring_overruns() {
     b.shutdown();
 }
 
+/// The default reliable configuration over a ring narrower than its
+/// window grows (32 SDUs, plus a starvation probe's one) keeps its
+/// selective repeat: once the window has widened past the 16-frame ring,
+/// a message of 32 SDUs overruns it, and every lost frame is repaired.
+#[test]
+fn the_default_window_over_a_narrow_ring_keeps_selective_repeat_and_repairs_overruns() {
+    let (a, b) = linked_nodes(16);
+    let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
+    let start = Instant::now();
+    let mut i = 0u32;
+    // The window widens with sustained traffic, one 20 ms activity
+    // window at a time.
+    while ca.stats().retransmissions == 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "never overran: {}",
+            ca.stats()
+        );
+        let msg: Vec<u8> = (0..128 * 1024u32)
+            .map(|j| (i * 7 + j % 253) as u8)
+            .collect();
+        let sent = ca.isend(&msg).expect("isend");
+        assert_eq!(cb.recv_timeout(Duration::from_secs(30)).unwrap(), msg);
+        sent.wait_timeout(Duration::from_secs(30))
+            .expect("acknowledged");
+        i += 1;
+    }
+    let (s, r) = (ca.stats(), cb.stats());
+    assert!(s.acks_received >= u64::from(i), "{s}");
+    assert!(r.acks_sent >= u64::from(i), "{r}");
+    a.shutdown();
+    b.shutdown();
+}
+
 #[test]
 fn go_back_n_recovers_from_ring_overruns() {
     let (a, b) = linked_nodes(4);

@@ -40,16 +40,26 @@ struct Pair {
     rx: NcsConnection,
 }
 
+/// A ring that keeps `reliable()`'s error control (the default window
+/// widens to 32 SDUs and a probe needs one more) and one that does not.
+const RINGS: [usize; 2] = [32, 1024];
+
 impl Pair {
     /// Two nodes on `pkg` joined by an HPI ring, one reliable connection.
     fn hpi(pkg: &Pkg) -> Pair {
+        Pair::hpi_ring(pkg, 1024)
+    }
+
+    /// [`Pair::hpi`] over a ring of `ring` frames: one narrower than the
+    /// window's widest reach plus one (33) keeps error control.
+    fn hpi_ring(pkg: &Pkg, ring: usize) -> Pair {
         let a = NcsNode::builder("alice")
             .thread_package(Arc::clone(pkg))
             .build();
         let b = NcsNode::builder("bob")
             .thread_package(Arc::clone(pkg))
             .build();
-        let (la, lb) = HpiLinkPair::with_capacity(1024);
+        let (la, lb) = HpiLinkPair::with_capacity(ring);
         a.attach_peer("bob", la);
         b.attach_peer("alice", lb);
         let tx = a
@@ -138,74 +148,78 @@ fn index_of(msg: &[u8]) -> u32 {
 
 /// One thread alternating one-SDU messages (which it may transmit itself)
 /// with three-SDU ones (which it hands to the task): received in
-/// submission order.
+/// submission order, with error control and without ([`RINGS`]).
 #[test]
 fn one_threads_short_and_long_messages_stay_in_order() {
     on_both_packages(|pkg| {
-        let pair = Pair::hpi(pkg);
-        let sdu = pair.tx.config().sdu_size;
-        let len = |i: u32| [64, 3 * sdu - 100][i as usize % 2];
-        for i in 0..200 {
-            pair.tx.send(&numbered(i, len(i))).expect("send");
+        for ring in RINGS {
+            let pair = Pair::hpi_ring(pkg, ring);
+            let sdu = pair.tx.config().sdu_size;
+            let len = |i: u32| [64, 3 * sdu - 100][i as usize % 2];
+            for i in 0..200 {
+                pair.tx.send(&numbered(i, len(i))).expect("send");
+            }
+            for i in 0..200 {
+                let got = pair.rx.recv_timeout(WAIT).expect("recv");
+                assert_eq!((index_of(&got), got.len()), (i, len(i)));
+            }
+            pair.shutdown();
         }
-        for i in 0..200 {
-            let got = pair.rx.recv_timeout(WAIT).expect("recv");
-            assert_eq!((index_of(&got), got.len()), (i, len(i)));
-        }
-        pair.shutdown();
     });
 }
 
 /// Four threads, each streaming on its own channel of one connection,
 /// while a fifth keeps the connection's task busy with long messages: the
 /// submitters find the pipeline now free, now taken. Per-channel FIFO,
-/// nothing lost.
+/// nothing lost, with error control and without ([`RINGS`]).
 #[test]
 fn concurrent_channels_keep_fifo_while_the_task_is_busy() {
     const PER_CHANNEL: u32 = 2_000;
     const LONG: u32 = 300;
     on_both_packages(|pkg| {
-        let pair = Pair::hpi(pkg);
-        let sdu = pair.tx.config().sdu_size;
-        let mut threads = Vec::new();
-        for id in 0..4u16 {
-            let (tx, rx) = (pair.tx.channel(id), pair.rx.channel(id));
-            threads.push(pkg.spawn_typed("sender", move || {
-                let sent: Vec<_> = (0..PER_CHANNEL)
-                    .map(|i| tx.isend(&numbered(i, 64)).expect("isend"))
-                    .collect();
-                for req in sent {
-                    req.wait_timeout(WAIT).expect("delivered");
+        for ring in RINGS {
+            let pair = Pair::hpi_ring(pkg, ring);
+            let sdu = pair.tx.config().sdu_size;
+            let mut threads = Vec::new();
+            for id in 0..4u16 {
+                let (tx, rx) = (pair.tx.channel(id), pair.rx.channel(id));
+                threads.push(pkg.spawn_typed("sender", move || {
+                    let sent: Vec<_> = (0..PER_CHANNEL)
+                        .map(|i| tx.isend(&numbered(i, 64)).expect("isend"))
+                        .collect();
+                    for req in sent {
+                        req.wait_timeout(WAIT).expect("delivered");
+                    }
+                }));
+                threads.push(pkg.spawn_typed("receiver", move || {
+                    for i in 0..PER_CHANNEL {
+                        let got = rx.recv_view(WAIT).expect("recv");
+                        assert_eq!(index_of(&got), i, "channel {id}");
+                    }
+                }));
+            }
+            let (tx, rx) = (pair.tx.clone(), pair.rx.clone());
+            threads.push(pkg.spawn_typed("long sender", move || {
+                for i in 0..LONG {
+                    tx.send(&numbered(i, 3 * sdu)).expect("send");
                 }
             }));
-            threads.push(pkg.spawn_typed("receiver", move || {
-                for i in 0..PER_CHANNEL {
-                    let got = rx.recv_view(WAIT).expect("recv");
-                    assert_eq!(index_of(&got), i, "channel {id}");
+            threads.push(pkg.spawn_typed("long receiver", move || {
+                for i in 0..LONG {
+                    assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
                 }
             }));
-        }
-        let (tx, rx) = (pair.tx.clone(), pair.rx.clone());
-        threads.push(pkg.spawn_typed("long sender", move || {
-            for i in 0..LONG {
-                tx.send(&numbered(i, 3 * sdu)).expect("send");
+            for t in threads {
+                t.join().expect("worker");
             }
-        }));
-        threads.push(pkg.spawn_typed("long receiver", move || {
-            for i in 0..LONG {
-                assert_eq!(index_of(&rx.recv_timeout(WAIT).expect("recv")), i);
-            }
-        }));
-        for t in threads {
-            t.join().expect("worker");
+            let (sent, received) = (pair.tx.stats(), pair.rx.stats());
+            let total = u64::from(4 * PER_CHANNEL + LONG);
+            assert_eq!(
+                (sent.messages_sent, received.messages_received),
+                (total, total)
+            );
+            pair.shutdown();
         }
-        let (sent, received) = (pair.tx.stats(), pair.rx.stats());
-        let total = u64::from(4 * PER_CHANNEL + LONG);
-        assert_eq!(
-            (sent.messages_sent, received.messages_received),
-            (total, total)
-        );
-        pair.shutdown();
     });
 }
 
@@ -460,73 +474,83 @@ fn a_train_whose_session_fails_fails_every_request_in_it() {
 }
 
 /// `close()` lands among 10,000 `isend`s that run the pipeline themselves:
-/// every request issued resolves, whichever side of the close it fell on.
+/// every request issued resolves, whichever side of the close it fell on,
+/// with error control and without ([`RINGS`]).
 #[test]
 fn close_racing_inline_sends_leaves_no_request_dangling() {
     const SENDS: usize = 10_000;
     on_both_packages(|pkg| {
-        let pair = Pair::hpi(pkg);
-        let issued = Arc::new(AtomicUsize::new(0));
-        let (conn, count, p) = (pair.tx.clone(), Arc::clone(&issued), Arc::clone(pkg));
-        let sender = pkg.spawn_typed("sender", move || {
-            let mut requests = Vec::new();
-            for i in 0..SENDS {
-                match conn.isend(&numbered(i as u32, 64)) {
-                    Ok(req) => requests.push(req),
-                    Err(e) => assert_eq!(e, SendError::Closed),
+        for ring in RINGS {
+            let pair = Pair::hpi_ring(pkg, ring);
+            let issued = Arc::new(AtomicUsize::new(0));
+            let (conn, count, p) = (pair.tx.clone(), Arc::clone(&issued), Arc::clone(pkg));
+            let sender = pkg.spawn_typed("sender", move || {
+                let mut requests = Vec::new();
+                for i in 0..SENDS {
+                    match conn.isend(&numbered(i as u32, 64)) {
+                        Ok(req) => requests.push(req),
+                        Err(e) => assert_eq!(e, SendError::Closed),
+                    }
+                    if count.fetch_add(1, Ordering::Relaxed) % 64 == 0 {
+                        p.yield_now(); // green threads: let the closer look
+                    }
                 }
-                if count.fetch_add(1, Ordering::Relaxed) % 64 == 0 {
-                    p.yield_now(); // green threads: let the closer look
+                requests
+            });
+            while issued.load(Ordering::Relaxed) < SENDS / 3 {
+                pkg.yield_now();
+            }
+            pair.tx.close();
+            let requests = sender.join().expect("sender");
+            assert!(!requests.is_empty());
+            for req in requests {
+                match req.wait_timeout(WAIT) {
+                    Ok(()) | Err(SendError::Closed | SendError::DeliveryFailed(_)) => {}
+                    Err(e) => panic!("request left dangling: {e}"),
                 }
             }
-            requests
-        });
-        while issued.load(Ordering::Relaxed) < SENDS / 3 {
-            pkg.yield_now();
+            pair.shutdown();
         }
-        pair.tx.close();
-        let requests = sender.join().expect("sender");
-        assert!(!requests.is_empty());
-        for req in requests {
-            match req.wait_timeout(WAIT) {
-                Ok(()) | Err(SendError::Closed | SendError::DeliveryFailed(_)) => {}
-                Err(e) => panic!("request left dangling: {e}"),
-            }
-        }
-        pair.shutdown();
     });
 }
 
-/// 2,000 reliable round trips, each acknowledged some tens of
-/// microseconds after it armed a 200 ms retransmission timeout — then
-/// 300 ms of nothing. The event loops wake for their idle tick and for the
-/// one deadline each connection still has armed, not for 2,000 deadlines
-/// nobody waits for.
+/// 2,000 reliable round trips — then 300 ms of nothing. Over a ring
+/// narrow enough to keep error control each message is acknowledged some
+/// tens of microseconds after it armed a 200 ms retransmission timeout;
+/// over a wide one a message that waited for the credit of the one before
+/// armed the 500 ms end of that wait. Either way the event loops wake for
+/// the one deadline each connection still has armed, not for 2,000
+/// deadlines nobody waits for.
 #[test]
 fn silence_after_acknowledged_traffic_is_free() {
     on_both_packages(|pkg| {
-        let pair = Pair::hpi(pkg);
-        let echo_conn = pair.rx.clone();
-        let echo = pkg.spawn_typed("echo", move || {
-            for _ in 0..2_000 {
-                let msg = echo_conn.recv_timeout(WAIT).expect("ping");
-                echo_conn.send(&msg).expect("echo");
-            }
-        });
-        for i in 0..2_000 {
-            pair.tx.send(&numbered(i, 64)).expect("ping");
-            assert_eq!(index_of(&pair.tx.recv_timeout(WAIT).expect("echo")), i);
+        for ring in RINGS {
+            silence_after_round_trips_is_free(Pair::hpi_ring(pkg, ring), pkg);
         }
-        echo.join().expect("echo thread");
-        let before = [pair.a.reactor().stats(), pair.b.reactor().stats()];
-        pkg.sleep(Duration::from_millis(300));
-        let after = [pair.a.reactor().stats(), pair.b.reactor().stats()];
-        for (before, after) in before.iter().zip(&after) {
-            let woke = after.polls - before.polls;
-            assert!(woke < 16, "{woke} loop iterations in silence: {after}");
-        }
-        pair.shutdown();
     });
+}
+
+fn silence_after_round_trips_is_free(pair: Pair, pkg: &Pkg) {
+    let echo_conn = pair.rx.clone();
+    let echo = pkg.spawn_typed("echo", move || {
+        for _ in 0..2_000 {
+            let msg = echo_conn.recv_timeout(WAIT).expect("ping");
+            echo_conn.send(&msg).expect("echo");
+        }
+    });
+    for i in 0..2_000 {
+        pair.tx.send(&numbered(i, 64)).expect("ping");
+        assert_eq!(index_of(&pair.tx.recv_timeout(WAIT).expect("echo")), i);
+    }
+    echo.join().expect("echo thread");
+    let before = [pair.a.reactor().stats(), pair.b.reactor().stats()];
+    pkg.sleep(Duration::from_millis(300));
+    let after = [pair.a.reactor().stats(), pair.b.reactor().stats()];
+    for (before, after) in before.iter().zip(&after) {
+        let woke = after.polls - before.polls;
+        assert!(woke < 16, "{woke} loop iterations in silence: {after}");
+    }
+    pair.shutdown();
 }
 
 /// Shutting a node down retires its control plane, so nothing it sent can

@@ -112,24 +112,31 @@ fn tagged_channels_do_not_cross() {
 #[test]
 fn tagged_messages_survive_error_control() {
     // Tag envelopes ride inside the message body, so the EC reassembly
-    // path must hand them through intact.
-    let (a, b) = linked_nodes(512);
-    let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
-    let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 239) as u8).collect();
-    ca.isend_tagged(42, &payload).unwrap();
-    ca.isend_tagged(7, b"small").unwrap();
-    let small = cb
-        .irecv_tagged(7)
-        .wait_timeout(Duration::from_secs(10))
-        .unwrap();
-    assert_eq!(&*small, b"small");
-    let big = cb
-        .irecv_tagged(42)
-        .wait_timeout(Duration::from_secs(20))
-        .unwrap();
-    assert_eq!(big.as_slice(), payload.as_slice());
-    a.shutdown();
-    b.shutdown();
+    // path must hand them through intact — over a 32-frame ring, where
+    // `reliable()` keeps its error control (the default window widens to
+    // 32 SDUs), and over a wide one, where it runs without it and pooled
+    // reassembly hands them through.
+    for ring in [32, 512] {
+        let (a, b) = linked_nodes(ring);
+        let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
+        let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 239) as u8).collect();
+        ca.isend_tagged(42, &payload).unwrap();
+        ca.isend_tagged(7, b"small").unwrap();
+        let small = cb
+            .irecv_tagged(7)
+            .wait_timeout(Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(&*small, b"small");
+        let big = cb
+            .irecv_tagged(42)
+            .wait_timeout(Duration::from_secs(20))
+            .unwrap();
+        assert_eq!(big.as_slice(), payload.as_slice());
+        let acks = cb.stats().acks_sent;
+        assert_eq!(acks > 0, ring == 32, "ring {ring}: {acks} acknowledgements");
+        a.shutdown();
+        b.shutdown();
+    }
 }
 
 #[test]
@@ -282,24 +289,32 @@ fn parked_irecv_fails_fast_when_peer_dies() {
 
 #[test]
 fn queued_isends_resolve_when_reliable_connection_closes() {
-    // Reliable configurations drive sends one at a time through the Error
-    // Control Thread; sends queued behind the in-flight one must resolve
-    // (not dangle) when the connection dies mid-stream.
-    let (a, b) = linked_nodes(1024);
-    let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
-    let payload = vec![0x5Au8; 30_000]; // multi-SDU: keeps the EC thread busy
-    let requests: Vec<_> = (0..8).map(|_| ca.isend(&payload).expect("isend")).collect();
-    ca.close();
-    for (i, r) in requests.iter().enumerate() {
-        // Ok (delivered before the close won the race) or an error — but
-        // never a hang.
-        let _ = r
-            .wait_timeout(Duration::from_secs(10))
-            .map_err(|e| assert_ne!(e, SendError::Timeout, "isend #{i} dangled: {e}"));
+    // Reliable configurations drive sends one at a time through error
+    // control (over a 32-frame ring, which the default window could
+    // overrun) or one window's worth at a time under the window alone
+    // (over a wide ring); sends queued behind the ones in flight must
+    // resolve (not dangle) when the connection dies mid-stream.
+    for ring in [32, 1024] {
+        let (a, b) = linked_nodes(ring);
+        let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
+        let payload = vec![0x5Au8; 30_000]; // multi-SDU: keeps the sender busy
+        let requests: Vec<_> = (0..8).map(|_| ca.isend(&payload).expect("isend")).collect();
+        ca.close();
+        for (i, r) in requests.iter().enumerate() {
+            // Ok (delivered before the close won the race) or an error —
+            // but never a hang.
+            let _ = r.wait_timeout(Duration::from_secs(10)).map_err(|e| {
+                assert_ne!(
+                    e,
+                    SendError::Timeout,
+                    "ring {ring}: isend #{i} dangled: {e}"
+                )
+            });
+        }
+        drop(cb);
+        a.shutdown();
+        b.shutdown();
     }
-    drop(cb);
-    a.shutdown();
-    b.shutdown();
 }
 
 #[test]

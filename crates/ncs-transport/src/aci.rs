@@ -335,7 +335,7 @@ impl Connection for AciConnection {
     fn caps(&self) -> Capabilities {
         Capabilities {
             interface: "ACI",
-            reliable: false,
+            overrun_ring: None,
             ordered: true,
             max_frame: MAX_FRAME,
         }
@@ -466,7 +466,7 @@ mod tests {
         let conn = dev_a.connect("b", QosParams::unspecified()).unwrap();
         t.join().unwrap();
         let caps = conn.caps();
-        assert!(!caps.reliable);
+        assert_eq!(caps.overrun_ring, None);
         assert!(caps.ordered);
         assert_eq!(caps.max_frame, 65_535);
         fab.shutdown();

@@ -9,7 +9,14 @@
 //! * **drops frames when the receiver's ring is full** (receiver overrun) —
 //!   which is why NCS pairs HPI with its credit-based flow control for bulk
 //!   transfers;
-//! * frames are never corrupted or reordered.
+//! * frames are never corrupted or reordered, and never lost otherwise.
+//!
+//! It says so in its capabilities ([`Capabilities::overrun_ring`]: the
+//! ring's capacity): a connection whose credit window can never fill the ring
+//! loses nothing, so NCS runs it under the window alone, without
+//! acknowledgements (`ncs_core`'s `plane.rs`). A frame the ring took is
+//! the receiver's: an `isend` over such a connection completes when the
+//! ring takes its last frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,7 +87,9 @@ impl Connection for HpiConnection {
     fn caps(&self) -> Capabilities {
         Capabilities {
             interface: "HPI",
-            reliable: false, // overruns drop frames
+            // The peer reads what we push; both rings of a pair are as
+            // long, so both ends agree.
+            overrun_ring: self.tx.queue.capacity(),
             ordered: true,
             max_frame: MAX_FRAME,
         }
@@ -179,7 +188,8 @@ mod tests {
     fn caps_report_unreliable_ordered() {
         let (a, _b) = pair_default();
         let caps = a.caps();
-        assert!(!caps.reliable);
+        assert_eq!(caps.overrun_ring, Some(DEFAULT_RING));
+        assert_eq!(pair(16).1.caps().overrun_ring, Some(16));
         assert!(caps.ordered);
         assert_eq!(caps.interface, "HPI");
     }

@@ -34,14 +34,19 @@ pub enum Readiness {
 }
 
 /// Static properties of a communication interface, consulted by NCS when
-/// configuring a connection (e.g. SCI is reliable, so NCS runs it without
-/// flow and error control — the paper's §3.1 bypass).
+/// configuring a connection (e.g. HPI loses frames only by overrun, so a
+/// credit window that cannot overrun it leaves error control nothing to
+/// do).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Capabilities {
     /// Interface family name ("SCI", "ACI", "HPI", "PIPE", "SIM").
     pub interface: &'static str,
-    /// Frames are never lost or corrupted.
-    pub reliable: bool,
+    /// `Some(n)`: a frame is lost only when `n` frames already wait unread
+    /// at the receiver — a bounded ring (HPI) — so a credit window that
+    /// cannot fill it rules loss out, and NCS runs such a connection
+    /// without error control. `None`: no such bound, whether frames are
+    /// lost at any time (ACI's cells, SIM's policies) or never (SCI, PIPE).
+    pub overrun_ring: Option<usize>,
     /// Frames arrive in transmission order (all but SIM, whose reorder
     /// policy lets frames overtake; kept explicit because NCS's go-back-N
     /// assumes it).

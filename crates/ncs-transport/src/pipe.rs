@@ -257,7 +257,7 @@ impl Connection for PipeConnection {
     fn caps(&self) -> Capabilities {
         Capabilities {
             interface: "PIPE",
-            reliable: true,
+            overrun_ring: None,
             ordered: true,
             max_frame: MAX_FRAME,
         }
@@ -511,7 +511,7 @@ mod tests {
     fn caps_reliable_ordered() {
         let (a, _b) = pair(PipeConfig::default());
         let c = a.caps();
-        assert!(c.reliable && c.ordered);
+        assert!(c.overrun_ring.is_none() && c.ordered);
         assert_eq!(c.interface, "PIPE");
     }
 }

@@ -289,7 +289,7 @@ impl Connection for SciConnection {
     fn caps(&self) -> Capabilities {
         Capabilities {
             interface: "SCI",
-            reliable: true,
+            overrun_ring: None,
             ordered: true,
             max_frame: MAX_FRAME,
         }

@@ -501,8 +501,8 @@ impl Connection for SimConnection {
     fn caps(&self) -> Capabilities {
         Capabilities {
             interface: "SIM",
-            reliable: false, // loss and partitions drop frames silently
-            ordered: false,  // reorder policies overtake
+            overrun_ring: None, // loss and partitions drop frames silently
+            ordered: false,     // reorder policies overtake
             max_frame: MAX_FRAME,
         }
     }

@@ -22,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     bob.attach_peer("alice", link_b);
 
     // The paper's default reliable connection: 4 KB SDUs, credit-based
-    // flow control, selective-repeat error control.
+    // flow control, selective-repeat error control — which HPI's default
+    // ring, one the credit window cannot overrun, leaves nothing to do:
+    // the connection runs under the window alone.
     let tx = alice.connect("bob", ConnectionConfig::reliable())?;
     let rx = bob.accept_default()?;
     println!(
