@@ -18,8 +18,18 @@
 //! for point-to-point traffic, and [`ClusterNode::collective_group`] for
 //! the collectives engine — which runs unmodified across processes, since
 //! it only ever sees `NcsConnection`s.
+//!
+//! An elastic rank ([`ClusterNode::enable_membership`]) owns no thread
+//! for membership. Its [`MemberAgent`] is a task on the node's reactor,
+//! and a view is applied in two halves. Where it lands, on that event
+//! loop, goes everything that waits for nothing: watched groups abort,
+//! departed members are forgotten, a joiner's new address is attached
+//! and the roster updated. A view that asks for a link to a joiner is
+//! then *owed*, and the thread that waits for a view
+//! ([`ClusterNode::wait_view`]) dials or accepts that link before the
+//! view is published.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -212,17 +222,17 @@ fn parse_rank_name(name: &str) -> Option<u32> {
 ///
 /// Static worlds use it exactly as before membership existed. Elastic
 /// worlds additionally call [`ClusterNode::enable_membership`]: the rank
-/// then heartbeats `ncsd`, receives epoch [`View`]s, re-meshes its links
-/// when membership changes, and fails watched collective groups fast
-/// with [`CollectiveError::ViewChanged`] (register groups with
-/// [`ClusterNode::watch_group`]).
+/// then heartbeats `ncsd`, receives epoch [`View`]s, fails watched
+/// collective groups fast with [`CollectiveError::ViewChanged`]
+/// (register groups with [`ClusterNode::watch_group`]), and re-meshes
+/// its links when membership changes — with a joiner, while one of its
+/// threads waits in [`ClusterNode::wait_view`].
 pub struct ClusterNode {
     shared: Arc<ClusterShared>,
 }
 
-/// The state a [`ClusterNode`] shares with its membership machinery (the
-/// view-applier thread re-meshes through the same link map the
-/// application reads).
+/// The state a [`ClusterNode`] shares with its member task, which
+/// applies views to the same link map the application reads.
 struct ClusterShared {
     node: NcsNode,
     rank: u32,
@@ -236,29 +246,38 @@ struct ClusterShared {
     incarnation: u32,
     roster: Mutex<Roster>,
     links: Mutex<HashMap<usize, NcsConnection>>,
-    /// The latest membership view applied (links already re-meshed to
-    /// match it when it lands here). `None` until membership is enabled
-    /// and the first view arrives.
-    view: Mutex<Option<View>>,
+    /// Connections an accept loop of this rank took from a peer it was
+    /// not waiting for: [`ClusterNode::accept_connection`]'s, oldest first.
+    strays: Mutex<VecDeque<NcsConnection>>,
+    views: Mutex<Views>,
+    /// Signalled when a view is published or owed.
     view_cv: Condvar,
     /// Abort handles of collective groups watching for view changes.
     watched: Mutex<Vec<ViewAbortHandle>>,
     /// The running membership client, once enabled.
-    agent: Mutex<Option<MembershipDriver>>,
+    agent: Mutex<Option<MemberAgent>>,
     telemetry_published: std::sync::Once,
 }
 
-/// The two threads behind an enabled membership: the heartbeat agent and
-/// the view applier (which does the slow re-mesh work so heartbeats never
-/// stall behind it — a rank must not get itself declared dead by being
-/// busy re-meshing).
-struct MembershipDriver {
-    agent: MemberAgent,
-    applier: Option<std::thread::JoinHandle<()>>,
+/// Where this rank is with the membership views that reached it.
+struct Views {
+    /// The latest view published: the links match it. `None` until
+    /// membership is enabled and the first view arrives.
+    applied: Option<View>,
+    /// The latest view, if it still asks for a link to a joiner (always
+    /// newer than `applied`): the next [`ClusterNode::wait_view`] caller
+    /// re-meshes it, and it stays here until then.
+    owed: Option<View>,
+    /// Whether a `wait_view` caller is re-meshing.
+    remeshing: bool,
 }
 
 /// Budget for the best-effort telemetry push back to `ncsd` at shutdown.
 const TELEMETRY_PUSH_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// What a replacement's bootstrap adds to a timeout: a survivor meshes
+/// with a joiner on a thread that waits for the view.
+const REJOIN_HINT: &str = " (are the survivors elastic and waiting in wait_view?)";
 
 /// Budget for re-establishing one link during a view-change re-mesh.
 const REMESH_BUDGET: Duration = Duration::from_secs(10);
@@ -297,11 +316,12 @@ impl ClusterNode {
     /// replays the current membership [`View`] from `ncsd` (which also
     /// publishes this join to every subscriber), and meshes with each
     /// survivor under the bootstrap direction invariant — this rank dials
-    /// the higher survivors while the lower survivors' view appliers dial
-    /// it back.
+    /// the higher survivors while the lower survivors dial it back.
     ///
     /// The survivors must be elastic ([`ClusterNode::enable_membership`])
-    /// or nobody re-meshes with the replacement and rejoin times out.
+    /// *and* waiting for the view ([`ClusterNode::wait_view`]): a survivor
+    /// re-meshes with a joiner on the thread that waits. Otherwise nobody
+    /// meshes with the replacement, and rejoin times out.
     ///
     /// # Errors
     ///
@@ -381,37 +401,31 @@ impl ClusterNode {
         // it has attached this rank (still working through its roster, or
         // not yet through the join view), so dials retry until the
         // deadline.
+        let hint = if rejoining { REJOIN_HINT } else { "" };
         let mut links: HashMap<usize, NcsConnection> = HashMap::new();
         for &(r, _) in members.iter().filter(|&&(r, _)| r > cfg.rank) {
             links.insert(r as usize, dial(&node, r, &cfg.conn, deadline)?);
         }
+        let mut strays = VecDeque::new();
         while links.len() < members.len() {
             let left = deadline
                 .checked_duration_since(Instant::now())
                 .ok_or_else(|| {
                     ClusterError::Timeout(format!(
-                        "rank {} still waiting for {} inbound peer connection(s){}",
+                        "rank {} still waiting for {} inbound peer connection(s){hint}",
                         cfg.rank,
                         members.len() - links.len(),
-                        if rejoining {
-                            " (are the survivors running with membership enabled?)"
-                        } else {
-                            ""
-                        }
                     ))
                 })?;
             let conn = node.accept(left)?;
-            let Some(peer) = parse_rank_name(conn.peer_name()) else {
-                // Not a cluster rank (stray connector); ignore it.
-                continue;
-            };
-            if peer >= cfg.world || peer == cfg.rank || links.contains_key(&(peer as usize)) {
-                continue;
+            let peer = parse_rank_name(conn.peer_name()).map(|p| p as usize);
+            match peer.filter(|&p| p < cfg.world as usize && p != cfg.rank as usize) {
+                Some(p) if !links.contains_key(&p) => drop(links.insert(p, conn)),
+                _ => strays.push_back(conn),
             }
-            links.insert(peer as usize, conn);
         }
 
-        handshake(cfg.rank, cfg.world, &links, deadline)?;
+        handshake(cfg.rank, cfg.world, &links, deadline, hint)?;
 
         members.push((cfg.rank, my_addr));
         members.sort_by_key(|&(r, _)| r);
@@ -429,7 +443,12 @@ impl ClusterNode {
                     members,
                 }),
                 links: Mutex::new(links),
-                view: Mutex::new(view),
+                strays: Mutex::new(strays),
+                views: Mutex::new(Views {
+                    applied: view,
+                    owed: None,
+                    remeshing: false,
+                }),
                 view_cv: Condvar::new(),
                 watched: Mutex::new(Vec::new()),
                 agent: Mutex::new(None),
@@ -552,13 +571,16 @@ impl ClusterNode {
     }
 
     /// Accepts the next incoming point-to-point connection from any peer
-    /// rank (the counterpart of [`ClusterNode::open_connection`]).
+    /// rank (the counterpart of [`ClusterNode::open_connection`]) — first
+    /// any that a bootstrap or re-mesh took while it waited for a world
+    /// link.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Accept`] on timeout or shutdown.
     pub fn accept_connection(&self, timeout: Duration) -> Result<NcsConnection, ClusterError> {
-        Ok(self.shared.node.accept(timeout)?)
+        let stray = self.shared.strays.lock().pop_front();
+        stray.map_or_else(|| Ok(self.shared.node.accept(timeout)?), Ok)
     }
 
     /// This rank's full telemetry dump — metrics snapshot plus every
@@ -600,14 +622,7 @@ impl ClusterNode {
     /// [`mod@ncs_obs::postmortem`] environment), closes every connection
     /// and stops the node's NCS threads. Idempotent.
     pub fn shutdown(&self) {
-        if let Some(mut driver) = self.shared.agent.lock().take() {
-            // Stopping the agent drops its view sink, which closes the
-            // applier's channel; join both so no thread outlives the node.
-            driver.agent.stop();
-            if let Some(h) = driver.applier.take() {
-                let _ = h.join();
-            }
-        }
+        drop(self.shared.agent.lock().take());
         self.publish_telemetry();
         self.shared.node.shutdown();
     }
@@ -627,12 +642,12 @@ impl ClusterNode {
     }
 
     /// Turns this rank into a member of an *elastic* world: starts the
-    /// heartbeat agent (subscribing to `ncsd`'s view stream) and the view
-    /// applier that keeps this rank's links matching each arriving
-    /// [`View`] — dropping links (and flushing their per-peer metric
-    /// series) when members die or leave, dialling/accepting replacement
-    /// links when members join, and failing watched collective groups
-    /// fast with [`CollectiveError::ViewChanged`].
+    /// heartbeat agent, a task on the node's reactor that subscribes to
+    /// `ncsd`'s view stream. Where each [`View`] lands, watched collective
+    /// groups fail fast with [`CollectiveError::ViewChanged`], links to
+    /// members that died or left are dropped (and their per-peer metric
+    /// series flushed), and a joiner's address is attached; the links to
+    /// joiners are dialled or accepted by [`ClusterNode::wait_view`].
     ///
     /// Idempotent: a second call on an already-elastic rank is a no-op.
     ///
@@ -646,52 +661,41 @@ impl ClusterNode {
         if slot.is_some() {
             return Ok(());
         }
-        let metrics = MembershipMetrics::register(&self.shared.node.registry());
-        // Views are applied off the agent thread: re-meshing dials and
-        // accepts with multi-second budgets, and a rank that stalled its
-        // own heartbeats while re-meshing would promptly be declared dead
-        // itself.
-        let (tx, rx) = std::sync::mpsc::channel::<View>();
+        // Weak: the agent, which holds the sink, is the shared state's.
         let weak = Arc::downgrade(&self.shared);
-        let applier = std::thread::Builder::new()
-            .name(format!("ncs-view-{}", self.shared.rank))
-            .spawn(move || {
-                while let Ok(view) = rx.recv() {
-                    let Some(shared) = weak.upgrade() else { return };
-                    apply_view(&shared, &view);
-                }
-            })
-            .expect("spawn view applier");
-        let tx = std::sync::Mutex::new(tx);
         let sink: ViewSink = Arc::new(move |v: &View| {
-            if let Ok(tx) = tx.lock() {
-                let _ = tx.send(v.clone());
+            if let Some(shared) = weak.upgrade() {
+                land_view(&shared, v);
             }
         });
-        let agent = MemberAgent::start(
+        *slot = Some(MemberAgent::start(
+            &self.shared.node.reactor(),
             self.shared.ncsd,
             self.shared.rank,
             self.shared.incarnation,
             cfg,
-            metrics,
+            MembershipMetrics::register(&self.shared.node.registry()),
             sink,
-        )?;
-        *slot = Some(MembershipDriver {
-            agent,
-            applier: Some(applier),
-        });
+        )?);
         Ok(())
     }
 
     /// The latest membership view applied to this rank (`None` until
     /// membership is enabled and the first view arrives). When a view is
-    /// returned, this rank's links already match it.
+    /// returned, this rank's links already match it. A view that asks for
+    /// a link to a joiner is applied only by [`ClusterNode::wait_view`].
     pub fn current_view(&self) -> Option<View> {
-        self.shared.view.lock().clone()
+        self.shared.views.lock().applied.clone()
     }
 
     /// Blocks until a membership view satisfying `pred` has been applied
     /// (links re-meshed to match), or `timeout` passes.
+    ///
+    /// The thread that waits does the re-mesh: while it waits, it dials
+    /// or accepts the link to each joiner of the latest view (one waiter
+    /// at a time, each link within 10 s, which may take the wait past
+    /// `timeout`), then publishes the view and wakes the other waiters.
+    /// Until some thread waits, a survivor has no link to a joiner.
     ///
     /// The canonical recovery wait after a [`CollectiveError::ViewChanged`]:
     /// `wait_view(|v| v.is_full(), ...)` parks until the dead rank's
@@ -705,13 +709,31 @@ impl ClusterNode {
         pred: impl Fn(&View) -> bool,
         timeout: Duration,
     ) -> Result<View, ClusterError> {
+        let (shared, me) = (&self.shared, self.shared.rank);
         // No deadline at all for a timeout beyond what the clock can tell.
         let deadline = Instant::now().checked_add(timeout);
-        let mut guard = self.shared.view.lock();
+        let mut views = shared.views.lock();
         loop {
-            if let Some(v) = guard.as_ref() {
-                if pred(v) {
-                    return Ok(v.clone());
+            if let Some(v) = views.applied.as_ref().filter(|v| pred(v)) {
+                return Ok(v.clone());
+            }
+            if !views.remeshing {
+                if let Some(view) = views.owed.clone() {
+                    views.remeshing = true;
+                    drop(views);
+                    for (p, addr) in unlinked(shared, &view) {
+                        if let Err(e) = remesh_peer(shared, p, addr) {
+                            eprintln!("[rank {me}] re-mesh with rank {p} at {addr} failed: {e}");
+                        }
+                    }
+                    views = shared.views.lock();
+                    views.remeshing = false;
+                    // A view that landed meanwhile supersedes this one.
+                    if views.owed.as_ref().is_some_and(|o| o.id == view.id) {
+                        views.applied = views.owed.take();
+                    }
+                    shared.view_cv.notify_all();
+                    continue;
                 }
             }
             let left = deadline.map_or(Duration::MAX, |d| {
@@ -722,7 +744,7 @@ impl ClusterNode {
                     "no matching membership view in time".into(),
                 ));
             }
-            self.shared.view_cv.wait_for(&mut guard, left);
+            shared.view_cv.wait_for(&mut views, left);
         }
     }
 
@@ -741,7 +763,8 @@ impl ClusterNode {
 /// The cluster handshake on a set of freshly established links (peer rank
 /// -> connection): rank `me` of `world` sends its [`ClusterHello`] on
 /// every link, then awaits each peer's and refuses a protocol version,
-/// rank or world size other than the expected one. Every hello goes out
+/// rank or world size other than the expected one. A timeout's message
+/// ends with `hint`. Every hello goes out
 /// before any is awaited — sends are asynchronous, so no order in which
 /// the ranks of a world walk their links can leave them waiting on each
 /// other.
@@ -750,6 +773,7 @@ fn handshake(
     world: u32,
     links: &HashMap<usize, NcsConnection>,
     deadline: Instant,
+    hint: &str,
 ) -> Result<(), ClusterError> {
     let hello = ClusterHello {
         version: PROTOCOL_VERSION,
@@ -764,7 +788,7 @@ fn handshake(
         let left = deadline
             .checked_duration_since(Instant::now())
             .ok_or_else(|| {
-                ClusterError::Timeout(format!("no handshake from rank {peer} in time"))
+                ClusterError::Timeout(format!("no handshake from rank {peer} in time{hint}"))
             })?;
         let frame = conn
             .recv_timeout(left)
@@ -787,79 +811,71 @@ fn handshake(
     Ok(())
 }
 
-/// Applies one membership view to a rank: aborts watched groups, drops
-/// links to departed members (flushing their per-peer metric series),
-/// establishes links to new members, updates the roster, and finally
-/// publishes the view to [`ClusterNode::wait_view`] waiters — strictly in
-/// that order, so a satisfied `wait_view` implies the links already
-/// match. Runs on the dedicated view-applier thread, one view at a time,
-/// in epoch order.
-fn apply_view(shared: &Arc<ClusterShared>, view: &View) {
-    if let Some(cur) = shared.view.lock().as_ref() {
-        if view.id <= cur.id {
-            return;
-        }
+/// Lands one membership view on a rank, on the event loop it arrived on,
+/// and does at once everything that waits for nothing: aborts watched
+/// groups, drops the links to members that departed (forgetting them and
+/// flushing their per-peer metric series), attaches each joiner's new
+/// address — so the node's accept task can take its dials already — and
+/// updates the roster. A view that then asks for no link is published to
+/// [`ClusterNode::wait_view`] waiters; one that does is owed to them,
+/// replacing any older one. Either way a published view's links match.
+fn land_view(shared: &Arc<ClusterShared>, view: &View) {
+    let views = shared.views.lock();
+    if view.id
+        <= views
+            .owed
+            .as_ref()
+            .or(views.applied.as_ref())
+            .map_or(0, |v| v.id)
+    {
+        return;
     }
+    drop(views);
     let me = shared.rank;
-    // Diff the view against our wiring (rather than trusting the deltas
+    // Diff the view against the roster (rather than trusting the deltas
     // alone): a subscriber that missed intermediate views still converges
     // on the member list, which is authoritative.
-    let mut to_drop: Vec<u32> = Vec::new();
-    let mut to_link: Vec<(u32, SocketAddr)> = Vec::new();
-    {
-        let links = shared.links.lock();
-        let roster = shared.roster.lock();
-        let known_addr = |r: u32| {
-            roster
-                .members
-                .iter()
-                .find(|&&(rr, _)| rr == r)
-                .map(|&(_, a)| a)
-        };
-        for &p in links.keys() {
-            let p = p as u32;
-            match view.member(p) {
-                None => to_drop.push(p),
-                // Same slot, different occupant: relink below.
-                Some(m) if known_addr(p).map(|a| a.to_string()) != Some(m.addr.clone()) => {
-                    to_drop.push(p);
-                }
-                Some(_) => {}
-            }
+    // (A member whose address does not parse counts as absent.)
+    let others = |r: &&(u32, SocketAddr)| r.0 != me;
+    let members: Vec<(u32, SocketAddr)> = view
+        .members
+        .iter()
+        .filter_map(|m| Some((m.rank, m.addr.parse().ok()?)))
+        .collect();
+    let (gone, joiners) = {
+        let mut links = shared.links.lock();
+        let mut roster = shared.roster.lock();
+        let gone: Vec<u32> = roster
+            .members
+            .iter()
+            .filter(others)
+            .filter(|m| !members.contains(m))
+            .map(|m| m.0)
+            .collect();
+        let joiners: Vec<(u32, SocketAddr)> = members
+            .iter()
+            .filter(others)
+            .filter(|m| !roster.members.contains(m))
+            .copied()
+            .collect();
+        for p in &gone {
+            links.remove(&(*p as usize));
         }
-        for m in &view.members {
-            if m.rank == me {
-                continue;
-            }
-            let linked = links.contains_key(&(m.rank as usize));
-            let same_addr = known_addr(m.rank).map(|a| a.to_string()) == Some(m.addr.clone());
-            if linked && same_addr {
-                continue;
-            }
-            match m.addr.parse::<SocketAddr>() {
-                Ok(a) => to_link.push((m.rank, a)),
-                Err(_) => eprintln!(
-                    "[rank {me}] view {} carries unparseable address {:?} for rank {}",
-                    view.id, m.addr, m.rank
-                ),
-            }
-        }
-    }
-    to_drop.sort_unstable();
-    to_drop.dedup();
-    if !to_drop.is_empty() || !to_link.is_empty() {
+        roster.members.retain(|m| m.0 == me || !gone.contains(&m.0));
+        roster.members.extend(&joiners);
+        roster.members.sort_by_key(|&(r, _)| r);
+        (gone, joiners)
+    };
+    if !gone.is_empty() || !joiners.is_empty() {
         // The topology is wrong from this instant: fail watched groups
-        // *before* the (slow) re-mesh so no collective idles against a
-        // member that will never answer.
-        let mut watched = shared.watched.lock();
-        watched.retain(ViewAbortHandle::is_live);
-        for h in watched.iter() {
+        // *before* the re-mesh so no collective idles against a member
+        // that will never answer.
+        for h in shared.watched.lock().iter() {
             h.abort(view.id);
         }
     }
     let registry = shared.node.registry();
-    for p in &to_drop {
-        shared.links.lock().remove(&(*p as usize));
+    for p in &gone {
         // Sever the node's ties (connections, accept dedup state, link)
         // so a replacement re-adopting the name meshes from a clean
         // slate, and flush the departed member's labelled series so
@@ -868,32 +884,29 @@ fn apply_view(shared: &Arc<ClusterShared>, view: &View) {
         shared.node.forget_peer(&rank_name(*p));
         registry.unregister_label("peer", &rank_name(*p));
     }
-    for &(p, addr) in &to_link {
-        if let Err(e) = remesh_peer(shared, p, addr) {
-            eprintln!("[rank {me}] re-mesh with rank {p} at {addr} failed: {e}");
-        }
+    for &(p, addr) in &joiners {
+        shared.node.attach_peer(
+            &rank_name(p),
+            SciLink::with_connect_timeout(addr, Arc::clone(&shared.listener), REMESH_BUDGET),
+        );
     }
-    {
-        let mut roster = shared.roster.lock();
-        roster
-            .members
-            .retain(|&(r, _)| r == me || view.member(r).is_some());
-        for m in &view.members {
-            let Ok(a) = m.addr.parse::<SocketAddr>() else {
-                continue;
-            };
-            match roster.members.iter_mut().find(|&&mut (r, _)| r == m.rank) {
-                Some(slot) => slot.1 = a,
-                None => roster.members.push((m.rank, a)),
-            }
-        }
-        roster.members.sort_by_key(|&(r, _)| r);
-    }
-    let mut cur = shared.view.lock();
-    if view.id > cur.as_ref().map_or(0, |v| v.id) {
-        *cur = Some(view.clone());
+    let owes = !unlinked(shared, view).is_empty();
+    let mut views = shared.views.lock();
+    views.owed = owes.then(|| view.clone());
+    if !owes {
+        views.applied = Some(view.clone());
     }
     shared.view_cv.notify_all();
+}
+
+/// The members of `view` this rank has no link to, and their addresses.
+fn unlinked(shared: &ClusterShared, view: &View) -> Vec<(u32, SocketAddr)> {
+    let links = shared.links.lock();
+    view.members
+        .iter()
+        .filter(|m| m.rank != shared.rank && !links.contains_key(&(m.rank as usize)))
+        .filter_map(|m| Some((m.rank, m.addr.parse().ok()?)))
+        .collect()
 }
 
 /// Opens the world link to rank `peer`, retrying until `deadline`: the
@@ -916,20 +929,16 @@ fn dial(
     }
 }
 
-/// Re-establishes the world link to `peer` (now at `addr`) after a view
-/// change, honouring the bootstrap direction invariant — the lower rank
-/// dials, the higher rank accepts — so the two ends of every re-mesh
-/// agree without coordination.
+/// Re-establishes the world link to `peer` (at `addr`, attached where
+/// the view landed) after a view change, honouring the bootstrap
+/// direction invariant — the lower rank dials, the higher rank accepts —
+/// so the two ends of every re-mesh agree without coordination.
 fn remesh_peer(
     shared: &Arc<ClusterShared>,
     peer: u32,
     addr: SocketAddr,
 ) -> Result<(), ClusterError> {
     let deadline = Instant::now() + REMESH_BUDGET;
-    shared.node.attach_peer(
-        &rank_name(peer),
-        SciLink::with_connect_timeout(addr, Arc::clone(&shared.listener), REMESH_BUDGET),
-    );
     let conn = if shared.rank < peer {
         dial(&shared.node, peer, &shared.conn_cfg, deadline)?
     } else {
@@ -944,13 +953,19 @@ fn remesh_peer(
             let c = shared.node.accept(left)?;
             match parse_rank_name(c.peer_name()) {
                 Some(p) if p == peer => break c,
-                _ => continue,
+                _ => shared.strays.lock().push_back(c),
             }
         }
     };
     let links = HashMap::from([(peer as usize, conn)]);
-    handshake(shared.rank, shared.world, &links, deadline)?;
-    shared.links.lock().extend(links);
+    handshake(shared.rank, shared.world, &links, deadline, "")?;
+    // A view that landed meanwhile may have moved the slot on.
+    let mut wired = shared.links.lock();
+    if shared.roster.lock().members.contains(&(peer, addr)) {
+        wired.extend(links);
+    } else {
+        links.values().for_each(NcsConnection::close);
+    }
     Ok(())
 }
 
@@ -973,7 +988,7 @@ mod tests {
         let to_zero = world[1].connection(0).expect("link");
         to_zero.send(&forged.encode()).expect("forged hello");
         let links = HashMap::from([(1, world[0].connection(1).expect("link").clone())]);
-        let verdict = handshake(0, 2, &links, Instant::now() + Duration::from_secs(10));
+        let verdict = handshake(0, 2, &links, Instant::now() + Duration::from_secs(10), "");
         // Rank 0's own hello went out regardless of the verdict.
         let sent = to_zero
             .recv_timeout(Duration::from_secs(10))

@@ -10,17 +10,31 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::raw::{c_int, c_long, c_ulong};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ncs_obs::json::{self, Json};
+use ncs_threads::sync::POLLIN;
 
 use crate::cluster::{env, ClusterError};
 use crate::rendezvous::RendezvousServer;
 
-/// Reap poll granularity.
-const REAP_POLL: Duration = Duration::from_millis(50);
+/// `poll(2)`'s descriptor record: the descriptor, the events waited for,
+/// and those it reported.
+#[repr(C)]
+struct PollFd(RawFd, i16, i16);
+
+extern "C" {
+    fn syscall(num: c_long, ...) -> c_long;
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// `pidfd_open(2)` (Linux 5.3 on): a descriptor that polls readable once
+/// the process has exited.
+const SYS_PIDFD_OPEN: c_long = 434;
 
 /// What to launch and how.
 #[derive(Debug, Clone)]
@@ -154,6 +168,8 @@ fn pump_stream<R: std::io::Read + Send + 'static>(
 struct Running {
     rank: u32,
     child: Child,
+    /// The child's pidfd: the reaper waits on it.
+    exited: OwnedFd,
     pumps: Vec<std::thread::JoinHandle<()>>,
     killed: bool,
     /// Which incarnation of the rank slot this process is (respawns bump
@@ -194,6 +210,16 @@ fn spawn_rank(
     let mut child = cmd.spawn().map_err(|e| {
         ClusterError::Config(format!("cannot spawn '{program}' for rank {rank}: {e}"))
     })?;
+    // SAFETY: the call takes a process id and flags, and opens a
+    // descriptor or fails.
+    let pidfd = unsafe { syscall(SYS_PIDFD_OPEN, child.id() as c_long, 0 as c_long) };
+    if pidfd < 0 {
+        let e = std::io::Error::last_os_error();
+        let _ = child.kill();
+        return Err(ClusterError::Config(format!("pidfd_open: {e}")));
+    }
+    // SAFETY: the descriptor is new, and nothing else owns it.
+    let exited = unsafe { OwnedFd::from_raw_fd(pidfd as RawFd) };
     let tee = |suffix: &str| {
         let path = spec
             .log_dir
@@ -227,6 +253,7 @@ fn spawn_rank(
     Ok(Running {
         rank,
         child,
+        exited,
         pumps,
         killed: false,
         incarnation,
@@ -330,7 +357,8 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, ClusterError> {
     let mut exits: Vec<Option<RankExit>> = (0..spec.np).map(|_| None).collect();
     let mut timed_out = false;
     loop {
-        let mut all_done = true;
+        // The pidfds of the children still running.
+        let mut running = Vec::new();
         for r in &mut world {
             if exits[r.rank as usize].is_some() {
                 continue;
@@ -354,8 +382,9 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, ClusterError> {
                         match spawn_rank(spec, program, args, ncsd, r.rank, r.incarnation) {
                             Ok(fresh) => {
                                 r.child = fresh.child;
+                                r.exited = fresh.exited;
                                 r.pumps = fresh.pumps;
-                                all_done = false;
+                                running.push(PollFd(r.exited.as_raw_fd(), POLLIN, 0));
                             }
                             Err(e) => {
                                 eprintln!("ncs-launch: respawn of rank {} failed: {e}", r.rank);
@@ -366,7 +395,7 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, ClusterError> {
                         exits[r.rank as usize] = Some(RankExit { rank: r.rank, code });
                     }
                 }
-                Ok(None) => all_done = false,
+                Ok(None) => running.push(PollFd(r.exited.as_raw_fd(), POLLIN, 0)),
                 Err(_) => {
                     exits[r.rank as usize] = Some(RankExit {
                         rank: r.rank,
@@ -375,7 +404,7 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, ClusterError> {
                 }
             }
         }
-        if all_done {
+        if running.is_empty() {
             break;
         }
         if Instant::now() >= deadline {
@@ -393,7 +422,13 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, ClusterError> {
             }
             break;
         }
-        std::thread::sleep(REAP_POLL);
+        // Until a child exits — its pidfd polls readable — or the
+        // deadline; a signal ends the wait early, and the loop looks again.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let ms = left.as_micros().div_ceil(1000).min(i32::MAX as u128) as c_int;
+        // SAFETY: `running` is writable for its whole length, which is
+        // what the call is told.
+        unsafe { poll(running.as_mut_ptr(), running.len() as c_ulong, ms) };
     }
     let killed: Vec<bool> = world.iter().map(|r| r.killed).collect();
     for r in world {

@@ -43,24 +43,27 @@
 //!   [`MembershipTable::next_due`], and [`MembershipHub`], which steps
 //!   it from explicit calls and hands views to in-process sinks (SIM and
 //!   test worlds run the code `ncsd` runs);
-//! * [`MemberAgent`] — one rank's client: a background thread that
-//!   subscribes, pulses heartbeats, observes acks (RTT histogram) and
-//!   delivers views to the rank's callback;
+//! * [`MemberAgent`] — one rank's client: a task on the rank's event
+//!   loop that subscribes, pulses heartbeats at a deadline, observes acks
+//!   (RTT histogram), delivers views to the rank's callback and, when the
+//!   channel drops, dials again without waiting;
 //! * [`MembershipMetrics`] — the observability contract (view epoch
 //!   gauge, heartbeat RTT histogram, suspect/dead counters).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncs_core::Clock;
+use ncs_core::reactor::FdRegistration;
+use ncs_core::{Clock, Reactor, TaskRef};
 use ncs_obs::{Counter, Gauge, Histogram, Registry};
 use ncs_transport::sci;
 use ncs_transport::{Connection as _, TransportError};
+use parking_lot::Mutex;
 
 use crate::cluster::ClusterError;
+use crate::rendezvous::fd_of;
 use crate::wire::{RvMsg, PROTOCOL_VERSION};
 
 /// Failure-detector and heartbeat tuning knobs.
@@ -716,9 +719,10 @@ impl MembershipService {
     }
 }
 
-/// A view subscriber callback. A [`MembershipHub`] runs its sinks under
-/// the hub's lock, on whichever thread called the hub — keep them quick,
-/// and never call back into the hub from one.
+/// A view subscriber callback. A [`MemberAgent`] runs its sink on an
+/// event loop, and a [`MembershipHub`] runs its sinks under the hub's
+/// lock, on whichever thread called the hub: a sink must not block, and
+/// must never call back into the hub.
 pub type ViewSink = Arc<dyn Fn(&View) + Send + Sync>;
 
 /// The in-process shell of the `MembershipService` — the service `ncsd`
@@ -726,7 +730,7 @@ pub type ViewSink = Arc<dyn Fn(&View) + Send + Sync>;
 /// requests are explicit calls, subscribers are [`ViewSink`]s.
 pub struct MembershipHub {
     world: u32,
-    inner: parking_lot::Mutex<(MembershipService, Vec<ViewSink>)>,
+    inner: Mutex<(MembershipService, Vec<ViewSink>)>,
 }
 
 /// The connection the hub's own requests come from: no sink's. Answers
@@ -746,7 +750,7 @@ impl MembershipHub {
     pub fn new(world: u32, cfg: MembershipConfig, clock: Arc<dyn Clock>) -> Self {
         MembershipHub {
             world,
-            inner: parking_lot::Mutex::new((MembershipService::new(world, cfg, clock), Vec::new())),
+            inner: Mutex::new((MembershipService::new(world, cfg, clock), Vec::new())),
         }
     }
 
@@ -887,37 +891,140 @@ impl MembershipMetrics {
     }
 }
 
-/// How long a [`MemberAgent`] spends (re)dialling the service before
-/// backing off for one heartbeat interval.
-const AGENT_DIAL_BUDGET: Duration = Duration::from_secs(5);
-
-/// One rank's membership client: a background OS thread that opens the
-/// long-lived channel ([`RvMsg::Subscribe`]), pulses heartbeats every
-/// [`MembershipConfig::heartbeat_interval`], feeds acks into the RTT
-/// histogram, and delivers every received [`View`] — in epoch order — to
-/// the rank's sink. Reconnects (and re-subscribes) if the channel drops.
+/// One rank's membership client: a task on the rank's event loop (the
+/// node's reactor) that holds the long-lived channel to the service
+/// ([`RvMsg::Subscribe`]), pulses a heartbeat every
+/// [`MembershipConfig::heartbeat_interval`] at an armed deadline, feeds
+/// acks into the RTT histogram and the suspect gauges, and hands every
+/// received [`View`] — in epoch order — to the rank's sink. It waits on
+/// nothing: a socket that refuses a write re-arms for output, and a
+/// dropped channel is dialled again one heartbeat interval later without
+/// waiting ([`sci::dial`]) and subscribed again. Dropping the agent stops
+/// it.
 pub struct MemberAgent {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    session: Arc<Mutex<Option<MemberState>>>,
+}
+
+/// A member task's state. Its owner takes it away to end the task.
+struct MemberState {
+    /// The channel to the service, behind the registration that must not
+    /// outlive it; `None` while it is down, until `due`.
+    link: Option<(FdRegistration, sci::SciConnection)>,
+    task: TaskRef,
+    ncsd: SocketAddr,
+    rank: u32,
+    /// The encoded subscription, sent first on every channel.
+    subscribe: Vec<u8>,
+    interval: Duration,
+    metrics: MembershipMetrics,
+    /// The origin of the heartbeats' timestamps.
+    epoch: Instant,
+    seq: u64,
+    last_view: u64,
+    prev_suspects: u32,
+    /// When the next heartbeat is due — while the channel is down, the
+    /// next dial.
+    due: Instant,
+    /// Frames the socket has not taken yet: a subscription and a pulse
+    /// at most, for a pulse is not queued behind another.
+    outbox: VecDeque<Vec<u8>>,
+}
+
+impl MemberState {
+    /// One poll of the member task: the views it heard go to `views`.
+    /// Returns when it is next due.
+    fn poll(&mut self, now: Instant, views: &mut Vec<View>) -> Option<Instant> {
+        if self.step(now, views).is_err() {
+            self.outbox.clear();
+            self.due = now + self.interval;
+        }
+        Some(self.due)
+    }
+
+    /// Reads what the channel holds, pulses if due and writes what is
+    /// owed, dialling first if the channel is down and due. An error
+    /// leaves the channel down (the link is out of its slot meanwhile).
+    fn step(&mut self, now: Instant, views: &mut Vec<View>) -> Result<(), TransportError> {
+        let link = match self.link.take() {
+            Some(link) => link,
+            None if now < self.due => return Ok(()),
+            None => {
+                // The subscription waits in the outbox for the connect.
+                let sock = sci::dial(self.ncsd)?;
+                self.outbox.push_back(self.subscribe.clone());
+                (self.task.watch_fd(fd_of(sock.readiness())), sock)
+            }
+        };
+        let (watch, sock) = &link;
+        while let Some(frame) = sock.try_recv()? {
+            self.hear(&frame, views);
+        }
+        if now >= self.due {
+            if self.outbox.is_empty() {
+                self.seq += 1;
+                let nanos = self.epoch.elapsed().as_nanos() as u64;
+                let (rank, seq) = (self.rank, self.seq);
+                self.outbox
+                    .push_back(RvMsg::Heartbeat { rank, seq, nanos }.encode());
+            }
+            self.due = now + self.interval;
+        }
+        loop {
+            let frames: Vec<&[u8]> = self.outbox.iter().map(Vec::as_slice).collect();
+            match sock.try_send_batch(&frames)? {
+                0 => break,
+                taken => drop(self.outbox.drain(..taken)),
+            }
+        }
+        watch.rearm(!self.outbox.is_empty() || sock.owes_bytes());
+        self.link = Some(link);
+        Ok(())
+    }
+
+    /// Takes in one frame; a view newer than any before goes to `views`.
+    fn hear(&mut self, frame: &[u8], views: &mut Vec<View>) {
+        match RvMsg::decode(frame) {
+            Ok(RvMsg::HeartbeatAck {
+                nanos, suspects, ..
+            }) => {
+                let rtt = (self.epoch.elapsed().as_nanos() as u64).saturating_sub(nanos);
+                self.metrics.heartbeat_rtt.record(rtt / 1_000);
+                self.metrics.suspect_peers.set(i64::from(suspects));
+                let onsets = suspects.saturating_sub(self.prev_suspects);
+                self.metrics.suspect_total.add(u64::from(onsets));
+                self.prev_suspects = suspects;
+            }
+            Ok(RvMsg::View { view }) if view.id > self.last_view => {
+                self.last_view = view.id;
+                self.metrics.observe_view(&view);
+                views.push(view);
+            }
+            _ => {}
+        }
+    }
 }
 
 impl std::fmt::Debug for MemberAgent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let running = self.session.lock().is_some();
         f.debug_struct("MemberAgent")
-            .field("stopped", &self.stop.load(Ordering::Relaxed))
+            .field("running", &running)
             .finish()
     }
 }
 
 impl MemberAgent {
     /// Starts the agent for `rank` (at `incarnation`) against the
-    /// membership service at `ncsd`. Views arrive on `sink`, oldest
-    /// first; metrics land in `metrics`.
+    /// membership service at `ncsd`, as a task on `reactor` (a
+    /// `ClusterNode` passes its node's). The first dial and the
+    /// subscription are made on the caller's thread. Views arrive on
+    /// `sink`, oldest first, on the event loop; metrics land in `metrics`.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Transport`] when the initial dial fails outright.
     pub fn start(
+        reactor: &Reactor,
         ncsd: SocketAddr,
         rank: u32,
         incarnation: u32,
@@ -926,144 +1033,48 @@ impl MemberAgent {
         sink: ViewSink,
     ) -> Result<MemberAgent, ClusterError> {
         cfg.validate()?;
-        let conn = sci::connect_retry(ncsd, AGENT_DIAL_BUDGET)?;
-        conn.send(&RvMsg::Subscribe { rank, incarnation }.encode())?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let st = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(format!("ncs-member-{rank}"))
-            .spawn(move || {
-                agent_loop(conn, ncsd, rank, incarnation, &cfg, &metrics, &sink, &st);
+        let subscribe = RvMsg::Subscribe { rank, incarnation }.encode();
+        let sock = sci::connect_retry(ncsd, sci::CONNECT_RETRY_TIMEOUT)?;
+        sock.send(&subscribe)?;
+        let session = Arc::new(Mutex::new(None::<MemberState>));
+        let slot = Arc::downgrade(&session);
+        // The sink runs outside the session's lock: `stop` never waits
+        // for it. A first poll before the session is in place does nothing.
+        let task = reactor.spawn_task(move |now| {
+            let mut views = Vec::new();
+            let next = slot.upgrade()?.lock().as_mut()?.poll(now, &mut views);
+            views.iter().for_each(|view| sink(view));
+            next
+        });
+        let now = Instant::now();
+        session
+            .lock()
+            .insert(MemberState {
+                link: Some((task.watch_fd(fd_of(sock.readiness())), sock)),
+                task,
+                ncsd,
+                rank,
+                subscribe,
+                interval: cfg.heartbeat_interval,
+                metrics,
+                epoch: now,
+                seq: 0,
+                last_view: 0,
+                prev_suspects: 0,
+                due: now,
+                outbox: VecDeque::new(),
             })
-            .expect("spawn member agent");
-        Ok(MemberAgent {
-            stop,
-            handle: Some(handle),
-        })
+            .task
+            .wake();
+        Ok(MemberAgent { session })
     }
 
-    /// Stops the agent (joins its thread). Idempotent; called by `Drop`.
+    /// Stops the agent: ends its task and closes its channel, without
+    /// waiting for anything but a poll of the task that is under way. A
+    /// view that poll heard may still reach the sink. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.session.lock().take();
     }
-}
-
-impl Drop for MemberAgent {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn agent_loop(
-    mut conn: sci::SciConnection,
-    ncsd: SocketAddr,
-    rank: u32,
-    incarnation: u32,
-    cfg: &MembershipConfig,
-    metrics: &MembershipMetrics,
-    sink: &ViewSink,
-    stop: &AtomicBool,
-) {
-    let epoch = Instant::now();
-    let mut seq: u64 = 0;
-    let mut last_view: u64 = 0;
-    let mut prev_suspects: u32 = 0;
-    'session: loop {
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        seq += 1;
-        let pulse = RvMsg::Heartbeat {
-            rank,
-            seq,
-            nanos: epoch.elapsed().as_nanos() as u64,
-        };
-        if conn.send(&pulse.encode()).is_err() {
-            if reconnect(&mut conn, ncsd, rank, incarnation, cfg, stop) {
-                continue 'session;
-            }
-            return;
-        }
-        // Drain acks and views until the next pulse is due.
-        let next_pulse = Instant::now() + cfg.heartbeat_interval;
-        loop {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let Some(left) = next_pulse.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match conn.recv_timeout(left) {
-                Ok(frame) => {
-                    let Ok(msg) = RvMsg::decode(&frame) else {
-                        continue;
-                    };
-                    match msg {
-                        RvMsg::HeartbeatAck {
-                            nanos, suspects, ..
-                        } => {
-                            let rtt = epoch.elapsed().as_nanos() as u64 - nanos;
-                            metrics.heartbeat_rtt.record(rtt / 1_000);
-                            metrics.suspect_peers.set(i64::from(suspects));
-                            if suspects > prev_suspects {
-                                metrics
-                                    .suspect_total
-                                    .add(u64::from(suspects - prev_suspects));
-                            }
-                            prev_suspects = suspects;
-                        }
-                        RvMsg::View { view } if view.id > last_view => {
-                            last_view = view.id;
-                            metrics.observe_view(&view);
-                            sink(&view);
-                        }
-                        _ => {}
-                    }
-                }
-                Err(TransportError::Timeout) => break,
-                Err(_) => {
-                    if reconnect(&mut conn, ncsd, rank, incarnation, cfg, stop) {
-                        continue 'session;
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Re-dials and re-subscribes after a dropped channel. Returns whether a
-/// fresh session is up (false when stopping or the service is gone).
-fn reconnect(
-    conn: &mut sci::SciConnection,
-    ncsd: SocketAddr,
-    rank: u32,
-    incarnation: u32,
-    cfg: &MembershipConfig,
-    stop: &AtomicBool,
-) -> bool {
-    if stop.load(Ordering::Acquire) {
-        return false;
-    }
-    std::thread::sleep(cfg.heartbeat_interval);
-    if stop.load(Ordering::Acquire) {
-        return false;
-    }
-    let Ok(fresh) = sci::connect_retry(ncsd, AGENT_DIAL_BUDGET) else {
-        return false;
-    };
-    if fresh
-        .send(&RvMsg::Subscribe { rank, incarnation }.encode())
-        .is_err()
-    {
-        return false;
-    }
-    *conn = fresh;
-    true
 }
 
 #[cfg(test)]

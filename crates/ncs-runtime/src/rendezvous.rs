@@ -137,7 +137,7 @@ struct Client {
 }
 
 /// The descriptor an SCI socket or listener is watched by.
-fn fd_of(readiness: Readiness) -> RawFd {
+pub(crate) fn fd_of(readiness: Readiness) -> RawFd {
     match readiness {
         Readiness::Fd(fd) => fd,
         _ => unreachable!("an SCI socket is a descriptor"),

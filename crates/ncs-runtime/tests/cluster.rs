@@ -125,6 +125,66 @@ fn point_to_point_beyond_the_bootstrap_links() {
     }
 }
 
+/// A connection a peer opens is the application's, whoever accepts it.
+/// Rank 0 leaves and a replacement rejoins; rank 2 accepts the
+/// replacement's world link while it waits in `wait_view`, and rank 1's
+/// `open_connection` arrived first. That re-mesh must hand rank 1's
+/// connection on to `accept_connection`, not drop it.
+#[test]
+fn a_connection_a_remesh_takes_from_another_peer_reaches_accept_connection() {
+    let (server, world) = bootstrap_world(3);
+    let ncsd = server.addr();
+    for node in &world {
+        node.enable_membership().expect("membership");
+    }
+    rendezvous::leave(ncsd, 0, Duration::from_secs(5)).expect("leave");
+    world[0].shutdown();
+    for node in &world[1..] {
+        node.wait_view(|v| v.member(0).is_none(), Duration::from_secs(10))
+            .expect("the leave view");
+    }
+    let extra = world[1]
+        .open_connection(2, ConnectionConfig::unreliable())
+        .expect("open extra");
+
+    let replacement = std::thread::spawn(move || {
+        let mut cfg = ClusterConfig::new(0, 3, ncsd);
+        cfg.incarnation = 1;
+        ClusterNode::rejoin(cfg).expect("rejoin")
+    });
+    let waiters: Vec<_> = world[1..]
+        .iter()
+        .map(|node| {
+            let node = Arc::clone(node);
+            std::thread::spawn(move || {
+                node.wait_view(|v| v.is_full(), Duration::from_secs(20))
+                    .expect("the join view")
+            })
+        })
+        .collect();
+    for w in waiters {
+        w.join().expect("waiter");
+    }
+    let replacement = replacement.join().expect("replacement");
+    assert!(world[2].connection(0).is_some(), "re-meshed with rank 0");
+
+    let accepted = world[2]
+        .accept_connection(Duration::from_secs(2))
+        .expect("rank 1's connection");
+    assert_eq!(accepted.peer_name(), "rank1");
+    extra.send(b"not a world link").expect("send");
+    assert_eq!(
+        accepted
+            .recv_timeout(Duration::from_secs(10))
+            .expect("recv"),
+        b"not a world link"
+    );
+    replacement.shutdown();
+    for node in &world[1..] {
+        node.shutdown();
+    }
+}
+
 #[test]
 fn rendezvous_rejects_mismatched_clients() {
     let server = RendezvousServer::start("127.0.0.1:0", 2).expect("ncsd");
@@ -160,8 +220,9 @@ fn rendezvous_rejects_mismatched_clients() {
     );
 
     // Duplicate rank while the world is assembling. Which of two rank-0
-    // registrations on two sockets the server serves first is up to its
-    // reader threads, so the held one travels on a subscriber channel —
+    // registrations on two sockets the server serves first is up to the
+    // order its event loop reads them in, so the held one travels on a
+    // subscriber channel —
     // whose frames the server handles in order — with a heartbeat behind
     // it: the heartbeat's ack says the registration has been recorded.
     let hold = sci::connect_retry(server.addr(), Duration::from_secs(5)).expect("dial");

@@ -62,6 +62,7 @@ fn world_heals_after_a_rank_dies_mid_allreduce() {
             if rank == 2 {
                 doomed_agent = Some(
                     MemberAgent::start(
+                        &node.reactor(),
                         ncsd,
                         rank,
                         0,

@@ -6,14 +6,21 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ncs_core::Reactor;
 use ncs_runtime::rendezvous;
 use ncs_runtime::{
-    MemberAgent, MembershipConfig, MembershipMetrics, RendezvousServer, RvMsg, View,
+    ClusterConfig, ClusterNode, MemberAgent, MembershipConfig, MembershipMetrics, RendezvousServer,
+    RvMsg, View,
 };
-use ncs_transport::sci::{self, SciConnection};
+use ncs_transport::sci::{self, SciConnection, SciListener};
 use ncs_transport::Connection as _;
 
 type ViewLog = Arc<parking_lot::Mutex<Vec<View>>>;
+
+/// An event loop for member agents to run on.
+fn event_loop() -> Arc<Reactor> {
+    Reactor::new(Arc::new(ncs_threads::KernelPackage::new()), 1)
+}
 
 fn sink(log: &ViewLog) -> Arc<dyn Fn(&View) + Send + Sync> {
     let log = Arc::clone(log);
@@ -66,6 +73,7 @@ fn seal_world(server: &RendezvousServer, world: u32) -> Vec<SocketAddr> {
 fn subscribers_see_seed_death_and_rejoin_views() {
     let cfg = MembershipConfig::fast();
     let server = RendezvousServer::start_with("127.0.0.1:0", 3, cfg.clone()).expect("ncsd");
+    let reactor = event_loop();
     seal_world(&server, 3);
 
     // Ranks 0 and 1 run agents; rank 2 subscribes, then goes silent.
@@ -73,6 +81,7 @@ fn subscribers_see_seed_death_and_rejoin_views() {
     let mut agents: Vec<MemberAgent> = (0..3)
         .map(|r| {
             MemberAgent::start(
+                &reactor,
                 server.addr(),
                 r,
                 0,
@@ -160,10 +169,12 @@ fn subscribers_see_seed_death_and_rejoin_views() {
 fn graceful_leave_publishes_a_left_view() {
     let cfg = MembershipConfig::fast();
     let server = RendezvousServer::start_with("127.0.0.1:0", 2, cfg.clone()).expect("ncsd");
+    let reactor = event_loop();
     seal_world(&server, 2);
 
     let log = ViewLog::default();
     let mut agent = MemberAgent::start(
+        &reactor,
         server.addr(),
         0,
         0,
@@ -219,11 +230,13 @@ fn rejoin_requires_a_sealed_roster_and_valid_identity() {
 fn heartbeat_metrics_populate_at_the_agent() {
     let cfg = MembershipConfig::fast();
     let server = RendezvousServer::start_with("127.0.0.1:0", 2, cfg.clone()).expect("ncsd");
+    let reactor = event_loop();
     seal_world(&server, 2);
 
     let metrics = MembershipMetrics::detached();
     let log = ViewLog::default();
     let mut agent = MemberAgent::start(
+        &reactor,
         server.addr(),
         0,
         0,
@@ -338,9 +351,11 @@ fn a_rank_that_goes_quiet_before_the_seal_does_not_empty_the_world() {
         dead_after: Duration::from_millis(200),
     };
     let server = RendezvousServer::start_with("127.0.0.1:0", 2, cfg.clone()).expect("ncsd");
+    let reactor = event_loop();
     // Rank 0 subscribes before anyone registered, then falls silent for
     // three death thresholds — while it is not yet a member of anything.
     let mut early = MemberAgent::start(
+        &reactor,
         server.addr(),
         0,
         0,
@@ -462,4 +477,118 @@ fn a_subscriber_that_stops_reading_is_dropped_and_delays_no_other() {
         .recv_timeout(Duration::from_secs(5))
         .expect("stop() had not returned after 5 s");
     drop(flooder);
+}
+
+/// The names of the process's threads.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .map(|task| {
+            let comm = task.expect("task").path().join("comm");
+            std::fs::read_to_string(comm)
+                .unwrap_or_default()
+                .trim()
+                .to_owned()
+        })
+        .collect()
+}
+
+/// Stopping a member waits for no service. With `ncsd` gone, the agent
+/// redials; `MemberAgent::stop()` and an elastic rank's
+/// `ClusterNode::shutdown()` must each still return within 1 s. That is a
+/// liveness bound, not a timing: a thread that redialled for its 5 s
+/// budget before it looked at its stop flag took 4.8 s here.
+#[test]
+fn a_member_stops_at_once_when_ncsd_is_gone() {
+    const PROMPT: Duration = Duration::from_secs(1);
+    let cfg = MembershipConfig {
+        heartbeat_interval: Duration::from_millis(100),
+        suspect_after: Duration::from_millis(600),
+        dead_after: Duration::from_millis(1200),
+    };
+    let mut server = RendezvousServer::start_with("127.0.0.1:0", 2, cfg.clone()).expect("ncsd");
+    let ncsd = server.addr();
+    let ranks: Vec<_> = (0..2)
+        .map(|rank| {
+            std::thread::spawn(move || {
+                ClusterNode::bootstrap(ClusterConfig::new(rank, 2, ncsd)).expect("bootstrap")
+            })
+        })
+        .collect();
+    let nodes: Vec<ClusterNode> = ranks.into_iter().map(|h| h.join().unwrap()).collect();
+    nodes[0]
+        .enable_membership_with(cfg.clone())
+        .expect("membership");
+    let log = ViewLog::default();
+    let mut agent = MemberAgent::start(
+        &nodes[1].reactor(),
+        ncsd,
+        1,
+        0,
+        cfg.clone(),
+        MembershipMetrics::detached(),
+        sink(&log),
+    )
+    .expect("agent");
+    wait_for(&log, Duration::from_secs(5), "seed view", |vs| {
+        !vs.is_empty()
+    });
+    nodes[0]
+        .wait_view(|v| v.id == 1, Duration::from_secs(5))
+        .expect("seed view");
+
+    server.stop();
+    // Some heartbeats on: both channels have dropped and are redialled.
+    std::thread::sleep(3 * cfg.heartbeat_interval);
+    let t0 = Instant::now();
+    agent.stop();
+    assert!(t0.elapsed() < PROMPT, "stop() took {:?}", t0.elapsed());
+    let t0 = Instant::now();
+    nodes[0].shutdown();
+    assert!(t0.elapsed() < PROMPT, "shutdown() took {:?}", t0.elapsed());
+    nodes[1].shutdown();
+}
+
+/// A member whose channel drops dials the service again and subscribes
+/// anew, under the same rank and incarnation, then heartbeats on — and no
+/// thread of its own does any of it. A bare listener plays `ncsd`.
+#[test]
+fn a_dropped_channel_is_dialled_again_and_subscribed_anew() {
+    let listener = SciListener::bind("127.0.0.1:0").expect("listener");
+    let reactor = event_loop();
+    let mut agent = MemberAgent::start(
+        &reactor,
+        listener.local_addr().expect("addr"),
+        3,
+        7,
+        MembershipConfig::fast(),
+        MembershipMetrics::detached(),
+        Arc::new(|_: &View| {}),
+    )
+    .expect("agent");
+    let subscribe = RvMsg::Subscribe {
+        rank: 3,
+        incarnation: 7,
+    };
+    let first = listener
+        .accept_timeout(Duration::from_secs(5))
+        .expect("first");
+    assert_eq!(next_frame(&first), subscribe);
+    drop(first);
+    let second = listener
+        .accept_timeout(Duration::from_secs(5))
+        .expect("a second dial");
+    assert_eq!(next_frame(&second), subscribe);
+    for _ in 0..3 {
+        match next_frame(&second) {
+            RvMsg::Heartbeat { rank: 3, .. } => {}
+            other => panic!("expected a heartbeat, got {other:?}"),
+        }
+    }
+    let names = thread_names();
+    assert!(
+        !names.iter().any(|n| n.starts_with("ncs-member-")),
+        "{names:?}"
+    );
+    agent.stop();
 }

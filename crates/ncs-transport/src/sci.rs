@@ -172,10 +172,9 @@ impl std::fmt::Debug for SciConnection {
 }
 
 impl SciConnection {
-    fn from_stream(stream: TcpStream) -> Result<Self, TransportError> {
+    fn from_stream(stream: TcpStream, peer: SocketAddr) -> Result<Self, TransportError> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
-        let peer = stream.peer_addr()?;
         Ok(SciConnection {
             stream,
             write_backlog: Mutex::new(Vec::new()),
@@ -411,7 +410,7 @@ impl SciListener {
     pub fn try_accept(&self) -> Result<Option<SciConnection>, TransportError> {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => return SciConnection::from_stream(stream).map(Some),
+                Ok((stream, peer)) => return SciConnection::from_stream(stream, peer).map(Some),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
                 // A peer that gave up while queued: the next one, if any.
                 Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
@@ -455,7 +454,57 @@ impl SciListener {
 /// Propagates socket errors.
 pub fn connect(addr: SocketAddr) -> Result<SciConnection, TransportError> {
     let stream = TcpStream::connect(addr)?;
-    SciConnection::from_stream(stream)
+    SciConnection::from_stream(stream, addr)
+}
+
+/// Connects to a listening SCI endpoint without waiting for the connect,
+/// for an event loop that must not wait on the network. Until the connect
+/// completes, the connection behaves as one whose socket is full: it has
+/// nothing to read, a write is refused (and owed), and its descriptor
+/// reports writable once it can take one. A connect that fails shows as
+/// the error of the next read or write.
+///
+/// # Errors
+///
+/// A connect refused at once, or another socket error.
+pub fn dial(addr: SocketAddr) -> Result<SciConnection, TransportError> {
+    extern "C" {
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        fn connect(fd: i32, addr: *const u8, len: u32) -> i32;
+    }
+    const SOCK_STREAM_NONBLOCK_CLOEXEC: i32 = 1 | 0o4_000 | 0o2_000_000;
+    const EINPROGRESS: i32 = 115;
+    // A `sockaddr_in` (family 2) or `sockaddr_in6` (family 10), by hand.
+    let mut raw = [0u8; 28];
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            raw[4..8].copy_from_slice(&a.ip().octets());
+            (2u16, 16)
+        }
+        SocketAddr::V6(a) => {
+            raw[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+            raw[8..24].copy_from_slice(&a.ip().octets());
+            raw[24..].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (10, 28)
+        }
+    };
+    raw[..2].copy_from_slice(&family.to_ne_bytes());
+    raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    // SAFETY: socket(2) takes three integers; a negative result opens nothing.
+    let fd = unsafe { socket(i32::from(family), SOCK_STREAM_NONBLOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(std::io::Error::last_os_error().into());
+    }
+    // SAFETY: `fd` is the socket just opened, owned by nothing else.
+    let stream = unsafe { <TcpStream as std::os::fd::FromRawFd>::from_raw_fd(fd) };
+    // SAFETY: `raw` holds a socket address of `len` bytes.
+    if unsafe { connect(fd, raw.as_ptr(), len) } < 0 {
+        let e = std::io::Error::last_os_error();
+        if e.raw_os_error() != Some(EINPROGRESS) {
+            return Err(e.into());
+        }
+    }
+    SciConnection::from_stream(stream, addr)
 }
 
 /// Default overall budget for [`connect_retry`], used by the node layer's
@@ -513,7 +562,7 @@ pub fn connect_retry(addr: SocketAddr, timeout: Duration) -> Result<SciConnectio
         // also gives a `timeout == 0` caller one real (if brisk) attempt.
         let attempt = left().max(Duration::from_millis(10));
         match TcpStream::connect_timeout(&addr, attempt) {
-            Ok(stream) => return SciConnection::from_stream(stream),
+            Ok(stream) => return SciConnection::from_stream(stream, addr),
             Err(e) if connect_retryable(&e) && !left().is_zero() => {
                 ncs_threads::sync::sleep(backoff.min(left()));
                 backoff = (backoff * 2).min(CONNECT_BACKOFF_MAX);
@@ -541,6 +590,33 @@ mod tests {
     use super::*;
     use ncs_threads::{ThreadPackage, ThreadPackageExt, UserRuntime};
     use std::sync::Arc;
+
+    /// A dial returns before its connect completes: until then it reads
+    /// nothing and owes what it is given, and what it owes leaves once
+    /// the peer takes the connection. A dial nobody answers fails at the
+    /// dial or at the next read.
+    #[test]
+    fn a_dial_behaves_as_a_full_socket_until_connected() {
+        let listener = SciListener::bind("127.0.0.1:0").unwrap();
+        let client = dial(listener.local_addr().unwrap()).unwrap();
+        assert_eq!(client.try_recv().unwrap(), None);
+        while client.try_send_batch(&[b"early"]).unwrap() == 0 {
+            wait(&client.stream, POLLOUT, None).unwrap();
+        }
+        let server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            server.recv_timeout(Duration::from_secs(5)).unwrap(),
+            b"early"
+        );
+
+        let port = listener.local_addr().unwrap().port();
+        drop((listener, server));
+        let refused = dial(SocketAddr::from(([127, 0, 0, 1], port))).and_then(|c| {
+            wait(&c.stream, POLLIN, None)?;
+            c.try_recv()
+        });
+        assert!(refused.is_err(), "{refused:?}");
+    }
 
     #[test]
     fn loopback_round_trip() {

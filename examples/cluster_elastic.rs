@@ -119,6 +119,7 @@ fn run_doomed(cfg: ClusterConfig) -> Result<(), Box<dyn std::error::Error>> {
     // Heartbeat through a bare agent this process can silence without
     // tearing the node down: the sockets must outlive the heartbeats.
     let mut agent = MemberAgent::start(
+        &node.reactor(),
         ncsd,
         DOOMED,
         0,
