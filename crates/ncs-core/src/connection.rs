@@ -22,45 +22,53 @@
 //! the two sans-I/O state machines of [`crate::plane`]:
 //! [`TxPlane`] and [`RxPlane`]. This module is what moves bytes and time
 //! around them: a receive half ([`ConnShared::receive`]) and a send half
-//! ([`TxSide`]),
-//! each with one set of steps, run by one of two kinds of thread:
+//! ([`TxSide`]), each with one set of steps. A connection's steps are one
+//! task, run by its shard or by the thread that waits on it:
 //!
 //! * **The reactor task** ([`ConnTask`]). Where the paper runs each plane
 //!   as a dedicated thread per connection, one resumable task registered
 //!   with the node's [`Reactor`](crate::Reactor) reads frames off the
 //!   transport into the `RxPlane`, feeds submissions and control events
 //!   to the `TxPlane`, and moves the SDUs it releases onto the wire. The
-//!   paper's mailbox "activations" become task wakeups: a control-plane
-//!   acknowledgement or a frame arriving on the transport each schedule
-//!   the task onto one of the reactor's O(cores) event loops. Protocol
-//!   waits (ack timeouts, credit pacing, starvation probes) park on
-//!   reactor timers instead of blocking a thread, so a node holds
-//!   thousands of connections with a fixed-size thread pool. The only
-//!   queues left are the two that cross threads: submissions and control
-//!   events (from the peer's control task). Feedback — an acknowledgement
-//!   with the credit edge in it, or the edge alone — leaves through the
-//!   peer's control queue, which the peer's control task
-//!   (`crate::control`) flushes on the same event loops — no thread sits
-//!   between the two tasks.
+//!   paper's mailbox "activations" become task wakeups: a frame arriving
+//!   on the transport, a control-plane acknowledgement, or a submission
+//!   the submitter could not run itself, schedules the task onto one of
+//!   the reactor's O(cores) event loops. Protocol waits (ack timeouts,
+//!   credit pacing, starvation probes) park on reactor timers instead of
+//!   blocking a thread, so a node holds thousands of connections with a
+//!   fixed-size thread pool. The only queues left are the two that cross
+//!   threads: submissions and control events (from the peer's control
+//!   task). Feedback
+//!   — an acknowledgement with the credit edge in it, or the edge alone —
+//!   leaves through the peer's control queue, which the peer's control
+//!   task (`crate::control`) flushes on the same event loops — no thread
+//!   sits between the two tasks.
+//! * **The thread that waits on it** (§4.2's thread bypass, on the default
+//!   path: [`ConnShared::drive`]). A thread blocked on a receive —
+//!   `recv`, `recv_timeout`, `recv_view`, a receive request's `wait` —
+//!   on a connection without a credit window (whose edge crosses the
+//!   shards' control tasks on every message anyway) claims the task while
+//!   it is idle and runs it itself, parking where
+//!   the shard would: on the socket, or on the bell the transport's waker
+//!   rings. Every wake of the task reaches it, none the shard, until it
+//!   lets go; then the shard hears of the socket again, and gets the task
+//!   back at once if it was woken meanwhile. A frame its receiver waits
+//!   for so crosses no thread. A direct connection (§4.2,
+//!   [`NcsConnection::send_direct`] / [`NcsConnection::recv_direct`]) has
+//!   no task: its receiver runs the same loop and waits in the transport,
+//!   and its sender holds the send half for the length of its message and
+//!   waits on the control-event queue between steps.
 //!
-//!   The receive half is the task's alone: only the reactor reads a
-//!   threaded connection's transport. The send half — the `TxPlane`, the
-//!   Send plane's frame queue — sits in [`ConnShared::tx`] behind one lock
-//!   and is stepped by whoever holds it. `NCS_send` always queues first, then
-//!   activates: a message of several SDUs wakes the task and the caller
-//!   goes back to computing while the reactor segments, copies and
-//!   transmits (§4.1's overlap); a message of one SDU is run through the
-//!   pipeline by its own submitter when the lock is free
-//!   ([`ConnShared::drive_or_wake`]), because the hand-off costs more than
-//!   the work. The task is then woken only for what the inline step left
-//!   that needs it.
-//! * **The caller, in direct mode** (§4.2, [`NcsConnection::send_direct`]
-//!   / [`NcsConnection::recv_direct`]). No task is registered; the task's
-//!   own steps run as procedures on the caller's thread. A sender holds
-//!   the send half for the length of its message and waits on the
-//!   control-event queue between steps; a receiver runs each frame it
-//!   reads through the connection's receive half and takes its messages
-//!   from the delivery queue, as a threaded receiver does.
+//! The receive half is the task's runner's alone, in [`ConnShared::rx`].
+//! The send half — the `TxPlane`, the Send plane's frame queue — sits in
+//! [`ConnShared::tx`] behind one lock and is stepped by whoever holds it.
+//! `NCS_send` always queues first, then activates: a message of several
+//! SDUs wakes the task and the caller goes back to computing while the
+//! task segments, copies and transmits (§4.1's overlap); a message of
+//! one SDU is run through the pipeline by its own submitter when the lock
+//! is free ([`ConnShared::drive_or_wake`]), because the hand-off costs
+//! more than the work. The task is then woken only for what the inline
+//! step left that needs it.
 //!
 //! Every connection runs the planes. One configured without flow and
 //! error control (paper §3.1's bypass) runs them with null strategies,
@@ -74,11 +82,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncs_obs::{EventKind, FlightRecorder, Registry};
-use ncs_threads::sync::{Event, Mailbox, NcsMutex, Semaphore};
+use ncs_threads::sync::{Event, Mailbox, NcsMutex, Semaphore, POLLIN, POLLOUT};
 use ncs_transport::{Connection as Transport, TransportError, Waker};
 use parking_lot::{Mutex, RwLock};
 
-use crate::config::{ConnectionConfig, ErrorControlAlg};
+use crate::config::{ConnectionConfig, ErrorControlAlg, FlowControlAlg};
 use crate::packet::{CtrlMsg, DataHeader, DataPacket};
 use crate::plane::{
     plane_config, sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane,
@@ -265,8 +273,9 @@ type SendJob = (PooledBuf, Vec<Arc<RequestCore<()>>>);
 
 /// The send half of a connection's pipeline — everything between
 /// `NCS_send` and the interface — behind one lock ([`ConnShared::tx`]) and
-/// driven by whoever holds it: the connection's reactor task, a submitter
-/// that found the lock free ([`ConnShared::drive_or_wake`]), or, in direct
+/// driven by whoever holds it: the connection's task (on its shard, or on
+/// the thread that claimed it), a submitter that found the lock free
+/// ([`ConnShared::drive_or_wake`]), or, in direct
 /// mode, the thread inside `send_direct` for as long as its message takes.
 pub(crate) struct TxSide {
     /// Flow and error control, sender half (Figures 6-8, steps 1-3).
@@ -344,11 +353,24 @@ pub(crate) struct ConnShared {
     /// [`NcsConnection::last_error`]). Shared with the connection's
     /// [`TxPlane`].
     pub last_error: Arc<Mutex<Option<SendError>>>,
-    /// The receive half's plane. The reactor task takes it when it is
-    /// attached — only the task reads a threaded connection's transport;
-    /// in direct mode (paper §4.2) it stays here and runs on whichever
-    /// thread calls `recv_direct`.
-    pub rx: NcsMutex<Option<RxPlane>>,
+    /// The receive half, and what the connection's driver keeps between
+    /// runs: whoever runs the task locks it — its shard, or the thread
+    /// that claimed the task while it waits ([`ConnShared::drive`]); in
+    /// direct mode (paper §4.2), which has no task, the receiving thread.
+    pub rx: NcsMutex<RxSide>,
+}
+
+/// The receive half's [`RxPlane`], and the driver's closing state.
+pub(crate) struct RxSide {
+    plane: RxPlane,
+    /// The transport reported EOF/failure on the receive side: the
+    /// post-close drain is complete, nothing more can arrive.
+    eof: bool,
+    /// Deadline of the post-close receive drain (armed on the first
+    /// closing run).
+    drain_deadline: Option<Instant>,
+    /// Retired: every later run ends at once.
+    finished: bool,
 }
 
 impl std::fmt::Debug for ConnShared {
@@ -428,7 +450,12 @@ impl ConnShared {
             recorder: obs.recorder,
             registry,
             last_error: obs.last_error,
-            rx: NcsMutex::new(Some(rx)),
+            rx: NcsMutex::new(RxSide {
+                plane: rx,
+                eof: false,
+                drain_deadline: None,
+                finished: false,
+            }),
         });
         // Exact receive accounting (all four transports, bypass included):
         // the delivery queue is the one point every reassembled or
@@ -490,9 +517,10 @@ impl ConnShared {
     }
 
     /// Schedules the connection's reactor task — the reactor-era analogue
-    /// of the paper's mailbox activation. No-op in direct mode, before
-    /// attachment, and after retirement (wakes coalesce; a wake racing a
-    /// running poll reschedules it, so no activation is ever lost).
+    /// of the paper's mailbox activation — or wakes the thread that
+    /// claimed it. No-op in direct mode, before attachment, and after
+    /// retirement (wakes coalesce; a wake racing a running poll
+    /// reschedules it, so no activation is ever lost).
     pub(crate) fn wake_task(&self) {
         if let Some((t, _)) = self.task.read().as_ref() {
             t.wake();
@@ -574,9 +602,7 @@ impl ConnShared {
     /// and the delivery queue — for one arrived frame, parsed in place
     /// ([`DataPacket::peek`]): runs it through the [`RxPlane`] (Figure 4
     /// steps 5-10) and delivers what it completes: none, one, or a train's
-    /// messages. The reactor task owns the `RxPlane`; a direct connection
-    /// keeps it in [`ConnShared::rx`] for the thread inside
-    /// `recv_direct`. The pipeline's acknowledgement leaves at once, with
+    /// messages. The pipeline's acknowledgement leaves at once, with
     /// the credit edge in the same frame if one is owed — one
     /// advertisement, the latest edge, covers a whole receive drain: here,
     /// or alone when the drain ends ([`ConnShared::drained`]). Inlined: the
@@ -842,7 +868,7 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
     if shared.config.direct {
         return;
     }
-    let task = Box::new(ConnTask::new(Arc::clone(shared)));
+    let task = Box::new(ConnTask(Arc::clone(shared)));
     let handle = reactor.spawn(TaskKind::Connection, |_| task);
     let watch = reactor.watch(&shared.transport, &handle);
     *shared.task.write() = Some((Arc::clone(&handle), watch));
@@ -853,43 +879,43 @@ pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>
 }
 
 /// A connection's Figure-4 pipeline as one resumable reactor task: the
-/// non-blocking driver of the [`crate::plane`] state machines.
+/// non-blocking driver of the [`crate::plane`] state machines. Its poll is
+/// a run of [`ConnShared::run`], which a thread that claimed the task
+/// makes too ([`ConnShared::drive`]).
 ///
-/// The Receive plane is the task's `step_recv` — only the task reads the
-/// transport — feeding its [`RxPlane`]; the send half ([`TxSide`]: the
-/// [`TxPlane`] and the Send plane's queue) is shared with submitters and
-/// stepped under its lock by [`ConnShared::step_tx`] /
-/// [`ConnShared::step_send`]. The paper's blocking waits became
-/// [`TaskPoll::Timer`] deadlines, and a write the interface refused a
-/// wait for it to turn writable.
-struct ConnTask {
-    shared: Arc<ConnShared>,
-    rx: RxPlane,
-    /// The transport reported EOF/failure on the receive side: the
-    /// post-close drain is complete, nothing more can arrive.
-    rx_eof: bool,
-    /// Deadline of the post-close receive drain (armed on the first
-    /// closing poll after a peer close).
-    drain_deadline: Option<Instant>,
-    finished: bool,
+/// The Receive plane is the run's `step_recv` — only the task's runner
+/// reads the transport — feeding the [`RxPlane`] in [`ConnShared::rx`];
+/// the send half ([`TxSide`]: the [`TxPlane`] and the Send plane's queue)
+/// is shared with submitters and stepped under its lock by
+/// [`ConnShared::step_tx`] / [`ConnShared::step_send`]. The paper's
+/// blocking waits became [`TaskPoll::Timer`] deadlines, and a write the
+/// interface refused a wait for it to turn writable.
+struct ConnTask(Arc<ConnShared>);
+
+/// Reactor teardown can drop a live task without a final poll (shard
+/// shutdown while connections are still attached): retire here so queued
+/// sends and parked receives resolve `Closed` instead of dangling.
+impl Drop for ConnTask {
+    fn drop(&mut self) {
+        self.0.retire(&mut self.0.rx.lock());
+    }
 }
 
-impl ConnTask {
-    fn new(shared: Arc<ConnShared>) -> Self {
-        let rx = shared.rx.lock().take();
-        ConnTask {
-            rx: rx.expect("one task per connection"),
-            rx_eof: false,
-            drain_deadline: None,
-            finished: false,
-            shared,
+impl ReactorTask for ConnTask {
+    fn poll(&mut self, _now: Instant) -> TaskPoll {
+        let shared = &self.0;
+        let (poll, owes_write) = shared.run(&mut shared.rx.lock());
+        if matches!(poll, TaskPoll::Idle | TaskPoll::Timer(_)) {
+            shared.rearm(owes_write);
         }
+        poll
     }
+}
 
+impl ConnShared {
     /// The Receive plane: drains ready frames off the data connection
     /// through the receive half ([`ConnShared::receive`]).
-    fn step_recv(&mut self, hungry: &mut bool) -> bool {
-        let shared = Arc::clone(&self.shared);
+    fn step_recv(&self, rx: &mut RxSide, hungry: &mut bool) -> bool {
         let mut progressed = false;
         let mut budget = RECV_BUDGET;
         loop {
@@ -897,24 +923,24 @@ impl ConnTask {
                 *hungry = true;
                 break;
             }
-            let frame = match shared.transport.try_recv() {
+            let frame = match self.transport.try_recv() {
                 Ok(Some(f)) => f,
                 Ok(None) | Err(TransportError::Timeout) => break,
                 Err(_) => {
                     // The link died: nothing more can arrive. Record EOF
                     // (ends any post-close drain) and fail fast.
-                    self.rx_eof = true;
-                    shared.link_down();
-                    shared.peer_closed();
+                    rx.eof = true;
+                    self.link_down();
+                    self.peer_closed();
                     progressed = true;
                     break;
                 }
             };
             budget -= 1;
             progressed = true;
-            shared.receive(&mut self.rx, &frame);
+            self.receive(&mut rx.plane, &frame);
         }
-        shared.drained(&mut self.rx);
+        self.drained(&mut rx.plane);
         progressed
     }
 
@@ -922,20 +948,19 @@ impl ConnTask {
     /// queued send — in the pipeline, in the submission queue, on the send
     /// queue — resolves `Closed` instead of dangling, and the task
     /// detaches from its readiness sources. Idempotent by construction
-    /// (double close and close-during-poll both funnel into the same
+    /// (double close and close-during-run both funnel into the same
     /// single retirement).
-    fn retire(&mut self) {
-        if self.finished {
+    fn retire(&self, rx: &mut RxSide) {
+        if rx.finished {
             return;
         }
-        self.finished = true;
-        let shared = Arc::clone(&self.shared);
-        let mut tx = shared.tx.lock();
+        rx.finished = true;
+        let mut tx = self.tx.lock();
         // The session in flight fails like a delivery error, and
         // everything queued behind it resolves Closed (the send-side half
         // of the fail-fast contract).
         tx.plane.fail_all(SendError::Closed);
-        while let Some(submission) = shared.submit_inbox.try_recv() {
+        while let Some(submission) = self.submit_inbox.try_recv() {
             if let Some(accepted) = submission.accepted {
                 accepted.fire();
             }
@@ -954,33 +979,25 @@ impl ConnTask {
         // close `retire_data_plane` already did both (these repeats are
         // no-ops); on a peer close they were deferred to this retirement
         // so the final drain could deliver the peer's last frames first.
-        shared.transport.close();
-        shared.delivery.fail_all(SendError::Closed);
+        self.transport.close();
+        self.delivery.fail_all(SendError::Closed);
         // Detach from the transport's readiness, and drop the wake handle
         // so later `wake_task` calls are no-ops.
-        *shared.task.write() = None;
+        *self.task.write() = None;
     }
 
     /// Whether the send side is empty: nothing in or queued for the
     /// FC/EC pipeline (no session in flight, nothing parked on credits),
     /// nothing waiting on the wire.
     fn flushed(&self, tx: &TxSide) -> bool {
-        tx.plane.is_idle() && !self.shared.owes_write(tx) && self.shared.submit_inbox.is_empty()
+        tx.plane.is_idle() && !self.owes_write(tx) && self.submit_inbox.is_empty()
     }
-}
 
-/// Reactor teardown can drop a live task without a final poll (shard
-/// shutdown while connections are still attached): retire here so queued
-/// sends and parked receives resolve `Closed` instead of dangling.
-impl Drop for ConnTask {
-    fn drop(&mut self) {
-        self.retire();
-    }
-}
-
-impl ReactorTask for ConnTask {
-    /// Runs the planes until a round makes no progress, then parks on the
-    /// nearest protocol deadline and on the transport's readiness.
+    /// One run of the connection's task, by whoever runs it: the planes
+    /// run until a round makes no progress, and the run says what its
+    /// runner waits for next — the nearest protocol deadline and the
+    /// transport's readiness, for output too while a write is owed (the
+    /// second value).
     ///
     /// After a close the task runs the graceful half of it, bounded by
     /// [`CLOSE_LINGER`]. A **locally**-initiated close flushes the send
@@ -992,21 +1009,21 @@ impl ReactorTask for ConnTask {
     /// overtake the peer's final data frames, so the task drains until the
     /// data channel itself reports EOF (the peer's transport close follows
     /// its data).
-    fn poll(&mut self, _now: Instant) -> TaskPoll {
-        if self.finished {
-            return TaskPoll::Done;
+    fn run(&self, rx: &mut RxSide) -> (TaskPoll, bool) {
+        if rx.finished {
+            return (TaskPoll::Done, false);
         }
         let (mut timer, mut owes_write) = (None, false);
         for round in 0..=MAX_ROUNDS {
-            let closed = self.shared.closed.load(Ordering::Acquire);
-            let peer_close = closed && self.shared.closed_by_peer.load(Ordering::Acquire);
+            let closed = self.closed.load(Ordering::Acquire);
+            let peer_close = closed && self.closed_by_peer.load(Ordering::Acquire);
             if closed {
-                self.drain_deadline
+                rx.drain_deadline
                     .get_or_insert_with(|| Instant::now() + CLOSE_LINGER);
             }
             // A busy task yields its shard; a closing one goes on to linger.
             if round == MAX_ROUNDS && !closed {
-                return TaskPoll::Again;
+                return (TaskPoll::Again, owes_write);
             } else if round == MAX_ROUNDS {
                 break;
             }
@@ -1016,25 +1033,25 @@ impl ReactorTask for ConnTask {
             let (mut hungry, mut progressed) = (false, false);
             // An open connection receives in the first round only: it
             // drains until the transport is empty or its budget is spent,
-            // and the latter ends the poll with `Again`. Whatever arrives
+            // and the latter ends the run with `Again`. Whatever arrives
             // later is reported anyway — a waker marks the task dirty, a
             // re-armed fd is looked at again — the same contract `Idle`
             // relies on. One the peer closed drains every round.
             if (round == 0 && !closed) || peer_close {
-                progressed |= self.step_recv(&mut hungry);
+                progressed |= self.step_recv(rx, &mut hungry);
             }
-            let mut tx = self.shared.tx.lock();
-            progressed |= self.shared.step_tx(&mut tx, &mut timer);
-            progressed |= self.shared.step_send(&mut tx);
+            let mut tx = self.tx.lock();
+            progressed |= self.step_tx(&mut tx, &mut timer);
+            progressed |= self.step_send(&mut tx);
             let flushed = closed && self.flushed(&tx);
-            owes_write = self.shared.owes_write(&tx);
+            owes_write = self.owes_write(&tx);
             drop(tx);
-            if self.rx_eof || (!peer_close && flushed) {
-                self.retire();
-                return TaskPoll::Done;
+            if rx.eof || (!peer_close && flushed) {
+                self.retire(rx);
+                return (TaskPoll::Done, false);
             }
             if hungry {
-                return TaskPoll::Again;
+                return (TaskPoll::Again, owes_write);
             }
             if !progressed {
                 break;
@@ -1042,20 +1059,85 @@ impl ReactorTask for ConnTask {
         }
         // Quiescent, or lingering after a close with the linger as the
         // backstop.
-        if let Some(linger) = self.drain_deadline {
+        if let Some(linger) = rx.drain_deadline {
             if Instant::now() >= linger {
-                self.retire();
-                return TaskPoll::Done;
+                self.retire(rx);
+                return (TaskPoll::Done, false);
             }
             timer = Some(timer.map_or(linger, |at: Instant| at.min(linger)));
         }
-        // Re-arm fd readiness — the kernel looks again, so anything that
-        // arrived while disarmed is reported at once; for output too while
-        // a write is owed — and park on the nearest deadline.
-        if let Some((_, watch)) = self.shared.task.read().as_ref() {
+        (timer.map_or(TaskPoll::Idle, TaskPoll::Timer), owes_write)
+    }
+
+    /// Re-enables the task's fd readiness, if it has a task: the kernel
+    /// looks again, so anything that arrived while disarmed is reported at
+    /// once — for output too while a write is owed.
+    fn rearm(&self, owes_write: bool) {
+        if let Some((_, watch)) = self.task.read().as_ref() {
             watch.rearm(owes_write);
         }
-        timer.map_or(TaskPoll::Idle, TaskPoll::Timer)
+    }
+
+    /// Runs the connection's task on the calling thread while it waits —
+    /// the paper's §4.2 thread bypass, on the default path — until `done`
+    /// says the wait is over or `deadline` passes. The thread claims the
+    /// idle task ([`TaskHandle::claim`]) — of a connection without a
+    /// credit window — and parks where the shard would:
+    /// on the socket, and the claim's bell beside it, for a descriptor
+    /// transport; on the bell alone for a waker transport, whose waker
+    /// rings it, as every other wake of the task does meanwhile — the
+    /// control dispatcher's, a submitter's, a close's, and that of a
+    /// deadline the shard holds. The shard hears of the descriptor again
+    /// when the thread lets go. It returns at once where the task is not
+    /// idle (the shard or another waiter runs it), and the caller waits as
+    /// it would have. A direct connection has no task: its receiver waits
+    /// in the transport, holding the receive half.
+    pub(crate) fn drive(&self, mut done: impl FnMut() -> bool, deadline: Option<Instant>) {
+        if done() {
+            return;
+        }
+        let claim = match self.task.read().as_ref() {
+            Some((task, watch)) => match task.claim() {
+                Some(claim) => Some((claim, watch.disarm())),
+                None => return,
+            },
+            None if self.config.direct => None,
+            // Not attached yet, or retired.
+            None => return,
+        };
+        // Everything that came before the claim woke the task, which would
+        // then not have been idle: the first thing to do is wait.
+        let (mut poll, mut owes_write) = (TaskPoll::Idle, false);
+        loop {
+            let wait = match poll {
+                TaskPoll::Timer(at) => at.saturating_duration_since(Instant::now()),
+                TaskPoll::Again => Duration::ZERO,
+                _ => Duration::MAX,
+            }
+            .min(crate::request::time_left(deadline));
+            if let Some((claim, fd)) = &claim {
+                let events = POLLIN | if owes_write { POLLOUT } else { 0 };
+                claim.park(fd.map(|fd| (fd, events)), wait);
+            } else {
+                let mut rx = self.rx.lock();
+                if let Ok(frame) = self.transport.recv_timeout(wait) {
+                    self.receive(&mut rx.plane, &frame);
+                    self.drained(&mut rx.plane);
+                }
+            }
+            (poll, owes_write) = self.run(&mut self.rx.lock());
+            let over = crate::request::time_left(deadline).is_zero();
+            if done() || over || matches!(poll, TaskPoll::Done) {
+                break;
+            }
+        }
+        if let Some((claim, _)) = claim {
+            // What is left of the task's work is the shard's again.
+            if matches!(poll, TaskPoll::Idle | TaskPoll::Timer(_)) {
+                self.rearm(owes_write);
+            }
+            claim.release(&poll);
+        }
     }
 }
 
@@ -1402,11 +1484,21 @@ impl NcsConnection {
     fn irecv_inner(&self, tag: Option<u32>) -> Request<MsgView> {
         let core = RequestCore::new();
         self.shared.delivery.register(tag, &core);
+        // Under a credit window the next message waits for an edge that
+        // crosses both nodes' control tasks on their shards: a waiter that
+        // ran the task there saved no hand-off, the edge woke it, and the
+        // receive path's allocations moved into its malloc arena (+50 %
+        // peak RSS on an 8 B stream). Its receives are the shard's to run.
+        let credits = matches!(
+            self.shared.config.flow_control,
+            FlowControlAlg::CreditBased { .. }
+        );
         let shared = Arc::clone(&self.shared);
-        Request::with_cancel(
+        Request {
             core,
-            Box::new(move |core| shared.delivery.cancel(tag, core)),
-        )
+            cancel: Some(Box::new(move |core| shared.delivery.cancel(tag, core))),
+            conn: (!credits).then(|| Arc::clone(&self.shared)),
+        }
     }
 
     /// `NCS_recv`: blocks until the next reassembled message arrives.
@@ -1554,7 +1646,9 @@ impl NcsConnection {
     /// The thread-bypass `NCS_recv`: reads the data connection and runs
     /// each frame through the connection's receive half (reassembly,
     /// acknowledgements, credit grants) on the calling thread, until the
-    /// next untagged message is delivered.
+    /// next untagged message is delivered — the loop a waiting receiver
+    /// runs on any connection whose task is idle
+    /// ([`NcsConnection::recv_view`]), on a connection with no task.
     ///
     /// # Errors
     ///
@@ -1562,23 +1656,19 @@ impl NcsConnection {
     /// [`SendError::Timeout`] if no message completed in time.
     pub fn recv_direct(&self, timeout: Duration) -> Result<Vec<u8>, SendError> {
         let shared = &self.shared;
-        // A threaded connection's task took its receive half at attachment.
-        let mut slot = shared.rx.lock();
-        let rx = slot.as_mut().ok_or(SendError::WrongMode("direct"))?;
-        let deadline = Instant::now().checked_add(timeout);
-        loop {
-            // A train delivers several messages at once: the rest wait here.
-            if let Some(message) = shared.delivery.try_take(None)? {
-                return Ok(message.into_vec());
-            }
-            let wait = crate::request::time_left(deadline);
-            if wait.is_zero() {
-                return Err(SendError::Timeout);
-            }
-            let frame = shared.transport.recv_timeout(wait)?;
-            shared.receive(rx, &frame);
-            shared.drained(rx);
+        if !shared.config.direct {
+            return Err(SendError::WrongMode("direct"));
         }
+        // A train delivers several messages at once: the rest wait in the
+        // delivery queue.
+        let mut got = None;
+        let take = || {
+            got = shared.delivery.try_take(None).transpose();
+            got.is_some()
+        };
+        shared.drive(take, Instant::now().checked_add(timeout));
+        got.unwrap_or(Err(SendError::Timeout))
+            .map(MsgView::into_vec)
     }
 
     /// `NCS_send` with hand-off semantics: queues the message to the Send
@@ -1626,7 +1716,8 @@ impl NcsConnection {
 /// Routes a control-plane event into this connection (called by the
 /// node's control dispatcher, on the event loop of the peer's control
 /// task): queued for whoever drives the connection's [`TxPlane`], and —
-/// when that is a reactor task — the task is woken.
+/// when that is a reactor task — the task is woken, on its shard or in
+/// the thread that claimed it.
 pub(crate) fn dispatch_ctrl(shared: &ConnShared, msg: CtrlMsg) {
     let event = match msg {
         CtrlMsg::Ack {
@@ -2193,6 +2284,289 @@ pub(crate) mod tests {
             a.shutdown();
             b.shutdown();
         }
+    }
+
+    // -- A waiting thread drives ---------------------------------------
+
+    type Pkg = Arc<dyn ncs_threads::ThreadPackage>;
+
+    /// Runs `test` on the kernel package, then as the primary green thread
+    /// of a user-level runtime.
+    fn on_both_packages(test: fn(&Pkg)) {
+        test(&(Arc::new(ncs_threads::KernelPackage::new()) as Pkg));
+        ncs_threads::UserRuntime::default().run(move |pkg| test(&(Arc::new(pkg) as Pkg)));
+    }
+
+    /// The two ways a driving receiver parks: on its claim's bell, which
+    /// HPI's waker rings, or on an SCI socket and the bell beside it.
+    #[derive(Clone, Copy, Debug)]
+    enum Wire {
+        Hpi,
+        Sci,
+    }
+
+    const WIRES: [Wire; 2] = [Wire::Hpi, Wire::Sci];
+
+    /// How long a test waits for what must come: a hang detector, not a
+    /// measurement.
+    const LIVENESS: Duration = Duration::from_secs(5);
+
+    /// Error control with no credit window: a waiting receiver drives it,
+    /// and the peer's acknowledgements are control events.
+    fn error_controlled() -> ConnectionConfig {
+        ConnectionConfig::builder()
+            .flow_control(crate::FlowControlAlg::None)
+            .error_control(ErrorControlAlg::SelectiveRepeat {
+                timeout: Duration::from_millis(100),
+                max_retries: 30,
+            })
+            .build()
+    }
+
+    /// Two nodes on `pkg` over `wire`, and one connection between them.
+    fn linked(
+        pkg: &Pkg,
+        wire: Wire,
+        config: ConnectionConfig,
+    ) -> (NcsNode, NcsNode, NcsConnection, NcsConnection) {
+        let node = |name: &str| {
+            NcsNode::builder(name)
+                .thread_package(Arc::clone(pkg))
+                .build()
+        };
+        let (a, b) = (node("alice"), node("bob"));
+        match wire {
+            Wire::Hpi => {
+                let (la, lb) = HpiLinkPair::create();
+                a.attach_peer("bob", la);
+                b.attach_peer("alice", lb);
+            }
+            Wire::Sci => {
+                use ncs_transport::sci::SciListener;
+                let listen = || {
+                    let listener = Arc::new(SciListener::bind("127.0.0.1:0").expect("bind"));
+                    let addr = listener.local_addr().expect("local_addr");
+                    (listener, addr)
+                };
+                let ((la, addr_a), (lb, addr_b)) = (listen(), listen());
+                a.attach_peer("bob", crate::link::SciLink::new(addr_b, la));
+                b.attach_peer("alice", crate::link::SciLink::new(addr_a, lb));
+            }
+        }
+        let ca = a.connect("bob", config).expect("connect");
+        let cb = b.accept_default().expect("accept");
+        (a, b, ca, cb)
+    }
+
+    /// Waits, sleeping on `pkg`, until `cond` holds.
+    fn until(pkg: &Pkg, what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < LIVENESS, "{what}");
+            pkg.sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Whether a thread waiting on `conn` runs its task.
+    fn driving(conn: &NcsConnection) -> bool {
+        let task = conn.shared.task.read();
+        task.as_ref()
+            .is_some_and(|(task, _)| crate::reactor::tests::claimed(task))
+    }
+
+    /// Whether `conn`'s task is idle: a receive that starts now drives.
+    fn idle(conn: &NcsConnection) -> bool {
+        let task = conn.shared.task.read();
+        let claim = task.as_ref().and_then(|(task, _)| task.claim());
+        claim.map(|claim| claim.release(&TaskPoll::Idle)).is_some()
+    }
+
+    /// A thread blocked in `conn.recv_timeout`, once it drives.
+    fn driving_receive(
+        pkg: &Pkg,
+        conn: &NcsConnection,
+    ) -> ncs_threads::TypedJoinHandle<Result<Vec<u8>, SendError>> {
+        use ncs_threads::ThreadPackageExt;
+        until(pkg, "the task idle", || idle(conn));
+        let theirs = conn.clone();
+        let receiving = pkg.spawn_typed("receiver", move || theirs.recv_timeout(4 * LIVENESS));
+        until(pkg, "the receiver driving", || driving(conn));
+        receiving
+    }
+
+    /// A receive that drives fails within the close that ends its
+    /// connection — a local one, the peer's, or its node's shutdown — on
+    /// a socket and on a waker alike.
+    #[test]
+    fn every_close_fails_a_receive_that_drives() {
+        on_both_packages(|pkg| {
+            for wire in WIRES {
+                for close in ["local", "peer", "shutdown"] {
+                    let (a, b, ca, cb) = linked(pkg, wire, error_controlled());
+                    let receiving = driving_receive(pkg, &cb);
+                    match close {
+                        "local" => cb.close(),
+                        "peer" => ca.close(),
+                        _ => b.shutdown(),
+                    }
+                    let got = receiving.join().expect("receiver");
+                    assert_eq!(got, Err(SendError::Closed), "{wire:?}, {close} close");
+                    a.shutdown();
+                    b.shutdown();
+                }
+            }
+        });
+    }
+
+    /// While a receiver drives, the task's other work still goes out: a
+    /// multi-SDU message another thread hands over, and the messages
+    /// held for the peer's acknowledgement (a control event).
+    #[test]
+    fn a_driving_receiver_runs_other_threads_sends_and_control_events() {
+        on_both_packages(|pkg| {
+            use ncs_threads::ThreadPackageExt;
+            for wire in WIRES {
+                let (a, b, ca, cb) = linked(pkg, wire, error_controlled());
+                let receiving = driving_receive(pkg, &cb);
+                let long: Vec<u8> = (0..5 * cb.config().sdu_size).map(|i| i as u8).collect();
+                let sender = cb.clone();
+                let message = long.clone();
+                let sending = pkg.spawn_typed("sender", move || {
+                    let sent: Vec<_> = [&message[..], b"one", b"two"]
+                        .iter()
+                        .map(|m| sender.isend(m).expect("isend"))
+                        .collect();
+                    sent.into_iter()
+                        .map(|r| r.wait_timeout(LIVENESS))
+                        .collect::<Vec<_>>()
+                });
+                for want in [&long[..], b"one", b"two"] {
+                    assert_eq!(ca.recv_timeout(LIVENESS).expect("recv"), want, "{wire:?}");
+                }
+                let sent = sending.join().expect("sender");
+                assert!(sent.iter().all(Result::is_ok), "{wire:?}: {sent:?}");
+                assert!(driving(&cb), "{wire:?}: the receiver let go");
+                ca.send(b"done").expect("send");
+                assert_eq!(receiving.join().expect("receiver"), Ok(b"done".to_vec()));
+                a.shutdown();
+                b.shutdown();
+            }
+        });
+    }
+
+    /// Two receivers on one connection, the untagged stream and a
+    /// channel: one drives, the other waits on its request, and each gets
+    /// its own messages whichever order they come in.
+    #[test]
+    fn two_receivers_on_one_connection_are_both_served() {
+        on_both_packages(|pkg| {
+            use ncs_threads::ThreadPackageExt;
+            for wire in WIRES {
+                let (a, b, ca, cb) = linked(pkg, wire, ConnectionConfig::unreliable());
+                for round in 0..20u8 {
+                    until(pkg, "the task idle", || idle(&cb));
+                    let (untagged, channel) = (cb.clone(), cb.channel(1));
+                    let first = pkg.spawn_typed("untagged", move || untagged.recv());
+                    let second = pkg.spawn_typed("channel", move || channel.recv());
+                    until(pkg, "a receiver driving", || driving(&cb));
+                    if round % 2 == 0 {
+                        ca.send(&[round]).expect("send");
+                        ca.channel(1).send(&[round, 1]).expect("send");
+                    } else {
+                        ca.channel(1).send(&[round, 1]).expect("send");
+                        ca.send(&[round]).expect("send");
+                    }
+                    assert_eq!(first.join().expect("untagged"), Ok(vec![round]));
+                    assert_eq!(second.join().expect("channel"), Ok(vec![round, 1]));
+                }
+                a.shutdown();
+                b.shutdown();
+            }
+        });
+    }
+
+    /// A receive that times out while it drives hands the task back to
+    /// its shard: a frame that comes later reaches a later `irecv` nobody
+    /// waits on, and then a receive sink installed afterwards.
+    #[test]
+    fn a_receive_that_times_out_hands_the_task_back() {
+        on_both_packages(|pkg| {
+            for wire in WIRES {
+                let (a, b, ca, cb) = linked(pkg, wire, ConnectionConfig::unreliable());
+                until(pkg, "the task idle", || idle(&cb));
+                let timeout = Duration::from_millis(20);
+                assert_eq!(cb.recv_timeout(timeout), Err(SendError::Timeout));
+                let later = cb.irecv();
+                ca.send(b"later").expect("send");
+                until(pkg, "the shard delivering", || later.test());
+                assert_eq!(&*later.wait().expect("irecv"), b"later");
+                let sunk = Arc::new(Mutex::new(Vec::new()));
+                let into = Arc::clone(&sunk);
+                cb.set_receive_sink(Some(Arc::new(move |m: Result<MsgView, SendError>| {
+                    if let Ok(m) = m {
+                        into.lock().push(m.to_vec());
+                    }
+                })));
+                ca.send(b"sunk").expect("send");
+                until(pkg, "the sink fed", || !sunk.lock().is_empty());
+                assert_eq!(*sunk.lock(), [b"sunk".to_vec()], "{wire:?}");
+                a.shutdown();
+                b.shutdown();
+            }
+        });
+    }
+
+    /// An error-controlled connection whose thread waits on a reply holds
+    /// its task while its own message, which lost a cell, waits for its
+    /// retransmission deadline: the deadline fires, the message is
+    /// repaired, and the reply reaches the waiting thread.
+    #[test]
+    fn a_retransmission_deadline_fires_while_a_receiver_drives() {
+        on_both_packages(|pkg| {
+            use atm_sim::{FaultSpec, LinkSpec, NetworkBuilder, PumpConfig, QosParams};
+            // Alice's uplink drops its 41st cell: past the handshake, in
+            // the message.
+            let net = NetworkBuilder::new()
+                .switch("sw")
+                .host("alice")
+                .host("bob")
+                .link(
+                    "alice",
+                    "sw",
+                    LinkSpec::oc3().with_fault(FaultSpec::drop_plan(vec![40])),
+                )
+                .link("bob", "sw", LinkSpec::oc3())
+                .build()
+                .expect("atm network");
+            let fabric = ncs_transport::aci::AciFabric::start(net, PumpConfig::speedup(4.0));
+            let node = |name: &str| {
+                NcsNode::builder(name)
+                    .thread_package(Arc::clone(pkg))
+                    .build()
+            };
+            let (a, b) = (node("alice"), node("bob"));
+            let dev = |host| Arc::new(fabric.device(host).expect("device"));
+            let qos = QosParams::unspecified();
+            a.attach_peer("bob", crate::link::AciLink::new(dev("alice"), "bob", qos));
+            b.attach_peer("alice", crate::link::AciLink::new(dev("bob"), "alice", qos));
+            let ca = a.connect("bob", error_controlled()).expect("connect");
+            let cb = b.accept_default().expect("accept");
+            let message = vec![7u8; 4_000];
+            let sent = ca.isend(&message).expect("isend");
+            let replying = driving_receive(pkg, &ca);
+            until(pkg, "the retransmission", || {
+                ca.stats().retransmissions == 1
+            });
+            assert!(driving(&ca), "the receiver let go before the deadline");
+            assert_eq!(cb.recv_timeout(LIVENESS).expect("repaired"), message);
+            cb.send(b"reply").expect("send");
+            assert_eq!(replying.join().expect("receiver"), Ok(b"reply".to_vec()));
+            sent.wait_timeout(LIVENESS).expect("acknowledged");
+            assert_eq!(fabric.stats().cells_lost, 1);
+            a.shutdown();
+            b.shutdown();
+            fabric.shutdown();
+        });
     }
 
     /// An SCI loopback pair whose first end's socket send buffer is 4 KiB,

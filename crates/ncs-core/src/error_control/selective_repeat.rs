@@ -17,6 +17,13 @@
 //! acknowledgement that shows *fewer* SDUs missing than the last one did:
 //! a path that keeps losing the same SDU keeps answering with the same
 //! bitmap, and must fail the message, not retry it for ever.
+//!
+//! Only the end SDU makes the receiver answer, so a bitmap that comes
+//! back before any end SDU has gone out since the last repair answers
+//! one sent before it, and cannot show it: its holes are not repaired
+//! again. (A probe sent before the first bitmap came back, and answered
+//! after its repair, used to repair the same hole twice.) A repair that
+//! was lost shows on the answer to the next probe.
 
 use std::time::Duration;
 
@@ -31,6 +38,9 @@ pub struct SrSender {
     retries: u32,
     /// Bits still unacknowledged.
     outstanding: Option<AckBitmap>,
+    /// Whether the end SDU has gone out since the last repair: the next
+    /// bitmap may show that repair.
+    asked: bool,
 }
 
 impl SrSender {
@@ -42,6 +52,7 @@ impl SrSender {
             max_retries,
             retries: 0,
             outstanding: None,
+            asked: false,
         }
     }
 }
@@ -50,6 +61,7 @@ impl SenderEc for SrSender {
     fn begin(&mut self, total: u32) -> SenderStep {
         self.retries = 0;
         self.outstanding = Some(AckBitmap::all_missing(total));
+        self.asked = true;
         SenderStep::Transmit((0..total).collect())
     }
 
@@ -72,7 +84,13 @@ impl SenderEc for SrSender {
         if bitmap.missing_count() < outstanding.missing_count() {
             self.retries = 0;
         }
+        if !self.asked {
+            // Written before the last repair arrived: its holes are being
+            // repaired already.
+            return SenderStep::Wait;
+        }
         let missing = bitmap.missing();
+        self.asked = missing.last() == Some(&(bitmap.total() - 1));
         *outstanding = bitmap;
         SenderStep::Transmit(missing)
     }
@@ -97,6 +115,7 @@ impl SenderEc for SrSender {
         // receiver acknowledge (Figure 5 step 5) — with its bitmap, or,
         // if the message was delivered and the clean acknowledgement
         // lost, with that again.
+        self.asked = true;
         match &self.outstanding {
             Some(outstanding) => SenderStep::Transmit(vec![outstanding.total() - 1]),
             None => SenderStep::Wait,
@@ -309,6 +328,27 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    /// A timeout that fires before the first bitmap comes back sends a
+    /// probe whose answer, written before the repair arrived, shows the
+    /// same hole: it is repaired once. A repair that is lost shows on the
+    /// answer to the next probe, and is repaired again then.
+    #[test]
+    fn a_hole_is_repaired_once_per_bitmap_written_after_the_repair() {
+        let mut tx = SrSender::new(Duration::from_millis(10), 3);
+        tx.begin(2);
+        let mut hole = AckBitmap::all_missing(2);
+        hole.mark_received(1);
+        assert_eq!(tx.on_timeout(), SenderStep::Transmit(vec![1]));
+        let answer = || AckInfo::Bitmap(hole.clone());
+        assert_eq!(tx.on_ack(answer()), SenderStep::Transmit(vec![0]));
+        assert_eq!(tx.on_ack(answer()), SenderStep::Wait, "repaired twice");
+        // The repair was lost: the next probe's answer still shows it.
+        assert_eq!(tx.on_timeout(), SenderStep::Transmit(vec![1]));
+        assert_eq!(tx.on_ack(answer()), SenderStep::Transmit(vec![0]));
+        let clean = AckInfo::Bitmap(AckBitmap::all_received(2));
+        assert_eq!(tx.on_ack(clean), SenderStep::Done);
     }
 
     /// A probe sends what a timeout sends and spends nothing.

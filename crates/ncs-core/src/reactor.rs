@@ -61,6 +61,26 @@
 //!   less than `TIMER_SLACK`, and so it may fire up to `TIMER_SLACK` late.
 //!   A deadline armed nearer than that (rate pacing) is exact, as before.
 //!
+//! **Claims.** A task is run by its shard, or by a thread that waits on
+//! its work: a thread blocked on a receive of a connection without a
+//! credit window claims the connection's task while it is idle
+//! ([`TaskHandle::claim`]) and runs it
+//! itself, so a frame for that thread crosses no other one (§4.2's thread
+//! bypass). A wake-handle's states say who runs the task: idle,
+//! scheduled or running on the shard (dirty when woken meanwhile), or
+//! claimed — the claimant runs it, or sleeps on its bell (parked), or
+//! was woken since it last ran it (woken). While the task is claimed
+//! every wake reaches the claimant, whatever sent it: the transport's
+//! waker, the control dispatcher, a submitter, a close, a deadline the
+//! shard fires. None posts to the shard: the task never has two runners.
+//! A claimant of a descriptor's task disarms the descriptor's
+//! registration and polls the socket itself, beside an `eventfd` that a
+//! wake rings; one of a waker transport's task sleeps on a semaphore the
+//! wake releases. When it lets go it re-arms the registration, and hands
+//! a task woken meanwhile straight back to the shard — scheduled, never
+//! through idle, so nothing is lost and nobody else can claim it between.
+//! The tests' `claim` explorer checks every schedule of that protocol.
+//!
 //! Workers are spawned on the node's [`ThreadPackage`], so the reactor
 //! works under both the kernel-level and the user-level (green) package —
 //! blocking waits go through `ncs_threads::sync`, which parks green
@@ -84,11 +104,13 @@
 //! counted ([`ReactorStats::tasks_left_at_shutdown`]).
 
 use std::collections::{BinaryHeap, HashMap};
+use std::io::{Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use ncs_threads::sync::Mailbox;
+use ncs_threads::sync::{wait_fds, Mailbox, Semaphore, POLLIN};
 use ncs_threads::{PackageKind, SpawnOptions, ThreadPackage};
 use ncs_transport::Connection as Transport;
 use parking_lot::Mutex;
@@ -140,6 +162,14 @@ const ST_SCHEDULED: u8 = 1;
 const ST_RUNNING: u8 = 2;
 const ST_DIRTY: u8 = 3;
 const ST_DONE: u8 = 4;
+// Claimed: a thread that waits on the task's work took it while it was
+// idle and runs it itself ([`TaskHandle::claim`]). Every wake goes to that
+// thread — `WOKEN` makes it run the task again before it sleeps, and rings
+// its bell if it sleeps (`PARKED`) — and none to the shard, until the
+// thread lets go: then a task woken meanwhile goes to the shard.
+const ST_CLAIMED: u8 = 5;
+const ST_PARKED: u8 = 6;
+const ST_WOKEN: u8 = 7;
 
 /// What a task is: what [`ReactorStats`] counts it as, and what a
 /// shutdown does with it.
@@ -227,6 +257,9 @@ pub(crate) struct TaskHandle {
     /// done before the task's captures are dropped.)
     retired: AtomicBool,
     shard: Arc<ShardQueue>,
+    /// What a thread that claimed the task sleeps on: made at the first
+    /// claim that sleeps.
+    bell: OnceLock<Bell>,
 }
 
 /// [`TaskHandle::armed`] when the task has no deadline pending.
@@ -253,7 +286,7 @@ impl TaskHandle {
     /// writable) while armed, until the registration is dropped. The
     /// descriptor joins the set of the shard that runs the task, and that
     /// shard reports it.
-    pub(crate) fn watch_fd(self: &Arc<Self>, fd: std::os::fd::RawFd) -> FdRegistration {
+    pub(crate) fn watch_fd(self: &Arc<Self>, fd: RawFd) -> FdRegistration {
         let reg = self
             .shard
             .fds
@@ -266,35 +299,150 @@ impl TaskHandle {
 
     pub(crate) fn wake(&self) {
         loop {
-            match self.state.load(Ordering::Acquire) {
-                ST_IDLE => {
-                    if self
-                        .state
-                        .compare_exchange(
-                            ST_IDLE,
-                            ST_SCHEDULED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.shard.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-                        self.shard.post(ShardMsg::Run(self.id));
-                        return;
-                    }
-                }
-                ST_RUNNING => {
-                    if self
-                        .state
-                        .compare_exchange(ST_RUNNING, ST_DIRTY, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.shard.counters.wakeups.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                // Already scheduled, already dirty, or finished: coalesce.
+            let from = self.state.load(Ordering::Acquire);
+            let to = match from {
+                ST_IDLE => ST_SCHEDULED,
+                ST_RUNNING => ST_DIRTY,
+                ST_CLAIMED | ST_PARKED => ST_WOKEN,
+                // Already scheduled, already dirty or woken, or finished:
+                // coalesce.
                 _ => return,
+            };
+            if self.shift(from, to) {
+                self.shard.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+                match from {
+                    ST_IDLE => self.shard.post(ShardMsg::Run(self.id)),
+                    ST_PARKED => self.bell.get().expect("a parked claimant's bell").ring(),
+                    _ => {}
+                }
+                return;
+            }
+        }
+    }
+
+    /// Moves the task from state `from` to `to`; says whether it was in
+    /// `from`.
+    fn shift(&self, from: u8, to: u8) -> bool {
+        let swapped = (self.state).compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire);
+        swapped.is_ok()
+    }
+
+    /// Takes the idle task for the calling thread, which then runs it
+    /// itself while it waits for the task's work: until the [`Claim`]
+    /// goes, that thread is the task's only runner and every wake reaches
+    /// it. `None` while the shard or another thread runs the task, or
+    /// will.
+    pub(crate) fn claim(self: &Arc<Self>) -> Option<Claim> {
+        // Lazily: a claim that was never taken must not let go.
+        self.shift(ST_IDLE, ST_CLAIMED).then(|| Claim {
+            handle: Arc::clone(self),
+            hand_back: true,
+        })
+    }
+}
+
+/// A thread's hold on a task it runs itself ([`TaskHandle::claim`]).
+/// Dropping it lets go: the task goes back to its shard, to be run there
+/// at once, if it was woken since the thread last ran it (or if the
+/// thread unwinds); it goes idle otherwise.
+pub(crate) struct Claim {
+    handle: Arc<TaskHandle>,
+    hand_back: bool,
+}
+
+impl Claim {
+    /// Sleeps where the shard would: until the task is woken, `fd`
+    /// reports the events given with it, or `timeout` passes — not at all
+    /// if the task was woken since the last call. A claimant of a
+    /// descriptor's task passes the descriptor, every time; the wake
+    /// rings an `eventfd` polled beside it. The claimant runs the task
+    /// after each, which counts as a poll, as the shard's runs do.
+    pub(crate) fn park(&self, fd: Option<(RawFd, i16)>, timeout: Duration) {
+        let handle = &self.handle;
+        let counters = &handle.shard.counters;
+        counters.polls.fetch_add(1, Ordering::Relaxed);
+        counters.task_runs.fetch_add(1, Ordering::Relaxed);
+        let bell = handle.bell.get_or_init(|| match fd {
+            Some(_) => Bell::Fd(fdset::event_fd()),
+            None => Bell::Permit(Semaphore::new(0)),
+        });
+        let parked = !timeout.is_zero() && handle.shift(ST_CLAIMED, ST_PARKED);
+        let rung = parked && bell.wait(fd, timeout);
+        // Woken while parked, the task owes this claim one ring — it may
+        // be a few instructions behind the transition — and it is taken
+        // now, so the bell holds none for a later sleep.
+        if handle.state.swap(ST_CLAIMED, Ordering::AcqRel) == ST_WOKEN && parked && !rung {
+            bell.take();
+        }
+    }
+
+    /// Lets go of the task ([`Claim`]), whose last run said `poll`: to the
+    /// shard at once also when that leaves work nothing else brings it
+    /// back for — more to do, a retirement to finish, a deadline the
+    /// shard does not hold.
+    pub(crate) fn release(mut self, poll: &TaskPoll) {
+        self.hand_back = match *poll {
+            TaskPoll::Idle => false,
+            TaskPoll::Timer(at) => !self.handle.armed_by(at),
+            TaskPoll::Again | TaskPoll::Done => true,
+        };
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        let handle = &self.handle;
+        // Handed back, or woken while claimed: scheduled straight from the
+        // claim, never through `IDLE` (where a wake or a claim could come
+        // between), and posted once, as a wake would be.
+        if self.hand_back || !handle.shift(ST_CLAIMED, ST_IDLE) {
+            handle.state.store(ST_SCHEDULED, Ordering::Release);
+            handle.shard.post(ShardMsg::Run(handle.id));
+        }
+    }
+}
+
+/// What a thread that claimed a task sleeps on, and a wake rings.
+enum Bell {
+    /// A waker transport's task: a semaphore.
+    Permit(Semaphore),
+    /// A descriptor's task: an `eventfd`, polled beside the descriptor.
+    Fd(std::fs::File),
+}
+
+impl Bell {
+    fn ring(&self) {
+        match self {
+            Bell::Permit(sem) => sem.release(),
+            Bell::Fd(bell) => _ = (&*bell).write(&1u64.to_ne_bytes()),
+        }
+    }
+
+    /// Sleeps until rung, `fd` reports, or `timeout` passes; returns
+    /// whether it took a ring on the way.
+    fn wait(&self, fd: Option<(RawFd, i16)>, timeout: Duration) -> bool {
+        match self {
+            Bell::Permit(sem) => sem.acquire_timeout(timeout),
+            Bell::Fd(bell) => {
+                let fds = [
+                    fd.expect("a descriptor's claimant"),
+                    (bell.as_raw_fd(), POLLIN),
+                ];
+                // A failed poll reports: the next run meets the fault.
+                let _ = wait_fds(&fds, timeout);
+                false
+            }
+        }
+    }
+
+    /// Takes the one ring owed, waiting for it if it has not come yet.
+    fn take(&self) {
+        match self {
+            Bell::Permit(sem) => sem.acquire(),
+            Bell::Fd(bell) => {
+                while (&*bell).read(&mut [0; 8]).is_err() {
+                    let _ = wait_fds(&[(bell.as_raw_fd(), POLLIN)], Duration::MAX);
+                }
             }
         }
     }
@@ -426,6 +574,7 @@ impl Reactor {
             armed: AtomicU64::new(UNARMED),
             retired: AtomicBool::new(false),
             shard: Arc::clone(&shard),
+            bell: OnceLock::new(),
         });
         self.counters.tasks.fetch_add(1, Ordering::Relaxed);
         if kind == TaskKind::Connection {
@@ -564,7 +713,7 @@ impl TaskRef {
     /// sockets. Reports are oneshot: the task re-arms through
     /// [`FdRegistration::rearm`] once it has drained the descriptor. Drop
     /// the registration before the descriptor closes.
-    pub fn watch_fd(&self, fd: std::os::fd::RawFd) -> FdRegistration {
+    pub fn watch_fd(&self, fd: RawFd) -> FdRegistration {
         self.0.watch_fd(fd)
     }
 }
@@ -600,6 +749,12 @@ impl Watch {
         if let Some(fd) = &self.fd {
             fd.rearm(owes_write);
         }
+    }
+
+    /// Stops fd reports until the next [`Watch::rearm`], and returns the
+    /// descriptor: the thread that claimed the task waits on it itself.
+    pub(crate) fn disarm(&self) -> Option<RawFd> {
+        self.fd.as_ref().map(|fd| fd.disarm())
     }
 }
 
@@ -783,12 +938,7 @@ fn run_task(
                     counters.timer_entries.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            if slot
-                .handle
-                .state
-                .compare_exchange(ST_RUNNING, ST_IDLE, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
+            if !slot.handle.shift(ST_RUNNING, ST_IDLE) {
                 // A wake raced the poll (DIRTY): reschedule so nothing
                 // is lost.
                 slot.handle.state.store(ST_SCHEDULED, Ordering::Release);
@@ -887,14 +1037,22 @@ mod fdset {
         unsafe { OwnedFd::from_raw_fd(fd) }
     }
 
+    /// A fresh non-blocking `eventfd`, at zero.
+    pub(super) fn event_fd() -> File {
+        // SAFETY: no pointer is passed; the result is checked.
+        File::from(owned(
+            unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) },
+            "eventfd",
+        ))
+    }
+
     impl FdSet {
         pub(crate) fn new() -> Arc<Self> {
             // SAFETY: no pointer is passed; the results are checked.
             let epoll = owned(unsafe { epoll_create1(EPOLL_CLOEXEC) }, "epoll_create1");
-            let bell = owned(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) }, "eventfd");
             let set = FdSet {
                 epoll,
-                bell: File::from(bell),
+                bell: event_fd(),
                 entries: Mutex::new(HashMap::new()),
                 next_token: AtomicU64::new(BELL + 1),
                 watched: AtomicUsize::new(0),
@@ -1036,6 +1194,17 @@ mod fdset {
                 self.set.arm(EPOLL_CTL_MOD, fd, token, &self.entry, events);
             }
         }
+
+        /// Stops readiness reports until the next [`FdRegistration::rearm`]
+        /// — one `epoll_ctl` if the descriptor is armed, none if a report
+        /// disarmed it — and returns the descriptor.
+        pub fn disarm(&self) -> RawFd {
+            if self.entry.armed.swap(0, Ordering::AcqRel) != 0 {
+                self.set
+                    .ctl(EPOLL_CTL_MOD, self.fd, EPOLLONESHOT, self.token);
+            }
+            self.fd
+        }
     }
 
     impl std::fmt::Debug for FdRegistration {
@@ -1058,9 +1227,14 @@ pub use fdset::FdRegistration;
 pub(crate) use fdset::FdSet;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ncs_threads::KernelPackage;
+
+    /// Whether a thread holds `task` ([`TaskHandle::claim`]).
+    pub(crate) fn claimed(task: &TaskHandle) -> bool {
+        (ST_CLAIMED..=ST_WOKEN).contains(&task.state.load(Ordering::Acquire))
+    }
     use std::io::{Read, Write};
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
@@ -1750,6 +1924,242 @@ mod tests {
             // lands between the two.
             let lost = lost_wake([Step::Look, Step::Publish], posts);
             assert!(lost.is_some(), "{posts} posts: the mutant passed");
+        }
+    }
+
+    /// The claim's protocol, explored: every schedule of a waiter that
+    /// claims the task, parks, runs it and lets go — or parks and runs it
+    /// once more first — against
+    /// two wakes (a transport's, the control dispatcher's, a submitter's, a
+    /// close's or a deadline's: all go through `TaskHandle::wake`) and the
+    /// shard, which runs what is posted to it. A wake announces its work,
+    /// then makes its transition, then posts or rings as the transition
+    /// says. Each step is one atomic operation of the code; a parked
+    /// waiter wakes only when rung (a receive with no deadline).
+    mod claim {
+        use std::collections::HashSet;
+
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+        enum St {
+            #[default]
+            Idle,
+            Scheduled,
+            Running,
+            Dirty,
+            Claimed,
+            Parked,
+            Woken,
+        }
+
+        /// The code, or one of the two mutants it must tell from it.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        pub(super) enum Code {
+            Ours,
+            /// The release goes idle without looking for a wake.
+            ReleaseSkipsWoken,
+            /// A wake of a claimed task posts it to the shard.
+            WakePostsWhileClaimed,
+        }
+
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+        struct World {
+            st: St,
+            /// `Run` messages in the shard's inbox.
+            posted: u8,
+            /// Work a wake announced that no run has seen yet.
+            pending: bool,
+            rung: bool,
+            /// The waiter's next step, and whether it parked for it.
+            waiter: u8,
+            parked: bool,
+            /// Whether the waiter holds the task (claim to release), and
+            /// how many times it has run it.
+            holds: bool,
+            runs: u8,
+            /// Each waker's next step, and what its transition owes.
+            wakers: [u8; 2],
+            owes: [Owe; 2],
+            shard_runs: bool,
+        }
+
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+        enum Owe {
+            #[default]
+            Nothing,
+            Post,
+            Ring,
+        }
+
+        // The waiter's steps.
+        const CLAIM: u8 = 0;
+        const PARK: u8 = 1;
+        const ASLEEP: u8 = 2;
+        const UNPARK: u8 = 3;
+        const RUN: u8 = 4;
+        const RELEASE: u8 = 5;
+        const GONE: u8 = 6;
+
+        /// A schedule, by step, that leaves announced work with neither a
+        /// runner nor a wake posted, or has two runners at once, if there
+        /// is one — from an idle task, and from one the shard was about to
+        /// run when the waiter came.
+        pub(super) fn fault(code: Code) -> Option<Vec<String>> {
+            let scheduled = World {
+                st: St::Scheduled,
+                posted: 1,
+                ..World::default()
+            };
+            [World::default(), scheduled].into_iter().find_map(|start| {
+                let mut trace = Vec::new();
+                let fault = explore(start, code, &mut HashSet::new(), &mut trace);
+                fault.then_some(trace)
+            })
+        }
+
+        fn moves(w: World, code: Code) -> Vec<(String, World)> {
+            let mut moves = Vec::new();
+            let mut next = w;
+            let step = match w.waiter {
+                CLAIM if w.st == St::Idle => {
+                    (next.st, next.holds, next.waiter) = (St::Claimed, true, PARK);
+                    "claims"
+                }
+                CLAIM => {
+                    next.waiter = GONE;
+                    "finds the task taken"
+                }
+                PARK => {
+                    next.parked = w.st == St::Claimed;
+                    if next.parked {
+                        (next.st, next.waiter) = (St::Parked, ASLEEP);
+                    } else {
+                        next.waiter = UNPARK;
+                    }
+                    "parks"
+                }
+                ASLEEP if w.rung => {
+                    (next.rung, next.waiter) = (false, UNPARK);
+                    "is rung"
+                }
+                UNPARK => {
+                    next.st = St::Claimed;
+                    if w.st == St::Woken && w.parked {
+                        next.rung = false;
+                    }
+                    next.waiter = RUN;
+                    "unparks"
+                }
+                RUN => {
+                    (next.pending, next.runs) = (false, w.runs + 1);
+                    next.waiter = if next.runs < 2 { PARK } else { RELEASE };
+                    "runs"
+                }
+                RELEASE => {
+                    if w.st == St::Claimed || code == Code::ReleaseSkipsWoken {
+                        next.st = St::Idle;
+                    } else {
+                        (next.st, next.posted) = (St::Scheduled, w.posted + 1);
+                    }
+                    (next.holds, next.waiter) = (false, GONE);
+                    "lets go"
+                }
+                _ => "",
+            };
+            if !step.is_empty() {
+                moves.push((format!("waiter {step}"), next));
+            }
+            // A waiter whose request a run completed lets go instead.
+            if w.waiter == PARK && w.runs > 0 {
+                let done = World {
+                    waiter: RELEASE,
+                    ..w
+                };
+                moves.push(("waiter is done".to_owned(), done));
+            }
+            for i in 0..2 {
+                let mut next = w;
+                let step = match w.wakers[i] {
+                    0 => {
+                        next.pending = true;
+                        "announces work"
+                    }
+                    1 => {
+                        let claimed = matches!(w.st, St::Claimed | St::Parked);
+                        (next.st, next.owes[i]) = match w.st {
+                            St::Idle => (St::Scheduled, Owe::Post),
+                            St::Running => (St::Dirty, Owe::Nothing),
+                            _ if claimed && code == Code::WakePostsWhileClaimed => {
+                                (St::Scheduled, Owe::Post)
+                            }
+                            St::Claimed => (St::Woken, Owe::Nothing),
+                            St::Parked => (St::Woken, Owe::Ring),
+                            st => (st, Owe::Nothing),
+                        };
+                        "wakes"
+                    }
+                    2 => {
+                        match w.owes[i] {
+                            Owe::Post => next.posted += 1,
+                            Owe::Ring => next.rung = true,
+                            Owe::Nothing => {}
+                        }
+                        "posts or rings"
+                    }
+                    _ => continue,
+                };
+                next.wakers[i] += 1;
+                moves.push((format!("waker {i} {step}"), next));
+            }
+            let mut next = w;
+            if w.shard_runs {
+                next.shard_runs = false;
+                if w.st == St::Running {
+                    next.st = St::Idle;
+                } else {
+                    (next.st, next.posted) = (St::Scheduled, w.posted + 1);
+                }
+                moves.push(("shard ends its poll".to_owned(), next));
+            } else if w.posted > 0 {
+                (next.posted, next.st) = (w.posted - 1, St::Running);
+                (next.shard_runs, next.pending) = (true, false);
+                moves.push(("shard takes a run".to_owned(), next));
+            }
+            moves
+        }
+
+        fn explore(
+            w: World,
+            code: Code,
+            seen: &mut HashSet<World>,
+            trace: &mut Vec<String>,
+        ) -> bool {
+            if w.holds && w.shard_runs {
+                return true; // two runners
+            }
+            if !seen.insert(w) {
+                return false;
+            }
+            let moves = moves(w, code);
+            if moves.is_empty() {
+                return w.pending;
+            }
+            for (step, next) in moves {
+                trace.push(step);
+                if explore(next, code, seen, trace) {
+                    return true;
+                }
+                trace.pop();
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn no_schedule_of_the_claim_strands_a_wake_or_runs_the_task_twice() {
+        use claim::{fault, Code};
+        assert_eq!(fault(Code::Ours), None);
+        for mutant in [Code::ReleaseSkipsWoken, Code::WakePostsWhileClaimed] {
+            assert!(fault(mutant).is_some(), "{mutant:?} passed");
         }
     }
 

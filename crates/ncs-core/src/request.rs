@@ -33,7 +33,7 @@ use ncs_threads::sync::Event;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-use crate::connection::SendError;
+use crate::connection::{ConnShared, SendError};
 use crate::pool::PooledBuf;
 
 // ---------------------------------------------------------------------------
@@ -374,8 +374,12 @@ type CancelFn<T> = Box<dyn FnOnce(&Arc<RequestCore<T>>) + Send + Sync>;
 /// # alice.shutdown(); bob.shutdown();
 /// ```
 pub struct Request<T> {
-    core: Arc<RequestCore<T>>,
-    cancel: Option<CancelFn<T>>,
+    pub(crate) core: Arc<RequestCore<T>>,
+    /// Run when the request is dropped unconsumed: a receive unregisters.
+    pub(crate) cancel: Option<CancelFn<T>>,
+    /// A receive's connection, whose task a waiting thread runs itself
+    /// when it is idle ([`ConnShared::drive`]); none under a credit window.
+    pub(crate) conn: Option<Arc<ConnShared>>,
 }
 
 impl<T> std::fmt::Debug for Request<T> {
@@ -388,13 +392,10 @@ impl<T> std::fmt::Debug for Request<T> {
 
 impl<T> Request<T> {
     pub(crate) fn new(core: Arc<RequestCore<T>>) -> Self {
-        Request { core, cancel: None }
-    }
-
-    pub(crate) fn with_cancel(core: Arc<RequestCore<T>>, cancel: CancelFn<T>) -> Self {
         Request {
             core,
-            cancel: Some(cancel),
+            cancel: None,
+            conn: None,
         }
     }
 
@@ -411,6 +412,9 @@ impl<T> Request<T> {
     /// The operation's error, or [`SendError::ResultTaken`] if the result
     /// was already taken.
     pub fn wait(&self) -> Result<T, SendError> {
+        if let Some(conn) = &self.conn {
+            conn.drive(|| self.core.is_complete(), None);
+        }
         self.core.done.wait();
         self.take_result()
     }
@@ -423,7 +427,7 @@ impl<T> Request<T> {
     ///
     /// As [`Request::wait`], plus [`SendError::Timeout`].
     pub fn wait_timeout(&self, timeout: Duration) -> Result<T, SendError> {
-        if !self.core.done.wait_timeout(timeout) {
+        if !self.wait_complete(timeout) {
             return Err(SendError::Timeout);
         }
         self.take_result()
@@ -440,7 +444,14 @@ impl<T> Completion for Request<T> {
     }
 
     fn wait_complete(&self, timeout: Duration) -> bool {
-        self.core.done.wait_timeout(timeout)
+        // A receive's waiter runs its connection's task until the request
+        // completes or its time is up, if the task is idle.
+        let Some(conn) = self.conn.as_ref().filter(|_| !self.core.is_complete()) else {
+            return self.core.done.wait_timeout(timeout);
+        };
+        let deadline = Instant::now().checked_add(timeout);
+        conn.drive(|| self.core.is_complete(), deadline);
+        self.core.done.wait_timeout(time_left(deadline))
     }
 
     fn subscribe(&self, notify: CompletionNotify) {

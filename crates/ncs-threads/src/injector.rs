@@ -33,9 +33,9 @@ pub(crate) enum Inject {
     Wake(TcbId, WakeReason),
     /// Register a timer.
     Timer(Instant, TimerAction),
-    /// Park a green thread until its descriptor, if any, reports or the
-    /// deadline, if any, passes.
-    Wait(TcbId, Option<PollFd>, Option<Instant>),
+    /// Park a green thread until one of its descriptors (those that are
+    /// not negative) reports or the deadline, if any, passes.
+    Wait(TcbId, [PollFd; 2], Option<Instant>),
     /// Ask the scheduler loop to re-evaluate its exit condition.
     Nudge,
 }
@@ -46,7 +46,7 @@ impl std::fmt::Debug for Inject {
             Inject::Spawn(tcb) => f.debug_tuple("Spawn").field(&tcb.id()).finish(),
             Inject::Wake(id, r) => f.debug_tuple("Wake").field(id).field(r).finish(),
             Inject::Timer(at, _) => f.debug_tuple("Timer").field(at).finish(),
-            Inject::Wait(id, fd, _) => f.debug_tuple("Wait").field(id).field(fd).finish(),
+            Inject::Wait(id, fds, _) => f.debug_tuple("Wait").field(id).field(fds).finish(),
             Inject::Nudge => f.write_str("Nudge"),
         }
     }

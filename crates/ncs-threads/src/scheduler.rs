@@ -147,12 +147,12 @@ pub(crate) fn green_yield() {
 }
 
 /// Parks the current green thread, without stalling the scheduler, until
-/// `fd` — if it has one — reports one of its events (or an error or
-/// hang-up), or until `deadline` passes; with neither, for good. Returns
-/// whether the descriptor reported.
-pub(crate) fn green_wait(fd: Option<PollFd>, deadline: Option<Instant>) -> bool {
+/// one of `fds` — those that are not negative — reports one of its events
+/// (or an error or hang-up), or until `deadline` passes; with neither, for
+/// good. Returns whether a descriptor reported.
+pub(crate) fn green_wait(fds: [PollFd; 2], deadline: Option<Instant>) -> bool {
     let waker = current_green_waker().expect("green_wait outside green thread");
-    waker.injector.push(Inject::Wait(waker.tcb, fd, deadline));
+    waker.injector.push(Inject::Wait(waker.tcb, fds, deadline));
     green_block() == WakeReason::Normal
 }
 
@@ -286,8 +286,8 @@ impl SchedulerCore {
                     self.wake_tcb(id, reason);
                 }
                 Inject::Timer(at, action) => self.timers.register(at, action),
-                Inject::Wait(tcb, fd, deadline) => {
-                    if let Some(fd) = fd {
+                Inject::Wait(tcb, fds, deadline) => {
+                    for fd in fds.into_iter().filter(|fd| fd.0 >= 0) {
                         self.pollfds.push(fd);
                         self.fd_waiters.push(tcb);
                     }
@@ -338,10 +338,7 @@ impl SchedulerCore {
         for action in self.timers.pop_due(Instant::now()) {
             match action {
                 TimerAction::Wake(tcb) => {
-                    if let Some(i) = self.fd_waiters.iter().position(|&id| id == tcb) {
-                        self.fd_waiters.remove(i);
-                        self.pollfds.remove(i);
-                    }
+                    self.forget_fds(tcb);
                     self.wake_tcb(tcb, WakeReason::Timeout);
                 }
                 TimerAction::SemTimeout { sem, token, .. } => {
@@ -401,10 +398,25 @@ impl SchedulerCore {
         let mut i = 0;
         while i < self.fd_waiters.len() {
             if polled.is_err() || self.pollfds[i].2 != 0 {
-                self.pollfds.remove(i);
-                let id = self.fd_waiters.remove(i);
+                // Woken once, its other descriptor forgotten with this one.
+                let id = self.fd_waiters[i];
+                i -= self.fd_waiters[..i].iter().filter(|&&w| w == id).count();
+                self.forget_fds(id);
                 self.timers.withdraw(id);
                 self.wake_tcb(id, WakeReason::Normal);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Stops polling for `tcb`: every descriptor it waits on.
+    fn forget_fds(&mut self, tcb: TcbId) {
+        let mut i = 0;
+        while i < self.fd_waiters.len() {
+            if self.fd_waiters[i] == tcb {
+                self.fd_waiters.remove(i);
+                self.pollfds.remove(i);
             } else {
                 i += 1;
             }

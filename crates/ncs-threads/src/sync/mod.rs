@@ -27,6 +27,6 @@ pub use event::Event;
 pub use mailbox::{Mailbox, NotifyFn, RecvTimeoutError, TrySendError};
 pub use mutex::{NcsMutex, NcsMutexGuard};
 pub use sem::Semaphore;
-pub use wait::{sleep, wait_fd};
+pub use wait::{sleep, wait_fd, wait_fds};
 
 pub(crate) use sem::SemInner;

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncs_threads::sync::{sleep, wait_fd, Semaphore, POLLIN};
+use ncs_threads::sync::{sleep, wait_fd, wait_fds, Semaphore, POLLIN};
 use ncs_threads::{
     SpawnOptions, SwitchMech, ThreadPackage, ThreadPackageExt, UserConfig, UserRuntime,
 };
@@ -101,6 +101,30 @@ fn a_readable_descriptor_wakes_its_waiter_from_a_foreign_thread_and_from_a_sibli
             sibling.join().unwrap();
         });
     });
+}
+
+/// A wait on two descriptors ends when either reports, and forgets both:
+/// a byte that later lands on the one that did not report wakes nobody,
+/// and the next wait on it alone sees it at once — on an OS thread and in
+/// green threads of both mechanisms.
+fn either_of_two() {
+    let ((near_a, far_a), (near_b, far_b)) = (pair(), pair());
+    let both = [(far_a.as_raw_fd(), POLLIN), (far_b.as_raw_fd(), POLLIN)];
+    for (near, far) in [(&near_b, &far_b), (&near_a, &far_a)] {
+        let writer = write_later(near.try_clone().unwrap(), Duration::from_millis(20));
+        assert!(wait_fds(&both, Duration::from_secs(5)).unwrap());
+        { far }.read_exact(&mut [0]).unwrap();
+        writer.join().unwrap();
+    }
+    (&near_b).write_all(b"z").unwrap();
+    assert!(wait_fd(far_b.as_raw_fd(), POLLIN, Duration::from_secs(5)).unwrap());
+    assert!(!wait_fds(&both[..1], Duration::from_millis(20)).unwrap());
+}
+
+#[test]
+fn a_wait_on_two_descriptors_ends_on_either_and_forgets_both() {
+    either_of_two();
+    for_both_mechs(|mech| runtime(mech).run(|_| either_of_two()));
 }
 
 /// A scheduler parked in `poll(2)` for one thread's descriptor is rung out
