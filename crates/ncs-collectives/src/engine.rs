@@ -1243,7 +1243,7 @@ mod tests {
         let op_timeout = Duration::from_millis(300);
         let (node, peer, _peer_side, g) = blocked_barrier();
         // (The node's other tasks are timer-free: a bypass connection has
-        // no protocol deadlines and its control task nothing to pace.)
+        // no protocol deadlines, and accepting none.)
         let fires = || node.reactor().stats().timer_fires;
         let t0 = Instant::now();
         let h = g.ibarrier_within(op_timeout).unwrap();

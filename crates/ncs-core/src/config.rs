@@ -11,7 +11,7 @@ pub enum FlowControlAlg {
     /// No flow control (audio/video streams; reliable transports).
     None,
     /// Credit-based window (the paper's default): the receiver advertises
-    /// over the control connection a cumulative edge — the SDUs it has
+    /// a cumulative edge — the SDUs it has
     /// taken plus a window `W` — and the sender releases fresh SDUs up to
     /// it; retransmissions are free.
     CreditBased {
@@ -150,9 +150,11 @@ impl ConnectionConfig {
     /// measured and the most a backed-off wait grows to.
     ///
     /// Over an interface that loses frames only when its receiver's ring
-    /// overruns (HPI), a ring of at least 33 frames — the widest window,
-    /// 4 credits widened 8-fold, plus a starvation probe's one SDU —
-    /// leaves error control nothing to repair, and the connection runs
+    /// overruns (HPI), a ring of at least 67 frames — room for each side's
+    /// widest window, 4 credits widened 8-fold, plus a starvation probe's
+    /// one SDU, once for its data and once for its feedback, and a set-up
+    /// or close frame — leaves error control nothing to repair, and the
+    /// connection runs
     /// without it: no acknowledgement, no retransmission timer, and an
     /// `isend` complete once the ring has taken the message
     /// ([`NcsConnection::isend`](crate::NcsConnection::isend)).

@@ -14,9 +14,18 @@
 //!    the FC plane, which moves the credit edge, and activates the EC
 //!    plane;
 //! 6. *(figure steps 9-10)* the EC plane reassembles, delivers into the
-//!    user buffer and sends the acknowledgement bitmap over the control
-//!    connection — with the credit edge in the same frame, where the
-//!    figure has the FC plane send a grant of its own.
+//!    user buffer and sends the acknowledgement bitmap back — with the
+//!    credit edge in the same frame, where the figure has the FC plane
+//!    send a grant of its own.
+//!
+//! A connection is one duplex channel. Each direction carries its side's
+//! data and, as control frames ([`CtrlMsg`]), its feedback about the other
+//! side's data, the acceptor's `AcceptConn` first and the close last; the
+//! receive half tells them apart by their tag byte. Figure 1 puts the
+//! control messages on a control connection per peer, served by Control
+//! Send and Control Receive threads; here feedback goes from the receive
+//! half that reads it straight to the send half it is for, in the same
+//! run of the connection's task.
 //!
 //! Steps 1-3 and 5-6 — everything that is flow or error control — are
 //! the two sans-I/O state machines of [`crate::plane`]:
@@ -36,28 +45,23 @@
 //!   the reactor's O(cores) event loops. Protocol waits (ack timeouts,
 //!   credit pacing, starvation probes) park on reactor timers instead of
 //!   blocking a thread, so a node holds thousands of connections with a
-//!   fixed-size thread pool. The only queues left are the two that cross
-//!   threads: submissions and control events (from the peer's control
-//!   task). Feedback
-//!   — an acknowledgement with the credit edge in it, or the edge alone —
-//!   leaves through the peer's control queue, which the peer's control
-//!   task (`crate::control`) flushes on the same event loops — no thread
-//!   sits between the two tasks.
+//!   fixed-size thread pool. The only queue left that crosses threads is
+//!   the submissions'. Feedback — an acknowledgement with the credit edge
+//!   in it, or the edge alone — the receive half queues on the send half,
+//!   ahead of its data, and the run that read what it answers writes it.
 //! * **The thread that waits on it** (§4.2's thread bypass, on the default
 //!   path: [`ConnShared::drive`]). A thread blocked on a receive —
 //!   `recv`, `recv_timeout`, `recv_view`, a receive request's `wait` —
-//!   on a connection without a credit window (whose edge crosses the
-//!   shards' control tasks on every message anyway) claims the task while
-//!   it is idle and runs it itself, parking where
+//!   claims the task while it is idle and runs it itself, parking where
 //!   the shard would: on the socket, or on the bell the transport's waker
 //!   rings. Every wake of the task reaches it, none the shard, until it
 //!   lets go; then the shard hears of the socket again, and gets the task
 //!   back at once if it was woken meanwhile. A frame its receiver waits
 //!   for so crosses no thread. A direct connection (§4.2,
 //!   [`NcsConnection::send_direct`] / [`NcsConnection::recv_direct`]) has
-//!   no task: its receiver runs the same loop and waits in the transport,
-//!   and its sender holds the send half for the length of its message and
-//!   waits on the control-event queue between steps.
+//!   no task: its receiver and its sender run the same loop and wait in
+//!   the transport — the sender until its message resolves, reading the
+//!   peer's feedback off the channel.
 //!
 //! The receive half is the task's runner's alone, in [`ConnShared::rx`].
 //! The send half — the `TxPlane`, the Send plane's frame queue — sits in
@@ -86,14 +90,14 @@ use ncs_threads::sync::{Event, Mailbox, NcsMutex, Semaphore, POLLIN, POLLOUT};
 use ncs_transport::{Connection as Transport, TransportError, Waker};
 use parking_lot::{Mutex, RwLock};
 
-use crate::config::{ConnectionConfig, ErrorControlAlg, FlowControlAlg};
-use crate::packet::{CtrlMsg, DataHeader, DataPacket};
+use crate::config::{ConnectionConfig, ErrorControlAlg};
+use crate::packet::{CtrlMsg, DataHeader, DataPacket, FrameKind};
 use crate::plane::{
     plane_config, sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane,
 };
 use crate::pool::{BufPool, PooledBuf};
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskKind, TaskPoll, Watch};
-use crate::request::{DeliveryQueue, MsgView, Request, RequestCore};
+use crate::request::{DeliveryQueue, MsgBody, MsgView, Request, RequestCore};
 use crate::stats::{ConnCounters, ConnectionStats};
 
 /// Size of the tag envelope prepended to tag-matched messages (the
@@ -275,14 +279,17 @@ type SendJob = (PooledBuf, Vec<Arc<RequestCore<()>>>);
 /// `NCS_send` and the interface — behind one lock ([`ConnShared::tx`]) and
 /// driven by whoever holds it: the connection's task (on its shard, or on
 /// the thread that claimed it), a submitter that found the lock free
-/// ([`ConnShared::drive_or_wake`]), or, in direct
-/// mode, the thread inside `send_direct` for as long as its message takes.
+/// ([`ConnShared::drive_or_wake`]), or, in direct mode, the thread inside
+/// `send_direct` or `recv_direct`.
 pub(crate) struct TxSide {
     /// Flow and error control, sender half (Figures 6-8, steps 1-3).
     plane: TxPlane,
     /// The Send plane (Figure 4 step 4): frames waiting for the interface.
     /// After a step, frames still here were refused.
     pending: VecDeque<SendJob>,
+    /// Control frames for the peer — feedback, an `AcceptConn` — which
+    /// leave ahead of `pending`.
+    control: VecDeque<PooledBuf>,
 }
 
 /// Connection lifecycle.
@@ -302,28 +309,17 @@ pub(crate) struct ConnShared {
     pub state: Mutex<ConnState>,
     pub established: Event,
     pub closed: AtomicBool,
-    /// Whether the close was peer-initiated (CloseConn / transport EOF).
-    /// A peer close entitles the reactor task to a final receive-side
-    /// drain before parked receives fail: the CloseConn rides the control
-    /// connection and can overtake the peer's last data frames.
-    pub closed_by_peer: AtomicBool,
-    /// The dedicated data channel.
+    /// The connection's one channel: data and control frames both ways.
     pub transport: Arc<dyn Transport>,
     /// The node's recycling frame-buffer pool (every encode on the data
     /// plane draws from it).
     pub pool: Arc<BufPool>,
-    /// The peer's outbound control queue (control connection): one FIFO
-    /// per peer, flushed by the peer's control task (`crate::control`).
-    pub ctrl_tx: Arc<Mailbox<CtrlMsg>>,
-    // The queues that cross threads (everything else is a field of the
-    // task, of `tx`, or of a plane).
     /// Messages for the pipeline: application → whoever holds `tx`.
     /// Queued before anybody is asked to drain them, which is what keeps
-    /// one thread's messages in order whoever does.
+    /// one thread's messages in order whoever does. (The one queue that
+    /// crosses threads; everything else is a field of the task, of `tx`,
+    /// or of a plane.)
     pub submit_inbox: Mailbox<Submission>,
-    /// Acknowledgements and flow-control feedback: control dispatcher →
-    /// whoever holds `tx`.
-    pub ctrl_inbox: Mailbox<CtrlEvent>,
     /// Without flow and error control nothing else holds a sender back:
     /// the SDUs queued ahead of the interface, bounded at
     /// [`SEND_QUEUE_DEPTH`]. `None` where flow or error control paces the
@@ -363,11 +359,11 @@ pub(crate) struct ConnShared {
 /// The receive half's [`RxPlane`], and the driver's closing state.
 pub(crate) struct RxSide {
     plane: RxPlane,
-    /// The transport reported EOF/failure on the receive side: the
-    /// post-close drain is complete, nothing more can arrive.
+    /// The peer's close arrived (its `CloseConn`, or the transport's end):
+    /// nothing more can.
     eof: bool,
-    /// Deadline of the post-close receive drain (armed on the first
-    /// closing run).
+    /// Deadline of a local close's flush (armed on the first closing
+    /// run).
     drain_deadline: Option<Instant>,
     /// Retired: every later run ends at once.
     finished: bool,
@@ -396,14 +392,12 @@ impl Drop for ConnShared {
 }
 
 impl ConnShared {
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor; every field is load-bearing
     pub(crate) fn new(
         id: u32,
         peer_name: String,
         config: ConnectionConfig,
         transport: Arc<dyn Transport>,
         pool: Arc<BufPool>,
-        ctrl_tx: Arc<Mailbox<CtrlMsg>>,
         registry: Option<Arc<Registry>>,
     ) -> Arc<Self> {
         let counters = match &registry {
@@ -433,16 +427,14 @@ impl ConnShared {
             state: Mutex::new(ConnState::Connecting),
             established: Event::new(),
             closed: AtomicBool::new(false),
-            closed_by_peer: AtomicBool::new(false),
             transport,
             pool,
-            ctrl_tx,
             submit_inbox: Mailbox::unbounded(),
-            ctrl_inbox: Mailbox::unbounded(),
             queued,
             tx: NcsMutex::new(TxSide {
                 plane,
                 pending: VecDeque::with_capacity(IO_BATCH),
+                control: VecDeque::new(),
             }),
             task: RwLock::new(None),
             delivery: DeliveryQueue::new(),
@@ -508,8 +500,20 @@ impl ConnShared {
         self.established.fire();
     }
 
-    /// Learns the peer's connection id from an incoming data packet (covers
-    /// the window where data outruns the control-plane accept).
+    /// Waits up to `timeout` for the peer's `AcceptConn`, or its refusal.
+    /// A direct connection has no task to read it: the caller reads the
+    /// channel, with the loop its receives run.
+    pub(crate) fn wait_established(&self, timeout: Duration) -> bool {
+        if !self.config.direct {
+            return self.established.wait_timeout(timeout);
+        }
+        let fired = || self.established.is_fired();
+        self.drive(fired, Instant::now().checked_add(timeout));
+        fired()
+    }
+
+    /// Learns the peer's connection id from an incoming data packet (the
+    /// `AcceptConn` is the first frame, so this only covers a lost one).
     pub(crate) fn note_peer_conn(&self, src: u32) {
         let _ = self
             .peer_conn
@@ -592,25 +596,78 @@ impl ConnShared {
         header.encode_sdu_pooled(sdu.packed, sdu.payload, &self.pool)
     }
 
-    /// Queues one feedback frame for the peer's control task.
-    fn feedback(&self, msg: CtrlMsg) {
-        self.counters.feedback_sent.inc();
-        self.ctrl_tx.send(msg);
+    /// Queues one control frame for the peer, ahead of the data waiting
+    /// for the interface. Whoever holds the receive half calls this, and
+    /// then runs a send step that writes it.
+    fn send_control(&self, msg: CtrlMsg) {
+        let mut frame = self.pool.get();
+        msg.encode_into(frame.vec_mut());
+        self.tx.lock().control.push_back(frame);
     }
 
-    /// The receive half of the pipeline — everything between the interface
-    /// and the delivery queue — for one arrived frame, parsed in place
-    /// ([`DataPacket::peek`]): runs it through the [`RxPlane`] (Figure 4
-    /// steps 5-10) and delivers what it completes: none, one, or a train's
-    /// messages. The pipeline's acknowledgement leaves at once, with
-    /// the credit edge in the same frame if one is owed — one
-    /// advertisement, the latest edge, covers a whole receive drain: here,
-    /// or alone when the drain ends ([`ConnShared::drained`]). Inlined: the
-    /// task's receive loop runs it once per frame.
+    /// Queues one feedback frame for the peer.
+    fn feedback(&self, msg: CtrlMsg) {
+        self.counters.feedback_sent.inc();
+        self.send_control(msg);
+    }
+
+    /// The receive half of the pipeline for one arrived frame: a data frame
+    /// goes through [`ConnShared::receive_data`]; a control frame about
+    /// our own data goes straight to the send half's plane, and one about
+    /// the connection is applied here. After a local close only control
+    /// frames count: the flush may wait for feedback, and nobody takes
+    /// data any more.
     #[inline(always)]
-    fn receive(&self, rx: &mut RxPlane, frame: &[u8]) {
+    fn receive(&self, rx: &mut RxSide, frame: &[u8]) {
+        let event = match FrameKind::of(frame) {
+            FrameKind::Data if !self.closed.load(Ordering::Acquire) => {
+                return self.receive_data(&mut rx.plane, frame)
+            }
+            FrameKind::Ctrl => match CtrlMsg::decode(frame) {
+                Ok(CtrlMsg::Ack {
+                    session,
+                    info,
+                    edge,
+                    ..
+                }) => CtrlEvent::Ack {
+                    session,
+                    info,
+                    edge,
+                },
+                Ok(CtrlMsg::Credit { credits, .. }) => CtrlEvent::Credit(credits),
+                Ok(CtrlMsg::AcceptConn { acceptor_conn, .. }) => {
+                    return self.mark_established(acceptor_conn)
+                }
+                Ok(CtrlMsg::CloseConn { .. }) => {
+                    // The channel's last frame: everything before it is in.
+                    rx.eof = true;
+                    return self.peer_closed();
+                }
+                Err(_) => return,
+            },
+            // A repeat of the hello: our `AcceptConn` was lost.
+            FrameKind::Hello => {
+                return self.send_control(CtrlMsg::AcceptConn {
+                    initiator_conn: self.peer_conn_id(),
+                    acceptor_conn: self.id,
+                })
+            }
+            _ => return,
+        };
+        self.tx.lock().plane.on_event(event, Instant::now());
+    }
+
+    /// The receive half of the data pipeline — everything between the
+    /// interface and the delivery queue — for one data frame, parsed in
+    /// place ([`DataPacket::peek`]): runs it through the [`RxPlane`]
+    /// (Figure 4 steps 5-10) and delivers what it completes: none, one, or
+    /// a train's messages. The pipeline's acknowledgement is queued at
+    /// once, with the credit edge in the same frame if one is owed — one
+    /// advertisement, the latest edge, covers a whole receive drain: here,
+    /// or alone when the drain ends ([`ConnShared::drained`]).
+    fn receive_data(&self, rx: &mut RxPlane, frame: &[u8]) {
         let Ok(view) = DataPacket::peek(frame) else {
-            return; // not a data packet: ignore
+            return; // a malformed data packet: ignore
         };
         self.note_peer_conn(view.header.src_conn);
         self.counters.packets_received.inc();
@@ -646,18 +703,12 @@ impl ConnShared {
     }
 
     /// Flow and error control, sender half: feeds the [`TxPlane`] what
-    /// arrived for it — control events, new messages, the time — and
-    /// queues the SDUs it releases on the Send plane while that has room.
+    /// arrived for it — new messages, the time — and queues the SDUs it
+    /// releases on the Send plane while that has room. (Feedback reached
+    /// the plane as the receive half read it.)
     fn step_tx(&self, tx: &mut TxSide, timer: &mut Option<Instant>) -> bool {
         let TxSide { plane, pending, .. } = tx;
-        // Read once, and not at all by a step that finds nothing to do.
-        let mut now = None;
-        let mut clock = || *now.get_or_insert_with(Instant::now);
         let mut progressed = false;
-        while let Some(event) = self.ctrl_inbox.try_recv() {
-            plane.on_event(event, clock());
-            progressed = true;
-        }
         // The Send plane's queue fills only while the interface refuses
         // it; everything behind waits where it is until that clears, and
         // the report that the interface turned writable brings the task
@@ -677,11 +728,12 @@ impl ConnShared {
             progressed = true;
         }
         // Handed nothing, an idle pipeline releases nothing and keeps no
-        // deadline: the step that finds every queue empty ends here.
+        // deadline: the step that finds every queue empty ends here, with
+        // no look at the clock.
         if !progressed && plane.is_idle() {
             return false;
         }
-        let now = clock();
+        let now = Instant::now();
         let before = pending.len();
         progressed |= plane.poll(now, |sdu| {
             let frame = self.encode_sdu(&sdu);
@@ -696,19 +748,23 @@ impl ConnShared {
         progressed
     }
 
-    /// The Send plane: moves queued frames onto the data connection. Up to
-    /// [`IO_BATCH`] frames cross the transport per
+    /// The Send plane: moves queued frames onto the channel, control frames
+    /// first. Up to [`IO_BATCH`] frames cross the transport per
     /// [`ncs_transport::Connection::try_send_batch`] call, and their
     /// pooled buffers return to the pool as each is transmitted. A direct
     /// connection's sender may block (§4.2), and waits for room in the
     /// transport's blocking [`ncs_transport::Connection::send_batch`]
     /// (SCI's waits in `poll(2)`) instead.
     fn step_send(&self, tx: &mut TxSide) -> bool {
-        let pending = &mut tx.pending;
+        let TxSide {
+            pending, control, ..
+        } = tx;
         let mut progressed = false;
-        while !pending.is_empty() {
+        while !(control.is_empty() && pending.is_empty()) {
             let mut refs = [&[][..]; IO_BATCH];
-            let batch = fill_batch(&mut refs, pending.iter().map(|(f, _)| f.as_slice()));
+            let queued = control.iter().map(PooledBuf::as_slice);
+            let queued = queued.chain(pending.iter().map(|(f, _)| f.as_slice()));
+            let batch = fill_batch(&mut refs, queued);
             let sent = match self.config.direct {
                 true => self.transport.send_batch(&refs[..batch]),
                 false => self.transport.try_send_batch(&refs[..batch]),
@@ -719,24 +775,28 @@ impl ConnShared {
                 Ok(0) => break,
                 Ok(sent) => {
                     let sent = sent.min(batch);
-                    self.counters.packets_sent.add(sent as u64);
-                    let bytes: usize = refs[..sent].iter().map(|r| r.len()).sum();
-                    self.recorder.record(EventKind::Wire, 0, 0, bytes);
+                    let controls = sent.min(control.len());
+                    let bytes: usize = refs[controls..sent].iter().map(|r| r.len()).sum();
                     // The buffers return to the pool.
-                    for (_, done) in pending.drain(..sent) {
+                    control.drain(..controls);
+                    let data = sent - controls;
+                    self.counters.packets_sent.add(data as u64);
+                    self.recorder.record(EventKind::Wire, 0, 0, bytes);
+                    for (_, done) in pending.drain(..data) {
                         for core in done {
                             core.complete(Ok(()));
                         }
                     }
-                    self.unqueue(sent);
+                    self.unqueue(data);
                     progressed = true;
                 }
                 Err(e) => {
-                    // Nothing of the batch was accepted: fail its
-                    // senders, then handle the failure as the single-frame
-                    // path did: Closed tears the data plane down, anything
-                    // else drops the frames.
-                    let failure = SendError::from(e.clone());
+                    // Nothing of the batch was accepted: fail its senders
+                    // and drop its frames. A channel the peer closed shows
+                    // its end to the receive half too, behind the peer's
+                    // last frames, which are still to be read.
+                    let failure = SendError::from(e);
+                    control.clear();
                     self.unqueue(pending.len());
                     for (_, done) in pending.drain(..) {
                         for core in done {
@@ -744,15 +804,11 @@ impl ConnShared {
                         }
                     }
                     progressed = true;
-                    if matches!(e, TransportError::Closed) {
-                        self.link_down();
-                        self.peer_closed();
-                    }
                     break;
                 }
             }
         }
-        if pending.is_empty() {
+        if pending.is_empty() && control.is_empty() {
             flush_owed(self.transport.as_ref());
         }
         progressed
@@ -762,7 +818,7 @@ impl ConnShared {
     /// tail of a frame: the task waits for it to turn writable
     /// ([`Watch::rearm`]).
     fn owes_write(&self, tx: &TxSide) -> bool {
-        !tx.pending.is_empty() || self.transport.owes_bytes()
+        !(tx.pending.is_empty() && tx.control.is_empty()) || self.transport.owes_bytes()
     }
 
     pub(crate) fn initiate_close(&self) {
@@ -770,31 +826,27 @@ impl ConnShared {
             return;
         }
         *self.state.lock() = ConnState::Closed;
-        // Tell the peer (best effort), then retire our data plane.
-        let peer = self.peer_conn_id();
-        if peer != u32::MAX {
-            self.ctrl_tx.send(CtrlMsg::CloseConn { conn: peer });
-        }
-        self.retire_data_plane();
+        self.retire_data_plane(true);
     }
 
-    /// The close of a node shutting down. The control plane goes with the
-    /// node, so no acknowledgement can arrive any more: the session in
-    /// flight and what is queued behind it fail now, and the closing task
-    /// finds its send side flushed instead of lingering for them.
+    /// The close of a node shutting down, which waits for no
+    /// acknowledgement: the session in flight and what is queued behind it
+    /// fail now, and the closing task finds its send side flushed instead
+    /// of lingering for them.
     pub(crate) fn close_with_node(&self) {
         self.initiate_close();
         self.tx.lock().plane.fail_all(SendError::Closed);
         self.wake_task();
     }
 
+    /// The peer's close arrived: its `CloseConn`, behind everything it
+    /// sent, or the channel's end.
     pub(crate) fn peer_closed(&self) {
-        self.closed_by_peer.store(true, Ordering::Release);
         if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
         *self.state.lock() = ConnState::Closed;
-        self.retire_data_plane();
+        self.retire_data_plane(false);
     }
 
     /// Retires the connection's data plane. Called exactly once (guarded
@@ -803,45 +855,42 @@ impl ConnShared {
     /// close landing while the task is mid-poll, resolves to a coalesced
     /// wake and a no-op retirement.
     ///
-    /// With a live reactor task the transport close is deferred to the
-    /// task's retirement so the close is *graceful* in both directions:
-    ///
-    /// - A **locally**-initiated close keeps the receive fail-fast
-    ///   contract (parked receives resolve here, now) but lets the task
-    ///   flush queued sends — frames parked behind flow-control credits
-    ///   or an unacknowledged error-control session — before the
-    ///   transport closes, so fire-and-forget sends issued right before
-    ///   `close()` still reach the peer.
-    /// - A **peer**-initiated close defers the receive fail-fast too: the
-    ///   CloseConn travels on the control connection and can overtake the
-    ///   peer's final data frames on the data channel, so the task keeps
-    ///   delivering until the channel itself reports EOF (or a bounded
-    ///   linger) and only then fails the parked receives.
-    ///
-    /// Without a task (direct mode, or the task already retired) the
-    /// teardown is immediate.
-    fn retire_data_plane(&self) {
-        let task_attached = self.task.read().is_some();
-        if !task_attached {
-            self.transport.close();
-            self.delivery.fail_all(SendError::Closed);
-        } else if !self.closed_by_peer.load(Ordering::Acquire) {
-            // Fail-fast for parked receives: every in-flight `irecv` (and
-            // the blocking wrappers over it) resolves *now*, not a poll
-            // tick later.
-            self.delivery.fail_all(SendError::Closed);
+    /// Parked receives fail now — every in-flight `irecv`, and the blocking
+    /// wrappers over it, resolves within the close — while the messages
+    /// already delivered stay takeable. A peer's close comes behind its
+    /// last frame, so nothing it sent is still to come. A local one lets
+    /// the task flush queued sends — frames parked behind flow-control
+    /// credits or an unacknowledged error-control session — before its
+    /// `CloseConn` and the transport's close, so fire-and-forget sends
+    /// issued right before `close()` still reach the peer. Without a task
+    /// (direct mode, or the task already retired) the teardown is
+    /// immediate.
+    fn retire_data_plane(&self, local: bool) {
+        if self.task.read().is_none() {
+            self.hang_up(local);
         }
+        self.delivery.fail_all(SendError::Closed);
         self.established.fire();
-        // Senders parked for room, a caller a full queue turned away (its
-        // next offer meets the close) or, in direct mode, a sender waiting
-        // for the peer's next word see the close now.
+        // Senders parked for room, or a caller a full queue turned away
+        // (its next offer meets the close), see the close now.
         if let Some(q) = &self.queued {
             q.wake();
         }
-        self.ctrl_inbox.send(CtrlEvent::Closed);
         // Schedule the task so it observes `closed` and runs the closing
-        // drain (flush sends / deliver final frames), then retires.
+        // flush, then retires.
         self.wake_task();
+    }
+
+    /// Closes the channel; a local close first writes the peer its
+    /// `CloseConn`, as the channel's last frame (best effort: the peer
+    /// also learns of the close from the transport's end).
+    fn hang_up(&self, local: bool) {
+        let peer = self.peer_conn_id();
+        if local && peer != u32::MAX {
+            let close = CtrlMsg::CloseConn { conn: peer }.encode();
+            let _ = self.transport.try_send_batch(&[&close]);
+        }
+        self.transport.close();
     }
 }
 
@@ -855,10 +904,9 @@ pub(crate) const RECV_BUDGET: usize = 4 * IO_BATCH;
 /// so a busy task still yields the shard.
 const MAX_ROUNDS: usize = 8;
 
-/// Upper bound on the post-close receive drain after a *peer* close. The
-/// drain normally ends much earlier — when the data channel reports EOF
-/// (the peer's transport close follows its last frame) — the linger only
-/// bounds transports that never signal EOF.
+/// Upper bound on a local close's flush of the send side: frames parked
+/// behind credits or an unacknowledged session go out if the peer answers
+/// within it.
 pub(crate) const CLOSE_LINGER: Duration = Duration::from_millis(250);
 
 /// Attaches a connection to the reactor: one [`ConnTask`] multiplexing all
@@ -913,8 +961,8 @@ impl ReactorTask for ConnTask {
 }
 
 impl ConnShared {
-    /// The Receive plane: drains ready frames off the data connection
-    /// through the receive half ([`ConnShared::receive`]).
+    /// The Receive plane: drains ready frames off the channel through the
+    /// receive half ([`ConnShared::receive`]).
     fn step_recv(&self, rx: &mut RxSide, hungry: &mut bool) -> bool {
         let mut progressed = false;
         let mut budget = RECV_BUDGET;
@@ -927,8 +975,8 @@ impl ConnShared {
                 Ok(Some(f)) => f,
                 Ok(None) | Err(TransportError::Timeout) => break,
                 Err(_) => {
-                    // The link died: nothing more can arrive. Record EOF
-                    // (ends any post-close drain) and fail fast.
+                    // The channel ended without a `CloseConn`: nothing
+                    // more can arrive.
                     rx.eof = true;
                     self.link_down();
                     self.peer_closed();
@@ -938,7 +986,10 @@ impl ConnShared {
             };
             budget -= 1;
             progressed = true;
-            self.receive(&mut rx.plane, &frame);
+            self.receive(rx, &frame);
+            if rx.eof {
+                break;
+            }
         }
         self.drained(&mut rx.plane);
         progressed
@@ -969,17 +1020,16 @@ impl ConnShared {
             }
         }
         // The buffers return to the pool.
+        tx.control.clear();
         for (_, done) in tx.pending.drain(..) {
             for core in done {
                 core.complete(Err(SendError::Closed));
             }
         }
         drop(tx);
-        // Close the transport and fail the parked receives. On a local
-        // close `retire_data_plane` already did both (these repeats are
-        // no-ops); on a peer close they were deferred to this retirement
-        // so the final drain could deliver the peer's last frames first.
-        self.transport.close();
+        self.hang_up(!rx.eof);
+        // A no-op after a close; a reactor dropped under a live task fails
+        // the parked receives here.
         self.delivery.fail_all(SendError::Closed);
         // Detach from the transport's readiness, and drop the wake handle
         // so later `wake_task` calls are no-ops.
@@ -999,16 +1049,12 @@ impl ConnShared {
     /// transport's readiness, for output too while a write is owed (the
     /// second value).
     ///
-    /// After a close the task runs the graceful half of it, bounded by
-    /// [`CLOSE_LINGER`]. A **locally**-initiated close flushes the send
-    /// planes — frames parked on flow-control credits or an
-    /// unacknowledged error-control session still go out — and retires as
-    /// soon as they are empty (instantly for the common quiescent close).
-    /// A **peer**-initiated close additionally keeps the receive planes
-    /// delivering: the CloseConn rides the control connection and can
-    /// overtake the peer's final data frames, so the task drains until the
-    /// data channel itself reports EOF (the peer's transport close follows
-    /// its data).
+    /// A peer's close ends the task at once: it came behind everything the
+    /// peer sent. After a local close the task flushes the send planes —
+    /// frames parked on flow-control credits or an unacknowledged
+    /// error-control session still go out, on the feedback it keeps
+    /// reading — and retires as soon as they are empty (instantly for the
+    /// common quiescent close), or at [`CLOSE_LINGER`].
     fn run(&self, rx: &mut RxSide) -> (TaskPoll, bool) {
         if rx.finished {
             return (TaskPoll::Done, false);
@@ -1016,7 +1062,6 @@ impl ConnShared {
         let (mut timer, mut owes_write) = (None, false);
         for round in 0..=MAX_ROUNDS {
             let closed = self.closed.load(Ordering::Acquire);
-            let peer_close = closed && self.closed_by_peer.load(Ordering::Acquire);
             if closed {
                 rx.drain_deadline
                     .get_or_insert_with(|| Instant::now() + CLOSE_LINGER);
@@ -1031,13 +1076,12 @@ impl ConnShared {
             // each round recomputes them from scratch.
             timer = None;
             let (mut hungry, mut progressed) = (false, false);
-            // An open connection receives in the first round only: it
-            // drains until the transport is empty or its budget is spent,
-            // and the latter ends the run with `Again`. Whatever arrives
-            // later is reported anyway — a waker marks the task dirty, a
-            // re-armed fd is looked at again — the same contract `Idle`
-            // relies on. One the peer closed drains every round.
-            if (round == 0 && !closed) || peer_close {
+            // The task receives in the first round only: it drains until
+            // the transport is empty or its budget is spent, and the
+            // latter ends the run with `Again`. Whatever arrives later is
+            // reported anyway — a waker marks the task dirty, a re-armed fd
+            // is looked at again — the same contract `Idle` relies on.
+            if round == 0 {
                 progressed |= self.step_recv(rx, &mut hungry);
             }
             let mut tx = self.tx.lock();
@@ -1046,7 +1090,7 @@ impl ConnShared {
             let flushed = closed && self.flushed(&tx);
             owes_write = self.owes_write(&tx);
             drop(tx);
-            if rx.eof || (!peer_close && flushed) {
+            if rx.eof || flushed {
                 self.retire(rx);
                 return (TaskPoll::Done, false);
             }
@@ -1057,7 +1101,7 @@ impl ConnShared {
                 break;
             }
         }
-        // Quiescent, or lingering after a close with the linger as the
+        // Quiescent, or flushing after a close with the linger as the
         // backstop.
         if let Some(linger) = rx.drain_deadline {
             if Instant::now() >= linger {
@@ -1081,16 +1125,16 @@ impl ConnShared {
     /// Runs the connection's task on the calling thread while it waits —
     /// the paper's §4.2 thread bypass, on the default path — until `done`
     /// says the wait is over or `deadline` passes. The thread claims the
-    /// idle task ([`TaskHandle::claim`]) — of a connection without a
-    /// credit window — and parks where the shard would:
+    /// idle task ([`TaskHandle::claim`]) and parks where the shard would:
     /// on the socket, and the claim's bell beside it, for a descriptor
     /// transport; on the bell alone for a waker transport, whose waker
-    /// rings it, as every other wake of the task does meanwhile — the
-    /// control dispatcher's, a submitter's, a close's, and that of a
+    /// rings it — for data and feedback alike — as every other wake of the
+    /// task does meanwhile: a submitter's, a close's, and that of a
     /// deadline the shard holds. The shard hears of the descriptor again
     /// when the thread lets go. It returns at once where the task is not
     /// idle (the shard or another waiter runs it), and the caller waits as
-    /// it would have. A direct connection has no task: its receiver waits
+    /// it would have. A direct connection has no task: its caller runs the
+    /// steps first — a sender has queued what they send — and then waits
     /// in the transport, holding the receive half.
     pub(crate) fn drive(&self, mut done: impl FnMut() -> bool, deadline: Option<Instant>) {
         if done() {
@@ -1106,30 +1150,34 @@ impl ConnShared {
             None => return,
         };
         // Everything that came before the claim woke the task, which would
-        // then not have been idle: the first thing to do is wait.
-        let (mut poll, mut owes_write) = (TaskPoll::Idle, false);
-        loop {
+        // then not have been idle: the first thing a claimant does is wait.
+        let (mut poll, mut owes_write) = match &claim {
+            Some(_) => (TaskPoll::Idle, false),
+            None => self.run(&mut self.rx.lock()),
+        };
+        let over = || crate::request::time_left(deadline).is_zero();
+        while !(matches!(poll, TaskPoll::Done) || done() || over()) {
             let wait = match poll {
                 TaskPoll::Timer(at) => at.saturating_duration_since(Instant::now()),
                 TaskPoll::Again => Duration::ZERO,
                 _ => Duration::MAX,
             }
             .min(crate::request::time_left(deadline));
-            if let Some((claim, fd)) = &claim {
-                let events = POLLIN | if owes_write { POLLOUT } else { 0 };
-                claim.park(fd.map(|fd| (fd, events)), wait);
-            } else {
-                let mut rx = self.rx.lock();
-                if let Ok(frame) = self.transport.recv_timeout(wait) {
-                    self.receive(&mut rx.plane, &frame);
-                    self.drained(&mut rx.plane);
+            let mut rx = match &claim {
+                Some((claim, fd)) => {
+                    let events = POLLIN | if owes_write { POLLOUT } else { 0 };
+                    claim.park(fd.map(|fd| (fd, events)), wait);
+                    self.rx.lock()
                 }
-            }
-            (poll, owes_write) = self.run(&mut self.rx.lock());
-            let over = crate::request::time_left(deadline).is_zero();
-            if done() || over || matches!(poll, TaskPoll::Done) {
-                break;
-            }
+                None => {
+                    let mut rx = self.rx.lock();
+                    if let Ok(frame) = self.transport.recv_timeout(wait) {
+                        self.receive(&mut rx, &frame);
+                    }
+                    rx
+                }
+            };
+            (poll, owes_write) = self.run(&mut rx);
         }
         if let Some((claim, _)) = claim {
             // What is left of the task's work is the shard's again.
@@ -1180,15 +1228,15 @@ pub(crate) fn min_timer(timer: &mut Option<Instant>, at: Instant) {
 /// stripping the tag envelope of tag-matched traffic. A tagged message
 /// too short to carry its envelope is a protocol corruption and is
 /// dropped (never delivered as garbage).
-fn deliver_message(shared: &ConnShared, buf: PooledBuf, tagged: bool) {
+fn deliver_message(shared: &ConnShared, body: MsgBody, tagged: bool) {
     let view = if tagged {
-        if buf.as_slice().len() < TAG_ENVELOPE {
+        let Some(envelope) = body.bytes().get(..TAG_ENVELOPE) else {
             return;
-        }
-        let tag = u32::from_be_bytes(buf.as_slice()[..TAG_ENVELOPE].try_into().expect("4 bytes"));
-        MsgView::new(buf, TAG_ENVELOPE, Some(tag))
+        };
+        let tag = u32::from_be_bytes(envelope.try_into().expect("4 bytes"));
+        MsgView::new(body, TAG_ENVELOPE, Some(tag))
     } else {
-        MsgView::new(buf, 0, None)
+        MsgView::new(body, 0, None)
     };
     shared.delivery.deliver(view);
 }
@@ -1484,20 +1532,11 @@ impl NcsConnection {
     fn irecv_inner(&self, tag: Option<u32>) -> Request<MsgView> {
         let core = RequestCore::new();
         self.shared.delivery.register(tag, &core);
-        // Under a credit window the next message waits for an edge that
-        // crosses both nodes' control tasks on their shards: a waiter that
-        // ran the task there saved no hand-off, the edge woke it, and the
-        // receive path's allocations moved into its malloc arena (+50 %
-        // peak RSS on an 8 B stream). Its receives are the shard's to run.
-        let credits = matches!(
-            self.shared.config.flow_control,
-            FlowControlAlg::CreditBased { .. }
-        );
         let shared = Arc::clone(&self.shared);
         Request {
             core,
             cancel: Some(Box::new(move |core| shared.delivery.cancel(tag, core))),
-            conn: (!credits).then(|| Arc::clone(&self.shared)),
+            conn: Some(Arc::clone(&self.shared)),
         }
     }
 
@@ -1589,8 +1628,8 @@ impl NcsConnection {
         self.shared.last_error.lock().clone()
     }
 
-    /// Closes the connection, notifying the peer over the control
-    /// connection. Idempotent.
+    /// Closes the connection: what is queued goes out first, then a
+    /// `CloseConn` as the channel's last frame. Idempotent.
     pub fn close(&self) {
         self.shared.initiate_close();
     }
@@ -1616,31 +1655,14 @@ impl NcsConnection {
         }
         let done = RequestCore::new();
         self.queue(data, None, Some(Arc::clone(&done)), None, false)?;
-        // The task's steps, on this thread, which holds the send half until
-        // the message resolves and — no task flushes for it later — its
-        // frames and any tail the interface still owes are on the wire.
-        let mut tx = shared.tx.lock();
-        let mut result = None;
-        loop {
-            let mut timer = None;
-            shared.step_tx(&mut tx, &mut timer);
-            shared.step_send(&mut tx);
-            result = result.or_else(|| done.take());
-            match result {
-                Some(Err(e)) => return Err(e),
-                Some(Ok(())) if tx.pending.is_empty() => return Ok(()),
-                _ => {}
-            }
-            if shared.closed.load(Ordering::Acquire) {
-                return Err(SendError::Closed);
-            }
-            // Wait for the peer's next word, but no longer than the
-            // pipeline's own deadline; a close ends the wait too.
-            let wait = timer.map_or(Duration::MAX, |at| at.duration_since(Instant::now()));
-            if let Ok(event) = shared.ctrl_inbox.recv_timeout(wait) {
-                tx.plane.on_event(event, Instant::now());
-            }
-        }
+        // The task's steps, on this thread, until the message resolves and
+        // — no task flushes for it later — its frames and any tail the
+        // interface still owes are on the wire; the peer's feedback is read
+        // off the channel by the same loop `recv_direct` runs. A close ends
+        // the wait, with the message's failure.
+        let written = || done.is_complete() && shared.tx.lock().pending.is_empty();
+        shared.drive(written, None);
+        done.take().unwrap_or(Err(SendError::Closed))
     }
 
     /// The thread-bypass `NCS_recv`: reads the data connection and runs
@@ -1711,30 +1733,6 @@ impl NcsConnection {
         }
         Ok(Request::new(core))
     }
-}
-
-/// Routes a control-plane event into this connection (called by the
-/// node's control dispatcher, on the event loop of the peer's control
-/// task): queued for whoever drives the connection's [`TxPlane`], and —
-/// when that is a reactor task — the task is woken, on its shard or in
-/// the thread that claimed it.
-pub(crate) fn dispatch_ctrl(shared: &ConnShared, msg: CtrlMsg) {
-    let event = match msg {
-        CtrlMsg::Ack {
-            session,
-            info,
-            edge,
-            ..
-        } => CtrlEvent::Ack {
-            session,
-            info,
-            edge,
-        },
-        CtrlMsg::Credit { credits, .. } => CtrlEvent::Credit(credits),
-        _ => return,
-    };
-    shared.ctrl_inbox.send(event);
-    shared.wake_task();
 }
 
 // ---------------------------------------------------------------------------
@@ -2245,8 +2243,8 @@ pub(crate) mod tests {
     }
 
     /// A reliable one-SDU message costs its receiver one feedback frame.
-    /// Over a ring narrower than the default window's widest reach plus
-    /// one (33 SDUs) error control stays, and the frame is the
+    /// Over a ring narrower than the ring rule needs for the default window
+    /// (67 frames) error control stays, and the frame is the
     /// acknowledgement with the credit edge in it (the edge used to go
     /// ahead of it in a frame of its own: two per message); a
     /// retransmission — a stall of the test past the timeout — is answered
@@ -2615,7 +2613,6 @@ pub(crate) mod tests {
             config,
             Arc::new(ours),
             BufPool::new(),
-            Arc::default(),
             None,
         );
         attach_connection(&reactor, &shared);
@@ -2668,7 +2665,6 @@ pub(crate) mod tests {
                 config.clone(),
                 Arc::new(transport),
                 BufPool::new(),
-                Arc::default(),
                 None,
             ))
         };

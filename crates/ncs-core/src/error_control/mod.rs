@@ -53,7 +53,7 @@ pub trait SenderEc: Send + std::fmt::Debug {
     /// transmissions.
     fn begin(&mut self, total: u32) -> SenderStep;
 
-    /// An acknowledgement arrived on the control connection.
+    /// An acknowledgement arrived.
     fn on_ack(&mut self, info: AckInfo) -> SenderStep;
 
     /// The retransmission timer fired after a full [`ack_timeout`] of
@@ -90,7 +90,7 @@ pub trait SenderEc: Send + std::fmt::Debug {
 /// What the receiver strategy wants done after a packet.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReceiverStep {
-    /// Send this acknowledgement over the control connection.
+    /// Send this acknowledgement back to the sender.
     Ack(AckInfo),
     /// The message reassembled; deliver it to the user buffer.
     Deliver(Vec<u8>),

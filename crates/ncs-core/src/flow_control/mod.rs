@@ -4,7 +4,7 @@
 //! receive pipelines (the paper's Flow Control Thread; `plane.rs` here):
 //! the sender side asks how many SDUs may be transmitted
 //! ([`FlowControlStrategy::permits`]) and takes in the feedback arriving
-//! on the control connection; the receiver side notes each arriving
+//! against its data; the receiver side notes each arriving
 //! packet and names the window it grants. The strategy never sends
 //! anything itself: the edge it yields travels inside the error-control
 //! acknowledgement of the arrival that owes it, or alone when none
@@ -51,7 +51,7 @@ pub trait FlowControlStrategy: Send + std::fmt::Debug {
     fn on_abandon(&mut self, _n: u32) {}
 
     /// Sender side: feedback (the receiver's credit edge, alone or inside
-    /// an acknowledgement) arrived on the control connection.
+    /// an acknowledgement) arrived.
     fn on_feedback(&mut self, n: u32);
 
     /// Receiver side: one packet arrived; returns the window to grant —

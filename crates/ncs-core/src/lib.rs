@@ -16,8 +16,10 @@
 //!    handled by control threads (Master, Flow Control, Error Control,
 //!    Control Send, Control Receive).
 //!    (Here every one of those threads is a resumable task of the
-//!    [`Reactor`]: one per connection, one per attached peer's control
-//!    connections.)
+//!    [`Reactor`]: one per connection, one per node for accepting. The
+//!    control plane stays a plane of its own — feedback is computed
+//!    apart from the data it answers — but not a connection of its own:
+//!    it rides each data channel in the reverse direction.)
 //! 3. **Dynamic per-connection algorithms** — flow control (credit-based
 //!    \[default; a fixed window is the sliding window\], rate-based,
 //!    none), error control
@@ -59,7 +61,6 @@
 pub mod clock;
 pub mod config;
 mod connection;
-mod control;
 pub mod error_control;
 pub mod flow_control;
 pub mod link;

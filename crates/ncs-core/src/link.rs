@@ -1,10 +1,11 @@
 //! Peer links: how an NCS node reaches one named peer.
 //!
 //! A [`PeerLink`] can open new duplex channels to the peer and hand over
-//! the channels the peer opened; NCS layers its control and data
-//! connections on top. One implementation exists per communication
-//! interface, realising the paper's Figure 3 (clusters wired with
-//! different interfaces).
+//! the channels the peer opened; each NCS connection is one such channel,
+//! carrying its data one way and its feedback and connection control the
+//! other. One implementation exists per communication interface,
+//! realising the paper's Figure 3 (clusters wired with different
+//! interfaces).
 //!
 //! Opening may block (TCP connect retries, ATM signaling) and stays with
 //! the thread that called [`crate::NcsNode::connect`]. Accepting never
@@ -48,19 +49,6 @@ pub trait PeerLink: Send + Sync + std::fmt::Debug {
 
     /// Interface family name ("HPI", "SCI", "ACI", "PIPE").
     fn interface(&self) -> &'static str;
-
-    /// Opens the channel used for the NCS control connection. Defaults to
-    /// an ordinary channel; interfaces with an assured signaling service
-    /// (ATM's SAAL/SSCOP) override this so acknowledgements and credits
-    /// ride protected — in both directions: the accepting node writes its
-    /// control messages to the same channel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    fn open_control_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
-        self.open_channel()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -256,16 +244,6 @@ impl PeerLink for AciLink {
         Ok(Box::new(self.device.connect(&self.peer, self.qos)?))
     }
 
-    fn open_control_channel(&self) -> Result<Box<dyn Connection>, TransportError> {
-        // Control connections ride an assured (SSCOP-style) VC; the
-        // accepting host's end of it is assured too.
-        let qos = atm_sim::QosParams {
-            assured: true,
-            ..self.qos
-        };
-        Ok(Box::new(self.device.connect(&self.peer, qos)?))
-    }
-
     fn try_accept_channel(&self) -> Result<Option<Box<dyn Connection>>, TransportError> {
         Ok(self.device.try_accept().map(|c| Box::new(c) as _))
     }
@@ -288,8 +266,8 @@ impl PeerLink for AciLink {
 /// virtual time. Frames move only when a driver advances the fabric clock,
 /// and every channel of the link answers to the same chaos knobs
 /// ([`SimLink::set_outbound_up`], [`SimLink::set_outbound_policy`]) — cut
-/// one side's outbound direction and the peer sees a partition on data
-/// *and* control connections alike.
+/// one side's outbound direction and the peer sees a partition on every
+/// connection, data and feedback alike.
 #[derive(Debug)]
 pub struct SimLink {
     net: Arc<sim::SimNet>,

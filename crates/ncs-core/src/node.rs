@@ -1,23 +1,23 @@
 //! The NCS node: one message-passing process with its connection
-//! registry and per-peer control plane.
+//! registry and the links to its peers.
 //!
 //! None of the node threads in the paper's Figure 1 is left. Everything a
 //! node does between calls is work for its [`Reactor`]:
 //!
-//! * the Control Send and Control Receive threads are one task per peer
-//!   ([`crate::control`]);
+//! * the Control Send and Control Receive threads have no work left: a
+//!   connection is one duplex channel, whose feedback and connection
+//!   control travel against its data ([`crate::connection`]), so there is
+//!   no control connection to serve;
 //! * the Master Thread's connection management runs where the event that
 //!   asks for it arrives. Accepting is one task per node ([`AcceptTask`]):
 //!   it takes the channels peers opened off the links with
 //!   [`PeerLink::try_accept_channel`], reads each one's hello when it
-//!   comes, hands a control channel to its peer's control task and turns
-//!   a data channel into a connection right there on the event loop —
-//!   none of which blocks, because the accepting side never opens a
-//!   channel: control channels are duplex, and the dialer always has one
-//!   up before it dials data. The peer's `AcceptConn` is applied by the
-//!   control task that decoded it, and the initiating side — the one
-//!   place that may block, on TCP connects and ATM signaling — is set up
-//!   on the thread that called [`NcsNode::connect`].
+//!   comes and turns it into a connection right there on the event loop,
+//!   whose first frame back is the `AcceptConn` — none of which blocks,
+//!   because the accepting side never opens a channel. The connection's
+//!   own task applies the `AcceptConn` on the initiating side, which —
+//!   the one place that may block, on TCP connects and ATM signaling — is
+//!   set up on the thread that called [`NcsNode::connect`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -32,8 +32,7 @@ use parking_lot::Mutex;
 
 use crate::clock::{Clock, SystemClock};
 use crate::config::{ConfigError, ConnectionConfig};
-use crate::connection::{attach_connection, dispatch_ctrl, min_timer, ConnShared, NcsConnection};
-use crate::control::PeerCtrl;
+use crate::connection::{attach_connection, min_timer, ConnShared, NcsConnection};
 use crate::link::PeerLink;
 use crate::packet::{CtrlMsg, Hello};
 use crate::pool::{BufPool, PoolStats};
@@ -44,7 +43,7 @@ use crate::stats::{PackageMetricSource, PoolMetricSource, ReactorMetricSource};
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(10);
 /// Most channels kept waiting, their hello said, for the node it names to
-/// be attached or for a control channel with it; the oldest give way.
+/// be attached; the oldest give way.
 const UNATTACHED_CHANNELS: usize = 64;
 /// Pause before an accept source that reported a failure is tried again.
 const ACCEPT_RETRY: Duration = Duration::from_millis(50);
@@ -110,13 +109,6 @@ impl std::fmt::Display for AcceptError {
 
 impl std::error::Error for AcceptError {}
 
-#[derive(Clone)]
-struct PeerState {
-    link: Arc<dyn PeerLink>,
-    /// The peer's control plane: its reactor task and outbound queue.
-    ctrl: Arc<PeerCtrl>,
-}
-
 pub(crate) struct NodeInner {
     name: String,
     /// Cluster rank, when this node is a member of a multi-process world.
@@ -140,7 +132,8 @@ pub(crate) struct NodeInner {
     /// computed from this clock, so a simulated node can run them under
     /// virtual time (see [`crate::clock`]).
     clock: Arc<dyn Clock>,
-    peers: Mutex<HashMap<String, PeerState>>,
+    /// The link to each attached peer, by name.
+    peers: Mutex<HashMap<String, Arc<dyn PeerLink>>>,
     /// Set when `peers` gained or lost a link: the accept task subscribes
     /// to the links' accept sources anew.
     links_changed: AtomicBool,
@@ -167,7 +160,6 @@ impl NodeInner {
         peer: String,
         config: ConnectionConfig,
         channel: Arc<dyn Transport>,
-        ctrl_tx: Arc<Mailbox<CtrlMsg>>,
     ) -> Option<Arc<ConnShared>> {
         // Meter the data channel: interface-labelled frame/byte counters
         // in the node registry, shared by all channels of the family.
@@ -178,7 +170,6 @@ impl NodeInner {
             config,
             transport,
             Arc::clone(&self.pool),
-            ctrl_tx,
             Some(Arc::clone(&self.registry)),
         );
         let mut conns = self.conns.lock();
@@ -317,7 +308,7 @@ impl NcsNodeBuilder {
     }
 }
 
-/// One NCS process: owns the per-peer control plane and all connections.
+/// One NCS process: owns its links to its peers and all connections.
 /// See the crate docs for a usage example.
 #[derive(Debug, Clone)]
 pub struct NcsNode {
@@ -374,22 +365,8 @@ impl NcsNode {
     /// matching link pair ends) before connections can be made; a channel
     /// the peer opens before this node attaches it waits for the call.
     pub fn attach_peer(&self, peer: &str, link: Arc<dyn PeerLink>) {
-        let inner = Arc::clone(&self.inner);
-        let ctrl = PeerCtrl::spawn(&self.inner.reactor, move |msg| handle_ctrl(&inner, msg));
-        let replaced = self.inner.peers.lock().insert(
-            peer.to_owned(),
-            PeerState {
-                link,
-                ctrl: Arc::clone(&ctrl),
-            },
-        );
-        // Re-attaching a name supersedes its old registration; attaching
-        // to a node that has shut down attaches nothing. (`shutdown`
-        // retires the peers it finds after setting the flag, so one side
-        // always sees the other.)
-        if let Some(old) = replaced {
-            old.ctrl.retire();
-        }
+        // Re-attaching a name supersedes its old link.
+        self.inner.peers.lock().insert(peer.to_owned(), link);
         // The accept task — spawned with the first peer — subscribes to
         // the new link and looks at the channels that waited for this
         // call. `shutdown` takes the task under this lock after setting
@@ -397,7 +374,6 @@ impl NcsNode {
         self.inner.links_changed.store(true, Ordering::Release);
         let mut accept = self.inner.accept.lock();
         if self.inner.shutdown.load(Ordering::Acquire) {
-            ctrl.retire();
             return;
         }
         accept
@@ -407,8 +383,7 @@ impl NcsNode {
 
     /// Severs every tie to `peer`: closes and unregisters its live
     /// connections, discards the ones it opened that nobody has accepted
-    /// yet, and drops the peer registration (link, control channels and
-    /// control task). The counterpart of
+    /// yet, and drops its link. The counterpart of
     /// [`NcsNode::attach_peer`] for membership churn — a *replacement*
     /// process re-adopting the peer's name starts from a clean slate. A
     /// no-op for an unknown peer.
@@ -436,10 +411,7 @@ impl NcsNode {
         for shared in dropped {
             shared.initiate_close();
         }
-        // Last, so the control task's final flush carries the CloseConns
-        // queued just above.
-        if let Some(state) = forgotten {
-            state.ctrl.retire();
+        if forgotten.is_some() {
             self.inner.links_changed.store(true, Ordering::Release);
             self.inner.wake_accept_task();
         }
@@ -461,19 +433,19 @@ impl NcsNode {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ConnectError::Shutdown);
         }
-        let to = ensure_ctrl_tx(&self.inner, peer)?;
-        let channel = to.link.open_channel()?;
+        let link = self.inner.peers.lock().get(peer).cloned();
+        let link = link.ok_or_else(|| ConnectError::UnknownPeer(peer.to_owned()))?;
+        let channel = link.open_channel()?;
         config.validate(channel.caps().max_frame)?;
-        let ctrl_tx = to.ctrl.outbox();
         let shared = self
             .inner
-            .open_conn(peer.to_owned(), config.clone(), Arc::from(channel), ctrl_tx)
+            .open_conn(peer.to_owned(), config.clone(), Arc::from(channel))
             .ok_or(ConnectError::Shutdown)?;
         let transport = &shared.transport;
-        // Announce the connection on its own data channel, then attach its
-        // task (the paper's Master Thread duty, done on the caller's
-        // thread for the initiator side).
-        let hello = Hello::Data {
+        // Announce the connection on its channel, then attach its task
+        // (the paper's Master Thread duty, done on the caller's thread for
+        // the initiator side), which applies the peer's `AcceptConn`.
+        let hello = Hello {
             node: self.inner.name.clone(),
             initiator_conn: shared.id,
             config,
@@ -481,21 +453,25 @@ impl NcsNode {
         .encode();
         transport.send(&hello)?;
         attach_connection(&self.inner.reactor, &shared);
-        // The hello rides the (possibly unreliable) data channel; repeat it
-        // before declaring the setup dead. A repeat that follows a hello
-        // the accept task did read lands on the connection it built from
-        // it, whose receive plane drops it as not a data packet. The
-        // control channel may have ended unnoticed, too — a peer that
-        // attached this node anew holds the data channel and waits for
-        // another: the first repeat comes early, and each looks again.
+        // Where the channel may lose a frame, the hello or the
+        // `AcceptConn` may be lost: repeat the hello before declaring the
+        // setup dead. A repeat the accept task reads before it places the
+        // channel is dropped; one that reaches the connection it built is
+        // answered with the `AcceptConn` again. Over a ring that loses
+        // only what overruns it nothing is repeated: nothing can be lost,
+        // and the ring holds no frame the ring rule does not count.
         let give_up = Instant::now() + ESTABLISH_TIMEOUT;
-        let mut repeat_after = ESTABLISH_TIMEOUT / 100;
-        let mut established = shared.established.wait_timeout(repeat_after);
+        let lossy = transport.caps().overrun_ring.is_none();
+        let mut repeat_after = if lossy {
+            ESTABLISH_TIMEOUT / 100
+        } else {
+            ESTABLISH_TIMEOUT
+        };
+        let mut established = shared.wait_established(repeat_after);
         while !established && Instant::now() < give_up {
-            let _ = ensure_ctrl_tx(&self.inner, peer);
             let _ = transport.send(&hello);
             repeat_after = (repeat_after * 2).min(ESTABLISH_TIMEOUT / 5);
-            established = shared.established.wait_timeout(repeat_after);
+            established = shared.wait_established(repeat_after);
         }
         // A peer that hangs up instead of accepting (it refuses the
         // configuration, or forgot this node) fires the event too.
@@ -612,34 +588,26 @@ impl NcsNode {
     ///    step runs — which the closes below bring about, as each link's
     ///    receive sink reports its death to the group.
     /// 2. **Connections.** Each closes: its session in flight and what is
-    ///    queued behind it fail `Closed` (no acknowledgement can arrive
-    ///    any more), and its task drains what it can — bounded by the
-    ///    close's linger — then retires.
-    /// 3. **Control.** Each peer's control task flushes the `CloseConn`s
-    ///    just queued and retires.
-    /// 4. **Accept.** The accept task retires, hanging up the channels it
+    ///    queued behind it fail `Closed` (the node waits for no
+    ///    acknowledgement), and its task writes what it can — bounded by
+    ///    the close's linger — then its `CloseConn`, and retires.
+    /// 3. **Accept.** The accept task retires, hanging up the channels it
     ///    had not placed, and a caller waiting in [`NcsNode::accept`]
     ///    returns [`AcceptError::Shutdown`].
-    /// 5. **The reactor**, if the node built it: it drops the closure
+    /// 4. **The reactor**, if the node built it: it drops the closure
     ///    tasks (a held group's among them), and returns once the tasks
     ///    above have finished. A shared reactor (supplied via the builder)
     ///    may still drive other nodes and is left running.
     ///
-    /// Once it returns the node dispatches no control message and creates
-    /// no connection.
+    /// Once it returns the node creates no connection.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Emptied under the lock `open_conn` reads the flag under. With no
-        // connection left to address, nothing a peer still sends can be
-        // dispatched.
+        // Emptied under the lock `open_conn` reads the flag under.
         let conns = std::mem::take(&mut *self.inner.conns.lock());
         for c in conns.into_values() {
             c.close_with_node();
-        }
-        for state in self.inner.peers.lock().values() {
-            state.ctrl.retire();
         }
         drop(self.inner.accept.lock().take());
         self.inner.pending_accepts.send(None);
@@ -654,55 +622,13 @@ impl NcsNode {
     }
 }
 
-/// The registration of `peer`, with a control channel to it up (so that
-/// its control queue leads somewhere): opens one first when none is — the
-/// peer writes to the same channel. Runs on the thread that dials a
-/// connection — opening may block on signaling — never on the reactor.
-fn ensure_ctrl_tx(inner: &NodeInner, peer: &str) -> Result<PeerState, ConnectError> {
-    let state = inner.peers.lock().get(peer).cloned();
-    let state = state.ok_or_else(|| ConnectError::UnknownPeer(peer.to_owned()))?;
-    if !state.ctrl.has_outbound() {
-        // Control channels use the link's assured path where the
-        // interface has one (ACI/SSCOP). Two setups racing here — or one
-        // on each node — open two; both are read, one is written to.
-        let channel = state.link.open_control_channel()?;
-        let hello = Hello::Control {
-            node: inner.name.clone(),
-        };
-        channel.send(&hello.encode())?;
-        state.ctrl.adopt(&inner.reactor, Arc::from(channel));
-        inner.wake_accept_task();
-    }
-    Ok(state)
-}
-
-/// Control-plane dispatcher: runs on the reactor, inside the poll of the
-/// control task that decoded `msg`.
-fn handle_ctrl(inner: &NodeInner, msg: CtrlMsg) {
-    let conn = match msg {
-        CtrlMsg::Ack { conn, .. } | CtrlMsg::Credit { conn, .. } | CtrlMsg::CloseConn { conn } => {
-            conn
-        }
-        CtrlMsg::AcceptConn { initiator_conn, .. } => initiator_conn,
-    };
-    let Some(shared) = inner.conns.lock().get(&conn).cloned() else {
-        return;
-    };
-    match msg {
-        CtrlMsg::AcceptConn { acceptor_conn, .. } => shared.mark_established(acceptor_conn),
-        CtrlMsg::CloseConn { .. } => shared.peer_closed(),
-        _ => dispatch_ctrl(&shared, msg),
-    }
-}
-
 /// A channel the accept task took off a link and could not place yet.
 struct PendingChannel {
     watch: Watch,
     /// What the channel is, once its opener has said so; until then, when
     /// waiting for that ends with the channel closed. A channel that has
-    /// said its hello waits for the node it names to be attached, or — a
-    /// data hello can overtake its control hello — for a control channel
-    /// with it, as one of at most [`UNATTACHED_CHANNELS`].
+    /// said its hello waits for the node it names to be attached, as one
+    /// of at most [`UNATTACHED_CHANNELS`].
     hello: Result<Hello, Instant>,
 }
 
@@ -710,9 +636,8 @@ struct PendingChannel {
 /// the non-blocking stand-in for the accepting half of Figure 1's Master
 /// Thread ("data transfer threads … are spawned on a per-connection basis
 /// by the Master Thread"). Woken by its links' accept sources, by its
-/// pending channels' frames, by `attach_peer`/`forget_peer` and by a
-/// control channel's adoption; it only ever calls `try_accept_channel`
-/// and `try_recv`.
+/// pending channels' frames and by `attach_peer`/`forget_peer`; it only
+/// ever calls `try_accept_channel` and `try_recv`.
 struct AcceptTask {
     /// Weak: the task must not keep a dropped node alive.
     node: Weak<NodeInner>,
@@ -728,7 +653,7 @@ struct AcceptTask {
 
 impl AcceptTask {
     fn spawn(node: &Arc<NodeInner>) -> TaskRef {
-        TaskRef(node.reactor.spawn(crate::reactor::TaskKind::Control, |me| {
+        TaskRef(node.reactor.spawn(crate::reactor::TaskKind::Accept, |me| {
             Box::new(AcceptTask {
                 node: Arc::downgrade(node),
                 me: Arc::clone(me),
@@ -747,12 +672,7 @@ impl AcceptTask {
         self.sources.clear();
         let me = Arc::clone(&self.me);
         let waker: Waker = Arc::new(move || me.wake());
-        let links: Vec<_> = inner
-            .peers
-            .lock()
-            .values()
-            .map(|p| p.link.clone())
-            .collect();
+        let links: Vec<_> = inner.peers.lock().values().cloned().collect();
         let mut listeners = HashSet::new();
         for link in links {
             let fd = match link.watch_accepts(Some(Arc::clone(&waker))) {
@@ -772,18 +692,15 @@ impl AcceptTask {
         inner: &Arc<NodeInner>,
         now: Instant,
     ) -> Option<PendingChannel> {
-        // A control channel is left alone once it has said what it is:
-        // control messages follow. A data channel carries repeats of its
-        // hello at most until it is accepted — reading on loses nothing,
-        // and shows a dialer that gave up.
-        if !matches!(p.hello, Ok(Hello::Control { .. })) {
-            match p.watch.transport().try_recv() {
-                Ok(Some(frame)) if p.hello.is_err() => {
-                    p.hello = Hello::decode(&frame).map_err(|_| now);
-                }
-                Ok(_) | Err(TransportError::Timeout) => p.watch.rearm(false),
-                Err(_) => p.hello = Err(now),
+        // A channel carries repeats of its hello at most until it is
+        // accepted — reading on loses nothing, and shows a dialer that
+        // gave up.
+        match p.watch.transport().try_recv() {
+            Ok(Some(frame)) if p.hello.is_err() => {
+                p.hello = Hello::decode(&frame).map_err(|_| now);
             }
+            Ok(_) | Err(TransportError::Timeout) => p.watch.rearm(false),
+            Err(_) => p.hello = Err(now),
         }
         // Peer attribution comes from the hello, not the link (shared
         // listeners deliver other peers' channels).
@@ -796,29 +713,14 @@ impl AcceptTask {
             }
             Err(_) => return Some(p),
         };
-        let (Hello::Control { node } | Hello::Data { node, .. }) = hello;
-        let named = inner.peers.lock().get(node).cloned();
-        let usable =
-            |peer: &PeerState| matches!(hello, Hello::Control { .. }) || peer.ctrl.has_outbound();
-        let Some(peer) = named.filter(usable) else {
+        if !inner.peers.lock().contains_key(&hello.node) {
             return Some(p);
-        };
+        }
         // Unsubscribe before the channel's next task subscribes.
         let transport = Arc::clone(p.watch.transport());
         drop(p.watch);
-        match p.hello {
-            Ok(Hello::Data {
-                node,
-                initiator_conn,
-                config,
-            }) => {
-                incoming_data(inner, &peer, node, transport, initiator_conn, config);
-            }
-            _ => {
-                peer.ctrl.adopt(&inner.reactor, transport);
-                // A data channel may have waited for just that.
-                self.me.wake();
-            }
+        if let Ok(hello) = p.hello {
+            incoming(inner, transport, hello);
         }
         None
     }
@@ -873,32 +775,27 @@ impl Drop for AcceptTask {
     }
 }
 
-/// Turns a data channel `peer` opened into a connection and acknowledges
-/// it over the control channel the peer dialed first. Runs on the event
-/// loop, inside the accept task's poll: nothing here blocks.
-fn incoming_data(
-    inner: &Arc<NodeInner>,
-    from: &PeerState,
-    peer: String,
-    transport: Arc<dyn Transport>,
-    initiator_conn: u32,
-    config: ConnectionConfig,
-) {
-    if config.validate(transport.caps().max_frame).is_err() {
+/// Turns a channel a peer opened into a connection, whose first frame back
+/// is its `AcceptConn`. Runs on the event loop, inside the accept task's
+/// poll: nothing here blocks.
+fn incoming(inner: &Arc<NodeInner>, transport: Arc<dyn Transport>, hello: Hello) {
+    if hello.config.validate(transport.caps().max_frame).is_err() {
         transport.close();
         return;
     }
-    let ctrl_tx = from.ctrl.outbox();
     // Nothing is built on a channel that arrives as the node shuts down.
-    let Some(shared) = inner.open_conn(peer, config, transport, Arc::clone(&ctrl_tx)) else {
+    let Some(shared) = inner.open_conn(hello.node, hello.config, transport) else {
         return;
     };
-    shared.mark_established(initiator_conn);
-    attach_connection(&inner.reactor, &shared);
-    ctrl_tx.send(CtrlMsg::AcceptConn {
-        initiator_conn,
+    shared.mark_established(hello.initiator_conn);
+    // The channel's first frame back. A fresh channel has room for it; one
+    // that is lost is sent again when the hello's repeat comes.
+    let accept = CtrlMsg::AcceptConn {
+        initiator_conn: hello.initiator_conn,
         acceptor_conn: shared.id,
-    });
+    };
+    let _ = shared.transport.try_send_batch(&[&accept.encode()]);
+    attach_connection(&inner.reactor, &shared);
     inner.pending_accepts.send(Some(NcsConnection::new(shared)));
 }
 
@@ -906,9 +803,9 @@ fn incoming_data(
 #[cfg(target_os = "linux")]
 mod tests {
     use super::*;
-    use crate::control::tests::Stub;
     use crate::link::HpiLinkPair;
     use ncs_threads::UserRuntime;
+    use ncs_transport::Capabilities;
     use std::collections::VecDeque;
 
     /// Threads of this process whose name contains `needle`.
@@ -933,10 +830,6 @@ mod tests {
         let reactor = node.reactor();
         let (threads, tasks) = (threads_named("fg50"), reactor.live_tasks());
         assert_eq!((threads, tasks), (0, 0));
-        let control_channels = |of: &NcsNode, with: &str| {
-            let peers = of.inner.peers.lock();
-            peers[with].ctrl.channel_count()
-        };
         for round in 0..50u8 {
             let (ln, lp) = HpiLinkPair::create();
             node.attach_peer("fg50x", ln);
@@ -947,9 +840,6 @@ mod tests {
             let back = peer.accept_default().expect("accept");
             conn.isend(&[round]).and_then(|r| r.wait()).expect("send");
             assert_eq!(back.recv().expect("recv"), [round]);
-            // Connected from one side: one duplex control channel.
-            assert_eq!(control_channels(&node, "fg50x"), 1);
-            assert_eq!(control_channels(&peer, "fg50"), 1);
             node.forget_peer("fg50x");
             assert!(!conn.is_open());
             peer.forget_peer("fg50");
@@ -971,6 +861,85 @@ mod tests {
         peer.shutdown();
     }
 
+    /// A channel whose blocking calls panic: whatever a task gets done
+    /// on it, it gets done with `try_recv` and `try_send_batch`.
+    /// Clones share their state: one goes to the node, one stays with the
+    /// test.
+    #[derive(Default, Clone)]
+    struct Stub {
+        /// The readiness waker the channel's watch installed.
+        waker: Arc<Mutex<Option<Waker>>>,
+        inbound: Arc<Mutex<VecDeque<Vec<u8>>>>,
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+        closed: Arc<AtomicBool>,
+    }
+
+    impl Transport for Stub {
+        fn caps(&self) -> Capabilities {
+            Capabilities {
+                interface: "STUB",
+                overrun_ring: None,
+                ordered: true,
+                max_frame: 1 << 16,
+            }
+        }
+        fn recv_timeout(&self, _: Duration) -> Result<Vec<u8>, TransportError> {
+            panic!("blocking recv_timeout on the event loop")
+        }
+        fn send_batch(&self, _: &[&[u8]]) -> Result<usize, TransportError> {
+            panic!("blocking send_batch on the event loop")
+        }
+        fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+            Ok(self.inbound.lock().pop_front())
+        }
+        fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
+            let mut sent = self.sent.lock();
+            sent.extend(frames.iter().map(|f| f.to_vec()));
+            Ok(frames.len())
+        }
+        fn readiness(&self) -> Readiness {
+            Readiness::Waker
+        }
+        fn register_waker(&self, waker: Option<Waker>) {
+            *self.waker.lock() = waker;
+        }
+        fn close(&self) {
+            self.closed.store(true, Ordering::Release);
+        }
+        fn peer_label(&self) -> String {
+            "stub".to_owned()
+        }
+    }
+
+    impl std::fmt::Debug for Stub {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("Stub")
+        }
+    }
+
+    impl Stub {
+        /// A frame from the far end, announced as a waker-driven endpoint
+        /// announces one.
+        fn arrive(&self, frame: Vec<u8>) {
+            self.inbound.lock().push_back(frame);
+            let waker = self.waker.lock().clone();
+            if let Some(wake) = waker {
+                wake();
+            }
+        }
+
+        /// What the node wrote so far, waiting for `n` control messages.
+        fn control_messages(&self, n: usize) -> Vec<CtrlMsg> {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while self.sent.lock().len() < n {
+                assert!(Instant::now() < deadline, "control message {n} never sent");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let sent = self.sent.lock();
+            sent.iter().map(|f| CtrlMsg::decode(f).unwrap()).collect()
+        }
+    }
+
     /// A link nobody can dial over, holding the channels a peer "opened".
     #[derive(Debug, Default)]
     struct StubLink {
@@ -980,10 +949,7 @@ mod tests {
     impl StubLink {
         /// Queues a channel for acceptance, with `frames` already on it.
         fn incoming(&self, frames: &[Vec<u8>]) -> Stub {
-            let channel = Stub {
-                take: usize::MAX,
-                ..Stub::default()
-            };
+            let channel = Stub::default();
             channel.inbound.lock().extend(frames.iter().cloned());
             self.incoming.lock().push_back(channel.clone());
             channel
@@ -1005,13 +971,8 @@ mod tests {
         }
     }
 
-    fn control_hello(node: &str) -> Vec<u8> {
-        let node = node.to_owned();
-        Hello::Control { node }.encode()
-    }
-
-    fn data_hello(node: &str, initiator_conn: u32) -> Vec<u8> {
-        Hello::Data {
+    fn hello(node: &str, initiator_conn: u32) -> Vec<u8> {
+        Hello {
             node: node.to_owned(),
             initiator_conn,
             config: ConnectionConfig::reliable(),
@@ -1019,22 +980,11 @@ mod tests {
         .encode()
     }
 
-    /// What `channel` carried so far, waiting for `n` control messages.
-    fn control_messages(channel: &Stub, n: usize) -> Vec<CtrlMsg> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while channel.sent.lock().len() < n {
-            assert!(Instant::now() < deadline, "control message {n} never sent");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let sent = channel.sent.lock();
-        sent.iter().map(|f| CtrlMsg::decode(f).unwrap()).collect()
-    }
-
     /// The body of the isolation test: the accepting side of a connection
     /// set-up, the connection's life and its close, over a link and
     /// channels whose blocking methods panic. The accept task is polled
-    /// by hand — the node's reactor runs the control and connection tasks
-    /// it hands the channels to.
+    /// by hand — the node's reactor runs the connection tasks it hands the
+    /// channels to.
     fn drive_accept_task_by_hand() {
         let node = NcsNode::builder("hand").build();
         // The task under test takes the node's accept slot, so that
@@ -1056,55 +1006,58 @@ mod tests {
             _ => panic!("the poll did not end as expected"),
         };
 
-        // Four channels arrive before the peer is attached: one that says
-        // nothing, one that is not NCS's, a data channel whose hello has
-        // overtaken the control channel's, and that control channel.
+        // Over a link the node accepts on for another peer, three channels
+        // arrive before their own peer is attached: one that says nothing,
+        // one that is not NCS's, and one that opens a connection.
+        node.attach_peer("anchor", Arc::clone(&link) as Arc<dyn PeerLink>);
         let silent = link.incoming(&[]);
         let garbage = link.incoming(&[vec![0xFF, 0xFF]]);
-        let data = link.incoming(&[data_hello("far", 7)]);
-        let ctrl = link.incoming(&[]);
-        node.attach_peer("far", Arc::clone(&link) as Arc<dyn PeerLink>);
+        let data = link.incoming(&[hello("far", 7)]);
         polls_to(&mut task, now, &hello_by);
         assert!(garbage.closed.load(Ordering::Acquire));
-        assert_eq!(task.pending.len(), 3);
+        assert_eq!(task.pending.len(), 2, "waiting for the attach");
         assert_eq!(
             node.accept(Duration::ZERO).err(),
             Some(AcceptError::Timeout)
         );
 
-        // The control hello: the channel goes to the peer's control task,
-        // and the data channel behind it becomes a connection.
-        ctrl.inbound.lock().push_back(control_hello("far"));
+        // The attach: the channel becomes a connection, whose first frame
+        // back is its AcceptConn.
+        node.attach_peer("far", Arc::clone(&link) as Arc<dyn PeerLink>);
         polls_to(&mut task, now, &hello_by);
-        assert_eq!(task.pending.len(), 2, "the data channel looks again");
-        polls_to(&mut task, now, &hello_by);
+        assert_eq!(task.pending.len(), 1, "the silent channel waits on");
         let conn = node.accept(Duration::ZERO).expect("accepted on the poll");
         assert_eq!((conn.peer_name(), node.connection_count()), ("far", 1));
         let accept = CtrlMsg::AcceptConn {
             initiator_conn: 7,
             acceptor_conn: conn.id(),
         };
-        assert_eq!(control_messages(&ctrl, 1), std::slice::from_ref(&accept));
+        assert_eq!(data.control_messages(1), std::slice::from_ref(&accept));
 
-        // A second connection over the same control channel; then both
-        // close, each with its CloseConn behind its AcceptConn.
-        let data2 = link.incoming(&[data_hello("far", 8)]);
+        // A repeat of the hello — the AcceptConn was lost — is answered
+        // with the AcceptConn again, on the same connection.
+        data.arrive(hello("far", 7));
+        assert_eq!(data.control_messages(2), [accept.clone(), accept.clone()]);
+        assert_eq!(node.connection_count(), 1);
+
+        // A second connection; then both close, each channel's last frame
+        // its CloseConn.
+        let data2 = link.incoming(&[hello("far", 8)]);
         polls_to(&mut task, now, &hello_by);
         let conn2 = node.accept(Duration::ZERO).expect("accepted on the poll");
-        conn.close();
-        conn2.close();
         let accept2 = CtrlMsg::AcceptConn {
             initiator_conn: 8,
             acceptor_conn: conn2.id(),
         };
+        conn.close();
+        conn2.close();
         assert_eq!(
-            control_messages(&ctrl, 4),
-            [
-                accept,
-                accept2,
-                CtrlMsg::CloseConn { conn: 7 },
-                CtrlMsg::CloseConn { conn: 8 }
-            ]
+            data.control_messages(3),
+            [accept.clone(), accept, CtrlMsg::CloseConn { conn: 7 }]
+        );
+        assert_eq!(
+            data2.control_messages(2),
+            [accept2, CtrlMsg::CloseConn { conn: 8 }]
         );
         let deadline = Instant::now() + Duration::from_secs(5);
         while !(data.closed.load(Ordering::Acquire) && data2.closed.load(Ordering::Acquire)) {
@@ -1120,7 +1073,7 @@ mod tests {
         // Channels of nodes not attached wait for `attach_peer`, the
         // oldest giving way beyond the bound...
         let ghosts: Vec<Stub> = (0..=UNATTACHED_CHANNELS)
-            .map(|i| link.incoming(&[control_hello(&format!("ghost-{i}"))]))
+            .map(|i| link.incoming(&[hello(&format!("ghost-{i}"), 1)]))
             .collect();
         polls_to(&mut task, now, &TaskPoll::Idle);
         assert_eq!(task.pending.len(), UNATTACHED_CHANNELS);
@@ -1133,7 +1086,6 @@ mod tests {
         node.shutdown();
         drop(task);
         assert!(ghosts.iter().all(|g| g.closed.load(Ordering::Acquire)));
-        assert!(ctrl.closed.load(Ordering::Acquire));
     }
 
     #[test]

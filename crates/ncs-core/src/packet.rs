@@ -4,13 +4,14 @@
 //!
 //! * [`DataPacket`] — an SDU with the §3.2 header (sequence number and the
 //!   end-of-message control bit) plus connection/session demux fields;
-//!   travels on **data connections** only.
 //! * [`CtrlMsg`] — feedback (an acknowledgement with the credit edge
-//!   riding in it, or the edge alone) and connection management; travels
-//!   on the **control connection** only.
+//!   riding in it, or the edge alone) and connection management.
 //!
-//! Formats are hand-encoded big-endian; every decode validates lengths and
-//! tags.
+//! Both travel on a connection's one duplex channel, each direction
+//! carrying its side's data and its feedback about the other side's
+//! data; a [`Hello`] opens the channel. The receive step tells the three
+//! apart by their first byte ([`FrameKind::of`]). Formats are hand-encoded
+//! big-endian; every decode validates lengths and tags.
 
 use std::sync::Arc;
 
@@ -81,6 +82,27 @@ pub const DATA_OVERHEAD: usize = 1 + 4 + 4 + 4 + 4 + 1 + 4;
 
 const TAG_DATA: u8 = 0xD1;
 const TAG_CTRL: u8 = 0xC1;
+const TAG_HELLO: u8 = 0xE1;
+
+/// What a frame on a connection's channel is, by its tag byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameKind {
+    Data,
+    Ctrl,
+    Hello,
+    Unknown,
+}
+
+impl FrameKind {
+    pub(crate) fn of(frame: &[u8]) -> Self {
+        match frame.first() {
+            Some(&TAG_DATA) => FrameKind::Data,
+            Some(&TAG_CTRL) => FrameKind::Ctrl,
+            Some(&TAG_HELLO) => FrameKind::Hello,
+            _ => FrameKind::Unknown,
+        }
+    }
+}
 
 /// Bit 0 of an acknowledgement's flags byte: the credit edge follows it.
 const ACK_EDGE: u8 = 0b001;
@@ -244,8 +266,9 @@ impl DataPacket {
     }
 }
 
-/// Control-plane messages (paper §2: "all control information … is
-/// transferred over the control connections").
+/// Control messages. The paper's §2 sends "all control information" over
+/// control connections of its own; here each travels on the connection it
+/// is about, against the direction of the data it answers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMsg {
     /// Error-control feedback for `session` — selective repeat's
@@ -274,15 +297,16 @@ pub enum CtrlMsg {
         /// connection opened.
         credits: u32,
     },
-    /// Connection accept: `acceptor_conn` is the peer's id for the
-    /// initiator's `initiator_conn`.
+    /// Connection accept, the acceptor's first frame on the channel (and
+    /// its answer to every repeat of the hello): `acceptor_conn` is the
+    /// peer's id for the initiator's `initiator_conn`.
     AcceptConn {
         /// Echoed initiator connection id.
         initiator_conn: u32,
         /// Connection id at the acceptor.
         acceptor_conn: u32,
     },
-    /// Graceful connection teardown.
+    /// Graceful connection teardown: the channel's last frame.
     CloseConn {
         /// Connection id *at the receiver of this message*.
         conn: u32,
@@ -291,7 +315,7 @@ pub enum CtrlMsg {
 
 impl CtrlMsg {
     /// Encodes tag + variant + fields into `out`, replacing its contents
-    /// (the control task recycles its frame buffers across messages).
+    /// (feedback is encoded into pooled frame buffers).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.push(TAG_CTRL);
@@ -413,51 +437,27 @@ impl CtrlMsg {
     }
 }
 
-/// First frame on any freshly opened channel, classifying its purpose
-/// (needed because transports hand out symmetric duplex channels).
+/// First frame of a freshly opened channel: the connection it carries
+/// (needed because transports hand out symmetric duplex channels, and a
+/// shared listener hands out any peer's).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Hello {
-    /// This channel is the per-peer control connection.
-    Control {
-        /// Initiating node's name.
-        node: String,
-    },
-    /// This channel is the data connection for the initiator's connection
-    /// `initiator_conn`.
-    Data {
-        /// Initiating node's name.
-        node: String,
-        /// Connection id at the initiator.
-        initiator_conn: u32,
-        /// Requested configuration (both ends configure identically).
-        config: ConnectionConfig,
-    },
+pub struct Hello {
+    /// Initiating node's name.
+    pub node: String,
+    /// Connection id at the initiator.
+    pub initiator_conn: u32,
+    /// Requested configuration (both ends configure identically).
+    pub config: ConnectionConfig,
 }
-
-const TAG_HELLO: u8 = 0xE1;
 
 impl Hello {
     /// Encodes the hello frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = vec![TAG_HELLO];
-        match self {
-            Hello::Control { node } => {
-                out.push(0);
-                out.extend_from_slice(&(node.len() as u32).to_be_bytes());
-                out.extend_from_slice(node.as_bytes());
-            }
-            Hello::Data {
-                node,
-                initiator_conn,
-                config,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&(node.len() as u32).to_be_bytes());
-                out.extend_from_slice(node.as_bytes());
-                out.extend_from_slice(&initiator_conn.to_be_bytes());
-                out.extend_from_slice(&config.encode());
-            }
-        }
+        out.extend_from_slice(&(self.node.len() as u32).to_be_bytes());
+        out.extend_from_slice(self.node.as_bytes());
+        out.extend_from_slice(&self.initiator_conn.to_be_bytes());
+        out.extend_from_slice(&self.config.encode());
         out
     }
 
@@ -467,29 +467,21 @@ impl Hello {
     ///
     /// [`DecodeError`] on any malformation.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        need(bytes, 6, "hello")?;
+        need(bytes, 5, "hello")?;
         if bytes[0] != TAG_HELLO {
             return Err(DecodeError(format!("bad hello tag {:#04x}", bytes[0])));
         }
-        let name_len = read_u32(bytes, 2) as usize;
-        need(bytes, 6 + name_len, "hello name")?;
-        let node = String::from_utf8(bytes[6..6 + name_len].to_vec())
+        let name_len = read_u32(bytes, 1) as usize;
+        need(bytes, 5 + name_len, "hello name")?;
+        let node = String::from_utf8(bytes[5..5 + name_len].to_vec())
             .map_err(|e| DecodeError(format!("hello name not UTF-8: {e}")))?;
-        match bytes[1] {
-            0 => Ok(Hello::Control { node }),
-            1 => {
-                let rest = &bytes[6 + name_len..];
-                need(rest, 4, "hello conn id")?;
-                let initiator_conn = read_u32(rest, 0);
-                let config = ConnectionConfig::decode(&rest[4..]).map_err(DecodeError)?;
-                Ok(Hello::Data {
-                    node,
-                    initiator_conn,
-                    config,
-                })
-            }
-            other => Err(DecodeError(format!("unknown hello variant {other}"))),
-        }
+        let rest = &bytes[5 + name_len..];
+        need(rest, 4, "hello conn id")?;
+        Ok(Hello {
+            node,
+            initiator_conn: read_u32(rest, 0),
+            config: ConnectionConfig::decode(&rest[4..]).map_err(DecodeError)?,
+        })
     }
 }
 
@@ -660,33 +652,56 @@ mod tests {
         assert!(CtrlMsg::decode(&[]).is_err());
     }
 
-    #[test]
-    fn hello_round_trip() {
-        let msgs = vec![
-            Hello::Control {
-                node: "alice".to_owned(),
-            },
-            Hello::Data {
-                node: "bob".to_owned(),
-                initiator_conn: 3,
-                config: ConnectionConfig::unreliable(),
-            },
-        ];
-        for m in msgs {
-            assert_eq!(Hello::decode(&m.encode()).unwrap(), m, "{m:?}");
+    fn hello(node: &str) -> Hello {
+        Hello {
+            node: node.to_owned(),
+            initiator_conn: 3,
+            config: ConnectionConfig::unreliable(),
         }
     }
 
     #[test]
+    fn hello_round_trip() {
+        let m = hello("bob");
+        assert_eq!(Hello::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
     fn hello_rejects_bad_utf8_and_tags() {
-        let mut bytes = Hello::Control {
-            node: "aa".to_owned(),
-        }
-        .encode();
-        bytes[6] = 0xFF;
-        bytes[7] = 0xFE;
+        let mut bytes = hello("aa").encode();
+        bytes[5] = 0xFF;
+        bytes[6] = 0xFE;
         assert!(Hello::decode(&bytes).is_err());
-        assert!(Hello::decode(&[TAG_HELLO, 9, 0, 0, 0, 0]).is_err());
+        assert!(Hello::decode(&[TAG_HELLO, 0, 0, 0, 9]).is_err());
+        bytes = hello("aa").encode();
+        bytes[0] = TAG_CTRL;
+        assert!(Hello::decode(&bytes).is_err());
+    }
+
+    /// The receive step tells a channel's three frame families apart by
+    /// their first byte.
+    #[test]
+    fn every_frame_family_is_told_by_its_tag() {
+        let data = DataPacket {
+            header: DataHeader {
+                conn: 1,
+                src_conn: 2,
+                session: 3,
+                seq: 0,
+                end: true,
+                tagged: false,
+            },
+            payload: vec![1],
+        };
+        let credit = CtrlMsg::Credit {
+            conn: 1,
+            credits: 2,
+        };
+        assert_eq!(FrameKind::of(&data.encode()), FrameKind::Data);
+        assert_eq!(FrameKind::of(&credit.encode()), FrameKind::Ctrl);
+        assert_eq!(FrameKind::of(&hello("x").encode()), FrameKind::Hello);
+        assert_eq!(FrameKind::of(&[]), FrameKind::Unknown);
+        assert_eq!(FrameKind::of(&[0xFF]), FrameKind::Unknown);
     }
 
     #[test]

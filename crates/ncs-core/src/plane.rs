@@ -36,29 +36,38 @@
 //!
 //! An interface that loses frames only by overrunning the receiver's ring
 //! (HPI, [`Capabilities::overrun_ring`](ncs_transport::Capabilities))
-//! loses nothing under a credit window that can never fill that ring, so
-//! such a connection runs without error control whatever it was
-//! configured with ([`plane_config`]): no acknowledgement, no
-//! retransmission timer, pooled reassembly, and each message complete once
-//! the ring has taken its last SDU. The credit edge still flows, once per
-//! receive drain. Two rules hold for a credit window without error
-//! control over such a ring, whoever turned error control off. First,
-//! starvation probes send no more SDUs past the edge than the ring holds
-//! beyond the widest window (at least one) until an edge beyond them
-//! comes: however long the receiver leaves its ring unread, the ring
-//! never overruns. A probe goes every interval while that
-//! allowance lasts, so a lost credit is healed unless the answers to all
-//! of those probes are lost too (the one answer at the narrowest ring, 32
-//! in a row over HPI's default ring); then the direction waits for an edge
-//! that does not come. Second, a session without acknowledgements ends as
-//! its last SDU leaves, so nothing would queue behind it to ride in a
-//! train; a message short enough to share an SDU does not start a session
-//! while the previous session has had no feedback since its last SDU left.
-//! The next credit frame ends the wait; if none comes (the control ring
-//! has no window and may drop one), the starvation probe's interval does.
-//! Messages of an SDU or more never wait, so bulk messages pipeline up to
-//! the window. Pooled reassembly takes a session's SDUs only in order,
-//! from the first: a message missing one is dropped whole, never delivered
+//! loses nothing where no schedule can fill that ring, so such a
+//! connection runs without error control whatever it was configured with
+//! ([`plane_config`]): no acknowledgement, no retransmission timer, pooled
+//! reassembly, and each message complete once the ring has taken its last
+//! SDU. The credit edge still flows, once per receive drain. A ring carries
+//! more than its sender's data: its feedback about the other side's data
+//! rides it too, and one set-up or close frame. With `w` the widest window
+//! and `p` the SDUs starvation probes may send past the edge, a ring holds
+//! at most `2(w + p) + 1` unread frames, however late its receiver reads:
+//!
+//! * its sender's data: at most `w + p` beyond what the receiver took;
+//! * its sender's feedback: one frame per receive drain that took a data
+//!   frame, so each frame after the oldest unread one answers a data frame
+//!   its receiver sent after the last edge it read — at most `w + p` in all;
+//! * the acceptor's `AcceptConn` (no feedback can be behind it: its
+//!   initiator sends nothing before it reads it) or the close, the
+//!   channel's last frame. The initiator's hello is not repeated over such
+//!   an interface: it cannot be lost.
+//!
+//! So error control goes where `2(w + 1) + 1` fits (67 frames for the
+//! default window of 32), and probes send up to `(ring - 1) / 2 - w` SDUs
+//! past the edge until an edge beyond them comes. Feedback on such a ring
+//! is never lost, so a probe that goes is answered, and a direction cannot
+//! stall waiting for the answer to its last probe. A session without
+//! acknowledgements ends as its last SDU leaves,
+//! so nothing would queue behind it to ride in a train; a message short
+//! enough to share an SDU does not start a session while the previous
+//! session has had no feedback since its last SDU left. The next credit
+//! frame ends the wait, or the starvation probe's interval does. Messages
+//! of an SDU or more never wait, so bulk messages pipeline up to the
+//! window. Pooled reassembly takes a session's SDUs only in order, from
+//! the first: a message missing one is dropped whole, never delivered
 //! short, and where error control was asked for and left out, the loss is
 //! the connection's sticky error.
 //!
@@ -131,14 +140,14 @@ use crate::error_control::{
 use crate::flow_control::{build as build_fc, widest_window, FlowControlStrategy};
 use crate::packet::DataView;
 use crate::pool::{BufPool, PooledBuf};
-use crate::request::RequestCore;
+use crate::request::{MsgBody, RequestCore};
 use crate::seq::{wrapping_ahead, AckBitmap};
 use crate::stats::ConnCounters;
 
 /// How long the sender tolerates fresh SDUs queued behind flow control,
 /// with none of the round released and no feedback, before letting one
-/// past the edge. Feedback travels on the control connection, which over
-/// ACI can itself lose cells; without this probe a lost advertisement at a
+/// past the edge. Feedback travels against the data on its channel, which
+/// over ACI can lose cells; without this probe a lost advertisement at a
 /// session boundary would starve the sender forever.
 const FC_STARVATION_PROBE: Duration = Duration::from_millis(500);
 
@@ -155,21 +164,29 @@ pub(crate) const MIN_RTO: Duration = Duration::from_millis(10);
 
 /// The configuration a connection's planes run: the application's, without
 /// error control where the interface loses a frame only when its receiver
-/// has a ring's worth unread (`ring`) and the credit window can
-/// never let that many out — its widest reach, plus the one SDU a
-/// starvation probe may send past the edge, fits in the ring. That holds
-/// on every schedule, however late the receiver reads: probes stop where
-/// the ring is full ([`TxPlane::may_probe`]). A direct
-/// connection, whose steps run only inside its application's calls, keeps
-/// the configuration it asked for.
+/// has a ring's worth unread (`ring`) and no schedule can leave that many:
+/// the ring holds both sides' widest reach — its sender's data and its
+/// sender's feedback, each the window plus the one SDU a starvation probe
+/// may send past the edge — and a set-up or close frame (see the module
+/// docs). Probes stop where that fills the ring ([`TxPlane::may_probe`]). A
+/// direct connection, whose steps run only inside its application's calls,
+/// keeps the configuration it asked for.
 pub(crate) fn plane_config(config: &ConnectionConfig, ring: Option<usize>) -> ConnectionConfig {
-    let window = widest_window(&config.flow_control).map(|w| w as usize);
     let mut planes = config.clone();
-    // Room for the window and the one SDU past its edge.
-    if !config.direct && ring.zip(window).is_some_and(|(ring, w)| w < ring) {
+    if !config.direct && probe_allowance(config, ring).is_some() {
         planes.error_control = ErrorControlAlg::None;
     }
     planes
+}
+
+/// The SDUs starvation probes may send past the edge over a ring of
+/// `ring` frames under `config`'s widest window `w`: the most `p` with
+/// `2(w + p) + 1` frames in the ring — `None` where not even one fits, or
+/// no ring or no window bounds what waits unread.
+fn probe_allowance(config: &ConnectionConfig, ring: Option<usize>) -> Option<u32> {
+    let window = widest_window(&config.flow_control)? as usize;
+    let room = (ring?.checked_sub(1)? / 2).checked_sub(window)?;
+    (room > 0).then_some(room as u32)
 }
 
 /// Where the planes report: the connection's counters, its flight
@@ -199,8 +216,8 @@ pub(crate) struct Submission {
     pub accepted: Option<Arc<Event>>,
 }
 
-/// What the peer's receive side tells this sender over the control
-/// connection: one feedback frame.
+/// What the peer's receive side tells this sender, against the data on
+/// their channel: one feedback frame.
 #[derive(Debug, Clone)]
 pub(crate) enum CtrlEvent {
     /// An acknowledgement of `session`, and the credit edge the receiver
@@ -212,9 +229,6 @@ pub(crate) enum CtrlEvent {
     },
     /// Flow-control feedback alone: the receiver's credit edge.
     Credit(u32),
-    /// Nothing for the plane: a close ends the wait of a direct-mode
-    /// sender for the peer's next word with it.
-    Closed,
 }
 
 /// One SDU the sender wants on the wire now: everything a data header
@@ -292,7 +306,9 @@ fn record_at(train: &[u8], at: usize) -> Option<(&[u8], bool, usize)> {
 
 /// The messages one arriving frame completed, in order, each with its
 /// tag flag: none, the one reassembled message — handed over as it is —
-/// or the records of a train, cut from its body as the shell takes them.
+/// or the records of a train, each a view of its range of the train's
+/// body, which the records share: nothing is copied or allocated per
+/// record.
 #[derive(Debug, Default)]
 pub(crate) enum Delivered {
     #[default]
@@ -300,7 +316,7 @@ pub(crate) enum Delivered {
     Whole(PooledBuf, bool),
     /// A validated train and where its next record starts.
     Train {
-        body: PooledBuf,
+        body: Arc<PooledBuf>,
         at: usize,
     },
 }
@@ -314,24 +330,27 @@ impl Delivered {
         while at < body.len() {
             at = record_at(&body, at)?.2;
         }
-        (at > 0).then_some(Delivered::Train { body, at: 0 })
+        (at > 0).then(|| Delivered::Train {
+            body: Arc::new(body),
+            at: 0,
+        })
     }
 }
 
 impl Iterator for Delivered {
-    type Item = (PooledBuf, bool);
+    type Item = (MsgBody, bool);
 
     fn next(&mut self) -> Option<Self::Item> {
         match std::mem::take(self) {
             Delivered::Nothing => None,
-            Delivered::Whole(body, tagged) => Some((body, tagged)),
+            Delivered::Whole(body, tagged) => Some((MsgBody::Own(body), tagged)),
             Delivered::Train { body, at } => {
                 let (data, tagged, end) = record_at(&body, at)?;
-                let message = (PooledBuf::detached(data.to_vec()), tagged);
+                let record = MsgBody::Record(Arc::clone(&body), end - data.len()..end);
                 if end < body.len() {
                     *self = Delivered::Train { body, at: end };
                 }
-                Some(message)
+                Some((record, tagged))
             }
         }
     }
@@ -401,9 +420,9 @@ pub(crate) struct TxPlane {
     /// A credit window without error control over a ring: how many SDUs
     /// starvation probes may send past the edge before an edge beyond
     /// them comes ([`TxPlane::may_probe`]) — what the ring holds beyond
-    /// the widest window, at least one. Such a connection also holds a
-    /// short message back for feedback ([`TxPlane::held`]). `None`: no
-    /// bound, no hold.
+    /// both sides' windows and the set-up frame, at least one (see the
+    /// module docs). Such a connection also holds a short message back for
+    /// feedback ([`TxPlane::held`]). `None`: no bound, no hold.
     probes: Option<u32>,
     /// SDUs probes sent past the edge since it last passed everything
     /// released.
@@ -420,10 +439,12 @@ impl TxPlane {
         now: Instant,
     ) -> Self {
         let ec = build_sender(&config.error_control);
-        let probes = ring
-            .zip(widest_window(&config.flow_control))
-            .filter(|_| config.error_control == ErrorControlAlg::None)
-            .map(|(ring, window)| ring.saturating_sub(window as usize).max(1) as u32);
+        // A window over a ring too narrow for the rule still probes, one
+        // SDU at a time past the edge.
+        let probes = (config.error_control == ErrorControlAlg::None
+            && ring.is_some()
+            && widest_window(&config.flow_control).is_some())
+        .then(|| probe_allowance(config, ring).unwrap_or(1));
         let plane = TxPlane {
             sdu_size: config.sdu_size,
             rto: ec.ack_timeout(),
@@ -489,8 +510,9 @@ impl TxPlane {
         self.backlog.push_back(submission);
     }
 
-    /// Routes one control-connection event. An acknowledgement's edge is
-    /// taken first: the receiver advertised it on the arrival it answers.
+    /// Routes one feedback frame from the peer. An acknowledgement's edge
+    /// is taken first: the receiver advertised it on the arrival it
+    /// answers.
     pub(crate) fn on_event(&mut self, event: CtrlEvent, now: Instant) {
         match event {
             CtrlEvent::Ack {
@@ -504,7 +526,6 @@ impl TxPlane {
                 self.on_ack(session, info, now);
             }
             CtrlEvent::Credit(edge) => self.on_credit(edge, now),
-            CtrlEvent::Closed => {}
         }
     }
 
@@ -2077,7 +2098,6 @@ mod tests {
                     edge: edge.is_some(),
                 },
                 CtrlEvent::Credit(_) => Kind::Credit,
-                CtrlEvent::Closed => unreachable!("the link carries no closes"),
             }
         }
 
@@ -2455,18 +2475,20 @@ mod tests {
 
     /// Error control goes only where the widest window a connection can
     /// reach, plus the one SDU a starvation probe sends past the edge,
-    /// fits in the interface's ring — and never from a direct connection,
-    /// nor over an interface that loses frames otherwise. What else the
-    /// application configured stays.
+    /// fits in the interface's ring twice — once for the data, once for
+    /// the feedback about the other side's — beside a set-up or close
+    /// frame; and never from a direct connection, nor over an interface
+    /// that loses frames otherwise. What else the application configured
+    /// stays.
     #[test]
     fn error_control_goes_only_where_the_window_and_a_probe_fit_the_ring() {
         let reliable = ConnectionConfig::reliable();
         let ec = |cfg: &ConnectionConfig, ring| plane_config(cfg, ring).error_control;
-        // The default window widens from 4 to 32 SDUs.
-        assert_eq!(ec(&reliable, Some(33)), ErrorControlAlg::None);
-        assert_eq!(ec(&reliable, Some(32)), reliable.error_control);
-        assert_eq!(ec(&reliable, Some(64)), ErrorControlAlg::None);
-        let planes = plane_config(&reliable, Some(64));
+        // The default window widens from 4 to 32 SDUs: 2 x 33 + 1 frames.
+        assert_eq!(ec(&reliable, Some(67)), ErrorControlAlg::None);
+        assert_eq!(ec(&reliable, Some(66)), reliable.error_control);
+        assert_eq!(ec(&reliable, Some(128)), ErrorControlAlg::None);
+        let planes = plane_config(&reliable, Some(128));
         assert_eq!(
             (planes.flow_control, planes.sdu_size),
             (reliable.flow_control.clone(), reliable.sdu_size)
@@ -2479,11 +2501,11 @@ mod tests {
             initial_credits: 4,
             dynamic: false,
         });
-        assert_eq!(ec(&fixed, Some(5)), ErrorControlAlg::None);
-        assert_eq!(ec(&fixed, Some(4)), fixed.error_control);
+        assert_eq!(ec(&fixed, Some(11)), ErrorControlAlg::None);
+        assert_eq!(ec(&fixed, Some(10)), fixed.error_control);
         let sliding = with(FlowControlAlg::SlidingWindow { window: 63 });
-        assert_eq!(ec(&sliding, Some(64)), ErrorControlAlg::None);
-        assert_eq!(ec(&sliding, Some(63)), sliding.error_control);
+        assert_eq!(ec(&sliding, Some(129)), ErrorControlAlg::None);
+        assert_eq!(ec(&sliding, Some(128)), sliding.error_control);
         // No window bounds what waits unread.
         for unbounded in [
             FlowControlAlg::None,
@@ -2500,7 +2522,16 @@ mod tests {
             direct: true,
             ..reliable.clone()
         };
-        assert_eq!(ec(&direct, Some(64)), direct.error_control);
+        assert_eq!(ec(&direct, Some(128)), direct.error_control);
+        // Probes send past the edge what the ring holds beyond both
+        // sides' windows and the set-up frame.
+        let probes = |cfg: &ConnectionConfig, ring| {
+            let cfg = plane_config(cfg, Some(ring));
+            TxPlane::new(&cfg, Some(ring), PlaneObs::default(), Instant::now()).probes
+        };
+        assert_eq!(probes(&reliable, 67), Some(1));
+        assert_eq!(probes(&reliable, 128), Some(31));
+        assert_eq!(probes(&fixed, 14), Some(2));
     }
 
     /// A short message behind a session nobody has answered waits, so that
@@ -2564,199 +2595,254 @@ mod tests {
         assert_eq!(sent, [0, 1, 2, 3]);
     }
 
-    /// A sender and a receiver without error control, under a credit
-    /// window, joined by a ring a few frames wider than the widest window
-    /// the receiver ever names — from the narrowest that turns error
-    /// control off — and by a feedback path that may lose what it
-    /// carries. The receiver reads its ring when it likes, or not at all
-    /// for as long as it likes.
-    struct RingModel {
+    /// What a ring carries: a data frame, a credit edge — the feedback of
+    /// the side that sends it about the other's data — or the set-up or
+    /// close frame.
+    enum Frame {
+        Data(DataHeader, bool, Vec<u8>),
+        Credit(u32),
+        Control,
+    }
+
+    /// One end of a connection without error control under a credit
+    /// window: its sender half, its receiver half, and what it sent and
+    /// got.
+    struct Side {
         tx: TxPlane,
         rx: RxPlane,
-        now: Instant,
-        capacity: usize,
-        /// Frames in the ring, oldest first.
-        ring: VecDeque<(DataHeader, bool, Vec<u8>)>,
-        /// Credit edges on their way back.
-        feedback: VecDeque<CtrlEvent>,
         submitted: Vec<Vec<u8>>,
         completions: Vec<Arc<RequestCore<()>>>,
         delivered: Vec<Vec<u8>>,
     }
 
+    /// Two such ends joined by two rings, one each way, each carrying its
+    /// sender's data, its sender's feedback about the other way's data and
+    /// — acceptor to initiator — the set-up frame first; each side's close
+    /// is its ring's last frame. Each ring is `slack` frames wider than the
+    /// narrowest the ring rule takes: twice the widest window and a probe,
+    /// beside one frame. A side reads its ring when it likes, or not at all
+    /// for as long as it likes, and may lose a feedback frame it reads.
+    struct RingModel {
+        sides: [Side; 2],
+        now: Instant,
+        capacity: usize,
+        /// `rings[i]`: frames from side `i` to the other, oldest first.
+        rings: [VecDeque<Frame>; 2],
+    }
+
     impl RingModel {
-        /// A ring `slack` frames wider than the widest window.
         fn new(cfg: &ConnectionConfig, slack: usize) -> RingModel {
             let now = Instant::now();
-            let capacity = widest_window(&cfg.flow_control).expect("a window") as usize + slack;
-            RingModel {
+            let window = widest_window(&cfg.flow_control).expect("a window") as usize;
+            let capacity = 2 * (window + 1) + slack;
+            assert_eq!(
+                plane_config(cfg, Some(capacity)).error_control,
+                ErrorControlAlg::None
+            );
+            let side = || Side {
                 tx: TxPlane::new(cfg, Some(capacity), PlaneObs::default(), now),
                 rx: rx_plane(cfg).0,
-                now,
-                capacity,
-                ring: VecDeque::new(),
-                feedback: VecDeque::new(),
                 submitted: Vec::new(),
                 completions: Vec::new(),
                 delivered: Vec::new(),
+            };
+            RingModel {
+                sides: [side(), side()],
+                now,
+                capacity,
+                // Side 1 accepted the connection: its AcceptConn comes first.
+                rings: [VecDeque::new(), VecDeque::from([Frame::Control])],
             }
         }
 
-        fn submit(&mut self, len: usize) {
-            let i = self.submitted.len();
-            let data: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8).collect();
-            self.completions.push(submit(&mut self.tx, data.clone()));
-            self.submitted.push(data);
-        }
-
-        /// The sender runs; what it releases lands in the ring, which
-        /// takes it — the write that completes a message's request.
-        fn poll(&mut self) -> Result<(), TestCaseError> {
-            let ring = &mut self.ring;
-            self.tx.poll(self.now, |sdu| {
-                ring.push_back((header_of(&sdu), sdu.packed, sdu.payload.to_vec()));
-                for done in sdu.done {
-                    done.complete(Ok(()));
-                }
-            });
+        /// Side `i`'s ring took one more frame.
+        fn push(&mut self, i: usize, frame: Frame) -> Result<(), TestCaseError> {
+            self.rings[i].push_back(frame);
             prop_assert!(
-                self.ring.len() <= self.capacity,
+                self.rings[i].len() <= self.capacity,
                 "{} frames unread in a ring of {}",
-                self.ring.len(),
+                self.rings[i].len(),
                 self.capacity
             );
             Ok(())
         }
 
-        /// The receiver's event loop takes up to `n` frames off the ring.
-        fn read(&mut self, n: usize) -> Result<(), TestCaseError> {
-            for _ in 0..n.min(self.ring.len()) {
-                let (header, packed, payload) = self.ring.pop_front().expect("a frame");
-                let view = DataView {
-                    header,
-                    packed,
-                    payload: &payload,
-                };
-                let step = self.rx.on_frame(&view, self.now);
-                prop_assert!(
-                    step.ack.is_none(),
-                    "an acknowledgement without error control"
-                );
-                self.delivered.extend(delivered(step));
+        fn submit(&mut self, i: usize, len: usize) {
+            let side = &mut self.sides[i];
+            let n = side.submitted.len();
+            let data: Vec<u8> = (0..len).map(|j| (n * 31 + j + i) as u8).collect();
+            side.completions.push(submit(&mut side.tx, data.clone()));
+            side.submitted.push(data);
+        }
+
+        /// Side `i`'s sender runs; what it releases lands in its ring,
+        /// which takes it — the write that completes a message's request.
+        fn poll(&mut self, i: usize) -> Result<(), TestCaseError> {
+            let mut out = Vec::new();
+            self.sides[i].tx.poll(self.now, |sdu| {
+                out.push(Frame::Data(
+                    header_of(&sdu),
+                    sdu.packed,
+                    sdu.payload.to_vec(),
+                ));
+                for done in sdu.done {
+                    done.complete(Ok(()));
+                }
+            });
+            for frame in out {
+                self.push(i, frame)?;
             }
             Ok(())
         }
 
-        /// The end of a receive drain: the edge, if owed, goes back.
-        fn advertise(&mut self) {
-            self.feedback
-                .extend(self.rx.advertise().map(CtrlEvent::Credit));
-        }
-
-        fn drain(&mut self) -> Result<(), TestCaseError> {
-            self.read(usize::MAX)?;
-            self.advertise();
+        /// Side `i`'s event loop takes up to `n` frames off the ring
+        /// towards it: data goes to its receiver half, an edge to its
+        /// sender half — or nowhere, if `lose` says that edge is lost.
+        fn read(&mut self, i: usize, n: usize, lose: bool) -> Result<(), TestCaseError> {
+            let ring = &mut self.rings[1 - i];
+            let side = &mut self.sides[i];
+            for _ in 0..n.min(ring.len()) {
+                match ring.pop_front().expect("a frame") {
+                    Frame::Data(header, packed, payload) => {
+                        let view = DataView {
+                            header,
+                            packed,
+                            payload: &payload,
+                        };
+                        let step = side.rx.on_frame(&view, self.now);
+                        prop_assert!(
+                            step.ack.is_none(),
+                            "an acknowledgement without error control"
+                        );
+                        side.delivered.extend(delivered(step));
+                    }
+                    Frame::Credit(_) if lose => {}
+                    Frame::Credit(edge) => side.tx.on_credit(edge, self.now),
+                    Frame::Control => {}
+                }
+            }
             Ok(())
         }
 
-        /// The oldest credit edge on its way back arrives.
-        fn answer(&mut self) {
-            if let Some(event) = self.feedback.pop_front() {
-                self.tx.on_event(event, self.now);
+        /// The end of side `i`'s receive drain: its edge, if owed, goes
+        /// back on its own ring.
+        fn advertise(&mut self, i: usize) -> Result<(), TestCaseError> {
+            match self.sides[i].rx.advertise() {
+                Some(edge) => self.push(i, Frame::Credit(edge)),
+                None => Ok(()),
             }
         }
 
-        /// Time passes to the sender's next deadline, and it runs.
-        fn starve(&mut self) -> Result<(), TestCaseError> {
-            if let Some(at) = self.tx.next_deadline(self.now) {
+        fn drain(&mut self, i: usize) -> Result<(), TestCaseError> {
+            self.read(i, usize::MAX, false)?;
+            self.advertise(i)
+        }
+
+        /// Time passes to side `i`'s next deadline, and it runs.
+        fn starve(&mut self, i: usize) -> Result<(), TestCaseError> {
+            if let Some(at) = self.sides[i].tx.next_deadline(self.now) {
                 self.now = self.now.max(at);
             }
-            self.poll()
+            self.poll(i)
         }
 
         /// Everything that was sent arrives, once, in order, and every
-        /// request resolves `Ok`.
+        /// request resolves `Ok`; then each side closes, its close the
+        /// last frame of its ring.
         fn finish(&mut self) -> Result<(), TestCaseError> {
+            let rest = |m: &RingModel| {
+                m.sides.iter().all(|s| s.tx.is_idle()) && m.rings.iter().all(VecDeque::is_empty)
+            };
             for _ in 0..10_000 {
-                if self.tx.is_idle() && self.ring.is_empty() {
+                if rest(self) {
                     break;
                 }
-                self.drain()?;
-                while !self.feedback.is_empty() {
-                    self.answer();
-                }
-                self.poll()?;
-                if !self.tx.is_idle() && self.ring.is_empty() {
-                    self.starve()?;
+                for i in 0..2 {
+                    self.drain(i)?;
+                    self.poll(i)?;
+                    if !self.sides[i].tx.is_idle() && self.rings[i].is_empty() {
+                        self.starve(i)?;
+                    }
                 }
             }
-            prop_assert!(self.tx.is_idle(), "the sender never came to rest");
-            prop_assert_eq!(&self.delivered, &self.submitted);
-            for c in &self.completions {
-                prop_assert_eq!(c.take(), Some(Ok(())));
+            prop_assert!(rest(self), "the connection never came to rest");
+            for i in 0..2 {
+                self.push(i, Frame::Control)?;
+                let side = &self.sides[i];
+                prop_assert_eq!(&self.sides[1 - i].delivered, &side.submitted);
+                for c in &side.completions {
+                    prop_assert_eq!(c.take(), Some(Ok(())));
+                }
             }
             Ok(())
         }
     }
 
     /// A receiver that stops reading its ring: the sender fills the
-    /// window, its probes fill what the ring holds beyond it, and then it
-    /// sends nothing more and keeps no deadline, however long the silence
-    /// lasts. When the receiver reads again, everything arrives.
+    /// window, its probes fill what the ring holds beyond both windows,
+    /// and then it sends nothing more and keeps no deadline, however long
+    /// the silence lasts. When the receiver reads again, everything
+    /// arrives.
     #[test]
     fn a_silent_receiver_is_sent_no_more_than_its_ring_holds() -> Result<(), TestCaseError> {
         let fixed = FlowControlAlg::CreditBased {
             initial_credits: 4,
             dynamic: false,
         };
-        let mut model = RingModel::new(&config(ErrorControlAlg::None, fixed), 2);
+        // 2 x (4 + 1) + 4 = 14 frames: two probes.
+        let mut model = RingModel::new(&config(ErrorControlAlg::None, fixed), 4);
         for _ in 0..20 {
-            model.submit(SDU); // one whole SDU: never held
+            model.submit(0, SDU); // one whole SDU: never held
         }
-        model.poll()?;
-        assert_eq!(model.ring.len(), 4, "the window");
+        model.poll(0)?;
+        assert_eq!(model.rings[0].len(), 4, "the window");
         for _ in 0..10 {
-            model.starve()?;
+            model.starve(0)?;
         }
-        assert_eq!(model.ring.len(), 6, "the window and two probes");
+        assert_eq!(model.rings[0].len(), 6, "the window and two probes");
         assert_eq!(
-            model.tx.next_deadline(model.now),
+            model.sides[0].tx.next_deadline(model.now),
             None,
             "nothing left to try"
         );
         model.now += 100 * FC_STARVATION_PROBE;
-        model.poll()?;
-        assert_eq!(model.ring.len(), 6);
+        model.poll(0)?;
+        assert_eq!(model.rings[0].len(), 6);
         model.finish()
     }
 
     /// The credit that would reopen the window is lost, and so is the
     /// answer to the first probe; the answer to the last probe the ring
     /// has room for reopens it. Had that one been lost too, nothing would
-    /// have: the sender keeps no deadline past its probes.
+    /// have — but a ring the rule holds loses no feedback: a frame is lost
+    /// only where it would overrun it.
     #[test]
     fn a_lost_credit_is_healed_by_any_probe_the_ring_has_room_for() -> Result<(), TestCaseError> {
         let fixed = FlowControlAlg::CreditBased {
             initial_credits: 4,
             dynamic: false,
         };
-        let mut model = RingModel::new(&config(ErrorControlAlg::None, fixed), 2);
+        let mut model = RingModel::new(&config(ErrorControlAlg::None, fixed), 4);
         for _ in 0..12 {
-            model.submit(SDU);
+            model.submit(0, SDU);
         }
-        model.poll()?;
+        model.poll(0)?;
+        model.read(0, usize::MAX, false)?; // the AcceptConn
         for probe in 0..2 {
-            model.drain()?;
-            assert!(model.feedback.pop_front().is_some(), "an answer, lost");
-            assert!(model.tx.next_deadline(model.now).is_some());
-            model.starve()?;
-            assert_eq!((model.ring.len(), model.tx.past), (1, probe + 1));
+            model.drain(1)?;
+            model.read(0, 1, true)?;
+            assert!(model.sides[0].tx.next_deadline(model.now).is_some());
+            model.starve(0)?;
+            assert_eq!(
+                (model.rings[0].len(), model.sides[0].tx.past),
+                (1, probe + 1)
+            );
         }
-        model.drain()?;
-        model.answer();
-        assert_eq!(model.tx.past, 0, "the edge passed the probes");
-        model.poll()?;
-        assert_eq!(model.ring.len(), 4, "a whole window again");
+        model.drain(1)?;
+        model.read(0, 1, false)?;
+        assert_eq!(model.sides[0].tx.past, 0, "the edge passed the probes");
+        model.poll(0)?;
+        assert_eq!(model.rings[0].len(), 4, "a whole window again");
         model.finish()
     }
 
@@ -2773,35 +2859,48 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// No schedule overruns the ring: whatever is submitted (short
+        /// No schedule overruns a ring: whatever both sides submit (short
         /// messages that wait to ride in trains, messages of one or more
-        /// SDUs) and however the sender's polls, the receiver's reads and
-        /// advertisements, lost feedback, the window's growth under dense
-        /// arrivals and its decay in quiet stretches, the starvation
-        /// probe and silences of any length interleave, the ring never
-        /// holds more than it can. Feedback is lost at will while the
-        /// sender has a probe left — and then every message arrives once,
-        /// in order.
+        /// SDUs) and however their polls, their reads and advertisements
+        /// (a drain of one frame answers it with a credit frame of its
+        /// own), lost feedback, the window's growth under dense arrivals
+        /// and its decay in quiet stretches, the starvation probe and
+        /// silences of any length interleave — one side may read nothing
+        /// until the end — neither ring, each carrying its sender's data,
+        /// its sender's feedback about the other side's data, and the
+        /// set-up or close frame, holds more than it can. The rings are
+        /// one to three frames wider than the narrowest one the rule
+        /// takes for the window. Feedback is lost at will while the sender
+        /// it is for has a probe left — and then every message arrives
+        /// once, in order.
         #[test]
         fn no_schedule_overruns_a_ring_one_to_three_frames_wider_than_the_window(
             fc in window_configs(),
             slack in 1usize..=3,
-            ops in proptest::collection::vec((0u8..8, 0usize..1_000), 1..300),
+            // The side that reads nothing until the end, if 0 or 1.
+            silent in 0usize..3,
+            ops in proptest::collection::vec((0u8..9, 0usize..1_000), 1..300),
         ) {
             let mut model = RingModel::new(&train_config(ErrorControlAlg::None, fc), slack);
             for (op, n) in ops {
+                let i = n % 2;
+                let reads = silent != i;
                 match op {
-                    0 | 1 => model.submit(1 + n % (3 * TRAIN_SDU)),
-                    2 | 3 => model.poll()?,
-                    4 => model.read(1 + n % 40)?,
-                    5 => model.advertise(),
-                    6 if n % 4 == 0 && model.tx.may_probe() => {
-                        drop(model.feedback.pop_front())
+                    0 | 1 => model.submit(i, 1 + n % (3 * TRAIN_SDU)),
+                    2 => model.poll(i)?,
+                    3 if reads => model.read(i, 1 + n % 40, false)?,
+                    4 => model.advertise(i)?,
+                    5 if reads => {
+                        let lose = n % 8 < 2 && model.sides[i].tx.may_probe();
+                        model.read(i, 1, lose)?
                     }
-                    6 => model.answer(),
-                    _ if n % 10 == 0 => model.starve()?,
+                    6 if reads => {
+                        model.read(i, 1, false)?;
+                        model.advertise(i)?
+                    }
+                    7 => model.starve(i)?,
                     _ => model.now += Duration::from_millis(n as u64 % 31),
                 }
             }

@@ -7,8 +7,9 @@
 //! (flow control, error control) exactly as they are, but runs them as
 //! non-blocking state machines multiplexed onto a small fixed pool of
 //! worker loops (one `ReactorTask` per connection; see
-//! `connection::ConnTask`). Figure 1's node-level Control Send/Receive
-//! threads run the same way: one `control::CtrlTask` per attached peer.
+//! `connection::ConnTask`). Figure 1's Master Thread runs the same way, as
+//! one accept task per node; its Control Send/Receive threads have no task
+//! of their own, because feedback rides each connection's data channel.
 //!
 //! Three readiness sources feed the loops:
 //!
@@ -62,8 +63,8 @@
 //!   A deadline armed nearer than that (rate pacing) is exact, as before.
 //!
 //! **Claims.** A task is run by its shard, or by a thread that waits on
-//! its work: a thread blocked on a receive of a connection without a
-//! credit window claims the connection's task while it is idle
+//! its work: a thread blocked on a receive of a connection claims the
+//! connection's task while it is idle
 //! ([`TaskHandle::claim`]) and runs it
 //! itself, so a frame for that thread crosses no other one (§4.2's thread
 //! bypass). A wake-handle's states say who runs the task: idle,
@@ -71,7 +72,7 @@
 //! claimed — the claimant runs it, or sleeps on its bell (parked), or
 //! was woken since it last ran it (woken). While the task is claimed
 //! every wake reaches the claimant, whatever sent it: the transport's
-//! waker, the control dispatcher, a submitter, a close, a deadline the
+//! waker, a submitter, a close, a deadline the
 //! shard fires. None posts to the shard: the task never has two runners.
 //! A claimant of a descriptor's task disarms the descriptor's
 //! registration and polls the socket itself, beside an `eventfd` that a
@@ -95,7 +96,7 @@
 //!
 //! **Shutdown** ([`Reactor::shutdown`]) is the last step of a node's
 //! ordered retirement (`NcsNode::shutdown`): by then the node has closed
-//! its connections and retired its control and accept tasks. Each shard
+//! its connections and retired its accept task. Each shard
 //! drops its closure tasks at once — they hold deadlines for their owners,
 //! and nobody waits for those past a shutdown — and runs the rest until
 //! they finish, which ends the shard. The only wait left is a closing
@@ -146,7 +147,7 @@ pub(crate) enum TaskPoll {
 }
 
 /// A resumable, non-blocking unit of protocol work (one connection's
-/// Send/Receive/FC/EC machinery, or one peer's control plane).
+/// Send/Receive/FC/EC machinery, or a node's accepting).
 ///
 /// `poll` must never block: it drains whatever is ready, advances its
 /// state machines, and returns. Spurious polls are normal.
@@ -177,8 +178,8 @@ const ST_WOKEN: u8 = 7;
 pub(crate) enum TaskKind {
     /// A connection's pipeline ([`ReactorStats::endpoints`]).
     Connection,
-    /// A node's control or accept task.
-    Control,
+    /// A node's accept task.
+    Accept,
     /// A [`Reactor::spawn_task`] closure: dropped, unpolled, at shutdown.
     Closure,
 }
@@ -453,7 +454,7 @@ impl Bell {
 pub(crate) struct ReactorCounters {
     /// Live connection tasks ([`ReactorStats::endpoints`]).
     endpoints: AtomicU64,
-    /// Live tasks of every kind (connections plus per-peer control tasks).
+    /// Live tasks of every kind (connections plus accept tasks).
     tasks: AtomicU64,
     polls: AtomicU64,
     wakeups: AtomicU64,
@@ -584,7 +585,7 @@ impl Reactor {
         handle
     }
 
-    /// Live tasks of every kind — connections and control tasks.
+    /// Live tasks of every kind — connections and accept tasks.
     #[cfg(test)]
     pub(crate) fn live_tasks(&self) -> u64 {
         self.counters.tasks.load(Ordering::Relaxed)
@@ -654,12 +655,12 @@ impl Reactor {
 
     /// Stops the workers, and returns once they have exited. Idempotent.
     /// Each shard drops its closure tasks ([`Reactor::spawn_task`]) at
-    /// once and runs its connection and control tasks until they finish:
+    /// once and runs its connection and accept tasks until they finish:
     /// closed connections complete their graceful drain (send flush,
     /// final-frame delivery), which `CLOSE_LINGER` bounds. A task still there when that bound has
     /// passed is dropped unpolled and counted in
     /// [`ReactorStats::tasks_left_at_shutdown`]; close connections and
-    /// retire control tasks first (node shutdown does), or they are the
+    /// retire accept tasks first (node shutdown does), or they are the
     /// ones left. The join's own limit only guards a reactor dropped on
     /// one of its own loops.
     pub fn shutdown(&self) {
@@ -773,7 +774,7 @@ type TimerHeap = BinaryHeap<std::cmp::Reverse<(u64, u64)>>;
 /// One shard's event loop: timers, then the run queue.
 ///
 /// A shutdown drops the shard's closure tasks at once, and every closure
-/// task that comes after it. The connection and control tasks — closed or
+/// task that comes after it. The connection and accept tasks — closed or
 /// retired by their node before it stopped the reactor — run until they
 /// finish, and the shard exits with the last of them; or, at the latest,
 /// when a closing connection's drain must have ended: its `CLOSE_LINGER`,
@@ -1430,7 +1431,7 @@ pub(crate) mod tests {
             deadline: None,
             fired_after: Arc::clone(&fired_after),
         };
-        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Accept, |_| Box::new(task));
         let mut wakes = 0;
         while fired_after.load(Ordering::Relaxed) == 0 {
             if busy && polls.load(Ordering::Relaxed) > wakes {
@@ -1579,7 +1580,7 @@ pub(crate) mod tests {
             runs: Arc::clone(&runs),
             done_after: u64::MAX,
         };
-        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Accept, |_| Box::new(task));
         eventually(pkg, "first poll", || runs.load(Ordering::Relaxed) == 1);
         (runs, handle)
     }
@@ -1688,7 +1689,7 @@ pub(crate) mod tests {
             sock: far,
             reg: Arc::clone(&reg),
         };
-        let handle = reactor.spawn(TaskKind::Control, |_| Box::new(task));
+        let handle = reactor.spawn(TaskKind::Accept, |_| Box::new(task));
         *reg.lock() = Some(handle.watch_fd(fd));
         const N: u64 = 200;
         let before = reactor.stats().poller_wakes;
@@ -1814,7 +1815,7 @@ pub(crate) mod tests {
             runs: Arc::clone(&spins),
             stop: Arc::clone(&stop),
         };
-        let _spinning = reactor.spawn(TaskKind::Control, |_| Box::new(spinner));
+        let _spinning = reactor.spawn(TaskKind::Accept, |_| Box::new(spinner));
         eventually(&pkg, "spinning", || spins.load(Ordering::Relaxed) > 0);
         for report in 2..=4 {
             let before = spins.load(Ordering::Relaxed);
@@ -1930,7 +1931,7 @@ pub(crate) mod tests {
     /// The claim's protocol, explored: every schedule of a waiter that
     /// claims the task, parks, runs it and lets go — or parks and runs it
     /// once more first — against
-    /// two wakes (a transport's, the control dispatcher's, a submitter's, a
+    /// two wakes (a transport's, a submitter's, a
     /// close's or a deadline's: all go through `TaskHandle::wake`) and the
     /// shard, which runs what is posted to it. A wake announces its work,
     /// then makes its transition, then posts or rings as the transition

@@ -154,18 +154,47 @@ pub(crate) fn time_left(deadline: Option<Instant>) -> Duration {
 // MsgView
 // ---------------------------------------------------------------------------
 
+/// Where a received message's bytes are.
+#[derive(Debug)]
+pub(crate) enum MsgBody {
+    /// A buffer of its own.
+    Own(PooledBuf),
+    /// A record of a train: its range of the train's body, which the
+    /// records share, and which returns to the pool with the last of them.
+    Record(Arc<PooledBuf>, std::ops::Range<usize>),
+}
+
+impl MsgBody {
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            MsgBody::Own(buf) => buf.as_slice(),
+            MsgBody::Record(train, range) => &train.as_slice()[range.clone()],
+        }
+    }
+
+    /// The bytes as an owning `Vec`: a buffer of its own leaves the pool,
+    /// a record is copied out of its train.
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        match self {
+            MsgBody::Own(buf) => buf.into_vec(),
+            record => record.bytes().to_vec(),
+        }
+    }
+}
+
 /// A received message, viewed in place.
 ///
 /// Receive completion hands back a `MsgView` instead of a `Vec<u8>`: the
 /// bytes live in a buffer checked out of the node's
 /// [`BufPool`](crate::BufPool) wherever the receive path could assemble
-/// there, and dropping the view recycles that buffer. Dereference for
-/// zero-copy reads; [`MsgView::into_vec`] detaches an owning `Vec` when
-/// the bytes must outlive the view.
+/// there — the message's own, or the body of the train it rode in — and
+/// dropping the view recycles that buffer. Dereference for zero-copy
+/// reads; [`MsgView::into_vec`] detaches an owning `Vec` when the bytes
+/// must outlive the view.
 #[derive(Debug)]
 pub struct MsgView {
-    buf: PooledBuf,
-    /// Payload start within `buf` (skips the tag envelope on tag-matched
+    body: MsgBody,
+    /// Payload start within `body` (skips the tag envelope on tag-matched
     /// messages).
     start: usize,
     /// The tag this message was routed on, if it was tag-matched (the
@@ -174,18 +203,18 @@ pub struct MsgView {
 }
 
 impl MsgView {
-    pub(crate) fn new(buf: PooledBuf, start: usize, tag: Option<u32>) -> Self {
-        MsgView { buf, start, tag }
+    pub(crate) fn new(body: MsgBody, start: usize, tag: Option<u32>) -> Self {
+        MsgView { body, start, tag }
     }
 
     /// The message payload.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf.as_slice()[self.start..]
+        &self.body.bytes()[self.start..]
     }
 
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
-        self.buf.as_slice().len() - self.start
+        self.body.bytes().len() - self.start
     }
 
     /// Whether the payload is empty.
@@ -211,10 +240,11 @@ impl MsgView {
 
     /// Detaches the payload as an owning `Vec<u8>`. The backing buffer
     /// leaves the pool (for pooled views this is the allocation hand-off,
-    /// not a copy, unless a tag envelope must be stripped first).
+    /// not a copy, unless a tag envelope must be stripped first, or the
+    /// message rode in a train).
     pub fn into_vec(self) -> Vec<u8> {
         let start = self.start;
-        let mut v = self.buf.into_vec();
+        let mut v = self.body.into_vec();
         if start > 0 {
             v.drain(..start);
         }
@@ -378,7 +408,7 @@ pub struct Request<T> {
     /// Run when the request is dropped unconsumed: a receive unregisters.
     pub(crate) cancel: Option<CancelFn<T>>,
     /// A receive's connection, whose task a waiting thread runs itself
-    /// when it is idle ([`ConnShared::drive`]); none under a credit window.
+    /// when it is idle ([`ConnShared::drive`]).
     pub(crate) conn: Option<Arc<ConnShared>>,
 }
 
@@ -813,7 +843,7 @@ mod tests {
     use crate::pool::BufPool;
 
     fn msg(bytes: &[u8], tag: Option<u32>) -> MsgView {
-        MsgView::new(PooledBuf::detached(bytes.to_vec()), 0, tag)
+        MsgView::new(MsgBody::Own(PooledBuf::detached(bytes.to_vec())), 0, tag)
     }
 
     #[test]
@@ -845,7 +875,7 @@ mod tests {
         let pool = BufPool::with_config(1, 4, 64);
         let mut buf = pool.get();
         buf.vec_mut().extend_from_slice(&[0, 0, 0, 7, 1, 2, 3]);
-        let view = MsgView::new(buf, 4, Some(7));
+        let view = MsgView::new(MsgBody::Own(buf), 4, Some(7));
         assert_eq!(view.as_slice(), &[1, 2, 3]);
         assert_eq!(view.len(), 3);
         assert!(!view.is_empty());
@@ -856,7 +886,7 @@ mod tests {
         // Dropping a view recycles instead.
         let mut buf = pool.get();
         buf.vec_mut().extend_from_slice(b"xyz");
-        drop(MsgView::new(buf, 0, None));
+        drop(MsgView::new(MsgBody::Own(buf), 0, None));
         assert_eq!(pool.stats().returns, 1);
     }
 

@@ -284,11 +284,11 @@ pub struct ConnectionStats {
     pub packets_received: u64,
     /// SDU packets retransmitted by error control.
     pub retransmissions: u64,
-    /// Acknowledgements sent on the control connection.
+    /// Acknowledgements sent (on the data channel, against its data).
     pub acks_sent: u64,
     /// Acknowledgements received.
     pub acks_received: u64,
-    /// Feedback frames sent on the control connection: every
+    /// Feedback frames sent on the data channel, against its data: every
     /// acknowledgement (the credit edge rides in it) and every credit edge
     /// sent alone, when an arrival no acknowledgement answered owed one.
     /// A reliable one-SDU message costs one.
@@ -353,7 +353,7 @@ pub struct ReactorStats {
     /// Event-loop workers (shards) — O(cores), fixed at construction.
     pub workers: usize,
     /// Live connection tasks (one per attached non-direct connection;
-    /// per-peer control tasks are not counted).
+    /// accept tasks are not counted).
     pub endpoints: u64,
     /// Worker loop iterations (timer sweeps + inbox waits).
     pub polls: u64,

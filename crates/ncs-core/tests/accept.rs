@@ -1,11 +1,12 @@
 //! Accepting is reactor work: one accept task per node takes the channels
 //! peers open, and each pending channel waits for exactly one thing — its
-//! hello, its peer's `attach_peer`, or a control channel with its peer —
-//! without making any other channel wait with it. The dialing node is
-//! played by hand where the order of events matters: raw channels, hello
-//! frames written by the test. Every test runs on the kernel package and
-//! as a green thread of the user-level one. Last, what a node's shutdown
-//! does to the accepting it was doing.
+//! hello or its peer's `attach_peer` — without making any other channel
+//! wait with it. A connection is that one channel: the acceptor's
+//! `AcceptConn` is its first frame back, and its feedback and its close
+//! follow on it. The dialing node is played by hand where the order of
+//! events matters: raw channels, hello frames written by the test. Every
+//! test runs on the kernel package and as a green thread of the user-level
+//! one. Last, what a node's shutdown does to the accepting it was doing.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,13 +82,8 @@ fn next_frame(
     }
 }
 
-fn control_hello(node: &str) -> Vec<u8> {
-    let node = node.to_owned();
-    Hello::Control { node }.encode()
-}
-
 fn data_hello(node: &str, initiator_conn: u32) -> Vec<u8> {
-    Hello::Data {
+    Hello {
         node: node.to_owned(),
         initiator_conn,
         config: ConnectionConfig::reliable(),
@@ -238,7 +234,7 @@ fn a_dial_that_beats_the_peers_attach_is_accepted_once_the_peer_attaches() {
     on_both_packages(dial_ahead_of_the_attach);
 }
 
-// -- One duplex control channel, and what happens when it ends ----------------
+// -- A peer that forgot this node and attached it anew -------------------------
 
 fn redial_after_reattach(pkg: &Pkg) {
     let (la, addr_a) = listener();
@@ -257,25 +253,23 @@ fn redial_after_reattach(pkg: &Pkg) {
                 .connect("ben", ConnectionConfig::reliable())
                 .expect("connect");
             let conn_b = b.accept_default().expect("accept");
-            // Acknowledgements and credits cross the one control channel
-            // in one direction, data acknowledged the other way in the other.
+            // Feedback crosses each connection's channel against its data.
             conn_a.isend(b"over").and_then(|r| r.wait()).expect("send");
             assert_eq!(conn_b.recv().expect("recv"), b"over");
             conn_b.isend(b"back").and_then(|r| r.wait()).expect("send");
             assert_eq!(conn_a.recv().expect("recv"), b"back");
         };
         exchange(&a, &b);
-        // Ben lets go of Ann and attaches her anew: the control channel
-        // she opened ends under her. Whether or not she has noticed by
-        // the time she dials again, the dial goes through — with a new
-        // control channel, at the latest on the hello's first repeat.
+        // Ben lets go of Ann and attaches her anew: the connection she
+        // opened ends under her. Her next dial owes nothing to it, and
+        // goes through at once.
         b.forget_peer("ann");
         b.attach_peer("ann", link_b);
         let start = Instant::now();
         exchange(&a, &b);
         let took = start.elapsed();
         assert!(
-            took < Duration::from_secs(5),
+            took < Duration::from_secs(1),
             "the second dial took {took:?}"
         );
         a.shutdown();
@@ -292,40 +286,33 @@ fn a_peer_that_attached_this_node_anew_is_dialed_again() {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Step {
-    ControlHello,
     DataHello(usize),
     Attach,
 }
 
-/// All orders of the four steps.
-fn orders() -> Vec<[Step; 4]> {
-    let steps = [
-        Step::ControlHello,
-        Step::DataHello(0),
-        Step::DataHello(1),
-        Step::Attach,
-    ];
+/// All orders of the three steps.
+fn orders() -> Vec<[Step; 3]> {
+    let steps = [Step::DataHello(0), Step::DataHello(1), Step::Attach];
     let mut all = Vec::new();
-    for a in 0..4 {
-        for b in (0..4).filter(|&b| b != a) {
-            for c in (0..4).filter(|&c| c != a && c != b) {
-                let d = 6 - a - b - c;
-                all.push([steps[a], steps[b], steps[c], steps[d]]);
-            }
+    for a in 0..3 {
+        for b in (0..3).filter(|&b| b != a) {
+            let c = 3 - a - b;
+            all.push([steps[a], steps[b], steps[c]]);
         }
     }
     all
 }
 
 /// One hand-played dialer called `name` against `acceptor`, its steps in
-/// the given order: whichever it is, two connections are accepted, each
-/// `AcceptConn` leaves on the control channel the dialer opened, and the
-/// first a connection says there about itself is its `AcceptConn`.
+/// the given order: whichever it is, two connections are accepted, and
+/// each channel's first frame back is its `AcceptConn`. A repeat of a
+/// hello — what a dialer whose `AcceptConn` was lost sends — is answered
+/// with the `AcceptConn` again and opens no third connection.
 fn dial_by_hand(
     pkg: &Pkg,
     acceptor: &NcsNode,
     name: &str,
-    order: [Step; 4],
+    order: [Step; 3],
     open: &dyn Fn() -> Box<dyn Connection>,
     link: Arc<dyn PeerLink>,
 ) {
@@ -333,55 +320,56 @@ fn dial_by_hand(
     let what = format!("{} {order:?}", link.interface());
     // The channels exist first, in the order a dialer opens them; what
     // varies is when each says what it is, and when the acceptor attaches.
-    let control = open();
     let data = [open(), open()];
     let mut link = Some(link);
     for step in order {
         match step {
-            Step::ControlHello => control.send(&control_hello(name)).expect("hello"),
             Step::DataHello(i) => data[i]
                 .send(&data_hello(name, INITIATOR[i]))
                 .expect("hello"),
             Step::Attach => acceptor.attach_peer(name, link.take().expect("one attach")),
         }
     }
-    let next_ctrl = || {
-        let frame = next_frame(pkg, control.as_ref(), Duration::from_secs(5))
-            .unwrap_or_else(|e| panic!("{what}: the control channel went quiet: {e}"));
+    let next_ctrl = |i: usize| {
+        let frame = next_frame(pkg, data[i].as_ref(), Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("{what}: channel {i} went quiet: {e}"));
         CtrlMsg::decode(&frame).expect("a control message")
     };
-    // Exactly two connections, each announced once.
+    // Exactly two connections, each announced first on its own channel.
     let mut acceptor_conn = [u32::MAX; 2];
-    for _ in 0..2 {
-        match next_ctrl() {
+    for (i, id) in acceptor_conn.iter_mut().enumerate() {
+        match next_ctrl(i) {
             CtrlMsg::AcceptConn {
                 initiator_conn,
-                acceptor_conn: id,
-            } => {
-                let i = INITIATOR
-                    .iter()
-                    .position(|&c| c == initiator_conn)
-                    .unwrap_or_else(|| panic!("{what}: accepted an unknown connection"));
-                assert_eq!(acceptor_conn[i], u32::MAX, "{what}: accepted twice");
-                acceptor_conn[i] = id;
-            }
-            other => panic!("{what}: {other:?} ahead of an AcceptConn"),
+                acceptor_conn,
+            } if initiator_conn == INITIATOR[i] => *id = acceptor_conn,
+            other => panic!("{what}: {other:?} first on channel {i}"),
         }
     }
+    assert_ne!(acceptor_conn[0], acceptor_conn[1], "{what}");
     let accepted: Vec<_> = (0..2)
         .map(|_| acceptor.accept(Duration::from_secs(5)).expect("accept"))
         .collect();
     assert!(accepted.iter().all(|c| c.peer_name() == name), "{what}");
+    // The dialer of the first did not hear its AcceptConn, and says its
+    // hello again.
+    data[0]
+        .send(&data_hello(name, INITIATOR[0]))
+        .expect("hello");
+    let again = CtrlMsg::AcceptConn {
+        initiator_conn: INITIATOR[0],
+        acceptor_conn: acceptor_conn[0],
+    };
+    assert_eq!(next_ctrl(0), again, "{what}");
     assert_eq!(
         acceptor.accept(Duration::from_millis(10)).err(),
         Some(AcceptError::Timeout),
         "{what}: a third connection"
     );
-    // Traffic: one message each way of the data channel's control loop —
-    // the feedback comes back on the channel the dialer opened, behind the
-    // AcceptConns: over SCI the acknowledgement, with the credit edge in
-    // it; over HPI, whose ring the credit window cannot overrun, the edge
-    // alone.
+    // Traffic: one message each way of the channel's control loop — the
+    // feedback comes back on the channel, behind the AcceptConn: over SCI
+    // the acknowledgement, with the credit edge in it; over HPI, whose
+    // ring no schedule can overrun, the edge alone.
     let feedback = if what.starts_with("HPI") {
         "credit"
     } else {
@@ -404,7 +392,7 @@ fn dial_by_hand(
             .find(|c| c.id() == acceptor_conn[i])
             .expect("the accepted connection");
         assert_eq!(conn.recv().expect("recv"), [i as u8; 8], "{what}");
-        let answer = match next_ctrl() {
+        let answer = match next_ctrl(i) {
             CtrlMsg::Ack {
                 conn,
                 edge: Some(_),
@@ -415,7 +403,15 @@ fn dial_by_hand(
         };
         assert_eq!(answer, (INITIATOR[i], feedback), "{what}");
     }
+    // Forgetting the dialer closes both: each channel's last frame is its
+    // CloseConn, then the channel ends.
     acceptor.forget_peer(name);
+    for i in 0..2 {
+        let close = CtrlMsg::CloseConn { conn: INITIATOR[i] };
+        assert_eq!(next_ctrl(i), close, "{what}");
+        let end = next_frame(pkg, data[i].as_ref(), Duration::from_secs(5));
+        assert_eq!(end.err(), Some(TransportError::Closed), "{what}");
+    }
 }
 
 fn every_arrival_order(pkg: &Pkg) {
@@ -445,6 +441,66 @@ fn every_arrival_order_of_hellos_and_attach_yields_two_connections() {
     on_both_packages(every_arrival_order);
 }
 
+/// Established TCP sockets of this process's network namespace with an
+/// end on `port` (`/proc/net/tcp`: a connection over loopback shows once
+/// per end).
+#[cfg(target_os = "linux")]
+fn sockets_on(port: u16) -> usize {
+    let table = std::fs::read_to_string("/proc/net/tcp").expect("/proc/net/tcp");
+    let port = format!(":{port:04X}");
+    table
+        .lines()
+        .skip(1)
+        .filter(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            // local, remote, state ("01": established).
+            fields.len() > 3
+                && fields[3] == "01"
+                && (fields[1].ends_with(&port) || fields[2].ends_with(&port))
+        })
+        .count()
+}
+
+/// A connected SCI pair holds one socket per connection at each end, and
+/// nothing beside them: no control channel per peer.
+#[cfg(target_os = "linux")]
+fn one_socket_per_connection(pkg: &Pkg) {
+    let (la, addr_a) = listener();
+    let (lb, addr_b) = listener();
+    let (a, b) = (node("ann", pkg), node("ben", pkg));
+    a.attach_peer("ben", SciLink::new(addr_b, la));
+    b.attach_peer("ann", SciLink::new(addr_a, lb));
+    // (A port the system handed out again may still carry a connection
+    // another test left open: only what these connections add counts.)
+    let ends = || sockets_on(addr_a.port()) + sockets_on(addr_b.port());
+    let before = ends();
+    let mut conns = Vec::new();
+    for n in 1..=3 {
+        // Dialed from either side in turn.
+        let (from, to, peer) = if n % 2 == 1 {
+            (&a, &b, "ben")
+        } else {
+            (&b, &a, "ann")
+        };
+        let dialed = from
+            .connect(peer, ConnectionConfig::reliable())
+            .expect("connect");
+        let accepted = to.accept_default().expect("accept");
+        dialed.isend(b"x").and_then(|r| r.wait()).expect("send");
+        assert_eq!(accepted.recv().expect("recv"), b"x");
+        conns.push((dialed, accepted));
+        assert_eq!(ends() - before, 2 * n, "{n} connections");
+    }
+    a.shutdown();
+    b.shutdown();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_connected_sci_pair_holds_one_socket_per_connection() {
+    on_both_packages(one_socket_per_connection);
+}
+
 // -- (d) The bounds ------------------------------------------------------------
 
 fn bounds_hold(pkg: &Pkg) {
@@ -465,7 +521,7 @@ fn bounds_hold(pkg: &Pkg) {
         .map(|i| {
             let channel = dial();
             channel
-                .send(&control_hello(&format!("ghost-{i}")))
+                .send(&data_hello(&format!("ghost-{i}"), i))
                 .expect("hello");
             channel
         })
@@ -476,37 +532,30 @@ fn bounds_hold(pkg: &Pkg) {
         assert_eq!(ghost.try_recv(), Ok(None));
     }
     // One of them is attached after all: its channel is in use at once.
-    let conn = {
-        acceptor.attach_peer("ghost-64", SciLink::new(addr, Arc::clone(&listener)));
-        let data = dial();
-        data.send(&data_hello("ghost-64", 9)).expect("hello");
-        let accept = next_frame(pkg, &ghosts[64], Duration::from_secs(5)).expect("AcceptConn");
-        assert!(matches!(
-            CtrlMsg::decode(&accept),
-            Ok(CtrlMsg::AcceptConn {
-                initiator_conn: 9,
-                ..
-            })
-        ));
-        (acceptor.accept_default().expect("accept"), data)
-    };
-    assert_eq!(conn.0.peer_name(), "ghost-64");
+    acceptor.attach_peer("ghost-64", SciLink::new(addr, Arc::clone(&listener)));
+    let accept = next_frame(pkg, &ghosts[64], Duration::from_secs(5)).expect("AcceptConn");
+    assert!(matches!(
+        CtrlMsg::decode(&accept),
+        Ok(CtrlMsg::AcceptConn {
+            initiator_conn: 64,
+            ..
+        })
+    ));
+    let conn = acceptor.accept_default().expect("accept");
+    assert_eq!(conn.peer_name(), "ghost-64");
 
-    // A dialer that gave up while its data channel waited for a control
-    // channel: nothing is built on what it left behind.
+    // A dialer that gave up while its channel waited for the attach:
+    // nothing is built on what it left behind.
+    let quitter = dial();
+    quitter.send(&data_hello("quitter", 3)).expect("hello");
+    pkg.sleep(Duration::from_millis(50));
+    drop(quitter);
+    pkg.sleep(Duration::from_millis(50));
     acceptor.attach_peer("quitter", SciLink::new(addr, Arc::clone(&listener)));
-    let data = dial();
-    data.send(&data_hello("quitter", 3)).expect("hello");
-    pkg.sleep(Duration::from_millis(50));
-    drop(data);
-    pkg.sleep(Duration::from_millis(50));
-    let control = dial();
-    control.send(&control_hello("quitter")).expect("hello");
     assert_eq!(
         acceptor.accept(Duration::from_millis(300)).err(),
         Some(AcceptError::Timeout)
     );
-    assert_eq!(control.try_recv(), Ok(None), "nothing was accepted");
 
     // Shutdown hangs up everything still waiting (and the channel in use,
     // behind the connection's CloseConn).

@@ -21,7 +21,7 @@ const CONNECTIONS: usize = 1024;
 const RING: usize = 32;
 
 /// The ceiling on the process's OS threads while every connection is
-/// open: event loops, the per-peer control plane and the test harness
+/// open: event loops, the accept tasks and the test harness
 /// fit under it many times over; a thread per connection does not.
 const MAX_THREADS: usize = 128;
 

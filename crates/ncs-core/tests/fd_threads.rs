@@ -1,7 +1,7 @@
 //! Who waits on the sockets: each shard, on its own tasks' descriptors,
 //! under both packages. A kernel-level shard parks in its epoll set; a
 //! green shard parks in its scheduler, which polls the set for it. So SCI
-//! listeners, control channels and data connections need no thread beside
+//! listeners and connections need no thread beside
 //! the shards — and under the user-level package, whose shards are green
 //! threads on the scheduler's own OS thread, no OS thread at all. This
 //! file holds ONE test on purpose: it reads the threads of the whole

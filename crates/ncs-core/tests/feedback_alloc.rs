@@ -68,7 +68,7 @@ fn a_clean_one_sdu_ack_allocates_nothing_and_bitmaps_keep_their_wire_bytes() {
         assert_eq!(n, 0, "bitmaps of {total} SDUs: {bitmaps:?}");
     }
 
-    // Built, encoded into the control task's reused buffer, decoded.
+    // Built, encoded into a reused frame buffer, decoded.
     let mut buf = Vec::with_capacity(64);
     let (ack, built) = allocations(|| CtrlMsg::Ack {
         conn: 7,

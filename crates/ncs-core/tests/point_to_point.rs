@@ -280,7 +280,7 @@ fn close_propagates_to_peer() {
     let (ca, cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
     ca.close();
     assert_eq!(ca.send(b"x"), Err(SendError::Closed));
-    // Peer sees the close (via control connection) shortly.
+    // Peer sees the close (the channel's last frame) shortly.
     let mut closed = false;
     for _ in 0..100 {
         match cb.recv_timeout(Duration::from_millis(50)) {

@@ -553,8 +553,8 @@ fn silence_after_round_trips_is_free(pair: Pair, pkg: &Pkg) {
     pair.shutdown();
 }
 
-/// Shutting a node down retires its control plane, so nothing it sent can
-/// be acknowledged any more — and nothing waits as if it could. Here the
+/// Shutting a node down waits for no acknowledgement of what it sent —
+/// and nothing waits as if one could come. Here the
 /// data frame cannot even arrive: the fabric's clock stops once the
 /// connection is up. The message in flight fails `Closed` and the node is
 /// down at once, not a close linger (250 ms) later.

@@ -111,9 +111,8 @@ fn arb_encoding() -> impl Strategy<Value = Vec<u8>> {
             .encode()
         }),
         any::<u32>().prop_map(|conn| CtrlMsg::CloseConn { conn }.encode()),
-        "[a-z0-9.-]{0,12}".prop_map(|node| Hello::Control { node }.encode()),
         ("[a-z0-9.-]{0,12}", any::<u32>(), arb_config()).prop_map(
-            |(node, initiator_conn, config)| Hello::Data {
+            |(node, initiator_conn, config)| Hello {
                 node,
                 initiator_conn,
                 config
@@ -207,7 +206,7 @@ proptest! {
         body in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let tag = if hello {
-            Hello::Control { node: String::new() }.encode()[0]
+            Hello { node: String::new(), initiator_conn: 0, config: ConnectionConfig::reliable() }.encode()[0]
         } else {
             CtrlMsg::CloseConn { conn: 0 }.encode()[0]
         };
@@ -312,17 +311,12 @@ proptest! {
     /// Hello frames survive the wire round trip (arbitrary node names).
     #[test]
     fn hello_codec_round_trips(name in "[a-zA-Z0-9_.-]{0,40}", conn: u32) {
-        let msgs = vec![
-            Hello::Control { node: name.clone() },
-            Hello::Data {
-                node: name,
-                initiator_conn: conn,
-                config: ConnectionConfig::reliable(),
-            },
-        ];
-        for m in msgs {
-            prop_assert_eq!(Hello::decode(&m.encode()).unwrap(), m);
-        }
+        let m = Hello {
+            node: name,
+            initiator_conn: conn,
+            config: ConnectionConfig::reliable(),
+        };
+        prop_assert_eq!(Hello::decode(&m.encode()).unwrap(), m);
     }
 
     /// Bitmap invariants: missing() lists exactly the unmarked positions,

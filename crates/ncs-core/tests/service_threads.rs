@@ -53,9 +53,10 @@ fn timed_shutdown(node: &NcsNode) -> Duration {
 
 #[test]
 fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
-    // -- A connected two-node pair, flow control on: credits cross the
-    // control plane in both directions (over HPI's default ring the
-    // window rules overruns out, so no acknowledgement goes with them).
+    // -- A connected two-node pair, flow control on: credits cross each
+    // connection's channel against its data (over HPI's default ring the
+    // ring rule leaves error control out, so no acknowledgement goes with
+    // them).
     let a = NcsNode::builder("ann").build();
     let b = NcsNode::builder("ben").build();
     linked(&a, &b);
@@ -98,7 +99,7 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
     // opened now over a link attached before is never taken off it, and
     // nothing is built on it.
     let channel = late.open_channel().expect("open");
-    let hello = Hello::Data {
+    let hello = Hello {
         node: "late".to_owned(),
         initiator_conn: 0,
         config: ConnectionConfig::unreliable(),
@@ -113,7 +114,7 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
         a.connect("ben", ConnectionConfig::reliable()),
         Err(ncs_core::ConnectError::Shutdown)
     ));
-    // The peer heard the CloseConn the control task flushed on its way out.
+    // The peer heard the CloseConn the connection wrote on its way out.
     assert_eq!(
         conn_b.recv_timeout(Duration::from_secs(5)).err(),
         Some(SendError::Closed)

@@ -78,11 +78,11 @@ fn sr_only_config() -> ConnectionConfig {
 /// answers with its bitmap and the sender repairs from that. A timeout
 /// the host's scheduling provokes on top (the timer adapts to the link,
 /// and the link is fast) sends one frame of its own and is counted in
-/// `ack_timeouts`, which the comparison takes out. (The only other
-/// best-effort cell on that uplink is the data hello's, ahead of them
-/// all: alice's control messages, and bob's acknowledgements coming back
-/// on the same VC, ride the assured control channel alice opened, which
-/// the plan exempts.)
+/// `ack_timeouts`, which the comparison takes out. (The only other cell
+/// on that uplink is the hello's, ahead of them all: alice receives no
+/// data, so she sends no feedback, and bob's acknowledgements ride the
+/// reverse direction of the same VC, best-effort like the data, where
+/// the plan drops nothing.)
 #[test]
 fn retransmissions_match_the_fault_plan_exactly() {
     const MSGS: usize = 100;

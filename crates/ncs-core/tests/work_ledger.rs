@@ -1,7 +1,10 @@
 //! The work a message costs, counted rather than timed: a reliable HPI
 //! ping-pong and a bypass SCI ping-pong, 1,000 warmed round trips each,
 //! with an echo thread that receives and sends back as the benchmark's
-//! does. Per message (two per round trip) the ledger counts:
+//! does; and a reliable HPI stream of 8-byte messages in windows of 64 on
+//! a channel, 100 warmed windows, whose sink posts a window of receives
+//! and waits for them as the benchmark's does. Per message (two per round
+//! trip) the ledger counts:
 //!
 //! * voluntary context switches of every thread of the process, read from
 //!   `/proc/self/task/*/status`;
@@ -24,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_core::link::{HpiLinkPair, SciLink};
-use ncs_core::{ConnectionConfig, NcsConnection, NcsNode, ReactorStats};
+use ncs_core::{ConnectionConfig, NcsConnection, NcsNode, ReactorStats, SendError};
 use ncs_transport::sci::SciListener;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -172,7 +175,68 @@ fn ping_pong(nodes: [&NcsNode; 2], client: &NcsConnection, server: &NcsConnectio
     }
 }
 
-fn hpi_reliable() -> Ledger {
+const WINDOW: usize = 64;
+const WARM_UP_WINDOWS: u64 = 20;
+const WINDOWS: u64 = 100;
+
+/// `WINDOWS` windows of `WINDOW` 8-byte messages from `client` to a sink
+/// thread on `server`, on channel 0, after `WARM_UP_WINDOWS` of them:
+/// what they cost per message. Each window's sends are waited for before
+/// the next goes; the sink posts a window of receives at a time.
+fn stream(nodes: [&NcsNode; 2], client: &NcsConnection, server: &NcsConnection) -> Ledger {
+    let stop = Arc::new(AtomicBool::new(false));
+    let received = Arc::new(AtomicU64::new(0));
+    let sink = {
+        let (channel, stop) = (server.channel(0), Arc::clone(&stop));
+        let received = Arc::clone(&received);
+        std::thread::spawn(move || 'windows: loop {
+            let posted: Vec<_> = (0..WINDOW).map(|_| channel.irecv()).collect();
+            for request in &posted {
+                loop {
+                    match request.wait_timeout(Duration::from_millis(50)) {
+                        Ok(msg) => break assert_eq!(msg.len(), 8),
+                        Err(SendError::Timeout) if !stop.load(Ordering::Relaxed) => {}
+                        Err(SendError::Timeout) => break 'windows,
+                        Err(e) => panic!("sink: {e}"),
+                    }
+                }
+                received.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    let channel = client.channel(0);
+    let window = |n: u64| {
+        let sent: Vec<_> = (0..WINDOW as u8)
+            .map(|i| channel.isend(&[i; 8]).expect("isend"))
+            .collect();
+        sent.into_iter()
+            .for_each(|r| r.wait_timeout(WAIT).expect("sent"));
+        // The sink has taken the window too.
+        let taken = n * WINDOW as u64;
+        while received.load(Ordering::Relaxed) < taken {
+            std::thread::yield_now();
+        }
+    };
+    (1..=WARM_UP_WINDOWS).for_each(window);
+    let before = read(&nodes);
+    (WARM_UP_WINDOWS + 1..=WARM_UP_WINDOWS + WINDOWS).for_each(window);
+    let after = read(&nodes);
+    stop.store(true, Ordering::Relaxed);
+    sink.join().expect("sink thread");
+    let per =
+        |f: fn(&Reading) -> u64| (f(&after) - f(&before)) as f64 / (WINDOWS * WINDOW as u64) as f64;
+    Ledger {
+        switches: per(|r| r.switches),
+        polls: per(|r| r.polls),
+        wakeups: per(|r| r.wakeups),
+        fd_events: per(|r| r.fd_events),
+        allocations: per(|r| r.allocations),
+    }
+}
+
+/// A reliable HPI connection between two fresh nodes, and what `traffic`
+/// costs on it.
+fn hpi_reliable(traffic: fn([&NcsNode; 2], &NcsConnection, &NcsConnection) -> Ledger) -> Ledger {
     let (a, b) = (
         NcsNode::builder("alice").build(),
         NcsNode::builder("bob").build(),
@@ -184,7 +248,7 @@ fn hpi_reliable() -> Ledger {
         .connect("bob", ConnectionConfig::reliable())
         .expect("connect");
     let cb = b.accept_default().expect("accept");
-    let ledger = ping_pong([&a, &b], &ca, &cb);
+    let ledger = traffic([&a, &b], &ca, &cb);
     a.shutdown();
     b.shutdown();
     ledger
@@ -233,22 +297,24 @@ fn within(name: &str, ledger: &Ledger, ceilings: &Ledger) {
 #[test]
 fn the_two_ping_pongs_cost_no_more_than_their_ledger() {
     pin_to_one_cpu();
-    let hpi = hpi_reliable();
+    let hpi = hpi_reliable(ping_pong);
     let sci = sci_bypass();
+    let trains = hpi_reliable(stream);
     println!("reliable HPI per message: {hpi:?}");
     println!("bypass SCI per message: {sci:?}");
-    // The reliable HPI round trip: each side's receiver wakes once, and
-    // each message's credit crosses both nodes' control tasks on their
-    // event loops, which wake the connection's task for it — under a
-    // credit window a waiting receiver does not run the task itself.
-    // (160 runs in debug and release builds, half of them beside four
-    // busy loops, read 2.04-2.87 switches, 3.04-3.56 polls and wake-ups,
-    // 9.03 allocations: whether a shard is still awake for the next wake
-    // varies.)
+    println!("reliable HPI stream per message: {trains:?}");
+    // The reliable HPI round trip: the thread that waits for the echo
+    // runs its connection's task itself and reads the credit edge off the
+    // channel beside the message, so each side sleeps once per message
+    // and its event loop polls once (2.04-2.87 switches and 3.04-3.56
+    // polls while the edge crossed both nodes' control tasks on their
+    // event loops; 20 runs in debug and release builds, 6 of them beside
+    // four busy loops, read 1.000-1.001 switches, polls and wake-ups and
+    // 9.03 allocations).
     let hpi_ceilings = Ledger {
-        switches: 3.2,
-        polls: 3.8,
-        wakeups: 3.8,
+        switches: 1.2,
+        polls: 1.2,
+        wakeups: 1.2,
         fd_events: 0.0,
         allocations: 9.1,
     };
@@ -263,6 +329,19 @@ fn the_two_ping_pongs_cost_no_more_than_their_ledger() {
         fd_events: 0.05,
         allocations: 6.1,
     };
+    // The 8-byte stream: a window of 64 is two trains, and the sink's
+    // receives take whole windows, so a thread sleeps about once per
+    // 13 messages. A train's records are views of its body: no
+    // allocation per record. (Read: 0.073-0.078 switches, 0.057-0.063
+    // polls and wake-ups, 6.39-6.40 allocations, over the same runs.)
+    let stream_ceilings = Ledger {
+        switches: 0.1,
+        polls: 0.08,
+        wakeups: 0.08,
+        fd_events: 0.0,
+        allocations: 6.45,
+    };
     within("reliable HPI", &hpi, &hpi_ceilings);
     within("bypass SCI", &sci, &sci_ceilings);
+    within("reliable HPI stream", &trains, &stream_ceilings);
 }

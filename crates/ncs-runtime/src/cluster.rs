@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use ncs_collectives::{CollectiveConfig, CollectiveError, CollectiveGroup, ViewAbortHandle};
 use ncs_core::link::SciLink;
-use ncs_core::{AcceptError, ConnectError, ConnectionConfig, NcsConnection, NcsNode};
+use ncs_core::{AcceptError, ConnectError, ConnectionConfig, NcsConnection, NcsNode, SendError};
 use ncs_transport::sci::SciListener;
 use ncs_transport::TransportError;
 use parking_lot::{Condvar, Mutex};
@@ -425,7 +425,8 @@ impl ClusterNode {
             }
         }
 
-        handshake(cfg.rank, cfg.world, &links, deadline, hint)?;
+        let redial = |peer| dial(&node, peer as u32, &cfg.conn, deadline);
+        handshake(cfg.rank, cfg.world, &mut links, deadline, hint, redial)?;
 
         members.push((cfg.rank, my_addr));
         members.sort_by_key(|&(r, _)| r);
@@ -768,31 +769,54 @@ impl ClusterNode {
 /// before any is awaited — sends are asynchronous, so no order in which
 /// the ranks of a world walk their links can leave them waiting on each
 /// other.
+///
+/// A link this rank dialed (to a higher rank, the dialing direction) that
+/// its peer closes before answering is dialed again with `redial`, until
+/// the deadline: the peer accepted it against a registration it has since
+/// forgotten — this rank's predecessor's, when this rank is a replacement
+/// that dialed a survivor before the survivor learned of the death.
 fn handshake(
     me: u32,
     world: u32,
-    links: &HashMap<usize, NcsConnection>,
+    links: &mut HashMap<usize, NcsConnection>,
     deadline: Instant,
     hint: &str,
+    redial: impl Fn(usize) -> Result<NcsConnection, ClusterError>,
 ) -> Result<(), ClusterError> {
     let hello = ClusterHello {
         version: PROTOCOL_VERSION,
         rank: me,
         world,
-    };
-    for conn in links.values() {
-        conn.send(&hello.encode())
-            .map_err(|e| ClusterError::Connect(e.to_string()))?;
     }
-    for (&peer, conn) in links {
-        let left = deadline
-            .checked_duration_since(Instant::now())
-            .ok_or_else(|| {
-                ClusterError::Timeout(format!("no handshake from rank {peer} in time{hint}"))
-            })?;
-        let frame = conn
-            .recv_timeout(left)
-            .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
+    .encode();
+    let hung_up = |peer: usize, e: &SendError| {
+        peer > me as usize && *e == SendError::Closed && Instant::now() < deadline
+    };
+    for (&peer, conn) in links.iter_mut() {
+        while let Err(e) = conn.send(&hello) {
+            if !hung_up(peer, &e) {
+                return Err(ClusterError::Connect(e.to_string()));
+            }
+            *conn = redial(peer)?;
+        }
+    }
+    for (&peer, conn) in links.iter_mut() {
+        let frame = loop {
+            let left = deadline
+                .checked_duration_since(Instant::now())
+                .ok_or_else(|| {
+                    ClusterError::Timeout(format!("no handshake from rank {peer} in time{hint}"))
+                })?;
+            match conn.recv_timeout(left) {
+                Ok(frame) => break frame,
+                Err(e) if hung_up(peer, &e) => {
+                    *conn = redial(peer)?;
+                    conn.send(&hello)
+                        .map_err(|e| ClusterError::Connect(e.to_string()))?;
+                }
+                Err(e) => return Err(ClusterError::Handshake(format!("rank {peer}: {e}"))),
+            }
+        };
         let h = ClusterHello::decode(&frame)
             .map_err(|e| ClusterError::Handshake(format!("rank {peer}: {e}")))?;
         if h.version != PROTOCOL_VERSION {
@@ -957,8 +981,9 @@ fn remesh_peer(
             }
         }
     };
-    let links = HashMap::from([(peer as usize, conn)]);
-    handshake(shared.rank, shared.world, &links, deadline, "")?;
+    let mut links = HashMap::from([(peer as usize, conn)]);
+    let redial = |peer| dial(&shared.node, peer as u32, &shared.conn_cfg, deadline);
+    handshake(shared.rank, shared.world, &mut links, deadline, "", redial)?;
     // A view that landed meanwhile may have moved the slot on.
     let mut wired = shared.links.lock();
     if shared.roster.lock().members.contains(&(peer, addr)) {
@@ -987,8 +1012,10 @@ mod tests {
         let world = crate::LocalWorld::create(2).expect("world");
         let to_zero = world[1].connection(0).expect("link");
         to_zero.send(&forged.encode()).expect("forged hello");
-        let links = HashMap::from([(1, world[0].connection(1).expect("link").clone())]);
-        let verdict = handshake(0, 2, &links, Instant::now() + Duration::from_secs(10), "");
+        let mut links = HashMap::from([(1, world[0].connection(1).expect("link").clone())]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let unreachable = |_| Err(ClusterError::Connect("no redial here".to_owned()));
+        let verdict = handshake(0, 2, &mut links, deadline, "", unreachable);
         // Rank 0's own hello went out regardless of the verdict.
         let sent = to_zero
             .recv_timeout(Duration::from_secs(10))

@@ -29,7 +29,7 @@ use crate::iface::{
 };
 
 /// Default ring capacity, in frames.
-pub const DEFAULT_RING: usize = 64;
+pub const DEFAULT_RING: usize = 128;
 
 /// Largest frame HPI accepts. Sized to fit an NCS packet with a 64 KB SDU.
 pub const MAX_FRAME: usize = 128 * 1024;
