@@ -1,6 +1,6 @@
 //! Discrete-event core: the event queue and the public event type.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::aal5::ReassemblyError;
@@ -131,6 +131,9 @@ impl Ord for Scheduled {
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
+    /// When each pending event whose outcome can be observed is due: a
+    /// signal, or a cell that ends a frame (no other cell completes one).
+    marks: BinaryHeap<Reverse<(SimTime, u64)>>,
     next_seq: u64,
 }
 
@@ -142,7 +145,15 @@ impl EventQueue {
     pub(crate) fn schedule(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        if !matches!(&kind, EventKind::CellArrive { cell, .. } if !cell.is_frame_end()) {
+            self.marks.push(Reverse((at, seq)));
+        }
         self.heap.push(Scheduled { at, seq, kind });
+    }
+
+    /// When the next event whose outcome can be observed is due.
+    pub(crate) fn next_mark(&self) -> Option<SimTime> {
+        self.marks.peek().map(|Reverse((at, _))| *at)
     }
 
     pub(crate) fn next_time(&self) -> Option<SimTime> {
@@ -151,11 +162,16 @@ impl EventQueue {
 
     /// Pops the next event if it is due at or before `t`.
     pub(crate) fn pop_due(&mut self, t: SimTime) -> Option<Scheduled> {
-        if self.next_time()? <= t {
-            self.heap.pop()
-        } else {
-            None
+        if self.next_time()? > t {
+            return None;
         }
+        // Both heaps pop in (time, seq) order: a marked event is the
+        // marks' head when it pops.
+        let event = self.heap.pop()?;
+        if self.marks.peek() == Some(&Reverse((event.at, event.seq))) {
+            self.marks.pop();
+        }
+        Some(event)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -193,6 +209,28 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![1, 3, 2]);
+    }
+
+    /// A waiter on the network wakes for what it can observe: a cell in
+    /// the middle of a frame completes nothing, so only the frame's last
+    /// cell (and signaling) is marked.
+    #[test]
+    fn only_frame_ends_are_marked_observable() {
+        let mut q = EventQueue::new();
+        let middle = EventKind::CellArrive {
+            node: NodeId::from_raw(1),
+            port: 0,
+            cell: AtmCell::data(Vc::new(32), [0; 48], false),
+        };
+        q.schedule(SimTime::from_micros(10), middle);
+        assert_eq!(q.next_mark(), None);
+        q.schedule(SimTime::from_micros(20), cell_event(2));
+        assert_eq!(q.next_time(), Some(SimTime::from_micros(10)));
+        assert_eq!(q.next_mark(), Some(SimTime::from_micros(20)));
+        assert!(q.pop_due(SimTime::from_micros(10)).is_some());
+        assert_eq!(q.next_mark(), Some(SimTime::from_micros(20)));
+        assert!(q.pop_due(SimTime::from_micros(20)).is_some());
+        assert_eq!(q.next_mark(), None);
     }
 
     #[test]

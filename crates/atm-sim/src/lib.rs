@@ -15,8 +15,11 @@
 //!   bit-error injection ([`fault`]);
 //! * a **deterministic discrete-event core** ([`SimTime`]-driven,
 //!   unit-testable without wall time), plus a **real-time pump**
-//!   ([`RealTimePump`]) that drives it against the wall clock (optionally
-//!   time-scaled) for the thread-based NCS runtime above it.
+//!   ([`RealTimePump`]) that runs it against the wall clock (optionally
+//!   time-scaled) for the thread-based NCS runtime above it — on the
+//!   threads that touch it, with no thread of its own: each caller runs
+//!   the network up to now and learns when its next observable event
+//!   falls due.
 //!
 //! # Example: two hosts through one switch, virtual time
 //!

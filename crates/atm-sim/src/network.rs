@@ -366,9 +366,13 @@ impl Network {
         self.now
     }
 
-    /// Virtual time of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.next_time()
+    /// Virtual time of the next pending event whose outcome can be
+    /// observed — a signal, or a frame's last cell reaching a switch or a
+    /// host: no [`NetEvent`] comes out before it (but a reassembly that
+    /// overflows for want of an end cell, which is reported at the next
+    /// run).
+    pub fn next_observable_time(&self) -> Option<SimTime> {
+        self.queue.next_mark()
     }
 
     /// Network-wide statistics.

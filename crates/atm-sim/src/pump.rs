@@ -1,31 +1,32 @@
-//! Real-time pump: drives the deterministic network against the wall clock
+//! Real-time pump: runs the deterministic network against the wall clock
 //! so OS threads (the NCS runtime) can use it as a live network.
 //!
 //! Virtual time `t` maps to wall time `origin + t * scale`. A scale of 1.0
 //! runs the network in real time; smaller values compress the modelled 1998
 //! delays so long experiments finish quickly (results are reported in
 //! *model* time regardless).
+//!
+//! The pump owns no thread: whoever touches the network — a submission,
+//! or [`RealTimePump::advance`] from a receive, a connect, an accept or a
+//! readiness check — runs it up to the wall clock's virtual now and learns
+//! when its next observable event falls due. A waiter on the network holds
+//! that instant as its deadline.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::engine::NetEvent;
 use crate::network::{AtmError, ConnId, Network, NodeId, QosParams, SetupTicket};
 use crate::time::SimTime;
 
 /// Receiver of network events in pump mode. Implementations must be quick
-/// and non-blocking (called from the pump thread).
+/// and non-blocking (called by whichever thread runs the network, with the
+/// network locked).
 pub trait DeliverySink: Send + Sync {
     /// Called for every observable network event, in virtual-time order.
     fn deliver(&self, event: NetEvent);
-}
-
-impl<F: Fn(NetEvent) + Send + Sync> DeliverySink for F {
-    fn deliver(&self, event: NetEvent) {
-        self(event);
-    }
 }
 
 /// Pump configuration.
@@ -56,79 +57,61 @@ impl PumpConfig {
     }
 }
 
-struct PumpShared {
+/// Runs a [`Network`] in real time, on the threads that touch it.
+///
+/// All mutating operations lock the network, run it up to the *current
+/// virtual time* and schedule their work there; deliveries flow out
+/// through the installed [`DeliverySink`].
+pub struct RealTimePump {
     net: Mutex<Network>,
-    cv: Condvar,
-    shutdown: std::sync::atomic::AtomicBool,
     sink: Mutex<Option<Arc<dyn DeliverySink>>>,
     origin: Instant,
     scale: f64,
 }
 
-impl std::fmt::Debug for PumpShared {
+impl std::fmt::Debug for RealTimePump {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PumpShared")
+        f.debug_struct("RealTimePump")
             .field("scale", &self.scale)
             .finish()
     }
 }
 
-/// Drives a [`Network`] in real time on a dedicated thread.
-///
-/// All mutating operations lock the network, schedule work at the *current
-/// virtual time* and wake the pump thread; deliveries flow out through the
-/// installed [`DeliverySink`].
-#[derive(Debug)]
-pub struct RealTimePump {
-    shared: Arc<PumpShared>,
-    driver: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
 impl RealTimePump {
-    /// Starts the pump over `net`.
+    /// Starts the pump over `net`: virtual time zero is now.
     pub fn start(net: Network, config: PumpConfig) -> Arc<Self> {
         assert!(
             config.time_scale.is_finite() && config.time_scale > 0.0,
             "time scale must be positive"
         );
-        let shared = Arc::new(PumpShared {
+        Arc::new(RealTimePump {
             net: Mutex::new(net),
-            cv: Condvar::new(),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
             sink: Mutex::new(None),
             origin: Instant::now(),
             scale: config.time_scale,
-        });
-        let driver_shared = Arc::clone(&shared);
-        let driver = std::thread::Builder::new()
-            .name("atm-pump".to_owned())
-            .spawn(move || Self::drive(driver_shared))
-            .expect("failed to spawn pump thread");
-        Arc::new(RealTimePump {
-            shared,
-            driver: Mutex::new(Some(driver)),
         })
     }
 
     /// Installs the delivery sink (replacing any previous one).
     pub fn set_sink(&self, sink: Arc<dyn DeliverySink>) {
-        *self.shared.sink.lock() = Some(sink);
-    }
-
-    /// Wall-clock duration corresponding to virtual duration `d`.
-    pub fn to_wall(&self, d: Duration) -> Duration {
-        d.mul_f64(self.shared.scale)
-    }
-
-    /// Current virtual time as derived from the wall clock.
-    pub fn now_virtual(&self) -> SimTime {
-        let elapsed = self.shared.origin.elapsed();
-        SimTime::ZERO + elapsed.div_f64(self.shared.scale)
+        *self.sink.lock() = Some(sink);
     }
 
     /// Resolves a host name.
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
-        self.shared.net.lock().node_id(name)
+        self.net.lock().node_id(name)
+    }
+
+    /// Runs the network up to the wall clock's virtual now, hands the
+    /// events to the sink, and returns the wall instant at which the next
+    /// pending event that can be observed falls due
+    /// ([`Network::next_observable_time`]; `None`: nothing is in flight
+    /// that anyone could see).
+    pub fn advance(&self) -> Option<Instant> {
+        let mut net = self.net.lock();
+        self.run_to_now(&mut net);
+        let next = net.next_observable_time()?;
+        Some(self.origin + next.as_duration().mul_f64(self.scale))
     }
 
     /// Initiates VC setup; completion arrives at the sink as
@@ -143,11 +126,9 @@ impl RealTimePump {
         dest: NodeId,
         qos: QosParams,
     ) -> Result<SetupTicket, AtmError> {
-        let mut net = self.shared.net.lock();
-        self.sync_virtual_clock(&mut net);
-        let t = net.open_vc_ids(origin, dest, qos);
-        self.shared.cv.notify_all();
-        t
+        let mut net = self.net.lock();
+        self.run_to_now(&mut net);
+        net.open_vc_ids(origin, dest, qos)
     }
 
     /// Submits a frame on an active connection.
@@ -156,11 +137,9 @@ impl RealTimePump {
     ///
     /// As [`Network::send_frame`].
     pub fn send_frame(&self, host: NodeId, conn: ConnId, frame: Vec<u8>) -> Result<(), AtmError> {
-        let mut net = self.shared.net.lock();
-        self.sync_virtual_clock(&mut net);
-        let r = net.send_frame(host, conn, frame);
-        self.shared.cv.notify_all();
-        r
+        let mut net = self.net.lock();
+        self.run_to_now(&mut net);
+        net.send_frame(host, conn, frame)
     }
 
     /// Tears down a connection.
@@ -169,101 +148,45 @@ impl RealTimePump {
     ///
     /// As [`Network::close_vc`].
     pub fn close_vc(&self, host: NodeId, conn: ConnId) -> Result<(), AtmError> {
-        let mut net = self.shared.net.lock();
-        self.sync_virtual_clock(&mut net);
-        let r = net.close_vc(host, conn);
-        self.shared.cv.notify_all();
-        r
+        let mut net = self.net.lock();
+        self.run_to_now(&mut net);
+        net.close_vc(host, conn)
     }
 
     /// Network statistics snapshot.
     pub fn stats(&self) -> crate::stats::NetStats {
-        self.shared.net.lock().stats()
+        self.net.lock().stats()
     }
 
     /// Per-connection statistics snapshot.
     pub fn conn_stats(&self, host: NodeId, conn: ConnId) -> Option<crate::stats::ConnStats> {
-        self.shared.net.lock().conn_stats(host, conn)
+        self.net.lock().conn_stats(host, conn)
     }
 
-    /// Stops the pump thread. Idempotent; called automatically on drop.
+    /// Stops delivering: events the network produces from now on go
+    /// nowhere. Idempotent.
     pub fn shutdown(&self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
-        self.shared.cv.notify_all();
-        if let Some(h) = self.driver.lock().take() {
-            let _ = h.join();
-        }
+        *self.sink.lock() = None;
     }
 
-    /// Advances the network's virtual clock to match the wall clock before
-    /// injecting externally-timed work, so submissions are stamped "now".
+    /// Runs the network up to the wall clock before anything is injected,
+    /// so submissions are stamped "now".
     ///
     /// Events are delivered to the sink *while the network lock is held* so
-    /// that deliveries from concurrent submitters and the pump thread reach
-    /// the sink in virtual-time order. Sinks therefore MUST NOT call back
-    /// into the pump (they should only move data into their own queues).
-    fn sync_virtual_clock(&self, net: &mut Network) {
-        let target = self.now_virtual();
-        if net.now() < target {
-            let events = net.run_until(target);
-            Self::fan_out(&self.shared, events);
+    /// that deliveries from concurrent callers reach the sink in
+    /// virtual-time order. Sinks therefore MUST NOT call back into the pump
+    /// (they should only move data into their own queues).
+    fn run_to_now(&self, net: &mut Network) {
+        let target = SimTime::ZERO + self.origin.elapsed().div_f64(self.scale);
+        if net.now() >= target {
+            return;
         }
-    }
-
-    fn fan_out(shared: &PumpShared, events: Vec<NetEvent>) {
+        let events = net.run_until(target);
         if events.is_empty() {
             return;
         }
-        let sink = shared.sink.lock().clone();
-        if let Some(sink) = sink {
-            for e in events {
-                sink.deliver(e);
-            }
+        if let Some(sink) = self.sink.lock().clone() {
+            events.into_iter().for_each(|e| sink.deliver(e));
         }
-    }
-
-    fn drive(shared: Arc<PumpShared>) {
-        loop {
-            if shared.shutdown.load(std::sync::atomic::Ordering::Acquire) {
-                return;
-            }
-            let mut net = shared.net.lock();
-            // Catch up to the wall clock.
-            let elapsed = shared.origin.elapsed();
-            let target = SimTime::ZERO + elapsed.div_f64(shared.scale);
-            let events = if net.now() < target {
-                net.run_until(target)
-            } else {
-                net.drain_events()
-            };
-            // Deliver while still holding the network lock (ordering; see
-            // `sync_virtual_clock`).
-            Self::fan_out(&shared, events);
-            let next = net.next_event_time();
-            // Sleep until the next event is due on the wall clock (or until
-            // nudged by a submission), atomically releasing the lock.
-            match next {
-                Some(t) => {
-                    let wall_deadline = shared.origin + t.as_duration().mul_f64(shared.scale);
-                    let now = Instant::now();
-                    if wall_deadline > now {
-                        shared.cv.wait_until(&mut net, wall_deadline);
-                    }
-                }
-                None => {
-                    // Idle: wait for submissions, re-checking shutdown
-                    // periodically.
-                    shared.cv.wait_for(&mut net, Duration::from_millis(50));
-                }
-            }
-        }
-    }
-}
-
-impl Drop for RealTimePump {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

@@ -480,14 +480,23 @@ impl Collector {
         })
     }
 
-    fn wait_for<F: Fn(&NetEvent) -> bool>(&self, pred: F, timeout: Duration) -> Option<NetEvent> {
+    /// Waits for an event `pred` picks, running the pump meanwhile: it
+    /// owns no thread, so the waiter wakes when its next event falls due.
+    fn wait_for<F: Fn(&NetEvent) -> bool>(
+        &self,
+        pump: &RealTimePump,
+        pred: F,
+        timeout: Duration,
+    ) -> Option<NetEvent> {
         let deadline = std::time::Instant::now() + timeout;
-        let mut events = self.events.lock();
         loop {
+            let due = pump.advance().map_or(deadline, |at| at.min(deadline));
+            let mut events = self.events.lock();
             if let Some(e) = events.iter().find(|e| pred(e)) {
                 return Some(e.clone());
             }
-            if self.cv.wait_until(&mut events, deadline).timed_out() {
+            let timed_out = self.cv.wait_until(&mut events, due).timed_out();
+            if timed_out && std::time::Instant::now() >= deadline {
                 return None;
             }
         }
@@ -513,6 +522,7 @@ fn pump_delivers_frames_in_real_time() {
     let ticket = pump.open_vc(a, b, QosParams::unspecified()).unwrap();
     let est = collector
         .wait_for(
+            &pump,
             |e| matches!(e, NetEvent::VcEstablished { ticket: t, .. } if *t == ticket),
             Duration::from_secs(5),
         )
@@ -527,6 +537,7 @@ fn pump_delivers_frames_in_real_time() {
         .unwrap();
     let frame = collector
         .wait_for(
+            &pump,
             |e| matches!(e, NetEvent::Frame { frame, .. } if frame.as_slice() == b"realtime hello"),
             Duration::from_secs(5),
         )
@@ -555,6 +566,7 @@ fn pump_wan_latency_scales_with_time_scale() {
     let ticket = pump.open_vc(a, b, QosParams::unspecified()).unwrap();
     let est = collector
         .wait_for(
+            &pump,
             |e| matches!(e, NetEvent::VcEstablished { ticket: t, .. } if *t == ticket),
             Duration::from_secs(5),
         )
@@ -567,6 +579,7 @@ fn pump_wan_latency_scales_with_time_scale() {
     pump.send_frame(a, conn, b"wan".to_vec()).unwrap();
     collector
         .wait_for(
+            &pump,
             |e| matches!(e, NetEvent::Frame { frame, .. } if frame.as_slice() == b"wan"),
             Duration::from_secs(5),
         )

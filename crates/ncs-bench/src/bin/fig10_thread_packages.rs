@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncs_bench::{compute_load, env_f64, env_usize, human_size, FIG10_SIZES};
+use ncs_bench::{compute_load, env_f64, env_usize, human_size, shape_check, FIG10_SIZES};
 use ncs_core::link::PipeLinkPair;
 use ncs_core::{ConnectionConfig, NcsConnection, NcsNode};
 use ncs_threads::{SwitchMech, ThreadPackage, UserConfig, UserRuntime};
@@ -114,6 +114,7 @@ fn main() {
         "{:>10}{:>18}{:>18}{:>10}",
         "size", "user-level (ms)", "kernel-level (ms)", "ratio"
     );
+    let mut ratio = 0.0;
     for &size in FIG10_SIZES {
         let (w, l, i) = (wire.clone(), load, iters);
         let user_avg = user_runtime().run(move |pkg| run_pass(Arc::new(pkg), size, i, l, w));
@@ -124,18 +125,19 @@ fn main() {
             load,
             wire.clone(),
         );
+        ratio = user_avg.as_secs_f64() / kernel_avg.as_secs_f64();
         println!(
             "{:>10}{:>18.2}{:>18.2}{:>10.2}",
             human_size(size),
             user_avg.as_secs_f64() * 1e3,
             kernel_avg.as_secs_f64() * 1e3,
-            user_avg.as_secs_f64() / kernel_avg.as_secs_f64(),
+            ratio,
         );
     }
-    println!(
-        "\n  -> above the 32 KB buffer the user-level package pays the blocked\n\
-         \u{20}    write inside the iteration; the kernel-level package overlaps it"
-    );
+    // Above the 32 KB buffer the user-level package pays the blocked write
+    // inside the iteration; the kernel-level package overlaps it.
+    let numbers = format!("ratio {ratio:.2}");
+    shape_check("panel A: 64K ratio > 1.1", &numbers, ratio > 1.1);
 
     // Panel B — the send path alone (no computation), where the
     // user-level package's cheap switches win (the paper's < 4 KB regime).
@@ -151,6 +153,7 @@ fn main() {
         time_scale: 1.0,
     };
     let bare_iters = env_usize("NCS_ITERS", 10) * 100;
+    let mut below = 0;
     for &size in &FIG10_SIZES[..7] {
         let (w, i) = (fast_wire.clone(), bare_iters);
         let user_avg =
@@ -169,9 +172,10 @@ fn main() {
             kernel_avg.as_secs_f64() * 1e6,
             user_avg.as_secs_f64() / kernel_avg.as_secs_f64(),
         );
+        below += usize::from(user_avg < kernel_avg);
     }
-    println!(
-        "\n  -> with nothing blocking, the user-level package's synchronisation\n\
-         \u{20}    is the cheaper send path (the paper's small-message advantage)"
-    );
+    // With nothing blocking, the user-level package's synchronisation is
+    // the cheaper send path (the paper's small-message advantage).
+    let numbers = format!("{below} of 7 sizes");
+    shape_check("panel B: user below kernel", &numbers, below == 7);
 }

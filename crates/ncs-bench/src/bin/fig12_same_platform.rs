@@ -9,7 +9,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncs_bench::{build_pair, echo_roundtrip, env_f64, env_usize, print_table, System, FIG12_SIZES};
+use ncs_bench::{build_pair, echo_roundtrip, env_f64, env_usize, print_table, System};
+use ncs_bench::{ranked, shape_check, FIG12_SIZES};
 use netmodel::PlatformProfile;
 
 fn main() {
@@ -46,9 +47,12 @@ fn main() {
             FIG12_SIZES,
             &columns,
         );
+        let (o, numbers) = ranked(&columns, FIG12_SIZES.len() - 1);
+        let ends = [o[0], o[3]];
+        let (claim, holds) = match platform.name.starts_with("SUN") {
+            true => ("SUN-4 64K: NCS first", ends[0] == "NCS"),
+            false => ("RS6000 64K: p4 first, PVM last", ends == ["p4", "PVM"]),
+        };
+        shape_check(claim, &numbers, holds);
     }
-    println!(
-        "\nshape checks: NCS lowest on SUN-4 at 64K; p4 lowest on RS6000 at 64K; \
-         PVM highest on RS6000 at 64K"
-    );
 }

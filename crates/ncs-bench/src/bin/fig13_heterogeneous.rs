@@ -8,7 +8,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncs_bench::{build_pair, echo_roundtrip, env_f64, env_usize, print_table, System, FIG12_SIZES};
+use ncs_bench::{build_pair, echo_roundtrip, env_f64, env_usize, print_table, System};
+use ncs_bench::{ranked, shape_check, FIG12_SIZES};
 use netmodel::PlatformProfile;
 
 fn main() {
@@ -37,5 +38,7 @@ fn main() {
         columns.push((system.name().to_owned(), series));
     }
     print_table("Figure 13: SUN-4 <-> RS6000", FIG12_SIZES, &columns);
-    println!("\nshape checks at 64K: NCS < PVM < p4 < MPI (MPI worst by a wide margin)");
+    let (order, numbers) = ranked(&columns, FIG12_SIZES.len() - 1);
+    let holds = order == ["NCS", "PVM", "p4", "MPI"];
+    shape_check("64K: NCS < PVM < p4 < MPI", &numbers, holds);
 }

@@ -280,6 +280,23 @@ pub fn print_table(title: &str, sizes: &[usize], columns: &[(String, Vec<Duratio
     }
 }
 
+/// Prints one shape check, computed from a bin's own rows: the claim, the
+/// numbers it rests on, and whether they bear it out.
+pub fn shape_check(claim: &str, numbers: &str, holds: bool) {
+    let verdict = if holds { "PASS" } else { "FAIL" };
+    println!("shape check: {claim}: {numbers}: {verdict}");
+}
+
+/// The systems of a table's `columns` at row `at`, fastest first, and that
+/// order in words ("NCS 1.20ms < p4 1.31ms < ...").
+pub fn ranked(columns: &[(String, Vec<Duration>)], at: usize) -> (Vec<&str>, String) {
+    let mut rows: Vec<_> = columns.iter().map(|(n, t)| (n.as_str(), t[at])).collect();
+    rows.sort_by_key(|&(_, t)| t);
+    let ms = |&(n, t): &(&str, Duration)| format!("{n} {:.2}ms", t.as_secs_f64() * 1e3);
+    let words = rows.iter().map(ms).collect::<Vec<_>>().join(" < ");
+    (rows.iter().map(|&(n, _)| n).collect(), words)
+}
+
 /// Human-readable size label ("1", "4K", "64K").
 pub fn human_size(bytes: usize) -> String {
     if bytes >= 1024 && bytes.is_multiple_of(1024) {

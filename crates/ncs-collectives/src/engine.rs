@@ -1412,6 +1412,9 @@ mod tests {
         fn register_waker(&self, waker: Option<ncs_transport::Waker>) {
             self.0.register_waker(waker);
         }
+        fn due(&self) -> Option<Instant> {
+            self.0.due()
+        }
         fn close(&self) {
             self.0.close();
         }

@@ -1102,7 +1102,11 @@ impl ConnShared {
             }
         }
         // Quiescent, or flushing after a close with the linger as the
-        // backstop.
+        // backstop. A modelled wire is looked at again when its next
+        // frame falls due: nothing else would bring it there.
+        if let Some(at) = self.transport.due() {
+            min_timer(&mut timer, at);
+        }
         if let Some(linger) = rx.drain_deadline {
             if Instant::now() >= linger {
                 self.retire(rx);

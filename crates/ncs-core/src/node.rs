@@ -756,8 +756,14 @@ impl ReactorTask for AcceptTask {
             let oldest = self.pending.iter().position(said_hello).expect("counted");
             self.pending.remove(oldest).watch.transport().close();
         }
-        let deadlines = self.pending.iter().filter_map(|p| p.hello.as_ref().err());
-        deadlines.for_each(|&at| min_timer(&mut timer, at));
+        // A channel whose hello is awaited is looked at again by its
+        // deadline, and when its wire's next frame falls due.
+        for p in &self.pending {
+            if let Err(by) = p.hello {
+                let due = p.watch.transport().due();
+                min_timer(&mut timer, due.map_or(by, |at| at.min(by)));
+            }
+        }
         timer.map_or(TaskPoll::Idle, TaskPoll::Timer)
     }
 }

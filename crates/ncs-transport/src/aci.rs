@@ -6,20 +6,29 @@
 //! receiving application simply never sees the frame, exactly like a real
 //! native-ATM API). They are ordered and limited to 64 KB frames. This is
 //! the interface NCS's flow and error control are designed for.
+//!
+//! The network runs on the threads that touch it ([`RealTimePump`]): a
+//! send, a receive, a connect, an accept or a readiness check runs it up to
+//! now. A frame or a release put in flight rings the far endpoint, whose
+//! [`Connection::due`] is then the network's next observable event (a
+//! signal, or a frame's last cell reaching a switch or a host) until it
+//! arrives.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 use atm_sim::{
     AtmError, ConnId, DeliverySink, NetEvent, Network, NodeId, PumpConfig, QosParams, RealTimePump,
     SetupTicket,
 };
-use ncs_threads::sync::{Event, Mailbox};
+use ncs_threads::sync::Mailbox;
 use parking_lot::Mutex;
 
-use crate::iface::{send_each, Capabilities, Connection, Inbox, Readiness, TransportError, Waker};
+use crate::iface::{
+    send_each, wait_on_wire, Capabilities, Connection, Inbox, Readiness, TransportError, Waker,
+};
 
 /// Largest AAL5 frame.
 pub const MAX_FRAME: usize = atm_sim::aal5::MAX_FRAME;
@@ -30,6 +39,12 @@ pub const MAX_FRAME: usize = atm_sim::aal5::MAX_FRAME;
 struct ConnBox {
     frames: Inbox,
     frame_errors: AtomicU64,
+    /// Frames and a release put in flight toward this endpoint and not yet
+    /// arrived — more, never fewer: a lost cell can merge two frames into
+    /// one failure.
+    expecting: AtomicU64,
+    /// The far endpoint's box, once the VC is up.
+    peer: OnceLock<Weak<ConnBox>>,
 }
 
 impl ConnBox {
@@ -37,7 +52,18 @@ impl ConnBox {
         Arc::new(ConnBox {
             frames: Inbox::new(Mailbox::unbounded()),
             frame_errors: AtomicU64::new(0),
+            expecting: AtomicU64::new(0),
+            peer: OnceLock::new(),
         })
+    }
+
+    /// One frame or release arrived: the count goes down, and stays at
+    /// zero where it arrived before the sender counted it.
+    fn arrived(&self) {
+        let down = |n: u64| Some(n.saturating_sub(1));
+        let _ = self
+            .expecting
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, down);
     }
 }
 
@@ -54,17 +80,16 @@ struct HostReg {
     conns: Mutex<HashMap<ConnId, Arc<ConnBox>>>,
 }
 
-#[derive(Debug)]
-struct PendingSetup {
-    done: Event,
-    result: Mutex<Option<(NodeId, ConnId, NodeId, ConnId)>>,
-}
+/// Where a VC set-up's new endpoint is handed over: its id and its box.
+type Setup = Arc<Mailbox<(ConnId, Arc<ConnBox>)>>;
 
 /// Shared state dispatching pump events to per-connection queues.
 #[derive(Debug, Default)]
 struct Registry {
     hosts: Mutex<HashMap<NodeId, Arc<HostReg>>>,
-    setups: Mutex<HashMap<SetupTicket, Arc<PendingSetup>>>,
+    /// Where each VC set-up's new endpoint is handed to its `connect`,
+    /// made by whichever of the two comes first.
+    setups: Mutex<HashMap<SetupTicket, Setup>>,
 }
 
 impl Registry {
@@ -75,6 +100,10 @@ impl Registry {
                 .entry(id)
                 .or_insert_with(|| Arc::new(HostReg::default())),
         )
+    }
+
+    fn setup(&self, ticket: SetupTicket) -> Setup {
+        Arc::clone(self.setups.lock().entry(ticket).or_default())
     }
 }
 
@@ -87,6 +116,7 @@ impl DeliverySink for Registry {
                 let reg = self.host(host);
                 let boxes = reg.conns.lock();
                 if let Some(b) = boxes.get(&conn) {
+                    b.arrived();
                     b.frames.queue.send(frame);
                 }
             }
@@ -94,6 +124,7 @@ impl DeliverySink for Registry {
                 let reg = self.host(host);
                 let boxes = reg.conns.lock();
                 if let Some(b) = boxes.get(&conn) {
+                    b.arrived();
                     b.frame_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -112,18 +143,22 @@ impl DeliverySink for Registry {
                 peer_conn,
                 ..
             } => {
-                let reg = self.host(host);
-                reg.conns.lock().insert(conn, ConnBox::new());
-                let pending = self.setups.lock().remove(&ticket);
-                if let Some(p) = pending {
-                    *p.result.lock() = Some((host, conn, peer, peer_conn));
-                    p.done.fire();
+                let boxed = ConnBox::new();
+                if let Some(far) = self.host(peer).conns.lock().get(&peer_conn) {
+                    let _ = boxed.peer.set(Arc::downgrade(far));
+                    let _ = far.peer.set(Arc::downgrade(&boxed));
                 }
+                self.host(host)
+                    .conns
+                    .lock()
+                    .insert(conn, Arc::clone(&boxed));
+                self.setup(ticket).send((conn, boxed));
             }
             NetEvent::VcReleased { host, conn, .. } => {
                 let reg = self.host(host);
                 let boxes = reg.conns.lock();
                 if let Some(b) = boxes.get(&conn) {
+                    b.arrived();
                     b.frames.end();
                 }
             }
@@ -164,7 +199,6 @@ impl AciFabric {
         Ok(AciDevice {
             fabric: Arc::clone(self),
             host,
-            name: name.to_owned(),
         })
     }
 
@@ -173,7 +207,8 @@ impl AciFabric {
         self.pump.stats()
     }
 
-    /// Stops the underlying pump.
+    /// Stops delivering: what the network produces from now on goes
+    /// nowhere.
     pub fn shutdown(&self) {
         self.pump.shutdown();
     }
@@ -184,15 +219,9 @@ impl AciFabric {
 pub struct AciDevice {
     fabric: Arc<AciFabric>,
     host: NodeId,
-    name: String,
 }
 
 impl AciDevice {
-    /// The host name this adapter belongs to.
-    pub fn host_name(&self) -> &str {
-        &self.name
-    }
-
     /// Opens a VC to `peer` with the given QoS, blocking until signaling
     /// completes (10 s limit).
     ///
@@ -200,50 +229,21 @@ impl AciDevice {
     ///
     /// Fails on unknown peers, unroutable topologies or signaling timeout.
     pub fn connect(&self, peer: &str, qos: QosParams) -> Result<AciConnection, TransportError> {
-        let peer_id = self
-            .fabric
-            .pump
-            .node_id(peer)
-            .ok_or_else(|| TransportError::Io(format!("unknown ATM host '{peer}'")))?;
-        let pending = Arc::new(PendingSetup {
-            done: Event::new(),
-            result: Mutex::new(None),
-        });
-        let ticket = {
-            // Register the waiter before launching setup so the completion
-            // cannot race past us.
-            let mut setups = self.fabric.registry.setups.lock();
-            let ticket = self
-                .fabric
-                .pump
-                .open_vc(self.host, peer_id, qos)
-                .map_err(map_atm)?;
-            setups.insert(ticket, Arc::clone(&pending));
-            ticket
-        };
-        if !pending.done.wait_timeout(Duration::from_secs(10)) {
-            self.fabric.registry.setups.lock().remove(&ticket);
-            return Err(TransportError::Timeout);
-        }
-        let (host, conn, _peer, _peer_conn) = pending
-            .result
-            .lock()
-            .take()
-            .expect("fired setup has result");
-        let boxed = self
-            .fabric
-            .registry
-            .host(host)
-            .conns
-            .lock()
-            .get(&conn)
-            .cloned()
-            .expect("established conn has a box");
+        let pump = &self.fabric.pump;
+        let unknown = || TransportError::Io(format!("unknown ATM host '{peer}'"));
+        let peer_id = pump.node_id(peer).ok_or_else(unknown)?;
+        let ticket = pump.open_vc(self.host, peer_id, qos).map_err(map_atm)?;
+        // Signaling runs on this thread's touches of the network.
+        let setup = self.fabric.registry.setup(ticket);
+        let take = |wait| setup.recv_timeout(wait).ok();
+        let up = wait_on_wire(Duration::from_secs(10), || pump.advance(), take);
+        self.fabric.registry.setups.lock().remove(&ticket);
+        let (conn, inbound) = up.ok_or(TransportError::Timeout)?;
         Ok(AciConnection {
             fabric: Arc::clone(&self.fabric),
-            host,
+            host: self.host,
             conn,
-            inbound: boxed,
+            inbound,
             label: format!("aci:{peer}"),
         })
     }
@@ -272,15 +272,15 @@ impl AciDevice {
     /// [`TransportError::Timeout`] if none arrived.
     pub fn accept_timeout(&self, timeout: Duration) -> Result<AciConnection, TransportError> {
         let reg = self.fabric.registry.host(self.host);
-        let inc = reg
-            .incoming
-            .recv_timeout(timeout)
-            .map_err(|_| TransportError::Timeout)?;
+        let pump = &self.fabric.pump;
+        let take = |wait| reg.incoming.recv_timeout(wait).ok();
+        let inc = wait_on_wire(timeout, || pump.advance(), take).ok_or(TransportError::Timeout)?;
         Ok(self.answer(&reg, &inc))
     }
 
     /// Accepts an incoming VC if one is waiting. Never blocks.
     pub fn try_accept(&self) -> Option<AciConnection> {
+        self.fabric.pump.advance();
         let reg = self.fabric.registry.host(self.host);
         let inc = reg.incoming.try_recv()?;
         Some(self.answer(&reg, &inc))
@@ -329,6 +329,16 @@ impl AciConnection {
     pub fn stats(&self) -> Option<atm_sim::ConnStats> {
         self.fabric.pump.conn_stats(self.host, self.conn)
     }
+
+    /// Counts `n` frames, or a release, in flight toward the far endpoint,
+    /// and rings it: a waiter there takes the network's next observable
+    /// event as its deadline.
+    fn put_in_flight(&self, n: u64) {
+        if let Some(peer) = self.inbound.peer.get().and_then(Weak::upgrade) {
+            peer.expecting.fetch_add(n, Ordering::AcqRel);
+            peer.frames.ring();
+        }
+    }
 }
 
 impl Connection for AciConnection {
@@ -344,7 +354,7 @@ impl Connection for AciConnection {
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         // Frame by frame: cells are the ATM network's transmission unit, so
         // there is no sender-side buffer to coalesce admissions into.
-        send_each(frames, MAX_FRAME, |frame, _| {
+        let sent = send_each(frames, MAX_FRAME, |frame, _| {
             if self.inbound.frames.has_ended() {
                 return Err(TransportError::Closed);
             }
@@ -356,15 +366,23 @@ impl Connection for AciConnection {
                     AtmError::NotActive(_) => TransportError::Closed,
                     other => map_atm(other),
                 })
-        })
+        })?;
+        self.put_in_flight(sent as u64);
+        Ok(sent)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.inbound.frames.recv_timeout(timeout)
+        self.inbound.frames.recv_timeout(timeout, || self.due())
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.fabric.pump.advance();
         self.inbound.frames.try_recv()
+    }
+
+    fn due(&self) -> Option<Instant> {
+        let expecting = self.inbound.expecting.load(Ordering::Acquire) > 0;
+        expecting.then(|| self.fabric.pump.advance()).flatten()
     }
 
     fn readiness(&self) -> Readiness {
@@ -377,7 +395,9 @@ impl Connection for AciConnection {
 
     fn close(&self) {
         self.inbound.frames.end();
-        let _ = self.fabric.pump.close_vc(self.host, self.conn);
+        if self.fabric.pump.close_vc(self.host, self.conn).is_ok() {
+            self.put_in_flight(1);
+        }
     }
 
     fn peer_label(&self) -> String {

@@ -1,16 +1,32 @@
 //! The [`Connection`] trait implemented by every NCS communication
 //! interface.
+//!
+//! # Modelled wires
+//!
+//! PIPE and ACI model a wire in time, and own no thread to move it: a
+//! wire is a function of time that whoever touches it — a send, a
+//! receive, a readiness check ([`Connection::due`]), a connect, an accept
+//! — brings up to now. The invariant that keeps this live: **no thread in
+//! the process waits on a modelled wire by itself; every thread waiting on
+//! one holds a deadline at or before the wire's next event** (the next
+//! one anybody could observe: the ATM network's cells in mid-frame do not
+//! count). A waiter
+//! takes that deadline from `due` (an event loop folds it into its timer,
+//! a blocking receive into its wait), and a waker endpoint rings its waker
+//! when something is put in flight toward it, so a waiter that held no
+//! deadline takes one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ncs_threads::sync::Mailbox;
 
 /// A readiness callback installed by an event loop via
 /// [`Connection::register_waker`]. The transport invokes it whenever the
-/// endpoint *may* have become readable (a frame arrived, the peer closed,
-/// a virtual circuit was released) or writable (room appeared after a
+/// endpoint *may* have become readable (a frame arrived or was put in
+/// flight toward it, the peer closed, a virtual circuit was released) or
+/// writable (room appeared after a
 /// refused [`Connection::try_send_batch`]). Wakers must be cheap,
 /// non-blocking and tolerant of spurious invocations — the reactor
 /// coalesces them.
@@ -145,6 +161,30 @@ pub(crate) fn send_each(
     Ok(valid)
 }
 
+/// Waits up to `timeout` (`Duration::MAX`: for as long as it takes) for
+/// `take` to succeed, driving a modelled wire meanwhile: `advance` brings
+/// the wire up to now and says when its next event falls due, and
+/// `take(wait)` looks, then waits up to `wait` for a wake. So the caller
+/// sleeps until its deadline, the wire's next event or a wake, whichever
+/// comes first.
+pub(crate) fn wait_on_wire<T>(
+    timeout: Duration,
+    advance: impl Fn() -> Option<Instant>,
+    mut take: impl FnMut(Duration) -> Option<T>,
+) -> Option<T> {
+    let deadline = Instant::now().checked_add(timeout);
+    loop {
+        let until = advance().into_iter().chain(deadline).min();
+        let wait = until.map_or(Duration::MAX, |at| at - Instant::now());
+        if let Some(got) = take(wait) {
+            return Some(got);
+        }
+        if deadline.is_some_and(|at| Instant::now() >= at) {
+            return None;
+        }
+    }
+}
+
 /// The receive half the mailbox-backed interfaces (HPI, PIPE, ACI, SIM)
 /// share: the frames that arrived and are not yet taken, and whether the
 /// stream has ended. Once it has, a receive that finds the queue empty
@@ -163,32 +203,38 @@ impl Inbox {
         }
     }
 
-    /// Ends the stream, and wakes its consumer to see it: one driven by
-    /// readiness through the notify, one blocked in a receive through an
-    /// empty frame, which no send makes. (A queue too full to take it
-    /// wakes that receiver with a frame, and the next receive does not
-    /// wait.)
+    /// Ends the stream, and wakes its consumer to see it.
     pub(crate) fn end(&self) {
         self.ended.store(true, Ordering::Release);
-        let _ = self.queue.try_send(Vec::new());
+        self.ring();
         self.queue.notify();
+    }
+
+    /// Wakes the consumer to look again: one driven by readiness through
+    /// the notify, one blocked in a receive through an empty frame, which
+    /// no send makes. (A queue too full to take it wakes that receiver
+    /// with a frame.)
+    pub(crate) fn ring(&self) {
+        let _ = self.queue.try_send(Vec::new());
     }
 
     pub(crate) fn has_ended(&self) -> bool {
         self.ended.load(Ordering::Acquire)
     }
 
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        // An ended stream is not waited on: what is queued, then the end.
-        let ended = || self.try_recv()?.ok_or(TransportError::Closed);
-        if self.has_ended() {
-            return ended();
-        }
-        match self.queue.recv_timeout(timeout) {
-            Ok(frame) if !frame.is_empty() => Ok(frame),
-            Err(_) if !self.has_ended() => Err(TransportError::Timeout),
-            _ => ended(),
-        }
+    /// A receive with a deadline, from a wire that `advance` moves
+    /// ([`wait_on_wire`]); an ended stream is not waited on.
+    pub(crate) fn recv_timeout(
+        &self,
+        timeout: Duration,
+        advance: impl Fn() -> Option<Instant>,
+    ) -> Result<Vec<u8>, TransportError> {
+        // An empty frame is a wake: something put in flight, or the end.
+        let wake = |wait| self.queue.recv_timeout(wait).ok().filter(|f| !f.is_empty());
+        wait_on_wire(timeout, advance, |wait| {
+            self.try_recv().transpose().or_else(|| wake(wait).map(Ok))
+        })
+        .unwrap_or(Err(TransportError::Timeout))
     }
 
     pub(crate) fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -319,9 +365,9 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     /// transport can take *right now* and returns the count, `Ok(0)` when
     /// the first frame would block. Never blocks the caller. The default
     /// delegates to [`Connection::send_batch`], which is correct for
-    /// transports whose "blocking" resolves without help from the calling
-    /// thread (HPI rings never block; PIPE's modeled kernel buffer is
-    /// drained by its own pacing thread). SCI, whose sends can block on
+    /// transports whose "blocking" resolves without help from another
+    /// thread (HPI rings never block; a full PIPE buffer makes room at its
+    /// next departure, on the clock alone). SCI, whose sends can block on
     /// the *peer* making progress, overrides this so a shared event loop
     /// is never wedged.
     ///
@@ -357,13 +403,24 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     fn readiness(&self) -> Readiness;
 
     /// Installs (or with `None`, removes) a readiness [`Waker`]. Endpoints
-    /// reporting [`Readiness::Waker`] invoke it on every frame arrival and
-    /// on close (they never refuse a send, so they owe no call for room);
+    /// reporting [`Readiness::Waker`] invoke it on every frame arrival, on
+    /// close, and on a modelled wire ([`Connection::due`]) when a frame or
+    /// a close is put in flight toward them (they never refuse a send, so
+    /// they owe no call for room);
     /// [`Readiness::Fd`] endpoints invoke it on close only (frame arrival,
     /// and room after a refused send, show on the descriptor). The default
     /// ignores the
     /// waker, for endpoints that never become readable on their own.
     fn register_waker(&self, _waker: Option<Waker>) {}
+
+    /// The earliest instant at which a frame or event of this endpoint's
+    /// modelled wire falls due, while something is in flight toward it —
+    /// the deadline a waiter on it holds (see the module docs). Touching
+    /// the wire, it brings it up to now first. The default, for wires that
+    /// move without help (HPI, SCI, SIM), is `None`.
+    fn due(&self) -> Option<Instant> {
+        None
+    }
 
     /// Closes the connection. Idempotent. Subsequent sends on either side
     /// fail with [`TransportError::Closed`]. The peer reads `Closed` only

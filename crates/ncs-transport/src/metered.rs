@@ -9,7 +9,7 @@
 //! transport users can opt in too.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ncs_obs::{Counter, Registry};
 
@@ -106,6 +106,10 @@ impl Connection for Metered {
 
     fn register_waker(&self, waker: Option<Waker>) {
         self.inner.register_waker(waker);
+    }
+
+    fn due(&self) -> Option<Instant> {
+        self.inner.due()
     }
 
     fn close(&self) {

@@ -8,14 +8,19 @@
 //!   effect Figure 10 measures — while kernel-level threads overlap the
 //!   blocked send with computation;
 //! * a **drain rate** modelling how fast the kernel + wire move data out of
-//!   the buffer, and optional per-endpoint platform stack costs
-//!   ([`netmodel::PlatformProfile`]) charged on each operation.
+//!   the buffer, a propagation latency, and optional per-endpoint platform
+//!   stack costs ([`netmodel::PlatformProfile`]) charged on each operation.
 //!
-//! The pipe is reliable and ordered, like the TCP it stands in for.
+//! The pipe is reliable and ordered, like the TCP it stands in for. It owns
+//! no thread: each direction is a schedule fixed at the send — a frame
+//! leaves the buffer at max(sent, previous departure) + len / rate, and
+//! arrives a latency later — that whoever touches the pipe brings up to
+//! now (the `iface` module's "Modelled wires"). A frame put in flight rings
+//! the receiver's waker, and [`Connection::due`] says when it arrives.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ncs_threads::sync::Mailbox;
 use netmodel::{Pacer, PlatformProfile};
@@ -36,7 +41,7 @@ pub struct PipeConfig {
     pub drain_bytes_per_sec: Option<u64>,
     /// One-way delivery latency (model time) applied after draining.
     pub latency: Duration,
-    /// Wall seconds per model second for the drain/latency process.
+    /// Wall seconds per model second for the drain and the latency.
     pub time_scale: f64,
 }
 
@@ -60,89 +65,102 @@ pub struct EndpointModel {
     pub pacer: Arc<Pacer>,
 }
 
+/// A frame in flight: when it leaves the sender's buffer, and when it
+/// arrives.
+#[derive(Debug)]
+struct Flight {
+    departs: Instant,
+    arrives: Instant,
+    frame: Vec<u8>,
+}
+
+/// One direction's schedule.
+#[derive(Debug, Default)]
+struct Schedule {
+    /// Frames sent and not yet delivered, oldest first.
+    flight: VecDeque<Flight>,
+    /// Either end closed: the direction takes no more frames.
+    closed: bool,
+    /// When the end of the stream arrives, behind the last frame; `None`
+    /// again once it has.
+    end: Option<Instant>,
+}
+
 /// One direction of the pipe.
 #[derive(Debug)]
 struct PipeDir {
-    /// Bytes currently occupying the kernel buffer.
-    used: Mutex<usize>,
-    space: Condvar,
-    capacity: usize,
-    /// Drain rate and scale, duplicated from the pair's config for the
-    /// partial-write blocking model.
-    drain_bytes_per_sec: Option<u64>,
-    time_scale: f64,
-    /// Frames waiting for the drain thread, and behind the last of them,
-    /// once either end closed, an empty frame: the end of the stream.
-    inflight: Mailbox<Vec<u8>>,
-    /// Frames delivered to the receiver; it ends when the drain reaches
-    /// the end marker, or when the receiver closes.
+    schedule: Mutex<Schedule>,
+    /// Where a sender waits for a departure, or a close.
+    room: Condvar,
+    config: PipeConfig,
+    /// Frames delivered to the receiver; it ends when the end of the
+    /// stream arrives, or when the receiver closes.
     delivered: Inbox,
-    /// Either end closed: the direction takes no more frames.
-    closed: AtomicBool,
 }
 
 impl PipeDir {
     fn new(config: &PipeConfig) -> Arc<Self> {
         Arc::new(PipeDir {
-            used: Mutex::new(0),
-            space: Condvar::new(),
-            capacity: config.buffer_bytes,
-            drain_bytes_per_sec: config.drain_bytes_per_sec,
-            time_scale: config.time_scale,
-            inflight: Mailbox::unbounded(),
+            schedule: Mutex::new(Schedule::default()),
+            room: Condvar::new(),
+            config: config.clone(),
             delivered: Inbox::new(Mailbox::unbounded()),
-            closed: AtomicBool::new(false),
         })
     }
 
-    /// Takes no more frames, wakes a sender waiting for room, and queues
-    /// the end marker behind every frame taken before: the drain ends the
-    /// receiver's stream there, and stops. Whichever end closes first.
+    /// Wall time `bytes` take to drain onto the wire.
+    fn drain_time(&self, bytes: usize) -> Duration {
+        let rate = self.config.drain_bytes_per_sec;
+        let model = rate.map_or(Duration::ZERO, |rate| {
+            Duration::from_nanos(bytes as u64 * 1_000_000_000 / rate.max(1))
+        });
+        model.mul_f64(self.config.time_scale)
+    }
+
+    /// Brings the direction up to `now`: the frames that arrived — behind
+    /// them the end of the stream — are delivered. Returns when the next
+    /// one arrives.
+    fn advance(&self, s: &mut Schedule, now: Instant) -> Option<Instant> {
+        while let Some(f) = s.flight.pop_front_if(|f| f.arrives <= now) {
+            self.delivered.queue.send(f.frame);
+        }
+        if s.flight.is_empty() && s.end.is_some_and(|at| at <= now) {
+            s.end = None;
+            self.delivered.end();
+        }
+        s.flight.front().map(|f| f.arrives).or(s.end)
+    }
+
+    fn advance_now(&self) -> Option<Instant> {
+        self.advance(&mut self.schedule.lock(), Instant::now())
+    }
+
+    /// When a write of `len` bytes at `now` may look for room again:
+    /// `None` when it need not wait — an empty buffer takes any frame (a
+    /// larger one as a partial write), a non-empty one only a frame that
+    /// fits — else at the next departure.
+    fn room_at(&self, s: &Schedule, now: Instant, len: usize) -> Option<Instant> {
+        // The frames still in the buffer: a suffix, as they depart in order.
+        let buffered = s.flight.iter().rev().take_while(|f| f.departs > now);
+        let (used, next) = buffered.fold((0, None), |(used, _), f| {
+            (used + f.frame.len(), Some(f.departs))
+        });
+        next.filter(|_| used + len > self.config.buffer_bytes)
+    }
+
+    /// Takes no more frames, wakes a sender waiting for room, and puts the
+    /// end of the stream in flight behind the last frame. Whichever end
+    /// closes first.
     fn close(&self) {
-        let _admission = self.used.lock();
-        if !self.closed.swap(true, Ordering::AcqRel) {
-            self.space.notify_all();
-            self.inflight.send(Vec::new());
-        }
-    }
-
-    /// Whether a write of `len` bytes waits for room while `used` bytes
-    /// are buffered: an empty buffer takes any frame (a larger one as a
-    /// partial write), a non-empty one only a frame that fits.
-    fn must_wait(&self, used: usize, len: usize) -> bool {
-        used > 0 && used + len > self.capacity
-    }
-}
-
-/// Drain thread: moves frames from the kernel buffer onto the "wire" at the
-/// configured rate, then delivers them after the configured latency, and
-/// ends the receiver's stream at the sender's end marker.
-fn run_drain(dir: Arc<PipeDir>, config: PipeConfig) {
-    loop {
-        let frame = dir.inflight.recv();
-        if frame.is_empty() {
-            return dir.delivered.end();
-        }
-        // Serialisation onto the wire at the drain rate.
-        if let Some(rate) = config.drain_bytes_per_sec {
-            let model = Duration::from_nanos(frame.len() as u64 * 1_000_000_000 / rate.max(1));
-            let wall = model.mul_f64(config.time_scale);
-            if !wall.is_zero() {
-                netmodel::precise_wait(wall);
+        let mut s = self.schedule.lock();
+        if !std::mem::replace(&mut s.closed, true) {
+            let now = Instant::now();
+            s.end = Some(s.flight.back().map_or(now, |f| f.arrives.max(now)));
+            self.room.notify_all();
+            if self.advance(&mut s, now).is_some() {
+                self.delivered.ring();
             }
         }
-        // Bytes leave the kernel buffer: senders may proceed.
-        {
-            let mut used = dir.used.lock();
-            *used = used.saturating_sub(frame.len());
-            dir.space.notify_all();
-        }
-        // Propagation to the peer.
-        let wall_latency = config.latency.mul_f64(config.time_scale);
-        if !wall_latency.is_zero() {
-            netmodel::precise_wait(wall_latency);
-        }
-        dir.delivered.queue.send(frame);
     }
 }
 
@@ -170,14 +188,6 @@ pub fn pair_with_models(
     assert!(config.buffer_bytes > 0, "buffer must be positive");
     let ab = PipeDir::new(&config);
     let ba = PipeDir::new(&config);
-    for dir in [&ab, &ba] {
-        let dir = Arc::clone(dir);
-        let config = config.clone();
-        std::thread::Builder::new()
-            .name("pipe-drain".to_owned())
-            .spawn(move || run_drain(dir, config))
-            .expect("failed to spawn pipe drain thread");
-    }
     (
         PipeConnection {
             tx: Arc::clone(&ab),
@@ -198,48 +208,59 @@ impl PipeConnection {
     /// Writes one frame into the kernel buffer — `first` of its batch, or
     /// `false` and nothing done when a later frame would block. Charges
     /// the sender's stack cost outside the buffer lock, so it overlaps the
-    /// concurrent drain as in the 1998 timing model.
+    /// drain as in the 1998 timing model.
     fn write(&self, frame: &[u8], first: bool) -> Result<bool, TransportError> {
-        let dir = &self.tx;
-        if dir.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
-        if !first && (frame.len() > dir.capacity || dir.must_wait(*dir.used.lock(), frame.len())) {
-            return Ok(false);
-        }
-        if let Some(m) = &self.model {
-            m.pacer.charge(m.profile.send_cost(frame.len()));
-        }
-        let frame_len = frame.len();
-        let frame = frame.to_vec();
-        // Kernel buffer admission: blocks AT OS LEVEL when full — under the
-        // user-level thread package this stalls every green thread, which is
-        // precisely the §4.1 behaviour. The frame queues under the lock, so
-        // it is either ahead of a close's end marker or refused.
-        let mut used = dir.used.lock();
-        loop {
-            if dir.closed.load(Ordering::Acquire) {
+        let (dir, len) = (&self.tx, frame.len());
+        {
+            let (mut s, now) = (dir.schedule.lock(), Instant::now());
+            if s.closed {
                 return Err(TransportError::Closed);
             }
-            if !dir.must_wait(*used, frame_len) {
-                break;
+            dir.advance(&mut s, now);
+            if !first && (len > dir.config.buffer_bytes || dir.room_at(&s, now, len).is_some()) {
+                return Ok(false);
             }
-            dir.space.wait(&mut used);
         }
-        *used += frame_len;
-        dir.inflight.send(frame);
-        drop(used);
-        // Partial-write model: a frame larger than the kernel buffer keeps
-        // `write` blocked while the excess drains onto the wire (the drain
-        // runs concurrently; the writer is released once all but the last
-        // buffer-full has left). This is the §4.1 blocking that stalls the
-        // whole process under a user-level thread package.
-        if frame_len > dir.capacity {
-            if let Some(rate) = dir.drain_bytes_per_sec {
-                let excess = (frame_len - dir.capacity) as u64;
-                let model = Duration::from_nanos(excess * 1_000_000_000 / rate.max(1));
-                netmodel::precise_wait(model.mul_f64(dir.time_scale));
+        if let Some(m) = &self.model {
+            m.pacer.charge(m.profile.send_cost(len));
+        }
+        let frame = frame.to_vec();
+        // Kernel buffer admission: blocks AT OS LEVEL, departure by
+        // departure until there is room — under the user-level thread
+        // package this stalls every green thread, which is precisely the
+        // §4.1 behaviour.
+        let mut s = dir.schedule.lock();
+        let now = loop {
+            let now = Instant::now();
+            if s.closed {
+                return Err(TransportError::Closed);
             }
+            dir.advance(&mut s, now);
+            let Some(departs) = dir.room_at(&s, now, len) else {
+                break now;
+            };
+            dir.room.wait_until(&mut s, departs);
+        };
+        let departs = s.flight.back().map_or(now, |f| f.departs.max(now)) + dir.drain_time(len);
+        let arrives = departs + dir.config.latency.mul_f64(dir.config.time_scale);
+        s.flight.push_back(Flight {
+            departs,
+            arrives,
+            frame,
+        });
+        // A frame that arrives at once is delivered now; the first one in
+        // flight rings the receiver, whose wait then ends at its arrival.
+        if dir.advance(&mut s, now).is_some() && s.flight.len() == 1 {
+            dir.delivered.ring();
+        }
+        drop(s);
+        // Partial-write model: a frame larger than the kernel buffer keeps
+        // `write` blocked while the excess drains onto the wire (the writer
+        // is released once all but the last buffer-full has left). This is
+        // the §4.1 blocking that stalls the whole process under a
+        // user-level thread package.
+        if len > dir.config.buffer_bytes {
+            netmodel::precise_wait(dir.drain_time(len - dir.config.buffer_bytes));
         }
         Ok(true)
     }
@@ -268,13 +289,18 @@ impl Connection for PipeConnection {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        let frame = self.rx.delivered.recv_timeout(timeout)?;
+        let frame = self.rx.delivered.recv_timeout(timeout, || self.due())?;
         Ok(self.received(frame))
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.rx.advance_now();
         let frame = self.rx.delivered.try_recv()?;
         Ok(frame.map(|f| self.received(f)))
+    }
+
+    fn due(&self) -> Option<Instant> {
+        self.rx.advance_now()
     }
 
     fn readiness(&self) -> Readiness {
@@ -287,8 +313,8 @@ impl Connection for PipeConnection {
 
     fn close(&self) {
         // Our receives end now and the peer's sends fail. Our own sends
-        // fail too, but the peer's stream ends only where the drain meets
-        // the end marker, behind every frame we sent before — TCP's order.
+        // fail too, but the peer's stream ends only when the end of the
+        // stream arrives, behind every frame we sent before — TCP's order.
         self.rx.close();
         self.rx.delivered.end();
         self.tx.close();
@@ -302,7 +328,6 @@ impl Connection for PipeConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     #[test]
     fn frames_round_trip() {
@@ -477,8 +502,8 @@ mod tests {
     }
 
     /// A close right behind a send: the peer, polling, reads the frame
-    /// before `Closed`, every time — the drain thread still carries the
-    /// frame when the close happens, and the stream ends behind it.
+    /// before `Closed`, every time — the end of the stream arrives behind
+    /// the frame.
     #[test]
     fn a_polling_peer_reads_every_frame_sent_before_the_close() {
         let lost = (0..200)
@@ -496,6 +521,65 @@ mod tests {
             })
             .count();
         assert_eq!(lost, 0, "{lost} of 200 frames lost to the close");
+    }
+
+    /// A burst of 32 × 1 KiB frames sent back to back over
+    /// `ncs_bench::atm_wire`'s shape (64 KiB buffer, 16.875 MB/s, 100 µs):
+    /// frame k is due when the drain has moved k + 1 frames, plus one
+    /// latency — propagation is pipelined, not waited out frame by frame
+    /// (that took 32 × (60.7 + 100) µs = 5.1 ms, against 2.0 ms) — as
+    /// `due` reports it, and it is never receivable before. The burst's
+    /// wall time is at least its model time, polled and blocked alike; the
+    /// ratio is printed (`--nocapture`).
+    #[test]
+    fn a_burst_moves_at_the_drain_rate() {
+        const LEN: usize = 1024;
+        const FRAMES: u32 = 32;
+        let config = PipeConfig {
+            buffer_bytes: 64 * 1024,
+            drain_bytes_per_sec: Some(135_000_000 / 8),
+            latency: Duration::from_micros(100),
+            time_scale: 1.0,
+        };
+        let per_frame = Duration::from_nanos(LEN as u64 * 1_000_000_000 / 16_875_000);
+        let model = |k: u32| per_frame * (k + 1) + config.latency;
+        // Nanosecond rounding of the scaled drain time, frame by frame.
+        let rounding = Duration::from_micros(1);
+        for blocking in [false, true] {
+            let (a, b) = pair(config.clone());
+            let before = Instant::now();
+            for k in 0..FRAMES {
+                a.send(&[k as u8; LEN]).unwrap();
+            }
+            let sent = Instant::now();
+            for k in 0..FRAMES {
+                // The next frame in flight is one not yet received, due on
+                // its schedule; the first send was between `before` and
+                // `sent`.
+                if let Some(due) = b.due() {
+                    let on_schedule = |j| {
+                        due + rounding >= before + model(j) && due <= sent + model(j) + rounding
+                    };
+                    assert!((k..FRAMES).any(on_schedule), "{due:?} is off the schedule");
+                }
+                let frame = match blocking {
+                    true => b.recv().unwrap(),
+                    false => loop {
+                        if let Some(frame) = b.try_recv().unwrap() {
+                            break frame;
+                        }
+                    },
+                };
+                let early = Instant::now() + rounding < before + model(k);
+                assert!(!early, "frame {k} received before its due");
+                assert_eq!(frame, [k as u8; LEN]);
+            }
+            let burst = before.elapsed();
+            assert!(burst >= model(FRAMES - 1), "burst took {burst:?}");
+            let ratio = burst.as_secs_f64() / model(FRAMES - 1).as_secs_f64();
+            println!("blocking {blocking}: burst {burst:?}, {ratio:.3} x the drain rate's");
+            assert_eq!(b.due(), None, "nothing is in flight");
+        }
     }
 
     #[test]

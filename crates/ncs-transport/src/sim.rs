@@ -518,7 +518,7 @@ impl Connection for SimConnection {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.rx.recv_timeout(timeout)
+        self.rx.recv_timeout(timeout, || None)
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {

@@ -1,6 +1,7 @@
 //! The `Connection` contract, checked once over every interface: HPI,
-//! PIPE, ACI, SCI, SIM (an ideal link whose virtual time the harness
-//! advances) and `Metered` over HPI.
+//! PIPE (instant, and with a drain rate and a latency), ACI, SCI, SIM (an
+//! ideal link whose virtual time the harness advances) and `Metered` over
+//! HPI.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -82,6 +83,21 @@ fn pipe_pair() -> Pair {
     Pair::new("PIPE", a, b)
 }
 
+/// PIPE in `ncs_bench::atm_wire`'s shape, with a latency one can see: a
+/// modelled wire whose frames take time, moved by whoever touches it.
+fn pipe_with_latency_pair() -> Pair {
+    let (a, b) = pipe::pair(pipe::PipeConfig {
+        buffer_bytes: 64 * 1024,
+        drain_bytes_per_sec: Some(16_875_000),
+        latency: PIPE_LATENCY,
+        time_scale: 1.0,
+    });
+    Pair::new("PIPE with latency", a, b)
+}
+
+/// The one-way latency of [`pipe_with_latency_pair`].
+const PIPE_LATENCY: Duration = Duration::from_millis(2);
+
 fn aci_pair() -> Pair {
     let net = NetworkBuilder::new()
         .host("a")
@@ -125,9 +141,10 @@ fn metered_hpi_pair() -> Pair {
     Pair::new("Metered HPI", a, b)
 }
 
-const ENDPOINTS: [fn() -> Pair; 6] = [
+const ENDPOINTS: [fn() -> Pair; 7] = [
     hpi_pair,
     pipe_pair,
+    pipe_with_latency_pair,
     aci_pair,
     sci_pair,
     sim_pair,
@@ -238,6 +255,31 @@ fn a_blocked_recv_wakes_on_close() {
         };
         assert_eq!(outcome, Err(TransportError::Closed), "{}", p.name);
         receiver.join().unwrap().unwrap();
+    });
+}
+
+/// A modelled wire owns no thread, and needs none: a receiver that
+/// blocked before the frame was sent is rung by the send, waits for the
+/// frame's arrival — the wire's next event — and takes it, while no other
+/// thread touches the wire.
+#[test]
+fn a_receiver_blocked_before_the_send_is_woken_by_the_arrival() {
+    each_interface(|p| {
+        if !["PIPE with latency", "ACI"].contains(&p.name) {
+            return;
+        }
+        let b = Arc::clone(&p.b);
+        let receiver = std::thread::spawn(move || (b.recv_timeout(ARRIVAL), Instant::now()));
+        std::thread::sleep(Duration::from_millis(30));
+        let sent = Instant::now();
+        p.a.send(b"woken").unwrap();
+        let (got, at) = receiver.join().unwrap();
+        assert_eq!(got, Ok(b"woken".to_vec()), "{}", p.name);
+        let took = at - sent;
+        assert!(took < Duration::from_secs(1), "{}: took {took:?}", p.name);
+        if p.name == "PIPE with latency" {
+            assert!(took >= PIPE_LATENCY, "{}: arrived early", p.name);
+        }
     });
 }
 
