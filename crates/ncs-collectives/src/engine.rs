@@ -1406,6 +1406,9 @@ mod tests {
         fn try_recv(&self) -> Result<Option<Vec<u8>>, ncs_transport::TransportError> {
             self.0.try_recv()
         }
+        fn recycle(&self, frame: Vec<u8>) {
+            self.0.recycle(frame);
+        }
         fn readiness(&self) -> ncs_transport::Readiness {
             self.0.readiness()
         }

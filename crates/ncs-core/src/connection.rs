@@ -93,11 +93,13 @@ use parking_lot::{Mutex, RwLock};
 use crate::config::{ConnectionConfig, ErrorControlAlg};
 use crate::packet::{CtrlMsg, DataHeader, DataPacket, FrameKind};
 use crate::plane::{
-    plane_config, sdu_count, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane,
+    plane_config, sdu_count, Body, CtrlEvent, PlaneObs, RxPlane, Sdu, Submission, TxPlane,
 };
 use crate::pool::{BufPool, PooledBuf};
 use crate::reactor::{Reactor, ReactorTask, TaskHandle, TaskKind, TaskPoll, Watch};
-use crate::request::{DeliveryQueue, MsgBody, MsgView, Request, RequestCore};
+use crate::request::{
+    self, DeliveryQueue, MsgBody, MsgView, Request, RequestCore, FREE_RECEIVES, FREE_SENDS,
+};
 use crate::stats::{ConnCounters, ConnectionStats};
 
 /// Size of the tag envelope prepended to tag-matched messages (the
@@ -416,7 +418,7 @@ impl ConnShared {
         // `config()` still reports what the application asked for.
         let ring = transport.caps().overrun_ring;
         let planes = plane_config(&config, ring);
-        let plane = TxPlane::new(&planes, ring, obs.clone(), Instant::now());
+        let plane = TxPlane::new(&planes, ring, obs.clone(), &pool, Instant::now());
         let rx = RxPlane::new(&planes, &counters, &pool);
         let queued = (!config.needs_control_threads()).then(SendQueue::new);
         let shared = Arc::new(ConnShared {
@@ -757,7 +759,9 @@ impl ConnShared {
     /// (SCI's waits in `poll(2)`) instead.
     fn step_send(&self, tx: &mut TxSide) -> bool {
         let TxSide {
-            pending, control, ..
+            plane,
+            pending,
+            control,
         } = tx;
         let mut progressed = false;
         while !(control.is_empty() && pending.is_empty()) {
@@ -782,10 +786,11 @@ impl ConnShared {
                     let data = sent - controls;
                     self.counters.packets_sent.add(data as u64);
                     self.recorder.record(EventKind::Wire, 0, 0, bytes);
-                    for (_, done) in pending.drain(..data) {
-                        for core in done {
+                    for (_, mut done) in pending.drain(..data) {
+                        for core in done.drain(..) {
                             core.complete(Ok(()));
                         }
+                        plane.recycle_done(done);
                     }
                     self.unqueue(data);
                     progressed = true;
@@ -987,6 +992,7 @@ impl ConnShared {
             budget -= 1;
             progressed = true;
             self.receive(rx, &frame);
+            self.transport.recycle(frame);
             if rx.eof {
                 break;
             }
@@ -1177,6 +1183,7 @@ impl ConnShared {
                     let mut rx = self.rx.lock();
                     if let Ok(frame) = self.transport.recv_timeout(wait) {
                         self.receive(&mut rx, &frame);
+                        self.transport.recycle(frame);
                     }
                     rx
                 }
@@ -1382,10 +1389,10 @@ impl NcsConnection {
     }
 
     fn isend_inner(&self, data: &[u8], tag: Option<u32>) -> Result<Request<()>, SendError> {
-        let core = RequestCore::new();
-        let one_sdu = self.submit(data, tag, Some(Arc::clone(&core)), None, true)?;
+        let request = request::issue(&FREE_SENDS);
+        let one_sdu = self.submit(data, tag, Some(Arc::clone(&request.core)), None, true)?;
         self.activate(one_sdu);
-        Ok(Request::new(core))
+        Ok(request)
     }
 
     /// The one way into the send path: validates, then queues the message
@@ -1429,12 +1436,7 @@ impl NcsConnection {
         // envelope during reassembly and routes the message to the tag's
         // delivery shard — see `deliver_message` and
         // `request::DELIVERY_SHARDS`.
-        let envelope = if tag.is_some() { TAG_ENVELOPE } else { 0 };
-        let mut body = Vec::with_capacity(envelope + data.len());
-        if let Some(t) = tag {
-            body.extend_from_slice(&t.to_be_bytes());
-        }
-        body.extend_from_slice(data);
+        let body = Body::new(tag, data, &self.shared.pool);
         let sdus = sdu_count(body.len(), self.shared.config.sdu_size);
         if let Some(queued) = &self.shared.queued {
             queued.admit(sdus as usize, wait, &self.shared.closed)?;
@@ -1534,14 +1536,11 @@ impl NcsConnection {
     }
 
     fn irecv_inner(&self, tag: Option<u32>) -> Request<MsgView> {
-        let core = RequestCore::new();
-        self.shared.delivery.register(tag, &core);
-        let shared = Arc::clone(&self.shared);
-        Request {
-            core,
-            cancel: Some(Box::new(move |core| shared.delivery.cancel(tag, core))),
-            conn: Some(Arc::clone(&self.shared)),
-        }
+        let mut request = request::issue(&FREE_RECEIVES);
+        (request.conn, request.tag) = (Some(Arc::clone(&self.shared)), tag);
+        request.cancel = Some(|conn, tag, core| conn.delivery.cancel(tag, core));
+        self.shared.delivery.register(tag, &request.core);
+        request
     }
 
     /// `NCS_recv`: blocks until the next reassembled message arrives.
@@ -1657,8 +1656,9 @@ impl NcsConnection {
         if !shared.config.direct {
             return Err(SendError::WrongMode("direct"));
         }
-        let done = RequestCore::new();
-        self.queue(data, None, Some(Arc::clone(&done)), None, false)?;
+        let request = request::issue(&FREE_SENDS);
+        let done = &request.core;
+        self.queue(data, None, Some(Arc::clone(done)), None, false)?;
         // The task's steps, on this thread, until the message resolves and
         // — no task flushes for it later — its frames and any tail the
         // interface still owes are on the wire; the peer's feedback is read
@@ -1720,12 +1720,12 @@ impl NcsConnection {
         if self.shared.config.direct || self.shared.config.needs_control_threads() {
             return Err(SendError::WrongMode("threaded bypass (no FC/EC)"));
         }
-        let core = RequestCore::new();
+        let request = request::issue(&FREE_SENDS);
         let accepted = Arc::new(Event::new());
         self.submit(
             data,
             None,
-            Some(Arc::clone(&core)),
+            Some(Arc::clone(&request.core)),
             Some(Arc::clone(&accepted)),
             true,
         )?;
@@ -1735,7 +1735,7 @@ impl NcsConnection {
         if !accepted.wait_timeout(Duration::from_secs(30)) {
             return Err(SendError::Timeout);
         }
-        Ok(Request::new(core))
+        Ok(request)
     }
 }
 
@@ -2274,6 +2274,11 @@ pub(crate) mod tests {
                 cb.isend(b"pong").expect("isend").wait().expect("delivered");
                 assert_eq!(ca.recv_timeout(timeout).expect("recv"), b"pong");
             }
+            // Read once both nodes are down: the last pong may have been
+            // read by `alice`'s event loop, whose drain is still counting
+            // its feedback frame when the receive returns.
+            a.shutdown();
+            b.shutdown();
             let (sa, sb) = (ca.stats(), cb.stats());
             assert_eq!(sa.feedback_sent, ROUND_TRIPS + sb.retransmissions, "{sa}");
             assert_eq!(sb.feedback_sent, ROUND_TRIPS + sa.retransmissions, "{sb}");
@@ -2283,8 +2288,6 @@ pub(crate) mod tests {
                 (acks + sb.retransmissions, acks + sa.retransmissions),
                 "ring {ring}"
             );
-            a.shutdown();
-            b.shutdown();
         }
     }
 
@@ -2718,7 +2721,7 @@ pub(crate) mod tests {
         let sender = &mut tx.plane;
         for data in [b"one".to_vec(), b"two".to_vec()] {
             sender.submit(Submission {
-                data,
+                data: Body::Pooled(PooledBuf::detached(data)),
                 tagged: false,
                 completion: None,
                 accepted: None,

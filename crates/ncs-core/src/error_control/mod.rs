@@ -38,6 +38,9 @@ pub enum AckInfo {
 pub enum SenderStep {
     /// (Re)transmit these sequence numbers, in order.
     Transmit(Vec<u32>),
+    /// (Re)transmit this run of sequence numbers, in order: a
+    /// [`SenderStep::Transmit`] with nothing to allocate.
+    TransmitRange(std::ops::Range<u32>),
     /// The message is fully acknowledged.
     Done,
     /// The message could not be delivered (retry budget exhausted).

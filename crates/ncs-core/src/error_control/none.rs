@@ -30,7 +30,7 @@ impl NoEcSender {
 impl SenderEc for NoEcSender {
     fn begin(&mut self, total: u32) -> SenderStep {
         self.total = total;
-        SenderStep::Transmit((0..total).collect())
+        SenderStep::TransmitRange(0..total)
     }
 
     fn on_ack(&mut self, _info: AckInfo) -> SenderStep {
@@ -61,7 +61,7 @@ mod tests {
     #[test]
     fn sender_completes_without_acks() {
         let mut tx = NoEcSender::new();
-        assert_eq!(tx.begin(3), SenderStep::Transmit(vec![0, 1, 2]));
+        assert_eq!(tx.begin(3), SenderStep::TransmitRange(0..3));
         assert!(tx.completes_without_ack());
         assert_eq!(tx.ack_timeout(), None);
         assert_eq!(tx.on_timeout(), SenderStep::Wait);

@@ -139,7 +139,7 @@ use crate::error_control::{
 };
 use crate::flow_control::{build as build_fc, widest_window, FlowControlStrategy};
 use crate::packet::DataView;
-use crate::pool::{BufPool, PooledBuf};
+use crate::pool::{BufPool, PooledBuf, MAX_RETAIN_CAPACITY};
 use crate::request::{MsgBody, RequestCore};
 use crate::seq::{wrapping_ahead, AckBitmap};
 use crate::stats::ConnCounters;
@@ -199,11 +199,54 @@ pub(crate) struct PlaneObs {
     pub last_error: Arc<Mutex<Option<SendError>>>,
 }
 
+/// The most bytes a message body keeps in place, in its [`Submission`]:
+/// a cache line's worth. A short message waits for its train in no buffer
+/// of its own.
+const SHORT_BODY: usize = 64;
+
+/// A message body: in place when it is short, else in a buffer of the
+/// node's pool.
+#[derive(Debug)]
+pub(crate) enum Body {
+    Short(u8, [u8; SHORT_BODY]),
+    Pooled(PooledBuf),
+}
+
+impl Body {
+    /// `data` behind `tag`'s envelope, if it has one, as one body.
+    pub(crate) fn new(tag: Option<u32>, data: &[u8], pool: &Arc<BufPool>) -> Body {
+        let envelope = tag.map(u32::to_be_bytes);
+        let head = envelope.as_ref().map_or(&[][..], |e| e);
+        let len = head.len() + data.len();
+        if len <= SHORT_BODY {
+            let mut bytes = [0; SHORT_BODY];
+            bytes[..head.len()].copy_from_slice(head);
+            bytes[head.len()..len].copy_from_slice(data);
+            return Body::Short(len as u8, bytes);
+        }
+        let mut buf = pool.get_for(len);
+        buf.vec_mut().extend_from_slice(head);
+        buf.vec_mut().extend_from_slice(data);
+        Body::Pooled(buf)
+    }
+}
+
+impl std::ops::Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Body::Short(len, bytes) => &bytes[..*len as usize],
+            Body::Pooled(buf) => buf,
+        }
+    }
+}
+
 /// One message handed to the send side.
 #[derive(Debug)]
 pub(crate) struct Submission {
     /// The message body, tag envelope included.
-    pub data: Vec<u8>,
+    pub data: Body,
     /// The body starts with a tag envelope (sets the header flag on every
     /// SDU).
     pub tagged: bool,
@@ -324,16 +367,21 @@ pub(crate) enum Delivered {
 impl Delivered {
     /// The records of `body`, or `None` unless it is one well-formed
     /// record after another from its first byte to its last: a train
-    /// yields all of its messages or none.
-    fn train(body: PooledBuf) -> Option<Self> {
+    /// yields all of its messages or none. The records share `body` in
+    /// `shared`, the last train's, if its records are all gone, and else
+    /// in a new one, which is kept for the next train.
+    fn train(body: PooledBuf, shared: &mut Option<Arc<PooledBuf>>) -> Option<Self> {
         let mut at = 0;
         while at < body.len() {
             at = record_at(&body, at)?.2;
         }
-        (at > 0).then(|| Delivered::Train {
-            body: Arc::new(body),
-            at: 0,
-        })
+        (at > 0).then_some(())?;
+        match shared.as_mut().and_then(Arc::get_mut) {
+            Some(last) => *last = body,
+            None => *shared = Some(Arc::new(body)),
+        }
+        let body = Arc::clone(shared.as_ref().expect("just set"));
+        Some(Delivered::Train { body, at: 0 })
     }
 }
 
@@ -363,7 +411,7 @@ impl Iterator for Delivered {
 #[derive(Debug)]
 struct Session {
     id: u32,
-    body: Vec<u8>,
+    body: Body,
     tagged: bool,
     /// The body is a train of records.
     packed: bool,
@@ -397,6 +445,8 @@ pub(crate) struct TxPlane {
     ec: Box<dyn SenderEc>,
     fc: Box<dyn FlowControlStrategy>,
     obs: PlaneObs,
+    /// Where trains are built.
+    pool: Arc<BufPool>,
     /// Messages queued behind the session in flight.
     backlog: VecDeque<Submission>,
     active: Option<Session>,
@@ -405,6 +455,11 @@ pub(crate) struct TxPlane {
     /// Completions of the active session's messages (kept here, not in
     /// the session, so a message a time costs no allocation).
     completions: Vec<Arc<RequestCore<()>>>,
+    /// The storage of completions the shell resolved
+    /// ([`TxPlane::recycle_done`]), for the sessions to come, once
+    /// `completions` left with an SDU ([`Sdu::done`]): as many lists as
+    /// were out at once (an SDU that resolves nothing carries none).
+    spare_done: Vec<Vec<Arc<RequestCore<()>>>>,
     /// Last time feedback arrived or an SDU was released.
     last_progress: Instant,
     next_session: u32,
@@ -436,6 +491,7 @@ impl TxPlane {
         config: &ConnectionConfig,
         ring: Option<usize>,
         obs: PlaneObs,
+        pool: &Arc<BufPool>,
         now: Instant,
     ) -> Self {
         let ec = build_sender(&config.error_control);
@@ -451,10 +507,12 @@ impl TxPlane {
             ec,
             fc: build_fc(&config.flow_control),
             obs,
+            pool: Arc::clone(pool),
             backlog: VecDeque::new(),
             active: None,
             pending: VecDeque::new(),
             completions: Vec::new(),
+            spare_done: Vec::new(),
             last_progress: now,
             next_session: 0,
             rtt: None,
@@ -591,7 +649,7 @@ impl TxPlane {
             // strategy would ask, the receiver learns nothing until they
             // leave. Re-send the highest SDU released instead — free, and
             // its arrival moves the edge past everything released.
-            SenderStep::Transmit(_) if blocked => {
+            SenderStep::Transmit(_) | SenderStep::TransmitRange(_) if blocked => {
                 let session = self.active.as_mut().expect("still in flight");
                 let highest = session.high - 1;
                 note_retransmission(&self.obs, session, highest, 1);
@@ -700,7 +758,8 @@ impl TxPlane {
 
     /// Starts the next session: `first`, and with it every message queued
     /// behind it that fits in the same SDU as a record beside it. A
-    /// message alone in its session goes out as it is, header-less.
+    /// message alone in its session goes out as it is, header-less; a
+    /// train is built in a buffer of the pool.
     fn start(&mut self, first: Submission, now: Instant) {
         let id = self.next_session;
         self.next_session = id.wrapping_add(1);
@@ -715,22 +774,21 @@ impl TxPlane {
             riders += 1;
         }
         let packed = riders > 0;
-        let (mut body, mut tagged) = (Vec::new(), false);
-        if packed {
-            body.reserve_exact(train_len);
-        } else {
-            train_len = first.data.len();
-        }
         let recorder = &self.obs.recorder;
-        recorder.record(EventKind::EcSession, 0, id, train_len);
-        for message in std::iter::once(first).chain(self.backlog.drain(..riders)) {
-            recorder.record(EventKind::Packetize, 0, id, message.data.len());
-            self.completions.extend(message.completion);
-            if packed {
-                push_record(&mut body, &message.data, message.tagged);
-            } else {
-                (body, tagged) = (message.data, message.tagged);
+        let len = if packed { train_len } else { first.data.len() };
+        recorder.record(EventKind::EcSession, 0, id, len);
+        recorder.record(EventKind::Packetize, 0, id, first.data.len());
+        self.completions.extend(first.completion);
+        let (mut body, mut tagged) = (first.data, first.tagged);
+        if packed {
+            let mut train = self.pool.get();
+            push_record(train.vec_mut(), &body, tagged);
+            for message in self.backlog.drain(..riders) {
+                recorder.record(EventKind::Packetize, 0, id, message.data.len());
+                self.completions.extend(message.completion);
+                push_record(train.vec_mut(), &message.data, message.tagged);
             }
+            (body, tagged) = (Body::Pooled(train), false);
         }
         let messages = 1 + riders as u64;
         self.obs.counters.messages_sent.add(messages);
@@ -756,33 +814,33 @@ impl TxPlane {
         let Some(session) = self.active.as_mut() else {
             return;
         };
-        match step {
-            SenderStep::Transmit(seqs) => {
-                // Below the high-water mark an SDU was on the wire before;
-                // above it, it is fresh — a go-back-N window sliding open
-                // retransmits nothing.
-                let again = seqs.iter().filter(|&&seq| seq < session.high).count();
-                if again > 0 {
-                    note_retransmission(&self.obs, session, seqs[0], again);
-                    // A retransmission round supersedes whatever of the
-                    // session still waits for flow control (keeps timeout
-                    // storms from ballooning the queue behind stale
-                    // duplicates).
-                    self.pending.clear();
-                }
-                self.pending.extend(seqs);
-                // The clock starts over when the step's first SDU leaves.
-                session.sent_at = None;
-            }
+        let (listed, run): (&[u32], _) = match step {
+            SenderStep::Transmit(ref seqs) => (seqs, 0..0),
+            SenderStep::TransmitRange(ref seqs) => (&[], seqs.clone()),
             SenderStep::Done => {
                 if let (false, Some(sent_at)) = (session.retransmitted, session.sent_at) {
                     self.sample(now.saturating_duration_since(sent_at));
                 }
-                self.finish(Ok(()));
+                return self.finish(Ok(()));
             }
-            SenderStep::Failed(why) => self.finish(Err(SendError::DeliveryFailed(why))),
-            SenderStep::Wait => {}
+            SenderStep::Failed(why) => return self.finish(Err(SendError::DeliveryFailed(why))),
+            SenderStep::Wait => return,
+        };
+        let seqs = listed.iter().copied().chain(run);
+        // Below the high-water mark an SDU was on the wire before; above
+        // it, it is fresh — a go-back-N window sliding open retransmits
+        // nothing.
+        let again = seqs.clone().filter(|&seq| seq < session.high).count();
+        if let (true, Some(first)) = (again > 0, seqs.clone().next()) {
+            note_retransmission(&self.obs, session, first, again);
+            // A retransmission round supersedes whatever of the session
+            // still waits for flow control (keeps timeout storms from
+            // ballooning the queue behind stale duplicates).
+            self.pending.clear();
         }
+        self.pending.extend(seqs);
+        // The clock starts over when the step's first SDU leaves.
+        session.sent_at = None;
     }
 
     /// Hands `emit` the waiting SDUs flow control lets out at `now`: a
@@ -823,7 +881,8 @@ impl TxPlane {
             session.high = session.high.max(seq + 1);
             self.pending.pop_front();
             let done = if unacknowledged && self.pending.is_empty() {
-                std::mem::take(&mut self.completions)
+                let next = self.spare_done.pop().unwrap_or_default();
+                std::mem::replace(&mut self.completions, next)
             } else {
                 Vec::new()
             };
@@ -846,6 +905,15 @@ impl TxPlane {
             session.sent_at = Some(now);
         }
         released
+    }
+
+    /// Takes back the storage of completions an SDU carried out
+    /// ([`Sdu::done`]) once the shell resolved them.
+    pub(crate) fn recycle_done(&mut self, done: Vec<Arc<RequestCore<()>>>) {
+        debug_assert!(done.is_empty(), "resolved completions only");
+        if done.capacity() > 0 {
+            self.spare_done.push(done);
+        }
     }
 
     /// Resolves the session in flight: a failure sticks on the
@@ -891,7 +959,9 @@ enum Reassembly {
     Strategy(Box<dyn ReceiverEc>),
     /// No error control: each payload is appended, in arrival order, to one
     /// buffer from the pool, which is delivered on the end bit as it is and
-    /// returns to the pool when the application drops the message.
+    /// returns to the pool when the application drops the message. The
+    /// buffer grows no larger than the pool keeps, unless the message needs
+    /// it ([`PooledBuf::extend_retained`]).
     Pooled {
         pool: Arc<BufPool>,
         message: Option<PooledBuf>,
@@ -927,6 +997,8 @@ pub(crate) struct RxPlane {
     /// The highest edge advertised; before the first advertisement, the
     /// sender's initial one — the window first named.
     advertised: Option<u32>,
+    /// The body the last train's records share ([`Delivered::train`]).
+    train: Option<Arc<PooledBuf>>,
     /// Frames refused ([`ConnectionStats::frames_rejected`](crate::ConnectionStats)).
     rejected: Counter,
     /// SDUs the advertised edge advanced.
@@ -957,6 +1029,7 @@ impl RxPlane {
             window: 0,
             owed: false,
             advertised: None,
+            train: None,
             rejected: counters.frames_rejected.clone(),
             granted: counters.credits_granted.clone(),
         }
@@ -1037,8 +1110,10 @@ impl RxPlane {
                 (None, None)
             }
             Reassembly::Pooled { pool, message } => {
-                let buf = message.get_or_insert_with(|| pool.get());
-                buf.vec_mut().extend_from_slice(frame.payload);
+                // A message of more than one SDU takes a large buffer.
+                let len = if h.end { 0 } else { MAX_RETAIN_CAPACITY };
+                let buf = message.get_or_insert_with(|| pool.get_for(len));
+                buf.extend_retained(frame.payload);
                 (None, if h.end { message.take() } else { None })
             }
         };
@@ -1053,7 +1128,7 @@ impl RxPlane {
                 // A train that does not parse arrived intact — error
                 // control has nothing to repair — so it is acknowledged
                 // like any session, and dropped whole.
-                Delivered::train(body).unwrap_or_else(|| {
+                Delivered::train(body, &mut self.train).unwrap_or_else(|| {
                     self.rejected.inc();
                     Delivered::default()
                 })
@@ -1133,7 +1208,7 @@ mod tests {
     fn submit(tx: &mut TxPlane, data: Vec<u8>) -> Arc<RequestCore<()>> {
         let completion = RequestCore::new();
         tx.submit(Submission {
-            data,
+            data: Body::Pooled(PooledBuf::detached(data)),
             tagged: false,
             completion: Some(Arc::clone(&completion)),
             accepted: None,
@@ -1176,6 +1251,7 @@ mod tests {
                 &config(ec, FlowControlAlg::None),
                 None,
                 PlaneObs::default(),
+                &BufPool::new(),
                 now,
             );
             let first = submit(&mut tx, body(0, 1));
@@ -1208,7 +1284,7 @@ mod tests {
         ] {
             let now = Instant::now();
             let cfg = train_config(ec, FlowControlAlg::None);
-            let mut tx = TxPlane::new(&cfg, None, PlaneObs::default(), now);
+            let mut tx = TxPlane::new(&cfg, None, PlaneObs::default(), &BufPool::new(), now);
             let mut sent = Vec::new();
             let first = [0, 1].map(|i| submit(&mut tx, body(i, 1)));
             tx.poll(now, |sdu| sent.push((sdu.session, sdu.packed)));
@@ -1241,10 +1317,10 @@ mod tests {
             sdu_size,
             ..config(ErrorControlAlg::None, FlowControlAlg::None)
         };
-        let mut tx = TxPlane::new(&cfg, None, PlaneObs::default(), now);
+        let mut tx = TxPlane::new(&cfg, None, PlaneObs::default(), &BufPool::new(), now);
         for (data, tagged) in messages {
             tx.submit(Submission {
-                data: data.clone(),
+                data: Body::Pooled(PooledBuf::detached(data.clone())),
                 tagged: *tagged,
                 completion: None,
                 accepted: None,
@@ -1313,7 +1389,7 @@ mod tests {
 
     /// The records of a train body, owned.
     fn unpack(body: Vec<u8>) -> Option<Vec<(Vec<u8>, bool)>> {
-        let train = Delivered::train(PooledBuf::detached(body))?;
+        let train = Delivered::train(PooledBuf::detached(body), &mut None)?;
         Some(train.map(|(m, tagged)| (m.into_vec(), tagged)).collect())
     }
 
@@ -1557,6 +1633,41 @@ mod tests {
         assert_eq!(rx.advertise(), None, "no flow control, no feedback");
     }
 
+    /// A 64 KiB message — 16 default SDUs — reassembles in a buffer the
+    /// pool takes back when the message is dropped, so the next one is
+    /// reassembled without a miss. (Grown by doubling alone, the buffer
+    /// ended at 65,888 bytes, above what the pool keeps, and every such
+    /// message cost a miss.)
+    #[test]
+    fn a_reassembled_64_kib_message_returns_its_buffer_to_the_pool() {
+        use crate::pool::{DEFAULT_BUF_CAPACITY, DEFAULT_PER_SHARD, DEFAULT_SHARDS};
+        let now = Instant::now();
+        // The default geometry, with large buffers of its own.
+        let pool = BufPool::with_config(DEFAULT_SHARDS, DEFAULT_PER_SHARD, DEFAULT_BUF_CAPACITY);
+        let cfg = ConnectionConfig {
+            sdu_size: 4096,
+            ..config(ErrorControlAlg::None, FlowControlAlg::None)
+        };
+        let mut rx = RxPlane::new(&cfg, &ConnCounters::default(), &pool);
+        let message: Vec<u8> = (0..64 * 1024).map(|j| (j % 251) as u8).collect();
+        let mut misses = Vec::new();
+        for session in 0..2 {
+            let mut step = RxStep::default();
+            for (seq, sdu) in message.chunks(4096).enumerate() {
+                let end = seq == 15;
+                step = rx.on_frame(&frame(session, seq as u32, end, false, sdu), now);
+            }
+            let Delivered::Whole(body, false) = step.delivered else {
+                panic!("one whole message");
+            };
+            assert!(body[..] == message[..]);
+            drop(body);
+            misses.push(pool.stats().misses);
+        }
+        assert_eq!(misses[1], misses[0], "the second message missed the pool");
+        assert_eq!(pool.stats().discards, 0);
+    }
+
     /// Without error control nothing repairs a lost SDU: a message missing
     /// one — in the middle, or its first — is dropped whole, counted and
     /// reported lost, never delivered short, and the next message is
@@ -1609,7 +1720,7 @@ mod tests {
         fn new(cfg: &ConnectionConfig) -> Link {
             let (now, obs) = (Instant::now(), PlaneObs::default());
             Link {
-                tx: TxPlane::new(cfg, None, obs.clone(), now),
+                tx: TxPlane::new(cfg, None, obs.clone(), &BufPool::new(), now),
                 rx: rx_plane(cfg).0,
                 obs,
                 now,
@@ -2136,7 +2247,7 @@ mod tests {
         };
         let mut now = Instant::now();
         let obs = PlaneObs::default();
-        let mut tx = TxPlane::new(cfg, None, obs.clone(), now);
+        let mut tx = TxPlane::new(cfg, None, obs.clone(), &BufPool::new(), now);
         let (mut rx, rejected) = rx_plane(cfg);
         let bodies: Vec<Vec<u8>> = (0..sdus_per_msg.len())
             .map(|i| body(i, sdus_per_msg[i]))
@@ -2527,7 +2638,14 @@ mod tests {
         // sides' windows and the set-up frame.
         let probes = |cfg: &ConnectionConfig, ring| {
             let cfg = plane_config(cfg, Some(ring));
-            TxPlane::new(&cfg, Some(ring), PlaneObs::default(), Instant::now()).probes
+            TxPlane::new(
+                &cfg,
+                Some(ring),
+                PlaneObs::default(),
+                &BufPool::new(),
+                Instant::now(),
+            )
+            .probes
         };
         assert_eq!(probes(&reliable, 67), Some(1));
         assert_eq!(probes(&reliable, 128), Some(31));
@@ -2544,7 +2662,7 @@ mod tests {
     fn a_message_held_for_a_lost_credit_leaves_at_the_starvation_probe() {
         let cfg = train_config(ErrorControlAlg::None, credit());
         let start = Instant::now();
-        let mut tx = TxPlane::new(&cfg, Some(64), PlaneObs::default(), start);
+        let mut tx = TxPlane::new(&cfg, Some(64), PlaneObs::default(), &BufPool::new(), start);
         let mut sent = Vec::new();
         // The shell's write resolves what the SDU carries.
         let mut poll = |tx: &mut TxPlane, at: Duration| {
@@ -2640,7 +2758,13 @@ mod tests {
                 ErrorControlAlg::None
             );
             let side = || Side {
-                tx: TxPlane::new(cfg, Some(capacity), PlaneObs::default(), now),
+                tx: TxPlane::new(
+                    cfg,
+                    Some(capacity),
+                    PlaneObs::default(),
+                    &BufPool::new(),
+                    now,
+                ),
                 rx: rx_plane(cfg).0,
                 submitted: Vec::new(),
                 completions: Vec::new(),

@@ -16,6 +16,24 @@
 //! pool falls back to a plain heap allocation — exhaustion degrades to the
 //! seed behaviour instead of blocking.
 //!
+//! Buffers come in two kinds. A frame — or a body or a message no longer
+//! than one — takes an ordinary buffer, of the pool's buffer size
+//! ([`BufPool::get`]); a longer message's body or reassembly takes a large
+//! one ([`BufPool::get_for`]), and large ones are kept apart, so a frame
+//! never holds 64 KiB. The pools of the process's nodes ([`BufPool::new`])
+//! share one list of large buffers, as the heap would: the body one node
+//! let go of is the next long message of another, and a node gone idle
+//! holds none.
+//!
+//! The retain rule: a returned buffer is kept if its capacity is at most
+//! [`MAX_RETAIN_CAPACITY`] — a frame of the largest SDU (64 KiB) and its
+//! header — or the pool's own buffer size, if that is larger, and its free
+//! list has room; else it is discarded. A reassembled message grows a
+//! frame's payload at a time, by doubling, but stops at that bound
+//! ([`PooledBuf::extend_retained`]). So a message of up to 64 KiB comes
+//! back to the pool, and the next one reuses its buffer: nothing on the
+//! steady-state path allocates.
+//!
 //! [`PoolStats`] counts checkouts, hits, misses, returns and discards.
 //! Because the seed path performed one heap allocation where the pooled
 //! path performs one checkout, `checkouts` is exactly the allocation count
@@ -68,19 +86,28 @@ struct Counters {
 #[derive(Debug)]
 pub struct BufPool {
     shards: Vec<Shard>,
+    /// Buffers larger than `buf_capacity`, for long messages: one list
+    /// that every pool [`BufPool::new`] made shares.
+    large: Arc<Shard>,
     per_shard: usize,
     buf_capacity: usize,
     counters: Counters,
 }
 
 impl BufPool {
-    /// Creates a pool with the default geometry.
+    /// Creates a pool with the default geometry, whose large buffers are
+    /// those of every other such pool of the process.
     pub fn new() -> Arc<Self> {
-        Self::with_config(DEFAULT_SHARDS, DEFAULT_PER_SHARD, DEFAULT_BUF_CAPACITY)
+        static LARGE: OnceLock<Arc<Shard>> = OnceLock::new();
+        let mut pool = Self::with_config(DEFAULT_SHARDS, DEFAULT_PER_SHARD, DEFAULT_BUF_CAPACITY);
+        Arc::get_mut(&mut pool).expect("just made").large =
+            Arc::clone(LARGE.get_or_init(Arc::default));
+        pool
     }
 
     /// Creates a pool with `shards` shards of `per_shard` buffers each;
     /// fresh buffers are allocated with `buf_capacity` bytes of capacity.
+    /// Its large buffers are its own.
     ///
     /// # Panics
     ///
@@ -90,6 +117,7 @@ impl BufPool {
         assert!(per_shard > 0, "shards need at least one slot");
         Arc::new(BufPool {
             shards: (0..shards).map(|_| Shard::default()).collect(),
+            large: Arc::default(),
             per_shard,
             buf_capacity,
             counters: Counters::default(),
@@ -117,26 +145,37 @@ impl BufPool {
         hint % self.shards.len()
     }
 
-    /// Checks a cleared buffer out of the pool. Falls back to a fresh heap
-    /// allocation when every shard is empty (pool exhaustion never blocks).
+    /// Checks a cleared buffer out of the pool: an ordinary one, or a large
+    /// one if none is left. Falls back to a fresh heap allocation when
+    /// every list is empty (pool exhaustion never blocks).
     pub fn get(self: &Arc<Self>) -> PooledBuf {
-        self.counters.checkouts.fetch_add(1, Ordering::Relaxed);
         let home = self.shard_hint();
         let n = self.shards.len();
-        for i in 0..n {
-            let shard = &self.shards[(home + i) % n];
-            if let Some(mut buf) = shard.free.lock().pop() {
-                buf.clear();
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return PooledBuf {
-                    buf,
-                    pool: Some(Arc::clone(self)),
-                };
-            }
+        let found = (0..n).find_map(|i| self.shards[(home + i) % n].free.lock().pop());
+        let found = found.or_else(|| self.large.free.lock().pop());
+        self.checkout(found, self.buf_capacity)
+    }
+
+    /// [`BufPool::get`] for `len` bytes: longer than the pool's buffer
+    /// size, a large buffer, or a fresh one of `len` bytes.
+    pub(crate) fn get_for(self: &Arc<Self>, len: usize) -> PooledBuf {
+        if len <= self.buf_capacity {
+            return self.get();
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let found = self.large.free.lock().pop();
+        self.checkout(found, len)
+    }
+
+    fn checkout(self: &Arc<Self>, found: Option<Vec<u8>>, capacity: usize) -> PooledBuf {
+        self.counters.checkouts.fetch_add(1, Ordering::Relaxed);
+        let (counter, mut buf) = match found {
+            Some(buf) => (&self.counters.hits, buf),
+            None => (&self.counters.misses, Vec::with_capacity(capacity)),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        buf.clear();
         PooledBuf {
-            buf: Vec::with_capacity(self.buf_capacity),
+            buf,
             pool: Some(Arc::clone(self)),
         }
     }
@@ -148,15 +187,20 @@ impl BufPool {
             self.counters.discards.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // Prefer the home shard but spill to neighbours before discarding:
-        // pipelines return every buffer on one thread (the Send Thread),
-        // which would otherwise cap the usable pool at a single shard.
+        // Large buffers have a list of their own. Ordinary ones prefer the
+        // home shard but spill to neighbours before discarding: pipelines
+        // return every buffer on one thread (the Send Thread), which would
+        // otherwise cap the usable pool at a single shard.
+        let large = buf.capacity() > self.buf_capacity;
         let mut buf = Some(buf);
         let home = self.shard_hint();
         let n = self.shards.len();
-        for i in 0..n {
-            let shard = &self.shards[(home + i) % n];
-            let mut free = shard.free.lock();
+        let ordinary = (0..n).map(|i| &self.shards[(home + i) % n]);
+        for list in ordinary
+            .filter(|_| !large)
+            .chain(large.then_some(&*self.large))
+        {
+            let mut free = list.free.lock();
             if free.len() < self.per_shard {
                 free.push(buf.take().expect("unreturned buffer"));
                 self.counters.returns.fetch_add(1, Ordering::Relaxed);
@@ -168,7 +212,8 @@ impl BufPool {
 
     /// Buffers currently sitting in the free lists.
     pub fn free_buffers(&self) -> usize {
-        self.shards.iter().map(|s| s.free.lock().len()).sum()
+        let lists = self.shards.iter().chain([&*self.large]);
+        lists.map(|s| s.free.lock().len()).sum()
     }
 
     /// A point-in-time statistics snapshot.
@@ -264,6 +309,20 @@ impl PooledBuf {
     /// Mutable access to the inner vector (encode targets write here).
     pub fn vec_mut(&mut self) -> &mut Vec<u8> {
         &mut self.buf
+    }
+
+    /// Appends `bytes`, growing the buffer as a `Vec` grows — doubling —
+    /// but not past what its pool keeps ([`MAX_RETAIN_CAPACITY`]) unless
+    /// the bytes need more: a buffer that grows by a frame's payload at a
+    /// time to a 64 KiB message stops at a size the pool takes back,
+    /// where doubling alone would overshoot it and be discarded.
+    pub(crate) fn extend_retained(&mut self, bytes: &[u8]) {
+        let (len, capacity) = (self.buf.len(), self.buf.capacity());
+        if len + bytes.len() > capacity {
+            let grown = (2 * capacity).min(MAX_RETAIN_CAPACITY);
+            self.buf.reserve_exact(grown.max(len + bytes.len()) - len);
+        }
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Detaches the buffer from its pool and hands the allocation over;

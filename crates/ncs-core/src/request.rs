@@ -26,7 +26,9 @@
 //! are thin waits on requests, and a blocking send is
 //! `isend(..)?.wait()`: there is one completion path through the runtime.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::thread::LocalKey;
 use std::time::{Duration, Instant};
 
 use ncs_threads::sync::Event;
@@ -310,6 +312,14 @@ impl<T> RequestCore<T> {
         })
     }
 
+    /// Makes the core as new: unfired, with no result and no subscribers
+    /// (their list keeps its storage). `&mut`: nobody else holds it.
+    fn reset(&mut self) {
+        self.done.reset();
+        *self.result.get_mut() = None;
+        self.notify.get_mut().clear();
+    }
+
     /// Resolves the request. The first call wins; later calls are ignored
     /// (a request can race between e.g. a delivery and a teardown). Both
     /// guards matter: `slot.is_some()` rejects a racing completer that
@@ -361,10 +371,21 @@ impl<T> RequestCore<T> {
     }
 }
 
-/// Cancellation hook a request runs when dropped before its result was
-/// consumed (receive requests unregister from their connection's delivery
+/// Cancellation hook a request runs when dropped, with its connection and
+/// tag (receive requests unregister from their connection's delivery
 /// queue; abandoned-but-completed messages requeue).
-type CancelFn<T> = Box<dyn FnOnce(&Arc<RequestCore<T>>) + Send + Sync>;
+type CancelFn<T> = fn(&ConnShared, Option<u32>, &Arc<RequestCore<T>>);
+
+/// Cores a thread's requests let go of, for its next request of the type.
+type FreeCores<T> = RefCell<Vec<Arc<RequestCore<T>>>>;
+
+/// The most cores a thread keeps per request type.
+const FREE_CORES: usize = 256;
+
+thread_local! {
+    pub(crate) static FREE_SENDS: FreeCores<()> = const { RefCell::new(Vec::new()) };
+    pub(crate) static FREE_RECEIVES: FreeCores<MsgView> = const { RefCell::new(Vec::new()) };
+}
 
 /// A nonblocking operation in flight.
 ///
@@ -403,13 +424,17 @@ type CancelFn<T> = Box<dyn FnOnce(&Arc<RequestCore<T>>) + Send + Sync>;
 /// assert_eq!(&*want.wait().unwrap(), b"overlap");
 /// # alice.shutdown(); bob.shutdown();
 /// ```
-pub struct Request<T> {
+pub struct Request<T: 'static> {
     pub(crate) core: Arc<RequestCore<T>>,
     /// Run when the request is dropped unconsumed: a receive unregisters.
     pub(crate) cancel: Option<CancelFn<T>>,
     /// A receive's connection, whose task a waiting thread runs itself
-    /// when it is idle ([`ConnShared::drive`]).
+    /// when it is idle ([`ConnShared::drive`]), and its tag.
     pub(crate) conn: Option<Arc<ConnShared>>,
+    pub(crate) tag: Option<u32>,
+    /// The free list the core goes to when this request lets go of it
+    /// last.
+    free: Option<&'static LocalKey<FreeCores<T>>>,
 }
 
 impl<T> std::fmt::Debug for Request<T> {
@@ -426,6 +451,8 @@ impl<T> Request<T> {
             core,
             cancel: None,
             conn: None,
+            tag: None,
+            free: None,
         }
     }
 
@@ -468,6 +495,16 @@ impl<T> Request<T> {
     }
 }
 
+/// A request on a core from this thread's `free` list, or a new one; the
+/// core returns there when the request is dropped, if nobody else holds it
+/// then.
+pub(crate) fn issue<T>(free: &'static LocalKey<FreeCores<T>>) -> Request<T> {
+    let core = free.try_with(|cores| cores.borrow_mut().pop());
+    let mut request = Request::new(core.ok().flatten().unwrap_or_else(RequestCore::new));
+    request.free = Some(free);
+    request
+}
+
 impl<T> Completion for Request<T> {
     fn is_complete(&self) -> bool {
         self.core.is_complete()
@@ -490,10 +527,22 @@ impl<T> Completion for Request<T> {
 }
 
 impl<T> Drop for Request<T> {
+    /// Cancels, then recycles the core if this was its last holder: a core
+    /// that a delivery queue or the send pipeline still holds is never
+    /// issued again.
     fn drop(&mut self) {
-        if let Some(f) = self.cancel.take() {
-            f(&self.core);
+        if let (Some(cancel), Some(conn)) = (self.cancel, &self.conn) {
+            cancel(conn, self.tag, &self.core);
         }
+        let (Some(free), Some(core)) = (self.free, Arc::get_mut(&mut self.core)) else {
+            return;
+        };
+        core.reset();
+        let core = Arc::clone(&self.core);
+        let _ = free.try_with(|cores| {
+            let mut cores = cores.borrow_mut();
+            (cores.len() < FREE_CORES).then(|| cores.push(core))
+        });
     }
 }
 
@@ -607,15 +656,25 @@ struct TagShard {
     /// stamps every shard, so each shard is self-contained under its own
     /// lock).
     error: Option<SendError>,
+    /// The last channel pruned, drained, with its queues' storage: the
+    /// next channel made is this one.
+    spare: Chan,
 }
 
 impl TagShard {
+    /// `tag`'s channel, made (from the spare) if it has none.
+    fn chan(&mut self, tag: u32) -> &mut Chan {
+        let (chans, spare) = (&mut self.chans, &mut self.spare);
+        chans.entry(tag).or_insert_with(|| std::mem::take(spare))
+    }
+
     /// Drops `tag`'s channel entry once it is fully drained, so a
     /// connection cycling through many distinct tags (correlation-id
-    /// style) does not grow the map for its lifetime.
+    /// style) does not grow the map for its lifetime. The channel becomes
+    /// the spare.
     fn prune(&mut self, tag: u32) {
         if self.chans.get(&tag).is_some_and(Chan::is_drained) {
-            self.chans.remove(&tag);
+            self.spare = self.chans.remove(&tag).expect("just looked");
         }
     }
 }
@@ -684,7 +743,7 @@ impl DeliveryQueue {
             }
             Some(tag) => {
                 let mut shard = self.tagged[shard_index(tag)].lock();
-                shard.chans.entry(tag).or_default().deliver(msg);
+                shard.chan(tag).deliver(msg);
                 shard.prune(tag);
             }
         }
@@ -737,7 +796,7 @@ impl DeliveryQueue {
             Some(t) => {
                 let mut shard = self.tagged[shard_index(t)].lock();
                 let error = shard.error.clone();
-                shard.chans.entry(t).or_default().register(&error, core);
+                shard.chan(t).register(&error, core);
                 shard.prune(t);
             }
         }
@@ -781,7 +840,7 @@ impl DeliveryQueue {
             None => self.untagged.lock().chan.cancel(core),
             Some(t) => {
                 let mut shard = self.tagged[shard_index(t)].lock();
-                shard.chans.entry(t).or_default().cancel(core);
+                shard.chan(t).cancel(core);
                 shard.prune(t);
             }
         }
@@ -1049,6 +1108,76 @@ mod tests {
         assert!(test_all(&[]));
         assert!(wait_all(&[], Duration::ZERO));
         assert_eq!(wait_any(&[], Duration::from_secs(1)), None);
+    }
+
+    /// A request's core, dropped by its last holder, is the next request's
+    /// on the thread: unfired, with no result, and no subscriber of its
+    /// last use — a wait set that subscribed to it is never woken by the
+    /// next request's completion.
+    #[test]
+    fn a_recycled_core_starts_unfired_with_no_result_and_no_subscribers() {
+        let sent: Request<()> = issue(&FREE_SENDS);
+        let core = Arc::as_ptr(&sent.core);
+        sent.core.complete(Ok(())); // fired; the result is never taken
+        drop(sent);
+        let next: Request<()> = issue(&FREE_SENDS);
+        assert_eq!(Arc::as_ptr(&next.core), core, "the core came back");
+        assert!(!next.test());
+        assert_eq!(
+            next.wait_timeout(Duration::from_millis(5)),
+            Err(SendError::Timeout)
+        );
+        // A wait set and a subscriber are left on it, never notified.
+        let woken = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&woken);
+        next.subscribe(Arc::new(move || {
+            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }));
+        assert_eq!(wait_any(&[&next], Duration::from_millis(1)), None);
+        drop(next);
+        let last: Request<()> = issue(&FREE_SENDS);
+        assert_eq!(Arc::as_ptr(&last.core), core);
+        last.core.complete(Ok(()));
+        assert_eq!(woken.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(last.wait(), Ok(()));
+    }
+
+    /// A core somebody else still holds when its request is dropped is
+    /// never issued again: a receive parked in a delivery queue, a send
+    /// the pipeline has yet to resolve. A cancelled receive whose message
+    /// was requeued holds nothing: its core comes back clean, and the
+    /// message goes to the next receive whole.
+    #[test]
+    fn a_core_another_holder_references_is_never_issued_again() {
+        let q = DeliveryQueue::new();
+        let parked: Request<MsgView> = issue(&FREE_RECEIVES);
+        q.register(None, &parked.core);
+        let held = Arc::as_ptr(&parked.core);
+        drop(parked); // as a request without its cancel hook: still parked
+        let next: Request<MsgView> = issue(&FREE_RECEIVES);
+        assert_ne!(Arc::as_ptr(&next.core), held);
+        q.deliver(msg(b"m0", None));
+        assert!(!next.test(), "the parked core took the message");
+
+        let sent: Request<()> = issue(&FREE_SENDS);
+        let pipeline = Arc::clone(&sent.core);
+        drop(sent);
+        let next_send: Request<()> = issue(&FREE_SENDS);
+        assert!(!Arc::ptr_eq(&next_send.core, &pipeline));
+        pipeline.complete(Ok(()));
+        assert!(!next_send.test());
+
+        q.deliver(msg(b"m1", None));
+        q.register(None, &next.core); // takes m1
+        assert!(next.test());
+        let claimed = Arc::as_ptr(&next.core);
+        q.cancel(None, &next.core); // what its hook runs: m1 goes back
+        drop(next);
+        let again: Request<MsgView> = issue(&FREE_RECEIVES);
+        assert_eq!(Arc::as_ptr(&again.core), claimed, "nobody held it");
+        assert!(!again.test());
+        q.register(None, &again.core);
+        assert_eq!(again.wait().unwrap().as_slice(), b"m1");
     }
 
     #[test]

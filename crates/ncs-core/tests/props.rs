@@ -401,6 +401,11 @@ proptest! {
                                 progressed = true;
                                 break;
                             }
+                            SenderStep::TransmitRange(t) => {
+                                step = SenderStep::Transmit(t.collect());
+                                progressed = true;
+                                break;
+                            }
                             SenderStep::Failed(why) => prop_assert!(false, "failed: {why}"),
                             SenderStep::Wait => {}
                         }
@@ -409,6 +414,7 @@ proptest! {
                         step = tx.on_timeout();
                     }
                 }
+                SenderStep::TransmitRange(seqs) => step = SenderStep::Transmit(seqs.collect()),
                 SenderStep::Done => break,
                 SenderStep::Failed(why) => prop_assert!(false, "failed early: {why}"),
                 SenderStep::Wait => step = tx.on_timeout(),
@@ -469,12 +475,14 @@ proptest! {
                         Some(a) if next() % 4 != 0 || rounds >= 500 => match tx.on_ack(a) {
                             SenderStep::Done => break 'outer,
                             SenderStep::Transmit(t) => step = SenderStep::Transmit(t),
+                            SenderStep::TransmitRange(t) => step = SenderStep::Transmit(t.collect()),
                             SenderStep::Failed(why) => prop_assert!(false, "failed: {why}"),
                             SenderStep::Wait => step = tx.on_timeout(),
                         },
                         _ => step = tx.on_timeout(),
                     }
                 }
+                SenderStep::TransmitRange(seqs) => step = SenderStep::Transmit(seqs.collect()),
                 SenderStep::Done => break,
                 SenderStep::Failed(why) => prop_assert!(false, "failed early: {why}"),
                 SenderStep::Wait => step = tx.on_timeout(),

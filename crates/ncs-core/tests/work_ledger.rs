@@ -3,16 +3,18 @@
 //! with an echo thread that receives and sends back as the benchmark's
 //! does; a reliable HPI stream of 8-byte messages in windows of 64 on a
 //! channel, 100 warmed windows, whose sink posts a window of receives and
-//! waits for them as the benchmark's does; and the benchmark's lossy ACI
-//! stream, 16 and 12 KiB messages in windows of 2 at 0.1 % cell loss on a
-//! fixed seed, 90 warmed windows. Per message (two per round
+//! waits for them as the benchmark's does; the same stream of 64 KiB
+//! messages in windows of 4, 100 warmed windows; and the benchmark's
+//! lossy ACI stream, 16 and 12 KiB messages in windows of 2 at 0.1 % cell
+//! loss on a fixed seed, 90 warmed windows. Per message (two per round
 //! trip) the ledger counts:
 //!
 //! * voluntary context switches of every thread of the process, read from
 //!   `/proc/self/task/*/status`;
 //! * the reactors' polls, wake-ups and fd reports ([`ReactorStats`]);
-//! * allocations of every thread, through this binary's counting
-//!   `#[global_allocator]`.
+//! * allocations of every thread, and the bytes they asked for, through
+//!   this binary's counting `#[global_allocator]` — all but the ledger's
+//!   own reading of `/proc`.
 //!
 //! Each count has a ceiling at what it read when it was set. A ceiling
 //! that comes down is a result; one that goes up says so in CHANGES.md,
@@ -24,6 +26,7 @@
 #![cfg(target_os = "linux")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,14 +40,28 @@ use ncs_transport::aci::AciFabric;
 use ncs_transport::sci::SciListener;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The thread is reading the counts: what it allocates is not counted.
+    static READING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation of `bytes`, unless the ledger itself makes it.
+fn count(bytes: usize) {
+    if !READING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
 
 struct Counting;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter touches no allocator state.
+// unchanged; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -53,12 +70,12 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -121,18 +138,23 @@ struct Reading {
     wakeups: u64,
     fd_events: u64,
     allocations: u64,
+    bytes: u64,
 }
 
 fn read(nodes: &[&NcsNode]) -> Reading {
+    READING.set(true);
     let stats: Vec<ReactorStats> = nodes.iter().map(|n| n.reactor().stats()).collect();
     let sum = |f: fn(&ReactorStats) -> u64| stats.iter().map(f).sum();
-    Reading {
+    let reading = Reading {
         allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        bytes: ALLOCATED_BYTES.load(Ordering::Relaxed),
         switches: switches(),
         polls: sum(|s| s.polls),
         wakeups: sum(|s| s.wakeups),
         fd_events: sum(|s| s.fd_events),
-    }
+    };
+    READING.set(false);
+    reading
 }
 
 /// Counts per message.
@@ -143,6 +165,7 @@ struct Ledger {
     wakeups: f64,
     fd_events: f64,
     allocations: f64,
+    bytes: f64,
 }
 
 /// `ROUND_TRIPS` round trips of 64 B from `client` to an echo thread on
@@ -178,6 +201,7 @@ fn ping_pong(nodes: [&NcsNode; 2], client: &NcsConnection, server: &NcsConnectio
         wakeups: per(|r| r.wakeups),
         fd_events: per(|r| r.fd_events),
         allocations: per(|r| r.allocations),
+        bytes: per(|r| r.bytes),
     }
 }
 
@@ -267,6 +291,7 @@ fn windows(nodes: [&NcsNode; 2], client: Lane, server: Lane, shape: &'static Win
         wakeups: per(|r| r.wakeups),
         fd_events: per(|r| r.fd_events),
         allocations: per(|r| r.allocations),
+        bytes: per(|r| r.bytes),
     }
 }
 
@@ -280,6 +305,18 @@ fn stream(nodes: [&NcsNode; 2], client: &NcsConnection, server: &NcsConnection) 
     };
     let lane = |conn: &NcsConnection| Lane::Chan(conn.channel(0));
     windows(nodes, lane(client), lane(server), &STREAM)
+}
+
+/// 100 windows of 4 64 KiB messages on the connection, after 20.
+fn bulk(nodes: [&NcsNode; 2], client: &NcsConnection, server: &NcsConnection) -> Ledger {
+    static BULK: Windows = Windows {
+        lens: &[64 * 1024],
+        window: 4,
+        warm_up: 20,
+        count: 100,
+    };
+    let lane = |conn: &NcsConnection| Lane::Conn(conn.clone());
+    windows(nodes, lane(client), lane(server), &BULK)
 }
 
 /// The benchmark's `aci_lossy_16K` in small: 16 and 12 KiB messages in
@@ -374,6 +411,7 @@ fn within(name: &str, ledger: &Ledger, ceilings: &Ledger) {
         ("wakeups", ledger.wakeups, ceilings.wakeups),
         ("fd events", ledger.fd_events, ceilings.fd_events),
         ("allocations", ledger.allocations, ceilings.allocations),
+        ("bytes", ledger.bytes, ceilings.bytes),
     ];
     for (count, value, ceiling) in counts {
         assert!(
@@ -389,10 +427,12 @@ fn the_two_ping_pongs_cost_no_more_than_their_ledger() {
     let hpi = hpi_reliable(ping_pong);
     let sci = sci_bypass();
     let trains = hpi_reliable(stream);
+    let bulk = hpi_reliable(bulk);
     let lossy = aci_lossy();
     println!("reliable HPI per message: {hpi:?}");
     println!("bypass SCI per message: {sci:?}");
     println!("reliable HPI stream per message: {trains:?}");
+    println!("reliable HPI bulk stream per message: {bulk:?}");
     println!("lossy ACI stream per message: {lossy:?}");
     // The reliable HPI round trip: the thread that waits for the echo
     // runs its connection's task itself and reads the credit edge off the
@@ -400,37 +440,67 @@ fn the_two_ping_pongs_cost_no_more_than_their_ledger() {
     // and its event loop polls once (2.04-2.87 switches and 3.04-3.56
     // polls while the edge crossed both nodes' control tasks on their
     // event loops; 20 runs in debug and release builds, 6 of them beside
-    // four busy loops, read 1.000-1.001 switches, polls and wake-ups and
-    // 9.03 allocations).
+    // four busy loops, read 1.000-1.001 switches, polls and wake-ups).
+    // Nothing is allocated per message: request completions, message
+    // bodies and HPI frames are all recycled (9.03 allocations per message
+    // before). Now and then a free list grows to a new peak inside the
+    // measured round trips: of 18 debug runs 15 read 0 and 3 one or two
+    // such allocations (0.0005-0.001 per message, 0.05-0.15 bytes).
     let hpi_ceilings = Ledger {
         switches: 1.2,
         polls: 1.2,
         wakeups: 1.2,
         fd_events: 0.0,
-        allocations: 9.1,
+        allocations: 0.005,
+        bytes: 1.0,
     };
     // The bypass SCI round trip: the waiting thread reads its own socket,
     // so it sleeps once per message and its event loop hears almost
-    // nothing. (Read: 1.00-1.10 switches and polls, at most 0.015
-    // wake-ups and fd reports, 6.03 allocations.)
+    // nothing. The socket's frames are read into the buffer of the one
+    // before. (Read: 1.00-1.10 switches and polls, at most 0.015
+    // wake-ups and fd reports; 0-0.002 allocations and 0-4.3 bytes over
+    // 18 runs, the same rare growth of a free list; 6.03 allocations
+    // before.)
     let sci_ceilings = Ledger {
         switches: 1.2,
         polls: 1.15,
         wakeups: 0.05,
         fd_events: 0.05,
-        allocations: 6.1,
+        allocations: 0.005,
+        bytes: 10.0,
     };
     // The 8-byte stream: a window of 64 is two trains, and the sink's
     // receives take whole windows, so a thread sleeps about once per
-    // 13 messages. A train's records are views of its body: no
-    // allocation per record. (Read: 0.073-0.078 switches, 0.057-0.063
-    // polls and wake-ups, 6.39-6.40 allocations, over the same runs.)
+    // 13 messages. A short message's body stays in its submission, and a
+    // train's records are views of its body, which the next train's
+    // records share once they are gone: no allocation per message, record
+    // or train. What is left is the ledger's own two `Vec`s
+    // per window, 0.031 allocations and 80 bytes per message. (Read:
+    // 0.073-0.079 switches, 0.057-0.064 polls and wake-ups, 0.03125
+    // allocations over the same runs; 6.39-6.40 allocations before.)
     let stream_ceilings = Ledger {
         switches: 0.1,
         polls: 0.08,
         wakeups: 0.08,
         fd_events: 0.0,
-        allocations: 6.45,
+        allocations: 0.04,
+        bytes: 100.0,
+    };
+    // 64 KiB messages, 16 SDUs each: bodies and reassembled messages
+    // take the buffer pool's large buffers, which they fit. The ledger's
+    // own two `Vec`s per window of 4 are 0.5 allocations and 80 bytes per
+    // message. Its client spins on `yield_now` for the sink between
+    // windows, which the switches count. (Read: 6.60-6.71 switches,
+    // 6.18-6.33 polls and wake-ups, 0.52-0.55 allocations and 160-330
+    // bytes in debug runs; 8.56 switches, 8.24 polls, 0.5 allocations and
+    // 80 bytes in 2 release runs.)
+    let bulk_ceilings = Ledger {
+        switches: 9.0,
+        polls: 8.75,
+        wakeups: 8.75,
+        fd_events: 0.0,
+        allocations: 0.6,
+        bytes: 1.25 * 65_536.0,
     };
     // The lossy ACI stream: the ATM model has no thread of its own, so
     // the waiting threads and the event loops run the network at its
@@ -442,17 +512,21 @@ fn the_two_ping_pongs_cost_no_more_than_their_ledger() {
     // receiver. Its counts follow the model's clock: which frame a lost
     // cell hits can move with timing. (Read over 40 runs, 4 beside two
     // busy loops: 5.89-5.98 switches, 6.72-6.91 polls, 6.17-6.42
-    // wake-ups, 73.45-73.51 allocations; once 6.12 switches and 73.66
-    // allocations.)
+    // wake-ups; once 6.12 switches. Allocations read 73.45-73.66 while
+    // completions, bodies and the ledger's reading of `/proc` were
+    // counted, and 67.11 in 8 runs since; its AAL5 reassembly and its
+    // error control's buffers are what is left.)
     let lossy_ceilings = Ledger {
         switches: 6.3,
         polls: 7.1,
         wakeups: 6.6,
         fd_events: 0.0,
-        allocations: 74.0,
+        allocations: 67.5,
+        bytes: 145_000.0,
     };
     within("reliable HPI", &hpi, &hpi_ceilings);
     within("bypass SCI", &sci, &sci_ceilings);
     within("reliable HPI stream", &trains, &stream_ceilings);
+    within("reliable HPI bulk stream", &bulk, &bulk_ceilings);
     within("lossy ACI stream", &lossy, &lossy_ceilings);
 }

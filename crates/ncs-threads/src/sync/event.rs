@@ -55,6 +55,14 @@ impl Event {
         }
     }
 
+    /// Returns a fired event to unfired, for another use. It takes
+    /// `&mut self`: nobody can be waiting on the event, so the permit the
+    /// fire left behind is all there is to take back.
+    pub fn reset(&mut self) {
+        *self.fired.get_mut() = false;
+        while self.sem.try_acquire() {}
+    }
+
     /// Whether the event has fired.
     pub fn is_fired(&self) -> bool {
         self.fired.load(Ordering::Acquire)
@@ -123,6 +131,18 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn a_reset_event_waits_again() {
+        let mut ev = Event::new();
+        ev.fire();
+        ev.wait();
+        ev.reset();
+        assert!(!ev.is_fired());
+        assert!(!ev.wait_timeout(Duration::from_millis(20)));
+        ev.fire();
+        assert!(ev.wait_timeout(Duration::from_secs(5)));
     }
 
     #[test]

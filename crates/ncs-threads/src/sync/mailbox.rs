@@ -204,28 +204,28 @@ impl<T> Mailbox<T> {
     ///
     /// This is the coalescing primitive behind the transports' batched
     /// send paths: a ring/buffer is acquired once per batch instead of once
-    /// per frame.
+    /// per frame. The messages are drawn from `items` under that lock and
+    /// pushed as they come, so a batch that fits allocates nothing.
     pub fn try_send_many(&self, items: impl IntoIterator<Item = T>) -> Vec<T> {
-        let mut accepted: Vec<T> = Vec::new();
-        let mut rejected: Vec<T> = Vec::new();
         let mut items = items.into_iter();
-        match &self.slots {
-            Some(slots) => {
-                for item in items.by_ref() {
-                    if slots.try_acquire() {
-                        accepted.push(item);
-                    } else {
-                        rejected.push(item);
-                        break;
-                    }
-                }
-                rejected.extend(items);
+        let mut rejected = Vec::new();
+        let mut queue = self.queue.lock();
+        let before = queue.len();
+        for item in items.by_ref() {
+            if self
+                .slots
+                .as_ref()
+                .is_some_and(|slots| !slots.try_acquire())
+            {
+                rejected.push(item);
+                break;
             }
-            None => accepted.extend(items),
+            queue.push_back(item);
         }
-        let n = accepted.len();
+        let n = queue.len() - before;
+        drop(queue);
+        rejected.extend(items);
         if n > 0 {
-            self.queue.lock().extend(accepted);
             for _ in 0..n {
                 self.items.release();
             }

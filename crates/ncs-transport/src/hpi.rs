@@ -17,6 +17,10 @@
 //! acknowledgements (`ncs_core`'s `plane.rs`). A frame the ring took is
 //! the receiver's: an `isend` over such a connection completes when the
 //! ring takes its last frame.
+//!
+//! A frame is copied into the ring once. The buffer it travels in is one
+//! its receiver handed back ([`Connection::recycle`]) where there is one,
+//! so a steady stream allocates nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,6 +30,7 @@ use ncs_threads::sync::Mailbox;
 
 use crate::iface::{
     valid_prefix, Capabilities, Connection, Inbox, Readiness, TransportError, Waker,
+    RETAIN_CAPACITY,
 };
 
 /// Default ring capacity, in frames.
@@ -51,8 +56,8 @@ pub struct HpiConnection {
 ///
 /// Panics if `capacity` is zero.
 pub fn pair(capacity: usize) -> (HpiConnection, HpiConnection) {
-    let ab = Arc::new(Inbox::new(Mailbox::bounded(capacity)));
-    let ba = Arc::new(Inbox::new(Mailbox::bounded(capacity)));
+    let ring = || Arc::new(Inbox::new(Mailbox::bounded(capacity)));
+    let (ab, ba) = (ring(), ring());
     let end = |tx, rx, label: &str| HpiConnection {
         tx,
         rx,
@@ -106,11 +111,16 @@ impl Connection for HpiConnection {
         // One ring acquisition for the whole batch. NIC-ring semantics: a
         // full ring is the receiver's problem — frames beyond its free
         // space are dropped (the receiver's overrun), not back-pressured,
-        // so every valid frame "sends".
-        let rejected = self
-            .tx
-            .queue
-            .try_send_many(frames[..valid].iter().map(|f| f.to_vec()));
+        // so every valid frame "sends". Each frame is copied into a buffer
+        // the receiver handed back, if one is left.
+        let mut spares = self.tx.spares.lock();
+        let rejected = self.tx.queue.try_send_many(frames[..valid].iter().map(|f| {
+            let mut buf = spares.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(f);
+            buf
+        }));
+        drop(spares);
         if !rejected.is_empty() {
             self.overruns
                 .fetch_add(rejected.len() as u64, Ordering::Relaxed);
@@ -124,6 +134,14 @@ impl Connection for HpiConnection {
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
         self.rx.try_recv()
+    }
+
+    fn recycle(&self, frame: Vec<u8>) {
+        let mut spares = self.rx.spares.lock();
+        let ring = self.rx.queue.capacity().unwrap_or(0);
+        if frame.capacity() <= RETAIN_CAPACITY && spares.len() < ring {
+            spares.push(frame);
+        }
     }
 
     fn readiness(&self) -> Readiness {

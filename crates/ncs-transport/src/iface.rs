@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ncs_threads::sync::Mailbox;
+use parking_lot::Mutex;
 
 /// A readiness callback installed by an event loop via
 /// [`Connection::register_waker`]. The transport invokes it whenever the
@@ -122,6 +123,13 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// The largest buffer an interface keeps of the frames handed back to it
+/// ([`Connection::recycle`]): a frame of the largest SDU `ncs-core`
+/// configures, 64 KiB, and its header — the bound the node's buffer pool
+/// keeps to as well. A larger one is dropped rather than held for the
+/// endpoint's lifetime.
+pub const RETAIN_CAPACITY: usize = 64 * 1024 + 64;
+
 /// How many leading frames of a batch an interface whose largest frame is
 /// `max` bytes may send: the batch is cut at the first invalid frame
 /// (empty, or too large), whose error is the result only when it is the
@@ -193,11 +201,15 @@ pub(crate) fn wait_on_wire<T>(
 pub(crate) struct Inbox {
     pub(crate) queue: Mailbox<Vec<u8>>,
     ended: AtomicBool,
+    /// The buffers of frames the consumer handed back, for the producer to
+    /// fill next: as many as a bounded queue holds, at most (HPI's ring).
+    pub(crate) spares: Mutex<Vec<Vec<u8>>>,
 }
 
 impl Inbox {
     pub(crate) fn new(queue: Mailbox<Vec<u8>>) -> Self {
         Inbox {
+            spares: Mutex::default(),
             queue,
             ended: AtomicBool::new(false),
         }
@@ -316,6 +328,16 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     ///
     /// [`TransportError::Closed`] as for [`Connection::recv_timeout`].
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError>;
+
+    /// Hands back a frame this endpoint received, once the caller is done
+    /// with its bytes, so that a later frame can be received into its
+    /// buffer instead of a new one. The buffer is the interface's from
+    /// then on: it may keep it — cleared before it carries another frame,
+    /// so nothing of this one shows in any later frame, and never handed
+    /// out while it carries one — or drop it. HPI keeps as many as its
+    /// ring holds, and SCI one; neither keeps a buffer larger than
+    /// [`RETAIN_CAPACITY`]. The default drops the frame.
+    fn recycle(&self, _frame: Vec<u8>) {}
 
     /// Transmits one frame: [`Connection::send_batch`] of one.
     ///

@@ -44,5 +44,5 @@ pub mod pipe;
 pub mod sci;
 pub mod sim;
 
-pub use iface::{Capabilities, Connection, Readiness, TransportError, Waker};
+pub use iface::{Capabilities, Connection, Readiness, TransportError, Waker, RETAIN_CAPACITY};
 pub use metered::Metered;

@@ -90,6 +90,10 @@ impl Connection for Metered {
         Ok(frame)
     }
 
+    fn recycle(&self, frame: Vec<u8>) {
+        self.inner.recycle(frame);
+    }
+
     fn try_send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         let sent = self.inner.try_send_batch(frames)?;
         self.note_tx(frames, sent);

@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 use ncs_threads::sync::{wait_fd, POLLIN, POLLOUT};
 use parking_lot::Mutex;
 
-use crate::iface::{valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker};
+use crate::iface::{
+    valid_prefix, Capabilities, Connection, Readiness, TransportError, Waker, RETAIN_CAPACITY,
+};
 
 /// Largest frame SCI accepts (sanity bound; TCP itself is a stream).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
@@ -52,12 +54,15 @@ const READ_BUF_START: usize = 4 * 1024;
 
 /// Inbound reassembly: the socket is read straight into `buf`, whose bytes
 /// `start..end` are received and not yet framed. All of `buf` is
-/// initialised; only storage it grows by is zeroed.
+/// initialised; only storage it grows by is zeroed. A frame is copied out
+/// into `spare`, the buffer of the last frame handed back
+/// ([`Connection::recycle`]), if there is one.
 #[derive(Debug, Default)]
 struct ReadBuf {
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    spare: Vec<u8>,
 }
 
 impl ReadBuf {
@@ -85,7 +90,9 @@ impl ReadBuf {
         if self.end < body + len {
             return Ok(None);
         }
-        let frame = self.buf[body..body + len].to_vec();
+        let mut frame = std::mem::take(&mut self.spare);
+        frame.clear();
+        frame.extend_from_slice(&self.buf[body..body + len]);
         self.start = body + len;
         if self.start == self.end {
             (self.start, self.end) = (0, 0);
@@ -307,6 +314,12 @@ impl Connection for SciConnection {
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
         self.next_frame(&mut self.reader.lock())
+    }
+
+    fn recycle(&self, frame: Vec<u8>) {
+        if frame.capacity() <= RETAIN_CAPACITY {
+            self.reader.lock().spare = frame;
+        }
     }
 
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {

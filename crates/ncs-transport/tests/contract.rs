@@ -440,3 +440,52 @@ fn sci_refuses_a_full_socket_and_polls_writable_once_the_peer_drains() {
     }
     assert!(a.try_send_batch(&batch).expect("send") > 0);
 }
+
+/// A frame handed back with `recycle` is the interface's to reuse: a later
+/// frame may arrive in its buffer, but every frame arrives whole — its
+/// length and every byte its own, none of a frame before it — and a frame
+/// the receiver keeps is never written over. Bursts of a 1-byte, a 4 KiB
+/// and a largest frame, half of what arrives handed back.
+#[test]
+fn a_recycled_frame_never_reappears_in_a_later_one() {
+    each_interface(|p| {
+        let lens = [1, 4096, p.a.caps().max_frame];
+        let mut kept = Vec::new();
+        for round in 0..3 {
+            let burst: Arc<Vec<Vec<u8>>> = Arc::new(
+                lens.iter()
+                    .enumerate()
+                    .map(|(i, &len)| {
+                        (0..len)
+                            .map(|j| (round * 7 + i * 3 + j % 251) as u8)
+                            .collect()
+                    })
+                    .collect(),
+            );
+            // From a thread of its own: a largest frame fills a socket.
+            let sender = {
+                let (a, burst) = (Arc::clone(&p.a), Arc::clone(&burst));
+                std::thread::spawn(move || {
+                    let refs: Vec<&[u8]> = burst.iter().map(Vec::as_slice).collect();
+                    let mut sent = 0;
+                    while sent < refs.len() {
+                        sent += a.send_batch(&refs[sent..]).expect("send");
+                    }
+                })
+            };
+            for (i, want) in burst.iter().enumerate() {
+                let got = p.next().unwrap();
+                assert_eq!(got.len(), want.len(), "{}: frame {round}.{i}", p.name);
+                assert!(got == *want, "{}: frame {round}.{i} differs", p.name);
+                match (round * lens.len() + i) % 2 {
+                    0 => p.b.recycle(got),
+                    _ => kept.push((got, Arc::clone(&burst), i)),
+                }
+            }
+            sender.join().unwrap();
+        }
+        for (got, burst, i) in kept {
+            assert!(got == burst[i], "{}: a kept frame was written over", p.name);
+        }
+    });
+}
