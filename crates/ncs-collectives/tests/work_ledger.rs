@@ -5,7 +5,8 @@
 //! thread and waited for on each, 200 operations after 50. Every
 //! allocation of every thread counts, through this binary's counting
 //! `#[global_allocator]`: the driver's own (its contributions and its
-//! handle list) and the collectives'.
+//! handle list) and the collectives'. Beside them it counts the nodes'
+//! buffer-pool misses: each is an allocation of a full pooled buffer.
 //!
 //! ONE test on purpose: the count is the whole process's. Its threads
 //! share one CPU under `SCHED_BATCH`, as the benchmark's do.
@@ -154,10 +155,15 @@ fn an_allreduce_costs_no_more_allocations_than_its_ledger() {
     pin_to_one_cpu();
     let (nodes, groups) = world();
     (0..WARM_UP).for_each(|op| allreduce(&groups, op));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let misses = || nodes.iter().map(|n| n.pool_stats().misses).sum::<u64>();
+    let (before, missed) = (ALLOCATIONS.load(Ordering::Relaxed), misses());
     (WARM_UP..WARM_UP + OPS).for_each(|op| allreduce(&groups, op));
     let per_op = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / OPS as f64;
-    println!("allreduce of {ELEMS} f64 on {RANKS} ranks: {per_op} allocations per op");
+    let misses_per_op = (misses() - missed) as f64 / OPS as f64;
+    println!(
+        "allreduce of {ELEMS} f64 on {RANKS} ranks: {per_op} allocations, \
+         {misses_per_op} pool misses per op"
+    );
     drop(groups);
     for node in nodes {
         node.shutdown();
@@ -168,4 +174,11 @@ fn an_allreduce_costs_no_more_allocations_than_its_ledger() {
     // contributions and handle list, 6 of them. (Read: 49.0 in 5 runs;
     // 73.0 while every HPI frame was a new `Vec`.)
     assert!(per_op <= 49.0, "{per_op} allocations per allreduce");
+    // A frame the link sink hands the machine is copied out of its pooled
+    // buffer, which goes back to the pool. (Read: 6.0 while the sink took
+    // the buffer itself, one per frame, and the pool replaced it.)
+    assert_eq!(
+        misses_per_op, 0.0,
+        "{misses_per_op} pool misses per allreduce"
+    );
 }

@@ -121,11 +121,6 @@ pub struct ConnectionConfig {
     pub flow_control: FlowControlAlg,
     /// Error-control algorithm.
     pub error_control: ErrorControlAlg,
-    /// Thread-bypass mode (paper §4.2): flow control, error control and
-    /// transmission run as *procedures* on the caller's thread; no
-    /// per-connection threads are spawned. Use
-    /// [`NcsConnection::send_direct`](crate::NcsConnection::send_direct).
-    pub direct: bool,
 }
 
 impl Default for ConnectionConfig {
@@ -171,7 +166,6 @@ impl ConnectionConfig {
                 timeout: Duration::from_millis(200),
                 max_retries: 10,
             },
-            direct: false,
         }
     }
 
@@ -184,17 +178,15 @@ impl ConnectionConfig {
             sdu_size: Self::DEFAULT_SDU,
             flow_control: FlowControlAlg::None,
             error_control: ErrorControlAlg::None,
-            direct: false,
         }
     }
 
-    /// The §4.2 thread-bypass configuration: same algorithms as
-    /// [`ConnectionConfig::unreliable`], run inline as procedures.
+    /// The §4.2 thread-bypass configuration, which is the default path
+    /// now (a waiting thread runs its connection's task itself):
+    /// [`ConnectionConfig::unreliable`]. An alias, kept until the
+    /// benchmark's ladder moves off it (ROADMAP 1(b)).
     pub fn direct() -> Self {
-        ConnectionConfig {
-            direct: true,
-            ..Self::unreliable()
-        }
+        Self::unreliable()
     }
 
     /// Starts a builder from this configuration.
@@ -260,7 +252,6 @@ impl ConnectionConfig {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.sdu_size as u32).to_be_bytes());
-        out.push(self.direct as u8);
         match &self.flow_control {
             FlowControlAlg::None => out.push(0),
             FlowControlAlg::CreditBased {
@@ -324,7 +315,6 @@ impl ConnectionConfig {
             Ok(s)
         };
         let sdu_size = u32::from_be_bytes(take(&mut at, 4)?.try_into().expect("4")) as usize;
-        let direct = take(&mut at, 1)?[0] != 0;
         let flow_control = match take(&mut at, 1)?[0] {
             0 => FlowControlAlg::None,
             1 => {
@@ -377,7 +367,6 @@ impl ConnectionConfig {
             sdu_size,
             flow_control,
             error_control,
-            direct,
         })
     }
 }
@@ -425,12 +414,6 @@ impl ConnectionConfigBuilder {
         self
     }
 
-    /// Enables the §4.2 thread-bypass mode.
-    pub fn direct(mut self, direct: bool) -> Self {
-        self.config.direct = direct;
-        self
-    }
-
     /// Finishes the configuration (validation happens at connect time, when
     /// the interface's frame limit is known).
     pub fn build(self) -> ConnectionConfig {
@@ -451,14 +434,12 @@ mod tests {
             c.error_control,
             ErrorControlAlg::SelectiveRepeat { .. }
         ));
-        assert!(!c.direct);
         assert!(c.needs_control_threads());
     }
 
     #[test]
     fn unreliable_needs_no_control_threads() {
         assert!(!ConnectionConfig::unreliable().needs_control_threads());
-        assert!(ConnectionConfig::direct().direct);
     }
 
     #[test]
@@ -522,7 +503,6 @@ mod tests {
         let configs = vec![
             ConnectionConfig::reliable(),
             ConnectionConfig::unreliable(),
-            ConnectionConfig::direct(),
             ConnectionConfig::builder()
                 .sdu_size(1024)
                 .flow_control(FlowControlAlg::SlidingWindow { window: 7 })
@@ -551,5 +531,11 @@ mod tests {
         let mut good = ConnectionConfig::reliable().encode();
         good.push(0); // trailing byte
         assert!(ConnectionConfig::decode(&good).is_err());
+        // The older format, with a thread-bypass byte after the SDU size.
+        for config in [ConnectionConfig::reliable(), ConnectionConfig::unreliable()] {
+            let mut old = config.encode();
+            old.insert(4, 0);
+            assert!(ConnectionConfig::decode(&old).is_err(), "{config:?}");
+        }
     }
 }

@@ -50,18 +50,15 @@
 //!   in it, or the edge alone — the receive half queues on the send half,
 //!   ahead of its data, and the run that read what it answers writes it.
 //! * **The thread that waits on it** (§4.2's thread bypass, on the default
-//!   path: [`ConnShared::drive`]). A thread blocked on a receive —
-//!   `recv`, `recv_timeout`, `recv_view`, a receive request's `wait` —
-//!   claims the task while it is idle and runs it itself, parking where
-//!   the shard would: on the socket, or on the bell the transport's waker
-//!   rings. Every wake of the task reaches it, none the shard, until it
-//!   lets go; then the shard hears of the socket again, and gets the task
-//!   back at once if it was woken meanwhile. A frame its receiver waits
-//!   for so crosses no thread. A direct connection (§4.2,
-//!   [`NcsConnection::send_direct`] / [`NcsConnection::recv_direct`]) has
-//!   no task: its receiver and its sender run the same loop and wait in
-//!   the transport — the sender until its message resolves, reading the
-//!   peer's feedback off the channel.
+//!   path: [`ConnShared::drive`]). A thread blocked on a request the
+//!   connection issued — `recv`, `recv_timeout`, `recv_view`, the `wait`
+//!   of a receive or of a send — claims the task while it is idle and
+//!   runs it itself, parking where the shard would: on the socket, or on
+//!   the bell the transport's waker rings. Every wake of the task reaches
+//!   it, none the shard, until it lets go; then the shard hears of the
+//!   socket again, and gets the task back at once if it was woken
+//!   meanwhile. A frame its receiver waits for, and the feedback or the
+//!   deadline its sender waits for, so cross no thread.
 //!
 //! The receive half is the task's runner's alone, in [`ConnShared::rx`].
 //! The send half — the `TxPlane`, the Send plane's frame queue — sits in
@@ -235,8 +232,9 @@ pub enum SendError {
     Transport(String),
     /// Timed out waiting for a synchronous completion.
     Timeout,
-    /// The operation requires a different connection mode (e.g.
-    /// `send_direct` on a threaded connection).
+    /// The operation requires a different connection configuration
+    /// ([`NcsConnection::send_handoff`] on one with flow or error
+    /// control).
     WrongMode(&'static str),
     /// A request's result was already taken (each [`Request`] resolves
     /// exactly once).
@@ -280,9 +278,8 @@ type SendJob = (PooledBuf, Vec<Arc<RequestCore<()>>>);
 /// The send half of a connection's pipeline — everything between
 /// `NCS_send` and the interface — behind one lock ([`ConnShared::tx`]) and
 /// driven by whoever holds it: the connection's task (on its shard, or on
-/// the thread that claimed it), a submitter that found the lock free
-/// ([`ConnShared::drive_or_wake`]), or, in direct mode, the thread inside
-/// `send_direct` or `recv_direct`.
+/// the thread that claimed it), or a submitter that found the lock free
+/// ([`ConnShared::drive_or_wake`]).
 pub(crate) struct TxSide {
     /// Flow and error control, sender half (Figures 6-8, steps 1-3).
     plane: TxPlane,
@@ -330,11 +327,11 @@ pub(crate) struct ConnShared {
     /// The send pipeline.
     pub tx: NcsMutex<TxSide>,
     /// Wake handle of the connection's reactor task, with the task's
-    /// subscription to the data channel's readiness (`None` in direct
-    /// mode, before attachment, and after the task retires). A read-write
-    /// lock, not a mutex: every submitter on the send path takes it
-    /// shared in [`ConnShared::wake_task`], so N application threads
-    /// hammering one connection never serialise on the wake handle —
+    /// subscription to the data channel's readiness (`None` before
+    /// attachment and after the task retires). A read-write lock, not a
+    /// mutex: every submitter on the send path takes it shared in
+    /// [`ConnShared::wake_task`], so N application threads hammering one
+    /// connection never serialise on the wake handle —
     /// only attachment and retirement take it exclusively.
     pub task: RwLock<Option<(Arc<TaskHandle>, Watch)>>,
     /// Reassembled messages awaiting a receive: routed by tag, matched
@@ -353,8 +350,7 @@ pub(crate) struct ConnShared {
     pub last_error: Arc<Mutex<Option<SendError>>>,
     /// The receive half, and what the connection's driver keeps between
     /// runs: whoever runs the task locks it — its shard, or the thread
-    /// that claimed the task while it waits ([`ConnShared::drive`]); in
-    /// direct mode (paper §4.2), which has no task, the receiving thread.
+    /// that claimed the task while it waits ([`ConnShared::drive`]).
     pub rx: NcsMutex<RxSide>,
 }
 
@@ -502,18 +498,6 @@ impl ConnShared {
         self.established.fire();
     }
 
-    /// Waits up to `timeout` for the peer's `AcceptConn`, or its refusal.
-    /// A direct connection has no task to read it: the caller reads the
-    /// channel, with the loop its receives run.
-    pub(crate) fn wait_established(&self, timeout: Duration) -> bool {
-        if !self.config.direct {
-            return self.established.wait_timeout(timeout);
-        }
-        let fired = || self.established.is_fired();
-        self.drive(fired, Instant::now().checked_add(timeout));
-        fired()
-    }
-
     /// Learns the peer's connection id from an incoming data packet (the
     /// `AcceptConn` is the first frame, so this only covers a lost one).
     pub(crate) fn note_peer_conn(&self, src: u32) {
@@ -524,9 +508,9 @@ impl ConnShared {
 
     /// Schedules the connection's reactor task — the reactor-era analogue
     /// of the paper's mailbox activation — or wakes the thread that
-    /// claimed it. No-op in direct mode, before attachment, and after
-    /// retirement (wakes coalesce; a wake racing a running poll
-    /// reschedules it, so no activation is ever lost).
+    /// claimed it. No-op before attachment and after retirement (wakes
+    /// coalesce; a wake racing a running poll reschedules it, so no
+    /// activation is ever lost).
     pub(crate) fn wake_task(&self) {
         if let Some((t, _)) = self.task.read().as_ref() {
             t.wake();
@@ -753,10 +737,7 @@ impl ConnShared {
     /// The Send plane: moves queued frames onto the channel, control frames
     /// first. Up to [`IO_BATCH`] frames cross the transport per
     /// [`ncs_transport::Connection::try_send_batch`] call, and their
-    /// pooled buffers return to the pool as each is transmitted. A direct
-    /// connection's sender may block (§4.2), and waits for room in the
-    /// transport's blocking [`ncs_transport::Connection::send_batch`]
-    /// (SCI's waits in `poll(2)`) instead.
+    /// pooled buffers return to the pool as each is transmitted.
     fn step_send(&self, tx: &mut TxSide) -> bool {
         let TxSide {
             plane,
@@ -769,11 +750,7 @@ impl ConnShared {
             let queued = control.iter().map(PooledBuf::as_slice);
             let queued = queued.chain(pending.iter().map(|(f, _)| f.as_slice()));
             let batch = fill_batch(&mut refs, queued);
-            let sent = match self.config.direct {
-                true => self.transport.send_batch(&refs[..batch]),
-                false => self.transport.try_send_batch(&refs[..batch]),
-            };
-            match sent {
+            match self.transport.try_send_batch(&refs[..batch]) {
                 // Interface backpressure: the peer must drain before more
                 // fits, and the task waits for the interface to say so.
                 Ok(0) => break,
@@ -868,8 +845,7 @@ impl ConnShared {
     /// credits or an unacknowledged error-control session — before its
     /// `CloseConn` and the transport's close, so fire-and-forget sends
     /// issued right before `close()` still reach the peer. Without a task
-    /// (direct mode, or the task already retired) the teardown is
-    /// immediate.
+    /// (not attached yet, or already retired) the teardown is immediate.
     fn retire_data_plane(&self, local: bool) {
         if self.task.read().is_none() {
             self.hang_up(local);
@@ -915,12 +891,8 @@ const MAX_ROUNDS: usize = 8;
 pub(crate) const CLOSE_LINGER: Duration = Duration::from_millis(250);
 
 /// Attaches a connection to the reactor: one [`ConnTask`] multiplexing all
-/// four Figure-4 planes onto a shared event loop. Direct mode (§4.2)
-/// attaches nothing — its planes run on the caller.
+/// four Figure-4 planes onto a shared event loop.
 pub(crate) fn attach_connection(reactor: &Arc<Reactor>, shared: &Arc<ConnShared>) {
-    if shared.config.direct {
-        return;
-    }
     let task = Box::new(ConnTask(Arc::clone(shared)));
     let handle = reactor.spawn(TaskKind::Connection, |_| task);
     let watch = reactor.watch(&shared.transport, &handle);
@@ -1142,29 +1114,22 @@ impl ConnShared {
     /// task does meanwhile: a submitter's, a close's, and that of a
     /// deadline the shard holds. The shard hears of the descriptor again
     /// when the thread lets go. It returns at once where the task is not
-    /// idle (the shard or another waiter runs it), and the caller waits as
-    /// it would have. A direct connection has no task: its caller runs the
-    /// steps first — a sender has queued what they send — and then waits
-    /// in the transport, holding the receive half.
+    /// idle (the shard or another waiter runs it, or it is not attached
+    /// yet or retired), and the caller waits as it would have.
     pub(crate) fn drive(&self, mut done: impl FnMut() -> bool, deadline: Option<Instant>) {
         if done() {
             return;
         }
-        let claim = match self.task.read().as_ref() {
-            Some((task, watch)) => match task.claim() {
-                Some(claim) => Some((claim, watch.disarm())),
-                None => return,
-            },
-            None if self.config.direct => None,
-            // Not attached yet, or retired.
-            None => return,
+        // The watch is disarmed only once the claim is taken: the shard
+        // keeps hearing of the socket while it runs the task.
+        let claimed = (self.task.read().as_ref())
+            .and_then(|(task, watch)| Some((task.claim()?, watch.disarm())));
+        let Some((claim, fd)) = claimed else {
+            return;
         };
         // Everything that came before the claim woke the task, which would
         // then not have been idle: the first thing a claimant does is wait.
-        let (mut poll, mut owes_write) = match &claim {
-            Some(_) => (TaskPoll::Idle, false),
-            None => self.run(&mut self.rx.lock()),
-        };
+        let (mut poll, mut owes_write) = (TaskPoll::Idle, false);
         let over = || crate::request::time_left(deadline).is_zero();
         while !(matches!(poll, TaskPoll::Done) || done() || over()) {
             let wait = match poll {
@@ -1173,30 +1138,15 @@ impl ConnShared {
                 _ => Duration::MAX,
             }
             .min(crate::request::time_left(deadline));
-            let mut rx = match &claim {
-                Some((claim, fd)) => {
-                    let events = POLLIN | if owes_write { POLLOUT } else { 0 };
-                    claim.park(fd.map(|fd| (fd, events)), wait);
-                    self.rx.lock()
-                }
-                None => {
-                    let mut rx = self.rx.lock();
-                    if let Ok(frame) = self.transport.recv_timeout(wait) {
-                        self.receive(&mut rx, &frame);
-                        self.transport.recycle(frame);
-                    }
-                    rx
-                }
-            };
-            (poll, owes_write) = self.run(&mut rx);
+            let events = POLLIN | if owes_write { POLLOUT } else { 0 };
+            claim.park(fd.map(|fd| (fd, events)), wait);
+            (poll, owes_write) = self.run(&mut self.rx.lock());
         }
-        if let Some((claim, _)) = claim {
-            // What is left of the task's work is the shard's again.
-            if matches!(poll, TaskPoll::Idle | TaskPoll::Timer(_)) {
-                self.rearm(owes_write);
-            }
-            claim.release(&poll);
+        // What is left of the task's work is the shard's again.
+        if matches!(poll, TaskPoll::Idle | TaskPoll::Timer(_)) {
+            self.rearm(owes_write);
         }
+        claim.release(&poll);
     }
 }
 
@@ -1364,9 +1314,8 @@ impl NcsConnection {
     /// # Errors
     ///
     /// Validation errors ([`SendError::Empty`], [`SendError::TooLarge`],
-    /// [`SendError::Closed`], [`SendError::WrongMode`] on direct-mode
-    /// connections) surface immediately; everything later resolves through
-    /// the request.
+    /// [`SendError::Closed`]) surface immediately; everything later
+    /// resolves through the request.
     pub fn isend(&self, data: &[u8]) -> Result<Request<()>, SendError> {
         self.isend_inner(data, None)
     }
@@ -1389,10 +1338,18 @@ impl NcsConnection {
     }
 
     fn isend_inner(&self, data: &[u8], tag: Option<u32>) -> Result<Request<()>, SendError> {
-        let request = request::issue(&FREE_SENDS);
+        let request = self.send_request();
         let one_sdu = self.submit(data, tag, Some(Arc::clone(&request.core)), None, true)?;
         self.activate(one_sdu);
         Ok(request)
+    }
+
+    /// A send's request, on this connection: a thread that waits on it
+    /// runs the connection's task while it is idle, as a receiver does.
+    fn send_request(&self) -> Request<()> {
+        let mut request = request::issue(&FREE_SENDS);
+        request.conn = Some(Arc::clone(&self.shared));
+        request
     }
 
     /// The one way into the send path: validates, then queues the message
@@ -1411,22 +1368,6 @@ impl NcsConnection {
         wait: bool,
     ) -> Result<bool, SendError> {
         self.check_sendable(data, tag)?;
-        if self.shared.config.direct {
-            return Err(SendError::WrongMode("threaded"));
-        }
-        self.queue(data, tag, completion, accepted, wait)
-    }
-
-    /// [`NcsConnection::submit`] past its checks: the queueing itself,
-    /// shared with [`NcsConnection::send_direct`].
-    fn queue(
-        &self,
-        data: &[u8],
-        tag: Option<u32>,
-        completion: Option<Arc<RequestCore<()>>>,
-        accepted: Option<Arc<Event>>,
-        wait: bool,
-    ) -> Result<bool, SendError> {
         self.shared
             .recorder
             .record(EventKind::Isend, tag.unwrap_or(0), 0, data.len());
@@ -1545,8 +1486,8 @@ impl NcsConnection {
 
     /// `NCS_recv`: blocks until the next reassembled message arrives.
     /// Thin wrapper over [`NcsConnection::irecv`]; prefer the request form
-    /// (and its [`MsgView`]) on hot paths — this one detaches the buffer
-    /// from the pool to hand out an owning `Vec`.
+    /// (and its [`MsgView`]) on hot paths — this one copies the message
+    /// out to hand out an owning `Vec`.
     ///
     /// # Errors
     ///
@@ -1637,64 +1578,27 @@ impl NcsConnection {
         self.shared.initiate_close();
     }
 
-    // -- §4.2 direct (thread-bypass) mode ---------------------------------
-
-    /// The thread-bypass `NCS_send` (paper §4.2): flow control, error
-    /// control and transmission run as procedures on the calling thread.
-    /// Returns once the message has resolved and every byte of it is on
-    /// the wire: a direct connection has no task to write it later.
+    /// The thread-bypass `NCS_send` of paper §4.2, which is the default
+    /// path now: `isend(data)?.wait()`, whose waiting thread runs the
+    /// connection's task itself while it is idle. An alias, kept until the
+    /// benchmark's ladder moves off it (ROADMAP 1(b)).
     ///
     /// # Errors
     ///
-    /// [`SendError::WrongMode`] unless the connection was configured with
-    /// [`ConnectionConfig::direct`]; otherwise as the completion of
-    /// [`NcsConnection::isend`] (notably [`SendError::DeliveryFailed`]
-    /// when error control exhausts its retries).
+    /// As [`NcsConnection::isend`] and its completion.
     pub fn send_direct(&self, data: &[u8]) -> Result<(), SendError> {
-        self.check_sendable(data, None)?;
-        let shared = &self.shared;
-        if !shared.config.direct {
-            return Err(SendError::WrongMode("direct"));
-        }
-        let request = request::issue(&FREE_SENDS);
-        let done = &request.core;
-        self.queue(data, None, Some(Arc::clone(done)), None, false)?;
-        // The task's steps, on this thread, until the message resolves and
-        // — no task flushes for it later — its frames and any tail the
-        // interface still owes are on the wire; the peer's feedback is read
-        // off the channel by the same loop `recv_direct` runs. A close ends
-        // the wait, with the message's failure.
-        let written = || done.is_complete() && shared.tx.lock().pending.is_empty();
-        shared.drive(written, None);
-        done.take().unwrap_or(Err(SendError::Closed))
+        self.isend(data)?.wait()
     }
 
-    /// The thread-bypass `NCS_recv`: reads the data connection and runs
-    /// each frame through the connection's receive half (reassembly,
-    /// acknowledgements, credit grants) on the calling thread, until the
-    /// next untagged message is delivered — the loop a waiting receiver
-    /// runs on any connection whose task is idle
-    /// ([`NcsConnection::recv_view`]), on a connection with no task.
+    /// The thread-bypass `NCS_recv` of paper §4.2, which is the default
+    /// path now: [`NcsConnection::recv_timeout`]. An alias, kept until the
+    /// benchmark's ladder moves off it (ROADMAP 1(b)).
     ///
     /// # Errors
     ///
-    /// [`SendError::WrongMode`] on threaded connections;
-    /// [`SendError::Timeout`] if no message completed in time.
+    /// As [`NcsConnection::recv_timeout`].
     pub fn recv_direct(&self, timeout: Duration) -> Result<Vec<u8>, SendError> {
-        let shared = &self.shared;
-        if !shared.config.direct {
-            return Err(SendError::WrongMode("direct"));
-        }
-        // A train delivers several messages at once: the rest wait in the
-        // delivery queue.
-        let mut got = None;
-        let take = || {
-            got = shared.delivery.try_take(None).transpose();
-            got.is_some()
-        };
-        shared.drive(take, Instant::now().checked_add(timeout));
-        got.unwrap_or(Err(SendError::Timeout))
-            .map(MsgView::into_vec)
+        self.recv_timeout(timeout)
     }
 
     /// `NCS_send` with hand-off semantics: queues the message to the Send
@@ -1708,19 +1612,18 @@ impl NcsConnection {
     /// write stalls the whole process — the exact §4.1 experiment
     /// (Figures 9/10).
     ///
-    /// Only available on bypass-configured threaded connections.
+    /// Only available on bypass-configured connections.
     ///
     /// # Errors
     ///
-    /// [`SendError::WrongMode`] when flow or error control is configured or
-    /// the connection is in direct mode, [`SendError::Timeout`] when the
-    /// pipeline has not taken the message within 30 s, otherwise as
-    /// [`NcsConnection::send`].
+    /// [`SendError::WrongMode`] when flow or error control is configured,
+    /// [`SendError::Timeout`] when the pipeline has not taken the message
+    /// within 30 s, otherwise as [`NcsConnection::send`].
     pub fn send_handoff(&self, data: &[u8]) -> Result<Request<()>, SendError> {
-        if self.shared.config.direct || self.shared.config.needs_control_threads() {
-            return Err(SendError::WrongMode("threaded bypass (no FC/EC)"));
+        if self.shared.config.needs_control_threads() {
+            return Err(SendError::WrongMode("bypass (no FC/EC)"));
         }
-        let request = request::issue(&FREE_SENDS);
+        let request = self.send_request();
         let accepted = Arc::new(Event::new());
         self.submit(
             data,
@@ -2386,38 +2289,66 @@ pub(crate) mod tests {
         claim.map(|claim| claim.release(&TaskPoll::Idle)).is_some()
     }
 
+    /// A thread that waits on `conn` in `wait`, once it drives.
+    fn driving_wait<T: Send + 'static>(
+        pkg: &Pkg,
+        conn: &NcsConnection,
+        wait: impl FnOnce() -> T + Send + 'static,
+    ) -> ncs_threads::TypedJoinHandle<T> {
+        use ncs_threads::ThreadPackageExt;
+        until(pkg, "the task idle", || idle(conn));
+        let waiting = pkg.spawn_typed("waiter", wait);
+        until(pkg, "the waiter driving", || driving(conn));
+        waiting
+    }
+
     /// A thread blocked in `conn.recv_timeout`, once it drives.
     fn driving_receive(
         pkg: &Pkg,
         conn: &NcsConnection,
     ) -> ncs_threads::TypedJoinHandle<Result<Vec<u8>, SendError>> {
-        use ncs_threads::ThreadPackageExt;
-        until(pkg, "the task idle", || idle(conn));
         let theirs = conn.clone();
-        let receiving = pkg.spawn_typed("receiver", move || theirs.recv_timeout(4 * LIVENESS));
-        until(pkg, "the receiver driving", || driving(conn));
-        receiving
+        driving_wait(pkg, conn, move || theirs.recv_timeout(4 * LIVENESS))
     }
 
-    /// A receive that drives fails within the close that ends its
-    /// connection — a local one, the peer's, or its node's shutdown — on
-    /// a socket and on a waker alike.
+    /// A wait that drives fails within the close that ends its connection
+    /// — a local one, the peer's, or its node's shutdown — on a socket and
+    /// on a waker alike: a receive's, and a send's whose message the peer
+    /// leaves unacknowledged (its receive half is held). A local close
+    /// fails the send once it has lingered for the acknowledgement.
     #[test]
-    fn every_close_fails_a_receive_that_drives() {
+    fn every_close_fails_a_wait_that_drives() {
         on_both_packages(|pkg| {
             for wire in WIRES {
-                for close in ["local", "peer", "shutdown"] {
-                    let (a, b, ca, cb) = linked(pkg, wire, error_controlled());
-                    let receiving = driving_receive(pkg, &cb);
-                    match close {
-                        "local" => cb.close(),
-                        "peer" => ca.close(),
-                        _ => b.shutdown(),
+                for waiter in ["receive", "send"] {
+                    for close in ["local", "peer", "shutdown"] {
+                        let (a, b, ca, cb) = linked(pkg, wire, error_controlled());
+                        let mut silence = Some(ca.shared.rx.lock());
+                        let theirs = cb.clone();
+                        let waiting = match waiter {
+                            "receive" => driving_wait(pkg, &cb, move || {
+                                theirs.recv_timeout(4 * LIVENESS).map(drop)
+                            }),
+                            _ => {
+                                let sent = theirs.isend(b"unheard").expect("isend");
+                                driving_wait(pkg, &cb, move || sent.wait_timeout(4 * LIVENESS))
+                            }
+                        };
+                        match close {
+                            "local" => cb.close(),
+                            "peer" => ca.close(),
+                            _ => b.shutdown(),
+                        }
+                        // The peer's close goes out from its task.
+                        if close == "peer" {
+                            silence = None;
+                        }
+                        let got = waiting.join().expect("waiter");
+                        assert_eq!(got, Err(SendError::Closed), "{wire:?}, {waiter}, {close}");
+                        drop(silence);
+                        a.shutdown();
+                        b.shutdown();
                     }
-                    let got = receiving.join().expect("receiver");
-                    assert_eq!(got, Err(SendError::Closed), "{wire:?}, {close} close");
-                    a.shutdown();
-                    b.shutdown();
                 }
             }
         });
@@ -2521,56 +2452,73 @@ pub(crate) mod tests {
         });
     }
 
-    /// An error-controlled connection whose thread waits on a reply holds
-    /// its task while its own message, which lost a cell, waits for its
-    /// retransmission deadline: the deadline fires, the message is
-    /// repaired, and the reply reaches the waiting thread.
+    /// An error-controlled connection whose thread waits holds its task
+    /// while its own message, which lost a cell, waits for its
+    /// retransmission deadline: the deadline fires and the thread
+    /// retransmits the message itself. A thread that waits on a reply
+    /// then gets it; one that waits on the message's own request, the
+    /// acknowledgement.
     #[test]
     fn a_retransmission_deadline_fires_while_a_receiver_drives() {
         on_both_packages(|pkg| {
             use atm_sim::{FaultSpec, LinkSpec, NetworkBuilder, PumpConfig, QosParams};
-            // Alice's uplink drops its 41st cell: past the handshake, in
-            // the message.
-            let net = NetworkBuilder::new()
-                .switch("sw")
-                .host("alice")
-                .host("bob")
-                .link(
-                    "alice",
-                    "sw",
-                    LinkSpec::oc3().with_fault(FaultSpec::drop_plan(vec![40])),
-                )
-                .link("bob", "sw", LinkSpec::oc3())
-                .build()
-                .expect("atm network");
-            let fabric = ncs_transport::aci::AciFabric::start(net, PumpConfig::speedup(4.0));
-            let node = |name: &str| {
-                NcsNode::builder(name)
-                    .thread_package(Arc::clone(pkg))
+            for waiter in ["receiver", "sender"] {
+                // Alice's uplink drops its 41st cell: past the handshake,
+                // in the message.
+                let net = NetworkBuilder::new()
+                    .switch("sw")
+                    .host("alice")
+                    .host("bob")
+                    .link(
+                        "alice",
+                        "sw",
+                        LinkSpec::oc3().with_fault(FaultSpec::drop_plan(vec![40])),
+                    )
+                    .link("bob", "sw", LinkSpec::oc3())
                     .build()
-            };
-            let (a, b) = (node("alice"), node("bob"));
-            let dev = |host| Arc::new(fabric.device(host).expect("device"));
-            let qos = QosParams::unspecified();
-            a.attach_peer("bob", crate::link::AciLink::new(dev("alice"), "bob", qos));
-            b.attach_peer("alice", crate::link::AciLink::new(dev("bob"), "alice", qos));
-            let ca = a.connect("bob", error_controlled()).expect("connect");
-            let cb = b.accept_default().expect("accept");
-            let message = vec![7u8; 4_000];
-            let sent = ca.isend(&message).expect("isend");
-            let replying = driving_receive(pkg, &ca);
-            until(pkg, "the retransmission", || {
-                ca.stats().retransmissions == 1
-            });
-            assert!(driving(&ca), "the receiver let go before the deadline");
-            assert_eq!(cb.recv_timeout(LIVENESS).expect("repaired"), message);
-            cb.send(b"reply").expect("send");
-            assert_eq!(replying.join().expect("receiver"), Ok(b"reply".to_vec()));
-            sent.wait_timeout(LIVENESS).expect("acknowledged");
-            assert_eq!(fabric.stats().cells_lost, 1);
-            a.shutdown();
-            b.shutdown();
-            fabric.shutdown();
+                    .expect("atm network");
+                let fabric = ncs_transport::aci::AciFabric::start(net, PumpConfig::speedup(4.0));
+                let node = |name: &str| {
+                    NcsNode::builder(name)
+                        .thread_package(Arc::clone(pkg))
+                        .build()
+                };
+                let (a, b) = (node("alice"), node("bob"));
+                let dev = |host| Arc::new(fabric.device(host).expect("device"));
+                let qos = QosParams::unspecified();
+                a.attach_peer("bob", crate::link::AciLink::new(dev("alice"), "bob", qos));
+                b.attach_peer("alice", crate::link::AciLink::new(dev("bob"), "alice", qos));
+                let ca = a.connect("bob", error_controlled()).expect("connect");
+                let cb = b.accept_default().expect("accept");
+                let message = vec![7u8; 4_000];
+                // Bob reads nothing until the retransmission: no
+                // acknowledgement ends a wait before it.
+                let silence = cb.shared.rx.lock();
+                let sent = ca.isend(&message).expect("isend");
+                let theirs = ca.clone();
+                let waiting = match waiter {
+                    "receiver" => driving_wait(pkg, &ca, move || {
+                        let reply = theirs.recv_timeout(4 * LIVENESS)?;
+                        assert_eq!(reply, b"reply");
+                        sent.wait_timeout(LIVENESS)
+                    }),
+                    _ => driving_wait(pkg, &ca, move || sent.wait_timeout(4 * LIVENESS)),
+                };
+                until(pkg, "the retransmission", || {
+                    ca.stats().retransmissions == 1
+                });
+                assert!(driving(&ca), "the {waiter} let go before the deadline");
+                drop(silence);
+                assert_eq!(cb.recv_timeout(LIVENESS).expect("repaired"), message);
+                if waiter == "receiver" {
+                    cb.send(b"reply").expect("send");
+                }
+                assert_eq!(waiting.join().expect("waiter"), Ok(()), "{waiter}");
+                assert_eq!(fabric.stats().cells_lost, 1);
+                a.shutdown();
+                b.shutdown();
+                fabric.shutdown();
+            }
         });
     }
 
@@ -2652,66 +2600,19 @@ pub(crate) mod tests {
         reactor.shutdown();
     }
 
-    /// A direct connection has no task to flush for it: `send_direct`
-    /// returns only once the whole message is on the wire, tail included,
-    /// even without error control, whose message resolves as soon as the
-    /// socket has taken part of its last frame. The peer here reads late,
-    /// and the message arrives whole with no later `send_direct`.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn send_direct_returns_once_a_message_larger_than_the_socket_buffer_is_on_the_wire() {
-        let (ours, theirs) = sci_pair_with_a_small_send_buffer();
-        let config = ConnectionConfig {
-            sdu_size: 1 << 16,
-            ..ConnectionConfig::direct()
-        };
-        let end = |transport: ncs_transport::sci::SciConnection| {
-            NcsConnection::new(ConnShared::new(
-                0,
-                "peer".to_owned(),
-                config.clone(),
-                Arc::new(transport),
-                BufPool::new(),
-                None,
-            ))
-        };
-        let (sender, receiver) = (end(ours), end(theirs));
-        let message: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
-        let sending = {
-            let message = message.clone();
-            std::thread::spawn(move || {
-                let result = sender.send_direct(&message);
-                let owed = sender.shared.transport.owes_bytes();
-                (result, owed, sender)
-            })
-        };
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(
-            receiver
-                .recv_direct(Duration::from_secs(5))
-                .expect("the whole message"),
-            message
-        );
-        let (result, owed, sender) = sending.join().expect("sender");
-        assert_eq!(result, Ok(()));
-        assert!(!owed, "send_direct returned with bytes still owed");
-        sender.close();
-        receiver.close();
-    }
-
     /// A train — small messages queued behind a session in flight, framed
-    /// into one SDU — reaches a direct receiver as it reaches a threaded
-    /// one: `recv_direct` runs it through the same receive half, hands
-    /// back its first message and keeps the rest for the next calls.
+    /// into one SDU — put on the wire by hand reaches its receiver whole:
+    /// the receive half hands back its first message and keeps the rest
+    /// for the next receives.
     #[test]
-    fn a_train_on_a_direct_connection_delivers_every_message() {
+    fn a_train_put_on_the_wire_by_hand_delivers_every_message() {
         let a = NcsNode::builder("alice").build();
         let b = NcsNode::builder("bob").build();
         let (la, lb) = HpiLinkPair::create();
         a.attach_peer("bob", la);
         b.attach_peer("alice", lb);
         let ca = a
-            .connect("bob", ConnectionConfig::direct())
+            .connect("bob", ConnectionConfig::unreliable())
             .expect("connect");
         let cb = b.accept_default().expect("accept");
 
@@ -2737,9 +2638,9 @@ pub(crate) mod tests {
         assert_eq!(trains, 1);
         drop(tx);
 
-        ca.send_direct(b"real").expect("send_direct");
+        ca.send(b"real").expect("send");
         for want in [&b"one"[..], b"two", b"real"] {
-            assert_eq!(cb.recv_direct(Duration::from_secs(5)).expect("recv"), want);
+            assert_eq!(cb.recv_timeout(Duration::from_secs(5)).expect("recv"), want);
         }
         let stats = cb.stats();
         assert_eq!((stats.frames_rejected, stats.messages_received), (0, 3));

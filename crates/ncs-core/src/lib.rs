@@ -28,10 +28,9 @@
 //!    [`ConnectionConfig`].
 //!
 //! The §4.2 thread-bypass variant ("all threads can be replaced by
-//! procedures") is available as [`NcsConnection::send_direct`] /
-//! [`NcsConnection::recv_direct`] on connections configured with
-//! [`ConnectionConfig::direct`]: the connection task's own steps, run on
-//! the caller's thread.
+//! procedures") is the default path: a thread that waits on a request a
+//! connection issued — a receive's or a send's — runs the connection's
+//! task itself while the task is idle, on its own thread.
 //!
 //! # Quickstart
 //!

@@ -467,11 +467,11 @@ impl NcsNode {
         } else {
             ESTABLISH_TIMEOUT
         };
-        let mut established = shared.wait_established(repeat_after);
+        let mut established = shared.established.wait_timeout(repeat_after);
         while !established && Instant::now() < give_up {
             let _ = transport.send(&hello);
             repeat_after = (repeat_after * 2).min(ESTABLISH_TIMEOUT / 5);
-            established = shared.wait_established(repeat_after);
+            established = shared.established.wait_timeout(repeat_after);
         }
         // A peer that hangs up instead of accepting (it refuses the
         // configuration, or forgot this node) fires the event too.

@@ -118,9 +118,9 @@
 //! separate objects; only the frame is shared, so losing it loses both.
 //!
 //! One driver in [`crate::connection`] runs them: the connection's
-//! receive and send steps, which the reactor task runs (deadlines become
-//! reactor timers) and which direct mode runs on the caller's thread
-//! (deadlines bound its waits). Being free of I/O is also what lets the tests
+//! receive and send steps, which the reactor task runs — on its shard or
+//! on the thread that waits on it — with deadlines as reactor timers.
+//! Being free of I/O is also what lets the tests
 //! below wire a `TxPlane` to an `RxPlane` through an in-test wire and
 //! enumerate loss schedules exhaustively.
 
@@ -168,12 +168,10 @@ pub(crate) const MIN_RTO: Duration = Duration::from_millis(10);
 /// the ring holds both sides' widest reach — its sender's data and its
 /// sender's feedback, each the window plus the one SDU a starvation probe
 /// may send past the edge — and a set-up or close frame (see the module
-/// docs). Probes stop where that fills the ring ([`TxPlane::may_probe`]). A
-/// direct connection, whose steps run only inside its application's calls,
-/// keeps the configuration it asked for.
+/// docs). Probes stop where that fills the ring ([`TxPlane::may_probe`]).
 pub(crate) fn plane_config(config: &ConnectionConfig, ring: Option<usize>) -> ConnectionConfig {
     let mut planes = config.clone();
-    if !config.direct && probe_allowance(config, ring).is_some() {
+    if probe_allowance(config, ring).is_some() {
         planes.error_control = ErrorControlAlg::None;
     }
     planes
@@ -1175,7 +1173,6 @@ mod tests {
             sdu_size: SDU,
             flow_control,
             error_control,
-            direct: false,
         }
     }
 
@@ -1390,7 +1387,11 @@ mod tests {
     /// The records of a train body, owned.
     fn unpack(body: Vec<u8>) -> Option<Vec<(Vec<u8>, bool)>> {
         let train = Delivered::train(PooledBuf::detached(body), &mut None)?;
-        Some(train.map(|(m, tagged)| (m.into_vec(), tagged)).collect())
+        Some(
+            train
+                .map(|(m, tagged)| (m.bytes().to_vec(), tagged))
+                .collect(),
+        )
     }
 
     /// All records or none: the records a train yields, packed again,
@@ -1493,7 +1494,7 @@ mod tests {
 
     fn delivered(step: RxStep) -> Vec<Vec<u8>> {
         step.delivered
-            .map(|(message, _)| message.into_vec())
+            .map(|(message, _)| message.bytes().to_vec())
             .collect()
     }
 
@@ -1628,8 +1629,8 @@ mod tests {
 
         rx.on_frame(&frame(1, 0, false, false, b"cut"), now);
         let next = rx.on_frame(&frame(2, 0, true, false, b"next"), now);
-        assert_eq!(delivered(next), [b"next".to_vec()]);
         assert_eq!(pool.stats().returns, 2, "the superseded session's buffer");
+        assert_eq!(delivered(next), [b"next".to_vec()]);
         assert_eq!(rx.advertise(), None, "no flow control, no feedback");
     }
 
@@ -2291,7 +2292,10 @@ mod tests {
                         }
                     }
                 }
-                delivered.extend(step.delivered.map(|(message, _tagged)| message.into_vec()));
+                delivered.extend(
+                    step.delivered
+                        .map(|(message, _tagged)| message.bytes().to_vec()),
+                );
             }
             while let Some(event) = ctrl_wire.pop_front() {
                 moved = true;
@@ -2588,8 +2592,7 @@ mod tests {
     /// reach, plus the one SDU a starvation probe sends past the edge,
     /// fits in the interface's ring twice — once for the data, once for
     /// the feedback about the other side's — beside a set-up or close
-    /// frame; and never from a direct connection, nor over an interface
-    /// that loses frames otherwise. What else the application configured
+    /// frame; and never over an interface that loses frames otherwise. What else the application configured
     /// stays.
     #[test]
     fn error_control_goes_only_where_the_window_and_a_probe_fit_the_ring() {
@@ -2629,11 +2632,6 @@ mod tests {
             assert_eq!(ec(&cfg, Some(1 << 20)), cfg.error_control);
         }
         assert_eq!(ec(&reliable, None), reliable.error_control);
-        let direct = ConnectionConfig {
-            direct: true,
-            ..reliable.clone()
-        };
-        assert_eq!(ec(&direct, Some(128)), direct.error_control);
         // Probes send past the edge what the ring holds beyond both
         // sides' windows and the set-up frame.
         let probes = |cfg: &ConnectionConfig, ring| {

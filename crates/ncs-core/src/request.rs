@@ -173,15 +173,6 @@ impl MsgBody {
             MsgBody::Record(train, range) => &train.as_slice()[range.clone()],
         }
     }
-
-    /// The bytes as an owning `Vec`: a buffer of its own leaves the pool,
-    /// a record is copied out of its train.
-    pub(crate) fn into_vec(self) -> Vec<u8> {
-        match self {
-            MsgBody::Own(buf) => buf.into_vec(),
-            record => record.bytes().to_vec(),
-        }
-    }
 }
 
 /// A received message, viewed in place.
@@ -191,8 +182,8 @@ impl MsgBody {
 /// [`BufPool`](crate::BufPool) wherever the receive path could assemble
 /// there — the message's own, or the body of the train it rode in — and
 /// dropping the view recycles that buffer. Dereference for zero-copy
-/// reads; [`MsgView::into_vec`] detaches an owning `Vec` when the bytes
-/// must outlive the view.
+/// reads; [`MsgView::into_vec`] copies the bytes out to an owning `Vec`
+/// when they must outlive the view.
 #[derive(Debug)]
 pub struct MsgView {
     body: MsgBody,
@@ -240,17 +231,12 @@ impl MsgView {
         self.tag
     }
 
-    /// Detaches the payload as an owning `Vec<u8>`. The backing buffer
-    /// leaves the pool (for pooled views this is the allocation hand-off,
-    /// not a copy, unless a tag envelope must be stripped first, or the
-    /// message rode in a train).
+    /// Copies the payload out to an owning `Vec<u8>`, of the payload's
+    /// length, and returns the buffer to the pool: a pooled buffer handed
+    /// over instead would leave the pool one to replace, of its full
+    /// capacity, for a payload of any size.
     pub fn into_vec(self) -> Vec<u8> {
-        let start = self.start;
-        let mut v = self.body.into_vec();
-        if start > 0 {
-            v.drain(..start);
-        }
-        v
+        self.as_slice().to_vec()
     }
 }
 
@@ -428,8 +414,9 @@ pub struct Request<T: 'static> {
     pub(crate) core: Arc<RequestCore<T>>,
     /// Run when the request is dropped unconsumed: a receive unregisters.
     pub(crate) cancel: Option<CancelFn<T>>,
-    /// A receive's connection, whose task a waiting thread runs itself
-    /// when it is idle ([`ConnShared::drive`]), and its tag.
+    /// The connection that issued the request, whose task a waiting
+    /// thread runs itself when it is idle ([`ConnShared::drive`]), and a
+    /// receive's tag.
     pub(crate) conn: Option<Arc<ConnShared>>,
     pub(crate) tag: Option<u32>,
     /// The free list the core goes to when this request lets go of it
@@ -511,8 +498,8 @@ impl<T> Completion for Request<T> {
     }
 
     fn wait_complete(&self, timeout: Duration) -> bool {
-        // A receive's waiter runs its connection's task until the request
-        // completes or its time is up, if the task is idle.
+        // A waiter runs its connection's task until the request completes
+        // or its time is up, if the task is idle.
         let Some(conn) = self.conn.as_ref().filter(|_| !self.core.is_complete()) else {
             return self.core.done.wait_timeout(timeout);
         };
@@ -940,13 +927,13 @@ mod tests {
         assert!(!view.is_empty());
         assert_eq!(view.tag(), Some(7));
         assert_eq!(view.into_vec(), vec![1, 2, 3]);
-        // Detached by into_vec: nothing returned to the pool.
-        assert_eq!(pool.stats().returns, 0);
-        // Dropping a view recycles instead.
+        // Copied out by into_vec: the buffer returns to the pool,
+        assert_eq!(pool.stats().returns, 1);
+        // as it does when a view is dropped.
         let mut buf = pool.get();
         buf.vec_mut().extend_from_slice(b"xyz");
         drop(MsgView::new(MsgBody::Own(buf), 0, None));
-        assert_eq!(pool.stats().returns, 1);
+        assert_eq!(pool.stats().returns, 2);
     }
 
     #[test]

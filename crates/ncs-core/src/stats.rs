@@ -352,7 +352,7 @@ impl std::fmt::Display for ConnectionStats {
 pub struct ReactorStats {
     /// Event-loop workers (shards) — O(cores), fixed at construction.
     pub workers: usize,
-    /// Live connection tasks (one per attached non-direct connection;
+    /// Live connection tasks (one per attached connection;
     /// accept tasks are not counted).
     pub endpoints: u64,
     /// Worker loop iterations (timer sweeps + inbox waits).

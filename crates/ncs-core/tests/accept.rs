@@ -442,23 +442,23 @@ fn every_arrival_order_of_hellos_and_attach_yields_two_connections() {
 }
 
 /// Established TCP sockets of this process's network namespace with an
-/// end on `port` (`/proc/net/tcp`: a connection over loopback shows once
-/// per end).
+/// end on one of `ports`, as the `(local, remote)` addresses of their
+/// `/proc/net/tcp` rows (a connection over loopback shows once per end).
 #[cfg(target_os = "linux")]
-fn sockets_on(port: u16) -> usize {
+fn sockets_on(ports: [u16; 2]) -> std::collections::HashSet<(String, String)> {
     let table = std::fs::read_to_string("/proc/net/tcp").expect("/proc/net/tcp");
-    let port = format!(":{port:04X}");
+    let ports = ports.map(|port| format!(":{port:04X}"));
+    let on = |end: &str| ports.iter().any(|port| end.ends_with(port));
     table
         .lines()
         .skip(1)
-        .filter(|line| {
+        .filter_map(|line| {
             let fields: Vec<&str> = line.split_whitespace().collect();
             // local, remote, state ("01": established).
-            fields.len() > 3
-                && fields[3] == "01"
-                && (fields[1].ends_with(&port) || fields[2].ends_with(&port))
+            (fields.len() > 3 && fields[3] == "01" && (on(fields[1]) || on(fields[2])))
+                .then(|| (fields[1].to_owned(), fields[2].to_owned()))
         })
-        .count()
+        .collect()
 }
 
 /// A connected SCI pair holds one socket per connection at each end, and
@@ -471,8 +471,9 @@ fn one_socket_per_connection(pkg: &Pkg) {
     a.attach_peer("ben", SciLink::new(addr_b, la));
     b.attach_peer("ann", SciLink::new(addr_a, lb));
     // (A port the system handed out again may still carry a connection
-    // another test left open: only what these connections add counts.)
-    let ends = || sockets_on(addr_a.port()) + sockets_on(addr_b.port());
+    // another test left open, which may close meanwhile: only the sockets
+    // these connections add count.)
+    let ends = || sockets_on([addr_a.port(), addr_b.port()]);
     let before = ends();
     let mut conns = Vec::new();
     for n in 1..=3 {
@@ -489,7 +490,7 @@ fn one_socket_per_connection(pkg: &Pkg) {
         dialed.isend(b"x").and_then(|r| r.wait()).expect("send");
         assert_eq!(accepted.recv().expect("recv"), b"x");
         conns.push((dialed, accepted));
-        assert_eq!(ends() - before, 2 * n, "{n} connections");
+        assert_eq!(ends().difference(&before).count(), 2 * n, "{n} connections");
     }
     a.shutdown();
     b.shutdown();

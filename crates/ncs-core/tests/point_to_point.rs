@@ -1,6 +1,6 @@
 //! End-to-end tests of NCS point-to-point communication over the HPI
 //! interface: every flow-control x error-control combination, the §3.1
-//! bypass, the §4.2 direct mode, loss recovery, and the §4.1 hand-off
+//! bypass, the §4.2 aliases, loss recovery, and the §4.1 hand-off
 //! (`send_handoff`) over a PIPE link whose transmit stops.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -269,7 +269,6 @@ fn send_errors_for_bad_messages() {
     let (a, b) = linked_nodes(64);
     let (ca, _cb) = connect_pair(&a, &b, ConnectionConfig::reliable());
     assert_eq!(ca.send(b""), Err(SendError::Empty));
-    assert!(matches!(ca.send_direct(b"x"), Err(SendError::WrongMode(_))));
     a.shutdown();
     b.shutdown();
 }
@@ -297,6 +296,8 @@ fn close_propagates_to_peer() {
     b.shutdown();
 }
 
+/// `send_direct` and `recv_direct`, the §4.2 procedures, are aliases of
+/// the default path's `isend(..)?.wait()` and `recv_timeout`.
 #[test]
 fn direct_mode_round_trip() {
     let (a, b) = linked_nodes(256);
@@ -307,17 +308,16 @@ fn direct_mode_round_trip() {
         cb.recv_direct(Duration::from_secs(5)).unwrap(),
         b"procedures not threads"
     );
-    // Threaded API is rejected on direct connections.
-    assert!(matches!(ca.send(b"x"), Err(SendError::WrongMode(_))));
     a.shutdown();
     b.shutdown();
 }
 
+/// The aliases over flow and error control: a window of 4 credits into a
+/// ring of 8, which the window can overrun, so error control stays.
 #[test]
 fn direct_mode_with_reliability() {
     let (a, b) = linked_nodes(8);
     let config = ConnectionConfig::builder()
-        .direct(true)
         .sdu_size(1024)
         .flow_control(FlowControlAlg::CreditBased {
             initial_credits: 4,
@@ -331,7 +331,6 @@ fn direct_mode_with_reliability() {
     let ca = a.connect("bob", config).unwrap();
     let cb = b.accept_default().unwrap();
     let msg: Vec<u8> = (0..8_000u32).map(|i| (i % 97) as u8).collect();
-    // The receiver must be actively pulling for direct acks to flow.
     let msg2 = msg.clone();
     let receiver = std::thread::spawn(move || {
         let got = cb.recv_direct(Duration::from_secs(20)).unwrap();
@@ -339,71 +338,6 @@ fn direct_mode_with_reliability() {
     });
     ca.send_direct(&msg).unwrap();
     receiver.join().unwrap();
-    a.shutdown();
-    b.shutdown();
-}
-
-/// A direct sender waits for the peer's next word, its pipeline's own
-/// deadline, or the close: here the peer is silent (it never reads, so it
-/// never acknowledges) and the deadline a second away, and the close ends
-/// the wait at once.
-#[test]
-fn close_wakes_a_direct_sender_waiting_for_a_silent_peer_at_once() {
-    let (a, b) = linked_nodes(8);
-    let config = ConnectionConfig::builder()
-        .direct(true)
-        .error_control(ErrorControlAlg::SelectiveRepeat {
-            timeout: Duration::from_secs(1),
-            max_retries: 10,
-        })
-        .build();
-    let ca = a.connect("bob", config).unwrap();
-    let _cb = b.accept_default().unwrap();
-    let (done_tx, done) = std::sync::mpsc::channel();
-    let conn = ca.clone();
-    let sending =
-        std::thread::spawn(move || done_tx.send((conn.send_direct(b"unheard"), Instant::now())));
-    std::thread::sleep(Duration::from_millis(50));
-    assert!(done.try_recv().is_err(), "acknowledged by a silent peer");
-    let closed = Instant::now();
-    ca.close();
-    let (result, returned) = done.recv_timeout(Duration::from_secs(5)).expect("woken");
-    let took = returned.saturating_duration_since(closed);
-    assert_eq!(result, Err(SendError::Closed));
-    assert!(
-        took < Duration::from_millis(20),
-        "returned {took:?} after the close"
-    );
-    sending.join().unwrap().unwrap();
-    a.shutdown();
-    b.shutdown();
-}
-
-/// The caller's thread repairs loss: a window of 8 credits released into
-/// a ring of 2 overruns it, and `send_direct` retransmits what the ring
-/// dropped until the message is whole.
-#[test]
-fn direct_mode_repairs_loss_on_the_callers_thread() {
-    let (a, b) = linked_nodes(2);
-    let config = ConnectionConfig::builder()
-        .direct(true)
-        .sdu_size(1024)
-        .flow_control(FlowControlAlg::CreditBased {
-            initial_credits: 8,
-            dynamic: false,
-        })
-        .error_control(ErrorControlAlg::SelectiveRepeat {
-            timeout: Duration::from_millis(20),
-            max_retries: 50,
-        })
-        .build();
-    let ca = a.connect("bob", config).unwrap();
-    let cb = b.accept_default().unwrap();
-    let msg: Vec<u8> = (0..8_000u32).map(|i| (i % 89) as u8).collect();
-    let receiver = std::thread::spawn(move || cb.recv_direct(Duration::from_secs(20)));
-    ca.send_direct(&msg).unwrap();
-    assert_eq!(receiver.join().unwrap().unwrap(), msg);
-    assert!(ca.stats().retransmissions > 0, "{}", ca.stats());
     a.shutdown();
     b.shutdown();
 }
@@ -633,18 +567,15 @@ fn isend_without_error_control_completes_on_the_write_and_close_resolves_it() {
 }
 
 /// The hand-off is the §3.1 bypass's Send Thread: a connection whose
-/// messages go through FC/EC, or that has no Send Thread, refuses it.
+/// messages go through FC/EC refuses it.
 #[test]
-fn send_handoff_refuses_reliable_and_direct_connections() {
+fn send_handoff_refuses_reliable_connections() {
     let (a, b) = linked_nodes(64);
     let (reliable, _rb) = connect_pair(&a, &b, ConnectionConfig::reliable());
-    let (direct, _db) = connect_pair(&a, &b, ConnectionConfig::direct());
-    for conn in [reliable, direct] {
-        assert!(matches!(
-            conn.send_handoff(b"x"),
-            Err(SendError::WrongMode(_))
-        ));
-    }
+    assert!(matches!(
+        reliable.send_handoff(b"x"),
+        Err(SendError::WrongMode(_))
+    ));
     a.shutdown();
     b.shutdown();
 }

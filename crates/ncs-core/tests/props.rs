@@ -41,20 +41,13 @@ fn arb_error_control() -> impl Strategy<Value = ErrorControlAlg> {
 }
 
 fn arb_config() -> impl Strategy<Value = ConnectionConfig> {
-    (
-        256usize..=65536,
-        arb_flow_control(),
-        arb_error_control(),
-        any::<bool>(),
+    (256usize..=65536, arb_flow_control(), arb_error_control()).prop_map(
+        |(sdu_size, flow_control, error_control)| ConnectionConfig {
+            sdu_size,
+            flow_control,
+            error_control,
+        },
     )
-        .prop_map(
-            |(sdu_size, flow_control, error_control, direct)| ConnectionConfig {
-                sdu_size,
-                flow_control,
-                error_control,
-                direct,
-            },
-        )
 }
 
 fn arb_bitmap() -> impl Strategy<Value = AckBitmap> {
@@ -236,13 +229,11 @@ proptest! {
         sdu in 256usize..=65536,
         fc in arb_flow_control(),
         ec in arb_error_control(),
-        direct: bool,
     ) {
         let config = ConnectionConfig {
             sdu_size: sdu,
             flow_control: fc,
             error_control: ec,
-            direct,
         };
         prop_assert_eq!(ConnectionConfig::decode(&config.encode()).unwrap(), config);
     }

@@ -165,7 +165,7 @@ fn msg_view_recycles_through_the_pool() {
 }
 
 /// `Duration::MAX` is no deadline, not an overflow, at the completion-set
-/// waits and at the direct-mode receive: each returns on its event.
+/// waits and at a blocking receive: each returns on its event.
 #[test]
 fn a_wait_of_duration_max_has_no_deadline() {
     let (a, b) = linked_nodes(256);
@@ -180,18 +180,13 @@ fn a_wait_of_duration_max_has_no_deadline() {
     });
     assert_eq!(wait_any(&[&first], Duration::MAX), Some(0));
     assert!(wait_all(&[&first, &second], Duration::MAX));
-    drop(sender.join().expect("sender"));
-
-    let da = a
-        .connect("bob", ConnectionConfig::direct())
-        .expect("connect");
-    let db = b.accept_default().expect("accept");
-    let sender = std::thread::spawn(move || da.send_direct(b"direct").map(|()| da));
-    assert_eq!(
-        db.recv_direct(Duration::MAX).expect("recv_direct"),
-        b"direct"
-    );
-    drop(sender.join().expect("sender").expect("send_direct"));
+    let ca = sender.join().expect("sender");
+    let sender = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        ca.isend(b"three")?.wait().map(|()| ca)
+    });
+    assert_eq!(cb.recv_timeout(Duration::MAX).expect("recv"), b"three");
+    drop(sender.join().expect("sender").expect("isend"));
     a.shutdown();
     b.shutdown();
 }

@@ -87,9 +87,13 @@ impl Injector {
         }
     }
 
-    /// Drains all pending requests.
-    pub(crate) fn drain(&self) -> Vec<Inject> {
-        std::mem::take(&mut self.queue.lock().items)
+    /// Drains all pending requests into `spare`, which must be empty, and
+    /// gives the queue `spare`'s storage for the next pushes: a caller that
+    /// keeps the two buffers in turn allocates nothing once both have
+    /// grown.
+    pub(crate) fn swap(&self, spare: &mut Vec<Inject>) {
+        debug_assert!(spare.is_empty());
+        std::mem::swap(&mut self.queue.lock().items, spare);
     }
 
     /// The bell, made with the first descriptor wait.
@@ -148,14 +152,34 @@ mod tests {
         let inj = Injector::new();
         inj.push(Inject::Nudge);
         inj.push(Inject::Wake(TcbId(7), WakeReason::Normal));
-        let drained = inj.drain();
+        let mut drained = Vec::new();
+        inj.swap(&mut drained);
         assert_eq!(drained.len(), 2);
         assert!(matches!(drained[0], Inject::Nudge));
         assert!(matches!(
             drained[1],
             Inject::Wake(TcbId(7), WakeReason::Normal)
         ));
-        assert!(inj.drain().is_empty());
+        let mut again = Vec::new();
+        inj.swap(&mut again);
+        assert!(again.is_empty());
+    }
+
+    /// After a swap the queue pushes into the spare's storage, at the
+    /// spare's capacity: a wake allocates nothing.
+    #[test]
+    fn pushes_after_a_swap_reuse_the_spare_buffer() {
+        let inj = Injector::new();
+        inj.push(Inject::Nudge);
+        let mut spare = Vec::with_capacity(8);
+        let (storage, capacity) = (spare.as_ptr(), spare.capacity());
+        inj.swap(&mut spare);
+        assert_eq!(spare.len(), 1);
+        inj.push(Inject::Nudge);
+        inj.push(Inject::Wake(TcbId(7), WakeReason::Normal));
+        let q = inj.queue.lock();
+        assert_eq!(q.items.len(), 2);
+        assert_eq!((q.items.as_ptr(), q.items.capacity()), (storage, capacity));
     }
 
     #[test]

@@ -209,6 +209,9 @@ pub(crate) struct SchedulerCore {
     fd_waiters: Vec<TcbId>,
     /// Threads to resume before the next zero-timeout poll.
     pass_left: usize,
+    /// The injector's other buffer: swapped with its queue to drain it,
+    /// so a wake allocates nothing.
+    spare: Vec<Inject>,
 }
 
 impl SchedulerCore {
@@ -230,6 +233,7 @@ impl SchedulerCore {
             pollfds: Vec::new(),
             fd_waiters: Vec::new(),
             pass_left: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -276,7 +280,9 @@ impl SchedulerCore {
     }
 
     fn process_injections(&mut self) {
-        for inject in self.injector.drain() {
+        let mut injected = std::mem::take(&mut self.spare);
+        self.injector.swap(&mut injected);
+        for inject in injected.drain(..) {
             match inject {
                 Inject::Spawn(tcb) => self.admit(tcb),
                 Inject::Wake(id, reason) => {
@@ -299,6 +305,7 @@ impl SchedulerCore {
             }
             self.idle_since = None;
         }
+        self.spare = injected;
     }
 
     fn admit(&mut self, tcb: Arc<Tcb>) {

@@ -43,7 +43,7 @@
 //! [`wait_all`] and [`test_all`] drive heterogeneous sets from a single
 //! application loop — the paper's compute/communication overlap as an
 //! API. Receive completion hands back a pooled zero-copy [`MsgView`]
-//! (deref to `&[u8]`, `into_vec()` to take ownership) whose buffer
+//! (deref to `&[u8]`, `into_vec()` for an owned copy) whose buffer
 //! recycles through the node's `BufPool` on drop.
 //!
 //! # Quickstart

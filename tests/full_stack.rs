@@ -166,7 +166,8 @@ fn all_four_systems_echo_correctly() {
     }
 }
 
-/// Direct (thread-bypass) mode across the ATM stack.
+/// The §4.2 thread-bypass aliases (`send_direct`, `recv_direct`) across
+/// the ATM stack.
 #[test]
 fn direct_mode_over_atm() {
     let net = NetworkBuilder::new()
