@@ -76,8 +76,7 @@ impl FaultSpec {
 
     /// An exact drop plan: best-effort cell `i` of the link's forward
     /// direction is dropped iff `i` is in `cells` (0-based, counted over
-    /// CLP 1 cells only — assured channels stay exempt, as with the
-    /// probabilistic knobs).
+    /// CLP 1 cells only, as with the probabilistic knobs).
     pub fn drop_plan(cells: Vec<u64>) -> Self {
         FaultSpec {
             cell_loss: 0.0,

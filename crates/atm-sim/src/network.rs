@@ -8,7 +8,7 @@ use crate::aal5;
 use crate::cell::{AtmCell, Vc, CELL_SIZE};
 use crate::engine::{EventKind, EventQueue, NetEvent};
 use crate::fault::{Fate, FaultProcess};
-use crate::node::{ConnState, Host, HostConn, LinkId, Node, Switch};
+use crate::node::{ConnState, Host, HostConn, LinkIndex, Node, Switch};
 use crate::stats::{ConnStats, NetStats};
 use crate::time::{tx_time, SimTime};
 use crate::topology::LinkSpec;
@@ -87,12 +87,6 @@ pub struct QosParams {
     /// Peak cell rate in cells/second; ingress-shaped at the source host.
     /// `None` means line rate.
     pub peak_cell_rate: Option<u64>,
-    /// Assured delivery: the VC's cells are sent at high loss priority
-    /// (CLP 0) and are exempt from random loss/corruption injection —
-    /// modelling signaling/control channels carried over SAAL/SSCOP
-    /// (ITU Q.2110), which provides assured delivery beneath UNI
-    /// signaling. Congestion drops still apply.
-    pub assured: bool,
 }
 
 impl QosParams {
@@ -106,15 +100,6 @@ impl QosParams {
         QosParams {
             category: ServiceCategory::Cbr,
             peak_cell_rate: Some(cells_per_sec),
-            assured: false,
-        }
-    }
-
-    /// An SSCOP-style assured channel (control/signaling use).
-    pub fn assured_control() -> Self {
-        QosParams {
-            assured: true,
-            ..QosParams::default()
         }
     }
 }
@@ -190,7 +175,7 @@ pub(crate) enum SignalMsg {
         dest: NodeId,
         qos: QosParams,
         /// Links along the route, origin side first.
-        path_links: Vec<LinkId>,
+        path_links: Vec<LinkIndex>,
         /// VCI allocated on each traversed link so far.
         vcis: Vec<u16>,
         /// Index into `path_links` of the next link to traverse.
@@ -203,7 +188,7 @@ pub(crate) enum SignalMsg {
         origin_conn: ConnId,
         dest: NodeId,
         dest_conn: ConnId,
-        path_links: Vec<LinkId>,
+        path_links: Vec<LinkIndex>,
         vcis: Vec<u16>,
         /// Index into `path_links` of the link just traversed (walking back).
         hop: usize,
@@ -211,7 +196,7 @@ pub(crate) enum SignalMsg {
     /// Travels releaser -> peer uninstalling VCI mappings.
     Release {
         /// Links from the releasing host towards the peer.
-        path_links: Vec<LinkId>,
+        path_links: Vec<LinkIndex>,
         vcis: Vec<u16>,
         hop: usize,
     },
@@ -293,7 +278,7 @@ impl Network {
 
     pub(crate) fn add_switch(&mut self, name: &str) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::Switch(Switch::new(name.to_owned())));
+        self.nodes.push(Node::Switch(Switch::new()));
         self.by_name.insert(name.to_owned(), id);
         id
     }
@@ -304,8 +289,8 @@ impl Network {
         a: NodeId,
         b: NodeId,
         spec: LinkSpec,
-    ) -> Result<LinkId, String> {
-        let id = LinkId(self.links.len());
+    ) -> Result<LinkIndex, String> {
+        let id = LinkIndex(self.links.len());
         for node in [a, b] {
             match &mut self.nodes[node.0 as usize] {
                 Node::Host(h) => {
@@ -350,15 +335,6 @@ impl Network {
     /// Looks up a node by name.
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
         self.by_name.get(name).copied()
-    }
-
-    /// The name of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this network.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        self.nodes[node.0 as usize].name()
     }
 
     /// Current virtual time.
@@ -547,7 +523,7 @@ impl Network {
         conn: ConnId,
         frame: Vec<u8>,
     ) -> Result<(), AtmError> {
-        let (vc, link_id, assured) = {
+        let (vc, link_id) = {
             let h = self.nodes[host.0 as usize]
                 .as_host_mut()
                 .ok_or(AtmError::NotAHost(host))?;
@@ -560,13 +536,12 @@ impl Network {
             }
             let link = h.access.expect("hosts always have an access link");
             hc.stats.frames_sent += 1;
-            (hc.vc, link, hc.qos.assured)
+            (hc.vc, link)
         };
         let mut cells = aal5::segment(vc, &frame)?;
         for c in &mut cells {
-            // CLP 1 marks best-effort cells; assured (SSCOP-style) VCs ride
-            // at CLP 0 and are exempt from random fault injection.
-            c.clp = !assured;
+            // CLP 1 marks best-effort cells, the ones fault injection takes.
+            c.clp = true;
         }
         let ncells = cells.len() as u64;
         if let Some(hc) = self.nodes[host.0 as usize]
@@ -583,7 +558,7 @@ impl Network {
 
     /// Transmits one cell from `node` onto `link`. `from_host` applies the
     /// host-side PCR shaping interval (ingress shaping only).
-    fn transmit(&mut self, node: NodeId, link_id: LinkId, mut cell: AtmCell, from_host: bool) {
+    fn transmit(&mut self, node: NodeId, link_id: LinkIndex, mut cell: AtmCell, from_host: bool) {
         let (dir, line_interval, propagation, queue_cells, peer) = {
             let link = &self.links[link_id.0];
             (
@@ -619,9 +594,9 @@ impl Network {
             return;
         }
         d.next_free = start + interval;
-        // Random loss/corruption only afflicts best-effort (CLP 1) cells;
-        // assured channels modelled over SSCOP are exempt (congestion
-        // drops above still apply to everyone).
+        // Random loss/corruption only afflicts best-effort (CLP 1) cells,
+        // as the header marks them (congestion drops above apply to
+        // every cell).
         let fate = if cell.clp {
             d.fault.next_fate()
         } else {
@@ -656,15 +631,15 @@ impl Network {
 
     /// Shortest path (in hops) between two nodes, as the list of links to
     /// traverse. `None` if disconnected.
-    fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
+    fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<LinkIndex>> {
         let n = self.nodes.len();
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut prev: Vec<Option<(NodeId, LinkIndex)>> = vec![None; n];
         let mut visited = vec![false; n];
         let mut frontier = std::collections::VecDeque::new();
         visited[from.0 as usize] = true;
         frontier.push_back(from);
         'search: while let Some(cur) = frontier.pop_front() {
-            let links: Vec<LinkId> = match &self.nodes[cur.0 as usize] {
+            let links: Vec<LinkIndex> = match &self.nodes[cur.0 as usize] {
                 Node::Host(h) => h.access.into_iter().collect(),
                 Node::Switch(s) => s.ports.clone(),
             };

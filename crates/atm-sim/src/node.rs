@@ -9,7 +9,7 @@ use crate::stats::ConnStats;
 
 /// Index of a link in the network's link table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct LinkId(pub usize);
+pub(crate) struct LinkIndex(pub usize);
 
 /// Lifecycle of a host connection endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub(crate) struct HostConn {
     pub peer_conn: Option<ConnId>,
     pub qos: QosParams,
     /// Links along the path, ordered from this host towards the peer.
-    pub path_links: Vec<LinkId>,
+    pub path_links: Vec<LinkIndex>,
     /// VCI on each of `path_links`.
     pub path_vcis: Vec<u16>,
     pub reasm: Reassembler,
@@ -46,7 +46,7 @@ pub(crate) struct HostConn {
 pub(crate) struct Host {
     pub name: String,
     /// The single access link (hosts are single-homed in this model).
-    pub access: Option<LinkId>,
+    pub access: Option<LinkIndex>,
     pub conns: HashMap<ConnId, HostConn>,
     /// Demultiplexes incoming cells: VCI on the access link -> connection.
     pub vc_to_conn: HashMap<u16, ConnId>,
@@ -74,24 +74,22 @@ impl Host {
 /// A switch: swaps VCIs between ports according to its connection table.
 #[derive(Debug)]
 pub(crate) struct Switch {
-    pub name: String,
     /// Port index -> attached link.
-    pub ports: Vec<LinkId>,
+    pub ports: Vec<LinkIndex>,
     /// (input port, input VCI) -> (output port, output VCI).
     pub table: HashMap<(usize, u16), (usize, u16)>,
 }
 
 impl Switch {
-    pub(crate) fn new(name: String) -> Self {
+    pub(crate) fn new() -> Self {
         Switch {
-            name,
             ports: Vec::new(),
             table: HashMap::new(),
         }
     }
 
     /// The port to which `link` is attached, if any.
-    pub(crate) fn port_of_link(&self, link: LinkId) -> Option<usize> {
+    pub(crate) fn port_of_link(&self, link: LinkIndex) -> Option<usize> {
         self.ports.iter().position(|&l| l == link)
     }
 }
@@ -104,13 +102,6 @@ pub(crate) enum Node {
 }
 
 impl Node {
-    pub(crate) fn name(&self) -> &str {
-        match self {
-            Node::Host(h) => &h.name,
-            Node::Switch(s) => &s.name,
-        }
-    }
-
     pub(crate) fn as_host_mut(&mut self) -> Option<&mut Host> {
         match self {
             Node::Host(h) => Some(h),

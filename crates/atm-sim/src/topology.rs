@@ -45,12 +45,6 @@ impl LinkSpec {
         self
     }
 
-    /// Replaces the propagation delay.
-    pub fn with_propagation(mut self, propagation: Duration) -> Self {
-        self.propagation = propagation;
-        self
-    }
-
     /// Replaces the line rate.
     pub fn with_bandwidth(mut self, bps: u64) -> Self {
         self.bandwidth_bps = bps;

@@ -22,12 +22,6 @@ pub enum FlowControlAlg {
         /// active ("active connections get more credits").
         dynamic: bool,
     },
-    /// Classic sliding window: at most `window` SDUs released and not yet
-    /// taken by the receiver — `CreditBased` with a fixed window.
-    SlidingWindow {
-        /// Window size in SDUs.
-        window: u32,
-    },
     /// Token-bucket rate limit.
     RateBased {
         /// Sustained rate in packets per second.
@@ -227,9 +221,6 @@ impl ConnectionConfig {
             } if *initial_credits == 0 => {
                 return Err(ConfigError::ZeroParameter("initial_credits"))
             }
-            FlowControlAlg::SlidingWindow { window } if *window == 0 => {
-                return Err(ConfigError::ZeroParameter("window"))
-            }
             FlowControlAlg::RateBased {
                 packets_per_sec,
                 burst,
@@ -261,10 +252,6 @@ impl ConnectionConfig {
                 out.push(1);
                 out.extend_from_slice(&initial_credits.to_be_bytes());
                 out.push(*dynamic as u8);
-            }
-            FlowControlAlg::SlidingWindow { window } => {
-                out.push(2);
-                out.extend_from_slice(&window.to_be_bytes());
             }
             FlowControlAlg::RateBased {
                 packets_per_sec,
@@ -325,9 +312,6 @@ impl ConnectionConfig {
                     dynamic,
                 }
             }
-            2 => FlowControlAlg::SlidingWindow {
-                window: u32::from_be_bytes(take(&mut at, 4)?.try_into().expect("4")),
-            },
             3 => {
                 let packets_per_sec = u32::from_be_bytes(take(&mut at, 4)?.try_into().expect("4"));
                 let burst = u32::from_be_bytes(take(&mut at, 4)?.try_into().expect("4"));
@@ -381,7 +365,7 @@ impl ConnectionConfig {
 ///
 /// let config = ConnectionConfig::builder()
 ///     .sdu_size(8 * 1024)
-///     .flow_control(FlowControlAlg::SlidingWindow { window: 16 })
+///     .flow_control(FlowControlAlg::CreditBased { initial_credits: 16, dynamic: false })
 ///     .error_control(ErrorControlAlg::GoBackN {
 ///         window: 16,
 ///         timeout: Duration::from_millis(100),
@@ -476,14 +460,7 @@ mod tests {
             .build();
         assert!(matches!(
             c.validate(1 << 20),
-            Err(ConfigError::ZeroParameter(_))
-        ));
-        let c = ConnectionConfig::builder()
-            .flow_control(FlowControlAlg::SlidingWindow { window: 0 })
-            .build();
-        assert!(matches!(
-            c.validate(1 << 20),
-            Err(ConfigError::ZeroParameter("window"))
+            Err(ConfigError::ZeroParameter("initial_credits"))
         ));
         let c = ConnectionConfig::builder()
             .error_control(ErrorControlAlg::GoBackN {
@@ -505,7 +482,10 @@ mod tests {
             ConnectionConfig::unreliable(),
             ConnectionConfig::builder()
                 .sdu_size(1024)
-                .flow_control(FlowControlAlg::SlidingWindow { window: 7 })
+                .flow_control(FlowControlAlg::CreditBased {
+                    initial_credits: 7,
+                    dynamic: false,
+                })
                 .error_control(ErrorControlAlg::GoBackN {
                     window: 7,
                     timeout: Duration::from_millis(123),
@@ -531,6 +511,11 @@ mod tests {
         let mut good = ConnectionConfig::reliable().encode();
         good.push(0); // trailing byte
         assert!(ConnectionConfig::decode(&good).is_err());
+        // Flow-control tag 2, the fixed window the credit form now names.
+        assert_eq!(
+            ConnectionConfig::decode(&[0, 0, 16, 0, 2, 0, 0, 0, 7, 0]),
+            Err("unknown flow control variant 2".to_owned())
+        );
         // The older format, with a thread-bypass byte after the SDU size.
         for config in [ConnectionConfig::reliable(), ConnectionConfig::unreliable()] {
             let mut old = config.encode();

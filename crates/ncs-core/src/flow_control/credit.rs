@@ -195,7 +195,7 @@ mod tests {
         }
     }
 
-    /// The fixed window `SlidingWindow` configures: at most `window` SDUs
+    /// A fixed window (`dynamic` off): at most `initial_credits` SDUs
     /// released and not yet taken.
     #[test]
     fn a_fixed_window_limits_outstanding_sdus() {

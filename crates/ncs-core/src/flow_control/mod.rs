@@ -17,9 +17,8 @@
 //! The paper's default is the credit-based window scheme of Figures 7/8,
 //! with dynamic credit adjustment ("active connections get more credits,
 //! while inactive connections get only a fraction of the credits"). Here
-//! the credit is a cumulative edge ([`CreditBased`]), and a classic
-//! sliding window (`FlowControlAlg::SlidingWindow`) is the same strategy
-//! with a fixed window.
+//! the credit is a cumulative edge ([`CreditBased`]); without `dynamic`
+//! it is a classic sliding window of `initial_credits` SDUs.
 
 mod credit;
 mod none;
@@ -75,7 +74,6 @@ pub fn build(alg: &FlowControlAlg) -> Box<dyn FlowControlStrategy> {
             initial_credits,
             dynamic,
         } => Box::new(CreditBased::new(*initial_credits, *dynamic)),
-        FlowControlAlg::SlidingWindow { window } => Box::new(CreditBased::new(*window, false)),
         FlowControlAlg::RateBased {
             packets_per_sec,
             burst,
@@ -92,7 +90,6 @@ pub(crate) fn widest_window(alg: &FlowControlAlg) -> Option<u32> {
             initial_credits,
             dynamic,
         } => Some(CreditBased::widest(*initial_credits, *dynamic)),
-        FlowControlAlg::SlidingWindow { window } => Some(CreditBased::widest(*window, false)),
         FlowControlAlg::None | FlowControlAlg::RateBased { .. } => None,
     }
 }
@@ -112,7 +109,10 @@ mod tests {
             .name(),
             "credit-based"
         );
-        let mut window = build(&FlowControlAlg::SlidingWindow { window: 4 });
+        let mut window = build(&FlowControlAlg::CreditBased {
+            initial_credits: 4,
+            dynamic: false,
+        });
         assert_eq!(window.name(), "credit-based");
         assert_eq!(window.permits(Instant::now()), 4);
         assert_eq!(

@@ -262,25 +262,25 @@ impl PeerLink for AciLink {
 // SIM
 // ---------------------------------------------------------------------------
 
-/// Simulated-fabric link: channels are [`sim::SimNet`] endpoint pairs under
-/// virtual time. Frames move only when a driver advances the fabric clock,
-/// and every channel of the link answers to the same chaos knobs
-/// ([`SimLink::set_outbound_up`], [`SimLink::set_outbound_policy`]) — cut
-/// one side's outbound direction and the peer sees a partition on every
-/// connection, data and feedback alike.
+/// Simulated-fabric link: channels are [`sim::SimNet`] endpoint pairs,
+/// modelled wires that move when touched. Every channel of the link
+/// answers to the same chaos knobs ([`SimLink::set_outbound_up`],
+/// [`SimLink::set_outbound_policy`]) — cut one side's outbound direction
+/// and the peer sees a partition on every connection, data and feedback
+/// alike.
 #[derive(Debug)]
 pub struct SimLink {
     net: Arc<sim::SimNet>,
     queue: ChannelQueue,
     policy_out: sim::LinkPolicy,
     policy_back: sim::LinkPolicy,
-    /// Whether this is the first endpoint of the pair (fixes which fabric
-    /// direction carries this side's outbound frames on each channel).
-    side_a: bool,
-    /// Every channel opened through either side: `(link, dir)` pairs where
-    /// `dir` is the direction carrying side-a-outbound frames. Shared by
-    /// both ends so chaos control sees channels whichever side opened them.
-    opened: Arc<parking_lot::Mutex<Vec<(sim::LinkId, usize)>>>,
+    /// 0 for the first endpoint of the pair, 1 for the second: which list
+    /// of `opened` holds this side's outbound directions.
+    side: usize,
+    /// Each side's outbound direction on every channel opened through
+    /// either side. Shared by both ends so chaos control sees channels
+    /// whichever side opened them.
+    opened: Arc<parking_lot::Mutex<[Vec<sim::Outbound>; 2]>>,
 }
 
 /// Creates both ends of a simulated link.
@@ -297,14 +297,14 @@ impl SimLinkPair {
         policy_ba: sim::LinkPolicy,
     ) -> (Arc<SimLink>, Arc<SimLink>) {
         let (a, b) = ChannelQueue::pair();
-        let opened = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let opened = Arc::new(parking_lot::Mutex::new([Vec::new(), Vec::new()]));
         (
             Arc::new(SimLink {
                 net: Arc::clone(net),
                 queue: a,
                 policy_out: policy_ab.clone(),
                 policy_back: policy_ba.clone(),
-                side_a: true,
+                side: 0,
                 opened: Arc::clone(&opened),
             }),
             Arc::new(SimLink {
@@ -312,7 +312,7 @@ impl SimLinkPair {
                 queue: b,
                 policy_out: policy_ba,
                 policy_back: policy_ab,
-                side_a: false,
+                side: 1,
                 opened,
             }),
         )
@@ -321,28 +321,21 @@ impl SimLinkPair {
 
 impl SimLink {
     /// Raises or black-holes this side's outbound direction on every
-    /// channel of the link, existing and future (future opens consult the
-    /// policies only; a subsequent call covers them because `opened` is
-    /// shared). The partition / flapping-peer primitive.
+    /// channel of the link opened so far (a later channel takes the
+    /// link's policies; call again to cover it). The partition /
+    /// flapping-peer primitive.
     pub fn set_outbound_up(&self, up: bool) {
-        for &(link, a_out) in self.opened.lock().iter() {
-            let dir = if self.side_a { a_out } else { 1 - a_out };
-            self.net.set_link_up(link, dir, up);
+        for dir in &self.opened.lock()[self.side] {
+            dir.set_up(up);
         }
     }
 
     /// Replaces the shaping policy of this side's outbound direction on
     /// every existing channel (the slow-link primitive).
     pub fn set_outbound_policy(&self, policy: sim::LinkPolicy) {
-        for &(link, a_out) in self.opened.lock().iter() {
-            let dir = if self.side_a { a_out } else { 1 - a_out };
-            self.net.set_policy(link, dir, policy.clone());
+        for dir in &self.opened.lock()[self.side] {
+            dir.set_policy(policy.clone());
         }
-    }
-
-    /// The fabric this link's channels ride.
-    pub fn net(&self) -> &Arc<sim::SimNet> {
-        &self.net
     }
 }
 
@@ -351,10 +344,10 @@ impl PeerLink for SimLink {
         let (mine, theirs) = self
             .net
             .pair(self.policy_out.clone(), self.policy_back.clone());
-        // `mine` is the pair's first endpoint: its outbound direction (0)
-        // carries side-a frames iff this side is side a.
-        let a_out = if self.side_a { 0 } else { 1 };
-        self.opened.lock().push((mine.link(), a_out));
+        let mut opened = self.opened.lock();
+        opened[self.side].push(mine.outbound());
+        opened[1 - self.side].push(theirs.outbound());
+        drop(opened);
         self.queue.open((mine, theirs))
     }
 
@@ -467,16 +460,18 @@ mod tests {
     }
 
     #[test]
-    fn sim_link_round_trip_under_virtual_time() {
+    fn sim_link_round_trip_over_a_modelled_wire() {
         let net = sim::SimNet::new(11);
         let (a, b) = SimLinkPair::create(&net, sim::LinkPolicy::lan(), sim::LinkPolicy::lan());
         let ch_a = a.open_channel().unwrap();
         let ch_b = b.try_accept_channel().unwrap().expect("a channel waits");
         ch_a.send(b"ping").unwrap();
-        // Nothing moves until the fabric clock does.
+        // Nothing arrives before its latency; the receive waits it out.
         assert_eq!(ch_b.try_recv(), Ok(None));
-        net.advance_to(atm_sim::SimTime::from_millis(1));
-        assert_eq!(ch_b.try_recv(), Ok(Some(b"ping".to_vec())));
+        assert_eq!(
+            ch_b.recv_timeout(Duration::from_secs(1)),
+            Ok(b"ping".to_vec())
+        );
         assert_eq!(a.interface(), "SIM");
     }
 
@@ -486,16 +481,20 @@ mod tests {
         let (a, b) = SimLinkPair::create(&net, sim::LinkPolicy::ideal(), sim::LinkPolicy::ideal());
         let ch_a = a.open_channel().unwrap();
         let ch_b = b.try_accept_channel().unwrap().expect("a channel waits");
+        // A channel b opened is cut on a's side too.
+        let ch_b2 = b.open_channel().unwrap();
+        let ch_a2 = a.try_accept_channel().unwrap().expect("a channel waits");
         a.set_outbound_up(false);
         ch_a.send(b"lost").unwrap();
+        ch_a2.send(b"lost").unwrap();
         ch_b.send(b"back").unwrap();
-        net.advance_to(atm_sim::SimTime::from_secs(1));
         assert_eq!(ch_b.try_recv(), Ok(None));
+        assert_eq!(ch_b2.try_recv(), Ok(None));
         assert_eq!(ch_a.try_recv(), Ok(Some(b"back".to_vec())));
+        assert_eq!(net.dropped(), 2);
         // Heal: new frames flow again.
         a.set_outbound_up(true);
         ch_a.send(b"healed").unwrap();
-        net.advance_to(atm_sim::SimTime::from_secs(2));
         assert_eq!(ch_b.try_recv(), Ok(Some(b"healed".to_vec())));
     }
 

@@ -10,7 +10,7 @@
 //! Both travel on a connection's one duplex channel, each direction
 //! carrying its side's data and its feedback about the other side's
 //! data; a [`Hello`] opens the channel. The receive step tells the three
-//! apart by their first byte ([`FrameKind::of`]). Formats are hand-encoded
+//! apart by their first byte (`FrameKind::of`). Formats are hand-encoded
 //! big-endian; every decode validates lengths and tags.
 
 use std::sync::Arc;

@@ -2617,9 +2617,12 @@ mod tests {
         });
         assert_eq!(ec(&fixed, Some(11)), ErrorControlAlg::None);
         assert_eq!(ec(&fixed, Some(10)), fixed.error_control);
-        let sliding = with(FlowControlAlg::SlidingWindow { window: 63 });
-        assert_eq!(ec(&sliding, Some(129)), ErrorControlAlg::None);
-        assert_eq!(ec(&sliding, Some(128)), sliding.error_control);
+        let wide = with(FlowControlAlg::CreditBased {
+            initial_credits: 63,
+            dynamic: false,
+        });
+        assert_eq!(ec(&wide, Some(129)), ErrorControlAlg::None);
+        assert_eq!(ec(&wide, Some(128)), wide.error_control);
         // No window bounds what waits unread.
         for unbounded in [
             FlowControlAlg::None,
@@ -2976,7 +2979,10 @@ mod tests {
                     dynamic,
                 }
             }),
-            (1u32..=8).prop_map(|window| FlowControlAlg::SlidingWindow { window }),
+            (1u32..=8).prop_map(|initial_credits| FlowControlAlg::CreditBased {
+                initial_credits,
+                dynamic: false,
+            }),
         ]
     }
 

@@ -19,7 +19,7 @@
 //! Buffers come in two kinds. A frame — or a body or a message no longer
 //! than one — takes an ordinary buffer, of the pool's buffer size
 //! ([`BufPool::get`]); a longer message's body or reassembly takes a large
-//! one ([`BufPool::get_for`]), and large ones are kept apart, so a frame
+//! one (`BufPool::get_for`), and large ones are kept apart, so a frame
 //! never holds 64 KiB. The pools of the process's nodes ([`BufPool::new`])
 //! share one list of large buffers, as the heap would: the body one node
 //! let go of is the next long message of another, and a node gone idle
@@ -30,7 +30,7 @@
 //! header — or the pool's own buffer size, if that is larger, and its free
 //! list has room; else it is discarded. A reassembled message grows a
 //! frame's payload at a time, by doubling, but stops at that bound
-//! ([`PooledBuf::extend_retained`]). So a message of up to 64 KiB comes
+//! (`PooledBuf::extend_retained`). So a message of up to 64 KiB comes
 //! back to the pool, and the next one reuses its buffer: nothing on the
 //! steady-state path allocates.
 //!

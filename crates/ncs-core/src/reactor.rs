@@ -65,7 +65,7 @@
 //! **Claims.** A task is run by its shard, or by a thread that waits on
 //! its work: a thread blocked on a receive of a connection claims the
 //! connection's task while it is idle
-//! ([`TaskHandle::claim`]) and runs it
+//! (`TaskHandle::claim`) and runs it
 //! itself, so a frame for that thread crosses no other one (§4.2's thread
 //! bypass). A wake-handle's states say who runs the task: idle,
 //! scheduled or running on the shard (dirty when woken meanwhile), or

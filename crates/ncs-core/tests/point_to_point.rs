@@ -112,7 +112,10 @@ fn every_fc_ec_combination_delivers() {
             initial_credits: 2,
             dynamic: true,
         },
-        FlowControlAlg::SlidingWindow { window: 4 },
+        FlowControlAlg::CreditBased {
+            initial_credits: 4,
+            dynamic: false,
+        },
         FlowControlAlg::RateBased {
             packets_per_sec: 20_000,
             burst: 8,
@@ -219,7 +222,10 @@ fn go_back_n_recovers_from_ring_overruns() {
     let (a, b) = linked_nodes(4);
     let config = ConnectionConfig::builder()
         .sdu_size(1024)
-        .flow_control(FlowControlAlg::SlidingWindow { window: 3 })
+        .flow_control(FlowControlAlg::CreditBased {
+            initial_credits: 3,
+            dynamic: false,
+        })
         .error_control(ErrorControlAlg::GoBackN {
             window: 3,
             timeout: Duration::from_millis(100),

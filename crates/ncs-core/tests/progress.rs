@@ -14,7 +14,7 @@
 //! somebody still waits for: after a burst of acknowledged traffic,
 //! silence costs nothing.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -554,10 +554,10 @@ fn silence_after_round_trips_is_free(pair: Pair, pkg: &Pkg) {
 }
 
 /// Shutting a node down waits for no acknowledgement of what it sent —
-/// and nothing waits as if one could come. Here the
-/// data frame cannot even arrive: the fabric's clock stops once the
-/// connection is up. The message in flight fails `Closed` and the node is
-/// down at once, not a close linger (250 ms) later.
+/// and nothing waits as if one could come. Here the data frame cannot
+/// even arrive: the link is cut once the connection is up. The message in
+/// flight fails `Closed` and the node is down at once, not a close linger
+/// (250 ms) later.
 #[test]
 fn a_node_shut_down_with_unacknowledged_data_does_not_linger() {
     on_both_packages(|pkg| {
@@ -569,26 +569,13 @@ fn a_node_shut_down_with_unacknowledged_data_does_not_linger() {
         let b = NcsNode::builder("bob")
             .thread_package(Arc::clone(pkg))
             .build();
-        a.attach_peer("bob", la);
+        a.attach_peer("bob", Arc::clone(&la) as _);
         b.attach_peer("alice", lb);
-        // Virtual time runs while the connection is set up...
-        let connected = Arc::new(AtomicBool::new(false));
-        let pump = {
-            let (net, connected, pkg) = (Arc::clone(&net), Arc::clone(&connected), Arc::clone(pkg));
-            pkg.clone().spawn_typed("pump", move || {
-                while !connected.load(Ordering::Acquire) {
-                    net.step();
-                    pkg.sleep(Duration::from_micros(200));
-                }
-            })
-        };
         let tx = a
             .connect("bob", ConnectionConfig::reliable())
             .expect("connect");
         let _rx = b.accept_default().expect("accept");
-        connected.store(true, Ordering::Release);
-        pump.join().expect("pump");
-        // ...and stands still from here on.
+        la.set_outbound_up(false);
         let req = tx.isend(b"never acknowledged").expect("isend");
         let start = Instant::now();
         a.shutdown();

@@ -17,7 +17,10 @@ fn arb_flow_control() -> impl Strategy<Value = FlowControlAlg> {
             initial_credits: c,
             dynamic: d,
         }),
-        (1u32..64).prop_map(|w| FlowControlAlg::SlidingWindow { window: w }),
+        (1u32..64).prop_map(|w| FlowControlAlg::CreditBased {
+            initial_credits: w,
+            dynamic: false,
+        }),
         (1u32..100_000, 1u32..64).prop_map(|(r, b)| FlowControlAlg::RateBased {
             packets_per_sec: r,
             burst: b,

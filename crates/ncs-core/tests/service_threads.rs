@@ -5,8 +5,8 @@
 //! its own message's send pipeline, on its own thread); the paper's
 //! Master, Control Send and Control Receive threads are gone, the
 //! per-peer acceptors that outlived them are too, and a node has no
-//! service thread at all. Nor does a modelled wire: a PIPE pair and an ATM
-//! fabric move when touched. This file holds ONE test on purpose: it
+//! service thread at all. Nor does a modelled wire: a PIPE pair, a SIM
+//! fabric and an ATM fabric move when touched. This file holds ONE test on purpose: it
 //! counts the threads of the *process*, and a sibling test's nodes would
 //! be counted with them.
 
@@ -15,12 +15,13 @@
 use std::time::{Duration, Instant};
 
 use atm_sim::{LinkSpec, NetworkBuilder, PumpConfig, QosParams};
-use ncs_core::link::{AciLink, HpiLinkPair, PeerLink, PipeLinkPair};
+use ncs_core::link::{AciLink, HpiLinkPair, PeerLink, PipeLinkPair, SimLinkPair};
 use ncs_core::packet::Hello;
 use ncs_core::{AcceptError, ConnectionConfig, NcsNode, Reactor, SendError};
 use ncs_threads::KernelPackage;
 use ncs_transport::aci::AciFabric;
 use ncs_transport::pipe::PipeConfig;
+use ncs_transport::sim::{LinkPolicy, SimNet};
 
 /// The `comm` of every thread of this process.
 fn thread_names() -> Vec<String> {
@@ -145,7 +146,8 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
 
     // -- Nor does a modelled wire, with time in it: a PIPE pair with a
     // drain rate and a latency (its channels started two drain threads
-    // each), and an ATM fabric (which started a pump thread).
+    // each), SIM LAN links (which moved only under a pump thread) and an
+    // ATM fabric (which started a pump thread).
     let wire = PipeConfig {
         buffer_bytes: 64 * 1024,
         drain_bytes_per_sec: Some(16_875_000),
@@ -154,6 +156,8 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
     };
     let (pa, pb) = PipeLinkPair::create(wire, None, None);
     let piped = moving_traffic(["pia", "pib"], (pa, pb));
+    let (sa, sb) = SimLinkPair::create(&SimNet::new(7), LinkPolicy::lan(), LinkPolicy::lan());
+    let simulated = moving_traffic(["sia", "sib"], (sa, sb));
     let net = NetworkBuilder::new()
         .host("ada")
         .host("abe")
@@ -173,9 +177,13 @@ fn a_node_owns_no_service_thread_and_shuts_down_on_a_wake() {
     let beside = threads_beside_the_reactors(&before);
     assert!(
         beside.is_empty(),
-        "threads beside the reactors' with HPI, PIPE and ATM traffic: {beside:?}"
+        "threads beside the reactors' with HPI, PIPE, SIM and ATM traffic: {beside:?}"
     );
-    piped.iter().chain(&atm).for_each(NcsNode::shutdown);
+    piped
+        .iter()
+        .chain(&simulated)
+        .chain(&atm)
+        .for_each(NcsNode::shutdown);
 
     // -- Shutdown is a wake, not a wait for poll ticks: an idle, connected
     // node is down well inside one old 100 ms tick.

@@ -169,11 +169,6 @@ impl FlightRecorder {
         self.0.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether the recorder is currently recording.
-    pub fn is_enabled(&self) -> bool {
-        self.0.enabled.load(Ordering::Relaxed)
-    }
-
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.0.slots.len()

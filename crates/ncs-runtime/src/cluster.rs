@@ -34,7 +34,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncs_collectives::{CollectiveConfig, CollectiveError, CollectiveGroup, ViewAbortHandle};
+use ncs_collectives::{CollectiveError, CollectiveGroup, ViewAbortHandle};
 use ncs_core::link::SciLink;
 use ncs_core::{AcceptError, ConnectError, ConnectionConfig, NcsConnection, NcsNode, SendError};
 use ncs_transport::sci::SciListener;
@@ -510,13 +510,13 @@ impl ClusterNode {
     }
 
     /// Builds the collectives engine over the world links with the
-    /// default [`CollectiveConfig`].
+    /// default [`CollectiveConfig`](ncs_collectives::CollectiveConfig).
     ///
-    /// The group's pump threads take ownership of the links' delivery
-    /// queues: once a collective group exists, use
-    /// [`ClusterNode::open_connection`] / [`ClusterNode::accept_connection`]
-    /// for point-to-point traffic instead of the bootstrap links (and
-    /// build at most one live group over them).
+    /// The group takes over the links' delivery queues: once a collective
+    /// group exists, use [`ClusterNode::open_connection`] /
+    /// [`ClusterNode::accept_connection`] for point-to-point traffic
+    /// instead of the bootstrap links (and build at most one live group
+    /// over them).
     ///
     /// # Errors
     ///
@@ -527,25 +527,6 @@ impl ClusterNode {
             id,
             self.shared.rank as usize,
             self.world_links(),
-        )
-    }
-
-    /// [`ClusterNode::collective_group`] with explicit tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CollectiveGroup::with_config`] errors.
-    pub fn collective_group_with(
-        &self,
-        id: u32,
-        cfg: CollectiveConfig,
-    ) -> Result<CollectiveGroup, CollectiveError> {
-        CollectiveGroup::with_config(
-            &self.shared.node,
-            id,
-            self.shared.rank as usize,
-            self.world_links(),
-            cfg,
         )
     }
 

@@ -18,11 +18,10 @@
 //!   the same [`Scenario`] (same seed) produces a byte-identical event
 //!   trace and equal telemetry counters, every run.
 //! * [`SimSession`] — the third [`Session`] implementation next to
-//!   [`crate::ClusterNode`] and [`crate::LocalWorld`]: real [`NcsNode`]s,
-//!   real control/data-plane threads, meshed over the SIM interface
-//!   ([`ncs_transport::sim::SimNet`]) with every node's deadlines on one
-//!   shared [`VirtualClock`]. A pump thread advances fabric and clock in
-//!   lockstep, fast-forwarding across quiet gaps. Use it to put the *real*
+//!   [`crate::ClusterNode`] and [`crate::LocalWorld`]: real [`NcsNode`]s
+//!   on the default clock and their reactor, meshed over the SIM
+//!   interface ([`ncs_transport::sim::SimNet`]), whose wires move in wall
+//!   time when touched — no thread of its own. Use it to put the *real*
 //!   protocol stack under simulated network conditions at small scale;
 //!   use [`SimWorld`] for four-digit rank counts.
 //!
@@ -34,13 +33,12 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use atm_sim::SimTime;
 use ncs_core::link::SimLinkPair;
-use ncs_core::{Clock, NcsConnection, NcsNode, VirtualClock};
+use ncs_core::{NcsConnection, NcsNode};
 use ncs_obs::{Counter, Registry};
 use ncs_transport::sim::{mix_seed, Direction, LinkPolicy, SimNet};
 
@@ -1079,71 +1077,6 @@ impl SimWorld {
 // SimSession: the real-stack Session backend
 // ---------------------------------------------------------------------------
 
-/// The shared driver behind a [`SimSession`] world: fabric, virtual
-/// clock, and the pump thread that advances both.
-#[derive(Debug)]
-struct SimDriver {
-    net: Arc<SimNet>,
-    clock: Arc<VirtualClock>,
-    stop: AtomicBool,
-    pump: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl SimDriver {
-    /// Pump policy: when frames are in flight, fast-forward virtual time
-    /// to the earliest arrival and deliver; when idle, let virtual time
-    /// track real time so virtual-time deadlines (op timeouts, link-down
-    /// grace) still fire for stuck worlds.
-    const IDLE_QUANTUM: Duration = Duration::from_micros(200);
-
-    fn start(net: Arc<SimNet>, clock: Arc<VirtualClock>) -> Arc<Self> {
-        let driver = Arc::new(SimDriver {
-            net,
-            clock,
-            stop: AtomicBool::new(false),
-            pump: parking_lot::Mutex::new(None),
-        });
-        let d = Arc::clone(&driver);
-        let handle = std::thread::Builder::new()
-            .name("sim-pump".into())
-            .spawn(move || d.pump_loop())
-            .expect("spawn sim pump");
-        *driver.pump.lock() = Some(handle);
-        driver
-    }
-
-    fn pump_loop(&self) {
-        while !self.stop.load(Ordering::Acquire) {
-            match self.net.next_due() {
-                Some(due) => {
-                    self.net.advance_to(due);
-                    self.clock.advance_to(due.as_duration());
-                }
-                None => {
-                    let target = self.clock.now() + Self::IDLE_QUANTUM;
-                    self.clock.advance_to(target);
-                    self.net
-                        .advance_to(SimTime::from_nanos(target.as_nanos() as u64));
-                    std::thread::sleep(Self::IDLE_QUANTUM);
-                }
-            }
-        }
-    }
-
-    fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SimDriver {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Builds simulated in-process worlds (the [`Session`] factory for the
 /// SIM interface), and hosts the discrete-event engine for four-digit
 /// rank counts — see the module docs for which half fits which scale.
@@ -1170,8 +1103,7 @@ impl SimWorldBuilder {
         self
     }
 
-    /// Meshes `ranks` real NCS nodes over the SIM interface on one shared
-    /// [`VirtualClock`] and starts the pump. Mirrors
+    /// Meshes `ranks` real NCS nodes over the SIM interface. Mirrors
     /// [`crate::LocalWorld::create`]'s wiring: full mesh, one bootstrap
     /// connection per pair, dial-up/accept-down.
     ///
@@ -1184,9 +1116,6 @@ impl SimWorldBuilder {
             return Err(SessionError::Connect("world size must be positive".into()));
         }
         let net = SimNet::new(self.seed);
-        let clock = VirtualClock::shared();
-        // Pump first: bootstrap handshakes ride the fabric too.
-        let driver = SimDriver::start(Arc::clone(&net), Arc::clone(&clock));
         let pkg: Arc<dyn ncs_threads::ThreadPackage> = Arc::new(ncs_threads::KernelPackage::new());
         let reactor = ncs_core::Reactor::with_default_shards(pkg);
         let nodes: Vec<NcsNode> = (0..n)
@@ -1194,7 +1123,6 @@ impl SimWorldBuilder {
                 NcsNode::builder(&rank_name(r))
                     .rank(r)
                     .reactor(Arc::clone(&reactor))
-                    .clock(clock.clone() as Arc<dyn ncs_core::Clock>)
                     .build()
             })
             .collect();
@@ -1212,7 +1140,7 @@ impl SimWorldBuilder {
             .map(|(local, peers)| SimSession {
                 local,
                 peers,
-                driver: Arc::clone(&driver),
+                net: Arc::clone(&net),
             })
             .collect())
     }
@@ -1220,13 +1148,13 @@ impl SimWorldBuilder {
 
 /// One member of a simulated world: the third [`Session`] backend — a
 /// [`LocalSession`] whose links ride the simulated fabric, plus the chaos
-/// handles. Real node, real reactor tasks — only the network (and the
-/// clock its deadlines read) is simulated.
+/// handles. Real node, real reactor tasks, real clock — only the network
+/// is simulated.
 #[derive(Debug)]
 pub struct SimSession {
     local: LocalSession,
     peers: HashMap<u32, Arc<ncs_core::link::SimLink>>,
-    driver: Arc<SimDriver>,
+    net: Arc<SimNet>,
 }
 
 impl SimSession {
@@ -1235,25 +1163,10 @@ impl SimSession {
         self.local.connection(rank)
     }
 
-    /// Current virtual time of the world.
-    pub fn virtual_now(&self) -> Duration {
-        self.driver.clock.now()
-    }
-
-    /// The world's shared [`VirtualClock`]. Advancing it fast-forwards
-    /// every deadline in the world — hand it to a
-    /// [`crate::MembershipHub`] and jump past `dead_after` to drive a
-    /// failure-detection timeline deterministically (the pump thread
-    /// only ever moves the clock forward, so explicit jumps compose with
-    /// it).
-    pub fn clock(&self) -> Arc<VirtualClock> {
-        Arc::clone(&self.driver.clock)
-    }
-
     /// The fabric this world rides (delivery/drop counters, manual
     /// chaos).
     pub fn net(&self) -> &Arc<SimNet> {
-        &self.driver.net
+        &self.net
     }
 
     /// Raises or cuts this member's outbound traffic towards `peer` on

@@ -1,8 +1,8 @@
 //! Deterministic kill-and-heal over the `SimSession` backend: the real
 //! protocol stack (nodes, collectives engine, SIM fabric) joined with a
-//! [`MembershipHub`] failure detector driven on the world's shared
-//! [`VirtualClock`]. Because every membership transition is an explicit
-//! call and detector time is virtual, the *entire* view sequence and
+//! [`MembershipHub`] failure detector driven on a [`VirtualClock`] of its
+//! own. Because every membership transition is an explicit call and
+//! detector time is virtual, the *entire* view sequence and
 //! every collective result replay identically run after run — the
 //! determinism check the elastic-membership acceptance demands.
 //!
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ncs_collectives::{CollectiveError, ReduceOp, ViewAbortHandle};
-use ncs_core::Clock;
+use ncs_core::{Clock, VirtualClock};
 use ncs_runtime::{MembershipConfig, MembershipHub, Session, SimWorldBuilder, View};
 
 type Log = Arc<parking_lot::Mutex<Vec<String>>>;
@@ -44,7 +44,7 @@ fn run_once(seed: u64) -> (Vec<String>, Vec<String>) {
     let sessions = SimWorldBuilder::new(world, seed)
         .build()
         .expect("sim world");
-    let clock = sessions[0].clock();
+    let clock = VirtualClock::shared();
     let hub = MembershipHub::new(world, cfg.clone(), Arc::clone(&clock) as Arc<dyn Clock>);
 
     let views: Log = Log::default();

@@ -157,7 +157,9 @@ fn ten_thousand_rank_broadcast_is_tractable() {
 }
 
 /// `SimSession` is a real `Session`: real nodes, real collectives
-/// engine, SIM fabric, virtual-clock deadlines.
+/// engine, SIM fabric. The fabric keeps no thread: while the world runs,
+/// the process holds no thread of its making beside the reactor's shards
+/// and the four ranks.
 #[test]
 fn sim_session_runs_real_collectives_over_the_sim_fabric() {
     let sessions = SimWorldBuilder::new(4, 77)
@@ -165,25 +167,67 @@ fn sim_session_runs_real_collectives_over_the_sim_fabric() {
         .build()
         .expect("build sim world");
     assert_eq!(sessions.len(), 4);
+    let me = std::fs::read_to_string("/proc/thread-self/comm").ok();
     let handles: Vec<_> = sessions
         .into_iter()
         .map(|s| {
-            std::thread::spawn(move || {
+            let me = me.clone();
+            let name = format!("sim-rank-{}", s.rank());
+            let rank = move || {
                 assert_eq!(s.world_size(), 4);
                 let group = s.collective_group(9).expect("group");
                 let sum = group
                     .allreduce(vec![f64::from(s.rank())], ReduceOp::Sum)
                     .expect("allreduce");
                 group.barrier().expect("barrier");
-                assert!(s.virtual_now() > Duration::ZERO);
+                if let (0, Some(me)) = (s.rank(), me) {
+                    let beside = threads_of_this_world(me.trim_end());
+                    assert!(beside.is_empty(), "threads beside the shards: {beside:?}");
+                }
+                assert!(s.net().delivered() > 0);
+                group.barrier().expect("barrier");
                 s.shutdown();
                 sum[0]
-            })
+            };
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(rank)
+                .expect("spawn")
         })
         .collect();
     for h in handles {
         assert_eq!(h.join().expect("rank thread"), 6.0);
     }
+}
+
+/// The threads of this process, by name, that a world built on the test
+/// thread named `me` started beside its reactor's shards and its four
+/// `sim-rank-*` threads. A thread takes its starter's name unless it is
+/// given one, so a thread that test or those ranks started shows as a
+/// second `me` or a fifth rank; the test harness's threads (the main
+/// thread, and those named after the tests of this file) are left out.
+fn threads_of_this_world(me: &str) -> Vec<String> {
+    let main = std::process::id().to_string();
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|t| t.ok().filter(|t| t.file_name() != *main))
+        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_owned())
+        .filter(|name| !name.starts_with("ncs-reactor-"))
+        .collect();
+    let rank = |n: &str| n.starts_with("sim-rank-");
+    let harness = |n: &str| include_str!("sim_world.rs").contains(&format!("fn {n}"));
+    let mut beside: Vec<String> = names
+        .iter()
+        .filter(|n| *n != me && !rank(n) && !harness(n))
+        .cloned()
+        .collect();
+    let mine = names.iter().filter(|n| *n == me).count();
+    let ranks = names.iter().filter(|n| rank(n)).count();
+    if (mine, ranks) != (1, 4) {
+        beside.push(format!("{mine} named {me} and {ranks} sim-rank-*"));
+    }
+    beside
 }
 
 /// Point-to-point over `SimSession`: connect/accept beyond the bootstrap

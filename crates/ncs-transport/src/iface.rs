@@ -3,7 +3,7 @@
 //!
 //! # Modelled wires
 //!
-//! PIPE and ACI model a wire in time, and own no thread to move it: a
+//! PIPE, SIM and ACI model a wire in time, and own no thread to move it: a
 //! wire is a function of time that whoever touches it — a send, a
 //! receive, a readiness check ([`Connection::due`]), a connect, an accept
 //! — brings up to now. The invariant that keeps this live: **no thread in
@@ -14,8 +14,10 @@
 //! takes that deadline from `due` (an event loop folds it into its timer,
 //! a blocking receive into its wait), and a waker endpoint rings its waker
 //! when something is put in flight toward it, so a waiter that held no
-//! deadline takes one.
+//! deadline takes one. PIPE and SIM keep each direction's frames in one
+//! [`Schedule`], fixed at the send.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -265,6 +267,71 @@ impl Inbox {
     }
 }
 
+/// A frame in flight on a modelled wire: when it leaves the sender's
+/// buffer (PIPE's drain; a SIM frame leaves at its send), and when it
+/// arrives.
+#[derive(Debug)]
+pub(crate) struct Flight {
+    pub(crate) departs: Instant,
+    pub(crate) arrives: Instant,
+    pub(crate) frame: Vec<u8>,
+}
+
+/// One direction of a modelled wire (PIPE, SIM): the frames in flight, in
+/// arrival order, and the end of the stream behind the last of them, all
+/// delivered into the receiver's [`Inbox`] whenever someone brings the
+/// direction up to now.
+#[derive(Debug, Default)]
+pub(crate) struct Schedule {
+    /// Frames sent and not yet delivered, in arrival order.
+    pub(crate) flight: VecDeque<Flight>,
+    /// Either end closed: the direction takes no more frames.
+    pub(crate) closed: bool,
+    /// When the end of the stream arrives; `None` again once it has.
+    end: Option<Instant>,
+}
+
+impl Schedule {
+    /// Brings the direction up to `now`: the frames that arrived — behind
+    /// them the end of the stream — are delivered into `inbox`. Returns
+    /// when the next one arrives.
+    pub(crate) fn advance(&mut self, inbox: &Inbox, now: Instant) -> Option<Instant> {
+        while let Some(f) = self.flight.pop_front_if(|f| f.arrives <= now) {
+            inbox.queue.send(f.frame);
+        }
+        if self.flight.is_empty() && self.end.is_some_and(|at| at <= now) {
+            self.end = None;
+            inbox.end();
+        }
+        self.flight.front().map(|f| f.arrives).or(self.end)
+    }
+
+    /// Puts `flight` in flight behind every frame that arrives no later,
+    /// and brings the direction up to `now`: a frame already due is
+    /// delivered at once, and one that is now the next to arrive rings the
+    /// receiver, whose wait then ends at its arrival.
+    pub(crate) fn put(&mut self, inbox: &Inbox, flight: Flight, now: Instant) {
+        let at = self.flight.partition_point(|f| f.arrives <= flight.arrives);
+        self.flight.insert(at, flight);
+        if self.advance(inbox, now).is_some() && at == 0 {
+            inbox.ring();
+        }
+    }
+
+    /// Takes no more frames and puts the end of the stream in flight
+    /// behind the last frame. Returns whether this closed the direction.
+    pub(crate) fn close(&mut self, inbox: &Inbox, now: Instant) -> bool {
+        if std::mem::replace(&mut self.closed, true) {
+            return false;
+        }
+        self.end = Some(self.flight.back().map_or(now, |f| f.arrives.max(now)));
+        if self.advance(inbox, now).is_some() {
+            inbox.ring();
+        }
+        true
+    }
+}
+
 /// A frame-oriented, bidirectional transport endpoint.
 ///
 /// Implementations differ in reliability and cost (see [`Capabilities`]);
@@ -439,7 +506,7 @@ pub trait Connection: Send + Sync + std::fmt::Debug {
     /// modelled wire falls due, while something is in flight toward it —
     /// the deadline a waiter on it holds (see the module docs). Touching
     /// the wire, it brings it up to now first. The default, for wires that
-    /// move without help (HPI, SCI, SIM), is `None`.
+    /// move without help (HPI, SCI), is `None`.
     fn due(&self) -> Option<Instant> {
         None
     }

@@ -18,7 +18,6 @@
 //! now (the `iface` module's "Modelled wires"). A frame put in flight rings
 //! the receiver's waker, and [`Connection::due`] says when it arrives.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,7 +25,9 @@ use ncs_threads::sync::Mailbox;
 use netmodel::{Pacer, PlatformProfile};
 use parking_lot::{Condvar, Mutex};
 
-use crate::iface::{send_each, Capabilities, Connection, Inbox, Readiness, TransportError, Waker};
+use crate::iface::{
+    send_each, Capabilities, Connection, Flight, Inbox, Readiness, Schedule, TransportError, Waker,
+};
 
 /// Largest frame the pipe accepts.
 pub const MAX_FRAME: usize = 1024 * 1024;
@@ -65,27 +66,6 @@ pub struct EndpointModel {
     pub pacer: Arc<Pacer>,
 }
 
-/// A frame in flight: when it leaves the sender's buffer, and when it
-/// arrives.
-#[derive(Debug)]
-struct Flight {
-    departs: Instant,
-    arrives: Instant,
-    frame: Vec<u8>,
-}
-
-/// One direction's schedule.
-#[derive(Debug, Default)]
-struct Schedule {
-    /// Frames sent and not yet delivered, oldest first.
-    flight: VecDeque<Flight>,
-    /// Either end closed: the direction takes no more frames.
-    closed: bool,
-    /// When the end of the stream arrives, behind the last frame; `None`
-    /// again once it has.
-    end: Option<Instant>,
-}
-
 /// One direction of the pipe.
 #[derive(Debug)]
 struct PipeDir {
@@ -117,22 +97,10 @@ impl PipeDir {
         model.mul_f64(self.config.time_scale)
     }
 
-    /// Brings the direction up to `now`: the frames that arrived — behind
-    /// them the end of the stream — are delivered. Returns when the next
-    /// one arrives.
-    fn advance(&self, s: &mut Schedule, now: Instant) -> Option<Instant> {
-        while let Some(f) = s.flight.pop_front_if(|f| f.arrives <= now) {
-            self.delivered.queue.send(f.frame);
-        }
-        if s.flight.is_empty() && s.end.is_some_and(|at| at <= now) {
-            s.end = None;
-            self.delivered.end();
-        }
-        s.flight.front().map(|f| f.arrives).or(s.end)
-    }
-
     fn advance_now(&self) -> Option<Instant> {
-        self.advance(&mut self.schedule.lock(), Instant::now())
+        self.schedule
+            .lock()
+            .advance(&self.delivered, Instant::now())
     }
 
     /// When a write of `len` bytes at `now` may look for room again:
@@ -152,14 +120,8 @@ impl PipeDir {
     /// end of the stream in flight behind the last frame. Whichever end
     /// closes first.
     fn close(&self) {
-        let mut s = self.schedule.lock();
-        if !std::mem::replace(&mut s.closed, true) {
-            let now = Instant::now();
-            s.end = Some(s.flight.back().map_or(now, |f| f.arrives.max(now)));
+        if self.schedule.lock().close(&self.delivered, Instant::now()) {
             self.room.notify_all();
-            if self.advance(&mut s, now).is_some() {
-                self.delivered.ring();
-            }
         }
     }
 }
@@ -216,7 +178,7 @@ impl PipeConnection {
             if s.closed {
                 return Err(TransportError::Closed);
             }
-            dir.advance(&mut s, now);
+            s.advance(&dir.delivered, now);
             if !first && (len > dir.config.buffer_bytes || dir.room_at(&s, now, len).is_some()) {
                 return Ok(false);
             }
@@ -235,7 +197,7 @@ impl PipeConnection {
             if s.closed {
                 return Err(TransportError::Closed);
             }
-            dir.advance(&mut s, now);
+            s.advance(&dir.delivered, now);
             let Some(departs) = dir.room_at(&s, now, len) else {
                 break now;
             };
@@ -243,16 +205,12 @@ impl PipeConnection {
         };
         let departs = s.flight.back().map_or(now, |f| f.departs.max(now)) + dir.drain_time(len);
         let arrives = departs + dir.config.latency.mul_f64(dir.config.time_scale);
-        s.flight.push_back(Flight {
+        let flight = Flight {
             departs,
             arrives,
             frame,
-        });
-        // A frame that arrives at once is delivered now; the first one in
-        // flight rings the receiver, whose wait then ends at its arrival.
-        if dir.advance(&mut s, now).is_some() && s.flight.len() == 1 {
-            dir.delivered.ring();
-        }
+        };
+        s.put(&dir.delivered, flight, now);
         drop(s);
         // Partial-write model: a frame larger than the kernel buffer keeps
         // `write` blocked while the excess drains onto the wire (the writer

@@ -1,30 +1,33 @@
 //! SIM — the simulated network interface.
 //!
-//! A [`SimNet`] is an in-process network fabric under **virtual time**:
-//! frames sent through a [`SimConnection`] do not appear at the peer until
-//! a driver advances the fabric clock past their computed arrival time.
-//! Arrival times come from a per-direction [`LinkPolicy`] — propagation
-//! latency, seeded jitter, serialisation at a configured bandwidth (frames
-//! queue behind one another exactly as on a real wire), probabilistic loss
-//! (the [`atm_sim::FaultSpec`] machinery) and probabilistic reordering.
+//! A [`SimNet`] is an in-process network fabric whose links are shaped by
+//! a per-direction [`LinkPolicy`] — propagation latency, seeded jitter,
+//! serialisation at a configured bandwidth (frames queue behind one
+//! another exactly as on a real wire), probabilistic loss (the
+//! [`atm_sim::FaultSpec`] machinery) and probabilistic reordering. A
+//! direction's [`Direction`] draws each frame's fate at the fabric's time
+//! (the wall time since [`SimNet::new`]), and the frame waits in the
+//! direction's schedule for its arrival. Like PIPE, SIM owns no thread: a
+//! direction is brought up to now by whoever touches it (the `iface`
+//! module's "Modelled wires"), a frame put in flight rings the receiver,
+//! and [`Connection::due`] says when the next one arrives.
 //!
 //! The fabric is the simulation backend's data plane: `ncs-runtime`'s
-//! `SimSession` meshes ordinary NCS nodes over SIM channels and runs a
-//! pump thread that advances the fabric and the nodes' shared
-//! `VirtualClock` in lockstep. Chaos scenarios drive the same knobs
-//! mid-flight: [`SimNet::set_link_up`] black-holes a direction (partition,
-//! flapping peer), [`SimNet::set_policy`] degrades it (slow link).
+//! `SimSession` meshes ordinary NCS nodes over SIM channels. Chaos drives
+//! the same knobs mid-flight through a direction's [`Outbound`] handle:
+//! [`Outbound::set_up`] black-holes it (partition, flapping peer),
+//! [`Outbound::set_policy`] degrades it (slow link).
 //!
-//! Everything random is seeded. Two fabrics built with the same seed and
-//! the same sequence of sends observe frame for frame the same drops,
-//! jitter draws and arrival order — the determinism contract that makes
-//! chaos scenarios reproducible from a CI seed.
+//! Everything random is seeded. A direction's draws are a function of its
+//! seed and of the frames sent through it: two fabrics built with the same
+//! seed, whose directions see the same sends, draw the same drops and
+//! jitter, and each direction keeps the same order of its frames — the
+//! determinism `ncs-runtime`'s `SimWorld` builds on, with [`Direction`]
+//! under its own virtual clock.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use atm_sim::SimTime;
 use ncs_threads::sync::Mailbox;
@@ -32,7 +35,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::iface::{send_each, Capabilities, Connection, Inbox, Readiness, TransportError, Waker};
+use crate::iface::{
+    send_each, Capabilities, Connection, Flight, Inbox, Readiness, Schedule, TransportError, Waker,
+};
 
 /// Largest frame SIM accepts (matches HPI: an NCS packet with a 64 KB SDU).
 pub const MAX_FRAME: usize = 128 * 1024;
@@ -107,59 +112,16 @@ impl LinkPolicy {
         self
     }
 
-    /// This policy with reorder probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn with_reorder(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        self.reorder = p;
-        self
-    }
-
     /// Whether this policy can randomise anything (needs an RNG draw).
     fn is_random(&self) -> bool {
         self.loss > 0.0 || self.reorder > 0.0 || self.jitter > Duration::ZERO
     }
 }
 
-/// Identifies one [`SimNet`] link (a [`SimNet::pair`] call). Direction 0 is
-/// first-endpoint → second, direction 1 the reverse.
-pub type LinkId = u64;
-
-/// A frame in flight: ordered by `(due, seq)` so ties break in send order —
-/// the heap pop order is a pure function of the send sequence and the
-/// seeded draws.
-#[derive(Debug, PartialEq, Eq)]
-struct InFlight {
-    due: SimTime,
-    seq: u64,
-    link: LinkId,
-    dir: usize,
-    frame: Vec<u8>,
-    /// A close marker: delivery shuts the destination inbox instead of
-    /// handing over a frame. Rides the wire like data so it arrives
-    /// *after* everything sent before it (FIN after data, never before).
-    close: bool,
-}
-
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// The fate of the frames sent one way along a link: its policy, whether
 /// it is up, and the seeded draws and wire horizon that decide when each
-/// frame arrives, if at all. [`SimNet`] keeps one per link direction; the
-/// `ncs-runtime` `SimWorld` engine keeps one per directed rank pair.
+/// frame arrives, if at all. A [`SimNet`] pair keeps one per direction;
+/// the `ncs-runtime` `SimWorld` engine keeps one per directed rank pair.
 #[derive(Debug)]
 pub struct Direction {
     /// Shaping and fault model (replaceable mid-flight: the RNG keeps its
@@ -233,42 +195,6 @@ impl Direction {
         self.last_due = due.max(self.last_due);
         Some(self.last_due)
     }
-
-    /// The arrival time of a close marker sent at `now`: after every frame
-    /// sent before it, whatever the loss policy or the direction's state.
-    fn close_due(&mut self, now: SimTime) -> SimTime {
-        self.last_due = (self.busy_until.max(now) + self.policy.latency).max(self.last_due);
-        self.last_due
-    }
-}
-
-/// One direction of one link: its fate and the receive queue of the
-/// destination endpoint.
-#[derive(Debug)]
-struct DirState {
-    wire: Direction,
-    /// Destination endpoint's receive queue (shared with the endpoint).
-    inbox: Arc<Inbox>,
-}
-
-#[derive(Debug)]
-struct NetInner {
-    now: SimTime,
-    next_seq: u64,
-    next_link: LinkId,
-    queue: BinaryHeap<Reverse<InFlight>>,
-    /// `links[id] = [a→b state, b→a state]`.
-    links: HashMap<LinkId, [DirState; 2]>,
-}
-
-/// The simulated fabric: a virtual-time event queue shared by every
-/// [`SimConnection`] pair created through it.
-#[derive(Debug)]
-pub struct SimNet {
-    seed: u64,
-    inner: Mutex<NetInner>,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
 }
 
 /// SplitMix64 over `(seed, stream)`: derives one direction's RNG seed, so
@@ -280,18 +206,26 @@ pub fn mix_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The simulated fabric: the seed its directions draw from, the clock
+/// their fates are drawn on, and what it delivered and dropped.
+#[derive(Debug)]
+pub struct SimNet {
+    seed: u64,
+    /// The fabric's time zero.
+    epoch: Instant,
+    /// Pairs made so far: the next pair's place in the seed stream.
+    pairs: AtomicU64,
+    delivered: AtomicU64,
+    dropped: AtomicU64,
+}
+
 impl SimNet {
     /// A fabric whose randomness derives from `seed`.
     pub fn new(seed: u64) -> Arc<Self> {
         Arc::new(SimNet {
             seed,
-            inner: Mutex::new(NetInner {
-                now: SimTime::ZERO,
-                next_seq: 0,
-                next_link: 0,
-                queue: BinaryHeap::new(),
-                links: HashMap::new(),
-            }),
+            epoch: Instant::now(),
+            pairs: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         })
@@ -299,115 +233,40 @@ impl SimNet {
 
     /// Creates a connected endpoint pair with per-direction policies
     /// (`policy_ab` shapes frames from the first returned endpoint to the
-    /// second). The pair's [`LinkId`] addresses later chaos calls.
+    /// second).
     pub fn pair(
         self: &Arc<Self>,
         policy_ab: LinkPolicy,
         policy_ba: LinkPolicy,
     ) -> (SimConnection, SimConnection) {
-        let a_inbox = Arc::new(Inbox::new(Mailbox::unbounded()));
-        let b_inbox = Arc::new(Inbox::new(Mailbox::unbounded()));
-        let mut inner = self.inner.lock();
-        let link = inner.next_link;
-        inner.next_link += 1;
-        let dir = |d: u64, policy, inbox| DirState {
-            wire: Direction::new(policy, mix_seed(self.seed, link << 1 | d)),
-            inbox,
+        let link = self.pairs.fetch_add(1, Ordering::Relaxed);
+        let dir = |d: u64, policy| {
+            Arc::new(SimDir {
+                net: Arc::clone(self),
+                wire: Mutex::new(Wire {
+                    schedule: Schedule::default(),
+                    fate: Direction::new(policy, mix_seed(self.seed, link << 1 | d)),
+                }),
+                inbox: Inbox::new(Mailbox::unbounded()),
+            })
         };
-        let dirs = [
-            dir(0, policy_ab, Arc::clone(&b_inbox)),
-            dir(1, policy_ba, Arc::clone(&a_inbox)),
-        ];
-        inner.links.insert(link, dirs);
-        drop(inner);
+        let (ab, ba) = (dir(0, policy_ab), dir(1, policy_ba));
+        let label = |d| format!("sim-link-{link}-dir-{d}");
         (
             SimConnection {
-                net: Arc::clone(self),
-                link,
-                dir_out: 0,
-                rx: Arc::clone(&a_inbox),
-                tx: Arc::clone(&b_inbox),
+                tx: Arc::clone(&ab),
+                rx: Arc::clone(&ba),
+                label: label(0),
             },
             SimConnection {
-                net: Arc::clone(self),
-                link,
-                dir_out: 1,
-                rx: b_inbox,
-                tx: a_inbox,
+                tx: ba,
+                rx: ab,
+                label: label(1),
             },
         )
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.inner.lock().now
-    }
-
-    /// Arrival time of the earliest in-flight frame, if any.
-    pub fn next_due(&self) -> Option<SimTime> {
-        self.inner.lock().queue.peek().map(|Reverse(f)| f.due)
-    }
-
-    /// Advances virtual time to `t` (monotonic: earlier targets are a
-    /// no-op), delivering every frame due on the way, in `(due, seq)`
-    /// order. Returns the number of frames delivered.
-    pub fn advance_to(&self, t: SimTime) -> usize {
-        let mut delivered = 0;
-        let mut inner = self.inner.lock();
-        if t > inner.now {
-            inner.now = t;
-        }
-        while inner
-            .queue
-            .peek()
-            .is_some_and(|Reverse(f)| f.due <= inner.now)
-        {
-            let Reverse(f) = inner.queue.pop().expect("peeked");
-            if let Some(dirs) = inner.links.get(&f.link) {
-                let inbox = &dirs[f.dir].inbox;
-                if f.close {
-                    inbox.end();
-                } else if !inbox.has_ended() {
-                    inbox.queue.send(f.frame);
-                    delivered += 1;
-                }
-            }
-        }
-        drop(inner);
-        self.delivered
-            .fetch_add(delivered as u64, Ordering::Relaxed);
-        delivered
-    }
-
-    /// Advances to the next in-flight arrival and delivers it (plus any
-    /// ties). Returns the new virtual time, or `None` if nothing is in
-    /// flight.
-    pub fn step(&self) -> Option<SimTime> {
-        let due = self.next_due()?;
-        self.advance_to(due);
-        Some(due)
-    }
-
-    /// Raises or black-holes one direction of `link`. A downed direction
-    /// silently drops every frame sent through it — the partition /
-    /// flapping-peer chaos primitive. Frames already in flight still
-    /// arrive (they left the interface before the cut).
-    pub fn set_link_up(&self, link: LinkId, dir: usize, up: bool) {
-        if let Some(dirs) = self.inner.lock().links.get_mut(&link) {
-            dirs[dir].wire.up = up;
-        }
-    }
-
-    /// Replaces the shaping policy of one direction of `link` mid-flight
-    /// (the slow-link chaos primitive). The direction's fault RNG keeps
-    /// its stream — determinism is unaffected.
-    pub fn set_policy(&self, link: LinkId, dir: usize, policy: LinkPolicy) {
-        if let Some(dirs) = self.inner.lock().links.get_mut(&link) {
-            dirs[dir].wire.policy = policy;
-        }
-    }
-
-    /// Frames delivered to endpoints so far.
+    /// Frames taken off the fabric by the endpoints they were sent to.
     pub fn delivered(&self) -> u64 {
         self.delivered.load(Ordering::Relaxed)
     }
@@ -416,84 +275,100 @@ impl SimNet {
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
+}
 
-    /// Frames currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
+/// A direction's sender side: its schedule, and the fate of its next frame.
+#[derive(Debug)]
+struct Wire {
+    schedule: Schedule,
+    fate: Direction,
+}
 
-    fn transmit(&self, link: LinkId, dir: usize, frame: &[u8]) {
-        let mut inner = self.inner.lock();
-        let now = inner.now;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let Some(dirs) = inner.links.get_mut(&link) else {
-            return;
+/// One direction of a [`SimNet`] pair.
+#[derive(Debug)]
+struct SimDir {
+    net: Arc<SimNet>,
+    wire: Mutex<Wire>,
+    /// Frames delivered to the receiver; it ends when the end of the
+    /// stream arrives, or when the receiver closes.
+    inbox: Inbox,
+}
+
+impl SimDir {
+    /// Draws the frame's fate at the fabric's time, under the direction's
+    /// lock so the draws happen in send order, and puts it in flight.
+    fn send(&self, frame: &[u8]) -> Result<(), TransportError> {
+        let mut w = self.wire.lock();
+        if w.schedule.closed {
+            return Err(TransportError::Closed);
+        }
+        let now = Instant::now();
+        let at = SimTime::from_nanos((now - self.net.epoch).as_nanos() as u64);
+        let Some(due) = w.fate.fate(at, frame.len()) else {
+            self.net.dropped.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
         };
-        // Seeded draws happen in send order under the fabric lock.
-        let Some(due) = dirs[dir].wire.fate(now, frame.len()) else {
-            drop(inner);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        inner.queue.push(Reverse(InFlight {
-            due,
-            seq,
-            link,
-            dir,
+        let flight = Flight {
+            departs: now,
+            arrives: self.net.epoch + due.as_duration(),
             frame: frame.to_vec(),
-            close: false,
-        }));
+        };
+        w.schedule.put(&self.inbox, flight, now);
+        Ok(())
     }
 
-    /// Schedules a close marker on `(link, dir)`: the destination inbox
-    /// shuts when the marker arrives, after every frame sent before it
-    /// (graceful FIFO close). Markers ignore loss and downed directions —
-    /// teardown must not wedge a world — but still pay the link latency.
-    fn transmit_close(&self, link: LinkId, dir: usize) {
-        let mut inner = self.inner.lock();
-        let now = inner.now;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let Some(dirs) = inner.links.get_mut(&link) else {
-            return;
-        };
-        let due = dirs[dir].wire.close_due(now);
-        inner.queue.push(Reverse(InFlight {
-            due,
-            seq,
-            link,
-            dir,
-            frame: Vec::new(),
-            close: true,
-        }));
+    /// Brings the direction up to now; returns when its next event is due.
+    fn advance_now(&self) -> Option<Instant> {
+        self.wire
+            .lock()
+            .schedule
+            .advance(&self.inbox, Instant::now())
+    }
+
+    fn close(&self) {
+        self.wire.lock().schedule.close(&self.inbox, Instant::now());
+    }
+
+    /// Counts a frame taken off the direction.
+    fn taken(&self, frame: Vec<u8>) -> Vec<u8> {
+        self.net.delivered.fetch_add(1, Ordering::Relaxed);
+        frame
     }
 }
 
-/// One endpoint of a [`SimNet`] link.
+/// One direction of a [`SimNet`] pair, held for chaos: it answers for the
+/// frames sent after each call.
+#[derive(Debug, Clone)]
+pub struct Outbound(Arc<SimDir>);
+
+impl Outbound {
+    /// Raises or black-holes the direction. A downed direction silently
+    /// drops every frame sent through it — the partition / flapping-peer
+    /// chaos primitive. Frames already in flight still arrive (they left
+    /// the interface before the cut).
+    pub fn set_up(&self, up: bool) {
+        self.0.wire.lock().fate.up = up;
+    }
+
+    /// Replaces the direction's shaping policy mid-flight (the slow-link
+    /// chaos primitive). Its fault RNG keeps its stream.
+    pub fn set_policy(&self, policy: LinkPolicy) {
+        self.0.wire.lock().fate.policy = policy;
+    }
+}
+
+/// One endpoint of a [`SimNet`] pair.
 #[derive(Debug)]
 pub struct SimConnection {
-    net: Arc<SimNet>,
-    link: LinkId,
-    dir_out: usize,
-    rx: Arc<Inbox>,
-    tx: Arc<Inbox>,
+    tx: Arc<SimDir>,
+    rx: Arc<SimDir>,
+    label: String,
 }
 
 impl SimConnection {
-    /// The link this endpoint belongs to (for chaos calls).
-    pub fn link(&self) -> LinkId {
-        self.link
-    }
-
-    /// This endpoint's outbound direction index on the link.
-    pub fn dir_out(&self) -> usize {
-        self.dir_out
-    }
-
-    /// The fabric this endpoint transmits through.
-    pub fn net(&self) -> &Arc<SimNet> {
-        &self.net
+    /// The direction this endpoint sends on, for chaos calls.
+    pub fn outbound(&self) -> Outbound {
+        Outbound(Arc::clone(&self.tx))
     }
 }
 
@@ -509,20 +384,22 @@ impl Connection for SimConnection {
 
     fn send_batch(&self, frames: &[&[u8]]) -> Result<usize, TransportError> {
         send_each(frames, MAX_FRAME, |frame, _| {
-            if self.rx.has_ended() || self.tx.has_ended() {
-                return Err(TransportError::Closed);
-            }
-            self.net.transmit(self.link, self.dir_out, frame);
-            Ok(true)
+            self.tx.send(frame).map(|()| true)
         })
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
-        self.rx.recv_timeout(timeout, || None)
+        let frame = self.rx.inbox.recv_timeout(timeout, || self.due())?;
+        Ok(self.rx.taken(frame))
     }
 
     fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
-        self.rx.try_recv()
+        self.rx.advance_now();
+        Ok(self.rx.inbox.try_recv()?.map(|f| self.rx.taken(f)))
+    }
+
+    fn due(&self) -> Option<Instant> {
+        self.rx.advance_now()
     }
 
     fn readiness(&self) -> Readiness {
@@ -530,20 +407,20 @@ impl Connection for SimConnection {
     }
 
     fn register_waker(&self, waker: Option<Waker>) {
-        self.rx.queue.set_notify(waker);
+        self.rx.inbox.queue.set_notify(waker);
     }
 
     fn close(&self) {
-        // Shut our own inbox at once (local sends and receives fail fast),
-        // but tell the peer through the wire: the close marker queues
-        // behind every frame already sent, so the peer drains our final
-        // frames before seeing `Closed` — never the other way round.
-        self.rx.end();
-        self.net.transmit_close(self.link, self.dir_out);
+        // Our receives end now and the peer's sends fail; the peer's
+        // stream ends when the end of the stream arrives, behind every
+        // frame we sent before.
+        self.rx.close();
+        self.rx.inbox.end();
+        self.tx.close();
     }
 
     fn peer_label(&self) -> String {
-        format!("sim-link-{}-dir-{}", self.link, self.dir_out)
+        self.label.clone()
     }
 }
 
@@ -551,160 +428,176 @@ impl Connection for SimConnection {
 mod tests {
     use super::*;
 
-    #[test]
-    fn nothing_arrives_until_time_advances() {
-        let net = SimNet::new(1);
-        let (a, b) = net.pair(LinkPolicy::lan(), LinkPolicy::lan());
-        a.send(b"hello").unwrap();
-        assert_eq!(b.try_recv(), Ok(None));
-        assert_eq!(net.in_flight(), 1);
-        net.advance_to(SimTime::from_millis(1));
-        assert_eq!(b.try_recv(), Ok(Some(b"hello".to_vec())));
+    /// The fates of `lens` sent back to back at time zero.
+    fn fates(policy: LinkPolicy, seed: u64, lens: &[usize]) -> Vec<Option<SimTime>> {
+        let mut dir = Direction::new(policy, seed);
+        lens.iter()
+            .map(|&len| dir.fate(SimTime::ZERO, len))
+            .collect()
     }
 
     #[test]
     fn latency_controls_arrival_time() {
-        let net = SimNet::new(1);
         let policy = LinkPolicy {
             latency: Duration::from_micros(100),
             ..LinkPolicy::ideal()
         };
-        let (a, b) = net.pair(policy, LinkPolicy::ideal());
-        a.send(b"x").unwrap();
-        assert_eq!(net.next_due(), Some(SimTime::from_micros(100)));
-        net.advance_to(SimTime::from_micros(99));
-        assert_eq!(b.try_recv(), Ok(None));
-        net.advance_to(SimTime::from_micros(100));
-        assert_eq!(b.try_recv(), Ok(Some(b"x".to_vec())));
+        let mut dir = Direction::new(policy, 1);
+        assert_eq!(dir.fate(SimTime::ZERO, 1), Some(SimTime::from_micros(100)));
+        let later = SimTime::from_millis(3);
+        assert_eq!(dir.fate(later, 1), Some(later + Duration::from_micros(100)));
     }
 
     #[test]
     fn bandwidth_serialises_bursts() {
-        let net = SimNet::new(1);
         // 8 Mb/s → 1 µs per byte: a 1000-byte frame occupies the wire 1 ms.
         let policy = LinkPolicy {
             bandwidth_bps: 8_000_000,
             ..LinkPolicy::ideal()
         };
-        let (a, _b) = net.pair(policy, LinkPolicy::ideal());
-        a.send(&[0u8; 1000]).unwrap();
-        a.send(&[1u8; 1000]).unwrap();
-        assert_eq!(net.next_due(), Some(SimTime::from_millis(1)));
-        net.step();
-        assert_eq!(net.next_due(), Some(SimTime::from_millis(2)));
+        assert_eq!(
+            fates(policy, 1, &[1000, 1000]),
+            [Some(SimTime::from_millis(1)), Some(SimTime::from_millis(2))]
+        );
     }
 
     #[test]
     fn jitter_never_reorders_one_direction() {
         // Jitter varies per-frame delay, but a single-path wire is FIFO:
-        // only the explicit `reorder` policy may overtake. (The NCS
-        // control-channel bootstrap depends on this — a hello must not
-        // arrive after the control traffic queued behind it.)
+        // only the explicit `reorder` policy may overtake.
         let policy = LinkPolicy {
             latency: Duration::from_micros(50),
             jitter: Duration::from_micros(40),
             ..LinkPolicy::ideal()
         };
         for seed in 0..16 {
-            let net = SimNet::new(seed);
-            let (a, b) = net.pair(policy.clone(), LinkPolicy::ideal());
-            for i in 0..32u8 {
-                a.send(&[i]).unwrap();
-            }
-            net.advance_to(SimTime::from_millis(10));
-            for i in 0..32u8 {
-                assert_eq!(b.try_recv(), Ok(Some(vec![i])), "seed {seed} frame {i}");
-            }
+            let dues: Vec<SimTime> = fates(policy.clone(), seed, &[1; 32])
+                .into_iter()
+                .map(|due| due.expect("no loss"))
+                .collect();
+            assert!(dues.is_sorted(), "seed {seed}: {dues:?}");
+            assert!(
+                dues.windows(2).any(|w| w[0] != w[1]),
+                "seed {seed}: no jitter"
+            );
         }
     }
 
     #[test]
-    fn downed_direction_black_holes_then_heals() {
-        let net = SimNet::new(1);
-        let (a, b) = net.pair(LinkPolicy::ideal(), LinkPolicy::ideal());
-        net.set_link_up(a.link(), 0, false);
-        a.send(b"lost").unwrap();
-        assert_eq!(net.dropped(), 1);
-        assert_eq!(net.in_flight(), 0);
-        // Reverse direction unaffected.
-        b.send(b"back").unwrap();
-        net.step();
-        assert_eq!(a.try_recv(), Ok(Some(b"back".to_vec())));
-        net.set_link_up(a.link(), 0, true);
-        a.send(b"healed").unwrap();
-        net.step();
-        assert_eq!(b.try_recv(), Ok(Some(b"healed".to_vec())));
+    fn reorder_lets_later_frames_overtake() {
+        let latency = Duration::from_micros(10);
+        let mut dir = Direction::new(
+            LinkPolicy {
+                latency,
+                reorder: 1.0, // every frame held back once
+                ..LinkPolicy::ideal()
+            },
+            7,
+        );
+        let first = dir.fate(SimTime::ZERO, 1).unwrap();
+        dir.policy.reorder = 0.0;
+        let second = dir.fate(SimTime::ZERO, 1).unwrap();
+        assert_eq!(second, SimTime::ZERO + latency);
+        assert_eq!(first, second + latency, "held back one latency");
     }
 
     #[test]
     fn same_seed_same_fates() {
-        let run = |seed: u64| -> (u64, u64) {
-            let net = SimNet::new(seed);
-            let (a, _b) = net.pair(LinkPolicy::ideal().with_loss(0.3), LinkPolicy::ideal());
-            for i in 0..200u32 {
-                a.send(&i.to_be_bytes()).unwrap();
-            }
-            net.advance_to(SimTime::from_secs(1));
-            (net.delivered(), net.dropped())
-        };
-        assert_eq!(run(42), run(42));
-        let (d1, _) = run(42);
-        let (d2, _) = run(43);
-        // Different seeds draw different loss patterns (overwhelmingly).
-        assert!(d1 != d2 || d1 != 200);
-    }
-
-    #[test]
-    fn reorder_lets_later_frames_overtake() {
-        let net = SimNet::new(7);
         let policy = LinkPolicy {
-            latency: Duration::from_micros(10),
-            reorder: 1.0, // every frame held back once
-            ..LinkPolicy::ideal()
+            jitter: Duration::from_micros(20),
+            ..LinkPolicy::ideal().with_loss(0.3)
         };
-        let (a, b) = net.pair(policy, LinkPolicy::ideal());
-        a.send(b"first").unwrap();
-        // Remove the reorder penalty for the second frame only.
-        net.set_policy(
-            a.link(),
-            0,
-            LinkPolicy {
-                latency: Duration::from_micros(10),
-                ..LinkPolicy::ideal()
-            },
-        );
-        a.send(b"second").unwrap();
-        net.advance_to(SimTime::from_millis(1));
-        assert_eq!(b.try_recv(), Ok(Some(b"second".to_vec())));
-        assert_eq!(b.try_recv(), Ok(Some(b"first".to_vec())));
+        let lens = [64; 200];
+        let run = fates(policy.clone(), 42, &lens);
+        assert_eq!(run, fates(policy.clone(), 42, &lens));
+        assert!(run.iter().any(Option::is_none) && run.iter().any(Option::is_some));
+        // Different seeds draw different losses and jitter (overwhelmingly).
+        assert_ne!(run, fates(policy, 43, &lens));
     }
 
-    #[test]
-    fn close_stops_sends_and_unblocks_receivers() {
-        let net = SimNet::new(1);
-        let (a, b) = net.pair(LinkPolicy::ideal(), LinkPolicy::ideal());
-        a.send(b"in-flight").unwrap();
-        a.close();
-        assert_eq!(a.send(b"x"), Err(TransportError::Closed));
-        // Graceful FIFO close: the frame sent before the close is still
-        // delivered; only then does the peer see `Closed`.
-        net.advance_to(SimTime::from_secs(1));
-        assert_eq!(b.try_recv(), Ok(Some(b"in-flight".to_vec())));
-        assert_eq!(b.try_recv(), Err(TransportError::Closed));
-    }
-
+    /// A frame put in flight rings the receiver's waker at once, before
+    /// it arrives; its arrival, brought up by the receiver, rings it again.
     #[test]
     fn waker_fires_on_delivery() {
         let net = SimNet::new(1);
-        let (a, b) = net.pair(LinkPolicy::lan(), LinkPolicy::lan());
+        let (a, b) = net.pair(LinkPolicy::wan(), LinkPolicy::wan());
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
         b.register_waker(Some(Arc::new(move || {
             h.fetch_add(1, Ordering::Relaxed);
         })));
         a.send(b"wake").unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 0);
-        net.advance_to(SimTime::from_secs(1));
-        assert!(hits.load(Ordering::Relaxed) >= 1);
+        assert_eq!(hits.load(Ordering::Relaxed), 1);
+        assert_eq!(b.try_recv(), Ok(None), "a WAN frame takes 10 ms");
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)), Ok(b"wake".to_vec()));
+        assert!(hits.load(Ordering::Relaxed) >= 2);
+        assert_eq!(net.delivered(), 1);
+    }
+
+    /// Nothing arrives before its time: `due` says when the next frame
+    /// arrives, and it is not receivable before.
+    #[test]
+    fn nothing_arrives_until_time_advances() {
+        let latency = Duration::from_millis(20);
+        let net = SimNet::new(1);
+        let policy = LinkPolicy {
+            latency,
+            ..LinkPolicy::ideal()
+        };
+        let (a, b) = net.pair(policy, LinkPolicy::ideal());
+        assert_eq!(b.due(), None, "nothing is in flight");
+        let sent = Instant::now();
+        a.send(b"x").unwrap();
+        let due = b.due().expect("in flight");
+        assert!(due >= sent + latency - Duration::from_micros(1), "{due:?}");
+        assert!(due <= Instant::now() + latency, "{due:?}");
+        assert_eq!(b.try_recv(), Ok(None));
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        assert_eq!(b.try_recv(), Ok(Some(b"x".to_vec())));
+        assert_eq!(b.due(), None);
+    }
+
+    #[test]
+    fn downed_direction_black_holes_then_heals() {
+        let net = SimNet::new(1);
+        let (a, b) = net.pair(LinkPolicy::ideal(), LinkPolicy::ideal());
+        a.outbound().set_up(false);
+        a.send(b"lost").unwrap();
+        assert_eq!(net.dropped(), 1);
+        assert_eq!((b.try_recv(), b.due()), (Ok(None), None));
+        // The reverse direction is unaffected.
+        b.send(b"back").unwrap();
+        assert_eq!(a.try_recv(), Ok(Some(b"back".to_vec())));
+        a.outbound().set_up(true);
+        a.send(b"healed").unwrap();
+        assert_eq!(b.try_recv(), Ok(Some(b"healed".to_vec())));
+    }
+
+    /// The end of the stream arrives behind every frame sent before the
+    /// close, a held-back one included; sends on either side fail.
+    #[test]
+    fn close_stops_sends_and_unblocks_receivers() {
+        let net = SimNet::new(1);
+        let policy = LinkPolicy {
+            latency: Duration::from_millis(5),
+            reorder: 0.5,
+            ..LinkPolicy::ideal()
+        };
+        let (a, b) = net.pair(policy, LinkPolicy::ideal());
+        for i in 0..8u8 {
+            a.send(&[i]).unwrap();
+        }
+        a.close();
+        assert_eq!(a.send(b"x"), Err(TransportError::Closed));
+        assert_eq!(b.send(b"y"), Err(TransportError::Closed));
+        let mut got = Vec::new();
+        loop {
+            match b.recv_timeout(Duration::from_secs(1)) {
+                Ok(frame) => got.extend(frame),
+                Err(e) => break assert_eq!(e, TransportError::Closed),
+            }
+        }
+        got.sort_unstable();
+        assert_eq!(got, (0..8).collect::<Vec<u8>>());
     }
 }

@@ -1,6 +1,6 @@
 //! The `Connection` contract, checked once over every interface: HPI,
-//! PIPE (instant, and with a drain rate and a latency), ACI, SCI, SIM (an
-//! ideal link whose virtual time the harness advances) and `Metered` over
+//! PIPE (instant, and with a drain rate and a latency), ACI, SCI, SIM (a
+//! LAN link, moved only by the endpoints that touch it) and `Metered` over
 //! HPI.
 
 use std::sync::mpsc;
@@ -20,9 +20,6 @@ struct Pair {
     name: &'static str,
     a: Arc<dyn Connection>,
     b: Arc<dyn Connection>,
-    /// Delivers what is in flight: advances a SIM fabric's virtual time,
-    /// and does nothing on the interfaces that deliver on their own.
-    settle: Box<dyn Fn()>,
     /// Runs when the pair is dropped (stops the ACI fabric's pump).
     teardown: Option<Box<dyn FnOnce()>>,
 }
@@ -41,7 +38,6 @@ impl Pair {
             name,
             a: Arc::new(a),
             b: Arc::new(b),
-            settle: Box::new(|| {}),
             teardown: None,
         }
     }
@@ -51,7 +47,6 @@ impl Pair {
     fn next(&self) -> Result<Vec<u8>, TransportError> {
         let deadline = Instant::now() + ARRIVAL;
         loop {
-            (self.settle)();
             match self.b.try_recv() {
                 Ok(None) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(1))
@@ -126,11 +121,8 @@ fn sci_pair() -> Pair {
 }
 
 fn sim_pair() -> Pair {
-    let net = SimNet::new(7);
-    let (a, b) = net.pair(LinkPolicy::ideal(), LinkPolicy::ideal());
-    let mut pair = Pair::new("SIM", a, b);
-    pair.settle = Box::new(move || while net.step().is_some() {});
-    pair
+    let (a, b) = SimNet::new(7).pair(LinkPolicy::lan(), LinkPolicy::lan());
+    Pair::new("SIM", a, b)
 }
 
 fn metered_hpi_pair() -> Pair {
@@ -191,7 +183,6 @@ fn a_batch_is_cut_at_its_first_invalid_frame() {
         for want in [one, two, three] {
             assert_eq!(p.next().unwrap(), want, "{}", p.name);
         }
-        (p.settle)();
         assert_eq!(
             p.b.recv_timeout(Duration::from_millis(20)),
             Err(TransportError::Timeout)
@@ -241,18 +232,9 @@ fn a_blocked_recv_wakes_on_close() {
         let receiver = std::thread::spawn(move || done_tx.send(b.recv()));
         std::thread::sleep(Duration::from_millis(30));
         p.a.close();
-        let deadline = Instant::now() + ARRIVAL;
-        let outcome = loop {
-            (p.settle)();
-            if let Ok(outcome) = done.recv_timeout(Duration::from_millis(5)) {
-                break outcome;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "{}: recv slept through the close",
-                p.name
-            );
-        };
+        let outcome = done
+            .recv_timeout(ARRIVAL)
+            .unwrap_or_else(|_| panic!("{}: recv slept through the close", p.name));
         assert_eq!(outcome, Err(TransportError::Closed), "{}", p.name);
         receiver.join().unwrap().unwrap();
     });
@@ -265,7 +247,7 @@ fn a_blocked_recv_wakes_on_close() {
 #[test]
 fn a_receiver_blocked_before_the_send_is_woken_by_the_arrival() {
     each_interface(|p| {
-        if !["PIPE with latency", "ACI"].contains(&p.name) {
+        if !["PIPE with latency", "ACI", "SIM"].contains(&p.name) {
             return;
         }
         let b = Arc::clone(&p.b);
@@ -277,9 +259,12 @@ fn a_receiver_blocked_before_the_send_is_woken_by_the_arrival() {
         assert_eq!(got, Ok(b"woken".to_vec()), "{}", p.name);
         let took = at - sent;
         assert!(took < Duration::from_secs(1), "{}: took {took:?}", p.name);
-        if p.name == "PIPE with latency" {
-            assert!(took >= PIPE_LATENCY, "{}: arrived early", p.name);
-        }
+        let latency = match p.name {
+            "PIPE with latency" => PIPE_LATENCY,
+            "SIM" => LinkPolicy::lan().latency,
+            _ => Duration::ZERO,
+        };
+        assert!(took >= latency, "{}: arrived early", p.name);
     });
 }
 
@@ -333,7 +318,6 @@ fn recv_many_honours_max() {
         p.send_all(&refs);
         let mut got = Vec::new();
         while got.len() < frames.len() {
-            (p.settle)();
             let batch = p.b.recv_many(2, ARRIVAL).expect(p.name);
             assert!(
                 (1..=2).contains(&batch.len()),
@@ -363,7 +347,6 @@ fn a_waker_endpoint_takes_a_valid_batch_or_fails_never_refuses_it() {
         for _ in 0..64 {
             let taken = p.a.try_send_batch(&batch).expect(p.name);
             assert!(taken >= 1, "{}: a valid batch refused", p.name);
-            (p.settle)();
             while let Ok(Some(_)) = p.b.try_recv() {}
         }
         p.a.close();

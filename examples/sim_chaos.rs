@@ -87,11 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 assert_eq!(sum, vec![6.0], "allreduce disagreed");
                 group.barrier().map_err(|e| e.to_string())?;
                 if rank == 0 {
-                    println!(
-                        "  allreduce sum {:?}, barrier done at t+{:?} (virtual)",
-                        sum,
-                        session.virtual_now()
-                    );
+                    println!("  allreduce sum {sum:?}, barrier done");
                 }
 
                 // Per-peer chaos: rank 0 cuts its link to rank 1, sends

@@ -210,7 +210,10 @@ fn mixed_configuration_connections_coexist() {
         ConnectionConfig::unreliable(),
         ConnectionConfig::builder()
             .sdu_size(1024)
-            .flow_control(FlowControlAlg::SlidingWindow { window: 8 })
+            .flow_control(FlowControlAlg::CreditBased {
+                initial_credits: 8,
+                dynamic: false,
+            })
             .error_control(ErrorControlAlg::GoBackN {
                 window: 8,
                 timeout: Duration::from_millis(200),
